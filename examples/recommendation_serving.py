@@ -145,8 +145,9 @@ def main() -> None:
     # ------------------------------------------------- shared device + shedding
     # The paper's single host puts *all* tables behind the same physical NVM
     # device.  Re-serve the overload point with both tables pinned to one
-    # shared device — cross-table contention the per-table accounting above
-    # cannot produce — then let admission control shed against the SLO.
+    # shared device, each table's misses charged to it separately — the
+    # cross-table queueing the whole-batch charge above only approximates —
+    # then let admission control shed against the SLO.
     print("\nshared NVM device at 120k rps (both tables on one device):")
     shared_device = DeviceBankConfig(accounting="shared", devices_per_host=1)
     for label, slack in (("no shedding", None), ("shed at 1.0x SLO backlog", 1.0)):

@@ -18,18 +18,15 @@ availability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
-
-import numpy as np
 
 from repro.cluster.faults import SCENARIOS, FaultSchedule, make_scenario
 from repro.cluster.store import ClusterCounters, ClusterStore
 from repro.core.bandana import BandanaStore
 from repro.core.config import ClusterConfig, ServingConfig, TracingConfig
-from repro.serving.arrivals import arrival_times
+from repro.serving.frontend import cut_request_stream, serve_request_stream
 from repro.serving.report import LatencySummary
-from repro.simulation.interleaved import iter_store_requests
 from repro.tracing.tracer import Tracer, resolve_tracer
 from repro.workloads.trace import ModelTrace
 
@@ -119,15 +116,15 @@ def run_scenario(
     serving_config:
         Arrival process and SLO; defaults to ``store.config.serving``.
     num_requests:
-        Optional cap on the request stream.
+        Optional cap on the measured request stream; must be ``>= 0``.
     scenario_overrides:
         Extra knobs forwarded to the scenario factory (window, target node,
         severity); ignored for explicit schedules.
     warmup_requests:
-        Requests replayed sequentially (and excluded from every reported
-        number) before the measured run, after which the cluster's clocks
-        rebase to zero with warm caches — without this the cold-start miss
-        surge dominates every percentile and masks the fault's tail cost.
+        Requests (``>= 0``) replayed sequentially (and excluded from every
+        reported number) before the measured run, after which the cluster's
+        clocks rebase to zero with warm caches — without this the cold-start
+        miss surge dominates every percentile and masks the fault's tail cost.
     tracing:
         Per-request span tracing (:mod:`repro.tracing`): a
         :class:`~repro.core.config.TracingConfig` (enabled) or an existing
@@ -150,20 +147,10 @@ def run_scenario(
         scenario_name = scenario
     cluster = ClusterStore.from_store(store, config=cluster_config, faults=faults)
 
-    stream = list(iter_store_requests(eval_trace))
-    warmup = int(warmup_requests)
-    requests = stream[warmup:]
-    if num_requests is not None:
-        requests = requests[: int(num_requests)]
-    n = len(requests)
-    seed = store.config.seed if serving_config.seed is None else serving_config.seed
-    arrival_us = arrival_times(serving_config, n, seed=seed) * 1e6
-
+    warmup, requests = cut_request_stream(eval_trace, num_requests, warmup_requests)
     if warmup:
-        for request in stream[:warmup]:
-            cluster.serve_request(request)
+        cluster.replay_requests(warmup)
         cluster.rebase_clocks()
-    stats_before = cluster.aggregate_stats()
     node_blocks_before = cluster.node_blocks_read()
 
     # Attached after warm-up + rebase: the tracer sees only the measured
@@ -172,47 +159,36 @@ def run_scenario(
         tracing if tracing is not None else store.config.tracing,
         slo_latency_us=serving_config.slo_latency_us,
     )
-    cluster.set_tracer(tracer)
-    latencies = np.empty(n, dtype=np.float64)
-    last_completion_us = 0.0
-    try:
-        for i, request in enumerate(requests):
-            outcome = cluster.serve_request(request, now_us=float(arrival_us[i]))
-            latencies[i] = outcome.latency_us
-            last_completion_us = max(last_completion_us, outcome.completion_us)
-    finally:
-        cluster.set_tracer(None)
-
-    stats = cluster.aggregate_stats()
-    makespan_us = last_completion_us - (float(arrival_us[0]) if n else 0.0)
-    makespan_s = makespan_us / 1e6
+    # The measured run is the shared serving loop on the cluster backend,
+    # unbatched: every request is dispatched at its own arrival.
+    served = serve_request_stream(
+        store,
+        requests,
+        replace(serving_config, max_batch_requests=1, max_linger_us=0.0),
+        tracer,
+        cluster=cluster,
+    )
     return ClusterReport(
         scenario=scenario_name,
-        num_requests=n,
+        num_requests=served.num_requests,
         num_nodes=cluster_config.num_nodes,
         replication=cluster.replication,
-        offered_rate_rps=serving_config.arrival_rate_rps,
-        makespan_s=makespan_s,
-        throughput_rps=n / makespan_s if makespan_s > 0 else 0.0,
-        latency=LatencySummary.from_samples(latencies),
-        slo_latency_us=serving_config.slo_latency_us,
-        slo_violations=int(
-            np.count_nonzero(latencies > serving_config.slo_latency_us)
-        ),
+        offered_rate_rps=served.offered_rate_rps,
+        makespan_s=served.makespan_s,
+        throughput_rps=served.throughput_rps,
+        latency=served.latency,
+        slo_latency_us=served.slo_latency_us,
+        slo_violations=served.slo_violations,
         availability=cluster.counters.availability,
         counters=cluster.counters,
-        lookups=stats.lookups - stats_before.lookups,
-        hit_rate=(
-            (stats.hits - stats_before.hits) / (stats.lookups - stats_before.lookups)
-            if stats.lookups > stats_before.lookups
-            else 0.0
-        ),
-        blocks_read=stats.misses - stats_before.misses,
+        lookups=served.lookups,
+        hit_rate=served.hit_rate,
+        blocks_read=served.blocks_read,
         node_blocks_read=[
             after - before
             for after, before in zip(cluster.node_blocks_read(), node_blocks_before)
         ],
-        trace=tracer.summary() if tracer.enabled else None,
+        trace=served.trace,
     )
 
 

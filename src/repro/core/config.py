@@ -32,7 +32,7 @@ PARTITIONERS = ("shp", "kmeans", "recursive-kmeans", "frequency", "identity")
 ARRIVAL_PROCESSES = ("poisson", "mmpp", "closed-loop")
 
 #: Ways the serving front-end can account device time.
-DEVICE_ACCOUNTING_MODES = ("legacy", "per-table", "shared")
+DEVICE_ACCOUNTING_MODES = ("legacy", "shared")
 
 
 @dataclass(frozen=True)
@@ -42,20 +42,20 @@ class DeviceBankConfig:
     Attributes
     ----------
     accounting:
-        How ``simulate_serving`` accounts device time.  ``"legacy"`` (the
-        default) keeps the original single-accountant path — one FIFO clock
-        charged each batch's *total* misses — bit-identical to the golden
-        pins.  ``"per-table"`` gives every table a private device (each
-        table's misses queue only behind their own table — the old
-        accounting made honest, and the counterfactual the paper's shared
-        hardware is compared against).  ``"shared"`` pins all tables onto
-        ``devices_per_host`` physical devices round-robin, so tables
-        sharing a device genuinely contend — the paper's single-host
-        deployment.
+        How ``simulate_serving`` charges a batch's misses to devices.
+        ``"legacy"`` (the default) is one device charged each batch's
+        *total* misses — the original single-clock accounting, bit-identical
+        to the golden pins.  ``"shared"`` pins all tables onto
+        ``devices_per_host`` physical devices round-robin and charges each
+        table's misses to its own device, so tables sharing a device
+        genuinely contend — the paper's single-host deployment.  With
+        ``devices_per_host`` equal to the table count every table owns a
+        private device: the counterfactual the shared hardware is compared
+        against (formerly a separate ``"per-table"`` mode).
     devices_per_host:
         Physical NVM devices in the host's bank under ``"shared"``
-        accounting (ignored by the other modes: ``"legacy"`` is one clock
-        by construction, ``"per-table"`` is one device per table).
+        accounting (ignored by ``"legacy"``, which is one device by
+        construction).
     """
 
     accounting: str = "legacy"
@@ -111,7 +111,7 @@ class ServingConfig:
         exposes only so many submission slots, so deeper backlogs raise
         queueing delay (serial rounds) rather than device-internal depth.
     throughput_window_s:
-        Trailing window over which the latency accountant measures device
+        Trailing window over which the device clock measures its own
         throughput for the loaded-latency feedback.
     closed_loop_clients:
         Client population size under ``"closed-loop"`` arrivals — a hard
@@ -123,7 +123,7 @@ class ServingConfig:
         rps, matching ``arrival_rate_rps``'s open-loop default.
     device:
         Shared NVM device layer knobs (:class:`DeviceBankConfig`):
-        accounting mode (legacy / per-table / shared) and the host's
+        accounting mode (legacy / shared) and the host's
         physical device count.
     admission_queue_slack:
         Single-host admission control, ported from the cluster tier: at

@@ -10,12 +10,12 @@ behind a table→device mapping.
 Both serving tiers are clients of this layer rather than owners of their own
 clock arithmetic:
 
-* the single-host front-end's
-  :class:`~repro.serving.accountant.DeviceLatencyAccountant` is a thin
-  adapter over a 1-device bank (device-priced work, bit-identical to the
-  pre-refactor accountant — the golden serving pins verify it), and
-  ``simulate_serving``'s shared-device modes put every table's misses on a
-  configured ``devices_per_host`` bank so cross-table contention is real;
+* the single-host front-end (:mod:`repro.serving.frontend`) builds one bank
+  per run and charges every batch's misses on it (device-priced work):
+  ``"legacy"`` accounting is a 1-device bank charged whole batches — the
+  original serving accountant's arithmetic, which the golden serving pins
+  verify — and ``"shared"`` accounting puts every table's misses on its own
+  device of a ``devices_per_host`` bank so cross-table contention is real;
 * each :class:`~repro.cluster.node.ClusterNode` owns a per-node bank
   (externally-priced work — the node prices reads through its replay
   engines) instead of a hand-rolled ``busy_until_us`` clock, and restart /

@@ -6,8 +6,7 @@ embedding table is pinned to exactly one of them (round-robin over first-use
 order, or an explicit mapping), and all work for a table queues FIFO on its
 device.  One device shared by many tables is the paper's actual single-host
 deployment — cross-table contention is real because the *hardware* is
-shared; one device per table reproduces the older per-table accounting as
-the counterfactual.
+shared; one device per table is the private-device counterfactual.
 
 The bank adds nothing to the per-device arithmetic — that is
 :class:`~repro.device.clock.DeviceClock`, bit-identical to the original

@@ -27,19 +27,19 @@ a simulation is a deterministic function of (store, trace, config, seed):
   batches** under a size cutoff (``max_batch_requests``) and a time cutoff
   (``max_linger_us``); each formed batch is fanned out to the store in one
   ``lookup_batch`` pass per touched table.
-* :mod:`~repro.serving.accountant` prices each batch's demand misses on a
-  FIFO device clock, feeding the **observed queue depth** and the
-  trailing-window **device throughput** back into
+* every batch's demand misses are priced on the host's
+  :class:`~repro.device.NVMDeviceBank` (:mod:`repro.device`), whose FIFO
+  device clocks feed the **observed queue depth** and the trailing-window
+  **device throughput** back into
   :meth:`repro.nvm.latency.NVMLatencyModel.loaded_latency` — so per-request
   latency reflects the device-load feedback the paper measures, including
-  the blow-up past the saturation knee.  The accountant is a thin adapter
-  over the shared device layer (:mod:`repro.device`); selecting
-  ``ServingConfig.device`` accounting modes other than the default
-  ``"legacy"`` puts each table's misses on its own device of an
-  :class:`~repro.device.NVMDeviceBank` (``"per-table"``) or pins all tables
-  onto ``devices_per_host`` shared devices (``"shared"`` — the paper's
-  actual deployment, where co-located tables contend for the same
-  hardware).
+  the blow-up past the saturation knee.  ``ServingConfig.device`` picks how
+  misses are charged: the default ``"legacy"`` is one device charged each
+  batch's total misses; ``"shared"`` pins all tables onto
+  ``devices_per_host`` devices and charges each table's misses to its own
+  device (the paper's actual deployment, where co-located tables contend
+  for the same hardware; ``devices_per_host = number of tables`` is the
+  private-device-per-table counterfactual).
 * A **closed-loop** mode (``arrival_process="closed-loop"``) replaces the
   precomputed arrival array with a fixed client population
   (:class:`~repro.serving.arrivals.ClosedLoopPopulation`) whose next
@@ -53,7 +53,11 @@ a simulation is a deterministic function of (store, trace, config, seed):
   closed-form Figure-5 cross-check via ``application_latency``).
 
 Entry point: :func:`~repro.serving.frontend.simulate_serving`, also exported
-as :func:`repro.simulation.simulate_serving` next to ``simulate_store``.  The
+as :func:`repro.simulation.simulate_serving` next to ``simulate_store``.  It
+runs the one serving event loop
+(:func:`~repro.serving.frontend.serve_request_stream`: an arrival source ×
+a backend — the host's device bank, or a cluster store), which
+:func:`repro.cluster.run_scenario` shares for its measured run.  The
 knobs live in :class:`repro.core.config.ServingConfig`, reachable as
 ``BandanaConfig.serving``.  ``benchmarks/bench_serving_latency.py`` sweeps
 arrival rates up to device saturation, batched vs unbatched.
@@ -75,7 +79,6 @@ behavior is bit-identical either way.
 
 from repro.core.config import DeviceBankConfig, ServingConfig
 from repro.device import NVMDeviceBank
-from repro.serving.accountant import BatchServiceRecord, DeviceLatencyAccountant
 from repro.serving.arrivals import (
     ClosedLoopPopulation,
     arrival_times,
@@ -94,8 +97,6 @@ __all__ = [
     "DeviceBankConfig",
     "NVMDeviceBank",
     "ServingConfig",
-    "BatchServiceRecord",
-    "DeviceLatencyAccountant",
     "ClosedLoopPopulation",
     "arrival_times",
     "mmpp_arrival_times",

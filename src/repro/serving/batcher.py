@@ -13,8 +13,8 @@ Batch formation depends only on the arrival timestamps and the two cutoffs —
 not on how long the device takes to serve earlier batches — so it is a pure,
 deterministic function: the front-end thread always drains its queue on time,
 and any backlog shows up downstream as device queueing (handled by the
-latency accountant), not as altered batch composition.  Dispatch times are
-non-decreasing in batch order, which the accountant's FIFO device relies on.
+device bank, :mod:`repro.device`), not as altered batch composition.  Dispatch
+times are non-decreasing in batch order, which the FIFO device clocks rely on.
 
 ``max_batch_requests=1`` degenerates to unbatched serving: every request is
 dispatched at its own arrival time and the linger cutoff never applies.

@@ -1,4 +1,4 @@
-"""The event-driven serving front-end: arrivals → batcher → store → latency.
+"""The event-driven serving front-end: arrivals → batcher → backend → latency.
 
 :func:`simulate_serving` is the serving-side sibling of
 :func:`repro.simulation.simulate_store`: instead of replaying a trace as fast
@@ -8,26 +8,30 @@ see — end-to-end latency percentiles, sustained throughput and SLO
 violations — with the device's load-feedback latency (paper Figure 5)
 closing the loop.
 
-One simulation step per dispatched batch:
+There is one event loop, :func:`serve_request_stream`, driven by an *arrival
+source* and served by a *backend*.  One step per dispatched batch:
 
-1. the dynamic batcher (:mod:`repro.serving.batcher`) fixes the batch's
-   membership and dispatch time — from the arrival process alone under the
-   open-loop processes, or interleaved with completions under closed-loop
-   arrivals (a client's next request exists only after its previous response),
-2. admission control (when ``admission_queue_slack`` is set) sheds requests
-   whose tables' device backlog already exceeds ``slack ×`` the table's SLO —
-   a fast rejection that does no cache or device work, mirroring the cluster
-   tier's queue-level shedding,
-3. the batch's surviving requests are fanned out through the store and the
-   store's miss counters yield the batch's NVM block reads,
-4. those reads are charged on the shared device layer (:mod:`repro.device`):
-   the default ``"legacy"`` accounting keeps the original single-clock
-   accountant (bit-identical to the golden pins), while ``"per-table"`` /
-   ``"shared"`` accounting put each table's misses on its own device of a
-   :class:`~repro.device.NVMDeviceBank` — ``devices_per_host`` physical
-   devices behind all tables, the paper's actual single-host deployment,
-5. every request in the batch completes together; its latency is
-   ``completion − arrival + request_overhead_us``.
+1. the arrival source fixes the batch's membership and dispatch time under
+   the dynamic batcher's size/linger cutoffs (:mod:`repro.serving.batcher`)
+   — from the arrival process alone under the open-loop processes, or from a
+   pending-arrivals heap under closed-loop arrivals, the only source that
+   consumes response times (a client's next request exists only after its
+   previous response);
+2. the backend serves the batch.  The single-host backend sheds requests
+   whose tables' device backlog already exceeds ``admission_queue_slack ×``
+   the table's SLO (a fast rejection that does no cache or device work,
+   mirroring the cluster tier's queue-level shedding), fans the survivors
+   out through the store, and charges the store's miss counters — the
+   batch's NVM block reads — on the host's
+   :class:`~repro.device.NVMDeviceBank`: ``"legacy"`` accounting is one
+   device charged each batch's total misses, ``"shared"`` is
+   ``devices_per_host`` devices each charged its own tables' misses (the
+   paper's actual single-host deployment).  The cluster backend hands every
+   member to :meth:`~repro.cluster.store.ClusterStore.serve_request` at the
+   batch's dispatch time;
+3. every request's latency is ``completion − arrival +
+   request_overhead_us``: served requests complete with their batch, shed
+   ones at dispatch.
 
 The cache counters the store accumulates are bit-identical to a plain
 :func:`~repro.simulation.simulate_store` replay of the same requests — the
@@ -37,7 +41,7 @@ front-end only re-times (and under shedding, skips) the exact same work.
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -46,12 +50,10 @@ from repro.core.config import ServingConfig, TracingConfig
 from repro.device.bank import NVMDeviceBank
 from repro.device.clock import DeviceServiceRecord
 from repro.nvm.latency import NVMLatencyModel
-from repro.serving.accountant import DeviceLatencyAccountant
 from repro.serving.arrivals import ClosedLoopPopulation, arrival_times
-from repro.serving.batcher import Batch, form_batches
+from repro.serving.batcher import form_batches
 from repro.serving.report import LatencySummary, ServingReport, depth_histogram
 from repro.tracing.tracer import (
-    NULL_TRACER,
     STAGE_BATCH_QUEUE,
     STAGE_OVERHEAD,
     STAGE_REQUEST_SHED,
@@ -59,10 +61,15 @@ from repro.tracing.tracer import (
     resolve_tracer,
 )
 from repro.utils.rng import ensure_rng
+from repro.utils.validation import check_int_at_least
 from repro.workloads.trace import ModelTrace
 
 if TYPE_CHECKING:  # repro.cluster imports this package; import only for types
     from repro.cluster.store import ClusterStore
+
+Request = Dict[str, np.ndarray]
+#: One batch's member arrival times (µs), in request order.
+_Arrivals = Union[np.ndarray, List[float]]
 
 
 def simulate_serving(
@@ -87,13 +94,13 @@ def simulate_serving(
         ``i`` reads every table's ``i``-th query).
     config:
         Serving knobs; defaults to ``store.config.serving``.  Beyond the
-        arrival/batching knobs this selects the device accounting mode
-        (``config.device``: legacy single clock, per-table devices, or a
-        shared ``devices_per_host`` bank) and single-host admission control
+        arrival/batching knobs this selects the device accounting
+        (``config.device``: the legacy single whole-batch clock, or a shared
+        ``devices_per_host`` bank) and single-host admission control
         (``config.admission_queue_slack``).
     num_requests:
         Optional cap on the number of requests served (the default serves
-        the whole zipped stream).
+        the whole zipped stream); must be ``>= 0``.
     reset_first:
         Clear the store's serving state first so runs start cold and are
         reproducible, like the paper's experiments.
@@ -124,10 +131,6 @@ def simulate_serving(
         carries the tracer's JSON summary in ``report.trace``.  Tracing
         never changes behavior.
     """
-    # Imported here: repro.simulation imports this package at init time, so
-    # a module-level import would be circular (same pattern as bandana.py).
-    from repro.simulation.interleaved import iter_store_requests
-
     config = config or store.config.serving
     if config.arrival_process == "closed-loop" and cluster is not None:
         raise ValueError(
@@ -138,378 +141,306 @@ def simulate_serving(
         tracing if tracing is not None else store.config.tracing,
         slo_latency_us=config.slo_latency_us,
     )
+    _, requests = cut_request_stream(eval_trace, num_requests)
     if reset_first:
         if cluster is not None:
             cluster.reset_serving_state()
         else:
             store.reset_serving_state()
-    requests = list(iter_store_requests(eval_trace))
-    if num_requests is not None:
-        requests = requests[: int(num_requests)]
-    n = len(requests)
-
-    seed = store.config.seed if config.seed is None else config.seed
-    if config.arrival_process == "closed-loop":
-        model = latency_model or NVMLatencyModel(block_bytes=store.config.block_bytes)
-        return _simulate_closed_loop(store, requests, config, model, tracer, seed)
-
-    arrival_us = arrival_times(config, n, seed=seed) * 1e6
-    batches = form_batches(arrival_us, config.max_batch_requests, config.max_linger_us)
-    if cluster is not None:
-        return _simulate_cluster_serving(
-            cluster, requests, arrival_us, batches, config, tracer
-        )
-
-    model = latency_model or NVMLatencyModel(block_bytes=store.config.block_bytes)
-    if config.device.accounting != "legacy":
-        return _simulate_bank_serving(
-            store, requests, arrival_us, batches, config, model, tracer
-        )
-
-    accountant = DeviceLatencyAccountant(
-        model,
-        block_bytes=store.config.block_bytes,
-        max_queue_depth=config.max_device_queue_depth,
-        throughput_window_s=config.throughput_window_s,
-    )
-
-    states = list(store.tables.values())
-    stats_before = store.aggregate_stats()
-    misses_before = sum(state.stats.misses for state in states)
-
-    shed_slack = config.admission_queue_slack
-    requests_shed = 0
-    latencies = np.empty(n, dtype=np.float64)
-    batch_sizes = np.empty(len(batches), dtype=np.int64)
-    last_completion_us = 0.0
-    for b, batch in enumerate(batches):
-        # Admission control (off by default): the device backlog at dispatch
-        # is the same for every request of the batch on the single legacy
-        # clock; only per-table SLO overrides differentiate requests.
-        served: Optional[List[int]] = None
-        if shed_slack is not None:
-            wait_us = accountant.queue_wait_us(batch.dispatch_us)
-            served = []
-            for i in range(batch.start, batch.stop):
-                if any(
-                    wait_us > shed_slack * config.slo_us(name)
-                    for name in requests[i]
-                ):
-                    requests_shed += 1
-                    latencies[i] = (
-                        batch.dispatch_us
-                        - arrival_us[i]
-                        + config.request_overhead_us
-                    )
-                    _emit_shed_spans(
-                        tracer,
-                        i,
-                        float(arrival_us[i]),
-                        b,
-                        batch.size,
-                        batch.dispatch_us,
-                        config.request_overhead_us,
-                        wait_us,
-                    )
-                else:
-                    served.append(i)
-        # gather=False: the simulator measures load and latency, not data —
-        # embedding gathers would cost per-lookup work whose result is unused.
-        if served is None:
-            if batch.size == 1:
-                store.lookup_request(requests[batch.start], gather=False)
-            else:
-                per_table: Dict[str, List[np.ndarray]] = {}
-                for request in requests[batch.start : batch.stop]:
-                    for name, ids in request.items():
-                        per_table.setdefault(name, []).append(ids)
-                for name, queries in per_table.items():
-                    store.lookup_batch(name, queries, gather=False)
-        elif served:
-            if len(served) == 1:
-                store.lookup_request(requests[served[0]], gather=False)
-            else:
-                per_table = {}
-                for i in served:
-                    for name, ids in requests[i].items():
-                        per_table.setdefault(name, []).append(ids)
-                for name, queries in per_table.items():
-                    store.lookup_batch(name, queries, gather=False)
-        misses_after = sum(state.stats.misses for state in states)
-        record = accountant.serve_batch(batch.dispatch_us, misses_after - misses_before)
-        misses_before = misses_after
-        if served is None:
-            latencies[batch.start : batch.stop] = (
-                record.completion_us
-                - arrival_us[batch.start : batch.stop]
-                + config.request_overhead_us
-            )
-        else:
-            for i in served:
-                latencies[i] = (
-                    record.completion_us
-                    - arrival_us[i]
-                    + config.request_overhead_us
-                )
-        batch_sizes[b] = batch.size
-        last_completion_us = max(last_completion_us, record.completion_us)
-        if tracer.enabled:
-            # Retrospective spans: the batch's timeline is fully known, and
-            # the four stages tile the request's latency exactly —
-            # batcher.queue + device.queue + device.service + overhead ==
-            # completion - arrival + request_overhead_us.
-            for i in range(batch.start, batch.stop) if served is None else served:
-                _emit_request_spans(
-                    tracer,
-                    i,
-                    float(arrival_us[i]),
-                    b,
-                    batch.size,
-                    batch.dispatch_us,
-                    [record],
-                    record.completion_us,
-                    config.request_overhead_us,
-                )
-
-    stats_after = store.aggregate_stats()
-    lookups = stats_after.lookups - stats_before.lookups
-    hits = stats_after.hits - stats_before.hits
-    blocks_read = stats_after.misses - stats_before.misses
-
-    return _assemble_report(
-        store=store,
-        model=model,
-        config=config,
-        n=n,
-        num_batches=len(batches),
-        offered_rate_rps=config.arrival_rate_rps,
-        latencies=latencies,
-        batch_sizes=batch_sizes,
-        first_arrival_us=float(arrival_us[0]) if n else 0.0,
-        last_completion_us=last_completion_us,
-        records=accountant.records,
-        lookups=int(lookups),
-        hits=int(hits),
-        blocks_read=int(blocks_read),
-        requests_shed=requests_shed,
-        device_bank=None,
-        tracer=tracer,
+    return serve_request_stream(
+        store, requests, config, tracer, latency_model=latency_model, cluster=cluster
     )
 
 
-# --------------------------------------------------------------- bank serving
-def _simulate_bank_serving(
-    store: BandanaStore,
-    requests: List[Dict[str, np.ndarray]],
-    arrival_us: np.ndarray,
-    batches: List[Batch],
-    config: ServingConfig,
-    model: NVMLatencyModel,
-    tracer: Tracer,
-) -> ServingReport:
-    """Open-loop serving on a shared device bank (see ``simulate_serving``).
+def cut_request_stream(
+    eval_trace: ModelTrace,
+    num_requests: Optional[int],
+    warmup_requests: int = 0,
+) -> Tuple[List[Request], List[Request]]:
+    """Zip a trace into requests and cut its ``(warm-up, measured)`` streams.
 
-    ``"per-table"`` accounting gives every table a private device (the old
-    per-table story made explicit); ``"shared"`` pins all tables onto
-    ``devices_per_host`` devices round-robin, so co-located tables genuinely
-    queue behind each other — the cross-table contention the legacy single
-    charge-everything clock can only approximate and per-table accounting
-    cannot produce at all.
+    The first ``warmup_requests`` requests are the warm-up prefix, the next
+    ``num_requests`` (everything left when ``None``) the measured run.  This
+    is the one place a request stream is cut, so both counts are validated
+    here: a negative count would slice from the tail instead of failing.
     """
-    bank = _build_bank(store, config, model)
-    stats_before = store.aggregate_stats()
-    n = len(requests)
-    requests_shed = 0
-    latencies = np.empty(n, dtype=np.float64)
-    batch_sizes = np.empty(len(batches), dtype=np.int64)
-    last_completion_us = 0.0
-    for b, batch in enumerate(batches):
-        members = list(range(batch.start, batch.stop))
-        served, shed = _split_shed(bank, requests, members, batch.dispatch_us, config)
-        requests_shed += len(shed)
-        for i in shed:
-            latencies[i] = (
-                batch.dispatch_us - arrival_us[i] + config.request_overhead_us
+    # Imported here: repro.simulation imports this package at init time, so
+    # a module-level import would be circular (same pattern as bandana.py).
+    from repro.simulation.interleaved import iter_store_requests
+
+    warmup = check_int_at_least(warmup_requests, 0, "warmup_requests")
+    stop: Optional[int] = None
+    if num_requests is not None:
+        stop = warmup + check_int_at_least(num_requests, 0, "num_requests")
+    stream = list(iter_store_requests(eval_trace))
+    return stream[:warmup], stream[warmup:stop]
+
+
+# ------------------------------------------------------------ arrival sources
+class _OpenLoopArrivals:
+    """Open-loop source: precomputed arrivals cut by the dynamic batcher."""
+
+    def __init__(self, config: ServingConfig, n: int, seed: Optional[int]) -> None:
+        self.offered_rate_rps = config.arrival_rate_rps
+        self._arrival_us = arrival_times(config, n, seed=seed) * 1e6
+        self._batches = iter(
+            form_batches(
+                self._arrival_us, config.max_batch_requests, config.max_linger_us
             )
-            _emit_shed_spans(
-                tracer,
-                i,
-                float(arrival_us[i]),
-                b,
-                batch.size,
-                batch.dispatch_us,
-                config.request_overhead_us,
-                bank.queue_wait_us(batch.dispatch_us),
-            )
-        completion_us, records = _lookup_and_charge(
-            store, requests, served, batch.dispatch_us, bank, split_tables=True
         )
-        for i in served:
-            latencies[i] = completion_us - arrival_us[i] + config.request_overhead_us
-        batch_sizes[b] = batch.size
-        last_completion_us = max(last_completion_us, completion_us)
-        if tracer.enabled:
-            for i in served:
-                _emit_request_spans(
-                    tracer,
-                    i,
-                    float(arrival_us[i]),
-                    b,
-                    batch.size,
-                    batch.dispatch_us,
-                    records,
-                    completion_us,
-                    config.request_overhead_us,
-                )
 
-    stats_after = store.aggregate_stats()
-    return _assemble_report(
-        store=store,
-        model=model,
-        config=config,
-        n=n,
-        num_batches=len(batches),
-        offered_rate_rps=config.arrival_rate_rps,
-        latencies=latencies,
-        batch_sizes=batch_sizes,
-        first_arrival_us=float(arrival_us[0]) if n else 0.0,
-        last_completion_us=last_completion_us,
-        records=bank.records(),
-        lookups=int(stats_after.lookups - stats_before.lookups),
-        hits=int(stats_after.hits - stats_before.hits),
-        blocks_read=int(stats_after.misses - stats_before.misses),
-        requests_shed=requests_shed,
-        device_bank=bank.snapshot(),
-        tracer=tracer,
-    )
+    def next_batch(self) -> Tuple[_Arrivals, float]:
+        """The next batch's member arrival times and its dispatch time."""
+        batch = next(self._batches)
+        return self._arrival_us[batch.start : batch.stop], batch.dispatch_us
+
+    def respond(self, response_us: List[float]) -> None:
+        """Open loop: arrivals do not depend on responses."""
 
 
-# --------------------------------------------------------------- closed loop
-def _simulate_closed_loop(
-    store: BandanaStore,
-    requests: List[Dict[str, np.ndarray]],
-    config: ServingConfig,
-    model: NVMLatencyModel,
-    tracer: Tracer,
-    seed: Optional[int],
-) -> ServingReport:
-    """Closed-loop serving: a fixed client population with think times.
+class _ClosedLoopArrivals:
+    """Closed-loop source: a fixed client population with think times.
 
     Arrivals depend on completions, so batch formation is interleaved with
     serving: a pending-arrivals heap seeds each batch, the batch fills under
-    the same size/linger cutoffs as the open-loop batcher, and every served
-    (or shed) request schedules its client's next arrival one think time
-    after the response.  At most ``closed_loop_clients`` requests are in
-    flight at any simulated instant, by construction.
-
-    Device accounting follows ``config.device`` exactly like the open-loop
-    path; ``"legacy"`` charges each batch's total misses to a single
-    1-device bank (the same arithmetic as the legacy accountant).
+    the same size/linger cutoffs as the open-loop batcher, and every response
+    schedules its client's next arrival one think time later.  At most
+    ``closed_loop_clients`` requests are in flight at any simulated instant,
+    by construction.
     """
-    n = len(requests)
-    population = ClosedLoopPopulation(
-        config.closed_loop_clients, config.closed_loop_think_s, ensure_rng(seed)
-    )
-    bank = _build_bank(store, config, model)
-    split_tables = config.device.accounting != "legacy"
-    stats_before = store.aggregate_stats()
 
-    pending: List[float] = []
-    issued = 0
-    for _ in range(min(population.num_clients, n)):
-        heapq.heappush(pending, population.initial_arrival_us())
-        issued += 1
+    def __init__(self, config: ServingConfig, n: int, seed: Optional[int]) -> None:
+        self._population = ClosedLoopPopulation(
+            config.closed_loop_clients, config.closed_loop_think_s, ensure_rng(seed)
+        )
+        self.offered_rate_rps = self._population.nominal_rate_rps
+        self._max_batch_requests = config.max_batch_requests
+        self._max_linger_us = config.max_linger_us
+        self._pending: List[float] = []
+        self._unissued = n
+        for _ in range(min(self._population.num_clients, n)):
+            heapq.heappush(self._pending, self._population.initial_arrival_us())
+            self._unissued -= 1
 
-    arrival_list = np.empty(n, dtype=np.float64)
-    latencies = np.empty(n, dtype=np.float64)
-    batch_sizes: List[int] = []
-    requests_shed = 0
-    last_completion_us = 0.0
-    next_index = 0
-    while next_index < n:
-        seed_arrival_us = heapq.heappop(pending)
-        deadline_us = seed_arrival_us + config.max_linger_us
-        member_arrivals = [seed_arrival_us]
+    def next_batch(self) -> Tuple[_Arrivals, float]:
+        """The next batch's member arrival times and its dispatch time."""
+        pending = self._pending
+        arrivals = [heapq.heappop(pending)]
+        deadline_us = arrivals[0] + self._max_linger_us
         while (
-            len(member_arrivals) < config.max_batch_requests
+            len(arrivals) < self._max_batch_requests
             and pending
             and pending[0] <= deadline_us
         ):
-            member_arrivals.append(heapq.heappop(pending))
-        if len(member_arrivals) == config.max_batch_requests:
-            dispatch_us = member_arrivals[-1]
-        else:
-            dispatch_us = deadline_us
-        start = next_index
-        members = list(range(start, start + len(member_arrivals)))
-        next_index = start + len(member_arrivals)
-        for i, arrival in zip(members, member_arrivals):
-            arrival_list[i] = arrival
-        b = len(batch_sizes)
-        batch_sizes.append(len(members))
+            arrivals.append(heapq.heappop(pending))
+        if len(arrivals) == self._max_batch_requests:
+            return arrivals, arrivals[-1]
+        return arrivals, deadline_us
 
-        served, shed = _split_shed(bank, requests, members, dispatch_us, config)
-        requests_shed += len(shed)
-        completion_us, records = _lookup_and_charge(
-            store, requests, served, dispatch_us, bank, split_tables=split_tables
+    def respond(self, response_us: List[float]) -> None:
+        """Each answered client thinks, then issues its next request.
+
+        This is the feedback that caps concurrency at the population.
+        """
+        for response in response_us:
+            if self._unissued:
+                heapq.heappush(
+                    self._pending, self._population.next_arrival_us(response)
+                )
+                self._unissued -= 1
+
+
+# ------------------------------------------------------------------ backends
+class _HostBackend:
+    """Single-host backend: admission control, store fan-out, bank charging."""
+
+    def __init__(
+        self,
+        store: BandanaStore,
+        config: ServingConfig,
+        model: NVMLatencyModel,
+        tracer: Tracer,
+    ) -> None:
+        self.store = store
+        self.config = config
+        self.tracer = tracer
+        self.bank, self.split_tables = _build_bank(store, config, model)
+        self.overhead_us = config.request_overhead_us
+        self.requests_shed = 0
+
+    def serve(
+        self,
+        requests: List[Request],
+        members: List[int],
+        arrival_us: np.ndarray,
+        dispatch_us: float,
+        batch_index: int,
+    ) -> List[Tuple[int, float]]:
+        """Serve one batch; ``(request, completion_us)`` in response order.
+
+        Shed requests are answered at dispatch, ahead of the served ones,
+        which all complete with the batch's last device read.
+        """
+        served, shed = _split_shed(
+            self.bank, requests, members, dispatch_us, self.config
         )
-        last_completion_us = max(last_completion_us, completion_us)
-        responses: List[Tuple[int, float]] = []
-        for i in shed:
-            response_us = dispatch_us + config.request_overhead_us
-            latencies[i] = response_us - arrival_list[i]
-            responses.append((i, response_us))
-            _emit_shed_spans(
-                tracer,
-                i,
-                float(arrival_list[i]),
-                b,
-                len(members),
-                dispatch_us,
-                config.request_overhead_us,
-                bank.queue_wait_us(dispatch_us),
-            )
-        for i in served:
-            response_us = completion_us + config.request_overhead_us
-            latencies[i] = response_us - arrival_list[i]
-            responses.append((i, response_us))
-            if tracer.enabled:
+        self.requests_shed += len(shed)
+        tracer = self.tracer
+        if tracer.enabled and shed:
+            queue_wait_us = self.bank.queue_wait_us(dispatch_us)
+            for i in shed:
+                _emit_shed_spans(
+                    tracer,
+                    i,
+                    float(arrival_us[i]),
+                    batch_index,
+                    len(members),
+                    dispatch_us,
+                    self.overhead_us,
+                    queue_wait_us,
+                )
+        completion_us, records = _lookup_and_charge(
+            self.store, requests, served, dispatch_us, self.bank, self.split_tables
+        )
+        if tracer.enabled:
+            # Retrospective spans: the batch's timeline is fully known, and
+            # with one charged device the four stages tile the latency
+            # exactly — batcher.queue + device.queue + device.service +
+            # overhead == completion - arrival + request_overhead_us.
+            for i in served:
                 _emit_request_spans(
                     tracer,
                     i,
-                    float(arrival_list[i]),
-                    b,
+                    float(arrival_us[i]),
+                    batch_index,
                     len(members),
                     dispatch_us,
                     records,
                     completion_us,
-                    config.request_overhead_us,
+                    self.overhead_us,
                 )
-        # Closed loop: each member's client thinks, then issues the next
-        # request — the feedback that caps concurrency at the population.
-        for _, response_us in responses:
-            if issued < n:
-                heapq.heappush(pending, population.next_arrival_us(response_us))
-                issued += 1
+        return [(i, dispatch_us) for i in shed] + [(i, completion_us) for i in served]
 
-    stats_after = store.aggregate_stats()
+    def close(self) -> None:
+        """Nothing to release: the bank lives and dies with the run."""
+
+
+class _ClusterBackend:
+    """Cluster backend: every member through ``ClusterStore.serve_request``.
+
+    The batcher still gates dispatch (requests wait out the linger window),
+    but timing inside the store is the cluster's: per-shard queueing on each
+    node's device bank, retries, hedges and fan-in.  Each node owns its
+    devices, so there is no host bank to report; nothing is shed here (the
+    cluster sheds per shard read and counts it itself).  The tracer rides
+    along on the store for the duration of the run: it roots each request at
+    its *true* arrival and records the batcher wait plus the full fan-out
+    span tree.
+    """
+
+    bank = None
+    requests_shed = 0
+    #: The cluster adds its own ``request_overhead_us`` inside
+    #: ``serve_request``; the front-end must not count it twice.
+    overhead_us = 0.0
+
+    def __init__(self, cluster: "ClusterStore", tracer: Tracer) -> None:
+        self.store = cluster
+        cluster.set_tracer(tracer)
+
+    def serve(
+        self,
+        requests: List[Request],
+        members: List[int],
+        arrival_us: np.ndarray,
+        dispatch_us: float,
+        batch_index: int,
+    ) -> List[Tuple[int, float]]:
+        """Serve one batch; ``(request, completion_us)`` in response order."""
+        return [
+            (
+                i,
+                self.store.serve_request(
+                    requests[i], now_us=dispatch_us, arrival_us=float(arrival_us[i])
+                ).completion_us,
+            )
+            for i in members
+        ]
+
+    def close(self) -> None:
+        self.store.set_tracer(None)
+
+
+# ------------------------------------------------------------- the event loop
+def serve_request_stream(
+    store: BandanaStore,
+    requests: List[Request],
+    config: ServingConfig,
+    tracer: Tracer,
+    latency_model: Optional[NVMLatencyModel] = None,
+    cluster: Optional["ClusterStore"] = None,
+) -> ServingReport:
+    """The one serving event loop: arrival source × backend (see module doc).
+
+    :func:`simulate_serving` and :func:`repro.cluster.run_scenario` both end
+    here.  The source is picked by ``config.arrival_process``; the backend
+    is the host's device bank, or ``cluster`` when given — then the
+    device-side report fields (queue-depth histogram, ``device_bank``,
+    steady-state cross-check) stay empty, and ``store`` only supplies the
+    seed default.
+    """
+    n = len(requests)
+    seed = store.config.seed if config.seed is None else config.seed
+    source: Union[_OpenLoopArrivals, _ClosedLoopArrivals] = (
+        _ClosedLoopArrivals(config, n, seed)
+        if config.arrival_process == "closed-loop"
+        else _OpenLoopArrivals(config, n, seed)
+    )
+    model = latency_model or NVMLatencyModel(block_bytes=store.config.block_bytes)
+    backend: Union[_HostBackend, _ClusterBackend] = (
+        _HostBackend(store, config, model, tracer)
+        if cluster is None
+        else _ClusterBackend(cluster, tracer)
+    )
+    stats_before = backend.store.aggregate_stats()
+
+    arrival_us = np.empty(n, dtype=np.float64)
+    latencies = np.empty(n, dtype=np.float64)
+    batch_sizes: List[int] = []
+    last_completion_us = 0.0
+    next_index = 0
+    try:
+        while next_index < n:
+            arrivals, dispatch_us = source.next_batch()
+            start, next_index = next_index, next_index + len(arrivals)
+            members = list(range(start, next_index))
+            arrival_us[start:next_index] = arrivals
+            completions = backend.serve(
+                requests, members, arrival_us, dispatch_us, len(batch_sizes)
+            )
+            batch_sizes.append(len(members))
+            for i, completion_us in completions:
+                latencies[i] = completion_us - arrival_us[i] + backend.overhead_us
+                last_completion_us = max(last_completion_us, completion_us)
+            source.respond([done + backend.overhead_us for _, done in completions])
+    finally:
+        backend.close()
+
+    stats_after = backend.store.aggregate_stats()
     return _assemble_report(
         store=store,
         model=model,
         config=config,
-        n=n,
-        num_batches=len(batch_sizes),
-        offered_rate_rps=population.nominal_rate_rps,
+        offered_rate_rps=source.offered_rate_rps,
+        arrival_us=arrival_us,
         latencies=latencies,
         batch_sizes=np.asarray(batch_sizes, dtype=np.int64),
-        first_arrival_us=float(arrival_list[0]) if n else 0.0,
         last_completion_us=last_completion_us,
-        records=bank.records(),
         lookups=int(stats_after.lookups - stats_before.lookups),
         hits=int(stats_after.hits - stats_before.hits),
         blocks_read=int(stats_after.misses - stats_before.misses),
-        requests_shed=requests_shed,
-        device_bank=bank.snapshot(),
+        requests_shed=backend.requests_shed,
+        bank=backend.bank,
         tracer=tracer,
     )
 
@@ -517,23 +448,24 @@ def _simulate_closed_loop(
 # ------------------------------------------------------------------- helpers
 def _build_bank(
     store: BandanaStore, config: ServingConfig, model: NVMLatencyModel
-) -> NVMDeviceBank:
-    """The host's device bank under ``config.device`` (see DeviceBankConfig)."""
-    table_names = list(store.tables)
-    if config.device.accounting == "per-table":
-        num_devices = max(1, len(table_names))
-    elif config.device.accounting == "shared":
-        num_devices = config.device.devices_per_host
-    else:  # "legacy": one clock, whole-batch charging (closed-loop path).
-        num_devices = 1
-    return NVMDeviceBank(
-        num_devices=num_devices,
+) -> Tuple[NVMDeviceBank, bool]:
+    """The host's device bank and how a batch's misses are charged to it.
+
+    This is the one reader of ``config.device`` (see DeviceBankConfig):
+    ``"legacy"`` is one device charged each batch's *total* misses,
+    ``"shared"`` is ``devices_per_host`` devices with every table's misses
+    charged to that table's device (``split_tables``).
+    """
+    split_tables = config.device.accounting == "shared"
+    bank = NVMDeviceBank(
+        num_devices=config.device.devices_per_host if split_tables else 1,
         latency_model=model,
         block_bytes=store.config.block_bytes,
         max_queue_depth=config.max_device_queue_depth,
         throughput_window_s=config.throughput_window_s,
-        tables=table_names,
+        tables=list(store.tables),
     )
+    return bank, split_tables
 
 
 def _split_shed(
@@ -568,7 +500,7 @@ def _split_shed(
 
 def _lookup_and_charge(
     store: BandanaStore,
-    requests: List[Dict[str, np.ndarray]],
+    requests: List[Request],
     served: List[int],
     dispatch_us: float,
     bank: NVMDeviceBank,
@@ -579,32 +511,30 @@ def _lookup_and_charge(
     ``split_tables=True`` charges each table's miss delta to that table's
     device (the batch completes at the max over its per-device records —
     per-table reads overlap across devices, serialise within one);
-    ``False`` charges the batch's total misses to device 0, reproducing the
-    legacy whole-batch accounting on bank plumbing.
+    ``False`` charges the batch's total misses to device 0, the legacy
+    whole-batch accounting.  A batch whose members were all shed does no
+    cache work and never visits a device.
     """
     per_table: Dict[str, List[np.ndarray]] = {}
     for i in served:
         for name, ids in requests[i].items():
             per_table.setdefault(name, []).append(ids)
+    # gather=False: the simulator measures load and latency, not data —
+    # embedding gathers would cost per-lookup work whose result is unused.
+    misses: Dict[str, int] = {}
+    for name, queries in per_table.items():
+        misses_before = store.tables[name].stats.misses
+        store.lookup_batch(name, queries, gather=False)
+        misses[name] = store.tables[name].stats.misses - misses_before
     records: List[DeviceServiceRecord] = []
-    completion_us = dispatch_us
     if split_tables:
-        for name, queries in per_table.items():
-            misses_before = store.tables[name].stats.misses
-            store.lookup_batch(name, queries, gather=False)
-            delta = store.tables[name].stats.misses - misses_before
-            records.append(bank.serve_blocks(name, dispatch_us, delta))
-    elif per_table:
-        misses_before = sum(state.stats.misses for state in store.tables.values())
-        for name, queries in per_table.items():
-            store.lookup_batch(name, queries, gather=False)
-        delta = (
-            sum(state.stats.misses for state in store.tables.values())
-            - misses_before
-        )
-        records.append(bank.devices[0].serve_blocks(dispatch_us, delta))
-    for record in records:
-        completion_us = max(completion_us, record.completion_us)
+        records = [
+            bank.serve_blocks(name, dispatch_us, delta)
+            for name, delta in misses.items()
+        ]
+    elif misses:
+        records = [bank.devices[0].serve_blocks(dispatch_us, sum(misses.values()))]
+    completion_us = max((r.completion_us for r in records), default=dispatch_us)
     return completion_us, records
 
 
@@ -619,15 +549,13 @@ def _emit_request_spans(
     completion_us: float,
     overhead_us: float,
 ) -> None:
-    """One served request's span tree (single-host paths).
+    """One served request's span tree (single-host backend).
 
     ``batcher.queue`` → per-device ``device.queue``/``device.service``
     (emitted by the shared device layer; parallel siblings when the batch
     charged several devices) → ``overhead``.  With a single charged device
     the four stages tile the latency exactly.
     """
-    if not tracer.enabled:
-        return
     tracer.begin_request(request_id, arrival_us)
     tracer.span(
         request_id,
@@ -662,8 +590,6 @@ def _emit_shed_spans(
     queue_wait_us: float,
 ) -> None:
     """A shed request's span tree: batcher wait, shed marker, overhead."""
-    if not tracer.enabled:
-        return
     tracer.begin_request(request_id, arrival_us)
     tracer.span(
         request_id,
@@ -690,31 +616,30 @@ def _assemble_report(
     store: BandanaStore,
     model: NVMLatencyModel,
     config: ServingConfig,
-    n: int,
-    num_batches: int,
     offered_rate_rps: float,
+    arrival_us: np.ndarray,
     latencies: np.ndarray,
     batch_sizes: np.ndarray,
-    first_arrival_us: float,
     last_completion_us: float,
-    records: List[DeviceServiceRecord],
     lookups: int,
     hits: int,
     blocks_read: int,
     requests_shed: int,
-    device_bank: Optional[Dict[str, object]],
+    bank: Optional[NVMDeviceBank],
     tracer: Tracer,
 ) -> ServingReport:
-    """Condense one single-host run into a :class:`ServingReport`."""
-    app_bytes = lookups * store.config.vector_bytes
-    nvm_bytes = blocks_read * store.config.block_bytes
-    makespan_us = last_completion_us - first_arrival_us if n else 0.0
+    """Condense one run into a :class:`ServingReport` (``bank=None``: cluster)."""
+    n = int(latencies.size)
+    makespan_us = last_completion_us - float(arrival_us[0]) if n else 0.0
     makespan_s = makespan_us / 1e6
+    records = bank.records() if bank is not None else []
     depths = np.array([r.queue_depth for r in records], dtype=np.float64)
     mbps = np.array([r.device_mbps for r in records], dtype=np.float64)
 
+    app_bytes = lookups * store.config.vector_bytes
+    nvm_bytes = blocks_read * store.config.block_bytes
     steady_state = None
-    if nvm_bytes > 0 and makespan_us > 0:
+    if bank is not None and nvm_bytes > 0 and makespan_us > 0:
         steady_state = model.application_latency(
             app_bytes / makespan_us,  # bytes/µs == MB/s
             min(1.0, app_bytes / nvm_bytes),
@@ -723,14 +648,14 @@ def _assemble_report(
 
     return ServingReport(
         num_requests=n,
-        num_batches=num_batches,
+        num_batches=int(batch_sizes.size),
         offered_rate_rps=offered_rate_rps,
         throughput_rps=n / makespan_s if makespan_s > 0 else 0.0,
         makespan_s=makespan_s,
         latency=LatencySummary.from_samples(latencies),
         slo_latency_us=config.slo_latency_us,
         slo_violations=int(np.count_nonzero(latencies > config.slo_latency_us)),
-        mean_batch_size=float(batch_sizes.mean()) if num_batches else 0.0,
+        mean_batch_size=float(batch_sizes.mean()) if batch_sizes.size else 0.0,
         batch_size_hist={
             int(size): int(count)
             for size, count in zip(*np.unique(batch_sizes, return_counts=True))
@@ -744,73 +669,7 @@ def _assemble_report(
         lookups=lookups,
         hit_rate=hits / lookups if lookups else 0.0,
         requests_shed=requests_shed,
-        device_bank=device_bank,
+        device_bank=bank.snapshot() if bank is not None else None,
         steady_state=steady_state,
-        trace=tracer.summary() if tracer.enabled else None,
-    )
-
-
-def _simulate_cluster_serving(
-    cluster: "ClusterStore",
-    requests: List[Dict[str, np.ndarray]],
-    arrival_us: np.ndarray,
-    batches: List[Batch],
-    config: ServingConfig,
-    tracer: Tracer = NULL_TRACER,
-) -> ServingReport:
-    """The cluster-routed serving path (see ``simulate_serving``'s ``cluster``).
-
-    The batcher still gates dispatch (requests wait out the linger window),
-    but timing inside the store is the cluster's: per-shard queueing on each
-    node's device bank, retries, hedges and fan-in.  Device-accountant
-    metrics (queue-depth histogram, steady-state cross-check) do not apply —
-    each cluster node owns its devices — and are reported empty.  Tracing is
-    the cluster's too: the tracer rides along on the store
-    (:meth:`~repro.cluster.store.ClusterStore.set_tracer`), which roots each
-    request at its *true* arrival and records the batcher wait plus the full
-    fan-out span tree.
-    """
-    n = len(requests)
-    stats_before = cluster.aggregate_stats()
-    latencies = np.empty(n, dtype=np.float64)
-    batch_sizes = np.empty(len(batches), dtype=np.int64)
-    last_completion_us = 0.0
-    cluster.set_tracer(tracer)
-    try:
-        for b, batch in enumerate(batches):
-            for i in range(batch.start, batch.stop):
-                outcome = cluster.serve_request(
-                    requests[i],
-                    now_us=float(batch.dispatch_us),
-                    arrival_us=float(arrival_us[i]),
-                )
-                latencies[i] = outcome.completion_us - arrival_us[i]
-                last_completion_us = max(last_completion_us, outcome.completion_us)
-            batch_sizes[b] = batch.size
-    finally:
-        cluster.set_tracer(None)
-    stats_after = cluster.aggregate_stats()
-    lookups = stats_after.lookups - stats_before.lookups
-    hits = stats_after.hits - stats_before.hits
-    blocks_read = stats_after.misses - stats_before.misses
-    makespan_us = last_completion_us - (float(arrival_us[0]) if n else 0.0)
-    makespan_s = makespan_us / 1e6
-    return ServingReport(
-        num_requests=n,
-        num_batches=len(batches),
-        offered_rate_rps=config.arrival_rate_rps,
-        throughput_rps=n / makespan_s if makespan_s > 0 else 0.0,
-        makespan_s=makespan_s,
-        latency=LatencySummary.from_samples(latencies),
-        slo_latency_us=config.slo_latency_us,
-        slo_violations=int(np.count_nonzero(latencies > config.slo_latency_us)),
-        mean_batch_size=float(batch_sizes.mean()) if len(batches) else 0.0,
-        batch_size_hist={
-            int(size): int(count)
-            for size, count in zip(*np.unique(batch_sizes, return_counts=True))
-        },
-        blocks_read=int(blocks_read),
-        lookups=int(lookups),
-        hit_rate=hits / lookups if lookups else 0.0,
         trace=tracer.summary() if tracer.enabled else None,
     )

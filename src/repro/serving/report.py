@@ -151,9 +151,10 @@ class ServingReport:
     #: ``ServingConfig.admission_queue_slack``).  ``0`` when shedding is
     #: disabled — the default, golden-pinned path.
     requests_shed: int = 0
-    #: Observability snapshot of the shared device bank
-    #: (:meth:`repro.device.NVMDeviceBank.snapshot`); ``None`` on the
-    #: legacy accounting path and cluster-routed runs.
+    #: Observability snapshot of the host's device bank
+    #: (:meth:`repro.device.NVMDeviceBank.snapshot`) — a 1-device bank
+    #: under the default ``"legacy"`` accounting; ``None`` only on
+    #: cluster-routed runs, where each node owns its devices.
     device_bank: Optional[Dict[str, object]] = None
     #: Closed-form Figure-5 cross-check: the loaded latency the device model
     #: predicts for this run's average application throughput and measured

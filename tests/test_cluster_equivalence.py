@@ -140,6 +140,15 @@ class TestServingIntegration:
         assert report.blocks_read > 0
         assert report.makespan_s > 0.0
 
+    def test_cluster_routed_zero_requests_is_an_empty_report(self):
+        store, trace = build_store(0)
+        cluster = ClusterStore.from_store(store, config=SINGLE)
+        report = simulate_serving(store, trace, cluster=cluster, num_requests=0)
+        assert report.num_requests == report.num_batches == 0
+        assert report.latency.samples == 0
+        assert report.device_bank is None  # each cluster node owns its devices
+        assert cluster.counters.requests_total == 0
+
     def test_single_node_serving_matches_store_counters(self):
         # The cluster-routed front-end re-times the same work: with one
         # node and R=1 the cache counters equal the plain replay's.

@@ -8,6 +8,15 @@ recovered nodes restart cold.  Every run is a pure function of
 (trace, configs, schedule, seed) — pinned by the determinism test.
 """
 
+import os
+import sys
+
+if __package__ in (None, ""):  # direct script run (golden regeneration)
+    sys.path.insert(
+        0,
+        os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"),
+    )
+
 import numpy as np
 import pytest
 
@@ -169,6 +178,12 @@ class TestDegradedCluster:
         assert degraded.latency.p999_us > healthy.latency.p999_us
         assert degraded.counters.requests_degraded > 0
 
+    def test_seeded_golden_report(self):
+        # Every run is a pure function of (trace, configs, schedule, seed),
+        # so one warmed degraded-cluster report is pinned bit-stably (modulo
+        # the 6-decimal rounding) — the cluster tier's only latency pin.
+        assert golden_scenario_pin() == GOLDEN_SCENARIO_REPORT
+
     def test_sweep_runs_whole_catalog(self):
         store, trace = build_store(0)
         reports = sweep_scenarios(
@@ -232,6 +247,23 @@ class TestStoreMechanics:
         )
         assert sum(report.node_blocks_read) == report.blocks_read
 
+    def test_negative_request_counts_rejected(self):
+        # Regression: negative counts used to slice from the tail
+        # (num_requests=-3, warmup_requests=-10 silently served 7).
+        store, trace = build_store(0)
+        with pytest.raises(ValueError, match="num_requests"):
+            run_scenario(store, trace, num_requests=-3)
+        with pytest.raises(ValueError, match="warmup_requests"):
+            run_scenario(store, trace, num_requests=-3, warmup_requests=-10)
+
+    def test_zero_requests_is_an_empty_report(self):
+        store, trace = build_store(0)
+        report = run_scenario(store, trace, num_requests=0, warmup_requests=10)
+        assert report.num_requests == 0
+        assert report.latency.samples == 0
+        assert report.counters.requests_total == 0
+        assert report.availability == pytest.approx(1.0)
+
     def test_report_to_dict_is_json_ready(self):
         import json
 
@@ -240,3 +272,58 @@ class TestStoreMechanics:
         payload = json.loads(json.dumps(report.to_dict()))
         assert payload["scenario"] == "none"
         assert payload["counters"]["requests_total"] == 20
+
+
+def golden_scenario_pin():
+    """The pinned slice of one ``degraded_cluster`` run (4 nodes, R=2, warm)."""
+    report = run(
+        1,
+        "degraded_cluster",
+        ClusterConfig(num_nodes=4, replication=2),
+        warmup_requests=20,
+    )
+    pin = {
+        key: round(getattr(report.latency, key), 6)
+        for key in ("p50_us", "p95_us", "p99_us", "p999_us")
+    }
+    pin["makespan_us"] = round(report.makespan_s * 1e6, 6)
+    pin["counters"] = report.counters.as_dict()
+    return pin
+
+
+#: Frozen output of :func:`golden_scenario_pin`.  It changes only when
+#: cluster serving semantics change — regenerate deliberately with
+#: ``python tests/test_cluster_store.py``.
+GOLDEN_SCENARIO_REPORT = {
+    "p50_us": 7459.412413,
+    "p95_us": 8438.723683,
+    "p99_us": 8672.233409,
+    "p999_us": 8900.071664,
+    "makespan_us": 51698.973274,
+    "counters": {
+        "requests_total": 92,
+        "requests_ok": 57,
+        "requests_degraded": 35,
+        "availability": 0.6195652173913043,
+        "shard_groups": 1365,
+        "shard_groups_failed": 80,
+        "shard_attempts": 1657,
+        "retries": 292,
+        "timeouts": 14,
+        "link_losses": 9,
+        "sheds": 358,
+        "hedges_launched": 157,
+        "hedges_won": 71,
+        "hedges_lost": 86,
+        "breaker_skips": 540,
+        "breaker_ejections": 1,
+        "cold_restarts": 0,
+    },
+}
+
+
+if __name__ == "__main__":  # pragma: no cover - maintenance helper
+    import pprint
+
+    print("GOLDEN_SCENARIO_REPORT = ", end="")
+    pprint.pprint(golden_scenario_pin(), sort_dicts=False)

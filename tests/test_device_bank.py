@@ -3,10 +3,11 @@
 Covers the device-bank PR's checklist: DeviceClock FIFO/pricing behaviour
 and conservation invariants (busy time ≤ wall time × K, depth histograms
 sum to serve counts), the bank's table→device mapping, the serving
-front-end's accounting modes (legacy ≡ shared single-table, shared
-K=num_tables ≡ per-table, cross-table contention under a genuinely shared
-device), closed-loop arrival properties (hard concurrency cap, think-time
-stationarity, determinism), and single-host admission-control accounting.
+front-end's accounting modes (legacy ≡ shared single-table, the default
+config's 1-device bank, private devices vs cross-table contention under a
+genuinely shared device), closed-loop arrival properties (hard concurrency
+cap, think-time stationarity, determinism), and single-host
+admission-control accounting.
 """
 
 import os
@@ -69,6 +70,29 @@ class TestDeviceClock:
         # The serve is still observed (depth histogram, serve count).
         assert clock.serves == 1
 
+    def test_backlog_raises_observed_queue_depth_and_latency(self):
+        lone = self.make_clock().serve_blocks(0.0, 8)
+        backlogged = self.make_clock()
+        backlogged.serve_blocks(0.0, 48)
+        piled = backlogged.serve_blocks(1.0, 8)  # 48 reads still in flight
+        assert piled.queue_depth > lone.queue_depth
+        assert piled.read_latency_us > lone.read_latency_us
+
+    def test_throughput_window_feedback_inflates_latency(self):
+        # Same batch shape, but a device already pushed near saturation in
+        # the trailing window prices reads higher.
+        clock = self.make_clock(throughput_window_s=0.01)
+        capacity_blocks = int(NVMLatencyModel().blocks_per_second(8) * 0.01)
+        clock.serve_blocks(0.0, capacity_blocks)  # ~saturates the window
+        hot = clock.serve_blocks(5000.0, 8)
+        cold = self.make_clock(throughput_window_s=0.01).serve_blocks(5000.0, 8)
+        assert hot.device_mbps > cold.device_mbps
+        assert hot.read_latency_us > cold.read_latency_us
+
+    def test_negative_reads_rejected(self):
+        with pytest.raises(ValueError):
+            self.make_clock().serve_blocks(0.0, -1)
+
     def test_serve_blocks_requires_a_latency_model(self):
         clock = DeviceClock(None, block_bytes=4096)
         with pytest.raises(ValueError):
@@ -110,6 +134,24 @@ class TestDeviceClock:
 
 
 # ---------------------------------------------------------------- NVMDeviceBank
+def check_bank_conservation(snapshot):
+    """The bank's conservation laws, checked on any ``snapshot()``.
+
+    FIFO devices serve one request at a time, so per-device busy time is at
+    most the wall time (≤ wall × K over the bank), and every serve call lands
+    in exactly one queue-depth bucket.
+    """
+    per_device = snapshot["per_device"]
+    assert len(per_device) == snapshot["num_devices"]
+    wall_us = max(device["free_at_us"] for device in per_device)  # clock starts at 0
+    assert wall_us > 0.0
+    for device in per_device:
+        assert device["busy_us"] <= wall_us + 1e-6
+        assert sum(device["depth_hist"].values()) == device["serves"]
+    total_busy_us = sum(device["busy_us"] for device in per_device)
+    assert total_busy_us <= wall_us * len(per_device) + 1e-6
+
+
 class TestNVMDeviceBank:
     def test_round_robin_mapping_is_idempotent(self):
         bank = NVMDeviceBank(num_devices=2, latency_model=NVMLatencyModel())
@@ -148,12 +190,8 @@ class TestNVMDeviceBank:
         for _ in range(200):
             dispatch_us += float(rng.exponential(30.0))
             bank.serve_blocks(str(rng.choice(tables)), dispatch_us, int(rng.integers(0, 48)))
-        wall_us = bank.free_at_us  # dispatches started at 0
-        assert wall_us > 0.0
-        for device in bank.devices:
-            # FIFO: one request at a time, so busy time can't exceed wall time.
-            assert device.busy_us <= wall_us + 1e-6
-        assert bank.total_busy_us() <= wall_us * num_devices + 1e-6
+        check_bank_conservation(bank.snapshot())
+        assert bank.total_busy_us() <= bank.free_at_us * num_devices + 1e-6
 
     def test_depth_histograms_sum_to_serve_counts(self):
         rng = ensure_rng(6)
@@ -162,6 +200,7 @@ class TestNVMDeviceBank:
         for i in range(120):
             dispatch_us += float(rng.exponential(20.0))
             bank.serve_blocks(f"t{i % 5}", dispatch_us, int(rng.integers(0, 32)))
+        check_bank_conservation(bank.snapshot())
         for device, hist in zip(bank.devices, bank.depth_histograms()):
             assert sum(hist.values()) == device.serves
             assert device.serves == len(device.records)
@@ -211,36 +250,33 @@ def serve(store_and_trace, config, **kwargs):
 
 
 class TestAccountingModes:
-    def test_default_config_is_legacy_with_no_bank(self, store_and_trace):
+    def test_default_config_is_a_one_device_bank(self, store_and_trace):
         report = serve(store_and_trace, ServingConfig(seed=3))
         assert report.requests_shed == 0
-        assert report.device_bank is None
-
-    def test_per_table_mode_gives_every_table_a_device(self, store_and_trace):
-        report = serve(
-            store_and_trace,
-            ServingConfig(seed=3, device=DeviceBankConfig(accounting="per-table")),
-        )
         bank = report.device_bank
-        assert bank is not None
-        assert bank["num_devices"] == 2
-        assert sorted(bank["table_mapping"].values()) == [0, 1]
+        assert bank["num_devices"] == 1
+        assert set(bank["table_mapping"].values()) == {0}
+        check_bank_conservation(bank)
+        # Legacy charges whole batches: one serve call per dispatched batch.
+        device = bank["per_device"][0]
+        assert device["serves"] == report.num_batches
+        assert device["blocks_issued"] == report.blocks_read
 
-    def test_shared_with_enough_devices_equals_per_table(self, store_and_trace):
-        per_table = serve(
-            store_and_trace,
-            ServingConfig(seed=3, device=DeviceBankConfig(accounting="per-table")),
-        )
-        shared = serve(
+    def test_shared_with_enough_devices_gives_every_table_a_device(
+        self, store_and_trace
+    ):
+        report = serve(
             store_and_trace,
             ServingConfig(
                 seed=3,
                 device=DeviceBankConfig(accounting="shared", devices_per_host=2),
             ),
         )
-        assert shared.latency == per_table.latency
-        assert shared.blocks_read == per_table.blocks_read
-        assert shared.device_bank["table_mapping"] == per_table.device_bank["table_mapping"]
+        bank = report.device_bank
+        assert bank is not None
+        assert bank["num_devices"] == 2
+        assert sorted(bank["table_mapping"].values()) == [0, 1]
+        check_bank_conservation(bank)
 
     def test_shared_single_table_equals_legacy(self):
         store, eval_trace = build_store_and_trace(names=("table1",))
@@ -260,12 +296,12 @@ class TestAccountingModes:
 
     def test_shared_device_creates_cross_table_contention(self, store_and_trace):
         rate = ServingConfig(seed=3, arrival_rate_rps=8000.0)
-        per_table = serve(
+        private = serve(
             store_and_trace,
             ServingConfig(
                 seed=3,
                 arrival_rate_rps=rate.arrival_rate_rps,
-                device=DeviceBankConfig(accounting="per-table"),
+                device=DeviceBankConfig(accounting="shared", devices_per_host=2),
             ),
         )
         shared = serve(
@@ -277,11 +313,11 @@ class TestAccountingModes:
             ),
         )
         # Both tables' reads serialise on the one physical device: the tail
-        # pays for the other table's queue, which per-table accounting
-        # cannot produce (each table had a private device there).
-        assert shared.latency.p999_us > per_table.latency.p999_us
-        assert shared.latency.mean_us > per_table.latency.mean_us
-        assert shared.blocks_read == per_table.blocks_read  # same cache work
+        # pays for the other table's queue, which a private device per
+        # table (devices_per_host = number of tables) cannot produce.
+        assert shared.latency.p999_us > private.latency.p999_us
+        assert shared.latency.mean_us > private.latency.mean_us
+        assert shared.blocks_read == private.blocks_read  # same cache work
 
     def test_bank_modes_trace_validates_with_parallel_device_spans(
         self, store_and_trace
@@ -292,7 +328,7 @@ class TestAccountingModes:
             ServingConfig(
                 seed=3,
                 arrival_rate_rps=8000.0,
-                device=DeviceBankConfig(accounting="per-table"),
+                device=DeviceBankConfig(accounting="shared", devices_per_host=2),
             ),
             tracing=tracer,
         )
@@ -482,6 +518,10 @@ class TestDeviceBankConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             DeviceBankConfig(accounting="florp")
+        # The old private-device-per-table mode is now spelled
+        # ("shared", devices_per_host=number of tables).
+        with pytest.raises(ValueError):
+            DeviceBankConfig(accounting="per-table")
         with pytest.raises(ValueError):
             DeviceBankConfig(devices_per_host=0)
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@
 
 Covers the satellite checklist of the serving PR: NVM latency-model
 monotonicity under load, the dynamic batcher's linger/size cutoffs, the
-device-feedback accountant, and a seeded golden pin of ServingReport
+front-end's report shape and hostile inputs, and a seeded golden pin of ServingReport
 percentiles (the simulated clock is deterministic, so they are bit-stable).
 """
 
@@ -21,7 +21,6 @@ import pytest
 from repro import BandanaConfig, BandanaStore, ServingConfig
 from repro.nvm.latency import NVMLatencyModel
 from repro.serving import (
-    DeviceLatencyAccountant,
     arrival_times,
     form_batches,
     mmpp_arrival_times,
@@ -179,55 +178,6 @@ class TestDynamicBatcher:
             assert sum(b.size for b in batches) == arrivals.size
 
 
-# ----------------------------------------------------------------- accountant
-class TestDeviceLatencyAccountant:
-    def make(self, **kwargs):
-        return DeviceLatencyAccountant(
-            NVMLatencyModel(), block_bytes=4096, **kwargs
-        )
-
-    def test_zero_read_batch_skips_the_device(self):
-        acc = self.make()
-        record = acc.serve_batch(100.0, 0)
-        assert record.completion_us == pytest.approx(100.0)
-        assert record.read_latency_us == pytest.approx(0.0)
-        assert acc.free_at_us == pytest.approx(0.0)
-
-    def test_fifo_serialisation_under_backlog(self):
-        acc = self.make()
-        first = acc.serve_batch(0.0, 64)
-        second = acc.serve_batch(1.0, 64)  # dispatched while device busy
-        assert second.completion_us > first.completion_us
-        # The second batch starts only when the first completes.
-        assert second.completion_us - first.completion_us == pytest.approx(
-            second.read_latency_us * np.ceil(64 / second.queue_depth)
-        )
-
-    def test_backlog_raises_observed_queue_depth_and_latency(self):
-        quiet = self.make()
-        backlogged = self.make()
-        lone = quiet.serve_batch(0.0, 8)
-        backlogged.serve_batch(0.0, 48)
-        piled = backlogged.serve_batch(1.0, 8)  # 48 reads still in flight
-        assert piled.queue_depth > lone.queue_depth
-        assert piled.read_latency_us > lone.read_latency_us
-
-    def test_throughput_window_feedback_inflates_latency(self):
-        # Same batch shape, but a device already pushed near saturation in
-        # the trailing window prices reads higher.
-        acc = self.make(throughput_window_s=0.01)
-        capacity_blocks = int(NVMLatencyModel().blocks_per_second(8) * 0.01)
-        acc.serve_batch(0.0, capacity_blocks)  # ~saturates the window
-        hot = acc.serve_batch(5000.0, 8)
-        cold = self.make(throughput_window_s=0.01).serve_batch(5000.0, 8)
-        assert hot.device_mbps > cold.device_mbps
-        assert hot.read_latency_us > cold.read_latency_us
-
-    def test_negative_reads_rejected(self):
-        with pytest.raises(ValueError):
-            self.make().serve_batch(0.0, -1)
-
-
 # ------------------------------------------------------------------ front-end
 class TestSimulateServing:
     @pytest.fixture(scope="class")
@@ -291,6 +241,26 @@ class TestSimulateServing:
         payload = report.to_dict()
         assert payload["latency"]["p99_us"] == latency.p99_us
         assert payload["steady_state"] is not None
+
+    def test_negative_num_requests_rejected(self, store_and_trace):
+        # Regression: -1 used to slice from the tail (160 of 161 served).
+        store, eval_trace = store_and_trace
+        with pytest.raises(ValueError, match="num_requests"):
+            simulate_serving(store, eval_trace, num_requests=-1)
+
+    def test_zero_requests_is_an_empty_well_formed_report(self, store_and_trace):
+        store, eval_trace = store_and_trace
+        for process in ("poisson", "closed-loop"):
+            report = simulate_serving(
+                store,
+                eval_trace,
+                ServingConfig(arrival_process=process),
+                num_requests=0,
+            )
+            assert report.num_requests == report.num_batches == 0
+            assert report.latency.samples == 0
+            assert report.throughput_rps == pytest.approx(0.0)
+            assert report.to_dict()["queue_depth_hist"] == {}
 
     def test_seeded_golden_percentiles(self):
         # The simulated clock is deterministic, so one configuration's
