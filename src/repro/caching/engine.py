@@ -18,11 +18,16 @@ How the vectorization works
 ---------------------------
 * :class:`ArrayLRUCache` replaces the dict+heap cache with flat NumPy arrays
   indexed by vector id — a ``float64`` recency-priority array and a boolean
-  residency array — plus the same lazy-deletion eviction heap as the
-  reference, so eviction order (including priority ties, which the heap breaks
-  by id) is reproduced exactly.  Bulk top-of-queue stamps append to the heap
-  in one call: because freshly stamped priorities exceed everything already
-  stored, appending them in increasing order preserves the heap invariant.
+  residency array.  Eviction order needs no heap on the common path: a
+  top-of-queue stamp is a fresh clock value, larger than everything already
+  stored, so stamps are appended to a *monotone stamp log* (two preallocated
+  arrays and a head cursor) that is sorted by construction.  Promotions and
+  admissions are slice writes, eviction advances the head past entries whose
+  key has since been re-stamped or evicted, and compaction is one vectorised
+  liveness mask.  Only interpolated priorities (``position > 0``) go to a
+  small lazy-deletion heap; the victim is the lexicographic ``(priority,
+  key)`` minimum of the two heads, so eviction order (including priority
+  ties, which the reference heap breaks by id) is reproduced exactly.
 * :class:`BatchReplayEngine` walks each query as alternating segments: a
   maximal *run of hits* (classified in one residency-array gather) is counted,
   recorded with the policy and promoted in bulk; the following *demand miss*
@@ -31,9 +36,12 @@ How the vectorization works
 * When no eviction can occur (the common case for adequately sized and
   unlimited caches) the admitted vectors are stamped in bulk, with insertion
   priorities computed by the same float expression the reference uses so the
-  bits match.  When an eviction *could* occur — or an insertion priority would
-  dip below the current queue bottom, where sequencing matters — the engine
-  falls back to an exact per-vector path over the same array cache.
+  bits match.  When top-of-queue admissions must evict, the victims are read
+  off the log without removing them (``peek_oldest``), checked for the one
+  hazard sequencing can cause, and committed with array operations.  When an
+  interpolated insertion could interact with an eviction — or would dip below
+  the current queue bottom, where sequencing matters — the engine falls back
+  to an exact per-vector path over the same array cache.
 
 The engine requires ``admit`` to be a pure function of the candidate id and
 the policy's current state (true for all six built-in policies): it may be
@@ -61,19 +69,37 @@ from repro.caching.policies import PrefetchPolicy
 from repro.caching.replay import ReplayStats
 from repro.nvm.block import BlockLayout
 from repro.nvm.device import NVMDevice
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import check_fraction, check_non_negative, check_positive
 
 
 class ArrayLRUCache:
     """Array-backed positional-insertion LRU over a bounded id universe.
 
     Semantically equivalent to :class:`~repro.caching.lru.LRUCache` for keys
-    in ``[0, num_slots)``, but stores recency priorities in flat NumPy arrays
-    indexed by key so that membership tests, promotions and top-of-queue
-    insertions can be executed for whole batches of keys at once.  Eviction
-    uses the same lazy-deletion heap (with the same ``(priority, key)``
-    tie-breaking) as the reference cache, compacted whenever stale entries
-    outnumber live ones.
+    in ``[0, num_slots)``: same evicted keys, same ``keys()`` order, same
+    ``(priority, key)`` tie-break.  State lives in flat NumPy arrays indexed
+    by key — a ``float64`` recency priority and a boolean residency flag — so
+    membership tests, promotions and top-of-queue insertions run for whole
+    batches of keys at once.
+
+    Eviction order is kept without a heap on the common path.  A
+    top-of-queue stamp is a fresh clock value, larger than every priority
+    already stored, so stamps are appended to a *monotone stamp log* (two
+    preallocated arrays, ``priority`` and ``key``, with a head cursor) that
+    is sorted by construction.  A logged entry is *live* while
+    ``resident[key] and prio[key] == logged priority``; re-stamping or
+    evicting a key leaves its older entries stale, and stale entries stay
+    stale for good.  Only interpolated priorities (``insert_at`` with
+    ``position > 0``), which land below the top, go to a small lazy-deletion
+    ``heapq``.  The eviction victim is the lexicographic minimum of the two
+    live heads.
+
+    Both structures are compacted with one vectorised liveness mask when they
+    fill up, and the log's arrays double only when live entries need the
+    room, so each holds at most ``max(_COMPACT_MIN, 4 * len(cache))``
+    entries (:meth:`order_entries` reports their sum).  A cache that can hold
+    the whole id universe never evicts and tracks no order at all until a
+    min-query forces one ``lexsort`` over the priority array.
 
     Parameters
     ----------
@@ -83,7 +109,8 @@ class ArrayLRUCache:
         Size of the id universe; every key must be in ``[0, num_slots)``.
     """
 
-    #: Compact the lazy heap only once it exceeds this many entries.
+    #: Initial length of the stamp log, and the size below which neither
+    #: order structure is ever compacted.
     _COMPACT_MIN = 64
 
     def __init__(self, capacity: int, num_slots: int) -> None:
@@ -96,12 +123,7 @@ class ArrayLRUCache:
         self._clock = 0.0
         self._live = 0
         self._evictions = 0
-        self._heap: List[Tuple[float, int]] = []
-        self._next_compact_check = self._COMPACT_MIN
-        # A cache that can hold the whole id universe never evicts, so no
-        # eviction order needs to be tracked at all; the heap is materialised
-        # lazily (from the priority arrays) if a min-query ever happens.
-        self._track_order = self.capacity < self.num_slots
+        self._reset_order()
 
     # ------------------------------------------------------------------ basic
     def __len__(self) -> int:
@@ -128,16 +150,18 @@ class ArrayLRUCache:
         ids = np.flatnonzero(self._resident)
         return ids[np.argsort(-self._prio[ids], kind="stable")].tolist()
 
+    def order_entries(self) -> int:
+        """Entries (live and stale) held by the stamp log and the heap."""
+        return self._tail - self._head + len(self._interp)
+
     def clear(self) -> None:
         """Drop all entries and reset the eviction counter."""
         self._resident[:] = False
         self._prio[:] = 0.0
-        self._heap.clear()
         self._clock = 0.0
         self._live = 0
         self._evictions = 0
-        self._next_compact_check = self._COMPACT_MIN
-        self._track_order = self.capacity < self.num_slots
+        self._reset_order()
 
     # ------------------------------------------------------------------- bulk
     def promote_batch(self, keys: np.ndarray) -> None:
@@ -150,38 +174,32 @@ class ArrayLRUCache:
         n = int(keys.size)
         if n == 0:
             return
-        if not self._track_order:
-            if n < 8:
-                clock = self._clock
-                prio = self._prio
-                for key in keys.tolist():
-                    clock += 1.0
-                    prio[key] = clock
-                self._clock = clock
-            else:
-                self._prio[keys] = self._clock + 1.0 + np.arange(n, dtype=np.float64)
-                self._clock += float(n)
-            return
-        if n < 8:
+        if n < 8 and self._tail + n <= self._log_key.size:
             # Scalar path: numpy vector-op overhead dominates on tiny runs.
             clock = self._clock
             prio = self._prio
-            append = self._heap.append
-            for key in keys.tolist():
-                clock += 1.0
-                prio[key] = clock
-                append((clock, key))
+            if self._track_order:
+                log_prio = self._log_prio
+                log_key = self._log_key
+                tail = self._tail
+                for key in keys.tolist():
+                    clock += 1.0
+                    prio[key] = clock
+                    log_prio[tail] = clock
+                    log_key[tail] = key
+                    tail += 1
+                self._tail = tail
+            else:
+                for key in keys.tolist():
+                    clock += 1.0
+                    prio[key] = clock
             self._clock = clock
-        else:
-            prios = self._clock + 1.0 + np.arange(n, dtype=np.float64)
-            self._prio[keys] = prios  # duplicate keys: last assignment wins
-            # Fresh top priorities exceed everything stored, so appending them
-            # in increasing order preserves the heap invariant without a
-            # heapify.
-            self._heap.extend(zip(prios.tolist(), keys.tolist()))
-            self._clock += float(n)
-        if len(self._heap) >= self._next_compact_check:
-            self._maybe_compact()
+            return
+        prios = self._clock + 1.0 + np.arange(n, dtype=np.float64)
+        self._prio[keys] = prios  # duplicate keys: last assignment wins
+        self._clock += float(n)
+        if self._track_order:
+            self._log_stamps(keys, prios)
 
     def stamp_top(self, key: int) -> None:
         """Insert or promote one key at the top of the queue (no eviction)."""
@@ -191,53 +209,39 @@ class ArrayLRUCache:
             self._live += 1
         self._prio[key] = self._clock
         if self._track_order:
-            self._heap.append((self._clock, key))
-            if len(self._heap) >= self._next_compact_check:
-                self._maybe_compact()
+            if self._tail == self._log_key.size:
+                self._compact_log(1)
+            self._log_prio[self._tail] = self._clock
+            self._log_key[self._tail] = key
+            self._tail += 1
 
-    def stamp_bulk(
-        self, keys: np.ndarray, prios: Optional[np.ndarray], all_top: bool
-    ) -> None:
-        """Insert distinct non-resident ``keys`` with precomputed priorities.
+    def stamp_bulk(self, keys: np.ndarray, prios: Optional[np.ndarray] = None) -> None:
+        """Insert distinct non-resident ``keys``, in order, without evicting.
 
-        The caller guarantees the priorities replicate what sequential
-        ``insert`` calls would have produced and that no eviction is needed.
-        ``all_top`` marks priorities that are fresh clock stamps (append-safe,
-        and derivable from the clock — pass ``prios=None``); interpolated
-        priorities go through ``heappush`` to keep the heap valid.
+        ``prios=None`` stamps every key at the top of the queue.  Otherwise
+        the caller passes the priorities sequential ``insert`` calls would
+        have produced; those equal to the key's own clock stamp are logged,
+        the interpolated rest go to the heap.
         """
         n = int(keys.size)
         if n == 0:
             return
-        track = self._track_order
-        if all_top and n < 8:
-            clock = self._clock
-            prio = self._prio
-            resident = self._resident
-            append = self._heap.append
-            for key in keys.tolist():
-                clock += 1.0
-                prio[key] = clock
-                resident[key] = True
-                if track:
-                    append((clock, key))
-            self._clock = clock
-            self._live += n
-        else:
-            if prios is None:
-                prios = self._clock + 1.0 + np.arange(n, dtype=np.float64)
-            self._prio[keys] = prios
-            self._resident[keys] = True
-            self._live += n
-            if track:
-                if all_top:
-                    self._heap.extend(zip(prios.tolist(), keys.tolist()))
-                else:
-                    for pair in zip(prios.tolist(), keys.tolist()):
-                        heapq.heappush(self._heap, pair)
-            self._clock += float(n)
-        if track and len(self._heap) >= self._next_compact_check:
-            self._maybe_compact()
+        tops = self._clock + 1.0 + np.arange(n, dtype=np.float64)
+        self._prio[keys] = tops if prios is None else prios
+        self._resident[keys] = True
+        self._live += n
+        self._clock += float(n)
+        if not self._track_order:
+            return
+        if prios is None:
+            self._log_stamps(keys, tops)
+            return
+        top = prios == tops
+        self._log_stamps(keys[top], tops[top])
+        lowered = ~top
+        for entry in zip(prios[lowered].tolist(), keys[lowered].tolist()):
+            heapq.heappush(self._interp, entry)
+        self._maybe_compact_interp()
 
     # ----------------------------------------------------------------- scalar
     def insert_at(self, key: int, position: float) -> Optional[int]:
@@ -246,84 +250,194 @@ class ArrayLRUCache:
         Returns the evicted key, if any.  This is the exact sequential path;
         the float expression matches the reference implementation bit for bit.
         """
+        check_fraction(position, "position")
         if self.capacity == 0:
             return None
         evicted = None
         if not self._resident[key] and self._live >= self.capacity:
             evicted = self._evict_one()
+        if position <= 0.0 or self._live == 0:
+            self.stamp_top(key)
+            return evicted
         self._clock += 1.0
         top = self._clock
-        if position <= 0.0 or self._live == 0:
-            priority = top
-        else:
-            bottom = self._min_priority()
-            priority = top - position * (top - bottom) - position * 1e-9
+        bottom = self._min_priority()
+        priority = top - position * (top - bottom) - position * 1e-9
         if not self._resident[key]:
             self._resident[key] = True
             self._live += 1
         self._prio[key] = priority
-        if self._track_order:
-            heapq.heappush(self._heap, (priority, key))
-            if len(self._heap) >= self._next_compact_check:
-                self._maybe_compact()
+        heapq.heappush(self._interp, (priority, key))
+        self._maybe_compact_interp()
         return evicted
 
-    # ----------------------------------------------------------------- private
-    def _min_priority(self) -> float:
-        """Priority of the current LRU bottom (cleaning stale heap entries)."""
-        if not self._track_order:
-            self._materialise_order()
-        while self._heap:
-            priority, key = self._heap[0]
-            if self._resident[key] and self._prio[key] == priority:
-                return priority
-            heapq.heappop(self._heap)
-        return self._clock
+    # ------------------------------------------------------ eviction order
+    def peek_oldest(self, k: int) -> Optional[Tuple[np.ndarray, np.ndarray, int]]:
+        """The ``k >= 1`` next eviction victims, read off the log without removal.
 
-    def _evict_one(self) -> Optional[int]:
+        Returns their ``(priorities, keys)`` in eviction order plus the log
+        cursor just past them (for :meth:`evict_peeked`), or ``None`` when
+        the log alone cannot name them: it holds fewer than ``k`` live
+        entries, or a live interpolated entry is not younger than all of
+        them.
+        """
         if not self._track_order:
             self._materialise_order()
-        while self._heap:
-            priority, key = heapq.heappop(self._heap)
+        found = self._live_positions(k)
+        if found.size < k:
+            return None
+        prios = self._log_prio[found]
+        interp = self._live_interp_head()
+        if interp is not None and interp[0] <= prios[-1]:
+            return None
+        return prios, self._log_key[found], int(found[-1]) + 1
+
+    def evict_peeked(self, keys: np.ndarray, end: int) -> None:
+        """Evict the victims a :meth:`peek_oldest` call just returned."""
+        k = int(keys.size)
+        self._resident[keys] = False
+        self._head = end
+        self._live -= k
+        self._evictions += k
+
+    # ----------------------------------------------------------------- private
+    def _reset_order(self) -> None:
+        # Stamp log: entries [_head, _tail) in increasing (priority, key).
+        self._log_prio = np.empty(self._COMPACT_MIN, dtype=np.float64)
+        self._log_key = np.empty(self._COMPACT_MIN, dtype=np.int64)
+        self._head = 0
+        self._tail = 0
+        # Lazy-deletion heap of interpolated (priority, key) entries.
+        self._interp: List[Tuple[float, int]] = []
+        # A cache that can hold the whole id universe never evicts, so no
+        # eviction order is tracked; the log is materialised lazily (from the
+        # priority arrays) if a min-query ever happens.
+        self._track_order = self.capacity < self.num_slots
+
+    def _log_stamps(self, keys: np.ndarray, prios: np.ndarray) -> None:
+        """Append clock stamps already written to the priority array."""
+        n = int(keys.size)
+        if self._tail + n > self._log_key.size:
+            # Out of room.  Only the last stamp of a repeated key is live, so
+            # log just those: with the stale entries compacted away, live
+            # logged entries plus these never exceed ``len(self)``.
+            last = self._prio[keys] == prios
+            keys = keys[last]
+            prios = prios[last]
+            n = int(keys.size)
+            self._compact_log(n)
+        end = self._tail + n
+        self._log_prio[self._tail : end] = prios
+        self._log_key[self._tail : end] = keys
+        self._tail = end
+
+    def _compact_log(self, incoming: int) -> None:
+        """Drop the log's stale entries and leave room for ``incoming`` more.
+
+        The arrays double only while the live entries and the incoming ones
+        fill more than half of them, which keeps appends amortised O(1) and
+        the log within ``max(_COMPACT_MIN, 4 * len(self))`` entries.
+        """
+        keys = self._log_key[self._head : self._tail]
+        prios = self._log_prio[self._head : self._tail]
+        live = self._resident[keys]
+        live &= self._prio[keys] == prios
+        keys = keys[live]
+        prios = prios[live]
+        kept = int(keys.size)
+        need = 2 * (kept + incoming)
+        if need > self._log_key.size:
+            size = 1 << (need - 1).bit_length()  # next power of two
+            self._log_prio = np.empty(size, dtype=np.float64)
+            self._log_key = np.empty(size, dtype=np.int64)
+        self._log_prio[:kept] = prios
+        self._log_key[:kept] = keys
+        self._head = 0
+        self._tail = kept
+
+    def _maybe_compact_interp(self) -> None:
+        heap = self._interp
+        if len(heap) > self._COMPACT_MIN and len(heap) > 3 * self._live:
+            entries = np.array(heap, dtype=np.float64)
+            keys = entries[:, 1].astype(np.int64)
+            live = self._resident[keys]
+            live &= self._prio[keys] == entries[:, 0]
+            heap[:] = zip(entries[live, 0].tolist(), keys[live].tolist())
+            heapq.heapify(heap)
+
+    def _live_positions(self, k: int) -> np.ndarray:
+        """Log positions of the ``k`` oldest live entries (fewer if it runs out).
+
+        Scans a window from the head that grows until it holds ``k`` live
+        entries, then moves the head past the leading stale ones.
+        """
+        head, tail = self._head, self._tail
+        span = max(4 * k, 32)
+        while True:
+            stop = min(head + span, tail)
+            keys = self._log_key[head:stop]
+            live = self._resident[keys]
+            live &= self._prio[keys] == self._log_prio[head:stop]
+            found = live.nonzero()[0]
+            if found.size >= k or stop == tail:
+                break
+            span *= 4
+        found = found[:k] + head
+        self._head = int(found[0]) if found.size else tail
+        return found
+
+    def _live_interp_head(self) -> Optional[Tuple[float, int]]:
+        """The heap's minimum live entry, popping stale ones above it."""
+        heap = self._interp
+        while heap:
+            priority, key = heap[0]
             if self._resident[key] and self._prio[key] == priority:
-                self._resident[key] = False
-                self._live -= 1
-                self._evictions += 1
-                return key
-        # Unreachable while every stamp is pushed to the heap; kept as a
-        # safety net mirroring the reference implementation.
-        if self._live:
-            ids = np.flatnonzero(self._resident)
-            key = int(ids[np.argmin(self._prio[ids])])
-            self._resident[key] = False
-            self._live -= 1
-            self._evictions += 1
-            return key
+                return heap[0]
+            heapq.heappop(heap)
         return None
 
-    def _materialise_order(self) -> None:
-        """Build the eviction heap from the priority arrays on first demand."""
-        ids = np.flatnonzero(self._resident)
-        self._heap = list(zip(self._prio[ids].tolist(), ids.tolist()))
-        heapq.heapify(self._heap)
-        self._track_order = True
-        self._next_compact_check = max(2 * len(self._heap), self._COMPACT_MIN)
+    def _oldest(self) -> Optional[Tuple[float, int, bool]]:
+        """The live ``(priority, key)`` minimum, and whether the log holds it."""
+        if not self._track_order:
+            self._materialise_order()
+        interp = self._live_interp_head() if self._interp else None
+        head = self._head
+        if head < self._tail:
+            key = self._log_key[head]
+            if not (self._resident[key] and self._prio[key] == self._log_prio[head]):
+                self._live_positions(1)
+                head = self._head
+        if head < self._tail:
+            logged = (float(self._log_prio[head]), int(self._log_key[head]))
+            if interp is None or logged < interp:
+                return logged + (True,)
+        return None if interp is None else interp + (False,)
 
-    def _maybe_compact(self) -> None:
-        if len(self._heap) > self._COMPACT_MIN and len(self._heap) > 3 * self._live:
-            # Filter the heap itself (scales with the heap, not with the id
-            # universe) and re-heapify the surviving valid entries.
-            entries = np.array(self._heap, dtype=np.float64)
-            keys = entries[:, 1].astype(np.int64)
-            valid = self._resident[keys]
-            valid &= self._prio[keys] == entries[:, 0]
-            self._heap = list(
-                zip(entries[valid, 0].tolist(), keys[valid].tolist())
-            )
-            heapq.heapify(self._heap)
-        # Amortise the next check against the current heap size so the test
-        # itself stays out of the per-stamp hot path.
-        self._next_compact_check = max(2 * len(self._heap), self._COMPACT_MIN)
+    def _min_priority(self) -> float:
+        """Priority of the current LRU bottom (the clock when empty)."""
+        oldest = self._oldest()
+        return self._clock if oldest is None else oldest[0]
+
+    def _evict_one(self) -> Optional[int]:
+        oldest = self._oldest()
+        if oldest is None:
+            return None
+        _, key, logged = oldest
+        if logged:
+            self._head += 1
+        else:
+            heapq.heappop(self._interp)
+        self._resident[key] = False
+        self._live -= 1
+        self._evictions += 1
+        return key
+
+    def _materialise_order(self) -> None:
+        """Build the stamp log from the priority arrays on first demand."""
+        ids = np.flatnonzero(self._resident)
+        ids = ids[np.lexsort((ids, self._prio[ids]))]
+        self._track_order = True
+        self._log_stamps(ids, self._prio[ids])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -484,10 +598,9 @@ class BatchReplayEngine:
                     policy.record_access(vid)
             stats.misses += 1
             if self.device is not None:
-                result = self.device.read_block(
+                stats.total_latency_us += self.device.charge_read(
                     int(self._block_arr[vid]), queue_depth=self.queue_depth
                 )
-                stats.total_latency_us += result.latency_us
             self._process_miss(vid)
             i += 1
 
@@ -532,16 +645,14 @@ class BatchReplayEngine:
         if self._static_admit:
             entry = self._block_admit.get(bid)
             if entry is None:
-                positions = np.asarray(self.policy.admit_batch(neighbours), dtype=np.float64)
-                admit_ok = ~np.isnan(positions)
+                positions, admit_ok = self._admit_positions(neighbours)
                 entry = (positions, admit_ok, bool(admit_ok.any()))
                 self._block_admit[bid] = entry
             positions, admit_ok, any_admits = entry
             if not any_admits:
                 return
         else:
-            positions = np.asarray(self.policy.admit_batch(neighbours), dtype=np.float64)
-            admit_ok = ~np.isnan(positions)
+            positions, admit_ok = self._admit_positions(neighbours)
         res_mask = cache._resident[neighbours]
         adm_mask = admit_ok > res_mask  # admit_ok & ~res_mask in one ufunc
         admitted = neighbours[adm_mask]
@@ -570,7 +681,7 @@ class BatchReplayEngine:
                     # bottom: sequencing matters — take the exact path.
                     self._admit_sequential(vid, neighbours, positions)
                     return
-            cache.stamp_bulk(admitted, prios, all_top=all_top)
+            cache.stamp_bulk(admitted, prios)
             stats.prefetch_admitted += m
             self._pending[admitted] = True
             self._num_pending += m
@@ -583,6 +694,19 @@ class BatchReplayEngine:
             return
 
         self._admit_bulk_evicting(vid, neighbours, res_mask, adm_mask, admitted, positions, excess)
+
+    def _admit_positions(self, neighbours: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """One ``admit_batch`` call: the positions and the not-rejected mask.
+
+        Positions outside ``[0, 1]`` raise the ``ValueError`` the reference
+        loop raises from ``LRUCache.insert`` (NaN, a rejection, compares
+        false on both sides).
+        """
+        positions = np.asarray(self.policy.admit_batch(neighbours), dtype=np.float64)
+        out_of_range = (positions < 0.0) | (positions > 1.0)
+        if out_of_range.any():
+            check_fraction(float(positions[out_of_range][0]), "position")
+        return positions, ~np.isnan(positions)
 
     def _admit_bulk_evicting(
         self,
@@ -602,107 +726,78 @@ class BatchReplayEngine:
         stamps in insertion order.  The one way sequencing can still leak into
         the result is the *flip* hazard: an eviction may remove an
         initially-resident block neighbour before the reference loop would
-        have examined it, turning a skip into an admission.  The old evicted
-        entries are therefore popped (non-destructively for residency) and
-        checked first; a detected flip pushes them back and defers to the
-        exact sequential path.
+        have examined it, turning a skip into an admission.  The old victims
+        are therefore only peeked at first; a detected flip (or victims the
+        stamp log cannot name by itself) defers to the exact sequential path
+        with nothing to undo.
         """
         cache = self.cache
         stats = self.stats
         pending = self._pending
-        m = int(admitted.size)
         live = cache._live
-        heap = cache._heap
-        resident = cache._resident
-        prio = cache._prio
-
-        # Pop the old entries that will be evicted (skipping stale entries,
-        # which is unobservable). Valid entries exist for every resident key.
         num_old = excess if excess < live else live
-        old_evicted: List[Tuple[float, int]] = []
-        heappop = heapq.heappop
-        for _ in range(num_old):
-            while True:
-                entry = heappop(heap)
-                key = entry[1]
-                if resident[key] and prio[key] == entry[0]:
-                    old_evicted.append(entry)
-                    break
+        victims = cache.peek_oldest(num_old)
+        if victims is None:
+            self._admit_sequential(vid, neighbours, positions)
+            return
+        old_prios, old_keys, log_end = victims
 
         # Flip detection: admission j evicts once live + j reaches capacity,
         # so the k-th eviction happens while examination stands at the block
         # slot of admission first + k; an initially-resident neighbour at a
         # later slot that gets evicted here would be re-examined (and possibly
-        # admitted) by the reference loop.  The popped priorities are the
+        # admitted) by the reference loop.  The peeked priorities are the
         # globally smallest, so comparing against the youngest of them rules
         # out any overlap with the block's residents in one vector op.
-        if old_evicted and bool(res_mask.any()):
-            res_nb = neighbours[res_mask]
-            if old_evicted[-1][0] >= float(prio[res_nb].min()):
-                rpos = {
-                    int(key): int(index)
-                    for index, key in zip(np.flatnonzero(res_mask), res_nb)
-                    if key != vid
-                }
-                if rpos:
-                    apos = np.flatnonzero(adm_mask)
-                    first = cache.capacity - live
-                    if first < 0:
-                        first = 0
-                    admit = self.policy.admit
-                    for k, (_, key) in enumerate(old_evicted):
-                        px = rpos.get(key)
-                        if px is None:
-                            continue
-                        if px > int(apos[first + k]) and admit(key) is not None:
-                            # Genuine flip: the reference loop would have
-                            # admitted this neighbour after its eviction.
-                            # Restore and replay the admission sweep exactly.
-                            for entry in old_evicted:
-                                heapq.heappush(heap, entry)
-                            self._admit_sequential(vid, neighbours, positions)
-                            return
+        res_nb = neighbours[res_mask]
+        if old_prios[-1] >= cache._prio[res_nb].min():
+            rpos = {
+                int(key): int(index)
+                for index, key in zip(np.flatnonzero(res_mask), res_nb)
+                if key != vid
+            }
+            if rpos:
+                apos = np.flatnonzero(adm_mask)
+                first = cache.capacity - live
+                if first < 0:
+                    first = 0
+                admit = self.policy.admit
+                for k, key in enumerate(old_keys.tolist()):
+                    px = rpos.get(key)
+                    if px is None:
+                        continue
+                    if px > int(apos[first + k]) and admit(key) is not None:
+                        # Genuine flip: the reference loop would have
+                        # admitted this neighbour after its eviction.
+                        self._admit_sequential(vid, neighbours, positions)
+                        return
 
         # Commit the old evictions.
-        for _, key in old_evicted:
-            resident[key] = False
-            cache._evictions += 1
-            stats.evictions += 1
-            if pending[key]:
-                pending[key] = False
-                self._num_pending -= 1
-                stats.prefetch_evicted_unused += 1
-        cache._live = live - num_old
+        cache.evict_peeked(old_keys, log_end)
+        stats.evictions += num_old
+        if self._num_pending:
+            unused = int(np.count_nonzero(pending[old_keys]))
+            if unused:
+                pending[old_keys] = False
+                self._num_pending -= unused
+                stats.prefetch_evicted_unused += unused
 
-        # Stamp the admitted neighbours in one batch.
-        prios = cache._clock + 1.0 + np.arange(m, dtype=np.float64)
-        prio[admitted] = prios
-        resident[admitted] = True
-        heap.extend(zip(prios.tolist(), admitted.tolist()))
-        cache._clock += float(m)
-        cache._live += m
-        stats.prefetch_admitted += m
-        pending[admitted] = True
-        self._num_pending += m
-
-        # Remaining evictions fall on the admissions themselves (cache-all
-        # churn with a cache smaller than a block): once every older entry is
-        # gone, the pops would return the admissions in insertion order, so
-        # they are applied directly without touching the heap (their heap
-        # entries go stale and are skipped later).  Each was pending, so each
-        # counts as an unused prefetch eviction.
+        # Evictions beyond the old entries fall on the admissions themselves
+        # (cache-all churn with a cache smaller than a block): with every
+        # older entry gone, the first admissions are pushed out again by the
+        # later ones, in insertion order.  They consume a clock tick and the
+        # counters of an unused prefetch each, but are never stored.
+        stats.prefetch_admitted += int(admitted.size)
         extra = excess - num_old
         if extra > 0:
-            evicted_new = admitted[:extra]
-            resident[evicted_new] = False
-            pending[evicted_new] = False
+            cache._clock += float(extra)
             cache._evictions += extra
-            cache._live -= extra
             stats.evictions += extra
-            self._num_pending -= extra
             stats.prefetch_evicted_unused += extra
-        if len(heap) >= cache._next_compact_check:
-            cache._maybe_compact()
+            admitted = admitted[extra:]
+        cache.stamp_bulk(admitted)
+        pending[admitted] = True
+        self._num_pending += int(admitted.size)
 
     def _admit_sequential(
         self, vid: int, neighbours: np.ndarray, positions: np.ndarray

@@ -12,7 +12,7 @@ values); the replay benchmarks run it in pure counting mode for speed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -72,6 +72,8 @@ class NVMDevice:
         self._per_block_reads: Optional[np.ndarray] = (
             np.zeros(self.num_blocks, dtype=np.int64) if track_per_block_reads else None
         )
+        # charge_read's memo: (latency model, queue depth, their latency in µs).
+        self._read_latency: Tuple[Optional[NVMLatencyModel], float, float] = (None, 0.0, 0.0)
 
     # ------------------------------------------------------------------ writes
     def write_block(self, block_id: int, data: Optional[np.ndarray] = None) -> None:
@@ -99,17 +101,30 @@ class NVMDevice:
     # ------------------------------------------------------------------- reads
     def read_block(self, block_id: int, queue_depth: float = 8.0) -> NVMReadResult:
         """Read one block, returning its payload (if any) and modelled latency."""
+        return NVMReadResult(
+            block_id=block_id,
+            latency_us=self.charge_read(block_id, queue_depth=queue_depth),
+            data=self._payloads.get(block_id),
+        )
+
+    def charge_read(self, block_id: int, queue_depth: float = 8.0) -> float:
+        """Account for one block read and return its modelled latency (µs).
+
+        The payload-free half of :meth:`read_block`, for replay loops that
+        only need the counters and the latency.  The latency of the last
+        ``(latency model, queue depth)`` pair is remembered, so a constant
+        depth is validated once rather than per read.
+        """
         self._check_block(block_id)
-        latency = self.latency_model.mean_latency_us(queue_depth)
+        model, depth, latency = self._read_latency
+        if depth != queue_depth or model is not self.latency_model:
+            latency = self.latency_model.mean_latency_us(queue_depth)
+            self._read_latency = (self.latency_model, queue_depth, latency)
         self._blocks_read += 1
         self._total_read_latency_us += latency
         if self._per_block_reads is not None:
             self._per_block_reads[block_id] += 1
-        return NVMReadResult(
-            block_id=block_id,
-            latency_us=latency,
-            data=self._payloads.get(block_id),
-        )
+        return latency
 
     def read_blocks(self, block_ids: npt.ArrayLike, queue_depth: float = 8.0) -> float:
         """Read several blocks; returns the total modelled latency in µs.

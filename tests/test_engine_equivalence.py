@@ -25,6 +25,7 @@ from repro.caching.policies import (
     CombinedPolicy,
     InsertAtPositionPolicy,
     NoPrefetchPolicy,
+    PrefetchPolicy,
     ShadowAdmissionPolicy,
 )
 from repro.caching.replay import ReplayStats, replay_table_cache
@@ -288,28 +289,78 @@ class TestArrayLRUCacheEdgeCases:
         """An empty key batch is a no-op on an empty (or any) cache."""
         array = ArrayLRUCache(4, num_slots=8)
         array.promote_batch(np.empty(0, dtype=np.int64))
-        assert len(array) == 0 and array._heap == []
+        assert len(array) == 0 and array.order_entries() == 0
         array.clear()
         array.promote_batch(np.empty(0, dtype=np.int64))
         assert array.keys() == []
 
     def test_compaction_keeps_heap_bounded_at_tiny_capacity(self):
-        """_maybe_compact at capacity 1: heavy churn must not grow the heap."""
+        """Capacity 1: heavy churn must not grow the stamp log."""
         array = ArrayLRUCache(1, num_slots=4)
         for round_ in range(2000):
             array.insert_at(round_ % 4, 0.0)
-        # Only one entry is live; the amortised compaction schedule keeps the
-        # lazy heap within a small multiple of _COMPACT_MIN.
-        assert len(array._heap) <= 2 * ArrayLRUCache._COMPACT_MIN
+        # Only one entry is live; compaction keeps the order structures
+        # within a small multiple of _COMPACT_MIN.
+        assert array.order_entries() <= 2 * ArrayLRUCache._COMPACT_MIN
         assert len(array) == 1 and array.evictions == 1999
 
     def test_compaction_noop_at_capacity_zero(self):
-        """Capacity 0 stores nothing, so compaction finds an empty heap."""
+        """Capacity 0 stores nothing, so compaction finds nothing to keep."""
         array = ArrayLRUCache(0, num_slots=4)
         for round_ in range(500):
             array.insert_at(round_ % 4, 0.0)
-        array._maybe_compact()
-        assert array._heap == [] and len(array) == 0
+        array._compact_log(0)
+        assert array.order_entries() == 0 and len(array) == 0
+
+
+class _FixedPositionPolicy(PrefetchPolicy):
+    """Admits every candidate at one (possibly invalid) position."""
+
+    def __init__(self, position, static):
+        self.position = position
+        self.admit_is_static = static
+
+    def admit(self, vector_id):
+        return self.position
+
+
+class TestAdmissionPositionValidation:
+    """Positions outside [0, 1] raise from both replay paths, never count."""
+
+    LAYOUT = BlockLayout.identity(64, 8)
+    QUERIES = [np.array([1, 9, 17, 2], dtype=np.int64)] * 30
+
+    @pytest.mark.parametrize("position", [1.5, -0.25, float("inf")])
+    @pytest.mark.parametrize("static", [True, False])
+    def test_out_of_range_position_raises_like_the_reference(self, position, static):
+        with pytest.raises(ValueError) as reference:
+            replay_table_cache(
+                self.QUERIES, self.LAYOUT, _FixedPositionPolicy(position, static), cache_size=16
+            )
+        with pytest.raises(ValueError) as batched:
+            replay_table_cache_batched(
+                self.QUERIES, self.LAYOUT, _FixedPositionPolicy(position, static), cache_size=16
+            )
+        assert str(batched.value) == str(reference.value)
+        assert f"position must be in [0.0, 1.0], got {position!r}" == str(batched.value)
+
+    @pytest.mark.parametrize("static", [True, False])
+    def test_boundary_positions_are_accepted(self, static):
+        for position in (0.0, 1.0):
+            reference = replay_table_cache(
+                self.QUERIES, self.LAYOUT, _FixedPositionPolicy(position, static), cache_size=16
+            )
+            batched = replay_table_cache_batched(
+                self.QUERIES, self.LAYOUT, _FixedPositionPolicy(position, static), cache_size=16
+            )
+            assert counters(batched) == counters(reference)
+
+    def test_insert_at_rejects_out_of_range_positions(self):
+        array = ArrayLRUCache(4, num_slots=8)
+        for position in (1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="position must be in"):
+                array.insert_at(1, position)
+        assert len(array) == 0 and array.order_entries() == 0
 
 
 class TestStoreBatchedServing:
@@ -396,6 +447,6 @@ class TestLRUCacheHeapCompaction:
             array.stamp_top(key)
         for round_ in range(2000):
             array.promote_batch(np.arange(8))
-        # 16k stamps were issued; compaction must keep the heap near the live
-        # entry count (the amortised schedule allows a small multiple).
-        assert len(array._heap) <= 256
+        # 16k stamps were issued; compaction must keep the stamp log near the
+        # live entry count (the amortised schedule allows a small multiple).
+        assert array.order_entries() <= 256

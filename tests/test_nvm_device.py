@@ -126,6 +126,29 @@ class TestNVMDevice:
         device.read_block(2)
         assert device.per_block_reads.tolist() == [0, 0, 2, 0]
 
+    def test_charge_read_accounts_like_read_block(self):
+        charged = NVMDevice(num_blocks=4, track_per_block_reads=True)
+        read = NVMDevice(num_blocks=4, track_per_block_reads=True)
+        for block_id, depth in [(2, 8.0), (2, 8.0), (1, 3.0), (0, 8.0)]:
+            latency = charged.charge_read(block_id, queue_depth=depth)
+            assert latency == read.read_block(block_id, queue_depth=depth).latency_us
+            assert latency == charged.latency_model.mean_latency_us(depth)
+        assert charged.blocks_read == read.blocks_read == 4
+        assert charged.mean_read_latency_us == read.mean_read_latency_us
+        assert charged.per_block_reads.tolist() == read.per_block_reads.tolist()
+        with pytest.raises(IndexError):
+            charged.charge_read(4)
+        for depth in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                charged.charge_read(0, queue_depth=depth)
+        assert charged.blocks_read == 4
+
+    def test_charge_read_follows_a_swapped_latency_model(self):
+        device = NVMDevice(num_blocks=4)
+        before = device.charge_read(0)
+        device.latency_model = NVMLatencyModel(base_latency_us=25.0)
+        assert device.charge_read(0) == before + 15.0
+
     def test_reset_counters_keeps_endurance(self):
         device = NVMDevice(num_blocks=4)
         device.write_block(0)
