@@ -29,7 +29,7 @@ The module also ships a small **scenario catalog**
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Tuple, Type
 
 from repro.utils.units import s_to_us
 from repro.utils.validation import (
@@ -101,6 +101,18 @@ class DegradedLink:
 
 
 FaultEvent = object  # union of the three event dataclasses above
+_NodeIndex = Dict[int, List[Tuple[Any, int, int]]]
+
+
+def _by_node(events: Iterable[FaultEvent], kind: Type[Any]) -> _NodeIndex:
+    """Events of one ``kind`` grouped by node, windows in integer µs."""
+    index: _NodeIndex = {}
+    for e in events:
+        if isinstance(e, kind):
+            index.setdefault(e.node, []).append(
+                (e, s_to_us(e.start_s), s_to_us(e.end_s))
+            )
+    return index
 
 
 class FaultSchedule:
@@ -123,23 +135,13 @@ class FaultSchedule:
                     f"got {type(event).__name__}"
                 )
         self.events = events
-        # Each index holds (event, start_us, end_us) with the window already
-        # normalised to integer µs.
-        self._crashes: List[Tuple[NodeCrash, int, int]] = [
-            (e, s_to_us(e.start_s), s_to_us(e.end_s))
-            for e in events
-            if isinstance(e, NodeCrash)
-        ]
-        self._slowdowns: List[Tuple[SlowNode, int, int]] = [
-            (e, s_to_us(e.start_s), s_to_us(e.end_s))
-            for e in events
-            if isinstance(e, SlowNode)
-        ]
-        self._links: List[Tuple[DegradedLink, int, int]] = [
-            (e, s_to_us(e.start_s), s_to_us(e.end_s))
-            for e in events
-            if isinstance(e, DegradedLink)
-        ]
+        # One index per event kind, node -> [(event, start_us, end_us)] with
+        # the window already normalised to integer µs: the router asks all
+        # four questions of one node on every attempt, so a query scans only
+        # that node's events (in declaration order).
+        self._crashes: _NodeIndex = _by_node(events, NodeCrash)
+        self._slowdowns: _NodeIndex = _by_node(events, SlowNode)
+        self._links: _NodeIndex = _by_node(events, DegradedLink)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -147,16 +149,16 @@ class FaultSchedule:
     # ---------------------------------------------------------------- queries
     def is_down(self, node: int, now_us: float) -> bool:
         """Whether ``node`` is crashed at simulated time ``now_us``."""
-        return any(
-            e.node == node and start_us <= now_us < end_us
-            for e, start_us, end_us in self._crashes
-        )
+        for _e, start_us, end_us in self._crashes.get(node, ()):
+            if start_us <= now_us < end_us:
+                return True
+        return False
 
     def latency_multiplier(self, node: int, now_us: float) -> float:
         """Service-time multiplier on ``node`` (product of active slowdowns)."""
         multiplier = 1.0
-        for e, start_us, end_us in self._slowdowns:
-            if e.node == node and start_us <= now_us < end_us:
+        for e, start_us, end_us in self._slowdowns.get(node, ()):
+            if start_us <= now_us < end_us:
                 multiplier *= e.multiplier
         return multiplier
 
@@ -168,8 +170,8 @@ class FaultSchedule:
         """
         delay = 0.0
         survive = 1.0
-        for e, start_us, end_us in self._links:
-            if e.node == node and start_us <= now_us < end_us:
+        for e, start_us, end_us in self._links.get(node, ()):
+            if start_us <= now_us < end_us:
                 delay += e.extra_delay_us
                 survive *= 1.0 - e.loss_prob
         return delay, 1.0 - survive
@@ -182,10 +184,10 @@ class FaultSchedule:
         The cluster uses this to cold-restart a node's caches the first time
         it is touched after recovering.
         """
-        return any(
-            e.node == node and since_us < end_us <= now_us
-            for e, _start_us, end_us in self._crashes
-        )
+        for _e, _start_us, end_us in self._crashes.get(node, ()):
+            if since_us < end_us <= now_us:
+                return True
+        return False
 
 
 # ------------------------------------------------------------------- catalog

@@ -141,6 +141,7 @@ class ClusterNode:
         ids: np.ndarray,
         arrive_us: float,
         multiplier: float = 1.0,
+        validated: bool = False,
     ) -> ShardServiceResult:
         """Execute one shard read arriving at ``arrive_us``.
 
@@ -148,13 +149,16 @@ class ClusterNode:
         device and stats exactly as single-store serving would), charges the
         resulting NVM read time plus the node overhead — stretched by the
         active slow-node ``multiplier`` — behind the table's device backlog,
-        and advances that device's clock.
+        and advances that device's clock.  ``validated=True`` is the router
+        vouching that it range-checked ``ids`` already (it does so once per
+        request, before serving anything); direct callers get the engine's
+        own check.
         """
         engine = self.engines[table_name]
         latency_before = engine.stats.total_latency_us
         device = engine.device
         blocks_before = device.blocks_read if device is not None else 0
-        engine.replay_query(ids)
+        engine.replay_query(ids, validate=not validated)
         device_us = engine.stats.total_latency_us - latency_before
         blocks = (device.blocks_read if device is not None else 0) - blocks_before
         service_us = (self.node_overhead_us + device_us) * float(multiplier)

@@ -96,6 +96,26 @@ _HEDGE_WINDOW = 512
 _HEDGE_REFRESH = 32
 
 
+def _linear_quantile(ordered: Sequence[float], q: float) -> float:
+    """The ``q``-quantile of an ascending, non-empty sequence of floats.
+
+    Linear interpolation between the two order statistics around
+    ``(n - 1) * q`` — ``float(np.percentile(ordered, q * 100.0))`` bit for
+    bit (NumPy's round trip through per cent and the two-sided formula of
+    its ``_lerp`` included), as scalar arithmetic on a sorted list.
+    """
+    last = len(ordered) - 1
+    virtual = last * (q * 100.0 / 100.0)
+    if virtual >= last:
+        return ordered[last]
+    below = int(virtual)
+    gamma = virtual - below
+    a, b = ordered[below], ordered[below + 1]
+    if gamma >= 0.5:
+        return b - (b - a) * (1.0 - gamma)
+    return a + (b - a) * gamma
+
+
 @dataclass
 class ClusterCounters:
     """Cumulative robustness accounting of one cluster store."""
@@ -251,6 +271,16 @@ class ClusterStore:
             )
             for name, spec in self.specs.items()
         }
+        # Routing is a pure function of the ring, so it is tabulated once:
+        # per table the distinct replica sets — the rows of
+        # ``np.unique(owners, axis=0)``, lexicographic, as tuples of node
+        # indices — and, per block, the index of its row.
+        self._replica_sets: Dict[str, List[Tuple[int, ...]]] = {}
+        self._block_group: Dict[str, np.ndarray] = {}
+        for name, owners in self._owners.items():
+            rows, block_group = np.unique(owners, axis=0, return_inverse=True)
+            self._replica_sets[name] = [tuple(row) for row in rows.tolist()]
+            self._block_group[name] = block_group.reshape(-1)
         self._build_serving_state()
 
     # ------------------------------------------------------------------ build
@@ -365,13 +395,15 @@ class ClusterStore:
         """
         dispatch_us = self._clock_us if now_us is None else float(now_us)
         true_arrival_us = dispatch_us if arrival_us is None else float(arrival_us)
+        # Route (and validate) before the root span opens: a rejected request
+        # must not leave a pending trace behind for the next one to trip on.
+        groups = self._route(request)
         tracer = self.tracer
         rid = self.counters.requests_total
         if tracer.enabled:
             tracer.begin_request(rid, true_arrival_us)
             if dispatch_us > true_arrival_us:
                 tracer.span(rid, STAGE_BATCH_QUEUE, true_arrival_us, dispatch_us)
-        groups = self._route(request)
         completion_us = dispatch_us
         failed = 0
         for table_name, replicas, ids in groups:
@@ -436,7 +468,13 @@ class ClusterStore:
         """Split a request into (table, replica-set, ids) shard groups.
 
         Ids sharing a replica set stay in one group **in request order**, so
-        the per-engine replay order matches single-store serving exactly.
+        the per-engine replay order matches single-store serving exactly;
+        groups of one table come in the replica sets' lexicographic order.
+
+        This is the request path's one id range check (``block_of`` raises
+        ``IndexError``), made for the whole request before anything is
+        served: nodes replay routed ids unvalidated, and a rejected request
+        leaves every engine, device, counter and clock untouched.
         """
         groups: List[Tuple[str, Tuple[int, ...], np.ndarray]] = []
         for table_name, raw_ids in request.items():
@@ -444,19 +482,14 @@ class ClusterStore:
             ids = np.asarray(raw_ids, dtype=np.int64)
             if ids.size == 0:
                 continue
-            owners = self._owners[table_name]
-            if len(self.nodes) == 1:
-                groups.append((table_name, (0,) * owners.shape[1], ids))
-                continue
-            rows = owners[spec.layout.block_of(ids)]
-            unique_rows, inverse = np.unique(rows, axis=0, return_inverse=True)
-            for g in range(unique_rows.shape[0]):
+            group_of = self._block_group[table_name][spec.layout.block_of(ids)]
+            order = group_of.argsort(kind="stable")
+            group_of, ids = group_of[order], ids[order]
+            replica_sets = self._replica_sets[table_name]
+            cuts = ((group_of[1:] != group_of[:-1]).nonzero()[0] + 1).tolist()
+            for start, end in zip([0, *cuts], [*cuts, ids.size]):
                 groups.append(
-                    (
-                        table_name,
-                        tuple(int(n) for n in unique_rows[g]),
-                        ids[inverse == g],
-                    )
+                    (table_name, replica_sets[group_of[start]], ids[start:end])
                 )
         return groups
 
@@ -599,7 +632,9 @@ class ClusterStore:
                 backoff_us = min(2.0 * backoff_us, config.retry_backoff_cap_us)
                 continue
             multiplier = self.faults.latency_multiplier(node_index, t)
-            service = node.serve(table_name, ids, arrive_us, multiplier)
+            service = node.serve(
+                table_name, ids, arrive_us, multiplier, validated=True
+            )
             attempt_latency_us = 2.0 * link_delay_us + service.total_us
             completion_us = t + attempt_latency_us
             # Slow strikes judge *service* time, not queue wait: a backlog
@@ -780,7 +815,9 @@ class ClusterStore:
                     queue_wait_us=wait_us,
                 )
             multiplier = self.faults.latency_multiplier(node_index, start_us)
-            service = node.serve(table_name, ids, arrive_us, multiplier)
+            service = node.serve(
+                table_name, ids, arrive_us, multiplier, validated=True
+            )
             return _HedgeAttempt(
                 node_index=node_index,
                 start_us=start_us,
@@ -809,10 +846,10 @@ class ClusterStore:
         self._samples_since_refresh += 1
         if self._samples_since_refresh >= _HEDGE_REFRESH:
             self._samples_since_refresh = 0
-            quantile = float(
-                np.percentile(window, self.config.hedge_quantile * 100.0)
+            self._hedge_delay_us = max(
+                self.config.hedge_min_us,
+                _linear_quantile(sorted(window), self.config.hedge_quantile),
             )
-            self._hedge_delay_us = max(self.config.hedge_min_us, quantile)
 
     @property
     def hedge_delay_us(self) -> float:

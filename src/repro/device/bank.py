@@ -100,7 +100,10 @@ class NVMDeviceBank:
 
     def device_of(self, table_name: str) -> DeviceClock:
         """The device serving ``table_name`` (pinning it on first use)."""
-        return self.devices[self.map_table(table_name)]
+        index = self._table_device.get(table_name)
+        if index is None:
+            index = self.map_table(table_name)
+        return self.devices[index]
 
     def table_mapping(self) -> Dict[str, int]:
         """Snapshot of the table→device pinning."""

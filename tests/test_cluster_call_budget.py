@@ -1,0 +1,128 @@
+"""A wall-clock-free fence around the cluster request path's host cost.
+
+The cluster tier's host time is Python call overhead — ~30 shard groups per
+request, a couple of ids each — so the regression that matters is "more
+interpreter-level calls per shard group", and that is countable exactly:
+``sys.setprofile`` ``call`` events over one seeded ``run_scenario``, divided
+by the shard groups it served.  The count is a pure function of the code and
+the seed (no timing), so the budget holds on any machine; it moves a little
+between Python/NumPy versions (comprehension inlining, NumPy's Python-level
+wrappers), which the headroom absorbs.
+"""
+
+import sys
+
+import numpy as np
+
+from repro.caching.lru import LRUCache
+from repro.caching.policies import AccessThresholdPolicy
+from repro.caching.replay import ReplayStats
+from repro.cluster import run_scenario
+from repro.core.bandana import BandanaStore, BandanaTableState
+from repro.core.config import (
+    BandanaConfig,
+    ClusterConfig,
+    ServingConfig,
+    TableCacheConfig,
+)
+from repro.nvm.block import BlockLayout
+from repro.nvm.device import NVMDevice
+from repro.workloads.trace import ModelTrace, Trace
+
+#: Python-level calls per shard group.  Measured 71.1 (CPython 3.11,
+#: NumPy 2.4), against 94.8 at the parent commit — before routing became a
+#: build-time table, the id range check moved to one per request, the hedge
+#: quantile went scalar and the fault schedule was indexed per node.  The
+#: budget sits ~25 % above the former and below the latter.
+CALLS_PER_SHARD_GROUP_BUDGET = 89.0
+
+VECTORS_PER_BLOCK = 32
+
+
+def serving_shaped_store(seed):
+    """Four threshold-policy tables under skewed traffic (mostly DRAM hits)."""
+    rng = np.random.default_rng(seed)
+    config = BandanaConfig(
+        total_cache_vectors=2048,
+        tune_thresholds=False,
+        vector_bytes=128,
+        block_bytes=VECTORS_PER_BLOCK * 128,
+    )
+    tables, traces = {}, {}
+    for index in range(4):
+        name = f"table{index}"
+        num_vectors = 2048
+        layout = BlockLayout(
+            rng.permutation(num_vectors).astype(np.int64), VECTORS_PER_BLOCK
+        )
+        counts = rng.integers(0, 30, size=num_vectors).astype(np.int64)
+        queries = [
+            np.minimum(rng.geometric(0.01, size=16), num_vectors).astype(np.int64) - 1
+            for _ in range(80)
+        ]
+        tables[name] = BandanaTableState(
+            name=name,
+            layout=layout,
+            cache=LRUCache(512),
+            policy=AccessThresholdPolicy(counts, 10),
+            device=NVMDevice(
+                num_blocks=layout.num_blocks, block_bytes=config.block_bytes
+            ),
+            cache_config=TableCacheConfig(cache_size_vectors=512),
+            access_counts=counts,
+            stats=ReplayStats(
+                vector_bytes=config.vector_bytes, block_bytes=config.block_bytes
+            ),
+        )
+        traces[name] = Trace(queries, num_vectors=num_vectors)
+    return BandanaStore(config, tables), ModelTrace(traces)
+
+
+def count_python_calls(function):
+    """Run ``function()``; return (its result, Python-level calls it made)."""
+    calls = 0
+
+    def on_event(_frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(on_event)
+    try:
+        result = function()
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+def test_calls_per_shard_group_stay_within_budget():
+    store, trace = serving_shaped_store(5)
+    requests = 60
+    span_s = requests / 800.0
+
+    def scenario():
+        return run_scenario(
+            store,
+            trace,
+            "degraded_cluster",
+            cluster_config=ClusterConfig(
+                num_nodes=4, replication=2, max_attempts=12, seed=5
+            ),
+            serving_config=ServingConfig(arrival_rate_rps=800.0, seed=5),
+            num_requests=requests,
+            warmup_requests=20,
+            # The fault window covers the middle half of the measured run.
+            scenario_overrides={"start_s": 0.25 * span_s, "duration_s": 0.5 * span_s},
+        )
+
+    scenario()  # uncounted: first-use imports and regex compiles happen here
+    report, calls = count_python_calls(scenario)
+    counters = report.counters
+    assert counters.requests_total == requests
+    # The run must exercise the whole policy path, not just the happy one.
+    assert counters.retries and counters.hedges_launched and counters.timeouts
+    per_group = calls / counters.shard_groups
+    assert per_group < CALLS_PER_SHARD_GROUP_BUDGET, (
+        f"{calls} Python calls for {counters.shard_groups} shard groups = "
+        f"{per_group:.1f} per group (budget {CALLS_PER_SHARD_GROUP_BUDGET})"
+    )

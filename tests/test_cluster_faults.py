@@ -10,6 +10,7 @@ from repro.cluster.faults import (
     SlowNode,
     make_scenario,
 )
+from repro.utils.units import s_to_us
 
 
 class TestEventValidation:
@@ -87,6 +88,61 @@ class TestScheduleQueries:
         assert not faults.is_down(0, 1e6)
         assert faults.latency_multiplier(0, 1e6) == pytest.approx(1.0)
         assert faults.link(0, 1e6) == (0.0, 0.0)
+
+
+def _flat_scan(events, node, since_us, now_us):
+    """All four queries answered by scanning every event (the pre-index way)."""
+
+    def active(kind):
+        return [
+            e
+            for e in events
+            if isinstance(e, kind)
+            and e.node == node
+            and s_to_us(e.start_s) <= now_us < s_to_us(e.end_s)
+        ]
+
+    multiplier = 1.0
+    for e in active(SlowNode):
+        multiplier *= e.multiplier
+    delay, survive = 0.0, 1.0
+    for e in active(DegradedLink):
+        delay += e.extra_delay_us
+        survive *= 1.0 - e.loss_prob
+    recovered = any(
+        isinstance(e, NodeCrash)
+        and e.node == node
+        and since_us < s_to_us(e.end_s) <= now_us
+        for e in events
+    )
+    return bool(active(NodeCrash)), multiplier, (delay, 1.0 - survive), recovered
+
+
+class TestPerNodeIndex:
+    def test_index_answers_like_a_flat_scan(self):
+        # Overlapping crash/slow/link windows, most of them on node 1,
+        # declared interleaved with another node's so order matters.
+        events = [
+            SlowNode(node=1, start_s=0.1, end_s=0.5, multiplier=3.0),
+            NodeCrash(node=0, start_s=0.1, end_s=0.3),
+            DegradedLink(node=1, start_s=0.2, end_s=0.6, extra_delay_us=70.0, loss_prob=0.3),
+            NodeCrash(node=1, start_s=0.2, end_s=0.4),
+            SlowNode(node=1, start_s=0.3, end_s=0.7, multiplier=1.7),
+            DegradedLink(node=1, start_s=0.1, end_s=0.3, extra_delay_us=0.1, loss_prob=0.1),
+            NodeCrash(node=1, start_s=0.35, end_s=0.55),
+            SlowNode(node=2, start_s=0.0, end_s=1.0, multiplier=5.0),
+        ]
+        faults = FaultSchedule(events)
+        ticks = [step * 50_000.0 for step in range(17)] + [199_999.0, 400_000.5]
+        for node in range(4):
+            for index, now_us in enumerate(ticks):
+                for since_us in ticks[: index + 1]:
+                    assert (
+                        faults.is_down(node, now_us),
+                        faults.latency_multiplier(node, now_us),
+                        faults.link(node, now_us),
+                        faults.crash_recovered_between(node, since_us, now_us),
+                    ) == _flat_scan(events, node, since_us, now_us)
 
 
 class TestScenarioCatalog:

@@ -19,6 +19,7 @@ if __package__ in (None, ""):  # direct script run (golden regeneration)
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from test_interleaved_equivalence import build_store
 
@@ -31,7 +32,12 @@ from repro.cluster import (
     run_scenario,
     sweep_scenarios,
 )
+from repro.caching.policies import NoPrefetchPolicy
+from repro.cluster.store import _linear_quantile
 from repro.core.config import ClusterConfig, ServingConfig
+from repro.core.tablespec import TableServingSpec
+from repro.nvm.block import BlockLayout
+from repro.tracing import Tracer, validate_trace
 
 #: Scenario window tuned to the ~0.05 s makespan of the seed traces
 #: (106 requests at the default 2000 rps).
@@ -272,6 +278,168 @@ class TestStoreMechanics:
         payload = json.loads(json.dumps(report.to_dict()))
         assert payload["scenario"] == "none"
         assert payload["counters"]["requests_total"] == 20
+
+
+def _route_reference(cluster, request):
+    """The pre-table router: ``np.unique(axis=0)`` per (request, table).
+
+    Kept as the oracle for :meth:`ClusterStore._route` — groups of a table in
+    the lexicographic order of their replica rows, ids in request order.
+    """
+    groups = []
+    for table_name, raw_ids in request.items():
+        spec = cluster._spec(table_name)
+        ids = np.asarray(raw_ids, dtype=np.int64)
+        if ids.size == 0:
+            continue
+        rows = cluster._owners[table_name][spec.layout.block_of(ids)]
+        unique_rows, inverse = np.unique(rows, axis=0, return_inverse=True)
+        inverse = inverse.reshape(-1)
+        for g in range(unique_rows.shape[0]):
+            groups.append(
+                (
+                    table_name,
+                    tuple(int(n) for n in unique_rows[g]),
+                    ids[inverse == g],
+                )
+            )
+    return groups
+
+
+def _bare_cluster(table_sizes, num_nodes, replication, virtual_nodes):
+    """A cluster over identity-layout tables of the given sizes (8 per block)."""
+    specs = {
+        f"t{i}": TableServingSpec(
+            name=f"t{i}",
+            layout=BlockLayout.identity(size, 8),
+            policy_prototype=NoPrefetchPolicy(),
+            cache_size_vectors=8,
+        )
+        for i, size in enumerate(table_sizes)
+    }
+    config = ClusterConfig(
+        num_nodes=num_nodes, replication=replication, virtual_nodes=virtual_nodes
+    )
+    return ClusterStore(specs, config)
+
+
+@st.composite
+def bare_clusters(draw):
+    return _bare_cluster(
+        draw(st.lists(st.integers(1, 200), min_size=1, max_size=3)),
+        num_nodes=draw(st.integers(1, 5)),
+        replication=draw(st.integers(1, 3)),
+        virtual_nodes=draw(st.sampled_from([1, 4, 32])),
+    )
+
+
+@st.composite
+def routed_requests(draw):
+    cluster = draw(bare_clusters())
+    # Duplicates, empty tables and single ids all come out of this list.
+    request = {
+        name: draw(st.lists(st.integers(0, spec.layout.num_vectors - 1), max_size=40))
+        for name, spec in cluster.specs.items()
+        if draw(st.booleans())
+    }
+    return cluster, request
+
+
+class TestRoutingTable:
+    @settings(max_examples=60, deadline=None)
+    @given(routed_requests())
+    def test_route_matches_unique_oracle(self, case):
+        cluster, request = case
+        routed = cluster._route(request)
+        reference = _route_reference(cluster, request)
+        assert len(routed) == len(reference)
+        for (table, replicas, ids), (ref_table, ref_replicas, ref_ids) in zip(
+            routed, reference
+        ):
+            assert table == ref_table
+            assert replicas == ref_replicas
+            assert all(type(node) is int for node in replicas)
+            assert ids.dtype == np.int64
+            assert ids.tolist() == ref_ids.tolist()
+
+    @settings(max_examples=30, deadline=None)
+    @given(bare_clusters())
+    def test_replica_sets_are_the_sorted_distinct_owner_rows(self, cluster):
+        for name, owners in cluster._owners.items():
+            sets = cluster._replica_sets[name]
+            assert sets == sorted(set(sets))  # distinct, lexicographic
+            block_group = cluster._block_group[name]
+            assert block_group.shape == (owners.shape[0],)
+            assert np.array_equal(np.array(sets)[block_group], owners)
+            assert set(block_group.tolist()) == set(range(len(sets)))
+
+
+def _serving_footprint(cluster):
+    """Everything a request may change: engines, devices, counters, clock."""
+    return (
+        cluster.aggregate_stats().counters(include_latency=True),
+        cluster.counters.as_dict(),
+        [[device.serves for device in node.bank.devices] for node in cluster.nodes],
+        cluster.node_blocks_read(),
+        cluster._clock_us,
+    )
+
+
+class TestRejectedRequests:
+    @pytest.mark.parametrize("num_nodes", [1, 4])
+    def test_out_of_range_id_rejects_the_whole_request(self, num_nodes):
+        # Regression: one node skipped the router's range check, so t0 was
+        # served (3 lookups, one device serve) before t1 raised in the engine.
+        cluster = _bare_cluster([64, 64], num_nodes, replication=2, virtual_nodes=32)
+        cluster.serve_request({"t0": [5, 6], "t1": [7]})
+        before = _serving_footprint(cluster)
+        with pytest.raises(IndexError, match="vector ids must be in"):
+            cluster.serve_request({"t0": [0, 1, 2], "t1": [10**9]})
+        with pytest.raises(KeyError, match="unknown table"):
+            cluster.serve_request({"t0": [0, 1, 2], "no-such-table": [0]})
+        assert _serving_footprint(cluster) == before
+
+    def test_rejected_request_does_not_wedge_a_traced_cluster(self):
+        # Regression: the root span opened before routing, so the rejected
+        # request's id stayed pending and the next one was "already traced".
+        cluster = _bare_cluster([64], num_nodes=4, replication=2, virtual_nodes=32)
+        tracer = Tracer()
+        cluster.set_tracer(tracer)
+        with pytest.raises(IndexError):
+            cluster.serve_request({"t0": [64]})
+        outcome = cluster.serve_request({"t0": [1, 2, 63]})
+        assert outcome.ok
+        assert list(tracer.traces) == [0]
+        assert validate_trace(tracer.traces[0]) == []
+
+
+class TestHedgeQuantile:
+    QUANTILES = (0.5, 0.9, 0.95, 0.99, 0.999)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(0.0, 1e7, allow_nan=False),
+                st.sampled_from([0.0, 1.0, 105.0, 1e-9, 3e6]),  # ties, magnitudes
+            ),
+            min_size=1,
+            max_size=512,
+        )
+    )
+    def test_matches_numpy_percentile_exactly(self, window):
+        ordered = sorted(window)
+        for q in self.QUANTILES:
+            assert _linear_quantile(ordered, q) == float(
+                np.percentile(window, q * 100.0)
+            )
+
+    def test_edges(self):
+        low, high = 1.0, 2.0
+        assert _linear_quantile([high], 0.99) == high  # a single sample
+        assert _linear_quantile([low, high], 1.0) == high
+        assert _linear_quantile([low, high], 0.0) == low
+        assert _linear_quantile([high, high, high], 0.7) == high  # b == a
 
 
 def golden_scenario_pin():
