@@ -155,27 +155,25 @@ class SHPPartitioner(Partitioner):
         queries = trace.queries
         if self.max_queries is not None:
             queries = queries[: self.max_queries]
-        members_parts: List[np.ndarray] = []
-        query_id_parts: List[np.ndarray] = []
-        next_query = 0
-        for query in queries:
-            ids = np.unique(query)
-            if ids.size < 2:
-                continue
-            members_parts.append(ids.astype(np.int64))
-            query_id_parts.append(np.full(ids.size, next_query, dtype=np.int64))
-            next_query += 1
-        if not members_parts:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                0,
-            )
-        return (
-            np.concatenate(members_parts),
-            np.concatenate(query_id_parts),
-            next_query,
+        if not queries:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0
+        # One sort of the whole stream by (query, id) instead of one
+        # ``np.unique`` per query; a repeat is then equal to its predecessor.
+        lengths = np.fromiter(
+            (query.size for query in queries), dtype=np.int64, count=len(queries)
         )
+        owner = np.repeat(np.arange(len(queries)), lengths)
+        members = np.concatenate(queries)
+        order = np.lexsort((members, owner))
+        members, owner = members[order], owner[order]
+        first = np.ones(members.size, dtype=bool)
+        first[1:] = (members[1:] != members[:-1]) | (owner[1:] != owner[:-1])
+        members, owner = members[first], owner[first]
+        # Renumber the queries that keep at least two distinct ids.
+        useful = np.bincount(owner, minlength=len(queries)) >= 2
+        query_number = np.cumsum(useful) - 1
+        kept = useful[owner]
+        return members[kept], query_number[owner[kept]], int(useful.sum())
 
     def _bisect(
         self, problem: _SubProblem, rng: np.random.Generator

@@ -38,20 +38,18 @@ import numpy as np
 from repro.core.config import ServingConfig
 from repro.scenarios.config import ScenarioConfig
 from repro.utils.rng import ensure_rng
-from repro.utils.sampling import zipf_probabilities
+from repro.utils.sampling import (
+    InverseCDFSampler,
+    first_occurrences,
+    zipf_probabilities,
+)
 from repro.workloads.trace import Trace
 
 
-def _query_sizes(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
+def _query_sizes(config: ScenarioConfig, rng: np.random.Generator) -> List[int]:
     """Poisson query sizes, at least one lookup each."""
     sizes = rng.poisson(lam=config.avg_lookups_per_query, size=config.num_queries)
-    return np.maximum(sizes, 1)
-
-
-def _dedupe(ids: np.ndarray) -> np.ndarray:
-    """Keep each id's first occurrence, preserving draw order."""
-    _, first_positions = np.unique(ids, return_index=True)
-    return ids[np.sort(first_positions)]
+    return np.maximum(sizes, 1).tolist()
 
 
 class _QueryLaw:
@@ -65,19 +63,21 @@ class _QueryLaw:
     rank span, so a good placement packs them into the same 4 KB blocks.
     Rotating the ranking (drift) migrates every community's membership,
     which is precisely the structure a stale placement loses.
+
+    Both Zipf laws are over *ranks*, which rotation does not touch, so each
+    is tabulated once per trace (:class:`~repro.utils.sampling.InverseCDFSampler`).
     """
 
     def __init__(self, config: ScenarioConfig, rng: np.random.Generator) -> None:
         self.config = config
         self.rng = rng
         self.ranking = rng.permutation(config.num_vectors).astype(np.int64)
-        self.rank_probabilities = zipf_probabilities(
-            config.num_vectors, config.zipf_alpha
+        self._rank_sampler = InverseCDFSampler(
+            zipf_probabilities(config.num_vectors, config.zipf_alpha)
         )
         num_communities = max(1, config.num_vectors // config.community_size)
-        self.num_communities = num_communities
-        self.community_probabilities = zipf_probabilities(
-            num_communities, config.zipf_alpha
+        self._community_sampler = InverseCDFSampler(
+            zipf_probabilities(num_communities, config.zipf_alpha)
         )
 
     def rotate(self, shift: int) -> None:
@@ -96,19 +96,14 @@ class _QueryLaw:
         within = int(round(size * config.query_locality))
         parts: List[np.ndarray] = []
         if within:
-            community = int(
-                rng.choice(self.num_communities, p=self.community_probabilities)
-            )
-            lo = community * config.community_size
+            lo = int(self._community_sampler.draw(rng)) * config.community_size
             members = self.ranking[lo : lo + config.community_size]
             parts.append(members[rng.integers(members.size, size=within)])
         rest = size - within
         if rest:
             draw = max(rest + 2, int(round(rest * 1.2)))
-            ranks = rng.choice(self.ranking.size, size=draw, p=self.rank_probabilities)
-            parts.append(self.ranking[ranks])
-        ids = _dedupe(np.concatenate(parts))[:size]
-        return ids.astype(np.int64)
+            parts.append(self.ranking[self._rank_sampler.draw(rng, draw)])
+        return first_occurrences(np.concatenate(parts))[:size]
 
 
 def _drift_trace(config: ScenarioConfig, rng: np.random.Generator) -> Trace:
@@ -120,8 +115,8 @@ def _drift_trace(config: ScenarioConfig, rng: np.random.Generator) -> Trace:
     for index, size in enumerate(_query_sizes(config, rng)):
         if index and index >= start and index % config.drift_epoch_queries == 0 and shift:
             law.rotate(shift)
-        queries.append(law.draw_query(int(size)))
-    return Trace(queries, num_vectors=config.num_vectors)
+        queries.append(law.draw_query(size))
+    return Trace._trusted(queries, config.num_vectors)
 
 
 def _flash_crowd_trace(config: ScenarioConfig, rng: np.random.Generator) -> Trace:
@@ -133,7 +128,7 @@ def _flash_crowd_trace(config: ScenarioConfig, rng: np.random.Generator) -> Trac
     end = start + int(round(config.flash_duration_fraction * config.num_queries))
     queries: List[np.ndarray] = []
     for index, size in enumerate(_query_sizes(config, rng)):
-        ids = law.draw_query(int(size))
+        ids = law.draw_query(size)
         if start <= index < end and config.flash_traffic_share > 0:
             diverted = rng.random(ids.size) < config.flash_traffic_share
             if diverted.any():
@@ -143,17 +138,17 @@ def _flash_crowd_trace(config: ScenarioConfig, rng: np.random.Generator) -> Trac
                 ids = ids.copy()
                 ids[diverted] = replacements
                 # Re-de-duplicate after the diversion (keep first occurrences).
-                ids = _dedupe(ids)
+                ids = first_occurrences(ids)
         queries.append(ids)
-    return Trace(queries, num_vectors=config.num_vectors)
+    return Trace._trusted(queries, config.num_vectors)
 
 
 def _diurnal_trace(config: ScenarioConfig, rng: np.random.Generator) -> Trace:
     """Diurnal load: a stationary id law — the day/night curve lives in the
     arrival process (:func:`scenario_serving_config`), not the ids."""
     law = _QueryLaw(config, rng)
-    queries = [law.draw_query(int(size)) for size in _query_sizes(config, rng)]
-    return Trace(queries, num_vectors=config.num_vectors)
+    queries = [law.draw_query(size) for size in _query_sizes(config, rng)]
+    return Trace._trusted(queries, config.num_vectors)
 
 
 def generate_scenario_trace(config: ScenarioConfig) -> Trace:

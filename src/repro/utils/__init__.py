@@ -11,6 +11,8 @@ from repro.utils.validation import (
 )
 from repro.utils.rng import SeedLike, derive_rng, ensure_rng
 from repro.utils.sampling import (
+    InverseCDFSampler,
+    first_occurrences,
     spatial_hash_sample_mask,
     sample_queries_spatially,
     zipf_probabilities,
@@ -27,6 +29,8 @@ __all__ = [
     "SeedLike",
     "derive_rng",
     "ensure_rng",
+    "InverseCDFSampler",
+    "first_occurrences",
     "spatial_hash_sample_mask",
     "sample_queries_spatially",
     "zipf_probabilities",

@@ -6,11 +6,16 @@ reuse pattern of the sampled sub-population is statistically similar to the
 full population.  ``spatial_hash_sample_mask`` implements that selection with
 a splittable integer hash so the choice is deterministic, seed-dependent and
 independent of request order.
+
+The trace generators draw from a few fixed laws many thousands of times;
+:class:`InverseCDFSampler` tabulates a law once and is stream-compatible with
+``Generator.choice(n, size, p=law)``, and :func:`first_occurrences` is the
+draw-order de-duplication both generators apply to a query's picks.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -20,6 +25,9 @@ from repro.utils.validation import check_fraction, check_positive
 _SPLITMIX_MULT_1 = np.uint64(0xBF58476D1CE4E5B9)
 _SPLITMIX_MULT_2 = np.uint64(0x94D049BB133111EB)
 _SPLITMIX_INCR = np.uint64(0x9E3779B97F4A7C15)
+
+# How far a law's sum may sit from one: the tolerance ``Generator.choice`` uses.
+_SUM_TOLERANCE = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 def _splitmix64(values: np.ndarray) -> np.ndarray:
@@ -67,15 +75,78 @@ def sample_queries_spatially(
     """Spatially sample every query in a trace, dropping queries that become empty.
 
     Used to build the miniature-cache request stream: each query keeps exactly
-    the ids selected by :func:`spatial_hash_sample_mask`.
+    the ids selected by :func:`spatial_hash_sample_mask`.  The whole stream is
+    hashed in one pass and cut back at the query boundaries, so the returned
+    arrays are slices of one shared array.
     """
-    sampled: List[np.ndarray] = []
-    for query in queries:
-        query = np.asarray(query, dtype=np.int64)
-        mask = spatial_hash_sample_mask(query, rate, seed=seed)
-        if mask.any():
-            sampled.append(query[mask])
-    return sampled
+    arrays = [np.asarray(query, dtype=np.int64) for query in queries]
+    if not arrays:
+        return []
+    flat = np.concatenate(arrays)
+    mask = spatial_hash_sample_mask(flat, rate, seed=seed)
+    kept = flat[mask]
+    # kept_before[i] = sampled ids among the first i lookups of the stream.
+    kept_before = np.concatenate(([0], np.cumsum(mask)))
+    ends = np.cumsum([array.size for array in arrays])
+    cuts = [0] + kept_before[ends].tolist()
+    return [
+        kept[start:stop] for start, stop in zip(cuts[:-1], cuts[1:]) if stop > start
+    ]
+
+
+class InverseCDFSampler:
+    """Draws category indices from one fixed probability law.
+
+    The law is validated and its CDF tabulated once, at construction; a draw
+    is one uniform and one binary search per sample.  That is exactly what
+    ``Generator.choice(n, size, p=probabilities)`` computes — after
+    re-validating and re-summing ``p`` on every call — so for the same
+    generator state the two return the same indices and leave the generator
+    in the same state.  A trace built on this sampler is therefore a pure
+    function of its seed that does not depend on ``choice``'s internals.
+
+    Parameters
+    ----------
+    probabilities:
+        One-dimensional, non-empty, non-negative, NaN-free vector summing to
+        one (within ``sqrt(float64 eps)``, the tolerance ``choice`` uses).
+        Zero entries are allowed and are never drawn.
+    """
+
+    __slots__ = ("_cdf",)
+
+    def __init__(self, probabilities: np.ndarray) -> None:
+        p = np.asarray(probabilities, dtype=np.float64)
+        if p.ndim != 1:
+            raise ValueError(f"probabilities must be 1-dimensional, got shape {p.shape}")
+        if p.size == 0:
+            raise ValueError("probabilities must be non-empty")
+        if np.isnan(p).any():
+            raise ValueError("probabilities contain NaN")
+        if (p < 0).any():
+            raise ValueError("probabilities are not non-negative")
+        total = float(p.sum())
+        if abs(total - 1.0) > _SUM_TOLERANCE:
+            raise ValueError(f"probabilities do not sum to 1, got {total!r}")
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        self._cdf = cdf
+
+    def draw(
+        self, rng: np.random.Generator, size: Optional[int] = None
+    ) -> Union[np.integer, np.ndarray]:
+        """``size`` indices (one scalar index when ``size`` is None) from ``rng``."""
+        return self._cdf.searchsorted(rng.random(size), side="right")
+
+
+def first_occurrences(ids: np.ndarray) -> np.ndarray:
+    """Keep each id's first occurrence, preserving draw order.
+
+    A request reads each id at most once; the generators over-draw a query's
+    picks and de-duplicate them with this before truncating to the query size.
+    """
+    _, first_positions = np.unique(ids, return_index=True)
+    return ids[np.sort(first_positions)]
 
 
 def zipf_probabilities(n: int, alpha: float) -> np.ndarray:

@@ -47,12 +47,16 @@ Everything is driven by explicit seeds so traces are reproducible.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.utils.sampling import zipf_probabilities
-from repro.utils.validation import check_fraction, check_positive
+from repro.utils.sampling import (
+    InverseCDFSampler,
+    first_occurrences,
+    zipf_probabilities,
+)
+from repro.utils.validation import check_fraction, check_int_at_least, check_positive
 from repro.workloads.tables_spec import PAPER_VECTORS_PER_BLOCK, TableSpec
 from repro.workloads.trace import ModelTrace, Trace
 
@@ -209,6 +213,7 @@ class SyntheticTraceGenerator:
             0, self.num_topics, size=self.active_set_size
         )
         self._topic_popularity = zipf_probabilities(self.num_topics, 0.9)
+        self._topic_sampler = InverseCDFSampler(self._topic_popularity)
         self._topic_members = [
             np.where(self._topic_of_active == t)[0] for t in range(self.num_topics)
         ]
@@ -226,8 +231,12 @@ class SyntheticTraceGenerator:
         marginal = (1.0 - self.topic_affinity) * base + self.topic_affinity * topic_term
         self._base_popularity = marginal / marginal.sum()
 
-        # In-rotation fraction calibrated against the compulsory-miss target.
+        # In-rotation fraction calibrated against the compulsory-miss target;
+        # the inclusion probabilities it implies are the same for every window.
         self.rotation_fraction = self._calibrate_rotation_fraction()
+        self._window_inclusion = self._rotation_inclusion_probabilities(
+            self.rotation_fraction
+        )
 
         # Materialise the first traffic window.
         self._queries_in_window = 0
@@ -262,28 +271,35 @@ class SyntheticTraceGenerator:
         return probabilities
 
     def _start_new_window(self, rng: np.random.Generator) -> None:
-        """Draw a new in-rotation subset and the window's sampling laws."""
-        inclusion = self._rotation_inclusion_probabilities(self.rotation_fraction)
-        in_rotation = rng.random(self.active_set_size) < inclusion
+        """Draw a new in-rotation subset and tabulate the window's sampling laws.
+
+        The laws change only here, so this is the one place their samplers are
+        (re)built: one over the whole active set, and one per non-empty topic
+        over that topic's members.
+        """
+        in_rotation = rng.random(self.active_set_size) < self._window_inclusion
         if not in_rotation.any():
             in_rotation[rng.integers(self.active_set_size)] = True
         window_weights = self._base_popularity * np.where(
             in_rotation, 1.0, self.out_of_rotation_weight
         )
-        self._popularity = window_weights / window_weights.sum()
-        self._topic_member_probs = []
+        popularity = window_weights / window_weights.sum()
+        self._popularity_sampler = InverseCDFSampler(popularity)
+        # (sampler, members) per topic; a topic with no member falls back to
+        # the window-wide law, whose draws already are active-set indices.
+        self._topic_samplers: List[Tuple[InverseCDFSampler, Optional[np.ndarray]]] = []
         for members in self._topic_members:
             if members.size == 0:
-                self._topic_member_probs.append(np.empty(0))
+                self._topic_samplers.append((self._popularity_sampler, None))
                 continue
-            weights = self._popularity[members]
+            weights = popularity[members]
             total = weights.sum()
             weights = (
                 weights / total
                 if total > 0
                 else np.full(members.size, 1.0 / members.size)
             )
-            self._topic_member_probs.append(weights)
+            self._topic_samplers.append((InverseCDFSampler(weights), members))
         self._queries_in_window = 0
 
     # ----------------------------------------------------------- calibration
@@ -356,36 +372,36 @@ class SyntheticTraceGenerator:
         training trace generated first and an evaluation trace generated next
         behave like consecutive slices of production traffic.
         """
-        check_positive(num_queries, "num_queries")
+        num_queries = check_int_at_least(num_queries, 1, "num_queries")
         rng = self._rng
         spec = self.spec
         queries = []
         # Pre-draw query sizes; at least one lookup per query.
         sizes = rng.poisson(lam=spec.avg_lookups_per_query, size=num_queries)
-        sizes = np.maximum(sizes, 1)
-        for size in sizes:
+        for size in np.maximum(sizes, 1).tolist():
             if self._queries_in_window >= self.window_queries:
                 self._start_new_window(rng)
             self._queries_in_window += 1
             query_topic_count = max(1, int(rng.poisson(self.topics_per_query)))
             topics = self._choose_query_topics(query_topic_count, rng)
-            ids = self._draw_query_ids(int(size), topics, rng)
-            queries.append(ids)
-        return Trace(queries, num_vectors=spec.num_vectors)
+            queries.append(self._draw_query_ids(size, topics, rng))
+        # Non-empty int64 arrays of active ids: nothing left for Trace to check.
+        return Trace._trusted(queries, spec.num_vectors)
 
-    def _choose_query_topics(self, count: int, rng: np.random.Generator) -> np.ndarray:
+    def _choose_query_topics(self, count: int, rng: np.random.Generator) -> List[int]:
         """Choose a query's topics, re-using recently hot topics with ``burstiness``."""
-        topics = np.empty(count, dtype=np.int64)
-        for i in range(count):
-            if self._recent_topics and rng.random() < self.burstiness:
-                topics[i] = self._recent_topics[rng.integers(len(self._recent_topics))]
+        recent = self._recent_topics
+        topics = []
+        for _ in range(count):
+            if recent and rng.random() < self.burstiness:
+                topics.append(recent[rng.integers(len(recent))])
             else:
-                topics[i] = rng.choice(self.num_topics, p=self._topic_popularity)
-        self._recent_topics.extend(topics.tolist())
+                topics.append(int(self._topic_sampler.draw(rng)))
+        recent.extend(topics)
         # Keep a short horizon of recent topics (a few dozen queries' worth).
         max_recent = max(8, int(30 * self.topics_per_query))
-        if len(self._recent_topics) > max_recent:
-            self._recent_topics = self._recent_topics[-max_recent:]
+        if len(recent) > max_recent:
+            del recent[:-max_recent]
         return topics
 
     def generate_lookups(self, num_lookups: int) -> Trace:
@@ -396,7 +412,7 @@ class SyntheticTraceGenerator:
 
     # ----------------------------------------------------------------- private
     def _draw_query_ids(
-        self, size: int, topics: np.ndarray, rng: np.random.Generator
+        self, size: int, topics: List[int], rng: np.random.Generator
     ) -> np.ndarray:
         """Draw the (distinct) ids of a single query (real table ids)."""
         # Over-draw slightly, then de-duplicate and truncate: a request reads
@@ -411,33 +427,21 @@ class SyntheticTraceGenerator:
             # Spread the topic picks across the query's chosen topics, then
             # batch-draw per topic (much faster than one draw at a time).
             per_topic = np.bincount(
-                rng.integers(0, topics.size, size=num_topic_picks),
-                minlength=topics.size,
+                rng.integers(0, len(topics), size=num_topic_picks),
+                minlength=len(topics),
             )
-            for topic, count in zip(topics, per_topic):
+            for topic, count in zip(topics, per_topic.tolist()):
                 if count == 0:
                     continue
-                members = self._topic_members[topic]
-                if members.size == 0:
-                    parts.append(
-                        rng.choice(self.active_set_size, size=count, p=self._popularity)
-                    )
-                else:
-                    parts.append(
-                        rng.choice(members, size=count, p=self._topic_member_probs[topic])
-                    )
+                sampler, members = self._topic_samplers[topic]
+                picks = sampler.draw(rng, count)
+                parts.append(picks if members is None else members[picks])
         if num_global_picks:
-            parts.append(
-                rng.choice(
-                    self.active_set_size, size=num_global_picks, p=self._popularity
-                )
-            )
-        picks = np.concatenate(parts).astype(np.int64)
+            parts.append(self._popularity_sampler.draw(rng, num_global_picks))
 
         # Keep first occurrences in draw order, truncated to the target size,
         # then map active-set indices to real table ids.
-        _, first_positions = np.unique(picks, return_index=True)
-        distinct_in_order = picks[np.sort(first_positions)][:size]
+        distinct_in_order = first_occurrences(np.concatenate(parts))[:size]
         return self.active_ids[distinct_in_order]
 
 

@@ -50,6 +50,20 @@ class Trace:
             )
         self.num_vectors = int(num_vectors)
 
+    @classmethod
+    def _trusted(cls, queries: List[np.ndarray], num_vectors: int) -> "Trace":
+        """Wrap queries that already satisfy the constructor's checks.
+
+        For this package's own use, on queries taken from a validated trace or
+        built by a generator: every array is non-empty, 1-D, ``int64`` and has
+        its ids in ``[0, num_vectors)``.  The list is adopted, not copied.
+        Outside input goes through ``Trace(...)``.
+        """
+        trace = cls.__new__(cls)
+        trace._queries = queries
+        trace.num_vectors = int(num_vectors)
+        return trace
+
     # ------------------------------------------------------------------ basic
     @property
     def queries(self) -> List[np.ndarray]:
@@ -64,7 +78,7 @@ class Trace:
 
     def __getitem__(self, index: Union[int, slice]) -> Union[np.ndarray, "Trace"]:
         if isinstance(index, slice):
-            return Trace(self._queries[index], num_vectors=self.num_vectors)
+            return Trace._trusted(self._queries[index], self.num_vectors)
         return self._queries[index]
 
     def __eq__(self, other: object) -> bool:
@@ -116,20 +130,20 @@ class Trace:
         """
         check_fraction(fraction, "fraction")
         cut = int(round(len(self._queries) * fraction))
-        head = Trace(self._queries[:cut], num_vectors=self.num_vectors)
-        tail = Trace(self._queries[cut:], num_vectors=self.num_vectors)
+        head = Trace._trusted(self._queries[:cut], self.num_vectors)
+        tail = Trace._trusted(self._queries[cut:], self.num_vectors)
         return head, tail
 
     def head(self, num_queries: int) -> "Trace":
         """The first ``num_queries`` queries as a new trace."""
         if num_queries < 0:
             raise ValueError("num_queries must be >= 0")
-        return Trace(self._queries[:num_queries], num_vectors=self.num_vectors)
+        return Trace._trusted(self._queries[:num_queries], self.num_vectors)
 
     def concat(self, other: "Trace") -> "Trace":
         """Concatenate two traces over the same table."""
         num_vectors = max(self.num_vectors, other.num_vectors)
-        return Trace(self._queries + other._queries, num_vectors=num_vectors)
+        return Trace._trusted(self._queries + other._queries, num_vectors)
 
     # ------------------------------------------------------------------- I/O
     def save(self, path: str) -> None:

@@ -7,6 +7,9 @@ exercising the same code paths the benchmarks use at larger scale.
 
 from __future__ import annotations
 
+import hashlib
+import sys
+
 import numpy as np
 import pytest
 
@@ -35,6 +38,39 @@ def make_spec(
         popularity_alpha=alpha,
         num_topics=64,
     )
+
+
+def count_python_calls(function):
+    """Run ``function()``; return (its result, Python-level calls it made).
+
+    ``sys.setprofile`` ``call`` events: a pure function of the code and the
+    seed, so the call-budget tests fence host cost without a wall clock.
+    """
+    calls = 0
+
+    def on_event(_frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(on_event)
+    try:
+        result = function()
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+def trace_digest(trace: Trace) -> dict:
+    """Shape and sha256 of a trace: its ``flatten()`` bytes, then the query lengths."""
+    lengths = np.array([query.size for query in trace.queries], dtype=np.int64)
+    sha = hashlib.sha256(trace.flatten().astype("<i8").tobytes())
+    sha.update(lengths.astype("<i8").tobytes())
+    return {
+        "queries": len(trace),
+        "lookups": int(lengths.sum()),
+        "sha256": sha.hexdigest(),
+    }
 
 
 @pytest.fixture(scope="session")

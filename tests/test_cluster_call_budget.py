@@ -10,8 +10,6 @@ between Python/NumPy versions (comprehension inlining, NumPy's Python-level
 wrappers), which the headroom absorbs.
 """
 
-import sys
-
 import numpy as np
 
 from repro.caching.lru import LRUCache
@@ -28,6 +26,7 @@ from repro.core.config import (
 from repro.nvm.block import BlockLayout
 from repro.nvm.device import NVMDevice
 from repro.workloads.trace import ModelTrace, Trace
+from tests.conftest import count_python_calls
 
 #: Python-level calls per shard group.  Measured 71.1 (CPython 3.11,
 #: NumPy 2.4), against 94.8 at the parent commit — before routing became a
@@ -76,23 +75,6 @@ def serving_shaped_store(seed):
         )
         traces[name] = Trace(queries, num_vectors=num_vectors)
     return BandanaStore(config, tables), ModelTrace(traces)
-
-
-def count_python_calls(function):
-    """Run ``function()``; return (its result, Python-level calls it made)."""
-    calls = 0
-
-    def on_event(_frame, event, _arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
-    sys.setprofile(on_event)
-    try:
-        result = function()
-    finally:
-        sys.setprofile(None)
-    return result, calls
 
 
 def test_calls_per_shard_group_stay_within_budget():

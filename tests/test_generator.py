@@ -1,5 +1,12 @@
 """Tests for the synthetic workload generator."""
 
+import os
+import sys
+
+if __package__ in (None, ""):  # direct script run (golden regeneration)
+    _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sys.path[:0] = [os.path.join(_ROOT, "src"), _ROOT]
+
 import numpy as np
 import pytest
 
@@ -10,7 +17,7 @@ from repro.workloads import (
     paper_shaped_lookups,
     scaled_table_specs,
 )
-from tests.conftest import make_spec
+from tests.conftest import make_spec, trace_digest
 
 
 class TestPaperShapedLookups:
@@ -57,6 +64,39 @@ class TestGeneratorStructure:
     def test_queries_have_distinct_ids(self, eval_trace):
         for query in eval_trace.queries[:100]:
             assert len(np.unique(query)) == len(query)
+
+
+class TestQueryCountValidation:
+    """``generate`` names a bad count itself instead of dying inside numpy."""
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True, "4", None])
+    def test_non_integer_counts_raise_type_error(self, bad):
+        generator = SyntheticTraceGenerator(make_spec(num_vectors=2048), seed=5)
+        with pytest.raises(TypeError, match="num_queries must be an integer >= 1"):
+            generator.generate(bad)
+
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_counts_below_one_raise_value_error(self, bad):
+        generator = SyntheticTraceGenerator(make_spec(num_vectors=2048), seed=5)
+        with pytest.raises(ValueError, match="num_queries must be >= 1"):
+            generator.generate(bad)
+
+    def test_rejected_call_consumes_no_random_state(self):
+        spec = make_spec(num_vectors=2048)
+        rejected = SyntheticTraceGenerator(spec, seed=5, expected_lookups=3000)
+        for bad in (2.5, True, 0):
+            with pytest.raises((TypeError, ValueError)):
+                rejected.generate(bad)
+        fresh = SyntheticTraceGenerator(spec, seed=5, expected_lookups=3000)
+        assert rejected.generate(np.int64(30)) == fresh.generate(30)
+
+    def test_generate_lookups_derives_a_valid_count(self):
+        generator = SyntheticTraceGenerator(make_spec(num_vectors=2048), seed=5)
+        # Fewer lookups than one query holds still yields one query.
+        assert len(generator.generate_lookups(0.5)) == 1
+        for bad in (0, -1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="num_lookups"):
+                generator.generate_lookups(bad)
 
 
 class TestGeneratorCalibration:
@@ -119,3 +159,70 @@ class TestModelTraceGeneration:
             active = set(generators[name].active_ids.tolist())
             assert set(train[name].unique_vectors().tolist()) <= active
             assert set(evaluation[name].unique_vectors().tolist()) <= active
+
+
+# ---------------------------------------------------------------- seeded golden
+def golden_generator_digests():
+    """A train call then an eval call on one generator per Table 1 spec.
+
+    The train call is three windows long, so both calls cross a traffic-window
+    boundary and the eval call starts mid-stream — the way the benchmark's
+    set-up and every ``bench_*`` script use a generator.
+    """
+    specs = scaled_table_specs(1 / 2000, names=["table1", "table6"])
+    digests = {}
+    for index, (name, spec) in enumerate(specs.items()):
+        lookups = paper_shaped_lookups(spec)
+        generator = SyntheticTraceGenerator(
+            spec, seed=7 * 1009 + index, expected_lookups=lookups
+        )
+        digests[name] = {
+            "train": trace_digest(generator.generate_lookups(3 * lookups)),
+            "eval": trace_digest(generator.generate_lookups(lookups)),
+        }
+    return digests
+
+
+class TestSeededGolden:
+    def test_generated_traces_match_the_pinned_digests(self):
+        assert golden_generator_digests() == GOLDEN_GENERATOR_DIGESTS
+
+
+#: Frozen output of :func:`golden_generator_digests`, captured from the
+#: ``Generator.choice(p=)`` implementation this generator replaced.  A trace is
+#: a pure function of (spec, seed, call sequence); these change only when the
+#: generative model changes — regenerate deliberately with
+#: ``python tests/test_generator.py``.
+GOLDEN_GENERATOR_DIGESTS = {
+    "table1": {
+        "train": {
+            "queries": 484,
+            "lookups": 9505,
+            "sha256": "23ec61c4a504a08da5f45104938690c9d16b17acbccaf00293a3578a3900336f",
+        },
+        "eval": {
+            "queries": 161,
+            "lookups": 3084,
+            "sha256": "9dd034dae64b66da0119310921300104dd7984640fe2ff8c3bc4a14d3e4a6424",
+        },
+    },
+    "table6": {
+        "train": {
+            "queries": 49,
+            "lookups": 2200,
+            "sha256": "30df36412c901fa7a83a54b4fde1c1f67fc339cc1287864f52316b90467e843e",
+        },
+        "eval": {
+            "queries": 16,
+            "lookups": 762,
+            "sha256": "87b7b5dcb5c962757b5aa57607c533c0c14d904aecb085638221b9916d066c81",
+        },
+    },
+}
+
+
+if __name__ == "__main__":  # pragma: no cover - maintenance helper
+    import pprint
+
+    print("GOLDEN_GENERATOR_DIGESTS = ", end="")
+    pprint.pprint(golden_generator_digests(), sort_dicts=False)

@@ -182,6 +182,69 @@ class TestSHPPartitioner:
             SHPPartitioner().partition(100, trace=trace)
 
 
+def flatten_queries_one_at_a_time(partitioner, trace):
+    """The per-query definition ``SHPPartitioner._flatten_queries`` must equal:
+    each query's sorted distinct ids, queries with fewer than two dropped and
+    the rest numbered consecutively."""
+    queries = trace.queries
+    if partitioner.max_queries is not None:
+        queries = queries[: partitioner.max_queries]
+    members, query_ids, next_query = [], [], 0
+    for query in queries:
+        ids = np.unique(query)
+        if ids.size < 2:
+            continue
+        members.append(ids.astype(np.int64))
+        query_ids.append(np.full(ids.size, next_query, dtype=np.int64))
+        next_query += 1
+    empty = np.empty(0, dtype=np.int64)
+    return (
+        np.concatenate(members) if members else empty,
+        np.concatenate(query_ids) if query_ids else empty,
+        next_query,
+    )
+
+
+class TestFlattenQueriesMatchesPerQueryDefinition:
+    @staticmethod
+    def assert_same(trace, max_queries=None):
+        partitioner = SHPPartitioner(max_queries=max_queries)
+        fast = partitioner._flatten_queries(trace)
+        slow = flatten_queries_one_at_a_time(partitioner, trace)
+        for a, b in zip(fast[:2], slow[:2]):
+            assert a.dtype == b.dtype == np.int64
+            np.testing.assert_array_equal(a, b)
+        assert fast[2] == slow[2]
+
+    @pytest.mark.parametrize("max_queries", [None, 1, 3, 100])
+    def test_single_id_and_duplicate_id_queries(self, max_queries):
+        # Empty queries never reach SHP (Trace drops them); single-id and
+        # all-duplicate queries do, and must not consume a query number.
+        trace = Trace(
+            [[9], [4, 4, 4], [], [7, 2, 7, 2, 5], [0], [63, 1], [3, 3], [8, 6, 8]],
+            num_vectors=64,
+        )
+        assert len(trace) == 7
+        self.assert_same(trace, max_queries)
+
+    def test_nothing_left_to_flatten(self):
+        self.assert_same(Trace([], num_vectors=8))
+        self.assert_same(Trace([[1], [2, 2]], num_vectors=8))
+
+    def test_generated_trace(self, train_trace):
+        self.assert_same(train_trace)
+        self.assert_same(train_trace, max_queries=17)
+
+    @given(
+        queries=st.lists(
+            st.lists(st.integers(min_value=0, max_value=40), max_size=9), max_size=25
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_traces(self, queries):
+        self.assert_same(Trace(queries, num_vectors=41))
+
+
 @given(
     num_vectors=st.integers(min_value=32, max_value=256),
     seed=st.integers(min_value=0, max_value=100),

@@ -9,6 +9,12 @@ registration.
 """
 
 import dataclasses
+import os
+import sys
+
+if __package__ in (None, ""):  # direct script run (golden regeneration)
+    _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sys.path[:0] = [os.path.join(_ROOT, "src"), _ROOT]
 
 import numpy as np
 import pytest
@@ -30,6 +36,7 @@ from repro.scenarios import (
 from repro.serving import simulate_serving
 from repro.workloads.trace import ModelTrace
 from repro_lint.rules import CONFIG_CLASSES
+from tests.conftest import trace_digest
 
 
 def small_scenario(kind, **overrides):
@@ -55,6 +62,25 @@ def scenario_store_config(num_vectors):
     )
 
 
+def golden_scenario_digests():
+    """Every kind at a size where drift rotates five times, the flash window
+    diverts a few hundred lookups and the rank law has 2 048 entries."""
+    return {
+        kind: trace_digest(
+            generate_scenario_trace(
+                ScenarioConfig(
+                    kind=kind,
+                    num_queries=300,
+                    num_vectors=2048,
+                    drift_epoch_queries=50,
+                    seed=11,
+                )
+            )
+        )
+        for kind in ("drift", "flash-crowd", "diurnal")
+    }
+
+
 # ----------------------------------------------------------------- generators
 class TestGenerators:
     def test_seeded_golden_pins(self):
@@ -72,6 +98,9 @@ class TestGenerators:
             ids = np.concatenate(trace.queries)
             assert len(trace.queries) == 60
             assert (int(ids.size), int(ids.sum())) == (num_lookups, checksum), kind
+
+    def test_generated_traces_match_the_pinned_digests(self):
+        assert golden_scenario_digests() == GOLDEN_SCENARIO_DIGESTS
 
     def test_regeneration_is_bit_identical(self):
         config = small_scenario("drift")
@@ -394,3 +423,32 @@ class TestConfigValidation:
             RepartitionConfig(blackout_queries=-1)
         with pytest.raises(ValueError):
             RepartitionConfig(shp_iterations=0)
+
+
+#: Frozen output of :func:`golden_scenario_digests`, captured from the
+#: ``Generator.choice(p=)`` implementation the generators replaced — regenerate
+#: deliberately with ``python tests/test_scenarios.py``.
+GOLDEN_SCENARIO_DIGESTS = {
+    "drift": {
+        "queries": 300,
+        "lookups": 6673,
+        "sha256": "f25d6c55e02e0358ce3132b271763256134b3e3a7256fcb0332b4079c4ae9ef2",
+    },
+    "flash-crowd": {
+        "queries": 300,
+        "lookups": 6563,
+        "sha256": "3a7e4324bda6a95d1a4f24c6261642db302fb956ce0f200bb9464c69c191d799",
+    },
+    "diurnal": {
+        "queries": 300,
+        "lookups": 6673,
+        "sha256": "4cdb1bea99f29261ea9c1142ca26c81bb1c4260173c1fced7d97f9e6c689154d",
+    },
+}
+
+
+if __name__ == "__main__":  # pragma: no cover - maintenance helper
+    import pprint
+
+    print("GOLDEN_SCENARIO_DIGESTS = ", end="")
+    pprint.pprint(golden_scenario_digests(), sort_dicts=False)

@@ -85,6 +85,62 @@ class TestTraceSplitting:
         assert joined.num_lookups == 12
 
 
+class TestDerivedTracesSkipRevalidation:
+    """``split`` / ``head`` / slices / ``concat`` wrap already-checked queries
+    through ``Trace._trusted``; the result must be what validating them again
+    would have built."""
+
+    @staticmethod
+    def assert_as_if_validated(derived, queries, num_vectors):
+        validated = Trace(queries, num_vectors=num_vectors)
+        assert derived == validated
+        assert type(derived.num_vectors) is int
+        for query in derived.queries:
+            assert query.dtype == np.int64 and query.ndim == 1 and query.size
+
+    @given(
+        queries=st.lists(
+            st.lists(st.integers(min_value=0, max_value=50), max_size=6), max_size=12
+        ),
+        fraction=st.floats(min_value=0.0, max_value=1.0),
+        cut=st.integers(min_value=0, max_value=14),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_split_head_slice_concat(self, queries, fraction, cut):
+        trace = Trace(queries, num_vectors=51)
+        kept = [q for q in queries if q]
+        boundary = int(round(len(kept) * fraction))
+        head, tail = trace.split(fraction)
+        self.assert_as_if_validated(head, kept[:boundary], 51)
+        self.assert_as_if_validated(tail, kept[boundary:], 51)
+        self.assert_as_if_validated(trace.head(cut), kept[:cut], 51)
+        self.assert_as_if_validated(trace[cut:], kept[cut:], 51)
+        self.assert_as_if_validated(trace[::2], kept[::2], 51)
+        wider = Trace([[60, 3]], num_vectors=61)
+        self.assert_as_if_validated(trace.concat(wider), kept + [[60, 3]], 61)
+        self.assert_as_if_validated(wider.concat(trace), [[60, 3]] + kept, 61)
+
+    def test_derived_traces_do_not_alias_the_source_list(self):
+        trace = make_trace()
+        head = trace.head(2)
+        head.queries.append(np.array([9]))
+        assert len(trace) == 3 and len(trace[:]) == 3
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ([[-1, 2]], ValueError),
+            ([[1, 10]], ValueError),
+            ([[1.0, 2.0]], TypeError),
+            ([[[1, 2], [3, 4]]], ValueError),
+        ],
+        ids=["negative", "out-of-range", "float", "2-d"],
+    )
+    def test_public_constructor_keeps_every_check(self, bad, error):
+        with pytest.raises(error):
+            Trace(bad, num_vectors=10)
+
+
 class TestTraceSerialization:
     def test_save_load_roundtrip(self, tmp_path):
         trace = make_trace()

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.utils.sampling import (
+    InverseCDFSampler,
+    first_occurrences,
     sample_queries_spatially,
     spatial_hash_sample_mask,
     zipf_probabilities,
@@ -71,6 +73,160 @@ class TestSampleQueriesSpatially:
         sampled = sample_queries_spatially(queries, 0.3, seed=2)
         for original, kept in zip(queries, sampled):
             assert set(kept.tolist()) <= set(original.tolist())
+
+
+def sample_queries_one_at_a_time(queries, rate, seed=0):
+    """The per-query definition ``sample_queries_spatially`` must equal."""
+    sampled = []
+    for query in queries:
+        query = np.asarray(query, dtype=np.int64)
+        mask = spatial_hash_sample_mask(query, rate, seed=seed)
+        if mask.any():
+            sampled.append(query[mask])
+    return sampled
+
+
+class TestSampleQueriesSpatiallyMatchesPerQueryDefinition:
+    @staticmethod
+    def assert_same(queries, rate, seed):
+        fast = sample_queries_spatially(queries, rate, seed=seed)
+        slow = sample_queries_one_at_a_time(queries, rate, seed=seed)
+        assert len(fast) == len(slow)
+        for a, b in zip(fast, slow):
+            assert a.dtype == b.dtype == np.int64
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.05, 0.5, 1.0])
+    def test_empty_single_and_duplicate_id_queries(self, rate):
+        queries = [
+            np.array([], dtype=np.int64),
+            np.array([7]),
+            np.array([3, 3, 3, 9, 3]),
+            np.array([], dtype=np.int64),
+            np.arange(200),
+            [11, 12, 11],
+            np.array([2**40 + 1, 5], dtype=np.int64),
+            np.array([], dtype=np.int64),
+        ]
+        for seed in range(4):
+            self.assert_same(queries, rate, seed)
+
+    def test_no_queries(self):
+        assert sample_queries_spatially([], 0.5) == []
+        assert sample_queries_spatially([np.array([], dtype=np.int64)], 0.5) == []
+
+    @given(
+        queries=st.lists(
+            st.lists(st.integers(min_value=0, max_value=500), max_size=12), max_size=20
+        ),
+        rate=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_streams(self, queries, rate, seed):
+        self.assert_same([np.array(q, dtype=np.int64) for q in queries], rate, seed)
+
+
+def law_with_zeros(draw, num_categories):
+    """A normalised law over ``num_categories`` with some exact-zero entries."""
+    weights = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.0)),
+            min_size=num_categories,
+            max_size=num_categories,
+        )
+    )
+    weights = np.array(weights)
+    if not weights.any():
+        weights[draw(st.integers(0, num_categories - 1))] = 1.0
+    return weights / weights.sum()
+
+
+@st.composite
+def laws(draw):
+    # Small laws exhaustively shaped by Hypothesis; large ones (up to the
+    # 4 096-entry rank law of the drift scenario) from a seeded generator.
+    if draw(st.booleans()):
+        return law_with_zeros(draw, draw(st.integers(1, 24)))
+    num_categories = draw(st.integers(25, 4096))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    weights = rng.random(num_categories) ** 4
+    weights[rng.random(num_categories) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
+    if not weights.any():
+        weights[0] = 1.0
+    return weights / weights.sum()
+
+
+class TestInverseCDFSampler:
+    @given(law=laws(), seed=st.integers(0, 2**32), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_stream_compatible_with_generator_choice(self, law, seed, data):
+        n = law.size
+        sampler = InverseCDFSampler(law)
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        # Several draws in a row, so a divergence in state would compound.
+        for size in data.draw(
+            st.lists(st.sampled_from([None, 0, 1, n]), min_size=1, max_size=4)
+        ):
+            drawn = sampler.draw(ours, size)
+            expected = numpys.choice(n, size, p=law)
+            assert np.shape(drawn) == np.shape(expected)
+            np.testing.assert_array_equal(drawn, expected)
+            assert ours.bit_generator.state == numpys.bit_generator.state
+
+    def test_single_category_always_drawn(self):
+        sampler = InverseCDFSampler(np.array([1.0]))
+        rng = np.random.default_rng(0)
+        assert sampler.draw(rng) == 0
+        assert not sampler.draw(rng, 50).any()
+
+    def test_zero_probability_categories_never_drawn(self):
+        law = np.array([0.0, 0.25, 0.0, 0.75, 0.0])
+        drawn = InverseCDFSampler(law).draw(np.random.default_rng(1), 2000)
+        assert set(drawn.tolist()) == {1, 3}
+
+    def test_law_is_copied_at_construction(self):
+        law = np.array([0.5, 0.5])
+        sampler = InverseCDFSampler(law)
+        law[:] = [1.0, 0.0]
+        drawn = sampler.draw(np.random.default_rng(2), 200)
+        assert set(drawn.tolist()) == {0, 1}
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [-0.1, 1.1],
+            [np.nan, 1.0],
+            [],
+            [[0.5, 0.5]],
+            0.5,
+            [0.5, 0.6],
+            [0.2, 0.2],
+            [np.inf, 0.0],
+        ],
+        ids=["negative", "nan", "empty", "2-d", "0-d", "sum>1", "sum<1", "inf"],
+    )
+    def test_construction_rejects_what_choice_rejected(self, bad):
+        with pytest.raises(ValueError):
+            InverseCDFSampler(np.array(bad, dtype=np.float64))
+
+
+class TestFirstOccurrences:
+    def test_keeps_first_of_each_in_draw_order(self):
+        ids = np.array([5, 2, 5, 9, 2, 2, 1])
+        np.testing.assert_array_equal(first_occurrences(ids), [5, 2, 9, 1])
+
+    def test_empty_and_already_distinct(self):
+        assert first_occurrences(np.empty(0, dtype=np.int64)).size == 0
+        ids = np.array([4, 3, 8])
+        np.testing.assert_array_equal(first_occurrences(ids), ids)
+
+    @given(ids=st.lists(st.integers(min_value=0, max_value=30), max_size=60))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_dict_order(self, ids):
+        np.testing.assert_array_equal(
+            first_occurrences(np.array(ids, dtype=np.int64)), list(dict.fromkeys(ids))
+        )
 
 
 class TestZipfProbabilities:
