@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.embeddings.table import EmbeddingTable
 from repro.nvm.block import BlockLayout
+from repro.utils.validation import check_int_at_least
 from repro.workloads.trace import Trace
 
 
@@ -74,6 +75,4 @@ class Partitioner(abc.ABC):
 
     @staticmethod
     def _validate_num_vectors(num_vectors: int) -> int:
-        if num_vectors <= 0:
-            raise ValueError(f"num_vectors must be positive, got {num_vectors}")
-        return int(num_vectors)
+        return check_int_at_least(num_vectors, 1, "num_vectors")
