@@ -1,4 +1,4 @@
-"""Replay-engine throughput: reference loop vs. vectorized batch engine.
+"""Replay-engine throughput: reference loop vs. batch engine.
 
 Times :func:`repro.caching.replay.replay_table_cache` (the per-vector
 reference loop) against :func:`repro.caching.engine.replay_table_cache_batched`
@@ -6,7 +6,7 @@ on the standard synthetic workload (table2, SHP placement) over a long
 steady-state evaluation stream, and verifies that both produce bit-identical
 ``ReplayStats`` counters while timing them.
 
-Three configurations cover the replay regimes the repository actually runs:
+Four configurations cover the replay regimes the repository actually runs:
 
 * ``placement-study`` — unlimited cache, cache-all-block prefetch: the replay
   behind the paper's placement evaluations (Figures 6, 8, 9).  This is the
@@ -15,6 +15,10 @@ Three configurations cover the replay regimes the repository actually runs:
   Bandana's deployed serving configuration (Figure 12 operating point).
 * ``baseline-no-prefetch`` — limited cache, no prefetching: the paper's
   comparison baseline.
+* ``miss-heavy-evicting`` — cache of 1/8 of the vectors, cache-all-block
+  prefetch (Figure 10): nearly every miss admits a block's worth of vectors
+  and evicts as many.  The other three sit above a 92 % hit rate, which is how
+  a 13 µs demand miss once went unseen here.
 
 Results are printed, persisted under ``benchmarks/results/`` and written as
 machine-readable JSON to ``BENCH_replay_throughput.json`` at the repository
@@ -56,12 +60,17 @@ ROUNDS = 3
 JSON_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_replay_throughput.json")
 
 #: Steady-state multiplier of the CI-sized ``smoke_wall_clock`` section
-#: (the loose perf-track leg re-times this configuration on every runner).
+#: (the loose perf-track legs re-time these configurations on every runner).
 SMOKE_EVAL_MULTIPLIER = 1
 
 
 def _counters(stats):
     return stats.counters()
+
+
+def _miss_heavy_cache_size(workload):
+    """The bounded cache of the miss-heavy configuration: 1/8 of the vectors."""
+    return workload.spec.num_vectors // 8
 
 
 def _time_config(queries, layout, make_policy, cache_size, vector_bytes=128):
@@ -124,6 +133,12 @@ def run_throughput(workload):
         "baseline-no-prefetch": _time_config(
             queries, layout, NoPrefetchPolicy, cache_size=serving_cache
         ),
+        "miss-heavy-evicting": _time_config(
+            queries,
+            layout,
+            CacheAllBlockPolicy,
+            cache_size=_miss_heavy_cache_size(workload),
+        ),
     }
     result = {
         "table": TABLE,
@@ -141,11 +156,12 @@ def run_throughput(workload):
 
 
 def measure_smoke_wall_clock(workload=None):
-    """CI-sized wall-clock reference: the batched engine on the headline
-    (placement-study) configuration over a short evaluation stream.
+    """CI-sized wall-clock reference: the batched engine over a short stream.
 
-    ``benchmarks/perf_track.py`` re-times this on every runner and compares
-    ``batched_lookups_per_sec`` against the committed number with a loose
+    Two legs, one per eviction regime: the headline ``placement-study``
+    configuration (a cache that cannot evict) and ``miss-heavy-evicting``.
+    ``benchmarks/perf_track.py`` re-times both on every runner and compares
+    ``batched_lookups_per_sec`` against the committed numbers with a loose
     ratio floor — tolerant of runner noise, loud on order-of-magnitude
     engine regressions.  The reference loop is deliberately excluded: it is
     ~10x slower and its parity with the batched engine is already enforced
@@ -157,19 +173,27 @@ def measure_smoke_wall_clock(workload=None):
     eval_trace = workload.generator.generate_lookups(
         SMOKE_EVAL_MULTIPLIER * workload.evaluation.num_lookups
     )
-    times = []
-    stats = None
-    for _ in range(ROUNDS):
-        engine = BatchReplayEngine(workload.shp_layout, CacheAllBlockPolicy())
-        start = time.perf_counter()
-        stats = engine.replay(eval_trace.queries)
-        times.append(time.perf_counter() - start)
-    lookups = int(stats.lookups)
-    return {
-        "eval_lookups": lookups,
-        "hit_rate": round(stats.hit_rate, 4),
-        "batched_lookups_per_sec": round(lookups / min(times)),
-    }
+    legs = {}
+    for name, cache_size in (
+        ("placement-study", None),
+        ("miss-heavy-evicting", _miss_heavy_cache_size(workload)),
+    ):
+        times = []
+        stats = None
+        for _ in range(ROUNDS):
+            engine = BatchReplayEngine(
+                workload.shp_layout, CacheAllBlockPolicy(), cache_size=cache_size
+            )
+            start = time.perf_counter()
+            stats = engine.replay(eval_trace.queries)
+            times.append(time.perf_counter() - start)
+        lookups = int(stats.lookups)
+        legs[name] = {
+            "eval_lookups": lookups,
+            "hit_rate": round(stats.hit_rate, 4),
+            "batched_lookups_per_sec": round(lookups / min(times)),
+        }
+    return legs
 
 
 def _format_table(result):
@@ -198,8 +222,9 @@ def _write_outputs(result):
 def test_replay_throughput(bundle):
     result = run_throughput(bundle[TABLE])
     _write_outputs(result)
-    # The acceptance bar for the vectorized engine: at least 5x the reference
-    # loop on the headline configuration (counters already verified equal).
+    # The acceptance bar for the engine's vectorised (no-eviction) path: at
+    # least 5x the reference loop on the headline configuration (counters
+    # already verified equal).
     assert result["speedup"] >= 5.0, result
 
 

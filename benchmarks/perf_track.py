@@ -34,8 +34,9 @@ Tracked artifacts:
 * ``BENCH_serving_latency.json`` — tight smoke reference: the full load
   sweep at the CI-sized configuration (:mod:`bench_serving_latency`).
 * ``BENCH_replay_throughput.json`` — loose only: the whole artifact is
-  wall-clock timings, gated through its CI-sized ``smoke_wall_clock``
-  section (:mod:`bench_replay_throughput`).
+  wall-clock timings, gated through the two legs of its CI-sized
+  ``smoke_wall_clock`` section — a cache that cannot evict, and a
+  miss-heavy evicting one (:mod:`bench_replay_throughput`).
 
 Exit status is non-zero on any regression, and every offending metric is
 printed with its committed and fresh values.
@@ -215,12 +216,15 @@ def check_replay_throughput(problems: List[str]) -> None:
     )
     if committed is None:
         return
-    problems += check_wall_clock(
-        "BENCH_replay_throughput.json",
-        committed.get("smoke_wall_clock"),
-        bench_replay_throughput.measure_smoke_wall_clock,
-        "batched_lookups_per_sec",
-    )
+    legs = committed.get("smoke_wall_clock") or {}
+    fresh = bench_replay_throughput.measure_smoke_wall_clock() if legs else {}
+    for leg in ("placement-study", "miss-heavy-evicting"):
+        problems += check_wall_clock(
+            f"BENCH_replay_throughput.json[{leg}]",
+            legs.get(leg),
+            lambda leg=leg: fresh[leg],
+            "batched_lookups_per_sec",
+        )
 
 
 def main() -> int:

@@ -14,8 +14,9 @@ paper examines:
   access-threshold policy Bandana adopts),
 * :mod:`repro.caching.replay` — the per-table cache replay engine used by all
   cache experiments,
-* :mod:`repro.caching.engine` — the vectorized *batch* replay engine: an
-  array-backed LRU plus batched kernels that reproduce the reference loop's
+* :mod:`repro.caching.engine` — the *batch* replay engine: an ordered-map
+  LRU walked at O(1) per demand miss (a residency bitmap with vectorised hit
+  runs when the cache can never evict) that reproduces the reference loop's
   counters bit for bit at a multiple of its throughput,
 * :mod:`repro.caching.stack_distance` — Mattson stack distances and hit-rate
   curves (Figure 3),
@@ -30,8 +31,8 @@ The package deliberately keeps two implementations of the replay semantics.
 :func:`replay_table_cache` (and the dict+heap :class:`LRUCache` under it) is
 the *reference model*: a readable, per-vector transcription of the paper used
 to define what every counter means.  :func:`replay_table_cache_batched` (and
-:class:`~repro.caching.engine.ArrayLRUCache`) is the *fast path* used by
-serving, tuning and simulation.  The contract — enforced by the equivalence
+the :class:`~repro.caching.engine.BatchReplayEngine` under it) is the *fast
+path* used by serving, tuning and simulation.  The contract — enforced by the equivalence
 test suite — is that both produce bit-identical
 :class:`~repro.caching.replay.ReplayStats` for any trace, policy and cache
 size, so performance work can never silently change the modeled numbers.
@@ -51,7 +52,6 @@ from repro.caching.policies import (
 )
 from repro.caching.replay import ReplayStats, replay_table_cache
 from repro.caching.engine import (
-    ArrayLRUCache,
     BatchReplayEngine,
     replay_table_cache_batched,
     replay_table_cache_multi,
@@ -78,7 +78,6 @@ __all__ = [
     "make_policy",
     "ReplayStats",
     "replay_table_cache",
-    "ArrayLRUCache",
     "BatchReplayEngine",
     "replay_table_cache_batched",
     "replay_table_cache_multi",

@@ -1,466 +1,202 @@
-"""Vectorized batch replay engine: the array-native fast path of the cache stack.
+"""Batch replay engine: the fast path of the cache stack.
 
 Reference-vs-fast-path contract
 -------------------------------
 :func:`repro.caching.replay.replay_table_cache` is the *reference model*: a
 pure-Python per-vector loop over a dict+heap :class:`~repro.caching.lru.LRUCache`
 that mirrors the paper's prose one statement at a time.  It stays the source
-of truth for what every counter means.  This module is the *fast path*: the
-same simulation recast as batched NumPy kernels.  The contract between the two
+of truth for what every counter means.  This module is the *fast path* every
+store, tuner, cluster node and scenario runs on.  The contract between the two
 is strict — for any trace, layout, policy and cache size, the fast path must
 produce **bit-identical** :class:`~repro.caching.replay.ReplayStats` counters
-(``lookups``, ``hits``, ``misses``, ``prefetch_admitted``, ``prefetch_hits``,
-``prefetch_evicted_unused``, ``evictions``, ``total_latency_us``).  Speed must
-never silently change the modeled numbers; ``tests/test_engine_equivalence.py``
-enforces the contract on randomized traces across all policies and cache sizes.
+(``total_latency_us`` included) and the same ``cache.keys()``, however the
+stream is cut into calls.  Speed must never silently change the modeled
+numbers; ``tests/test_engine_equivalence.py`` enforces the contract.
 
-How the vectorization works
----------------------------
-* :class:`ArrayLRUCache` replaces the dict+heap cache with flat NumPy arrays
-  indexed by vector id — a ``float64`` recency-priority array and a boolean
-  residency array.  Eviction order needs no heap on the common path: a
-  top-of-queue stamp is a fresh clock value, larger than everything already
-  stored, so stamps are appended to a *monotone stamp log* (two preallocated
-  arrays and a head cursor) that is sorted by construction.  Promotions and
-  admissions are slice writes, eviction advances the head past entries whose
-  key has since been re-stamped or evicted, and compaction is one vectorised
-  liveness mask.  Only interpolated priorities (``position > 0``) go to a
-  small lazy-deletion heap; the victim is the lexicographic ``(priority,
-  key)`` minimum of the two heads, so eviction order (including priority
-  ties, which the reference heap breaks by id) is reproduced exactly.
-* :class:`BatchReplayEngine` walks each query as alternating segments: a
-  maximal *run of hits* (classified in one residency-array gather) is counted,
-  recorded with the policy and promoted in bulk; the following *demand miss*
-  reads its block and offers the non-resident co-residents to the policy
-  through the vectorized ``admit_batch`` API in one call.
-* When no eviction can occur (the common case for adequately sized and
-  unlimited caches) the admitted vectors are stamped in bulk, with insertion
-  priorities computed by the same float expression the reference uses so the
-  bits match.  When top-of-queue admissions must evict, the victims are read
-  off the log without removing them (``peek_oldest``), checked for the one
-  hazard sequencing can cause, and committed with array operations.  When an
-  interpolated insertion could interact with an eviction — or would dip below
-  the current queue bottom, where sequencing matters — the engine falls back
-  to an exact per-vector path over the same array cache.
+What is vectorised, what is a scalar walk, and why
+--------------------------------------------------
+Which of three caches an engine gets is read off its inputs:
 
-The engine requires ``admit`` to be a pure function of the candidate id and
-the policy's current state (true for all six built-in policies): it may be
-called for candidates the reference loop would have skipped as
-already-resident.  Stateful ``record_access`` is fully supported and is
-invoked in exactly the reference order.
+* **Bounded cache, top-only policy** (``never_admits`` or
+  ``always_top_positions``: everything the store, the tuner, the cluster and
+  the scenarios run) — :class:`OrderedLRUCache` under one Python loop over
+  ``ids.tolist()``.  Every stamp such a policy issues is a fresh maximum, so
+  LRU order *is* insertion order: a hit is ``move_to_end``, a victim is
+  ``popitem(last=False)``, and a demand miss is O(1) pointer work with no
+  priorities, ties or hazard analysis (an evicted neighbour is simply
+  non-resident when its slot is examined).  An array-native miss was measured
+  at ≈ 35 NumPy dispatches on ≤ 32-element arrays, ≈ 21 µs; the walk is
+  2.4–2.9× faster on every bounded ``bench_replay_throughput`` configuration,
+  the 92 %-hit ones included.
+* **Interpolated positions** (``InsertAtPositionPolicy`` / ``CombinedPolicy``
+  with ``position > 0``, Figure 11 only) — the reference's own
+  :class:`~repro.caching.lru.LRUCache` under the same walk, which saves the
+  reference loop's per-lookup policy and stats calls (1.1× its speed, where
+  the array cache ran at 0.5×).
+* **A cache that can never evict** (``capacity >= num_vectors``, top-only
+  policy: every unlimited-cache placement study) — :class:`ResidencyBitmap`.
+  No order exists to keep, so residency is a boolean array and a maximal *run
+  of hits* is classified, counted and stamped in one gather (6.0–6.6 ms per
+  table stream against 9–13 ms for the ordered map).
 
-Multi-cache replay
-------------------
-:func:`replay_table_cache_multi` replays one stream through many independent
-caches/policies in a single pass, sharing the per-query id/block gathers.
-:class:`~repro.caching.miniature.MiniatureCacheTuner` uses it to evaluate all
-candidate admission thresholds with one walk over the sampled stream.
+Per-block admission decisions are cached for ``admit_is_static`` policies and
+dropped when the placement changes (:meth:`BatchReplayEngine.swap_layout`) or
+the policy says its decisions did (``PrefetchPolicy.admit_version``).  For
+top-only policies ``admit`` must be a pure function of the candidate id and
+the policy's current state (true of every built-in policy): it is evaluated
+per block, also for candidates the reference loop would have skipped as
+already-resident.  Stateful ``record_access`` is fully supported: the policy
+has observed every lookup up to and including the missing id before ``admit``
+runs.  :func:`replay_table_cache_multi` replays one stream through many
+independent caches (the miniature-cache tuner's candidate thresholds).
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Iterable, List, Optional, Sequence, Tuple
+from collections import OrderedDict
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 
 import numpy as np
 import numpy.typing as npt
 
+from repro.caching.lru import LRUCache
 from repro.caching.policies import PrefetchPolicy
 from repro.caching.replay import ReplayStats
 from repro.nvm.block import BlockLayout
 from repro.nvm.device import NVMDevice
-from repro.utils.validation import check_fraction, check_non_negative, check_positive
+from repro.utils.validation import (
+    check_array_1d_ints,
+    check_fraction,
+    check_non_negative,
+    check_positive,
+)
 
 
-class ArrayLRUCache:
-    """Array-backed positional-insertion LRU over a bounded id universe.
+#: Most ids one pass of a replay kernel takes from a longer stream.
+_SLICE_IDS = 8192
 
-    Semantically equivalent to :class:`~repro.caching.lru.LRUCache` for keys
-    in ``[0, num_slots)``: same evicted keys, same ``keys()`` order, same
-    ``(priority, key)`` tie-break.  State lives in flat NumPy arrays indexed
-    by key — a ``float64`` recency priority and a boolean residency flag — so
-    membership tests, promotions and top-of-queue insertions run for whole
-    batches of keys at once.
 
-    Eviction order is kept without a heap on the common path.  A
-    top-of-queue stamp is a fresh clock value, larger than every priority
-    already stored, so stamps are appended to a *monotone stamp log* (two
-    preallocated arrays, ``priority`` and ``key``, with a head cursor) that
-    is sorted by construction.  A logged entry is *live* while
-    ``resident[key] and prio[key] == logged priority``; re-stamping or
-    evicting a key leaves its older entries stale, and stale entries stay
-    stale for good.  Only interpolated priorities (``insert_at`` with
-    ``position > 0``), which land below the top, go to a small lazy-deletion
-    ``heapq``.  The eviction victim is the lexicographic minimum of the two
-    live heads.
+class OrderedLRUCache:
+    """Top-insertion LRU over an ``OrderedDict``: LRU order is insertion order.
 
-    Both structures are compacted with one vectorised liveness mask when they
-    fill up, and the log's arrays double only when live entries need the
-    room, so each holds at most ``max(_COMPACT_MIN, 4 * len(cache))``
-    entries (:meth:`order_entries` reports their sum).  A cache that can hold
-    the whole id universe never evicts and tracks no order at all until a
-    min-query forces one ``lexsort`` over the priority array.
-
-    Parameters
-    ----------
-    capacity:
-        Maximum number of resident keys (0 stores nothing).
-    num_slots:
-        Size of the id universe; every key must be in ``[0, num_slots)``.
+    Equivalent to :class:`~repro.caching.lru.LRUCache` restricted to
+    ``position == 0.0``: same evicted keys, same ``keys()`` order.  The
+    engine's walk works on ``_entries`` directly (:meth:`insert` is that
+    walk's step, spelled out).
     """
 
-    #: Initial length of the stamp log, and the size below which neither
-    #: order structure is ever compacted.
-    _COMPACT_MIN = 64
+    def __init__(self, capacity: int) -> None:
+        check_non_negative(capacity, "capacity")
+        self.capacity = int(capacity)
+        #: Number of entries evicted so far.
+        self.evictions = 0
+        # Resident keys, least recently used first.
+        self._entries: "OrderedDict[int, None]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, key: int) -> bool:
+        return key in self._entries
+
+    def insert(self, key: int) -> Optional[int]:
+        """Insert (or promote) ``key`` at the top; returns the evicted key, if any."""
+        entries = self._entries
+        if key in entries:
+            entries.move_to_end(key)
+            return None
+        if self.capacity == 0:
+            return None
+        evicted = None
+        if len(entries) >= self.capacity:
+            evicted = entries.popitem(last=False)[0]
+            self.evictions += 1
+        entries[key] = None
+        return evicted
+
+    def keys(self) -> List[int]:
+        """Resident keys ordered from most- to least-recently used."""
+        return list(reversed(self._entries))
+
+    def clear(self) -> None:
+        """Drop all entries and reset the eviction counter."""
+        self._entries.clear()
+        self.evictions = 0
+
+
+class ResidencyBitmap:
+    """A cache that can hold its whole id universe: flat arrays, no order.
+
+    Nothing is ever evicted, so membership is all the replay reads.  The
+    last-touch stamps exist for :meth:`keys` alone.
+    """
+
+    #: A cache that never fills never evicts.
+    evictions = 0
 
     def __init__(self, capacity: int, num_slots: int) -> None:
-        check_non_negative(capacity, "capacity")
-        check_positive(num_slots, "num_slots")
+        if capacity < num_slots:
+            raise ValueError("a ResidencyBitmap must be able to hold every id")
         self.capacity = int(capacity)
-        self.num_slots = int(num_slots)
-        self._prio = np.zeros(self.num_slots, dtype=np.float64)
-        self._resident = np.zeros(self.num_slots, dtype=bool)
-        self._clock = 0.0
+        self.resident = np.zeros(num_slots, dtype=bool)
+        #: Resident because of a prefetch and not yet demanded.
+        self.pending = np.zeros(num_slots, dtype=bool)
+        self.num_pending = 0
+        self.stamp = np.zeros(num_slots, dtype=np.int64)
+        self.clock = 0
         self._live = 0
-        self._evictions = 0
-        self._reset_order()
 
-    # ------------------------------------------------------------------ basic
     def __len__(self) -> int:
         return self._live
 
     def __contains__(self, key: int) -> bool:
-        return bool(self._resident[key])
+        return bool(self.resident[key])
 
-    def peek(self, key: int) -> bool:
-        """Membership test that does not change recency."""
-        return bool(self._resident[key])
+    def insert(self, key: int) -> None:
+        """Stamp one non-resident ``key`` at the top."""
+        self.resident[key] = True
+        self.stamp[key] = self.clock
+        self.clock += 1
+        self._live += 1
 
-    @property
-    def evictions(self) -> int:
-        """Number of entries evicted so far."""
-        return self._evictions
-
-    def resident_mask(self, keys: np.ndarray) -> np.ndarray:
-        """Boolean residency of every key in ``keys`` (one gather)."""
-        return self._resident[keys]
+    def admit(self, keys: np.ndarray) -> None:
+        """Stamp distinct non-resident ``keys`` at the top, in order."""
+        count = int(keys.size)
+        self.resident[keys] = True
+        self.stamp[keys] = np.arange(self.clock, self.clock + count)
+        self.clock += count
+        self._live += count
 
     def keys(self) -> List[int]:
-        """Resident keys ordered from most- to least-recently prioritised."""
-        ids = np.flatnonzero(self._resident)
-        return ids[np.argsort(-self._prio[ids], kind="stable")].tolist()
-
-    def order_entries(self) -> int:
-        """Entries (live and stale) held by the stamp log and the heap."""
-        return self._tail - self._head + len(self._interp)
+        """Resident keys ordered from most- to least-recently used."""
+        ids = np.flatnonzero(self.resident)
+        return ids[np.argsort(-self.stamp[ids], kind="stable")].tolist()
 
     def clear(self) -> None:
-        """Drop all entries and reset the eviction counter."""
-        self._resident[:] = False
-        self._prio[:] = 0.0
-        self._clock = 0.0
+        """Drop all entries."""
+        self.resident[:] = False
+        self.pending[:] = False
+        self.num_pending = 0
+        self.clock = 0
         self._live = 0
-        self._evictions = 0
-        self._reset_order()
-
-    # ------------------------------------------------------------------- bulk
-    def promote_batch(self, keys: np.ndarray) -> None:
-        """Stamp already-resident ``keys`` with fresh top priorities, in order.
-
-        Equivalent to calling ``get`` on each key in sequence: the i-th key
-        receives priority ``clock + i + 1`` and duplicate keys keep their last
-        stamp.  All keys must currently be resident.
-        """
-        n = int(keys.size)
-        if n == 0:
-            return
-        if n < 8 and self._tail + n <= self._log_key.size:
-            # Scalar path: numpy vector-op overhead dominates on tiny runs.
-            clock = self._clock
-            prio = self._prio
-            if self._track_order:
-                log_prio = self._log_prio
-                log_key = self._log_key
-                tail = self._tail
-                for key in keys.tolist():
-                    clock += 1.0
-                    prio[key] = clock
-                    log_prio[tail] = clock
-                    log_key[tail] = key
-                    tail += 1
-                self._tail = tail
-            else:
-                for key in keys.tolist():
-                    clock += 1.0
-                    prio[key] = clock
-            self._clock = clock
-            return
-        prios = self._clock + 1.0 + np.arange(n, dtype=np.float64)
-        self._prio[keys] = prios  # duplicate keys: last assignment wins
-        self._clock += float(n)
-        if self._track_order:
-            self._log_stamps(keys, prios)
-
-    def stamp_top(self, key: int) -> None:
-        """Insert or promote one key at the top of the queue (no eviction)."""
-        self._clock += 1.0
-        if not self._resident[key]:
-            self._resident[key] = True
-            self._live += 1
-        self._prio[key] = self._clock
-        if self._track_order:
-            if self._tail == self._log_key.size:
-                self._compact_log(1)
-            self._log_prio[self._tail] = self._clock
-            self._log_key[self._tail] = key
-            self._tail += 1
-
-    def stamp_bulk(self, keys: np.ndarray, prios: Optional[np.ndarray] = None) -> None:
-        """Insert distinct non-resident ``keys``, in order, without evicting.
-
-        ``prios=None`` stamps every key at the top of the queue.  Otherwise
-        the caller passes the priorities sequential ``insert`` calls would
-        have produced; those equal to the key's own clock stamp are logged,
-        the interpolated rest go to the heap.
-        """
-        n = int(keys.size)
-        if n == 0:
-            return
-        tops = self._clock + 1.0 + np.arange(n, dtype=np.float64)
-        self._prio[keys] = tops if prios is None else prios
-        self._resident[keys] = True
-        self._live += n
-        self._clock += float(n)
-        if not self._track_order:
-            return
-        if prios is None:
-            self._log_stamps(keys, tops)
-            return
-        top = prios == tops
-        self._log_stamps(keys[top], tops[top])
-        lowered = ~top
-        for entry in zip(prios[lowered].tolist(), keys[lowered].tolist()):
-            heapq.heappush(self._interp, entry)
-        self._maybe_compact_interp()
-
-    # ----------------------------------------------------------------- scalar
-    def insert_at(self, key: int, position: float) -> Optional[int]:
-        """Insert ``key`` at a queue position, exactly like ``LRUCache.insert``.
-
-        Returns the evicted key, if any.  This is the exact sequential path;
-        the float expression matches the reference implementation bit for bit.
-        """
-        check_fraction(position, "position")
-        if self.capacity == 0:
-            return None
-        evicted = None
-        if not self._resident[key] and self._live >= self.capacity:
-            evicted = self._evict_one()
-        if position <= 0.0 or self._live == 0:
-            self.stamp_top(key)
-            return evicted
-        self._clock += 1.0
-        top = self._clock
-        bottom = self._min_priority()
-        priority = top - position * (top - bottom) - position * 1e-9
-        if not self._resident[key]:
-            self._resident[key] = True
-            self._live += 1
-        self._prio[key] = priority
-        heapq.heappush(self._interp, (priority, key))
-        self._maybe_compact_interp()
-        return evicted
-
-    # ------------------------------------------------------ eviction order
-    def peek_oldest(self, k: int) -> Optional[Tuple[np.ndarray, np.ndarray, int]]:
-        """The ``k >= 1`` next eviction victims, read off the log without removal.
-
-        Returns their ``(priorities, keys)`` in eviction order plus the log
-        cursor just past them (for :meth:`evict_peeked`), or ``None`` when
-        the log alone cannot name them: it holds fewer than ``k`` live
-        entries, or a live interpolated entry is not younger than all of
-        them.
-        """
-        if not self._track_order:
-            self._materialise_order()
-        found = self._live_positions(k)
-        if found.size < k:
-            return None
-        prios = self._log_prio[found]
-        interp = self._live_interp_head()
-        if interp is not None and interp[0] <= prios[-1]:
-            return None
-        return prios, self._log_key[found], int(found[-1]) + 1
-
-    def evict_peeked(self, keys: np.ndarray, end: int) -> None:
-        """Evict the victims a :meth:`peek_oldest` call just returned."""
-        k = int(keys.size)
-        self._resident[keys] = False
-        self._head = end
-        self._live -= k
-        self._evictions += k
-
-    # ----------------------------------------------------------------- private
-    def _reset_order(self) -> None:
-        # Stamp log: entries [_head, _tail) in increasing (priority, key).
-        self._log_prio = np.empty(self._COMPACT_MIN, dtype=np.float64)
-        self._log_key = np.empty(self._COMPACT_MIN, dtype=np.int64)
-        self._head = 0
-        self._tail = 0
-        # Lazy-deletion heap of interpolated (priority, key) entries.
-        self._interp: List[Tuple[float, int]] = []
-        # A cache that can hold the whole id universe never evicts, so no
-        # eviction order is tracked; the log is materialised lazily (from the
-        # priority arrays) if a min-query ever happens.
-        self._track_order = self.capacity < self.num_slots
-
-    def _log_stamps(self, keys: np.ndarray, prios: np.ndarray) -> None:
-        """Append clock stamps already written to the priority array."""
-        n = int(keys.size)
-        if self._tail + n > self._log_key.size:
-            # Out of room.  Only the last stamp of a repeated key is live, so
-            # log just those: with the stale entries compacted away, live
-            # logged entries plus these never exceed ``len(self)``.
-            last = self._prio[keys] == prios
-            keys = keys[last]
-            prios = prios[last]
-            n = int(keys.size)
-            self._compact_log(n)
-        end = self._tail + n
-        self._log_prio[self._tail : end] = prios
-        self._log_key[self._tail : end] = keys
-        self._tail = end
-
-    def _compact_log(self, incoming: int) -> None:
-        """Drop the log's stale entries and leave room for ``incoming`` more.
-
-        The arrays double only while the live entries and the incoming ones
-        fill more than half of them, which keeps appends amortised O(1) and
-        the log within ``max(_COMPACT_MIN, 4 * len(self))`` entries.
-        """
-        keys = self._log_key[self._head : self._tail]
-        prios = self._log_prio[self._head : self._tail]
-        live = self._resident[keys]
-        live &= self._prio[keys] == prios
-        keys = keys[live]
-        prios = prios[live]
-        kept = int(keys.size)
-        need = 2 * (kept + incoming)
-        if need > self._log_key.size:
-            size = 1 << (need - 1).bit_length()  # next power of two
-            self._log_prio = np.empty(size, dtype=np.float64)
-            self._log_key = np.empty(size, dtype=np.int64)
-        self._log_prio[:kept] = prios
-        self._log_key[:kept] = keys
-        self._head = 0
-        self._tail = kept
-
-    def _maybe_compact_interp(self) -> None:
-        heap = self._interp
-        if len(heap) > self._COMPACT_MIN and len(heap) > 3 * self._live:
-            entries = np.array(heap, dtype=np.float64)
-            keys = entries[:, 1].astype(np.int64)
-            live = self._resident[keys]
-            live &= self._prio[keys] == entries[:, 0]
-            heap[:] = zip(entries[live, 0].tolist(), keys[live].tolist())
-            heapq.heapify(heap)
-
-    def _live_positions(self, k: int) -> np.ndarray:
-        """Log positions of the ``k`` oldest live entries (fewer if it runs out).
-
-        Scans a window from the head that grows until it holds ``k`` live
-        entries, then moves the head past the leading stale ones.
-        """
-        head, tail = self._head, self._tail
-        span = max(4 * k, 32)
-        while True:
-            stop = min(head + span, tail)
-            keys = self._log_key[head:stop]
-            live = self._resident[keys]
-            live &= self._prio[keys] == self._log_prio[head:stop]
-            found = live.nonzero()[0]
-            if found.size >= k or stop == tail:
-                break
-            span *= 4
-        found = found[:k] + head
-        self._head = int(found[0]) if found.size else tail
-        return found
-
-    def _live_interp_head(self) -> Optional[Tuple[float, int]]:
-        """The heap's minimum live entry, popping stale ones above it."""
-        heap = self._interp
-        while heap:
-            priority, key = heap[0]
-            if self._resident[key] and self._prio[key] == priority:
-                return heap[0]
-            heapq.heappop(heap)
-        return None
-
-    def _oldest(self) -> Optional[Tuple[float, int, bool]]:
-        """The live ``(priority, key)`` minimum, and whether the log holds it."""
-        if not self._track_order:
-            self._materialise_order()
-        interp = self._live_interp_head() if self._interp else None
-        head = self._head
-        if head < self._tail:
-            key = self._log_key[head]
-            if not (self._resident[key] and self._prio[key] == self._log_prio[head]):
-                self._live_positions(1)
-                head = self._head
-        if head < self._tail:
-            logged = (float(self._log_prio[head]), int(self._log_key[head]))
-            if interp is None or logged < interp:
-                return logged + (True,)
-        return None if interp is None else interp + (False,)
-
-    def _min_priority(self) -> float:
-        """Priority of the current LRU bottom (the clock when empty)."""
-        oldest = self._oldest()
-        return self._clock if oldest is None else oldest[0]
-
-    def _evict_one(self) -> Optional[int]:
-        oldest = self._oldest()
-        if oldest is None:
-            return None
-        _, key, logged = oldest
-        if logged:
-            self._head += 1
-        else:
-            heapq.heappop(self._interp)
-        self._resident[key] = False
-        self._live -= 1
-        self._evictions += 1
-        return key
-
-    def _materialise_order(self) -> None:
-        """Build the stamp log from the priority arrays on first demand."""
-        ids = np.flatnonzero(self._resident)
-        ids = ids[np.lexsort((ids, self._prio[ids]))]
-        self._track_order = True
-        self._log_stamps(ids, self._prio[ids])
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ArrayLRUCache(capacity={self.capacity}, num_slots={self.num_slots}, "
-            f"live={self._live})"
-        )
 
 
 class BatchReplayEngine:
-    """Array-native replay of lookup queries against one table's DRAM cache.
+    """Replay of lookup queries against one table's DRAM cache.
 
-    Processes whole queries at a time and accumulates the same
-    :class:`~repro.caching.replay.ReplayStats` the reference loop would.  The
-    engine owns its :class:`ArrayLRUCache` and the pending-prefetch residency
-    array, so it can be kept alive across calls for online serving (the role
-    the ``cache=`` argument plays for the reference loop).  Unlike repeated
-    reference-loop calls — which reset their function-local pending-prefetch
-    set each time, losing prefetch-hit attribution — the engine carries that
-    state, so serving a stream over many calls produces exactly the counters
-    of one uninterrupted reference replay of the concatenated stream.
+    Accumulates the same :class:`~repro.caching.replay.ReplayStats` the
+    reference loop would.  The engine owns its cache and the pending-prefetch
+    state, so it can be kept alive across calls for online serving (the role
+    the ``cache=`` argument plays for the reference loop).  Repeated
+    reference-loop calls reset their pending-prefetch set each time, losing
+    prefetch-hit attribution; the engine carries it, so serving a stream over
+    many calls gives exactly the counters of one uninterrupted reference
+    replay of the concatenated stream.
 
     Parameters mirror :func:`repro.caching.replay.replay_table_cache`.
     """
+
+    cache: Union[OrderedLRUCache, LRUCache, ResidencyBitmap]
 
     def __init__(
         self,
@@ -479,83 +215,245 @@ class BatchReplayEngine:
         elif (stats.vector_bytes, stats.block_bytes) != (vector_bytes, block_bytes):
             raise ValueError("existing stats were created with a different geometry")
         capacity = layout.num_vectors if cache_size is None else int(cache_size)
-        self.layout = layout
         self.policy = policy
-        self.cache = ArrayLRUCache(capacity, layout.num_vectors)
         self.stats = stats
         self.device = device
         self.queue_depth = float(queue_depth)
-        # Vectors currently resident because of a prefetch and not yet demanded.
-        self._pending = np.zeros(layout.num_vectors, dtype=bool)
-        self._num_pending = 0
-        # Hot-path views of the layout (id -> block, physical order).
-        self._block_arr = layout.block_of(np.arange(layout.num_vectors, dtype=np.int64))
-        self._order = layout.order
-        self._vectors_per_block = layout.vectors_per_block
-        self._num_vectors = layout.num_vectors
         # Policy capabilities resolved once (see PrefetchPolicy class attrs).
         self._never_admits = bool(policy.never_admits)
-        self._always_top = bool(policy.always_top_positions)
-        self._skip_record = (
+        self._records = not (
             type(policy).record_access is PrefetchPolicy.record_access
             and type(policy).record_access_batch is PrefetchPolicy.record_access_batch
         )
-        # A policy that implements only the batch hook must still observe
-        # demand misses: route them through record_access_batch.
-        self._record_miss_batched = (
-            type(policy).record_access is PrefetchPolicy.record_access
-            and type(policy).record_access_batch is not PrefetchPolicy.record_access_batch
-        )
-        # Per-block admission cache for policies whose admit decisions are
-        # constant over the replay: block id -> (positions, admit mask).
         self._static_admit = bool(policy.admit_is_static)
-        self._block_admit: dict = {}
+        if not (self._never_admits or policy.always_top_positions):
+            self.cache = LRUCache(capacity)
+        elif capacity >= layout.num_vectors:
+            self.cache = ResidencyBitmap(capacity, layout.num_vectors)
+        else:
+            self.cache = OrderedLRUCache(capacity)
+        # Resident because of a prefetch and not yet demanded (a
+        # ResidencyBitmap carries its own flags instead).
+        self._pending: Set[int] = set()
+        self._set_layout(layout)
 
     # ---------------------------------------------------------------- replay
-    def replay(self, queries: Iterable[np.ndarray]) -> ReplayStats:
-        """Replay an iterable of id arrays and return the accumulated stats.
-
-        Query boundaries carry no state in the replay semantics, so the whole
-        stream is concatenated and processed as one array — hit runs then
-        span query boundaries, which is where the bulk processing pays most.
-        """
-        arrays = [np.asarray(query, dtype=np.int64) for query in queries]
-        if not arrays:
-            return self.stats
-        self.replay_query(np.concatenate(arrays) if len(arrays) > 1 else arrays[0])
+    def replay(self, queries: Iterable[npt.ArrayLike]) -> ReplayStats:
+        """Replay an iterable of id arrays (query boundaries carry no state)."""
+        self.replay_query(_concatenate_ids(queries))
         return self.stats
 
     def replay_query(self, ids: npt.ArrayLike, validate: bool = True) -> None:
         """Replay one query (an id array) against the cache.
 
-        ``validate=False`` skips the per-query id range check when the caller
-        (e.g. :func:`replay_table_cache_multi`) has already performed it.
+        Ids must be integers in ``[0, num_vectors)`` in a 1-D sequence; a bad
+        query raises before any counter, cache, policy or device is touched.
+        ``validate=False`` skips the checks for a caller that has made them
+        (e.g. :func:`replay_table_cache_multi`) and passes an ``int64`` array.
         """
-        ids = np.asarray(ids, dtype=np.int64)
-        n = int(ids.size)
-        if n == 0:
+        if validate:
+            ids = check_array_1d_ints(ids, "vector_ids")
+            _check_id_range(ids, self._num_vectors)
+        else:
+            ids = np.asarray(ids, dtype=np.int64)
+        if ids.size == 0:
             return
-        if validate and (int(ids.min()) < 0 or int(ids.max()) >= self._num_vectors):
-            raise IndexError(
-                f"vector ids must be in [0, {self._num_vectors}), got range "
-                f"[{ids.min()}, {ids.max()}]"
-            )
-        stats = self.stats
+        if self._admit_version != self.policy.admit_version:
+            self._admit_version = self.policy.admit_version
+            self._block_admit.clear()
+        # The walks turn ids into Python ints; a bounded slice at a time keeps
+        # that transient off the peak footprint (cuts change no counter).
         cache = self.cache
-        resident = cache._resident
+        for start in range(0, ids.size, _SLICE_IDS):
+            chunk = ids[start : start + _SLICE_IDS]
+            if isinstance(cache, OrderedLRUCache):
+                self._walk_ordered(cache, chunk)
+            elif isinstance(cache, ResidencyBitmap):
+                self._replay_bitmap(cache, chunk)
+            else:
+                self._walk_positional(cache, chunk)
+
+    # ---------------------------------------------------------------- private
+    def _set_layout(self, layout: BlockLayout) -> None:
+        """Bind the placement-derived state (id→block, physical order)."""
+        self.layout = layout
+        self._num_vectors = layout.num_vectors
+        self._vectors_per_block = layout.vectors_per_block
+        self._block_arr = layout.block_of(np.arange(layout.num_vectors, dtype=np.int64))
+        self._order = layout.order
+        # Admissible vectors per block, for ``admit_is_static`` policies.
+        self._block_admit: Dict[int, np.ndarray] = {}
+        self._admit_version = self.policy.admit_version
+
+    def _admissible(self, block_id: int) -> np.ndarray:
+        """One ``admit_batch`` call: a block's admissible vectors, in slot order.
+
+        Kept per block while the policy's decisions are static.  Positions
+        outside ``[0, 1]`` raise the ``ValueError`` the reference loop raises
+        from ``LRUCache.insert`` (NaN, a rejection, compares false both ways).
+        """
+        start = block_id * self._vectors_per_block
+        neighbours = self._order[start : start + self._vectors_per_block]
+        positions = np.asarray(self.policy.admit_batch(neighbours), dtype=np.float64)
+        out_of_range = (positions < 0.0) | (positions > 1.0)
+        if out_of_range.any():
+            check_fraction(float(positions[out_of_range][0]), "position")
+        admissible = neighbours[~np.isnan(positions)]
+        if self._static_admit:
+            self._block_admit[block_id] = admissible
+        return admissible
+
+    def _walk_ordered(self, cache: OrderedLRUCache, ids: np.ndarray) -> None:
+        """Bounded cache, top-only policy: a scalar walk over the ordered map.
+
+        ``OrderedLRUCache.insert`` inlined on its ``OrderedDict``.  The demand
+        vector is excluded from its own block's candidates by identity, not
+        residency: with a cache smaller than a block its own prefetch sweep
+        evicts it.  Residency is read when a slot is examined.
+        """
+        entries = cache._entries
+        move_to_end = entries.move_to_end
+        popitem = entries.popitem
+        capacity = cache.capacity
         pending = self._pending
         policy = self.policy
-        skip_record = self._skip_record
-        # The residency gather is bounded by an adaptive window that tracks
-        # the typical hit-run length: it doubles while whole windows hit and
-        # halves on every miss, so miss-heavy stretches pay O(run) per scan
-        # instead of O(window), and hit-heavy stretches scan in big strides.
+        records = self._records
+        device = self.device
+        block_of = self._block_arr.item
+        block_admit = self._block_admit
+        admits = capacity > 0 and not self._never_admits
+        stats = self.stats
+        latency = stats.total_latency_us
+        misses = admitted = prefetch_hits = unused = evictions = recorded = 0
+        for index, vid in enumerate(ids.tolist()):
+            if vid in entries:
+                move_to_end(vid)
+                if vid in pending:
+                    pending.discard(vid)
+                    prefetch_hits += 1
+                continue
+            # Demand miss: read the block holding the vector.
+            misses += 1
+            if records:
+                policy.record_access_batch(ids[recorded : index + 1])
+                recorded = index + 1
+            block_id = block_of(vid)
+            if device is not None:
+                latency += device.charge_read(block_id, queue_depth=self.queue_depth)
+            if capacity == 0:
+                continue
+            if len(entries) >= capacity:
+                victim = popitem(last=False)[0]
+                evictions += 1
+                if victim in pending:
+                    pending.discard(victim)
+                    unused += 1
+            entries[vid] = None
+            if not admits:
+                continue
+            # Offer the rest of the block to the prefetch policy, in slot order.
+            candidates = block_admit.get(block_id)
+            if candidates is None:
+                candidates = self._admissible(block_id)
+            for neighbour in candidates.tolist():
+                if neighbour == vid or neighbour in entries:
+                    continue
+                if len(entries) >= capacity:
+                    victim = popitem(last=False)[0]
+                    evictions += 1
+                    if victim in pending:
+                        pending.discard(victim)
+                        unused += 1
+                entries[neighbour] = None
+                pending.add(neighbour)
+                admitted += 1
+        if records and recorded < ids.size:
+            policy.record_access_batch(ids[recorded:])
+        cache.evictions += evictions
+        stats.total_latency_us = latency
+        self._count(int(ids.size), misses, admitted, prefetch_hits, unused, evictions)
+
+    def _walk_positional(self, cache: LRUCache, ids: np.ndarray) -> None:
+        """Interpolated insert positions: the same walk over the reference's LRUCache."""
+        get = cache.get
+        insert = cache.insert
+        peek = cache.peek
+        capacity = cache.capacity
+        pending = self._pending
+        policy = self.policy
+        admit = policy.admit
+        records = self._records
+        device = self.device
+        block_of = self._block_arr.item
+        order = self._order
+        stats = self.stats
+        latency = stats.total_latency_us
+        misses = admitted = prefetch_hits = unused = evictions = recorded = 0
+        for index, vid in enumerate(ids.tolist()):
+            if get(vid):
+                if vid in pending:
+                    pending.discard(vid)
+                    prefetch_hits += 1
+                continue
+            misses += 1
+            if records:
+                policy.record_access_batch(ids[recorded : index + 1])
+                recorded = index + 1
+            block_id = block_of(vid)
+            if device is not None:
+                latency += device.charge_read(block_id, queue_depth=self.queue_depth)
+            if capacity == 0:
+                continue
+            victim = insert(vid)
+            if victim is not None:
+                evictions += 1
+                if victim in pending:
+                    pending.discard(victim)
+                    unused += 1
+            # Offer the rest of the block slot by slot, exactly like the reference.
+            start = block_id * self._vectors_per_block
+            for neighbour in order[start : start + self._vectors_per_block].tolist():
+                if neighbour == vid or peek(neighbour):
+                    continue
+                position = admit(neighbour)
+                if position is None:
+                    continue
+                victim = insert(neighbour, position)
+                pending.add(neighbour)
+                admitted += 1
+                if victim is not None:
+                    evictions += 1
+                    if victim in pending:
+                        pending.discard(victim)
+                        unused += 1
+        if records and recorded < ids.size:
+            policy.record_access_batch(ids[recorded:])
+        stats.total_latency_us = latency
+        self._count(int(ids.size), misses, admitted, prefetch_hits, unused, evictions)
+
+    def _replay_bitmap(self, cache: ResidencyBitmap, ids: np.ndarray) -> None:
+        """A cache that cannot evict: hit runs classified and counted in bulk.
+
+        The residency gather is bounded by an adaptive window that tracks the
+        typical hit-run length: it doubles while whole windows hit and halves
+        on every miss, so miss-heavy stretches pay O(run) per scan instead of
+        O(window), and hit-heavy stretches scan in big strides.
+        """
+        resident = cache.resident
+        pending = cache.pending
+        stamp = cache.stamp
+        policy = self.policy
+        records = self._records
+        device = self.device
+        block_of = self._block_arr.item
+        block_admit = self._block_admit
+        stats = self.stats
+        n = int(ids.size)
+        misses = admitted = prefetch_hits = recorded = 0
         window = 64
         i = 0
         while i < n:
-            upper = i + window
-            if upper > n:
-                upper = n
+            upper = min(i + window, n)
             tail_res = resident[ids[i:upper]]
             j_rel = int(tail_res.argmin())  # first False, or 0 if all True
             if tail_res[j_rel]:
@@ -567,22 +465,18 @@ class BatchReplayEngine:
                 if window > 32:
                     window >>= 1
             if j > i:
-                # Maximal run of hits: residency cannot change inside it, so
-                # the whole run is counted, recorded and promoted in bulk.
+                # Maximal run of hits: residency cannot change inside it.
                 run = ids[i:j]
-                count = j - i
-                stats.lookups += count
-                stats.hits += count
-                if not skip_record:
-                    policy.record_access_batch(run)
-                if self._num_pending:
+                if cache.num_pending:
                     pend = pending[run]
                     if pend.any():
                         hit_pending = np.unique(run[pend])
-                        stats.prefetch_hits += int(hit_pending.size)
+                        prefetch_hits += int(hit_pending.size)
                         pending[hit_pending] = False
-                        self._num_pending -= int(hit_pending.size)
-                cache.promote_batch(run)
+                        cache.num_pending -= int(hit_pending.size)
+                clock = cache.clock
+                stamp[run] = np.arange(clock, clock + (j - i))  # duplicates: last wins
+                cache.clock = clock + (j - i)
                 i = j
                 if i >= n:
                     break
@@ -590,248 +484,48 @@ class BatchReplayEngine:
                     continue  # pure window boundary, not a classified miss
             # Demand miss: read the block holding the vector.
             vid = int(ids[i])
-            stats.lookups += 1
-            if not skip_record:
-                if self._record_miss_batched:
-                    policy.record_access_batch(ids[i : i + 1])
-                else:
-                    policy.record_access(vid)
-            stats.misses += 1
-            if self.device is not None:
-                stats.total_latency_us += self.device.charge_read(
-                    int(self._block_arr[vid]), queue_depth=self.queue_depth
-                )
-            self._process_miss(vid)
             i += 1
-
-    # ---------------------------------------------------------------- private
-    def _process_miss(self, vid: int) -> None:
-        """Insert the demanded vector and run bulk prefetch admission.
-
-        The demand vector is inserted *first* (exactly the reference order),
-        so the block-residency gather that follows sees any eviction the
-        demand insert caused — an initially-resident neighbour evicted here
-        re-enters the candidate set naturally, and the demand vector itself is
-        excluded from the candidates by its own residency.
-        """
-        cache = self.cache
-        stats = self.stats
-        capacity = cache.capacity
-        if capacity == 0:
-            # Nothing is ever stored: inserts are no-ops and no admission is
-            # observable (admit is pure), exactly as in the reference loop.
-            return
-        # Demand insertion at the top of the queue, evicting if needed.
-        if cache._live >= capacity:
-            evicted = cache._evict_one()
-            stats.evictions += 1
-            if self._pending[evicted]:
-                self._pending[evicted] = False
-                self._num_pending -= 1
-                stats.prefetch_evicted_unused += 1
-        cache.stamp_top(vid)
-        if self._pending[vid]:  # defensive: pending implies resident
-            self._pending[vid] = False
-            self._num_pending -= 1
-        if self._never_admits:
-            return
-
-        # Offer the rest of the block to the prefetch policy, in slot order.
-        # The demand vector is resident now, so its own residency excludes it
-        # from the candidates (matching the reference loop's explicit check).
-        bid = int(self._block_arr[vid])
-        start = bid * self._vectors_per_block
-        neighbours = self._order[start : start + self._vectors_per_block]
-        if self._static_admit:
-            entry = self._block_admit.get(bid)
-            if entry is None:
-                positions, admit_ok = self._admit_positions(neighbours)
-                entry = (positions, admit_ok, bool(admit_ok.any()))
-                self._block_admit[bid] = entry
-            positions, admit_ok, any_admits = entry
-            if not any_admits:
-                return
-        else:
-            positions, admit_ok = self._admit_positions(neighbours)
-        res_mask = cache._resident[neighbours]
-        adm_mask = admit_ok > res_mask  # admit_ok & ~res_mask in one ufunc
-        admitted = neighbours[adm_mask]
-        m = int(admitted.size)
-        if m == 0:
-            return
-        live = cache._live
-        excess = live + m - capacity
-        all_top = self._always_top
-        if not all_top:
-            pos = positions[adm_mask]
-            all_top = not bool(np.any(pos != 0.0))
-
-        if excess <= 0:
-            # No eviction can occur in the admission sweep: stamp in bulk.
-            if all_top:
-                prios = None
-            else:
-                bottom = cache._min_priority()
-                tops = cache._clock + 1.0 + np.arange(m, dtype=np.float64)
-                # Same expression (and float op order) as LRUCache.insert.
-                prios = tops - pos * (tops - bottom) - pos * 1e-9
-                if not bool(np.all(prios > bottom)):
-                    # A priority would land at or below the current queue
-                    # bottom, so later insertions would see a different
-                    # bottom: sequencing matters — take the exact path.
-                    self._admit_sequential(vid, neighbours, positions)
-                    return
-            cache.stamp_bulk(admitted, prios)
-            stats.prefetch_admitted += m
-            self._pending[admitted] = True
-            self._num_pending += m
-            return
-
-        if not all_top:
-            # Interpolated insertions with evictions interact through the
-            # moving queue bottom: take the exact sequential path.
-            self._admit_sequential(vid, neighbours, positions)
-            return
-
-        self._admit_bulk_evicting(vid, neighbours, res_mask, adm_mask, admitted, positions, excess)
-
-    def _admit_positions(self, neighbours: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """One ``admit_batch`` call: the positions and the not-rejected mask.
-
-        Positions outside ``[0, 1]`` raise the ``ValueError`` the reference
-        loop raises from ``LRUCache.insert`` (NaN, a rejection, compares
-        false on both sides).
-        """
-        positions = np.asarray(self.policy.admit_batch(neighbours), dtype=np.float64)
-        out_of_range = (positions < 0.0) | (positions > 1.0)
-        if out_of_range.any():
-            check_fraction(float(positions[out_of_range][0]), "position")
-        return positions, ~np.isnan(positions)
-
-    def _admit_bulk_evicting(
-        self,
-        vid: int,
-        neighbours: np.ndarray,
-        res_mask: np.ndarray,
-        adm_mask: np.ndarray,
-        admitted: np.ndarray,
-        positions: np.ndarray,
-        excess: int,
-    ) -> None:
-        """Top-of-queue admission sweep when evictions are required.
-
-        All insertions stamp fresh (maximal) priorities, so the evicted set is
-        the ``excess`` smallest priorities of the union of the old entries and
-        the new stamps — old entries in priority order first, then the new
-        stamps in insertion order.  The one way sequencing can still leak into
-        the result is the *flip* hazard: an eviction may remove an
-        initially-resident block neighbour before the reference loop would
-        have examined it, turning a skip into an admission.  The old victims
-        are therefore only peeked at first; a detected flip (or victims the
-        stamp log cannot name by itself) defers to the exact sequential path
-        with nothing to undo.
-        """
-        cache = self.cache
-        stats = self.stats
-        pending = self._pending
-        live = cache._live
-        num_old = excess if excess < live else live
-        victims = cache.peek_oldest(num_old)
-        if victims is None:
-            self._admit_sequential(vid, neighbours, positions)
-            return
-        old_prios, old_keys, log_end = victims
-
-        # Flip detection: admission j evicts once live + j reaches capacity,
-        # so the k-th eviction happens while examination stands at the block
-        # slot of admission first + k; an initially-resident neighbour at a
-        # later slot that gets evicted here would be re-examined (and possibly
-        # admitted) by the reference loop.  The peeked priorities are the
-        # globally smallest, so comparing against the youngest of them rules
-        # out any overlap with the block's residents in one vector op.
-        res_nb = neighbours[res_mask]
-        if old_prios[-1] >= cache._prio[res_nb].min():
-            rpos = {
-                int(key): int(index)
-                for index, key in zip(np.flatnonzero(res_mask), res_nb)
-                if key != vid
-            }
-            if rpos:
-                apos = np.flatnonzero(adm_mask)
-                first = cache.capacity - live
-                if first < 0:
-                    first = 0
-                admit = self.policy.admit
-                for k, key in enumerate(old_keys.tolist()):
-                    px = rpos.get(key)
-                    if px is None:
-                        continue
-                    if px > int(apos[first + k]) and admit(key) is not None:
-                        # Genuine flip: the reference loop would have
-                        # admitted this neighbour after its eviction.
-                        self._admit_sequential(vid, neighbours, positions)
-                        return
-
-        # Commit the old evictions.
-        cache.evict_peeked(old_keys, log_end)
-        stats.evictions += num_old
-        if self._num_pending:
-            unused = int(np.count_nonzero(pending[old_keys]))
-            if unused:
-                pending[old_keys] = False
-                self._num_pending -= unused
-                stats.prefetch_evicted_unused += unused
-
-        # Evictions beyond the old entries fall on the admissions themselves
-        # (cache-all churn with a cache smaller than a block): with every
-        # older entry gone, the first admissions are pushed out again by the
-        # later ones, in insertion order.  They consume a clock tick and the
-        # counters of an unused prefetch each, but are never stored.
-        stats.prefetch_admitted += int(admitted.size)
-        extra = excess - num_old
-        if extra > 0:
-            cache._clock += float(extra)
-            cache._evictions += extra
-            stats.evictions += extra
-            stats.prefetch_evicted_unused += extra
-            admitted = admitted[extra:]
-        cache.stamp_bulk(admitted)
-        pending[admitted] = True
-        self._num_pending += int(admitted.size)
-
-    def _admit_sequential(
-        self, vid: int, neighbours: np.ndarray, positions: np.ndarray
-    ) -> None:
-        """Per-vector admission over the array cache, in slot order.
-
-        Admission positions were precomputed in one ``admit_batch`` call
-        (``admit`` is pure, so the extra calls for vectors that turn out to be
-        resident are unobservable); residency is rechecked per vector because
-        evictions triggered by earlier insertions can change it mid-block.
-        """
-        cache = self.cache
-        stats = self.stats
-        for nb, position in zip(neighbours.tolist(), positions.tolist()):
-            if nb == vid or cache._resident[nb]:
+            misses += 1
+            if records:
+                policy.record_access_batch(ids[recorded:i])
+                recorded = i
+            block_id = block_of(vid)
+            if device is not None:
+                stats.total_latency_us += device.charge_read(block_id, self.queue_depth)
+            cache.insert(vid)
+            if self._never_admits:
                 continue
-            if position != position:  # NaN: rejected
-                continue
-            evicted = cache.insert_at(nb, position)
-            stats.prefetch_admitted += 1
-            self._pending[nb] = True
-            self._num_pending += 1
-            if evicted is not None:
-                stats.evictions += 1
-                if self._pending[evicted]:
-                    self._pending[evicted] = False
-                    self._num_pending -= 1
-                    stats.prefetch_evicted_unused += 1
+            # Offer the rest of the block; the demand vector is resident now
+            # and nothing is ever evicted, so residency alone excludes it.
+            candidates = block_admit.get(block_id)
+            if candidates is None:
+                candidates = self._admissible(block_id)
+            fresh = candidates[~resident[candidates]]
+            if fresh.size:
+                cache.admit(fresh)
+                pending[fresh] = True
+                cache.num_pending += int(fresh.size)
+                admitted += int(fresh.size)
+        if records and recorded < n:
+            policy.record_access_batch(ids[recorded:])
+        self._count(n, misses, admitted, prefetch_hits, 0, 0)
+
+    def _count(
+        self, lookups: int, misses: int, admitted: int, used: int, unused: int, evictions: int
+    ) -> None:
+        stats = self.stats
+        stats.lookups += lookups
+        stats.hits += lookups - misses
+        stats.misses += misses
+        stats.prefetch_admitted += admitted
+        stats.prefetch_hits += used
+        stats.prefetch_evicted_unused += unused
+        stats.evictions += evictions
 
     def reset(self) -> None:
         """Clear the cache and pending-prefetch state (stats are kept)."""
         self.cache.clear()
-        self._pending[:] = False
-        self._num_pending = 0
+        self._pending.clear()
 
     def swap_layout(self, layout: BlockLayout) -> None:
         """Adopt a new block placement without disturbing cache residency.
@@ -853,10 +547,23 @@ class BatchReplayEngine:
                 f"({layout.num_vectors} vectors, {layout.vectors_per_block}/block) "
                 f"vs ({self._num_vectors}, {self._vectors_per_block})"
             )
-        self.layout = layout
-        self._block_arr = layout.block_of(np.arange(layout.num_vectors, dtype=np.int64))
-        self._order = layout.order
-        self._block_admit = {}
+        self._set_layout(layout)
+
+
+def _concatenate_ids(queries: Iterable[npt.ArrayLike]) -> np.ndarray:
+    """Validate every query's ids and join them into one ``int64`` stream."""
+    arrays = [check_array_1d_ints(query, "vector_ids") for query in queries]
+    if len(arrays) == 1:
+        return arrays[0]
+    return np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)
+
+
+def _check_id_range(ids: np.ndarray, num_vectors: int) -> None:
+    if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= num_vectors):
+        raise IndexError(
+            f"vector ids must be in [0, {num_vectors}), got range "
+            f"[{ids.min()}, {ids.max()}]"
+        )
 
 
 def replay_table_cache_batched(
@@ -898,29 +605,21 @@ def replay_table_cache_multi(
     cache_sizes: Sequence[Optional[int]],
     vector_bytes: int = 128,
 ) -> List[ReplayStats]:
-    """Replay one stream through several independent caches in a single pass.
+    """Replay one stream through several independent caches.
 
     The i-th result is bit-identical to replaying ``queries`` through policy
-    ``policies[i]`` with cache size ``cache_sizes[i]`` on its own, but the
-    stream is walked once and the per-query id conversion and block gather are
-    shared across all caches.  This is the kernel behind the miniature-cache
-    tuner's single-pass multi-threshold mode.
+    ``policies[i]`` with cache size ``cache_sizes[i]`` on its own, but the id
+    conversion and validation are shared across all caches, and each engine
+    is dropped as soon as its stats are final.  This is the kernel behind the
+    miniature-cache tuner's multi-threshold mode.
     """
     if len(policies) != len(cache_sizes):
         raise ValueError("policies and cache_sizes must have the same length")
-    engines = [
-        BatchReplayEngine(layout, policy, cache_size=size, vector_bytes=vector_bytes)
-        for policy, size in zip(policies, cache_sizes)
-    ]
-    arrays = [np.asarray(query, dtype=np.int64) for query in queries]
-    if not arrays:
-        return [engine.stats for engine in engines]
-    ids = np.concatenate(arrays) if len(arrays) > 1 else arrays[0]
-    if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= layout.num_vectors):
-        raise IndexError(
-            f"vector ids must be in [0, {layout.num_vectors}), got range "
-            f"[{ids.min()}, {ids.max()}]"
-        )
-    for engine in engines:
+    ids = _concatenate_ids(queries)
+    _check_id_range(ids, layout.num_vectors)
+    results = []
+    for policy, size in zip(policies, cache_sizes):
+        engine = BatchReplayEngine(layout, policy, cache_size=size, vector_bytes=vector_bytes)
         engine.replay_query(ids, validate=False)
-    return [engine.stats for engine in engines]
+        results.append(engine.stats)
+    return results

@@ -17,10 +17,10 @@ traffic, the whole search costs a small fraction of serving the real traffic.
 :class:`MiniatureCacheTuner` implements the search;
 :meth:`MiniatureCacheTuner.select_threshold` reproduces the paper's Table 2.
 
-By default the search runs in *single-pass multi-threshold* mode on the
-vectorized batch engine (:mod:`repro.caching.engine`): the sampled stream is
-walked once, feeding the no-prefetch baseline and every candidate threshold's
-miniature cache simultaneously, instead of one full replay per threshold.
+By default the search runs in *multi-threshold* mode on the batch engine
+(:mod:`repro.caching.engine`): the sampled stream is converted and validated
+once and replayed through the no-prefetch baseline and every candidate
+threshold's miniature cache in turn, instead of one reference replay each.
 The counters are bit-identical to per-threshold reference replays
 (``use_batched_engine=False`` restores the reference loop).
 """

@@ -31,7 +31,9 @@ NumPy; the scalar hooks remain the reference semantics, and the base class
 provides loop fallbacks so third-party scalar-only policies keep working with
 the batched engine.  ``admit`` must be a pure function of the candidate id and
 the policy's current state — the batched engine may evaluate it for candidates
-the reference loop would have skipped.
+the reference loop would have skipped — and an ``admit_is_static`` policy whose
+decisions change after construction must say so through ``admit_version``
+(see :meth:`AccessThresholdPolicy.retune`).
 """
 
 from __future__ import annotations
@@ -61,8 +63,14 @@ class PrefetchPolicy(abc.ABC):
     admit_is_static: bool = False
 
     #: True when every admitted candidate enters at position 0.0 (the top of
-    #: the queue), the case the batched engine can always process in bulk.
+    #: the queue): LRU order is then insertion order, and the batched engine
+    #: keeps it in an ordered map instead of a priority heap.
     always_top_positions: bool = False
+
+    #: Bumped whenever an ``admit_is_static`` policy's decisions change; the
+    #: batched engine compares it once per call and drops its per-block
+    #: admission cache on a mismatch.  Constant for immutable policies.
+    admit_version: int = 0
 
     def record_access(self, vector_id: int) -> None:
         """Observe an application (demand) access.  Stateless policies ignore it."""
@@ -248,11 +256,31 @@ class AccessThresholdPolicy(PrefetchPolicy):
     always_top_positions = True
 
     def __init__(self, access_counts: np.ndarray, threshold: float) -> None:
-        check_non_negative(threshold, "threshold")
-        self.access_counts = np.asarray(access_counts, dtype=np.int64)
-        if self.access_counts.ndim != 1:
-            raise ValueError("access_counts must be one-dimensional")
-        self.threshold = float(threshold)
+        self.retune(access_counts, threshold)
+
+    def retune(
+        self,
+        access_counts: Optional[np.ndarray] = None,
+        threshold: Optional[float] = None,
+    ) -> None:
+        """Change the counts and/or the threshold this policy admits by.
+
+        The one mutator: it bumps :attr:`admit_version`, which is how a warm
+        batched engine learns that its cached per-block decisions are stale.
+        Writing to ``access_counts`` or ``threshold`` directly re-steers the
+        reference loop but not an engine that has already served.  An
+        ``int64`` array is adopted without a copy, so the caller's array stays
+        the one the policy reads.
+        """
+        if access_counts is not None:
+            counts = np.asarray(access_counts, dtype=np.int64)
+            if counts.ndim != 1:
+                raise ValueError("access_counts must be one-dimensional")
+            self.access_counts = counts
+        if threshold is not None:
+            check_non_negative(threshold, "threshold")
+            self.threshold = float(threshold)
+        self.admit_version += 1
 
     def admit(self, vector_id: int) -> Optional[float]:
         if vector_id >= self.access_counts.size:

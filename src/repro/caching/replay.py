@@ -28,7 +28,7 @@ from repro.caching.lru import LRUCache
 from repro.caching.policies import PrefetchPolicy
 from repro.nvm.block import BlockLayout
 from repro.nvm.device import NVMDevice
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_array_1d_ints, check_positive
 
 
 @dataclass
@@ -200,7 +200,7 @@ def replay_table_cache(
     vectors_in_block = layout.vectors_in_block
 
     for query in queries:
-        ids = np.asarray(query, dtype=np.int64)
+        ids = check_array_1d_ints(query, "vector_ids")
         if ids.size == 0:
             continue
         blocks = block_of(ids)

@@ -54,6 +54,7 @@ from repro.partitioning.identity import IdentityPartitioner
 from repro.partitioning.kmeans import KMeansPartitioner
 from repro.partitioning.recursive_kmeans import RecursiveKMeansPartitioner
 from repro.partitioning.shp import SHPPartitioner
+from repro.utils.validation import check_array_1d_ints
 from repro.workloads.characterization import access_counts
 from repro.workloads.trace import ModelTrace, Trace
 
@@ -242,7 +243,7 @@ class BandanaStore:
         serving simulator measure load, not data).
         """
         state = self._state(table_name)
-        ids = np.asarray(vector_ids, dtype=np.int64)
+        ids = check_array_1d_ints(vector_ids, "vector_ids")
         if ids.size:
             if self.config.use_batched_engine:
                 self._engine(state).replay_query(ids)
@@ -271,7 +272,7 @@ class BandanaStore:
         model, or ``None`` in counting-only mode (or when ``gather=False``).
         """
         state = self._state(table_name)
-        id_arrays = [np.asarray(ids, dtype=np.int64) for ids in queries]
+        id_arrays = [check_array_1d_ints(ids, "vector_ids") for ids in queries]
         if self.config.use_batched_engine:
             engine = self._engine(state)
             non_empty = [ids for ids in id_arrays if ids.size]
@@ -315,7 +316,7 @@ class BandanaStore:
         """
         if self.config.interleaved_replay:
             arrays = {
-                name: np.asarray(ids, dtype=np.int64) for name, ids in request.items()
+                name: check_array_1d_ints(ids, "vector_ids") for name, ids in request.items()
             }
             self._interleaved_replayer().replay_request(arrays)
             return {
@@ -481,7 +482,9 @@ class BandanaStore:
         store's observable state — counters, cache contents, policy state,
         device accounting — is exactly what in-process serving would have
         produced, and drops the interleaved request fan-out so it is
-        rebuilt over the adopted engines.
+        rebuilt over the adopted engines.  To change what the adopted policy
+        admits afterwards, call its ``retune`` (not a write to
+        ``state.access_counts``): that is what a warm engine watches.
         """
         state = self._state(table_name)
         if (engine.stats.vector_bytes, engine.stats.block_bytes) != (
@@ -496,13 +499,12 @@ class BandanaStore:
             state.device = engine.device
         # A policy that crossed a process boundary carries its own copy of
         # the table's access counts; re-point it at the store's array to
-        # restore the build-time aliasing (no duplicate memory, and in-place
-        # updates to state.access_counts keep steering admissions).
-        adopted_counts = getattr(state.policy, "access_counts", None)
-        if adopted_counts is not None and np.array_equal(
-            adopted_counts, state.access_counts
+        # restore the build-time aliasing (no duplicate memory).
+        policy = state.policy
+        if isinstance(policy, AccessThresholdPolicy) and np.array_equal(
+            policy.access_counts, state.access_counts
         ):
-            state.policy.access_counts = state.access_counts
+            policy.retune(access_counts=state.access_counts)
         self._request_replayer = None
 
     # ----------------------------------------------------------------- private
@@ -529,7 +531,7 @@ class BandanaStore:
 
         The engine shares the table's ``stats`` object and device, so all
         counters accumulate exactly as on the reference path.  Serving must
-        stay on one path per reset: the engine's array cache and the legacy
+        stay on one path per reset: the engine's own cache and the legacy
         ``state.cache`` are separate residency states.
         """
         if state.engine is None:

@@ -21,9 +21,10 @@ What a swap does — and costs — inside :class:`~repro.core.bandana.BandanaSto
   modelling a system that flushes DRAM on re-layout; comparing the two arms
   is part of the answer to "when does retraining pay?".
 * With ``refresh_access_counts``, the admission policy's per-vector counts
-  are refreshed in place from the trailing window (scaled to the original
-  counts' total, so the tuned threshold keeps its selectivity on the new
-  distribution).
+  are refreshed from the trailing window (scaled to the original counts'
+  total, so the tuned threshold keeps its selectivity on the new
+  distribution) through ``AccessThresholdPolicy.retune`` — the mutator that
+  invalidates a warm engine's cached admission decisions.
 
 The manager also measures *placement churn* per swap — the fraction of
 vectors whose block changed — and the staleness (queries since last swap),
@@ -38,6 +39,7 @@ from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
+from repro.caching.policies import AccessThresholdPolicy
 from repro.core.bandana import BandanaStore, BandanaTableState
 from repro.nvm.block import BlockLayout
 from repro.partitioning.base import Partitioner
@@ -163,9 +165,12 @@ class RepartitionManager:
         assert self._pending_layout is not None
         self.churn.append(layout_churn(state.layout, self._pending_layout))
         if self._pending_counts is not None:
-            # In place: the admission policy aliases this array, so the
-            # refreshed counts steer admissions without rebuilding the policy.
+            # In place for the store's own readers (serving specs); the policy
+            # adopts the array through its one mutator, which is what tells a
+            # warm engine that its cached admission decisions are stale.
             state.access_counts[:] = self._pending_counts
+            if isinstance(state.policy, AccessThresholdPolicy):
+                state.policy.retune(access_counts=state.access_counts)
         self.store.swap_layout(
             self.table_name,
             self._pending_layout,

@@ -9,7 +9,7 @@ multi-core scaling.
 
 Schedule-equivalence invariant
 ------------------------------
-Per-table replay state — the :class:`~repro.caching.engine.ArrayLRUCache`,
+Per-table replay state — the engine's cache (see :mod:`repro.caching.engine`),
 the prefetch policy, the pending-prefetch set and the NVM device — is fully
 independent across tables.  Any replay schedule that preserves *each table's
 own id stream order* therefore produces bit-identical per-table

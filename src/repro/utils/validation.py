@@ -120,8 +120,11 @@ def check_array_1d_ints(values: Any, name: str) -> np.ndarray:
     """Coerce ``values`` to a 1-D ``int64`` array, raising on bad shapes.
 
     Accepts lists, tuples and integer numpy arrays.  Floating point inputs are
-    rejected because vector ids are identities, not quantities.
+    rejected because vector ids are identities, not quantities.  A 1-D
+    ``int64`` array — what every internal caller passes — is returned as is.
     """
+    if type(values) is np.ndarray and values.dtype == np.int64 and values.ndim == 1:
+        return values
     arr = np.asarray(values)
     if arr.ndim == 0:
         arr = arr.reshape(1)

@@ -15,7 +15,9 @@ import pytest
 
 from repro.embeddings import EmbeddingTable, synthesize_topic_vectors
 from repro.partitioning import SHPPartitioner
-from repro.workloads import SyntheticTraceGenerator, TableSpec
+from repro.scenarios import ScenarioConfig, generate_scenario_trace
+from repro.workloads import SyntheticTraceGenerator, TableSpec, scaled_table_specs
+from repro.workloads.characterization import access_counts
 from repro.workloads.trace import Trace
 
 VECTORS_PER_BLOCK = 32
@@ -71,6 +73,32 @@ def trace_digest(trace: Trace) -> dict:
         "lookups": int(lengths.sum()),
         "sha256": sha.hexdigest(),
     }
+
+
+def _replay_case(num_vectors: int, train: Trace, evaluation: Trace, iterations: int):
+    """(SHP layout trained on ``train``, its access counts, the queries to replay)."""
+    partitioner = SHPPartitioner(
+        vectors_per_block=VECTORS_PER_BLOCK, num_iterations=iterations, seed=3
+    )
+    layout = partitioner.partition(num_vectors, trace=train).layout(VECTORS_PER_BLOCK)
+    return layout, access_counts(train), evaluation.queries
+
+
+def drift_replay_case():
+    """``drift-repartition``'s shape: a 4 096-vector drift window, split in half."""
+    trace = generate_scenario_trace(
+        ScenarioConfig(kind="drift", num_queries=400, num_vectors=4096, seed=3)
+    )
+    train, evaluation = trace.split(0.5)
+    return _replay_case(4096, train, evaluation, iterations=8)
+
+
+def table1_replay_case():
+    """The serving workloads' shape: table1 at 1/2000 (5 000 vectors)."""
+    spec = scaled_table_specs(1 / 2000, names=["table1"])["table1"]
+    generator = SyntheticTraceGenerator(spec, seed=3)
+    train, evaluation = generator.generate(600), generator.generate(300)
+    return _replay_case(spec.num_vectors, train, evaluation, iterations=16)
 
 
 @pytest.fixture(scope="session")

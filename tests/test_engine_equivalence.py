@@ -1,19 +1,27 @@
-"""The reference-vs-fast-path contract of the vectorized batch replay engine.
+"""The reference-vs-fast-path contract of the batch replay engine.
 
 The batched engine (:mod:`repro.caching.engine`) must produce **bit-identical**
 :class:`~repro.caching.replay.ReplayStats` counters — and the same final cache
 contents in the same recency order — as the reference per-vector loop, for any
-trace, layout, policy and cache size.  These tests sweep randomized traces
-across all six policies and degenerate cache sizes to enforce that contract,
-plus the ``LRUCache`` positional-insert edge cases the engine has to replicate.
+trace, layout, policy and cache size, however the stream is cut into calls.
+These tests sweep randomized traces across all six policies, the engine's
+three cache kinds and the boundaries between them, and pin the counters of the
+shapes the benchmark drives (``GOLDEN_ENGINE_COUNTERS``, captured from the
+stamp-log engine this one replaced; ``python tests/test_engine_equivalence.py``
+prints a fresh dictionary).
 """
+
+import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.caching.engine import (
-    ArrayLRUCache,
     BatchReplayEngine,
+    OrderedLRUCache,
+    ResidencyBitmap,
     replay_table_cache_batched,
     replay_table_cache_multi,
 )
@@ -32,6 +40,7 @@ from repro.caching.replay import ReplayStats, replay_table_cache
 from repro.nvm.block import BlockLayout
 from repro.nvm.device import NVMDevice
 from repro.workloads.trace import Trace
+from tests.conftest import drift_replay_case, table1_replay_case
 
 
 def counters(stats: ReplayStats):
@@ -165,6 +174,263 @@ class TestEngineEquivalence:
             )
 
 
+def small_workload(seed: int, vectors_per_block: int):
+    """A small random layout, stream of queries and access counts."""
+    rng = np.random.default_rng(seed)
+    num_vectors = int(rng.integers(3 * vectors_per_block, 5 * vectors_per_block + 40))
+    layout = BlockLayout(rng.permutation(num_vectors).astype(np.int64), vectors_per_block)
+    queries = [
+        (rng.integers(0, num_vectors, size=int(rng.integers(1, 10))) ** 2 % num_vectors)
+        .astype(np.int64)
+        for _ in range(int(rng.integers(1, 40)))
+    ]
+    return layout, queries, rng.integers(0, 30, size=num_vectors).astype(np.int64)
+
+
+#: Cache sizes on both sides of every boundary between the engine's caches.
+CAPACITY_KINDS = {
+    "zero": lambda n, per_block, pick: 0,
+    "smaller-than-a-block": lambda n, per_block, pick: 1 + pick % (per_block - 1),
+    "bounded": lambda n, per_block, pick: per_block + pick % (n - 1 - per_block),
+    "all-but-one": lambda n, per_block, pick: n - 1,
+    "all": lambda n, per_block, pick: n,
+    "more-than-all": lambda n, per_block, pick: n + 24,
+}
+
+
+def expected_cache_type(policy, capacity, num_vectors):
+    if not (policy.never_admits or policy.always_top_positions):
+        return LRUCache
+    return ResidencyBitmap if capacity >= num_vectors else OrderedLRUCache
+
+
+def cut(queries, points):
+    """The concatenated stream re-cut at ``points`` (sorted, duplicates allowed)."""
+    stream = np.concatenate(queries)
+    edges = sorted(point % (stream.size + 1) for point in points)
+    return [stream[a:b] for a, b in zip([0] + edges, edges + [stream.size])]
+
+
+class TestEveryPolicyEveryCacheKind:
+    """Hypothesis: every policy × every cache kind × every way of cutting the stream."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        vectors_per_block=st.sampled_from([4, 8, 32]),
+        policy_name=st.sampled_from(sorted(POLICY_FACTORIES)),
+        kind=st.sampled_from(sorted(CAPACITY_KINDS)),
+        pick=st.integers(0, 10**6),
+        points=st.lists(st.integers(0, 10**6), max_size=12),
+    )
+    def test_counters_keys_and_call_granularity(
+        self, seed, vectors_per_block, policy_name, kind, pick, points
+    ):
+        layout, queries, counts = small_workload(seed, vectors_per_block)
+        capacity = CAPACITY_KINDS[kind](layout.num_vectors, vectors_per_block, pick)
+        factory = POLICY_FACTORIES[policy_name]
+        reference_cache = LRUCache(capacity)
+        reference = replay_table_cache(queries, layout, factory(counts), cache=reference_cache)
+        # One call, one call per query, and cuts anywhere (mid hit-run included).
+        for calls in ([np.concatenate(queries)], queries, cut(queries, points)):
+            engine = BatchReplayEngine(layout, factory(counts), cache_size=capacity)
+            assert type(engine.cache) is expected_cache_type(
+                engine.policy, capacity, layout.num_vectors
+            )
+            for ids in calls:
+                engine.replay_query(ids)
+            assert counters(engine.stats) == counters(reference), (policy_name, capacity)
+            assert engine.cache.keys() == reference_cache.keys(), (policy_name, capacity)
+            assert len(engine.cache) == len(reference_cache)
+            assert engine.cache.capacity == capacity
+            assert engine.cache.evictions == reference_cache.evictions
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        policy_name=st.sampled_from(
+            ["no-prefetch", "cache-all-block", "shadow-admission", "access-threshold"]
+        ),
+        kind=st.sampled_from(["smaller-than-a-block", "bounded", "all-but-one"]),
+        pick=st.integers(0, 10**6),
+        swap_at=st.integers(0, 39),
+    )
+    def test_swap_layout_mid_stream_on_a_bounded_top_only_cache(
+        self, seed, policy_name, kind, pick, swap_at
+    ):
+        first, queries, counts = small_workload(seed, 8)
+        second = BlockLayout(
+            np.random.default_rng(seed + 1).permutation(first.num_vectors).astype(np.int64), 8
+        )
+        capacity = CAPACITY_KINDS[kind](first.num_vectors, 8, pick)
+        swap_at %= len(queries) + 1
+        policy = POLICY_FACTORIES[policy_name](counts)
+        model = LRUCache(capacity)
+        stats = ReplayStats(vector_bytes=128, block_bytes=8 * 128)
+        replay_table_cache(queries[:swap_at], first, policy, cache=model, stats=stats)
+        replay_table_cache(queries[swap_at:], second, policy, cache=model, stats=stats)
+
+        engine = BatchReplayEngine(first, POLICY_FACTORIES[policy_name](counts), cache_size=capacity)
+        assert isinstance(engine.cache, OrderedLRUCache)
+        engine.replay(queries[:swap_at])
+        engine.swap_layout(second)
+        engine.replay(queries[swap_at:])
+        # Prefetch-hit attribution is excluded: each reference call starts
+        # with an empty pending-prefetch set, the engine carries it over.
+        for field in ("lookups", "hits", "misses", "prefetch_admitted", "evictions"):
+            assert getattr(engine.stats, field) == getattr(stats, field), field
+        assert engine.cache.keys() == model.keys()
+
+    def test_demand_vector_evicted_by_its_own_prefetch_sweep(self):
+        """The demand vector is excluded by identity, not by residency.
+
+        Cache 3 under an 8-vector block: admitting slots 0–3 evicts the
+        demand vector (slot 4) before its own slot is examined; it must not
+        be re-admitted as a prefetch of itself.
+        """
+        layout = BlockLayout.identity(16, 8)
+        engine = BatchReplayEngine(layout, CacheAllBlockPolicy(), cache_size=3)
+        engine.replay_query(np.array([4], dtype=np.int64))
+        reference_cache = LRUCache(3)
+        reference = replay_table_cache(
+            [np.array([4])], layout, CacheAllBlockPolicy(), cache=reference_cache
+        )
+        assert counters(engine.stats) == counters(reference) == (1, 0, 1, 7, 0, 4, 5)
+        assert engine.cache.keys() == reference_cache.keys() == [7, 6, 5]
+
+
+class _AdmitsFromTheNthAccess(PrefetchPolicy):
+    """Stateful, scalar-only: rejects everything until it has seen ``n`` accesses."""
+
+    def __init__(self, n, position):
+        self.n = n
+        self.position = position
+        self.always_top_positions = position <= 0.0
+        self.seen = 0
+
+    def record_access(self, vector_id):
+        self.seen += 1
+
+    def admit(self, vector_id):
+        return self.position if self.seen >= self.n else None
+
+
+class TestStatefulPolicyWithinOneCall:
+    @pytest.mark.parametrize(
+        "position, cache_size", [(0.0, 16), (0.0, None), (0.5, 16), (0.5, None)]
+    )
+    def test_admit_flips_between_two_misses_of_one_call(self, position, cache_size):
+        """The policy has seen every lookup up to *and including* the missing id.
+
+        Lookups 1–3 miss while the policy still rejects; the 4th lookup is a
+        hit, the 5th a miss whose own access is the one that flips ``admit``.
+        """
+        layout = BlockLayout.identity(64, 8)
+        ids = np.array([0, 8, 16, 8, 24, 25, 1, 32, 0], dtype=np.int64)
+        reference_cache = LRUCache(64 if cache_size is None else cache_size)
+        reference = replay_table_cache(
+            [ids], layout, _AdmitsFromTheNthAccess(5, position), cache=reference_cache
+        )
+        assert reference.prefetch_admitted > 0 and reference.prefetch_hits > 0
+        engine = BatchReplayEngine(
+            layout, _AdmitsFromTheNthAccess(5, position), cache_size=cache_size
+        )
+        engine.replay_query(ids)
+        assert counters(engine.stats) == counters(reference)
+        assert engine.cache.keys() == reference_cache.keys()
+        assert engine.policy.seen == ids.size
+
+
+class TestStaleAdmissionCache:
+    def test_retune_reaches_a_warm_engine(self):
+        """Re-steering admissions mid-stream ≡ the reference loop.
+
+        The engine caches static admission decisions per block; it used to
+        keep serving them after the counts changed — (1200, 147, 1053) here —
+        until the next ``swap_layout`` happened to clear the cache.
+        """
+        rng = np.random.default_rng(0)
+        layout = BlockLayout(rng.permutation(256).astype(np.int64), 8)
+        counts = rng.integers(0, 6, size=256).astype(np.int64)
+        queries = [rng.integers(0, 256, size=20).astype(np.int64) for _ in range(60)]
+
+        policy = AccessThresholdPolicy(counts.copy(), 2)
+        model = LRUCache(32)
+        stats = ReplayStats(vector_bytes=128, block_bytes=8 * 128)
+        replay_table_cache(queries[:30], layout, policy, cache=model, stats=stats)
+        policy.retune(access_counts=5 - counts)
+        replay_table_cache(queries[30:], layout, policy, cache=model, stats=stats)
+        assert (stats.lookups, stats.hits, stats.misses) == (1200, 131, 1069)
+
+        engine = BatchReplayEngine(layout, AccessThresholdPolicy(counts.copy(), 2), cache_size=32)
+        engine.replay(queries[:30])
+        engine.policy.retune(access_counts=5 - counts)
+        engine.replay(queries[30:])
+        assert (engine.stats.lookups, engine.stats.hits, engine.stats.misses) == (1200, 131, 1069)
+        assert engine.cache.keys() == model.keys()
+
+    def test_retune_validates_and_bumps_the_version(self):
+        policy = AccessThresholdPolicy(np.arange(8), 2)
+        version = policy.admit_version
+        policy.retune(threshold=5)
+        assert (policy.threshold, policy.admit_version) == (5.0, version + 1)
+        with pytest.raises(ValueError):
+            policy.retune(threshold=-1)
+        with pytest.raises(ValueError):
+            policy.retune(access_counts=np.zeros((2, 2)))
+        assert (policy.threshold, policy.admit_version) == (5.0, version + 1)
+        assert NoPrefetchPolicy().admit_version == PrefetchPolicy.admit_version
+
+
+class TestHostileIds:
+    """Ids that are not a 1-D integer sequence raise before anything is counted."""
+
+    LAYOUT = BlockLayout.identity(64, 8)
+    HOSTILE = [
+        ([1.7, 2.2], TypeError),
+        (np.array([1.0, 2.0]), TypeError),
+        ([True, False], TypeError),
+        (["3"], TypeError),
+        (np.array([[1, 2], [3, 4]]), ValueError),
+    ]
+
+    @pytest.mark.parametrize("ids, error", HOSTILE)
+    def test_engine_and_reference_raise_the_same_typed_error(self, ids, error):
+        device = NVMDevice(num_blocks=self.LAYOUT.num_blocks)
+        engine = BatchReplayEngine(self.LAYOUT, CacheAllBlockPolicy(), cache_size=16, device=device)
+        good = np.array([1, 2], dtype=np.int64)
+        calls = (
+            lambda: engine.replay_query(ids),
+            lambda: engine.replay([good, ids]),
+            lambda: replay_table_cache_multi([good, ids], self.LAYOUT, [engine.policy], [16]),
+        )
+        for call in calls:
+            with pytest.raises(error) as raised:
+                call()
+            assert counters(engine.stats) == (0,) * 7 and len(engine.cache) == 0
+            assert device.blocks_read == 0
+        with pytest.raises(error) as reference:
+            replay_table_cache([ids], self.LAYOUT, CacheAllBlockPolicy(), cache_size=16)
+        assert str(reference.value) == str(raised.value)
+
+    def test_validate_false_still_skips_the_checks(self):
+        engine = BatchReplayEngine(self.LAYOUT, NoPrefetchPolicy(), cache_size=16)
+        engine.replay_query(np.array([1.7, 2.2]), validate=False)  # the caller's promise
+        assert engine.stats.lookups == 2
+
+    @pytest.mark.parametrize("use_batched_engine", [True, False])
+    @pytest.mark.parametrize("ids, error", HOSTILE)
+    def test_store_lookups_reject_them_too(self, ids, error, use_batched_engine):
+        store, _ = TestStoreBatchedServing._build_store(use_batched_engine)
+        for call in (
+            lambda: store.lookup("alpha", ids),
+            lambda: store.lookup_batch("alpha", [np.array([1, 2]), ids]),
+        ):
+            with pytest.raises(error):
+                call()
+            assert store.tables["alpha"].stats.lookups == 0
+
+
 class TestMiniatureTunerEquivalence:
     def test_single_pass_matches_reference_loop(self):
         layout, queries, access_counts = random_workload(11)
@@ -195,122 +461,6 @@ class TestMiniatureTunerEquivalence:
             assert joint[size].threshold == alone.threshold
             assert joint[size].gains == alone.gains
             assert joint[size].miniature_cache_size == alone.miniature_cache_size
-
-
-class TestArrayLRUCacheEdgeCases:
-    """Positional-insert edge cases, mirrored against the reference LRUCache."""
-
-    def test_capacity_zero_stores_nothing(self):
-        reference = LRUCache(0)
-        array = ArrayLRUCache(0, num_slots=8)
-        assert reference.insert(1) is None
-        assert array.insert_at(1, 0.0) is None
-        for cache in (reference, array):
-            assert len(cache) == 0
-            assert 1 not in cache
-
-    def test_capacity_one_positional_insert(self):
-        reference = LRUCache(1)
-        array = ArrayLRUCache(1, num_slots=8)
-        for key, position in [(1, 0.0), (2, 1.0), (3, 0.5), (3, 0.0), (4, 1.0)]:
-            assert reference.insert(key, position) == array.insert_at(key, position)
-            assert reference.keys() == array.keys()
-
-    def test_position_one_tie_breaking(self):
-        """Bottom insertion lands strictly below the current LRU entry."""
-        reference = LRUCache(4)
-        array = ArrayLRUCache(4, num_slots=16)
-        for cache, insert in ((reference, reference.insert), (array, array.insert_at)):
-            insert(1, 0.0)
-            insert(2, 0.0)
-            insert(3, 1.0)  # below 1 and 2
-            insert(4, 1.0)  # below 3
-            assert cache.keys() == [2, 1, 3, 4]
-        # Next eviction removes the most recent bottom insertion first.
-        assert reference.insert(5, 0.0) == 4
-        assert array.insert_at(5, 0.0) == 4
-
-    def test_promote_batch_matches_sequential_gets(self):
-        reference = LRUCache(6)
-        array = ArrayLRUCache(6, num_slots=16)
-        for key in (1, 2, 3):
-            reference.insert(key)
-            array.stamp_top(key)
-        for key in (1, 3, 1):
-            reference.get(key)
-        array.promote_batch(np.array([1, 3, 1]))
-        assert reference.keys() == array.keys()
-
-    def test_eviction_counter(self):
-        array = ArrayLRUCache(2, num_slots=8)
-        array.insert_at(1, 0.0)
-        array.insert_at(2, 0.0)
-        array.insert_at(3, 0.0)
-        assert array.evictions == 1
-        array.clear()
-        assert array.evictions == 0 and len(array) == 0
-
-    def test_capacity_zero_positional_inserts_are_noops(self):
-        reference = LRUCache(0)
-        array = ArrayLRUCache(0, num_slots=8)
-        for key, position in [(0, 0.0), (3, 1.0), (3, 0.5), (7, 0.0)]:
-            assert reference.insert(key, position) is None
-            assert array.insert_at(key, position) is None
-        assert len(array) == 0 and array.evictions == 0
-        assert array.keys() == reference.keys() == []
-
-    def test_capacity_one_churn_matches_reference(self):
-        """Every insert at capacity 1 evicts the sole resident, in lockstep."""
-        reference = LRUCache(1)
-        array = ArrayLRUCache(1, num_slots=16)
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            key = int(rng.integers(0, 16))
-            position = float(rng.choice([0.0, 0.3, 1.0]))
-            assert reference.insert(key, position) == array.insert_at(key, position)
-            assert reference.keys() == array.keys()
-        assert array.evictions == reference.evictions > 0
-
-    def test_reinsert_after_evict(self):
-        """An evicted key must re-enter cleanly (no stale heap interference)."""
-        reference = LRUCache(2)
-        array = ArrayLRUCache(2, num_slots=8)
-        for cache, insert in ((reference, reference.insert), (array, array.insert_at)):
-            insert(1, 0.0)
-            insert(2, 0.0)
-            evicted = insert(3, 0.0)  # evicts 1
-            assert evicted == 1
-            assert insert(1, 0.0) == 2  # re-insert the evicted key, evicting 2
-            assert cache.keys() == [1, 3]
-        assert 1 in array and 2 not in array
-        assert array.evictions == reference.evictions == 2
-
-    def test_promote_batch_on_empty_cache(self):
-        """An empty key batch is a no-op on an empty (or any) cache."""
-        array = ArrayLRUCache(4, num_slots=8)
-        array.promote_batch(np.empty(0, dtype=np.int64))
-        assert len(array) == 0 and array.order_entries() == 0
-        array.clear()
-        array.promote_batch(np.empty(0, dtype=np.int64))
-        assert array.keys() == []
-
-    def test_compaction_keeps_heap_bounded_at_tiny_capacity(self):
-        """Capacity 1: heavy churn must not grow the stamp log."""
-        array = ArrayLRUCache(1, num_slots=4)
-        for round_ in range(2000):
-            array.insert_at(round_ % 4, 0.0)
-        # Only one entry is live; compaction keeps the order structures
-        # within a small multiple of _COMPACT_MIN.
-        assert array.order_entries() <= 2 * ArrayLRUCache._COMPACT_MIN
-        assert len(array) == 1 and array.evictions == 1999
-
-    def test_compaction_noop_at_capacity_zero(self):
-        """Capacity 0 stores nothing, so compaction finds nothing to keep."""
-        array = ArrayLRUCache(0, num_slots=4)
-        for round_ in range(500):
-            array.insert_at(round_ % 4, 0.0)
-        array._compact_log(0)
-        assert array.order_entries() == 0 and len(array) == 0
 
 
 class _FixedPositionPolicy(PrefetchPolicy):
@@ -354,13 +504,6 @@ class TestAdmissionPositionValidation:
                 self.QUERIES, self.LAYOUT, _FixedPositionPolicy(position, static), cache_size=16
             )
             assert counters(batched) == counters(reference)
-
-    def test_insert_at_rejects_out_of_range_positions(self):
-        array = ArrayLRUCache(4, num_slots=8)
-        for position in (1.5, -0.1, float("nan")):
-            with pytest.raises(ValueError, match="position must be in"):
-                array.insert_at(1, position)
-        assert len(array) == 0 and array.order_entries() == 0
 
 
 class TestStoreBatchedServing:
@@ -441,12 +584,81 @@ class TestLRUCacheHeapCompaction:
             compacted.get(round_ % 7)  # key 7 stays LRU
         assert compacted.insert(100) == 7
 
-    def test_array_cache_heap_stays_bounded(self):
-        array = ArrayLRUCache(16, num_slots=32)
-        for key in range(16):
-            array.stamp_top(key)
-        for round_ in range(2000):
-            array.promote_batch(np.arange(8))
-        # 16k stamps were issued; compaction must keep the stamp log near the
-        # live entry count (the amortised schedule allows a small multiple).
-        assert array.order_entries() <= 256
+
+# --------------------------------------------------------------------- goldens
+def _engine_digest(engine):
+    keys = np.array(engine.cache.keys(), dtype="<i8")
+    return {
+        "counters": list(engine.stats.counters(include_latency=True)),
+        "keys_sha256": hashlib.sha256(keys.tobytes()).hexdigest(),
+    }
+
+
+def golden_engine_counters():
+    """Replay the shapes the benchmark drives; counters and cache order of each."""
+    out = {}
+    # drift-repartition's region: miss-heavy, one replay_query per query, a device.
+    layout, counts, queries = drift_replay_case()
+    engine = BatchReplayEngine(
+        layout,
+        AccessThresholdPolicy(counts, 2),
+        cache_size=512,
+        device=NVMDevice(num_blocks=layout.num_blocks),
+    )
+    for query in queries:
+        engine.replay_query(query)
+    out["drift-4096/cache-512/threshold-2/per-query/device"] = _engine_digest(engine)
+
+    # offline-pipeline / serve-host: table1 at 1/2000, one stream per engine.
+    layout, counts, queries = table1_replay_case()
+    cache_size = layout.num_vectors // 20
+    tuning = Trace(queries, num_vectors=layout.num_vectors)
+    threshold = (
+        MiniatureCacheTuner(sampling_rate=0.25, seed=3)
+        .select_threshold(tuning, layout, counts, cache_size)
+        .threshold
+    )
+    for name, policy, size in (
+        (
+            f"table1/bounded/tuned-threshold-{threshold:g}",
+            AccessThresholdPolicy(counts, threshold),
+            cache_size,
+        ),
+        ("table1/unlimited/cache-all-block", CacheAllBlockPolicy(), None),
+        ("table1/bounded/insert-at-0.5", InsertAtPositionPolicy(0.5), cache_size),
+    ):
+        engine = BatchReplayEngine(layout, policy, cache_size=size)
+        engine.replay(queries)
+        out[name] = _engine_digest(engine)
+    return out
+
+
+#: Captured at the parent commit, from the stamp-log ``ArrayLRUCache`` engine.
+GOLDEN_ENGINE_COUNTERS = {
+    "drift-4096/cache-512/threshold-2/per-query/device": {
+        "counters": [4558, 1724, 2834, 3630, 543, 2841, 5952, 68016.0],
+        "keys_sha256": "1965552c7f813a16c8d0521ae8780612dbf7e485a6e2a077ce8c8367214779c7",
+    },
+    "table1/bounded/tuned-threshold-20": {
+        "counters": [6798, 6391, 407, 174, 101, 55, 331, 0.0],
+        "keys_sha256": "5aac98a3624d0b76095ff2c5e7b7fbf823c4b284fe68da98145c048e3ee5d483",
+    },
+    "table1/unlimited/cache-all-block": {
+        "counters": [6798, 6694, 104, 3200, 346, 0, 0, 0.0],
+        "keys_sha256": "dd0210c89c4a68a7573eabc36b63dbcc19d179d0004abbddc1104ecff833d6e4",
+    },
+    "table1/bounded/insert-at-0.5": {
+        "counters": [6798, 4749, 2049, 52634, 1970, 50443, 54433, 0.0],
+        "keys_sha256": "20cfb27f42d3776dcacb32b7e9beecb98dd12740568587206b0ae9764f48ad25",
+    },
+}
+
+
+def test_golden_engine_counters():
+    assert golden_engine_counters() == GOLDEN_ENGINE_COUNTERS
+
+
+if __name__ == "__main__":
+    import pprint
+
+    pprint.pprint(golden_engine_counters(), width=100, sort_dicts=False)
