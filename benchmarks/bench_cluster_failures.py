@@ -123,9 +123,7 @@ def scenario_rows(makespan_s):
 
 def run_sweep(eval_multiplier=24, num_requests=4000, warmup_requests=1000):
     store, eval_trace = build_store(TABLES, eval_multiplier)
-    from repro.simulation import iter_store_requests
-
-    available = len(list(iter_store_requests(eval_trace)))
+    available = len(list(eval_trace.requests()))
     if available < warmup_requests + num_requests:
         raise ValueError(
             f"trace supplies {available} requests but the sweep needs "

@@ -63,7 +63,6 @@ def test_fig15_training_size(bundle, benchmark):
     # Every training size must produce a positive end-to-end gain.  Note: at
     # this reduced scale the *monotone growth* with training size that the
     # paper reports does not always hold, because the admission thresholds are
-    # absolute access counts and longer training traces inflate every count
-    # (see EXPERIMENTS.md for the discussion); the benchmark therefore only
-    # checks positivity for all sizes.
+    # absolute access counts and longer training traces inflate every count;
+    # the benchmark therefore only checks positivity for all sizes.
     assert all(overall[f] > 0 for f in fractions)

@@ -3,8 +3,8 @@
 Every benchmark regenerates one table or figure of the paper's evaluation as a
 plain-text table: the same rows/series the paper plots, measured on the scaled
 synthetic workload.  The output of each benchmark is printed and also written
-to ``benchmarks/results/<name>.txt`` so the numbers recorded in
-``EXPERIMENTS.md`` can be re-derived at any time.
+to ``benchmarks/results/<name>.txt``, so the recorded numbers can be
+re-derived at any time.
 
 The workload bundle (traces, access counts, SHP layouts for all eight tables)
 is built once per pytest session by the fixtures in ``conftest.py`` and shared

@@ -67,6 +67,7 @@ from repro.nvm.device import NVMDevice
 from repro.utils.validation import (
     check_array_1d_ints,
     check_fraction,
+    check_id_range,
     check_non_negative,
     check_positive,
 )
@@ -253,7 +254,7 @@ class BatchReplayEngine:
         """
         if validate:
             ids = check_array_1d_ints(ids, "vector_ids")
-            _check_id_range(ids, self._num_vectors)
+            check_id_range(ids, self._num_vectors)
         else:
             ids = np.asarray(ids, dtype=np.int64)
         if ids.size == 0:
@@ -558,14 +559,6 @@ def _concatenate_ids(queries: Iterable[npt.ArrayLike]) -> np.ndarray:
     return np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)
 
 
-def _check_id_range(ids: np.ndarray, num_vectors: int) -> None:
-    if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= num_vectors):
-        raise IndexError(
-            f"vector ids must be in [0, {num_vectors}), got range "
-            f"[{ids.min()}, {ids.max()}]"
-        )
-
-
 def replay_table_cache_batched(
     queries: Iterable[np.ndarray],
     layout: BlockLayout,
@@ -616,7 +609,7 @@ def replay_table_cache_multi(
     if len(policies) != len(cache_sizes):
         raise ValueError("policies and cache_sizes must have the same length")
     ids = _concatenate_ids(queries)
-    _check_id_range(ids, layout.num_vectors)
+    check_id_range(ids, layout.num_vectors)
     results = []
     for policy, size in zip(policies, cache_sizes):
         engine = BatchReplayEngine(layout, policy, cache_size=size, vector_bytes=vector_bytes)

@@ -17,12 +17,12 @@ traffic, the whole search costs a small fraction of serving the real traffic.
 :class:`MiniatureCacheTuner` implements the search;
 :meth:`MiniatureCacheTuner.select_threshold` reproduces the paper's Table 2.
 
-By default the search runs in *multi-threshold* mode on the batch engine
-(:mod:`repro.caching.engine`): the sampled stream is converted and validated
-once and replayed through the no-prefetch baseline and every candidate
-threshold's miniature cache in turn, instead of one reference replay each.
-The counters are bit-identical to per-threshold reference replays
-(``use_batched_engine=False`` restores the reference loop).
+The search runs on the batch engine
+(:func:`repro.caching.engine.replay_table_cache_multi`): the sampled stream is
+converted and validated once and replayed through the no-prefetch baseline
+and every candidate threshold's miniature cache in turn.  The counters are
+bit-identical to one :func:`~repro.caching.replay.replay_table_cache` call
+per policy, which ``tests/test_engine_equivalence.py`` checks.
 """
 
 from __future__ import annotations
@@ -32,8 +32,9 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.caching.engine import replay_table_cache_multi
 from repro.caching.policies import AccessThresholdPolicy, NoPrefetchPolicy
-from repro.caching.replay import ReplayStats, effective_bandwidth_increase, replay_table_cache
+from repro.caching.replay import ReplayStats, effective_bandwidth_increase
 from repro.nvm.block import BlockLayout
 from repro.utils.sampling import sample_queries_spatially
 from repro.utils.validation import check_fraction, check_positive
@@ -85,10 +86,6 @@ class MiniatureCacheTuner:
         Candidate thresholds to evaluate; defaults to the paper's sweep.
     vector_bytes:
         Bytes per vector, used only for bandwidth bookkeeping.
-    use_batched_engine:
-        Evaluate all thresholds in one pass over the sampled stream with the
-        vectorized batch engine (default).  ``False`` replays the reference
-        loop once per threshold; the resulting statistics are identical.
     """
 
     def __init__(
@@ -97,7 +94,6 @@ class MiniatureCacheTuner:
         seed: int = 0,
         thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
         vector_bytes: int = 128,
-        use_batched_engine: bool = True,
     ) -> None:
         check_fraction(sampling_rate, "sampling_rate")
         if sampling_rate <= 0:
@@ -109,7 +105,6 @@ class MiniatureCacheTuner:
         self.seed = int(seed)
         self.thresholds = tuple(float(t) for t in thresholds)
         self.vector_bytes = int(vector_bytes)
-        self.use_batched_engine = bool(use_batched_engine)
 
     def select_threshold(
         self,
@@ -190,27 +185,13 @@ class MiniatureCacheTuner:
             AccessThresholdPolicy(access_counts, threshold)
             for threshold in self.thresholds
         ]
-        if self.use_batched_engine:
-            from repro.caching.engine import replay_table_cache_multi
-
-            all_stats = replay_table_cache_multi(
-                sampled_queries,
-                layout,
-                policies,
-                cache_sizes=[mini_cache_size] * len(policies),
-                vector_bytes=self.vector_bytes,
-            )
-        else:
-            all_stats = [
-                replay_table_cache(
-                    sampled_queries,
-                    layout,
-                    policy,
-                    cache_size=mini_cache_size,
-                    vector_bytes=self.vector_bytes,
-                )
-                for policy in policies
-            ]
+        all_stats = replay_table_cache_multi(
+            sampled_queries,
+            layout,
+            policies,
+            cache_sizes=[mini_cache_size] * len(policies),
+            vector_bytes=self.vector_bytes,
+        )
         baseline = all_stats[0]
 
         gains: Dict[float, float] = {}

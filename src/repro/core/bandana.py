@@ -12,11 +12,11 @@
    chosen by miniature-cache simulation at the table's assigned cache size.
 4. **Serving** — lookups hit the per-table DRAM cache first; misses read the
    owning 4 KB block from a per-table simulated NVM device and the admission
-   policy decides which of the block's other vectors enter the cache.  With
-   ``config.interleaved_replay``, multi-table requests (:meth:`BandanaStore.lookup_request`)
-   are fanned out across the per-table engines through the interleaved
-   store replayer (:mod:`repro.simulation.interleaved`), whose worker-sharded
-   bulk mode also backs :func:`repro.simulation.simulate_store`.
+   policy decides which of the block's other vectors enter the cache.  Every
+   serving call — single queries, batches, multi-table requests and
+   :func:`repro.simulation.simulate_store` — runs on each table's
+   :class:`~repro.caching.engine.BatchReplayEngine`, which owns the table's
+   DRAM residency.
 
 The store keeps all counters needed to report the paper's metrics (effective
 bandwidth, hit rates, device latency, endurance) and can optionally return the
@@ -26,21 +26,20 @@ actual embedding values when built with an :class:`~repro.embeddings.EmbeddingMo
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 import numpy.typing as npt
 
 from repro.caching.allocation import allocate_dram_budget
 from repro.caching.engine import BatchReplayEngine, replay_table_cache_batched
-from repro.caching.lru import LRUCache
 from repro.caching.miniature import MiniatureCacheTuner
 from repro.caching.policies import (
     AccessThresholdPolicy,
     NoPrefetchPolicy,
     PrefetchPolicy,
 )
-from repro.caching.replay import ReplayStats, replay_table_cache
+from repro.caching.replay import ReplayStats
 from repro.caching.stack_distance import HitRateCurve, hit_rate_curve
 from repro.core.config import BandanaConfig, TableCacheConfig
 from repro.core.metrics import CacheStats, EffectiveBandwidth
@@ -54,12 +53,9 @@ from repro.partitioning.identity import IdentityPartitioner
 from repro.partitioning.kmeans import KMeansPartitioner
 from repro.partitioning.recursive_kmeans import RecursiveKMeansPartitioner
 from repro.partitioning.shp import SHPPartitioner
-from repro.utils.validation import check_array_1d_ints
+from repro.utils.validation import check_array_1d_ints, check_id_range
 from repro.workloads.characterization import access_counts
 from repro.workloads.trace import ModelTrace, Trace
-
-if TYPE_CHECKING:
-    from repro.simulation.interleaved import InterleavedStoreReplayer
 
 
 @dataclass
@@ -68,7 +64,6 @@ class BandanaTableState:
 
     name: str
     layout: BlockLayout
-    cache: LRUCache
     policy: PrefetchPolicy
     device: NVMDevice
     cache_config: TableCacheConfig
@@ -76,7 +71,8 @@ class BandanaTableState:
     stats: ReplayStats = field(default_factory=ReplayStats)
     hit_rate_curve: Optional[HitRateCurve] = None
     partition_runtime_seconds: float = 0.0
-    #: Lazily-created batched serving engine (shares ``stats`` and ``device``).
+    #: The serving engine, created on first use; it owns the table's DRAM
+    #: residency and shares ``stats`` and ``device``.
     engine: Optional[BatchReplayEngine] = None
 
     @property
@@ -89,7 +85,7 @@ class BandanaTableState:
 
         Extracts the "table spec owned by the cluster" half of this state
         (placement, policy, cache budget, geometry), leaving the node-owned
-        half (this state's cache, device and engine) behind.  The returned
+        half (this state's device and engine) behind.  The returned
         spec mints cold engines bit-identical in behaviour to this table's
         own serving engine — :mod:`repro.cluster` builds one per replica.
         """
@@ -126,9 +122,6 @@ class BandanaStore:
         self.config = config
         self.tables = tables
         self.embedding_model = embedding_model
-        # Lazily-built interleaved request fan-out over the serving engines
-        # (used by lookup_request when config.interleaved_replay is set).
-        self._request_replayer = None
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -214,7 +207,6 @@ class BandanaStore:
             tables[name] = BandanaTableState(
                 name=name,
                 layout=layouts[name],
-                cache=LRUCache(cache_size),
                 policy=policy,
                 device=device,
                 cache_config=TableCacheConfig(
@@ -243,21 +235,9 @@ class BandanaStore:
         serving simulator measure load, not data).
         """
         state = self._state(table_name)
-        ids = check_array_1d_ints(vector_ids, "vector_ids")
+        ids = self._checked_ids(state, vector_ids)
         if ids.size:
-            if self.config.use_batched_engine:
-                self._engine(state).replay_query(ids)
-            else:
-                replay_table_cache(
-                    [ids],
-                    state.layout,
-                    state.policy,
-                    cache=state.cache,
-                    vector_bytes=self.config.vector_bytes,
-                    device=state.device,
-                    queue_depth=self.config.queue_depth,
-                    stats=state.stats,
-                )
+            self._engine(state).replay_query(ids, validate=False)
         return self._gather(table_name, ids) if gather else None
 
     def lookup_batch(
@@ -266,35 +246,18 @@ class BandanaStore:
         """Serve a batch of queries against one table in one engine pass.
 
         Equivalent (counter for counter) to calling :meth:`lookup` per query,
-        but the cache machinery runs through the vectorized batch engine so
-        hit runs spanning query boundaries are processed in bulk.  Returns
-        one embedding array per query when the store holds an embedding
-        model, or ``None`` in counting-only mode (or when ``gather=False``).
+        but the whole batch is one engine call, so hit runs spanning query
+        boundaries are processed in bulk.  Returns one embedding array per
+        query when the store holds an embedding model, or ``None`` in
+        counting-only mode (or when ``gather=False``).
         """
         state = self._state(table_name)
         id_arrays = [check_array_1d_ints(ids, "vector_ids") for ids in queries]
-        if self.config.use_batched_engine:
-            engine = self._engine(state)
-            non_empty = [ids for ids in id_arrays if ids.size]
-            if non_empty:
-                engine.replay_query(
-                    np.concatenate(non_empty) if len(non_empty) > 1 else non_empty[0]
-                )
-        else:
-            # One reference-loop call per query, exactly like lookup(), so the
-            # two APIs stay counter-for-counter equivalent on this path too.
-            for ids in id_arrays:
-                if ids.size:
-                    replay_table_cache(
-                        [ids],
-                        state.layout,
-                        state.policy,
-                        cache=state.cache,
-                        vector_bytes=self.config.vector_bytes,
-                        device=state.device,
-                        queue_depth=self.config.queue_depth,
-                        stats=state.stats,
-                    )
+        non_empty = [ids for ids in id_arrays if ids.size]
+        if non_empty:
+            self._engine(state).replay_query(
+                np.concatenate(non_empty) if len(non_empty) > 1 else non_empty[0]
+            )
         if gather and self.embedding_model is not None and table_name in self.embedding_model:
             table = self.embedding_model[table_name]
             return [table.gather(ids) for ids in id_arrays]
@@ -305,40 +268,29 @@ class BandanaStore:
     ) -> Dict[str, Optional[np.ndarray]]:
         """Serve one multi-table request (mapping table name → ids).
 
-        With ``config.interleaved_replay`` the request is fanned out across
-        the per-table serving engines through one
-        :class:`~repro.simulation.interleaved.InterleavedStoreReplayer`
-        (counter-for-counter identical to the per-table loop — see the
-        schedule-equivalence invariant in
-        :mod:`repro.simulation.interleaved`); otherwise each table is
-        served by :meth:`lookup` in turn.  ``gather=False`` skips the
-        embedding gathers (counters-only serving).
+        Counter for counter the same as calling :meth:`lookup` per table in
+        request order, except that the whole request is validated first: an
+        unknown table, a non-integer or multi-dimensional id array or an
+        out-of-range id raises before any table is served.  ``gather=False``
+        skips the embedding gathers (counters-only serving).
         """
-        if self.config.interleaved_replay:
-            arrays = {
-                name: check_array_1d_ints(ids, "vector_ids") for name, ids in request.items()
-            }
-            self._interleaved_replayer().replay_request(arrays)
-            return {
-                name: self._gather(name, ids) if gather else None
-                for name, ids in arrays.items()
-            }
+        arrays = self._serve_request(request)
         return {
-            name: self.lookup(name, ids, gather=gather)
-            for name, ids in request.items()
+            name: self._gather(name, ids) if gather else None
+            for name, ids in arrays.items()
         }
 
     def pooled_features(self, request: Mapping[str, Iterable[int]]) -> np.ndarray:
         """Serve a request and return the concatenated sum-pooled features.
 
         Requires an embedding model; this is the read path a ranking model
-        consumes (see :class:`repro.embeddings.RecommendationModel`).
+        consumes (see :class:`repro.embeddings.RecommendationModel`).  The
+        request is validated whole before any table is served, as in
+        :meth:`lookup_request`.
         """
         if self.embedding_model is None:
             raise ValueError("pooled_features requires an embedding model")
-        for name, ids in request.items():
-            self.lookup(name, ids)
-        return self.embedding_model.pooled_features(request)
+        return self.embedding_model.pooled_features(self._serve_request(request))
 
     def table_specs(self) -> Dict[str, TableServingSpec]:
         """Node-independent serving specs for every table (cluster input)."""
@@ -414,19 +366,13 @@ class BandanaStore:
             )
         state.layout = layout
         if state.engine is not None:
-            if retain_cache:
-                state.engine.swap_layout(layout)
-            else:
+            if not retain_cache:
                 state.engine.reset()
-                state.engine.swap_layout(layout)
-        if not retain_cache:
-            state.cache.clear()
-        self._request_replayer = None  # rebound to the swapped engines on demand
+            state.engine.swap_layout(layout)
 
     def reset_serving_state(self) -> None:
         """Clear caches and counters (placement and thresholds are kept)."""
         for state in self.tables.values():
-            state.cache.clear()
             state.policy.reset()
             state.device.reset_counters()
             state.stats = ReplayStats(
@@ -434,7 +380,6 @@ class BandanaStore:
                 block_bytes=self.config.vectors_per_block * self.config.vector_bytes,
             )
             state.engine = None  # rebuilt lazily against the fresh stats
-        self._request_replayer = None  # rebound to the fresh engines on demand
 
     # ------------------------------------------------------------- baselines
     def baseline_block_reads(self, eval_trace: ModelTrace) -> int:
@@ -445,14 +390,9 @@ class BandanaStore:
         *increase* of the store.
         """
         total = 0
-        replay = (
-            replay_table_cache_batched
-            if self.config.use_batched_engine
-            else replay_table_cache
-        )
         for name, trace in eval_trace.items():
             state = self._state(name)
-            stats = replay(
+            stats = replay_table_cache_batched(
                 trace.queries,
                 state.layout,
                 NoPrefetchPolicy(),
@@ -462,51 +402,6 @@ class BandanaStore:
             total += stats.block_reads
         return total
 
-    def serving_engine(self, table_name: str) -> BatchReplayEngine:
-        """The table's batched serving engine (created on first use).
-
-        Public accessor for callers that drive the engines directly — the
-        interleaved store replay builds its per-table tasks from these, so
-        a replay continues exactly where serving left off.
-        """
-        if not self.config.use_batched_engine:
-            raise ValueError(
-                "serving engines exist only when config.use_batched_engine is set"
-            )
-        return self._engine(self._state(table_name))
-
-    def adopt_engine(self, table_name: str, engine: BatchReplayEngine) -> None:
-        """Install an engine replayed elsewhere (e.g. in a worker process).
-
-        Rebinds the table's stats, policy and device to the engine's so the
-        store's observable state — counters, cache contents, policy state,
-        device accounting — is exactly what in-process serving would have
-        produced, and drops the interleaved request fan-out so it is
-        rebuilt over the adopted engines.  To change what the adopted policy
-        admits afterwards, call its ``retune`` (not a write to
-        ``state.access_counts``): that is what a warm engine watches.
-        """
-        state = self._state(table_name)
-        if (engine.stats.vector_bytes, engine.stats.block_bytes) != (
-            state.stats.vector_bytes,
-            state.stats.block_bytes,
-        ):
-            raise ValueError("adopted engine has a different stats geometry")
-        state.engine = engine
-        state.stats = engine.stats
-        state.policy = engine.policy
-        if engine.device is not None:
-            state.device = engine.device
-        # A policy that crossed a process boundary carries its own copy of
-        # the table's access counts; re-point it at the store's array to
-        # restore the build-time aliasing (no duplicate memory).
-        policy = state.policy
-        if isinstance(policy, AccessThresholdPolicy) and np.array_equal(
-            policy.access_counts, state.access_counts
-        ):
-            policy.retune(access_counts=state.access_counts)
-        self._request_replayer = None
-
     # ----------------------------------------------------------------- private
     def _gather(self, table_name: str, ids: np.ndarray) -> Optional[np.ndarray]:
         """Embedding values for ``ids``, or ``None`` in counting-only mode."""
@@ -514,25 +409,33 @@ class BandanaStore:
             return self.embedding_model[table_name].gather(ids)
         return None
 
-    def _interleaved_replayer(self) -> "InterleavedStoreReplayer":
-        """The store-wide interleaved request fan-out (created on first use)."""
-        if self._request_replayer is None:
-            # Imported here: repro.simulation imports this module at package
-            # init, so a top-level import would be circular.
-            from repro.simulation.interleaved import InterleavedStoreReplayer
+    def _checked_ids(self, state: BandanaTableState, raw_ids: npt.ArrayLike) -> np.ndarray:
+        """``raw_ids`` as a 1-D ``int64`` array of ids in the table's range."""
+        ids = check_array_1d_ints(raw_ids, "vector_ids")
+        check_id_range(ids, state.layout.num_vectors)
+        return ids
 
-            self._request_replayer = InterleavedStoreReplayer(
-                {name: self._engine(state) for name, state in self.tables.items()}
-            )
-        return self._request_replayer
+    def _serve_request(self, request: Mapping[str, Iterable[int]]) -> Dict[str, np.ndarray]:
+        """Validate a whole multi-table request, then serve it table by table.
+
+        Every table name, id array and id range is checked before the first
+        engine runs, so a rejected request leaves every engine, device and
+        counter untouched.  Returns the validated id arrays.
+        """
+        arrays = {
+            name: self._checked_ids(self._state(name), raw_ids)
+            for name, raw_ids in request.items()
+        }
+        for name, ids in arrays.items():
+            if ids.size:
+                self._engine(self.tables[name]).replay_query(ids, validate=False)
+        return arrays
 
     def _engine(self, state: BandanaTableState) -> BatchReplayEngine:
-        """The table's batched serving engine, created on first use.
+        """The table's serving engine, created on first use.
 
-        The engine shares the table's ``stats`` object and device, so all
-        counters accumulate exactly as on the reference path.  Serving must
-        stay on one path per reset: the engine's own cache and the legacy
-        ``state.cache`` are separate residency states.
+        The engine owns the table's DRAM residency and shares the table's
+        ``stats`` object and device, so all counters accumulate on the state.
         """
         if state.engine is None:
             state.engine = BatchReplayEngine(

@@ -17,6 +17,7 @@ from repro.utils.validation import (
     check_fraction,
     check_instance,
     check_int_at_least,
+    check_non_negative,
     check_positive,
     check_probability,
     check_seed,
@@ -444,28 +445,10 @@ class BandanaConfig:
         Queue depth assumed for NVM latency accounting.
     seed:
         Base random seed for all stochastic components.
-    use_batched_engine:
-        Serve lookups through the vectorized batch replay engine
-        (:mod:`repro.caching.engine`).  The engine is bit-identical to the
-        reference loop; ``False`` keeps serving on the reference path.
-    interleaved_replay:
-        Replay store-level request streams interleaved across tables (one
-        pass over the request stream, fanning each request's ids out to all
-        tables) instead of table-by-table, and serve ``lookup_request``
-        through the interleaved fan-out path.  Counters are bit-identical
-        either way (see :mod:`repro.simulation.interleaved`); requires
-        ``use_batched_engine``.
     num_workers:
-        Worker processes for interleaved store replay: tables are sharded
-        across this many processes by lookup volume.  ``1`` replays inline
-        in the calling process.
-    chunk_requests:
-        Requests accumulated per table between engine flushes during
-        interleaved replay (see
-        :data:`repro.simulation.interleaved.DEFAULT_CHUNK_REQUESTS`; the
-        literal ``64`` here must match it — config cannot import the
-        simulation package without a cycle).  Counters are bit-identical
-        for every value; this is purely a throughput knob.
+        Must be ``1``: the store replays in the calling process.  Kept only
+        so existing callers that pass ``num_workers=1`` still construct;
+        worker-sharded store replay was removed.
     serving:
         Batch-serving front-end configuration consumed by
         :func:`repro.serving.simulate_serving` (arrival process, batching
@@ -493,10 +476,7 @@ class BandanaConfig:
     candidate_thresholds: Sequence[float] = (0, 25, 50, 100, 200, 400)
     queue_depth: float = 8.0
     seed: int = 0
-    use_batched_engine: bool = True
-    interleaved_replay: bool = False
     num_workers: int = 1
-    chunk_requests: int = 64
     serving: ServingConfig = ServingConfig()
     cluster: ClusterConfig = ClusterConfig()
     tracing: TracingConfig = TracingConfig()
@@ -504,23 +484,23 @@ class BandanaConfig:
     def __post_init__(self) -> None:
         check_int_at_least(self.vector_bytes, 1, "vector_bytes")
         check_int_at_least(self.block_bytes, 1, "block_bytes")
-        check_positive(self.total_cache_vectors, "total_cache_vectors")
+        check_int_at_least(self.total_cache_vectors, 1, "total_cache_vectors")
         check_positive(self.shp_iterations, "shp_iterations")
         check_positive(self.kmeans_clusters, "kmeans_clusters")
         check_positive(self.queue_depth, "queue_depth")
         check_int_at_least(self.num_workers, 1, "num_workers")
-        check_int_at_least(self.chunk_requests, 1, "chunk_requests")
+        if self.num_workers != 1:
+            raise ValueError(
+                f"num_workers must be 1, got {self.num_workers!r}: "
+                "worker-sharded store replay was removed"
+            )
+        check_positive(self.mini_cache_sampling_rate, "mini_cache_sampling_rate")
         check_fraction(self.mini_cache_sampling_rate, "mini_cache_sampling_rate")
         check_bool(self.tune_thresholds, "tune_thresholds")
         check_seed(self.seed, "seed")
         check_instance(self.serving, ServingConfig, "serving")
         check_instance(self.cluster, ClusterConfig, "cluster")
         check_instance(self.tracing, TracingConfig, "tracing")
-        if self.interleaved_replay and not self.use_batched_engine:
-            raise ValueError(
-                "interleaved_replay requires use_batched_engine (the reference "
-                "loop has no interleaved serving path)"
-            )
         if self.block_bytes % self.vector_bytes != 0:
             raise ValueError(
                 "block_bytes must be a multiple of vector_bytes "
@@ -534,14 +514,14 @@ class BandanaConfig:
             raise ValueError(
                 f"allocation must be one of {ALLOCATION_POLICIES}, got {self.allocation!r}"
             )
-        if self.default_threshold < 0:
-            raise ValueError("default_threshold must be >= 0")
-        if not tuple(self.candidate_thresholds):
-            raise ValueError("candidate_thresholds must not be empty")
+        check_non_negative(self.default_threshold, "default_threshold")
         # Freeze the threshold list into a tuple for hashability.
-        object.__setattr__(
-            self, "candidate_thresholds", tuple(float(t) for t in self.candidate_thresholds)
-        )
+        thresholds = tuple(float(t) for t in self.candidate_thresholds)
+        if not thresholds:
+            raise ValueError("candidate_thresholds must not be empty")
+        for index, threshold in enumerate(thresholds):
+            check_non_negative(threshold, f"candidate_thresholds[{index}]")
+        object.__setattr__(self, "candidate_thresholds", thresholds)
 
     @property
     def vectors_per_block(self) -> int:

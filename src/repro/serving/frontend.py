@@ -89,9 +89,9 @@ def simulate_serving(
     store:
         A built :class:`~repro.core.bandana.BandanaStore`.
     eval_trace:
-        Per-table queries, zipped into multi-table requests exactly like
-        :func:`repro.simulation.interleaved.iter_store_requests` (request
-        ``i`` reads every table's ``i``-th query).
+        Per-table queries, zipped into multi-table requests by
+        :meth:`~repro.workloads.trace.ModelTrace.requests` (request ``i``
+        reads every table's ``i``-th query).
     config:
         Serving knobs; defaults to ``store.config.serving``.  Beyond the
         arrival/batching knobs this selects the device accounting
@@ -164,15 +164,11 @@ def cut_request_stream(
     is the one place a request stream is cut, so both counts are validated
     here: a negative count would slice from the tail instead of failing.
     """
-    # Imported here: repro.simulation imports this package at init time, so
-    # a module-level import would be circular (same pattern as bandana.py).
-    from repro.simulation.interleaved import iter_store_requests
-
     warmup = check_int_at_least(warmup_requests, 0, "warmup_requests")
     stop: Optional[int] = None
     if num_requests is not None:
         stop = warmup + check_int_at_least(num_requests, 0, "num_requests")
-    stream = list(iter_store_requests(eval_trace))
+    stream = list(eval_trace.requests())
     return stream[:warmup], stream[warmup:stop]
 
 

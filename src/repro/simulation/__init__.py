@@ -4,9 +4,8 @@ The paper's figures are all produced by replaying an evaluation trace against
 some configuration of placement + cache + policy and comparing NVM block reads
 against the no-prefetch baseline.  :func:`repro.simulation.simulate_table`
 does that for one table (Figures 6–12), :func:`repro.simulation.simulate_store`
-for a full :class:`~repro.core.bandana.BandanaStore` (Figures 13–16) — either
-table-by-table or interleaved across tables with optional worker-process
-sharding (:mod:`repro.simulation.interleaved`) — and
+for a full :class:`~repro.core.bandana.BandanaStore` (Figures 13–16), table by
+table through the store's serving engines, and
 :mod:`repro.simulation.report` renders the results as the text tables the
 benchmark harnesses print.  :func:`repro.simulation.simulate_serving`
 (implemented in :mod:`repro.serving`) re-times the same store replay on a
@@ -21,18 +20,6 @@ from repro.simulation.runner import (
     simulate_store,
     unlimited_cache_bandwidth_increase,
 )
-from repro.simulation.interleaved import (
-    DEFAULT_CHUNK_REQUESTS,
-    InterleavedStoreReplayer,
-    TableReplayResult,
-    TableReplayTask,
-    baseline_stats_for,
-    iter_store_requests,
-    merge_replay_stats,
-    replay_store_interleaved,
-    shard_tasks,
-    unlimited_noprefetch_stats,
-)
 from repro.simulation.experiment import ExperimentRecord, ExperimentSweep
 from repro.simulation.report import format_table, format_percent, format_series
 from repro.serving.frontend import simulate_serving
@@ -46,16 +33,6 @@ __all__ = [
     "simulate_serving",
     "ServingReport",
     "unlimited_cache_bandwidth_increase",
-    "DEFAULT_CHUNK_REQUESTS",
-    "InterleavedStoreReplayer",
-    "TableReplayResult",
-    "TableReplayTask",
-    "baseline_stats_for",
-    "iter_store_requests",
-    "merge_replay_stats",
-    "replay_store_interleaved",
-    "shard_tasks",
-    "unlimited_noprefetch_stats",
     "ExperimentRecord",
     "ExperimentSweep",
     "format_table",

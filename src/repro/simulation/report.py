@@ -2,8 +2,8 @@
 
 The benchmark harnesses regenerate the paper's tables and figures as aligned
 text tables (rows/series with the same structure as the paper's plots), so the
-shape of each result can be compared at a glance and recorded in
-``EXPERIMENTS.md``.
+shape of each result can be compared at a glance and recorded under
+``benchmarks/results/``.
 """
 
 from __future__ import annotations

@@ -5,11 +5,9 @@ configuration against the baseline policy (cache only the requested vector, no
 prefetching) replayed over the *same* evaluation trace with the *same* cache
 size.  The helpers here run both sides and package the comparison.
 
-Whole-store replay offers two schedules with bit-identical per-table
-counters: the historical table-sequential walk, and the interleaved engine
-(:mod:`repro.simulation.interleaved`) that makes one pass over the zipped
-request stream and can shard tables across worker processes
-(``simulate_store(..., interleaved=True, num_workers=N)``).
+Every replay runs on the batch engine (:mod:`repro.caching.engine`); the
+store-wide replay walks one table at a time through the store's own serving
+engines, so a simulation continues exactly where serving left off.
 """
 
 from __future__ import annotations
@@ -19,15 +17,10 @@ from typing import Dict, Optional
 
 from repro.caching.engine import replay_table_cache_batched
 from repro.caching.policies import CacheAllBlockPolicy, NoPrefetchPolicy, PrefetchPolicy
-from repro.caching.replay import (
-    ReplayStats,
-    effective_bandwidth_increase,
-    replay_table_cache,
-)
+from repro.caching.replay import ReplayStats, effective_bandwidth_increase
 from repro.core.bandana import BandanaStore
 from repro.core.metrics import CacheStats, EffectiveBandwidth
 from repro.nvm.block import BlockLayout
-from repro.simulation.interleaved import TableReplayTask, replay_store_interleaved
 from repro.workloads.trace import ModelTrace, Trace
 
 
@@ -64,7 +57,6 @@ def simulate_table(
     vector_bytes: int = 128,
     include_baseline: bool = True,
     baseline_policy: Optional[PrefetchPolicy] = None,
-    use_batched_engine: bool = True,
 ) -> TableSimulationResult:
     """Replay one table's trace under ``policy`` and (optionally) the baseline.
 
@@ -85,13 +77,9 @@ def simulate_table(
         Whether to also replay the baseline policy for comparison.
     baseline_policy:
         The baseline policy; defaults to no-prefetch (the paper's baseline).
-    use_batched_engine:
-        Replay on the vectorized batch engine (default); the counters are
-        bit-identical to the reference loop (``False``).
     """
-    replay = replay_table_cache_batched if use_batched_engine else replay_table_cache
     policy.reset()
-    stats = replay(
+    stats = replay_table_cache_batched(
         trace.queries,
         layout,
         policy,
@@ -102,7 +90,7 @@ def simulate_table(
     if include_baseline:
         baseline = baseline_policy or NoPrefetchPolicy()
         baseline.reset()
-        baseline_stats = replay(
+        baseline_stats = replay_table_cache_batched(
             trace.queries,
             layout,
             baseline,
@@ -137,18 +125,9 @@ def unlimited_cache_bandwidth_increase(
 
 @dataclass(frozen=True)
 class StoreSimulationResult:
-    """Outcome of replaying a full model trace through a Bandana store.
-
-    ``interleaved`` and ``num_workers`` record which replay schedule
-    produced the result — ``num_workers`` is the number of worker shards
-    actually used (at most one per table; ``1`` means the replay ran
-    inline).  The per-table counters are bit-identical across schedules
-    (see :mod:`repro.simulation.interleaved`).
-    """
+    """Outcome of replaying a full model trace through a Bandana store."""
 
     per_table: Dict[str, TableSimulationResult] = field(default_factory=dict)
-    interleaved: bool = False
-    num_workers: int = 1
 
     @property
     def total_block_reads(self) -> int:
@@ -186,55 +165,28 @@ def simulate_store(
     eval_trace: ModelTrace,
     include_baseline: bool = True,
     reset_first: bool = True,
-    interleaved: Optional[bool] = None,
-    num_workers: Optional[int] = None,
-    chunk_requests: Optional[int] = None,
 ) -> StoreSimulationResult:
     """Replay a full model trace through a built Bandana store.
 
-    Two schedules are available, producing bit-identical per-table counters:
-
-    * **table-sequential** (the default): each table's queries are replayed
-      through the store's serving path — the batched engine by default, via
-      :meth:`~repro.core.bandana.BandanaStore.lookup_batch` — one table at a
-      time.
-    * **interleaved** (``interleaved=True``, or the store's
-      ``config.interleaved_replay``): one pass over the zipped request
-      stream fans each request's ids out across all tables, and with
-      ``num_workers > 1`` (default: ``config.num_workers``) the tables are
-      sharded across worker processes holding per-worker engines whose
-      state is merged back into the store (see
-      :mod:`repro.simulation.interleaved`).
+    Each table's queries are served in one
+    :meth:`~repro.core.bandana.BandanaStore.lookup_batch` call, one table at
+    a time.  Per-table replay state is independent across tables, so this
+    gives the same counters as serving the zipped request stream
+    (:meth:`~repro.workloads.trace.ModelTrace.requests`) request by request.
 
     The per-table baseline is replayed with the same cache size but no
     prefetching.  ``reset_first`` clears the store's serving state so
     repeated simulations start cold, like the paper's runs.
     """
-    config = store.config
-    if interleaved is None:
-        interleaved = config.interleaved_replay
-    if num_workers is None:
-        num_workers = config.num_workers
-    if chunk_requests is None:
-        chunk_requests = config.chunk_requests
     if reset_first:
         store.reset_serving_state()
-    if interleaved:
-        return _simulate_store_interleaved(
-            store, eval_trace, include_baseline, num_workers, chunk_requests
-        )
-    baseline_replay = (
-        replay_table_cache_batched
-        if store.config.use_batched_engine
-        else replay_table_cache
-    )
     results: Dict[str, TableSimulationResult] = {}
     for name, trace in eval_trace.items():
         state = store.tables[name]
         store.lookup_batch(name, trace.queries)
         baseline_stats = None
         if include_baseline:
-            baseline_stats = baseline_replay(
+            baseline_stats = replay_table_cache_batched(
                 trace.queries,
                 state.layout,
                 NoPrefetchPolicy(),
@@ -245,48 +197,3 @@ def simulate_store(
             stats=state.stats, baseline_stats=baseline_stats
         )
     return StoreSimulationResult(per_table=results)
-
-
-def _simulate_store_interleaved(
-    store: BandanaStore,
-    eval_trace: ModelTrace,
-    include_baseline: bool,
-    num_workers: int,
-    chunk_requests: int,
-) -> StoreSimulationResult:
-    """The interleaved schedule of :func:`simulate_store`.
-
-    Tasks are built from the store's (possibly warm) serving engines, so a
-    replay continues exactly where previous serving left off; after a
-    sharded run the worker-side engines are adopted back into the store,
-    leaving it in the same observable state as an in-process replay.
-    """
-    if not store.config.use_batched_engine:
-        raise ValueError(
-            "interleaved store replay requires config.use_batched_engine"
-        )
-    tasks = [
-        TableReplayTask(
-            name=name,
-            engine=store.serving_engine(name),
-            queries=trace.queries,
-            include_baseline=include_baseline,
-            baseline_cache_size=store.tables[name].cache_config.cache_size_vectors,
-            vector_bytes=store.config.vector_bytes,
-        )
-        for name, trace in eval_trace.items()
-    ]
-    replayed = replay_store_interleaved(
-        tasks, num_workers=num_workers, chunk_requests=chunk_requests
-    )
-    num_workers = min(num_workers, len(tasks)) if tasks else 1
-    results: Dict[str, TableSimulationResult] = {}
-    for name in eval_trace:
-        result = replayed[name]
-        store.adopt_engine(name, result.engine)
-        results[name] = TableSimulationResult(
-            stats=result.stats, baseline_stats=result.baseline_stats
-        )
-    return StoreSimulationResult(
-        per_table=results, interleaved=True, num_workers=num_workers
-    )

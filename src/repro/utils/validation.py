@@ -53,9 +53,9 @@ def check_probability(value: float, name: str) -> float:
 def check_int_at_least(value: Any, minimum: int, name: str) -> int:
     """Return ``value`` as an ``int`` if it is an integer >= ``minimum``.
 
-    Rejects booleans and non-integral floats: worker counts, chunk sizes and
+    Rejects booleans and non-integral floats: cache sizes, batch sizes and
     replica counts are exact quantities, and silently truncating ``2.5``
-    workers would hide a configuration bug.  The error message names the knob
+    replicas would hide a configuration bug.  The error message names the knob
     and the constraint so a bad config fails at construction, not as an
     obscure downstream crash.
     """
@@ -133,3 +133,12 @@ def check_array_1d_ints(values: Any, name: str) -> np.ndarray:
     if arr.size and not np.issubdtype(arr.dtype, np.integer):
         raise TypeError(f"{name} must contain integers, got dtype {arr.dtype}")
     return arr.astype(np.int64, copy=False)
+
+
+def check_id_range(ids: np.ndarray, num_vectors: int) -> None:
+    """Raise ``IndexError`` unless every id lies in ``[0, num_vectors)``."""
+    if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= num_vectors):
+        raise IndexError(
+            f"vector ids must be in [0, {num_vectors}), got range "
+            f"[{ids.min()}, {ids.max()}]"
+        )

@@ -204,6 +204,19 @@ class ModelTrace:
         """Total lookups across every table."""
         return sum(trace.num_lookups for trace in self.tables.values())
 
+    def requests(self) -> Iterator[Dict[str, np.ndarray]]:
+        """Zip the tables into a stream of multi-table requests.
+
+        Request ``i`` maps each table name to that table's ``i``-th query;
+        tables with fewer queries drop out of later requests.  This is the
+        store-level request stream: one production request reads from every
+        table at once.
+        """
+        tables = [(name, trace.queries) for name, trace in self.tables.items()]
+        num_requests = max((len(queries) for _, queries in tables), default=0)
+        for i in range(num_requests):
+            yield {name: queries[i] for name, queries in tables if i < len(queries)}
+
     def lookup_shares(self) -> Dict[str, float]:
         """Fraction of all lookups served by each table (Table 1, "% of total")."""
         total = self.total_lookups

@@ -13,14 +13,42 @@ import sys
 import numpy as np
 import pytest
 
+from repro.caching.policies import (
+    AccessThresholdPolicy,
+    CacheAllBlockPolicy,
+    CombinedPolicy,
+    InsertAtPositionPolicy,
+    NoPrefetchPolicy,
+    ShadowAdmissionPolicy,
+)
+from repro.caching.replay import ReplayStats
+from repro.core.bandana import BandanaStore, BandanaTableState
+from repro.core.config import BandanaConfig, TableCacheConfig
 from repro.embeddings import EmbeddingTable, synthesize_topic_vectors
+from repro.nvm.block import BlockLayout
+from repro.nvm.device import NVMDevice
 from repro.partitioning import SHPPartitioner
 from repro.scenarios import ScenarioConfig, generate_scenario_trace
 from repro.workloads import SyntheticTraceGenerator, TableSpec, scaled_table_specs
 from repro.workloads.characterization import access_counts
-from repro.workloads.trace import Trace
+from repro.workloads.trace import ModelTrace, Trace
 
 VECTORS_PER_BLOCK = 32
+
+#: Block geometry of :func:`build_store`'s tables.
+STORE_VECTORS_PER_BLOCK = 8
+
+#: One :func:`build_store` table per built-in policy, with cache sizes spanning
+#: unlimited, comfortable, block-sized, churning and degenerate regimes (None
+#: means "as large as the table").
+POLICY_TABLES = {
+    "t-noprefetch": (lambda counts: NoPrefetchPolicy(), 30),
+    "t-cacheall": (lambda counts: CacheAllBlockPolicy(), None),
+    "t-insertpos": (lambda counts: InsertAtPositionPolicy(0.5), 9),
+    "t-shadow": (lambda counts: ShadowAdmissionPolicy(30, 1.5), 3),
+    "t-combined": (lambda counts: CombinedPolicy(30, position=0.7), 1),
+    "t-threshold": (lambda counts: AccessThresholdPolicy(counts, 10), 48),
+}
 
 
 def make_spec(
@@ -61,6 +89,55 @@ def count_python_calls(function):
     finally:
         sys.setprofile(None)
     return result, calls
+
+
+def counters(stats: ReplayStats):
+    """Every replay counter, simulated device latency included."""
+    return stats.counters(include_latency=True)
+
+
+def build_store(seed: int):
+    """A multi-table store (one table per policy) plus its evaluation trace.
+
+    Layouts, cache sizes, traces and access counts are randomized per seed;
+    identical seeds produce identical stores, so two builds can be replayed
+    by different paths and compared counter for counter.
+    """
+    rng = np.random.default_rng(seed)
+    config = BandanaConfig(
+        total_cache_vectors=100,
+        tune_thresholds=False,
+        vector_bytes=128,
+        block_bytes=STORE_VECTORS_PER_BLOCK * 128,
+    )
+    tables = {}
+    traces = {}
+    for name, (make_policy, size) in POLICY_TABLES.items():
+        num_vectors = int(rng.integers(60, 300))
+        layout = BlockLayout(
+            rng.permutation(num_vectors).astype(np.int64), STORE_VECTORS_PER_BLOCK
+        )
+        counts = rng.integers(0, 30, size=num_vectors).astype(np.int64)
+        queries = [
+            rng.integers(0, num_vectors, size=int(rng.integers(1, 10))).astype(np.int64)
+            for _ in range(int(rng.integers(60, 120)))
+        ]
+        cache_size = num_vectors if size is None else min(size, num_vectors)
+        tables[name] = BandanaTableState(
+            name=name,
+            layout=layout,
+            policy=make_policy(counts),
+            device=NVMDevice(
+                num_blocks=layout.num_blocks, block_bytes=config.block_bytes
+            ),
+            cache_config=TableCacheConfig(cache_size_vectors=cache_size),
+            access_counts=counts,
+            stats=ReplayStats(
+                vector_bytes=config.vector_bytes, block_bytes=config.block_bytes
+            ),
+        )
+        traces[name] = Trace(queries, num_vectors=num_vectors)
+    return BandanaStore(config, tables), ModelTrace(traces)
 
 
 def trace_digest(trace: Trace) -> dict:

@@ -8,8 +8,8 @@ from repro.core.config import BandanaConfig
 from repro.embeddings import EmbeddingModel, EmbeddingTable, synthesize_topic_vectors
 from repro.simulation.runner import simulate_store
 from repro.workloads import SyntheticTraceGenerator
-from repro.workloads.trace import ModelTrace
-from tests.conftest import make_spec
+from repro.workloads.trace import ModelTrace, Trace
+from tests.conftest import build_store, counters, make_spec
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +124,59 @@ class TestServing:
         features = built_store.pooled_features({"alpha": [1, 2], "beta": [3]})
         assert features.shape == (32,)
 
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ({"beta": [5000]}, IndexError),
+            ({"beta": [1.7]}, TypeError),
+            ({"beta": [[1, 2], [3, 4]]}, ValueError),
+            ({"gamma": [1]}, KeyError),
+        ],
+        ids=["out-of-range", "float", "2-d", "unknown-table"],
+    )
+    def test_rejected_request_serves_no_table(self, built_store, bad, error):
+        """A request is validated whole: an earlier table is not served first."""
+        for serve in (built_store.lookup_request, built_store.pooled_features):
+            built_store.reset_serving_state()
+            with pytest.raises(error):
+                serve({"alpha": [1, 2], **bad})
+            assert built_store.aggregate_stats().lookups == 0
+            assert built_store.total_blocks_read() == 0
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda store: store.lookup_batch("gamma", [[1]]),
+            lambda store: store.baseline_block_reads(ModelTrace({"gamma": Trace([[1]])})),
+            lambda store: store.swap_layout("gamma", store.tables["alpha"].layout),
+            lambda store: simulate_store(store, ModelTrace({"gamma": Trace([[1]])})),
+        ],
+        ids=["lookup-batch", "baseline", "swap-layout", "simulate-store"],
+    )
+    def test_unknown_table_rejected_everywhere(self, built_store, call):
+        built_store.reset_serving_state()
+        with pytest.raises(KeyError):
+            call(built_store)
+        assert built_store.aggregate_stats().lookups == 0
+        assert built_store.total_blocks_read() == 0
+
+    def test_pooled_features_serve_like_lookup_request(self, built_store):
+        """Same counters as ``lookup_request``; sum-pooled in table registration order."""
+        request = {"beta": [3], "alpha": [1, 2, 2]}
+        built_store.reset_serving_state()
+        vectors = built_store.lookup_request(request)
+        served = {name: counters(state.stats) for name, state in built_store.tables.items()}
+        built_store.reset_serving_state()
+        features = built_store.pooled_features(request)
+        assert {
+            name: counters(state.stats) for name, state in built_store.tables.items()
+        } == served
+        np.testing.assert_allclose(
+            features,
+            np.concatenate([vectors["alpha"].sum(axis=0), vectors["beta"].sum(axis=0)]),
+            rtol=1e-6,
+        )
+
     def test_cache_hits_on_repeat(self, built_store):
         built_store.reset_serving_state()
         built_store.lookup("alpha", [5])
@@ -147,6 +200,20 @@ class TestServing:
         )
         assert store.lookup("alpha", [1, 2]) is None
         assert store.aggregate_stats().lookups == 2
+
+
+def test_lookup_request_matches_per_table_lookups():
+    """Serving zipped requests ≡ serving each table's queries by ``lookup``."""
+    request_store, trace = build_store(7)
+    lookup_store, _ = build_store(7)
+    for request in trace.requests():
+        request_store.lookup_request(request)
+        for name, ids in request.items():
+            lookup_store.lookup(name, ids)
+    for name in trace:
+        by_request, by_lookup = request_store.tables[name], lookup_store.tables[name]
+        assert counters(by_request.stats) == counters(by_lookup.stats), name
+        assert by_request.engine.cache.keys() == by_lookup.engine.cache.keys(), name
 
 
 class TestServingAttribution:

@@ -12,7 +12,6 @@ wrappers), which the headroom absorbs.
 
 import numpy as np
 
-from repro.caching.lru import LRUCache
 from repro.caching.policies import AccessThresholdPolicy
 from repro.caching.replay import ReplayStats
 from repro.cluster import run_scenario
@@ -62,7 +61,6 @@ def serving_shaped_store(seed):
         tables[name] = BandanaTableState(
             name=name,
             layout=layout,
-            cache=LRUCache(512),
             policy=AccessThresholdPolicy(counts, 10),
             device=NVMDevice(
                 num_blocks=layout.num_blocks, block_bytes=config.block_bytes

@@ -5,7 +5,7 @@ Sequentially replaying a request stream through a
 bit-identical per-table counters, cache contents and device accounting to
 the single-host :class:`~repro.core.bandana.BandanaStore` replay of the
 same stream — across every prefetch policy and degenerate cache size (the
-randomized stores of ``test_interleaved_equivalence``).  A golden pin of
+randomized stores of ``conftest.build_store``).  A golden pin of
 the aggregate counters guards the invariant against behavioural drift that
 happens to stay self-consistent.
 """
@@ -13,13 +13,11 @@ happens to stay self-consistent.
 import numpy as np
 import pytest
 
-from test_interleaved_equivalence import build_store, counters
-
 from repro.cluster import ClusterStore
 from repro.core.config import ClusterConfig
 from repro.serving import simulate_serving
 from repro.simulation import simulate_store
-from repro.simulation.interleaved import iter_store_requests
+from tests.conftest import build_store, counters
 
 SINGLE = ClusterConfig(num_nodes=1, replication=1)
 
@@ -27,7 +25,7 @@ SINGLE = ClusterConfig(num_nodes=1, replication=1)
 def replay_cluster(seed: int, config: ClusterConfig) -> ClusterStore:
     store, trace = build_store(seed)
     cluster = ClusterStore.from_store(store, config=config)
-    for request in iter_store_requests(trace):
+    for request in trace.requests():
         cluster.serve_request(request)
     return cluster
 
@@ -84,7 +82,7 @@ class TestSingleNodeEquivalence:
     def test_reset_serving_state_replays_identically(self):
         store, trace = build_store(1)
         cluster = ClusterStore.from_store(store, config=SINGLE)
-        requests = list(iter_store_requests(trace))
+        requests = list(trace.requests())
         for request in requests:
             cluster.serve_request(request)
         first = cluster.aggregate_stats().counters(include_latency=True)

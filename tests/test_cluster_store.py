@@ -12,16 +12,12 @@ import os
 import sys
 
 if __package__ in (None, ""):  # direct script run (golden regeneration)
-    sys.path.insert(
-        0,
-        os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"),
-    )
+    _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sys.path[:0] = [os.path.join(_ROOT, "src"), _ROOT]
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-
-from test_interleaved_equivalence import build_store
 
 from repro.cluster import (
     ClusterStore,
@@ -38,6 +34,7 @@ from repro.core.config import ClusterConfig, ServingConfig
 from repro.core.tablespec import TableServingSpec
 from repro.nvm.block import BlockLayout
 from repro.tracing import Tracer, validate_trace
+from tests.conftest import build_store
 
 #: Scenario window tuned to the ~0.05 s makespan of the seed traces
 #: (106 requests at the default 2000 rps).

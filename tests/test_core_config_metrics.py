@@ -96,24 +96,73 @@ class TestLatencyStats:
 
 
 class TestConfigKnobValidation:
-    """The worker/chunk/serving/cluster knobs fail loudly at construction."""
+    """The store/serving/cluster knobs fail loudly at construction."""
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"num_workers": 0},
-            {"chunk_requests": 0},
             {"vector_bytes": 0},
+            {"total_cache_vectors": 0},
         ],
     )
     def test_bandana_rejects_non_positive_counts(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             BandanaConfig(**kwargs)
 
-    @pytest.mark.parametrize("kwargs", [{"num_workers": 2.5}, {"chunk_requests": True}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"num_workers": 2.5},
+            {"total_cache_vectors": 100.7},
+            {"total_cache_vectors": True},
+        ],
+    )
     def test_bandana_rejects_non_integer_counts(self, kwargs):
         with pytest.raises(TypeError, match=next(iter(kwargs))):
             BandanaConfig(**kwargs)
+
+    @pytest.mark.parametrize("num_workers", [2, 4])
+    def test_worker_sharded_replay_is_gone(self, num_workers):
+        assert BandanaConfig(num_workers=1).num_workers == 1
+        with pytest.raises(ValueError, match="worker-sharded store replay was removed"):
+            BandanaConfig(num_workers=num_workers)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"default_threshold": float("nan")}, "default_threshold"),
+            ({"default_threshold": float("inf")}, "default_threshold"),
+            ({"default_threshold": -1.0}, "default_threshold"),
+            ({"candidate_thresholds": (0, -5, 10)}, r"candidate_thresholds\[1\]"),
+            ({"candidate_thresholds": (float("nan"),)}, r"candidate_thresholds\[0\]"),
+            ({"mini_cache_sampling_rate": 0.0}, "mini_cache_sampling_rate"),
+            ({"mini_cache_sampling_rate": float("nan")}, "mini_cache_sampling_rate"),
+        ],
+        ids=[
+            "threshold-nan",
+            "threshold-inf",
+            "threshold-negative",
+            "candidate-negative",
+            "candidate-nan",
+            "sampling-zero",
+            "sampling-nan",
+        ],
+    )
+    def test_bandana_rejects_what_build_cannot_use(self, kwargs, name):
+        # Each of these used to construct and then fail (or silently
+        # misbehave) deep inside BandanaStore.build, after SHP had run.
+        with pytest.raises(ValueError, match=name):
+            BandanaConfig(**kwargs)
+
+    def test_bandana_accepts_the_boundaries(self):
+        config = BandanaConfig(
+            total_cache_vectors=1,
+            default_threshold=0.0,
+            candidate_thresholds=(0,),
+            mini_cache_sampling_rate=1.0,
+        )
+        assert config.candidate_thresholds == (0.0,)
 
     def test_serving_rejects_bad_knobs(self):
         with pytest.raises(ValueError, match="slo_latency_us"):

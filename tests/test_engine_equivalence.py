@@ -5,10 +5,11 @@ The batched engine (:mod:`repro.caching.engine`) must produce **bit-identical**
 contents in the same recency order — as the reference per-vector loop, for any
 trace, layout, policy and cache size, however the stream is cut into calls.
 These tests sweep randomized traces across all six policies, the engine's
-three cache kinds and the boundaries between them, and pin the counters of the
-shapes the benchmark drives (``GOLDEN_ENGINE_COUNTERS``, captured from the
-stamp-log engine this one replaced; ``python tests/test_engine_equivalence.py``
-prints a fresh dictionary).
+three cache kinds and the boundaries between them, check the store and the
+miniature-cache tuner against direct reference-loop calls, and pin the
+counters of the shapes the benchmark drives (``GOLDEN_ENGINE_COUNTERS``,
+captured from the stamp-log engine this one replaced;
+``python tests/test_engine_equivalence.py`` prints a fresh dictionary).
 """
 
 import hashlib
@@ -36,11 +37,25 @@ from repro.caching.policies import (
     PrefetchPolicy,
     ShadowAdmissionPolicy,
 )
-from repro.caching.replay import ReplayStats, replay_table_cache
+from repro.caching.replay import (
+    ReplayStats,
+    effective_bandwidth_increase,
+    replay_table_cache,
+)
+from repro.core.bandana import BandanaStore
+from repro.core.config import BandanaConfig, TableCacheConfig
 from repro.nvm.block import BlockLayout
 from repro.nvm.device import NVMDevice
-from repro.workloads.trace import Trace
-from tests.conftest import drift_replay_case, table1_replay_case
+from repro.simulation import simulate_store
+from repro.utils.sampling import sample_queries_spatially
+from repro.workloads.trace import ModelTrace, Trace
+from tests.conftest import (
+    POLICY_TABLES,
+    build_store,
+    drift_replay_case,
+    table1_replay_case,
+)
+from tests.conftest import counters as full_counters
 
 
 def counters(stats: ReplayStats):
@@ -299,6 +314,72 @@ class TestEveryPolicyEveryCacheKind:
         assert engine.cache.keys() == reference_cache.keys() == [7, 6, 5]
 
 
+def unlimited_noprefetch_stats(queries, layout, vector_bytes=128):
+    """Oracle: no prefetch and a cache that never evicts.
+
+    Nothing is ever evicted, so a lookup misses exactly on the first
+    occurrence of its id and hits on every later one.
+    """
+    ids = np.concatenate(queries) if queries else np.empty(0, dtype=np.int64)
+    stats = ReplayStats(
+        vector_bytes=vector_bytes, block_bytes=layout.vectors_per_block * vector_bytes
+    )
+    stats.lookups = int(ids.size)
+    stats.misses = int(np.unique(ids).size)
+    stats.hits = stats.lookups - stats.misses
+    return stats
+
+
+class TestMechanismRelations:
+    """Relations between policies and cache sizes that hold on any trace."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        vectors_per_block=st.sampled_from([4, 8, 32]),
+        headroom=st.integers(0, 40),
+    )
+    def test_unlimited_cache_without_prefetch_misses_on_first_occurrences(
+        self, seed, vectors_per_block, headroom
+    ):
+        layout, queries, _ = small_workload(seed, vectors_per_block)
+        capacity = layout.num_vectors + headroom
+        oracle = unlimited_noprefetch_stats(queries, layout)
+        reference = replay_table_cache(queries, layout, NoPrefetchPolicy(), cache_size=capacity)
+        batched = replay_table_cache_batched(
+            queries, layout, NoPrefetchPolicy(), cache_size=capacity
+        )
+        assert counters(reference) == counters(batched) == counters(oracle)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        vectors_per_block=st.sampled_from([4, 8, 32]),
+        kind=st.sampled_from(sorted(CAPACITY_KINDS)),
+        pick=st.integers(0, 10**6),
+        margin=st.integers(0, 5),
+    )
+    def test_threshold_at_or_above_every_count_is_no_prefetch(
+        self, seed, vectors_per_block, kind, pick, margin
+    ):
+        layout, queries, counts = small_workload(seed, vectors_per_block)
+        capacity = CAPACITY_KINDS[kind](layout.num_vectors, vectors_per_block, pick)
+        threshold = int(counts.max()) + margin
+        no_prefetch_cache, thresholded_cache = LRUCache(capacity), LRUCache(capacity)
+        no_prefetch = replay_table_cache(
+            queries, layout, NoPrefetchPolicy(), cache=no_prefetch_cache
+        )
+        thresholded = replay_table_cache(
+            queries, layout, AccessThresholdPolicy(counts, threshold), cache=thresholded_cache
+        )
+        engine = BatchReplayEngine(
+            layout, AccessThresholdPolicy(counts, threshold), cache_size=capacity
+        )
+        engine.replay(queries)
+        assert counters(thresholded) == counters(engine.stats) == counters(no_prefetch)
+        assert thresholded_cache.keys() == engine.cache.keys() == no_prefetch_cache.keys()
+
+
 class _AdmitsFromTheNthAccess(PrefetchPolicy):
     """Stateful, scalar-only: rejects everything until it has seen ``n`` accesses."""
 
@@ -418,36 +499,65 @@ class TestHostileIds:
         engine.replay_query(np.array([1.7, 2.2]), validate=False)  # the caller's promise
         assert engine.stats.lookups == 2
 
-    @pytest.mark.parametrize("use_batched_engine", [True, False])
     @pytest.mark.parametrize("ids, error", HOSTILE)
-    def test_store_lookups_reject_them_too(self, ids, error, use_batched_engine):
-        store, _ = TestStoreBatchedServing._build_store(use_batched_engine)
+    def test_store_lookups_reject_them_too(self, ids, error):
+        store, _ = TestStoreBatchedServing._build_store()
+        with pytest.raises(error) as reference:
+            replay_table_cache([ids], store.tables["alpha"].layout, NoPrefetchPolicy())
         for call in (
             lambda: store.lookup("alpha", ids),
             lambda: store.lookup_batch("alpha", [np.array([1, 2]), ids]),
+            lambda: store.lookup_request({"alpha": ids}),
         ):
-            with pytest.raises(error):
+            with pytest.raises(error) as raised:
                 call()
+            assert str(raised.value) == str(reference.value)
             assert store.tables["alpha"].stats.lookups == 0
+            assert store.total_blocks_read() == 0
 
 
 class TestMiniatureTunerEquivalence:
+    THRESHOLDS = (0, 5, 12)
+
+    def assert_matches_per_policy_replays(self, selection, queries, layout, counts, size):
+        """Every counter is one reference replay per policy at ``size``."""
+        baseline = replay_table_cache(queries, layout, NoPrefetchPolicy(), cache_size=size)
+        assert counters(selection.baseline_stats) == counters(baseline)
+        gains = {}
+        for threshold in self.THRESHOLDS:
+            alone = replay_table_cache(
+                queries, layout, AccessThresholdPolicy(counts, threshold), cache_size=size
+            )
+            assert counters(selection.per_threshold_stats[threshold]) == counters(alone)
+            gains[threshold] = effective_bandwidth_increase(baseline, alone)
+        assert selection.gains == gains
+        # The first threshold with the largest gain wins.
+        assert selection.threshold == max(gains, key=lambda t: (gains[t], -t))
+
     def test_single_pass_matches_reference_loop(self):
         layout, queries, access_counts = random_workload(11)
         trace = Trace(queries, num_vectors=layout.num_vectors)
-        batched = MiniatureCacheTuner(
-            sampling_rate=0.4, seed=2, thresholds=(0, 5, 12), use_batched_engine=True
+        selection = MiniatureCacheTuner(
+            sampling_rate=0.4, seed=2, thresholds=self.THRESHOLDS
         ).select_threshold(trace, layout, access_counts, cache_size=60)
-        reference = MiniatureCacheTuner(
-            sampling_rate=0.4, seed=2, thresholds=(0, 5, 12), use_batched_engine=False
-        ).select_threshold(trace, layout, access_counts, cache_size=60)
-        assert batched.threshold == reference.threshold
-        assert batched.gains == reference.gains
-        assert counters(batched.baseline_stats) == counters(reference.baseline_stats)
-        for threshold in (0, 5, 12):
-            assert counters(batched.per_threshold_stats[threshold]) == counters(
-                reference.per_threshold_stats[threshold]
-            )
+        sampled = sample_queries_spatially(trace.queries, 0.4, seed=2)
+        assert selection.miniature_cache_size == 24
+        self.assert_matches_per_policy_replays(
+            selection, sampled, layout, access_counts, 24
+        )
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_sampling_rate_one_is_the_full_cache(self, seed):
+        layout, queries, access_counts = random_workload(seed)
+        trace = Trace(queries, num_vectors=layout.num_vectors)
+        size = layout.num_vectors // 3
+        selection = MiniatureCacheTuner(
+            sampling_rate=1.0, thresholds=self.THRESHOLDS
+        ).select_threshold(trace, layout, access_counts, cache_size=size)
+        assert selection.miniature_cache_size == size
+        self.assert_matches_per_policy_replays(
+            selection, queries, layout, access_counts, size
+        )
 
     def test_hoisted_sampling_matches_per_size_runs(self):
         layout, queries, access_counts = random_workload(13)
@@ -507,14 +617,10 @@ class TestAdmissionPositionValidation:
 
 
 class TestStoreBatchedServing:
-    """The store's batched serving path equals the reference serving path."""
+    """The store's serving engines equal direct reference-loop replays."""
 
     @staticmethod
-    def _build_store(use_batched_engine):
-        from repro.core.bandana import BandanaStore
-        from repro.core.config import BandanaConfig
-        from repro.workloads.trace import ModelTrace
-
+    def _build_store():
         rng = np.random.default_rng(5)
         queries = [
             rng.integers(0, 512, size=int(rng.integers(2, 10))).astype(np.int64)
@@ -526,7 +632,6 @@ class TestStoreBatchedServing:
             total_cache_vectors=96,
             tune_thresholds=False,
             default_threshold=1.0,
-            use_batched_engine=use_batched_engine,
         )
         eval_queries = [
             rng.integers(0, 512, size=int(rng.integers(2, 10))).astype(np.int64)
@@ -537,25 +642,38 @@ class TestStoreBatchedServing:
             ModelTrace({"alpha": Trace(eval_queries, num_vectors=512)}),
         )
 
-    def test_simulate_store_matches_reference_path(self):
-        from repro.simulation.runner import simulate_store
-
-        batched_store, eval_trace = self._build_store(True)
-        reference_store, _ = self._build_store(False)
-        batched = simulate_store(batched_store, eval_trace)
-        reference = simulate_store(reference_store, eval_trace)
-        b = batched.per_table["alpha"].stats
-        r = reference.per_table["alpha"].stats
-        # Hit/miss/admission/eviction counters are engine-exact; the batched
-        # path additionally keeps prefetch attribution across queries, which
-        # repeated reference-loop calls forget (see engine docs).
-        assert (b.lookups, b.hits, b.misses, b.prefetch_admitted, b.evictions) == (
-            r.lookups, r.hits, r.misses, r.prefetch_admitted, r.evictions
+    def test_simulate_store_matches_reference_loop(self):
+        store, eval_trace = self._build_store()
+        result = simulate_store(store, eval_trace)
+        state = store.tables["alpha"]
+        queries = eval_trace["alpha"].queries
+        size = state.cache_config.cache_size_vectors
+        reference_cache = LRUCache(size)
+        reference_device = NVMDevice(num_blocks=state.layout.num_blocks)
+        # One uninterrupted reference replay: the engine carries prefetch
+        # attribution across calls, so every counter is exact.
+        reference = replay_table_cache(
+            queries,
+            state.layout,
+            AccessThresholdPolicy(state.access_counts, state.cache_config.threshold),
+            cache=reference_cache,
+            device=reference_device,
+            queue_depth=store.config.queue_depth,
         )
-        assert batched.total_baseline_block_reads == reference.total_baseline_block_reads
+        stats = result.per_table["alpha"].stats
+        assert stats.counters(include_latency=True) == reference.counters(
+            include_latency=True
+        )
+        assert state.engine.cache.keys() == reference_cache.keys()
+        assert state.device.blocks_read == reference_device.blocks_read
+        baseline = replay_table_cache(
+            queries, state.layout, NoPrefetchPolicy(), cache_size=size
+        )
+        assert counters(result.per_table["alpha"].baseline_stats) == counters(baseline)
+        assert store.baseline_block_reads(eval_trace) == baseline.block_reads
 
     def test_lookup_batch_matches_per_query_lookups(self):
-        store, eval_trace = self._build_store(True)
+        store, eval_trace = self._build_store()
         queries = eval_trace["alpha"].queries
         store.lookup_batch("alpha", queries)
         batched = counters(store.tables["alpha"].stats)
@@ -564,6 +682,172 @@ class TestStoreBatchedServing:
         for query in queries:
             store.lookup("alpha", query)
         assert counters(store.tables["alpha"].stats) == batched
+
+
+def reference_store_replay(store, trace):
+    """One uninterrupted reference-loop replay per table of ``store``.
+
+    Each table replays ``trace`` with a fresh copy of its policy, its cache
+    size and its own device geometry.  Returns ``{name: (stats, cache,
+    device)}``.
+    """
+    out = {}
+    for name, table_trace in trace.items():
+        state = store.tables[name]
+        cache = LRUCache(state.cache_config.cache_size_vectors)
+        device = NVMDevice(
+            num_blocks=state.layout.num_blocks, block_bytes=store.config.block_bytes
+        )
+        stats = replay_table_cache(
+            table_trace.queries,
+            state.layout,
+            POLICY_TABLES[name][0](state.access_counts),
+            cache=cache,
+            vector_bytes=store.config.vector_bytes,
+            device=device,
+            queue_depth=store.config.queue_depth,
+        )
+        out[name] = (stats, cache, device)
+    return out
+
+
+def assert_store_matches_reference(store, trace):
+    """Every table's counters, cache order and device reads ≡ the reference loop."""
+    for name, (stats, cache, device) in reference_store_replay(store, trace).items():
+        state = store.tables[name]
+        assert full_counters(state.stats) == full_counters(stats), name
+        assert state.engine.cache.keys() == cache.keys(), name
+        assert state.device.blocks_read == device.blocks_read, name
+
+
+class TestStoreReplayPaths:
+    """Every way of serving a multi-table store ≡ the reference loop per table.
+
+    :func:`~tests.conftest.build_store` puts all six policies and degenerate
+    cache sizes side by side; whether the trace is replayed table by table,
+    request by request or in chunks, each table must end in the state of one
+    uninterrupted reference replay of its own queries.
+    """
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_simulate_store_matches_reference_loop(self, seed):
+        store, trace = build_store(seed)
+        result = simulate_store(store, trace)
+        assert_store_matches_reference(store, trace)
+        for name, table_trace in trace.items():
+            state = store.tables[name]
+            baseline = replay_table_cache(
+                table_trace.queries,
+                state.layout,
+                NoPrefetchPolicy(),
+                cache_size=state.cache_config.cache_size_vectors,
+                vector_bytes=store.config.vector_bytes,
+            )
+            assert counters(result.per_table[name].baseline_stats) == counters(baseline)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lookup_request_stream_matches_reference_loop(self, seed):
+        store, trace = build_store(seed)
+        for request in trace.requests():
+            assert store.lookup_request(request) == dict.fromkeys(request)
+        assert_store_matches_reference(store, trace)
+
+    @pytest.mark.parametrize("chunk_queries", [1, 3, 1000])
+    def test_lookup_batch_chunks_match_reference_loop(self, chunk_queries):
+        store, trace = build_store(6)
+        for name, table_trace in trace.items():
+            queries = table_trace.queries
+            for start in range(0, len(queries), chunk_queries):
+                store.lookup_batch(name, queries[start : start + chunk_queries])
+        assert_store_matches_reference(store, trace)
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_warm_continuation_matches_one_uninterrupted_replay(self, seed):
+        """A second simulation without reset continues where the first ended."""
+        store, trace = build_store(seed)
+        simulate_store(store, trace)
+        simulate_store(store, trace, reset_first=False)
+        twice = ModelTrace(
+            {
+                name: Trace(table_trace.queries * 2, num_vectors=table_trace.num_vectors)
+                for name, table_trace in trace.items()
+            }
+        )
+        assert_store_matches_reference(store, twice)
+
+    def test_reset_serving_state_replays_identically(self):
+        store, trace = build_store(8)
+        requests = list(trace.requests())
+        for request in requests:
+            store.lookup_request(request)
+        first = {name: full_counters(store.tables[name].stats) for name in trace}
+        store.reset_serving_state()
+        assert store.aggregate_stats().lookups == 0
+        assert store.total_blocks_read() == 0
+        for request in requests:
+            store.lookup_request(request)
+        assert {name: full_counters(store.tables[name].stats) for name in trace} == first
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_result_totals_agree_with_the_store(self, seed):
+        store, trace = build_store(seed)
+        result = simulate_store(store, trace)
+        aggregate = store.aggregate_stats()
+        assert result.total_block_reads == store.total_blocks_read()
+        assert result.aggregate_hit_rate == aggregate.hits / aggregate.lookups
+        assert result.total_baseline_block_reads == store.baseline_block_reads(trace)
+        assert result.bandwidth_increase == (
+            result.total_baseline_block_reads / result.total_block_reads - 1.0
+        )
+
+
+class TestStoreBaselineBlockReads:
+    """``BandanaStore.baseline_block_reads``: the no-prefetch side of every comparison."""
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_matches_reference_loop_and_leaves_serving_state_alone(self, seed):
+        store, trace = build_store(seed)
+        expected = sum(
+            replay_table_cache(
+                table_trace.queries,
+                store.tables[name].layout,
+                NoPrefetchPolicy(),
+                cache_size=store.tables[name].cache_config.cache_size_vectors,
+            ).block_reads
+            for name, table_trace in trace.items()
+        )
+        assert store.baseline_block_reads(trace) == expected
+        assert store.aggregate_stats().lookups == 0
+        assert store.total_blocks_read() == 0
+        assert all(state.engine is None for state in store.tables.values())
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_unlimited_cache_reads_one_block_per_distinct_id(self, seed):
+        store, trace = build_store(seed)
+        for state in store.tables.values():
+            state.cache_config = TableCacheConfig(
+                cache_size_vectors=state.layout.num_vectors
+            )
+        expected = sum(
+            unlimited_noprefetch_stats(table_trace.queries, store.tables[name].layout).misses
+            for name, table_trace in trace.items()
+        )
+        assert store.baseline_block_reads(trace) == expected
+
+    def test_empty_trace_reads_nothing(self):
+        store, _ = build_store(0)
+        assert store.baseline_block_reads(ModelTrace({})) == 0
+        num_vectors = store.tables["t-noprefetch"].layout.num_vectors
+        empty = ModelTrace({"t-noprefetch": Trace([], num_vectors=num_vectors)})
+        assert store.baseline_block_reads(empty) == 0
+
+    def test_out_of_range_ids_rejected(self):
+        store, _ = build_store(0)
+        num_vectors = store.tables["t-noprefetch"].layout.num_vectors
+        with pytest.raises(IndexError):
+            store.baseline_block_reads(
+                ModelTrace({"t-noprefetch": Trace([[0, num_vectors]])})
+            )
 
 
 class TestLRUCacheHeapCompaction:

@@ -199,3 +199,48 @@ class TestModelTrace:
         loaded = ModelTrace.load(str(tmp_path))
         assert set(loaded.tables) == {"a", "b"}
         assert loaded["a"] == model["a"]
+
+
+class TestRequestStream:
+    def test_zips_ragged_tables(self):
+        trace = ModelTrace(
+            {
+                "a": Trace([[0], [1], [2]], num_vectors=4),
+                "b": Trace([[3, 2]], num_vectors=4),
+            }
+        )
+        requests = list(trace.requests())
+        assert len(requests) == 3
+        assert set(requests[0]) == {"a", "b"}
+        np.testing.assert_array_equal(requests[0]["b"], [3, 2])
+        assert set(requests[1]) == {"a"}  # table b has run out of queries
+        np.testing.assert_array_equal(requests[2]["a"], [2])
+
+    def test_empty_trace(self):
+        assert list(ModelTrace({}).requests()) == []
+
+    def test_single_table_yields_its_queries(self):
+        trace = Trace([[0, 1], [2], [3, 3]], num_vectors=4)
+        requests = list(ModelTrace({"a": trace}).requests())
+        assert [list(request) for request in requests] == [["a"]] * 3
+        for request, query in zip(requests, trace.queries):
+            assert request["a"] is query  # the trace's arrays, not copies
+
+    def test_regrouping_requests_recovers_every_table(self):
+        rng = np.random.default_rng(4)
+        model = ModelTrace(
+            {
+                name: Trace(
+                    [rng.integers(0, 50, size=int(rng.integers(1, 6))) for _ in range(count)],
+                    num_vectors=50,
+                )
+                for name, count in (("a", 7), ("b", 3), ("c", 0), ("d", 5))
+            }
+        )
+        regrouped = {name: [] for name in model.tables}
+        for request in model.requests():
+            assert list(request) == [name for name in model.tables if name in request]
+            for name, ids in request.items():
+                regrouped[name].append(ids)
+        for name, trace in model.items():
+            assert Trace(regrouped[name], num_vectors=50) == trace
