@@ -33,6 +33,8 @@ Tracked artifacts:
   wall clock (:mod:`bench_scenarios`).
 * ``BENCH_serving_latency.json`` — tight smoke reference: the full load
   sweep at the CI-sized configuration (:mod:`bench_serving_latency`).
+* ``BENCH_cluster_failures.json`` — tight smoke reference: every fault
+  scenario row at the CI-sized configuration (:mod:`bench_cluster_failures`).
 * ``BENCH_replay_throughput.json`` — loose only: the whole artifact is
   wall-clock timings, gated through the two legs of its CI-sized
   ``smoke_wall_clock`` section — a cache that cannot evict, and a
@@ -49,6 +51,7 @@ import math
 import sys
 from typing import Any, Callable, Dict, List, Optional
 
+import bench_cluster_failures
 import bench_replay_throughput
 import bench_scenarios
 import bench_serving_latency
@@ -210,6 +213,20 @@ def check_serving_latency(problems: List[str]) -> None:
     )
 
 
+def check_cluster_failures(problems: List[str]) -> None:
+    committed = _load(
+        bench_cluster_failures.JSON_PATH, "BENCH_cluster_failures.json", problems
+    )
+    if committed is None:
+        return
+    problems += check_simulated(
+        "BENCH_cluster_failures.json",
+        committed,
+        lambda: bench_cluster_failures.run_sweep(**bench_cluster_failures.SMOKE_PARAMS),
+        "python benchmarks/bench_cluster_failures.py",
+    )
+
+
 def check_replay_throughput(problems: List[str]) -> None:
     committed = _load(
         bench_replay_throughput.JSON_PATH, "BENCH_replay_throughput.json", problems
@@ -232,6 +249,7 @@ def main() -> int:
     check_shared_device(problems)
     check_scenarios(problems)
     check_serving_latency(problems)
+    check_cluster_failures(problems)
     check_replay_throughput(problems)
     if problems:
         print(f"perf-track: {len(problems)} regression(s) against committed artifacts:")

@@ -79,7 +79,7 @@ from repro.cluster.faults import (
 )
 from repro.cluster.node import ClusterNode, ShardServiceResult
 from repro.cluster.ring import ConsistentHashRing, stable_hash64
-from repro.cluster.scenario import ClusterReport, run_scenario, sweep_scenarios
+from repro.cluster.scenario import ClusterReport, run_scenario
 from repro.cluster.store import ClusterCounters, ClusterStore, RequestOutcome
 
 __all__ = [
@@ -98,5 +98,4 @@ __all__ = [
     "make_scenario",
     "run_scenario",
     "stable_hash64",
-    "sweep_scenarios",
 ]

@@ -29,7 +29,7 @@ The module also ships a small **scenario catalog**
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Tuple, Type
+from typing import Any, Callable, Dict, Iterable, List, Tuple, Type, Union
 
 from repro.utils.units import s_to_us
 from repro.utils.validation import (
@@ -100,7 +100,7 @@ class DegradedLink:
         check_probability(self.loss_prob, "loss_prob")
 
 
-FaultEvent = object  # union of the three event dataclasses above
+FaultEvent = Union[NodeCrash, SlowNode, DegradedLink]
 _NodeIndex = Dict[int, List[Tuple[Any, int, int]]]
 
 

@@ -117,11 +117,6 @@ class ClusterNode:
         self.last_seen_us = 0.0
 
     # ----------------------------------------------------------------- timing
-    @property
-    def busy_until_us(self) -> float:
-        """When the node's *last* device frees up (max over its bank)."""
-        return self.bank.free_at_us
-
     def queue_wait_us(self, at_us: float, table_name: Optional[str] = None) -> float:
         """Backlog a read arriving at ``at_us`` would wait behind.
 

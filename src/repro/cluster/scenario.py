@@ -9,19 +9,14 @@ end-to-end latency percentiles (fan-in makes stragglers land in p999),
 availability (fraction of requests with every shard group served), and the
 full robustness counter set (retries, timeouts, sheds, hedges, breaker
 ejections, cold restarts).
-
-:func:`sweep_scenarios` runs the catalog back-to-back on fresh clusters, the
-shape of ``benchmarks/bench_cluster_failures.py``: the ``"none"`` row is the
-healthy baseline, every other row prices one failure mode in p999 and
-availability.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Union
 
-from repro.cluster.faults import SCENARIOS, FaultSchedule, make_scenario
+from repro.cluster.faults import FaultSchedule, make_scenario
 from repro.cluster.store import ClusterCounters, ClusterStore
 from repro.core.bandana import BandanaStore
 from repro.core.config import ClusterConfig, ServingConfig, TracingConfig
@@ -191,21 +186,3 @@ def run_scenario(
         trace=served.trace,
     )
 
-
-def sweep_scenarios(
-    store: BandanaStore,
-    eval_trace: ModelTrace,
-    scenarios: Optional[Sequence[str]] = None,
-    **kwargs: object,
-) -> Dict[str, ClusterReport]:
-    """Run the scenario catalog back-to-back, one fresh cluster per scenario.
-
-    ``scenarios`` defaults to the whole catalog in declaration order
-    (``"none"`` first, so every later row reads against the healthy
-    baseline); ``kwargs`` are forwarded to :func:`run_scenario`.
-    """
-    names: Iterable[str] = scenarios if scenarios is not None else list(SCENARIOS)
-    return {
-        name: run_scenario(store, eval_trace, scenario=name, **kwargs)
-        for name in names
-    }

@@ -28,9 +28,19 @@ Robustness machinery, in the order an attempt meets it:
    the earlier completion wins.  Hedges do real work — they warm the
    secondary's cache — exactly like production hedging.
 
+Every read the router sends — first try, retry or hedge — goes through one
+probe, ``ClusterStore._try_replica``: cold-restart check, crashed?, link
+delay and loss draw, admission check, then the node serves.  A probe that
+did not complete takes the shard group's one retry tail: a crashed node or
+a lost read costs ``shard_timeout_us`` and strikes the breaker at its end, a
+shed costs one round trip and no strike, and the next replica is tried
+after the current backoff.
+
 A request whose shard group exhausts ``max_attempts`` is **degraded**, not
 crashed: it completes with partial features and is counted against
-availability.  The hard equivalence anchor: with one node, ``R = 1`` and no
+availability.  A fault schedule naming a node the cluster does not have is
+rejected at construction (``ValueError``) rather than silently never firing.
+The hard equivalence anchor: with one node, ``R = 1`` and no
 faults, every request is one unhedged, unretried engine replay in arrival
 order — bit-identical counters to :class:`~repro.core.bandana.BandanaStore`
 (pinned in ``tests/test_cluster_equivalence.py``).
@@ -54,8 +64,9 @@ behavior (golden-pinned).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, NamedTuple, Optional
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -185,23 +196,30 @@ class RequestOutcome:
         return self.completion_us - self.arrival_us
 
 
-@dataclass(frozen=True)
-class _HedgeAttempt:
-    """What one *fired* hedge did (``None`` from ``_hedge`` = never fired).
+class _Attempt(NamedTuple):
+    """What one read sent to one replica did (``ClusterStore._try_replica``).
 
-    A hedge that fired always counts as launched — even when the duplicate
-    read was lost in flight or shed on arrival, the router paid for it and
-    (when it completed) the secondary's cache was warmed.  ``completion_us``
-    is ``None`` exactly when ``outcome`` is not ``"completed"``.
+    ``outcome`` is ``"down"`` (crashed node, nothing was sent),
+    ``"link_loss"`` (lost in flight), ``"shed"`` (refused by admission
+    control in front of ``queue_wait_us`` of backlog) or ``"completed"``;
+    ``service`` is set exactly when the read completed.
     """
 
-    node_index: int
+    node: int
     start_us: float
+    outcome: str
+    link_us: float
     arrive_us: float
-    outcome: str  # "completed" | "link_loss" | "shed"
-    completion_us: Optional[float] = None
-    queue_wait_us: float = 0.0
-    service_us: float = 0.0
+    queue_wait_us: float
+    service: Optional[ShardServiceResult]
+
+
+#: The span of a primary attempt that did not complete, by outcome.
+_FAILURE_STAGES = {
+    "down": STAGE_ATTEMPT_TIMEOUT,
+    "link_loss": STAGE_ATTEMPT_LINK_LOSS,
+    "shed": STAGE_ATTEMPT_SHED,
+}
 
 
 class _CircuitBreaker:
@@ -212,7 +230,6 @@ class _CircuitBreaker:
         self.cooloff_us = int(cooloff_us)
         self.strikes = 0
         self.open_until_us = 0.0
-        self.ejections = 0
 
     def allows(self, now_us: float) -> bool:
         """Closed, or open long enough that a half-open probe is due."""
@@ -224,7 +241,6 @@ class _CircuitBreaker:
         if self.strikes >= self.failure_threshold:
             self.open_until_us = now_us + self.cooloff_us
             self.strikes = 0
-            self.ejections += 1
             return True
         return False
 
@@ -258,6 +274,12 @@ class ClusterStore:
         self.specs = dict(specs)
         self.config = config or ClusterConfig()
         self.faults = faults or FaultSchedule(())
+        for event in self.faults.events:
+            if event.node >= self.config.num_nodes:
+                raise ValueError(
+                    f"{type(event).__name__} names node {event.node}, but the "
+                    f"cluster has {self.config.num_nodes} nodes"
+                )
         self.ring = ConsistentHashRing(
             [f"node{i}" for i in range(self.config.num_nodes)],
             virtual_nodes=self.config.virtual_nodes,
@@ -529,7 +551,6 @@ class ClusterStore:
         attempts_made = 0
         for attempt in range(config.max_attempts):
             node_index = replicas[attempt % num_replicas]
-            node = self.nodes[node_index]
             breaker = self._breakers[node_index]
             # The breaker never ejects the only viable replica: with R = 1,
             # or after a full cycle of open breakers, force the attempt.
@@ -552,90 +573,46 @@ class ClusterStore:
                 counters.retries += 1
             attempts_made += 1
             counters.shard_attempts += 1
-            self._maybe_recover(node, t)
-            if self.faults.is_down(node_index, t):
-                counters.timeouts += 1
-                if breaker.strike(t + config.shard_timeout_us):
-                    counters.breaker_ejections += 1
+            tried = self._try_replica(node_index, table_name, ids, t)
+            service = tried.service
+            if service is None:
+                if tried.outcome == "shed":
+                    # Fast rejection: the node answers "busy" after one
+                    # round trip instead of queueing the read unboundedly.
+                    counters.sheds += 1
+                    cost_us = 2.0 * tried.link_us
+                else:
+                    # A crashed node or a lost read burns the whole timeout.
+                    if tried.outcome == "link_loss":
+                        counters.link_losses += 1
+                    counters.timeouts += 1
+                    cost_us = config.shard_timeout_us
+                    if breaker.strike(t + cost_us):
+                        counters.breaker_ejections += 1
                 if tracer.enabled:
-                    timeout_end = t + config.shard_timeout_us
-                    tracer.span(
+                    failed_us = t + cost_us
+                    attrs: Dict[str, object] = {"node": node_index}
+                    if tried.outcome == "shed":
+                        attrs["queue_wait_us"] = tried.queue_wait_us
+                    self._attempt_spans(
                         rid,
-                        STAGE_ATTEMPT_TIMEOUT,
-                        t,
-                        timeout_end,
-                        parent_id=group_span_id,
-                        node=node_index,
+                        group_span_id,
+                        _FAILURE_STAGES[tried.outcome],
+                        tried,
+                        failed_us,
+                        **attrs,
                     )
                     tracer.span(
                         rid,
                         STAGE_BACKOFF,
-                        timeout_end,
-                        timeout_end + backoff_us,
+                        failed_us,
+                        failed_us + backoff_us,
                         parent_id=group_span_id,
                     )
-                t += config.shard_timeout_us + backoff_us
+                t += cost_us + backoff_us
                 backoff_us = min(2.0 * backoff_us, config.retry_backoff_cap_us)
                 continue
-            extra_delay_us, loss_prob = self.faults.link(node_index, t)
-            link_delay_us = config.link_delay_us + extra_delay_us
-            if loss_prob > 0.0 and self._rng.random() < loss_prob:
-                counters.link_losses += 1
-                counters.timeouts += 1
-                if breaker.strike(t + config.shard_timeout_us):
-                    counters.breaker_ejections += 1
-                if tracer.enabled:
-                    timeout_end = t + config.shard_timeout_us
-                    tracer.span(
-                        rid,
-                        STAGE_ATTEMPT_LINK_LOSS,
-                        t,
-                        timeout_end,
-                        parent_id=group_span_id,
-                        node=node_index,
-                    )
-                    tracer.span(
-                        rid,
-                        STAGE_BACKOFF,
-                        timeout_end,
-                        timeout_end + backoff_us,
-                        parent_id=group_span_id,
-                    )
-                t += config.shard_timeout_us + backoff_us
-                backoff_us = min(2.0 * backoff_us, config.retry_backoff_cap_us)
-                continue
-            arrive_us = t + link_delay_us
-            wait_us = node.queue_wait_us(arrive_us, table_name)
-            if wait_us > config.admission_queue_slack * config.slo_us(table_name):
-                # Fast rejection: the node answers "busy" after one round
-                # trip instead of queueing the read unboundedly.
-                counters.sheds += 1
-                if tracer.enabled:
-                    shed_end = t + 2.0 * link_delay_us
-                    tracer.span(
-                        rid,
-                        STAGE_ATTEMPT_SHED,
-                        t,
-                        shed_end,
-                        parent_id=group_span_id,
-                        node=node_index,
-                        queue_wait_us=wait_us,
-                    )
-                    tracer.span(
-                        rid,
-                        STAGE_BACKOFF,
-                        shed_end,
-                        shed_end + backoff_us,
-                        parent_id=group_span_id,
-                    )
-                t += 2.0 * link_delay_us + backoff_us
-                backoff_us = min(2.0 * backoff_us, config.retry_backoff_cap_us)
-                continue
-            multiplier = self.faults.latency_multiplier(node_index, t)
-            service = node.serve(
-                table_name, ids, arrive_us, multiplier, validated=True
-            )
-            attempt_latency_us = 2.0 * link_delay_us + service.total_us
+            attempt_latency_us = 2.0 * tried.link_us + service.total_us
             completion_us = t + attempt_latency_us
             # Slow strikes judge *service* time, not queue wait: a backlog
             # is cluster-wide overload (admission control's domain), not
@@ -646,7 +623,7 @@ class ClusterStore:
                     counters.breaker_ejections += 1
             else:
                 breaker.succeed()
-            hedge: Optional[_HedgeAttempt] = None
+            hedge: Optional[_Attempt] = None
             hedge_won = False
             if (
                 attempt == 0
@@ -662,110 +639,85 @@ class ClusterStore:
                     # it — the duplicate read cost the router a round trip
                     # and (when served) warmed the secondary's cache.
                     counters.hedges_launched += 1
-                    # A tie is a win: the hedge returned no later than the
-                    # primary, so its result was usable (completion time is
-                    # unchanged either way).
-                    if (
-                        hedge.completion_us is not None
-                        and hedge.completion_us <= completion_us
-                    ):
+                    hedge_us = hedge.start_us
+                    if hedge.service is not None:
+                        hedge_us = (
+                            hedge.start_us
+                            + 2.0 * hedge.link_us
+                            + hedge.service.total_us
+                        )
+                        # A tie is a win: the hedge returned no later than
+                        # the primary, so its result was usable.
+                        hedge_won = hedge_us <= completion_us
+                    if hedge_won:
                         counters.hedges_won += 1
-                        hedge_won = True
                     else:
                         counters.hedges_lost += 1
             if tracer.enabled:
-                self._record_attempt_spans(
-                    rid,
-                    group_span_id,
-                    node_index,
-                    t,
-                    arrive_us,
-                    service,
-                    completion_us,
-                    hedge,
-                    hedge_won,
+                # The read that lost the race is the speculative loser and
+                # carries ATTR_OVERLAP_OK: a primary beaten by its hedge ends
+                # after the group closes at the hedge's completion.
+                attrs = {"node": node_index}
+                if hedge_won:
+                    attrs[ATTR_OVERLAP_OK] = True
+                self._attempt_spans(
+                    rid, group_span_id, STAGE_ATTEMPT_OK, tried, completion_us, **attrs
                 )
+                if hedge is not None:
+                    attrs = {"node": hedge.node, "outcome": hedge.outcome}
+                    if not hedge_won:
+                        attrs[ATTR_OVERLAP_OK] = True
+                    self._attempt_spans(
+                        rid,
+                        group_span_id,
+                        STAGE_HEDGE_WON if hedge_won else STAGE_HEDGE_LOST,
+                        hedge,
+                        hedge_us,
+                        **attrs,
+                    )
             if hedge_won:
-                assert hedge is not None and hedge.completion_us is not None
-                completion_us = hedge.completion_us
+                completion_us = hedge_us
             self._record_shard_latency(completion_us - t0_us)
             return True, completion_us
         return False, t
 
-    def _record_attempt_spans(
-        self,
-        rid: int,
-        group_span_id: int,
-        node_index: int,
-        t_us: float,
-        arrive_us: float,
-        service: "ShardServiceResult",
-        completion_us: float,
-        hedge: Optional[_HedgeAttempt],
-        hedge_won: bool,
-    ) -> None:
-        """Record the served attempt's spans (and its hedge's, if one fired).
+    def _try_replica(
+        self, node_index: int, table_name: str, ids: np.ndarray, start_us: float
+    ) -> _Attempt:
+        """Send one shard read to one replica at ``start_us``; see :class:`_Attempt`.
 
-        Only called with a real tracer attached.  When the hedge won, the
-        primary attempt is the speculative loser — it ends after the group
-        closes at the hedge's completion — so it carries
-        :data:`~repro.tracing.tracer.ATTR_OVERLAP_OK`; a lost hedge carries
-        it for the mirror reason.
+        The only place a read meets the faults and the node: a cold restart
+        due since the node was last touched, a crash, the link's delay and
+        loss draw, admission control, then the node's engine.
         """
-        tracer = self.tracer
-        primary_attrs: Dict[str, object] = {"node": node_index}
-        if hedge_won:
-            primary_attrs[ATTR_OVERLAP_OK] = True
-        attempt_id = tracer.span(
-            rid,
-            STAGE_ATTEMPT_OK,
-            t_us,
-            completion_us,
-            parent_id=group_span_id,
-            **primary_attrs,
-        )
-        served_us = arrive_us + service.queue_wait_us
-        tracer.span(
-            rid, STAGE_NODE_QUEUE, arrive_us, served_us, parent_id=attempt_id
-        )
-        tracer.span(
-            rid,
-            STAGE_NODE_SERVICE,
-            served_us,
-            served_us + service.service_us,
-            parent_id=attempt_id,
-        )
-        if hedge is None:
-            return
-        name = STAGE_HEDGE_WON if hedge_won else STAGE_HEDGE_LOST
-        hedge_attrs: Dict[str, object] = {
-            "node": hedge.node_index,
-            "outcome": hedge.outcome,
-        }
-        if not hedge_won:
-            hedge_attrs[ATTR_OVERLAP_OK] = True
-        hedge_end = (
-            hedge.completion_us if hedge.completion_us is not None else hedge.start_us
-        )
-        hedge_id = tracer.span(
-            rid, name, hedge.start_us, hedge_end, parent_id=group_span_id, **hedge_attrs
-        )
-        if hedge.outcome == "completed":
-            hedge_served_us = hedge.arrive_us + hedge.queue_wait_us
-            tracer.span(
-                rid,
-                STAGE_NODE_QUEUE,
-                hedge.arrive_us,
-                hedge_served_us,
-                parent_id=hedge_id,
+        node = self.nodes[node_index]
+        self._maybe_recover(node, start_us)
+        if self.faults.is_down(node_index, start_us):
+            return _Attempt(node_index, start_us, "down", 0.0, start_us, 0.0, None)
+        config = self.config
+        extra_delay_us, loss_prob = self.faults.link(node_index, start_us)
+        link_us = config.link_delay_us + extra_delay_us
+        arrive_us = start_us + link_us
+        if loss_prob > 0.0 and self._rng.random() < loss_prob:
+            return _Attempt(
+                node_index, start_us, "link_loss", link_us, arrive_us, 0.0, None
             )
-            tracer.span(
-                rid,
-                STAGE_NODE_SERVICE,
-                hedge_served_us,
-                hedge_served_us + hedge.service_us,
-                parent_id=hedge_id,
+        wait_us = node.queue_wait_us(arrive_us, table_name)
+        if wait_us > config.admission_queue_slack * config.slo_us(table_name):
+            return _Attempt(
+                node_index, start_us, "shed", link_us, arrive_us, wait_us, None
             )
+        multiplier = self.faults.latency_multiplier(node_index, start_us)
+        service = node.serve(table_name, ids, arrive_us, multiplier, validated=True)
+        return _Attempt(
+            node_index,
+            start_us,
+            "completed",
+            link_us,
+            arrive_us,
+            service.queue_wait_us,
+            service,
+        )
 
     def _hedge(
         self,
@@ -774,60 +726,52 @@ class ClusterStore:
         primary_index: int,
         ids: np.ndarray,
         start_us: float,
-    ) -> Optional[_HedgeAttempt]:
+    ) -> Optional[_Attempt]:
         """Fire one duplicate read at the first viable secondary replica.
 
-        Returns ``None`` when no secondary was viable *before* firing (every
-        candidate down or ejected) — nothing was launched.  Otherwise the
-        hedge fired, and the returned :class:`_HedgeAttempt` says what
-        became of it: ``"completed"`` with a completion time, or
-        ``"link_loss"`` / ``"shed"`` for a duplicate that was launched but
-        lost — the router still pays the primary's latency, but the launch
-        must be accounted.
+        ``None`` when no secondary was viable (every candidate ejected or
+        down): nothing was launched.  Otherwise the hedge fired, and the
+        attempt says what became of it — a lost or shed duplicate still
+        counts as launched.
         """
-        config = self.config
+        breakers = self._breakers
         for node_index in replicas:
-            if node_index == primary_index:
-                continue
-            node = self.nodes[node_index]
-            if not self._breakers[node_index].allows(start_us):
-                continue
-            self._maybe_recover(node, start_us)
-            if self.faults.is_down(node_index, start_us):
-                continue
-            extra_delay_us, loss_prob = self.faults.link(node_index, start_us)
-            link_delay_us = config.link_delay_us + extra_delay_us
-            arrive_us = start_us + link_delay_us
-            if loss_prob > 0.0 and self._rng.random() < loss_prob:
-                return _HedgeAttempt(
-                    node_index=node_index,
-                    start_us=start_us,
-                    arrive_us=arrive_us,
-                    outcome="link_loss",
-                )
-            wait_us = node.queue_wait_us(arrive_us, table_name)
-            if wait_us > config.admission_queue_slack * config.slo_us(table_name):
-                return _HedgeAttempt(
-                    node_index=node_index,
-                    start_us=start_us,
-                    arrive_us=arrive_us,
-                    outcome="shed",
-                    queue_wait_us=wait_us,
-                )
-            multiplier = self.faults.latency_multiplier(node_index, start_us)
-            service = node.serve(
-                table_name, ids, arrive_us, multiplier, validated=True
-            )
-            return _HedgeAttempt(
-                node_index=node_index,
-                start_us=start_us,
-                arrive_us=arrive_us,
-                outcome="completed",
-                completion_us=start_us + 2.0 * link_delay_us + service.total_us,
-                queue_wait_us=service.queue_wait_us,
-                service_us=service.service_us,
-            )
+            if node_index != primary_index and breakers[node_index].allows(start_us):
+                hedge = self._try_replica(node_index, table_name, ids, start_us)
+                if hedge.outcome != "down":
+                    return hedge
         return None
+
+    def _attempt_spans(
+        self,
+        rid: int,
+        parent_id: int,
+        name: str,
+        attempt: _Attempt,
+        end_us: float,
+        **attributes: object,
+    ) -> None:
+        """Record one attempt's span, with its node's queue/service split if served.
+
+        Only called with a real tracer attached.
+        """
+        tracer = self.tracer
+        span_id = tracer.span(
+            rid, name, attempt.start_us, end_us, parent_id=parent_id, **attributes
+        )
+        service = attempt.service
+        if service is not None:
+            served_us = attempt.arrive_us + service.queue_wait_us
+            tracer.span(
+                rid, STAGE_NODE_QUEUE, attempt.arrive_us, served_us, parent_id=span_id
+            )
+            tracer.span(
+                rid,
+                STAGE_NODE_SERVICE,
+                served_us,
+                served_us + service.service_us,
+                parent_id=span_id,
+            )
 
     # ----------------------------------------------------------------- faults
     def _maybe_recover(self, node: ClusterNode, now_us: float) -> None:
@@ -851,11 +795,6 @@ class ClusterStore:
                 _linear_quantile(sorted(window), self.config.hedge_quantile),
             )
 
-    @property
-    def hedge_delay_us(self) -> float:
-        """The current p99-based hedge trigger delay."""
-        return self._hedge_delay_us
-
     # ---------------------------------------------------------------- metrics
     def table_stats(self) -> Dict[str, ReplayStats]:
         """Per-table replay counters, merged over every node's replicas."""
@@ -878,14 +817,3 @@ class ClusterStore:
     def node_blocks_read(self) -> List[int]:
         """Per-node NVM blocks read — the cluster's load-skew fingerprint."""
         return [node.blocks_read() for node in self.nodes]
-
-    def breaker_states(self) -> List[Dict[str, float]]:
-        """Per-node breaker diagnostics (strikes, open-until, ejections)."""
-        return [
-            {
-                "strikes": b.strikes,
-                "open_until_us": b.open_until_us,
-                "ejections": b.ejections,
-            }
-            for b in self._breakers
-        ]

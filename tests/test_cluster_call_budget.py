@@ -27,12 +27,12 @@ from repro.nvm.device import NVMDevice
 from repro.workloads.trace import ModelTrace, Trace
 from tests.conftest import count_python_calls
 
-#: Python-level calls per shard group.  Measured 71.1 (CPython 3.11,
-#: NumPy 2.4), against 94.8 at the parent commit — before routing became a
-#: build-time table, the id range check moved to one per request, the hedge
-#: quantile went scalar and the fault schedule was indexed per node.  The
-#: budget sits ~25 % above the former and below the latter.
-CALLS_PER_SHARD_GROUP_BUDGET = 89.0
+#: Python-level calls per shard group.  Measured 53.4 (CPython 3.11.7,
+#: NumPy 2.4) since every replica read goes through one probe
+#: (``_try_replica``, returning an ``_Attempt`` tuple), against 50.0 with
+#: the primary and hedge paths written out separately: two calls more per
+#: attempt.  The budget sits ~25 % above the measured value.
+CALLS_PER_SHARD_GROUP_BUDGET = 67.0
 
 VECTORS_PER_BLOCK = 32
 

@@ -8,6 +8,8 @@ recovered nodes restart cold.  Every run is a pure function of
 (trace, configs, schedule, seed) — pinned by the determinism test.
 """
 
+import hashlib
+import json
 import os
 import sys
 
@@ -20,13 +22,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import (
+    SCENARIOS,
     ClusterStore,
     DegradedLink,
     FaultSchedule,
     NodeCrash,
     SlowNode,
     run_scenario,
-    sweep_scenarios,
 )
 from repro.caching.policies import NoPrefetchPolicy
 from repro.cluster.store import _linear_quantile
@@ -34,6 +36,14 @@ from repro.core.config import ClusterConfig, ServingConfig
 from repro.core.tablespec import TableServingSpec
 from repro.nvm.block import BlockLayout
 from repro.tracing import Tracer, validate_trace
+from repro.tracing.tracer import (
+    STAGE_ATTEMPT_BREAKER_SKIP,
+    STAGE_ATTEMPT_LINK_LOSS,
+    STAGE_ATTEMPT_SHED,
+    STAGE_ATTEMPT_TIMEOUT,
+    STAGE_HEDGE_LOST,
+    STAGE_HEDGE_WON,
+)
 from tests.conftest import build_store
 
 #: Scenario window tuned to the ~0.05 s makespan of the seed traces
@@ -189,13 +199,17 @@ class TestDegradedCluster:
 
     def test_sweep_runs_whole_catalog(self):
         store, trace = build_store(0)
-        reports = sweep_scenarios(
-            store,
-            trace,
-            cluster_config=ClusterConfig(num_nodes=4, replication=2),
-            scenario_overrides=WINDOW,
-            num_requests=50,
-        )
+        reports = {
+            name: run_scenario(
+                store,
+                trace,
+                scenario=name,
+                cluster_config=ClusterConfig(num_nodes=4, replication=2),
+                scenario_overrides=WINDOW,
+                num_requests=50,
+            )
+            for name in SCENARIOS
+        }
         assert set(reports) == {
             "none",
             "crash_recover",
@@ -207,6 +221,21 @@ class TestDegradedCluster:
         for report in reports.values():
             assert report.num_requests == 50
             assert report.to_dict()["counters"]["requests_total"] == 50
+
+    def test_seeded_golden_traces(self):
+        # Pins every span the router records, not just the counters: each
+        # catalog scenario at R = 1, 2, 3 must reproduce its report and span
+        # tree bit for bit, and the set must exercise every attempt outcome.
+        digests, stages = golden_trace_digests()
+        assert digests == GOLDEN_CLUSTER_TRACE_DIGESTS
+        assert {
+            STAGE_ATTEMPT_TIMEOUT,
+            STAGE_ATTEMPT_LINK_LOSS,
+            STAGE_ATTEMPT_SHED,
+            STAGE_ATTEMPT_BREAKER_SKIP,
+            STAGE_HEDGE_WON,
+            STAGE_HEDGE_LOST,
+        } <= stages
 
 
 class TestStoreMechanics:
@@ -232,6 +261,32 @@ class TestStoreMechanics:
     def test_rejects_empty_spec_set(self):
         with pytest.raises(ValueError, match="at least one table"):
             ClusterStore({}, ClusterConfig())
+
+    def test_fault_on_a_missing_node_rejected(self):
+        # Regression: a crash on node 7 of 4 never fired, and the run
+        # reported a healthy cluster (0 timeouts) instead of an error.
+        store, _ = build_store(1)
+        with pytest.raises(ValueError, match=r"NodeCrash names node 7.* 4 nodes"):
+            run(
+                1,
+                "crash_recover",
+                ClusterConfig(num_nodes=4, replication=2),
+                overrides=dict(WINDOW, node=7),
+            )
+        for event in (
+            SlowNode(node=4, start_s=0.0, end_s=1.0),
+            DegradedLink(node=4, start_s=0.0, end_s=1.0, loss_prob=0.5),
+        ):
+            with pytest.raises(ValueError, match=type(event).__name__):
+                ClusterStore.from_store(
+                    store, ClusterConfig(num_nodes=4), FaultSchedule([event])
+                )
+        # The last node is a valid target.
+        ClusterStore.from_store(
+            store,
+            ClusterConfig(num_nodes=4),
+            FaultSchedule([NodeCrash(node=3, start_s=0.0, end_s=1.0)]),
+        )
 
     def test_replication_clamped_to_cluster_size(self):
         store, _ = build_store(0)
@@ -268,8 +323,6 @@ class TestStoreMechanics:
         assert report.availability == pytest.approx(1.0)
 
     def test_report_to_dict_is_json_ready(self):
-        import json
-
         store, trace = build_store(0)
         report = run_scenario(store, trace, num_requests=20)
         payload = json.loads(json.dumps(report.to_dict()))
@@ -487,8 +540,80 @@ GOLDEN_SCENARIO_REPORT = {
 }
 
 
+def golden_trace_digests():
+    """(per-run sha256 digests, every stage name seen) of the trace-golden set.
+
+    Each catalog scenario at R = 1, 2, 3 on 4 nodes, traced in full, with a
+    300 µs slow-strike threshold (so breakers open) and ``flaky_link`` at 40 %
+    loss.  A digest covers ``report.to_dict()`` and every retained span: ids,
+    parent, name, exact start/end (``float.hex``) and sorted attributes.
+    """
+    digests, stages = {}, set()
+    for scenario in SCENARIOS:
+        overrides = dict(WINDOW, loss_prob=0.4) if scenario == "flaky_link" else WINDOW
+        for replication in (1, 2, 3):
+            tracer = Tracer()
+            report = run(
+                1,
+                scenario,
+                ClusterConfig(
+                    num_nodes=4,
+                    replication=replication,
+                    breaker_slow_threshold_us=300.0,
+                ),
+                overrides=overrides,
+                tracing=tracer,
+            )
+            sha = hashlib.sha256(
+                json.dumps(report.to_dict(), sort_keys=True).encode()
+            )
+            for trace in tracer.traces.values():
+                for span in trace.spans:
+                    stages.add(span.name)
+                    sha.update(
+                        repr(
+                            (
+                                span.span_id,
+                                span.request_id,
+                                span.parent_id,
+                                span.name,
+                                span.t_start_us.hex(),
+                                span.t_end_us.hex(),
+                                sorted(span.attributes.items()),
+                            )
+                        ).encode()
+                    )
+            digests[f"{scenario}/R{replication}"] = sha.hexdigest()
+    return digests, stages
+
+
+#: Frozen output of :func:`golden_trace_digests` (captured from the router
+#: whose primary reads and hedges still had separate replica probes).  It
+#: changes only when cluster serving or its spans change — regenerate
+#: deliberately with ``python tests/test_cluster_store.py``.
+GOLDEN_CLUSTER_TRACE_DIGESTS = {
+    "none/R1": "b37ff56cd2f97f12ee61087ca9049dc744592cd03feef1e15a393e48fbddaf5d",
+    "none/R2": "c0502a8b78249ed79faf3ca9f7d491fbf0ddee0bc5f758dbe62f83bd74b794cf",
+    "none/R3": "27919c1e3efdb6b0bfa196b95423646e0168a031695171e08e61a893b743fbfe",
+    "crash_recover/R1": "266b649a8ed416d4cb4e97cc37a11ac25b195e6caec86a6b4b6ed48e2b3d3c74",
+    "crash_recover/R2": "4ad06fcad14bc452c02553c4910c00e6330425f0632e56d114437fd224a1eb67",
+    "crash_recover/R3": "689f9bd05f2e8820df8c1152d13542984b92e0e839551569a42b6ceb68562122",
+    "slow_node/R1": "f7bcd9540fb5c8585eae63d39cc44588e3d88eae8473267b370aa41cddb38900",
+    "slow_node/R2": "a5296740ab75810e50b736727eddf5c3f0b35101f851c547c97170a84b0170d9",
+    "slow_node/R3": "fad4e6ce8e5722becdbb2e3cf75d8df472b097807e08aa99a82b5cfff2572323",
+    "flaky_link/R1": "551b0438094f83c18b960a54e52308135cec4a53653711615e2f6881537a4fe3",
+    "flaky_link/R2": "c3ae86ed8e45d7b8e8d30504dd2d357845a32b51351f2b005c433fb4d8ce1e8b",
+    "flaky_link/R3": "5b9c15d6cbccbe105bfef6d4a353b223091bc51bd58b2074db465a4d2f294017",
+    "degraded_cluster/R1": "e2016aa785240d7fa3f162cf430f0f24fad9fbdbd14ea07e8090dfbb63da1b33",
+    "degraded_cluster/R2": "34d5a49577ecd1901b816e9291bcaa84c53dc4083cd66a187dcb05caedf63713",
+    "degraded_cluster/R3": "d5f338fff804c6d68e6bb5068202c6e16e25d3bd914f3a49ea0cc6962d783aa2",
+}
+
+
 if __name__ == "__main__":  # pragma: no cover - maintenance helper
     import pprint
 
     print("GOLDEN_SCENARIO_REPORT = ", end="")
     pprint.pprint(golden_scenario_pin(), sort_dicts=False)
+    print("GOLDEN_CLUSTER_TRACE_DIGESTS = ", end="")
+    pprint.pprint(golden_trace_digests()[0], sort_dicts=False)
