@@ -35,7 +35,7 @@ def run_figure10(bundle):
                 {"layout": layout_name, "cache_size": cache_size},
                 {
                     "bw_increase": result.bandwidth_increase,
-                    "hit_rate": result.cache_stats.hit_rate,
+                    "hit_rate": result.stats.hit_rate,
                 },
             )
     return sweep, results

@@ -68,7 +68,7 @@ def main() -> None:
     stats = store.table_stats()[spec.name]
     bandwidth = store.effective_bandwidth()
     print(f"evaluation trace: {stats.lookups} lookups, hit rate {stats.hit_rate:.2f}")
-    print(f"effective bandwidth: {bandwidth.fraction:.2f} application bytes per NVM byte "
+    print(f"effective bandwidth: {bandwidth:.2f} application bytes per NVM byte "
           f"(baseline policy: {128 / 4096:.3f})")
     print(f"block reads vs no-prefetch baseline: "
           f"{result.total_block_reads} vs {result.total_baseline_block_reads} "

@@ -44,7 +44,6 @@ from repro.core.config import (
     TableCacheConfig,
     TracingConfig,
 )
-from repro.core.metrics import CacheStats, EffectiveBandwidth, LatencyStats
 
 __all__ = [
     "BandanaStore",
@@ -53,9 +52,6 @@ __all__ = [
     "ServingConfig",
     "TableCacheConfig",
     "TracingConfig",
-    "CacheStats",
-    "EffectiveBandwidth",
-    "LatencyStats",
     "__version__",
 ]
 

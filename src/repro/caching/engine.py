@@ -63,7 +63,7 @@ from repro.caching.lru import LRUCache
 from repro.caching.policies import PrefetchPolicy
 from repro.caching.replay import ReplayStats
 from repro.nvm.block import BlockLayout
-from repro.nvm.device import NVMDevice
+from repro.nvm.latency import NVMLatencyModel
 from repro.utils.validation import (
     check_array_1d_ints,
     check_fraction,
@@ -194,7 +194,10 @@ class BatchReplayEngine:
     many calls gives exactly the counters of one uninterrupted reference
     replay of the concatenated stream.
 
-    Parameters mirror :func:`repro.caching.replay.replay_table_cache`.
+    Parameters mirror :func:`repro.caching.replay.replay_table_cache`.  With
+    a ``device`` every demand miss adds one read's unloaded price,
+    ``device.mean_latency_us(queue_depth)``, to ``stats.total_latency_us``;
+    ``stats.misses`` is the block-read count.
     """
 
     cache: Union[OrderedLRUCache, LRUCache, ResidencyBitmap]
@@ -205,7 +208,7 @@ class BatchReplayEngine:
         policy: PrefetchPolicy,
         cache_size: Optional[int] = None,
         vector_bytes: int = 128,
-        device: Optional[NVMDevice] = None,
+        device: Optional[NVMLatencyModel] = None,
         queue_depth: float = 8.0,
         stats: Optional[ReplayStats] = None,
     ) -> None:
@@ -220,6 +223,8 @@ class BatchReplayEngine:
         self.stats = stats
         self.device = device
         self.queue_depth = float(queue_depth)
+        #: One block read's unloaded latency (µs), priced once (0 without a device).
+        self._read_us = 0.0 if device is None else device.mean_latency_us(self.queue_depth)
         # Policy capabilities resolved once (see PrefetchPolicy class attrs).
         self._never_admits = bool(policy.never_admits)
         self._records = not (
@@ -319,7 +324,7 @@ class BatchReplayEngine:
         pending = self._pending
         policy = self.policy
         records = self._records
-        device = self.device
+        read_us = self._read_us
         block_of = self._block_arr.item
         block_admit = self._block_admit
         admits = capacity > 0 and not self._never_admits
@@ -338,9 +343,7 @@ class BatchReplayEngine:
             if records:
                 policy.record_access_batch(ids[recorded : index + 1])
                 recorded = index + 1
-            block_id = block_of(vid)
-            if device is not None:
-                latency += device.charge_read(block_id, queue_depth=self.queue_depth)
+            latency += read_us
             if capacity == 0:
                 continue
             if len(entries) >= capacity:
@@ -353,6 +356,7 @@ class BatchReplayEngine:
             if not admits:
                 continue
             # Offer the rest of the block to the prefetch policy, in slot order.
+            block_id = block_of(vid)
             candidates = block_admit.get(block_id)
             if candidates is None:
                 candidates = self._admissible(block_id)
@@ -384,7 +388,7 @@ class BatchReplayEngine:
         policy = self.policy
         admit = policy.admit
         records = self._records
-        device = self.device
+        read_us = self._read_us
         block_of = self._block_arr.item
         order = self._order
         stats = self.stats
@@ -400,11 +404,10 @@ class BatchReplayEngine:
             if records:
                 policy.record_access_batch(ids[recorded : index + 1])
                 recorded = index + 1
-            block_id = block_of(vid)
-            if device is not None:
-                latency += device.charge_read(block_id, queue_depth=self.queue_depth)
+            latency += read_us
             if capacity == 0:
                 continue
+            block_id = block_of(vid)
             victim = insert(vid)
             if victim is not None:
                 evictions += 1
@@ -445,7 +448,7 @@ class BatchReplayEngine:
         stamp = cache.stamp
         policy = self.policy
         records = self._records
-        device = self.device
+        read_us = self._read_us
         block_of = self._block_arr.item
         block_admit = self._block_admit
         stats = self.stats
@@ -491,8 +494,7 @@ class BatchReplayEngine:
                 policy.record_access_batch(ids[recorded:i])
                 recorded = i
             block_id = block_of(vid)
-            if device is not None:
-                stats.total_latency_us += device.charge_read(block_id, self.queue_depth)
+            stats.total_latency_us += read_us
             cache.insert(vid)
             if self._never_admits:
                 continue
@@ -566,7 +568,7 @@ def replay_table_cache_batched(
     engine: Optional[BatchReplayEngine] = None,
     cache_size: Optional[int] = None,
     vector_bytes: int = 128,
-    device: Optional[NVMDevice] = None,
+    device: Optional[NVMLatencyModel] = None,
     queue_depth: float = 8.0,
     stats: Optional[ReplayStats] = None,
 ) -> ReplayStats:

@@ -27,7 +27,7 @@ import numpy as np
 from repro.caching.lru import LRUCache
 from repro.caching.policies import PrefetchPolicy
 from repro.nvm.block import BlockLayout
-from repro.nvm.device import NVMDevice
+from repro.nvm.latency import NVMLatencyModel
 from repro.utils.validation import check_array_1d_ints, check_positive
 
 
@@ -147,7 +147,7 @@ def replay_table_cache(
     cache: Optional[LRUCache] = None,
     cache_size: Optional[int] = None,
     vector_bytes: int = 128,
-    device: Optional[NVMDevice] = None,
+    device: Optional[NVMLatencyModel] = None,
     queue_depth: float = 8.0,
     stats: Optional[ReplayStats] = None,
 ) -> ReplayStats:
@@ -172,8 +172,9 @@ def replay_table_cache(
     vector_bytes:
         Bytes per embedding vector (128 in the paper).
     device:
-        Optional :class:`~repro.nvm.device.NVMDevice`; when provided, every
-        block read is issued to it so latency and endurance are accounted.
+        Optional :class:`~repro.nvm.latency.NVMLatencyModel`; when provided,
+        every block read adds its unloaded latency at ``queue_depth`` to
+        ``stats.total_latency_us``.
     queue_depth:
         Queue depth used for the device latency model.
     stats:
@@ -193,6 +194,7 @@ def replay_table_cache(
     elif (stats.vector_bytes, stats.block_bytes) != (vector_bytes, block_bytes):
         raise ValueError("existing stats were created with a different geometry")
 
+    read_us = None if device is None else device.mean_latency_us(queue_depth)
     # Vectors currently resident because of a prefetch and not yet demanded.
     pending_prefetches: Set[int] = set()
 
@@ -216,9 +218,8 @@ def replay_table_cache(
 
             # Demand miss: read the block holding the vector.
             stats.misses += 1
-            if device is not None:
-                result = device.read_block(block_id, queue_depth=queue_depth)
-                stats.total_latency_us += result.latency_us
+            if read_us is not None:
+                stats.total_latency_us += read_us
 
             evicted = cache.insert(vector_id, position=0.0)
             pending_prefetches.discard(vector_id)

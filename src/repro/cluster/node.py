@@ -4,8 +4,9 @@ A :class:`ClusterNode` owns the *node half* of the spec/state split
 (:mod:`repro.core.tablespec`): for every table it serves, a
 :class:`~repro.caching.engine.BatchReplayEngine` with its own DRAM cache
 (sized to the node's owned share of the table's budget), its own policy
-instance and its own :class:`~repro.nvm.device.NVMDevice`.  Replica caches
-are fully independent — each replica's cache contents reflect exactly the
+instance and its own :class:`~repro.caching.replay.ReplayStats` — the node's
+tally of lookups, block reads and NVM read time.  Replica caches are fully
+independent — each replica's cache contents reflect exactly the
 traffic *that replica* served, so retries and hedges landing on a secondary
 warm the secondary, not the primary.
 
@@ -24,10 +25,10 @@ overload degrades, it does not melt.
 
 A crashed node loses its DRAM on recovery: :meth:`ClusterNode.cold_restart`
 rebuilds every engine cold (fresh cache, fresh policy state) while keeping
-the cumulative :class:`~repro.caching.replay.ReplayStats` objects, so
-availability accounting spans the crash — and re-anchors the device bank at
-the restart time (:meth:`~repro.device.NVMDeviceBank.rebase`), the same
-single definition of restart semantics warm-up rebase uses.
+the cumulative stats objects, so availability and block-read accounting span
+the crash — and re-anchors the device bank at the restart time
+(:meth:`~repro.device.NVMDeviceBank.rebase`), the same single definition of
+restart semantics warm-up rebase uses.
 
 The :class:`ShardServiceResult` split — ``queue_wait_us`` (FIFO backlog on
 this node's device) vs ``service_us`` (overhead + NVM read time, stretched
@@ -140,8 +141,8 @@ class ClusterNode:
     ) -> ShardServiceResult:
         """Execute one shard read arriving at ``arrive_us``.
 
-        Replays the ids through the table's engine (updating cache, policy,
-        device and stats exactly as single-store serving would), charges the
+        Replays the ids through the table's engine (updating cache, policy
+        and stats exactly as single-store serving would), charges the
         resulting NVM read time plus the node overhead — stretched by the
         active slow-node ``multiplier`` — behind the table's device backlog,
         and advances that device's clock.  ``validated=True`` is the router
@@ -149,13 +150,12 @@ class ClusterNode:
         request, before serving anything); direct callers get the engine's
         own check.
         """
-        engine = self.engines[table_name]
-        latency_before = engine.stats.total_latency_us
-        device = engine.device
-        blocks_before = device.blocks_read if device is not None else 0
-        engine.replay_query(ids, validate=not validated)
-        device_us = engine.stats.total_latency_us - latency_before
-        blocks = (device.blocks_read if device is not None else 0) - blocks_before
+        stats = self.engines[table_name].stats
+        latency_before = stats.total_latency_us
+        blocks_before = stats.misses
+        self.engines[table_name].replay_query(ids, validate=not validated)
+        device_us = stats.total_latency_us - latency_before
+        blocks = stats.misses - blocks_before
         service_us = (self.node_overhead_us + device_us) * float(multiplier)
         record = self.bank.serve_duration(
             table_name, arrive_us, service_us, block_reads=blocks
@@ -189,12 +189,11 @@ class ClusterNode:
 
     # ---------------------------------------------------------------- metrics
     def blocks_read(self) -> int:
-        """NVM blocks read by this node so far (its share of cluster load)."""
-        return sum(
-            engine.device.blocks_read
-            for engine in self.engines.values()
-            if engine.device is not None
-        )
+        """NVM blocks read by this node so far (its share of cluster load).
+
+        Counted off the stats, which survive a cold restart.
+        """
+        return sum(engine.stats.misses for engine in self.engines.values())
 
     def cache_sizes(self) -> Dict[str, int]:
         """The node's per-table cache budgets (vectors)."""

@@ -1,4 +1,4 @@
-"""Bandana itself: configuration, metrics and the end-to-end store.
+"""Bandana itself: configuration, table specs and the end-to-end store.
 
 ``repro.core`` contains the paper's actual contribution, assembled from the
 substrates in the sibling packages: the :class:`~repro.core.bandana.BandanaStore`
@@ -15,7 +15,6 @@ from repro.core.config import (
     TableCacheConfig,
     TracingConfig,
 )
-from repro.core.metrics import CacheStats, EffectiveBandwidth, LatencyStats
 from repro.core.tablespec import TableServingSpec
 
 __all__ = [
@@ -27,7 +26,4 @@ __all__ = [
     "TableCacheConfig",
     "TracingConfig",
     "TableServingSpec",
-    "CacheStats",
-    "EffectiveBandwidth",
-    "LatencyStats",
 ]

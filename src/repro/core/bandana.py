@@ -10,17 +10,20 @@
    static assignment).
 3. **Admission tuning** — each table's prefetch-admission threshold ``t`` is
    chosen by miniature-cache simulation at the table's assigned cache size.
-4. **Serving** — lookups hit the per-table DRAM cache first; misses read the
-   owning 4 KB block from a per-table simulated NVM device and the admission
-   policy decides which of the block's other vectors enter the cache.  Every
+4. **Serving** — lookups hit the per-table DRAM cache first; a miss reads
+   the owning 4 KB block from NVM (counted in the table's
+   :class:`~repro.caching.replay.ReplayStats` and priced by the
+   :class:`~repro.nvm.latency.NVMLatencyModel`) and the admission policy
+   decides which of the block's other vectors enter the cache.  Every
    serving call — single queries, batches, multi-table requests and
    :func:`repro.simulation.simulate_store` — runs on each table's
    :class:`~repro.caching.engine.BatchReplayEngine`, which owns the table's
    DRAM residency.
 
-The store keeps all counters needed to report the paper's metrics (effective
-bandwidth, hit rates, device latency, endurance) and can optionally return the
-actual embedding values when built with an :class:`~repro.embeddings.EmbeddingModel`.
+Each table's ``ReplayStats`` is the store's one tally of lookups, block reads
+and unloaded NVM time — everything the paper's metrics (effective bandwidth,
+hit rates, device latency) are computed from.  The store can optionally
+return the actual embedding values when built with an :class:`~repro.embeddings.EmbeddingModel`.
 """
 
 from __future__ import annotations
@@ -42,11 +45,10 @@ from repro.caching.policies import (
 from repro.caching.replay import ReplayStats
 from repro.caching.stack_distance import HitRateCurve, hit_rate_curve
 from repro.core.config import BandanaConfig, TableCacheConfig
-from repro.core.metrics import CacheStats, EffectiveBandwidth
 from repro.core.tablespec import TableServingSpec
 from repro.embeddings.model import EmbeddingModel
 from repro.nvm.block import BlockLayout
-from repro.nvm.device import NVMDevice
+from repro.nvm.latency import NVMLatencyModel
 from repro.partitioning.base import Partitioner
 from repro.partitioning.frequency import FrequencyPartitioner
 from repro.partitioning.identity import IdentityPartitioner
@@ -65,27 +67,21 @@ class BandanaTableState:
     name: str
     layout: BlockLayout
     policy: PrefetchPolicy
-    device: NVMDevice
     cache_config: TableCacheConfig
     access_counts: np.ndarray
     stats: ReplayStats = field(default_factory=ReplayStats)
     hit_rate_curve: Optional[HitRateCurve] = None
     partition_runtime_seconds: float = 0.0
     #: The serving engine, created on first use; it owns the table's DRAM
-    #: residency and shares ``stats`` and ``device``.
+    #: residency and accumulates into ``stats``.
     engine: Optional[BatchReplayEngine] = None
-
-    @property
-    def cache_stats(self) -> CacheStats:
-        """Application-facing summary of the traffic served so far."""
-        return CacheStats.from_replay(self.stats)
 
     def serving_spec(self, config: BandanaConfig) -> TableServingSpec:
         """The node-independent serving specification of this table.
 
         Extracts the "table spec owned by the cluster" half of this state
         (placement, policy, cache budget, geometry), leaving the node-owned
-        half (this state's device and engine) behind.  The returned
+        half (this state's stats and engine) behind.  The returned
         spec mints cold engines bit-identical in behaviour to this table's
         own serving engine — :mod:`repro.cluster` builds one per replica.
         """
@@ -95,14 +91,8 @@ class BandanaTableState:
             policy_prototype=self.policy,
             cache_size_vectors=self.cache_config.cache_size_vectors,
             vector_bytes=config.vector_bytes,
-            device_block_bytes=config.block_bytes,
             queue_depth=config.queue_depth,
         )
-
-    @property
-    def effective_bandwidth(self) -> EffectiveBandwidth:
-        """Effective bandwidth of the traffic served so far."""
-        return EffectiveBandwidth.from_replay(self.stats)
 
 
 class BandanaStore:
@@ -200,15 +190,10 @@ class BandanaStore:
                     tuning_trace[name], layouts[name], counts[name], cache_size
                 )
                 threshold = selection.threshold
-            policy = AccessThresholdPolicy(counts[name], threshold)
-            device = NVMDevice(
-                num_blocks=layouts[name].num_blocks, block_bytes=config.block_bytes
-            )
             tables[name] = BandanaTableState(
                 name=name,
                 layout=layouts[name],
-                policy=policy,
-                device=device,
+                policy=AccessThresholdPolicy(counts[name], threshold),
                 cache_config=TableCacheConfig(
                     cache_size_vectors=cache_size, threshold=threshold
                 ),
@@ -299,9 +284,9 @@ class BandanaStore:
         }
 
     # ---------------------------------------------------------------- metrics
-    def table_stats(self) -> Dict[str, CacheStats]:
-        """Per-table cache statistics for the traffic served so far."""
-        return {name: state.cache_stats for name, state in self.tables.items()}
+    def table_stats(self) -> Dict[str, ReplayStats]:
+        """Per-table replay statistics for the traffic served so far (live objects)."""
+        return {name: state.stats for name, state in self.tables.items()}
 
     def aggregate_stats(self) -> ReplayStats:
         """Sum of the per-table replay statistics.
@@ -318,13 +303,9 @@ class BandanaStore:
             )
         return stats if stats is not None else ReplayStats()
 
-    def effective_bandwidth(self) -> EffectiveBandwidth:
-        """Effective bandwidth over all tables for the traffic served so far."""
-        return EffectiveBandwidth.from_replay(self.aggregate_stats())
-
-    def total_blocks_read(self) -> int:
-        """Total NVM block reads across all per-table devices."""
-        return sum(state.device.blocks_read for state in self.tables.values())
+    def effective_bandwidth(self) -> float:
+        """Application bytes per NVM byte read over all tables so far."""
+        return self.aggregate_stats().effective_bandwidth
 
     def dram_bytes(self) -> int:
         """DRAM footprint of the configured caches, in bytes."""
@@ -374,7 +355,6 @@ class BandanaStore:
         """Clear caches and counters (placement and thresholds are kept)."""
         for state in self.tables.values():
             state.policy.reset()
-            state.device.reset_counters()
             state.stats = ReplayStats(
                 vector_bytes=self.config.vector_bytes,
                 block_bytes=self.config.vectors_per_block * self.config.vector_bytes,
@@ -419,7 +399,7 @@ class BandanaStore:
         """Validate a whole multi-table request, then serve it table by table.
 
         Every table name, id array and id range is checked before the first
-        engine runs, so a rejected request leaves every engine, device and
+        engine runs, so a rejected request leaves every engine and
         counter untouched.  Returns the validated id arrays.
         """
         arrays = {
@@ -435,7 +415,7 @@ class BandanaStore:
         """The table's serving engine, created on first use.
 
         The engine owns the table's DRAM residency and shares the table's
-        ``stats`` object and device, so all counters accumulate on the state.
+        ``stats`` object, so all counters accumulate on the state.
         """
         if state.engine is None:
             state.engine = BatchReplayEngine(
@@ -443,7 +423,7 @@ class BandanaStore:
                 state.policy,
                 cache_size=state.cache_config.cache_size_vectors,
                 vector_bytes=self.config.vector_bytes,
-                device=state.device,
+                device=NVMLatencyModel(block_bytes=self.config.block_bytes),
                 queue_depth=self.config.queue_depth,
                 stats=state.stats,
             )

@@ -166,10 +166,8 @@ class ServingConfig:
         check_positive(self.slo_latency_us, "slo_latency_us")
         check_positive(self.max_device_queue_depth, "max_device_queue_depth")
         check_positive(self.throughput_window_s, "throughput_window_s")
-        if self.max_linger_us < 0:
-            raise ValueError("max_linger_us must be >= 0")
-        if self.request_overhead_us < 0:
-            raise ValueError("request_overhead_us must be >= 0")
+        check_non_negative(self.max_linger_us, "max_linger_us")
+        check_non_negative(self.request_overhead_us, "request_overhead_us")
         check_fraction(self.mmpp_burst_fraction, "mmpp_burst_fraction")
         check_int_at_least(self.closed_loop_clients, 1, "closed_loop_clients")
         check_positive(self.closed_loop_think_s, "closed_loop_think_s")
@@ -346,10 +344,8 @@ class ClusterConfig:
         check_int_at_least(
             self.breaker_failure_threshold, 1, "breaker_failure_threshold"
         )
-        if self.node_overhead_us < 0:
-            raise ValueError("node_overhead_us must be >= 0")
-        if self.link_delay_us < 0:
-            raise ValueError("link_delay_us must be >= 0")
+        check_non_negative(self.node_overhead_us, "node_overhead_us")
+        check_non_negative(self.link_delay_us, "link_delay_us")
         check_positive(self.shard_timeout_us, "shard_timeout_us")
         check_positive(self.retry_backoff_us, "retry_backoff_us")
         check_positive(self.retry_backoff_cap_us, "retry_backoff_cap_us")
@@ -366,8 +362,7 @@ class ClusterConfig:
         check_positive(self.breaker_cooloff_s, "breaker_cooloff_s")
         check_positive(self.admission_queue_slack, "admission_queue_slack")
         check_positive(self.default_slo_us, "default_slo_us")
-        if self.request_overhead_us < 0:
-            raise ValueError("request_overhead_us must be >= 0")
+        check_non_negative(self.request_overhead_us, "request_overhead_us")
         slos = tuple((str(name), float(slo)) for name, slo in self.table_slo_us)
         for name, slo in slos:
             check_positive(slo, f"table_slo_us[{name!r}]")

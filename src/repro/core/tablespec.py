@@ -4,15 +4,15 @@ Historically :class:`~repro.core.bandana.BandanaTableState` fused two things:
 
 * the **table spec** — placement layout, admission policy, cache budget,
   geometry — which describes *what* serving a table means, and
-* the **node-owned serving state** — the DRAM cache, the NVM device and the
+* the **node-owned serving state** — the DRAM cache, the counters and the
   replay engine bound to them — which describes *where* that serving runs.
 
 A single-host store never needs the distinction, but a cluster does: the
 spec is global (every replica of every shard serves the same table the same
-way) while caches and devices exist once per node.  :class:`TableServingSpec`
+way) while caches and counters exist once per node.  :class:`TableServingSpec`
 is the extracted spec; it can mint any number of independent, cold serving
 engines (:meth:`TableServingSpec.make_engine`), each with its own policy
-instance, cache and device, all bit-identical in behaviour to the engine a
+instance, cache and stats, all bit-identical in behaviour to the engine a
 :class:`~repro.core.bandana.BandanaStore` would build for the same table.
 :mod:`repro.cluster` instantiates one per replica; the single-host store
 keeps working on its fused state and merely *exports* specs via
@@ -31,7 +31,7 @@ from repro.caching.engine import BatchReplayEngine
 from repro.caching.policies import PrefetchPolicy
 from repro.caching.replay import ReplayStats
 from repro.nvm.block import BlockLayout
-from repro.nvm.device import NVMDevice
+from repro.nvm.latency import NVMLatencyModel
 from repro.utils.validation import check_int_at_least, check_positive
 
 
@@ -55,8 +55,6 @@ class TableServingSpec:
         callers scale this by each node's owned share of the table.
     vector_bytes:
         Bytes per embedding vector.
-    device_block_bytes:
-        Physical block size of the backing NVM device.
     queue_depth:
         Queue depth assumed for the device's latency accounting.
     """
@@ -66,13 +64,11 @@ class TableServingSpec:
     policy_prototype: PrefetchPolicy
     cache_size_vectors: int
     vector_bytes: int = 128
-    device_block_bytes: int = 4096
     queue_depth: float = 8.0
 
     def __post_init__(self) -> None:
         check_int_at_least(self.cache_size_vectors, 0, "cache_size_vectors")
         check_positive(self.vector_bytes, "vector_bytes")
-        check_positive(self.device_block_bytes, "device_block_bytes")
         check_positive(self.queue_depth, "queue_depth")
 
     # ------------------------------------------------------------------ build
@@ -87,12 +83,6 @@ class TableServingSpec:
         policy.reset()
         return policy
 
-    def make_device(self) -> NVMDevice:
-        """A fresh NVM device sized for the table's layout."""
-        return NVMDevice(
-            num_blocks=self.layout.num_blocks, block_bytes=self.device_block_bytes
-        )
-
     def make_stats(self) -> ReplayStats:
         """A zeroed stats object with the table's geometry."""
         return ReplayStats(
@@ -103,7 +93,6 @@ class TableServingSpec:
         self,
         cache_size_vectors: Optional[int] = None,
         stats: Optional[ReplayStats] = None,
-        with_device: bool = True,
     ) -> BatchReplayEngine:
         """A cold serving engine for this table.
 
@@ -120,7 +109,7 @@ class TableServingSpec:
             self.make_policy(),
             cache_size=cache_size_vectors,
             vector_bytes=self.vector_bytes,
-            device=self.make_device() if with_device else None,
+            device=NVMLatencyModel(block_bytes=self.stats_block_bytes),
             queue_depth=self.queue_depth,
             stats=stats if stats is not None else self.make_stats(),
         )

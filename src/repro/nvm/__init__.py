@@ -11,15 +11,16 @@ This package provides:
 * :class:`repro.nvm.BlockLayout` — the mapping from vector id to (block, slot)
   induced by a placement order,
 * :class:`repro.nvm.NVMLatencyModel` — the queue-depth/throughput latency
-  curves calibrated to the paper's Figure 2/5 measurements,
-* :class:`repro.nvm.NVMDevice` — the device itself: block reads/writes,
-  counters, latency accounting and endurance tracking,
+  curves calibrated to the paper's Figure 2/5 measurements; the replay
+  engines price every block read with it,
 * :class:`repro.nvm.EnduranceTracker` and :class:`repro.nvm.DRAMModel`.
+
+Block reads are counted in one place, the replay's
+:class:`~repro.caching.replay.ReplayStats` (one read per demand miss).
 """
 
 from repro.nvm.block import BlockLayout
 from repro.nvm.latency import NVMLatencyModel, LoadedLatency
-from repro.nvm.device import NVMDevice, NVMReadResult
 from repro.nvm.endurance import EnduranceTracker
 from repro.nvm.dram import DRAMModel
 
@@ -27,8 +28,6 @@ __all__ = [
     "BlockLayout",
     "NVMLatencyModel",
     "LoadedLatency",
-    "NVMDevice",
-    "NVMReadResult",
     "EnduranceTracker",
     "DRAMModel",
 ]

@@ -34,7 +34,7 @@ from typing import List
 
 import numpy as np
 
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_non_negative, check_positive
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,7 @@ def form_batches(
     that way); requests are batched strictly in arrival order.
     """
     check_positive(max_batch_requests, "max_batch_requests")
-    if max_linger_us < 0:
-        raise ValueError("max_linger_us must be >= 0")
+    check_non_negative(max_linger_us, "max_linger_us")
     arrival_us = np.asarray(arrival_us, dtype=np.float64)
     n = int(arrival_us.size)
     batches: List[Batch] = []

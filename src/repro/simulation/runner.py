@@ -19,7 +19,6 @@ from repro.caching.engine import replay_table_cache_batched
 from repro.caching.policies import CacheAllBlockPolicy, NoPrefetchPolicy, PrefetchPolicy
 from repro.caching.replay import ReplayStats, effective_bandwidth_increase
 from repro.core.bandana import BandanaStore
-from repro.core.metrics import CacheStats, EffectiveBandwidth
 from repro.nvm.block import BlockLayout
 from repro.workloads.trace import ModelTrace, Trace
 
@@ -30,16 +29,6 @@ class TableSimulationResult:
 
     stats: ReplayStats
     baseline_stats: Optional[ReplayStats] = None
-
-    @property
-    def cache_stats(self) -> CacheStats:
-        """Application-facing counters of the candidate run."""
-        return CacheStats.from_replay(self.stats)
-
-    @property
-    def effective_bandwidth(self) -> EffectiveBandwidth:
-        """Effective bandwidth of the candidate run."""
-        return EffectiveBandwidth.from_replay(self.stats)
 
     @property
     def bandwidth_increase(self) -> float:

@@ -26,7 +26,6 @@ from repro.core.bandana import BandanaStore, BandanaTableState
 from repro.core.config import BandanaConfig, TableCacheConfig
 from repro.embeddings import EmbeddingTable, synthesize_topic_vectors
 from repro.nvm.block import BlockLayout
-from repro.nvm.device import NVMDevice
 from repro.partitioning import SHPPartitioner
 from repro.scenarios import ScenarioConfig, generate_scenario_trace
 from repro.workloads import SyntheticTraceGenerator, TableSpec, scaled_table_specs
@@ -127,9 +126,6 @@ def build_store(seed: int):
             name=name,
             layout=layout,
             policy=make_policy(counts),
-            device=NVMDevice(
-                num_blocks=layout.num_blocks, block_bytes=config.block_bytes
-            ),
             cache_config=TableCacheConfig(cache_size_vectors=cache_size),
             access_counts=counts,
             stats=ReplayStats(

@@ -107,7 +107,7 @@ class TestServing:
     def test_lookup_returns_vectors(self, built_store):
         values = built_store.lookup("alpha", [1, 2, 3])
         assert values.shape == (3, 16)
-        stats = built_store.tables["alpha"].cache_stats
+        stats = built_store.tables["alpha"].stats
         assert stats.lookups == 3
 
     def test_lookup_unknown_table(self, built_store):
@@ -141,7 +141,7 @@ class TestServing:
             with pytest.raises(error):
                 serve({"alpha": [1, 2], **bad})
             assert built_store.aggregate_stats().lookups == 0
-            assert built_store.total_blocks_read() == 0
+            assert built_store.aggregate_stats().block_reads == 0
 
     @pytest.mark.parametrize(
         "call",
@@ -158,7 +158,7 @@ class TestServing:
         with pytest.raises(KeyError):
             call(built_store)
         assert built_store.aggregate_stats().lookups == 0
-        assert built_store.total_blocks_read() == 0
+        assert built_store.aggregate_stats().block_reads == 0
 
     def test_pooled_features_serve_like_lookup_request(self, built_store):
         """Same counters as ``lookup_request``; sum-pooled in table registration order."""
@@ -181,14 +181,14 @@ class TestServing:
         built_store.reset_serving_state()
         built_store.lookup("alpha", [5])
         built_store.lookup("alpha", [5])
-        stats = built_store.tables["alpha"].cache_stats
+        stats = built_store.tables["alpha"].stats
         assert stats.hits >= 1
 
     def test_reset_serving_state(self, built_store):
         built_store.lookup("alpha", [1])
         built_store.reset_serving_state()
         assert built_store.aggregate_stats().lookups == 0
-        assert built_store.total_blocks_read() == 0
+        assert built_store.aggregate_stats().block_reads == 0
 
     def test_lookup_counting_mode_without_model(self, store_workload):
         specs, _, train, _ = store_workload
@@ -298,7 +298,7 @@ class TestServingAttribution:
         state = built_store.tables["beta"]
         assert state.stats.lookups == 0 and state.stats.prefetch_admitted == 0
         assert state.engine is None  # rebuilt lazily against the fresh stats
-        assert state.device.blocks_read == 0
+        assert state.stats.block_reads == 0
 
         built_store.lookup_batch("beta", queries)
         assert self._counters(built_store.tables["beta"].stats) == first
@@ -321,4 +321,4 @@ class TestEndToEndBandwidth:
         bandwidth = built_store.effective_bandwidth()
         # The baseline policy's effective bandwidth is vector/block = 1/32; a
         # working Bandana configuration must do better.
-        assert bandwidth.fraction > 128 / 4096
+        assert bandwidth > 128 / 4096

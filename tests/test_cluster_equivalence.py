@@ -42,7 +42,7 @@ class TestSingleNodeEquivalence:
         node = cluster.nodes[0]
         for name, state in store.tables.items():
             assert node.engines[name].cache.keys() == state.engine.cache.keys(), name
-            assert node.engines[name].device.blocks_read == state.device.blocks_read, name
+            assert node.engines[name].stats.misses == state.stats.misses, name
 
     def test_no_robustness_machinery_fires(self):
         cluster = replay_cluster(0, SINGLE)

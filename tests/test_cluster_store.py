@@ -295,15 +295,26 @@ class TestStoreMechanics:
         )
         assert cluster.replication == 2
 
-    def test_node_blocks_read_sums_to_aggregate(self):
+    @pytest.mark.parametrize("replication", [1, 2])
+    @pytest.mark.parametrize("warmup_requests", [0, 20])
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_node_blocks_read_sums_to_aggregate(
+        self, scenario, warmup_requests, replication
+    ):
+        # A cold restart rebuilds a node's engines but keeps its stats, so the
+        # per-node counts must span the crash (at R = 1 they once went
+        # negative; at R = 2 the crashed node is not touched again).
         store, trace = build_store(0)
         report = run_scenario(
             store,
             trace,
-            scenario="none",
-            cluster_config=ClusterConfig(num_nodes=4, replication=2),
+            scenario=scenario,
+            cluster_config=ClusterConfig(num_nodes=4, replication=replication),
+            scenario_overrides=WINDOW,
+            warmup_requests=warmup_requests,
         )
         assert sum(report.node_blocks_read) == report.blocks_read
+        assert all(blocks >= 0 for blocks in report.node_blocks_read)
 
     def test_negative_request_counts_rejected(self):
         # Regression: negative counts used to slice from the tail
@@ -588,14 +599,16 @@ def golden_trace_digests():
 
 
 #: Frozen output of :func:`golden_trace_digests` (captured from the router
-#: whose primary reads and hedges still had separate replica probes).  It
+#: whose primary reads and hedges still had separate replica probes; the two
+#: R = 1 crash digests re-pinned when per-node block reads began spanning a
+#: cold restart, which moved their ``node_blocks_read``).  It
 #: changes only when cluster serving or its spans change — regenerate
 #: deliberately with ``python tests/test_cluster_store.py``.
 GOLDEN_CLUSTER_TRACE_DIGESTS = {
     "none/R1": "b37ff56cd2f97f12ee61087ca9049dc744592cd03feef1e15a393e48fbddaf5d",
     "none/R2": "c0502a8b78249ed79faf3ca9f7d491fbf0ddee0bc5f758dbe62f83bd74b794cf",
     "none/R3": "27919c1e3efdb6b0bfa196b95423646e0168a031695171e08e61a893b743fbfe",
-    "crash_recover/R1": "266b649a8ed416d4cb4e97cc37a11ac25b195e6caec86a6b4b6ed48e2b3d3c74",
+    "crash_recover/R1": "7fb32c23117c4992c65a63c0d36b7b56415dbc072562ecc93d57c876c84dd4c4",
     "crash_recover/R2": "4ad06fcad14bc452c02553c4910c00e6330425f0632e56d114437fd224a1eb67",
     "crash_recover/R3": "689f9bd05f2e8820df8c1152d13542984b92e0e839551569a42b6ceb68562122",
     "slow_node/R1": "f7bcd9540fb5c8585eae63d39cc44588e3d88eae8473267b370aa41cddb38900",
@@ -604,7 +617,7 @@ GOLDEN_CLUSTER_TRACE_DIGESTS = {
     "flaky_link/R1": "551b0438094f83c18b960a54e52308135cec4a53653711615e2f6881537a4fe3",
     "flaky_link/R2": "c3ae86ed8e45d7b8e8d30504dd2d357845a32b51351f2b005c433fb4d8ce1e8b",
     "flaky_link/R3": "5b9c15d6cbccbe105bfef6d4a353b223091bc51bd58b2074db465a4d2f294017",
-    "degraded_cluster/R1": "e2016aa785240d7fa3f162cf430f0f24fad9fbdbd14ea07e8090dfbb63da1b33",
+    "degraded_cluster/R1": "acabcb4e93c3cf68d0d1b9a3a2f1ddfadb00e8e0c527806dc124824c3ab49c0c",
     "degraded_cluster/R2": "34d5a49577ecd1901b816e9291bcaa84c53dc4083cd66a187dcb05caedf63713",
     "degraded_cluster/R3": "d5f338fff804c6d68e6bb5068202c6e16e25d3bd914f3a49ea0cc6962d783aa2",
 }

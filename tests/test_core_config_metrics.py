@@ -1,11 +1,10 @@
-"""Tests for the Bandana configuration and metric containers."""
+"""Tests for the Bandana, serving and cluster configuration knobs."""
 
+import numpy as np
 import pytest
 
-from repro.caching.replay import ReplayStats
 from repro.core.config import BandanaConfig, ClusterConfig, ServingConfig, TableCacheConfig
-from repro.core.metrics import CacheStats, EffectiveBandwidth, LatencyStats
-from repro.nvm.latency import NVMLatencyModel
+from repro.serving.batcher import form_batches
 
 
 class TestBandanaConfig:
@@ -43,56 +42,6 @@ class TestBandanaConfig:
             TableCacheConfig(cache_size_vectors=-1)
         with pytest.raises(ValueError):
             TableCacheConfig(cache_size_vectors=1, threshold=-2)
-
-
-class TestCacheStats:
-    def test_from_replay(self):
-        replay = ReplayStats(lookups=10, hits=7, misses=3, prefetch_admitted=4, prefetch_hits=2)
-        stats = CacheStats.from_replay(replay)
-        assert stats.hit_rate == pytest.approx(0.7)
-        assert stats.prefetch_accuracy == pytest.approx(0.5)
-        assert stats.block_reads == 3
-
-    def test_zero_lookups(self):
-        stats = CacheStats(0, 0, 0, 0, 0, 0, 0)
-        assert stats.hit_rate == pytest.approx(0.0)
-        assert stats.prefetch_accuracy == pytest.approx(0.0)
-
-
-class TestEffectiveBandwidth:
-    def test_fraction(self):
-        bandwidth = EffectiveBandwidth(app_bytes=128, nvm_bytes=4096)
-        assert bandwidth.fraction == pytest.approx(128 / 4096)
-
-    def test_increase_over_baseline(self):
-        baseline = EffectiveBandwidth(app_bytes=1000, nvm_bytes=4000)
-        candidate = EffectiveBandwidth(app_bytes=1000, nvm_bytes=2000)
-        assert candidate.increase_over(baseline) == pytest.approx(1.0)
-
-    def test_zero_nvm_bytes(self):
-        assert EffectiveBandwidth(10, 0).fraction == pytest.approx(0.0)
-
-    def test_from_replay(self):
-        replay = ReplayStats(vector_bytes=128, block_bytes=4096, lookups=10, misses=2)
-        bandwidth = EffectiveBandwidth.from_replay(replay)
-        assert bandwidth.app_bytes == 1280
-        assert bandwidth.nvm_bytes == 8192
-
-
-class TestLatencyStats:
-    def test_unloaded(self):
-        stats = LatencyStats.from_block_reads(100, queue_depth=4)
-        model = NVMLatencyModel()
-        assert stats.mean_us == pytest.approx(model.mean_latency_us(4))
-        assert stats.total_us == pytest.approx(100 * stats.mean_us)
-
-    def test_loaded_latency_higher(self):
-        model = NVMLatencyModel()
-        unloaded = LatencyStats.from_block_reads(10, model)
-        loaded = LatencyStats.from_block_reads(
-            10, model, device_throughput_mbps=0.95 * model.bandwidth_gbps(8) * 1000
-        )
-        assert loaded.mean_us > unloaded.mean_us
 
 
 class TestConfigKnobValidation:
@@ -188,6 +137,29 @@ class TestConfigKnobValidation:
     def test_cluster_rejects_bad_knobs(self, kwargs):
         with pytest.raises((ValueError, TypeError), match=next(iter(kwargs))):
             ClusterConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "config_cls, name",
+        [
+            (ServingConfig, "max_linger_us"),
+            (ServingConfig, "request_overhead_us"),
+            (ClusterConfig, "node_overhead_us"),
+            (ClusterConfig, "link_delay_us"),
+            (ClusterConfig, "request_overhead_us"),
+        ],
+        ids=lambda value: getattr(value, "__name__", value),
+    )
+    @pytest.mark.parametrize("value", [float("nan"), -1.0])
+    def test_time_knobs_reject_nan_and_negative(self, config_cls, name, value):
+        # NaN used to slip past a hand-rolled ``< 0`` check and then poison
+        # every latency the knob is added to.
+        with pytest.raises(ValueError, match=name):
+            config_cls(**{name: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), -1.0])
+    def test_form_batches_rejects_nan_and_negative_linger(self, value):
+        with pytest.raises(ValueError, match="max_linger_us"):
+            form_batches(np.array([0.0, 1.0]), 4, value)
 
     def test_cluster_rejects_non_positive_table_slo(self):
         with pytest.raises(ValueError, match="table_slo_us"):

@@ -45,7 +45,7 @@ from repro.caching.replay import (
 from repro.core.bandana import BandanaStore
 from repro.core.config import BandanaConfig, TableCacheConfig
 from repro.nvm.block import BlockLayout
-from repro.nvm.device import NVMDevice
+from repro.nvm.latency import NVMLatencyModel
 from repro.simulation import simulate_store
 from repro.utils.sampling import sample_queries_spatially
 from repro.workloads.trace import ModelTrace, Trace
@@ -138,17 +138,15 @@ class TestEngineEquivalence:
 
     def test_device_accounting_matches(self):
         layout, queries, _ = random_workload(7)
-        ref_device = NVMDevice(num_blocks=layout.num_blocks)
-        bat_device = NVMDevice(num_blocks=layout.num_blocks)
+        device = NVMLatencyModel()
         reference = replay_table_cache(
-            queries, layout, CacheAllBlockPolicy(), cache_size=32, device=ref_device
+            queries, layout, CacheAllBlockPolicy(), cache_size=32, device=device
         )
         batched = replay_table_cache_batched(
-            queries, layout, CacheAllBlockPolicy(), cache_size=32, device=bat_device
+            queries, layout, CacheAllBlockPolicy(), cache_size=32, device=device
         )
         assert counters(batched) == counters(reference)
         assert batched.total_latency_us == reference.total_latency_us
-        assert bat_device.blocks_read == ref_device.blocks_read
 
     def test_out_of_range_ids_rejected(self):
         layout = BlockLayout.identity(64, 32)
@@ -355,6 +353,39 @@ class TestMechanismRelations:
     @given(
         seed=st.integers(0, 10**6),
         vectors_per_block=st.sampled_from([4, 8, 32]),
+        policy_name=st.sampled_from(sorted(POLICY_FACTORIES)),
+        kind=st.sampled_from(sorted(CAPACITY_KINDS)),
+        pick=st.integers(0, 10**6),
+        queue_depth=st.sampled_from([0.5, 1.0, 3.0, 8.0, 32.0]),
+    )
+    def test_nvm_time_is_one_read_price_per_demand_miss(
+        self, seed, vectors_per_block, policy_name, kind, pick, queue_depth
+    ):
+        layout, queries, counts = small_workload(seed, vectors_per_block)
+        capacity = CAPACITY_KINDS[kind](layout.num_vectors, vectors_per_block, pick)
+        factory = POLICY_FACTORIES[policy_name]
+        device = NVMLatencyModel()
+        reference = replay_table_cache(
+            queries, layout, factory(counts), cache_size=capacity,
+            device=device, queue_depth=queue_depth,
+        )
+        engine = BatchReplayEngine(
+            layout, factory(counts), cache_size=capacity,
+            device=device, queue_depth=queue_depth,
+        )
+        for ids in queries:
+            engine.replay_query(ids)
+        # ``misses`` sequential additions of one read's unloaded price.
+        expected = 0.0
+        for _ in range(reference.misses):
+            expected += device.mean_latency_us(queue_depth)
+        assert full_counters(engine.stats) == full_counters(reference)
+        assert engine.stats.total_latency_us == reference.total_latency_us == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        vectors_per_block=st.sampled_from([4, 8, 32]),
         kind=st.sampled_from(sorted(CAPACITY_KINDS)),
         pick=st.integers(0, 10**6),
         margin=st.integers(0, 5),
@@ -477,8 +508,9 @@ class TestHostileIds:
 
     @pytest.mark.parametrize("ids, error", HOSTILE)
     def test_engine_and_reference_raise_the_same_typed_error(self, ids, error):
-        device = NVMDevice(num_blocks=self.LAYOUT.num_blocks)
-        engine = BatchReplayEngine(self.LAYOUT, CacheAllBlockPolicy(), cache_size=16, device=device)
+        engine = BatchReplayEngine(
+            self.LAYOUT, CacheAllBlockPolicy(), cache_size=16, device=NVMLatencyModel()
+        )
         good = np.array([1, 2], dtype=np.int64)
         calls = (
             lambda: engine.replay_query(ids),
@@ -488,8 +520,8 @@ class TestHostileIds:
         for call in calls:
             with pytest.raises(error) as raised:
                 call()
-            assert counters(engine.stats) == (0,) * 7 and len(engine.cache) == 0
-            assert device.blocks_read == 0
+            assert full_counters(engine.stats) == (0,) * 7 + (0.0,)
+            assert len(engine.cache) == 0
         with pytest.raises(error) as reference:
             replay_table_cache([ids], self.LAYOUT, CacheAllBlockPolicy(), cache_size=16)
         assert str(reference.value) == str(raised.value)
@@ -513,7 +545,7 @@ class TestHostileIds:
                 call()
             assert str(raised.value) == str(reference.value)
             assert store.tables["alpha"].stats.lookups == 0
-            assert store.total_blocks_read() == 0
+            assert store.aggregate_stats().block_reads == 0
 
 
 class TestMiniatureTunerEquivalence:
@@ -649,7 +681,6 @@ class TestStoreBatchedServing:
         queries = eval_trace["alpha"].queries
         size = state.cache_config.cache_size_vectors
         reference_cache = LRUCache(size)
-        reference_device = NVMDevice(num_blocks=state.layout.num_blocks)
         # One uninterrupted reference replay: the engine carries prefetch
         # attribution across calls, so every counter is exact.
         reference = replay_table_cache(
@@ -657,7 +688,7 @@ class TestStoreBatchedServing:
             state.layout,
             AccessThresholdPolicy(state.access_counts, state.cache_config.threshold),
             cache=reference_cache,
-            device=reference_device,
+            device=NVMLatencyModel(block_bytes=store.config.block_bytes),
             queue_depth=store.config.queue_depth,
         )
         stats = result.per_table["alpha"].stats
@@ -665,7 +696,6 @@ class TestStoreBatchedServing:
             include_latency=True
         )
         assert state.engine.cache.keys() == reference_cache.keys()
-        assert state.device.blocks_read == reference_device.blocks_read
         baseline = replay_table_cache(
             queries, state.layout, NoPrefetchPolicy(), cache_size=size
         )
@@ -688,36 +718,31 @@ def reference_store_replay(store, trace):
     """One uninterrupted reference-loop replay per table of ``store``.
 
     Each table replays ``trace`` with a fresh copy of its policy, its cache
-    size and its own device geometry.  Returns ``{name: (stats, cache,
-    device)}``.
+    size and the store's latency model.  Returns ``{name: (stats, cache)}``.
     """
     out = {}
     for name, table_trace in trace.items():
         state = store.tables[name]
         cache = LRUCache(state.cache_config.cache_size_vectors)
-        device = NVMDevice(
-            num_blocks=state.layout.num_blocks, block_bytes=store.config.block_bytes
-        )
         stats = replay_table_cache(
             table_trace.queries,
             state.layout,
             POLICY_TABLES[name][0](state.access_counts),
             cache=cache,
             vector_bytes=store.config.vector_bytes,
-            device=device,
+            device=NVMLatencyModel(block_bytes=store.config.block_bytes),
             queue_depth=store.config.queue_depth,
         )
-        out[name] = (stats, cache, device)
+        out[name] = (stats, cache)
     return out
 
 
 def assert_store_matches_reference(store, trace):
-    """Every table's counters, cache order and device reads ≡ the reference loop."""
-    for name, (stats, cache, device) in reference_store_replay(store, trace).items():
+    """Every table's counters (NVM time included) and cache order ≡ the reference loop."""
+    for name, (stats, cache) in reference_store_replay(store, trace).items():
         state = store.tables[name]
         assert full_counters(state.stats) == full_counters(stats), name
         assert state.engine.cache.keys() == cache.keys(), name
-        assert state.device.blocks_read == device.blocks_read, name
 
 
 class TestStoreReplayPaths:
@@ -783,7 +808,7 @@ class TestStoreReplayPaths:
         first = {name: full_counters(store.tables[name].stats) for name in trace}
         store.reset_serving_state()
         assert store.aggregate_stats().lookups == 0
-        assert store.total_blocks_read() == 0
+        assert store.aggregate_stats().block_reads == 0
         for request in requests:
             store.lookup_request(request)
         assert {name: full_counters(store.tables[name].stats) for name in trace} == first
@@ -793,7 +818,7 @@ class TestStoreReplayPaths:
         store, trace = build_store(seed)
         result = simulate_store(store, trace)
         aggregate = store.aggregate_stats()
-        assert result.total_block_reads == store.total_blocks_read()
+        assert result.total_block_reads == aggregate.block_reads
         assert result.aggregate_hit_rate == aggregate.hits / aggregate.lookups
         assert result.total_baseline_block_reads == store.baseline_block_reads(trace)
         assert result.bandwidth_increase == (
@@ -818,7 +843,7 @@ class TestStoreBaselineBlockReads:
         )
         assert store.baseline_block_reads(trace) == expected
         assert store.aggregate_stats().lookups == 0
-        assert store.total_blocks_read() == 0
+        assert store.aggregate_stats().block_reads == 0
         assert all(state.engine is None for state in store.tables.values())
 
     @pytest.mark.parametrize("seed", [4, 5])
@@ -887,7 +912,7 @@ def golden_engine_counters():
         layout,
         AccessThresholdPolicy(counts, 2),
         cache_size=512,
-        device=NVMDevice(num_blocks=layout.num_blocks),
+        device=NVMLatencyModel(),
     )
     for query in queries:
         engine.replay_query(query)

@@ -19,7 +19,6 @@ from repro.caching.policies import CacheAllBlockPolicy
 from repro.caching.replay import ReplayStats
 from repro.core.bandana import BandanaStore, BandanaTableState
 from repro.core.config import BandanaConfig, TableCacheConfig
-from repro.nvm.device import NVMDevice
 from repro.partitioning import SHPPartitioner
 from repro.simulation import simulate_store
 from repro.workloads import SyntheticTraceGenerator, TableSpec
@@ -86,7 +85,6 @@ def build_golden_store():
             name=name,
             layout=layout,
             policy=CacheAllBlockPolicy(),
-            device=NVMDevice(num_blocks=layout.num_blocks, block_bytes=4096),
             # Unlimited cache: a placement study.
             cache_config=TableCacheConfig(cache_size_vectors=spec.num_vectors),
             access_counts=np.zeros(spec.num_vectors, dtype=np.int64),
@@ -117,5 +115,5 @@ def test_golden_store_counters():
     assert result.aggregate_hit_rate == pytest.approx(
         GOLDEN_AGGREGATE_HIT_RATE, abs=1e-9
     )
-    # Device accounting must agree with the replay counters.
-    assert store.total_blocks_read() == GOLDEN_TOTAL_BLOCK_READS
+    # The store's tally is the replay counters it served into.
+    assert store.aggregate_stats().block_reads == GOLDEN_TOTAL_BLOCK_READS

@@ -1,9 +1,7 @@
-"""Tests for the simulated NVM device, latency model, endurance and DRAM model."""
+"""Tests for the NVM latency model, endurance tracker and DRAM model."""
 
-import numpy as np
 import pytest
 
-from repro.nvm.device import NVMDevice
 from repro.nvm.dram import DRAMModel
 from repro.nvm.endurance import EnduranceTracker
 from repro.nvm.latency import NVMLatencyModel
@@ -81,86 +79,6 @@ class TestLatencyModel:
         assert model.blocks_per_second(8) == pytest.approx(
             model.bandwidth_gbps(8) * 1e9 / 4096
         )
-
-
-class TestNVMDevice:
-    def test_read_counts_and_latency(self):
-        device = NVMDevice(num_blocks=10, block_bytes=4096)
-        result = device.read_block(3)
-        assert result.block_id == 3
-        assert result.latency_us > 0
-        assert device.blocks_read == 1
-        assert device.bytes_read == 4096
-        assert device.mean_read_latency_us == pytest.approx(result.latency_us)
-
-    def test_read_blocks_batch_latency(self):
-        device = NVMDevice(num_blocks=100)
-        latency = device.read_blocks(list(range(16)), queue_depth=8)
-        assert device.blocks_read == 16
-        # 16 reads at queue depth 8 = 2 serial rounds.
-        assert latency == pytest.approx(2 * device.latency_model.mean_latency_us(8))
-
-    def test_write_and_payload_roundtrip(self):
-        device = NVMDevice(num_blocks=4, block_bytes=64)
-        payload = np.arange(16, dtype=np.float32)
-        device.write_block(1, payload)
-        np.testing.assert_array_equal(device.read_block(1).data, payload)
-        assert device.blocks_written == 1
-        assert device.endurance.bytes_written == 64
-
-    def test_oversized_payload_rejected(self):
-        device = NVMDevice(num_blocks=4, block_bytes=64)
-        with pytest.raises(ValueError):
-            device.write_block(0, np.zeros(1000, dtype=np.float64))
-
-    def test_out_of_range_block_rejected(self):
-        device = NVMDevice(num_blocks=4)
-        with pytest.raises(IndexError):
-            device.read_block(4)
-        with pytest.raises(IndexError):
-            device.write_block(-1)
-
-    def test_per_block_tracking(self):
-        device = NVMDevice(num_blocks=4, track_per_block_reads=True)
-        device.read_block(2)
-        device.read_block(2)
-        assert device.per_block_reads.tolist() == [0, 0, 2, 0]
-
-    def test_charge_read_accounts_like_read_block(self):
-        charged = NVMDevice(num_blocks=4, track_per_block_reads=True)
-        read = NVMDevice(num_blocks=4, track_per_block_reads=True)
-        for block_id, depth in [(2, 8.0), (2, 8.0), (1, 3.0), (0, 8.0)]:
-            latency = charged.charge_read(block_id, queue_depth=depth)
-            assert latency == read.read_block(block_id, queue_depth=depth).latency_us
-            assert latency == charged.latency_model.mean_latency_us(depth)
-        assert charged.blocks_read == read.blocks_read == 4
-        assert charged.mean_read_latency_us == read.mean_read_latency_us
-        assert charged.per_block_reads.tolist() == read.per_block_reads.tolist()
-        with pytest.raises(IndexError):
-            charged.charge_read(4)
-        for depth in (-1.0, float("nan")):
-            with pytest.raises(ValueError):
-                charged.charge_read(0, queue_depth=depth)
-        assert charged.blocks_read == 4
-
-    def test_charge_read_follows_a_swapped_latency_model(self):
-        device = NVMDevice(num_blocks=4)
-        before = device.charge_read(0)
-        device.latency_model = NVMLatencyModel(base_latency_us=25.0)
-        assert device.charge_read(0) == before + 15.0
-
-    def test_reset_counters_keeps_endurance(self):
-        device = NVMDevice(num_blocks=4)
-        device.write_block(0)
-        device.read_block(0)
-        device.reset_counters()
-        assert device.blocks_read == 0
-        assert device.endurance.bytes_written == 4096
-
-    def test_write_all_blocks(self):
-        device = NVMDevice(num_blocks=8, block_bytes=128)
-        device.write_all_blocks()
-        assert device.endurance.device_writes == pytest.approx(1.0)
 
 
 class TestEnduranceTracker:

@@ -11,7 +11,7 @@ from repro.caching.replay import (
     replay_table_cache,
 )
 from repro.nvm.block import BlockLayout
-from repro.nvm.device import NVMDevice
+from repro.nvm.latency import NVMLatencyModel
 from repro.workloads.trace import Trace
 
 
@@ -73,12 +73,12 @@ class TestReplayBasics:
 
     def test_device_accounting(self):
         layout = BlockLayout.identity(64, 32)
-        device = NVMDevice(num_blocks=layout.num_blocks)
+        device = NVMLatencyModel()
         stats = replay_table_cache(
             [np.array([0, 40])], layout, NoPrefetchPolicy(), cache_size=4, device=device
         )
-        assert device.blocks_read == stats.block_reads == 2
-        assert stats.total_latency_us > 0
+        assert stats.block_reads == 2
+        assert stats.total_latency_us == 2 * device.mean_latency_us(8.0)
 
     def test_existing_cache_continues(self):
         layout = BlockLayout.identity(64, 32)
@@ -127,7 +127,7 @@ class TestReplayStatsDerived:
             ReplayStats(vector_bytes=128).merge(ReplayStats(vector_bytes=64))
 
 
-class TestEffectiveBandwidthIncrease:
+class TestBandwidthIncreaseOverBaseline:
     def test_half_the_reads_is_100_percent(self):
         baseline = ReplayStats(misses=100)
         candidate = ReplayStats(misses=50)
