@@ -1,27 +1,24 @@
-"""Shared-device accounting study: what co-hosting tables on one NVM costs.
+"""Shared-device study: what co-hosting tables on one NVM costs.
 
 The device-layer counterpart of the serving-latency sweep: a two-table
-Bandana store is replayed through the event-driven front-end under three
-device banks of :class:`repro.core.config.DeviceBankConfig` —
+Bandana store is replayed through the event-driven front-end on two host
+device banks (``ServingConfig.devices_per_host``).  Either way a batch
+serves each device it touches once, with the summed misses of the tables
+pinned to it —
 
-* ``per-table`` — every table owns a private device (``shared`` accounting
-  with ``devices_per_host = len(TABLES)``; the row label predates the
-  removal of the separate mode), so reads of different tables never queue
-  on each other;
-* ``shared`` with ``devices_per_host=1`` — both tables pinned to the same
+* ``per-table`` — ``devices_per_host = len(TABLES)``: every table owns a
+  private device, so reads of different tables never queue on each other;
+* ``shared-1`` — ``devices_per_host = 1``: both tables pinned to the same
   physical device, the paper's actual single-host deployment, where one
-  table's miss burst inflates the *other* table's tail;
-* ``shared`` with ``devices_per_host=2`` — the same bank as ``per-table``
-  for this two-table store, kept so the artifact's rows stay comparable
-  across commits.
+  table's miss burst inflates the *other* table's tail.
 
 Three sections land in the artifact:
 
 1. **Contention sweep** — arrival rates below and past device saturation,
-   per-table vs shared accounting at each point; the shared column's p999
-   excess over per-table is the cross-table contention that per-table
-   accounting cannot produce.  The per-mode *capacity* (highest swept rate
-   whose SLO-violation rate stays under 1%) summarises the sweep.
+   both banks at each point; the shared column's p999 excess over
+   per-table is the cross-table contention private devices cannot produce.
+   The per-bank *capacity* (highest swept rate whose SLO-violation rate
+   stays under 1%) summarises the sweep.
 2. **Open vs closed loop** — the same store at matched offered load: an
    open-loop Poisson source vs a fixed client population
    (``closed-loop`` arrivals) whose ``clients / think`` equals the Poisson
@@ -53,7 +50,7 @@ from typing import Dict, List, Optional, Tuple
 
 from benchmarks.common import build_table_workload, save_result
 from repro.core.bandana import BandanaStore
-from repro.core.config import BandanaConfig, DeviceBankConfig, ServingConfig
+from repro.core.config import BandanaConfig, ServingConfig
 from repro.nvm.latency import NVMLatencyModel
 from repro.serving import simulate_serving
 from repro.simulation import simulate_store
@@ -88,11 +85,8 @@ FULL_PARAMS = dict(eval_multiplier=24, num_requests=8000)
 
 JSON_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_shared_device.json")
 
-MODES = {
-    "per-table": DeviceBankConfig("shared", devices_per_host=len(TABLES)),
-    "shared-1": DeviceBankConfig(accounting="shared", devices_per_host=1),
-    "shared-2": DeviceBankConfig(accounting="shared", devices_per_host=2),
-}
+#: Host device banks compared: mode label -> ``devices_per_host``.
+MODES = {"per-table": len(TABLES), "shared-1": 1}
 
 
 def build_store(tables: List[str], eval_multiplier: int) -> Tuple[BandanaStore, ModelTrace]:
@@ -176,7 +170,7 @@ def _summarise(report) -> Dict[str, object]:
 
 
 def contention_sweep(store, warm_trace, serve_trace, sat_rps, num_requests):
-    """Section 1: per-table vs shared accounting across the load sweep."""
+    """Section 1: private vs shared devices across the load sweep."""
     points = []
     for fraction in LOAD_FRACTIONS:
         rate = fraction * sat_rps
@@ -184,7 +178,7 @@ def contention_sweep(store, warm_trace, serve_trace, sat_rps, num_requests):
             "load_fraction": fraction,
             "arrival_rate_rps": round(rate, 1),
         }
-        for mode, device in MODES.items():
+        for mode, devices in MODES.items():
             report = _serve(
                 store,
                 serve_trace,
@@ -195,7 +189,7 @@ def contention_sweep(store, warm_trace, serve_trace, sat_rps, num_requests):
                     max_linger_us=MAX_LINGER_US,
                     slo_latency_us=SLO_LATENCY_US,
                     seed=13,
-                    device=device,
+                    devices_per_host=devices,
                 ),
                 num_requests,
             )
@@ -232,7 +226,7 @@ def loop_comparison(store, warm_trace, serve_trace, sat_rps, num_requests):
                 max_linger_us=MAX_LINGER_US,
                 slo_latency_us=SLO_LATENCY_US,
                 seed=13,
-                device=MODES["shared-1"],
+                devices_per_host=MODES["shared-1"],
             ),
             num_requests,
         )
@@ -248,7 +242,7 @@ def loop_comparison(store, warm_trace, serve_trace, sat_rps, num_requests):
                 max_linger_us=MAX_LINGER_US,
                 slo_latency_us=SLO_LATENCY_US,
                 seed=13,
-                device=MODES["shared-1"],
+                devices_per_host=MODES["shared-1"],
             ),
             num_requests,
         )
@@ -279,7 +273,7 @@ def shedding_study(store, warm_trace, serve_trace, sat_rps, num_requests):
                 max_linger_us=MAX_LINGER_US,
                 slo_latency_us=SLO_LATENCY_US,
                 seed=13,
-                device=MODES["shared-1"],
+                devices_per_host=MODES["shared-1"],
                 admission_queue_slack=slack,
             ),
             num_requests,

@@ -14,12 +14,13 @@ load-feedback latency model, yielding the end-to-end latency percentiles,
 throughput and SLO behaviour a user of the service would see — batched
 versus unbatched, at a comfortable load and near device saturation.
 
-Two production-shaped variations follow: the same overload served on a
-genuinely *shared* NVM device (``ServingConfig.device`` — both tables
-pinned to one physical device, so one table's miss burst inflates the
-other's tail) with admission control shedding against the SLO, and a
-**closed-loop** client population (fixed concurrency + think time) whose
-feedback turns the open loop's queueing blow-up into a throughput plateau.
+Two production-shaped variations follow: an overload served on the host's
+one *shared* NVM device (``ServingConfig.devices_per_host = 1``, the
+default — both tables pinned to one physical device, so one table's miss
+burst inflates the other's tail) with admission control shedding against
+the SLO, and a **closed-loop** client population (fixed concurrency + think
+time) whose feedback turns the open loop's queueing blow-up into a
+throughput plateau.
 
 Run with ``python examples/recommendation_serving.py`` (no ``PYTHONPATH``
 needed).
@@ -37,7 +38,6 @@ sys.path.insert(
 import numpy as np
 
 from repro import BandanaConfig, BandanaStore, ServingConfig
-from repro.core.config import DeviceBankConfig
 from repro.embeddings import (
     EmbeddingModel,
     EmbeddingTable,
@@ -144,22 +144,19 @@ def main() -> None:
 
     # ------------------------------------------------- shared device + shedding
     # The paper's single host puts *all* tables behind the same physical NVM
-    # device.  Re-serve the overload point with both tables pinned to one
-    # shared device, each table's misses charged to it separately — the
-    # cross-table queueing the whole-batch charge above only approximates —
-    # then let admission control shed against the SLO.
-    print("\nshared NVM device at 120k rps (both tables on one device):")
-    shared_device = DeviceBankConfig(accounting="shared", devices_per_host=1)
+    # device — the default one-device bank, where each batch's misses from
+    # both tables are served together.  Push it past saturation, then let
+    # admission control shed against the SLO.
+    print("\nshared NVM device at 200k rps (both tables on one device):")
     for label, slack in (("no shedding", None), ("shed at 1.0x SLO backlog", 1.0)):
         report = simulate_serving(
             store,
             eval_trace,
             ServingConfig(
-                arrival_rate_rps=120_000,
+                arrival_rate_rps=200_000,
                 slo_latency_us=slo_us,
                 max_batch_requests=16,
                 max_linger_us=300.0,
-                device=shared_device,
                 admission_queue_slack=slack,
             ),
         )
@@ -185,7 +182,6 @@ def main() -> None:
             slo_latency_us=slo_us,
             max_batch_requests=16,
             max_linger_us=300.0,
-            device=shared_device,
         ),
     )
     print(

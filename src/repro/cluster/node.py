@@ -106,12 +106,9 @@ class ClusterNode:
                 cache_size_vectors=self._cache_sizes[name]
             )
         #: The node's physical devices: every served table pinned up front
-        #: (round-robin in spec order), records off — long chaos runs keep
-        #: only the O(1) aggregates.
+        #: (round-robin in spec order).
         self.bank = NVMDeviceBank(
-            num_devices=devices_per_node,
-            tables=self.engines.keys(),
-            keep_records=False,
+            num_devices=devices_per_node, tables=self.engines.keys()
         )
         self.cold_restarts = 0
         #: Simulated time up to which crash-recovery has been checked.

@@ -38,8 +38,9 @@ after the current backoff.
 
 A request whose shard group exhausts ``max_attempts`` is **degraded**, not
 crashed: it completes with partial features and is counted against
-availability.  A fault schedule naming a node the cluster does not have is
-rejected at construction (``ValueError``) rather than silently never firing.
+availability.  A fault schedule naming a node the cluster does not have,
+or a ``table_slo_us`` entry naming a table it does not serve, is rejected
+at construction (``ValueError``) rather than silently never applying.
 The hard equivalence anchor: with one node, ``R = 1`` and no
 faults, every request is one unhedged, unretried engine replay in arrival
 order — bit-identical counters to :class:`~repro.core.bandana.BandanaStore`
@@ -280,6 +281,7 @@ class ClusterStore:
                     f"{type(event).__name__} names node {event.node}, but the "
                     f"cluster has {self.config.num_nodes} nodes"
                 )
+        self.config.check_slo_tables(self.specs)
         self.ring = ConsistentHashRing(
             [f"node{i}" for i in range(self.config.num_nodes)],
             virtual_nodes=self.config.virtual_nodes,

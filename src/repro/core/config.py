@@ -10,7 +10,7 @@ across tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Set, Tuple
 
 from repro.utils.validation import (
     check_bool,
@@ -32,47 +32,59 @@ PARTITIONERS = ("shp", "kmeans", "recursive-kmeans", "frequency", "identity")
 #: Arrival processes the serving front-end can generate.
 ARRIVAL_PROCESSES = ("poisson", "mmpp", "closed-loop")
 
-#: Ways the serving front-end can account device time.
-DEVICE_ACCOUNTING_MODES = ("legacy", "shared")
+
+def _normalise_table_slos(
+    table_slo_us: Sequence[Tuple[str, float]],
+) -> Tuple[Tuple[str, float], ...]:
+    """Freeze per-table SLO overrides, rejecting bad or duplicate entries."""
+    slos = tuple((str(name), float(slo)) for name, slo in table_slo_us)
+    seen: Set[str] = set()
+    for name, slo in slos:
+        check_positive(slo, f"table_slo_us[{name!r}]")
+        if name in seen:
+            raise ValueError(f"table_slo_us names table {name!r} more than once")
+        seen.add(name)
+    return slos
 
 
-@dataclass(frozen=True)
-class DeviceBankConfig:
-    """Knobs of the shared NVM device layer (:mod:`repro.device`).
+class _TableSLOs:
+    """The per-table SLO lookup :class:`ServingConfig` and :class:`ClusterConfig` share.
 
-    Attributes
-    ----------
-    accounting:
-        How ``simulate_serving`` charges a batch's misses to devices.
-        ``"legacy"`` (the default) is one device charged each batch's
-        *total* misses — the original single-clock accounting, bit-identical
-        to the golden pins.  ``"shared"`` pins all tables onto
-        ``devices_per_host`` physical devices round-robin and charges each
-        table's misses to its own device, so tables sharing a device
-        genuinely contend — the paper's single-host deployment.  With
-        ``devices_per_host`` equal to the table count every table owns a
-        private device: the counterfactual the shared hardware is compared
-        against (formerly a separate ``"per-table"`` mode).
-    devices_per_host:
-        Physical NVM devices in the host's bank under ``"shared"``
-        accounting (ignored by ``"legacy"``, which is one device by
-        construction).
+    ``table_slo_us`` is a ``(name, slo_us)`` tuple sequence (frozen by
+    :func:`_normalise_table_slos`); a table it does not name falls back to
+    the config's default SLO.
     """
 
-    accounting: str = "legacy"
-    devices_per_host: int = 1
+    table_slo_us: Sequence[Tuple[str, float]]
 
-    def __post_init__(self) -> None:
-        if self.accounting not in DEVICE_ACCOUNTING_MODES:
-            raise ValueError(
-                f"accounting must be one of {DEVICE_ACCOUNTING_MODES}, "
-                f"got {self.accounting!r}"
-            )
-        check_int_at_least(self.devices_per_host, 1, "devices_per_host")
+    @property
+    def _default_slo_us(self) -> float:
+        raise NotImplementedError
+
+    def slo_us(self, table_name: str) -> float:
+        """The admission-control latency SLO for one table."""
+        for name, slo in self.table_slo_us:
+            if name == table_name:
+                return slo
+        return self._default_slo_us
+
+    def check_slo_tables(self, known_tables: Iterable[str]) -> None:
+        """Reject ``table_slo_us`` names that are not among ``known_tables``.
+
+        Called when a run starts, before any request is served: a misspelled
+        name would otherwise leave its table silently on the default SLO.
+        """
+        known = list(known_tables)
+        for name, _ in self.table_slo_us:
+            if name not in known:
+                raise ValueError(
+                    f"table_slo_us names table {name!r}, which the store does "
+                    f"not have (known tables: {known})"
+                )
 
 
 @dataclass(frozen=True)
-class ServingConfig:
+class ServingConfig(_TableSLOs):
     """Knobs of the batch-serving front-end (:mod:`repro.serving`).
 
     Attributes
@@ -122,10 +134,14 @@ class ServingConfig:
         Mean think time (exponential) between a client's response and its
         next request.  The defaults offer ``32 / 0.016 s = 2000`` nominal
         rps, matching ``arrival_rate_rps``'s open-loop default.
-    device:
-        Shared NVM device layer knobs (:class:`DeviceBankConfig`):
-        accounting mode (legacy / shared) and the host's
-        physical device count.
+    devices_per_host:
+        Physical NVM devices in the host's bank (:mod:`repro.device`), with
+        the tables pinned to them round-robin.  Each batch charges every
+        device it touches once, with the summed misses of that device's
+        tables.  ``1`` (the default) puts every table on one shared device —
+        the paper's single-host deployment and the golden-pinned path; one
+        device per table is the private-device counterfactual.  Mirrors
+        :attr:`ClusterConfig.devices_per_node`.
     admission_queue_slack:
         Single-host admission control, ported from the cluster tier: at
         batch dispatch, a request is shed (fast rejection, no cache or
@@ -135,7 +151,8 @@ class ServingConfig:
     table_slo_us:
         Per-table SLO overrides for admission control, a ``(name, slo_us)``
         tuple sequence; tables not named fall back to ``slo_latency_us``
-        (see :meth:`slo_us`).
+        (see :meth:`slo_us`).  A table may be named once, and only a table
+        the store has (checked when a run starts).
     seed:
         Seed of the arrival process; ``None`` inherits the store seed.
     """
@@ -153,7 +170,7 @@ class ServingConfig:
     throughput_window_s: float = 0.05
     closed_loop_clients: int = 32
     closed_loop_think_s: float = 0.016
-    device: DeviceBankConfig = DeviceBankConfig()
+    devices_per_host: int = 1
     admission_queue_slack: Optional[float] = None
     table_slo_us: Sequence[Tuple[str, float]] = ()
     seed: Optional[int] = None
@@ -171,7 +188,7 @@ class ServingConfig:
         check_fraction(self.mmpp_burst_fraction, "mmpp_burst_fraction")
         check_int_at_least(self.closed_loop_clients, 1, "closed_loop_clients")
         check_positive(self.closed_loop_think_s, "closed_loop_think_s")
-        check_instance(self.device, DeviceBankConfig, "device")
+        check_int_at_least(self.devices_per_host, 1, "devices_per_host")
         if self.admission_queue_slack is not None:
             check_positive(self.admission_queue_slack, "admission_queue_slack")
         check_seed(self.seed, "seed")
@@ -184,16 +201,12 @@ class ServingConfig:
             raise ValueError(
                 "mmpp_burst_fraction must lie strictly between 0 and 1"
             )
-        slos = tuple((str(name), float(slo)) for name, slo in self.table_slo_us)
-        for name, slo in slos:
-            check_positive(slo, f"table_slo_us[{name!r}]")
-        object.__setattr__(self, "table_slo_us", slos)
+        object.__setattr__(
+            self, "table_slo_us", _normalise_table_slos(self.table_slo_us)
+        )
 
-    def slo_us(self, table_name: str) -> float:
-        """The admission-control latency SLO for one table."""
-        for name, slo in self.table_slo_us:
-            if name == table_name:
-                return slo
+    @property
+    def _default_slo_us(self) -> float:
         return self.slo_latency_us
 
 
@@ -240,7 +253,7 @@ class TracingConfig:
 
 
 @dataclass(frozen=True)
-class ClusterConfig:
+class ClusterConfig(_TableSLOs):
     """Knobs of the simulated multi-node cluster store (:mod:`repro.cluster`).
 
     Topology
@@ -305,7 +318,9 @@ class ClusterConfig:
         (picked up by another replica) rather than unbounded queueing.
     default_slo_us / table_slo_us:
         Per-table latency SLOs used by admission control; ``table_slo_us``
-        is a ``(name, slo_us)`` tuple sequence overriding the default.
+        is a ``(name, slo_us)`` tuple sequence overriding the default.  A
+        table may be named once, and only a table the cluster serves
+        (checked by :class:`~repro.cluster.store.ClusterStore`).
 
     request_overhead_us:
         Router-side fan-out/fan-in overhead added to every request.
@@ -363,16 +378,12 @@ class ClusterConfig:
         check_positive(self.admission_queue_slack, "admission_queue_slack")
         check_positive(self.default_slo_us, "default_slo_us")
         check_non_negative(self.request_overhead_us, "request_overhead_us")
-        slos = tuple((str(name), float(slo)) for name, slo in self.table_slo_us)
-        for name, slo in slos:
-            check_positive(slo, f"table_slo_us[{name!r}]")
-        object.__setattr__(self, "table_slo_us", slos)
+        object.__setattr__(
+            self, "table_slo_us", _normalise_table_slos(self.table_slo_us)
+        )
 
-    def slo_us(self, table_name: str) -> float:
-        """The admission-control latency SLO for one table."""
-        for name, slo in self.table_slo_us:
-            if name == table_name:
-                return slo
+    @property
+    def _default_slo_us(self) -> float:
         return self.default_slo_us
 
 
@@ -393,10 +404,9 @@ class TableCacheConfig:
     threshold: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.cache_size_vectors < 0:
-            raise ValueError("cache_size_vectors must be >= 0")
-        if self.threshold is not None and self.threshold < 0:
-            raise ValueError("threshold must be >= 0 when given")
+        check_int_at_least(self.cache_size_vectors, 0, "cache_size_vectors")
+        if self.threshold is not None:
+            check_non_negative(self.threshold, "threshold")
 
 
 @dataclass(frozen=True)

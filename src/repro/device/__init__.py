@@ -11,21 +11,24 @@ Both serving tiers are clients of this layer rather than owners of their own
 clock arithmetic:
 
 * the single-host front-end (:mod:`repro.serving.frontend`) builds one bank
-  per run and charges every batch's misses on it (device-priced work):
-  ``"legacy"`` accounting is a 1-device bank charged whole batches — the
-  original serving accountant's arithmetic, which the golden serving pins
-  verify — and ``"shared"`` accounting puts every table's misses on its own
-  device of a ``devices_per_host`` bank so cross-table contention is real;
+  of ``ServingConfig.devices_per_host`` devices per run and charges every
+  batch's misses on it (device-priced work) by one rule,
+  :meth:`NVMDeviceBank.serve_blocks`: each device the batch touches is
+  served once, with the summed misses of the tables pinned to it.  One
+  device (the default) is the original serving accountant's whole-batch
+  arithmetic, which the golden serving pins verify; a device per table is
+  the private-device counterfactual;
 * each :class:`~repro.cluster.node.ClusterNode` owns a per-node bank
   (externally-priced work — the node prices reads through its replay
   engines) instead of a hand-rolled ``busy_until_us`` clock, and restart /
   rebase semantics are defined once, in :meth:`NVMDeviceBank.rebase`.
 
-The layer also owns the ``device.queue`` / ``device.service`` tracing span
-emission (:meth:`NVMDeviceBank.emit_device_spans`) and the observability the
-conservation tests pin: per-device busy time (≤ wall time per device, ≤
-wall × K per bank) and queue-depth histograms whose counts sum to the serve
-count.  Everything runs on the simulated clock.
+The layer also owns the single-host ``device.queue`` / ``device.service``
+tracing span emission (:meth:`NVMDeviceBank.emit_device_spans`; cluster
+attempts record ``node.queue`` / ``node.service`` spans instead) and the
+observability the conservation tests pin: per-device busy time (≤ wall time
+per device, ≤ wall × K per bank) and queue-depth histograms whose counts sum
+to the serve count.  Everything runs on the simulated clock.
 """
 
 from repro.device.bank import NVMDeviceBank

@@ -10,15 +10,17 @@ shared; one device per table is the private-device counterfactual.
 
 The bank adds nothing to the per-device arithmetic — that is
 :class:`~repro.device.clock.DeviceClock`, bit-identical to the original
-serving accountant — it contributes the mapping, bank-wide observability
-(conservation invariant: total busy time ≤ wall time × K), rebase/restart
-plumbing, and the ``device.queue`` / ``device.service`` span emission used
-by every client so single-host and cluster traces attribute identically.
+serving accountant.  It owns the device-charge rule
+(:meth:`NVMDeviceBank.serve_blocks`: a batch charges each device it touches
+once, with the summed misses of the tables pinned to it), the mapping,
+bank-wide observability (conservation invariant: total busy time ≤ wall
+time × K), rebase/restart plumbing, and the single-host ``device.queue`` /
+``device.service`` span emission.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.device.clock import DeviceClock, DeviceServiceRecord
 from repro.nvm.latency import NVMLatencyModel
@@ -49,9 +51,6 @@ class NVMDeviceBank:
         Tables to pin up front, round-robin in iteration order.  Tables not
         pre-pinned are pinned on first use, also round-robin — deterministic
         as long as the call order is (everything on the simulated clock is).
-    keep_records:
-        Retain per-serve records on every device (serving reports need
-        them; long cluster runs keep only O(1) aggregates).
     """
 
     def __init__(
@@ -62,7 +61,6 @@ class NVMDeviceBank:
         max_queue_depth: float = 64.0,
         throughput_window_s: float = 0.05,
         tables: Iterable[str] = (),
-        keep_records: bool = True,
     ) -> None:
         check_int_at_least(num_devices, 1, "num_devices")
         self.devices: List[DeviceClock] = [
@@ -72,7 +70,6 @@ class NVMDeviceBank:
                 max_queue_depth=max_queue_depth,
                 throughput_window_s=throughput_window_s,
                 index=i,
-                keep_records=keep_records,
             )
             for i in range(num_devices)
         ]
@@ -137,12 +134,26 @@ class NVMDeviceBank:
 
     # ------------------------------------------------------------------ serve
     def serve_blocks(
-        self, table_name: str, dispatch_us: float, block_reads: int
-    ) -> DeviceServiceRecord:
-        """Price and serve ``block_reads`` for one table on its device."""
-        return self.device_of(table_name).serve_blocks(
-            dispatch_us, block_reads, table=table_name
-        )
+        self, dispatch_us: float, blocks_by_table: Mapping[str, int]
+    ) -> List[DeviceServiceRecord]:
+        """Charge one batch's block reads: one serve per device it touches.
+
+        A device services every read in its submission queue together,
+        whichever table issued it, so the tables' counts are summed per
+        device and each touched device prices its sum once at
+        ``dispatch_us``.  Records come back in first-touch device order; a
+        touched device is served even with zero reads (the serve is observed
+        in its depth histogram).  With one device this is the whole batch's
+        total on that device; with a device per table, one serve per table.
+        """
+        blocks_by_device: Dict[int, int] = {}
+        for name, blocks in blocks_by_table.items():
+            index = self.map_table(name)
+            blocks_by_device[index] = blocks_by_device.get(index, 0) + blocks
+        return [
+            self.devices[index].serve_blocks(dispatch_us, blocks)
+            for index, blocks in blocks_by_device.items()
+        ]
 
     def serve_duration(
         self,
@@ -153,7 +164,7 @@ class NVMDeviceBank:
     ) -> DeviceServiceRecord:
         """Serve externally-priced work for one table on its device."""
         return self.device_of(table_name).serve_duration(
-            arrive_us, service_us, block_reads=block_reads, table=table_name
+            arrive_us, service_us, block_reads=block_reads
         )
 
     # ---------------------------------------------------------------- tracing
@@ -167,17 +178,15 @@ class NVMDeviceBank:
     ) -> None:
         """Record one serve as ``device.queue`` + ``device.service`` spans.
 
-        Emitted from the shared layer so single-host and cluster traces
-        attribute device time identically: the queue span covers dispatch →
-        device start (FIFO backlog), the service span covers start →
-        completion with the pricing inputs as attributes.  ``parent_id``
-        defaults to the request's root span; ``parallel`` marks the spans as
-        concurrent siblings (a multi-table request's per-device charges
+        The single-host front-end's device spans (cluster attempts record
+        their own ``node.queue`` / ``node.service`` spans): the queue span
+        covers dispatch → device start (FIFO backlog), the service span
+        covers start → completion with the pricing inputs as attributes.
+        ``parent_id`` defaults to the request's root span; ``parallel`` marks
+        the spans as concurrent siblings (a batch's per-device charges
         overlap by construction).
         """
         attrs: Dict[str, object] = {"device": record.device_index}
-        if record.table is not None:
-            attrs["table"] = record.table
         if parallel:
             attrs[ATTR_PARALLEL] = True
         tracer.span(
@@ -201,13 +210,6 @@ class NVMDeviceBank:
         )
 
     # ---------------------------------------------------------------- metrics
-    def records(self) -> List[DeviceServiceRecord]:
-        """All retained records across the bank, in serve order per device."""
-        out: List[DeviceServiceRecord] = []
-        for device in self.devices:
-            out.extend(device.records)
-        return out
-
     def busy_us(self) -> List[float]:
         """Per-device cumulative busy time (FIFO ⇒ ≤ wall time each)."""
         return [device.busy_us for device in self.devices]
@@ -215,10 +217,6 @@ class NVMDeviceBank:
     def total_busy_us(self) -> float:
         """Bank-wide busy time (conservation: ≤ wall time × K)."""
         return sum(device.busy_us for device in self.devices)
-
-    def depth_histograms(self) -> List[Dict[int, int]]:
-        """Per-device queue-depth histograms (counts sum to serve calls)."""
-        return [dict(device.depth_hist) for device in self.devices]
 
     def snapshot(self) -> Dict[str, object]:
         """JSON-ready observability snapshot (benchmark artifacts)."""

@@ -22,8 +22,9 @@ supports the two ways a client can put work on it:
 Both paths share the observability the conservation tests pin: cumulative
 busy time (FIFO service intervals never overlap, so per-device busy time can
 never exceed the device's wall-clock makespan), a power-of-two queue-depth
-histogram whose counts sum to the number of serve calls, and per-serve
-:class:`DeviceServiceRecord` entries (suppressible for long cluster runs).
+histogram whose counts sum to the number of serve calls, and the serve and
+block counters.  Each serve returns its :class:`DeviceServiceRecord`; the
+clock keeps no log of them.
 
 Everything runs on the simulated clock; there are no wall-time reads.
 """
@@ -46,8 +47,8 @@ class DeviceServiceRecord:
     ``completion_us - start_us`` is pure service time and
     ``start_us - dispatch_us`` is FIFO queue wait behind earlier work, the
     split the tracer records as ``device.queue`` vs ``device.service``.
-    ``device_index`` and ``table`` attribute the work to a physical device
-    and (when known) the embedding table that caused it.
+    ``device_index`` attributes the work to a physical device (the bank's
+    ``table_mapping`` says which tables share it).
     """
 
     dispatch_us: float
@@ -58,7 +59,6 @@ class DeviceServiceRecord:
     device_mbps: float
     read_latency_us: float
     device_index: int = 0
-    table: Optional[str] = None
 
     @property
     def queue_wait_us(self) -> float:
@@ -72,9 +72,11 @@ class DeviceServiceRecord:
 def depth_bucket(depth: float) -> int:
     """Power-of-two histogram bucket for one queue-depth sample.
 
-    Matches :func:`repro.serving.report.depth_histogram`: depth ``d`` lands
-    in the smallest bucket key with ``d <= key``; the ``0`` bucket is exact
-    (an idle device is a different fact than depth-1 occupancy).
+    Keys are bucket upper edges (0, 1, 2, 4, ...): depth ``d`` lands in the
+    smallest bucket key with ``d <= key``.  Depths span several orders of
+    magnitude once the device saturates, so exact counts would be noise —
+    except the ``0`` bucket, which is exact: an idle device is a different
+    fact than depth-1 occupancy and must not be clamped into it.
     """
     if depth <= 0.0:
         return 0
@@ -100,10 +102,6 @@ class DeviceClock:
         Trailing window over which device throughput is measured.
     index:
         This device's index within its :class:`~repro.device.bank.NVMDeviceBank`.
-    keep_records:
-        Retain a :class:`DeviceServiceRecord` per serve call.  Serving
-        reports need them; long cluster runs can turn them off and keep only
-        the O(1) aggregates (busy time, depth histogram, counters).
     """
 
     def __init__(
@@ -113,7 +111,6 @@ class DeviceClock:
         max_queue_depth: float = 64.0,
         throughput_window_s: float = 0.05,
         index: int = 0,
-        keep_records: bool = True,
     ) -> None:
         self.latency_model = latency_model
         self.block_bytes = int(block_bytes)
@@ -123,9 +120,7 @@ class DeviceClock:
         # on that representation noise.
         self.window_us = s_to_us(throughput_window_s)
         self.index = int(index)
-        self.keep_records = bool(keep_records)
         self.free_at_us = 0.0
-        self.records: List[DeviceServiceRecord] = []
         # Issue log for the trailing-window throughput measurement and the
         # in-flight scan; dispatches are non-decreasing on the block-priced
         # path, so both prune with a monotone pointer (amortised O(1)).
@@ -169,7 +164,6 @@ class DeviceClock:
         self,
         dispatch_us: float,
         block_reads: int,
-        table: Optional[str] = None,
     ) -> DeviceServiceRecord:
         """Price and serve ``block_reads`` dispatched at ``dispatch_us``.
 
@@ -206,7 +200,6 @@ class DeviceClock:
                     device_mbps=mbps,
                     read_latency_us=0.0,
                     device_index=self.index,
-                    table=table,
                 )
             )
         read_latency = self.latency_model.loaded_latency(
@@ -231,7 +224,6 @@ class DeviceClock:
                 device_mbps=mbps,
                 read_latency_us=read_latency,
                 device_index=self.index,
-                table=table,
             )
         )
 
@@ -240,7 +232,6 @@ class DeviceClock:
         arrive_us: float,
         service_us: float,
         block_reads: int = 0,
-        table: Optional[str] = None,
     ) -> DeviceServiceRecord:
         """Serve externally-priced work behind the FIFO backlog.
 
@@ -267,20 +258,17 @@ class DeviceClock:
                 device_mbps=0.0,
                 read_latency_us=0.0,
                 device_index=self.index,
-                table=table,
             )
         )
 
     # ---------------------------------------------------------------- private
     def _finish(self, record: DeviceServiceRecord) -> DeviceServiceRecord:
-        """Fold one decided record into the aggregates (and record log)."""
+        """Fold one decided record into the aggregates."""
         self.serves += 1
         self.busy_us += record.completion_us - record.start_us
         self.blocks_issued += record.block_reads
         bucket = depth_bucket(record.queue_depth)
         self.depth_hist[bucket] = self.depth_hist.get(bucket, 0) + 1
-        if self.keep_records:
-            self.records.append(record)
         return record
 
     def _prune(self, now_us: float) -> None:

@@ -33,13 +33,12 @@ a simulation is a deterministic function of (store, trace, config, seed):
   **device throughput** back into
   :meth:`repro.nvm.latency.NVMLatencyModel.loaded_latency` — so per-request
   latency reflects the device-load feedback the paper measures, including
-  the blow-up past the saturation knee.  ``ServingConfig.device`` picks how
-  misses are charged: the default ``"legacy"`` is one device charged each
-  batch's total misses; ``"shared"`` pins all tables onto
-  ``devices_per_host`` devices and charges each table's misses to its own
-  device (the paper's actual deployment, where co-located tables contend
-  for the same hardware; ``devices_per_host = number of tables`` is the
-  private-device-per-table counterfactual).
+  the blow-up past the saturation knee.  ``ServingConfig.devices_per_host``
+  sizes the bank, with the tables pinned round-robin; a batch serves each
+  device it touches once, with the summed misses of that device's tables.
+  The default single device is the paper's actual deployment, where
+  co-located tables contend for the same hardware; ``devices_per_host =
+  number of tables`` is the private-device-per-table counterfactual.
 * A **closed-loop** mode (``arrival_process="closed-loop"``) replaces the
   precomputed arrival array with a fixed client population
   (:class:`~repro.serving.arrivals.ClosedLoopPopulation`) whose next
@@ -77,7 +76,7 @@ tracer (the default) is a no-op singleton behind one branch per site —
 behavior is bit-identical either way.
 """
 
-from repro.core.config import DeviceBankConfig, ServingConfig
+from repro.core.config import ServingConfig
 from repro.device import NVMDeviceBank
 from repro.serving.arrivals import (
     ClosedLoopPopulation,
@@ -87,14 +86,9 @@ from repro.serving.arrivals import (
 )
 from repro.serving.batcher import Batch, form_batches
 from repro.serving.frontend import simulate_serving
-from repro.serving.report import (
-    LatencySummary,
-    ServingReport,
-    depth_histogram,
-)
+from repro.serving.report import LatencySummary, ServingReport
 
 __all__ = [
-    "DeviceBankConfig",
     "NVMDeviceBank",
     "ServingConfig",
     "ClosedLoopPopulation",
@@ -106,5 +100,4 @@ __all__ = [
     "simulate_serving",
     "LatencySummary",
     "ServingReport",
-    "depth_histogram",
 ]

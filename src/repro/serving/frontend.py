@@ -23,12 +23,12 @@ source* and served by a *backend*.  One step per dispatched batch:
    mirroring the cluster tier's queue-level shedding), fans the survivors
    out through the store, and charges the store's miss counters — the
    batch's NVM block reads — on the host's
-   :class:`~repro.device.NVMDeviceBank`: ``"legacy"`` accounting is one
-   device charged each batch's total misses, ``"shared"`` is
-   ``devices_per_host`` devices each charged its own tables' misses (the
-   paper's actual single-host deployment).  The cluster backend hands every
-   member to :meth:`~repro.cluster.store.ClusterStore.serve_request` at the
-   batch's dispatch time;
+   :class:`~repro.device.NVMDeviceBank` of ``devices_per_host`` devices:
+   each device the batch touches is served once, with the summed misses of
+   the tables pinned to it (:meth:`~repro.device.NVMDeviceBank.serve_blocks`).
+   The cluster backend hands every member to
+   :meth:`~repro.cluster.store.ClusterStore.serve_request` at the batch's
+   dispatch time;
 3. every request's latency is ``completion − arrival +
    request_overhead_us``: served requests complete with their batch, shed
    ones at dispatch.
@@ -41,7 +41,8 @@ front-end only re-times (and under shedding, skips) the exact same work.
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from collections import Counter
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -52,7 +53,7 @@ from repro.device.clock import DeviceServiceRecord
 from repro.nvm.latency import NVMLatencyModel
 from repro.serving.arrivals import ClosedLoopPopulation, arrival_times
 from repro.serving.batcher import form_batches
-from repro.serving.report import LatencySummary, ServingReport, depth_histogram
+from repro.serving.report import LatencySummary, ServingReport
 from repro.tracing.tracer import (
     STAGE_BATCH_QUEUE,
     STAGE_OVERHEAD,
@@ -94,9 +95,8 @@ def simulate_serving(
         reads every table's ``i``-th query).
     config:
         Serving knobs; defaults to ``store.config.serving``.  Beyond the
-        arrival/batching knobs this selects the device accounting
-        (``config.device``: the legacy single whole-batch clock, or a shared
-        ``devices_per_host`` bank) and single-host admission control
+        arrival/batching knobs this sizes the host's device bank
+        (``config.devices_per_host``) and sets single-host admission control
         (``config.admission_queue_slack``).
     num_requests:
         Optional cap on the number of requests served (the default serves
@@ -248,7 +248,11 @@ class _ClosedLoopArrivals:
 
 # ------------------------------------------------------------------ backends
 class _HostBackend:
-    """Single-host backend: admission control, store fan-out, bank charging."""
+    """Single-host backend: admission control, store fan-out, bank charging.
+
+    Keeps every device serve record the bank returns, in serve order — the
+    report's queue-depth and device-throughput statistics.
+    """
 
     def __init__(
         self,
@@ -257,10 +261,19 @@ class _HostBackend:
         model: NVMLatencyModel,
         tracer: Tracer,
     ) -> None:
+        config.check_slo_tables(store.tables)
         self.store = store
         self.config = config
         self.tracer = tracer
-        self.bank, self.split_tables = _build_bank(store, config, model)
+        self.bank = NVMDeviceBank(
+            num_devices=config.devices_per_host,
+            latency_model=model,
+            block_bytes=store.config.block_bytes,
+            max_queue_depth=config.max_device_queue_depth,
+            throughput_window_s=config.throughput_window_s,
+            tables=list(store.tables),
+        )
+        self.records: List[DeviceServiceRecord] = []
         self.overhead_us = config.request_overhead_us
         self.requests_shed = 0
 
@@ -296,8 +309,9 @@ class _HostBackend:
                     queue_wait_us,
                 )
         completion_us, records = _lookup_and_charge(
-            self.store, requests, served, dispatch_us, self.bank, self.split_tables
+            self.store, requests, served, dispatch_us, self.bank
         )
+        self.records.extend(records)
         if tracer.enabled:
             # Retrospective spans: the batch's timeline is fully known, and
             # with one charged device the four stages tile the latency
@@ -335,6 +349,7 @@ class _ClusterBackend:
     """
 
     bank = None
+    records: Tuple[DeviceServiceRecord, ...] = ()
     requests_shed = 0
     #: The cluster adds its own ``request_overhead_us`` inside
     #: ``serve_request``; the front-end must not count it twice.
@@ -437,33 +452,12 @@ def serve_request_stream(
         blocks_read=int(stats_after.misses - stats_before.misses),
         requests_shed=backend.requests_shed,
         bank=backend.bank,
+        records=backend.records,
         tracer=tracer,
     )
 
 
 # ------------------------------------------------------------------- helpers
-def _build_bank(
-    store: BandanaStore, config: ServingConfig, model: NVMLatencyModel
-) -> Tuple[NVMDeviceBank, bool]:
-    """The host's device bank and how a batch's misses are charged to it.
-
-    This is the one reader of ``config.device`` (see DeviceBankConfig):
-    ``"legacy"`` is one device charged each batch's *total* misses,
-    ``"shared"`` is ``devices_per_host`` devices with every table's misses
-    charged to that table's device (``split_tables``).
-    """
-    split_tables = config.device.accounting == "shared"
-    bank = NVMDeviceBank(
-        num_devices=config.device.devices_per_host if split_tables else 1,
-        latency_model=model,
-        block_bytes=store.config.block_bytes,
-        max_queue_depth=config.max_device_queue_depth,
-        throughput_window_s=config.throughput_window_s,
-        tables=list(store.tables),
-    )
-    return bank, split_tables
-
-
 def _split_shed(
     bank: NVMDeviceBank,
     requests: List[Dict[str, np.ndarray]],
@@ -500,16 +494,13 @@ def _lookup_and_charge(
     served: List[int],
     dispatch_us: float,
     bank: NVMDeviceBank,
-    split_tables: bool,
 ) -> Tuple[float, List[DeviceServiceRecord]]:
     """Fan a batch out through the store and charge its misses on the bank.
 
-    ``split_tables=True`` charges each table's miss delta to that table's
-    device (the batch completes at the max over its per-device records —
-    per-table reads overlap across devices, serialise within one);
-    ``False`` charges the batch's total misses to device 0, the legacy
-    whole-batch accounting.  A batch whose members were all shed does no
-    cache work and never visits a device.
+    Each table's miss delta goes to :meth:`NVMDeviceBank.serve_blocks`,
+    which serves every touched device once; the batch completes at the max
+    over those records (reads overlap across devices).  A batch whose
+    members were all shed does no cache work and never visits a device.
     """
     per_table: Dict[str, List[np.ndarray]] = {}
     for i in served:
@@ -522,14 +513,7 @@ def _lookup_and_charge(
         misses_before = store.tables[name].stats.misses
         store.lookup_batch(name, queries, gather=False)
         misses[name] = store.tables[name].stats.misses - misses_before
-    records: List[DeviceServiceRecord] = []
-    if split_tables:
-        records = [
-            bank.serve_blocks(name, dispatch_us, delta)
-            for name, delta in misses.items()
-        ]
-    elif misses:
-        records = [bank.devices[0].serve_blocks(dispatch_us, sum(misses.values()))]
+    records = bank.serve_blocks(dispatch_us, misses)
     completion_us = max((r.completion_us for r in records), default=dispatch_us)
     return completion_us, records
 
@@ -622,13 +606,17 @@ def _assemble_report(
     blocks_read: int,
     requests_shed: int,
     bank: Optional[NVMDeviceBank],
+    records: Sequence[DeviceServiceRecord],
     tracer: Tracer,
 ) -> ServingReport:
     """Condense one run into a :class:`ServingReport` (``bank=None``: cluster)."""
     n = int(latencies.size)
     makespan_us = last_completion_us - float(arrival_us[0]) if n else 0.0
     makespan_s = makespan_us / 1e6
-    records = bank.records() if bank is not None else []
+    depth_hist: Counter[int] = Counter()
+    if bank is not None:
+        for device in bank.devices:
+            depth_hist.update(device.depth_hist)
     depths = np.array([r.queue_depth for r in records], dtype=np.float64)
     mbps = np.array([r.device_mbps for r in records], dtype=np.float64)
 
@@ -658,7 +646,7 @@ def _assemble_report(
         },
         mean_queue_depth=float(depths.mean()) if depths.size else 0.0,
         max_queue_depth=float(depths.max()) if depths.size else 0.0,
-        queue_depth_hist=depth_histogram(depths),
+        queue_depth_hist=dict(sorted(depth_hist.items())),
         blocks_read=blocks_read,
         device_mbps_mean=float(mbps.mean()) if mbps.size else 0.0,
         device_mbps_peak=float(mbps.max()) if mbps.size else 0.0,

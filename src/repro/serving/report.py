@@ -93,32 +93,6 @@ class LatencySummary:
         }
 
 
-def depth_histogram(depths: np.ndarray) -> Dict[int, int]:
-    """Power-of-two bucketed histogram of queue-depth samples.
-
-    Keys are bucket upper edges (0, 1, 2, 4, ...): depth ``d`` lands in the
-    smallest bucket with ``d <= key``.  Depths span several orders of
-    magnitude once the device saturates, so exact counts would be noise —
-    except the ``0`` bucket, which is exact: an idle device is a different
-    fact than depth-1 occupancy and must not be clamped into it.
-    """
-    depths = np.asarray(depths, dtype=np.float64)
-    if depths.size == 0:
-        return {}
-    hist: Dict[int, int] = {}
-    idle = int(np.count_nonzero(depths <= 0.0))
-    if idle:
-        hist[0] = idle
-    occupied = depths[depths > 0.0]
-    if occupied.size:
-        exponents = np.ceil(np.log2(np.maximum(occupied, 1.0))).astype(np.int64)
-        buckets, counts = np.unique(exponents, return_counts=True)
-        hist.update(
-            {int(1 << int(b)): int(c) for b, c in zip(buckets, counts)}
-        )
-    return hist
-
-
 @dataclass(frozen=True)
 class ServingReport:
     """Everything one serving simulation observed.
@@ -126,6 +100,8 @@ class ServingReport:
     Latency percentiles are over *completed request* latencies (arrival to
     batch completion, plus the configured per-request overhead); device and
     cache counters are deltas over the simulated run only.
+    ``queue_depth_hist`` sums the bank's per-device depth histograms
+    (:func:`repro.device.depth_bucket` buckets), keyed in bucket order.
     """
 
     num_requests: int
@@ -152,8 +128,8 @@ class ServingReport:
     #: disabled — the default, golden-pinned path.
     requests_shed: int = 0
     #: Observability snapshot of the host's device bank
-    #: (:meth:`repro.device.NVMDeviceBank.snapshot`) — a 1-device bank
-    #: under the default ``"legacy"`` accounting; ``None`` only on
+    #: (:meth:`repro.device.NVMDeviceBank.snapshot`) — one device under the
+    #: default ``ServingConfig.devices_per_host``; ``None`` only on
     #: cluster-routed runs, where each node owns its devices.
     device_bank: Optional[Dict[str, object]] = None
     #: Closed-form Figure-5 cross-check: the loaded latency the device model

@@ -369,7 +369,7 @@ CONFIG_CLASSES = frozenset(
         "ServingConfig",
         "ClusterConfig",
         "TracingConfig",
-        "DeviceBankConfig",
+        "TableCacheConfig",
         "ScenarioConfig",
         "TraceLoaderConfig",
         "RepartitionConfig",

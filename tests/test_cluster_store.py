@@ -181,6 +181,12 @@ class TestAdmissionControl:
         assert config.slo_us("t-shadow") == pytest.approx(250.0)
         assert config.slo_us("t-noprefetch") == pytest.approx(1000.0)
 
+    def test_unknown_table_slo_rejected_at_construction(self):
+        store, _ = build_store(1)
+        config = ClusterConfig(table_slo_us=(("tabel1", 250.0),))
+        with pytest.raises(ValueError, match=r"'tabel1'.*known tables"):
+            ClusterStore.from_store(store, config=config)
+
 
 class TestDegradedCluster:
     def test_compound_scenario_costs_availability_and_tail(self):

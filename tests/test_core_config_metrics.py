@@ -43,6 +43,19 @@ class TestBandanaConfig:
         with pytest.raises(ValueError):
             TableCacheConfig(cache_size_vectors=1, threshold=-2)
 
+    @pytest.mark.parametrize("size", [2.5, True, 3.0])
+    def test_table_cache_size_must_be_an_integer(self, size):
+        # A fractional or boolean cache size used to construct silently.
+        with pytest.raises(TypeError, match="cache_size_vectors"):
+            TableCacheConfig(cache_size_vectors=size)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
+    def test_table_cache_threshold_must_be_finite(self, threshold):
+        # ``nan < 0`` is False, so a NaN threshold used to pass and then
+        # admit nothing.
+        with pytest.raises(ValueError, match="threshold"):
+            TableCacheConfig(cache_size_vectors=1, threshold=threshold)
+
 
 class TestConfigKnobValidation:
     """The store/serving/cluster knobs fail loudly at construction."""
@@ -164,6 +177,12 @@ class TestConfigKnobValidation:
     def test_cluster_rejects_non_positive_table_slo(self):
         with pytest.raises(ValueError, match="table_slo_us"):
             ClusterConfig(table_slo_us=(("t", 0.0),))
+
+    @pytest.mark.parametrize("config_cls", [ServingConfig, ClusterConfig])
+    def test_duplicate_table_slo_rejected(self, config_cls):
+        # The lookup used to keep the first entry and ignore the second.
+        with pytest.raises(ValueError, match="'hot' more than once"):
+            config_cls(table_slo_us=(("hot", 100.0), ("hot", 50.0)))
 
     def test_cluster_table_slo_lookup(self):
         config = ClusterConfig(default_slo_us=900.0, table_slo_us=(("hot", 100.0),))

@@ -1,13 +1,14 @@
 """Tests for the shared NVM device layer (repro.device) and its clients.
 
-Covers the device-bank PR's checklist: DeviceClock FIFO/pricing behaviour
-and conservation invariants (busy time ≤ wall time × K, depth histograms
-sum to serve counts), the bank's table→device mapping, the serving
-front-end's accounting modes (legacy ≡ shared single-table, the default
-config's 1-device bank, private devices vs cross-table contention under a
-genuinely shared device), closed-loop arrival properties (hard concurrency
-cap, think-time stationarity, determinism), and single-host
-admission-control accounting.
+Covers DeviceClock FIFO/pricing behaviour and conservation invariants
+(busy time ≤ wall time × K, depth histograms sum to serve counts), the
+bank's table→device mapping, the one device-charge rule (a batch serves
+each device it touches once; it equals the whole-batch and per-table
+charges it replaced at K = 1 and K = number of tables, against the oracle
+``_lookup_and_charge_reference``), private devices vs cross-table
+contention under a genuinely shared device, closed-loop arrival properties
+(hard concurrency cap, think-time stationarity, determinism), and
+single-host admission control (per-table SLOs included).
 """
 
 import os
@@ -19,14 +20,17 @@ if __package__ in (None, ""):  # direct script run
         os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"),
     )
 
+import functools
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro import ServingConfig
-from repro.core.config import DeviceBankConfig, TracingConfig
+from repro.core.config import TracingConfig
 from repro.device import DeviceClock, NVMDeviceBank, depth_bucket
 from repro.nvm.latency import NVMLatencyModel
-from repro.serving import ClosedLoopPopulation, simulate_serving
+from repro.serving import ClosedLoopPopulation, frontend, simulate_serving
 from repro.serving.arrivals import arrival_times
 from repro.tracing import (
     ATTR_PARALLEL,
@@ -121,7 +125,7 @@ class TestDeviceClock:
         assert clock.free_at_us == pytest.approx(0.0)
         assert clock.serves == serves
         assert clock.busy_us == busy
-        assert len(clock.records) == serves  # the log survives; backlog doesn't
+        assert sum(clock.depth_hist.values()) == serves
         fresh = clock.serve_blocks(0.0, 8)
         assert fresh.queue_wait_us == pytest.approx(0.0)
 
@@ -166,8 +170,8 @@ class TestNVMDeviceBank:
             num_devices=1, latency_model=NVMLatencyModel(), tables=("a", "b", "c")
         )
         assert set(bank.table_mapping().values()) == {0}
-        first = bank.serve_blocks("a", 0.0, 32)
-        second = bank.serve_blocks("b", 0.0, 32)
+        (first,) = bank.serve_blocks(0.0, {"a": 32})
+        (second,) = bank.serve_blocks(0.0, {"b": 32})
         # Cross-table contention: table b queues behind table a's reads.
         assert second.start_us == first.completion_us
 
@@ -175,8 +179,7 @@ class TestNVMDeviceBank:
         bank = NVMDeviceBank(
             num_devices=2, latency_model=NVMLatencyModel(), tables=("a", "b")
         )
-        first = bank.serve_blocks("a", 0.0, 32)
-        second = bank.serve_blocks("b", 0.0, 32)
+        first, second = bank.serve_blocks(0.0, {"a": 32, "b": 32})
         assert second.start_us == pytest.approx(0.0)
         assert second.device_index != first.device_index
         assert first.queue_wait_us == second.queue_wait_us == pytest.approx(0.0)
@@ -189,7 +192,9 @@ class TestNVMDeviceBank:
         dispatch_us = 0.0
         for _ in range(200):
             dispatch_us += float(rng.exponential(30.0))
-            bank.serve_blocks(str(rng.choice(tables)), dispatch_us, int(rng.integers(0, 48)))
+            bank.serve_blocks(
+                dispatch_us, {str(rng.choice(tables)): int(rng.integers(0, 48))}
+            )
         check_bank_conservation(bank.snapshot())
         assert bank.total_busy_us() <= bank.free_at_us * num_devices + 1e-6
 
@@ -199,18 +204,17 @@ class TestNVMDeviceBank:
         dispatch_us = 0.0
         for i in range(120):
             dispatch_us += float(rng.exponential(20.0))
-            bank.serve_blocks(f"t{i % 5}", dispatch_us, int(rng.integers(0, 32)))
+            bank.serve_blocks(dispatch_us, {f"t{i % 5}": int(rng.integers(0, 32))})
         check_bank_conservation(bank.snapshot())
-        for device, hist in zip(bank.devices, bank.depth_histograms()):
-            assert sum(hist.values()) == device.serves
-            assert device.serves == len(device.records)
+        for device in bank.devices:
+            assert sum(device.depth_hist.values()) == device.serves
         assert sum(d.serves for d in bank.devices) == 120
 
     def test_queue_wait_per_table_and_bankwide(self):
         bank = NVMDeviceBank(
             num_devices=2, latency_model=NVMLatencyModel(), tables=("a", "b")
         )
-        record = bank.serve_blocks("a", 0.0, 64)
+        (record,) = bank.serve_blocks(0.0, {"a": 64})
         assert bank.queue_wait_us(0.0, "a") == record.completion_us
         assert bank.queue_wait_us(0.0, "b") == pytest.approx(0.0)
         assert bank.queue_wait_us(0.0) == record.completion_us  # max over bank
@@ -219,7 +223,7 @@ class TestNVMDeviceBank:
         bank = NVMDeviceBank(
             num_devices=2, latency_model=NVMLatencyModel(), tables=("a", "b")
         )
-        bank.serve_blocks("a", 0.0, 16)
+        bank.serve_blocks(0.0, {"a": 16})
         snap = bank.snapshot()
         assert snap["num_devices"] == 2
         assert snap["table_mapping"] == {"a": 0, "b": 1}
@@ -229,16 +233,36 @@ class TestNVMDeviceBank:
         assert per_device[0]["blocks_issued"] == 16
         assert all(isinstance(k, str) for k in per_device[0]["depth_hist"])
 
-    def test_rebase_and_keep_records_false(self):
-        bank = NVMDeviceBank(num_devices=2, keep_records=False)
+    def test_charge_sums_tables_per_device(self):
+        # Three tables on two devices: a and c share device 0.
+        bank = NVMDeviceBank(
+            num_devices=2, latency_model=NVMLatencyModel(), tables=("a", "b", "c")
+        )
+        records = bank.serve_blocks(0.0, {"a": 5, "b": 7, "c": 3})
+        assert [(r.device_index, r.block_reads) for r in records] == [(0, 8), (1, 7)]
+        assert [device.serves for device in bank.devices] == [1, 1]
+        # Device 0 prices the sum once, exactly like a lone device given 8.
+        lone = DeviceClock(NVMLatencyModel(), block_bytes=4096).serve_blocks(0.0, 8)
+        assert records[0] == lone
+
+    def test_touched_device_is_served_even_without_reads(self):
+        bank = NVMDeviceBank(
+            num_devices=2, latency_model=NVMLatencyModel(), tables=("a", "b")
+        )
+        (record,) = bank.serve_blocks(0.0, {"b": 0})
+        assert (record.device_index, record.block_reads) == (1, 0)
+        assert [device.serves for device in bank.devices] == [0, 1]
+        assert bank.serve_blocks(0.0, {}) == []
+
+    def test_rebase_re_anchors_every_device(self):
+        bank = NVMDeviceBank(num_devices=2)
         bank.serve_duration("a", 0.0, 100.0)
-        assert bank.records() == []
         assert bank.free_at_us == pytest.approx(100.0)
         bank.rebase(7.0)
         assert all(device.free_at_us == pytest.approx(7.0) for device in bank.devices)
 
 
-# ----------------------------------------------------------- accounting modes
+# ------------------------------------------------------- the device-charge rule
 @pytest.fixture(scope="module")
 def store_and_trace():
     return build_store_and_trace()
@@ -249,7 +273,87 @@ def serve(store_and_trace, config, **kwargs):
     return simulate_serving(store, eval_trace, config=config, **kwargs)
 
 
-class TestAccountingModes:
+def _lookup_and_charge_reference(
+    store, requests, served, dispatch_us, bank, split_tables
+):
+    """The two charging branches the one rule replaced (test oracle).
+
+    ``split_tables=True`` charged each table's miss delta to that table's
+    device, one serve per table; ``False`` charged the batch's total misses
+    to device 0 — the original whole-batch accountant.
+    """
+    per_table = {}
+    for i in served:
+        for name, ids in requests[i].items():
+            per_table.setdefault(name, []).append(ids)
+    misses = {}
+    for name, queries in per_table.items():
+        misses_before = store.tables[name].stats.misses
+        store.lookup_batch(name, queries, gather=False)
+        misses[name] = store.tables[name].stats.misses - misses_before
+    records = []
+    if split_tables:
+        records = [
+            bank.device_of(name).serve_blocks(dispatch_us, delta)
+            for name, delta in misses.items()
+        ]
+    elif misses:
+        records = [bank.devices[0].serve_blocks(dispatch_us, sum(misses.values()))]
+    completion_us = max((r.completion_us for r in records), default=dispatch_us)
+    return completion_us, records
+
+
+def traced_run(store_and_trace, config):
+    """One fully traced run: (report dict, every retained span)."""
+    tracer = Tracer(TracingConfig(enabled=True, sample_every=1, max_requests=100000))
+    report = serve(store_and_trace, config, tracing=tracer)
+    spans = {rid: trace.spans for rid, trace in tracer.traces.items()}
+    return report.to_dict(), spans
+
+
+#: "overload-shed" is ``TestAdmissionControl.OVERLOAD``, which sheds at
+#: both K; at 8k rps and K = 2 requests carry two parallel device spans.
+ORACLE_CASES = {
+    "poisson-2k": dict(arrival_rate_rps=2000.0),
+    "poisson-8k": dict(arrival_rate_rps=8000.0),
+    "poisson-30k": dict(arrival_rate_rps=30000.0),
+    "mmpp-30k-shed": dict(
+        arrival_process="mmpp", arrival_rate_rps=30000.0, admission_queue_slack=0.5
+    ),
+    "overload-shed": dict(arrival_rate_rps=400000.0, admission_queue_slack=0.1),
+    "closed-loop": dict(
+        arrival_process="closed-loop", closed_loop_clients=8, closed_loop_think_s=0.0005
+    ),
+}
+
+
+class TestChargeRuleMatchesOracle:
+    """The one rule ≡ the branch it replaced, at both ends of K.
+
+    K = 1 is the whole-batch branch; K = number of tables (two here) is the
+    per-table branch.  Reports (bank snapshot included) and every traced
+    span must match bit for bit.
+    """
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("devices", [1, 2])
+    def test_rule_equals_reference_branch(
+        self, store_and_trace, monkeypatch, case, seed, devices
+    ):
+        config = ServingConfig(seed=seed, devices_per_host=devices, **ORACLE_CASES[case])
+        rule = traced_run(store_and_trace, config)
+        monkeypatch.setattr(
+            frontend,
+            "_lookup_and_charge",
+            functools.partial(_lookup_and_charge_reference, split_tables=devices > 1),
+        )
+        reference = traced_run(store_and_trace, config)
+        assert rule == reference
+        assert rule[0]["num_requests"] == len(rule[1])
+
+
+class TestChargeRule:
     def test_default_config_is_a_one_device_bank(self, store_and_trace):
         report = serve(store_and_trace, ServingConfig(seed=3))
         assert report.requests_shed == 0
@@ -257,60 +361,86 @@ class TestAccountingModes:
         assert bank["num_devices"] == 1
         assert set(bank["table_mapping"].values()) == {0}
         check_bank_conservation(bank)
-        # Legacy charges whole batches: one serve call per dispatched batch.
+        # One device: one serve call per dispatched batch, its whole misses.
         device = bank["per_device"][0]
         assert device["serves"] == report.num_batches
         assert device["blocks_issued"] == report.blocks_read
 
-    def test_shared_with_enough_devices_gives_every_table_a_device(
-        self, store_and_trace
-    ):
-        report = serve(
-            store_and_trace,
-            ServingConfig(
-                seed=3,
-                device=DeviceBankConfig(accounting="shared", devices_per_host=2),
-            ),
-        )
+    def test_enough_devices_give_every_table_a_device(self, store_and_trace):
+        report = serve(store_and_trace, ServingConfig(seed=3, devices_per_host=2))
         bank = report.device_bank
         assert bank is not None
         assert bank["num_devices"] == 2
         assert sorted(bank["table_mapping"].values()) == [0, 1]
         check_bank_conservation(bank)
 
-    def test_shared_single_table_equals_legacy(self):
-        store, eval_trace = build_store_and_trace(names=("table1",))
-        legacy = simulate_serving(store, eval_trace, config=ServingConfig(seed=3))
-        shared = simulate_serving(
-            store,
-            eval_trace,
-            config=ServingConfig(
-                seed=3, device=DeviceBankConfig(accounting="shared", devices_per_host=1)
-            ),
+    def test_three_tables_on_two_devices_serve_each_device_once(self):
+        names = ("table1", "table2", "table4")
+        store, eval_trace = build_store_and_trace(names=names)
+        serves = []
+        original = DeviceClock.serve_blocks
+
+        def logged(clock, dispatch_us, block_reads):
+            serves.append((dispatch_us, clock.index))
+            return original(clock, dispatch_us, block_reads)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(DeviceClock, "serve_blocks", logged)
+            report = simulate_serving(
+                store,
+                eval_trace,
+                config=ServingConfig(
+                    seed=3,
+                    arrival_rate_rps=8000.0,
+                    max_batch_requests=4,
+                    devices_per_host=2,
+                ),
+                # Only requests that read all three tables.
+                num_requests=min(len(t) for t in eval_trace.tables.values()),
+            )
+        bank = report.device_bank
+        assert bank["table_mapping"] == {"table1": 0, "table2": 1, "table4": 0}
+        # Every batch touches both devices — and serves each exactly once,
+        # not once per table.
+        assert report.num_batches > 10
+        assert [d["serves"] for d in bank["per_device"]] == [report.num_batches] * 2
+        assert [index for _, index in serves] == [0, 1] * report.num_batches
+        assert [t for t, _ in serves[0::2]] == [t for t, _ in serves[1::2]]
+        assert sum(d["blocks_issued"] for d in bank["per_device"]) == report.blocks_read
+        check_bank_conservation(bank)
+
+    def test_queue_depth_hist_sums_the_devices(self, store_and_trace):
+        report = serve(
+            store_and_trace,
+            ServingConfig(seed=3, arrival_rate_rps=30000.0, devices_per_host=2),
         )
-        # One table: splitting per table is the whole batch, so the bank's
-        # single device replays the legacy accountant's exact arithmetic.
-        assert shared.latency == legacy.latency
-        assert shared.blocks_read == legacy.blocks_read
-        assert shared.queue_depth_hist == legacy.queue_depth_hist
+        per_device = Counter()
+        for device in report.device_bank["per_device"]:
+            per_device.update({int(k): v for k, v in device["depth_hist"].items()})
+        assert report.queue_depth_hist == dict(per_device)
+        assert list(report.queue_depth_hist) == sorted(report.queue_depth_hist)
+
+    def test_extra_devices_idle_on_single_table_store(self):
+        store, eval_trace = build_store_and_trace(names=("table1",))
+        one = simulate_serving(store, eval_trace, config=ServingConfig(seed=3))
+        two = simulate_serving(
+            store, eval_trace, config=ServingConfig(seed=3, devices_per_host=2)
+        )
+        # One table is pinned to device 0; device 1 never serves.
+        assert two.latency == one.latency
+        assert two.blocks_read == one.blocks_read
+        assert two.queue_depth_hist == one.queue_depth_hist
+        assert two.device_bank["per_device"][1]["serves"] == 0
 
     def test_shared_device_creates_cross_table_contention(self, store_and_trace):
-        rate = ServingConfig(seed=3, arrival_rate_rps=8000.0)
+        # At 30k rps the two tables' reads visibly queue on one device.
         private = serve(
             store_and_trace,
-            ServingConfig(
-                seed=3,
-                arrival_rate_rps=rate.arrival_rate_rps,
-                device=DeviceBankConfig(accounting="shared", devices_per_host=2),
-            ),
+            ServingConfig(seed=3, arrival_rate_rps=30000.0, devices_per_host=2),
         )
         shared = serve(
             store_and_trace,
-            ServingConfig(
-                seed=3,
-                arrival_rate_rps=rate.arrival_rate_rps,
-                device=DeviceBankConfig(accounting="shared", devices_per_host=1),
-            ),
+            ServingConfig(seed=3, arrival_rate_rps=30000.0, devices_per_host=1),
         )
         # Both tables' reads serialise on the one physical device: the tail
         # pays for the other table's queue, which a private device per
@@ -319,17 +449,13 @@ class TestAccountingModes:
         assert shared.latency.mean_us > private.latency.mean_us
         assert shared.blocks_read == private.blocks_read  # same cache work
 
-    def test_bank_modes_trace_validates_with_parallel_device_spans(
+    def test_multi_device_trace_validates_with_parallel_device_spans(
         self, store_and_trace
     ):
         tracer = Tracer(TracingConfig(enabled=True, sample_every=1))
         report = serve(
             store_and_trace,
-            ServingConfig(
-                seed=3,
-                arrival_rate_rps=8000.0,
-                device=DeviceBankConfig(accounting="shared", devices_per_host=2),
-            ),
+            ServingConfig(seed=3, arrival_rate_rps=8000.0, devices_per_host=2),
             tracing=tracer,
         )
         assert report.num_requests == len(tracer.traces)
@@ -437,7 +563,7 @@ class TestClosedLoopArrivals:
                 seed=3,
                 closed_loop_clients=8,
                 closed_loop_think_s=0.001,
-                device=DeviceBankConfig(accounting="shared"),
+                devices_per_host=2,
             ),
             tracing=tracer,
         )
@@ -492,12 +618,9 @@ class TestAdmissionControl:
             assert validate_trace(trace) == []
             assert any(s.name == STAGE_REQUEST_SHED for s in trace.spans)
 
-    def test_bank_mode_sheds_per_table(self, store_and_trace):
+    def test_multi_device_bank_sheds_per_table(self, store_and_trace):
         report = serve(
-            store_and_trace,
-            ServingConfig(
-                device=DeviceBankConfig(accounting="shared"), **self.OVERLOAD
-            ),
+            store_and_trace, ServingConfig(devices_per_host=2, **self.OVERLOAD)
         )
         assert report.requests_shed > 0
         assert report.device_bank is not None
@@ -508,22 +631,32 @@ class TestAdmissionControl:
         assert config.slo_us("table7") == config.slo_latency_us
 
 
-# ---------------------------------------------------------------------- config
-class TestDeviceBankConfig:
-    def test_defaults(self):
-        config = DeviceBankConfig()
-        assert config.accounting == "legacy"
-        assert config.devices_per_host == 1
+    def test_duplicate_table_slo_rejected(self):
+        with pytest.raises(ValueError, match="'table1' more than once"):
+            ServingConfig(table_slo_us=(("table1", 500.0), ("table1", 900.0)))
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DeviceBankConfig(accounting="florp")
-        # The old private-device-per-table mode is now spelled
-        # ("shared", devices_per_host=number of tables).
-        with pytest.raises(ValueError):
-            DeviceBankConfig(accounting="per-table")
-        with pytest.raises(ValueError):
-            DeviceBankConfig(devices_per_host=0)
+    def test_unknown_table_slo_rejected_before_serving(self, store_and_trace):
+        store, eval_trace = store_and_trace
+        lookups_before = store.aggregate_stats().lookups
+        config = ServingConfig(
+            admission_queue_slack=1.0, table_slo_us=(("tabel1", 500.0),)
+        )
+        with pytest.raises(ValueError, match=r"'tabel1'.*'table1', 'table7'"):
+            simulate_serving(store, eval_trace, config=config, reset_first=False)
+        assert store.aggregate_stats().lookups == lookups_before
+
+
+# ---------------------------------------------------------------------- config
+class TestDevicesPerHost:
+    def test_default_is_one_shared_device(self):
+        assert ServingConfig().devices_per_host == 1
+
+    @pytest.mark.parametrize("value, error", [(0, ValueError), (1.5, TypeError), (True, TypeError)])
+    def test_validation(self, value, error):
+        with pytest.raises(error, match="devices_per_host"):
+            ServingConfig(devices_per_host=value)
+
+    def test_other_serving_knobs_and_old_field(self):
         with pytest.raises(ValueError):
             ServingConfig(closed_loop_clients=0)
         with pytest.raises(ValueError):
@@ -532,8 +665,9 @@ class TestDeviceBankConfig:
             ServingConfig(admission_queue_slack=-1.0)
         with pytest.raises(ValueError):
             ServingConfig(table_slo_us=(("t", 0.0),))
+        # The accounting-mode field is gone; one charge rule remains.
         with pytest.raises(TypeError):
-            ServingConfig(device="shared")  # type: ignore[arg-type]
+            ServingConfig(device="shared")  # type: ignore[call-arg]
 
 
 if __name__ == "__main__":

@@ -17,12 +17,9 @@ from test_cluster_store import run as run_cluster_scenario
 from test_serving import build_store_and_trace
 
 from repro.core.config import ClusterConfig, ServingConfig, TracingConfig
+from repro.device import depth_bucket
 from repro.serving import simulate_serving
-from repro.serving.report import (
-    LatencySummary,
-    depth_histogram,
-    percentile_min_samples,
-)
+from repro.serving.report import LatencySummary, percentile_min_samples
 from repro.tracing import (
     ATTR_OVERLAP_OK,
     NULL_TRACER,
@@ -357,13 +354,13 @@ class TestClusterServing:
 
 # ----------------------------------------------------- metrics-fix satellites
 class TestReportSatellites:
-    def test_depth_histogram_zero_bucket_is_exact(self):
-        hist = depth_histogram(np.array([0.0, 0.0, 0.5, 1.0, 2.0, 3.0, 8.0]))
-        assert hist == {0: 2, 1: 2, 2: 1, 4: 1, 8: 1}
+    def test_depth_bucket_zero_bucket_is_exact(self):
+        depths = [0.0, 0.0, 0.5, 1.0, 2.0, 3.0, 8.0]
+        assert [depth_bucket(d) for d in depths] == [0, 0, 1, 1, 2, 4, 8]
 
-    def test_depth_histogram_no_idle_no_zero_bucket(self):
-        assert 0 not in depth_histogram(np.array([1.0, 2.0]))
-        assert depth_histogram(np.array([])) == {}
+    def test_depth_bucket_no_idle_no_zero_bucket(self):
+        # Only an idle device (depth 0) lands in the exact 0 bucket.
+        assert {depth_bucket(d) for d in (0.5, 1.0, 2.0)} == {1, 2}
 
     def test_percentile_min_samples_ranks(self):
         assert percentile_min_samples(50.0) == 2
