@@ -165,7 +165,13 @@ def run_sweep(eval_multiplier=24, num_requests=4000, warmup_requests=1000):
             tracing=TracingConfig(enabled=True, top_k_slow=TOP_K_SLOW),
         )
         rows.append(
-            {"label": label, "overrides": overrides, **report.to_dict()}
+            {
+                "label": label,
+                "scenario": scenario,
+                "replication": replication,
+                "overrides": overrides,
+                **report.to_dict(),
+            }
         )
     baseline = rows[0]
     for row in rows:
@@ -230,7 +236,7 @@ def _format(result):
             [
                 row["label"],
                 row["replication"],
-                f"{row['availability']:.4f}",
+                f"{c['availability']:.4f}",
                 _pctl(row["latency"], "p50_us"),
                 _pctl(row["latency"], "p99_us"),
                 _pctl(row["latency"], "p999_us"),

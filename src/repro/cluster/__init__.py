@@ -22,12 +22,14 @@ Architecture
 * :mod:`repro.cluster.faults` — the fault-injection layer: declarative
   schedules of node crashes (recovering **cold**), slow nodes and degraded
   links, plus the named scenario catalog.
-* :mod:`repro.cluster.scenario` — the runner: open-loop arrivals through a
-  fault-injected cluster, condensed into a :class:`ClusterReport`.
+* :mod:`repro.cluster.scenario` — :func:`run_scenario`, the entry point:
+  open-loop arrivals through a fault-injected cluster, reported as a
+  :class:`~repro.serving.report.ServingReport` with ``counters`` set.
 
 Failure-scenario catalog
 ------------------------
-``make_scenario(name, num_nodes, **overrides)`` instantiates:
+``make_scenario(name, num_nodes, **overrides)`` instantiates (an override
+no catalog scenario takes raises ``ValueError``):
 
 ========================  ====================================================
 ``"none"``                healthy cluster — the baseline row of every sweep
@@ -46,7 +48,7 @@ Example
 >>> config = BandanaConfig(cluster=ClusterConfig(num_nodes=4, replication=2))
 >>> # store = BandanaStore.build(config, trace); trace as in simulate_store
 >>> # report = run_scenario(store, trace, scenario="crash_recover")
->>> # report.availability, report.latency.p999_us, report.counters.retries
+>>> # report.counters.availability, report.latency.p999_us
 
 Equivalence anchor
 ------------------
@@ -65,7 +67,7 @@ request records its full fan-out span tree — shard groups, per-attempt
 timeout/link-loss/shed/breaker-skip intervals, retry backoffs, hedges (both
 attempts of a hedge-won request) and per-node queue-vs-service splits — so
 a fault scenario's p999 inflation can be attributed to failover machinery
-rather than guessed at.  The summary lands in ``ClusterReport.trace``; see
+rather than guessed at.  The summary lands in ``report.trace``; see
 :mod:`repro.tracing` for the worked example.
 """
 
@@ -79,14 +81,13 @@ from repro.cluster.faults import (
 )
 from repro.cluster.node import ClusterNode, ShardServiceResult
 from repro.cluster.ring import ConsistentHashRing, stable_hash64
-from repro.cluster.scenario import ClusterReport, run_scenario
+from repro.cluster.scenario import run_scenario
 from repro.cluster.store import ClusterCounters, ClusterStore, RequestOutcome
 
 __all__ = [
     "SCENARIOS",
     "ClusterCounters",
     "ClusterNode",
-    "ClusterReport",
     "ClusterStore",
     "ConsistentHashRing",
     "DegradedLink",

@@ -28,6 +28,7 @@ The module also ships a small **scenario catalog**
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Tuple, Type, Union
 
@@ -283,9 +284,10 @@ SCENARIOS: Dict[str, Callable[..., FaultSchedule]] = {
 def make_scenario(name: str, num_nodes: int, **overrides: float) -> FaultSchedule:
     """Instantiate a named scenario from the catalog.
 
-    ``overrides`` tune the scenario's knobs (window, target node, severity);
-    unknown keys are ignored by scenarios that do not use them, so one sweep
-    loop can drive every scenario with a common parameter set.
+    ``overrides`` tune the scenario's knobs (window, target node, severity).
+    A key that only *other* scenarios use is ignored, so one sweep loop can
+    drive every scenario with a common parameter set; a key that no catalog
+    scenario uses (a typo such as ``duraton_s``) raises ``ValueError``.
     """
     check_positive(num_nodes, "num_nodes")
     try:
@@ -294,4 +296,14 @@ def make_scenario(name: str, num_nodes: int, **overrides: float) -> FaultSchedul
         raise ValueError(
             f"unknown scenario {name!r}; catalog: {sorted(SCENARIOS)}"
         ) from None
+    # Every knob some catalog factory names (``_`` is their catch-all).
+    accepted = sorted(
+        {key for f in SCENARIOS.values() for key in inspect.signature(f).parameters}
+        - {"num_nodes", "_"}
+    )
+    unknown = sorted(set(overrides) - set(accepted))
+    if unknown:
+        raise ValueError(
+            f"unknown scenario override(s) {unknown}; accepted: {accepted}"
+        )
     return factory(num_nodes, **overrides)

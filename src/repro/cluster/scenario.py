@@ -1,84 +1,29 @@
 """Fault-scenario runner: one request stream, one schedule, one report.
 
-:func:`run_scenario` is the cluster-side sibling of
-:func:`repro.serving.simulate_serving`: it replays a model trace through a
+:func:`run_scenario` is the cluster tier's entry point onto the shared
+serving loop: it replays a model trace through a
 :class:`~repro.cluster.store.ClusterStore` under an open-loop arrival
 process while a :class:`~repro.cluster.faults.FaultSchedule` degrades the
-cluster, and condenses what happened into a :class:`ClusterReport` —
-end-to-end latency percentiles (fan-in makes stragglers land in p999),
-availability (fraction of requests with every shard group served), and the
-full robustness counter set (retries, timeouts, sheds, hedges, breaker
-ejections, cold restarts).
+cluster, and returns the :class:`~repro.serving.report.ServingReport` a host
+run would — latency percentiles (fan-in makes stragglers land in p999),
+throughput, SLO misses — plus the robustness counters (``counters``:
+retries, timeouts, sheds, hedges, breaker ejections, cold restarts,
+availability) and the per-node block reads (``node_blocks_read``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Union
+from dataclasses import replace
+from typing import Mapping, Optional, Union
 
 from repro.cluster.faults import FaultSchedule, make_scenario
-from repro.cluster.store import ClusterCounters, ClusterStore
+from repro.cluster.store import ClusterStore
 from repro.core.bandana import BandanaStore
 from repro.core.config import ClusterConfig, ServingConfig, TracingConfig
 from repro.serving.frontend import cut_request_stream, serve_request_stream
-from repro.serving.report import LatencySummary
+from repro.serving.report import ServingReport
 from repro.tracing.tracer import Tracer, resolve_tracer
 from repro.workloads.trace import ModelTrace
-
-
-@dataclass(frozen=True)
-class ClusterReport:
-    """Everything one fault-scenario run observed."""
-
-    scenario: str
-    num_requests: int
-    num_nodes: int
-    replication: int
-    offered_rate_rps: float
-    makespan_s: float
-    throughput_rps: float
-    latency: LatencySummary
-    slo_latency_us: float
-    slo_violations: int
-    availability: float
-    counters: ClusterCounters
-    lookups: int
-    hit_rate: float
-    blocks_read: int
-    node_blocks_read: List[int]
-    #: JSON-ready tracer summary (``repro.tracing``): per-stage breakdown
-    #: over the measured run plus the top-K slowest requests' critical
-    #: paths.  ``None`` unless the run was traced.
-    trace: Optional[Dict[str, object]] = None
-
-    @property
-    def slo_violation_rate(self) -> float:
-        if self.num_requests == 0:
-            return 0.0
-        return self.slo_violations / self.num_requests
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready rendering (used by the benchmark artifacts)."""
-        return {
-            "scenario": self.scenario,
-            "num_requests": self.num_requests,
-            "num_nodes": self.num_nodes,
-            "replication": self.replication,
-            "offered_rate_rps": self.offered_rate_rps,
-            "makespan_s": self.makespan_s,
-            "throughput_rps": self.throughput_rps,
-            "latency": self.latency.to_dict(),
-            "slo_latency_us": self.slo_latency_us,
-            "slo_violations": self.slo_violations,
-            "slo_violation_rate": self.slo_violation_rate,
-            "availability": self.availability,
-            "counters": self.counters.as_dict(),
-            "lookups": self.lookups,
-            "hit_rate": self.hit_rate,
-            "blocks_read": self.blocks_read,
-            "node_blocks_read": list(self.node_blocks_read),
-            "trace": self.trace,
-        }
 
 
 def run_scenario(
@@ -91,7 +36,7 @@ def run_scenario(
     scenario_overrides: Optional[Mapping[str, float]] = None,
     warmup_requests: int = 0,
     tracing: Optional["TracingConfig | Tracer"] = None,
-) -> ClusterReport:
+) -> ServingReport:
     """Replay a trace through a fresh fault-injected cluster (see module doc).
 
     Parameters
@@ -114,7 +59,8 @@ def run_scenario(
         Optional cap on the measured request stream; must be ``>= 0``.
     scenario_overrides:
         Extra knobs forwarded to the scenario factory (window, target node,
-        severity); ignored for explicit schedules.
+        severity).  An explicit schedule takes none: passing any raises
+        ``ValueError``.
     warmup_requests:
         Requests (``>= 0``) replayed sequentially (and excluded from every
         reported number) before the measured run, after which the cluster's
@@ -134,12 +80,16 @@ def run_scenario(
     cluster_config = cluster_config or store.config.cluster
     serving_config = serving_config or store.config.serving
     if isinstance(scenario, FaultSchedule):
-        faults, scenario_name = scenario, "custom"
+        if scenario_overrides:
+            raise ValueError(
+                "scenario_overrides apply to catalog scenarios only; an explicit "
+                f"FaultSchedule would ignore {sorted(scenario_overrides)}"
+            )
+        faults = scenario
     else:
         faults = make_scenario(
             scenario, cluster_config.num_nodes, **dict(scenario_overrides or {})
         )
-        scenario_name = scenario
     cluster = ClusterStore.from_store(store, config=cluster_config, faults=faults)
 
     warmup, requests = cut_request_stream(eval_trace, num_requests, warmup_requests)
@@ -163,26 +113,11 @@ def run_scenario(
         tracer,
         cluster=cluster,
     )
-    return ClusterReport(
-        scenario=scenario_name,
-        num_requests=served.num_requests,
-        num_nodes=cluster_config.num_nodes,
-        replication=cluster.replication,
-        offered_rate_rps=served.offered_rate_rps,
-        makespan_s=served.makespan_s,
-        throughput_rps=served.throughput_rps,
-        latency=served.latency,
-        slo_latency_us=served.slo_latency_us,
-        slo_violations=served.slo_violations,
-        availability=cluster.counters.availability,
+    return replace(
+        served,
         counters=cluster.counters,
-        lookups=served.lookups,
-        hit_rate=served.hit_rate,
-        blocks_read=served.blocks_read,
         node_blocks_read=[
             after - before
             for after, before in zip(cluster.node_blocks_read(), node_blocks_before)
         ],
-        trace=served.trace,
     )
-

@@ -51,7 +51,6 @@ Tracing
 Attach a :class:`repro.tracing.Tracer` via :meth:`ClusterStore.set_tracer`
 (or pass ``tracing=`` to :func:`repro.cluster.run_scenario`) and every
 request records a span tree on the simulated clock: a ``"request"`` root,
-a ``batcher.queue`` span when the request waited in a front-end batcher,
 one ``shard_group`` span per fan-out (parallel siblings), and one span per
 attempt — ``attempt.ok`` with ``node.queue``/``node.service`` children,
 ``attempt.timeout``/``attempt.link_loss``/``attempt.shed``/
@@ -87,7 +86,6 @@ from repro.tracing.tracer import (
     STAGE_ATTEMPT_SHED,
     STAGE_ATTEMPT_TIMEOUT,
     STAGE_BACKOFF,
-    STAGE_BATCH_QUEUE,
     STAGE_FANIN_OVERHEAD,
     STAGE_HEDGE_LOST,
     STAGE_HEDGE_WON,
@@ -402,7 +400,6 @@ class ClusterStore:
         self,
         request: Mapping[str, Iterable[int]],
         now_us: Optional[float] = None,
-        arrival_us: Optional[float] = None,
     ) -> RequestOutcome:
         """Serve one multi-table request dispatched at ``now_us``.
 
@@ -411,23 +408,15 @@ class ClusterStore:
         which is the schedule equivalence tests compare against single-store
         replay.  Open-loop callers pass real dispatch timestamps, making
         node backlog — and therefore admission control — real.
-
-        ``arrival_us`` is the request's *true* arrival when it waited in a
-        front-end batcher before dispatch (defaults to ``now_us``): it only
-        anchors the returned outcome's latency and the trace's root span —
-        serving timing starts at dispatch either way.
         """
         dispatch_us = self._clock_us if now_us is None else float(now_us)
-        true_arrival_us = dispatch_us if arrival_us is None else float(arrival_us)
         # Route (and validate) before the root span opens: a rejected request
         # must not leave a pending trace behind for the next one to trip on.
         groups = self._route(request)
         tracer = self.tracer
         rid = self.counters.requests_total
         if tracer.enabled:
-            tracer.begin_request(rid, true_arrival_us)
-            if dispatch_us > true_arrival_us:
-                tracer.span(rid, STAGE_BATCH_QUEUE, true_arrival_us, dispatch_us)
+            tracer.begin_request(rid, dispatch_us)
         completion_us = dispatch_us
         failed = 0
         for table_name, replicas, ids in groups:
@@ -474,7 +463,7 @@ class ClusterStore:
         if tracer.enabled:
             tracer.end_request(rid, completion_us, degraded=failed > 0)
         return RequestOutcome(
-            arrival_us=true_arrival_us,
+            arrival_us=dispatch_us,
             completion_us=completion_us,
             shard_groups=len(groups),
             failed_groups=failed,

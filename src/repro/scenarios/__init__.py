@@ -15,7 +15,8 @@ re-partitioning lifecycle that repairs it:
 * :mod:`repro.scenarios.lifecycle` — :class:`RepartitionManager`, which
   retrains the placement on a trailing window and swaps it live.
 * :mod:`repro.scenarios.runner` — :func:`run_workload_scenario`, the
-  windowed replay tying it together.
+  windowed hit-rate replay tying it together (latency comes from
+  :func:`repro.serving.simulate_serving` or :func:`repro.cluster.run_scenario`).
 
 Worked example — drift breaks SHP, the lifecycle buys it back::
 
@@ -71,7 +72,7 @@ from repro.scenarios.loader import (
     load_trace,
 )
 from repro.scenarios.report import ScenarioReport
-from repro.scenarios.runner import run_workload_scenario, serving_summary
+from repro.scenarios.runner import run_workload_scenario
 
 __all__ = [
     "SCENARIO_KINDS",
@@ -93,5 +94,4 @@ __all__ = [
     "load_trace",
     "ScenarioReport",
     "run_workload_scenario",
-    "serving_summary",
 ]

@@ -37,7 +37,6 @@ class ScenarioReport:
     #: Mean hit rate over the last quarter of windows (maximum staleness).
     late_hit_rate: float = 0.0
     repartition: Optional[Dict[str, object]] = None
-    serving: Optional[Dict[str, object]] = None
 
     @property
     def hit_rate_decay(self) -> float:
@@ -66,6 +65,4 @@ class ScenarioReport:
         }
         if self.repartition is not None:
             payload["repartition"] = self.repartition
-        if self.serving is not None:
-            payload["serving"] = self.serving
         return payload

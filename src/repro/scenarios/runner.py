@@ -9,38 +9,21 @@ so the placement can be retrained online — and closes a measurement window
 every ``window_queries`` queries.  The windowed hit-rate series is the
 experiment's primary output: flat for a stationary workload, decaying under
 drift with a stale placement, and saw-toothed (decay, swap, recover) with
-the lifecycle enabled.
+the lifecycle enabled.  It measures no latency: serve the evaluation split
+through :func:`repro.serving.simulate_serving` for that.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.core.bandana import BandanaStore
-from repro.core.config import BandanaConfig, ServingConfig
+from repro.core.config import BandanaConfig
 from repro.scenarios.config import RepartitionConfig
 from repro.scenarios.lifecycle import RepartitionManager
 from repro.scenarios.report import ScenarioReport
-from repro.serving import simulate_serving
-from repro.serving.report import ServingReport
 from repro.utils.validation import check_fraction, check_int_at_least
 from repro.workloads.trace import ModelTrace, Trace
-
-
-def serving_summary(report: ServingReport) -> Dict[str, object]:
-    """Compact JSON-ready slice of a :class:`~repro.serving.report.ServingReport`."""
-    latency = report.latency
-    return {
-        "num_requests": int(report.num_requests),
-        "throughput_rps": round(float(report.throughput_rps), 2),
-        "p50_us": round(float(latency.p50_us), 2),
-        "p95_us": round(float(latency.p95_us), 2),
-        "p99_us": round(float(latency.p99_us), 2),
-        "p999_us": round(float(latency.p999_us), 2),
-        "mean_us": round(float(latency.mean_us), 2),
-        "slo_violations": int(report.slo_violations),
-        "hit_rate": round(float(report.hit_rate), 6),
-    }
 
 
 def run_workload_scenario(
@@ -52,8 +35,6 @@ def run_workload_scenario(
     window_queries: int = 100,
     warmup_queries: int = 0,
     table_name: str = "scenario",
-    serving: Optional[ServingConfig] = None,
-    serving_requests: Optional[int] = None,
 ) -> ScenarioReport:
     """Replay one scenario end to end and report the windowed hit-rate curve.
 
@@ -85,13 +66,6 @@ def run_workload_scenario(
         the lifecycle.
     table_name:
         Name of the single table the scenario exercises.
-    serving:
-        When given, an event-driven serving simulation
-        (:func:`repro.serving.simulate_serving`) runs over the evaluation
-        split *after* the windowed replay — on the placement that replay
-        left live — and its latency tail lands in ``report.serving``.
-    serving_requests:
-        Optional request cap of the serving leg.
     """
     check_fraction(train_fraction, "train_fraction")
     if not 0.0 < train_fraction < 1.0:
@@ -148,13 +122,4 @@ def run_workload_scenario(
     )
     if manager is not None:
         report.repartition = manager.summary()
-    if serving is not None:
-        serving_report = simulate_serving(
-            store,
-            ModelTrace({table_name: evaluation}),
-            serving,
-            num_requests=serving_requests,
-            reset_first=True,
-        )
-        report.serving = serving_summary(serving_report)
     return report

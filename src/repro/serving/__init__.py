@@ -56,7 +56,9 @@ as :func:`repro.simulation.simulate_serving` next to ``simulate_store``.  It
 runs the one serving event loop
 (:func:`~repro.serving.frontend.serve_request_stream`: an arrival source ×
 a backend — the host's device bank, or a cluster store), which
-:func:`repro.cluster.run_scenario` shares for its measured run.  The
+:func:`repro.cluster.run_scenario` shares for its measured run; both return
+a :class:`~repro.serving.report.ServingReport`, and a cluster run's also
+carries the router's ``counters`` and ``node_blocks_read``.  The
 knobs live in :class:`repro.core.config.ServingConfig`, reachable as
 ``BandanaConfig.serving``.  ``benchmarks/bench_serving_latency.py`` sweeps
 arrival rates up to device saturation, batched vs unbatched.

@@ -26,9 +26,9 @@ source* and served by a *backend*.  One step per dispatched batch:
    :class:`~repro.device.NVMDeviceBank` of ``devices_per_host`` devices:
    each device the batch touches is served once, with the summed misses of
    the tables pinned to it (:meth:`~repro.device.NVMDeviceBank.serve_blocks`).
-   The cluster backend hands every member to
-   :meth:`~repro.cluster.store.ClusterStore.serve_request` at the batch's
-   dispatch time;
+   The cluster backend (:func:`repro.cluster.run_scenario`, unbatched) hands
+   each request to :meth:`~repro.cluster.store.ClusterStore.serve_request`
+   at its own arrival;
 3. every request's latency is ``completion − arrival +
    request_overhead_us``: served requests complete with their batch, shed
    ones at dispatch.
@@ -79,11 +79,9 @@ def simulate_serving(
     config: Optional[ServingConfig] = None,
     num_requests: Optional[int] = None,
     reset_first: bool = True,
-    latency_model: Optional[NVMLatencyModel] = None,
-    cluster: Optional["ClusterStore"] = None,
     tracing: Optional["TracingConfig | Tracer"] = None,
 ) -> ServingReport:
-    """Serve a model trace through a store under a simulated arrival process.
+    """Serve a model trace through a single-host store under an arrival process.
 
     Parameters
     ----------
@@ -104,20 +102,6 @@ def simulate_serving(
     reset_first:
         Clear the store's serving state first so runs start cold and are
         reproducible, like the paper's experiments.
-    latency_model:
-        Latency model of the serving tier's NVM device; defaults to the
-        paper-calibrated :class:`~repro.nvm.latency.NVMLatencyModel` at the
-        store's block size.
-    cluster:
-        Optional :class:`~repro.cluster.store.ClusterStore` to route through
-        instead of the single-host store.  Requests still arrive and batch
-        exactly as before, but each one is served by the cluster's
-        fan-out/fan-in path at its batch's dispatch time — so the reported
-        p999 reflects fan-in stragglers, retries and hedges, and the
-        cluster's ``request_overhead_us`` replaces the front-end's (no
-        double counting).  ``store`` then only supplies defaults/seed.
-        Requires an open-loop arrival process (the cluster's own nodes are
-        the closed side of that model).
     tracing:
         Per-request span tracing (:mod:`repro.tracing`): a
         :class:`~repro.core.config.TracingConfig` builds a fresh tracer
@@ -125,31 +109,21 @@ def simulate_serving(
         as-is (tests pass one in to inspect raw spans), ``None`` defaults
         to ``store.config.tracing`` — disabled by default.  When enabled,
         every request's latency decomposes into ``batcher.queue`` →
-        ``device.queue`` → ``device.service`` → ``overhead`` spans (or the
-        cluster's fan-out span tree; shed requests record a
-        ``request.shed`` marker instead of device spans) and the report
+        ``device.queue`` → ``device.service`` → ``overhead`` spans (shed
+        requests record a ``request.shed`` marker instead of device spans)
+        and the report
         carries the tracer's JSON summary in ``report.trace``.  Tracing
         never changes behavior.
     """
     config = config or store.config.serving
-    if config.arrival_process == "closed-loop" and cluster is not None:
-        raise ValueError(
-            "closed-loop arrivals are single-host only; the cluster path "
-            "requires an open-loop arrival process"
-        )
     tracer = resolve_tracer(
         tracing if tracing is not None else store.config.tracing,
         slo_latency_us=config.slo_latency_us,
     )
     _, requests = cut_request_stream(eval_trace, num_requests)
     if reset_first:
-        if cluster is not None:
-            cluster.reset_serving_state()
-        else:
-            store.reset_serving_state()
-    return serve_request_stream(
-        store, requests, config, tracer, latency_model=latency_model, cluster=cluster
-    )
+        store.reset_serving_state()
+    return serve_request_stream(store, requests, config, tracer)
 
 
 def cut_request_stream(
@@ -338,14 +312,13 @@ class _HostBackend:
 class _ClusterBackend:
     """Cluster backend: every member through ``ClusterStore.serve_request``.
 
-    The batcher still gates dispatch (requests wait out the linger window),
-    but timing inside the store is the cluster's: per-shard queueing on each
-    node's device bank, retries, hedges and fan-in.  Each node owns its
-    devices, so there is no host bank to report; nothing is shed here (the
-    cluster sheds per shard read and counts it itself).  The tracer rides
-    along on the store for the duration of the run: it roots each request at
-    its *true* arrival and records the batcher wait plus the full fan-out
-    span tree.
+    :func:`repro.cluster.run_scenario` runs it unbatched, so each request is
+    dispatched at its own arrival; timing inside the store is the cluster's:
+    per-shard queueing on each node's device bank, retries, hedges and
+    fan-in.  Each node owns its devices, so there is no host bank to report;
+    nothing is shed here (the cluster sheds per shard read and counts it
+    itself).  The tracer rides along on the store for the duration of the
+    run and records each request's full fan-out span tree.
     """
 
     bank = None
@@ -369,12 +342,7 @@ class _ClusterBackend:
     ) -> List[Tuple[int, float]]:
         """Serve one batch; ``(request, completion_us)`` in response order."""
         return [
-            (
-                i,
-                self.store.serve_request(
-                    requests[i], now_us=dispatch_us, arrival_us=float(arrival_us[i])
-                ).completion_us,
-            )
+            (i, self.store.serve_request(requests[i], now_us=dispatch_us).completion_us)
             for i in members
         ]
 
@@ -388,7 +356,6 @@ def serve_request_stream(
     requests: List[Request],
     config: ServingConfig,
     tracer: Tracer,
-    latency_model: Optional[NVMLatencyModel] = None,
     cluster: Optional["ClusterStore"] = None,
 ) -> ServingReport:
     """The one serving event loop: arrival source × backend (see module doc).
@@ -407,7 +374,7 @@ def serve_request_stream(
         if config.arrival_process == "closed-loop"
         else _OpenLoopArrivals(config, n, seed)
     )
-    model = latency_model or NVMLatencyModel(block_bytes=store.config.block_bytes)
+    model = NVMLatencyModel(block_bytes=store.config.block_bytes)
     backend: Union[_HostBackend, _ClusterBackend] = (
         _HostBackend(store, config, model, tracer)
         if cluster is None

@@ -5,17 +5,23 @@ the paper argues about: end-to-end request latency percentiles (p50/p95/p99/
 p999), sustained throughput, SLO violations, the batcher's behaviour (batch
 size histogram), and the device-side story (queue-depth histogram, block
 reads, measured throughput).  ``to_dict`` renders everything JSON-ready for
-the benchmark artifacts.
+the benchmark artifacts.  Both serving tiers report through it: a cluster
+run (:func:`repro.cluster.run_scenario`) fills the two cluster-only fields,
+``counters`` and ``node_blocks_read``, and leaves the host's device fields
+empty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
 from repro.nvm.latency import LoadedLatency
+
+if TYPE_CHECKING:  # repro.cluster imports this package; import only for types
+    from repro.cluster.store import ClusterCounters
 
 #: Percentiles reported for request latency.
 LATENCY_PERCENTILES = (50.0, 95.0, 99.0, 99.9)
@@ -140,6 +146,12 @@ class ServingReport:
     #: breakdown plus the top-K slowest requests' critical paths.  ``None``
     #: unless the run was traced (``TracingConfig.enabled``).
     trace: Optional[Dict[str, object]] = None
+    #: Cluster runs only: the router's robustness counters (retries,
+    #: timeouts, sheds, hedges, breaker ejections, availability) and the
+    #: per-node NVM block reads over the measured run.  ``None`` on host
+    #: runs, and then absent from :meth:`to_dict`.
+    counters: Optional["ClusterCounters"] = None
+    node_blocks_read: Optional[List[int]] = None
 
     @property
     def slo_violation_rate(self) -> float:
@@ -157,7 +169,7 @@ class ServingReport:
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready rendering (used by the benchmark artifacts)."""
-        return {
+        payload: Dict[str, object] = {
             "num_requests": self.num_requests,
             "num_batches": self.num_batches,
             "offered_rate_rps": self.offered_rate_rps,
@@ -190,3 +202,8 @@ class ServingReport:
             ),
             "trace": self.trace,
         }
+        if self.counters is not None:
+            payload["counters"] = self.counters.as_dict()
+        if self.node_blocks_read is not None:
+            payload["node_blocks_read"] = list(self.node_blocks_read)
+        return payload

@@ -13,9 +13,8 @@ happens to stay self-consistent.
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterStore
+from repro.cluster import ClusterStore, run_scenario
 from repro.core.config import ClusterConfig
-from repro.serving import simulate_serving
 from repro.simulation import simulate_store
 from tests.conftest import build_store, counters
 
@@ -125,10 +124,9 @@ class TestShardedEquivalenceOfWork:
 class TestServingIntegration:
     def test_cluster_routed_serving_report(self):
         store, trace = build_store(0)
-        cluster = ClusterStore.from_store(
-            store, config=ClusterConfig(num_nodes=4, replication=2)
+        report = run_scenario(
+            store, trace, "none", cluster_config=ClusterConfig(num_nodes=4, replication=2)
         )
-        report = simulate_serving(store, trace, cluster=cluster)
         assert report.num_requests == 106
         # Hedged reads do real duplicate work, so lookups can exceed the
         # single-host stream's 2342 but never undershoot it.
@@ -140,12 +138,12 @@ class TestServingIntegration:
 
     def test_cluster_routed_zero_requests_is_an_empty_report(self):
         store, trace = build_store(0)
-        cluster = ClusterStore.from_store(store, config=SINGLE)
-        report = simulate_serving(store, trace, cluster=cluster, num_requests=0)
+        report = run_scenario(store, trace, "none", cluster_config=SINGLE, num_requests=0)
         assert report.num_requests == report.num_batches == 0
         assert report.latency.samples == 0
         assert report.device_bank is None  # each cluster node owns its devices
-        assert cluster.counters.requests_total == 0
+        assert report.counters.requests_total == 0
+        assert report.node_blocks_read == [0]
 
     def test_single_node_serving_matches_store_counters(self):
         # The cluster-routed front-end re-times the same work: with one
@@ -154,8 +152,9 @@ class TestServingIntegration:
         simulate_store(store, trace)
         expected = store.aggregate_stats()
         store2, trace2 = build_store(0)
-        cluster = ClusterStore.from_store(store2, config=SINGLE)
-        report = simulate_serving(store2, trace2, cluster=cluster)
+        report = run_scenario(store2, trace2, "none", cluster_config=SINGLE)
         assert report.lookups == expected.lookups
         assert report.blocks_read == expected.misses
         assert report.hit_rate == pytest.approx(expected.hits / expected.lookups)
+        assert report.node_blocks_read == [expected.misses]
+        assert report.counters.requests_total == report.num_requests

@@ -171,6 +171,29 @@ class TestScenarioCatalog:
         faults = make_scenario("crash_recover", num_nodes=4, loss_prob=0.5, multiplier=9.0)
         assert len(faults) == 1
 
+    def test_override_no_scenario_uses_is_rejected(self):
+        # Regression: every factory swallowed **_, so a typo ran the default
+        # window (crash over [0.2, 0.6) s) without a word.
+        with pytest.raises(ValueError, match=r"\['duraton_s'\].*accepted: \[.*'duration_s'"):
+            make_scenario("crash_recover", num_nodes=4, duraton_s=1.0)
+
+    def test_accepted_overrides_come_from_the_factories(self):
+        # The accepted set is the union of the catalog's signatures: every
+        # knob one factory names is accepted by all of them.
+        knobs = dict(
+            start_s=0.1,
+            duration_s=0.2,
+            node=1,
+            multiplier=2.0,
+            extra_delay_us=50.0,
+            loss_prob=0.1,
+        )
+        for name in SCENARIOS:
+            make_scenario(name, num_nodes=4, **knobs)
+        with pytest.raises(ValueError) as info:
+            make_scenario("none", num_nodes=4, bogus=1.0)
+        assert str(info.value).endswith(f"accepted: {sorted(knobs)}")
+
     def test_degraded_cluster_scales_to_small_clusters(self):
         assert len(make_scenario("degraded_cluster", num_nodes=1)) == 1
         assert len(make_scenario("degraded_cluster", num_nodes=2)) == 2

@@ -68,7 +68,7 @@ class TestReplicationSurvivesCrash:
         # The acceptance criterion: with R=2, one crashed node costs
         # latency (timeouts + retries) but zero availability.
         report = run(1, "crash_recover", ClusterConfig(num_nodes=4, replication=2))
-        assert report.availability == pytest.approx(1.0)
+        assert report.counters.availability == pytest.approx(1.0)
         assert report.counters.requests_degraded == 0
         assert report.counters.timeouts > 0
         assert report.counters.retries > 0
@@ -84,7 +84,7 @@ class TestReplicationSurvivesCrash:
         # requests are degraded — but every request still completes.
         report = run(1, "crash_recover", ClusterConfig(num_nodes=4, replication=1))
         assert report.counters.requests_degraded > 0
-        assert 0.0 < report.availability < 1.0
+        assert 0.0 < report.counters.availability < 1.0
         assert report.num_requests == report.counters.requests_total
 
     def test_cold_restart_after_recovery(self):
@@ -96,7 +96,7 @@ class TestReplicationSurvivesCrash:
             overrides=dict(start_s=0.002, duration_s=0.01),
         )
         assert report.counters.cold_restarts >= 1
-        assert report.availability == pytest.approx(1.0)
+        assert report.counters.availability == pytest.approx(1.0)
 
 
 class TestSlowNodesAndHedging:
@@ -104,7 +104,7 @@ class TestSlowNodesAndHedging:
         report = run(1, "slow_node", ClusterConfig(num_nodes=4, replication=2))
         assert report.counters.hedges_launched > 0
         assert report.counters.hedges_won > 0
-        assert report.availability == pytest.approx(1.0)
+        assert report.counters.availability == pytest.approx(1.0)
 
     def test_hedging_can_be_disabled(self):
         report = run(
@@ -128,7 +128,7 @@ class TestSlowNodesAndHedging:
         report = run_scenario(store, trace, scenario=faults, cluster_config=config)
         assert report.counters.breaker_ejections > 0
         assert report.counters.breaker_skips > 0
-        assert report.availability == pytest.approx(1.0)
+        assert report.counters.availability == pytest.approx(1.0)
 
 
 class TestFlakyLinks:
@@ -141,7 +141,7 @@ class TestFlakyLinks:
         )
         assert report.counters.link_losses > 0
         assert report.counters.retries >= report.counters.link_losses
-        assert report.availability == pytest.approx(1.0)
+        assert report.counters.availability == pytest.approx(1.0)
 
     def test_loss_draws_are_seeded(self):
         config = ClusterConfig(num_nodes=4, replication=2, seed=7)
@@ -193,7 +193,7 @@ class TestDegradedCluster:
         config = ClusterConfig(num_nodes=4, replication=2)
         healthy = run(1, "none", config)
         degraded = run(1, "degraded_cluster", config)
-        assert degraded.availability < healthy.availability
+        assert degraded.counters.availability < healthy.counters.availability
         assert degraded.latency.p999_us > healthy.latency.p999_us
         assert degraded.counters.requests_degraded > 0
 
@@ -223,7 +223,7 @@ class TestDegradedCluster:
             "flaky_link",
             "degraded_cluster",
         }
-        assert reports["none"].availability == pytest.approx(1.0)
+        assert reports["none"].counters.availability == pytest.approx(1.0)
         for report in reports.values():
             assert report.num_requests == 50
             assert report.to_dict()["counters"]["requests_total"] == 50
@@ -304,12 +304,13 @@ class TestStoreMechanics:
     @pytest.mark.parametrize("replication", [1, 2])
     @pytest.mark.parametrize("warmup_requests", [0, 20])
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-    def test_node_blocks_read_sums_to_aggregate(
+    def test_report_obeys_conservation_laws(
         self, scenario, warmup_requests, replication
     ):
-        # A cold restart rebuilds a node's engines but keeps its stats, so the
-        # per-node counts must span the crash (at R = 1 they once went
-        # negative; at R = 2 the crashed node is not touched again).
+        # A cluster report obeys the host report's laws.  A cold restart
+        # rebuilds a node's engines but keeps its stats, so the per-node
+        # counts must span the crash (at R = 1 they once went negative; at
+        # R = 2 the crashed node is not touched again).
         store, trace = build_store(0)
         report = run_scenario(
             store,
@@ -319,6 +320,16 @@ class TestStoreMechanics:
             scenario_overrides=WINDOW,
             warmup_requests=warmup_requests,
         )
+        n = report.num_requests
+        assert n > 0
+        # Unbatched: every request is its own batch and its own sample.
+        assert report.batch_size_hist == {1: n}
+        assert report.latency.samples == n
+        # The cluster sheds per shard read (counters.sheds), never a request,
+        # and each node owns its devices: there is no host bank.
+        assert report.requests_shed == 0
+        assert report.device_bank is None
+        assert report.counters.requests_total == n
         assert sum(report.node_blocks_read) == report.blocks_read
         assert all(blocks >= 0 for blocks in report.node_blocks_read)
 
@@ -337,14 +348,33 @@ class TestStoreMechanics:
         assert report.num_requests == 0
         assert report.latency.samples == 0
         assert report.counters.requests_total == 0
-        assert report.availability == pytest.approx(1.0)
+        assert report.counters.availability == pytest.approx(1.0)
 
     def test_report_to_dict_is_json_ready(self):
         store, trace = build_store(0)
         report = run_scenario(store, trace, num_requests=20)
         payload = json.loads(json.dumps(report.to_dict()))
-        assert payload["scenario"] == "none"
         assert payload["counters"]["requests_total"] == 20
+        assert payload["counters"]["availability"] == pytest.approx(1.0)
+        assert sum(payload["node_blocks_read"]) == payload["blocks_read"]
+
+    def test_overrides_with_an_explicit_schedule_rejected(self):
+        # Regression: the overrides were dropped without a word, so the run
+        # looked like it honoured a window it never applied.
+        store, trace = build_store(0)
+        faults = FaultSchedule([NodeCrash(node=0, start_s=0.0, end_s=0.01)])
+        with pytest.raises(ValueError, match=r"FaultSchedule.*\['duration_s', 'node'\]"):
+            run_scenario(
+                store,
+                trace,
+                scenario=faults,
+                scenario_overrides={"node": 2, "duration_s": 0.5},
+            )
+        # An empty mapping overrides nothing and is accepted.
+        report = run_scenario(
+            store, trace, scenario=faults, scenario_overrides={}, num_requests=5
+        )
+        assert report.counters.requests_total == 5
 
 
 def _route_reference(cluster, request):
@@ -604,28 +634,29 @@ def golden_trace_digests():
     return digests, stages
 
 
-#: Frozen output of :func:`golden_trace_digests` (captured from the router
-#: whose primary reads and hedges still had separate replica probes; the two
-#: R = 1 crash digests re-pinned when per-node block reads began spanning a
-#: cold restart, which moved their ``node_blocks_read``).  It
-#: changes only when cluster serving or its spans change — regenerate
+#: Frozen output of :func:`golden_trace_digests`.  Last re-pinned when the
+#: cluster run began returning a ``ServingReport``: a key-layout change only
+#: (no ``scenario`` / ``num_nodes`` / ``replication`` / top-level
+#: ``availability``; the host report's batch and device keys added), with
+#: every span and every value under a shared key unchanged.  It changes only
+#: when cluster serving, its spans or the report's keys change — regenerate
 #: deliberately with ``python tests/test_cluster_store.py``.
 GOLDEN_CLUSTER_TRACE_DIGESTS = {
-    "none/R1": "b37ff56cd2f97f12ee61087ca9049dc744592cd03feef1e15a393e48fbddaf5d",
-    "none/R2": "c0502a8b78249ed79faf3ca9f7d491fbf0ddee0bc5f758dbe62f83bd74b794cf",
-    "none/R3": "27919c1e3efdb6b0bfa196b95423646e0168a031695171e08e61a893b743fbfe",
-    "crash_recover/R1": "7fb32c23117c4992c65a63c0d36b7b56415dbc072562ecc93d57c876c84dd4c4",
-    "crash_recover/R2": "4ad06fcad14bc452c02553c4910c00e6330425f0632e56d114437fd224a1eb67",
-    "crash_recover/R3": "689f9bd05f2e8820df8c1152d13542984b92e0e839551569a42b6ceb68562122",
-    "slow_node/R1": "f7bcd9540fb5c8585eae63d39cc44588e3d88eae8473267b370aa41cddb38900",
-    "slow_node/R2": "a5296740ab75810e50b736727eddf5c3f0b35101f851c547c97170a84b0170d9",
-    "slow_node/R3": "fad4e6ce8e5722becdbb2e3cf75d8df472b097807e08aa99a82b5cfff2572323",
-    "flaky_link/R1": "551b0438094f83c18b960a54e52308135cec4a53653711615e2f6881537a4fe3",
-    "flaky_link/R2": "c3ae86ed8e45d7b8e8d30504dd2d357845a32b51351f2b005c433fb4d8ce1e8b",
-    "flaky_link/R3": "5b9c15d6cbccbe105bfef6d4a353b223091bc51bd58b2074db465a4d2f294017",
-    "degraded_cluster/R1": "acabcb4e93c3cf68d0d1b9a3a2f1ddfadb00e8e0c527806dc124824c3ab49c0c",
-    "degraded_cluster/R2": "34d5a49577ecd1901b816e9291bcaa84c53dc4083cd66a187dcb05caedf63713",
-    "degraded_cluster/R3": "d5f338fff804c6d68e6bb5068202c6e16e25d3bd914f3a49ea0cc6962d783aa2",
+    "none/R1": "bf0a3b6251ce46e5e5bcde3118eca98a1992e801b0c682426ffcfb7c0356e497",
+    "none/R2": "44e21cc657ff39c195abf0d2212647fa733850b6d628de41f105b18a27a61d41",
+    "none/R3": "38bc75d90c822956824770dc8137943a2f085af41eb6d113f16bc7d8ea3bd06b",
+    "crash_recover/R1": "9ad773930b05d25b13356fb5d07aae075f68a5849f8436e7f35209111e52bcdf",
+    "crash_recover/R2": "e8bcf701a7810c990efe365f333b6ebb483f6c47e9c975edda17469a171d8928",
+    "crash_recover/R3": "8dbac02ea52928ebe55df14eb6f432ab756b4e9e576976fbc2612ab5f3f9f4f0",
+    "slow_node/R1": "42d11c5540083c5fcd81254851ba2a51d0710689fa098e2898b8b1538d214f9a",
+    "slow_node/R2": "ec43d1e8e2c1ee935372329aeba5322b8fecd0d8021771b09a3cd0b33da1a3d8",
+    "slow_node/R3": "38871de5fd880c7566441ee4e524e5b5a01e4794071b466c74402c334ff25fec",
+    "flaky_link/R1": "1197b5305cc5621bd282fc7f00c0694c6c1c2ec8eb9e950d171fae7999147666",
+    "flaky_link/R2": "df6fc18ce0a435735f528aa6e9db38c04f93cfbd09368dfb3a94f15a5bd51751",
+    "flaky_link/R3": "a342782167a0192fdb0e52f5ba4a95cb6bb3a769af35e550af46600947e988e0",
+    "degraded_cluster/R1": "3ac7d01216a52f4159451882a0e94c0d05388ca4424aaf822c2c8e0b1b2c7061",
+    "degraded_cluster/R2": "cfd6d18e717dbaf1f79631c27db844c1e4ccbdac7ed53bc0813cd83380d81d06",
+    "degraded_cluster/R3": "0d6dd2544bac542416b275e554e290b1d85748c7b0f88471957b29599f7a0128",
 }
 
 

@@ -570,16 +570,6 @@ class TestClosedLoopArrivals:
         for trace in tracer.traces.values():
             assert validate_trace(trace) == []
 
-    def test_closed_loop_rejects_cluster_routing(self, store_and_trace):
-        store, eval_trace = store_and_trace
-        with pytest.raises(ValueError):
-            simulate_serving(
-                store,
-                eval_trace,
-                config=ServingConfig(arrival_process="closed-loop"),
-                cluster=object(),  # type: ignore[arg-type]  # never reached
-            )
-
 
 # ------------------------------------------------------------ admission control
 class TestAdmissionControl:

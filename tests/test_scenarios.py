@@ -334,25 +334,6 @@ class TestRunner:
             round(v, 6) for v in report.window_hit_rates
         ]
 
-    def test_serving_leg_reports_latency(self):
-        # Also the regression pin for the aggregate-stats aliasing fix: a
-        # single-table store must report a real (non-zero) serving hit rate.
-        trace = generate_scenario_trace(
-            small_scenario("drift", num_queries=200, num_vectors=512)
-        )
-        report = run_workload_scenario(
-            trace,
-            config=scenario_store_config(512),
-            train_fraction=0.5,
-            window_queries=20,
-            serving=ServingConfig(arrival_rate_rps=2000.0, seed=3),
-            serving_requests=80,
-        )
-        assert report.serving is not None
-        assert report.serving["num_requests"] == 80
-        assert report.serving["p999_us"] >= report.serving["p50_us"] > 0
-        assert report.serving["hit_rate"] > 0.0
-
     def test_invalid_fractions_refuse(self):
         trace = generate_scenario_trace(small_scenario("drift"))
         with pytest.raises(ValueError):

@@ -242,6 +242,14 @@ class TestSimulateServing:
         assert payload["latency"]["p99_us"] == latency.p99_us
         assert payload["steady_state"] is not None
 
+    def test_host_report_keys_are_pinned(self, store_and_trace):
+        # The committed host artifacts render these keys in this order; the
+        # cluster-only fields (counters, node_blocks_read) stay out of them.
+        store, eval_trace = store_and_trace
+        report = simulate_serving(store, eval_trace, num_requests=20)
+        assert report.counters is None and report.node_blocks_read is None
+        assert list(report.to_dict()) == HOST_REPORT_KEYS
+
     def test_negative_num_requests_rejected(self, store_and_trace):
         # Regression: -1 used to slice from the tail (160 of 161 served).
         store, eval_trace = store_and_trace
@@ -285,6 +293,35 @@ class TestSimulateServing:
         assert report.num_batches == golden["num_batches"]
         assert report.blocks_read == golden["blocks_read"]
         assert report.slo_violations == golden["slo_violations"]
+
+
+#: ``ServingReport.to_dict()`` keys of a host run, in rendering order.
+HOST_REPORT_KEYS = [
+    "num_requests",
+    "num_batches",
+    "offered_rate_rps",
+    "throughput_rps",
+    "makespan_s",
+    "latency",
+    "slo_latency_us",
+    "slo_violations",
+    "slo_violation_rate",
+    "mean_batch_size",
+    "batch_size_hist",
+    "mean_queue_depth",
+    "max_queue_depth",
+    "queue_depth_hist",
+    "blocks_read",
+    "device_mbps_mean",
+    "device_mbps_peak",
+    "lookups",
+    "hit_rate",
+    "requests_shed",
+    "shed_rate",
+    "device_bank",
+    "steady_state",
+    "trace",
+]
 
 
 #: Frozen output of test_seeded_golden_percentiles's configuration.  These
