@@ -1,8 +1,9 @@
 """Ablation — how much of SHP's win is co-access mining versus hot/cold separation.
 
-Not a figure from the paper: DESIGN.md calls out the question of whether a
-trivial frequency ordering (pack vectors by training access count) captures
-most of SHP's benefit.  The ablation compares, under an unlimited cache,
+Not a figure from the paper: it asks whether a trivial frequency ordering
+(pack vectors by training access count) captures most of SHP's benefit,
+using the partitioners ARCHITECTURE.md lists as figure-script tools under
+``repro.partitioning``.  The ablation compares, under an unlimited cache,
 the original layout, frequency ordering, K-means placement and SHP on a
 cacheable table and on the near-uniform table 8.
 """

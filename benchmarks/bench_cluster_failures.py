@@ -99,7 +99,6 @@ def build_store(tables, eval_multiplier, total_cache_fraction=0.5):
         train_trace,
         BandanaConfig(
             total_cache_vectors=max(1, int(working_set * total_cache_fraction)),
-            partitioner="shp",
             shp_iterations=8,
             tune_thresholds=False,
             seed=7,

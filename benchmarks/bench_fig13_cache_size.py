@@ -26,7 +26,6 @@ def build_store(bundle, total_cache_vectors):
     train = ModelTrace({name: bundle[name].train for name in ALL_TABLES})
     config = BandanaConfig(
         total_cache_vectors=total_cache_vectors,
-        partitioner="shp",
         shp_iterations=8,
         mini_cache_sampling_rate=0.25,
         seed=3,

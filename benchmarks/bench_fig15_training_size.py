@@ -36,7 +36,6 @@ def run_figure15(bundle):
         )
         config = BandanaConfig(
             total_cache_vectors=budget,
-            partitioner="shp",
             shp_iterations=8,
             mini_cache_sampling_rate=0.25,
             seed=4,

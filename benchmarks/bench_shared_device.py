@@ -112,7 +112,6 @@ def build_store(tables: List[str], eval_multiplier: int) -> Tuple[BandanaStore, 
         train_trace,
         BandanaConfig(
             total_cache_vectors=max(1, int(working_set * 0.5)),
-            partitioner="shp",
             shp_iterations=8,
             tune_thresholds=False,
             seed=7,

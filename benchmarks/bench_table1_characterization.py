@@ -41,9 +41,7 @@ FIXTURES = {
 
 def run_table1():
     specs = scaled_table_specs(BENCH_SCALE)
-    model_trace = generate_model_trace(
-        specs, total_lookups=TOTAL_LOOKUPS, seed=42, split="share"
-    )
+    model_trace = generate_model_trace(specs, total_lookups=TOTAL_LOOKUPS, seed=42)
     rows = []
     characterizations = characterize_model(model_trace)
     for name, spec in specs.items():

@@ -48,7 +48,6 @@ def main() -> None:
     working_set = eval_trace[spec.name].unique_vectors().size
     config = BandanaConfig(
         total_cache_vectors=int(round(working_set * 1.3)),
-        partitioner="shp",
         mini_cache_sampling_rate=0.25,
         seed=0,
     )

@@ -89,7 +89,6 @@ def main() -> None:
         train_trace,
         BandanaConfig(
             total_cache_vectors=int(working_set * 0.9),
-            partitioner="shp",
             mini_cache_sampling_rate=0.25,
             seed=1,
         ),

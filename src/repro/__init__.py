@@ -34,7 +34,7 @@ The most convenient entry points are:
     wait, device queue vs service, per-attempt retry/hedge/shed intervals —
     with critical-path and per-stage breakdown queries for tail debugging.
 
-See ``DESIGN.md`` for the full module map and the per-experiment index.
+See ``ARCHITECTURE.md`` for the module map and the equivalence suites.
 """
 
 from repro.core.bandana import BandanaStore, BandanaTableState

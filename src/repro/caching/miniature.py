@@ -28,7 +28,7 @@ per policy, which ``tests/test_engine_equivalence.py`` checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -130,57 +130,16 @@ class MiniatureCacheTuner:
             the sampling rate.
         """
         check_positive(cache_size, "cache_size")
+        cache_size = int(cache_size)
         access_counts = np.asarray(access_counts, dtype=np.int64)
-        sampled_queries = self._sample(trace)
-        return self._select_from_sampled(
-            sampled_queries, layout, access_counts, int(cache_size)
-        )
-
-    def select_thresholds_for_sizes(
-        self,
-        trace: Trace,
-        layout: BlockLayout,
-        access_counts: np.ndarray,
-        cache_sizes: Sequence[int],
-    ) -> Dict[int, ThresholdSelection]:
-        """Run the threshold search for several cache sizes (Table 2 rows).
-
-        The spatial sampling of the trace does not depend on the cache size,
-        so the stream is sampled once and reused across all sizes.
-        """
-        for size in cache_sizes:
-            check_positive(int(size), "cache_size")
-        access_counts = np.asarray(access_counts, dtype=np.int64)
-        sampled_queries = self._sample(trace)
-        return {
-            int(size): self._select_from_sampled(
-                sampled_queries, layout, access_counts, int(size)
+        if self.sampling_rate >= 1.0:
+            sampled_queries = list(trace.queries)
+            mini_cache_size = cache_size
+        else:
+            sampled_queries = sample_queries_spatially(
+                trace.queries, self.sampling_rate, seed=self.seed
             )
-            for size in cache_sizes
-        }
-
-    # ----------------------------------------------------------------- private
-    def _sample(self, trace: Trace) -> List[np.ndarray]:
-        """Spatially sample the tuning stream (shared across cache sizes)."""
-        if self.sampling_rate >= 1.0:
-            return list(trace.queries)
-        return sample_queries_spatially(
-            trace.queries, self.sampling_rate, seed=self.seed
-        )
-
-    def _mini_cache_size(self, cache_size: int) -> int:
-        if self.sampling_rate >= 1.0:
-            return int(cache_size)
-        return max(1, int(round(cache_size * self.sampling_rate)))
-
-    def _select_from_sampled(
-        self,
-        sampled_queries: List[np.ndarray],
-        layout: BlockLayout,
-        access_counts: np.ndarray,
-        cache_size: int,
-    ) -> ThresholdSelection:
-        mini_cache_size = self._mini_cache_size(cache_size)
+            mini_cache_size = max(1, int(round(cache_size * self.sampling_rate)))
         policies = [NoPrefetchPolicy()] + [
             AccessThresholdPolicy(access_counts, threshold)
             for threshold in self.thresholds

@@ -3,10 +3,9 @@
 :class:`BandanaStore` assembles the paper's full pipeline:
 
 1. **Placement** — each embedding table is partitioned onto 4 KB NVM blocks by
-   the configured algorithm (SHP trained on the table's training trace by
-   default; K-means variants and simple baselines are also available).
-2. **DRAM split** — the total DRAM cache budget is divided across tables, by
-   default greedily from per-table hit-rate curves (the paper's Dynacache-style
+   SHP trained on the table's training trace.
+2. **DRAM split** — the total DRAM cache budget is divided across tables
+   greedily from per-table hit-rate curves (the paper's Dynacache-style
    static assignment).
 3. **Admission tuning** — each table's prefetch-admission threshold ``t`` is
    chosen by miniature-cache simulation at the table's assigned cache size.
@@ -49,15 +48,14 @@ from repro.core.tablespec import TableServingSpec
 from repro.embeddings.model import EmbeddingModel
 from repro.nvm.block import BlockLayout
 from repro.nvm.latency import NVMLatencyModel
-from repro.partitioning.base import Partitioner
-from repro.partitioning.frequency import FrequencyPartitioner
-from repro.partitioning.identity import IdentityPartitioner
-from repro.partitioning.kmeans import KMeansPartitioner
-from repro.partitioning.recursive_kmeans import RecursiveKMeansPartitioner
 from repro.partitioning.shp import SHPPartitioner
-from repro.utils.validation import check_array_1d_ints, check_id_range
+from repro.utils.validation import (
+    check_array_1d_ints,
+    check_id_range,
+    check_int_at_least,
+)
 from repro.workloads.characterization import access_counts
-from repro.workloads.trace import ModelTrace, Trace
+from repro.workloads.trace import ModelTrace
 
 
 @dataclass
@@ -120,48 +118,42 @@ class BandanaStore:
         training_trace: ModelTrace,
         config: Optional[BandanaConfig] = None,
         embedding_model: Optional[EmbeddingModel] = None,
-        tuning_trace: Optional[ModelTrace] = None,
         num_vectors: Optional[Mapping[str, int]] = None,
     ) -> "BandanaStore":
         """Build a store from a training trace.
 
+        Trains SHP on each table, splits the DRAM budget greedily on the
+        tables' hit-rate curves, then (with ``config.tune_thresholds``)
+        picks each table's admission threshold with miniature caches.
+
         Parameters
         ----------
         training_trace:
-            Per-table traces used to train the placement (and, by default, to
-            derive hit-rate curves and tune admission thresholds).
+            Per-table traces used to train the placement, derive the hit-rate
+            curves and tune the admission thresholds.
         config:
             Store configuration; defaults to :class:`BandanaConfig()`.
         embedding_model:
-            Optional embedding values.  Required for the K-means partitioners
-            and for lookups that return actual vectors.
-        tuning_trace:
-            Optional separate trace for threshold tuning and DRAM allocation;
-            defaults to ``training_trace``.
+            Optional embedding values, for lookups that return actual vectors.
         num_vectors:
             Table sizes; defaults to the embedding model's sizes or, failing
-            that, the sizes implied by the training trace.
+            that, the sizes implied by the training trace.  Every key must
+            name a table of the training trace, with an integer size.
         """
         config = config or BandanaConfig()
-        tuning_trace = tuning_trace or training_trace
-        if config.partitioner in ("kmeans", "recursive-kmeans") and embedding_model is None:
-            raise ValueError(
-                f"partitioner {config.partitioner!r} needs embedding values; "
-                "pass an embedding_model"
-            )
-
         sizes = cls._resolve_table_sizes(training_trace, embedding_model, num_vectors)
 
         # 1. placement + per-vector access counts
+        partitioner = SHPPartitioner(
+            vectors_per_block=config.vectors_per_block,
+            num_iterations=config.shp_iterations,
+            seed=config.seed,
+        )
         layouts: Dict[str, BlockLayout] = {}
         counts: Dict[str, np.ndarray] = {}
         runtimes: Dict[str, float] = {}
         for name, trace in training_trace.items():
-            partitioner = cls._make_partitioner(config, name)
-            table_values = (
-                embedding_model[name] if embedding_model and name in embedding_model else None
-            )
-            result = partitioner.partition(sizes[name], trace=trace, table=table_values)
+            result = partitioner.partition(sizes[name], trace=trace)
             layouts[name] = result.layout(config.vectors_per_block)
             runtimes[name] = result.runtime_seconds
             table_counts = np.zeros(sizes[name], dtype=np.int64)
@@ -170,9 +162,9 @@ class BandanaStore:
 
         # 2. DRAM budget split across tables
         curves: Dict[str, HitRateCurve] = {
-            name: hit_rate_curve(trace) for name, trace in tuning_trace.items()
+            name: hit_rate_curve(trace) for name, trace in training_trace.items()
         }
-        cache_sizes = cls._allocate_budget(config, tuning_trace, curves)
+        cache_sizes = allocate_dram_budget(curves, config.total_cache_vectors)
 
         # 3. per-table threshold tuning + state assembly
         tuner = MiniatureCacheTuner(
@@ -182,12 +174,12 @@ class BandanaStore:
             vector_bytes=config.vector_bytes,
         )
         tables: Dict[str, BandanaTableState] = {}
-        for name in training_trace:
+        for name, trace in training_trace.items():
             cache_size = cache_sizes[name]
             threshold = config.default_threshold
-            if config.tune_thresholds and cache_size > 0 and len(tuning_trace[name]) > 0:
+            if config.tune_thresholds and cache_size > 0 and len(trace) > 0:
                 selection = tuner.select_threshold(
-                    tuning_trace[name], layouts[name], counts[name], cache_size
+                    trace, layouts[name], counts[name], cache_size
                 )
                 threshold = selection.threshold
             tables[name] = BandanaTableState(
@@ -321,19 +313,15 @@ class BandanaStore:
             for state in self.tables.values()
         )
 
-    def swap_layout(
-        self, table_name: str, layout: BlockLayout, retain_cache: bool = True
-    ) -> None:
+    def swap_layout(self, table_name: str, layout: BlockLayout) -> None:
         """Adopt a new block placement for one table, live.
 
         Models an online re-partition (the re-partitioning lifecycle of
-        :mod:`repro.scenarios.lifecycle`).  With ``retain_cache`` (the
-        default) DRAM residency survives the swap — cache entries are keyed
-        by vector id, which a re-layout of the NVM blocks does not
-        invalidate — so only the placement-derived prefetch behaviour
-        changes.  With ``retain_cache=False`` the table restarts cold, for
-        modelling systems that flush DRAM on re-layout.  Cumulative stats
-        carry over either way; the layout must keep the table's geometry.
+        :mod:`repro.scenarios.lifecycle`).  DRAM residency survives the swap
+        — cache entries are keyed by vector id, which a re-layout of the NVM
+        blocks does not invalidate — so only the placement-derived prefetch
+        behaviour changes.  Cumulative stats carry over; the layout must
+        keep the table's geometry.
         """
         state = self._state(table_name)
         if (layout.num_vectors, layout.vectors_per_block) != (
@@ -347,8 +335,6 @@ class BandanaStore:
             )
         state.layout = layout
         if state.engine is not None:
-            if not retain_cache:
-                state.engine.reset()
             state.engine.swap_layout(layout)
 
     def reset_serving_state(self) -> None:
@@ -443,10 +429,20 @@ class BandanaStore:
         embedding_model: Optional[EmbeddingModel],
         num_vectors: Optional[Mapping[str, int]],
     ) -> Dict[str, int]:
+        num_vectors = num_vectors or {}
+        known = list(training_trace.tables)
+        for name in num_vectors:
+            if name not in known:
+                raise ValueError(
+                    f"num_vectors names table {name!r}, which the training "
+                    f"trace does not have (known tables: {known})"
+                )
         sizes: Dict[str, int] = {}
         for name, trace in training_trace.items():
-            if num_vectors is not None and name in num_vectors:
-                sizes[name] = int(num_vectors[name])
+            if name in num_vectors:
+                sizes[name] = check_int_at_least(
+                    num_vectors[name], 1, f"num_vectors[{name!r}]"
+                )
             elif embedding_model is not None and name in embedding_model:
                 sizes[name] = embedding_model[name].num_vectors
             else:
@@ -457,40 +453,3 @@ class BandanaStore:
                     f"but the table size is {sizes[name]}"
                 )
         return sizes
-
-    @staticmethod
-    def _make_partitioner(config: BandanaConfig, table_name: str) -> Partitioner:
-        if config.partitioner == "shp":
-            return SHPPartitioner(
-                vectors_per_block=config.vectors_per_block,
-                num_iterations=config.shp_iterations,
-                seed=config.seed,
-            )
-        if config.partitioner == "kmeans":
-            return KMeansPartitioner(num_clusters=config.kmeans_clusters, seed=config.seed)
-        if config.partitioner == "recursive-kmeans":
-            return RecursiveKMeansPartitioner(
-                num_top_clusters=min(256, config.kmeans_clusters),
-                num_sub_clusters=config.kmeans_clusters,
-                seed=config.seed,
-            )
-        if config.partitioner == "frequency":
-            return FrequencyPartitioner()
-        return IdentityPartitioner()
-
-    @staticmethod
-    def _allocate_budget(
-        config: BandanaConfig,
-        tuning_trace: ModelTrace,
-        curves: Dict[str, HitRateCurve],
-    ) -> Dict[str, int]:
-        names = list(tuning_trace.tables)
-        total = config.total_cache_vectors
-        if config.allocation == "uniform":
-            per_table = total // len(names)
-            return {name: per_table for name in names}
-        if config.allocation == "proportional":
-            shares = tuning_trace.lookup_shares()
-            return {name: int(round(total * shares[name])) for name in names}
-        # "hit-rate": greedy marginal allocation on the hit-rate curves.
-        return allocate_dram_budget(curves, total)

@@ -23,12 +23,6 @@ from repro.utils.validation import (
     check_seed,
 )
 
-#: Ways of splitting the DRAM budget across tables.
-ALLOCATION_POLICIES = ("hit-rate", "proportional", "uniform")
-
-#: Placement algorithms the store knows how to build.
-PARTITIONERS = ("shp", "kmeans", "recursive-kmeans", "frequency", "identity")
-
 #: Arrival processes the serving front-end can generate.
 ARRIVAL_PROCESSES = ("poisson", "mmpp", "closed-loop")
 
@@ -413,6 +407,11 @@ class TableCacheConfig:
 class BandanaConfig:
     """Configuration of a :class:`~repro.core.bandana.BandanaStore`.
 
+    The store runs one build pipeline: SHP placement, a greedy split of the
+    DRAM budget on the tables' hit-rate curves, then (optionally)
+    miniature-cache threshold tuning.  The alternative partitioners are
+    figure-script tools (:mod:`repro.partitioning`), not store modes.
+
     Attributes
     ----------
     vector_bytes:
@@ -422,16 +421,8 @@ class BandanaConfig:
     total_cache_vectors:
         Total DRAM budget across all tables, expressed in cached vectors
         (the paper's end-to-end runs use 1–5 million; scaled runs use less).
-    partitioner:
-        Placement algorithm: one of :data:`PARTITIONERS`.
     shp_iterations:
         Refinement iterations per SHP bisection (paper: 16).
-    kmeans_clusters:
-        Cluster count when ``partitioner`` is a K-means variant.
-    allocation:
-        How the DRAM budget is split across tables: ``"hit-rate"`` (greedy on
-        the hit-rate curves, the paper's choice), ``"proportional"`` (by
-        lookup share) or ``"uniform"``.
     tune_thresholds:
         Whether to run the miniature-cache tuner; when false, ``default_threshold``
         is used everywhere.
@@ -471,10 +462,7 @@ class BandanaConfig:
     vector_bytes: int = 128
     block_bytes: int = 4096
     total_cache_vectors: int = 8000
-    partitioner: str = "shp"
     shp_iterations: int = 16
-    kmeans_clusters: int = 256
-    allocation: str = "hit-rate"
     tune_thresholds: bool = True
     default_threshold: float = 50.0
     mini_cache_sampling_rate: float = 0.001
@@ -491,7 +479,6 @@ class BandanaConfig:
         check_int_at_least(self.block_bytes, 1, "block_bytes")
         check_int_at_least(self.total_cache_vectors, 1, "total_cache_vectors")
         check_positive(self.shp_iterations, "shp_iterations")
-        check_positive(self.kmeans_clusters, "kmeans_clusters")
         check_positive(self.queue_depth, "queue_depth")
         check_int_at_least(self.num_workers, 1, "num_workers")
         if self.num_workers != 1:
@@ -510,14 +497,6 @@ class BandanaConfig:
             raise ValueError(
                 "block_bytes must be a multiple of vector_bytes "
                 f"({self.block_bytes} % {self.vector_bytes} != 0)"
-            )
-        if self.partitioner not in PARTITIONERS:
-            raise ValueError(
-                f"partitioner must be one of {PARTITIONERS}, got {self.partitioner!r}"
-            )
-        if self.allocation not in ALLOCATION_POLICIES:
-            raise ValueError(
-                f"allocation must be one of {ALLOCATION_POLICIES}, got {self.allocation!r}"
             )
         check_non_negative(self.default_threshold, "default_threshold")
         # Freeze the threshold list into a tuple for hashability.

@@ -53,7 +53,6 @@ golden pins in ``tests/test_scenarios.py`` and the perf-track gate on
 """
 
 from repro.scenarios.config import (
-    REPARTITION_PARTITIONERS,
     SCENARIO_KINDS,
     TRACE_FORMATS,
     RepartitionConfig,
@@ -77,7 +76,6 @@ from repro.scenarios.runner import run_workload_scenario
 __all__ = [
     "SCENARIO_KINDS",
     "TRACE_FORMATS",
-    "REPARTITION_PARTITIONERS",
     "ScenarioConfig",
     "TraceLoaderConfig",
     "RepartitionConfig",

@@ -33,9 +33,6 @@ SCENARIO_KINDS = ("drift", "flash-crowd", "diurnal")
 #: External trace formats the streaming loader understands.
 TRACE_FORMATS = ("twitter", "columnar")
 
-#: Placement algorithms the re-partitioning lifecycle can retrain.
-REPARTITION_PARTITIONERS = ("shp", "frequency", "identity")
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -207,6 +204,10 @@ class TraceLoaderConfig:
 class RepartitionConfig:
     """The online re-partitioning lifecycle.
 
+    Each retrain runs SHP on the trailing window and refreshes the admission
+    policy's per-vector access counts from it; DRAM residency survives every
+    swap.
+
     Attributes
     ----------
     cadence_queries:
@@ -215,25 +216,14 @@ class RepartitionConfig:
         Trailing access window the retrain sees (most recent queries).
     min_window_queries:
         A trigger with fewer observed queries than this is skipped (too
-        little signal to retrain on).
+        little signal to retrain on).  At most ``window_queries``: the
+        window never holds more.
     blackout_queries:
         Simulated retrain cost: the freshly trained placement is swapped in
         only after this many further queries have been served on the stale
         placement (an asynchronous retrain that takes time to land).
-    partitioner:
-        Placement algorithm retrained at each trigger
-        (:data:`REPARTITION_PARTITIONERS`).
     shp_iterations:
-        Refinement iterations per SHP bisection when retraining SHP.
-    refresh_access_counts:
-        Also refresh the admission policy's per-vector access counts from
-        the trailing window at each swap (scaled to the original counts'
-        total so the tuned threshold keeps its selectivity).
-    retain_cache:
-        Keep DRAM residency across a swap (the default: cache entries are
-        keyed by vector id, which re-laying-out NVM blocks does not
-        invalidate).  ``False`` restarts the cache cold at each swap, for
-        modelling systems that flush DRAM on re-layout.
+        Refinement iterations per SHP bisection when retraining.
     seed:
         Seed of the retrained partitioner.
     """
@@ -242,23 +232,19 @@ class RepartitionConfig:
     window_queries: int = 1000
     min_window_queries: int = 64
     blackout_queries: int = 0
-    partitioner: str = "shp"
     shp_iterations: int = 8
-    refresh_access_counts: bool = True
-    retain_cache: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
         check_int_at_least(self.cadence_queries, 1, "cadence_queries")
         check_int_at_least(self.window_queries, 1, "window_queries")
         check_int_at_least(self.min_window_queries, 1, "min_window_queries")
-        check_int_at_least(self.blackout_queries, 0, "blackout_queries")
-        if self.partitioner not in REPARTITION_PARTITIONERS:
+        if self.min_window_queries > self.window_queries:
             raise ValueError(
-                f"partitioner must be one of {REPARTITION_PARTITIONERS}, "
-                f"got {self.partitioner!r}"
+                f"min_window_queries ({self.min_window_queries}) cannot exceed "
+                f"window_queries ({self.window_queries}): the trailing window "
+                "would never reach it"
             )
+        check_int_at_least(self.blackout_queries, 0, "blackout_queries")
         check_int_at_least(self.shp_iterations, 1, "shp_iterations")
-        check_bool(self.refresh_access_counts, "refresh_access_counts")
-        check_bool(self.retain_cache, "retain_cache")
         check_seed(self.seed, "seed")

@@ -3,10 +3,10 @@
 Bandana's placement is trained once, offline, on historical accesses — the
 paper never measures what happens when the access distribution moves out
 from under it.  :class:`RepartitionManager` makes that measurable: it keeps
-a trailing window of served queries, periodically retrains the configured
-partitioner on the window, and swaps the table's
-:class:`~repro.nvm.block.BlockLayout` into the live store after a
-configurable blackout (the simulated cost of the asynchronous retrain).
+a trailing window of served queries, periodically retrains SHP on the
+window, and swaps the table's :class:`~repro.nvm.block.BlockLayout` into the
+live store after a configurable blackout (the simulated cost of the
+asynchronous retrain).
 
 What a swap does — and costs — inside :class:`~repro.core.bandana.BandanaStore`:
 
@@ -14,17 +14,14 @@ What a swap does — and costs — inside :class:`~repro.core.bandana.BandanaSto
   <repro.core.bandana.BandanaStore.swap_layout>`: the live engine adopts the
   new id→block mapping while **sharing the table's cumulative
   ``ReplayStats``** — counters keep accumulating across swaps.
-* With ``retain_cache`` (the default) DRAM residency survives: cache
-  entries are keyed by vector id, which re-laying-out the NVM blocks does
-  not invalidate — only prefetch behaviour changes.  With
-  ``retain_cache=False`` every swap pays a cold-cache transient instead,
-  modelling a system that flushes DRAM on re-layout; comparing the two arms
-  is part of the answer to "when does retraining pay?".
-* With ``refresh_access_counts``, the admission policy's per-vector counts
-  are refreshed from the trailing window (scaled to the original counts'
-  total, so the tuned threshold keeps its selectivity on the new
-  distribution) through ``AccessThresholdPolicy.retune`` — the mutator that
-  invalidates a warm engine's cached admission decisions.
+* DRAM residency survives: cache entries are keyed by vector id, which
+  re-laying-out the NVM blocks does not invalidate — only prefetch
+  behaviour changes.
+* The admission policy's per-vector counts are refreshed from the trailing
+  window (scaled to the original counts' total, so the tuned threshold
+  keeps its selectivity on the new distribution) through
+  ``AccessThresholdPolicy.retune`` — the mutator that invalidates a warm
+  engine's cached admission decisions.
 
 The manager also measures *placement churn* per swap — the fraction of
 vectors whose block changed — and the staleness (queries since last swap),
@@ -42,9 +39,6 @@ import numpy as np
 from repro.caching.policies import AccessThresholdPolicy
 from repro.core.bandana import BandanaStore, BandanaTableState
 from repro.nvm.block import BlockLayout
-from repro.partitioning.base import Partitioner
-from repro.partitioning.frequency import FrequencyPartitioner
-from repro.partitioning.identity import IdentityPartitioner
 from repro.partitioning.shp import SHPPartitioner
 from repro.scenarios.config import RepartitionConfig
 from repro.workloads.characterization import access_counts
@@ -126,37 +120,27 @@ class RepartitionManager:
         }
 
     # ---------------------------------------------------------------- private
-    def _make_partitioner(self) -> Partitioner:
-        config = self.config
-        if config.partitioner == "shp":
-            return SHPPartitioner(
-                vectors_per_block=self.store.config.vectors_per_block,
-                num_iterations=config.shp_iterations,
-                seed=config.seed,
-            )
-        if config.partitioner == "frequency":
-            return FrequencyPartitioner()
-        return IdentityPartitioner()
-
     def _retrain(self) -> None:
         """Train a fresh placement on the trailing window (stage the swap)."""
         state = self._state
         window_trace = Trace(list(self._window), num_vectors=state.layout.num_vectors)
-        result = self._make_partitioner().partition(
-            state.layout.num_vectors, trace=window_trace
+        partitioner = SHPPartitioner(
+            vectors_per_block=self.store.config.vectors_per_block,
+            num_iterations=self.config.shp_iterations,
+            seed=self.config.seed,
         )
+        result = partitioner.partition(state.layout.num_vectors, trace=window_trace)
         self.retrains += 1
         self.retrain_runtime_seconds += result.runtime_seconds
         self._pending_layout = result.layout(self.store.config.vectors_per_block)
-        if self.config.refresh_access_counts:
-            window_counts = access_counts(window_trace).astype(np.float64)
-            window_total = window_counts.sum()
-            original_total = float(state.access_counts.sum())
-            if window_total > 0 and original_total > 0:
-                scale = original_total / window_total
-                self._pending_counts = np.round(window_counts * scale).astype(np.int64)
-            else:
-                self._pending_counts = None
+        window_counts = access_counts(window_trace).astype(np.float64)
+        window_total = window_counts.sum()
+        original_total = float(state.access_counts.sum())
+        if window_total > 0 and original_total > 0:
+            scale = original_total / window_total
+            self._pending_counts = np.round(window_counts * scale).astype(np.int64)
+        else:
+            self._pending_counts = None
         self._blackout_remaining = self.config.blackout_queries
 
     def _apply_swap(self) -> None:
@@ -171,11 +155,7 @@ class RepartitionManager:
             state.access_counts[:] = self._pending_counts
             if isinstance(state.policy, AccessThresholdPolicy):
                 state.policy.retune(access_counts=state.access_counts)
-        self.store.swap_layout(
-            self.table_name,
-            self._pending_layout,
-            retain_cache=self.config.retain_cache,
-        )
+        self.store.swap_layout(self.table_name, self._pending_layout)
         self._pending_layout = None
         self._pending_counts = None
         self._blackout_remaining = 0

@@ -45,9 +45,9 @@ def simulate_table(
     cache_size: Optional[int] = None,
     vector_bytes: int = 128,
     include_baseline: bool = True,
-    baseline_policy: Optional[PrefetchPolicy] = None,
 ) -> TableSimulationResult:
-    """Replay one table's trace under ``policy`` and (optionally) the baseline.
+    """Replay one table's trace under ``policy`` and (optionally) the
+    no-prefetch baseline (the paper's).
 
     Parameters
     ----------
@@ -64,8 +64,6 @@ def simulate_table(
         Bytes per embedding vector.
     include_baseline:
         Whether to also replay the baseline policy for comparison.
-    baseline_policy:
-        The baseline policy; defaults to no-prefetch (the paper's baseline).
     """
     policy.reset()
     stats = replay_table_cache_batched(
@@ -77,12 +75,10 @@ def simulate_table(
     )
     baseline_stats = None
     if include_baseline:
-        baseline = baseline_policy or NoPrefetchPolicy()
-        baseline.reset()
         baseline_stats = replay_table_cache_batched(
             trace.queries,
             layout,
-            baseline,
+            NoPrefetchPolicy(),
             cache_size=cache_size,
             vector_bytes=vector_bytes,
         )

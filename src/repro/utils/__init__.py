@@ -9,7 +9,7 @@ from repro.utils.validation import (
     check_int_at_least,
     check_array_1d_ints,
 )
-from repro.utils.rng import SeedLike, derive_rng, ensure_rng
+from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.sampling import (
     InverseCDFSampler,
     first_occurrences,
@@ -27,7 +27,6 @@ __all__ = [
     "check_int_at_least",
     "check_array_1d_ints",
     "SeedLike",
-    "derive_rng",
     "ensure_rng",
     "InverseCDFSampler",
     "first_occurrences",

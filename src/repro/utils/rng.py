@@ -33,21 +33,3 @@ def ensure_rng(seed: SeedLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def derive_rng(seed: SeedLike, stream: int) -> np.random.Generator:
-    """An independent generator for sub-stream ``stream`` of ``seed``.
-
-    Integer seeds use ``SeedSequence(seed).spawn()`` children, so different
-    streams of the same seed never overlap; an existing ``Generator`` spawns
-    an independent child off its own bit generator.  Components that need
-    several internal streams (e.g. a fault schedule's per-edge loss draws
-    next to a scenario's arrival process) derive them here instead of doing
-    ad-hoc ``seed + k`` arithmetic.
-    """
-    if stream < 0:
-        raise ValueError(f"stream must be >= 0, got {stream}")
-    if isinstance(seed, np.random.Generator):
-        return seed.spawn(stream + 1)[stream]
-    sequence = np.random.SeedSequence(seed)
-    return np.random.default_rng(sequence.spawn(stream + 1)[stream])

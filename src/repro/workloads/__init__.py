@@ -23,7 +23,6 @@ from repro.workloads.tables_spec import (
 )
 from repro.workloads.generator import (
     SyntheticTraceGenerator,
-    build_generators,
     generate_model_trace,
     paper_shaped_lookups,
 )
@@ -35,11 +34,7 @@ from repro.workloads.characterization import (
     access_histogram,
     compulsory_miss_rate,
 )
-from repro.workloads.remap import (
-    IdRemapper,
-    densify_model_trace,
-    densify_trace,
-)
+from repro.workloads.remap import IdRemapper, densify_trace
 
 __all__ = [
     "Trace",
@@ -48,7 +43,6 @@ __all__ = [
     "PAPER_TABLE_SPECS",
     "scaled_table_specs",
     "SyntheticTraceGenerator",
-    "build_generators",
     "generate_model_trace",
     "paper_shaped_lookups",
     "TableCharacterization",
@@ -58,6 +52,5 @@ __all__ = [
     "access_histogram",
     "compulsory_miss_rate",
     "IdRemapper",
-    "densify_model_trace",
     "densify_trace",
 ]

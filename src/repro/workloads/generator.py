@@ -447,77 +447,29 @@ class SyntheticTraceGenerator:
 
 def generate_model_trace(
     specs: Dict[str, TableSpec],
-    total_lookups: Optional[int] = None,
+    total_lookups: int,
     seed: int = 0,
-    generators: Optional[Dict[str, "SyntheticTraceGenerator"]] = None,
-    split: str = "share",
-    lookups_scale: float = 1.0,
 ) -> ModelTrace:
     """Generate a full-model trace across all tables.
+
+    Each table's trace is sized so its share of ``total_lookups`` matches
+    Table 1 (the characterisation experiments).
 
     Parameters
     ----------
     specs:
         Per-table statistical specs (e.g. from :func:`scaled_table_specs`).
     total_lookups:
-        Target number of lookups summed over all tables.  Required when
-        ``split="share"``; ignored when ``split="paper-shaped"``.
+        Target number of lookups summed over all tables (an integer >= 1).
     seed:
         Base seed; each table uses ``seed + table index``.
-    generators:
-        Optional pre-built generators (so a training trace and an evaluation
-        trace can share the same latent structure).
-    split:
-        ``"share"`` sizes each table's trace so its share of total lookups
-        matches Table 1 (used for the characterisation experiments);
-        ``"paper-shaped"`` sizes each table's trace to reproduce the paper's
-        access density (used for the bandwidth experiments).
-    lookups_scale:
-        Multiplier applied to every table's lookup count (used e.g. to build a
-        training trace several times longer than the evaluation trace).
     """
-    check_positive(lookups_scale, "lookups_scale")
-    if split not in ("share", "paper-shaped"):
-        raise ValueError(f"split must be 'share' or 'paper-shaped', got {split!r}")
-    if split == "share" and total_lookups is None:
-        raise ValueError("total_lookups is required when split='share'")
-
+    check_int_at_least(total_lookups, 1, "total_lookups")
     tables = {}
     for index, (name, spec) in enumerate(specs.items()):
-        if split == "share":
-            table_lookups = max(1, int(round(total_lookups * spec.lookup_share)))
-        else:
-            table_lookups = paper_shaped_lookups(spec)
-        table_lookups = max(1, int(round(table_lookups * lookups_scale)))
-        if generators is not None and name in generators:
-            generator = generators[name]
-        else:
-            generator = SyntheticTraceGenerator(
-                spec, seed=seed + index, expected_lookups=table_lookups
-            )
+        table_lookups = max(1, int(round(total_lookups * spec.lookup_share)))
+        generator = SyntheticTraceGenerator(
+            spec, seed=seed + index, expected_lookups=table_lookups
+        )
         tables[name] = generator.generate_lookups(table_lookups)
     return ModelTrace(tables)
-
-
-def build_generators(
-    specs: Dict[str, TableSpec],
-    seed: int = 0,
-    expected_lookups: Optional[Dict[str, int]] = None,
-    **kwargs: object,
-) -> Dict[str, SyntheticTraceGenerator]:
-    """Build one generator per table.
-
-    Useful when the same latent table structure must back several traces
-    (placement training, threshold tuning, evaluation).  ``expected_lookups``
-    optionally overrides the per-table calibration length (defaults to the
-    paper-shaped length).
-    """
-    generators = {}
-    for index, (name, spec) in enumerate(specs.items()):
-        lookups = None
-        if expected_lookups is not None and name in expected_lookups:
-            lookups = int(expected_lookups[name])
-        generators[name] = SyntheticTraceGenerator(
-            spec, seed=seed + index, expected_lookups=lookups, **kwargs
-        )
-    return generators

@@ -19,13 +19,13 @@ partitioners see the same co-access structure under renamed ids.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 import numpy.typing as npt
 
 from repro.utils.validation import check_array_1d_ints
-from repro.workloads.trace import ModelTrace, Trace
+from repro.workloads.trace import Trace
 
 
 class IdRemapper:
@@ -102,14 +102,3 @@ def densify_trace(trace: Trace) -> Tuple[Trace, IdRemapper]:
     """Densify one table's trace; returns the remapped trace and the mapping."""
     remapper = IdRemapper.from_trace(trace)
     return remapper.remap_trace(trace), remapper
-
-
-def densify_model_trace(
-    model_trace: ModelTrace,
-) -> Tuple[ModelTrace, Dict[str, IdRemapper]]:
-    """Densify every table of a model trace (each table gets its own mapping)."""
-    remapped: Dict[str, Trace] = {}
-    remappers: Dict[str, IdRemapper] = {}
-    for name, trace in model_trace.items():
-        remapped[name], remappers[name] = densify_trace(trace)
-    return ModelTrace(remapped), remappers

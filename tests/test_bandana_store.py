@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.caching.allocation import allocate_dram_budget
+from repro.caching.stack_distance import hit_rate_curve
 from repro.core.bandana import BandanaStore
 from repro.core.config import BandanaConfig
 from repro.embeddings import EmbeddingModel, EmbeddingTable, synthesize_topic_vectors
+from repro.partitioning.shp import SHPPartitioner
 from repro.simulation.runner import simulate_store
 from repro.workloads import SyntheticTraceGenerator
 from repro.workloads.trace import ModelTrace, Trace
@@ -70,37 +73,81 @@ class TestBuild:
         assert built_store.nvm_bytes() >= total_vectors * 128
         assert built_store.dram_bytes() <= built_store.config.total_cache_vectors * 128
 
-    def test_kmeans_partitioner_requires_model(self, store_workload):
+    def test_num_vectors_naming_an_unknown_table_raises(self, store_workload):
+        """A misspelled key used to be ignored, building the table at the
+        size the trace implies instead of the size asked for."""
         _, _, train, _ = store_workload
-        config = BandanaConfig(partitioner="kmeans", total_cache_vectors=100)
-        with pytest.raises(ValueError):
-            BandanaStore.build(train, config)
+        config = BandanaConfig(total_cache_vectors=200, tune_thresholds=False)
+        with pytest.raises(ValueError) as error:
+            BandanaStore.build(
+                train, config, num_vectors={"alpah": 4096, "beta": 4096}
+            )
+        message = str(error.value)
+        assert "'alpah'" in message and "['alpha', 'beta']" in message
 
-    def test_identity_partitioner_without_model(self, store_workload):
-        specs, _, train, _ = store_workload
+    @pytest.mark.parametrize(
+        "size, error", [(4096.9, TypeError), (True, TypeError), (0, ValueError)]
+    )
+    def test_num_vectors_must_be_an_integer(self, store_workload, size, error):
+        """A fractional size used to be truncated (4096.9 built 4096 vectors)."""
+        _, _, train, _ = store_workload
+        config = BandanaConfig(total_cache_vectors=200, tune_thresholds=False)
+        with pytest.raises(error, match=r"num_vectors\['alpha'\]"):
+            BandanaStore.build(
+                train, config, num_vectors={"alpha": size, "beta": 4096}
+            )
+
+    @pytest.mark.parametrize("size", [8192, np.int64(8192)])
+    def test_num_vectors_sets_the_table_size(self, store_workload, size):
+        _, _, train, _ = store_workload
         config = BandanaConfig(
-            partitioner="identity", total_cache_vectors=200, tune_thresholds=False
+            total_cache_vectors=200, tune_thresholds=False, shp_iterations=2
         )
         store = BandanaStore.build(
-            train, config, num_vectors={n: s.num_vectors for n, s in specs.items()}
+            train, config, num_vectors={"alpha": size, "beta": 4096}
         )
-        np.testing.assert_array_equal(
-            store.tables["alpha"].layout.order, np.arange(specs["alpha"].num_vectors)
-        )
+        assert store.tables["alpha"].layout.num_vectors == 8192
+        assert store.tables["alpha"].access_counts.shape == (8192,)
 
-    def test_allocation_modes(self, store_workload):
+    def test_tables_num_vectors_omits_keep_their_trace_size(self, store_workload):
+        _, _, train, _ = store_workload
+        config = BandanaConfig(
+            total_cache_vectors=200, tune_thresholds=False, shp_iterations=2
+        )
+        store = BandanaStore.build(train, config, num_vectors={"alpha": 8192})
+        assert store.tables["alpha"].layout.num_vectors == 8192
+        assert store.tables["beta"].layout.num_vectors == train["beta"].num_vectors
+
+    def test_num_vectors_below_the_trace_raises(self, store_workload):
+        _, _, train, _ = store_workload
+        config = BandanaConfig(total_cache_vectors=200, tune_thresholds=False)
+        too_small = train["alpha"].num_vectors - 1
+        with pytest.raises(ValueError, match="trace references"):
+            BandanaStore.build(train, config, num_vectors={"alpha": too_small})
+
+    def test_every_table_is_placed_by_shp(self, built_store, store_workload):
         specs, _, train, _ = store_workload
-        sizes = {n: s.num_vectors for n, s in specs.items()}
-        for allocation in ("uniform", "proportional", "hit-rate"):
-            config = BandanaConfig(
-                total_cache_vectors=400,
-                allocation=allocation,
-                tune_thresholds=False,
-                shp_iterations=2,
+        config = built_store.config
+        partitioner = SHPPartitioner(
+            vectors_per_block=config.vectors_per_block,
+            num_iterations=config.shp_iterations,
+            seed=config.seed,
+        )
+        for name, trace in train.items():
+            expected = partitioner.partition(specs[name].num_vectors, trace=trace)
+            np.testing.assert_array_equal(
+                built_store.tables[name].layout.order,
+                expected.layout(config.vectors_per_block).order,
             )
-            store = BandanaStore.build(train, config, num_vectors=sizes)
-            total = sum(s.cache_config.cache_size_vectors for s in store.tables.values())
-            assert total <= 400 + 1
+
+    def test_dram_budget_is_split_on_hit_rate_curves(self, built_store, store_workload):
+        _, _, train, _ = store_workload
+        curves = {name: hit_rate_curve(trace) for name, trace in train.items()}
+        expected = allocate_dram_budget(curves, built_store.config.total_cache_vectors)
+        assert {
+            name: state.cache_config.cache_size_vectors
+            for name, state in built_store.tables.items()
+        } == expected
 
 
 class TestServing:

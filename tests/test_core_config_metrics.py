@@ -13,19 +13,11 @@ class TestBandanaConfig:
         assert config.vector_bytes == 128
         assert config.block_bytes == 4096
         assert config.vectors_per_block == 32
-        assert config.partitioner == "shp"
+        assert config.shp_iterations == 16
 
     def test_block_must_be_multiple_of_vector(self):
         with pytest.raises(ValueError):
             BandanaConfig(vector_bytes=100, block_bytes=4096)
-
-    def test_unknown_partitioner_rejected(self):
-        with pytest.raises(ValueError):
-            BandanaConfig(partitioner="magic")
-
-    def test_unknown_allocation_rejected(self):
-        with pytest.raises(ValueError):
-            BandanaConfig(allocation="fair")
 
     def test_empty_thresholds_rejected(self):
         with pytest.raises(ValueError):

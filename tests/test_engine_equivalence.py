@@ -591,19 +591,6 @@ class TestMiniatureTunerEquivalence:
             selection, queries, layout, access_counts, size
         )
 
-    def test_hoisted_sampling_matches_per_size_runs(self):
-        layout, queries, access_counts = random_workload(13)
-        trace = Trace(queries, num_vectors=layout.num_vectors)
-        tuner = MiniatureCacheTuner(sampling_rate=0.3, seed=1, thresholds=(0, 8))
-        joint = tuner.select_thresholds_for_sizes(
-            trace, layout, access_counts, cache_sizes=[40, 90]
-        )
-        for size in (40, 90):
-            alone = tuner.select_threshold(trace, layout, access_counts, size)
-            assert joint[size].threshold == alone.threshold
-            assert joint[size].gains == alone.gains
-            assert joint[size].miniature_cache_size == alone.miniature_cache_size
-
 
 class _FixedPositionPolicy(PrefetchPolicy):
     """Admits every candidate at one (possibly invalid) position."""
@@ -660,7 +647,6 @@ class TestStoreBatchedServing:
         ]
         train = ModelTrace({"alpha": Trace(queries, num_vectors=512)})
         config = BandanaConfig(
-            partitioner="identity",
             total_cache_vectors=96,
             tune_thresholds=False,
             default_threshold=1.0,

@@ -12,7 +12,6 @@ import pytest
 
 from repro.workloads import (
     SyntheticTraceGenerator,
-    build_generators,
     generate_model_trace,
     paper_shaped_lookups,
     scaled_table_specs,
@@ -128,37 +127,29 @@ class TestGeneratorCalibration:
 class TestModelTraceGeneration:
     def test_share_split_matches_table1(self):
         specs = scaled_table_specs(1 / 2000, names=["table1", "table2", "table8"])
-        model = generate_model_trace(specs, total_lookups=20000, seed=0, split="share")
+        model = generate_model_trace(specs, total_lookups=20000, seed=0)
         shares = model.lookup_shares()
         # table2 serves the largest share of lookups, as in the paper.
         assert max(shares, key=shares.get) == "table2"
 
-    def test_paper_shaped_split_ignores_total(self):
-        specs = scaled_table_specs(1 / 2000, names=["table1", "table8"])
-        model = generate_model_trace(specs, seed=0, split="paper-shaped", lookups_scale=0.5)
-        assert model.total_lookups > 0
+    def test_each_table_gets_its_share_of_total_lookups(self):
+        specs = scaled_table_specs(1 / 2000, names=["table1", "table2", "table8"])
+        model = generate_model_trace(specs, total_lookups=20000, seed=0)
+        for name, spec in specs.items():
+            # Each table is sized in queries: its share of the lookups over
+            # its mean query length.
+            table_lookups = max(1, round(20000 * spec.lookup_share))
+            expected = max(1, round(table_lookups / spec.avg_lookups_per_query))
+            assert len(model[name].queries) == expected, name
 
-    def test_share_split_requires_total(self):
-        specs = scaled_table_specs(1 / 2000, names=["table1"])
-        with pytest.raises(ValueError):
-            generate_model_trace(specs, split="share")
-
-    def test_unknown_split_rejected(self):
-        specs = scaled_table_specs(1 / 2000, names=["table1"])
-        with pytest.raises(ValueError):
-            generate_model_trace(specs, total_lookups=100, split="bogus")
-
-    def test_build_generators_shared_structure(self):
+    @pytest.mark.parametrize(
+        "total, error", [(-5, ValueError), (0, ValueError), (2.5, TypeError)]
+    )
+    def test_total_lookups_must_be_a_positive_integer(self, total, error):
+        # Each of these used to yield a 37/45-lookup trace for table1/table2.
         specs = scaled_table_specs(1 / 2000, names=["table1", "table2"])
-        generators = build_generators(specs, seed=4)
-        assert set(generators) == {"table1", "table2"}
-        train = generate_model_trace(specs, seed=4, split="paper-shaped", generators=generators, lookups_scale=0.5)
-        evaluation = generate_model_trace(specs, seed=4, split="paper-shaped", generators=generators, lookups_scale=0.25)
-        # Both traces must reference only each generator's active set.
-        for name in specs:
-            active = set(generators[name].active_ids.tolist())
-            assert set(train[name].unique_vectors().tolist()) <= active
-            assert set(evaluation[name].unique_vectors().tolist()) <= active
+        with pytest.raises(error, match="total_lookups"):
+            generate_model_trace(specs, total_lookups=total)
 
 
 # ---------------------------------------------------------------- seeded golden

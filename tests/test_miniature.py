@@ -55,14 +55,6 @@ class TestMiniatureCacheTuner:
         # Allow a modest degradation versus the oracle's best threshold.
         assert chosen_gain_at_full >= best_gain - 0.35
 
-    def test_multiple_cache_sizes(self, train_trace, eval_trace, shp_layout):
-        counts = access_counts(train_trace)
-        tuner = MiniatureCacheTuner(sampling_rate=0.25, thresholds=(0, 100))
-        selections = tuner.select_thresholds_for_sizes(
-            eval_trace, shp_layout, counts, cache_sizes=[200, 400]
-        )
-        assert set(selections) == {200, 400}
-
     def test_invalid_cache_size(self, train_trace, eval_trace, shp_layout):
         counts = access_counts(train_trace)
         tuner = MiniatureCacheTuner(sampling_rate=0.5)

@@ -6,8 +6,8 @@ import pytest
 from repro.caching.engine import replay_table_cache_batched
 from repro.caching.policies import CacheAllBlockPolicy
 from repro.nvm.block import BlockLayout
-from repro.workloads import IdRemapper, densify_model_trace, densify_trace
-from repro.workloads.trace import ModelTrace, Trace
+from repro.workloads import IdRemapper, densify_trace
+from repro.workloads.trace import Trace
 
 
 def sparse_queries(rng, universe, num_queries=40, max_len=6):
@@ -93,21 +93,6 @@ class TestDensifyTrace:
             redense.queries, renamed, CacheAllBlockPolicy(), cache_size=16
         )
         assert remapped.counters() == baseline.counters()
-
-    def test_densify_model_trace(self):
-        rng = np.random.default_rng(3)
-        universe = rng.choice(2**50, size=40, replace=False)
-        model = ModelTrace(
-            {
-                "a": Trace(sparse_queries(rng, universe, num_queries=20)),
-                "b": Trace(sparse_queries(rng, universe, num_queries=10)),
-            }
-        )
-        dense, remappers = densify_model_trace(model)
-        assert set(dense.tables) == {"a", "b"}
-        for name in dense:
-            assert dense[name].num_vectors == remappers[name].num_ids
-            assert dense[name].num_lookups == model[name].num_lookups
 
 
 class TestStreamingConstruction:

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.config import ServingConfig
 from repro.serving.arrivals import arrival_times
-from repro.utils.rng import derive_rng, ensure_rng
+from repro.utils.rng import ensure_rng
 
 
 class TestEnsureRng:
@@ -32,22 +32,6 @@ class TestEnsureRng:
         # ensure_rng must stay a drop-in for default_rng(seed): swapping it
         # into existing components cannot move any golden value.
         assert ensure_rng(7).random() == np.random.default_rng(7).random()
-
-
-class TestDeriveRng:
-    def test_streams_are_independent(self):
-        a = derive_rng(0, 1).random()
-        b = derive_rng(0, 2).random()
-        assert a != b
-
-    def test_deterministic_per_stream(self):
-        assert derive_rng(5, 3).random() == derive_rng(5, 3).random()
-
-    def test_accepts_generator_parent(self):
-        parent = np.random.default_rng(0)
-        child = derive_rng(parent, 0)
-        assert isinstance(child, np.random.Generator)
-        assert child is not parent
 
 
 class TestArrivalsAcceptGenerators:

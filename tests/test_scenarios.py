@@ -34,7 +34,8 @@ from repro.scenarios import (
     scenario_serving_config,
 )
 from repro.serving import simulate_serving
-from repro.workloads.trace import ModelTrace
+from repro.workloads.characterization import access_counts
+from repro.workloads.trace import ModelTrace, Trace
 from repro_lint.rules import CONFIG_CLASSES
 from tests.conftest import trace_digest
 
@@ -155,12 +156,12 @@ class TestGenerators:
 
 # ------------------------------------------------------------------ swap_layout
 class TestSwapLayout:
-    def build(self, num_vectors=256, seed=9, config=None):
+    def build(self, num_vectors=256, seed=9):
         trace = generate_scenario_trace(
             small_scenario("drift", num_vectors=num_vectors, seed=seed)
         )
         store = BandanaStore.build(
-            ModelTrace({"t": trace}), config or scenario_store_config(num_vectors)
+            ModelTrace({"t": trace}), scenario_store_config(num_vectors)
         )
         return store, trace
 
@@ -171,7 +172,7 @@ class TestSwapLayout:
         for i, query in enumerate(trace.queries):
             store.lookup("t", query, gather=False)
             if i == mid:
-                store.swap_layout("t", store.tables["t"].layout, retain_cache=True)
+                store.swap_layout("t", store.tables["t"].layout)
         for query in trace.queries:
             baseline.lookup("t", query, gather=False)
         assert (
@@ -179,25 +180,27 @@ class TestSwapLayout:
             == baseline.tables["t"].stats.counters()
         )
 
-    def test_cold_swap_loses_residency(self):
+    def test_new_layout_swap_keeps_dram_residency(self):
         # Prefetch admission off (absurd threshold) and a big cache: hits
-        # come from LRU residency alone, which only the cold swap discards.
+        # come from LRU residency alone, which a re-layout must not discard.
         config = BandanaConfig(
             total_cache_vectors=128, tune_thresholds=False, default_threshold=10**6
         )
-        retained, trace = self.build(config=config)
-        flushed, _ = self.build(config=config)
+        trace = generate_scenario_trace(small_scenario("drift", seed=9))
+        swapped = BandanaStore.build(ModelTrace({"t": trace}), config)
+        unswapped = BandanaStore.build(ModelTrace({"t": trace}), config)
+        reversed_order = BlockLayout(
+            np.arange(255, -1, -1, dtype=np.int64), vectors_per_block=32
+        )
         mid = len(trace.queries) // 2
         for i, query in enumerate(trace.queries):
-            retained.lookup("t", query, gather=False)
-            flushed.lookup("t", query, gather=False)
+            swapped.lookup("t", query, gather=False)
+            unswapped.lookup("t", query, gather=False)
             if i == mid:
-                layout = retained.tables["t"].layout
-                retained.swap_layout("t", layout, retain_cache=True)
-                flushed.swap_layout("t", layout, retain_cache=False)
-        assert (
-            flushed.tables["t"].stats.hits < retained.tables["t"].stats.hits
-        )
+                assert swapped.tables["t"].stats.hits > 0
+                swapped.swap_layout("t", reversed_order)
+        assert swapped.tables["t"].layout is reversed_order
+        assert swapped.tables["t"].stats.hits == unswapped.tables["t"].stats.hits
 
     def test_geometry_mismatch_refuses(self):
         store, _ = self.build()
@@ -310,6 +313,59 @@ class TestLifecycle:
             manager.observe(query)
         assert manager.retrains == 0  # window never reached the minimum
 
+    def test_window_equal_to_the_minimum_retrains(self):
+        # The largest minimum the trailing window can reach: a full window
+        # must still trigger retrains at every cadence point.
+        trace = self.drifting_trace(num_queries=450)
+        store = BandanaStore.build(
+            ModelTrace({"t": trace}), scenario_store_config(1024)
+        )
+        manager = RepartitionManager(
+            store,
+            "t",
+            RepartitionConfig(
+                cadence_queries=100,
+                window_queries=64,
+                min_window_queries=64,
+                shp_iterations=2,
+            ),
+        )
+        for query in trace.queries:
+            store.lookup("t", query, gather=False)
+            manager.observe(query)
+        assert manager.retrains == 4
+        assert manager.swaps == [100, 200, 300, 400]
+
+    def test_swap_refreshes_admission_counts_from_the_window(self):
+        trace = self.drifting_trace(num_queries=450)
+        store = BandanaStore.build(
+            ModelTrace({"t": trace}), scenario_store_config(1024)
+        )
+        state = store.tables["t"]
+        original_total = int(state.access_counts.sum())
+        manager = RepartitionManager(
+            store,
+            "t",
+            RepartitionConfig(
+                cadence_queries=100,
+                window_queries=100,
+                min_window_queries=100,
+                shp_iterations=2,
+            ),
+        )
+        for query in trace.queries[:100]:
+            store.lookup("t", query, gather=False)
+            manager.observe(query)
+        assert manager.swaps == [100]
+        window = Trace(list(trace.queries[:100]), num_vectors=1024)
+        window_counts = access_counts(window).astype(np.float64)
+        expected = np.round(
+            window_counts * original_total / window_counts.sum()
+        ).astype(np.int64)
+        np.testing.assert_array_equal(state.access_counts, expected)
+        # The admission policy reads the refreshed array, not a stale copy.
+        np.testing.assert_array_equal(state.policy.access_counts, expected)
+
 
 # ---------------------------------------------------------------------- runner
 class TestRunner:
@@ -397,13 +453,20 @@ class TestConfigValidation:
 
     def test_repartition_config_rejects_bad_values(self):
         with pytest.raises(ValueError):
-            RepartitionConfig(partitioner="kmeans++")
-        with pytest.raises(ValueError):
             RepartitionConfig(cadence_queries=0)
         with pytest.raises(ValueError):
             RepartitionConfig(blackout_queries=-1)
         with pytest.raises(ValueError):
             RepartitionConfig(shp_iterations=0)
+
+    def test_min_window_above_window_raises(self):
+        # The trailing window holds at most window_queries queries, so a
+        # larger minimum used to disable every retrain without a word.
+        with pytest.raises(
+            ValueError, match=r"min_window_queries \(64\).*window_queries \(63\)"
+        ):
+            RepartitionConfig(window_queries=63)
+        assert RepartitionConfig(window_queries=64).min_window_queries == 64
 
 
 #: Frozen output of :func:`golden_scenario_digests`, captured from the
