@@ -18,12 +18,13 @@ paper examines:
   LRU walked at O(1) per demand miss (a residency bitmap with vectorised hit
   runs when the cache can never evict) that reproduces the reference loop's
   counters bit for bit at a multiple of its throughput,
-* :mod:`repro.caching.stack_distance` — Mattson stack distances and hit-rate
-  curves (Figure 3),
+* :mod:`repro.caching.stack_distance` — Mattson stack distances, counted in
+  O(N log N) array passes without replaying a cache, and the hit-rate curves
+  they give every cache size at once (Figure 3),
 * :mod:`repro.caching.miniature` — miniature-cache simulation for picking the
   admission threshold per table and cache size (Table 2, Figure 14),
 * :mod:`repro.caching.allocation` — splitting a DRAM budget across tables
-  from their hit-rate curves.
+  from their stack-distance hit-rate curves.
 
 Reference vs. fast path
 -----------------------
@@ -59,7 +60,6 @@ from repro.caching.engine import (
 from repro.caching.stack_distance import (
     HitRateCurve,
     compute_stack_distances,
-    compute_stack_distances_chunked,
     hit_rate_curve,
 )
 from repro.caching.miniature import MiniatureCacheTuner, ThresholdSelection
@@ -83,7 +83,6 @@ __all__ = [
     "replay_table_cache_multi",
     "HitRateCurve",
     "compute_stack_distances",
-    "compute_stack_distances_chunked",
     "hit_rate_curve",
     "MiniatureCacheTuner",
     "ThresholdSelection",

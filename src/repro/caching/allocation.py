@@ -1,12 +1,14 @@
 """Splitting the DRAM budget across embedding tables.
 
-Bandana's miniature caches produce a hit-rate curve per table.  Because the
-curves are convex (the paper checks this for its workload), a greedy marginal
-allocation — repeatedly giving the next chunk of DRAM to the table whose hit
-count grows the most — is optimal, and matches the Dynacache-style static
-assignment the paper uses (Section 4.3.3, "we statically assigned the amount
-of DRAM to assign to each table with the goal of optimizing the total hit
-rate").
+Each table's LRU hit-rate curve comes from Mattson stack distances over its
+training trace (:func:`repro.caching.stack_distance.hit_rate_curve`, every
+cache size from one pass; the miniature caches only tune thresholds).
+Because the curves are convex (the paper checks this for its workload), a
+greedy marginal allocation — repeatedly giving the next chunk of DRAM to the
+table whose hit count grows the most — is optimal, and matches the
+Dynacache-style static assignment the paper uses (Section 4.3.3, "we
+statically assigned the amount of DRAM to assign to each table with the goal
+of optimizing the total hit rate").
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, Mapping, Optional
 
 from repro.caching.stack_distance import HitRateCurve
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_int_at_least
 
 
 def allocate_dram_budget(
@@ -32,23 +34,24 @@ def allocate_dram_budget(
         size into an expected absolute hit count, so tables serving more
         lookups naturally attract more DRAM.
     total_vectors:
-        Total DRAM budget, expressed in cached vectors.  (Vector sizes are
-        uniform across the paper's tables, so vectors are a faithful budget
-        unit; callers with heterogeneous vector sizes should convert to the
-        smallest common unit first.)
+        Total DRAM budget, expressed in cached vectors (an integer >= 1).
+        (Vector sizes are uniform across the paper's tables, so vectors are a
+        faithful budget unit; callers with heterogeneous vector sizes should
+        convert to the smallest common unit first.)
     chunk_vectors:
-        Granularity of the greedy allocation; defaults to 1 % of the budget.
+        Granularity of the greedy allocation (an integer >= 1); defaults to
+        1 % of the budget.
     min_per_table:
-        Optional floor given to every table before the greedy phase.
+        Optional floor (an integer >= 0) given to every table before the
+        greedy phase.
 
     Returns
     -------
     dict mapping table name to its allocated number of cached vectors.  The
     allocations sum to at most ``total_vectors``.
     """
-    check_positive(total_vectors, "total_vectors")
-    if min_per_table < 0:
-        raise ValueError("min_per_table must be >= 0")
+    total_vectors = check_int_at_least(total_vectors, 1, "total_vectors")
+    min_per_table = check_int_at_least(min_per_table, 0, "min_per_table")
     if not curves:
         raise ValueError("curves must not be empty")
     if min_per_table * len(curves) > total_vectors:
@@ -57,9 +60,9 @@ def allocate_dram_budget(
         )
     if chunk_vectors is None:
         chunk_vectors = max(1, total_vectors // 100)
-    check_positive(chunk_vectors, "chunk_vectors")
+    chunk_vectors = check_int_at_least(chunk_vectors, 1, "chunk_vectors")
 
-    allocation = {name: int(min_per_table) for name in curves}
+    allocation = {name: min_per_table for name in curves}
     remaining = total_vectors - min_per_table * len(curves)
 
     while remaining > 0:

@@ -34,7 +34,8 @@ Which of three caches an engine gets is read off its inputs:
   reference loop's per-lookup policy and stats calls (1.1× its speed, where
   the array cache ran at 0.5×).
 * **A cache that can never evict** (``capacity >= num_vectors``, top-only
-  policy: every unlimited-cache placement study) — :class:`ResidencyBitmap`.
+  policy, e.g. ``simulate_table(cache_size=None)``; the unlimited-cache
+  placement study itself is a count, not a replay) — :class:`ResidencyBitmap`.
   No order exists to keep, so residency is a boolean array and a maximal *run
   of hits* is classified, counted and stamped in one gather (6.0–6.6 ms per
   table stream against 9–13 ms for the ordered map).

@@ -7,53 +7,99 @@ inclusion property, a single pass computing stack distances yields the hit
 rate of *every* cache size at once: an access hits in a cache of ``c`` vectors
 iff its stack distance is ``≤ c``.
 
-The implementation uses the classic Fenwick-tree (binary indexed tree)
-algorithm: O(N log N) over a stream of N lookups.
+Counting, not simulating
+------------------------
+For a warm access at position ``p`` whose previous access to the same id was
+at ``prev_p``, the window between them holds ``p - prev_p - 1`` accesses, and
+every repeat inside it is an access ``q < p`` with ``prev_q > prev_p``, so
 
-Two implementations are provided under the same reference-vs-fast-path
-contract as the cache replay engine (:mod:`repro.caching.engine`):
-:func:`compute_stack_distances` is the readable per-access reference — two
-Python-level tree walks per access — while
-:func:`compute_stack_distances_chunked` processes the stream in fixed-size
-chunks, batching the Fenwick prefix-sum and update walks into ``O(log N)``
-vectorized array operations per chunk and correcting for intra-chunk updates
-with a closed-form dominance count.  Both return bit-identical distances;
-:func:`hit_rate_curve` uses the chunked kernel.
+    d_p = p - prev_p - #{q < p : prev_q > prev_p}.
+
+The count is an inversion count over the ``m`` warm accesses' previous
+occurrences.  Rank-compressed to a permutation of ``0..m-1``, it takes
+⌈log₂ m⌉ vectorised stable-partition passes, most significant bit first (one
+level of a wavelet tree each): inside a group that shares the higher bits, an
+element whose bit is 0 is smaller than every earlier element whose bit is 1.
+That is O(N log N) over N accesses, with no per-access or per-chunk Python
+loop; transients are O(N) and, below 2²⁹ accesses, 32-bit.  The per-access
+Fenwick-tree loop it replaced is the test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.utils.validation import (
+    check_array_1d_ints,
+    check_int_at_least,
+    check_probability,
+)
 from repro.workloads.trace import Trace
 
 #: Marker used for compulsory (first-time) accesses, which hit in no finite cache.
 COLD_MISS = -1
 
 
-class _FenwickTree:
-    """A Fenwick tree over positions 1..n supporting point update / prefix sum."""
+def _earlier_greater_counts(ranks: np.ndarray) -> np.ndarray:
+    """``#{j < i : ranks[j] > ranks[i]}`` for every ``i`` of a permutation of ``0..m-1``.
 
-    def __init__(self, size: int) -> None:
-        self._tree = np.zeros(size + 1, dtype=np.int64)
-        self._size = size
+    Each pass stably partitions the current arrangement by one more bit.  The
+    arrangement is always sorted by the bits above the current one, and since
+    the values are exactly ``0..m-1``, the group with prefix ``g`` starts at
+    ``g << (bit + 1)`` and every earlier group is full: the ones before it
+    number ``g << bit``.  No search and no sort: a pass is scans and a scatter.
+    """
+    m = ranks.size
+    dtype = ranks.dtype
+    values = ranks.copy()
+    counts = np.zeros(m, dtype=dtype)
+    positions = np.arange(m, dtype=dtype)
+    next_values = np.empty_like(values)
+    next_counts = np.empty_like(counts)
+    for bit in reversed(range((m - 1).bit_length())):
+        ones = (values >> bit) & 1
+        # Ones earlier in this element's group: all ones before it, less the
+        # ``g << bit`` in the full groups before its own.
+        ones_before = ones.cumsum(dtype=dtype)
+        ones_before -= ones
+        ones_before -= (positions >> (bit + 1)) << bit
+        counts += ones_before * (ones ^ 1)
+        # A 0 moves back past the ones before it; a 1 moves to the upper half
+        # of its group, past the zeros after it.  (Arithmetic, not
+        # ``np.where``: an int mask costs a conversion there.)
+        offset = positions & ((1 << (bit + 1)) - 1)
+        jump = (1 << bit) - offset + 2 * ones_before
+        destination = (positions - ones_before + ones * jump).astype(np.intp)
+        next_values[destination] = values
+        next_counts[destination] = counts
+        values, next_values = next_values, values
+        counts, next_counts = next_counts, counts
+    # Fully partitioned, the arrangement is sorted: ``counts[k]`` belongs to rank k.
+    return counts[ranks]
 
-    def add(self, index: int, delta: int) -> None:
-        index += 1
-        while index <= self._size:
-            self._tree[index] += delta
-            index += index & (-index)
 
-    def prefix_sum(self, index: int) -> int:
-        index += 1
-        total = 0
-        while index > 0:
-            total += self._tree[index]
-            index -= index & (-index)
-        return int(total)
+def _warm_stack_distances(stream: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(positions, stack distances) of the warm accesses of a 1-D ``int64`` stream."""
+    n = stream.size
+    # Every intermediate of a pass stays below 4n, so 32 bits hold it up to here.
+    dtype = np.int32 if n < 2**29 else np.int64
+    # Previous access to the same id: neighbours in a stable sort by id.
+    order = np.argsort(stream, kind="stable").astype(dtype, copy=False)
+    sorted_ids = stream[order]
+    same = sorted_ids[1:] == sorted_ids[:-1]
+    previous = np.full(n, -1, dtype=dtype)
+    previous[order[1:][same]] = order[:-1][same]
+    positions = np.flatnonzero(previous >= 0).astype(dtype, copy=False)
+    prev = previous[positions]
+    # Rank-compress the (distinct) previous occurrences to 0..m-1.
+    has_next = np.zeros(n, dtype=bool)
+    has_next[prev] = True
+    ranks = (has_next.cumsum(dtype=dtype) - 1)[prev]
+    repeats = _earlier_greater_counts(ranks)
+    return positions, positions - prev - repeats
 
 
 def compute_stack_distances(id_stream: Union[np.ndarray, Sequence[int]]) -> np.ndarray:
@@ -61,139 +107,14 @@ def compute_stack_distances(id_stream: Union[np.ndarray, Sequence[int]]) -> np.n
 
     Returns an int64 array the same length as the stream; compulsory (first)
     accesses are marked :data:`COLD_MISS`.  Distances are 1-based: a distance
-    of 1 means the vector was the most recently used one.
+    of 1 means the vector was the most recently used one.  Ids are any
+    integers (sparse, negative or 64-bit); a stream of non-integers or of more
+    than one dimension raises.
     """
-    stream = np.asarray(id_stream, dtype=np.int64)
-    if stream.ndim != 1:
-        raise ValueError("id_stream must be one-dimensional")
-    num_accesses = stream.size
-    distances = np.empty(num_accesses, dtype=np.int64)
-    if num_accesses == 0:
-        return distances
-
-    tree = _FenwickTree(num_accesses)
-    last_position: Dict[int, int] = {}
-    for position, vector_id in enumerate(stream.tolist()):
-        previous = last_position.get(vector_id)
-        if previous is None:
-            distances[position] = COLD_MISS
-        else:
-            # Number of distinct ids accessed strictly after `previous`:
-            # each distinct id keeps exactly one marker (at its latest access).
-            distances[position] = tree.prefix_sum(position - 1) - tree.prefix_sum(previous)
-            distances[position] += 1  # rank is 1-based (top of stack = 1)
-            tree.add(previous, -1)
-        tree.add(position, +1)
-        last_position[vector_id] = position
-    return distances
-
-
-def _previous_occurrences(stream: np.ndarray) -> np.ndarray:
-    """Index of the previous access to the same id, or ``-1`` (vectorized)."""
-    n = stream.size
-    prev = np.full(n, -1, dtype=np.int64)
-    if n == 0:
-        return prev
-    order = np.argsort(stream, kind="stable")
-    sorted_ids = stream[order]
-    same = sorted_ids[1:] == sorted_ids[:-1]
-    prev[order[1:][same]] = order[:-1][same]
-    return prev
-
-
-def _prefix_sum_batch(tree: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Fenwick prefix sums for a batch of 0-based indices (-1 yields 0)."""
-    idx = indices + 1
-    totals = np.zeros(idx.shape, dtype=np.int64)
-    while True:
-        active = idx > 0
-        if not active.any():
-            return totals
-        current = idx[active]
-        totals[active] += tree[current]
-        idx[active] = current - (current & -current)
-
-
-def _add_batch(tree: np.ndarray, indices: np.ndarray, deltas: np.ndarray) -> None:
-    """Fenwick point updates for a batch of 0-based indices."""
-    size = tree.size - 1
-    idx = indices + 1
-    deltas = deltas.copy()
-    while True:
-        active = idx <= size
-        if not active.any():
-            return
-        current = idx[active]
-        np.add.at(tree, current, deltas[active])
-        idx = current + (current & -current)
-        deltas = deltas[active]
-
-
-def compute_stack_distances_chunked(
-    id_stream: Union[np.ndarray, Sequence[int]], chunk_size: int = 512
-) -> np.ndarray:
-    """Chunked, array-native equivalent of :func:`compute_stack_distances`.
-
-    The stream is processed ``chunk_size`` accesses at a time.  Within a
-    chunk, all prefix sums are taken against the Fenwick tree *frozen* at the
-    chunk start — a batch of tree walks vectorized across the chunk — and the
-    contribution of the chunk's own earlier accesses is reconstructed in
-    closed form: each earlier access adds one marker below the query point and
-    removes one at its previous occurrence, so the correction reduces to
-    counting earlier in-chunk accesses and a pairwise dominance count over
-    their previous-occurrence indices.  All arithmetic is integral, so the
-    result is bit-identical to the reference implementation.
-    """
-    stream = np.asarray(id_stream, dtype=np.int64)
-    if stream.ndim != 1:
-        raise ValueError("id_stream must be one-dimensional")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    n = stream.size
-    distances = np.empty(n, dtype=np.int64)
-    if n == 0:
-        return distances
-
-    prev = _previous_occurrences(stream)
-    tree = np.zeros(n + 1, dtype=np.int64)
-    tri = np.tril(np.ones((min(chunk_size, n),) * 2, dtype=bool), -1)
-    ones = np.ones(min(chunk_size, n), dtype=np.int64)
-
-    for start in range(0, n, chunk_size):
-        stop = min(start + chunk_size, n)
-        k = stop - start
-        pos = np.arange(start, stop, dtype=np.int64)
-        prev_c = prev[start:stop]
-        noncold = prev_c >= 0
-
-        # Prefix sums against the frozen tree.
-        ps_hi = _prefix_sum_batch(tree, pos - 1)
-        ps_lo = _prefix_sum_batch(tree, prev_c[noncold])
-
-        # Corrections for the chunk's own earlier accesses: access a < p adds
-        # +1 at a (always <= p-1) and -1 at prev_a (also < p), so the true
-        # prefix sums differ from the frozen ones by simple counts.
-        offsets = pos - start                       # accesses before p in chunk
-        n_prev = np.cumsum(noncold) - noncold       # non-cold ones among them
-        true_hi = ps_hi + offsets - n_prev
-
-        # For the lower bound: +1 markers at a <= prev_p, and -1 markers at
-        # prev_a <= prev_p (the pairwise dominance count D).
-        plus_lo = np.maximum(0, prev_c[noncold] - start + 1)
-        dominated = (prev_c[None, :] <= prev_c[:, None]) & noncold[None, :] & tri[:k, :k]
-        d_count = dominated.sum(axis=1)[noncold]
-        true_lo = ps_lo + plus_lo - d_count
-
-        out = distances[start:stop]
-        out[~noncold] = COLD_MISS
-        out[noncold] = true_hi[noncold] - true_lo + 1
-
-        # Apply the whole chunk's tree updates in bulk.
-        _add_batch(
-            tree,
-            np.concatenate([pos, prev_c[noncold]]),
-            np.concatenate([ones[:k], -ones[: int(noncold.sum())]]),
-        )
+    stream = check_array_1d_ints(id_stream, "id_stream")
+    distances = np.full(stream.size, COLD_MISS, dtype=np.int64)
+    positions, warm = _warm_stack_distances(stream)
+    distances[positions] = warm
     return distances
 
 
@@ -206,7 +127,7 @@ class HitRateCurve:
     cache_sizes:
         Monotonically increasing cache sizes.
     hit_rates:
-        Hit rate achieved at each size.
+        Hit rate achieved at each size, each in ``[0, 1]``.
     total_lookups:
         Number of lookups the curve was measured over; used to convert rates
         into absolute hit counts when splitting a DRAM budget across tables.
@@ -223,8 +144,14 @@ class HitRateCurve:
             raise ValueError("cache_sizes and hit_rates must be 1-D arrays of equal length")
         if sizes.size and np.any(np.diff(sizes) < 0):
             raise ValueError("cache_sizes must be non-decreasing")
+        outside = ~((rates >= 0.0) & (rates <= 1.0))  # NaN included
+        if outside.any():
+            index = int(np.argmax(outside))
+            check_probability(float(rates[index]), f"hit_rates[{index}]")
+        total = check_int_at_least(self.total_lookups, 0, "total_lookups")
         object.__setattr__(self, "cache_sizes", sizes)
         object.__setattr__(self, "hit_rates", rates)
+        object.__setattr__(self, "total_lookups", total)
 
     def hit_rate_at(self, cache_size: float) -> float:
         """Interpolated hit rate at an arbitrary cache size."""
@@ -250,38 +177,40 @@ def hit_rate_curve(
     ----------
     source:
         Either a :class:`~repro.workloads.trace.Trace` (its lookups are
-        flattened in request order) or a 1-D id stream.
+        flattened in request order) or a 1-D stream of integer ids.
     cache_sizes:
-        Cache sizes (in vectors) at which to evaluate the curve.  Defaults to
-        ``num_points`` sizes spread geometrically up to the number of distinct
-        vectors in the stream.
+        Cache sizes (in vectors, integers ``>= 0``) at which to evaluate the
+        curve.  Defaults to ``num_points`` sizes spread geometrically up to
+        the number of distinct vectors in the stream.
     num_points:
         Number of default evaluation points when ``cache_sizes`` is omitted.
     """
     if isinstance(source, Trace):
         stream = source.flatten()
     else:
-        stream = np.asarray(source, dtype=np.int64)
+        stream = check_array_1d_ints(source, "id_stream")
+    check_int_at_least(num_points, 0, "num_points")
+    if cache_sizes is not None:
+        sizes = np.asarray(
+            sorted(
+                check_int_at_least(size, 0, f"cache_sizes[{index}]")
+                for index, size in enumerate(cache_sizes)
+            ),
+            dtype=np.int64,
+        )
     total = stream.size
     if total == 0:
-        sizes = np.asarray(cache_sizes if cache_sizes is not None else [0], dtype=np.int64)
+        if cache_sizes is None:
+            sizes = np.zeros(1, dtype=np.int64)
         return HitRateCurve(sizes, np.zeros(sizes.size), total_lookups=0)
 
-    distances = compute_stack_distances_chunked(stream)
-    finite = distances[distances != COLD_MISS]
-
+    _, distances = _warm_stack_distances(stream)
     if cache_sizes is None:
-        max_size = max(1, int(np.unique(stream).size))
-        sizes = np.unique(
-            np.geomspace(1, max_size, num=num_points).astype(np.int64)
-        )
-    else:
-        sizes = np.asarray(sorted(cache_sizes), dtype=np.int64)
+        distinct = total - distances.size  # one cold miss per distinct id
+        sizes = np.unique(np.geomspace(1, distinct, num=num_points).astype(np.int64))
 
-    if finite.size:
-        sorted_distances = np.sort(finite)
-        hits = np.searchsorted(sorted_distances, sizes, side="right")
-    else:
-        hits = np.zeros(sizes.size, dtype=np.int64)
+    # Hits at size c = warm accesses with distance <= c (distances run 1..distinct).
+    hits_up_to = np.bincount(distances, minlength=1).cumsum()
+    hits = hits_up_to[np.minimum(sizes, hits_up_to.size - 1)]
     rates = hits / total
     return HitRateCurve(sizes, rates, total_lookups=int(total))

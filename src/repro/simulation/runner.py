@@ -7,7 +7,9 @@ size.  The helpers here run both sides and package the comparison.
 
 Every replay runs on the batch engine (:mod:`repro.caching.engine`); the
 store-wide replay walks one table at a time through the store's own serving
-engines, so a simulation continues exactly where serving left off.
+engines, so a simulation continues exactly where serving left off.  The
+unlimited-cache placement study needs no replay at all: with nothing ever
+evicted, its two block-read counts are distinct ids and distinct blocks.
 """
 
 from __future__ import annotations
@@ -15,11 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+import numpy as np
+
 from repro.caching.engine import replay_table_cache_batched
-from repro.caching.policies import CacheAllBlockPolicy, NoPrefetchPolicy, PrefetchPolicy
+from repro.caching.policies import NoPrefetchPolicy, PrefetchPolicy
 from repro.caching.replay import ReplayStats, effective_bandwidth_increase
 from repro.core.bandana import BandanaStore
 from repro.nvm.block import BlockLayout
+from repro.utils.validation import check_array_1d_ints, check_id_range
 from repro.workloads.trace import ModelTrace, Trace
 
 
@@ -85,27 +90,30 @@ def simulate_table(
     return TableSimulationResult(stats=stats, baseline_stats=baseline_stats)
 
 
-def unlimited_cache_bandwidth_increase(
-    trace: Trace,
-    layout: BlockLayout,
-    vector_bytes: int = 128,
-) -> float:
+def unlimited_cache_bandwidth_increase(trace: Trace, layout: BlockLayout) -> float:
     """Effective-bandwidth increase of whole-block prefetching with an unlimited cache.
 
     This is the measurement behind the paper's placement studies (Figures 6,
     8 and 9): with no evictions, the only thing that matters is how many
     distinct blocks must be read, i.e. how well the placement groups
-    co-accessed vectors.
+    co-accessed vectors.  So it is counted, not replayed: a cache that never
+    evicts reads one block per distinct id without prefetching and one per
+    distinct block with whole-block prefetching, and the increase is
+    distinct ids ÷ distinct blocks − 1 (``0.0`` for an empty trace).  Ids are
+    checked like the engine checks them, so an id outside the layout raises
+    the same ``IndexError``.
     """
-    result = simulate_table(
-        trace,
-        layout,
-        CacheAllBlockPolicy(),
-        cache_size=None,
-        vector_bytes=vector_bytes,
-        include_baseline=True,
-    )
-    return result.bandwidth_increase
+    ids = check_array_1d_ints(trace.flatten(), "vector_ids")
+    check_id_range(ids, layout.num_vectors)
+    touched = np.zeros(layout.num_vectors, dtype=bool)
+    touched[ids] = True
+    # A block is read iff any of its slots holds a touched vector.
+    block_starts = np.arange(0, layout.num_vectors, layout.vectors_per_block)
+    blocks_read = np.logical_or.reduceat(touched[layout.order], block_starts)
+    distinct_blocks = int(np.count_nonzero(blocks_read))
+    if distinct_blocks == 0:
+        return 0.0
+    return int(np.count_nonzero(touched)) / distinct_blocks - 1.0
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,40 @@ class TestAllocateDramBudget:
         with pytest.raises(ValueError):
             allocate_dram_budget({}, total_vectors=10)
 
+    @pytest.mark.parametrize("budget", [10.5, True, "10", np.float64(10.0)])
+    def test_non_integer_budget_rejected(self, budget):
+        # 10.5 used to hand out a 9.5-vector cache.
+        curves = {"a": make_curve(0.5, 10, 100)}
+        with pytest.raises(TypeError, match="total_vectors"):
+            allocate_dram_budget(curves, budget)
+
+    @pytest.mark.parametrize("budget", [0, -10])
+    def test_empty_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="total_vectors"):
+            allocate_dram_budget({"a": make_curve(0.5, 10, 100)}, budget)
+
+    @pytest.mark.parametrize(
+        "keyword,value,error",
+        [
+            # 1.5 used to leave a vector of a 10-vector budget unallocated.
+            ("min_per_table", 1.5, TypeError),
+            ("min_per_table", -1, ValueError),
+            ("min_per_table", True, TypeError),
+            ("chunk_vectors", 2.5, TypeError),
+            ("chunk_vectors", 0, ValueError),
+        ],
+    )
+    def test_non_integer_floor_and_chunk_rejected(self, keyword, value, error):
+        curves = {"a": make_curve(0.5, 10, 100), "b": make_curve(0.4, 10, 100)}
+        with pytest.raises(error, match=keyword):
+            allocate_dram_budget(curves, 10, **{keyword: value})
+
+    def test_whole_budget_is_allocated_in_integers(self):
+        curves = {"a": make_curve(0.9, 8, 1000), "b": make_curve(0.8, 8, 1000)}
+        allocation = allocate_dram_budget(curves, np.int64(10), min_per_table=1)
+        assert sum(allocation.values()) == 10
+        assert all(type(vectors) is int for vectors in allocation.values())
+
     def test_matches_exhaustive_two_table_optimum(self):
         """Greedy allocation on convex curves should match brute force."""
         curves = {
