@@ -8,11 +8,12 @@ steady-state evaluation stream, and verifies that both produce bit-identical
 
 Four configurations cover the replay regimes the repository actually runs:
 
-* ``placement-study`` — unlimited cache, cache-all-block prefetch: the replay
-  behind the paper's placement evaluations (Figures 6, 8, 9).  This is the
-  headline configuration whose speedup seeds the perf trajectory.
+* ``placement-study`` — unlimited cache, cache-all-block prefetch: the
+  replay the paper's placement evaluations (Figures 6, 8, 9) describe (the
+  library counts that study instead of replaying it).
 * ``serving-tuned`` — limited cache with the tuned access-threshold policy:
-  Bandana's deployed serving configuration (Figure 12 operating point).
+  Bandana's deployed serving configuration (Figure 12 operating point).  This
+  is the headline configuration whose speedup seeds the perf trajectory.
 * ``baseline-no-prefetch`` — limited cache, no prefetching: the paper's
   comparison baseline.
 * ``miss-heavy-evicting`` — cache of 1/8 of the vectors, cache-all-block
@@ -147,9 +148,9 @@ def run_throughput(workload):
         "serving_cache_size": int(serving_cache),
         "serving_threshold": float(serving_threshold),
         "configs": configs,
-        # Headline: the unlimited-cache placement replay, the single most
-        # common replay in the repository's experiment suite.
-        "speedup": configs["placement-study"]["speedup"],
+        # Headline: Bandana's deployed configuration, the one every store,
+        # tuner and cluster node serves.
+        "speedup": configs["serving-tuned"]["speedup"],
         "smoke_wall_clock": measure_smoke_wall_clock(workload),
     }
     return result
@@ -158,8 +159,8 @@ def run_throughput(workload):
 def measure_smoke_wall_clock(workload=None):
     """CI-sized wall-clock reference: the batched engine over a short stream.
 
-    Two legs, one per eviction regime: the headline ``placement-study``
-    configuration (a cache that cannot evict) and ``miss-heavy-evicting``.
+    Two legs, one per eviction regime: ``placement-study`` (a cache as large
+    as the table, which never fills) and ``miss-heavy-evicting``.
     ``benchmarks/perf_track.py`` re-times both on every runner and compares
     ``batched_lookups_per_sec`` against the committed numbers with a loose
     ratio floor — tolerant of runner noise, loud on order-of-magnitude
@@ -208,7 +209,7 @@ def _format_table(result):
             f"{cfg['reference_lookups_per_sec']:>12,} "
             f"{cfg['batched_lookups_per_sec']:>12,} {cfg['speedup']:>7.2f}x"
         )
-    lines.append(f"headline speedup (placement-study): {result['speedup']:.2f}x")
+    lines.append(f"headline speedup (serving-tuned): {result['speedup']:.2f}x")
     return "\n".join(lines)
 
 
@@ -222,9 +223,9 @@ def _write_outputs(result):
 def test_replay_throughput(bundle):
     result = run_throughput(bundle[TABLE])
     _write_outputs(result)
-    # The acceptance bar for the engine's vectorised (no-eviction) path: at
-    # least 5x the reference loop on the headline configuration (counters
-    # already verified equal).
+    # The acceptance bar: the engine serves Bandana's deployed configuration
+    # at least 5x faster than the reference loop (counters already verified
+    # equal).
     assert result["speedup"] >= 5.0, result
 
 

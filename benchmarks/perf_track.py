@@ -37,7 +37,7 @@ Tracked artifacts:
   scenario row at the CI-sized configuration (:mod:`bench_cluster_failures`).
 * ``BENCH_replay_throughput.json`` — loose only: the whole artifact is
   wall-clock timings, gated through the two legs of its CI-sized
-  ``smoke_wall_clock`` section — a cache that cannot evict, and a
+  ``smoke_wall_clock`` section — a cache as large as the table, and a
   miss-heavy evicting one (:mod:`bench_replay_throughput`).
 
 Exit status is non-zero on any regression, and every offending metric is

@@ -15,9 +15,9 @@ paper examines:
 * :mod:`repro.caching.replay` — the per-table cache replay engine used by all
   cache experiments,
 * :mod:`repro.caching.engine` — the *batch* replay engine: an ordered-map
-  LRU walked at O(1) per demand miss (a residency bitmap with vectorised hit
-  runs when the cache can never evict) that reproduces the reference loop's
-  counters bit for bit at a multiple of its throughput,
+  LRU walked at O(1) per demand miss that reproduces the reference loop's
+  counters bit for bit at a multiple of its throughput, for every policy that
+  admits at the top of the queue,
 * :mod:`repro.caching.stack_distance` — Mattson stack distances, counted in
   O(N log N) array passes without replaying a cache, and the hit-rate curves
   they give every cache size at once (Figure 3),
@@ -33,10 +33,12 @@ The package deliberately keeps two implementations of the replay semantics.
 the *reference model*: a readable, per-vector transcription of the paper used
 to define what every counter means.  :func:`replay_table_cache_batched` (and
 the :class:`~repro.caching.engine.BatchReplayEngine` under it) is the *fast
-path* used by serving, tuning and simulation.  The contract — enforced by the equivalence
-test suite — is that both produce bit-identical
-:class:`~repro.caching.replay.ReplayStats` for any trace, policy and cache
-size, so performance work can never silently change the modeled numbers.
+path* used by serving, tuning and simulation.  The contract — enforced by the
+equivalence test suite — is that both produce bit-identical
+:class:`~repro.caching.replay.ReplayStats` for any trace, top-only policy and
+cache size, so performance work can never silently change the modeled
+numbers.  Interpolated insert positions (Figure 11) have one implementation,
+the reference loop.
 """
 
 from repro.caching.lru import LRUCache

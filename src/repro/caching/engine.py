@@ -7,45 +7,39 @@ pure-Python per-vector loop over a dict+heap :class:`~repro.caching.lru.LRUCache
 that mirrors the paper's prose one statement at a time.  It stays the source
 of truth for what every counter means.  This module is the *fast path* every
 store, tuner, cluster node and scenario runs on.  The contract between the two
-is strict — for any trace, layout, policy and cache size, the fast path must
-produce **bit-identical** :class:`~repro.caching.replay.ReplayStats` counters
-(``total_latency_us`` included) and the same ``cache.keys()``, however the
-stream is cut into calls.  Speed must never silently change the modeled
-numbers; ``tests/test_engine_equivalence.py`` enforces the contract.
+is strict — for any trace, layout, top-only policy and cache size, the fast
+path must produce **bit-identical** :class:`~repro.caching.replay.ReplayStats`
+counters (``total_latency_us`` included) and the same ``cache.keys()``,
+however the stream is cut into calls.  Speed must never silently change the
+modeled numbers; ``tests/test_engine_equivalence.py`` enforces the contract.
 
-What is vectorised, what is a scalar walk, and why
---------------------------------------------------
-Which of three caches an engine gets is read off its inputs:
+One cache, one walk
+-------------------
+The engine replays *top-only* policies (:func:`admits_only_at_top`:
+``never_admits`` or ``always_top_positions`` — everything the store, the
+tuner, the cluster and the scenarios run).  Every stamp such a policy issues
+is a fresh maximum, so LRU order *is* insertion order: the cache is an
+:class:`OrderedLRUCache`, walked by one Python loop over ``ids.tolist()``.  A
+hit is ``move_to_end``, a victim is ``popitem(last=False)``, and a demand
+miss is O(1) pointer work with no priorities, ties or hazard analysis (an
+evicted neighbour is simply non-resident when its slot is examined).  A cache
+as large as the table (``cache_size=None``) is the same map that never fills.
+An array-native miss was measured at ≈ 35 NumPy dispatches on ≤ 32-element
+arrays, ≈ 21 µs; the walk is 2.4–2.9× faster on every bounded
+``bench_replay_throughput`` configuration, the 92 %-hit ones included.
 
-* **Bounded cache, top-only policy** (``never_admits`` or
-  ``always_top_positions``: everything the store, the tuner, the cluster and
-  the scenarios run) — :class:`OrderedLRUCache` under one Python loop over
-  ``ids.tolist()``.  Every stamp such a policy issues is a fresh maximum, so
-  LRU order *is* insertion order: a hit is ``move_to_end``, a victim is
-  ``popitem(last=False)``, and a demand miss is O(1) pointer work with no
-  priorities, ties or hazard analysis (an evicted neighbour is simply
-  non-resident when its slot is examined).  An array-native miss was measured
-  at ≈ 35 NumPy dispatches on ≤ 32-element arrays, ≈ 21 µs; the walk is
-  2.4–2.9× faster on every bounded ``bench_replay_throughput`` configuration,
-  the 92 %-hit ones included.
-* **Interpolated positions** (``InsertAtPositionPolicy`` / ``CombinedPolicy``
-  with ``position > 0``, Figure 11 only) — the reference's own
-  :class:`~repro.caching.lru.LRUCache` under the same walk, which saves the
-  reference loop's per-lookup policy and stats calls (1.1× its speed, where
-  the array cache ran at 0.5×).
-* **A cache that can never evict** (``capacity >= num_vectors``, top-only
-  policy, e.g. ``simulate_table(cache_size=None)``; the unlimited-cache
-  placement study itself is a count, not a replay) — :class:`ResidencyBitmap`.
-  No order exists to keep, so residency is a boolean array and a maximal *run
-  of hits* is classified, counted and stamped in one gather (6.0–6.6 ms per
-  table stream against 9–13 ms for the ordered map).
+Interpolated insert positions (``InsertAtPositionPolicy`` /
+``CombinedPolicy`` with ``position > 0``, Figure 11 only) are not top-only:
+the constructor rejects them, and
+:func:`repro.simulation.runner.simulate_table` replays them with the
+reference loop, the only implementation of that input.
 
 Per-block admission decisions are cached for ``admit_is_static`` policies and
 dropped when the placement changes (:meth:`BatchReplayEngine.swap_layout`) or
-the policy says its decisions did (``PrefetchPolicy.admit_version``).  For
-top-only policies ``admit`` must be a pure function of the candidate id and
-the policy's current state (true of every built-in policy): it is evaluated
-per block, also for candidates the reference loop would have skipped as
+the policy says its decisions did (``PrefetchPolicy.admit_version``).
+``admit`` must be a pure function of the candidate id and the policy's
+current state (true of every built-in policy): it is evaluated per block,
+also for candidates the reference loop would have skipped as
 already-resident.  Stateful ``record_access`` is fully supported: the policy
 has observed every lookup up to and including the missing id before ``admit``
 runs.  :func:`replay_table_cache_multi` replays one stream through many
@@ -55,12 +49,11 @@ independent caches (the miniature-cache tuner's candidate thresholds).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 import numpy.typing as npt
 
-from repro.caching.lru import LRUCache
 from repro.caching.policies import PrefetchPolicy
 from repro.caching.replay import ReplayStats
 from repro.nvm.block import BlockLayout
@@ -69,13 +62,32 @@ from repro.utils.validation import (
     check_array_1d_ints,
     check_fraction,
     check_id_range,
+    check_int_at_least,
     check_non_negative,
-    check_positive,
 )
 
 
-#: Most ids one pass of a replay kernel takes from a longer stream.
+#: Most ids one pass of the walk takes from a longer stream.
 _SLICE_IDS = 8192
+
+
+def admits_only_at_top(policy: PrefetchPolicy) -> bool:
+    """True when every candidate ``policy`` admits enters at the top of the queue.
+
+    The batch engine replays exactly these policies; any other needs
+    interpolated insert positions, which only the reference loop
+    (:func:`repro.caching.replay.replay_table_cache`) implements.
+    """
+    return bool(policy.never_admits or policy.always_top_positions)
+
+
+def _require_top_only(policy: PrefetchPolicy) -> None:
+    if not admits_only_at_top(policy):
+        raise ValueError(
+            f"{type(policy).__name__} admits below the top of the queue; the batch "
+            "engine replays only top-only policies (never_admits or "
+            "always_top_positions): replay it with replay_table_cache"
+        )
 
 
 class OrderedLRUCache:
@@ -126,63 +138,6 @@ class OrderedLRUCache:
         self.evictions = 0
 
 
-class ResidencyBitmap:
-    """A cache that can hold its whole id universe: flat arrays, no order.
-
-    Nothing is ever evicted, so membership is all the replay reads.  The
-    last-touch stamps exist for :meth:`keys` alone.
-    """
-
-    #: A cache that never fills never evicts.
-    evictions = 0
-
-    def __init__(self, capacity: int, num_slots: int) -> None:
-        if capacity < num_slots:
-            raise ValueError("a ResidencyBitmap must be able to hold every id")
-        self.capacity = int(capacity)
-        self.resident = np.zeros(num_slots, dtype=bool)
-        #: Resident because of a prefetch and not yet demanded.
-        self.pending = np.zeros(num_slots, dtype=bool)
-        self.num_pending = 0
-        self.stamp = np.zeros(num_slots, dtype=np.int64)
-        self.clock = 0
-        self._live = 0
-
-    def __len__(self) -> int:
-        return self._live
-
-    def __contains__(self, key: int) -> bool:
-        return bool(self.resident[key])
-
-    def insert(self, key: int) -> None:
-        """Stamp one non-resident ``key`` at the top."""
-        self.resident[key] = True
-        self.stamp[key] = self.clock
-        self.clock += 1
-        self._live += 1
-
-    def admit(self, keys: np.ndarray) -> None:
-        """Stamp distinct non-resident ``keys`` at the top, in order."""
-        count = int(keys.size)
-        self.resident[keys] = True
-        self.stamp[keys] = np.arange(self.clock, self.clock + count)
-        self.clock += count
-        self._live += count
-
-    def keys(self) -> List[int]:
-        """Resident keys ordered from most- to least-recently used."""
-        ids = np.flatnonzero(self.resident)
-        return ids[np.argsort(-self.stamp[ids], kind="stable")].tolist()
-
-    def clear(self) -> None:
-        """Drop all entries."""
-        self.resident[:] = False
-        self.pending[:] = False
-        self.num_pending = 0
-        self.clock = 0
-        self._live = 0
-
-
 class BatchReplayEngine:
     """Replay of lookup queries against one table's DRAM cache.
 
@@ -198,10 +153,11 @@ class BatchReplayEngine:
     Parameters mirror :func:`repro.caching.replay.replay_table_cache`.  With
     a ``device`` every demand miss adds one read's unloaded price,
     ``device.mean_latency_us(queue_depth)``, to ``stats.total_latency_us``;
-    ``stats.misses`` is the block-read count.
+    ``stats.misses`` is the block-read count.  A policy that is not
+    top-only (:func:`admits_only_at_top`) raises ``ValueError``, as do a
+    non-integer ``cache_size`` or ``vector_bytes`` (``TypeError``), before
+    any state exists.
     """
-
-    cache: Union[OrderedLRUCache, LRUCache, ResidencyBitmap]
 
     def __init__(
         self,
@@ -213,13 +169,17 @@ class BatchReplayEngine:
         queue_depth: float = 8.0,
         stats: Optional[ReplayStats] = None,
     ) -> None:
-        check_positive(vector_bytes, "vector_bytes")
+        _require_top_only(policy)
+        vector_bytes = check_int_at_least(vector_bytes, 1, "vector_bytes")
         block_bytes = layout.vectors_per_block * vector_bytes
         if stats is None:
             stats = ReplayStats(vector_bytes=vector_bytes, block_bytes=block_bytes)
         elif (stats.vector_bytes, stats.block_bytes) != (vector_bytes, block_bytes):
             raise ValueError("existing stats were created with a different geometry")
-        capacity = layout.num_vectors if cache_size is None else int(cache_size)
+        if cache_size is None:
+            capacity = layout.num_vectors
+        else:
+            capacity = check_int_at_least(cache_size, 0, "cache_size")
         self.policy = policy
         self.stats = stats
         self.device = device
@@ -233,14 +193,8 @@ class BatchReplayEngine:
             and type(policy).record_access_batch is PrefetchPolicy.record_access_batch
         )
         self._static_admit = bool(policy.admit_is_static)
-        if not (self._never_admits or policy.always_top_positions):
-            self.cache = LRUCache(capacity)
-        elif capacity >= layout.num_vectors:
-            self.cache = ResidencyBitmap(capacity, layout.num_vectors)
-        else:
-            self.cache = OrderedLRUCache(capacity)
-        # Resident because of a prefetch and not yet demanded (a
-        # ResidencyBitmap carries its own flags instead).
+        self.cache = OrderedLRUCache(capacity)
+        # Resident because of a prefetch and not yet demanded.
         self._pending: Set[int] = set()
         self._set_layout(layout)
 
@@ -268,17 +222,10 @@ class BatchReplayEngine:
         if self._admit_version != self.policy.admit_version:
             self._admit_version = self.policy.admit_version
             self._block_admit.clear()
-        # The walks turn ids into Python ints; a bounded slice at a time keeps
+        # The walk turns ids into Python ints; a bounded slice at a time keeps
         # that transient off the peak footprint (cuts change no counter).
-        cache = self.cache
         for start in range(0, ids.size, _SLICE_IDS):
-            chunk = ids[start : start + _SLICE_IDS]
-            if isinstance(cache, OrderedLRUCache):
-                self._walk_ordered(cache, chunk)
-            elif isinstance(cache, ResidencyBitmap):
-                self._replay_bitmap(cache, chunk)
-            else:
-                self._walk_positional(cache, chunk)
+            self._walk_ordered(ids[start : start + _SLICE_IDS])
 
     # ---------------------------------------------------------------- private
     def _set_layout(self, layout: BlockLayout) -> None:
@@ -310,14 +257,15 @@ class BatchReplayEngine:
             self._block_admit[block_id] = admissible
         return admissible
 
-    def _walk_ordered(self, cache: OrderedLRUCache, ids: np.ndarray) -> None:
-        """Bounded cache, top-only policy: a scalar walk over the ordered map.
+    def _walk_ordered(self, ids: np.ndarray) -> None:
+        """The replay: a scalar walk over the ordered map.
 
         ``OrderedLRUCache.insert`` inlined on its ``OrderedDict``.  The demand
         vector is excluded from its own block's candidates by identity, not
         residency: with a cache smaller than a block its own prefetch sweep
         evicts it.  Residency is read when a slot is examined.
         """
+        cache = self.cache
         entries = cache._entries
         move_to_end = entries.move_to_end
         popitem = entries.popitem
@@ -379,141 +327,6 @@ class BatchReplayEngine:
         stats.total_latency_us = latency
         self._count(int(ids.size), misses, admitted, prefetch_hits, unused, evictions)
 
-    def _walk_positional(self, cache: LRUCache, ids: np.ndarray) -> None:
-        """Interpolated insert positions: the same walk over the reference's LRUCache."""
-        get = cache.get
-        insert = cache.insert
-        peek = cache.peek
-        capacity = cache.capacity
-        pending = self._pending
-        policy = self.policy
-        admit = policy.admit
-        records = self._records
-        read_us = self._read_us
-        block_of = self._block_arr.item
-        order = self._order
-        stats = self.stats
-        latency = stats.total_latency_us
-        misses = admitted = prefetch_hits = unused = evictions = recorded = 0
-        for index, vid in enumerate(ids.tolist()):
-            if get(vid):
-                if vid in pending:
-                    pending.discard(vid)
-                    prefetch_hits += 1
-                continue
-            misses += 1
-            if records:
-                policy.record_access_batch(ids[recorded : index + 1])
-                recorded = index + 1
-            latency += read_us
-            if capacity == 0:
-                continue
-            block_id = block_of(vid)
-            victim = insert(vid)
-            if victim is not None:
-                evictions += 1
-                if victim in pending:
-                    pending.discard(victim)
-                    unused += 1
-            # Offer the rest of the block slot by slot, exactly like the reference.
-            start = block_id * self._vectors_per_block
-            for neighbour in order[start : start + self._vectors_per_block].tolist():
-                if neighbour == vid or peek(neighbour):
-                    continue
-                position = admit(neighbour)
-                if position is None:
-                    continue
-                victim = insert(neighbour, position)
-                pending.add(neighbour)
-                admitted += 1
-                if victim is not None:
-                    evictions += 1
-                    if victim in pending:
-                        pending.discard(victim)
-                        unused += 1
-        if records and recorded < ids.size:
-            policy.record_access_batch(ids[recorded:])
-        stats.total_latency_us = latency
-        self._count(int(ids.size), misses, admitted, prefetch_hits, unused, evictions)
-
-    def _replay_bitmap(self, cache: ResidencyBitmap, ids: np.ndarray) -> None:
-        """A cache that cannot evict: hit runs classified and counted in bulk.
-
-        The residency gather is bounded by an adaptive window that tracks the
-        typical hit-run length: it doubles while whole windows hit and halves
-        on every miss, so miss-heavy stretches pay O(run) per scan instead of
-        O(window), and hit-heavy stretches scan in big strides.
-        """
-        resident = cache.resident
-        pending = cache.pending
-        stamp = cache.stamp
-        policy = self.policy
-        records = self._records
-        read_us = self._read_us
-        block_of = self._block_arr.item
-        block_admit = self._block_admit
-        stats = self.stats
-        n = int(ids.size)
-        misses = admitted = prefetch_hits = recorded = 0
-        window = 64
-        i = 0
-        while i < n:
-            upper = min(i + window, n)
-            tail_res = resident[ids[i:upper]]
-            j_rel = int(tail_res.argmin())  # first False, or 0 if all True
-            if tail_res[j_rel]:
-                j = upper
-                if window < 8192:
-                    window <<= 1
-            else:
-                j = i + j_rel
-                if window > 32:
-                    window >>= 1
-            if j > i:
-                # Maximal run of hits: residency cannot change inside it.
-                run = ids[i:j]
-                if cache.num_pending:
-                    pend = pending[run]
-                    if pend.any():
-                        hit_pending = np.unique(run[pend])
-                        prefetch_hits += int(hit_pending.size)
-                        pending[hit_pending] = False
-                        cache.num_pending -= int(hit_pending.size)
-                clock = cache.clock
-                stamp[run] = np.arange(clock, clock + (j - i))  # duplicates: last wins
-                cache.clock = clock + (j - i)
-                i = j
-                if i >= n:
-                    break
-                if j == upper:
-                    continue  # pure window boundary, not a classified miss
-            # Demand miss: read the block holding the vector.
-            vid = int(ids[i])
-            i += 1
-            misses += 1
-            if records:
-                policy.record_access_batch(ids[recorded:i])
-                recorded = i
-            block_id = block_of(vid)
-            stats.total_latency_us += read_us
-            cache.insert(vid)
-            if self._never_admits:
-                continue
-            # Offer the rest of the block; the demand vector is resident now
-            # and nothing is ever evicted, so residency alone excludes it.
-            candidates = block_admit.get(block_id)
-            if candidates is None:
-                candidates = self._admissible(block_id)
-            fresh = candidates[~resident[candidates]]
-            if fresh.size:
-                cache.admit(fresh)
-                pending[fresh] = True
-                cache.num_pending += int(fresh.size)
-                admitted += int(fresh.size)
-        if records and recorded < n:
-            policy.record_access_batch(ids[recorded:])
-        self._count(n, misses, admitted, prefetch_hits, 0, 0)
-
     def _count(
         self, lookups: int, misses: int, admitted: int, used: int, unused: int, evictions: int
     ) -> None:
@@ -525,11 +338,6 @@ class BatchReplayEngine:
         stats.prefetch_hits += used
         stats.prefetch_evicted_unused += unused
         stats.evictions += evictions
-
-    def reset(self) -> None:
-        """Clear the cache and pending-prefetch state (stats are kept)."""
-        self.cache.clear()
-        self._pending.clear()
 
     def swap_layout(self, layout: BlockLayout) -> None:
         """Adopt a new block placement without disturbing cache residency.
@@ -607,10 +415,16 @@ def replay_table_cache_multi(
     ``policies[i]`` with cache size ``cache_sizes[i]`` on its own, but the id
     conversion and validation are shared across all caches, and each engine
     is dropped as soon as its stats are final.  This is the kernel behind the
-    miniature-cache tuner's multi-threshold mode.
+    miniature-cache tuner's multi-threshold mode.  Every policy and size is
+    checked before the first replay, so a bad one raises before any policy
+    has observed a lookup.
     """
     if len(policies) != len(cache_sizes):
         raise ValueError("policies and cache_sizes must have the same length")
+    for policy, size in zip(policies, cache_sizes):
+        _require_top_only(policy)
+        if size is not None:
+            check_int_at_least(size, 0, "cache_size")
     ids = _concatenate_ids(queries)
     check_id_range(ids, layout.num_vectors)
     results = []

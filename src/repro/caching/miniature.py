@@ -37,7 +37,7 @@ from repro.caching.policies import AccessThresholdPolicy, NoPrefetchPolicy
 from repro.caching.replay import ReplayStats, effective_bandwidth_increase
 from repro.nvm.block import BlockLayout
 from repro.utils.sampling import sample_queries_spatially
-from repro.utils.validation import check_fraction, check_positive
+from repro.utils.validation import check_fraction, check_int_at_least
 from repro.workloads.trace import Trace
 
 #: Candidate thresholds the paper sweeps in Figure 12 / Table 2.
@@ -98,13 +98,12 @@ class MiniatureCacheTuner:
         check_fraction(sampling_rate, "sampling_rate")
         if sampling_rate <= 0:
             raise ValueError("sampling_rate must be > 0")
-        check_positive(vector_bytes, "vector_bytes")
+        self.vector_bytes = check_int_at_least(vector_bytes, 1, "vector_bytes")
         if not len(thresholds):
             raise ValueError("thresholds must not be empty")
         self.sampling_rate = float(sampling_rate)
         self.seed = int(seed)
         self.thresholds = tuple(float(t) for t in thresholds)
-        self.vector_bytes = int(vector_bytes)
 
     def select_threshold(
         self,
@@ -129,8 +128,7 @@ class MiniatureCacheTuner:
             The *real* cache size in vectors; the miniature cache is scaled by
             the sampling rate.
         """
-        check_positive(cache_size, "cache_size")
-        cache_size = int(cache_size)
+        cache_size = check_int_at_least(cache_size, 1, "cache_size")
         access_counts = np.asarray(access_counts, dtype=np.int64)
         if self.sampling_rate >= 1.0:
             sampled_queries = list(trace.queries)

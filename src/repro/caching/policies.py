@@ -22,18 +22,23 @@ every application-requested id (hit or miss) so stateful policies can track
 demand traffic, and :meth:`PrefetchPolicy.admit` is called for each prefetch
 candidate and returns the insertion position or ``None`` to reject it.
 
-Both hooks also exist in batched form for the vectorized replay engine
+Both hooks also exist in batched form for the batch replay engine
 (:mod:`repro.caching.engine`): :meth:`PrefetchPolicy.record_access_batch`
 observes a whole id array in stream order, and :meth:`PrefetchPolicy.admit_batch`
 maps an id array to a ``float64`` position array where ``NaN`` marks a
 rejected candidate.  Every built-in policy implements the batched hooks with
 NumPy; the scalar hooks remain the reference semantics, and the base class
-provides loop fallbacks so third-party scalar-only policies keep working with
-the batched engine.  ``admit`` must be a pure function of the candidate id and
-the policy's current state — the batched engine may evaluate it for candidates
-the reference loop would have skipped — and an ``admit_is_static`` policy whose
-decisions change after construction must say so through ``admit_version``
-(see :meth:`AccessThresholdPolicy.retune`).
+provides loop fallbacks for a policy that implements only the scalar hooks.
+The engine replays only policies that admit at the top of the queue
+(``never_admits`` or ``always_top_positions``); a policy that admits lower
+down — ``InsertAtPositionPolicy`` / ``CombinedPolicy`` with ``position > 0``,
+or any policy that does not declare ``always_top_positions`` — replays on the
+reference loop (:func:`repro.simulation.runner.simulate_table` picks it).
+``admit`` must be a pure function of the candidate id and the policy's current
+state — the engine may evaluate it for candidates the reference loop would
+have skipped — and an ``admit_is_static`` policy whose decisions change after
+construction must say so through ``admit_version`` (see
+:meth:`AccessThresholdPolicy.retune`).
 """
 
 from __future__ import annotations
@@ -63,8 +68,9 @@ class PrefetchPolicy(abc.ABC):
     admit_is_static: bool = False
 
     #: True when every admitted candidate enters at position 0.0 (the top of
-    #: the queue): LRU order is then insertion order, and the batched engine
-    #: keeps it in an ordered map instead of a priority heap.
+    #: the queue): LRU order is then insertion order, which is what the batch
+    #: engine's ordered map keeps.  The engine refuses a policy that admits
+    #: without declaring this.
     always_top_positions: bool = False
 
     #: Bumped whenever an ``admit_is_static`` policy's decisions change; the

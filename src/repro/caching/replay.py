@@ -11,10 +11,12 @@ wrapper around it.
 
 This module is the *reference model*: a deliberately plain per-vector loop
 that transcribes the paper's behaviour one statement at a time.  Serving,
-tuning and simulation run on the vectorized fast path in
-:mod:`repro.caching.engine`, which is required (and tested) to reproduce this
-loop's :class:`ReplayStats` counters bit for bit — keep the two in sync when
-changing replay semantics.
+tuning and simulation run on the batch engine in :mod:`repro.caching.engine`,
+which is required (and tested) to reproduce this loop's :class:`ReplayStats`
+counters bit for bit — keep the two in sync when changing replay semantics.
+The engine replays only policies that admit at the top of the queue; this
+loop is the one implementation of interpolated insert positions (Figure 11),
+which :func:`repro.simulation.runner.simulate_table` sends here.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from repro.caching.lru import LRUCache
 from repro.caching.policies import PrefetchPolicy
 from repro.nvm.block import BlockLayout
 from repro.nvm.latency import NVMLatencyModel
-from repro.utils.validation import check_array_1d_ints, check_positive
+from repro.utils.validation import check_array_1d_ints, check_int_at_least
 
 
 @dataclass
@@ -184,11 +186,13 @@ def replay_table_cache(
     -------
     ReplayStats
     """
-    check_positive(vector_bytes, "vector_bytes")
+    vector_bytes = check_int_at_least(vector_bytes, 1, "vector_bytes")
     block_bytes = layout.vectors_per_block * vector_bytes
     if cache is None:
-        capacity = layout.num_vectors if cache_size is None else int(cache_size)
-        cache = LRUCache(capacity)
+        if cache_size is None:
+            cache = LRUCache(layout.num_vectors)
+        else:
+            cache = LRUCache(check_int_at_least(cache_size, 0, "cache_size"))
     if stats is None:
         stats = ReplayStats(vector_bytes=vector_bytes, block_bytes=block_bytes)
     elif (stats.vector_bytes, stats.block_bytes) != (vector_bytes, block_bytes):

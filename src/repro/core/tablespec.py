@@ -68,7 +68,7 @@ class TableServingSpec:
 
     def __post_init__(self) -> None:
         check_int_at_least(self.cache_size_vectors, 0, "cache_size_vectors")
-        check_positive(self.vector_bytes, "vector_bytes")
+        check_int_at_least(self.vector_bytes, 1, "vector_bytes")
         check_positive(self.queue_depth, "queue_depth")
 
     # ------------------------------------------------------------------ build

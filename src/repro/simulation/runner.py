@@ -5,23 +5,29 @@ configuration against the baseline policy (cache only the requested vector, no
 prefetching) replayed over the *same* evaluation trace with the *same* cache
 size.  The helpers here run both sides and package the comparison.
 
-Every replay runs on the batch engine (:mod:`repro.caching.engine`); the
-store-wide replay walks one table at a time through the store's own serving
-engines, so a simulation continues exactly where serving left off.  The
-unlimited-cache placement study needs no replay at all: with nothing ever
-evicted, its two block-read counts are distinct ids and distinct blocks.
+Every replay runs on the batch engine (:mod:`repro.caching.engine`) except
+a policy that admits below the top of the queue (Figure 11), which only the
+reference loop implements.  The store-wide replay walks one table at a time
+through the store's own serving engines, so a simulation continues exactly
+where serving left off.  The unlimited-cache placement study needs no replay
+at all: with nothing ever evicted, its two block-read counts are distinct ids
+and distinct blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from repro.caching.engine import replay_table_cache_batched
+from repro.caching.engine import admits_only_at_top, replay_table_cache_batched
 from repro.caching.policies import NoPrefetchPolicy, PrefetchPolicy
-from repro.caching.replay import ReplayStats, effective_bandwidth_increase
+from repro.caching.replay import (
+    ReplayStats,
+    effective_bandwidth_increase,
+    replay_table_cache,
+)
 from repro.core.bandana import BandanaStore
 from repro.nvm.block import BlockLayout
 from repro.utils.validation import check_array_1d_ints, check_id_range
@@ -71,7 +77,11 @@ def simulate_table(
         Whether to also replay the baseline policy for comparison.
     """
     policy.reset()
-    stats = replay_table_cache_batched(
+    # Interpolated insert positions (Figure 11) exist only in the reference loop.
+    replay: Callable[..., ReplayStats] = (
+        replay_table_cache_batched if admits_only_at_top(policy) else replay_table_cache
+    )
+    stats = replay(
         trace.queries,
         layout,
         policy,

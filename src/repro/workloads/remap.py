@@ -2,8 +2,7 @@
 
 External cache traces (Twitter/Meta open traces, hashed production keys) use
 sparse 64-bit key spaces, but the cache stack —
-:class:`~repro.caching.engine.BatchReplayEngine` (its id→block map and
-:class:`~repro.caching.engine.ResidencyBitmap`) and
+:class:`~repro.caching.engine.BatchReplayEngine` (its id→block map) and
 :class:`~repro.nvm.block.BlockLayout` — allocates flat arrays indexed by
 vector id, so it needs ids densely packed in ``[0, num_vectors)``.
 :class:`IdRemapper` is the bijection between the two: it collects the

@@ -39,13 +39,14 @@ STORE_VECTORS_PER_BLOCK = 8
 
 #: One :func:`build_store` table per built-in policy, with cache sizes spanning
 #: unlimited, comfortable, block-sized, churning and degenerate regimes (None
-#: means "as large as the table").
+#: means "as large as the table").  A store serves only policies that admit
+#: at the top of the queue, so the two positional policies sit at position 0.
 POLICY_TABLES = {
     "t-noprefetch": (lambda counts: NoPrefetchPolicy(), 30),
     "t-cacheall": (lambda counts: CacheAllBlockPolicy(), None),
-    "t-insertpos": (lambda counts: InsertAtPositionPolicy(0.5), 9),
+    "t-insertpos": (lambda counts: InsertAtPositionPolicy(0.0), 9),
     "t-shadow": (lambda counts: ShadowAdmissionPolicy(30, 1.5), 3),
-    "t-combined": (lambda counts: CombinedPolicy(30, position=0.7), 1),
+    "t-combined": (lambda counts: CombinedPolicy(30, position=0.0), 1),
     "t-threshold": (lambda counts: AccessThresholdPolicy(counts, 10), 48),
 }
 

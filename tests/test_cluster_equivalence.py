@@ -72,7 +72,7 @@ class TestSingleNodeEquivalence:
             1828,
             6528,
             237,
-            6239,
+            6238,
             8098,
         )
         assert cluster.counters.requests_total == 106

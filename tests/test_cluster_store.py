@@ -557,30 +557,33 @@ def golden_scenario_pin():
 
 
 #: Frozen output of :func:`golden_scenario_pin`.  It changes only when
-#: cluster serving semantics change — regenerate deliberately with
-#: ``python tests/test_cluster_store.py``.
+#: cluster serving semantics or the ``build_store`` fixture change — regenerate
+#: deliberately with ``python tests/test_cluster_store.py``.  Last re-pinned
+#: when the fixture's insert-at-position and combined tables moved to position
+#: 0 (the store serves only top-only policies); the serving code before and
+#: after that change gives these values on the new fixture.
 GOLDEN_SCENARIO_REPORT = {
-    "p50_us": 7459.412413,
-    "p95_us": 8438.723683,
-    "p99_us": 8672.233409,
-    "p999_us": 8900.071664,
+    "p50_us": 7459.999052,
+    "p95_us": 8465.329431,
+    "p99_us": 8737.753409,
+    "p999_us": 8906.623664,
     "makespan_us": 51698.973274,
     "counters": {
         "requests_total": 92,
-        "requests_ok": 57,
-        "requests_degraded": 35,
-        "availability": 0.6195652173913043,
+        "requests_ok": 58,
+        "requests_degraded": 34,
+        "availability": 0.6304347826086957,
         "shard_groups": 1365,
         "shard_groups_failed": 80,
-        "shard_attempts": 1657,
-        "retries": 292,
+        "shard_attempts": 1665,
+        "retries": 300,
         "timeouts": 14,
         "link_losses": 9,
-        "sheds": 358,
-        "hedges_launched": 157,
+        "sheds": 366,
+        "hedges_launched": 158,
         "hedges_won": 71,
-        "hedges_lost": 86,
-        "breaker_skips": 540,
+        "hedges_lost": 87,
+        "breaker_skips": 536,
         "breaker_ejections": 1,
         "cold_restarts": 0,
     },
@@ -635,28 +638,28 @@ def golden_trace_digests():
 
 
 #: Frozen output of :func:`golden_trace_digests`.  Last re-pinned when the
-#: cluster run began returning a ``ServingReport``: a key-layout change only
-#: (no ``scenario`` / ``num_nodes`` / ``replication`` / top-level
-#: ``availability``; the host report's batch and device keys added), with
-#: every span and every value under a shared key unchanged.  It changes only
-#: when cluster serving, its spans or the report's keys change — regenerate
-#: deliberately with ``python tests/test_cluster_store.py``.
+#: ``build_store`` fixture's insert-at-position and combined tables moved to
+#: position 0 (the store serves only top-only policies): the serving code
+#: before and after that change gives these digests on the new fixture.  It
+#: changes only when cluster serving, its spans, the report's keys or the
+#: fixture change — regenerate deliberately with
+#: ``python tests/test_cluster_store.py``.
 GOLDEN_CLUSTER_TRACE_DIGESTS = {
     "none/R1": "bf0a3b6251ce46e5e5bcde3118eca98a1992e801b0c682426ffcfb7c0356e497",
-    "none/R2": "44e21cc657ff39c195abf0d2212647fa733850b6d628de41f105b18a27a61d41",
-    "none/R3": "38bc75d90c822956824770dc8137943a2f085af41eb6d113f16bc7d8ea3bd06b",
+    "none/R2": "c9a269dcae7db70306e6e7cc7af959b9d200a3a5565646c4d14fd281c5e8f7b2",
+    "none/R3": "85835f245686f9084192e644e6a01d838c67b21270231d5812727bea34bed931",
     "crash_recover/R1": "9ad773930b05d25b13356fb5d07aae075f68a5849f8436e7f35209111e52bcdf",
-    "crash_recover/R2": "e8bcf701a7810c990efe365f333b6ebb483f6c47e9c975edda17469a171d8928",
-    "crash_recover/R3": "8dbac02ea52928ebe55df14eb6f432ab756b4e9e576976fbc2612ab5f3f9f4f0",
+    "crash_recover/R2": "c244383429786af8a0db9fbaaa08c83c1b15650d07bd33f63b15d1af79e6e8d6",
+    "crash_recover/R3": "653572dd6d2e5edb4be3c1d76342dfa2008cd0a04d084c8862f5116631126e85",
     "slow_node/R1": "42d11c5540083c5fcd81254851ba2a51d0710689fa098e2898b8b1538d214f9a",
-    "slow_node/R2": "ec43d1e8e2c1ee935372329aeba5322b8fecd0d8021771b09a3cd0b33da1a3d8",
-    "slow_node/R3": "38871de5fd880c7566441ee4e524e5b5a01e4794071b466c74402c334ff25fec",
+    "slow_node/R2": "f80c6e22239a4ef4d80473df51bb9355fb665fae50dc35dfeb8c88ab6e103395",
+    "slow_node/R3": "2801787f6f705081b2df50e93ac314f00f2209de728f62df015d08332c7ae807",
     "flaky_link/R1": "1197b5305cc5621bd282fc7f00c0694c6c1c2ec8eb9e950d171fae7999147666",
-    "flaky_link/R2": "df6fc18ce0a435735f528aa6e9db38c04f93cfbd09368dfb3a94f15a5bd51751",
-    "flaky_link/R3": "a342782167a0192fdb0e52f5ba4a95cb6bb3a769af35e550af46600947e988e0",
+    "flaky_link/R2": "b73801bc2ffb1d5846480e3c36986aa75a57140edb61ccc6ce51033ccd920de0",
+    "flaky_link/R3": "bc897ceb81a82919b6d2127fae166fa058710193438c55caa7f00bd9cfe52378",
     "degraded_cluster/R1": "3ac7d01216a52f4159451882a0e94c0d05388ca4424aaf822c2c8e0b1b2c7061",
-    "degraded_cluster/R2": "cfd6d18e717dbaf1f79631c27db844c1e4ccbdac7ed53bc0813cd83380d81d06",
-    "degraded_cluster/R3": "0d6dd2544bac542416b275e554e290b1d85748c7b0f88471957b29599f7a0128",
+    "degraded_cluster/R2": "6c61736f76a1d670f0b8474b0668e1b43a4e99e4fab82449686197226da9aa0d",
+    "degraded_cluster/R3": "2797c41dc965ea041d9a1be1142ee58dc74ee286b91f3183929580999b286062",
 }
 
 

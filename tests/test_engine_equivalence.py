@@ -3,10 +3,12 @@
 The batched engine (:mod:`repro.caching.engine`) must produce **bit-identical**
 :class:`~repro.caching.replay.ReplayStats` counters — and the same final cache
 contents in the same recency order — as the reference per-vector loop, for any
-trace, layout, policy and cache size, however the stream is cut into calls.
-These tests sweep randomized traces across all six policies, the engine's
-three cache kinds and the boundaries between them, check the store and the
-miniature-cache tuner against direct reference-loop calls, and pin the
+trace, layout, top-only policy and cache size, however the stream is cut into
+calls.  These tests sweep randomized traces across every built-in policy that
+admits at the top of the queue and every cache size from zero to more than
+the table, check the store and the miniature-cache tuner against direct
+reference-loop calls, check that a positional policy is refused by the engine
+and replayed by the reference loop through ``simulate_table``, and pin the
 counters of the shapes the benchmark drives (``GOLDEN_ENGINE_COUNTERS``,
 captured from the stamp-log engine this one replaced;
 ``python tests/test_engine_equivalence.py`` prints a fresh dictionary).
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 from repro.caching.engine import (
     BatchReplayEngine,
     OrderedLRUCache,
-    ResidencyBitmap,
+    admits_only_at_top,
     replay_table_cache_batched,
     replay_table_cache_multi,
 )
@@ -46,7 +48,7 @@ from repro.core.bandana import BandanaStore
 from repro.core.config import BandanaConfig, TableCacheConfig
 from repro.nvm.block import BlockLayout
 from repro.nvm.latency import NVMLatencyModel
-from repro.simulation import simulate_store
+from repro.simulation import simulate_store, simulate_table
 from repro.utils.sampling import sample_queries_spatially
 from repro.workloads.trace import ModelTrace, Trace
 from tests.conftest import (
@@ -77,16 +79,23 @@ def random_workload(seed: int):
     return layout, queries, access_counts
 
 
+#: Every built-in policy in a top-only configuration: what the engine replays.
 POLICY_FACTORIES = {
     "no-prefetch": lambda counts: NoPrefetchPolicy(),
     "cache-all-block": lambda counts: CacheAllBlockPolicy(),
-    "insert-at-position": lambda counts: InsertAtPositionPolicy(0.5),
-    "insert-at-bottom": lambda counts: InsertAtPositionPolicy(1.0),
+    "insert-at-top": lambda counts: InsertAtPositionPolicy(0.0),
     "shadow-admission": lambda counts: ShadowAdmissionPolicy(
         real_cache_size=30, multiplier=1.5
     ),
-    "combined": lambda counts: CombinedPolicy(real_cache_size=30, position=0.7),
+    "combined-at-top": lambda counts: CombinedPolicy(real_cache_size=30, position=0.0),
     "access-threshold": lambda counts: AccessThresholdPolicy(counts, 10),
+}
+
+#: Interpolated insert positions (Figure 11): only the reference loop replays them.
+POSITIONAL_FACTORIES = {
+    "insert-at-position": lambda counts: InsertAtPositionPolicy(0.5),
+    "insert-at-bottom": lambda counts: InsertAtPositionPolicy(1.0),
+    "combined": lambda counts: CombinedPolicy(real_cache_size=30, position=0.7),
 }
 
 #: Cache sizes spanning unlimited, comfortable, block-sized, churning and
@@ -200,7 +209,7 @@ def small_workload(seed: int, vectors_per_block: int):
     return layout, queries, rng.integers(0, 30, size=num_vectors).astype(np.int64)
 
 
-#: Cache sizes on both sides of every boundary between the engine's caches.
+#: Cache sizes from empty through smaller than a block to more than the table.
 CAPACITY_KINDS = {
     "zero": lambda n, per_block, pick: 0,
     "smaller-than-a-block": lambda n, per_block, pick: 1 + pick % (per_block - 1),
@@ -211,12 +220,6 @@ CAPACITY_KINDS = {
 }
 
 
-def expected_cache_type(policy, capacity, num_vectors):
-    if not (policy.never_admits or policy.always_top_positions):
-        return LRUCache
-    return ResidencyBitmap if capacity >= num_vectors else OrderedLRUCache
-
-
 def cut(queries, points):
     """The concatenated stream re-cut at ``points`` (sorted, duplicates allowed)."""
     stream = np.concatenate(queries)
@@ -225,7 +228,7 @@ def cut(queries, points):
 
 
 class TestEveryPolicyEveryCacheKind:
-    """Hypothesis: every policy × every cache kind × every way of cutting the stream."""
+    """Hypothesis: every policy × every cache size × every way of cutting the stream."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -247,9 +250,7 @@ class TestEveryPolicyEveryCacheKind:
         # One call, one call per query, and cuts anywhere (mid hit-run included).
         for calls in ([np.concatenate(queries)], queries, cut(queries, points)):
             engine = BatchReplayEngine(layout, factory(counts), cache_size=capacity)
-            assert type(engine.cache) is expected_cache_type(
-                engine.policy, capacity, layout.num_vectors
-            )
+            assert type(engine.cache) is OrderedLRUCache
             for ids in calls:
                 engine.replay_query(ids)
             assert counters(engine.stats) == counters(reference), (policy_name, capacity)
@@ -261,9 +262,7 @@ class TestEveryPolicyEveryCacheKind:
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 10**6),
-        policy_name=st.sampled_from(
-            ["no-prefetch", "cache-all-block", "shadow-admission", "access-threshold"]
-        ),
+        policy_name=st.sampled_from(sorted(POLICY_FACTORIES)),
         kind=st.sampled_from(["smaller-than-a-block", "bounded", "all-but-one"]),
         pick=st.integers(0, 10**6),
         swap_at=st.integers(0, 39),
@@ -284,7 +283,6 @@ class TestEveryPolicyEveryCacheKind:
         replay_table_cache(queries[swap_at:], second, policy, cache=model, stats=stats)
 
         engine = BatchReplayEngine(first, POLICY_FACTORIES[policy_name](counts), cache_size=capacity)
-        assert isinstance(engine.cache, OrderedLRUCache)
         engine.replay(queries[:swap_at])
         engine.swap_layout(second)
         engine.replay(queries[swap_at:])
@@ -436,6 +434,7 @@ class TestStatefulPolicyWithinOneCall:
 
         Lookups 1–3 miss while the policy still rejects; the 4th lookup is a
         hit, the 5th a miss whose own access is the one that flips ``admit``.
+        At position 0.5 only the reference loop replays the policy.
         """
         layout = BlockLayout.identity(64, 8)
         ids = np.array([0, 8, 16, 8, 24, 25, 1, 32, 0], dtype=np.int64)
@@ -444,6 +443,8 @@ class TestStatefulPolicyWithinOneCall:
             [ids], layout, _AdmitsFromTheNthAccess(5, position), cache=reference_cache
         )
         assert reference.prefetch_admitted > 0 and reference.prefetch_hits > 0
+        if position > 0.0:
+            return
         engine = BatchReplayEngine(
             layout, _AdmitsFromTheNthAccess(5, position), cache_size=cache_size
         )
@@ -492,6 +493,121 @@ class TestStaleAdmissionCache:
             policy.retune(access_counts=np.zeros((2, 2)))
         assert (policy.threshold, policy.admit_version) == (5.0, version + 1)
         assert NoPrefetchPolicy().admit_version == PrefetchPolicy.admit_version
+
+
+class TestPositionalPolicies:
+    """Interpolated insert positions: refused by the engine, replayed by the reference."""
+
+    LAYOUT = BlockLayout.identity(64, 8)
+    QUERIES = [np.array([1, 9, 17, 2], dtype=np.int64)] * 5
+
+    @pytest.mark.parametrize("policy_name", sorted(POSITIONAL_FACTORIES))
+    def test_every_engine_entry_point_raises_before_counting(self, policy_name):
+        make = POSITIONAL_FACTORIES[policy_name]
+        assert not admits_only_at_top(make(None))
+        stats = ReplayStats(vector_bytes=128, block_bytes=8 * 128)
+        bystander = ShadowAdmissionPolicy(real_cache_size=30)
+        calls = (
+            lambda policy: BatchReplayEngine(self.LAYOUT, policy, cache_size=16, stats=stats),
+            lambda policy: replay_table_cache_batched(
+                self.QUERIES, self.LAYOUT, policy, cache_size=16, stats=stats
+            ),
+            lambda policy: replay_table_cache_multi(
+                self.QUERIES, self.LAYOUT, [bystander, policy], [16, 16]
+            ),
+        )
+        for call in calls:
+            policy = make(None)
+            with pytest.raises(ValueError, match="replay_table_cache"):
+                call(policy)
+            assert full_counters(stats) == (0,) * 7 + (0.0,)
+            assert len(getattr(policy, "shadow", ())) == len(bystander.shadow) == 0
+
+    @pytest.mark.parametrize("policy_name", sorted(POSITIONAL_FACTORIES))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_simulate_table_is_the_reference_loop(self, policy_name, seed):
+        layout, queries, counts = random_workload(seed)
+        trace = Trace(queries, num_vectors=layout.num_vectors)
+        make = POSITIONAL_FACTORIES[policy_name]
+        for cache_size in (None, 48, 9, 1, 0):
+            result = simulate_table(trace, layout, make(counts), cache_size=cache_size)
+            reference = replay_table_cache(queries, layout, make(counts), cache_size=cache_size)
+            baseline = replay_table_cache(
+                queries, layout, NoPrefetchPolicy(), cache_size=cache_size
+            )
+            assert counters(result.stats) == counters(reference), cache_size
+            assert counters(result.baseline_stats) == counters(baseline), cache_size
+
+
+class TestSizesAreExactIntegers:
+    """Cache and vector sizes are counts: a non-integer raises, nothing is truncated."""
+
+    LAYOUT = BlockLayout.identity(64, 8)
+    QUERIES = [np.array([1, 9, 17, 2], dtype=np.int64)] * 5
+    NOT_INTEGERS = [2.5, True, "3", np.float64(3.7), 3.0]
+
+    @pytest.mark.parametrize("size", NOT_INTEGERS)
+    def test_cache_size(self, size):
+        stats = ReplayStats(vector_bytes=128, block_bytes=8 * 128)
+        policy = ShadowAdmissionPolicy(real_cache_size=30)
+        calls = (
+            lambda: BatchReplayEngine(self.LAYOUT, policy, cache_size=size, stats=stats),
+            lambda: replay_table_cache_batched(
+                self.QUERIES, self.LAYOUT, policy, cache_size=size, stats=stats
+            ),
+            lambda: replay_table_cache(
+                self.QUERIES, self.LAYOUT, policy, cache_size=size, stats=stats
+            ),
+            lambda: replay_table_cache_multi(
+                self.QUERIES, self.LAYOUT, [policy, policy], [16, size]
+            ),
+            lambda: MiniatureCacheTuner(sampling_rate=1.0).select_threshold(
+                Trace(self.QUERIES, num_vectors=64), self.LAYOUT, np.zeros(64), size
+            ),
+        )
+        for call in calls:
+            with pytest.raises(TypeError, match="cache_size must be an integer"):
+                call()
+            assert full_counters(stats) == (0,) * 7 + (0.0,)
+            assert len(policy.shadow) == 0
+
+    @pytest.mark.parametrize("size", [-1, -16])
+    def test_negative_cache_size(self, size):
+        stats = ReplayStats(vector_bytes=128, block_bytes=8 * 128)
+        for call in (
+            lambda: BatchReplayEngine(self.LAYOUT, NoPrefetchPolicy(), cache_size=size),
+            lambda: replay_table_cache(
+                self.QUERIES, self.LAYOUT, NoPrefetchPolicy(), cache_size=size, stats=stats
+            ),
+        ):
+            with pytest.raises(ValueError, match="cache_size must be >= 0"):
+                call()
+        assert full_counters(stats) == (0,) * 7 + (0.0,)
+
+    @pytest.mark.parametrize("vector_bytes", [128.5, True, np.float64(128.0)])
+    def test_vector_bytes(self, vector_bytes):
+        policy = ShadowAdmissionPolicy(real_cache_size=30)
+        for call in (
+            lambda: BatchReplayEngine(self.LAYOUT, policy, vector_bytes=vector_bytes),
+            lambda: replay_table_cache(
+                self.QUERIES, self.LAYOUT, policy, vector_bytes=vector_bytes
+            ),
+            lambda: replay_table_cache_multi(
+                self.QUERIES, self.LAYOUT, [policy], [16], vector_bytes=vector_bytes
+            ),
+            lambda: MiniatureCacheTuner(vector_bytes=vector_bytes),
+        ):
+            with pytest.raises(TypeError, match="vector_bytes must be an integer"):
+                call()
+            assert len(policy.shadow) == 0
+
+    def test_integer_types_are_accepted(self):
+        for size in (16, np.int64(16), np.int32(16)):
+            engine = BatchReplayEngine(
+                self.LAYOUT, NoPrefetchPolicy(), cache_size=size, vector_bytes=np.int64(64)
+            )
+            assert (engine.cache.capacity, engine.stats.block_bytes) == (16, 8 * 64)
+            assert type(engine.cache.capacity) is int
 
 
 class TestHostileIds:
@@ -593,11 +709,16 @@ class TestMiniatureTunerEquivalence:
 
 
 class _FixedPositionPolicy(PrefetchPolicy):
-    """Admits every candidate at one (possibly invalid) position."""
+    """Admits every candidate at one (possibly invalid) position.
+
+    Only an interpolated position (in ``(0, 1]``) is declared as such, so an
+    out-of-range one reaches the engine's own range check.
+    """
 
     def __init__(self, position, static):
         self.position = position
         self.admit_is_static = static
+        self.always_top_positions = not 0.0 < position <= 1.0
 
     def admit(self, vector_id):
         return self.position
@@ -625,14 +746,16 @@ class TestAdmissionPositionValidation:
 
     @pytest.mark.parametrize("static", [True, False])
     def test_boundary_positions_are_accepted(self, static):
+        """Position 0 replays on the engine, position 1 on the reference loop."""
+        trace = Trace(self.QUERIES, num_vectors=self.LAYOUT.num_vectors)
         for position in (0.0, 1.0):
             reference = replay_table_cache(
                 self.QUERIES, self.LAYOUT, _FixedPositionPolicy(position, static), cache_size=16
             )
-            batched = replay_table_cache_batched(
-                self.QUERIES, self.LAYOUT, _FixedPositionPolicy(position, static), cache_size=16
+            simulated = simulate_table(
+                trace, self.LAYOUT, _FixedPositionPolicy(position, static), cache_size=16
             )
-            assert counters(batched) == counters(reference)
+            assert counters(simulated.stats) == counters(reference)
 
 
 class TestStoreBatchedServing:
@@ -881,12 +1004,15 @@ class TestLRUCacheHeapCompaction:
 
 
 # --------------------------------------------------------------------- goldens
-def _engine_digest(engine):
-    keys = np.array(engine.cache.keys(), dtype="<i8")
+def _digest(stats, keys):
     return {
-        "counters": list(engine.stats.counters(include_latency=True)),
-        "keys_sha256": hashlib.sha256(keys.tobytes()).hexdigest(),
+        "counters": list(stats.counters(include_latency=True)),
+        "keys_sha256": hashlib.sha256(np.array(keys, dtype="<i8").tobytes()).hexdigest(),
     }
+
+
+def _engine_digest(engine):
+    return _digest(engine.stats, engine.cache.keys())
 
 
 def golden_engine_counters():
@@ -920,11 +1046,20 @@ def golden_engine_counters():
             cache_size,
         ),
         ("table1/unlimited/cache-all-block", CacheAllBlockPolicy(), None),
-        ("table1/bounded/insert-at-0.5", InsertAtPositionPolicy(0.5), cache_size),
     ):
         engine = BatchReplayEngine(layout, policy, cache_size=size)
         engine.replay(queries)
         out[name] = _engine_digest(engine)
+
+    # An interpolated position: simulate_table's reference-loop route (the
+    # keys come from the same replay with its cache kept).
+    stats = simulate_table(
+        tuning, layout, InsertAtPositionPolicy(0.5), cache_size=cache_size,
+        include_baseline=False,
+    ).stats
+    cache = LRUCache(cache_size)
+    replay_table_cache(queries, layout, InsertAtPositionPolicy(0.5), cache=cache)
+    out["table1/bounded/insert-at-0.5"] = _digest(stats, cache.keys())
     return out
 
 

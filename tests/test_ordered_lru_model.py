@@ -5,7 +5,7 @@ interleavings of every mutating operation of the ordered cache are applied to
 both; after each step the evicted key, ``keys()`` order, ``len`` and the
 eviction counter must agree.  The engine's walk inlines those operations on
 the cache's ``OrderedDict``, so the same model also drives a no-prefetch
-engine one lookup at a time.
+engine one lookup at a time (a fresh engine wherever the model is cleared).
 """
 
 import numpy as np
@@ -100,16 +100,20 @@ def test_seeded_churn_matches_the_reference(capacity):
     st.lists(st.one_of(KEYS, st.none()), max_size=120),
 )
 def test_the_engines_inlined_walk_is_the_same_cache(capacity, lookups):
-    """One ``replay_query`` per demand lookup (``None``: a reset) ≡ the model."""
-    engine = BatchReplayEngine(
-        BlockLayout.identity(NUM_SLOTS, 8), NoPrefetchPolicy(), cache_size=capacity
-    )
-    assert isinstance(engine.cache, OrderedLRUCache)
+    """One ``replay_query`` per demand lookup (``None``: a fresh engine) ≡ the model."""
+
+    def fresh_engine():
+        return BatchReplayEngine(
+            BlockLayout.identity(NUM_SLOTS, 8), NoPrefetchPolicy(), cache_size=capacity
+        )
+
+    engine = fresh_engine()
     model = LRUCache(capacity)
-    hits = 0
+    hits = earlier_hits = 0
     for key in lookups:
         if key is None:
-            engine.reset()
+            earlier_hits += engine.stats.hits
+            engine = fresh_engine()
             model.clear()
         elif model.get(key):
             hits += 1
@@ -119,11 +123,16 @@ def test_the_engines_inlined_walk_is_the_same_cache(capacity, lookups):
             engine.replay_query(np.array([key], dtype=np.int64))
         assert engine.cache.keys() == model.keys()
         assert engine.cache.evictions == model.evictions
-        assert engine.stats.hits == hits
+        assert earlier_hits + engine.stats.hits == hits
 
 
-def test_combined_policy_across_a_mid_stream_swap_layout():
-    """Mixed top/interpolated admissions, re-partitioned half-way ≡ reference."""
+@pytest.mark.parametrize("position", [0.0, 0.7])
+def test_combined_policy_across_a_mid_stream_swap_layout(position):
+    """Shadow-filtered admissions, re-partitioned half-way ≡ reference.
+
+    At position 0.7 (mixed top/interpolated admissions) only the reference
+    loop replays the policy; the engine refuses it.
+    """
     rng = np.random.default_rng(21)
     num_vectors, per_block = 240, 8
     first = BlockLayout(rng.permutation(num_vectors).astype(np.int64), per_block)
@@ -134,15 +143,19 @@ def test_combined_policy_across_a_mid_stream_swap_layout():
         for _ in range(160)
     ]
     for cache_size in (6, 30, 90):
-        policy = CombinedPolicy(real_cache_size=30, position=0.7)
+        policy = CombinedPolicy(real_cache_size=30, position=position)
         model = LRUCache(cache_size)
         stats = ReplayStats(vector_bytes=128, block_bytes=per_block * 128)
         replay_table_cache(queries[:80], first, policy, cache=model, stats=stats)
         replay_table_cache(queries[80:], second, policy, cache=model, stats=stats)
+        assert stats.prefetch_admitted > 0 and stats.evictions > 0
 
-        engine = BatchReplayEngine(
-            first, CombinedPolicy(real_cache_size=30, position=0.7), cache_size=cache_size
-        )
+        fresh = CombinedPolicy(real_cache_size=30, position=position)
+        if position > 0.0:
+            with pytest.raises(ValueError, match="replay_table_cache"):
+                BatchReplayEngine(first, fresh, cache_size=cache_size)
+            continue
+        engine = BatchReplayEngine(first, fresh, cache_size=cache_size)
         engine.replay(queries[:80])
         engine.swap_layout(second)
         engine.replay(queries[80:])
