@@ -24,7 +24,7 @@ from repro.utils.validation import (
 )
 
 #: Arrival processes the serving front-end can generate.
-ARRIVAL_PROCESSES = ("poisson", "mmpp", "closed-loop")
+ARRIVAL_PROCESSES = ("poisson", "closed-loop")
 
 
 def _normalise_table_slos(
@@ -84,24 +84,13 @@ class ServingConfig(_TableSLOs):
     Attributes
     ----------
     arrival_rate_rps:
-        Long-run request arrival rate in requests per second.  For the MMPP
-        process this is the *stationary* mean rate, so sweeps over
-        ``arrival_rate_rps`` offer the same average load regardless of the
-        process shape.
+        Long-run request arrival rate in requests per second.
     arrival_process:
-        ``"poisson"`` (memoryless open-loop arrivals), ``"mmpp"`` (a
-        two-state Markov-modulated Poisson process producing bursts) or
-        ``"closed-loop"`` (a fixed population of ``closed_loop_clients``
-        clients, each issuing its next request one exponential think time
-        after the previous response — RPC fan-in, where saturation slows
-        the clients down instead of growing the queue without bound).
-    mmpp_burst_factor:
-        Ratio of the bursty state's arrival rate to the quiet state's.
-    mmpp_burst_fraction:
-        Stationary fraction of time spent in the bursty state.
-    mmpp_mean_dwell_s:
-        Mean sojourn time of one visit to the bursty state, in seconds (the
-        quiet state's dwell is derived from ``mmpp_burst_fraction``).
+        ``"poisson"`` (memoryless open-loop arrivals) or ``"closed-loop"``
+        (a fixed population of ``closed_loop_clients`` clients, each issuing
+        its next request one exponential think time after the previous
+        response — RPC fan-in, where saturation slows the clients down
+        instead of growing the queue without bound).
     max_batch_requests:
         Dynamic-batcher size cutoff: a batch is dispatched as soon as it
         holds this many requests.  ``1`` disables batching.
@@ -153,9 +142,6 @@ class ServingConfig(_TableSLOs):
 
     arrival_rate_rps: float = 2000.0
     arrival_process: str = "poisson"
-    mmpp_burst_factor: float = 4.0
-    mmpp_burst_fraction: float = 0.2
-    mmpp_mean_dwell_s: float = 0.02
     max_batch_requests: int = 16
     max_linger_us: float = 500.0
     slo_latency_us: float = 2000.0
@@ -171,15 +157,12 @@ class ServingConfig(_TableSLOs):
 
     def __post_init__(self) -> None:
         check_positive(self.arrival_rate_rps, "arrival_rate_rps")
-        check_positive(self.mmpp_burst_factor, "mmpp_burst_factor")
-        check_positive(self.mmpp_mean_dwell_s, "mmpp_mean_dwell_s")
         check_int_at_least(self.max_batch_requests, 1, "max_batch_requests")
         check_positive(self.slo_latency_us, "slo_latency_us")
         check_positive(self.max_device_queue_depth, "max_device_queue_depth")
         check_positive(self.throughput_window_s, "throughput_window_s")
         check_non_negative(self.max_linger_us, "max_linger_us")
         check_non_negative(self.request_overhead_us, "request_overhead_us")
-        check_fraction(self.mmpp_burst_fraction, "mmpp_burst_fraction")
         check_int_at_least(self.closed_loop_clients, 1, "closed_loop_clients")
         check_positive(self.closed_loop_think_s, "closed_loop_think_s")
         check_int_at_least(self.devices_per_host, 1, "devices_per_host")
@@ -190,10 +173,6 @@ class ServingConfig(_TableSLOs):
             raise ValueError(
                 f"arrival_process must be one of {ARRIVAL_PROCESSES}, "
                 f"got {self.arrival_process!r}"
-            )
-        if self.arrival_process == "mmpp" and not 0 < self.mmpp_burst_fraction < 1:
-            raise ValueError(
-                "mmpp_burst_fraction must lie strictly between 0 and 1"
             )
         object.__setattr__(
             self, "table_slo_us", _normalise_table_slos(self.table_slo_us)

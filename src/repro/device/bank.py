@@ -78,10 +78,6 @@ class NVMDeviceBank:
             self.map_table(name)
 
     # ---------------------------------------------------------------- mapping
-    @property
-    def num_devices(self) -> int:
-        return len(self.devices)
-
     def map_table(self, table_name: str) -> int:
         """Pin ``table_name`` to a device (idempotent); returns its index.
 

@@ -3,9 +3,7 @@
 In the paper each table holds 10–20 million vectors of 64 fp16 elements
 (128 B).  The table is written during training (every column touched by a data
 sample is updated) and read — never modified — during inference.  Bandana only
-needs the table's geometry (vector size, count) and a gather API; training is
-modelled as bulk updates so endurance accounting and the retraining examples
-have something realistic to drive.
+needs the table's geometry (vector size, count) and a gather API.
 """
 
 from __future__ import annotations
@@ -90,34 +88,6 @@ class EmbeddingTable:
         if gathered.shape[0] == 0:
             return np.zeros(self.dim, dtype=np.float32)
         return gathered.astype(np.float32).sum(axis=0)
-
-    # ---------------------------------------------------------------- training
-    def update(
-        self, vector_ids: npt.ArrayLike, deltas: np.ndarray, learning_rate: float = 1.0
-    ) -> None:
-        """Apply a sparse gradient update (``values[ids] -= lr * deltas``).
-
-        Mirrors how training touches only the columns referenced by a data
-        sample.  ``deltas`` must have shape ``(len(ids), dim)``.
-        """
-        ids = check_array_1d_ints(vector_ids, "vector_ids")
-        self._check_ids(ids)
-        deltas = np.asarray(deltas, dtype=np.float32)
-        if deltas.shape != (ids.size, self.dim):
-            raise ValueError(
-                f"deltas must have shape {(ids.size, self.dim)}, got {deltas.shape}"
-            )
-        updated = self._values[ids].astype(np.float32) - learning_rate * deltas
-        self._values[ids] = updated.astype(self.dtype)
-
-    def set_values(self, values: np.ndarray) -> None:
-        """Replace all values (a retraining push)."""
-        values = np.asarray(values)
-        if values.shape != self._values.shape:
-            raise ValueError(
-                f"values must have shape {self._values.shape}, got {values.shape}"
-            )
-        self._values = values.astype(self.dtype, copy=True)
 
     # ----------------------------------------------------------------- private
     def _check_ids(self, ids: np.ndarray) -> None:

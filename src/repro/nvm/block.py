@@ -49,7 +49,6 @@ class BlockLayout:
         self._order = order
         positions = np.empty(num_vectors, dtype=np.int64)
         positions[order] = np.arange(num_vectors, dtype=np.int64)
-        self._position_of = positions
         self._block_of = positions // self.vectors_per_block
         self._slot_of = positions % self.vectors_per_block
 
@@ -83,12 +82,6 @@ class BlockLayout:
         ids = check_array_1d_ints(vector_ids, "vector_ids")
         self._check_ids(ids)
         return self._slot_of[ids]
-
-    def position_of(self, vector_ids: npt.ArrayLike) -> np.ndarray:
-        """Physical position of each of the given vector ids."""
-        ids = check_array_1d_ints(vector_ids, "vector_ids")
-        self._check_ids(ids)
-        return self._position_of[ids]
 
     def vectors_in_block(self, block_id: int) -> np.ndarray:
         """Vector ids stored in the given block, in slot order."""

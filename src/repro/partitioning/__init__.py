@@ -11,13 +11,13 @@ are evaluated in the paper:
   the average number of blocks a training-trace query touches, using only the
   access history.
 
-:class:`IdentityPartitioner` reproduces the paper's baseline (original table
-order) and :class:`FrequencyPartitioner` is an extra ablation that simply
-groups hot vectors together.
+The paper's baseline (original table order) needs no partitioner: it is
+:meth:`BlockLayout.identity <repro.nvm.block.BlockLayout.identity>`.
+:class:`FrequencyPartitioner` is an extra ablation that simply groups hot
+vectors together.
 """
 
 from repro.partitioning.base import Partitioner, PartitionResult
-from repro.partitioning.identity import IdentityPartitioner
 from repro.partitioning.frequency import FrequencyPartitioner
 from repro.partitioning.kmeans import KMeansPartitioner, kmeans_cluster
 from repro.partitioning.recursive_kmeans import RecursiveKMeansPartitioner
@@ -26,7 +26,6 @@ from repro.partitioning.shp import SHPPartitioner
 __all__ = [
     "Partitioner",
     "PartitionResult",
-    "IdentityPartitioner",
     "FrequencyPartitioner",
     "KMeansPartitioner",
     "kmeans_cluster",

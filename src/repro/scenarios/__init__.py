@@ -7,7 +7,7 @@ supplies the workloads that *break* the assumption, plus the online
 re-partitioning lifecycle that repairs it:
 
 * :mod:`repro.scenarios.generators` — synthetic adversaries: popularity
-  **drift**, **flash crowds** on cold ids, **diurnal** load curves.
+  **drift** and **flash crowds** on cold ids.
 * :mod:`repro.scenarios.loader` — a two-pass streaming loader for external
   cache traces (Twitter CSV layout and a generic columnar format),
   normalised into the dense-id contract and characterised against the
@@ -59,7 +59,7 @@ from repro.scenarios.config import (
     ScenarioConfig,
     TraceLoaderConfig,
 )
-from repro.scenarios.generators import generate_scenario_trace, scenario_serving_config
+from repro.scenarios.generators import generate_scenario_trace
 from repro.scenarios.lifecycle import RepartitionManager, layout_churn
 from repro.scenarios.loader import (
     LoadedTrace,
@@ -80,7 +80,6 @@ __all__ = [
     "TraceLoaderConfig",
     "RepartitionConfig",
     "generate_scenario_trace",
-    "scenario_serving_config",
     "RepartitionManager",
     "layout_churn",
     "LoadedTrace",

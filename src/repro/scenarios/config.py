@@ -4,8 +4,7 @@ Three validated, frozen configs — the same idiom as :mod:`repro.core.config`
 (every knob checked at construction, enforced by repro-lint rule R4):
 
 * :class:`ScenarioConfig` — one adversarial access pattern (popularity
-  *drift*, a *flash crowd* on previously-cold ids, or a *diurnal* load curve
-  riding the MMPP arrival process).
+  *drift* or a *flash crowd* on previously-cold ids).
 * :class:`TraceLoaderConfig` — a streaming external-trace source (the
   Twitter production cache-trace CSV layout, or a generic columnar
   ``query_id,key`` format) normalised into the engine's dense-id contract.
@@ -28,7 +27,7 @@ from repro.utils.validation import (
 )
 
 #: Adversarial access patterns the scenario generator can produce.
-SCENARIO_KINDS = ("drift", "flash-crowd", "diurnal")
+SCENARIO_KINDS = ("drift", "flash-crowd")
 
 #: External trace formats the streaming loader understands.
 TRACE_FORMATS = ("twitter", "columnar")
@@ -42,11 +41,9 @@ class ScenarioConfig:
     ----------
     kind:
         ``"drift"`` (the Zipf-popular id ranking rotates over time, so the
-        hot set a placement was trained on slides out from under it),
-        ``"flash-crowd"`` (a sudden traffic spike concentrated on
-        previously-cold ids) or ``"diurnal"`` (a stationary id law whose
-        *arrival rate* follows a day/night curve through the MMPP arrival
-        process — see :func:`repro.scenarios.generators.scenario_serving_config`).
+        hot set a placement was trained on slides out from under it)
+        or ``"flash-crowd"`` (a sudden traffic spike concentrated on
+        previously-cold ids).
     num_queries:
         Queries in the generated trace.
     avg_lookups_per_query:
@@ -83,12 +80,6 @@ class ScenarioConfig:
         the crowd converges on.
     flash_traffic_share:
         Fraction of in-flash lookups diverted to the crowd ids.
-    diurnal_burst_factor:
-        Day-rate over night-rate ratio of the diurnal arrival curve.
-    diurnal_day_fraction:
-        Stationary fraction of time spent in the high-rate ("day") phase.
-    diurnal_period_s:
-        Mean dwell of one day phase, in (simulated) seconds.
     seed:
         Seed of the generator's private random stream.
     """
@@ -107,9 +98,6 @@ class ScenarioConfig:
     flash_duration_fraction: float = 0.2
     flash_crowd_ids: int = 64
     flash_traffic_share: float = 0.7
-    diurnal_burst_factor: float = 4.0
-    diurnal_day_fraction: float = 0.5
-    diurnal_period_s: float = 0.1
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -145,13 +133,6 @@ class ScenarioConfig:
                 f"num_vectors ({self.num_vectors})"
             )
         check_fraction(self.flash_traffic_share, "flash_traffic_share")
-        check_positive(self.diurnal_burst_factor, "diurnal_burst_factor")
-        check_fraction(self.diurnal_day_fraction, "diurnal_day_fraction")
-        if self.kind == "diurnal" and not 0 < self.diurnal_day_fraction < 1:
-            raise ValueError(
-                "diurnal_day_fraction must lie strictly between 0 and 1"
-            )
-        check_positive(self.diurnal_period_s, "diurnal_period_s")
         check_seed(self.seed, "seed")
 
 

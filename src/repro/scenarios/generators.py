@@ -6,8 +6,8 @@ dense id universe, so scenarios compose with everything downstream —
 windowed replay of :func:`repro.scenarios.runner.run_workload_scenario` and
 the event-driven :func:`repro.serving.simulate_serving`.
 
-The three kinds stress the three assumptions Bandana's offline pipeline
-bakes in at build time:
+The two kinds stress two assumptions Bandana's offline pipeline bakes in at
+build time:
 
 * **drift** attacks the *placement*: lookups follow a Zipf law over a ranked
   permutation of the ids, and every ``drift_epoch_queries`` queries the
@@ -21,21 +21,16 @@ bakes in at build time:
   training-trace access counts, so the tuned threshold refuses to prefetch
   their block neighbours right when locality spikes — and the miss burst is
   what the serving-latency leg's p999 measures.
-* **diurnal** attacks nothing in the id law at all — the stationary trace is
-  the control — but drives the *arrival rate* through the two-state MMPP
-  process (:func:`scenario_serving_config`), with long dwells acting as day
-  and night phases.  It answers how a device provisioned for the mean copes
-  with the daily peak.
+
+Drift with ``drift_rotation_per_epoch=0`` is the stationary control arm.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import List
 
 import numpy as np
 
-from repro.core.config import ServingConfig
 from repro.scenarios.config import ScenarioConfig
 from repro.utils.rng import ensure_rng
 from repro.utils.sampling import (
@@ -143,44 +138,9 @@ def _flash_crowd_trace(config: ScenarioConfig, rng: np.random.Generator) -> Trac
     return Trace._trusted(queries, config.num_vectors)
 
 
-def _diurnal_trace(config: ScenarioConfig, rng: np.random.Generator) -> Trace:
-    """Diurnal load: a stationary id law — the day/night curve lives in the
-    arrival process (:func:`scenario_serving_config`), not the ids."""
-    law = _QueryLaw(config, rng)
-    queries = [law.draw_query(size) for size in _query_sizes(config, rng)]
-    return Trace._trusted(queries, config.num_vectors)
-
-
 def generate_scenario_trace(config: ScenarioConfig) -> Trace:
     """Generate the access trace of one scenario (deterministic in the seed)."""
     rng = ensure_rng(config.seed)
     if config.kind == "drift":
         return _drift_trace(config, rng)
-    if config.kind == "flash-crowd":
-        return _flash_crowd_trace(config, rng)
-    return _diurnal_trace(config, rng)
-
-
-def scenario_serving_config(
-    config: ScenarioConfig, base: ServingConfig = ServingConfig()
-) -> ServingConfig:
-    """The serving front-end configuration a scenario implies.
-
-    For ``"diurnal"`` scenarios this turns the base config's arrival process
-    into the two-state MMPP with day/night dwells: the bursty state is the
-    day (rate ``diurnal_burst_factor ×`` the night's), occupying
-    ``diurnal_day_fraction`` of the time, with mean day length
-    ``diurnal_period_s`` — the stationary mean rate stays the base config's
-    ``arrival_rate_rps``, so diurnal and flat runs offer the same average
-    load.  Other kinds return ``base`` unchanged (their adversarial content
-    is in the ids, not the arrivals).
-    """
-    if config.kind != "diurnal":
-        return base
-    return replace(
-        base,
-        arrival_process="mmpp",
-        mmpp_burst_factor=config.diurnal_burst_factor,
-        mmpp_burst_fraction=config.diurnal_day_fraction,
-        mmpp_mean_dwell_s=config.diurnal_period_s,
-    )
+    return _flash_crowd_trace(config, rng)

@@ -120,6 +120,11 @@ def _iter_parsed(
                 yield f"{timestamp},{client}", hash_key(key)
             else:  # columnar: query_id,key
                 if len(fields) < 2:
+                    if line_index == 0:
+                        continue  # short header
+                    if counters is not None:
+                        counters["rows"] = counters.get("rows", 0) + 1
+                        counters["dropped"] = counters.get("dropped", 0) + 1
                     continue
                 query_id, key = fields[0], fields[1]
                 if line_index == 0 and not query_id.lstrip("-").isdigit():

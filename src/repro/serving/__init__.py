@@ -18,9 +18,8 @@ The event-driven model
 Everything runs on a **simulated clock** — there are no wall-time sleeps, and
 a simulation is a deterministic function of (store, trace, config, seed):
 
-* :mod:`~repro.serving.arrivals` generates an **open-loop** arrival process
-  (Poisson, or a two-state MMPP for bursts) over the zipped multi-table
-  request stream.  Open-loop means arrivals do not slow down when the store
+* :mod:`~repro.serving.arrivals` generates an **open-loop** Poisson arrival
+  process over the zipped multi-table request stream.  Open-loop means arrivals do not slow down when the store
   falls behind, so saturation appears as growing queueing delay — the
   behaviour Figure 5 is about — rather than as a silently stretched clock.
 * :mod:`~repro.serving.batcher` queues requests and forms **dynamic
@@ -83,7 +82,6 @@ from repro.device import NVMDeviceBank
 from repro.serving.arrivals import (
     ClosedLoopPopulation,
     arrival_times,
-    mmpp_arrival_times,
     poisson_arrival_times,
 )
 from repro.serving.batcher import Batch, form_batches
@@ -95,7 +93,6 @@ __all__ = [
     "ServingConfig",
     "ClosedLoopPopulation",
     "arrival_times",
-    "mmpp_arrival_times",
     "poisson_arrival_times",
     "Batch",
     "form_batches",

@@ -2,20 +2,13 @@
 
 The front-end's default is an *open* system: requests arrive on their own
 clock whether or not the store has finished the previous ones, which is what
-makes device saturation visible as unbounded queueing delay.  Two open-loop
-processes are provided:
+makes device saturation visible as unbounded queueing delay.  The open-loop
+process is **Poisson** — memoryless arrivals at a constant rate, the standard
+model for large independent user populations ("millions of users" aggregate
+to Poisson regardless of per-user behaviour).
 
-* **Poisson** — memoryless arrivals at a constant rate, the standard model
-  for large independent user populations ("millions of users" aggregate to
-  Poisson regardless of per-user behaviour).
-* **MMPP** — a two-state Markov-modulated Poisson process: a quiet state and
-  a bursty state, each with exponentially distributed dwell times, arrivals
-  Poisson within a state.  Its stationary mean rate equals the configured
-  ``arrival_rate_rps`` exactly, so batched-vs-unbatched and load sweeps
-  compare like against like; only the burstiness changes.
-
-The open-loop generators are driven by a seeded
-:class:`numpy.random.Generator` and produce a plain array of arrival
+The open-loop generator is driven by a seeded
+:class:`numpy.random.Generator` and produces a plain array of arrival
 timestamps, so a simulation is a pure function of (trace, config, seed) —
 the property the golden serving tests pin.
 
@@ -38,8 +31,6 @@ batch dispatch is the ``batcher.queue`` span.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.core.config import ServingConfig
@@ -56,64 +47,6 @@ def poisson_arrival_times(
         return np.empty(0, dtype=np.float64)
     gaps = rng.exponential(1.0 / rate_rps, size=num_requests)
     return np.cumsum(gaps)
-
-
-def mmpp_arrival_times(
-    num_requests: int,
-    rate_rps: float,
-    burst_factor: float,
-    burst_fraction: float,
-    mean_dwell_s: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Arrival timestamps of a two-state Markov-modulated Poisson process.
-
-    Parameters
-    ----------
-    rate_rps:
-        Stationary mean arrival rate.  The quiet-state rate is derived as
-        ``rate / (1 - f + f * b)`` so that the time-weighted average over the
-        two states is exactly ``rate_rps``.
-    burst_factor:
-        Bursty-state rate as a multiple of the quiet-state rate (``b``).
-    burst_fraction:
-        Stationary fraction of time in the bursty state (``f``).
-    mean_dwell_s:
-        Mean sojourn of one bursty-state visit; the quiet state's mean dwell
-        is ``mean_dwell_s * (1 - f) / f``, which yields the stationary
-        fraction ``f``.
-    """
-    check_positive(rate_rps, "rate_rps")
-    check_positive(burst_factor, "burst_factor")
-    check_positive(mean_dwell_s, "mean_dwell_s")
-    if not 0 < burst_fraction < 1:
-        raise ValueError("burst_fraction must lie strictly between 0 and 1")
-    if num_requests <= 0:
-        return np.empty(0, dtype=np.float64)
-
-    quiet_rate = rate_rps / (1.0 - burst_fraction + burst_fraction * burst_factor)
-    rates = (quiet_rate, quiet_rate * burst_factor)
-    dwells = (mean_dwell_s * (1.0 - burst_fraction) / burst_fraction, mean_dwell_s)
-
-    # Start in the stationary distribution so short runs are not biased
-    # towards either state.
-    state = int(rng.random() < burst_fraction)
-    t = 0.0
-    chunks = []
-    produced = 0
-    while produced < num_requests:
-        dwell = rng.exponential(dwells[state])
-        # Conditioned on the dwell, arrivals within it are a Poisson count
-        # placed uniformly — the standard construction, one vectorized draw
-        # per state visit.
-        count = int(rng.poisson(rates[state] * dwell))
-        if count:
-            arrivals = t + np.sort(rng.random(count)) * dwell
-            chunks.append(arrivals)
-            produced += count
-        t += dwell
-        state ^= 1
-    return np.concatenate(chunks)[:num_requests]
 
 
 class ClosedLoopPopulation:
@@ -161,32 +94,18 @@ class ClosedLoopPopulation:
 
 
 def arrival_times(
-    config: ServingConfig,
-    num_requests: int,
-    seed: SeedLike = None,
-    rng: Optional[np.random.Generator] = None,
+    config: ServingConfig, num_requests: int, seed: SeedLike = None
 ) -> np.ndarray:
     """Arrival timestamps for ``num_requests`` under ``config`` (seconds).
 
-    The process is driven by ``rng`` when given (callers composing several
-    stochastic components around one shared generator), else by a fresh
-    generator from ``seed`` — which itself may be an integer or an existing
-    :class:`numpy.random.Generator` (see :func:`repro.utils.rng.ensure_rng`).
+    The process is driven by a fresh generator from ``seed`` — an integer or
+    an existing :class:`numpy.random.Generator` (see
+    :func:`repro.utils.rng.ensure_rng`).
     """
-    rng = rng if rng is not None else ensure_rng(seed)
     if config.arrival_process == "closed-loop":
         raise ValueError(
             "closed-loop arrivals depend on completions and cannot be "
             "precomputed; the serving loop draws them from a "
             "ClosedLoopPopulation instead"
         )
-    if config.arrival_process == "mmpp":
-        return mmpp_arrival_times(
-            num_requests,
-            config.arrival_rate_rps,
-            config.mmpp_burst_factor,
-            config.mmpp_burst_fraction,
-            config.mmpp_mean_dwell_s,
-            rng,
-        )
-    return poisson_arrival_times(num_requests, config.arrival_rate_rps, rng)
+    return poisson_arrival_times(num_requests, config.arrival_rate_rps, ensure_rng(seed))

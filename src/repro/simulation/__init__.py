@@ -23,7 +23,7 @@ from repro.simulation.runner import (
     unlimited_cache_bandwidth_increase,
 )
 from repro.simulation.experiment import ExperimentRecord, ExperimentSweep
-from repro.simulation.report import format_table, format_percent, format_series
+from repro.simulation.report import format_table
 from repro.serving.frontend import simulate_serving
 from repro.serving.report import ServingReport
 
@@ -38,6 +38,4 @@ __all__ = [
     "ExperimentRecord",
     "ExperimentSweep",
     "format_table",
-    "format_percent",
-    "format_series",
 ]

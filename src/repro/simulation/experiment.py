@@ -10,7 +10,7 @@ through :mod:`repro.simulation.report` so every benchmark prints a uniform
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.simulation.report import format_table
 
@@ -47,24 +47,9 @@ class ExperimentSweep:
         self.records.append(record)
         return record
 
-    def run(
-        self,
-        parameter_name: str,
-        values: Iterable[object],
-        measure: Callable[[object], Dict[str, float]],
-    ) -> "ExperimentSweep":
-        """Measure ``measure(value)`` for every value of a single parameter."""
-        for value in values:
-            self.add({parameter_name: value}, measure(value))
-        return self
-
     def column(self, metric: str) -> List[float]:
         """The values of one metric across all records, in order."""
         return [record.metrics[metric] for record in self.records]
-
-    def parameter_column(self, parameter: str) -> List[object]:
-        """The values of one parameter across all records, in order."""
-        return [record.parameters[parameter] for record in self.records]
 
     def to_table(self, float_format: str = "{:.3f}") -> str:
         """Render all records as an aligned text table."""
@@ -85,10 +70,3 @@ class ExperimentSweep:
             rows.append(row)
         title = self.name if not self.description else f"{self.name} — {self.description}"
         return f"{title}\n" + format_table(headers, rows)
-
-    def best(self, metric: str, maximize: bool = True) -> Optional[ExperimentRecord]:
-        """The record with the best value of ``metric``."""
-        if not self.records:
-            return None
-        key = lambda record: record.metrics[metric]  # noqa: E731 - tiny local key
-        return max(self.records, key=key) if maximize else min(self.records, key=key)

@@ -8,12 +8,7 @@ shape of each result can be compared at a glance and recorded under
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Sequence
-
-
-def format_percent(value: float, decimals: int = 1) -> str:
-    """Format a ratio as a percentage string (0.42 → ``"42.0%"``)."""
-    return f"{100.0 * value:.{decimals}f}%"
+from typing import Iterable, List, Sequence
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
@@ -37,9 +32,3 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> st
     lines = [render(headers), separator]
     lines.extend(render(row) for row in string_rows)
     return "\n".join(lines)
-
-
-def format_series(series: Mapping[object, float], value_format: str = "{:.1%}") -> str:
-    """Render a one-dimensional series (x → value) on a single line."""
-    parts = [f"{key}={value_format.format(value)}" for key, value in series.items()]
-    return ", ".join(parts)

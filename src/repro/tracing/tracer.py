@@ -315,18 +315,6 @@ class Tracer:
         self.requests_retained += 1
 
     # ---------------------------------------------------------------- queries
-    def spans_for_request(self, request_id: int) -> List[Span]:
-        """All retained spans of one request, recording order (root first)."""
-        trace = self.traces.get(request_id)
-        return list(trace.spans) if trace is not None else []
-
-    def critical_path(self, request_id: int) -> List[Span]:
-        """The chain of spans that determined one request's completion."""
-        from repro.tracing.summary import critical_path
-
-        trace = self.traces.get(request_id)
-        return critical_path(trace) if trace is not None else []
-
     def breakdown_by_stage(
         self, only_slo_violators: bool = False
     ) -> Dict[str, Dict[str, float]]:

@@ -24,13 +24,3 @@ US_PER_MS = 1_000
 def s_to_us(seconds: float) -> int:
     """Seconds -> integer microseconds (rounded to the nearest µs)."""
     return int(round(seconds * US_PER_S))
-
-
-def ms_to_us(millis: float) -> int:
-    """Milliseconds -> integer microseconds (rounded to the nearest µs)."""
-    return int(round(millis * US_PER_MS))
-
-
-def us_to_s(micros: float) -> float:
-    """Microseconds -> float seconds (for human-facing reporting only)."""
-    return micros / US_PER_S

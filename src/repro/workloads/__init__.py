@@ -34,7 +34,7 @@ from repro.workloads.characterization import (
     access_histogram,
     compulsory_miss_rate,
 )
-from repro.workloads.remap import IdRemapper, densify_trace
+from repro.workloads.remap import IdRemapper
 
 __all__ = [
     "Trace",
@@ -52,5 +52,4 @@ __all__ = [
     "access_histogram",
     "compulsory_miss_rate",
     "IdRemapper",
-    "densify_trace",
 ]

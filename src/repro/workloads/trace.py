@@ -9,7 +9,6 @@ touches several user-embedding tables at once.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, ItemsView, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -145,31 +144,6 @@ class Trace:
         num_vectors = max(self.num_vectors, other.num_vectors)
         return Trace._trusted(self._queries + other._queries, num_vectors)
 
-    # ------------------------------------------------------------------- I/O
-    def save(self, path: str) -> None:
-        """Serialise to an ``.npz`` file (flat ids + query offsets)."""
-        flat = self.flatten()
-        lengths = np.array([q.size for q in self._queries], dtype=np.int64)
-        np.savez_compressed(
-            path,
-            flat=flat,
-            lengths=lengths,
-            num_vectors=np.int64(self.num_vectors),
-        )
-
-    @classmethod
-    def load(cls, path: str) -> "Trace":
-        """Load a trace previously written by :meth:`save`."""
-        if not os.path.exists(path):
-            raise FileNotFoundError(path)
-        with np.load(path) as data:
-            flat = data["flat"]
-            lengths = data["lengths"]
-            num_vectors = int(data["num_vectors"])
-        offsets = np.concatenate([[0], np.cumsum(lengths)])
-        queries = [flat[offsets[i] : offsets[i + 1]] for i in range(len(lengths))]
-        return cls(queries, num_vectors=num_vectors)
-
 
 @dataclass
 class ModelTrace:
@@ -230,23 +204,3 @@ class ModelTrace:
         for name, trace in self.tables.items():
             heads[name], tails[name] = trace.split(fraction)
         return ModelTrace(heads), ModelTrace(tails)
-
-    def save(self, directory: str) -> None:
-        """Save each table's trace as ``<directory>/<name>.npz``."""
-        os.makedirs(directory, exist_ok=True)
-        for name, trace in self.tables.items():
-            trace.save(os.path.join(directory, f"{name}.npz"))
-
-    @classmethod
-    def load(cls, directory: str, names: Optional[Sequence[str]] = None) -> "ModelTrace":
-        """Load a model trace saved by :meth:`save`."""
-        if names is None:
-            names = sorted(
-                os.path.splitext(f)[0]
-                for f in os.listdir(directory)
-                if f.endswith(".npz")
-            )
-        tables = {
-            name: Trace.load(os.path.join(directory, f"{name}.npz")) for name in names
-        }
-        return cls(tables)

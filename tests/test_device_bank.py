@@ -317,9 +317,7 @@ ORACLE_CASES = {
     "poisson-2k": dict(arrival_rate_rps=2000.0),
     "poisson-8k": dict(arrival_rate_rps=8000.0),
     "poisson-30k": dict(arrival_rate_rps=30000.0),
-    "mmpp-30k-shed": dict(
-        arrival_process="mmpp", arrival_rate_rps=30000.0, admission_queue_slack=0.5
-    ),
+    "poisson-30k-shed": dict(arrival_rate_rps=30000.0, admission_queue_slack=0.5),
     "overload-shed": dict(arrival_rate_rps=400000.0, admission_queue_slack=0.1),
     "closed-loop": dict(
         arrival_process="closed-loop", closed_loop_clients=8, closed_loop_think_s=0.0005

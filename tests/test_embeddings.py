@@ -32,25 +32,9 @@ class TestEmbeddingTable:
         np.testing.assert_allclose(table.pooled([0, 1, 2]), [3, 3, 3])
         np.testing.assert_allclose(table.pooled([]), [0, 0, 0])
 
-    def test_update_applies_sparse_gradient(self):
-        table = EmbeddingTable("t", 4, dim=2, dtype=np.float32)
-        table.update([1, 3], np.ones((2, 2), dtype=np.float32), learning_rate=0.5)
-        np.testing.assert_allclose(table.values[1], [-0.5, -0.5])
-        np.testing.assert_allclose(table.values[0], [0, 0])
-
-    def test_update_shape_mismatch(self):
-        table = EmbeddingTable("t", 4, dim=2)
-        with pytest.raises(ValueError):
-            table.update([1], np.ones((2, 2)))
-
     def test_bad_values_shape_rejected(self):
         with pytest.raises(ValueError):
             EmbeddingTable("t", 4, dim=2, values=np.zeros((4, 3)))
-
-    def test_set_values(self):
-        table = EmbeddingTable("t", 2, dim=2, dtype=np.float32)
-        table.set_values(np.full((2, 2), 7.0))
-        assert float(table.values[0, 0]) == pytest.approx(7.0)
 
 
 class TestSynthesis:

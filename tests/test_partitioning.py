@@ -1,4 +1,4 @@
-"""Tests for the placement algorithms (identity, frequency, K-means, SHP)."""
+"""Tests for the placement algorithms (frequency, K-means, SHP)."""
 
 import hashlib
 from dataclasses import dataclass
@@ -13,7 +13,6 @@ from repro.embeddings.table import EmbeddingTable
 from repro.nvm.block import BlockLayout
 from repro.partitioning import (
     FrequencyPartitioner,
-    IdentityPartitioner,
     KMeansPartitioner,
     RecursiveKMeansPartitioner,
     SHPPartitioner,
@@ -35,26 +34,16 @@ def assert_is_permutation(order: np.ndarray, num_vectors: int):
     assert np.array_equal(np.sort(order), np.arange(num_vectors))
 
 
-class TestIdentityPartitioner:
-    def test_identity_order(self):
-        result = IdentityPartitioner().partition(10)
-        np.testing.assert_array_equal(result.order, np.arange(10))
-        assert result.runtime_seconds >= 0
-
-    def test_invalid_size(self):
-        with pytest.raises(ValueError):
-            IdentityPartitioner().partition(0)
-
+class TestNumVectorsValidation:
     @pytest.mark.parametrize(
         "num_vectors, error",
-        [(8.5, TypeError), ("8", TypeError), (True, TypeError), (-3, ValueError)],
+        [(0, ValueError), (8.5, TypeError), ("8", TypeError), (True, TypeError), (-3, ValueError)],
     )
-    def test_non_integer_size_rejected(self, num_vectors, error):
+    @pytest.mark.parametrize("partitioner", [FrequencyPartitioner, SHPPartitioner])
+    def test_non_integer_size_rejected(self, partitioner, num_vectors, error):
         # Shared by every partitioner: 8.5 used to truncate to 8 silently.
         with pytest.raises(error, match="num_vectors"):
-            IdentityPartitioner().partition(num_vectors)
-        with pytest.raises(error, match="num_vectors"):
-            SHPPartitioner().partition(num_vectors, trace=Trace([[0, 1]], num_vectors=2))
+            partitioner().partition(num_vectors, trace=Trace([[0, 1]], num_vectors=2))
 
 
 class TestFrequencyPartitioner:

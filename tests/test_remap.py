@@ -6,7 +6,7 @@ import pytest
 from repro.caching.engine import replay_table_cache_batched
 from repro.caching.policies import CacheAllBlockPolicy
 from repro.nvm.block import BlockLayout
-from repro.workloads import IdRemapper, densify_trace
+from repro.workloads import IdRemapper
 from repro.workloads.trace import Trace
 
 
@@ -17,14 +17,25 @@ def sparse_queries(rng, universe, num_queries=40, max_len=6):
     ]
 
 
+def remapper_over(queries):
+    """The remapper over every id in ``queries``."""
+    return IdRemapper(np.concatenate(queries) if queries else np.empty(0, np.int64))
+
+
+def densify(trace):
+    """The loader's densifying pass on one whole trace: (dense trace, remapper)."""
+    remapper = remapper_over(trace.queries)
+    dense = Trace([remapper.to_dense(q) for q in trace.queries], num_vectors=remapper.num_ids)
+    return dense, remapper
+
+
 class TestIdRemapper:
     def test_round_trip_and_rank_order(self):
         remapper = IdRemapper(np.array([2**62, 7, 10**15, 7, 3]))
         assert remapper.num_ids == 4
         # Dense ids are sorted-rank: mapping is order-stable, not order-of-appearance.
         np.testing.assert_array_equal(remapper.to_dense([3, 7, 10**15, 2**62]), [0, 1, 2, 3])
-        sparse = np.array([10**15, 3, 2**62])
-        np.testing.assert_array_equal(remapper.to_sparse(remapper.to_dense(sparse)), sparse)
+        np.testing.assert_array_equal(remapper.to_dense([10**15, 3, 2**62]), [2, 0, 3])
 
     def test_unknown_ids_raise(self):
         remapper = IdRemapper(np.array([5, 9]))
@@ -32,8 +43,6 @@ class TestIdRemapper:
             remapper.to_dense([5, 6])
         with pytest.raises(KeyError):
             remapper.to_dense([10**18])  # beyond every observed id
-        with pytest.raises(KeyError):
-            remapper.to_sparse([2])
 
     def test_stable_across_slices_of_same_universe(self):
         # Two traces drawn from one universe get compatible mappings as long
@@ -42,12 +51,14 @@ class TestIdRemapper:
         universe = rng.choice(2**60, size=64, replace=False)
         head = sparse_queries(rng, universe)
         tail = sparse_queries(rng, universe)
-        remapper = IdRemapper.from_queries(head + tail)
-        joint = IdRemapper.from_queries(tail + head)
-        np.testing.assert_array_equal(remapper.sparse_ids, joint.sparse_ids)
+        remapper = remapper_over(head + tail)
+        joint = remapper_over(tail + head)
+        assert remapper.num_ids == joint.num_ids
+        seen = np.concatenate(head + tail)
+        np.testing.assert_array_equal(remapper.to_dense(seen), joint.to_dense(seen))
 
     def test_empty(self):
-        remapper = IdRemapper.from_queries([])
+        remapper = remapper_over([])
         assert remapper.num_ids == 0
         assert remapper.to_dense(np.empty(0, dtype=np.int64)).size == 0
 
@@ -61,7 +72,7 @@ class TestDensifyTrace:
         universe = rng.choice(2**63 - 1, size=96, replace=False)
         trace = Trace(sparse_queries(rng, universe, num_queries=100))
         assert trace.num_vectors > 2**32  # unusable directly
-        dense, remapper = densify_trace(trace)
+        dense, remapper = densify(trace)
         assert dense.num_vectors == remapper.num_ids <= 96
         layout = BlockLayout.identity(dense.num_vectors, 8)
         stats = replay_table_cache_batched(
@@ -80,7 +91,7 @@ class TestDensifyTrace:
             [rng.integers(0, n, size=5) for _ in range(80)], num_vectors=n
         )
         sparse_trace = Trace([perm[q] for q in dense_trace.queries])
-        redense, remapper = densify_trace(sparse_trace)
+        redense, remapper = densify(sparse_trace)
         layout = BlockLayout.identity(n, 8)
         # Rename the layout's slots with the same bijection the remapper
         # chose, so physical co-location is preserved.
@@ -104,18 +115,16 @@ class TestStreamingConstruction:
         rng = np.random.default_rng(4)
         universe = rng.choice(2**61, size=200, replace=False)
         queries = sparse_queries(rng, universe, num_queries=120)
-        whole = IdRemapper.from_queries(queries)
+        whole = remapper_over(queries)
         for chunk_size in (1, 7, 64):
             unique = np.empty(0, dtype=np.int64)
             for start in range(0, len(queries), chunk_size):
                 chunk = queries[start : start + chunk_size]
                 unique = np.union1d(unique, np.concatenate(chunk))
             folded = IdRemapper(unique)
-            np.testing.assert_array_equal(folded.sparse_ids, whole.sparse_ids)
-            probe = queries[0]
-            np.testing.assert_array_equal(
-                folded.to_dense(probe), whole.to_dense(probe)
-            )
+            assert folded.num_ids == whole.num_ids
+            for query in queries:
+                np.testing.assert_array_equal(folded.to_dense(query), whole.to_dense(query))
 
     def test_arrival_order_is_irrelevant(self):
         # Ids arriving out of training-set order (descending, interleaved,
@@ -128,22 +137,20 @@ class TestStreamingConstruction:
             rng.permutation(universe),
             np.concatenate([universe[1::2], universe[0::2]]),
         ]
-        remappers = [IdRemapper.from_queries([order]) for order in orderings]
+        remappers = [IdRemapper(order) for order in orderings]
         for remapper in remappers[1:]:
-            np.testing.assert_array_equal(
-                remapper.sparse_ids, remappers[0].sparse_ids
-            )
+            assert remapper.num_ids == remappers[0].num_ids
             np.testing.assert_array_equal(
                 remapper.to_dense(universe), remappers[0].to_dense(universe)
             )
 
     def test_chunked_densify_replays_identically(self):
-        # densify_trace on the whole trace vs per-chunk remapping through a
+        # densify on the whole trace vs per-chunk remapping through a
         # shared remapper: same queries, same replay counters.
         rng = np.random.default_rng(6)
         universe = rng.choice(2**62, size=96, replace=False)
         trace = Trace(sparse_queries(rng, universe, num_queries=90))
-        dense, remapper = densify_trace(trace)
+        dense, remapper = densify(trace)
         chunked = []
         for start in range(0, len(trace.queries), 13):
             for query in trace.queries[start : start + 13]:

@@ -26,6 +26,7 @@ from repro_lint import (
     render_text,
     to_json_dict,
 )
+from repro_lint import reach
 from repro_lint.__main__ import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -424,3 +425,155 @@ class TestRepoSelfCheck:
             for v in result.sorted_violations()
         )
         assert result.clean, f"repo must be repro-lint clean:\n{dirty}"
+
+
+# -------------------------------------------------------- flow-reachability audit
+TOY_MODULE = '''\
+import functools
+
+
+def used():
+    return 1
+
+
+@functools.lru_cache(maxsize=None)
+def decorated():
+    return 2
+
+
+def unused():
+    return 3
+
+
+class Box:
+    def used_method(self):
+        return used()
+
+    def unused_method(self):
+        return 4
+'''
+
+#: Drops "its" profiler, re-installs the current one, runs a call counter of
+#: its own (perfbench's timing pattern) and writes a file into the tree.
+TOY_FLOW = '''\
+import sys
+
+from toy.mod import Box, decorated
+
+sys.setprofile(None)
+sys.setprofile(sys.getprofile())
+events = []
+sys.setprofile(lambda frame, event, arg: events.append(event))
+Box().used_method()
+sys.setprofile(None)
+assert "call" in events, "the flow's own profiler must still see its calls"
+decorated()
+with open("written.txt", "w") as handle:
+    handle.write("flow output")
+'''
+
+TOY_FLOWS = (reach.Flow("toy", ("flow.py",)),)
+TOY_PACKAGE = "src/toy"
+
+
+def toy_key(qualname):
+    return f"src/toy/mod.py::{qualname}"
+
+
+@pytest.fixture
+def toy_tree(tmp_path):
+    package = tmp_path / "src" / "toy"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(TOY_MODULE)
+    (tmp_path / "flow.py").write_text(TOY_FLOW)
+    return tmp_path
+
+
+def write_reach(root, verdicts, figure_only=()):
+    doc = {"verdicts": verdicts, "figure_only": list(figure_only)}
+    (root / reach.REACH_FILE).write_text(json.dumps(doc))
+
+
+class TestReach:
+    def test_function_defs_key_decorated_defs_by_decorator_line(self, toy_tree):
+        defs = reach.function_defs(toy_tree, TOY_PACKAGE)
+        lines = {key: line for (_path, line), (key, _n) in defs.items()}
+        assert lines[toy_key("decorated")] == TOY_MODULE.splitlines().index(
+            "@functools.lru_cache(maxsize=None)"
+        ) + 1
+        assert set(lines) == {
+            toy_key(name)
+            for name in ("used", "decorated", "unused", "Box.used_method", "Box.unused_method")
+        }
+
+    def test_reach_survives_the_flow_resetting_the_profiler(self, toy_tree):
+        reached = reach.run_flows(toy_tree, TOY_FLOWS, TOY_PACKAGE)
+        defs = reach.function_defs(toy_tree, TOY_PACKAGE)
+        keys = {defs[site][0] for site in reached["toy"]}
+        assert keys == {toy_key("used"), toy_key("decorated"), toy_key("Box.used_method")}
+
+    def test_flow_writes_leave_the_real_tree_clean(self, toy_tree):
+        before = sorted(p.relative_to(toy_tree) for p in toy_tree.rglob("*"))
+        reach.run_flows(toy_tree, TOY_FLOWS, TOY_PACKAGE)
+        assert sorted(p.relative_to(toy_tree) for p in toy_tree.rglob("*")) == before
+        assert not (toy_tree / "written.txt").exists()
+
+    def test_unreached_def_without_verdict_fails(self, toy_tree):
+        write_reach(toy_tree, {toy_key("unused"): "keep: toy"})
+        problems = reach.check(toy_tree, TOY_FLOWS, TOY_PACKAGE)
+        assert problems == [f"unreached without verdict: {toy_key('Box.unused_method')}"]
+
+    def test_every_unreached_def_with_a_verdict_passes(self, toy_tree):
+        write_reach(
+            toy_tree,
+            {toy_key("unused"): "delete", toy_key("Box.unused_method"): "keep: toy"},
+        )
+        assert reach.check(toy_tree, TOY_FLOWS, TOY_PACKAGE) == []
+
+    def test_stale_and_malformed_entries_fail(self, toy_tree):
+        write_reach(
+            toy_tree,
+            {
+                toy_key("unused"): "maybe later",
+                toy_key("Box.unused_method"): "keep: toy",
+                toy_key("gone"): "keep: deleted since",
+                toy_key("used"): "keep: now reached",
+            },
+            figure_only=[toy_key("decorated")],
+        )
+        problems = reach.check(toy_tree, TOY_FLOWS, TOY_PACKAGE)
+        assert any("bad verdict" in p and toy_key("unused") in p for p in problems)
+        assert f"stale verdict: {toy_key('gone')} no longer exists" in problems
+        assert f"stale verdict: {toy_key('used')} is reached by toy" in problems
+        assert f"stale figure_only: {toy_key('decorated')} is reached by toy" in problems
+        assert len(problems) == 4
+
+    def test_write_keeps_verdicts_and_splits_figure_only(self, toy_tree):
+        (toy_tree / "figures.py").write_text("from toy.mod import unused\nunused()\n")
+        flows = TOY_FLOWS + (reach.Flow("figures", ("figures.py",), cheap=False),)
+        write_reach(toy_tree, {toy_key("Box.unused_method"): "keep: toy"})
+        summary = reach.write(toy_tree, flows, TOY_PACKAGE)
+        doc = reach.load_reach(toy_tree)
+        assert doc == {
+            "verdicts": {toy_key("Box.unused_method"): "keep: toy"},
+            "figure_only": [toy_key("unused")],
+        }
+        assert summary["unreached"] == 1 and summary["missing_verdicts"] == 0
+        # The check, which runs only the cheap flows, accepts the result.
+        assert reach.check(toy_tree, flows, TOY_PACKAGE) == []
+
+    def test_failing_flow_is_an_error_not_an_undercount(self, toy_tree):
+        (toy_tree / "broken.py").write_text("raise SystemExit(3)\n")
+        with pytest.raises(reach.FlowFailed, match="exited 3"):
+            reach.run_flows(toy_tree, (reach.Flow("broken", ("broken.py",)),), TOY_PACKAGE)
+
+    def test_committed_reach_file_is_consistent_with_the_tree(self):
+        # The static half of ``--check``: no flow runs, so this stays cheap.
+        doc = reach.load_reach(REPO_ROOT)
+        keys = {key for key, _lines in reach.function_defs(REPO_ROOT).values()}
+        verdicts = doc["verdicts"]
+        assert set(verdicts) <= keys and set(doc["figure_only"]) <= keys
+        assert not set(verdicts) & set(doc["figure_only"])
+        bad = {k: v for k, v in verdicts.items() if not reach.VERDICT_RE.match(v)}
+        assert bad == {}

@@ -31,7 +31,6 @@ from repro.scenarios import (
     generate_scenario_trace,
     layout_churn,
     run_workload_scenario,
-    scenario_serving_config,
 )
 from repro.serving import simulate_serving
 from repro.workloads.characterization import access_counts
@@ -63,22 +62,20 @@ def scenario_store_config(num_vectors):
     )
 
 
+def golden_scenario_config(kind, **overrides):
+    """A size where drift rotates five times, the flash window diverts a few
+    hundred lookups and the rank law has 2 048 entries."""
+    return ScenarioConfig(
+        kind=kind, num_queries=300, num_vectors=2048, drift_epoch_queries=50, seed=11,
+        **overrides,
+    )
+
+
 def golden_scenario_digests():
-    """Every kind at a size where drift rotates five times, the flash window
-    diverts a few hundred lookups and the rank law has 2 048 entries."""
+    """Every kind's trace digest at :func:`golden_scenario_config`."""
     return {
-        kind: trace_digest(
-            generate_scenario_trace(
-                ScenarioConfig(
-                    kind=kind,
-                    num_queries=300,
-                    num_vectors=2048,
-                    drift_epoch_queries=50,
-                    seed=11,
-                )
-            )
-        )
-        for kind in ("drift", "flash-crowd", "diurnal")
+        kind: trace_digest(generate_scenario_trace(golden_scenario_config(kind)))
+        for kind in ("drift", "flash-crowd")
     }
 
 
@@ -86,22 +83,35 @@ def golden_scenario_digests():
 class TestGenerators:
     def test_seeded_golden_pins(self):
         # Each generator is a pure function of its config: pin the trace
-        # shape and an id checksum per kind.  (Drift and diurnal share the
-        # stationary id law, so they agree on size but not on the ids the
-        # rotation touches; flash re-dedupes diverted lookups.)
+        # shape and an id checksum per arm.  (Drift and its stationary
+        # control share the id law, so they agree on size but not on the
+        # ids the rotation touches; flash re-dedupes diverted lookups.)
         pins = {
-            "drift": (439, 56842),
-            "flash-crowd": (434, 52427),
-            "diurnal": (439, 52307),
+            "drift": (small_scenario("drift"), (439, 56842)),
+            "flash-crowd": (small_scenario("flash-crowd"), (434, 52427)),
+            "stationary": (
+                small_scenario("drift", drift_rotation_per_epoch=0.0),
+                (439, 52307),
+            ),
         }
-        for kind, (num_lookups, checksum) in pins.items():
-            trace = generate_scenario_trace(small_scenario(kind))
+        for arm, (config, (num_lookups, checksum)) in pins.items():
+            trace = generate_scenario_trace(config)
             ids = np.concatenate(trace.queries)
             assert len(trace.queries) == 60
-            assert (int(ids.size), int(ids.sum())) == (num_lookups, checksum), kind
+            assert (int(ids.size), int(ids.sum())) == (num_lookups, checksum), arm
 
     def test_generated_traces_match_the_pinned_digests(self):
         assert golden_scenario_digests() == GOLDEN_SCENARIO_DIGESTS
+
+    def test_stationary_drift_reproduces_the_stationary_pin(self):
+        # The stationary id law (drift frozen at rotation 0) was pinned as
+        # the removed "diurnal" kind, whose trace it is bit for bit.
+        config = golden_scenario_config("drift", drift_rotation_per_epoch=0.0)
+        assert trace_digest(generate_scenario_trace(config)) == {
+            "queries": 300,
+            "lookups": 6673,
+            "sha256": "4cdb1bea99f29261ea9c1142ca26c81bb1c4260173c1fced7d97f9e6c689154d",
+        }
 
     def test_regeneration_is_bit_identical(self):
         config = small_scenario("drift")
@@ -111,7 +121,7 @@ class TestGenerators:
             np.testing.assert_array_equal(a, b)
 
     def test_dense_id_contract(self):
-        for kind in ("drift", "flash-crowd", "diurnal"):
+        for kind in ("drift", "flash-crowd"):
             trace = generate_scenario_trace(small_scenario(kind))
             ids = np.concatenate(trace.queries)
             assert ids.min() >= 0
@@ -141,17 +151,6 @@ class TestGenerators:
         control_ids = np.concatenate(control.queries[40:])
         assert len(np.unique(flash_ids)) <= config.flash_crowd_ids
         assert len(np.unique(control_ids)) > config.flash_crowd_ids
-
-    def test_diurnal_maps_onto_mmpp_serving(self):
-        config = small_scenario("diurnal", diurnal_burst_factor=5.0)
-        serving = scenario_serving_config(config, ServingConfig(arrival_rate_rps=1000.0))
-        assert serving.arrival_process == "mmpp"
-        assert serving.mmpp_burst_factor == config.diurnal_burst_factor
-        # Non-diurnal kinds pass the base config through untouched.
-        passthrough = scenario_serving_config(
-            small_scenario("drift"), ServingConfig(arrival_rate_rps=1000.0)
-        )
-        assert passthrough.arrival_process == "poisson"
 
 
 # ------------------------------------------------------------------ swap_layout
@@ -439,7 +438,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ScenarioConfig(flash_crowd_ids=10_000, num_vectors=4096)
         with pytest.raises(ValueError):
-            ScenarioConfig(kind="diurnal", diurnal_day_fraction=0.0)
+            ScenarioConfig(kind="diurnal")
 
     def test_loader_config_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -482,11 +481,6 @@ GOLDEN_SCENARIO_DIGESTS = {
         "queries": 300,
         "lookups": 6563,
         "sha256": "3a7e4324bda6a95d1a4f24c6261642db302fb956ce0f200bb9464c69c191d799",
-    },
-    "diurnal": {
-        "queries": 300,
-        "lookups": 6673,
-        "sha256": "4cdb1bea99f29261ea9c1142ca26c81bb1c4260173c1fced7d97f9e6c689154d",
     },
 }
 

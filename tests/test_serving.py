@@ -23,7 +23,6 @@ from repro.nvm.latency import NVMLatencyModel
 from repro.serving import (
     arrival_times,
     form_batches,
-    mmpp_arrival_times,
     poisson_arrival_times,
     simulate_serving,
 )
@@ -100,28 +99,13 @@ class TestArrivals:
         again = poisson_arrival_times(20000, 1000.0, np.random.default_rng(0))
         np.testing.assert_array_equal(times, again)
 
-    def test_mmpp_matches_stationary_rate_but_is_burstier(self):
-        rng = np.random.default_rng(1)
-        mmpp = mmpp_arrival_times(40000, 1000.0, 8.0, 0.2, 0.05, rng)
-        assert np.all(np.diff(mmpp) >= 0)
-        # Stationary mean rate equals the configured rate...
-        assert 40000 / mmpp[-1] == pytest.approx(1000.0, rel=0.1)
-        # ...but the inter-arrival distribution is heavier-tailed than the
-        # Poisson process of the same rate (squared coefficient of variation
-        # of an MMPP exceeds 1).
-        poisson = poisson_arrival_times(40000, 1000.0, np.random.default_rng(1))
-        def scv(times):
-            gaps = np.diff(times)
-            return gaps.var() / gaps.mean() ** 2
-        assert scv(mmpp) > 1.5 * scv(poisson)
-
     def test_dispatcher_selects_process(self):
-        poisson_cfg = ServingConfig(arrival_rate_rps=500.0)
-        mmpp_cfg = ServingConfig(arrival_rate_rps=500.0, arrival_process="mmpp")
-        a = arrival_times(poisson_cfg, 100, seed=7)
-        b = arrival_times(mmpp_cfg, 100, seed=7)
-        assert a.size == b.size == 100
-        assert not np.array_equal(a, b)
+        # The one open-loop process: Poisson at the config's rate, drawn
+        # from a generator seeded by ``seed``.
+        config = ServingConfig(arrival_rate_rps=500.0)
+        times = arrival_times(config, 100, seed=7)
+        expected = poisson_arrival_times(100, 500.0, np.random.default_rng(7))
+        np.testing.assert_array_equal(times, expected)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -129,7 +113,7 @@ class TestArrivals:
         with pytest.raises(ValueError):
             ServingConfig(arrival_process="uniform")
         with pytest.raises(ValueError):
-            ServingConfig(arrival_process="mmpp", mmpp_burst_fraction=0.0)
+            ServingConfig(arrival_process="mmpp")
         with pytest.raises(ValueError):
             ServingConfig(max_linger_us=-1)
 

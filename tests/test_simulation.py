@@ -12,7 +12,7 @@ from repro.caching.policies import (
 )
 from repro.nvm.block import BlockLayout
 from repro.simulation.experiment import ExperimentRecord, ExperimentSweep
-from repro.simulation.report import format_percent, format_series, format_table
+from repro.simulation.report import format_table
 from repro.simulation.runner import (
     simulate_table,
     unlimited_cache_bandwidth_increase,
@@ -146,18 +146,11 @@ class TestUnlimitedCacheClosedForm:
 
 
 class TestExperimentSweep:
-    def test_run_and_columns(self):
+    def test_add_and_column(self):
         sweep = ExperimentSweep("demo", "toy sweep")
-        sweep.run("x", [1, 2, 3], lambda x: {"y": float(x * 2)})
-        assert sweep.parameter_column("x") == [1, 2, 3]
+        for x in (1, 2, 3):
+            sweep.add({"x": x}, {"y": float(x * 2)})
         assert sweep.column("y") == [2.0, 4.0, 6.0]
-
-    def test_best(self):
-        sweep = ExperimentSweep("demo")
-        sweep.add({"x": 1}, {"y": 0.5})
-        sweep.add({"x": 2}, {"y": 0.9})
-        assert sweep.best("y").parameters["x"] == 2
-        assert sweep.best("y", maximize=False).parameters["x"] == 1
 
     def test_to_table_contains_values(self):
         sweep = ExperimentSweep("demo", "description")
@@ -167,7 +160,6 @@ class TestExperimentSweep:
 
     def test_empty_sweep(self):
         assert "no records" in ExperimentSweep("empty").to_table()
-        assert ExperimentSweep("empty").best("y") is None
 
     def test_record_is_frozen_copy(self):
         params = {"x": 1}
@@ -179,10 +171,6 @@ class TestExperimentSweep:
 
 
 class TestReportFormatting:
-    def test_format_percent(self):
-        assert format_percent(0.423) == "42.3%"
-        assert format_percent(1.5, decimals=0) == "150%"
-
     def test_format_table_alignment(self):
         text = format_table(["name", "value"], [["a", 1], ["longer", 22]])
         lines = text.splitlines()
@@ -192,7 +180,3 @@ class TestReportFormatting:
     def test_format_table_mismatched_row(self):
         with pytest.raises(ValueError):
             format_table(["a", "b"], [[1]])
-
-    def test_format_series(self):
-        text = format_series({1: 0.5, 2: 0.25})
-        assert "1=50.0%" in text and "2=25.0%" in text

@@ -141,33 +141,6 @@ class TestDerivedTracesSkipRevalidation:
             Trace(bad, num_vectors=10)
 
 
-class TestTraceSerialization:
-    def test_save_load_roundtrip(self, tmp_path):
-        trace = make_trace()
-        path = str(tmp_path / "trace.npz")
-        trace.save(path)
-        loaded = Trace.load(path)
-        assert loaded == trace
-
-    def test_load_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            Trace.load(str(tmp_path / "nope.npz"))
-
-    @given(
-        queries=st.lists(
-            st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=8),
-            min_size=0,
-            max_size=12,
-        )
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_roundtrip_property(self, queries, tmp_path_factory):
-        trace = Trace(queries, num_vectors=51)
-        path = str(tmp_path_factory.mktemp("traces") / "t.npz")
-        trace.save(path)
-        assert Trace.load(path) == trace
-
-
 class TestModelTrace:
     def make(self):
         return ModelTrace(
@@ -192,13 +165,6 @@ class TestModelTrace:
     def test_split(self):
         heads, tails = self.make().split(0.5)
         assert len(heads["a"]) == 1 and len(tails["a"]) == 1
-
-    def test_save_load_roundtrip(self, tmp_path):
-        model = self.make()
-        model.save(str(tmp_path))
-        loaded = ModelTrace.load(str(tmp_path))
-        assert set(loaded.tables) == {"a", "b"}
-        assert loaded["a"] == model["a"]
 
 
 class TestRequestStream:

@@ -22,6 +22,7 @@ from repro.scenarios import (
     characterization_report,
     hash_key,
     iter_dense_chunks,
+    iter_sparse_queries,
     load_trace,
 )
 
@@ -90,6 +91,28 @@ class TestLoadTrace:
         with pytest.raises(FileNotFoundError):
             load_trace(TraceLoaderConfig(path=os.path.join(DATA_DIR, "nope.csv")))
 
+    @pytest.mark.parametrize(
+        "fmt, header, row",
+        [
+            ("columnar", "query_id,key", "{q},{k}"),
+            (
+                "twitter",
+                "timestamp,key,key_size,value_size,client_id,operation,ttl",
+                "{q},{k},8,64,0,get,0",
+            ),
+        ],
+    )
+    def test_short_row_is_counted_and_dropped(self, tmp_path, fmt, header, row):
+        # A malformed one-field row is a source row the loader discarded, in
+        # either format: it must show in both counters, not vanish.
+        lines = [header, row.format(q=1, k=10), row.format(q=1, k=11), "7",
+                 row.format(q=2, k=12)]
+        path = tmp_path / "trace.csv"
+        path.write_text("\n".join(lines) + "\n")
+        loaded = load_trace(TraceLoaderConfig(path=str(path), format=fmt))
+        assert (loaded.source_rows, loaded.dropped_rows) == (4, 1)
+        assert sum(q.size for q in loaded.trace.queries) == 3
+
 
 # -------------------------------------------------- chunked ≡ whole equivalence
 class TestChunkedEquivalence:
@@ -135,9 +158,9 @@ class TestChunkedEquivalence:
         remapper = build_remapper(config)
         loaded = load_trace(config)
         assert remapper.num_ids == loaded.trace.num_vectors
-        np.testing.assert_array_equal(
-            remapper.sparse_ids, loaded.remapper.sparse_ids
-        )
+        for sparse, dense in zip(iter_sparse_queries(config), loaded.trace.queries):
+            np.testing.assert_array_equal(remapper.to_dense(sparse), dense)
+            np.testing.assert_array_equal(loaded.remapper.to_dense(sparse), dense)
 
 
 # ------------------------------------------------------------ characterization

@@ -36,6 +36,7 @@ from repro.tracing import (
     STAGE_REQUEST,
     NullTracer,
     Tracer,
+    critical_path,
     resolve_tracer,
     validate_trace,
 )
@@ -63,7 +64,8 @@ class TestTracerUnit:
         sid = tracer.open_span(7, STAGE_DEVICE_SERVICE, 140.0)
         tracer.close_span(7, sid, 190.0, block_reads=3)
         tracer.end_request(7, 200.0)
-        spans = tracer.spans_for_request(7)
+        trace = tracer.traces[7]
+        spans = trace.spans
         assert [s.name for s in spans] == [
             STAGE_REQUEST,
             STAGE_BATCH_QUEUE,
@@ -73,9 +75,9 @@ class TestTracerUnit:
         assert spans[0].parent_id is None
         assert all(s.parent_id == root for s in spans[1:])
         assert spans[2].attributes["block_reads"] == 3
-        assert validate_trace(tracer.traces[7]) == []
+        assert validate_trace(trace) == []
         # The critical path follows the latest-ending child chain.
-        assert [s.name for s in tracer.critical_path(7)] == [
+        assert [s.name for s in critical_path(trace)] == [
             STAGE_REQUEST,
             STAGE_DEVICE_SERVICE,
         ]
