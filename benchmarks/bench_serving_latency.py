@@ -38,12 +38,15 @@ import json
 import os
 import sys
 
-from benchmarks.common import build_table_workload, save_result
+from benchmarks.common import (
+    build_table_workload,
+    saturation_rate_rps,
+    save_result,
+    warm_store,
+)
 from repro.core.bandana import BandanaStore
 from repro.core.config import BandanaConfig, ServingConfig, TracingConfig
-from repro.nvm.latency import NVMLatencyModel
 from repro.serving import simulate_serving
-from repro.simulation import simulate_store
 from repro.simulation.report import format_table
 from repro.workloads import scaled_table_specs
 from repro.workloads.trace import ModelTrace
@@ -105,30 +108,6 @@ def build_store(tables, eval_multiplier, total_cache_fraction=0.5):
         ),
     )
     return store, eval_trace
-
-
-def warm_store(store, warm_trace):
-    """Cold-reset the store, then replay the warm-up prefix untimed."""
-    result = simulate_store(store, warm_trace, include_baseline=False)
-    return result
-
-
-def saturation_rate_rps(store, warm_trace, serve_trace):
-    """Arrival rate at which demand misses alone saturate the NVM device.
-
-    An untimed warm replay followed by a replay of the serving portion
-    measures the workload's steady blocks-per-request; the device's block
-    rate at the store's queue depth divided by that cost is the saturating
-    arrival rate.
-    """
-    warm_store(store, warm_trace)
-    before = store.aggregate_stats().misses
-    simulate_store(store, serve_trace, include_baseline=False, reset_first=False)
-    blocks = store.aggregate_stats().misses - before
-    num_requests = max(len(trace) for trace in serve_trace.tables.values())
-    blocks_per_request = blocks / num_requests
-    model = NVMLatencyModel(block_bytes=store.config.block_bytes)
-    return model.blocks_per_second(store.config.queue_depth) / blocks_per_request
 
 
 def measured_capacity_rps(store, warm_trace, serve_trace, analytic_rps, num_requests):

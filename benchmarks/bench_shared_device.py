@@ -48,10 +48,14 @@ import sys
 import time
 from typing import Dict, List, Optional, Tuple
 
-from benchmarks.common import build_table_workload, save_result
+from benchmarks.common import (
+    build_table_workload,
+    saturation_rate_rps,
+    save_result,
+    warm_store,
+)
 from repro.core.bandana import BandanaStore
 from repro.core.config import BandanaConfig, ServingConfig
-from repro.nvm.latency import NVMLatencyModel
 from repro.serving import simulate_serving
 from repro.simulation import simulate_store
 from repro.simulation.report import format_table
@@ -118,25 +122,6 @@ def build_store(tables: List[str], eval_multiplier: int) -> Tuple[BandanaStore, 
         ),
     )
     return store, eval_trace
-
-
-def warm_store(store: BandanaStore, warm_trace: ModelTrace) -> None:
-    """Cold-reset the store, then replay the warm-up prefix untimed."""
-    simulate_store(store, warm_trace, include_baseline=False)
-
-
-def saturation_rate_rps(
-    store: BandanaStore, warm_trace: ModelTrace, serve_trace: ModelTrace
-) -> float:
-    """Arrival rate at which steady demand misses saturate one device."""
-    warm_store(store, warm_trace)
-    before = store.aggregate_stats().misses
-    simulate_store(store, serve_trace, include_baseline=False, reset_first=False)
-    blocks = store.aggregate_stats().misses - before
-    num_requests = max(len(trace) for trace in serve_trace.tables.values())
-    blocks_per_request = blocks / num_requests
-    model = NVMLatencyModel(block_bytes=store.config.block_bytes)
-    return model.blocks_per_second(store.config.queue_depth) / blocks_per_request
 
 
 def _serve(store, serve_trace, warm_trace, config, num_requests):

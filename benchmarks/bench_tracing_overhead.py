@@ -42,8 +42,8 @@ from bench_serving_latency import (
     TABLES,
     WARMUP_FRACTION,
     build_store,
-    warm_store,
 )
+from benchmarks.common import warm_store
 from repro.core.config import ServingConfig, TracingConfig
 from repro.serving import simulate_serving
 from repro.tracing import NULL_TRACER, NullTracer

@@ -20,8 +20,11 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.core.bandana import BandanaStore
 from repro.nvm.block import BlockLayout
+from repro.nvm.latency import QUEUE_DEPTH, NVMLatencyModel
 from repro.partitioning import SHPPartitioner
+from repro.simulation import simulate_store
 from repro.workloads import (
     SyntheticTraceGenerator,
     paper_shaped_lookups,
@@ -29,7 +32,7 @@ from repro.workloads import (
 )
 from repro.workloads.characterization import access_counts
 from repro.workloads.tables_spec import TableSpec
-from repro.workloads.trace import Trace
+from repro.workloads.trace import ModelTrace, Trace
 
 #: Linear scale of the benchmark workload relative to the paper's tables.
 BENCH_SCALE = 1.0 / 1000.0
@@ -149,3 +152,28 @@ def threshold_candidates(workload: TableWorkload) -> list:
     percentiles = np.percentile(touched, [50, 75, 90, 95])
     thresholds = sorted({float(int(value)) for value in percentiles})
     return [0.0] + thresholds
+
+
+def warm_store(store: BandanaStore, warm_trace: ModelTrace) -> None:
+    """Cold-reset the store, then replay the warm-up prefix untimed."""
+    simulate_store(store, warm_trace, include_baseline=False)
+
+
+def saturation_rate_rps(
+    store: BandanaStore, warm_trace: ModelTrace, serve_trace: ModelTrace
+) -> float:
+    """Arrival rate at which demand misses alone saturate one NVM device.
+
+    An untimed warm replay followed by a replay of the serving portion
+    measures the workload's steady blocks-per-request; the device's block
+    rate at :data:`~repro.nvm.latency.QUEUE_DEPTH` divided by that cost is
+    the saturating arrival rate.
+    """
+    warm_store(store, warm_trace)
+    before = store.aggregate_stats().misses
+    simulate_store(store, serve_trace, include_baseline=False, reset_first=False)
+    blocks = store.aggregate_stats().misses - before
+    num_requests = max(len(trace) for trace in serve_trace.tables.values())
+    blocks_per_request = blocks / num_requests
+    model = NVMLatencyModel(block_bytes=store.config.block_bytes)
+    return model.blocks_per_second(QUEUE_DEPTH) / blocks_per_request

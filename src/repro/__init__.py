@@ -27,12 +27,12 @@ The most convenient entry points are:
     docstring for the scenario catalog and example configurations.
 
 ``repro.tracing``
-    Per-request span tracing on the simulated clock: enable with
-    ``BandanaConfig(tracing=TracingConfig(enabled=True))`` (or a
-    ``tracing=`` argument to ``simulate_serving``/``run_scenario``) and
-    every request's latency decomposes into named stage spans — batcher
-    wait, device queue vs service, per-attempt retry/hedge/shed intervals —
-    with critical-path and per-stage breakdown queries for tail debugging.
+    Per-request span tracing on the simulated clock: pass
+    ``tracing=TracingConfig(enabled=True)`` to ``simulate_serving`` or
+    ``run_scenario`` and every request's latency decomposes into named stage
+    spans — batcher wait, device queue vs service, per-attempt
+    retry/hedge/shed intervals — with critical-path and per-stage breakdown
+    queries for tail debugging.
 
 See ``ARCHITECTURE.md`` for the module map and the equivalence suites.
 """

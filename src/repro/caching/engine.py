@@ -57,7 +57,7 @@ import numpy.typing as npt
 from repro.caching.policies import PrefetchPolicy
 from repro.caching.replay import ReplayStats
 from repro.nvm.block import BlockLayout
-from repro.nvm.latency import NVMLatencyModel
+from repro.nvm.latency import QUEUE_DEPTH, NVMLatencyModel
 from repro.utils.validation import (
     check_array_1d_ints,
     check_fraction,
@@ -166,7 +166,7 @@ class BatchReplayEngine:
         cache_size: Optional[int] = None,
         vector_bytes: int = 128,
         device: Optional[NVMLatencyModel] = None,
-        queue_depth: float = 8.0,
+        queue_depth: float = QUEUE_DEPTH,
         stats: Optional[ReplayStats] = None,
     ) -> None:
         _require_top_only(policy)
@@ -378,7 +378,7 @@ def replay_table_cache_batched(
     cache_size: Optional[int] = None,
     vector_bytes: int = 128,
     device: Optional[NVMLatencyModel] = None,
-    queue_depth: float = 8.0,
+    queue_depth: float = QUEUE_DEPTH,
     stats: Optional[ReplayStats] = None,
 ) -> ReplayStats:
     """Batched drop-in for :func:`repro.caching.replay.replay_table_cache`.

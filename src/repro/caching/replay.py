@@ -21,7 +21,7 @@ which :func:`repro.simulation.runner.simulate_table` sends here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Set
 
 import numpy as np
@@ -29,7 +29,7 @@ import numpy as np
 from repro.caching.lru import LRUCache
 from repro.caching.policies import PrefetchPolicy
 from repro.nvm.block import BlockLayout
-from repro.nvm.latency import NVMLatencyModel
+from repro.nvm.latency import QUEUE_DEPTH, NVMLatencyModel
 from repro.utils.validation import check_array_1d_ints, check_int_at_least
 
 
@@ -150,7 +150,7 @@ def replay_table_cache(
     cache_size: Optional[int] = None,
     vector_bytes: int = 128,
     device: Optional[NVMLatencyModel] = None,
-    queue_depth: float = 8.0,
+    queue_depth: float = QUEUE_DEPTH,
     stats: Optional[ReplayStats] = None,
 ) -> ReplayStats:
     """Replay lookup queries against one table's DRAM cache.

@@ -43,11 +43,11 @@ no catalog scenario takes raises ``ValueError``):
 
 Example
 -------
->>> from repro.cluster import ClusterStore, make_scenario, run_scenario
->>> from repro.core import BandanaConfig, ClusterConfig
->>> config = BandanaConfig(cluster=ClusterConfig(num_nodes=4, replication=2))
->>> # store = BandanaStore.build(config, trace); trace as in simulate_store
->>> # report = run_scenario(store, trace, scenario="crash_recover")
+>>> from repro.cluster import run_scenario
+>>> from repro.core import ClusterConfig
+>>> cluster_config = ClusterConfig(num_nodes=4, replication=2)
+>>> # store = BandanaStore.build(trace); trace as in simulate_store
+>>> # report = run_scenario(store, trace, "crash_recover", cluster_config)
 >>> # report.counters.availability, report.latency.p999_us
 
 Equivalence anchor

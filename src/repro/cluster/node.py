@@ -11,11 +11,11 @@ traffic *that replica* served, so retries and hedges landing on a secondary
 warm the secondary, not the primary.
 
 Time is simulated and owned by the shared device layer: the node holds a
-:class:`~repro.device.NVMDeviceBank` of ``devices_per_node`` physical
-devices (one by default — the node as a single FIFO resource, exactly the
-old hand-rolled ``busy_until_us`` clock) with every served table pinned to
-one of them.  A shard read arriving at ``t`` waits out its device's
-backlog, then runs for ``(overhead + NVM read time) × slow-multiplier`` —
+one-device :class:`~repro.device.NVMDeviceBank` — the node as a single FIFO
+resource, exactly the old hand-rolled ``busy_until_us`` clock — with every
+served table pinned to it.  A shard read arriving at ``t`` waits out the
+device's backlog, then runs for ``(NODE_OVERHEAD_US + NVM read time) ×
+slow-multiplier`` —
 the *externally-priced* path: the engines price the reads, the bank
 serialises them.  **Admission control** is queue-level: when the backlog a
 new read would have to wait behind exceeds ``admission_queue_slack ×`` the
@@ -49,6 +49,10 @@ from repro.caching.engine import BatchReplayEngine
 from repro.core.tablespec import TableServingSpec
 from repro.device.bank import NVMDeviceBank
 
+#: Fixed per-shard-read service time on the owning node (request parsing,
+#: cache probing), before any NVM reads.
+NODE_OVERHEAD_US = 5.0
+
 
 @dataclass(frozen=True)
 class ShardServiceResult:
@@ -74,13 +78,6 @@ class ClusterNode:
     owned_blocks:
         Per-table count of blocks this node serves (over all replica slots
         it occupies); sizes the node's share of each table's cache budget.
-    node_overhead_us:
-        Fixed service overhead per shard read.
-    devices_per_node:
-        Physical NVM devices in the node's bank.  ``1`` (the default) keeps
-        the node one FIFO resource — the pre-bank semantics, bit-identical;
-        more devices spread the node's tables round-robin so shard reads of
-        tables on different devices no longer queue behind each other.
     """
 
     def __init__(
@@ -88,11 +85,8 @@ class ClusterNode:
         index: int,
         specs: Mapping[str, TableServingSpec],
         owned_blocks: Mapping[str, int],
-        node_overhead_us: float = 5.0,
-        devices_per_node: int = 1,
     ) -> None:
         self.index = index
-        self.node_overhead_us = float(node_overhead_us)
         self._specs: Dict[str, TableServingSpec] = {}
         self._cache_sizes: Dict[str, int] = {}
         self.engines: Dict[str, BatchReplayEngine] = {}
@@ -105,11 +99,8 @@ class ClusterNode:
             self.engines[name] = spec.make_engine(
                 cache_size_vectors=self._cache_sizes[name]
             )
-        #: The node's physical devices: every served table pinned up front
-        #: (round-robin in spec order).
-        self.bank = NVMDeviceBank(
-            num_devices=devices_per_node, tables=self.engines.keys()
-        )
+        #: The node's one physical device, every served table pinned to it.
+        self.bank = NVMDeviceBank(num_devices=1, tables=self.engines.keys())
         self.cold_restarts = 0
         #: Simulated time up to which crash-recovery has been checked.
         self.last_seen_us = 0.0
@@ -153,7 +144,7 @@ class ClusterNode:
         self.engines[table_name].replay_query(ids, validate=not validated)
         device_us = stats.total_latency_us - latency_before
         blocks = stats.misses - blocks_before
-        service_us = (self.node_overhead_us + device_us) * float(multiplier)
+        service_us = (NODE_OVERHEAD_US + device_us) * float(multiplier)
         record = self.bank.serve_duration(
             table_name, arrive_us, service_us, block_reads=blocks
         )

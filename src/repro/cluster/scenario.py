@@ -52,9 +52,9 @@ def run_scenario(
         A catalog name (:data:`~repro.cluster.faults.SCENARIOS`) or an
         explicit :class:`~repro.cluster.faults.FaultSchedule`.
     cluster_config:
-        Topology/robustness knobs; defaults to ``store.config.cluster``.
+        Topology/robustness knobs; defaults to ``ClusterConfig()``.
     serving_config:
-        Arrival process and SLO; defaults to ``store.config.serving``.
+        Arrival process and SLO; defaults to ``ServingConfig()``.
     num_requests:
         Optional cap on the measured request stream; must be ``>= 0``.
     scenario_overrides:
@@ -69,16 +69,16 @@ def run_scenario(
     tracing:
         Per-request span tracing (:mod:`repro.tracing`): a
         :class:`~repro.core.config.TracingConfig` (enabled) or an existing
-        :class:`~repro.tracing.Tracer`; defaults to
-        ``store.config.tracing`` — disabled.  The tracer attaches *after*
+        :class:`~repro.tracing.Tracer`; ``None`` (the default) disables
+        tracing.  The tracer attaches *after*
         the warm-up and clock rebase, so it sees exactly the measured
         requests (ids ``0..n-1``) and the conservation invariant — every
         measured arrival in exactly one completed/degraded trace — is
         testable.  The report then carries the tracer's JSON summary in
         ``report.trace``.
     """
-    cluster_config = cluster_config or store.config.cluster
-    serving_config = serving_config or store.config.serving
+    cluster_config = cluster_config or ClusterConfig()
+    serving_config = serving_config or ServingConfig()
     if isinstance(scenario, FaultSchedule):
         if scenario_overrides:
             raise ValueError(
@@ -100,10 +100,7 @@ def run_scenario(
 
     # Attached after warm-up + rebase: the tracer sees only the measured
     # requests, whose ids restart at 0 with the rebased counters.
-    tracer = resolve_tracer(
-        tracing if tracing is not None else store.config.tracing,
-        slo_latency_us=serving_config.slo_latency_us,
-    )
+    tracer = resolve_tracer(tracing, slo_latency_us=serving_config.slo_latency_us)
     # The measured run is the shared serving loop on the cluster backend,
     # unbatched: every request is dispatched at its own arrival.
     served = serve_request_stream(

@@ -18,21 +18,22 @@ Robustness machinery, in the order an attempt meets it:
    availability.
 2. **Crash / loss timeouts with capped exponential backoff**: an attempt
    against a crashed node, or one lost on a degraded link, burns
-   ``shard_timeout_us``; the retry targets the *next replica* after a
-   backoff that doubles per attempt up to ``retry_backoff_cap_us``.
+   :data:`SHARD_TIMEOUT_US`; the retry targets the *next replica* after a
+   backoff that doubles per attempt up to :data:`RETRY_BACKOFF_CAP_US`.
 3. **Admission control**: an overloaded node sheds the read instantly
    (queue-level load shedding against the table's SLO — see
    :mod:`repro.cluster.node`) and the router retries another replica.
-4. **Hedged reads**: when a first attempt's latency exceeds the running
-   p99-based hedge delay, a duplicate read is fired at another replica and
-   the earlier completion wins.  Hedges do real work — they warm the
+4. **Hedged reads**: when a first attempt's latency exceeds the hedge
+   delay — the running :data:`HEDGE_QUANTILE` quantile of shard latency,
+   never below :data:`HEDGE_MIN_US` — a duplicate read is fired at another
+   replica and the earlier completion wins.  Hedges do real work — they warm the
    secondary's cache — exactly like production hedging.
 
 Every read the router sends — first try, retry or hedge — goes through one
 probe, ``ClusterStore._try_replica``: cold-restart check, crashed?, link
 delay and loss draw, admission check, then the node serves.  A probe that
 did not complete takes the shard group's one retry tail: a crashed node or
-a lost read costs ``shard_timeout_us`` and strikes the breaker at its end, a
+a lost read costs :data:`SHARD_TIMEOUT_US` and strikes the breaker at its end, a
 shed costs one round trip and no strike, and the next replica is tried
 after the current backoff.
 
@@ -76,6 +77,7 @@ from repro.cluster.node import ClusterNode, ShardServiceResult
 from repro.cluster.ring import ConsistentHashRing
 from repro.core.config import ClusterConfig
 from repro.core.tablespec import TableServingSpec
+from repro.serving.frontend import REQUEST_OVERHEAD_US
 from repro.tracing.tracer import (
     ATTR_OVERLAP_OK,
     ATTR_PARALLEL,
@@ -100,6 +102,19 @@ from repro.utils.rng import ensure_rng
 if TYPE_CHECKING:
     from repro.core.bandana import BandanaStore
 
+#: Healthy one-way network delay between the router and a node (paid twice
+#: per attempt).
+LINK_DELAY_US = 2.0
+#: How long the router waits for a shard read before declaring the attempt
+#: dead (crashed node, lost packet) and retrying.
+SHARD_TIMEOUT_US = 1000.0
+#: First retry backoff and its cap: the backoff doubles per attempt.
+RETRY_BACKOFF_US = 100.0
+RETRY_BACKOFF_CAP_US = 2000.0
+#: The hedge delay is this quantile of the trailing shard latencies ...
+HEDGE_QUANTILE = 0.99
+#: ... and never below this floor.
+HEDGE_MIN_US = 100.0
 #: Size of the trailing shard-latency window behind the hedge-delay estimate.
 _HEDGE_WINDOW = 512
 #: How often (in samples) the hedge-delay quantile is recomputed.
@@ -317,13 +332,9 @@ class ClusterStore:
 
         ``store`` is a :class:`~repro.core.bandana.BandanaStore`; its
         resolved placement, policies and cache budgets become the cluster's
-        table specs, and ``config`` defaults to ``store.config.cluster``.
+        table specs, and ``config`` defaults to ``ClusterConfig()``.
         """
-        return cls(
-            store.table_specs(),
-            config=config if config is not None else store.config.cluster,
-            faults=faults,
-        )
+        return cls(store.table_specs(), config=config, faults=faults)
 
     def _build_serving_state(self) -> None:
         owned: Dict[int, Dict[str, int]] = {
@@ -339,8 +350,6 @@ class ClusterStore:
                 index=i,
                 specs={name: self.specs[name] for name in owned[i]},
                 owned_blocks=owned[i],
-                node_overhead_us=self.config.node_overhead_us,
-                devices_per_node=self.config.devices_per_node,
             )
             for i in range(self.config.num_nodes)
         ]
@@ -355,7 +364,7 @@ class ClusterStore:
         self._clock_us = 0.0
         self._rng = ensure_rng(self.config.seed)
         self._latency_window: List[float] = []
-        self._hedge_delay_us = self.config.hedge_min_us
+        self._hedge_delay_us = HEDGE_MIN_US
         self._samples_since_refresh = 0
         #: Span recorder (``repro.tracing``); the shared no-op singleton
         #: unless a caller attaches a real tracer via :meth:`set_tracer`.
@@ -392,7 +401,7 @@ class ClusterStore:
             breaker.open_until_us = 0.0
         self._latency_window.clear()
         self._samples_since_refresh = 0
-        self._hedge_delay_us = self.config.hedge_min_us
+        self._hedge_delay_us = HEDGE_MIN_US
         self.counters = ClusterCounters()
 
     # ---------------------------------------------------------------- serving
@@ -449,9 +458,9 @@ class ClusterStore:
                 rid,
                 STAGE_FANIN_OVERHEAD,
                 completion_us,
-                completion_us + self.config.request_overhead_us,
+                completion_us + REQUEST_OVERHEAD_US,
             )
-        completion_us += self.config.request_overhead_us
+        completion_us += REQUEST_OVERHEAD_US
         self.counters.requests_total += 1
         self.counters.shard_groups += len(groups)
         self.counters.shard_groups_failed += failed
@@ -536,7 +545,7 @@ class ClusterStore:
         counters = self.counters
         tracer = self.tracer
         num_replicas = len(replicas)
-        backoff_us = config.retry_backoff_us
+        backoff_us = RETRY_BACKOFF_US
         t = t0_us
         consecutive_skips = 0
         attempts_made = 0
@@ -577,7 +586,7 @@ class ClusterStore:
                     if tried.outcome == "link_loss":
                         counters.link_losses += 1
                     counters.timeouts += 1
-                    cost_us = config.shard_timeout_us
+                    cost_us = SHARD_TIMEOUT_US
                     if breaker.strike(t + cost_us):
                         counters.breaker_ejections += 1
                 if tracer.enabled:
@@ -601,7 +610,7 @@ class ClusterStore:
                         parent_id=group_span_id,
                     )
                 t += cost_us + backoff_us
-                backoff_us = min(2.0 * backoff_us, config.retry_backoff_cap_us)
+                backoff_us = min(2.0 * backoff_us, RETRY_BACKOFF_CAP_US)
                 continue
             attempt_latency_us = 2.0 * tried.link_us + service.total_us
             completion_us = t + attempt_latency_us
@@ -687,7 +696,7 @@ class ClusterStore:
             return _Attempt(node_index, start_us, "down", 0.0, start_us, 0.0, None)
         config = self.config
         extra_delay_us, loss_prob = self.faults.link(node_index, start_us)
-        link_us = config.link_delay_us + extra_delay_us
+        link_us = LINK_DELAY_US + extra_delay_us
         arrive_us = start_us + link_us
         if loss_prob > 0.0 and self._rng.random() < loss_prob:
             return _Attempt(
@@ -782,8 +791,7 @@ class ClusterStore:
         if self._samples_since_refresh >= _HEDGE_REFRESH:
             self._samples_since_refresh = 0
             self._hedge_delay_us = max(
-                self.config.hedge_min_us,
-                _linear_quantile(sorted(window), self.config.hedge_quantile),
+                HEDGE_MIN_US, _linear_quantile(sorted(window), HEDGE_QUANTILE)
             )
 
     # ---------------------------------------------------------------- metrics

@@ -89,7 +89,6 @@ class BandanaTableState:
             policy_prototype=self.policy,
             cache_size_vectors=self.cache_config.cache_size_vectors,
             vector_bytes=config.vector_bytes,
-            queue_depth=config.queue_depth,
         )
 
 
@@ -410,7 +409,6 @@ class BandanaStore:
                 cache_size=state.cache_config.cache_size_vectors,
                 vector_bytes=self.config.vector_bytes,
                 device=NVMLatencyModel(block_bytes=self.config.block_bytes),
-                queue_depth=self.config.queue_depth,
                 stats=state.stats,
             )
         return state.engine

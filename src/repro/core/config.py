@@ -9,17 +9,15 @@ across tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Set, Tuple
 
 from repro.utils.validation import (
     check_bool,
     check_fraction,
-    check_instance,
     check_int_at_least,
     check_non_negative,
     check_positive,
-    check_probability,
     check_seed,
 )
 
@@ -99,16 +97,6 @@ class ServingConfig(_TableSLOs):
         request has waited this long, full or not.
     slo_latency_us:
         Per-request latency SLO; the report counts violations against it.
-    request_overhead_us:
-        Fixed non-device latency added to every request (queueing-free
-        front-end compute: pooling, RPC framing).
-    max_device_queue_depth:
-        Cap on the queue depth fed to the NVM latency model — the device
-        exposes only so many submission slots, so deeper backlogs raise
-        queueing delay (serial rounds) rather than device-internal depth.
-    throughput_window_s:
-        Trailing window over which the device clock measures its own
-        throughput for the loaded-latency feedback.
     closed_loop_clients:
         Client population size under ``"closed-loop"`` arrivals — a hard
         cap on in-flight requests (the concurrency invariant the tests
@@ -123,8 +111,7 @@ class ServingConfig(_TableSLOs):
         device it touches once, with the summed misses of that device's
         tables.  ``1`` (the default) puts every table on one shared device —
         the paper's single-host deployment and the golden-pinned path; one
-        device per table is the private-device counterfactual.  Mirrors
-        :attr:`ClusterConfig.devices_per_node`.
+        device per table is the private-device counterfactual.
     admission_queue_slack:
         Single-host admission control, ported from the cluster tier: at
         batch dispatch, a request is shed (fast rejection, no cache or
@@ -145,9 +132,6 @@ class ServingConfig(_TableSLOs):
     max_batch_requests: int = 16
     max_linger_us: float = 500.0
     slo_latency_us: float = 2000.0
-    request_overhead_us: float = 5.0
-    max_device_queue_depth: float = 64.0
-    throughput_window_s: float = 0.05
     closed_loop_clients: int = 32
     closed_loop_think_s: float = 0.016
     devices_per_host: int = 1
@@ -159,10 +143,7 @@ class ServingConfig(_TableSLOs):
         check_positive(self.arrival_rate_rps, "arrival_rate_rps")
         check_int_at_least(self.max_batch_requests, 1, "max_batch_requests")
         check_positive(self.slo_latency_us, "slo_latency_us")
-        check_positive(self.max_device_queue_depth, "max_device_queue_depth")
-        check_positive(self.throughput_window_s, "throughput_window_s")
         check_non_negative(self.max_linger_us, "max_linger_us")
-        check_non_negative(self.request_overhead_us, "request_overhead_us")
         check_int_at_least(self.closed_loop_clients, 1, "closed_loop_clients")
         check_positive(self.closed_loop_think_s, "closed_loop_think_s")
         check_int_at_least(self.devices_per_host, 1, "devices_per_host")
@@ -241,39 +222,22 @@ class ClusterConfig(_TableSLOs):
     virtual_nodes:
         Virtual nodes per physical node on the hash ring — more vnodes
         smooth the per-node ownership shares at the cost of ring size.
-    devices_per_node:
-        Physical NVM devices in each node's bank (:mod:`repro.device`).
-        ``1`` (the default) keeps every node a single FIFO resource — the
-        pre-bank semantics, golden-pinned; more devices spread a node's
-        tables round-robin so reads of co-hosted tables stop queueing
-        behind each other.
 
-    Per-attempt costs
-    -----------------
-    node_overhead_us:
-        Fixed per-shard-read service time on the owning node (request
-        parsing, cache probing), before any NVM reads.
-    link_delay_us:
-        Healthy one-way network delay between the router and a node (paid
-        twice per attempt).
-    shard_timeout_us:
-        How long the router waits for a shard read before declaring the
-        attempt dead (crashed node, lost packet) and retrying.
+    Each node is one device; the per-attempt costs (node overhead, link
+    delay, shard timeout, backoff, hedge-delay quantile and floor, fan-in
+    overhead) are constants of :mod:`repro.cluster.node` and ``.store``.
 
     Retries, hedging, breaker, admission
     ------------------------------------
-    retry_backoff_us / retry_backoff_cap_us:
-        First retry backoff and its cap; the backoff doubles per attempt
-        (capped exponential backoff), and each retry targets the shard's
-        next replica.
     max_attempts:
         Total attempts (first try + retries) before a shard read is declared
-        failed and the request degrades.
-    hedge_enabled / hedge_quantile / hedge_min_us:
+        failed and the request degrades; each retry targets the shard's
+        next replica after a capped exponential backoff.
+    hedge_enabled:
         Hedged reads: when a first attempt's observed latency exceeds the
-        running ``hedge_quantile`` estimate of shard latency (never below
-        ``hedge_min_us``), a duplicate read is fired at another replica and
-        the earlier completion wins.  Requires ``replication >= 2``.
+        running p99 estimate of shard latency (never below a floor), a
+        duplicate read is fired at another replica and the earlier
+        completion wins.  Requires ``replication >= 2``.
     breaker_failure_threshold:
         Consecutive failures-or-slow-responses after which a node's circuit
         breaker opens (the router stops routing to it without paying
@@ -294,9 +258,6 @@ class ClusterConfig(_TableSLOs):
         is a ``(name, slo_us)`` tuple sequence overriding the default.  A
         table may be named once, and only a table the cluster serves
         (checked by :class:`~repro.cluster.store.ClusterStore`).
-
-    request_overhead_us:
-        Router-side fan-out/fan-in overhead added to every request.
     seed:
         Seed of the cluster's stochastic machinery (link-loss draws).
     """
@@ -304,53 +265,30 @@ class ClusterConfig(_TableSLOs):
     num_nodes: int = 4
     replication: int = 2
     virtual_nodes: int = 64
-    devices_per_node: int = 1
-    node_overhead_us: float = 5.0
-    link_delay_us: float = 2.0
-    shard_timeout_us: float = 1000.0
-    retry_backoff_us: float = 100.0
-    retry_backoff_cap_us: float = 2000.0
     max_attempts: int = 4
     hedge_enabled: bool = True
-    hedge_quantile: float = 0.99
-    hedge_min_us: float = 100.0
     breaker_failure_threshold: int = 5
     breaker_slow_threshold_us: float = 20000.0
     breaker_cooloff_s: float = 0.25
     admission_queue_slack: float = 4.0
     default_slo_us: float = 2000.0
     table_slo_us: Sequence[Tuple[str, float]] = ()
-    request_overhead_us: float = 5.0
     seed: int = 0
 
     def __post_init__(self) -> None:
         check_int_at_least(self.num_nodes, 1, "num_nodes")
         check_int_at_least(self.replication, 1, "replication")
         check_int_at_least(self.virtual_nodes, 1, "virtual_nodes")
-        check_int_at_least(self.devices_per_node, 1, "devices_per_node")
         check_int_at_least(self.max_attempts, 1, "max_attempts")
         check_int_at_least(
             self.breaker_failure_threshold, 1, "breaker_failure_threshold"
         )
-        check_non_negative(self.node_overhead_us, "node_overhead_us")
-        check_non_negative(self.link_delay_us, "link_delay_us")
-        check_positive(self.shard_timeout_us, "shard_timeout_us")
-        check_positive(self.retry_backoff_us, "retry_backoff_us")
-        check_positive(self.retry_backoff_cap_us, "retry_backoff_cap_us")
-        if self.retry_backoff_cap_us < self.retry_backoff_us:
-            raise ValueError(
-                "retry_backoff_cap_us must be >= retry_backoff_us "
-                f"({self.retry_backoff_cap_us} < {self.retry_backoff_us})"
-            )
         check_bool(self.hedge_enabled, "hedge_enabled")
         check_seed(self.seed, "seed")
-        check_fraction(self.hedge_quantile, "hedge_quantile")
-        check_positive(self.hedge_min_us, "hedge_min_us")
         check_positive(self.breaker_slow_threshold_us, "breaker_slow_threshold_us")
         check_positive(self.breaker_cooloff_s, "breaker_cooloff_s")
         check_positive(self.admission_queue_slack, "admission_queue_slack")
         check_positive(self.default_slo_us, "default_slo_us")
-        check_non_negative(self.request_overhead_us, "request_overhead_us")
         object.__setattr__(
             self, "table_slo_us", _normalise_table_slos(self.table_slo_us)
         )
@@ -416,26 +354,19 @@ class BandanaConfig:
         scaled-down training traces concentrate more accesses per touched
         vector, so the same admission selectivity corresponds to larger
         absolute counts.
-    queue_depth:
-        Queue depth assumed for NVM latency accounting.
     seed:
         Base random seed for all stochastic components.
     num_workers:
         Must be ``1``: the store replays in the calling process.  Kept only
         so existing callers that pass ``num_workers=1`` still construct;
         worker-sharded store replay was removed.
-    serving:
-        Batch-serving front-end configuration consumed by
-        :func:`repro.serving.simulate_serving` (arrival process, batching
-        cutoffs, SLO and device-feedback knobs).
-    cluster:
-        Simulated multi-node cluster topology and robustness knobs consumed
-        by :mod:`repro.cluster` (sharding, replication, timeouts, hedging,
-        circuit breaking, admission control).
-    tracing:
-        Per-request span tracing knobs consumed by :mod:`repro.tracing`
-        (sampling, SLO-violator retention, sink capacity).  Disabled by
-        default; enabling it changes no simulated timing, only records it.
+
+    NVM latency accounting runs at :data:`repro.nvm.latency.QUEUE_DEPTH`.
+    The serving, cluster and tracing knobs are not part of the store: pass
+    a :class:`ServingConfig`, :class:`ClusterConfig` or
+    :class:`TracingConfig` to :func:`repro.serving.simulate_serving` or
+    :func:`repro.cluster.run_scenario` (each defaults to its class's
+    defaults).
     """
 
     vector_bytes: int = 128
@@ -446,19 +377,14 @@ class BandanaConfig:
     default_threshold: float = 50.0
     mini_cache_sampling_rate: float = 0.001
     candidate_thresholds: Sequence[float] = (0, 25, 50, 100, 200, 400)
-    queue_depth: float = 8.0
     seed: int = 0
     num_workers: int = 1
-    serving: ServingConfig = ServingConfig()
-    cluster: ClusterConfig = ClusterConfig()
-    tracing: TracingConfig = TracingConfig()
 
     def __post_init__(self) -> None:
         check_int_at_least(self.vector_bytes, 1, "vector_bytes")
         check_int_at_least(self.block_bytes, 1, "block_bytes")
         check_int_at_least(self.total_cache_vectors, 1, "total_cache_vectors")
-        check_positive(self.shp_iterations, "shp_iterations")
-        check_positive(self.queue_depth, "queue_depth")
+        check_int_at_least(self.shp_iterations, 1, "shp_iterations")
         check_int_at_least(self.num_workers, 1, "num_workers")
         if self.num_workers != 1:
             raise ValueError(
@@ -469,9 +395,6 @@ class BandanaConfig:
         check_fraction(self.mini_cache_sampling_rate, "mini_cache_sampling_rate")
         check_bool(self.tune_thresholds, "tune_thresholds")
         check_seed(self.seed, "seed")
-        check_instance(self.serving, ServingConfig, "serving")
-        check_instance(self.cluster, ClusterConfig, "cluster")
-        check_instance(self.tracing, TracingConfig, "tracing")
         if self.block_bytes % self.vector_bytes != 0:
             raise ValueError(
                 "block_bytes must be a multiple of vector_bytes "

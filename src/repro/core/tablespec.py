@@ -32,7 +32,7 @@ from repro.caching.policies import PrefetchPolicy
 from repro.caching.replay import ReplayStats
 from repro.nvm.block import BlockLayout
 from repro.nvm.latency import NVMLatencyModel
-from repro.utils.validation import check_int_at_least, check_positive
+from repro.utils.validation import check_int_at_least
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,6 @@ class TableServingSpec:
         callers scale this by each node's owned share of the table.
     vector_bytes:
         Bytes per embedding vector.
-    queue_depth:
-        Queue depth assumed for the device's latency accounting.
     """
 
     name: str
@@ -64,12 +62,10 @@ class TableServingSpec:
     policy_prototype: PrefetchPolicy
     cache_size_vectors: int
     vector_bytes: int = 128
-    queue_depth: float = 8.0
 
     def __post_init__(self) -> None:
         check_int_at_least(self.cache_size_vectors, 0, "cache_size_vectors")
         check_int_at_least(self.vector_bytes, 1, "vector_bytes")
-        check_positive(self.queue_depth, "queue_depth")
 
     # ------------------------------------------------------------------ build
     @property
@@ -110,7 +106,6 @@ class TableServingSpec:
             cache_size=cache_size_vectors,
             vector_bytes=self.vector_bytes,
             device=NVMLatencyModel(block_bytes=self.stats_block_bytes),
-            queue_depth=self.queue_depth,
             stats=stats if stats is not None else self.make_stats(),
         )
 

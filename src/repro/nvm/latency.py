@@ -40,9 +40,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
+from repro.utils.validation import (
+    check_fraction,
+    check_int_at_least,
+    check_non_negative,
+    check_positive,
+)
 
-from repro.utils.validation import check_fraction, check_non_negative, check_positive
+#: Queue depth at which the store's replay accounting prices a block read
+#: (``mean_latency_us(QUEUE_DEPTH)``) and the serving report reads the
+#: Fig. 5 law.
+QUEUE_DEPTH = 8.0
 
 
 @dataclass(frozen=True)
@@ -92,7 +100,7 @@ class NVMLatencyModel:
     saturation_ceiling: float = 100.0
 
     def __post_init__(self) -> None:
-        check_positive(self.block_bytes, "block_bytes")
+        check_int_at_least(self.block_bytes, 1, "block_bytes")
         check_positive(self.max_bandwidth_gbps, "max_bandwidth_gbps")
         check_positive(self.bandwidth_half_depth, "bandwidth_half_depth")
         check_positive(self.base_latency_us, "base_latency_us")
@@ -129,7 +137,7 @@ class NVMLatencyModel:
     def loaded_latency(
         self,
         device_throughput_mbps: float,
-        queue_depth: float = 8.0,
+        queue_depth: float = QUEUE_DEPTH,
     ) -> LoadedLatency:
         """Latency when the device serves ``device_throughput_mbps`` of block reads.
 
@@ -162,7 +170,7 @@ class NVMLatencyModel:
         self,
         app_throughput_mbps: float,
         effective_bandwidth_fraction: float,
-        queue_depth: float = 8.0,
+        queue_depth: float = QUEUE_DEPTH,
     ) -> LoadedLatency:
         """Latency seen by an application with a given *effective bandwidth*.
 

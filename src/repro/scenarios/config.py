@@ -32,6 +32,13 @@ SCENARIO_KINDS = ("drift", "flash-crowd")
 #: External trace formats the streaming loader understands.
 TRACE_FORMATS = ("twitter", "columnar")
 
+#: Ids per co-access community: a contiguous span of the popularity ranking
+#: that one query focuses on (:mod:`repro.scenarios.generators`).
+COMMUNITY_SIZE = 64
+
+#: Where a flash crowd begins, as a fraction of the trace.
+FLASH_START_FRACTION = 0.5
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -49,19 +56,8 @@ class ScenarioConfig:
     avg_lookups_per_query:
         Mean ids per query (Poisson-sized, at least one).
     num_vectors:
-        Size of the table's id universe.
-    zipf_alpha:
-        Skew of the popularity law over the ranked ids (and over the
-        community ranking).
-    community_size:
-        Ids per co-access community.  Communities are contiguous spans of
-        the popularity ranking; a query focuses on one Zipf-chosen
-        community, giving SHP real block-level structure to discover —
-        exactly the structure drift destroys.
-    query_locality:
-        Fraction of each query's lookups drawn from its focus community;
-        the rest are independent draws from the global popularity law
-        (``0`` disables community structure entirely).
+        Size of the table's id universe; at least :data:`COMMUNITY_SIZE`,
+        the span of one co-access community.
     drift_rotation_per_epoch:
         Fraction of the id ranking rotated at every epoch boundary
         (``0`` freezes the ranking — the stationary control arm).
@@ -72,9 +68,10 @@ class ScenarioConfig:
         training split's ``train_fraction`` models the canonical failure:
         a stationary history that starts drifting right after the offline
         pipeline trained on it (``0`` drifts from the very first epoch).
-    flash_start_fraction / flash_duration_fraction:
-        Where the flash crowd begins and how long it lasts, as fractions of
-        the trace (``start + duration <= 1``).
+    flash_duration_fraction:
+        How long the flash crowd lasts, as a fraction of the trace; it
+        begins at :data:`FLASH_START_FRACTION`, so at most
+        ``1 - FLASH_START_FRACTION``.
     flash_crowd_ids:
         How many previously-cold ids (the bottom of the popularity ranking)
         the crowd converges on.
@@ -88,13 +85,9 @@ class ScenarioConfig:
     num_queries: int = 2000
     avg_lookups_per_query: float = 24.0
     num_vectors: int = 4096
-    zipf_alpha: float = 0.9
-    community_size: int = 64
-    query_locality: float = 0.8
     drift_rotation_per_epoch: float = 0.05
     drift_epoch_queries: int = 250
     drift_start_fraction: float = 0.0
-    flash_start_fraction: float = 0.5
     flash_duration_fraction: float = 0.2
     flash_crowd_ids: int = 64
     flash_traffic_share: float = 0.7
@@ -107,24 +100,15 @@ class ScenarioConfig:
             )
         check_int_at_least(self.num_queries, 1, "num_queries")
         check_positive(self.avg_lookups_per_query, "avg_lookups_per_query")
-        check_int_at_least(self.num_vectors, 2, "num_vectors")
-        check_positive(self.zipf_alpha, "zipf_alpha")
-        check_int_at_least(self.community_size, 1, "community_size")
-        if self.community_size > self.num_vectors:
-            raise ValueError(
-                f"community_size ({self.community_size}) cannot exceed "
-                f"num_vectors ({self.num_vectors})"
-            )
-        check_fraction(self.query_locality, "query_locality")
+        check_int_at_least(self.num_vectors, COMMUNITY_SIZE, "num_vectors")
         check_fraction(self.drift_rotation_per_epoch, "drift_rotation_per_epoch")
         check_int_at_least(self.drift_epoch_queries, 1, "drift_epoch_queries")
         check_fraction(self.drift_start_fraction, "drift_start_fraction")
-        check_fraction(self.flash_start_fraction, "flash_start_fraction")
         check_fraction(self.flash_duration_fraction, "flash_duration_fraction")
-        if self.flash_start_fraction + self.flash_duration_fraction > 1.0:
+        if FLASH_START_FRACTION + self.flash_duration_fraction > 1.0:
             raise ValueError(
-                "flash_start_fraction + flash_duration_fraction must be <= 1, got "
-                f"{self.flash_start_fraction} + {self.flash_duration_fraction}"
+                "flash_duration_fraction must be <= 1 - FLASH_START_FRACTION = "
+                f"{1.0 - FLASH_START_FRACTION}, got {self.flash_duration_fraction}"
             )
         check_int_at_least(self.flash_crowd_ids, 1, "flash_crowd_ids")
         if self.flash_crowd_ids > self.num_vectors:

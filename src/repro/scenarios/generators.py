@@ -31,7 +31,7 @@ from typing import List
 
 import numpy as np
 
-from repro.scenarios.config import ScenarioConfig
+from repro.scenarios.config import COMMUNITY_SIZE, FLASH_START_FRACTION, ScenarioConfig
 from repro.utils.rng import ensure_rng
 from repro.utils.sampling import (
     InverseCDFSampler,
@@ -39,6 +39,14 @@ from repro.utils.sampling import (
     zipf_probabilities,
 )
 from repro.workloads.trace import Trace
+
+#: Skew of the popularity law over the ranked ids (and over the community
+#: ranking).
+ZIPF_ALPHA = 0.9
+
+#: Fraction of each query's lookups drawn from its focus community; the rest
+#: are independent draws from the global popularity law.
+QUERY_LOCALITY = 0.8
 
 
 def _query_sizes(config: ScenarioConfig, rng: np.random.Generator) -> List[int]:
@@ -50,9 +58,9 @@ def _query_sizes(config: ScenarioConfig, rng: np.random.Generator) -> List[int]:
 class _QueryLaw:
     """The per-query sampling law over one (rotatable) popularity ranking.
 
-    Each query focuses on one *community* — a contiguous ``community_size``
+    Each query focuses on one *community* — a contiguous :data:`COMMUNITY_SIZE`
     span of the ranking, chosen by a Zipf law over community rank — and
-    draws ``query_locality`` of its lookups from that community, the rest
+    draws :data:`QUERY_LOCALITY` of its lookups from that community, the rest
     from a global Zipf law over the ranked ids.  Communities are what give
     SHP block-level structure to discover: co-accessed ids live in the same
     rank span, so a good placement packs them into the same 4 KB blocks.
@@ -64,15 +72,14 @@ class _QueryLaw:
     """
 
     def __init__(self, config: ScenarioConfig, rng: np.random.Generator) -> None:
-        self.config = config
         self.rng = rng
         self.ranking = rng.permutation(config.num_vectors).astype(np.int64)
         self._rank_sampler = InverseCDFSampler(
-            zipf_probabilities(config.num_vectors, config.zipf_alpha)
+            zipf_probabilities(config.num_vectors, ZIPF_ALPHA)
         )
-        num_communities = max(1, config.num_vectors // config.community_size)
+        num_communities = config.num_vectors // COMMUNITY_SIZE
         self._community_sampler = InverseCDFSampler(
-            zipf_probabilities(num_communities, config.zipf_alpha)
+            zipf_probabilities(num_communities, ZIPF_ALPHA)
         )
 
     def rotate(self, shift: int) -> None:
@@ -87,12 +94,12 @@ class _QueryLaw:
     def draw_query(self, size: int) -> np.ndarray:
         """One query: community-focused plus global Zipf draws, de-duplicated
         in draw order (a request reads each id at most once)."""
-        config, rng = self.config, self.rng
-        within = int(round(size * config.query_locality))
+        rng = self.rng
+        within = int(round(size * QUERY_LOCALITY))
         parts: List[np.ndarray] = []
         if within:
-            lo = int(self._community_sampler.draw(rng)) * config.community_size
-            members = self.ranking[lo : lo + config.community_size]
+            lo = int(self._community_sampler.draw(rng)) * COMMUNITY_SIZE
+            members = self.ranking[lo : lo + COMMUNITY_SIZE]
             parts.append(members[rng.integers(members.size, size=within)])
         rest = size - within
         if rest:
@@ -119,7 +126,7 @@ def _flash_crowd_trace(config: ScenarioConfig, rng: np.random.Generator) -> Trac
     law = _QueryLaw(config, rng)
     # The crowd converges on the coldest ids of the baseline law.
     crowd = law.coldest_ids(config.flash_crowd_ids)
-    start = int(round(config.flash_start_fraction * config.num_queries))
+    start = int(round(FLASH_START_FRACTION * config.num_queries))
     end = start + int(round(config.flash_duration_fraction * config.num_queries))
     queries: List[np.ndarray] = []
     for index, size in enumerate(_query_sizes(config, rng)):

@@ -57,19 +57,19 @@ runs the one serving event loop
 a backend — the host's device bank, or a cluster store), which
 :func:`repro.cluster.run_scenario` shares for its measured run; both return
 a :class:`~repro.serving.report.ServingReport`, and a cluster run's also
-carries the router's ``counters`` and ``node_blocks_read``.  The
-knobs live in :class:`repro.core.config.ServingConfig`, reachable as
-``BandanaConfig.serving``.  ``benchmarks/bench_serving_latency.py`` sweeps
-arrival rates up to device saturation, batched vs unbatched.
+carries the router's ``counters`` and ``node_blocks_read``.  The knobs live
+in a :class:`repro.core.config.ServingConfig` passed to
+:func:`simulate_serving` (its defaults when omitted).
+``benchmarks/bench_serving_latency.py`` sweeps arrival rates up to device
+saturation, batched vs unbatched.
 
 Tracing
 -------
-Pass ``tracing=TracingConfig(enabled=True)`` (or set
-``BandanaConfig.tracing``) and every request's latency decomposes into
-spans on the same simulated clock — ``batcher.queue`` (arrival → batch
-dispatch: queue wait plus linger), ``device.queue`` (dispatch → device
-start, the FIFO backlog), ``device.service`` (the batch's NVM reads) and
-``overhead`` — which tile the end-to-end latency *exactly*.  The report
+Pass ``tracing=TracingConfig(enabled=True)`` and every request's latency
+decomposes into spans on the same simulated clock — ``batcher.queue``
+(arrival → batch dispatch: queue wait plus linger), ``device.queue``
+(dispatch → device start, the FIFO backlog), ``device.service`` (the
+batch's NVM reads) and ``overhead`` — which tile the end-to-end latency *exactly*.  The report
 then carries a JSON summary (per-stage breakdown, top-K slowest requests
 with critical paths) in ``ServingReport.trace``; see :mod:`repro.tracing`
 for the query API and a worked "why did p999 regress" example.  A disabled

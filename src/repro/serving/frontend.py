@@ -29,9 +29,9 @@ source* and served by a *backend*.  One step per dispatched batch:
    The cluster backend (:func:`repro.cluster.run_scenario`, unbatched) hands
    each request to :meth:`~repro.cluster.store.ClusterStore.serve_request`
    at its own arrival;
-3. every request's latency is ``completion − arrival +
-   request_overhead_us``: served requests complete with their batch, shed
-   ones at dispatch.
+3. every request's latency is ``completion − arrival +``
+   :data:`REQUEST_OVERHEAD_US`: served requests complete with their batch,
+   shed ones at dispatch.
 
 The cache counters the store accumulates are bit-identical to a plain
 :func:`~repro.simulation.simulate_store` replay of the same requests — the
@@ -69,6 +69,10 @@ if TYPE_CHECKING:  # repro.cluster imports this package; import only for types
     from repro.cluster.store import ClusterStore
 
 Request = Dict[str, np.ndarray]
+#: Fixed non-device latency added to every request (queueing-free front-end
+#: compute: pooling, RPC framing).  The cluster router adds the same amount
+#: for its fan-out/fan-in.
+REQUEST_OVERHEAD_US = 5.0
 #: One batch's member arrival times (µs), in request order.
 _Arrivals = Union[np.ndarray, List[float]]
 
@@ -92,7 +96,7 @@ def simulate_serving(
         :meth:`~repro.workloads.trace.ModelTrace.requests` (request ``i``
         reads every table's ``i``-th query).
     config:
-        Serving knobs; defaults to ``store.config.serving``.  Beyond the
+        Serving knobs; defaults to ``ServingConfig()``.  Beyond the
         arrival/batching knobs this sizes the host's device bank
         (``config.devices_per_host``) and sets single-host admission control
         (``config.admission_queue_slack``).
@@ -106,8 +110,8 @@ def simulate_serving(
         Per-request span tracing (:mod:`repro.tracing`): a
         :class:`~repro.core.config.TracingConfig` builds a fresh tracer
         (when enabled), an existing :class:`~repro.tracing.Tracer` is used
-        as-is (tests pass one in to inspect raw spans), ``None`` defaults
-        to ``store.config.tracing`` — disabled by default.  When enabled,
+        as-is (tests pass one in to inspect raw spans), ``None`` (the
+        default) disables tracing.  When enabled,
         every request's latency decomposes into ``batcher.queue`` →
         ``device.queue`` → ``device.service`` → ``overhead`` spans (shed
         requests record a ``request.shed`` marker instead of device spans)
@@ -115,11 +119,8 @@ def simulate_serving(
         carries the tracer's JSON summary in ``report.trace``.  Tracing
         never changes behavior.
     """
-    config = config or store.config.serving
-    tracer = resolve_tracer(
-        tracing if tracing is not None else store.config.tracing,
-        slo_latency_us=config.slo_latency_us,
-    )
+    config = config or ServingConfig()
+    tracer = resolve_tracer(tracing, slo_latency_us=config.slo_latency_us)
     _, requests = cut_request_stream(eval_trace, num_requests)
     if reset_first:
         store.reset_serving_state()
@@ -243,12 +244,10 @@ class _HostBackend:
             num_devices=config.devices_per_host,
             latency_model=model,
             block_bytes=store.config.block_bytes,
-            max_queue_depth=config.max_device_queue_depth,
-            throughput_window_s=config.throughput_window_s,
             tables=list(store.tables),
         )
         self.records: List[DeviceServiceRecord] = []
-        self.overhead_us = config.request_overhead_us
+        self.overhead_us = REQUEST_OVERHEAD_US
         self.requests_shed = 0
 
     def serve(
@@ -290,7 +289,7 @@ class _HostBackend:
             # Retrospective spans: the batch's timeline is fully known, and
             # with one charged device the four stages tile the latency
             # exactly — batcher.queue + device.queue + device.service +
-            # overhead == completion - arrival + request_overhead_us.
+            # overhead == completion - arrival + REQUEST_OVERHEAD_US.
             for i in served:
                 _emit_request_spans(
                     tracer,
@@ -324,7 +323,7 @@ class _ClusterBackend:
     bank = None
     records: Tuple[DeviceServiceRecord, ...] = ()
     requests_shed = 0
-    #: The cluster adds its own ``request_overhead_us`` inside
+    #: The cluster adds its own :data:`REQUEST_OVERHEAD_US` inside
     #: ``serve_request``; the front-end must not count it twice.
     overhead_us = 0.0
 
@@ -594,7 +593,6 @@ def _assemble_report(
         steady_state = model.application_latency(
             app_bytes / makespan_us,  # bytes/µs == MB/s
             min(1.0, app_bytes / nvm_bytes),
-            queue_depth=store.config.queue_depth,
         )
 
     return ServingReport(

@@ -12,17 +12,19 @@ Worked example: why did p999 regress?
 -------------------------------------
 ``BENCH_cluster_failures.json`` shows the ``crash_recover`` scenario at
 R=2 with availability 1.0 but p999 ≈ 5x the healthy baseline.  Is the
-device slower, or is the tail paying for failover?  Ask the tracer:
+device slower, or is the tail paying for failover?  Ask the tracer (with
+``store`` a built :class:`~repro.core.bandana.BandanaStore` and
+``eval_trace`` its evaluation trace):
 
 >>> from repro.cluster import run_scenario
->>> from repro.core.config import TracingConfig
->>> report = run_scenario(
+>>> from repro.core.config import ClusterConfig, TracingConfig
+>>> report = run_scenario(  # doctest: +SKIP
 ...     store, eval_trace, "crash_recover",
-...     cluster_config=cluster_cfg, serving_config=serving_cfg,
+...     cluster_config=ClusterConfig(num_nodes=4, replication=2),
 ...     num_requests=4000,
 ...     tracing=TracingConfig(enabled=True, sample_every=1),
 ... )
->>> trace = report.trace                      # JSON-ready summary dict
+>>> trace = report.trace  # doctest: +SKIP
 >>> trace["slo_violators_breakdown_by_stage"]  # doctest: +SKIP
 {'request':         {'count': 38, 'total_us': 52413.0, ...},
  'attempt.timeout': {'count': 41, 'total_us': 28700.0, ...},
@@ -41,12 +43,11 @@ request-by-request drill-down.
 
 Enabling it
 -----------
-Set ``BandanaConfig.tracing = TracingConfig(enabled=True, ...)`` or pass a
-``TracingConfig`` / :class:`Tracer` to ``simulate_serving`` /
-``run_scenario`` directly.  Disabled (the default) resolves to the shared
-:data:`NULL_TRACER`, and every instrumentation site guards with
-``if tracer.enabled:`` — the disabled path is an attribute load and a
-branch, with zero allocations (enforced by
+Pass a ``TracingConfig(enabled=True, ...)`` or a :class:`Tracer` as the
+``tracing=`` argument of ``simulate_serving`` / ``run_scenario``.  Disabled
+(the default) resolves to the shared :data:`NULL_TRACER`, and every
+instrumentation site guards with ``if tracer.enabled:`` — the disabled path
+is an attribute load and a branch, with zero allocations (enforced by
 ``benchmarks/bench_tracing_overhead.py`` in CI).
 """
 

@@ -102,20 +102,6 @@ def check_seed(value: Any, name: str) -> Optional[int]:
     return int(value)
 
 
-def check_instance(value: Any, expected: type, name: str) -> Any:
-    """Return ``value`` if it is an instance of ``expected``, else ``TypeError``.
-
-    Used for nested config objects: passing a dict where a ``ServingConfig``
-    belongs would defer the crash to the first attribute access.
-    """
-    if not isinstance(value, expected):
-        raise TypeError(
-            f"{name} must be a {expected.__name__}, got {value!r} "
-            f"of type {type(value).__name__}"
-        )
-    return value
-
-
 def check_array_1d_ints(values: Any, name: str) -> np.ndarray:
     """Coerce ``values`` to a 1-D ``int64`` array, raising on bad shapes.
 

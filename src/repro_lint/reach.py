@@ -1,11 +1,15 @@
-"""Flow-reachability audit: which ``src/repro`` functions does no flow enter?
+"""Flow-reachability audit: which ``src/repro`` functions does no flow enter,
+and which config fields does no flow set?
 
 ``python -m repro_lint.reach --check`` (from the repo root) runs the cheap
 :data:`FLOWS` — the three examples, the two-clock benchmark's ``--selfcheck``
-and four ``--smoke`` benchmarks — each under a ``sys.setprofile`` recorder,
-and diffs the functions they enter against every ``def`` that ``ast`` finds
-under ``src/repro``.  Every ``def`` no cheap flow reaches must be listed in
-the committed ``REACH.json``:
+and four ``--smoke`` benchmarks — each under a ``sys.setprofile`` recorder.
+It diffs the functions they enter against every ``def`` that ``ast`` finds
+under ``src/repro``, and the config fields they set against every field of
+the validated config classes (repro-lint R4's
+:data:`~repro_lint.rules.CONFIG_CLASSES`).  Every ``def`` no cheap flow
+reaches, and every field no cheap flow sets, must be listed in the
+committed ``REACH.json``:
 
 ``verdicts``
     Functions no flow at all reaches, each with one verdict: ``delete``,
@@ -14,10 +18,17 @@ the committed ``REACH.json``:
 ``figure_only``
     Functions only the expensive flow reaches (the 19 ``bench_*`` figure and
     table functions under pytest).
+``fields``
+    Config fields (``path::Class.field``) no cheap flow sets, each with a
+    verdict.  A field is *set* when a ``__post_init__`` of its class returns
+    with the field unequal to its default (after the normalisation
+    ``__post_init__`` does; a ``default_factory`` is called for the
+    comparison), or when it has no default.
 
-``--check`` fails on an unreached ``def`` that is in neither list, on a stale
-entry (the ``def`` is gone or a cheap flow now reaches it) and on a malformed
-verdict.  ``--write`` runs every flow and regenerates both lists, keeping
+``--check`` fails on an unreached ``def`` that is in neither list, on a
+never-set field without an entry, on a stale entry (the ``def`` or field is
+gone, or a cheap flow now reaches or sets it) and on a malformed verdict.
+``--write`` runs every flow and regenerates all three sections, keeping
 existing verdicts (a new entry gets an empty one, which ``--check`` rejects
 until someone writes it); the expensive flow needs ``pytest-benchmark``.
 
@@ -36,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import dataclasses
 import inspect
 import json
 import os
@@ -47,7 +59,10 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional
+from typing import Sequence, Set, Tuple
+
+from repro_lint.rules import CONFIG_CLASSES, config_classes
 
 PACKAGE = "src/repro"
 REACH_FILE = "REACH.json"
@@ -100,7 +115,22 @@ class FlowFailed(RuntimeError):
     """A flow exited non-zero; its reach would be an undercount."""
 
 
+class FlowReach(NamedTuple):
+    """What one flow touched under the package."""
+
+    sites: Set[Site]
+    #: ``path::Class.field`` keys of the config fields it set.
+    fields: Set[str]
+
+
 # ------------------------------------------------------------------ the AST side
+def _modules(root: Path, package: str) -> Iterator[Tuple[str, ast.AST]]:
+    """``(path relative to root, parsed module)`` for every file under *package*."""
+    for path in sorted((root / package).rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        yield rel, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
 def function_defs(root: Path, package: str = PACKAGE) -> Dict[Site, Tuple[str, int]]:
     """``(file, first line) -> (key, lines)`` for every ``def`` under *package*.
 
@@ -108,8 +138,7 @@ def function_defs(root: Path, package: str = PACKAGE) -> Dict[Site, Tuple[str, i
     ``#2`` suffix on a repeated qualname such as a property setter).
     """
     defs: Dict[Site, Tuple[str, int]] = {}
-    for path in sorted((root / package).rglob("*.py")):
-        rel = path.relative_to(root).as_posix()
+    for rel, tree in _modules(root, package):
         seen: Dict[str, int] = {}
 
         def visit(node: ast.AST, prefix: str) -> None:
@@ -127,8 +156,18 @@ def function_defs(root: Path, package: str = PACKAGE) -> Dict[Site, Tuple[str, i
                 else:
                     visit(child, prefix)
 
-        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), "")
+        visit(tree, "")
     return defs
+
+
+def config_fields(root: Path, package: str = PACKAGE) -> Set[str]:
+    """``path::Class.field`` for every field R4 collects under *package*."""
+    return {
+        f"{rel}::{config.node.name}.{name}"
+        for rel, tree in _modules(root, package)
+        for config in config_classes(tree)
+        for name, _node in config.fields
+    }
 
 
 # ----------------------------------------------------------------- the flow side
@@ -185,13 +224,36 @@ def _run_argv(argv: Sequence[str]) -> int:
     return 0
 
 
+def _is_default(field: "dataclasses.Field[Any]", value: Any) -> bool:
+    """Whether *value* is *field*'s default; a field without one is always set."""
+    if field.default is not dataclasses.MISSING:
+        return bool(value == field.default)
+    if field.default_factory is not dataclasses.MISSING:
+        return bool(value == field.default_factory())
+    return False
+
+
 def _record(out: str, root: str, package: str, argv: Sequence[str]) -> int:
-    """Run one flow under the recorder; dump the package sites it entered."""
+    """Run one flow under the recorder; dump the package sites and fields it touched."""
     codes: Set[Any] = set()
+    fields: Set[str] = set()
+    prefix = os.path.join(root, package, "")
 
     def record(frame: Any, event: str, _arg: Any) -> None:
         if event == "call":
             codes.add(frame.f_code)
+        elif event == "return" and frame.f_code.co_name == "__post_init__":
+            # On return, not call: __post_init__ normalises some values.
+            config = frame.f_locals.get("self")
+            name = type(config).__name__
+            filename = frame.f_code.co_filename
+            if name in CONFIG_CLASSES and filename.startswith(prefix):
+                path = Path(os.path.relpath(filename, root)).as_posix()
+                fields.update(
+                    f"{path}::{name}.{field.name}"
+                    for field in dataclasses.fields(config)
+                    if not _is_default(field, getattr(config, field.name))
+                )
 
     chain = _ProfileChain(record)
     real_set, real_get = sys.setprofile, sys.getprofile
@@ -202,7 +264,6 @@ def _record(out: str, root: str, package: str, argv: Sequence[str]) -> int:
     finally:
         real_set(None)
         sys.setprofile, sys.getprofile = real_set, real_get  # type: ignore[assignment]
-    prefix = os.path.join(root, package, "")
     sites = sorted(
         (Path(os.path.relpath(code.co_filename, root)).as_posix(), code.co_firstlineno)
         for code in codes
@@ -212,20 +273,23 @@ def _record(out: str, root: str, package: str, argv: Sequence[str]) -> int:
         and code.co_flags & inspect.CO_OPTIMIZED
         and not code.co_name.startswith("<")
     )
-    Path(out).write_text(json.dumps(sites), encoding="utf-8")
+    Path(out).write_text(
+        json.dumps({"sites": sites, "fields": sorted(fields)}), encoding="utf-8"
+    )
     return status
 
 
 def run_flows(
     root: Path, flows: Sequence[Flow], package: str = PACKAGE
-) -> Dict[str, Set[Site]]:
-    """Flow name -> the ``(file, first line)`` sites it enters under *package*.
+) -> Dict[str, FlowReach]:
+    """Flow name -> the ``(file, first line)`` sites it enters under *package*
+    and the config fields it sets.
 
     Each flow runs in its own scratch copy of *root*, so nothing it writes
     reaches the real tree (or the next flow).
     """
     lint_parent = str(Path(__file__).resolve().parent.parent)
-    reached: Dict[str, Set[Site]] = {}
+    reached: Dict[str, FlowReach] = {}
     for flow in flows:
         with tempfile.TemporaryDirectory(prefix="reach-") as scratch:
             copy = Path(scratch) / "tree"
@@ -250,7 +314,10 @@ def run_flows(
                 raise FlowFailed(
                     f"flow {flow.name!r} exited {proc.returncode}:\n{proc.stdout[-3000:]}"
                 )
-            reached[flow.name] = {(path, line) for path, line in json.loads(out.read_text())}
+            recorded = json.loads(out.read_text())
+            reached[flow.name] = FlowReach(
+                {(path, line) for path, line in recorded["sites"]}, set(recorded["fields"])
+            )
     return reached
 
 
@@ -258,76 +325,95 @@ def run_flows(
 def load_reach(root: Path) -> Dict[str, Any]:
     path = root / REACH_FILE
     if not path.exists():
-        return {"verdicts": {}, "figure_only": []}
+        return {"verdicts": {}, "figure_only": [], "fields": {}}
     return json.loads(path.read_text(encoding="utf-8"))
 
 
 def _reached_keys(
-    defs: Mapping[Site, Tuple[str, int]], reached: Mapping[str, Set[Site]]
+    defs: Mapping[Site, Tuple[str, int]], reached: Mapping[str, FlowReach]
 ) -> Dict[str, Set[str]]:
     """Flow name -> the keys of the functions it entered."""
     return {
-        name: {defs[site][0] for site in sites if site in defs}
-        for name, sites in reached.items()
+        name: {defs[site][0] for site in flow.sites if site in defs}
+        for name, flow in reached.items()
     }
+
+
+def _stale(
+    label: str, entries: Iterable[str], keys: Set[str], used_by: Mapping[str, Set[str]], verb: str
+) -> Iterator[str]:
+    """Entries whose key is gone, or that a flow in *used_by* now covers."""
+    for key in sorted(entries):
+        flows = ", ".join(sorted(name for name, used in used_by.items() if key in used))
+        if key not in keys:
+            yield f"stale {label}: {key} no longer exists"
+        elif flows:
+            yield f"stale {label}: {key} is {verb} by {flows}"
 
 
 def find_problems(
     defs: Mapping[Site, Tuple[str, int]],
-    reached: Mapping[str, Set[Site]],
+    fields: Set[str],
+    reached: Mapping[str, FlowReach],
     reach: Mapping[str, Any],
 ) -> List[str]:
-    """Every way *reach* disagrees with what the cheap flows in *reached* entered."""
+    """Every way *reach* disagrees with what the cheap flows in *reached* touched."""
     all_keys = {key for key, _lines in defs.values()}
     reached_by = _reached_keys(defs, reached)
-    by_cheap = set().union(*reached_by.values())
+    set_by = {name: flow.fields for name, flow in reached.items()}
     verdicts: Mapping[str, str] = reach.get("verdicts", {})
     figure_only = set(reach.get("figure_only", []))
-    problems: List[str] = []
-
-    def flows_reaching(key: str) -> str:
-        return ", ".join(sorted(name for name, keys in reached_by.items() if key in keys))
-
-    for key, verdict in sorted(verdicts.items()):
-        if key not in all_keys:
-            problems.append(f"stale verdict: {key} no longer exists")
-        elif key in by_cheap:
-            problems.append(f"stale verdict: {key} is reached by {flows_reaching(key)}")
-        elif not VERDICT_RE.match(verdict):
-            problems.append(
-                f"bad verdict for {key}: {verdict!r} (want 'delete', "
-                "'test-oracle → tests/' or 'keep: <reason>')"
-            )
-        if key in figure_only:
-            problems.append(f"{key} is both in verdicts and figure_only")
-    for key in sorted(figure_only):
-        if key not in all_keys:
-            problems.append(f"stale figure_only: {key} no longer exists")
-        elif key in by_cheap:
-            problems.append(f"stale figure_only: {key} is reached by {flows_reaching(key)}")
-    for key in sorted(all_keys - by_cheap - set(verdicts) - figure_only):
-        problems.append(f"unreached without verdict: {key}")
+    field_verdicts: Mapping[str, str] = reach.get("fields", {})
+    problems = [
+        *_stale("verdict", verdicts, all_keys, reached_by, "reached"),
+        *_stale("figure_only", figure_only, all_keys, reached_by, "reached"),
+        *_stale("field verdict", field_verdicts, fields, set_by, "set"),
+    ]
+    problems += [
+        f"bad verdict for {key}: {verdict!r} (want 'delete', "
+        "'test-oracle → tests/' or 'keep: <reason>')"
+        for key, verdict in sorted({**verdicts, **field_verdicts}.items())
+        if not VERDICT_RE.match(verdict)
+    ]
+    both = sorted(figure_only & set(verdicts))
+    problems += [f"{key} is both in verdicts and figure_only" for key in both]
+    unreached = all_keys - set().union(*reached_by.values()) - set(verdicts) - figure_only
+    problems += [f"unreached without verdict: {key}" for key in sorted(unreached)]
+    never_set = fields - set().union(*set_by.values()) - set(field_verdicts)
+    problems += [f"never-set field without verdict: {key}" for key in sorted(never_set)]
     return problems
 
 
 def check(root: Path, flows: Sequence[Flow] = FLOWS, package: str = PACKAGE) -> List[str]:
-    """Run the cheap flows and diff what they enter against ``REACH.json``."""
+    """Run the cheap flows and diff what they touch against ``REACH.json``."""
     reached = run_flows(root, [flow for flow in flows if flow.cheap], package)
-    return find_problems(function_defs(root, package), reached, load_reach(root))
+    return find_problems(
+        function_defs(root, package), config_fields(root, package), reached, load_reach(root)
+    )
 
 
 def write(root: Path, flows: Sequence[Flow] = FLOWS, package: str = PACKAGE) -> Dict[str, int]:
-    """Run every flow and regenerate ``REACH.json``; return a summary."""
+    """Run every flow and regenerate ``REACH.json``; return a summary.
+
+    The ``fields`` section lists the fields no *cheap* flow sets, like
+    ``--check`` sees them: the figure scripts set none the cheap flows do
+    not, and a field only they set would need a ``keep:`` saying so.
+    """
     defs = function_defs(root, package)
-    reached_by = _reached_keys(defs, run_flows(root, flows, package))
+    fields = config_fields(root, package)
+    reached = run_flows(root, flows, package)
+    reached_by = _reached_keys(defs, reached)
     by_cheap = set().union(*(reached_by[flow.name] for flow in flows if flow.cheap))
     by_any = set().union(*reached_by.values())
+    set_by_cheap = set().union(*(reached[flow.name].fields for flow in flows if flow.cheap))
     lines = {key: count for key, count in defs.values()}
     unreached = sorted(set(lines) - by_any)
-    old = load_reach(root).get("verdicts", {})
+    never_set = sorted(fields - set_by_cheap)
+    old = load_reach(root)
     doc = {
-        "verdicts": {key: old.get(key, "") for key in unreached},
+        "verdicts": {key: old.get("verdicts", {}).get(key, "") for key in unreached},
         "figure_only": sorted(by_any - by_cheap),
+        "fields": {key: old.get("fields", {}).get(key, "") for key in never_set},
     }
     (root / REACH_FILE).write_text(
         json.dumps(doc, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
@@ -337,7 +423,11 @@ def write(root: Path, flows: Sequence[Flow] = FLOWS, package: str = PACKAGE) -> 
         "unreached": len(unreached),
         "unreached_lines": sum(lines[key] for key in unreached),
         "figure_only": len(doc["figure_only"]),
-        "missing_verdicts": sum(1 for key in unreached if not old.get(key)),
+        "fields": len(fields),
+        "never_set": len(never_set),
+        "missing_verdicts": sum(
+            1 for section in ("verdicts", "fields") for v in doc[section].values() if not v
+        ),
     }
 
 
@@ -363,7 +453,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(
                 f"{REACH_FILE}: {summary['defs']} defs, {summary['unreached']} reached by "
                 f"no flow ({summary['unreached_lines']} lines), {summary['figure_only']} "
-                f"figure-only; {summary['missing_verdicts']} need a verdict"
+                f"figure-only; {summary['fields']} config fields, {summary['never_set']} "
+                f"set by no cheap flow; {summary['missing_verdicts']} need a verdict"
             )
             return 0
         problems = check(root)

@@ -45,7 +45,7 @@ Each rule encodes a convention the runtime equivalence suites and golden pins
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from repro_lint.framework import FileContext, Rule, Violation, register
 
@@ -380,6 +380,36 @@ CONFIG_CLASSES = frozenset(
 VALIDATION_METHODS = ("__post_init__", "validate")
 
 
+class ConfigClass(NamedTuple):
+    """One :data:`CONFIG_CLASSES` class as R4 sees it in a module's AST."""
+
+    node: ast.ClassDef
+    #: ``(name, node)`` of every dataclass field, in declaration order.
+    fields: List[Tuple[str, ast.AnnAssign]]
+    validators: List[ast.FunctionDef]
+
+
+def config_classes(tree: ast.AST) -> Iterator[ConfigClass]:
+    """Every :data:`CONFIG_CLASSES` class in *tree*, with its fields and validators.
+
+    R4 checks the fields against the validators; ``repro_lint.reach`` keys
+    its field pass on the same list.
+    """
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef) or node.name not in CONFIG_CLASSES:
+            continue
+        fields: List[Tuple[str, ast.AnnAssign]] = []
+        validators: List[ast.FunctionDef] = []
+        for stmt in node.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                if "ClassVar" in ast.unparse(stmt.annotation):
+                    continue
+                fields.append((stmt.target.id, stmt))
+            elif isinstance(stmt, ast.FunctionDef) and stmt.name in VALIDATION_METHODS:
+                validators.append(stmt)
+        yield ConfigClass(node, fields, validators)
+
+
 @register
 class UnvalidatedConfigFieldRule(Rule):
     id = "R4"
@@ -391,22 +421,7 @@ class UnvalidatedConfigFieldRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef) or node.name not in CONFIG_CLASSES:
-                continue
-            fields: List[Tuple[str, ast.AnnAssign]] = []
-            validators: List[ast.FunctionDef] = []
-            for stmt in node.body:
-                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                    annotation = ast.unparse(stmt.annotation)
-                    if "ClassVar" in annotation:
-                        continue
-                    fields.append((stmt.target.id, stmt))
-                elif (
-                    isinstance(stmt, ast.FunctionDef)
-                    and stmt.name in VALIDATION_METHODS
-                ):
-                    validators.append(stmt)
+        for node, fields, validators in config_classes(ctx.tree):
             if not validators:
                 if fields:
                     yield ctx.violation(

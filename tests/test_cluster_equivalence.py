@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterStore, run_scenario
-from repro.core.config import ClusterConfig
+from repro.core.config import ClusterConfig, ServingConfig
 from repro.simulation import simulate_store
 from tests.conftest import build_store, counters
 
@@ -135,6 +135,22 @@ class TestServingIntegration:
         assert report.latency.p999_us >= report.latency.p50_us > 0.0
         assert report.blocks_read > 0
         assert report.makespan_s > 0.0
+
+    def test_omitted_configs_are_the_defaults(self):
+        # The store carries no cluster or serving knobs: leaving both out is
+        # exactly ``ClusterConfig()`` and ``ServingConfig()``.
+        store, trace = build_store(0)
+        implicit = run_scenario(store, trace, "none", num_requests=30)
+        store, trace = build_store(0)
+        explicit = run_scenario(
+            store,
+            trace,
+            "none",
+            cluster_config=ClusterConfig(),
+            serving_config=ServingConfig(),
+            num_requests=30,
+        )
+        assert implicit.to_dict() == explicit.to_dict()
 
     def test_cluster_routed_zero_requests_is_an_empty_report(self):
         store, trace = build_store(0)

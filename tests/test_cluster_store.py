@@ -258,11 +258,11 @@ class TestStoreMechanics:
         assert outcome.shard_groups == 0
         assert outcome.ok
 
-    def test_from_store_defaults_to_store_cluster_config(self):
+    def test_from_store_defaults_to_the_default_cluster_config(self):
         store, _ = build_store(0)
         cluster = ClusterStore.from_store(store)
-        assert cluster.config is store.config.cluster
-        assert len(cluster.nodes) == store.config.cluster.num_nodes
+        assert cluster.config == ClusterConfig()
+        assert len(cluster.nodes) == ClusterConfig().num_nodes
 
     def test_rejects_empty_spec_set(self):
         with pytest.raises(ValueError, match="at least one table"):

@@ -58,6 +58,7 @@ class TestConfigKnobValidation:
             {"num_workers": 0},
             {"vector_bytes": 0},
             {"total_cache_vectors": 0},
+            {"shp_iterations": 0},
         ],
     )
     def test_bandana_rejects_non_positive_counts(self, kwargs):
@@ -70,6 +71,10 @@ class TestConfigKnobValidation:
             {"num_workers": 2.5},
             {"total_cache_vectors": 100.7},
             {"total_cache_vectors": True},
+            # Annotated ``int`` but checked as a positive number, 2.5 and
+            # True used to construct.
+            {"shp_iterations": 2.5},
+            {"shp_iterations": True},
         ],
     )
     def test_bandana_rejects_non_integer_counts(self, kwargs):
@@ -134,8 +139,6 @@ class TestConfigKnobValidation:
             {"virtual_nodes": 0},
             {"max_attempts": 0},
             {"default_slo_us": 0.0},
-            {"shard_timeout_us": 0.0},
-            {"hedge_quantile": 1.5},
             {"admission_queue_slack": -1.0},
         ],
     )
@@ -145,13 +148,7 @@ class TestConfigKnobValidation:
 
     @pytest.mark.parametrize(
         "config_cls, name",
-        [
-            (ServingConfig, "max_linger_us"),
-            (ServingConfig, "request_overhead_us"),
-            (ClusterConfig, "node_overhead_us"),
-            (ClusterConfig, "link_delay_us"),
-            (ClusterConfig, "request_overhead_us"),
-        ],
+        [(ServingConfig, "max_linger_us")],
         ids=lambda value: getattr(value, "__name__", value),
     )
     @pytest.mark.parametrize("value", [float("nan"), -1.0])
@@ -181,7 +178,3 @@ class TestConfigKnobValidation:
         assert config.slo_us("hot") == pytest.approx(100.0)
         assert config.slo_us("cold") == pytest.approx(900.0)
 
-    def test_bandana_carries_cluster_config(self):
-        config = BandanaConfig(cluster=ClusterConfig(num_nodes=8, replication=3))
-        assert config.cluster.num_nodes == 8
-        assert config.cluster.replication == 3

@@ -47,7 +47,7 @@ from repro.caching.replay import (
 from repro.core.bandana import BandanaStore
 from repro.core.config import BandanaConfig, TableCacheConfig
 from repro.nvm.block import BlockLayout
-from repro.nvm.latency import NVMLatencyModel
+from repro.nvm.latency import QUEUE_DEPTH, NVMLatencyModel
 from repro.simulation import simulate_store, simulate_table
 from repro.utils.sampling import sample_queries_spatially
 from repro.workloads.trace import ModelTrace, Trace
@@ -798,7 +798,7 @@ class TestStoreBatchedServing:
             AccessThresholdPolicy(state.access_counts, state.cache_config.threshold),
             cache=reference_cache,
             device=NVMLatencyModel(block_bytes=store.config.block_bytes),
-            queue_depth=store.config.queue_depth,
+            queue_depth=QUEUE_DEPTH,
         )
         stats = result.per_table["alpha"].stats
         assert stats.counters(include_latency=True) == reference.counters(
@@ -840,7 +840,7 @@ def reference_store_replay(store, trace):
             cache=cache,
             vector_bytes=store.config.vector_bytes,
             device=NVMLatencyModel(block_bytes=store.config.block_bytes),
-            queue_depth=store.config.queue_depth,
+            queue_depth=QUEUE_DEPTH,
         )
         out[name] = (stats, cache)
     return out

@@ -53,6 +53,8 @@ class TestLatencyModel:
             model.loaded_latency(-1)
         with pytest.raises(ValueError):
             model.application_latency(100, 0.0)
+        with pytest.raises(ValueError, match="block_bytes"):
+            NVMLatencyModel(block_bytes=0)
 
     def test_queue_depth_below_one_clamps_to_one(self):
         # An idle closed-loop observer legitimately reports queue depth 0;
@@ -79,6 +81,13 @@ class TestLatencyModel:
         assert model.blocks_per_second(8) == pytest.approx(
             model.bandwidth_gbps(8) * 1e9 / 4096
         )
+
+    @pytest.mark.parametrize("block_bytes", [4096.5, True])
+    def test_block_bytes_must_be_an_integer(self, block_bytes):
+        # Checked as a positive number, 4096.5 and True used to construct and
+        # then price a fractional (or one-byte) block in blocks_per_second.
+        with pytest.raises(TypeError, match="block_bytes"):
+            NVMLatencyModel(block_bytes=block_bytes)
 
 
 class TestEnduranceTracker:

@@ -490,9 +490,45 @@ def toy_tree(tmp_path):
     return tmp_path
 
 
-def write_reach(root, verdicts, figure_only=()):
-    doc = {"verdicts": verdicts, "figure_only": list(figure_only)}
+def write_reach(root, verdicts, figure_only=(), fields=None):
+    doc = {"verdicts": verdicts, "figure_only": list(figure_only), "fields": fields or {}}
     (root / reach.REACH_FILE).write_text(json.dumps(doc))
+
+
+#: A config class R4 knows by name.  ``steps`` is normalised to a tuple, so
+#: the flow's ``[1, 2]`` equals the default and is not a setting.
+TOY_CONFIG = '''\
+import dataclasses
+from typing import Sequence
+
+
+@dataclasses.dataclass(frozen=True)
+class ScenarioConfig:
+    rate: float = 1.0
+    depth: int = 4
+    steps: Sequence[int] = (1, 2)
+
+    def __post_init__(self):
+        object.__setattr__(self, "steps", tuple(self.steps))
+        assert self.rate > 0 and self.depth > 0
+'''
+
+CONFIG_FLOWS = TOY_FLOWS + (reach.Flow("configs", ("config_flow.py",)),)
+#: Verdicts for the toy module's unreached defs, so only fields are at issue.
+TOY_VERDICTS = {toy_key("unused"): "keep: toy", toy_key("Box.unused_method"): "keep: toy"}
+
+
+def conf_key(field):
+    return f"src/toy/conf.py::ScenarioConfig.{field}"
+
+
+@pytest.fixture
+def config_tree(toy_tree):
+    (toy_tree / "src" / "toy" / "conf.py").write_text(TOY_CONFIG)
+    (toy_tree / "config_flow.py").write_text(
+        "from toy.conf import ScenarioConfig\n\nScenarioConfig(rate=2.0, steps=[1, 2])\n"
+    )
+    return toy_tree
 
 
 class TestReach:
@@ -510,7 +546,7 @@ class TestReach:
     def test_reach_survives_the_flow_resetting_the_profiler(self, toy_tree):
         reached = reach.run_flows(toy_tree, TOY_FLOWS, TOY_PACKAGE)
         defs = reach.function_defs(toy_tree, TOY_PACKAGE)
-        keys = {defs[site][0] for site in reached["toy"]}
+        keys = {defs[site][0] for site in reached["toy"].sites}
         assert keys == {toy_key("used"), toy_key("decorated"), toy_key("Box.used_method")}
 
     def test_flow_writes_leave_the_real_tree_clean(self, toy_tree):
@@ -558,6 +594,7 @@ class TestReach:
         assert doc == {
             "verdicts": {toy_key("Box.unused_method"): "keep: toy"},
             "figure_only": [toy_key("unused")],
+            "fields": {},
         }
         assert summary["unreached"] == 1 and summary["missing_verdicts"] == 0
         # The check, which runs only the cheap flows, accepts the result.
@@ -568,6 +605,88 @@ class TestReach:
         with pytest.raises(reach.FlowFailed, match="exited 3"):
             reach.run_flows(toy_tree, (reach.Flow("broken", ("broken.py",)),), TOY_PACKAGE)
 
+    def test_set_fields_are_compared_after_normalisation(self, config_tree):
+        assert reach.config_fields(config_tree, TOY_PACKAGE) == {
+            conf_key("rate"), conf_key("depth"), conf_key("steps")
+        }
+        reached = reach.run_flows(config_tree, CONFIG_FLOWS, TOY_PACKAGE)
+        # ``steps=[1, 2]`` is the default once __post_init__ froze it.
+        assert reached["configs"].fields == {conf_key("rate")}
+        assert reached["toy"].fields == set()
+
+    def test_never_set_field_without_verdict_fails(self, config_tree):
+        write_reach(config_tree, TOY_VERDICTS, fields={conf_key("depth"): "keep: toy"})
+        problems = reach.check(config_tree, CONFIG_FLOWS, TOY_PACKAGE)
+        assert problems == [f"never-set field without verdict: {conf_key('steps')}"]
+
+    def test_stale_and_malformed_field_entries_fail(self, config_tree):
+        write_reach(
+            config_tree,
+            TOY_VERDICTS,
+            fields={
+                conf_key("depth"): "keep: toy",
+                conf_key("steps"): "later",
+                conf_key("gone"): "keep: deleted since",
+                conf_key("rate"): "keep: a flow sets it now",
+            },
+        )
+        problems = reach.check(config_tree, CONFIG_FLOWS, TOY_PACKAGE)
+        assert f"stale field verdict: {conf_key('gone')} no longer exists" in problems
+        assert f"stale field verdict: {conf_key('rate')} is set by configs" in problems
+        assert any("bad verdict" in p and conf_key("steps") in p for p in problems)
+        assert len(problems) == 3
+
+    def test_write_keeps_field_verdicts(self, config_tree):
+        write_reach(
+            config_tree,
+            TOY_VERDICTS,
+            fields={conf_key("depth"): "keep: toy", conf_key("gone"): "keep: stale"},
+        )
+        summary = reach.write(config_tree, CONFIG_FLOWS, TOY_PACKAGE)
+        doc = reach.load_reach(config_tree)
+        assert doc["fields"] == {conf_key("depth"): "keep: toy", conf_key("steps"): ""}
+        assert summary["fields"] == 3 and summary["never_set"] == 2
+        assert summary["missing_verdicts"] == 1
+
+    def test_field_without_default_is_set_and_default_factory_is_compared(
+        self, config_tree
+    ):
+        (config_tree / "src" / "toy" / "loader.py").write_text(
+            "import dataclasses\n"
+            "from typing import Tuple\n\n\n"
+            "@dataclasses.dataclass(frozen=True)\n"
+            "class TraceLoaderConfig:\n"
+            "    path: str\n"
+            "    labels: Tuple[str, ...] = dataclasses.field(default_factory=tuple)\n\n"
+            "    def __post_init__(self):\n"
+            "        object.__setattr__(self, 'labels', tuple(self.labels))\n"
+        )
+        (config_tree / "loader_flow.py").write_text(
+            "from toy.loader import TraceLoaderConfig\n\n"
+            "TraceLoaderConfig(path='trace.npz', labels=[])\n"
+        )
+        flows = (reach.Flow("loader", ("loader_flow.py",)),)
+        reached = reach.run_flows(config_tree, flows, TOY_PACKAGE)
+        # ``path`` has no default, so it is always set; ``labels=[]`` is the
+        # factory's ``()`` once __post_init__ froze it.
+        assert reached["loader"].fields == {"src/toy/loader.py::TraceLoaderConfig.path"}
+
+    def test_config_class_outside_the_package_is_not_recorded(self, config_tree):
+        # Same name as a config class under the package, but defined by the
+        # flow itself: its settings are not the package's.
+        (config_tree / "local_flow.py").write_text(
+            "import dataclasses\n\n\n"
+            "@dataclasses.dataclass(frozen=True)\n"
+            "class ScenarioConfig:\n"
+            "    rate: float = 1.0\n\n"
+            "    def __post_init__(self):\n"
+            "        assert self.rate > 0\n\n\n"
+            "ScenarioConfig(rate=3.0)\n"
+        )
+        flows = (reach.Flow("local", ("local_flow.py",)),)
+        reached = reach.run_flows(config_tree, flows, TOY_PACKAGE)
+        assert reached["local"].fields == set()
+
     def test_committed_reach_file_is_consistent_with_the_tree(self):
         # The static half of ``--check``: no flow runs, so this stays cheap.
         doc = reach.load_reach(REPO_ROOT)
@@ -577,3 +696,6 @@ class TestReach:
         assert not set(verdicts) & set(doc["figure_only"])
         bad = {k: v for k, v in verdicts.items() if not reach.VERDICT_RE.match(v)}
         assert bad == {}
+        fields = doc["fields"]
+        assert set(fields) <= reach.config_fields(REPO_ROOT)
+        assert {k: v for k, v in fields.items() if not v.startswith("keep: ")} == {}

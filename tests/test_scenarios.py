@@ -32,6 +32,7 @@ from repro.scenarios import (
     layout_churn,
     run_workload_scenario,
 )
+from repro.scenarios.config import COMMUNITY_SIZE, FLASH_START_FRACTION
 from repro.serving import simulate_serving
 from repro.workloads.characterization import access_counts
 from repro.workloads.trace import ModelTrace, Trace
@@ -139,8 +140,7 @@ class TestGenerators:
 
     def test_flash_crowd_concentrates_on_cold_ids(self):
         config = small_scenario(
-            "flash-crowd", flash_traffic_share=1.0, flash_start_fraction=0.5,
-            flash_duration_fraction=0.5,
+            "flash-crowd", flash_traffic_share=1.0, flash_duration_fraction=0.5
         )
         trace = generate_scenario_trace(config)
         # During the flash window with full diversion, lookups hit the crowd.
@@ -429,16 +429,24 @@ class TestConfigValidation:
     def test_scenario_config_rejects_bad_values(self):
         with pytest.raises(ValueError):
             ScenarioConfig(kind="meteor-strike")
-        with pytest.raises(ValueError):
-            ScenarioConfig(query_locality=1.5)
-        with pytest.raises(ValueError):
-            ScenarioConfig(community_size=10_000, num_vectors=4096)
-        with pytest.raises(ValueError):
-            ScenarioConfig(flash_start_fraction=0.7, flash_duration_fraction=0.5)
+        with pytest.raises(ValueError, match="num_vectors"):
+            ScenarioConfig(num_vectors=COMMUNITY_SIZE - 1)
+        with pytest.raises(ValueError, match="flash_duration_fraction"):
+            ScenarioConfig(flash_duration_fraction=1.0 - FLASH_START_FRACTION + 0.1)
         with pytest.raises(ValueError):
             ScenarioConfig(flash_crowd_ids=10_000, num_vectors=4096)
         with pytest.raises(ValueError):
             ScenarioConfig(kind="diurnal")
+
+    def test_scenario_config_accepts_the_constant_boundaries(self):
+        # One community spans the whole universe; the crowd runs to the end.
+        config = ScenarioConfig(
+            kind="flash-crowd",
+            num_vectors=COMMUNITY_SIZE,
+            flash_crowd_ids=1,
+            flash_duration_fraction=1.0 - FLASH_START_FRACTION,
+        )
+        assert generate_scenario_trace(config).num_vectors == COMMUNITY_SIZE
 
     def test_loader_config_rejects_bad_values(self):
         with pytest.raises(ValueError):

@@ -226,6 +226,14 @@ class TestSimulateServing:
         assert payload["latency"]["p99_us"] == latency.p99_us
         assert payload["steady_state"] is not None
 
+    def test_omitted_config_is_the_default_serving_config(self, store_and_trace):
+        # The store carries no serving knobs: leaving ``config`` out is
+        # exactly ``ServingConfig()``.
+        store, eval_trace = store_and_trace
+        implicit = simulate_serving(store, eval_trace, num_requests=40)
+        explicit = simulate_serving(store, eval_trace, ServingConfig(), num_requests=40)
+        assert implicit.to_dict() == explicit.to_dict()
+
     def test_host_report_keys_are_pinned(self, store_and_trace):
         # The committed host artifacts render these keys in this order; the
         # cluster-only fields (counters, node_blocks_read) stay out of them.

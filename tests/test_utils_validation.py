@@ -8,7 +8,6 @@ from repro.utils.validation import (
     check_bool,
     check_fraction,
     check_in_range,
-    check_instance,
     check_int_at_least,
     check_non_negative,
     check_positive,
@@ -137,21 +136,3 @@ class TestCheckSeed:
         # SeedSequence rejects negative entropy; fail at config time instead.
         with pytest.raises(ValueError, match="seed"):
             check_seed(-1, "seed")
-
-
-class TestCheckInstance:
-    def test_accepts_instances_including_subclasses(self):
-        class Base:
-            pass
-
-        class Sub(Base):
-            pass
-
-        obj = Sub()
-        assert check_instance(obj, Base, "cfg") is obj
-
-    def test_rejects_wrong_type_naming_the_knob(self):
-        # Passing a plain dict where a config object belongs would defer the
-        # crash to the first attribute access.
-        with pytest.raises(TypeError, match="serving must be a tuple"):
-            check_instance({"batch_size": 8}, tuple, "serving")
