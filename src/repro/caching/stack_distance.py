@@ -28,14 +28,16 @@ Fenwick-tree loop it replaced is the test oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Annotated, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.utils.validation import (
+    AtLeast,
     check_array_1d_ints,
+    check_fraction,
     check_int_at_least,
-    check_probability,
+    validate_fields,
 )
 from repro.workloads.trace import Trace
 
@@ -135,9 +137,10 @@ class HitRateCurve:
 
     cache_sizes: np.ndarray
     hit_rates: np.ndarray
-    total_lookups: int
+    total_lookups: Annotated[int, AtLeast(0)]
 
     def __post_init__(self) -> None:
+        validate_fields(self)
         sizes = np.asarray(self.cache_sizes, dtype=np.int64)
         rates = np.asarray(self.hit_rates, dtype=np.float64)
         if sizes.shape != rates.shape or sizes.ndim != 1:
@@ -147,11 +150,10 @@ class HitRateCurve:
         outside = ~((rates >= 0.0) & (rates <= 1.0))  # NaN included
         if outside.any():
             index = int(np.argmax(outside))
-            check_probability(float(rates[index]), f"hit_rates[{index}]")
-        total = check_int_at_least(self.total_lookups, 0, "total_lookups")
+            check_fraction(float(rates[index]), f"hit_rates[{index}]")
         object.__setattr__(self, "cache_sizes", sizes)
         object.__setattr__(self, "hit_rates", rates)
-        object.__setattr__(self, "total_lookups", total)
+        object.__setattr__(self, "total_lookups", int(self.total_lookups))
 
     def hit_rate_at(self, cache_size: float) -> float:
         """Interpolated hit rate at an arbitrary cache size."""

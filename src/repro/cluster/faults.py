@@ -30,19 +30,21 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Tuple, Type, Union
+from typing import Annotated, Any, Callable, Dict, Iterable, List, Tuple, Type, Union
 
 from repro.utils.units import s_to_us
 from repro.utils.validation import (
+    AtLeast,
+    Fraction,
+    NonNegative,
+    Positive,
     check_int_at_least,
-    check_non_negative,
     check_positive,
-    check_probability,
+    validate_fields,
 )
 
 
 def _check_window(start_s: float, end_s: float) -> None:
-    check_non_negative(start_s, "start_s")
     if end_s <= start_s:
         raise ValueError(f"end_s must be > start_s, got [{start_s}, {end_s}]")
 
@@ -51,12 +53,12 @@ def _check_window(start_s: float, end_s: float) -> None:
 class NodeCrash:
     """Node ``node`` is down (unreachable) during ``[start_s, end_s)``."""
 
-    node: int
-    start_s: float
-    end_s: float
+    node: Annotated[int, AtLeast(0)]
+    start_s: Annotated[float, NonNegative]
+    end_s: Annotated[float, Positive]
 
     def __post_init__(self) -> None:
-        check_int_at_least(self.node, 0, "node")
+        validate_fields(self)
         _check_window(self.start_s, self.end_s)
 
 
@@ -64,19 +66,15 @@ class NodeCrash:
 class SlowNode:
     """Node ``node`` serves ``multiplier``× slower during ``[start_s, end_s)``."""
 
-    node: int
-    start_s: float
-    end_s: float
-    multiplier: float = 10.0
+    node: Annotated[int, AtLeast(0)]
+    start_s: Annotated[float, NonNegative]
+    end_s: Annotated[float, Positive]
+    #: At least 1: a fault cannot speed a node up.
+    multiplier: Annotated[float, AtLeast(1.0)] = 10.0
 
     def __post_init__(self) -> None:
-        check_int_at_least(self.node, 0, "node")
+        validate_fields(self)
         _check_window(self.start_s, self.end_s)
-        if self.multiplier < 1.0:
-            raise ValueError(
-                f"multiplier must be >= 1 (a fault cannot speed a node up), "
-                f"got {self.multiplier!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -88,17 +86,15 @@ class DegradedLink:
     flight (burning the shard timeout and forcing a retry).
     """
 
-    node: int
-    start_s: float
-    end_s: float
-    extra_delay_us: float = 0.0
-    loss_prob: float = 0.0
+    node: Annotated[int, AtLeast(0)]
+    start_s: Annotated[float, NonNegative]
+    end_s: Annotated[float, Positive]
+    extra_delay_us: Annotated[float, NonNegative] = 0.0
+    loss_prob: Annotated[float, Fraction] = 0.0
 
     def __post_init__(self) -> None:
-        check_int_at_least(self.node, 0, "node")
+        validate_fields(self)
         _check_window(self.start_s, self.end_s)
-        check_non_negative(self.extra_delay_us, "extra_delay_us")
-        check_probability(self.loss_prob, "loss_prob")
 
 
 FaultEvent = Union[NodeCrash, SlowNode, DegradedLink]

@@ -10,55 +10,47 @@ across tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Set, Tuple
+from typing import Annotated, ClassVar, Iterable, Optional, Sequence, Set, Tuple
 
 from repro.utils.validation import (
-    check_bool,
-    check_fraction,
-    check_int_at_least,
+    AtLeast,
+    Fraction,
+    NonNegative,
+    OneOf,
+    Positive,
     check_non_negative,
     check_positive,
-    check_seed,
+    validate_fields,
 )
-
-#: Arrival processes the serving front-end can generate.
-ARRIVAL_PROCESSES = ("poisson", "closed-loop")
-
-
-def _normalise_table_slos(
-    table_slo_us: Sequence[Tuple[str, float]],
-) -> Tuple[Tuple[str, float], ...]:
-    """Freeze per-table SLO overrides, rejecting bad or duplicate entries."""
-    slos = tuple((str(name), float(slo)) for name, slo in table_slo_us)
-    seen: Set[str] = set()
-    for name, slo in slos:
-        check_positive(slo, f"table_slo_us[{name!r}]")
-        if name in seen:
-            raise ValueError(f"table_slo_us names table {name!r} more than once")
-        seen.add(name)
-    return slos
-
 
 class _TableSLOs:
     """The per-table SLO lookup :class:`ServingConfig` and :class:`ClusterConfig` share.
 
-    ``table_slo_us`` is a ``(name, slo_us)`` tuple sequence (frozen by
-    :func:`_normalise_table_slos`); a table it does not name falls back to
-    the config's default SLO.
+    ``table_slo_us`` is a ``(name, slo_us)`` tuple sequence; a table it does
+    not name falls back to the config's default SLO, the field
+    ``_DEFAULT_SLO`` names.
     """
 
     table_slo_us: Sequence[Tuple[str, float]]
+    _DEFAULT_SLO: ClassVar[str]
 
-    @property
-    def _default_slo_us(self) -> float:
-        raise NotImplementedError
+    def _freeze_table_slos(self) -> None:
+        """Freeze ``table_slo_us``, rejecting bad or duplicate entries."""
+        slos = tuple((str(name), float(slo)) for name, slo in self.table_slo_us)
+        seen: Set[str] = set()
+        for name, slo in slos:
+            check_positive(slo, f"table_slo_us[{name!r}]")
+            if name in seen:
+                raise ValueError(f"table_slo_us names table {name!r} more than once")
+            seen.add(name)
+        object.__setattr__(self, "table_slo_us", slos)
 
     def slo_us(self, table_name: str) -> float:
         """The admission-control latency SLO for one table."""
         for name, slo in self.table_slo_us:
             if name == table_name:
                 return slo
-        return self._default_slo_us
+        return getattr(self, self._DEFAULT_SLO)
 
     def check_slo_tables(self, known_tables: Iterable[str]) -> None:
         """Reject ``table_slo_us`` names that are not among ``known_tables``.
@@ -127,41 +119,22 @@ class ServingConfig(_TableSLOs):
         Seed of the arrival process; ``None`` inherits the store seed.
     """
 
-    arrival_rate_rps: float = 2000.0
-    arrival_process: str = "poisson"
-    max_batch_requests: int = 16
-    max_linger_us: float = 500.0
-    slo_latency_us: float = 2000.0
-    closed_loop_clients: int = 32
-    closed_loop_think_s: float = 0.016
-    devices_per_host: int = 1
-    admission_queue_slack: Optional[float] = None
+    arrival_rate_rps: Annotated[float, Positive] = 2000.0
+    arrival_process: Annotated[str, OneOf("poisson", "closed-loop")] = "poisson"
+    max_batch_requests: Annotated[int, AtLeast(1)] = 16
+    max_linger_us: Annotated[float, NonNegative] = 500.0
+    slo_latency_us: Annotated[float, Positive] = 2000.0
+    closed_loop_clients: Annotated[int, AtLeast(1)] = 32
+    closed_loop_think_s: Annotated[float, Positive] = 0.016
+    devices_per_host: Annotated[int, AtLeast(1)] = 1
+    admission_queue_slack: Annotated[Optional[float], Positive] = None
     table_slo_us: Sequence[Tuple[str, float]] = ()
-    seed: Optional[int] = None
+    seed: Annotated[Optional[int], AtLeast(0)] = None
+    _DEFAULT_SLO: ClassVar[str] = "slo_latency_us"
 
     def __post_init__(self) -> None:
-        check_positive(self.arrival_rate_rps, "arrival_rate_rps")
-        check_int_at_least(self.max_batch_requests, 1, "max_batch_requests")
-        check_positive(self.slo_latency_us, "slo_latency_us")
-        check_non_negative(self.max_linger_us, "max_linger_us")
-        check_int_at_least(self.closed_loop_clients, 1, "closed_loop_clients")
-        check_positive(self.closed_loop_think_s, "closed_loop_think_s")
-        check_int_at_least(self.devices_per_host, 1, "devices_per_host")
-        if self.admission_queue_slack is not None:
-            check_positive(self.admission_queue_slack, "admission_queue_slack")
-        check_seed(self.seed, "seed")
-        if self.arrival_process not in ARRIVAL_PROCESSES:
-            raise ValueError(
-                f"arrival_process must be one of {ARRIVAL_PROCESSES}, "
-                f"got {self.arrival_process!r}"
-            )
-        object.__setattr__(
-            self, "table_slo_us", _normalise_table_slos(self.table_slo_us)
-        )
-
-    @property
-    def _default_slo_us(self) -> float:
-        return self.slo_latency_us
+        validate_fields(self)
+        self._freeze_table_slos()
 
 
 @dataclass(frozen=True)
@@ -193,17 +166,13 @@ class TracingConfig:
     """
 
     enabled: bool = False
-    sample_every: int = 1
+    sample_every: Annotated[int, AtLeast(1)] = 1
     always_sample_slo_violations: bool = True
-    max_requests: int = 4096
-    top_k_slow: int = 5
+    max_requests: Annotated[int, AtLeast(1)] = 4096
+    top_k_slow: Annotated[int, AtLeast(1)] = 5
 
     def __post_init__(self) -> None:
-        check_bool(self.enabled, "enabled")
-        check_bool(self.always_sample_slo_violations, "always_sample_slo_violations")
-        check_int_at_least(self.sample_every, 1, "sample_every")
-        check_int_at_least(self.max_requests, 1, "max_requests")
-        check_int_at_least(self.top_k_slow, 1, "top_k_slow")
+        validate_fields(self)
 
 
 @dataclass(frozen=True)
@@ -262,40 +231,23 @@ class ClusterConfig(_TableSLOs):
         Seed of the cluster's stochastic machinery (link-loss draws).
     """
 
-    num_nodes: int = 4
-    replication: int = 2
-    virtual_nodes: int = 64
-    max_attempts: int = 4
+    num_nodes: Annotated[int, AtLeast(1)] = 4
+    replication: Annotated[int, AtLeast(1)] = 2
+    virtual_nodes: Annotated[int, AtLeast(1)] = 64
+    max_attempts: Annotated[int, AtLeast(1)] = 4
     hedge_enabled: bool = True
-    breaker_failure_threshold: int = 5
-    breaker_slow_threshold_us: float = 20000.0
-    breaker_cooloff_s: float = 0.25
-    admission_queue_slack: float = 4.0
-    default_slo_us: float = 2000.0
+    breaker_failure_threshold: Annotated[int, AtLeast(1)] = 5
+    breaker_slow_threshold_us: Annotated[float, Positive] = 20000.0
+    breaker_cooloff_s: Annotated[float, Positive] = 0.25
+    admission_queue_slack: Annotated[float, Positive] = 4.0
+    default_slo_us: Annotated[float, Positive] = 2000.0
     table_slo_us: Sequence[Tuple[str, float]] = ()
-    seed: int = 0
+    seed: Annotated[int, AtLeast(0)] = 0
+    _DEFAULT_SLO: ClassVar[str] = "default_slo_us"
 
     def __post_init__(self) -> None:
-        check_int_at_least(self.num_nodes, 1, "num_nodes")
-        check_int_at_least(self.replication, 1, "replication")
-        check_int_at_least(self.virtual_nodes, 1, "virtual_nodes")
-        check_int_at_least(self.max_attempts, 1, "max_attempts")
-        check_int_at_least(
-            self.breaker_failure_threshold, 1, "breaker_failure_threshold"
-        )
-        check_bool(self.hedge_enabled, "hedge_enabled")
-        check_seed(self.seed, "seed")
-        check_positive(self.breaker_slow_threshold_us, "breaker_slow_threshold_us")
-        check_positive(self.breaker_cooloff_s, "breaker_cooloff_s")
-        check_positive(self.admission_queue_slack, "admission_queue_slack")
-        check_positive(self.default_slo_us, "default_slo_us")
-        object.__setattr__(
-            self, "table_slo_us", _normalise_table_slos(self.table_slo_us)
-        )
-
-    @property
-    def _default_slo_us(self) -> float:
-        return self.default_slo_us
+        validate_fields(self)
+        self._freeze_table_slos()
 
 
 @dataclass(frozen=True)
@@ -311,13 +263,11 @@ class TableCacheConfig:
         miniature caches during the build".
     """
 
-    cache_size_vectors: int
-    threshold: Optional[float] = None
+    cache_size_vectors: Annotated[int, AtLeast(0)]
+    threshold: Annotated[Optional[float], NonNegative] = None
 
     def __post_init__(self) -> None:
-        check_int_at_least(self.cache_size_vectors, 0, "cache_size_vectors")
-        if self.threshold is not None:
-            check_non_negative(self.threshold, "threshold")
+        validate_fields(self)
 
 
 @dataclass(frozen=True)
@@ -369,38 +319,26 @@ class BandanaConfig:
     defaults).
     """
 
-    vector_bytes: int = 128
-    block_bytes: int = 4096
-    total_cache_vectors: int = 8000
-    shp_iterations: int = 16
+    vector_bytes: Annotated[int, AtLeast(1)] = 128
+    block_bytes: Annotated[int, AtLeast(1)] = 4096
+    total_cache_vectors: Annotated[int, AtLeast(1)] = 8000
+    shp_iterations: Annotated[int, AtLeast(1)] = 16
     tune_thresholds: bool = True
-    default_threshold: float = 50.0
-    mini_cache_sampling_rate: float = 0.001
+    default_threshold: Annotated[float, NonNegative] = 50.0
+    mini_cache_sampling_rate: Annotated[float, Positive, Fraction] = 0.001
     candidate_thresholds: Sequence[float] = (0, 25, 50, 100, 200, 400)
-    seed: int = 0
-    num_workers: int = 1
+    seed: Annotated[int, AtLeast(0)] = 0
+    num_workers: Annotated[
+        int, OneOf(1, note="worker-sharded store replay was removed")
+    ] = 1
 
     def __post_init__(self) -> None:
-        check_int_at_least(self.vector_bytes, 1, "vector_bytes")
-        check_int_at_least(self.block_bytes, 1, "block_bytes")
-        check_int_at_least(self.total_cache_vectors, 1, "total_cache_vectors")
-        check_int_at_least(self.shp_iterations, 1, "shp_iterations")
-        check_int_at_least(self.num_workers, 1, "num_workers")
-        if self.num_workers != 1:
-            raise ValueError(
-                f"num_workers must be 1, got {self.num_workers!r}: "
-                "worker-sharded store replay was removed"
-            )
-        check_positive(self.mini_cache_sampling_rate, "mini_cache_sampling_rate")
-        check_fraction(self.mini_cache_sampling_rate, "mini_cache_sampling_rate")
-        check_bool(self.tune_thresholds, "tune_thresholds")
-        check_seed(self.seed, "seed")
+        validate_fields(self)
         if self.block_bytes % self.vector_bytes != 0:
             raise ValueError(
                 "block_bytes must be a multiple of vector_bytes "
                 f"({self.block_bytes} % {self.vector_bytes} != 0)"
             )
-        check_non_negative(self.default_threshold, "default_threshold")
         # Freeze the threshold list into a tuple for hashability.
         thresholds = tuple(float(t) for t in self.candidate_thresholds)
         if not thresholds:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Optional
+from typing import Annotated, Optional
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from repro.caching.policies import PrefetchPolicy
 from repro.caching.replay import ReplayStats
 from repro.nvm.block import BlockLayout
 from repro.nvm.latency import NVMLatencyModel
-from repro.utils.validation import check_int_at_least
+from repro.utils.validation import AtLeast, NonEmpty, check_int_at_least, validate_fields
 
 
 @dataclass(frozen=True)
@@ -57,15 +57,14 @@ class TableServingSpec:
         Bytes per embedding vector.
     """
 
-    name: str
+    name: Annotated[str, NonEmpty]
     layout: BlockLayout
     policy_prototype: PrefetchPolicy
-    cache_size_vectors: int
-    vector_bytes: int = 128
+    cache_size_vectors: Annotated[int, AtLeast(0)]
+    vector_bytes: Annotated[int, AtLeast(1)] = 128
 
     def __post_init__(self) -> None:
-        check_int_at_least(self.cache_size_vectors, 0, "cache_size_vectors")
-        check_int_at_least(self.vector_bytes, 1, "vector_bytes")
+        validate_fields(self)
 
     # ------------------------------------------------------------------ build
     @property

@@ -10,8 +10,9 @@ report TCO-style comparisons next to the bandwidth results.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
-from repro.utils.validation import check_positive
+from repro.utils.validation import Positive, validate_fields
 
 
 @dataclass(frozen=True)
@@ -32,16 +33,13 @@ class DRAMModel:
         Relative cost per GB of the NVM device.
     """
 
-    bandwidth_gbps: float = 75.0
-    latency_us: float = 0.1
-    cost_per_gb: float = 10.0
-    nvm_cost_per_gb: float = 1.0
+    bandwidth_gbps: Annotated[float, Positive] = 75.0
+    latency_us: Annotated[float, Positive] = 0.1
+    cost_per_gb: Annotated[float, Positive] = 10.0
+    nvm_cost_per_gb: Annotated[float, Positive] = 1.0
 
     def __post_init__(self) -> None:
-        check_positive(self.bandwidth_gbps, "bandwidth_gbps")
-        check_positive(self.latency_us, "latency_us")
-        check_positive(self.cost_per_gb, "cost_per_gb")
-        check_positive(self.nvm_cost_per_gb, "nvm_cost_per_gb")
+        validate_fields(self)
 
     def cost(self, dram_bytes: float, nvm_bytes: float = 0.0) -> float:
         """Relative cost of a deployment holding the given bytes in each medium."""

@@ -11,8 +11,9 @@ within budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Annotated
 
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import AtLeast, Positive, check_non_negative, validate_fields
 
 
 @dataclass
@@ -28,14 +29,13 @@ class EnduranceTracker:
         device class).
     """
 
-    capacity_bytes: int
-    dwpd_limit: float = 30.0
+    capacity_bytes: Annotated[int, AtLeast(1)]
+    dwpd_limit: Annotated[float, Positive] = 30.0
     _bytes_written: int = field(default=0, init=False)
     _elapsed_days: float = field(default=0.0, init=False)
 
     def __post_init__(self) -> None:
-        check_positive(self.capacity_bytes, "capacity_bytes")
-        check_positive(self.dwpd_limit, "dwpd_limit")
+        validate_fields(self)
 
     # ------------------------------------------------------------------ record
     def record_write(self, num_bytes: int) -> None:

@@ -15,8 +15,8 @@ spike.
 * loaded latency follows an M/M/1-style ``1 / (1 - utilisation)`` blow-up with
   a configurable knee, which is all Figure 5 needs.
 
-The constants default to the paper's measurements and are all overridable, so
-benchmarks can model faster or slower devices.
+The constants default to the paper's measurements and are all overridable (each
+within its declared range), so benchmarks can model faster or slower devices.
 
 Domain clamping
 ---------------
@@ -39,12 +39,17 @@ both edges:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
 from repro.utils.validation import (
+    AtLeast,
+    Fraction,
+    NonNegative,
+    Positive,
     check_fraction,
-    check_int_at_least,
     check_non_negative,
     check_positive,
+    validate_fields,
 )
 
 #: Queue depth at which the store's replay accounting prices a block read
@@ -89,24 +94,18 @@ class NVMLatencyModel:
         full utilisation; keeps load sweeps finite and monotone.
     """
 
-    block_bytes: int = 4096
-    max_bandwidth_gbps: float = 2.3
-    bandwidth_half_depth: float = 1.0
-    base_latency_us: float = 10.0
-    latency_per_depth_us: float = 2.0
-    p99_multiplier: float = 2.5
-    p99_depth_multiplier: float = 0.6
-    saturation_knee: float = 0.85
-    saturation_ceiling: float = 100.0
+    block_bytes: Annotated[int, AtLeast(1)] = 4096
+    max_bandwidth_gbps: Annotated[float, Positive] = 2.3
+    bandwidth_half_depth: Annotated[float, Positive] = 1.0
+    base_latency_us: Annotated[float, Positive] = 10.0
+    latency_per_depth_us: Annotated[float, NonNegative] = 2.0
+    p99_multiplier: Annotated[float, Positive] = 2.5
+    p99_depth_multiplier: Annotated[float, NonNegative] = 0.6
+    saturation_knee: Annotated[float, Fraction] = 0.85
+    saturation_ceiling: Annotated[float, AtLeast(1.0)] = 100.0
 
     def __post_init__(self) -> None:
-        check_int_at_least(self.block_bytes, 1, "block_bytes")
-        check_positive(self.max_bandwidth_gbps, "max_bandwidth_gbps")
-        check_positive(self.bandwidth_half_depth, "bandwidth_half_depth")
-        check_positive(self.base_latency_us, "base_latency_us")
-        check_positive(self.p99_multiplier, "p99_multiplier")
-        check_fraction(self.saturation_knee, "saturation_knee")
-        check_positive(self.saturation_ceiling, "saturation_ceiling")
+        validate_fields(self)
 
     @staticmethod
     def _clamp_depth(queue_depth: float) -> float:
@@ -180,8 +179,7 @@ class NVMLatencyModel:
         device saturates at a tiny application throughput (Figure 5).
         """
         check_fraction(effective_bandwidth_fraction, "effective_bandwidth_fraction")
-        if effective_bandwidth_fraction == 0:
-            raise ValueError("effective_bandwidth_fraction must be > 0")
+        check_positive(effective_bandwidth_fraction, "effective_bandwidth_fraction")
         device_mbps = app_throughput_mbps / effective_bandwidth_fraction
         return self.loaded_latency(device_mbps, queue_depth=queue_depth)
 

@@ -1,7 +1,7 @@
 """Configuration dataclasses of the adversarial-workload subsystem.
 
 Three validated, frozen configs — the same idiom as :mod:`repro.core.config`
-(every knob checked at construction, enforced by repro-lint rule R4):
+(every knob declares its constraint on the field, enforced by repro-lint R4):
 
 * :class:`ScenarioConfig` — one adversarial access pattern (popularity
   *drift* or a *flash crowd* on previously-cold ids).
@@ -16,14 +16,15 @@ Three validated, frozen configs — the same idiom as :mod:`repro.core.config`
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Annotated, Optional
 
 from repro.utils.validation import (
-    check_bool,
-    check_fraction,
-    check_int_at_least,
-    check_positive,
-    check_seed,
+    AtLeast,
+    Fraction,
+    NonEmpty,
+    OneOf,
+    Positive,
+    validate_fields,
 )
 
 #: Adversarial access patterns the scenario generator can produce.
@@ -81,43 +82,30 @@ class ScenarioConfig:
         Seed of the generator's private random stream.
     """
 
-    kind: str = "drift"
-    num_queries: int = 2000
-    avg_lookups_per_query: float = 24.0
-    num_vectors: int = 4096
-    drift_rotation_per_epoch: float = 0.05
-    drift_epoch_queries: int = 250
-    drift_start_fraction: float = 0.0
-    flash_duration_fraction: float = 0.2
-    flash_crowd_ids: int = 64
-    flash_traffic_share: float = 0.7
-    seed: int = 0
+    kind: Annotated[str, OneOf(*SCENARIO_KINDS)] = "drift"
+    num_queries: Annotated[int, AtLeast(1)] = 2000
+    avg_lookups_per_query: Annotated[float, Positive] = 24.0
+    num_vectors: Annotated[int, AtLeast(COMMUNITY_SIZE)] = 4096
+    drift_rotation_per_epoch: Annotated[float, Fraction] = 0.05
+    drift_epoch_queries: Annotated[int, AtLeast(1)] = 250
+    drift_start_fraction: Annotated[float, Fraction] = 0.0
+    flash_duration_fraction: Annotated[float, Fraction] = 0.2
+    flash_crowd_ids: Annotated[int, AtLeast(1)] = 64
+    flash_traffic_share: Annotated[float, Fraction] = 0.7
+    seed: Annotated[int, AtLeast(0)] = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in SCENARIO_KINDS:
-            raise ValueError(
-                f"kind must be one of {SCENARIO_KINDS}, got {self.kind!r}"
-            )
-        check_int_at_least(self.num_queries, 1, "num_queries")
-        check_positive(self.avg_lookups_per_query, "avg_lookups_per_query")
-        check_int_at_least(self.num_vectors, COMMUNITY_SIZE, "num_vectors")
-        check_fraction(self.drift_rotation_per_epoch, "drift_rotation_per_epoch")
-        check_int_at_least(self.drift_epoch_queries, 1, "drift_epoch_queries")
-        check_fraction(self.drift_start_fraction, "drift_start_fraction")
-        check_fraction(self.flash_duration_fraction, "flash_duration_fraction")
+        validate_fields(self)
         if FLASH_START_FRACTION + self.flash_duration_fraction > 1.0:
             raise ValueError(
                 "flash_duration_fraction must be <= 1 - FLASH_START_FRACTION = "
                 f"{1.0 - FLASH_START_FRACTION}, got {self.flash_duration_fraction}"
             )
-        check_int_at_least(self.flash_crowd_ids, 1, "flash_crowd_ids")
         if self.flash_crowd_ids > self.num_vectors:
             raise ValueError(
                 f"flash_crowd_ids ({self.flash_crowd_ids}) cannot exceed "
                 f"num_vectors ({self.num_vectors})"
             )
-        check_fraction(self.flash_traffic_share, "flash_traffic_share")
-        check_seed(self.seed, "seed")
 
 
 @dataclass(frozen=True)
@@ -146,23 +134,14 @@ class TraceLoaderConfig:
         sees the trace.
     """
 
-    path: str
-    format: str = "twitter"
-    chunk_queries: int = 1024
-    max_queries: Optional[int] = None
+    path: Annotated[str, NonEmpty]
+    format: Annotated[str, OneOf(*TRACE_FORMATS)] = "twitter"
+    chunk_queries: Annotated[int, AtLeast(1)] = 1024
+    max_queries: Annotated[Optional[int], AtLeast(1)] = None
     get_only: bool = True
 
     def __post_init__(self) -> None:
-        if not self.path:
-            raise ValueError("path must be a non-empty file path")
-        if self.format not in TRACE_FORMATS:
-            raise ValueError(
-                f"format must be one of {TRACE_FORMATS}, got {self.format!r}"
-            )
-        check_int_at_least(self.chunk_queries, 1, "chunk_queries")
-        if self.max_queries is not None:
-            check_int_at_least(self.max_queries, 1, "max_queries")
-        check_bool(self.get_only, "get_only")
+        validate_fields(self)
 
 
 @dataclass(frozen=True)
@@ -193,23 +172,18 @@ class RepartitionConfig:
         Seed of the retrained partitioner.
     """
 
-    cadence_queries: int = 500
-    window_queries: int = 1000
-    min_window_queries: int = 64
-    blackout_queries: int = 0
-    shp_iterations: int = 8
-    seed: int = 0
+    cadence_queries: Annotated[int, AtLeast(1)] = 500
+    window_queries: Annotated[int, AtLeast(1)] = 1000
+    min_window_queries: Annotated[int, AtLeast(1)] = 64
+    blackout_queries: Annotated[int, AtLeast(0)] = 0
+    shp_iterations: Annotated[int, AtLeast(1)] = 8
+    seed: Annotated[int, AtLeast(0)] = 0
 
     def __post_init__(self) -> None:
-        check_int_at_least(self.cadence_queries, 1, "cadence_queries")
-        check_int_at_least(self.window_queries, 1, "window_queries")
-        check_int_at_least(self.min_window_queries, 1, "min_window_queries")
+        validate_fields(self)
         if self.min_window_queries > self.window_queries:
             raise ValueError(
                 f"min_window_queries ({self.min_window_queries}) cannot exceed "
                 f"window_queries ({self.window_queries}): the trailing window "
                 "would never reach it"
             )
-        check_int_at_least(self.blackout_queries, 0, "blackout_queries")
-        check_int_at_least(self.shp_iterations, 1, "shp_iterations")
-        check_seed(self.seed, "seed")

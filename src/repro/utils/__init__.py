@@ -3,9 +3,7 @@
 from repro.utils.validation import (
     check_positive,
     check_non_negative,
-    check_in_range,
     check_fraction,
-    check_probability,
     check_int_at_least,
     check_array_1d_ints,
 )
@@ -21,9 +19,7 @@ from repro.utils.sampling import (
 __all__ = [
     "check_positive",
     "check_non_negative",
-    "check_in_range",
     "check_fraction",
-    "check_probability",
     "check_int_at_least",
     "check_array_1d_ints",
     "SeedLike",

@@ -1,13 +1,26 @@
 """Argument-validation helpers used across the library.
 
-These raise ``ValueError``/``TypeError`` with consistent messages so that the
-public API fails loudly and early on bad configuration instead of producing
-silently wrong simulation results.
+They raise ``ValueError``/``TypeError`` with consistent messages, so the
+public API fails loudly and early on bad input instead of producing silently
+wrong simulation results.
+
+A validated dataclass declares each scalar field's rule once, on the field
+(``num_nodes: Annotated[int, AtLeast(1)] = 4``), and its ``__post_init__``
+calls :func:`validate_fields`.  The annotation gives the type rule
+(:func:`check_type`; only ``Optional[...]`` admits ``None``), the
+:class:`Constraint` the range.  Other field types (layouts, policies, arrays,
+SLO tuples) stay the class's own to check.  repro-lint R4 reads the same
+declarations.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+import dataclasses
+import functools
+import math
+import types
+from typing import Any, Callable, Dict, List, Tuple, Union
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -26,27 +39,10 @@ def check_non_negative(value: float, name: str) -> float:
     return value
 
 
-def check_in_range(value: float, low: float, high: float, name: str) -> float:
-    """Return ``value`` if ``low <= value <= high``, else raise ``ValueError``."""
-    if not (low <= value <= high):
-        raise ValueError(f"{name} must be in [{low}, {high}], got {value!r}")
-    return value
-
-
 def check_fraction(value: float, name: str) -> float:
     """Return ``value`` if it lies in ``[0, 1]``, else raise ``ValueError``."""
-    return check_in_range(value, 0.0, 1.0, name)
-
-
-def check_probability(value: float, name: str) -> float:
-    """Return ``value`` if it is a valid probability, else raise ``ValueError``.
-
-    Alias of :func:`check_fraction` with a message that says "probability",
-    for knobs that are genuinely chances (e.g. per-attempt link loss) rather
-    than ratios.
-    """
-    if not np.isfinite(value) or not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be a probability in [0, 1], got {value!r}")
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be in [0.0, 1.0], got {value!r}")
     return value
 
 
@@ -55,9 +51,7 @@ def check_int_at_least(value: Any, minimum: int, name: str) -> int:
 
     Rejects booleans and non-integral floats: cache sizes, batch sizes and
     replica counts are exact quantities, and silently truncating ``2.5``
-    replicas would hide a configuration bug.  The error message names the knob
-    and the constraint so a bad config fails at construction, not as an
-    obscure downstream crash.
+    replicas would hide a configuration bug.
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise TypeError(
@@ -66,39 +60,6 @@ def check_int_at_least(value: Any, minimum: int, name: str) -> int:
         )
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
-    return int(value)
-
-
-def check_bool(value: Any, name: str) -> bool:
-    """Return ``value`` if it is an actual ``bool``, else raise ``TypeError``.
-
-    Feature flags must be real booleans: truthy stand-ins (``1``, ``"no"``)
-    read as configuration typos — ``tune_thresholds="no"`` would silently
-    *enable* tuning.
-    """
-    if not isinstance(value, bool):
-        raise TypeError(
-            f"{name} must be a bool, got {value!r} of type {type(value).__name__}"
-        )
-    return value
-
-
-def check_seed(value: Any, name: str) -> Optional[int]:
-    """Return ``value`` if it is a valid RNG seed (``None`` or an int >= 0).
-
-    ``numpy.random.SeedSequence`` rejects negative entropy, so a negative
-    seed would fail deep inside the first stochastic component instead of at
-    configuration time; floats are rejected because seeds are identities.
-    """
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(
-            f"{name} must be None or an integer >= 0, got {value!r} "
-            f"of type {type(value).__name__}"
-        )
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value!r}")
     return int(value)
 
 
@@ -128,3 +89,130 @@ def check_id_range(ids: np.ndarray, num_vectors: int) -> None:
             f"vector ids must be in [0, {num_vectors}), got range "
             f"[{ids.min()}, {ids.max()}]"
         )
+
+
+#: The values each scalar field type admits.
+SCALAR_TYPES: Dict[type, Tuple[type, ...]] = {
+    int: (int, np.integer),
+    float: (int, float, np.integer, np.floating),
+    bool: (bool,),
+    str: (str,),
+}
+
+
+def check_type(value: Any, kind: type, name: str) -> Any:
+    """Return ``value`` if it is a ``kind`` (a :data:`SCALAR_TYPES` key).
+
+    Only a ``bool`` field takes a bool, and it takes nothing else: ``True``
+    is no count and ``1`` no flag (``tune_thresholds="no"`` would silently
+    *enable* tuning).  A ``float`` must also be finite.
+    """
+    admitted = isinstance(value, SCALAR_TYPES[kind])
+    if not admitted or isinstance(value, bool) is not (kind is bool):
+        raise TypeError(
+            f"{name} must be {kind.__name__}, got {value!r} of type {type(value).__name__}"
+        )
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+class Constraint:
+    """A range rule declared on a field, e.g. ``Annotated[float, Positive]``.
+
+    ``check(value, name)`` raises ``ValueError`` for a value of the field's
+    type that is out of range; ``types`` are the field types the rule fits
+    (repro-lint R4 keeps the same table by name).
+    """
+
+    def __init__(self, check: Callable[[Any, str], Any], *fits: type) -> None:
+        self.check = check
+        self.types = fits
+
+
+def _check_non_empty(value: str, name: str) -> None:
+    if not value:
+        raise ValueError(f"{name} must be non-empty")
+
+
+#: ``> 0``, ``>= 0`` and ``[0, 1]`` for ``float`` fields; a non-empty ``str``.
+Positive = Constraint(check_positive, float)
+NonNegative = Constraint(check_non_negative, float)
+Fraction = Constraint(check_fraction, float)
+NonEmpty = Constraint(_check_non_empty, str)
+
+
+class AtLeast(Constraint):
+    """``value >= minimum``; an integer ``minimum`` fits ``int`` fields too."""
+
+    def __init__(self, minimum: float) -> None:
+        fits = (int, float) if isinstance(minimum, int) else (float,)
+        super().__init__(self._check, *fits)
+        self.minimum = minimum
+
+    def _check(self, value: Any, name: str) -> None:
+        if value < self.minimum:
+            raise ValueError(f"{name} must be >= {self.minimum}, got {value!r}")
+
+
+class OneOf(Constraint):
+    """``value in options``; ``note`` ends the error message with the reason."""
+
+    def __init__(self, *options: Any, note: str = "") -> None:
+        super().__init__(self._check, *{type(option): None for option in options})
+        self.options = options
+        self.note = note
+
+    def _check(self, value: Any, name: str) -> None:
+        if value not in self.options:
+            note = f": {self.note}" if self.note else ""
+            raise ValueError(f"{name} must be one of {self.options}, got {value!r}{note}")
+
+
+#: One checked field: (name, scalar type, admits ``None``, constraints).
+FieldRule = Tuple[str, type, bool, Tuple[Constraint, ...]]
+
+
+@functools.lru_cache(maxsize=None)
+def field_rules(cls: type) -> Tuple[FieldRule, ...]:
+    """The declared rule of every scalar ``init`` field of dataclass ``cls``.
+
+    Read once per class; a constraint that does not fit its field's type
+    raises ``TypeError`` here, at the class's first construction.
+    """
+    hints = get_type_hints(cls, include_extras=True)
+    rules: List[FieldRule] = []
+    for field in dataclasses.fields(cls):
+        hint = hints[field.name]
+        constraints: Tuple[Constraint, ...] = getattr(hint, "__metadata__", ())
+        if constraints:
+            hint = hint.__origin__
+        args = get_args(hint)
+        optional = get_origin(hint) in (Union, types.UnionType) and type(None) in args
+        if optional and len(args) == 2:
+            hint = args[0] if args[1] is type(None) else args[1]
+        if not field.init or hint not in SCALAR_TYPES:
+            continue
+        for constraint in constraints:
+            if hint not in constraint.types:
+                raise TypeError(
+                    f"{cls.__name__}.{field.name} is {hint.__name__}, but its "
+                    f"constraint fits only {[t.__name__ for t in constraint.types]}"
+                )
+        rules.append((field.name, hint, optional, constraints))
+    return tuple(rules)
+
+
+def validate_fields(obj: Any) -> None:
+    """Check every scalar field of dataclass ``obj`` against its declaration.
+
+    The first statement of a validated dataclass's ``__post_init__``; its
+    cross-field checks and normalisations follow.
+    """
+    for name, kind, optional, constraints in field_rules(type(obj)):
+        value = getattr(obj, name)
+        if value is None and optional:
+            continue
+        check_type(value, kind, name)
+        for constraint in constraints:
+            constraint.check(value, name)

@@ -15,9 +15,18 @@ The production sizes do not fit a pure-Python laptop run, so
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional
+from typing import Annotated, Dict, List, Optional
 
-from repro.utils.validation import check_fraction, check_positive
+from repro.utils.validation import (
+    AtLeast,
+    Fraction,
+    NonEmpty,
+    NonNegative,
+    Positive,
+    check_positive,
+    check_type,
+    validate_fields,
+)
 
 #: Embedding vector geometry used throughout the paper's evaluation.
 PAPER_VECTOR_BYTES = 128
@@ -57,24 +66,18 @@ class TableSpec:
         Bytes per embedding vector as stored on NVM.
     """
 
-    name: str
-    num_vectors: int
-    avg_lookups_per_query: float
-    lookup_share: float
-    compulsory_miss_rate: float
-    popularity_alpha: float = 0.8
-    num_topics: int = 512
-    vector_dim: int = PAPER_VECTOR_DIM
-    vector_bytes: int = PAPER_VECTOR_BYTES
+    name: Annotated[str, NonEmpty]
+    num_vectors: Annotated[int, AtLeast(1)]
+    avg_lookups_per_query: Annotated[float, Positive]
+    lookup_share: Annotated[float, Fraction]
+    compulsory_miss_rate: Annotated[float, Fraction]
+    popularity_alpha: Annotated[float, NonNegative] = 0.8
+    num_topics: Annotated[int, AtLeast(1)] = 512
+    vector_dim: Annotated[int, AtLeast(1)] = PAPER_VECTOR_DIM
+    vector_bytes: Annotated[int, AtLeast(1)] = PAPER_VECTOR_BYTES
 
     def __post_init__(self) -> None:
-        check_positive(self.num_vectors, "num_vectors")
-        check_positive(self.avg_lookups_per_query, "avg_lookups_per_query")
-        check_fraction(self.lookup_share, "lookup_share")
-        check_fraction(self.compulsory_miss_rate, "compulsory_miss_rate")
-        check_positive(self.vector_dim, "vector_dim")
-        check_positive(self.vector_bytes, "vector_bytes")
-        check_positive(self.num_topics, "num_topics")
+        validate_fields(self)
 
     @property
     def table_bytes(self) -> int:
@@ -149,7 +152,7 @@ def scaled_table_specs(
     names:
         Subset of table names to include; defaults to all eight.
     """
-    check_positive(scale, "scale")
+    check_positive(check_type(scale, float, "scale"), "scale")
     if names is None:
         names = list(PAPER_TABLE_SPECS)
     unknown = [n for n in names if n not in PAPER_TABLE_SPECS]

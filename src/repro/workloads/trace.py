@@ -14,7 +14,7 @@ from typing import Dict, ItemsView, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from repro.utils.validation import check_array_1d_ints, check_fraction
+from repro.utils.validation import check_array_1d_ints, check_fraction, check_int_at_least
 
 
 class Trace:
@@ -135,8 +135,7 @@ class Trace:
 
     def head(self, num_queries: int) -> "Trace":
         """The first ``num_queries`` queries as a new trace."""
-        if num_queries < 0:
-            raise ValueError("num_queries must be >= 0")
+        check_int_at_least(num_queries, 0, "num_queries")
         return Trace._trusted(self._queries[:num_queries], self.num_vectors)
 
     def concat(self, other: "Trace") -> "Trace":

@@ -24,9 +24,10 @@ Rule catalog
     from a ``_s``/``_ms``/``_ns``-suffixed one (or any cross-unit pair)
     without a visible conversion (``* 1e6``-style scaling or a call).
 ``R4 unvalidated-config-field``
-    Every dataclass field of ``BandanaConfig``/``ServingConfig``/
-    ``ClusterConfig`` must be referenced by ``__post_init__``/``validate``
-    so every knob is checked at construction time.
+    Every ``int``/``float``/``str`` field of a validated dataclass (the
+    config classes, and any class calling ``validate_fields``) declares a
+    constraint that fits its type, e.g. ``Annotated[int, AtLeast(1)]``;
+    ``__post_init__`` calls ``validate_fields(self)`` to apply it.
 ``R5 float-equality``
     Tests must not ``==``/``!=`` against float literals; use
     ``pytest.approx``/``np.isclose``, or suppress R5 where the bit-exact

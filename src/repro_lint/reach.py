@@ -161,11 +161,13 @@ def function_defs(root: Path, package: str = PACKAGE) -> Dict[Site, Tuple[str, i
 
 
 def config_fields(root: Path, package: str = PACKAGE) -> Set[str]:
-    """``path::Class.field`` for every field R4 collects under *package*."""
+    """``path::Class.field`` for every field of a :data:`CONFIG_CLASSES` class
+    under *package*."""
     return {
         f"{rel}::{config.node.name}.{name}"
         for rel, tree in _modules(root, package)
         for config in config_classes(tree)
+        if config.node.name in CONFIG_CLASSES
         for name, _node in config.fields
     }
 

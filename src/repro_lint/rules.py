@@ -28,12 +28,16 @@ Each rule encodes a convention the runtime equivalence suites and golden pins
     magnitude; ``x_us = y_s * 1e6`` states the conversion.
 
 ``R4`` ``unvalidated-config-field``
-    Every dataclass field of the public config classes
-    (:data:`CONFIG_CLASSES`) must be referenced by its class's
-    ``__post_init__``/``validate`` method — the repo's convention is that
-    every knob is checked by a ``repro.utils.validation`` helper (or an
-    explicit ``if``/``raise``) at construction time, so bad configs fail
-    loudly instead of corrupting a simulation.
+    Constraints are declared once, on the field.  A validated dataclass —
+    one of the public config classes (:data:`CONFIG_CLASSES`), or any class
+    whose ``__post_init__`` calls ``validate_fields`` — must call
+    ``validate_fields(self)`` from ``__post_init__``, and each of its
+    ``int``, ``float`` and ``str`` fields must declare a constraint that fits
+    its type (:data:`CONSTRAINT_TYPES`): ``Annotated[int, AtLeast(1)]``, not
+    ``Annotated[int, Positive]`` (a float rule) nor a bare ``int``.  A
+    ``bool`` needs none.  A field defaulting to ``None`` must be
+    ``Optional[...]``.  Other types (layouts, policies, arrays, SLO tuples)
+    are exempt and keep explicit checks in ``__post_init__``.
 
 ``R5`` ``float-equality``
     Test files must not compare against float *literals* with ``==``/``!=``;
@@ -45,7 +49,7 @@ Each rule encodes a convention the runtime equivalence suites and golden pins
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, NamedTuple, Optional, Set, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from repro_lint.framework import FileContext, Rule, Violation, register
 
@@ -362,7 +366,9 @@ class TimeUnitMixRule(Rule):
 
 
 # --------------------------------------------------------------------------- R4
-#: Public config dataclasses whose every field must be validated.
+#: Public config dataclasses R4 requires to call ``validate_fields`` (and
+#: ``repro_lint.reach`` keys its field pass on).  Any other class whose
+#: ``__post_init__`` calls it is checked the same way.
 CONFIG_CLASSES = frozenset(
     {
         "BandanaConfig",
@@ -373,41 +379,120 @@ CONFIG_CLASSES = frozenset(
         "ScenarioConfig",
         "TraceLoaderConfig",
         "RepartitionConfig",
+        "NVMLatencyModel",
+        "TableSpec",
     }
 )
 
-#: Method names R4 accepts as "the validation hook".
-VALIDATION_METHODS = ("__post_init__", "validate")
+#: The call that applies a class's field declarations at construction.
+VALIDATOR = "validate_fields"
+
+#: Field types whose declaration R4 checks; ``bool`` needs no constraint, and
+#: any other type (layouts, policies, arrays, tuples) is exempt.
+SCALAR_TYPES = ("int", "float", "str", "bool")
+
+#: The field types each constraint fits, by name: the table
+#: ``repro.utils.validation``'s ``Constraint.types`` holds at run time.  An
+#: ``AtLeast`` whose minimum is a float literal fits ``float`` only.
+CONSTRAINT_TYPES = {
+    "Positive": ("float",),
+    "NonNegative": ("float",),
+    "Fraction": ("float",),
+    "NonEmpty": ("str",),
+    "AtLeast": ("int", "float"),
+    "OneOf": ("int", "str"),
+}
 
 
 class ConfigClass(NamedTuple):
-    """One :data:`CONFIG_CLASSES` class as R4 sees it in a module's AST."""
+    """One dataclass R4 checks, as it appears in a module's AST."""
 
     node: ast.ClassDef
-    #: ``(name, node)`` of every dataclass field, in declaration order.
+    #: ``(name, node)`` of every ``init`` field, in declaration order.
     fields: List[Tuple[str, ast.AnnAssign]]
-    validators: List[ast.FunctionDef]
+    #: Whether ``__post_init__`` calls :data:`VALIDATOR`.
+    validated: bool
+
+
+def _short_name(node: ast.AST) -> str:
+    """``X``, ``typing.X`` and ``X(...)`` all name ``X``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def _is_init_field(stmt: ast.AnnAssign) -> bool:
+    """Neither a ``ClassVar`` nor a ``field(init=False)``."""
+    if "ClassVar" in ast.unparse(stmt.annotation):
+        return False
+    value = stmt.value
+    return not isinstance(value, ast.Call) or not any(
+        kw.arg == "init" and isinstance(kw.value, ast.Constant) and kw.value.value is False
+        for kw in value.keywords
+    )
 
 
 def config_classes(tree: ast.AST) -> Iterator[ConfigClass]:
-    """Every :data:`CONFIG_CLASSES` class in *tree*, with its fields and validators.
-
-    R4 checks the fields against the validators; ``repro_lint.reach`` keys
-    its field pass on the same list.
-    """
+    """Every class in *tree* that is in :data:`CONFIG_CLASSES` or calls
+    :data:`VALIDATOR` from its ``__post_init__``, with its ``init`` fields."""
     for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef) or node.name not in CONFIG_CLASSES:
+        if not isinstance(node, ast.ClassDef):
             continue
-        fields: List[Tuple[str, ast.AnnAssign]] = []
-        validators: List[ast.FunctionDef] = []
-        for stmt in node.body:
-            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                if "ClassVar" in ast.unparse(stmt.annotation):
-                    continue
-                fields.append((stmt.target.id, stmt))
-            elif isinstance(stmt, ast.FunctionDef) and stmt.name in VALIDATION_METHODS:
-                validators.append(stmt)
-        yield ConfigClass(node, fields, validators)
+        validated = any(
+            isinstance(stmt, ast.FunctionDef)
+            and stmt.name == "__post_init__"
+            and any(
+                isinstance(sub, ast.Call) and _short_name(sub) == VALIDATOR
+                for sub in ast.walk(stmt)
+            )
+            for stmt in node.body
+        )
+        if validated or node.name in CONFIG_CLASSES:
+            fields = [
+                (stmt.target.id, stmt)
+                for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)
+                and _is_init_field(stmt)
+            ]
+            yield ConfigClass(node, fields, validated)
+
+
+def _field_declaration(annotation: ast.expr) -> Tuple[str, bool, List[ast.expr]]:
+    """``(type, optional, constraints)`` of one field annotation.
+
+    ``Annotated[Optional[int], AtLeast(1)]`` is ``("int", True, [AtLeast(1)])``;
+    ``int | None`` is ``("int", True, [])``.
+    """
+    constraints: List[ast.expr] = []
+    if (
+        isinstance(annotation, ast.Subscript)
+        and _short_name(annotation.value) == "Annotated"
+        and isinstance(annotation.slice, ast.Tuple)
+    ):
+        annotation, *constraints = annotation.slice.elts
+    optional = False
+    if isinstance(annotation, ast.Subscript) and _short_name(annotation.value) == "Optional":
+        annotation, optional = annotation.slice, True
+    elif isinstance(annotation, ast.BinOp) and isinstance(annotation.op, ast.BitOr):
+        none = annotation.right
+        if isinstance(none, ast.Constant) and none.value is None:
+            annotation, optional = annotation.left, True
+    return ast.unparse(annotation), optional, constraints
+
+
+def _fits(constraint: ast.expr) -> Optional[Tuple[str, ...]]:
+    """The field types *constraint* fits, or ``None`` for an unknown name."""
+    name = _short_name(constraint)
+    if name == "AtLeast" and isinstance(constraint, ast.Call) and constraint.args:
+        minimum = constraint.args[0]
+        if isinstance(minimum, ast.UnaryOp):
+            minimum = minimum.operand
+        if isinstance(minimum, ast.Constant) and isinstance(minimum.value, float):
+            return ("float",)
+    return CONSTRAINT_TYPES.get(name)
 
 
 @register
@@ -415,51 +500,63 @@ class UnvalidatedConfigFieldRule(Rule):
     id = "R4"
     name = "unvalidated-config-field"
     rationale = (
-        "Every knob on the public config dataclasses must be referenced by "
-        "__post_init__/validate so misconfigurations fail at construction "
-        "(via repro.utils.validation) instead of corrupting simulations."
+        "Each scalar field of a validated dataclass declares its constraint "
+        "once, on the field (Annotated[int, AtLeast(1)]), with a type that "
+        "the constraint fits; validate_fields applies it at construction."
     )
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node, fields, validators in config_classes(ctx.tree):
-            if not validators:
+        for node, fields, validated in config_classes(ctx.tree):
+            if not validated:
                 if fields:
                     yield ctx.violation(
                         self,
                         node,
-                        f"config class {node.name} has no "
-                        f"{'/'.join(VALIDATION_METHODS)} method validating its fields",
+                        f"config class {node.name} has no __post_init__ calling "
+                        f"{VALIDATOR}(self)",
                     )
                 continue
-            referenced: Set[str] = set()
-            for validator in validators:
-                for sub in ast.walk(validator):
-                    if (
-                        isinstance(sub, ast.Attribute)
-                        and isinstance(sub.value, ast.Name)
-                        and sub.value.id == "self"
-                    ):
-                        referenced.add(sub.attr)
-                    elif isinstance(sub, ast.Call):
-                        # object.__setattr__(self, "field", ...) normalisation
-                        func = sub.func
-                        if (
-                            isinstance(func, ast.Attribute)
-                            and func.attr == "__setattr__"
-                            and len(sub.args) >= 2
-                            and isinstance(sub.args[1], ast.Constant)
-                            and isinstance(sub.args[1].value, str)
-                        ):
-                            referenced.add(sub.args[1].value)
-            for field_name, field_node in fields:
-                if field_name not in referenced:
-                    yield ctx.violation(
-                        self,
-                        field_node,
-                        f"field `{field_name}` of {node.name} is never "
-                        "referenced by a validation check in "
-                        f"{'/'.join(VALIDATION_METHODS)}",
-                    )
+            for field_name, stmt in fields:
+                yield from self._check_field(ctx, node.name, field_name, stmt)
+
+    def _check_field(
+        self, ctx: FileContext, owner: str, field_name: str, stmt: ast.AnnAssign
+    ) -> Iterator[Violation]:
+        kind, optional, constraints = _field_declaration(stmt.annotation)
+        label = f"field `{field_name}` of {owner}"
+        if (
+            isinstance(stmt.value, ast.Constant)
+            and stmt.value.value is None
+            and not optional
+        ):
+            yield ctx.violation(
+                self, stmt, f"{label} defaults to None but is not Optional[{kind}]"
+            )
+        if kind not in SCALAR_TYPES:
+            return
+        if not constraints and kind != "bool":
+            yield ctx.violation(
+                self,
+                stmt,
+                f"{label} declares no constraint: annotate it "
+                f"Annotated[{kind}, <constraint>]",
+            )
+        for constraint in constraints:
+            fits = _fits(constraint)
+            if fits is None:
+                yield ctx.violation(
+                    self,
+                    stmt,
+                    f"{label}: `{ast.unparse(constraint)}` is not a constraint "
+                    f"({', '.join(CONSTRAINT_TYPES)})",
+                )
+            elif kind not in fits:
+                yield ctx.violation(
+                    self,
+                    stmt,
+                    f"{label} is {kind}, but `{ast.unparse(constraint)}` fits "
+                    f"{' / '.join(fits)} only",
+                )
 
 
 # --------------------------------------------------------------------------- R5

@@ -27,6 +27,7 @@ from repro_lint import (
     to_json_dict,
 )
 from repro_lint import reach
+from repro_lint.rules import CONSTRAINT_TYPES, SCALAR_TYPES
 from repro_lint.__main__ import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -153,20 +154,36 @@ class TestTimeUnitMix:
 
 
 # ----------------------------------------------------------------- R4 fixtures
+CONFIG_PATH = "src/repro/core/config.py"
+DECLARED_HEADER = (
+    "from dataclasses import dataclass\n"
+    "from typing import Annotated, Optional\n"
+    "from repro.utils.validation import AtLeast, Positive, validate_fields\n"
+)
+
+
+def declared_class(*field_lines, name="ServingConfig"):
+    """A validated dataclass with the given field lines."""
+    body = "".join(f"    {line}\n" for line in field_lines)
+    return (
+        DECLARED_HEADER
+        + f"@dataclass(frozen=True)\nclass {name}:\n"
+        + body
+        + "    def __post_init__(self):\n        validate_fields(self)\n"
+    )
+
+
 class TestUnvalidatedConfigField:
-    def test_catches_unreferenced_field(self):
-        bad = (
-            "from dataclasses import dataclass\n"
-            "@dataclass\n"
-            "class ServingConfig:\n"
-            "    batch_size: int = 8\n"
-            "    linger_us: float = 50.0\n"
-            "    def __post_init__(self):\n"
-            "        check_positive(self.batch_size, 'batch_size')\n"
+    def test_catches_undeclared_scalar_field(self):
+        # An undeclared scalar field: validate_fields type-checks it but has
+        # no range to apply.
+        bad = declared_class(
+            "batch_size: Annotated[int, AtLeast(1)] = 8", "linger_us: float = 50.0"
         )
-        result = lint_source(bad, "src/repro/core/config.py")
+        result = lint_source(bad, CONFIG_PATH)
         assert rule_ids(result) == ["R4"]
         assert "linger_us" in result.violations[0].message
+        assert "declares no constraint" in result.violations[0].message
 
     def test_catches_missing_validator_entirely(self):
         bad = (
@@ -175,11 +192,13 @@ class TestUnvalidatedConfigField:
             "class ClusterConfig:\n"
             "    num_nodes: int = 4\n"
         )
-        result = lint_source(bad, "src/repro/core/config.py")
+        result = lint_source(bad, CONFIG_PATH)
         assert rule_ids(result) == ["R4"]
 
-    def test_passes_when_every_field_is_checked(self):
-        good = (
+    def test_a_check_call_in_post_init_is_not_a_declaration(self):
+        # The contract before constraints moved onto the fields: an ``int``
+        # field checked by ``check_positive`` passed, and 2.5 constructed.
+        bad = (
             "from dataclasses import dataclass\n"
             "@dataclass\n"
             "class ServingConfig:\n"
@@ -187,18 +206,55 @@ class TestUnvalidatedConfigField:
             "    def __post_init__(self):\n"
             "        check_positive(self.batch_size, 'batch_size')\n"
         )
-        assert lint_source(good, "src/repro/core/config.py").clean
+        result = lint_source(bad, CONFIG_PATH)
+        assert rule_ids(result) == ["R4"]
+        assert "validate_fields" in result.violations[0].message
 
-    def test_object_setattr_counts_as_reference(self):
-        good = (
-            "from dataclasses import dataclass\n"
-            "@dataclass(frozen=True)\n"
-            "class ClusterConfig:\n"
-            "    seed: int = 0\n"
-            "    def __post_init__(self):\n"
-            "        object.__setattr__(self, 'seed', check_seed(self.seed, 'seed'))\n"
+    def test_catches_int_field_with_a_float_only_constraint(self):
+        bad = declared_class("batch_size: Annotated[int, Positive] = 8")
+        result = lint_source(bad, CONFIG_PATH)
+        assert rule_ids(result) == ["R4"]
+        assert "is int, but `Positive` fits float only" in result.violations[0].message
+
+    def test_catches_int_field_with_a_float_minimum(self):
+        bad = declared_class("batch_size: Annotated[int, AtLeast(1.0)] = 8")
+        assert rule_ids(lint_source(bad, CONFIG_PATH)) == ["R4"]
+
+    def test_catches_none_default_without_optional(self):
+        bad = declared_class("seed: Annotated[int, AtLeast(0)] = None")
+        result = lint_source(bad, CONFIG_PATH)
+        assert rule_ids(result) == ["R4"]
+        assert "defaults to None but is not Optional[int]" in result.violations[0].message
+
+    def test_catches_unknown_constraint(self):
+        bad = declared_class("rate: Annotated[float, Huge] = 1.0")
+        result = lint_source(bad, CONFIG_PATH)
+        assert rule_ids(result) == ["R4"]
+        assert "is not a constraint" in result.violations[0].message
+
+    def test_passes_when_every_field_declares_a_fitting_constraint(self):
+        good = declared_class(
+            "batch_size: Annotated[int, AtLeast(1)] = 8",
+            "rate: Annotated[float, Positive] = 1.0",
+            "floor: Annotated[float, AtLeast(1.0)] = 1.0",
+            "seed: Annotated[Optional[int], AtLeast(0)] = None",
+            "cap: Annotated[int | None, AtLeast(1)] = None",
+            "enabled: bool = True",
         )
-        assert lint_source(good, "src/repro/core/config.py").clean
+        assert lint_source(good, CONFIG_PATH).clean
+
+    def test_non_scalar_and_init_false_fields_are_exempt(self):
+        good = declared_class(
+            "steps: Sequence[int] = ()",
+            "_count: int = field(default=0, init=False)",
+        )
+        assert lint_source(good, CONFIG_PATH).clean
+
+    def test_any_class_calling_validate_fields_is_checked(self):
+        bad = declared_class("capacity: int = 1", name="DeviceModel")
+        result = lint_source(bad, "src/repro/nvm/device.py")
+        assert rule_ids(result) == ["R4"]
+        assert "DeviceModel" in result.violations[0].message
 
     def test_classvar_fields_are_ignored(self):
         good = (
@@ -210,7 +266,7 @@ class TestUnvalidatedConfigField:
             "    def __post_init__(self):\n"
             "        pass\n"
         )
-        assert lint_source(good, "src/repro/core/config.py").clean
+        assert lint_source(good, CONFIG_PATH).clean
 
     def test_other_class_names_are_out_of_scope(self):
         ok = (
@@ -219,7 +275,26 @@ class TestUnvalidatedConfigField:
             "class SomeOtherConfig:\n"
             "    knob: int = 1\n"
         )
-        assert lint_source(ok, "src/repro/core/config.py").clean
+        assert lint_source(ok, CONFIG_PATH).clean
+
+    def test_constraint_table_matches_the_validator(self):
+        # R4 reads declarations statically; repro.utils.validation applies
+        # them.  Both must agree on which field types each constraint fits.
+        from repro.utils import validation
+
+        runtime = {
+            "Positive": validation.Positive,
+            "NonNegative": validation.NonNegative,
+            "Fraction": validation.Fraction,
+            "NonEmpty": validation.NonEmpty,
+            "AtLeast": validation.AtLeast(1),
+            "OneOf": validation.OneOf(1, "a"),
+        }
+        assert set(runtime) == set(CONSTRAINT_TYPES)
+        for name, constraint in runtime.items():
+            assert {t.__name__ for t in constraint.types} == set(CONSTRAINT_TYPES[name])
+        assert validation.AtLeast(1.0).types == (float,)
+        assert set(SCALAR_TYPES) == {t.__name__ for t in validation.SCALAR_TYPES}
 
 
 # ----------------------------------------------------------------- R5 fixtures

@@ -52,6 +52,12 @@ class TestScaling:
         specs = scaled_table_specs(1 / 1000, names=["table1", "table8"])
         assert set(specs) == {"table1", "table8"}
 
+    @pytest.mark.parametrize("scale", [True, "0.01"])
+    def test_non_numeric_scale_rejected(self, scale):
+        # ``scaled_table_specs(True)`` used to return the scale-1 specs.
+        with pytest.raises(TypeError, match="scale"):
+            scaled_table_specs(scale)
+
     def test_unknown_name_rejected(self):
         with pytest.raises(KeyError):
             scaled_table_specs(1 / 1000, names=["table9"])

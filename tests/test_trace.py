@@ -79,6 +79,12 @@ class TestTraceSplitting:
     def test_head(self):
         assert len(make_trace().head(1)) == 1
 
+    @pytest.mark.parametrize("count", [True, 1.0, "1"])
+    def test_head_rejects_a_non_integer_count(self, count):
+        # ``head(True)`` used to return one query.
+        with pytest.raises(TypeError, match="num_queries"):
+            make_trace().head(count)
+
     def test_concat(self):
         joined = make_trace().concat(make_trace())
         assert len(joined) == 6

@@ -5,14 +5,11 @@ import pytest
 
 from repro.utils.validation import (
     check_array_1d_ints,
-    check_bool,
     check_fraction,
-    check_in_range,
     check_int_at_least,
     check_non_negative,
     check_positive,
-    check_probability,
-    check_seed,
+    check_type,
 )
 
 
@@ -35,19 +32,13 @@ class TestCheckNonNegative:
             check_non_negative(-0.1, "x")
 
 
-class TestCheckInRange:
-    def test_accepts_bounds(self):
-        assert check_in_range(0, 0, 1, "x") == 0
-        assert check_in_range(1, 0, 1, "x") == 1
-
-    def test_rejects_outside(self):
-        with pytest.raises(ValueError):
-            check_in_range(1.5, 0, 1, "x")
-
-
 class TestCheckFraction:
     def test_accepts_half(self):
         assert check_fraction(0.5, "x") == pytest.approx(0.5)
+
+    def test_accepts_bounds(self):
+        assert check_fraction(0, "x") == 0
+        assert check_fraction(1, "x") == 1
 
     def test_rejects_above_one(self):
         with pytest.raises(ValueError):
@@ -75,17 +66,6 @@ class TestCheckArray1dInts:
         assert check_array_1d_ints([], "ids").size == 0
 
 
-class TestCheckProbability:
-    def test_accepts_bounds(self):
-        assert check_probability(0.0, "p") == pytest.approx(0.0)
-        assert check_probability(1.0, "p") == pytest.approx(1.0)
-
-    @pytest.mark.parametrize("value", [-0.01, 1.01, float("nan")])
-    def test_rejects_outside_unit_interval(self, value):
-        with pytest.raises(ValueError, match="p"):
-            check_probability(value, "p")
-
-
 class TestCheckIntAtLeast:
     def test_accepts_and_returns_int(self):
         out = check_int_at_least(3, 1, "num_workers")
@@ -106,33 +86,35 @@ class TestCheckIntAtLeast:
             check_int_at_least(True, 1, "x")
 
 
-class TestCheckBool:
+class TestCheckType:
     @pytest.mark.parametrize("value", [True, False])
     def test_accepts_and_returns_real_bools(self, value):
-        assert check_bool(value, "flag") is value
+        assert check_type(value, bool, "flag") is value
 
-    @pytest.mark.parametrize("value", [1, 0, "no", None, 1.0])
+    @pytest.mark.parametrize("value", [1, 0, "no", None, 1.0, np.bool_(True)])
     def test_rejects_truthy_stand_ins(self, value):
         # `tune_thresholds="no"` would silently *enable* tuning.
         with pytest.raises(TypeError, match="flag"):
-            check_bool(value, "flag")
+            check_type(value, bool, "flag")
 
+    @pytest.mark.parametrize(
+        "value, kind",
+        [(3, int), (np.int64(3), int), (3, float), (2.5, float), (np.float32(2.5), float),
+         ("x", str)],
+    )
+    def test_accepts_its_type(self, value, kind):
+        assert check_type(value, kind, "x") is value
 
-class TestCheckSeed:
-    def test_none_passes_through(self):
-        assert check_seed(None, "seed") is None
+    @pytest.mark.parametrize(
+        "value, kind",
+        [(True, int), (2.5, int), ("3", int), (None, int), (True, float), ("3", float),
+         (None, float), (True, str), (3, str)],
+    )
+    def test_rejects_other_types_and_bools(self, value, kind):
+        with pytest.raises(TypeError, match="knob"):
+            check_type(value, kind, "knob")
 
-    def test_returns_plain_int(self):
-        out = check_seed(np.int64(7), "seed")
-        assert out == 7 and type(out) is int
-        assert check_seed(0, "seed") == 0
-
-    @pytest.mark.parametrize("value", [1.0, "3", True])
-    def test_rejects_non_integer_identities(self, value):
-        with pytest.raises(TypeError, match="seed"):
-            check_seed(value, "seed")
-
-    def test_rejects_negative(self):
-        # SeedSequence rejects negative entropy; fail at config time instead.
-        with pytest.raises(ValueError, match="seed"):
-            check_seed(-1, "seed")
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_float_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="knob"):
+            check_type(value, float, "knob")
