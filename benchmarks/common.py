@@ -21,8 +21,9 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.bandana import BandanaStore
+from repro.device import DEVICE_SLOTS
 from repro.nvm.block import BlockLayout
-from repro.nvm.latency import QUEUE_DEPTH, NVMLatencyModel
+from repro.nvm.latency import NVMLatencyModel
 from repro.partitioning import SHPPartitioner
 from repro.simulation import simulate_store
 from repro.workloads import (
@@ -166,8 +167,9 @@ def saturation_rate_rps(
 
     An untimed warm replay followed by a replay of the serving portion
     measures the workload's steady blocks-per-request; the device's block
-    rate at :data:`~repro.nvm.latency.QUEUE_DEPTH` divided by that cost is
-    the saturating arrival rate.
+    rate with every submission slot busy (:data:`~repro.device.DEVICE_SLOTS`,
+    the law the device clock runs) divided by that cost is the saturating
+    arrival rate.
     """
     warm_store(store, warm_trace)
     before = store.aggregate_stats().misses
@@ -176,4 +178,4 @@ def saturation_rate_rps(
     num_requests = max(len(trace) for trace in serve_trace.tables.values())
     blocks_per_request = blocks / num_requests
     model = NVMLatencyModel(block_bytes=store.config.block_bytes)
-    return model.blocks_per_second(QUEUE_DEPTH) / blocks_per_request
+    return model.blocks_per_second(DEVICE_SLOTS) / blocks_per_request

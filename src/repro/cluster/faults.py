@@ -39,7 +39,6 @@ from repro.utils.validation import (
     NonNegative,
     Positive,
     check_int_at_least,
-    check_positive,
     validate_fields,
 )
 
@@ -247,7 +246,6 @@ def _scenario_degraded_cluster(
     **_: float,
 ) -> FaultSchedule:
     """The compound scenario: one node crashes, one slows, one link degrades."""
-    check_int_at_least(num_nodes, 1, "num_nodes")
     end_s = start_s + duration_s
     events: List[FaultEvent] = [NodeCrash(node=0, start_s=start_s, end_s=end_s)]
     if num_nodes > 1:
@@ -285,7 +283,7 @@ def make_scenario(name: str, num_nodes: int, **overrides: float) -> FaultSchedul
     drive every scenario with a common parameter set; a key that no catalog
     scenario uses (a typo such as ``duraton_s``) raises ``ValueError``.
     """
-    check_positive(num_nodes, "num_nodes")
+    check_int_at_least(num_nodes, 1, "num_nodes")
     try:
         factory = SCENARIOS[name]
     except KeyError:

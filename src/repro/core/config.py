@@ -107,9 +107,9 @@ class ServingConfig(_TableSLOs):
     admission_queue_slack:
         Single-host admission control, ported from the cluster tier: at
         batch dispatch, a request is shed (fast rejection, no cache or
-        device work) when any of its tables' device backlog exceeds
-        ``slack ×`` that table's SLO.  ``None`` (the default) disables
-        shedding entirely — the golden-pinned behaviour.
+        device work) when the wait for a free slot on any of its tables'
+        devices exceeds ``slack ×`` that table's SLO.  ``None`` (the
+        default) disables shedding entirely — the golden-pinned behaviour.
     table_slo_us:
         Per-table SLO overrides for admission control, a ``(name, slo_us)``
         tuple sequence; tables not named fall back to ``slo_latency_us``

@@ -3,19 +3,20 @@
 :class:`NVMDeviceBank` is the resource abstraction both serving tiers sit
 on: a host (or cluster node) owns ``num_devices`` physical devices, every
 embedding table is pinned to exactly one of them (round-robin over first-use
-order, or an explicit mapping), and all work for a table queues FIFO on its
+order, or an explicit mapping), and all work for a table queues on its
 device.  One device shared by many tables is the paper's actual single-host
 deployment — cross-table contention is real because the *hardware* is
-shared; one device per table is the private-device counterfactual.
+shared: every table's reads compete for the same submission slots.  One
+device per table is the private-device counterfactual.
 
 The bank adds nothing to the per-device arithmetic — that is
-:class:`~repro.device.clock.DeviceClock`, bit-identical to the original
-serving accountant.  It owns the device-charge rule
+:class:`~repro.device.clock.DeviceClock`'s slot schedule.  It owns the
+device-charge rule
 (:meth:`NVMDeviceBank.serve_blocks`: a batch charges each device it touches
 once, with the summed misses of the tables pinned to it), the mapping,
-bank-wide observability (conservation invariant: total busy time ≤ wall
-time × K), rebase/restart plumbing, and the single-host ``device.queue`` /
-``device.service`` span emission.
+bank-wide observability (conservation invariant: total busy time — time
+with a read in flight — ≤ wall time × K), rebase/restart plumbing, and the
+single-host ``device.queue`` / ``device.service`` span emission.
 """
 
 from __future__ import annotations
@@ -34,19 +35,15 @@ from repro.utils.validation import check_int_at_least
 
 
 class NVMDeviceBank:
-    """K FIFO NVM devices with a table→device mapping (see module docstring).
+    """K slotted NVM devices with a table→device mapping (see module docstring).
 
     Parameters
     ----------
     num_devices:
         Physical devices in the bank (``K``).
     latency_model:
-        Shared latency/bandwidth model for device-priced work; ``None`` for
-        banks whose clients price their own work (cluster nodes).
-    block_bytes:
-        Bytes per NVM block read.
-    max_queue_depth / throughput_window_s:
-        Per-device pricing knobs (see :class:`~repro.device.clock.DeviceClock`).
+        Shared unloaded law for device-priced work; ``None`` for banks whose
+        clients price their own work (cluster nodes).
     tables:
         Tables to pin up front, round-robin in iteration order.  Tables not
         pre-pinned are pinned on first use, also round-robin — deterministic
@@ -57,21 +54,11 @@ class NVMDeviceBank:
         self,
         num_devices: int,
         latency_model: Optional[NVMLatencyModel] = None,
-        block_bytes: int = 4096,
-        max_queue_depth: float = 64.0,
-        throughput_window_s: float = 0.05,
         tables: Iterable[str] = (),
     ) -> None:
         check_int_at_least(num_devices, 1, "num_devices")
         self.devices: List[DeviceClock] = [
-            DeviceClock(
-                latency_model,
-                block_bytes=block_bytes,
-                max_queue_depth=max_queue_depth,
-                throughput_window_s=throughput_window_s,
-                index=i,
-            )
-            for i in range(num_devices)
+            DeviceClock(latency_model, index=i) for i in range(num_devices)
         ]
         self._table_device: Dict[str, int] = {}
         for name in tables:
@@ -104,11 +91,11 @@ class NVMDeviceBank:
 
     # ----------------------------------------------------------------- timing
     def queue_wait_us(self, at_us: float, table_name: Optional[str] = None) -> float:
-        """Backlog work arriving at ``at_us`` would wait behind.
+        """How long a read arriving at ``at_us`` would wait for a free slot.
 
-        With a ``table_name`` this is that table's device's backlog — the
+        With a ``table_name`` this is that table's device's wait — the
         quantity admission control sheds against; without one it is the
-        worst backlog over the bank.
+        worst wait over the bank.
         """
         if table_name is not None:
             return self.device_of(table_name).queue_wait_us(at_us)
@@ -120,7 +107,7 @@ class NVMDeviceBank:
         return max(device.free_at_us for device in self.devices)
 
     def rebase(self, now_us: float = 0.0) -> None:
-        """Re-anchor every device at ``now_us`` with empty backlogs.
+        """Re-anchor every device at ``now_us`` with every slot free.
 
         This is the one definition of restart semantics: warm-up rebase
         (``now_us = 0``) and node cold restarts both route here.
@@ -144,6 +131,8 @@ class NVMDeviceBank:
         """
         blocks_by_device: Dict[int, int] = {}
         for name, blocks in blocks_by_table.items():
+            if type(blocks) is not int or blocks < 0:
+                check_int_at_least(blocks, 0, "block_reads")
             index = self.map_table(name)
             blocks_by_device[index] = blocks_by_device.get(index, 0) + blocks
         return [
@@ -176,8 +165,9 @@ class NVMDeviceBank:
 
         The single-host front-end's device spans (cluster attempts record
         their own ``node.queue`` / ``node.service`` spans): the queue span
-        covers dispatch → device start (FIFO backlog), the service span
-        covers start → completion with the pricing inputs as attributes.
+        covers dispatch → the first read's start (the wait for a slot), the
+        service span covers that start → the last read's end, with the
+        pricing inputs as attributes.
         ``parent_id`` defaults to the request's root span; ``parallel`` marks
         the spans as concurrent siblings (a batch's per-device charges
         overlap by construction).
@@ -207,7 +197,7 @@ class NVMDeviceBank:
 
     # ---------------------------------------------------------------- metrics
     def busy_us(self) -> List[float]:
-        """Per-device cumulative busy time (FIFO ⇒ ≤ wall time each)."""
+        """Per-device time with a read in flight (≤ wall time each)."""
         return [device.busy_us for device in self.devices]
 
     def total_busy_us(self) -> float:

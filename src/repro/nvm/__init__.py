@@ -2,7 +2,8 @@
 
 The paper uses a 375 GB NVM block device whose read bandwidth saturates around
 2.3 GB/s and whose latency grows with queue depth (Figure 2) and with load
-(Figure 5).  Byte-addressable NVM DIMMs were not available, so the device is
+(Figure 5, which the device's slot schedule in :mod:`repro.device`
+reproduces).  Byte-addressable NVM DIMMs were not available, so the device is
 read in 4 KB blocks; a 128 B embedding-vector read therefore wastes 96 % of
 the device bandwidth unless neighbouring vectors in the block are useful.
 
@@ -10,9 +11,10 @@ This package provides:
 
 * :class:`repro.nvm.BlockLayout` — the mapping from vector id to (block, slot)
   induced by a placement order,
-* :class:`repro.nvm.NVMLatencyModel` — the queue-depth/throughput latency
-  curves calibrated to the paper's Figure 2/5 measurements; the replay
-  engines price every block read with it,
+* :class:`repro.nvm.NVMLatencyModel` — the one unloaded law of read latency
+  against queue depth, calibrated to the paper's Figure 2, with bandwidth
+  derived from it by Little's law; the replay engines and the device clocks
+  (:mod:`repro.device`) price every block read with it,
 * :class:`repro.nvm.EnduranceTracker` and :class:`repro.nvm.DRAMModel`.
 
 Block reads are counted in one place, the replay's
@@ -20,14 +22,13 @@ Block reads are counted in one place, the replay's
 """
 
 from repro.nvm.block import BlockLayout
-from repro.nvm.latency import NVMLatencyModel, LoadedLatency
+from repro.nvm.latency import NVMLatencyModel
 from repro.nvm.endurance import EnduranceTracker
 from repro.nvm.dram import DRAMModel
 
 __all__ = [
     "BlockLayout",
     "NVMLatencyModel",
-    "LoadedLatency",
     "EnduranceTracker",
     "DRAMModel",
 ]

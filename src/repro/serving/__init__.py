@@ -27,12 +27,12 @@ a simulation is a deterministic function of (store, trace, config, seed):
   (``max_linger_us``); each formed batch is fanned out to the store in one
   ``lookup_batch`` pass per touched table.
 * every batch's demand misses are priced on the host's
-  :class:`~repro.device.NVMDeviceBank` (:mod:`repro.device`), whose FIFO
-  device clocks feed the **observed queue depth** and the trailing-window
-  **device throughput** back into
-  :meth:`repro.nvm.latency.NVMLatencyModel.loaded_latency` — so per-request
-  latency reflects the device-load feedback the paper measures, including
-  the blow-up past the saturation knee.  ``ServingConfig.devices_per_host``
+  :class:`~repro.device.NVMDeviceBank` (:mod:`repro.device`).  Each device
+  is a schedule of submission slots: a read is priced by the unloaded
+  Figure-2 law at the **queue depth it observes** and waits for a free slot
+  when every slot is busy, so queueing is charged once and per-request
+  latency shows the paper's load behaviour, including the blow-up past
+  the device's bandwidth.  ``ServingConfig.devices_per_host``
   sizes the bank, with the tables pinned round-robin; a batch serves each
   device it touches once, with the summed misses of that device's tables.
   The default single device is the paper's actual deployment, where
@@ -42,13 +42,14 @@ a simulation is a deterministic function of (store, trace, config, seed):
   precomputed arrival array with a fixed client population
   (:class:`~repro.serving.arrivals.ClosedLoopPopulation`) whose next
   arrivals depend on completions, and **single-host admission control**
-  (``ServingConfig.admission_queue_slack``) sheds requests whose tables'
-  device backlog exceeds ``slack ×`` the table SLO — both measured in the
-  same report (``requests_shed`` / ``shed_rate`` / ``device_bank``).
+  (``ServingConfig.admission_queue_slack``) sheds requests whose wait for
+  a free slot on a table's device exceeds ``slack ×`` the table SLO — both
+  measured in the same report (``requests_shed`` / ``shed_rate`` /
+  ``device_bank``).
 * :mod:`~repro.serving.report` condenses the run into a
   :class:`~repro.serving.report.ServingReport` (latency percentiles,
-  throughput, batch-size and queue-depth histograms, SLO violations, and a
-  closed-form Figure-5 cross-check via ``application_latency``).
+  throughput, batch-size and queue-depth histograms, SLO violations and the
+  device bank's snapshot).
 
 Entry point: :func:`~repro.serving.frontend.simulate_serving`, also exported
 as :func:`repro.simulation.simulate_serving` next to ``simulate_store``.  It
@@ -68,8 +69,8 @@ Tracing
 Pass ``tracing=TracingConfig(enabled=True)`` and every request's latency
 decomposes into spans on the same simulated clock — ``batcher.queue``
 (arrival → batch dispatch: queue wait plus linger), ``device.queue``
-(dispatch → device start, the FIFO backlog), ``device.service`` (the
-batch's NVM reads) and ``overhead`` — which tile the end-to-end latency *exactly*.  The report
+(dispatch → first read's start, the wait for a free slot),
+``device.service`` (the batch's NVM reads) and ``overhead`` — which tile the end-to-end latency *exactly*.  The report
 then carries a JSON summary (per-stage breakdown, top-K slowest requests
 with critical paths) in ``ServingReport.trace``; see :mod:`repro.tracing`
 for the query API and a worked "why did p999 regress" example.  A disabled

@@ -14,7 +14,7 @@ not on how long the device takes to serve earlier batches — so it is a pure,
 deterministic function: the front-end thread always drains its queue on time,
 and any backlog shows up downstream as device queueing (handled by the
 device bank, :mod:`repro.device`), not as altered batch composition.  Dispatch
-times are non-decreasing in batch order, which the FIFO device clocks rely on.
+times are non-decreasing in batch order, which the device clocks rely on.
 
 ``max_batch_requests=1`` degenerates to unbatched serving: every request is
 dispatched at its own arrival time and the linger cutoff never applies.

@@ -5,8 +5,8 @@
 as Python allows and reporting counters, it replays the *same* request stream
 on a simulated clock under an arrival process and reports what a user would
 see — end-to-end latency percentiles, sustained throughput and SLO
-violations — with the device's load-feedback latency (paper Figure 5)
-closing the loop.
+violations — with the device's slot schedule turning load into queueing
+delay (paper Figure 5).
 
 There is one event loop, :func:`serve_request_stream`, driven by an *arrival
 source* and served by a *backend*.  One step per dispatched batch:
@@ -18,8 +18,8 @@ source* and served by a *backend*.  One step per dispatched batch:
    consumes response times (a client's next request exists only after its
    previous response);
 2. the backend serves the batch.  The single-host backend sheds requests
-   whose tables' device backlog already exceeds ``admission_queue_slack ×``
-   the table's SLO (a fast rejection that does no cache or device work,
+   whose wait for a free slot on a table's device already exceeds
+   ``admission_queue_slack ×`` the table's SLO (a fast rejection that does no cache or device work,
    mirroring the cluster tier's queue-level shedding), fans the survivors
    out through the store, and charges the store's miss counters — the
    batch's NVM block reads — on the host's
@@ -226,14 +226,13 @@ class _HostBackend:
     """Single-host backend: admission control, store fan-out, bank charging.
 
     Keeps every device serve record the bank returns, in serve order — the
-    report's queue-depth and device-throughput statistics.
+    report's queue-depth statistics.
     """
 
     def __init__(
         self,
         store: BandanaStore,
         config: ServingConfig,
-        model: NVMLatencyModel,
         tracer: Tracer,
     ) -> None:
         config.check_slo_tables(store.tables)
@@ -242,8 +241,7 @@ class _HostBackend:
         self.tracer = tracer
         self.bank = NVMDeviceBank(
             num_devices=config.devices_per_host,
-            latency_model=model,
-            block_bytes=store.config.block_bytes,
+            latency_model=NVMLatencyModel(block_bytes=store.config.block_bytes),
             tables=list(store.tables),
         )
         self.records: List[DeviceServiceRecord] = []
@@ -362,9 +360,8 @@ def serve_request_stream(
     :func:`simulate_serving` and :func:`repro.cluster.run_scenario` both end
     here.  The source is picked by ``config.arrival_process``; the backend
     is the host's device bank, or ``cluster`` when given — then the
-    device-side report fields (queue-depth histogram, ``device_bank``,
-    steady-state cross-check) stay empty, and ``store`` only supplies the
-    seed default.
+    device-side report fields (queue-depth histogram, ``device_bank``) stay
+    empty, and ``store`` only supplies the seed default.
     """
     n = len(requests)
     seed = store.config.seed if config.seed is None else config.seed
@@ -373,9 +370,8 @@ def serve_request_stream(
         if config.arrival_process == "closed-loop"
         else _OpenLoopArrivals(config, n, seed)
     )
-    model = NVMLatencyModel(block_bytes=store.config.block_bytes)
     backend: Union[_HostBackend, _ClusterBackend] = (
-        _HostBackend(store, config, model, tracer)
+        _HostBackend(store, config, tracer)
         if cluster is None
         else _ClusterBackend(cluster, tracer)
     )
@@ -405,8 +401,6 @@ def serve_request_stream(
 
     stats_after = backend.store.aggregate_stats()
     return _assemble_report(
-        store=store,
-        model=model,
         config=config,
         offered_rate_rps=source.offered_rate_rps,
         arrival_us=arrival_us,
@@ -433,8 +427,8 @@ def _split_shed(
 ) -> Tuple[List[int], List[int]]:
     """Partition a batch's members into (served, shed) at dispatch time.
 
-    A request is shed when *any* of its tables' device backlog exceeds
-    ``admission_queue_slack ×`` that table's SLO — the single-host port of
+    A request is shed when the wait for a free slot on *any* of its tables'
+    devices exceeds ``admission_queue_slack ×`` that table's SLO — the single-host port of
     the cluster's queue-level admission check (there per shard read, here
     per request: a single host has no other replica to serve the rest).
     """
@@ -559,8 +553,6 @@ def _emit_shed_spans(
 
 
 def _assemble_report(
-    store: BandanaStore,
-    model: NVMLatencyModel,
     config: ServingConfig,
     offered_rate_rps: float,
     arrival_us: np.ndarray,
@@ -584,16 +576,6 @@ def _assemble_report(
         for device in bank.devices:
             depth_hist.update(device.depth_hist)
     depths = np.array([r.queue_depth for r in records], dtype=np.float64)
-    mbps = np.array([r.device_mbps for r in records], dtype=np.float64)
-
-    app_bytes = lookups * store.config.vector_bytes
-    nvm_bytes = blocks_read * store.config.block_bytes
-    steady_state = None
-    if bank is not None and nvm_bytes > 0 and makespan_us > 0:
-        steady_state = model.application_latency(
-            app_bytes / makespan_us,  # bytes/µs == MB/s
-            min(1.0, app_bytes / nvm_bytes),
-        )
 
     return ServingReport(
         num_requests=n,
@@ -613,12 +595,9 @@ def _assemble_report(
         max_queue_depth=float(depths.max()) if depths.size else 0.0,
         queue_depth_hist=dict(sorted(depth_hist.items())),
         blocks_read=blocks_read,
-        device_mbps_mean=float(mbps.mean()) if mbps.size else 0.0,
-        device_mbps_peak=float(mbps.max()) if mbps.size else 0.0,
         lookups=lookups,
         hit_rate=hits / lookups if lookups else 0.0,
         requests_shed=requests_shed,
         device_bank=bank.snapshot() if bank is not None else None,
-        steady_state=steady_state,
         trace=tracer.summary() if tracer.enabled else None,
     )

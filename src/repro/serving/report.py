@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
-from repro.nvm.latency import LoadedLatency
 
 if TYPE_CHECKING:  # repro.cluster imports this package; import only for types
     from repro.cluster.store import ClusterCounters
@@ -124,8 +123,6 @@ class ServingReport:
     max_queue_depth: float = 0.0
     queue_depth_hist: Dict[int, int] = field(default_factory=dict)
     blocks_read: int = 0
-    device_mbps_mean: float = 0.0
-    device_mbps_peak: float = 0.0
     lookups: int = 0
     hit_rate: float = 0.0
     #: Requests rejected by single-host admission control (fast rejections
@@ -138,10 +135,6 @@ class ServingReport:
     #: default ``ServingConfig.devices_per_host``; ``None`` only on
     #: cluster-routed runs, where each node owns its devices.
     device_bank: Optional[Dict[str, object]] = None
-    #: Closed-form Figure-5 cross-check: the loaded latency the device model
-    #: predicts for this run's average application throughput and measured
-    #: effective bandwidth (``None`` when the run never touched the device).
-    steady_state: Optional[LoadedLatency] = None
     #: JSON-ready tracer summary (``repro.tracing``): per-stage latency
     #: breakdown plus the top-K slowest requests' critical paths.  ``None``
     #: unless the run was traced (``TracingConfig.enabled``).
@@ -185,21 +178,11 @@ class ServingReport:
             "max_queue_depth": self.max_queue_depth,
             "queue_depth_hist": {str(k): v for k, v in self.queue_depth_hist.items()},
             "blocks_read": self.blocks_read,
-            "device_mbps_mean": self.device_mbps_mean,
-            "device_mbps_peak": self.device_mbps_peak,
             "lookups": self.lookups,
             "hit_rate": self.hit_rate,
             "requests_shed": self.requests_shed,
             "shed_rate": self.shed_rate,
             "device_bank": self.device_bank,
-            "steady_state": (
-                None
-                if self.steady_state is None
-                else {
-                    "mean_us": self.steady_state.mean_us,
-                    "p99_us": self.steady_state.p99_us,
-                }
-            ),
             "trace": self.trace,
         }
         if self.counters is not None:

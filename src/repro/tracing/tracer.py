@@ -41,9 +41,9 @@ from repro.core.config import TracingConfig
 STAGE_REQUEST = "request"
 #: Front-end dispatch wait: arrival -> batch dispatch (queue wait + linger).
 STAGE_BATCH_QUEUE = "batcher.queue"
-#: Single-host device FIFO wait: batch dispatch -> device start.
+#: Single-host device slot wait: batch dispatch -> first read's start.
 STAGE_DEVICE_QUEUE = "device.queue"
-#: Single-host device service: device start -> batch completion.
+#: Single-host device service: first read's start -> last read's end.
 STAGE_DEVICE_SERVICE = "device.service"
 #: Fixed per-request front-end overhead (pooling, RPC framing).
 STAGE_OVERHEAD = "overhead"

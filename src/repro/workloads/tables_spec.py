@@ -30,7 +30,6 @@ from repro.utils.validation import (
 
 #: Embedding vector geometry used throughout the paper's evaluation.
 PAPER_VECTOR_BYTES = 128
-PAPER_VECTOR_DIM = 64
 PAPER_BLOCK_BYTES = 4096
 PAPER_VECTORS_PER_BLOCK = PAPER_BLOCK_BYTES // PAPER_VECTOR_BYTES  # 32
 
@@ -60,8 +59,6 @@ class TableSpec:
     num_topics:
         Number of co-access "topics" the generator uses for this table; more
         topics means weaker co-access structure (harder to partition).
-    vector_dim:
-        Number of elements per embedding vector.
     vector_bytes:
         Bytes per embedding vector as stored on NVM.
     """
@@ -73,7 +70,6 @@ class TableSpec:
     compulsory_miss_rate: Annotated[float, Fraction]
     popularity_alpha: Annotated[float, NonNegative] = 0.8
     num_topics: Annotated[int, AtLeast(1)] = 512
-    vector_dim: Annotated[int, AtLeast(1)] = PAPER_VECTOR_DIM
     vector_bytes: Annotated[int, AtLeast(1)] = PAPER_VECTOR_BYTES
 
     def __post_init__(self) -> None:

@@ -151,6 +151,16 @@ class TestScenarioCatalog:
         faults = make_scenario(name, num_nodes=4)
         assert isinstance(faults, FaultSchedule)
 
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    @pytest.mark.parametrize(
+        "num_nodes, error", [(2.5, TypeError), (True, TypeError), (0, ValueError)]
+    )
+    def test_num_nodes_is_checked_for_every_entry(self, name, num_nodes, error):
+        # 2.5 and True used to build a schedule for every entry but
+        # degraded_cluster, the one factory that checked its argument.
+        with pytest.raises(error, match="num_nodes"):
+            make_scenario(name, num_nodes=num_nodes)
+
     def test_none_is_empty(self):
         assert len(make_scenario("none", num_nodes=4)) == 0
 

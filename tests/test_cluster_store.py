@@ -559,31 +559,30 @@ def golden_scenario_pin():
 #: Frozen output of :func:`golden_scenario_pin`.  It changes only when
 #: cluster serving semantics or the ``build_store`` fixture change — regenerate
 #: deliberately with ``python tests/test_cluster_store.py``.  Last re-pinned
-#: when the fixture's insert-at-position and combined tables moved to position
-#: 0 (the store serves only top-only policies); the serving code before and
-#: after that change gives these values on the new fixture.
+#: when the Fig. 2 law was refit: a node's engines price a read at
+#: ``mean_latency_us(QUEUE_DEPTH)``, which went 24 → 17.406 µs.
 GOLDEN_SCENARIO_REPORT = {
-    "p50_us": 7459.999052,
-    "p95_us": 8465.329431,
-    "p99_us": 8737.753409,
-    "p999_us": 8906.623664,
-    "makespan_us": 51698.973274,
+    "p50_us": 7216.147962,
+    "p95_us": 8277.946116,
+    "p99_us": 8380.494459,
+    "p999_us": 8509.726786,
+    "makespan_us": 51658.819371,
     "counters": {
         "requests_total": 92,
-        "requests_ok": 58,
-        "requests_degraded": 34,
-        "availability": 0.6304347826086957,
+        "requests_ok": 79,
+        "requests_degraded": 13,
+        "availability": 0.8586956521739131,
         "shard_groups": 1365,
-        "shard_groups_failed": 80,
-        "shard_attempts": 1665,
-        "retries": 300,
+        "shard_groups_failed": 23,
+        "shard_attempts": 1495,
+        "retries": 130,
         "timeouts": 14,
         "link_losses": 9,
-        "sheds": 366,
+        "sheds": 139,
         "hedges_launched": 158,
-        "hedges_won": 71,
-        "hedges_lost": 87,
-        "breaker_skips": 536,
+        "hedges_won": 85,
+        "hedges_lost": 73,
+        "breaker_skips": 447,
         "breaker_ejections": 1,
         "cold_restarts": 0,
     },
@@ -638,28 +637,27 @@ def golden_trace_digests():
 
 
 #: Frozen output of :func:`golden_trace_digests`.  Last re-pinned when the
-#: ``build_store`` fixture's insert-at-position and combined tables moved to
-#: position 0 (the store serves only top-only policies): the serving code
-#: before and after that change gives these digests on the new fixture.  It
+#: Fig. 2 law was refit (a node's read price went 24 → 17.406 µs) and the
+#: report lost ``device_mbps_mean`` / ``device_mbps_peak`` / ``steady_state``.  It
 #: changes only when cluster serving, its spans, the report's keys or the
 #: fixture change — regenerate deliberately with
 #: ``python tests/test_cluster_store.py``.
 GOLDEN_CLUSTER_TRACE_DIGESTS = {
-    "none/R1": "bf0a3b6251ce46e5e5bcde3118eca98a1992e801b0c682426ffcfb7c0356e497",
-    "none/R2": "c9a269dcae7db70306e6e7cc7af959b9d200a3a5565646c4d14fd281c5e8f7b2",
-    "none/R3": "85835f245686f9084192e644e6a01d838c67b21270231d5812727bea34bed931",
-    "crash_recover/R1": "9ad773930b05d25b13356fb5d07aae075f68a5849f8436e7f35209111e52bcdf",
-    "crash_recover/R2": "c244383429786af8a0db9fbaaa08c83c1b15650d07bd33f63b15d1af79e6e8d6",
-    "crash_recover/R3": "653572dd6d2e5edb4be3c1d76342dfa2008cd0a04d084c8862f5116631126e85",
-    "slow_node/R1": "42d11c5540083c5fcd81254851ba2a51d0710689fa098e2898b8b1538d214f9a",
-    "slow_node/R2": "f80c6e22239a4ef4d80473df51bb9355fb665fae50dc35dfeb8c88ab6e103395",
-    "slow_node/R3": "2801787f6f705081b2df50e93ac314f00f2209de728f62df015d08332c7ae807",
-    "flaky_link/R1": "1197b5305cc5621bd282fc7f00c0694c6c1c2ec8eb9e950d171fae7999147666",
-    "flaky_link/R2": "b73801bc2ffb1d5846480e3c36986aa75a57140edb61ccc6ce51033ccd920de0",
-    "flaky_link/R3": "bc897ceb81a82919b6d2127fae166fa058710193438c55caa7f00bd9cfe52378",
-    "degraded_cluster/R1": "3ac7d01216a52f4159451882a0e94c0d05388ca4424aaf822c2c8e0b1b2c7061",
-    "degraded_cluster/R2": "6c61736f76a1d670f0b8474b0668e1b43a4e99e4fab82449686197226da9aa0d",
-    "degraded_cluster/R3": "2797c41dc965ea041d9a1be1142ee58dc74ee286b91f3183929580999b286062",
+    "none/R1": '352d37bd255f1726a242862684d9c2a8910684d4dbd732686cfa082c3524eb23',
+    "none/R2": 'edf7c1f53d8cc24cb66a0837ac6ec045705e6087c2ce114c9ea8ff55a3181211',
+    "none/R3": '60fde20099b2e4b52cfb44a5e38c3a9ea569db57e0da0c33729bf2bc8063cb02',
+    "crash_recover/R1": 'c45517880d6b76616cff89aedac35d513414bcc926cc4054c46c6034e2be07f3',
+    "crash_recover/R2": '95fb81ca36666e16d836c506755fd88d20a32f2f0edf06dcfbaab951bb370581',
+    "crash_recover/R3": 'ba060cfb7657b9a488752651be0d132b17e06cef352c7cd47931f3bf75268716',
+    "slow_node/R1": 'cde55d6bfc5b68729232e133316addcaa60b50c4e78fb58072b43e704c4f2170',
+    "slow_node/R2": 'd547b0fb18a8ff8558153df37f56e0bd1c05d23b0366aff67fff993e9c079b64',
+    "slow_node/R3": '7500b26e4501fe8db24acda2f25f80387d9282128beae154031b93b5fb8facc6',
+    "flaky_link/R1": 'f79cb0601f3844859e4e43d15bb2f8f3edd3acabb2bcda003a3f80caf3ed42d8',
+    "flaky_link/R2": 'e6dc0a4911f210817caae7e68939911cd86467a6a48e487edff05aecb9d8fe0a',
+    "flaky_link/R3": '6df120621064ef5b0699050a59779c27aae610074b0ac453d76d4577ce66bb70',
+    "degraded_cluster/R1": 'b17ec4da1fcf14a6467086cf053ba6f32dfd04bbc262cf09dddd5048c2878f06',
+    "degraded_cluster/R2": 'd96a396b824d3fa5da6dc3deeeb2912e8d500c4878ddd8a59d764db034b99978',
+    "degraded_cluster/R3": 'a9c771b3553d76991dcfa7a631b1738c25916a3d09dfd373d7e3a555dd0dbd0f',
 }
 
 

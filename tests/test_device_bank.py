@@ -1,7 +1,8 @@
 """Tests for the shared NVM device layer (repro.device) and its clients.
 
-Covers DeviceClock FIFO/pricing behaviour and conservation invariants
-(busy time ≤ wall time × K, depth histograms sum to serve counts), the
+Covers DeviceClock's slot schedule and pricing, its hostile-input errors and
+conservation invariants (busy time — time with a read in flight — ≤ wall
+time × K, depth histograms sum to serve counts), the
 bank's table→device mapping, the one device-charge rule (a batch serves
 each device it touches once; it equals the whole-batch and per-table
 charges it replaced at K = 1 and K = number of tables, against the oracle
@@ -28,7 +29,7 @@ import pytest
 
 from repro import ServingConfig
 from repro.core.config import TracingConfig
-from repro.device import DeviceClock, NVMDeviceBank, depth_bucket
+from repro.device import DEVICE_SLOTS, DeviceClock, NVMDeviceBank, depth_bucket
 from repro.nvm.latency import NVMLatencyModel
 from repro.serving import ClosedLoopPopulation, frontend, simulate_serving
 from repro.serving.arrivals import arrival_times
@@ -41,22 +42,60 @@ from repro.tracing import (
 )
 from repro.utils.rng import ensure_rng
 from test_serving import build_store_and_trace
+from tests.conftest import count_python_calls
+
+#: Python-level calls per ``DeviceClock.serve_blocks``, whatever its read
+#: count.  Measured 4: itself, the record, ``_finish`` and ``depth_bucket``
+#: (well-typed arguments skip the checks' frames).  The slack absorbs a
+#: garbage-collector finalizer that happens to run inside the count.
+SERVE_BLOCKS_CALL_BUDGET = 4.5
 
 
 # ------------------------------------------------------------------ DeviceClock
 class TestDeviceClock:
-    def make_clock(self, **kwargs):
-        return DeviceClock(NVMLatencyModel(), block_bytes=4096, **kwargs)
+    def make_clock(self):
+        return DeviceClock(NVMLatencyModel())
 
-    def test_fifo_backlog_serialises_batches(self):
+    def test_isolated_call_on_an_idle_device_costs_one_unloaded_read(self):
+        # Up to DEVICE_SLOTS reads run side by side, each at L(b).
+        model = NVMLatencyModel()
+        for reads in (1, 8, DEVICE_SLOTS):
+            record = self.make_clock().serve_blocks(100.0, reads)
+            assert record.start_us == record.dispatch_us == pytest.approx(100.0)
+            assert record.completion_us == pytest.approx(
+                100.0 + model.mean_latency_us(reads)
+            )
+            assert record.queue_depth == reads
+
+    def test_calls_that_fit_in_the_slots_overlap(self):
         clock = self.make_clock()
-        first = clock.serve_blocks(0.0, 64)
-        second = clock.serve_blocks(1.0, 64)
-        assert first.start_us == pytest.approx(0.0)
-        # The device is busy until `first` completes; `second` queues.
-        assert second.start_us == first.completion_us
-        assert second.queue_wait_us > 0.0
-        assert second.completion_us > first.completion_us
+        first = clock.serve_blocks(0.0, 24)
+        second = clock.serve_blocks(1.0, 24)  # 24 slots still busy, 40 free
+        assert second.start_us == second.dispatch_us  # no wait for a slot
+        assert second.start_us < first.completion_us
+        assert second.queue_depth == 48
+        # Busy time is one interval from 0, not the two calls' sum.
+        assert clock.busy_us == pytest.approx(second.completion_us)
+
+    def test_reads_beyond_the_slots_wait_for_the_earliest_free_slot(self):
+        model = NVMLatencyModel()
+        clock = self.make_clock()
+        first = clock.serve_blocks(0.0, 40)
+        second = clock.serve_blocks(1.0, 24)  # takes the last 24 free slots
+        third = clock.serve_blocks(2.0, 8)  # every slot busy
+        assert third.start_us == first.completion_us
+        assert third.queue_wait_us == pytest.approx(first.completion_us - 2.0)
+        assert third.completion_us == pytest.approx(
+            first.completion_us + model.mean_latency_us(DEVICE_SLOTS)
+        )
+        assert second.start_us == pytest.approx(1.0)
+
+    def test_one_call_beyond_the_slots_runs_in_rounds(self):
+        model = NVMLatencyModel()
+        record = self.make_clock().serve_blocks(0.0, 2 * DEVICE_SLOTS + 1)
+        read_us = model.mean_latency_us(DEVICE_SLOTS)
+        assert record.read_latency_us == read_us
+        assert record.completion_us == pytest.approx(3 * read_us)  # a slot runs three
 
     def test_idle_device_serves_immediately(self):
         clock = self.make_clock()
@@ -82,28 +121,65 @@ class TestDeviceClock:
         assert piled.queue_depth > lone.queue_depth
         assert piled.read_latency_us > lone.read_latency_us
 
-    def test_throughput_window_feedback_inflates_latency(self):
-        # Same batch shape, but a device already pushed near saturation in
-        # the trailing window prices reads higher.
-        clock = self.make_clock(throughput_window_s=0.01)
-        capacity_blocks = int(NVMLatencyModel().blocks_per_second(8) * 0.01)
-        clock.serve_blocks(0.0, capacity_blocks)  # ~saturates the window
-        hot = clock.serve_blocks(5000.0, 8)
-        cold = self.make_clock(throughput_window_s=0.01).serve_blocks(5000.0, 8)
-        assert hot.device_mbps > cold.device_mbps
-        assert hot.read_latency_us > cold.read_latency_us
-
     def test_negative_reads_rejected(self):
         with pytest.raises(ValueError):
             self.make_clock().serve_blocks(0.0, -1)
+        # A negative table count used to be summed away with its neighbours'.
+        bank = NVMDeviceBank(num_devices=1, latency_model=NVMLatencyModel())
+        with pytest.raises(ValueError, match="block_reads"):
+            bank.serve_blocks(0.0, {"a": -1, "b": 5})
+
+    @pytest.mark.parametrize("reads", [2.5, True, 3.0])
+    def test_non_integer_reads_rejected(self, reads):
+        # 2.5 used to be priced as 2.5 reads and True as one read.
+        clock = self.make_clock()
+        with pytest.raises(TypeError, match="block_reads"):
+            clock.serve_blocks(0.0, reads)
+        with pytest.raises(TypeError, match="block_reads"):
+            clock.serve_duration(0.0, 1.0, block_reads=reads)
+        bank = NVMDeviceBank(num_devices=1, latency_model=NVMLatencyModel())
+        with pytest.raises(TypeError, match="block_reads"):
+            bank.serve_blocks(0.0, {"a": reads})
+        assert clock.serves == 0 and bank.devices[0].serves == 0
+
+    @pytest.mark.parametrize("when", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_times_rejected(self, when):
+        # A NaN or inf dispatch used to return a NaN or inf completion.
+        clock = self.make_clock()
+        with pytest.raises(ValueError, match="dispatch_us"):
+            clock.serve_blocks(when, 4)
+        with pytest.raises(ValueError, match="arrive_us"):
+            clock.serve_duration(when, 1.0)
+        with pytest.raises(ValueError, match="service_us"):
+            clock.serve_duration(0.0, when)
+        assert clock.serves == 0 and clock.free_at_us == pytest.approx(0.0)
+
+    def test_out_of_order_dispatch_rejected(self):
+        # Busy time assumes non-decreasing dispatches; an earlier one used to
+        # be served and miscount it.
+        clock = self.make_clock()
+        clock.serve_blocks(100.0, 4)
+        busy_us = clock.busy_us
+        with pytest.raises(ValueError, match="dispatch_us"):
+            clock.serve_blocks(50.0, 4)
+        assert clock.serves == 1 and clock.busy_us == busy_us
+        clock.serve_blocks(100.0, 4)  # equal dispatches are in order
+
+    def test_rebase_re_anchors_the_dispatch_order(self):
+        clock = self.make_clock()
+        clock.serve_blocks(100.0, 4)
+        clock.rebase(10.0)
+        with pytest.raises(ValueError, match="dispatch_us"):
+            clock.serve_blocks(5.0, 4)
+        assert clock.serve_blocks(10.0, 4).queue_wait_us == pytest.approx(0.0)
 
     def test_serve_blocks_requires_a_latency_model(self):
-        clock = DeviceClock(None, block_bytes=4096)
+        clock = DeviceClock(None)
         with pytest.raises(ValueError):
             clock.serve_blocks(0.0, 4)
 
     def test_serve_duration_fifo_and_validation(self):
-        clock = DeviceClock(None, block_bytes=4096)
+        clock = DeviceClock(None)
         first = clock.serve_duration(0.0, 50.0)
         assert (first.start_us, first.completion_us) == (0.0, 50.0)
         queued = clock.serve_duration(10.0, 5.0)
@@ -112,8 +188,18 @@ class TestDeviceClock:
         # Out-of-order arrivals (retries/hedges) are allowed.
         early = clock.serve_duration(5.0, 1.0)
         assert early.start_us == pytest.approx(55.0)
+        assert clock.busy_us == pytest.approx(56.0)
         with pytest.raises(ValueError):
             clock.serve_duration(0.0, -1.0)
+
+    def test_serve_duration_waits_for_every_slot(self):
+        model = NVMLatencyModel()
+        clock = DeviceClock(model)
+        clock.serve_blocks(0.0, 1)
+        held = clock.serve_duration(0.0, 10.0)
+        # One slot was busy: externally-priced work waits for it, then holds all.
+        assert held.start_us == pytest.approx(model.mean_latency_us(1))
+        assert clock.queue_wait_us(0.0) == held.completion_us
 
     def test_rebase_clears_backlog_but_keeps_aggregates(self):
         clock = self.make_clock()
@@ -129,6 +215,25 @@ class TestDeviceClock:
         fresh = clock.serve_blocks(0.0, 8)
         assert fresh.queue_wait_us == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("reads", [0, 1, 64, 1000])
+    def test_serve_blocks_python_calls_do_not_grow_with_reads(self, reads):
+        # The slot schedule is a few NumPy operations per call: a Python frame
+        # per read (a heap push, a per-slot loop) would scale with ``reads``.
+        clock = self.make_clock()
+        clock.serve_blocks(0.0, 40)
+        serves = 100
+
+        def serve():
+            for i in range(serves):
+                clock.serve_blocks(1.0 + i, reads)
+
+        _, calls = count_python_calls(serve)
+        per_serve = (calls - 1) / serves  # less the ``serve`` frame
+        assert per_serve <= SERVE_BLOCKS_CALL_BUDGET, (
+            f"{per_serve:.2f} Python calls per serve_blocks of {reads} reads "
+            f"(budget {SERVE_BLOCKS_CALL_BUDGET})"
+        )
+
     def test_depth_bucket_edges(self):
         assert depth_bucket(0.0) == 0
         assert depth_bucket(1.0) == 1
@@ -137,13 +242,93 @@ class TestDeviceClock:
         assert depth_bucket(64.0) == 64
 
 
+def reference_slot_schedule(model, calls):
+    """The slot schedule one read at a time, with every read's interval kept.
+
+    ``calls`` are ``("blocks", dispatch_us, reads)`` or ``("duration",
+    arrive_us, service_us)`` with non-decreasing times.  A ``blocks`` call
+    prices its reads at ``L(min(reads in flight at dispatch + reads,
+    DEVICE_SLOTS))`` and puts read ``j`` on the ``(j mod DEVICE_SLOTS)``-th
+    earliest slot at dispatch, back to back after that slot's earlier reads;
+    a ``duration`` call waits for every slot and holds them all.  Returns
+    one ``(start, completion, depth, read_us)`` per call and the busy time,
+    the length of the union of every read's interval.
+    """
+    slots = [0.0] * DEVICE_SLOTS
+    intervals, records = [], []
+    for kind, at_us, amount in calls:
+        if kind == "duration":
+            start_us = max(max(slots), at_us)
+            slots = [start_us + amount] * DEVICE_SLOTS
+            intervals.append((start_us, start_us + amount))
+            records.append((start_us, start_us + amount, None, 0.0))
+            continue
+        in_flight = sum(free_us > at_us for free_us in slots)
+        if amount == 0:
+            records.append((at_us, at_us, in_flight, 0.0))
+            continue
+        depth = min(in_flight + amount, DEVICE_SLOTS)
+        read_us = model.mean_latency_us(depth)
+        order = sorted(range(DEVICE_SLOTS), key=lambda k: slots[k])
+        starts, ends = [], []
+        for j in range(amount):
+            slot = order[j % DEVICE_SLOTS]
+            start_us = max(slots[slot], at_us)
+            slots[slot] = start_us + read_us
+            intervals.append((start_us, slots[slot]))
+            starts.append(start_us)
+            ends.append(slots[slot])
+        records.append((min(starts), max(ends), depth, read_us))
+    busy_us, covered_to = 0.0, 0.0
+    for start_us, end_us in sorted(intervals):
+        if end_us > covered_to:
+            busy_us += end_us - max(start_us, covered_to)
+            covered_to = end_us
+    return records, busy_us
+
+
+class TestSlotScheduleMatchesReadByReadReference:
+    """The vectorised schedule equals the same rule applied read by read."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_calls(self, seed):
+        rng = ensure_rng(seed)
+        model = NVMLatencyModel()
+        calls, at_us = [], 0.0
+        for _ in range(60):
+            at_us += float(rng.exponential(20.0))
+            if rng.random() < 0.1:
+                calls.append(("duration", at_us, float(rng.uniform(0.0, 200.0))))
+            else:
+                calls.append(("blocks", at_us, int(rng.integers(0, 150))))
+        clock = DeviceClock(model)
+        records = [
+            clock.serve_blocks(at, amount)
+            if kind == "blocks"
+            else clock.serve_duration(at, amount)
+            for kind, at, amount in calls
+        ]
+        expected, busy_us = reference_slot_schedule(model, calls)
+        for record, (start_us, completion_us, depth, read_us) in zip(records, expected):
+            assert record.start_us == pytest.approx(start_us, rel=1e-9)
+            assert record.completion_us == pytest.approx(completion_us, rel=1e-9)
+            assert record.read_latency_us == pytest.approx(read_us, rel=1e-12)
+            if depth is not None:
+                assert record.queue_depth == depth
+        assert clock.busy_us == pytest.approx(busy_us, rel=1e-9)
+        assert clock.busy_us <= clock.free_at_us + 1e-6
+        assert clock.blocks_issued == sum(
+            amount for kind, _, amount in calls if kind == "blocks"
+        )
+
+
 # ---------------------------------------------------------------- NVMDeviceBank
 def check_bank_conservation(snapshot):
     """The bank's conservation laws, checked on any ``snapshot()``.
 
-    FIFO devices serve one request at a time, so per-device busy time is at
-    most the wall time (≤ wall × K over the bank), and every serve call lands
-    in exactly one queue-depth bucket.
+    Busy time counts time with at least one read in flight, so per-device
+    busy time is at most the wall time (≤ wall × K over the bank), and every
+    serve call lands in exactly one queue-depth bucket.
     """
     per_device = snapshot["per_device"]
     assert len(per_device) == snapshot["num_devices"]
@@ -172,8 +357,13 @@ class TestNVMDeviceBank:
         assert set(bank.table_mapping().values()) == {0}
         (first,) = bank.serve_blocks(0.0, {"a": 32})
         (second,) = bank.serve_blocks(0.0, {"b": 32})
-        # Cross-table contention: table b queues behind table a's reads.
-        assert second.start_us == first.completion_us
+        # Cross-table contention: the tables share one device's slots.  Table
+        # b's reads take the 32 slots table a left free, at the depth both
+        # tables' reads make; table c then finds every slot busy.
+        assert second.start_us == pytest.approx(0.0)
+        assert second.queue_depth == first.queue_depth + 32 == DEVICE_SLOTS
+        (third,) = bank.serve_blocks(0.0, {"c": 1})
+        assert third.start_us == first.completion_us
 
     def test_private_devices_do_not_contend(self):
         bank = NVMDeviceBank(
@@ -242,7 +432,7 @@ class TestNVMDeviceBank:
         assert [(r.device_index, r.block_reads) for r in records] == [(0, 8), (1, 7)]
         assert [device.serves for device in bank.devices] == [1, 1]
         # Device 0 prices the sum once, exactly like a lone device given 8.
-        lone = DeviceClock(NVMLatencyModel(), block_bytes=4096).serve_blocks(0.0, 8)
+        lone = DeviceClock(NVMLatencyModel()).serve_blocks(0.0, 8)
         assert records[0] == lone
 
     def test_touched_device_is_served_even_without_reads(self):
@@ -253,6 +443,16 @@ class TestNVMDeviceBank:
         assert (record.device_index, record.block_reads) == (1, 0)
         assert [device.serves for device in bank.devices] == [0, 1]
         assert bank.serve_blocks(0.0, {}) == []
+
+    def test_dispatch_order_is_kept_per_device(self):
+        bank = NVMDeviceBank(
+            num_devices=2, latency_model=NVMLatencyModel(), tables=("a", "b")
+        )
+        bank.serve_blocks(100.0, {"a": 4})
+        (record,) = bank.serve_blocks(50.0, {"b": 4})  # b's device is fresh
+        assert record.device_index == 1
+        with pytest.raises(ValueError, match="dispatch_us"):
+            bank.serve_blocks(50.0, {"a": 4})
 
     def test_rebase_re_anchors_every_device(self):
         bank = NVMDeviceBank(num_devices=2)

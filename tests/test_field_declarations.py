@@ -184,18 +184,11 @@ def test_wrong_type_that_used_to_construct_raises(build):
         build()
 
 
-@pytest.mark.parametrize("name", ["latency_per_depth_us", "p99_depth_multiplier"])
+@pytest.mark.parametrize("name", ["p99_depth_multiplier"])
 def test_negative_latency_slopes_raise(name):
-    # latency_per_depth_us=-5 used to construct, and mean_latency_us(8)
-    # returned -25 us.
+    # A negative slope used to construct and price a negative P99.
     with pytest.raises(ValueError, match=name):
         NVMLatencyModel(**{name: -5})
-
-
-def test_saturation_ceiling_below_the_unloaded_latency_raises():
-    # A ceiling below 1 clamped loaded latency under the unloaded one.
-    with pytest.raises(ValueError, match="saturation_ceiling"):
-        NVMLatencyModel(saturation_ceiling=0.5)
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from repro.core.bandana import BandanaStore
 from repro.core.config import BandanaConfig
 from repro.nvm.block import BlockLayout
 from repro.nvm.endurance import EnduranceTracker
-from repro.nvm.latency import NVMLatencyModel
+from repro.device import read_latency_under_load
 from repro.simulation.runner import simulate_store
 from repro.workloads import SyntheticTraceGenerator
 from repro.workloads.trace import ModelTrace
@@ -85,13 +85,12 @@ class TestFullPipeline:
         _, _, evaluation = pipeline
         store = build_store(pipeline)
         result = simulate_store(store, evaluation)
-        model = NVMLatencyModel()
         app_mbps = 120.0
         baseline_fraction = 128 / 4096
         bandana_fraction = min(1.0, store.effective_bandwidth())
-        baseline_latency = model.application_latency(app_mbps, baseline_fraction)
-        bandana_latency = model.application_latency(app_mbps, bandana_fraction)
-        assert bandana_latency.mean_us <= baseline_latency.mean_us
+        baseline_mean_us, _ = read_latency_under_load(app_mbps / baseline_fraction)
+        bandana_mean_us, _ = read_latency_under_load(app_mbps / bandana_fraction)
+        assert bandana_mean_us <= baseline_mean_us
         assert result.total_block_reads > 0
 
     def test_retraining_stays_within_endurance(self, pipeline):

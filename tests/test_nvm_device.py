@@ -1,7 +1,10 @@
 """Tests for the NVM latency model, endurance tracker and DRAM model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.device import read_latency_under_load
 from repro.nvm.dram import DRAMModel
 from repro.nvm.endurance import EnduranceTracker
 from repro.nvm.latency import NVMLatencyModel
@@ -25,23 +28,46 @@ class TestLatencyModel:
         assert 1.5 < model.bandwidth_gbps(8) < 2.3
         assert 5 < model.mean_latency_us(1) < 20
 
-    def test_loaded_latency_spikes_near_saturation(self):
-        model = NVMLatencyModel()
-        capacity = model.bandwidth_gbps(8) * 1000
-        low = model.loaded_latency(0.1 * capacity)
-        high = model.loaded_latency(0.97 * capacity)
-        saturated = model.loaded_latency(1.5 * capacity)
-        assert high.mean_us > 2 * low.mean_us
-        assert saturated.mean_us > high.mean_us
+    @settings(max_examples=200, deadline=None)
+    @given(
+        queue_depth=st.floats(0.0, 1024.0),
+        block_bytes=st.integers(1, 1 << 16),
+        max_bandwidth_gbps=st.floats(0.01, 100.0),
+        base_latency_us=st.floats(0.01, 1000.0),
+    )
+    def test_bandwidth_is_littles_law_of_latency(
+        self, queue_depth, block_bytes, max_bandwidth_gbps, base_latency_us
+    ):
+        # One law: q reads in flight for L(q) µs each complete q / L(q) reads
+        # per µs, which is the bandwidth panel (depths below 1 act as 1).
+        model = NVMLatencyModel(
+            block_bytes=block_bytes,
+            max_bandwidth_gbps=max_bandwidth_gbps,
+            base_latency_us=base_latency_us,
+        )
+        depth = max(queue_depth, 1.0)
+        reads_per_us = depth / model.mean_latency_us(queue_depth)
+        assert reads_per_us * block_bytes / 1e3 == pytest.approx(
+            model.bandwidth_gbps(queue_depth), rel=1e-12
+        )
+        assert model.bandwidth_gbps(queue_depth) <= max_bandwidth_gbps
 
-    def test_application_latency_baseline_vs_full_effective_bw(self):
+    def test_loaded_latency_spikes_near_saturation(self):
+        # Figure 5 as an output of the device's slot schedule.
+        capacity_mbps = NVMLatencyModel().bandwidth_gbps(64) * 1000
+        low, _ = read_latency_under_load(0.1 * capacity_mbps)
+        high, _ = read_latency_under_load(0.97 * capacity_mbps)
+        saturated, _ = read_latency_under_load(1.5 * capacity_mbps)
+        assert high > 2 * low
+        assert saturated > high
+
+    def test_baseline_vs_full_effective_bw_under_load(self):
         # Figure 5: at the same application throughput, the 3% effective
         # bandwidth baseline saturates while 100% effective bandwidth is fine.
-        model = NVMLatencyModel()
         app_mbps = 200.0
-        baseline = model.application_latency(app_mbps, 128 / 4096)
-        full = model.application_latency(app_mbps, 1.0)
-        assert baseline.mean_us > 5 * full.mean_us
+        baseline, _ = read_latency_under_load(app_mbps / (128 / 4096))
+        full, _ = read_latency_under_load(app_mbps)
+        assert baseline > 5 * full
 
     def test_invalid_inputs(self):
         model = NVMLatencyModel()
@@ -50,11 +76,20 @@ class TestLatencyModel:
         with pytest.raises(ValueError):
             model.mean_latency_us(float("nan"))
         with pytest.raises(ValueError):
-            model.loaded_latency(-1)
+            read_latency_under_load(-1)
         with pytest.raises(ValueError):
-            model.application_latency(100, 0.0)
+            read_latency_under_load(0.0)
         with pytest.raises(ValueError, match="block_bytes"):
             NVMLatencyModel(block_bytes=0)
+
+    @pytest.mark.parametrize(
+        "value, error",
+        [(float("nan"), ValueError), (float("inf"), ValueError), (True, TypeError)],
+    )
+    def test_read_latency_under_load_rejects_hostile_inputs(self, value, error):
+        # A device_mbps of True used to offer 1 MB/s of load.
+        with pytest.raises(error, match="device_mbps"):
+            read_latency_under_load(value)
 
     def test_queue_depth_below_one_clamps_to_one(self):
         # An idle closed-loop observer legitimately reports queue depth 0;
@@ -65,16 +100,18 @@ class TestLatencyModel:
             assert model.mean_latency_us(qd) == model.mean_latency_us(1)
             assert model.p99_latency_us(qd) == model.p99_latency_us(1)
 
-    def test_loaded_latency_clamped_and_monotone_through_saturation(self):
+    def test_loaded_latency_monotone_through_saturation(self):
         model = NVMLatencyModel()
-        capacity = model.bandwidth_gbps(8) * 1000
-        ceiling = model.mean_latency_us(8) * model.saturation_ceiling
-        sweep = [model.loaded_latency(u * capacity) for u in
-                 (0.0, 0.5, 0.9, 0.99, 0.9999, 1.0, 2.0)]
-        means = [lat.mean_us for lat in sweep]
+        capacity_mbps = model.bandwidth_gbps(64) * 1000
+        sweep = [
+            read_latency_under_load(u * capacity_mbps)
+            for u in (0.01, 0.5, 0.9, 0.99, 1.0, 2.0)
+        ]
+        means = [mean for mean, _ in sweep]
         assert means == sorted(means)
-        assert all(m <= ceiling for m in means)
-        assert means[-1] == means[-2] == ceiling
+        assert all(p99 >= mean for mean, p99 in sweep)
+        # Lightly loaded, a read costs about one unloaded read.
+        assert means[0] < 1.1 * model.mean_latency_us(1)
 
     def test_blocks_per_second(self):
         model = NVMLatencyModel()

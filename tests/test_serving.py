@@ -1,7 +1,7 @@
 """Tests for the batch-serving front-end (repro.serving).
 
-Covers the satellite checklist of the serving PR: NVM latency-model
-monotonicity under load, the dynamic batcher's linger/size cutoffs, the
+Covers the satellite checklist of the serving PR: measured device latency
+monotone under load, the dynamic batcher's linger/size cutoffs, the
 front-end's report shape and hostile inputs, and a seeded golden pin of ServingReport
 percentiles (the simulated clock is deterministic, so they are bit-stable).
 """
@@ -15,10 +15,13 @@ if __package__ in (None, ""):  # direct script run (golden regeneration)
         os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"),
     )
 
+import math
+
 import numpy as np
 import pytest
 
 from repro import BandanaConfig, BandanaStore, ServingConfig
+from repro.device import DEVICE_SLOTS, read_latency_under_load
 from repro.nvm.latency import NVMLatencyModel
 from repro.serving import (
     arrival_times,
@@ -36,14 +39,16 @@ from repro.workloads.trace import ModelTrace
 
 
 # --------------------------------------------------------------------- helpers
-def build_store_and_trace(seed=3, scale=1 / 2000, names=("table1", "table7")):
+def build_store_and_trace(
+    seed=3, scale=1 / 2000, names=("table1", "table7"), eval_multiplier=1
+):
     specs = scaled_table_specs(scale, names=list(names))
     train, evaluation = {}, {}
     for i, (name, spec) in enumerate(specs.items()):
         lookups = paper_shaped_lookups(spec)
         generator = SyntheticTraceGenerator(spec, seed=10 + i, expected_lookups=lookups)
         train[name] = generator.generate_lookups(2 * lookups)
-        evaluation[name] = generator.generate_lookups(lookups)
+        evaluation[name] = generator.generate_lookups(eval_multiplier * lookups)
     store = BandanaStore.build(
         ModelTrace(train),
         BandanaConfig(total_cache_vectors=2000, tune_thresholds=False, seed=seed),
@@ -51,41 +56,33 @@ def build_store_and_trace(seed=3, scale=1 / 2000, names=("table1", "table7")):
     return store, ModelTrace(evaluation)
 
 
-# ------------------------------------------------------- latency model feedback
-class TestLatencyModelUnderLoad:
-    def test_loaded_latency_monotone_in_throughput(self):
-        model = NVMLatencyModel()
-        capacity = model.bandwidth_gbps(8) * 1000
-        sweep = np.linspace(0.0, 1.3, 40) * capacity
-        means = [model.loaded_latency(mbps).mean_us for mbps in sweep]
-        p99s = [model.loaded_latency(mbps).p99_us for mbps in sweep]
-        assert means == sorted(means)
-        assert p99s == sorted(p99s)
-        assert all(p99 >= mean for mean, p99 in zip(means, p99s))
+def analytic_capacity_rps(store, report):
+    """Requests/s the device serves with every slot busy, at ``report``'s cost.
 
-    def test_application_latency_monotone_in_load_and_waste(self):
-        model = NVMLatencyModel()
+    The device's block rate at :data:`~repro.device.DEVICE_SLOTS` divided by
+    the run's NVM block reads per request.
+    """
+    model = NVMLatencyModel(block_bytes=store.config.block_bytes)
+    blocks_per_request = report.blocks_read / report.num_requests
+    return model.blocks_per_second(DEVICE_SLOTS) / blocks_per_request
+
+
+# ------------------------------------------------------- latency under load
+class TestLatencyUnderLoad:
+    def test_measured_latency_monotone_in_load_and_waste(self):
         # More application throughput at fixed effective bandwidth: no faster.
         lats = [
-            model.application_latency(mbps, 0.5).mean_us
+            read_latency_under_load(mbps / 0.5)[0]
             for mbps in (10, 100, 400, 800, 1600)
         ]
         assert lats == sorted(lats)
         # Less effective bandwidth (more wasted device reads) at fixed
         # application throughput: no faster either (Figure 5's argument).
         waste = [
-            model.application_latency(60.0, frac).mean_us
+            read_latency_under_load(60.0 / frac)[0]
             for frac in (1.0, 0.5, 0.25, 0.1, 128 / 4096)
         ]
         assert waste == sorted(waste)
-
-    def test_loaded_latency_accepts_observed_queue_depths(self):
-        # The serving loop feeds back *observed* depths, including 0 and
-        # fractional values; all must be in-domain after the clamp.
-        model = NVMLatencyModel()
-        for qd in (0.0, 0.5, 1.0, 7.3, 512.0):
-            loaded = model.loaded_latency(100.0, queue_depth=qd)
-            assert np.isfinite(loaded.mean_us) and loaded.mean_us > 0
 
 
 # ------------------------------------------------------------- arrival process
@@ -179,14 +176,55 @@ class TestSimulateServing:
         simulate_store(store, eval_trace, include_baseline=False)
         assert store.aggregate_stats().counters() == serving_counters
 
-    def test_overload_shows_up_as_queueing_delay_and_slo_misses(self, store_and_trace):
-        store, eval_trace = store_and_trace
-        config = dict(max_batch_requests=8, max_linger_us=300.0, slo_latency_us=3000.0)
+    #: SLO of the overload test; its run is sized against it.
+    OVERLOAD_SLO_US = 3000.0
+
+    @pytest.fixture(scope="class")
+    def long_run(self):
+        """A store, an evaluation trace, the device's bound on it (rps) and
+        the overload test's run length.
+
+        Offered far past the bound, a run drains at the bound, so its last
+        request waits about (requests / bound): the run is sized so that
+        wait is twice the SLO.  Its head is colder than the whole trace, so
+        it costs at least the trace's blocks per request and drains no
+        faster.  The bound (:func:`analytic_capacity_rps` over the whole
+        trace) grows as a longer trace warms the cache, so the trace is
+        lengthened until the run the bound asks for fits in it.
+        """
+        eval_multiplier = 1
+        while True:
+            store, eval_trace = build_store_and_trace(eval_multiplier=eval_multiplier)
+            probe = simulate_serving(
+                store, eval_trace, ServingConfig(arrival_rate_rps=2000)
+            )
+            bound_rps = analytic_capacity_rps(store, probe)
+            num_requests = math.ceil(2 * self.OVERLOAD_SLO_US * 1e-6 * bound_rps)
+            if num_requests <= probe.num_requests:
+                return store, eval_trace, bound_rps, num_requests
+            eval_multiplier = math.ceil(
+                eval_multiplier * num_requests / probe.num_requests
+            )
+            assert eval_multiplier <= 128, "the bound outgrows every trace"
+
+    def test_overload_shows_up_as_queueing_delay_and_slo_misses(self, long_run):
+        store, eval_trace, _, num_requests = long_run
+        config = dict(
+            max_batch_requests=8,
+            max_linger_us=300.0,
+            slo_latency_us=self.OVERLOAD_SLO_US,
+        )
         light = simulate_serving(
-            store, eval_trace, ServingConfig(arrival_rate_rps=2000, **config)
+            store,
+            eval_trace,
+            ServingConfig(arrival_rate_rps=2000, **config),
+            num_requests=num_requests,
         )
         crushed = simulate_serving(
-            store, eval_trace, ServingConfig(arrival_rate_rps=2_000_000, **config)
+            store,
+            eval_trace,
+            ServingConfig(arrival_rate_rps=2_000_000, **config),
+            num_requests=num_requests,
         )
         assert crushed.latency.p99_us > 5 * light.latency.p99_us
         assert crushed.slo_violation_rate > light.slo_violation_rate
@@ -194,19 +232,22 @@ class TestSimulateServing:
         # Open loop: the overloaded run cannot sustain its offered rate.
         assert crushed.throughput_rps < 0.75 * crushed.offered_rate_rps
 
-    def test_batching_amortises_queueing_at_high_load(self, store_and_trace):
-        store, eval_trace = store_and_trace
-        rate = 50_000
-        unbatched = simulate_serving(
-            store, eval_trace, ServingConfig(arrival_rate_rps=rate, max_batch_requests=1)
-        )
-        batched = simulate_serving(
-            store,
-            eval_trace,
-            ServingConfig(arrival_rate_rps=rate, max_batch_requests=32, max_linger_us=400.0),
-        )
-        assert batched.mean_batch_size > 2.0
-        assert batched.latency.p99_us < unbatched.latency.p99_us
+    def test_unbatched_throughput_tracks_offered_load_up_to_the_bound(self, long_run):
+        # Independent requests overlap in the device's slots, so one request
+        # per device call still reaches the device's bound: throughput follows
+        # the offer until the offer nears the bound.
+        store, eval_trace, bound_rps, _ = long_run
+        for fraction in (0.25, 0.5, 0.9):
+            report = simulate_serving(
+                store,
+                eval_trace,
+                ServingConfig(
+                    arrival_rate_rps=fraction * bound_rps, max_batch_requests=1
+                ),
+            )
+            assert report.throughput_rps == pytest.approx(
+                report.offered_rate_rps, rel=0.1
+            )
 
     def test_report_shape(self, store_and_trace):
         store, eval_trace = store_and_trace
@@ -224,7 +265,6 @@ class TestSimulateServing:
         )
         payload = report.to_dict()
         assert payload["latency"]["p99_us"] == latency.p99_us
-        assert payload["steady_state"] is not None
 
     def test_omitted_config_is_the_default_serving_config(self, store_and_trace):
         # The store carries no serving knobs: leaving ``config`` out is
@@ -304,14 +344,11 @@ HOST_REPORT_KEYS = [
     "max_queue_depth",
     "queue_depth_hist",
     "blocks_read",
-    "device_mbps_mean",
-    "device_mbps_peak",
     "lookups",
     "hit_rate",
     "requests_shed",
     "shed_rate",
     "device_bank",
-    "steady_state",
     "trace",
 ]
 
@@ -320,10 +357,10 @@ HOST_REPORT_KEYS = [
 #: change only when serving semantics change — regenerate deliberately with
 #: ``python tests/test_serving.py`` (runs :func:`regenerate_golden`).
 GOLDEN_SERVING_PERCENTILES = {
-    "p50_us": 278.822174,
-    "p95_us": 470.574216,
-    "p99_us": 578.914073,
-    "p999_us": 580.678834,
+    "p50_us": 274.286693,
+    "p95_us": 424.930733,
+    "p99_us": 533.827003,
+    "p999_us": 533.827003,
     "num_batches": 58,
     "blocks_read": 481,
     "slo_violations": 0,
