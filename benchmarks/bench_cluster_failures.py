@@ -22,6 +22,12 @@ ejections, cold restarts).  The fault window covers the middle half of each
 run, so every row also measures healthy ramp-in/out traffic — scenario cost
 shows up in the tail, exactly where production failures live.
 
+Before anything is written, the sweep checks its own claims
+(:func:`check_claims`): an unreplicated crash costs availability, a
+replicated one costs only tail (p999 above healthy, availability 1), and no
+fault row's p999 is below the healthy row's.  A run that breaks one exits
+non-zero.
+
 Results are printed, persisted under ``benchmarks/results/`` and written as
 JSON to ``BENCH_cluster_failures.json`` at the repository root.  The artifact
 always carries a ``smoke_reference`` section computed at the CI-sized
@@ -30,7 +36,8 @@ draws and arrivals are seeded), so ``benchmarks/perf_track.py`` regenerates
 that section on any runner and compares every number with tight
 tolerances.  Run directly (``python benchmarks/bench_cluster_failures.py``),
 optionally with ``--smoke`` for a seconds-long run that writes only the
-smoke section (the chaos-smoke CI job uploads that JSON as an artifact).
+smoke section (CI's tier-1 job runs it for its claims and restores the
+committed JSON; the chaos-smoke job uploads its JSON as an artifact).
 """
 
 import _bootstrap  # noqa: F401  (sys.path setup: run benchmarks from the repo root)
@@ -62,6 +69,11 @@ REPLICATION = 2
 #: every fault row's cost is attributable to the fault, not to overload.
 ARRIVAL_RATE_RPS = 800.0
 SLO_LATENCY_US = 2000.0
+#: A node sheds a read whose backlog would exceed this many SLOs (the run's
+#: ``ServingConfig.admission_queue_slack``; a ServingConfig sheds nothing by
+#: default).  The slow-node rows lean on it: without it a x100 node's FIFO
+#: backlog grows for the whole fault window.
+ADMISSION_QUEUE_SLACK = 4.0
 #: Slow requests whose per-stage breakdown (repro.tracing) each scenario row
 #: carries in the artifact — the "why" behind its p999-vs-healthy ratio.
 TOP_K_SLOW = 3
@@ -138,7 +150,9 @@ def run_sweep(eval_multiplier=24, num_requests=4000, warmup_requests=1000):
             "raise eval_multiplier"
         )
     serving = ServingConfig(
-        arrival_rate_rps=ARRIVAL_RATE_RPS, slo_latency_us=SLO_LATENCY_US
+        arrival_rate_rps=ARRIVAL_RATE_RPS,
+        slo_latency_us=SLO_LATENCY_US,
+        admission_queue_slack=ADMISSION_QUEUE_SLACK,
     )
     makespan_s = num_requests / ARRIVAL_RATE_RPS
     rows = []
@@ -150,7 +164,6 @@ def run_sweep(eval_multiplier=24, num_requests=4000, warmup_requests=1000):
             # node for most of a short sweep): long enough to skip a burst
             # of strikes, short enough to re-probe within the fault window.
             breaker_cooloff_s=0.02 * makespan_s,
-            default_slo_us=SLO_LATENCY_US,
         )
         report = run_scenario(
             store,
@@ -186,6 +199,26 @@ def run_sweep(eval_multiplier=24, num_requests=4000, warmup_requests=1000):
         "slo_latency_us": SLO_LATENCY_US,
         "scenarios": rows,
     }
+
+
+def check_claims(result):
+    """Raise ``AssertionError`` unless the sweep shows what its rows claim."""
+    rows = {row["label"]: row for row in result["scenarios"]}
+    healthy = rows["healthy"]["latency"]
+
+    def availability(label):
+        return rows[label]["counters"]["availability"]
+
+    assert availability("crash R=1") < 1.0, "an unreplicated crash cost nothing"
+    assert availability("crash R=2") == 1.0, "a replicated crash lost requests"
+    assert rows["crash R=2"]["latency"]["p999_us"] > healthy["p999_us"], (
+        "a replicated crash left the tail untouched"
+    )
+    for label, row in rows.items():
+        assert row["latency"]["p999_us"] >= healthy["p999_us"], (
+            f"{label}: p999 {row['latency']['p999_us']:.0f} us is below the "
+            f"healthy row's {healthy['p999_us']:.0f} us"
+        )
 
 
 def _pctl(latency, field):
@@ -275,12 +308,13 @@ def _format(result):
 if __name__ == "__main__":
     smoke = "--smoke" in sys.argv[1:]
     artifact = {"smoke": smoke, "smoke_reference": run_sweep(**SMOKE_PARAMS)}
+    check_claims(artifact["smoke_reference"])
     if smoke:
-        # The chaos-smoke CI job uploads the JSON artifact; keep the text
-        # artifact full-run only.
+        # Keep the text artifact full-run only.
         print(_format(artifact["smoke_reference"]))
     else:
         artifact["full"] = run_sweep()
+        check_claims(artifact["full"])
         save_result("cluster_failures", _format(artifact["full"]))
     with open(JSON_PATH, "w") as handle:
         json.dump(artifact, handle, indent=2)

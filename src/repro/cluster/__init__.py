@@ -13,8 +13,9 @@ Architecture
   1-node ring reduces exactly to the single store.
 * :mod:`repro.cluster.node` — one simulated node: per-table
   :class:`~repro.caching.engine.BatchReplayEngine` replicas (independent
-  caches sized to the node's owned share), a FIFO ``busy_until`` clock, and
-  queue-level admission control against per-table SLOs.
+  caches sized to the node's owned share), a bank of ``devices_per_host``
+  FIFO devices, and queue-level admission control against per-table SLOs,
+  both by the run's :class:`~repro.core.config.ServingConfig`.
 * :mod:`repro.cluster.store` — the router: fan-out/fan-in (request latency
   is the max over touched shard groups), R-way read-one replication,
   per-shard timeouts with capped exponential-backoff retries, hedged reads

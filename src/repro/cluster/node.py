@@ -10,18 +10,20 @@ independent — each replica's cache contents reflect exactly the
 traffic *that replica* served, so retries and hedges landing on a secondary
 warm the secondary, not the primary.
 
-Time is simulated and owned by the shared device layer: the node holds a
-one-device :class:`~repro.device.NVMDeviceBank` — the node as a single FIFO
-resource, exactly the old hand-rolled ``busy_until_us`` clock — with every
-served table pinned to it.  A shard read arriving at ``t`` waits out the
-device's backlog, then runs for ``(NODE_OVERHEAD_US + NVM read time) ×
-slow-multiplier`` —
-the *externally-priced* path: the engines price the reads, the bank
-serialises them.  **Admission control** is queue-level: when the backlog a
-new read would have to wait behind exceeds ``admission_queue_slack ×`` the
+Time is simulated and owned by the shared device layer: the node holds an
+:class:`~repro.device.NVMDeviceBank` of ``devices_per_host`` devices (the
+run's :class:`~repro.core.config.ServingConfig`, as on a host), its served
+tables pinned to them round-robin, each device a single FIFO resource.  A
+shard read arriving at ``t`` waits out its table's device backlog, then runs
+for ``(NODE_OVERHEAD_US + NVM read time) × slow-multiplier`` — the
+*externally-priced* path: the engines price the reads, the bank serialises
+them.  **Admission control** is the host's knob, applied by the router
+(:class:`~repro.cluster.store.ClusterStore`): when the backlog a new read
+would wait behind exceeds ``ServingConfig.admission_queue_slack ×`` the
 table's SLO, the node sheds the read immediately (a fast rejection the
 router can retry on another replica) instead of queueing it unboundedly —
-overload degrades, it does not melt.
+overload degrades, it does not melt.  Shedding is off when the slack is
+``None``, as on a host.
 
 A crashed node loses its DRAM on recovery: :meth:`ClusterNode.cold_restart`
 rebuilds every engine cold (fresh cache, fresh policy state) while keeping
@@ -78,6 +80,8 @@ class ClusterNode:
     owned_blocks:
         Per-table count of blocks this node serves (over all replica slots
         it occupies); sizes the node's share of each table's cache budget.
+    num_devices:
+        Devices in the node's bank (``ServingConfig.devices_per_host``).
     """
 
     def __init__(
@@ -85,6 +89,7 @@ class ClusterNode:
         index: int,
         specs: Mapping[str, TableServingSpec],
         owned_blocks: Mapping[str, int],
+        num_devices: int,
     ) -> None:
         self.index = index
         self._specs: Dict[str, TableServingSpec] = {}
@@ -99,8 +104,8 @@ class ClusterNode:
             self.engines[name] = spec.make_engine(
                 cache_size_vectors=self._cache_sizes[name]
             )
-        #: The node's one physical device, every served table pinned to it.
-        self.bank = NVMDeviceBank(num_devices=1, tables=self.engines.keys())
+        #: The node's devices, its served tables pinned to them round-robin.
+        self.bank = NVMDeviceBank(num_devices, tables=self.engines.keys())
         self.cold_restarts = 0
         #: Simulated time up to which crash-recovery has been checked.
         self.last_seen_us = 0.0

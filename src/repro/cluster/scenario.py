@@ -54,7 +54,10 @@ def run_scenario(
     cluster_config:
         Topology/robustness knobs; defaults to ``ClusterConfig()``.
     serving_config:
-        Arrival process and SLO; defaults to ``ServingConfig()``.
+        Arrival process and SLO, and each node's bank size and admission
+        rule (``devices_per_host``, ``admission_queue_slack``,
+        ``table_slo_us``); defaults to ``ServingConfig()``.  The batcher
+        knobs do not apply: a cluster serves unbatched.
     num_requests:
         Optional cap on the measured request stream; must be ``>= 0``.
     scenario_overrides:
@@ -90,7 +93,7 @@ def run_scenario(
         faults = make_scenario(
             scenario, cluster_config.num_nodes, **dict(scenario_overrides or {})
         )
-    cluster = ClusterStore.from_store(store, config=cluster_config, faults=faults)
+    cluster = ClusterStore.from_store(store, cluster_config, faults, serving_config)
 
     warmup, requests = cut_request_stream(eval_trace, num_requests, warmup_requests)
     if warmup:

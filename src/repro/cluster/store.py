@@ -20,9 +20,11 @@ Robustness machinery, in the order an attempt meets it:
    against a crashed node, or one lost on a degraded link, burns
    :data:`SHARD_TIMEOUT_US`; the retry targets the *next replica* after a
    backoff that doubles per attempt up to :data:`RETRY_BACKOFF_CAP_US`.
-3. **Admission control**: an overloaded node sheds the read instantly
-   (queue-level load shedding against the table's SLO — see
-   :mod:`repro.cluster.node`) and the router retries another replica.
+3. **Admission control**: an overloaded node sheds the read instantly —
+   queue-level load shedding by the host's knobs, the run's
+   :class:`~repro.core.config.ServingConfig`: the backlog on the table's
+   device exceeds ``admission_queue_slack ×`` the table's SLO (see
+   :mod:`repro.cluster.node`) — and the router retries another replica.
 4. **Hedged reads**: when a first attempt's latency exceeds the hedge
    delay — the running :data:`HEDGE_QUANTILE` quantile of shard latency,
    never below :data:`HEDGE_MIN_US` — a duplicate read is fired at another
@@ -45,7 +47,10 @@ at construction (``ValueError``) rather than silently never applying.
 The hard equivalence anchor: with one node, ``R = 1`` and no
 faults, every request is one unhedged, unretried engine replay in arrival
 order — bit-identical counters to :class:`~repro.core.bandana.BandanaStore`
-(pinned in ``tests/test_cluster_equivalence.py``).
+(pinned in ``tests/test_cluster_equivalence.py``).  A request's completion excludes the fan-in overhead
+(:data:`~repro.serving.frontend.REQUEST_OVERHEAD_US`), as a host batch's
+does: the serving loop adds it to every request's latency, whichever the
+backend.
 
 Tracing
 -------
@@ -75,7 +80,7 @@ from repro.caching.replay import ReplayStats
 from repro.cluster.faults import FaultSchedule
 from repro.cluster.node import ClusterNode, ShardServiceResult
 from repro.cluster.ring import ConsistentHashRing
-from repro.core.config import ClusterConfig
+from repro.core.config import ClusterConfig, ServingConfig
 from repro.core.tablespec import TableServingSpec
 from repro.serving.frontend import REQUEST_OVERHEAD_US
 from repro.tracing.tracer import (
@@ -275,6 +280,10 @@ class ClusterStore:
         Topology and robustness knobs.
     faults:
         Optional fault schedule; ``None`` means a healthy cluster.
+    serving:
+        The run's serving knobs; a node reads ``devices_per_host`` (its
+        bank's size) and sheds by ``admission_queue_slack`` and
+        ``table_slo_us``, as a host does.  Defaults to ``ServingConfig()``.
     """
 
     def __init__(
@@ -282,19 +291,21 @@ class ClusterStore:
         specs: Mapping[str, TableServingSpec],
         config: Optional[ClusterConfig] = None,
         faults: Optional[FaultSchedule] = None,
+        serving: Optional[ServingConfig] = None,
     ) -> None:
         if not specs:
             raise ValueError("the cluster needs at least one table spec")
         self.specs = dict(specs)
         self.config = config or ClusterConfig()
         self.faults = faults or FaultSchedule(())
+        self.serving = serving or ServingConfig()
         for event in self.faults.events:
             if event.node >= self.config.num_nodes:
                 raise ValueError(
                     f"{type(event).__name__} names node {event.node}, but the "
                     f"cluster has {self.config.num_nodes} nodes"
                 )
-        self.config.check_slo_tables(self.specs)
+        self.serving.check_slo_tables(self.specs)
         self.ring = ConsistentHashRing(
             [f"node{i}" for i in range(self.config.num_nodes)],
             virtual_nodes=self.config.virtual_nodes,
@@ -327,14 +338,16 @@ class ClusterStore:
         store: "BandanaStore",
         config: Optional[ClusterConfig] = None,
         faults: Optional[FaultSchedule] = None,
+        serving: Optional[ServingConfig] = None,
     ) -> "ClusterStore":
         """Build a cluster serving the same tables as a single-host store.
 
         ``store`` is a :class:`~repro.core.bandana.BandanaStore`; its
         resolved placement, policies and cache budgets become the cluster's
-        table specs, and ``config`` defaults to ``ClusterConfig()``.
+        table specs; ``config`` and ``serving`` default to
+        ``ClusterConfig()`` and ``ServingConfig()``.
         """
-        return cls(store.table_specs(), config=config, faults=faults)
+        return cls(store.table_specs(), config=config, faults=faults, serving=serving)
 
     def _build_serving_state(self) -> None:
         owned: Dict[int, Dict[str, int]] = {
@@ -350,6 +363,7 @@ class ClusterStore:
                 index=i,
                 specs={name: self.specs[name] for name in owned[i]},
                 owned_blocks=owned[i],
+                num_devices=self.serving.devices_per_host,
             )
             for i in range(self.config.num_nodes)
         ]
@@ -413,10 +427,14 @@ class ClusterStore:
         """Serve one multi-table request dispatched at ``now_us``.
 
         ``now_us=None`` is sequential-replay mode: the request is issued the
-        moment the previous one completed (queues are empty, nothing sheds),
+        moment the previous one's response left the router, fan-in overhead
+        included (queues are empty, nothing sheds),
         which is the schedule equivalence tests compare against single-store
         replay.  Open-loop callers pass real dispatch timestamps, making
-        node backlog — and therefore admission control — real.
+        node backlog — and therefore admission control — real.  The
+        returned completion excludes the fan-in overhead (traced as the
+        ``fanin.overhead`` span after it); the serving loop adds it to the
+        latency.
         """
         dispatch_us = self._clock_us if now_us is None else float(now_us)
         # Route (and validate) before the root span opens: a rejected request
@@ -453,14 +471,6 @@ class ClusterStore:
             completion_us = max(completion_us, group_completion)
             if not ok:
                 failed += 1
-        if tracer.enabled:
-            tracer.span(
-                rid,
-                STAGE_FANIN_OVERHEAD,
-                completion_us,
-                completion_us + REQUEST_OVERHEAD_US,
-            )
-        completion_us += REQUEST_OVERHEAD_US
         self.counters.requests_total += 1
         self.counters.shard_groups += len(groups)
         self.counters.shard_groups_failed += failed
@@ -468,9 +478,11 @@ class ClusterStore:
             self.counters.requests_degraded += 1
         else:
             self.counters.requests_ok += 1
-        self._clock_us = max(self._clock_us, completion_us)
+        responded_us = completion_us + REQUEST_OVERHEAD_US
+        self._clock_us = max(self._clock_us, responded_us)
         if tracer.enabled:
-            tracer.end_request(rid, completion_us, degraded=failed > 0)
+            tracer.span(rid, STAGE_FANIN_OVERHEAD, completion_us, responded_us)
+            tracer.end_request(rid, responded_us, degraded=failed > 0)
         return RequestOutcome(
             arrival_us=dispatch_us,
             completion_us=completion_us,
@@ -688,13 +700,13 @@ class ClusterStore:
 
         The only place a read meets the faults and the node: a cold restart
         due since the node was last touched, a crash, the link's delay and
-        loss draw, admission control, then the node's engine.
+        loss draw, admission control (the host's knobs, off when
+        ``admission_queue_slack`` is ``None``), then the node.
         """
         node = self.nodes[node_index]
         self._maybe_recover(node, start_us)
         if self.faults.is_down(node_index, start_us):
             return _Attempt(node_index, start_us, "down", 0.0, start_us, 0.0, None)
-        config = self.config
         extra_delay_us, loss_prob = self.faults.link(node_index, start_us)
         link_us = LINK_DELAY_US + extra_delay_us
         arrive_us = start_us + link_us
@@ -702,11 +714,13 @@ class ClusterStore:
             return _Attempt(
                 node_index, start_us, "link_loss", link_us, arrive_us, 0.0, None
             )
-        wait_us = node.queue_wait_us(arrive_us, table_name)
-        if wait_us > config.admission_queue_slack * config.slo_us(table_name):
-            return _Attempt(
-                node_index, start_us, "shed", link_us, arrive_us, wait_us, None
-            )
+        slack = self.serving.admission_queue_slack
+        if slack is not None:
+            wait_us = node.queue_wait_us(arrive_us, table_name)
+            if wait_us > slack * self.serving.slo_us(table_name):
+                return _Attempt(
+                    node_index, start_us, "shed", link_us, arrive_us, wait_us, None
+                )
         multiplier = self.faults.latency_multiplier(node_index, start_us)
         service = node.serve(table_name, ids, arrive_us, multiplier, validated=True)
         return _Attempt(

@@ -10,7 +10,7 @@ across tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Annotated, ClassVar, Iterable, Optional, Sequence, Set, Tuple
+from typing import Annotated, Iterable, Optional, Sequence, Set, Tuple
 
 from repro.utils.validation import (
     AtLeast,
@@ -23,53 +23,15 @@ from repro.utils.validation import (
     validate_fields,
 )
 
-class _TableSLOs:
-    """The per-table SLO lookup :class:`ServingConfig` and :class:`ClusterConfig` share.
-
-    ``table_slo_us`` is a ``(name, slo_us)`` tuple sequence; a table it does
-    not name falls back to the config's default SLO, the field
-    ``_DEFAULT_SLO`` names.
-    """
-
-    table_slo_us: Sequence[Tuple[str, float]]
-    _DEFAULT_SLO: ClassVar[str]
-
-    def _freeze_table_slos(self) -> None:
-        """Freeze ``table_slo_us``, rejecting bad or duplicate entries."""
-        slos = tuple((str(name), float(slo)) for name, slo in self.table_slo_us)
-        seen: Set[str] = set()
-        for name, slo in slos:
-            check_positive(slo, f"table_slo_us[{name!r}]")
-            if name in seen:
-                raise ValueError(f"table_slo_us names table {name!r} more than once")
-            seen.add(name)
-        object.__setattr__(self, "table_slo_us", slos)
-
-    def slo_us(self, table_name: str) -> float:
-        """The admission-control latency SLO for one table."""
-        for name, slo in self.table_slo_us:
-            if name == table_name:
-                return slo
-        return getattr(self, self._DEFAULT_SLO)
-
-    def check_slo_tables(self, known_tables: Iterable[str]) -> None:
-        """Reject ``table_slo_us`` names that are not among ``known_tables``.
-
-        Called when a run starts, before any request is served: a misspelled
-        name would otherwise leave its table silently on the default SLO.
-        """
-        known = list(known_tables)
-        for name, _ in self.table_slo_us:
-            if name not in known:
-                raise ValueError(
-                    f"table_slo_us names table {name!r}, which the store does "
-                    f"not have (known tables: {known})"
-                )
-
 
 @dataclass(frozen=True)
-class ServingConfig(_TableSLOs):
-    """Knobs of the batch-serving front-end (:mod:`repro.serving`).
+class ServingConfig:
+    """Knobs of one serving run, on a host (:mod:`repro.serving`) or a cluster.
+
+    :func:`repro.cluster.run_scenario` reads the same fields: its arrival
+    process and SLO, and, per node, ``devices_per_host``,
+    ``admission_queue_slack`` and ``table_slo_us`` (the batcher knobs do not
+    apply; a cluster serves unbatched).
 
     Attributes
     ----------
@@ -98,23 +60,27 @@ class ServingConfig(_TableSLOs):
         next request.  The defaults offer ``32 / 0.016 s = 2000`` nominal
         rps, matching ``arrival_rate_rps``'s open-loop default.
     devices_per_host:
-        Physical NVM devices in the host's bank (:mod:`repro.device`), with
-        the tables pinned to them round-robin.  Each batch charges every
-        device it touches once, with the summed misses of that device's
-        tables.  ``1`` (the default) puts every table on one shared device —
-        the paper's single-host deployment and the golden-pinned path; one
-        device per table is the private-device counterfactual.
+        Physical NVM devices in the host's (or each cluster node's) bank
+        (:mod:`repro.device`), with the tables pinned to them round-robin.
+        Each charge serves every device it touches once, with the summed
+        misses of that device's tables.  ``1`` (the default) puts every
+        table on one shared device — the paper's single-host deployment and
+        the golden-pinned path; one device per table is the private-device
+        counterfactual.
     admission_queue_slack:
-        Single-host admission control, ported from the cluster tier: at
-        batch dispatch, a request is shed (fast rejection, no cache or
-        device work) when the wait for a free slot on any of its tables'
-        devices exceeds ``slack ×`` that table's SLO.  ``None`` (the
-        default) disables shedding entirely — the golden-pinned behaviour.
+        Admission control: a host sheds a request at batch dispatch (fast
+        rejection, no cache or device work) when the wait for a free slot on
+        any of its tables' devices exceeds ``slack ×`` that table's SLO; a
+        cluster node sheds a shard read when the backlog on its table's
+        device exceeds the same bound, and the router retries another
+        replica.  ``None`` (the default) disables shedding
+        entirely — the golden-pinned behaviour.
     table_slo_us:
         Per-table SLO overrides for admission control, a ``(name, slo_us)``
         tuple sequence; tables not named fall back to ``slo_latency_us``
         (see :meth:`slo_us`).  A table may be named once, and only a table
-        the store has (checked when a run starts).
+        the store has (checked when a run starts, by
+        :meth:`check_slo_tables`).
     seed:
         Seed of the arrival process; ``None`` inherits the store seed.
     """
@@ -130,11 +96,39 @@ class ServingConfig(_TableSLOs):
     admission_queue_slack: Annotated[Optional[float], Positive] = None
     table_slo_us: Sequence[Tuple[str, float]] = ()
     seed: Annotated[Optional[int], AtLeast(0)] = None
-    _DEFAULT_SLO: ClassVar[str] = "slo_latency_us"
 
     def __post_init__(self) -> None:
         validate_fields(self)
-        self._freeze_table_slos()
+        # Freeze ``table_slo_us``, rejecting bad or duplicate entries.
+        slos = tuple((str(name), float(slo)) for name, slo in self.table_slo_us)
+        seen: Set[str] = set()
+        for name, slo in slos:
+            check_positive(slo, f"table_slo_us[{name!r}]")
+            if name in seen:
+                raise ValueError(f"table_slo_us names table {name!r} more than once")
+            seen.add(name)
+        object.__setattr__(self, "table_slo_us", slos)
+
+    def slo_us(self, table_name: str) -> float:
+        """The admission-control latency SLO for one table."""
+        for name, slo in self.table_slo_us:
+            if name == table_name:
+                return slo
+        return self.slo_latency_us
+
+    def check_slo_tables(self, known_tables: Iterable[str]) -> None:
+        """Reject ``table_slo_us`` names that are not among ``known_tables``.
+
+        Called when a run starts, before any request is served: a misspelled
+        name would otherwise leave its table silently on the default SLO.
+        """
+        known = list(known_tables)
+        for name, _ in self.table_slo_us:
+            if name not in known:
+                raise ValueError(
+                    f"table_slo_us names table {name!r}, which the store does "
+                    f"not have (known tables: {known})"
+                )
 
 
 @dataclass(frozen=True)
@@ -176,7 +170,7 @@ class TracingConfig:
 
 
 @dataclass(frozen=True)
-class ClusterConfig(_TableSLOs):
+class ClusterConfig:
     """Knobs of the simulated multi-node cluster store (:mod:`repro.cluster`).
 
     Topology
@@ -192,12 +186,14 @@ class ClusterConfig(_TableSLOs):
         Virtual nodes per physical node on the hash ring — more vnodes
         smooth the per-node ownership shares at the cost of ring size.
 
-    Each node is one device; the per-attempt costs (node overhead, link
-    delay, shard timeout, backoff, hedge-delay quantile and floor, fan-in
-    overhead) are constants of :mod:`repro.cluster.node` and ``.store``.
+    Each node's device bank is sized and guarded by the run's
+    :class:`ServingConfig` (``devices_per_host``, ``admission_queue_slack``,
+    ``table_slo_us``); the per-attempt costs (node
+    overhead, link delay, shard timeout, backoff, hedge-delay quantile and
+    floor) are constants of :mod:`repro.cluster.node` and ``.store``.
 
-    Retries, hedging, breaker, admission
-    ------------------------------------
+    Retries, hedging, breaker
+    -------------------------
     max_attempts:
         Total attempts (first try + retries) before a shard read is declared
         failed and the request degrades; each retry targets the shard's
@@ -217,16 +213,6 @@ class ClusterConfig(_TableSLOs):
     breaker_cooloff_s:
         Simulated seconds an open breaker stays open before the node is
         probed again (half-open).
-    admission_queue_slack:
-        Queue-level admission control: a node sheds a shard read instead of
-        enqueueing it when its backlog exceeds ``slack ×`` the table's SLO
-        (see ``table_slo_us``), so overload degrades into fast rejections
-        (picked up by another replica) rather than unbounded queueing.
-    default_slo_us / table_slo_us:
-        Per-table latency SLOs used by admission control; ``table_slo_us``
-        is a ``(name, slo_us)`` tuple sequence overriding the default.  A
-        table may be named once, and only a table the cluster serves
-        (checked by :class:`~repro.cluster.store.ClusterStore`).
     seed:
         Seed of the cluster's stochastic machinery (link-loss draws).
     """
@@ -239,15 +225,10 @@ class ClusterConfig(_TableSLOs):
     breaker_failure_threshold: Annotated[int, AtLeast(1)] = 5
     breaker_slow_threshold_us: Annotated[float, Positive] = 20000.0
     breaker_cooloff_s: Annotated[float, Positive] = 0.25
-    admission_queue_slack: Annotated[float, Positive] = 4.0
-    default_slo_us: Annotated[float, Positive] = 2000.0
-    table_slo_us: Sequence[Tuple[str, float]] = ()
     seed: Annotated[int, AtLeast(0)] = 0
-    _DEFAULT_SLO: ClassVar[str] = "default_slo_us"
 
     def __post_init__(self) -> None:
         validate_fields(self)
-        self._freeze_table_slos()
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,9 @@ source* and served by a *backend*.  One step per dispatched batch:
    each request to :meth:`~repro.cluster.store.ClusterStore.serve_request`
    at its own arrival;
 3. every request's latency is ``completion − arrival +``
-   :data:`REQUEST_OVERHEAD_US`: served requests complete with their batch,
-   shed ones at dispatch.
+   :data:`REQUEST_OVERHEAD_US`, whichever the backend: served requests
+   complete with their batch (or their slowest shard group), shed ones at
+   dispatch.
 
 The cache counters the store accumulates are bit-identical to a plain
 :func:`~repro.simulation.simulate_store` replay of the same requests — the
@@ -70,8 +71,8 @@ if TYPE_CHECKING:  # repro.cluster imports this package; import only for types
 
 Request = Dict[str, np.ndarray]
 #: Fixed non-device latency added to every request (queueing-free front-end
-#: compute: pooling, RPC framing).  The cluster router adds the same amount
-#: for its fan-out/fan-in.
+#: compute: pooling, RPC framing; a cluster request's fan-in).  The serving
+#: loop adds it once, for either backend.
 REQUEST_OVERHEAD_US = 5.0
 #: One batch's member arrival times (µs), in request order.
 _Arrivals = Union[np.ndarray, List[float]]
@@ -245,7 +246,6 @@ class _HostBackend:
             tables=list(store.tables),
         )
         self.records: List[DeviceServiceRecord] = []
-        self.overhead_us = REQUEST_OVERHEAD_US
         self.requests_shed = 0
 
     def serve(
@@ -276,7 +276,6 @@ class _HostBackend:
                     batch_index,
                     len(members),
                     dispatch_us,
-                    self.overhead_us,
                     queue_wait_us,
                 )
         completion_us, records = _lookup_and_charge(
@@ -298,7 +297,6 @@ class _HostBackend:
                     dispatch_us,
                     records,
                     completion_us,
-                    self.overhead_us,
                 )
         return [(i, dispatch_us) for i in shed] + [(i, completion_us) for i in served]
 
@@ -312,7 +310,9 @@ class _ClusterBackend:
     :func:`repro.cluster.run_scenario` runs it unbatched, so each request is
     dispatched at its own arrival; timing inside the store is the cluster's:
     per-shard queueing on each node's device bank, retries, hedges and
-    fan-in.  Each node owns its devices, so there is no host bank to report;
+    fan-in; like a host batch's, its completion excludes the request
+    overhead, which the loop adds.  Each node owns its devices, so there is
+    no host bank to report;
     nothing is shed here (the cluster sheds per shard read and counts it
     itself).  The tracer rides along on the store for the duration of the
     run and records each request's full fan-out span tree.
@@ -321,9 +321,6 @@ class _ClusterBackend:
     bank = None
     records: Tuple[DeviceServiceRecord, ...] = ()
     requests_shed = 0
-    #: The cluster adds its own :data:`REQUEST_OVERHEAD_US` inside
-    #: ``serve_request``; the front-end must not count it twice.
-    overhead_us = 0.0
 
     def __init__(self, cluster: "ClusterStore", tracer: Tracer) -> None:
         self.store = cluster
@@ -393,9 +390,9 @@ def serve_request_stream(
             )
             batch_sizes.append(len(members))
             for i, completion_us in completions:
-                latencies[i] = completion_us - arrival_us[i] + backend.overhead_us
+                latencies[i] = completion_us - arrival_us[i] + REQUEST_OVERHEAD_US
                 last_completion_us = max(last_completion_us, completion_us)
-            source.respond([done + backend.overhead_us for _, done in completions])
+            source.respond([done + REQUEST_OVERHEAD_US for _, done in completions])
     finally:
         backend.close()
 
@@ -487,7 +484,6 @@ def _emit_request_spans(
     dispatch_us: float,
     records: List[DeviceServiceRecord],
     completion_us: float,
-    overhead_us: float,
 ) -> None:
     """One served request's span tree (single-host backend).
 
@@ -514,9 +510,9 @@ def _emit_request_spans(
         request_id,
         STAGE_OVERHEAD,
         completion_us,
-        completion_us + overhead_us,
+        completion_us + REQUEST_OVERHEAD_US,
     )
-    tracer.end_request(request_id, completion_us + overhead_us)
+    tracer.end_request(request_id, completion_us + REQUEST_OVERHEAD_US)
 
 
 def _emit_shed_spans(
@@ -526,7 +522,6 @@ def _emit_shed_spans(
     batch_index: int,
     batch_size: int,
     dispatch_us: float,
-    overhead_us: float,
     queue_wait_us: float,
 ) -> None:
     """A shed request's span tree: batcher wait, shed marker, overhead."""
@@ -546,10 +541,9 @@ def _emit_shed_spans(
         dispatch_us,
         queue_wait_us=queue_wait_us,
     )
-    tracer.span(
-        request_id, STAGE_OVERHEAD, dispatch_us, dispatch_us + overhead_us
-    )
-    tracer.end_request(request_id, dispatch_us + overhead_us, degraded=True)
+    responded_us = dispatch_us + REQUEST_OVERHEAD_US
+    tracer.span(request_id, STAGE_OVERHEAD, dispatch_us, responded_us)
+    tracer.end_request(request_id, responded_us, degraded=True)
 
 
 def _assemble_report(

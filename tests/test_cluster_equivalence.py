@@ -14,8 +14,11 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterStore, run_scenario
-from repro.core.config import ClusterConfig, ServingConfig
+from repro.core.config import ClusterConfig, ServingConfig, TracingConfig
+from repro.serving import simulate_serving
+from repro.serving.frontend import REQUEST_OVERHEAD_US
 from repro.simulation import simulate_store
+from repro.tracing import Tracer
 from tests.conftest import build_store, counters
 
 SINGLE = ClusterConfig(num_nodes=1, replication=1)
@@ -174,3 +177,37 @@ class TestServingIntegration:
         assert report.hit_rate == pytest.approx(expected.hits / expected.lookups)
         assert report.node_blocks_read == [expected.misses]
         assert report.counters.requests_total == report.num_requests
+
+
+class TestRequestOverheadCountedOnce:
+    """Both backends complete a request before its request overhead.
+
+    A host batch's completion and a cluster request's (its slowest shard
+    group) both exclude ``REQUEST_OVERHEAD_US``; the serving loop adds it to
+    every latency once, whichever the backend.  So a run's makespan ends at
+    its last completion, one overhead before the last response: the cluster
+    used to fold the overhead into its completion and end 5 µs later.
+    """
+
+    CONFIG = ServingConfig(seed=3, max_batch_requests=1, max_linger_us=0.0)
+
+    @pytest.mark.parametrize("backend", ["host", "cluster"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_makespan_ends_one_overhead_before_the_last_response(self, seed, backend):
+        store, trace = build_store(seed)
+        tracer = Tracer(TracingConfig(enabled=True, max_requests=10**6))
+        if backend == "host":
+            report = simulate_serving(store, trace, self.CONFIG, tracing=tracer)
+        else:
+            report = run_scenario(
+                store, trace, "none", SINGLE, self.CONFIG, tracing=tracer
+            )
+        traces = [tracer.traces[i] for i in range(report.num_requests)]
+        responded_us = max(t.completion_us for t in traces)
+        first_arrival_us = min(t.arrival_us for t in traces)
+        assert report.makespan_s * 1e6 == pytest.approx(
+            responded_us - REQUEST_OVERHEAD_US - first_arrival_us, abs=1e-6
+        )
+        assert max(t.latency_us for t in traces) == pytest.approx(
+            report.latency.max_us, abs=1e-6
+        )

@@ -97,3 +97,38 @@ class TestBlockOwners:
         shares = ring.ownership_shares("t", 400, 1)
         assert min(shares.values()) > 0
         assert max(shares.values()) < 400  # nobody owns everything
+
+
+class TestNodeRemoval:
+    """Removing one node moves only that node's blocks.
+
+    The sharded-store property: every block keeps ``min(R, n - 1)`` owners
+    through a departure, and no block the departed node did not own moves.
+    """
+
+    BLOCKS = 500
+
+    @pytest.mark.parametrize("num_nodes", range(2, 9))
+    @pytest.mark.parametrize("replication", [1, 2, 3])
+    def test_removing_any_node_moves_only_its_blocks(self, num_nodes, replication):
+        names = [f"node{i}" for i in range(num_nodes)]
+        before = ConsistentHashRing(names)
+        owners_before = before.block_owners("t", self.BLOCKS, replication)
+        for removed in range(num_nodes):
+            survivors = [name for name in names if name != names[removed]]
+            after = ConsistentHashRing(survivors)
+            owners_after = after.block_owners("t", self.BLOCKS, replication)
+            # Rows as node names: the survivors' indices shift by one.
+            assert owners_after.shape[1] == min(replication, num_nodes - 1)
+            rows = zip(owners_before.tolist(), owners_after.tolist())
+            for row_before, row_after in rows:
+                old = [names[i] for i in row_before]
+                new = [survivors[i] for i in row_after]
+                assert len(set(new)) == len(new) == min(replication, num_nodes - 1)
+                if names[removed] not in old:
+                    assert new == old  # untouched blocks keep their owners
+                else:
+                    # The survivors keep their places, in order; the ring's
+                    # next node fills the freed replica slot.
+                    kept = [name for name in old if name != names[removed]]
+                    assert new[: len(kept)] == kept

@@ -160,42 +160,79 @@ class TestFlakyLinks:
 class TestAdmissionControl:
     def test_overload_sheds_instead_of_queueing(self):
         # A 50x-slowed node with a tight SLO: reads that would wait out a
-        # huge backlog are rejected fast and retried on a replica.
-        store, trace = build_store(1)
+        # huge backlog are rejected fast and retried on a replica.  The
+        # run's ServingConfig slack is the one knob: without it nothing
+        # sheds.
         faults = FaultSchedule(
             [SlowNode(node=0, start_s=0.0, end_s=10.0, multiplier=50.0)]
         )
-        config = ClusterConfig(
-            num_nodes=4,
-            replication=2,
-            default_slo_us=500.0,
-            admission_queue_slack=1.0,
-        )
-        report = run_scenario(store, trace, scenario=faults, cluster_config=config)
-        assert report.counters.sheds > 0
-
-    def test_per_table_slo_overrides(self):
-        config = ClusterConfig(
-            default_slo_us=1000.0, table_slo_us=(("t-shadow", 250.0),)
-        )
-        assert config.slo_us("t-shadow") == pytest.approx(250.0)
-        assert config.slo_us("t-noprefetch") == pytest.approx(1000.0)
+        config = ClusterConfig(num_nodes=4, replication=2)
+        reports = {}
+        for slack in (None, 1.0):
+            store, trace = build_store(1)
+            serving = ServingConfig(slo_latency_us=500.0, admission_queue_slack=slack)
+            reports[slack] = run_scenario(
+                store, trace, faults, config, serving_config=serving
+            )
+        assert reports[None].counters.sheds == 0
+        assert reports[1.0].counters.sheds > 0
+        # Shedding trades the slow node's queue for a replica's service.
+        assert reports[1.0].latency.p99_us < reports[None].latency.p99_us
 
     def test_unknown_table_slo_rejected_at_construction(self):
-        store, _ = build_store(1)
-        config = ClusterConfig(table_slo_us=(("tabel1", 250.0),))
+        # The host's check, at construction and through run_scenario.
+        store, trace = build_store(1)
+        serving = ServingConfig(table_slo_us=(("tabel1", 250.0),))
         with pytest.raises(ValueError, match=r"'tabel1'.*known tables"):
-            ClusterStore.from_store(store, config=config)
+            ClusterStore.from_store(store, serving=serving)
+        with pytest.raises(ValueError, match=r"'nope'.*known tables"):
+            run_scenario(
+                store,
+                trace,
+                serving_config=ServingConfig(table_slo_us=(("nope", 1.0),)),
+            )
+
+    @pytest.mark.parametrize("devices", [1, 2, 3])
+    def test_every_node_has_devices_per_host_devices(self, devices):
+        # Each node builds its bank as the host backend does.
+        store, trace = build_store(0)
+        cluster = ClusterStore.from_store(
+            store,
+            ClusterConfig(num_nodes=4),
+            serving=ServingConfig(devices_per_host=devices),
+        )
+        for node in cluster.nodes:
+            assert len(node.bank.devices) == devices
+            mapping = node.bank.table_mapping()
+            assert list(mapping) == list(node.engines)
+            assert list(mapping.values()) == [
+                i % devices for i in range(len(mapping))
+            ]
+        cluster.replay_requests(trace.requests())
+        issued = [
+            device.blocks_issued for node in cluster.nodes for device in node.bank.devices
+        ]
+        assert sum(issued) == sum(cluster.node_blocks_read())
 
 
 class TestDegradedCluster:
     def test_compound_scenario_costs_availability_and_tail(self):
-        config = ClusterConfig(num_nodes=4, replication=2)
-        healthy = run(1, "none", config)
-        degraded = run(1, "degraded_cluster", config)
-        assert degraded.counters.availability < healthy.counters.availability
-        assert degraded.latency.p999_us > healthy.latency.p999_us
-        assert degraded.counters.requests_degraded > 0
+        # Unreplicated, the compound scenario's crash costs availability;
+        # replicated, the failover machinery keeps every request whole (no
+        # read sheds unless the run's ServingConfig sets a slack) and the
+        # compound faults cost only tail latency.
+        for replication in (1, 2):
+            config = ClusterConfig(num_nodes=4, replication=replication)
+            healthy = run(1, "none", config)
+            degraded = run(1, "degraded_cluster", config)
+            assert healthy.counters.availability == pytest.approx(1.0)
+            assert degraded.latency.p999_us > healthy.latency.p999_us
+            c = degraded.counters
+            assert c.timeouts > 0 and c.link_losses > 0
+            if replication == 1:
+                assert c.requests_degraded > 0 and c.availability < 1.0
+            else:
+                assert c.requests_degraded == 0 and c.retries >= c.timeouts
 
     def test_seeded_golden_report(self):
         # Every run is a pure function of (trace, configs, schedule, seed),
@@ -539,6 +576,11 @@ class TestHedgeQuantile:
         assert _linear_quantile([high, high, high], 0.7) == high  # b == a
 
 
+#: The admission knobs the goldens run under.  A ServingConfig sheds nothing
+#: by default; slack 4 against a 2000 µs SLO gives the set its shed reads.
+GOLDEN_SERVING = ServingConfig(slo_latency_us=2000.0, admission_queue_slack=4.0)
+
+
 def golden_scenario_pin():
     """The pinned slice of one ``degraded_cluster`` run (4 nodes, R=2, warm)."""
     report = run(
@@ -546,6 +588,7 @@ def golden_scenario_pin():
         "degraded_cluster",
         ClusterConfig(num_nodes=4, replication=2),
         warmup_requests=20,
+        serving_config=GOLDEN_SERVING,
     )
     pin = {
         key: round(getattr(report.latency, key), 6)
@@ -559,14 +602,14 @@ def golden_scenario_pin():
 #: Frozen output of :func:`golden_scenario_pin`.  It changes only when
 #: cluster serving semantics or the ``build_store`` fixture change — regenerate
 #: deliberately with ``python tests/test_cluster_store.py``.  Last re-pinned
-#: when the Fig. 2 law was refit: a node's engines price a read at
-#: ``mean_latency_us(QUEUE_DEPTH)``, which went 24 → 17.406 µs.
+#: when a request's completion, and so the makespan, stopped including the
+#: fan-in overhead (5 µs off the makespan; nothing else moved).
 GOLDEN_SCENARIO_REPORT = {
     "p50_us": 7216.147962,
     "p95_us": 8277.946116,
     "p99_us": 8380.494459,
     "p999_us": 8509.726786,
-    "makespan_us": 51658.819371,
+    "makespan_us": 51653.819371,
     "counters": {
         "requests_total": 92,
         "requests_ok": 79,
@@ -592,10 +635,11 @@ GOLDEN_SCENARIO_REPORT = {
 def golden_trace_digests():
     """(per-run sha256 digests, every stage name seen) of the trace-golden set.
 
-    Each catalog scenario at R = 1, 2, 3 on 4 nodes, traced in full, with a
-    300 µs slow-strike threshold (so breakers open) and ``flaky_link`` at 40 %
-    loss.  A digest covers ``report.to_dict()`` and every retained span: ids,
-    parent, name, exact start/end (``float.hex``) and sorted attributes.
+    Each catalog scenario at R = 1, 2, 3 on 4 nodes, traced in full under
+    :data:`GOLDEN_SERVING`, with a 300 µs slow-strike threshold (so breakers
+    open) and ``flaky_link`` at 40 % loss.  A digest covers
+    ``report.to_dict()`` and every retained span: ids, parent, name, exact
+    start/end (``float.hex``) and sorted attributes.
     """
     digests, stages = {}, set()
     for scenario in SCENARIOS:
@@ -611,6 +655,7 @@ def golden_trace_digests():
                     breaker_slow_threshold_us=300.0,
                 ),
                 overrides=overrides,
+                serving_config=GOLDEN_SERVING,
                 tracing=tracer,
             )
             sha = hashlib.sha256(
@@ -636,28 +681,28 @@ def golden_trace_digests():
     return digests, stages
 
 
-#: Frozen output of :func:`golden_trace_digests`.  Last re-pinned when the
-#: Fig. 2 law was refit (a node's read price went 24 → 17.406 µs) and the
-#: report lost ``device_mbps_mean`` / ``device_mbps_peak`` / ``steady_state``.  It
+#: Frozen output of :func:`golden_trace_digests`.  Last re-pinned when a
+#: request's completion stopped including the fan-in overhead (the report's
+#: makespan moved 5 µs; the spans did not).  It
 #: changes only when cluster serving, its spans, the report's keys or the
 #: fixture change — regenerate deliberately with
 #: ``python tests/test_cluster_store.py``.
 GOLDEN_CLUSTER_TRACE_DIGESTS = {
-    "none/R1": '352d37bd255f1726a242862684d9c2a8910684d4dbd732686cfa082c3524eb23',
-    "none/R2": 'edf7c1f53d8cc24cb66a0837ac6ec045705e6087c2ce114c9ea8ff55a3181211',
-    "none/R3": '60fde20099b2e4b52cfb44a5e38c3a9ea569db57e0da0c33729bf2bc8063cb02',
-    "crash_recover/R1": 'c45517880d6b76616cff89aedac35d513414bcc926cc4054c46c6034e2be07f3',
-    "crash_recover/R2": '95fb81ca36666e16d836c506755fd88d20a32f2f0edf06dcfbaab951bb370581',
-    "crash_recover/R3": 'ba060cfb7657b9a488752651be0d132b17e06cef352c7cd47931f3bf75268716',
-    "slow_node/R1": 'cde55d6bfc5b68729232e133316addcaa60b50c4e78fb58072b43e704c4f2170',
-    "slow_node/R2": 'd547b0fb18a8ff8558153df37f56e0bd1c05d23b0366aff67fff993e9c079b64',
-    "slow_node/R3": '7500b26e4501fe8db24acda2f25f80387d9282128beae154031b93b5fb8facc6',
-    "flaky_link/R1": 'f79cb0601f3844859e4e43d15bb2f8f3edd3acabb2bcda003a3f80caf3ed42d8',
-    "flaky_link/R2": 'e6dc0a4911f210817caae7e68939911cd86467a6a48e487edff05aecb9d8fe0a',
-    "flaky_link/R3": '6df120621064ef5b0699050a59779c27aae610074b0ac453d76d4577ce66bb70',
-    "degraded_cluster/R1": 'b17ec4da1fcf14a6467086cf053ba6f32dfd04bbc262cf09dddd5048c2878f06',
-    "degraded_cluster/R2": 'd96a396b824d3fa5da6dc3deeeb2912e8d500c4878ddd8a59d764db034b99978',
-    "degraded_cluster/R3": 'a9c771b3553d76991dcfa7a631b1738c25916a3d09dfd373d7e3a555dd0dbd0f',
+    "none/R1": '5ad02a21d55f75db31ce9e88c4beccbbeaff64f63f45d9ceddea13cd1162b607',
+    "none/R2": 'f8379e51727f410796f8d9623e9a6c704171952fd3f104a531b7912f755c5a19',
+    "none/R3": 'b5386f6e050eb1dda86c944421ea2d2f8c21e95707faa97d881bf29cceab1f8c',
+    "crash_recover/R1": '94bf9a6fe0021d07b872cafcd057343d0b0b02535ccaa890cee3d0b42fff5c0f',
+    "crash_recover/R2": '4ced2bdcb23431e7fb26632df70ef263e4ff48c04939c3d3b9d24ac9695e1a79',
+    "crash_recover/R3": 'bea1e1114949c987ef8eeb860ca841003c40a67eb5f99b6fb90e0def5b296068',
+    "slow_node/R1": '8712c07c2ccc80e79cadd625d5f927aae78d41d94b26d453f189c71f4e06de3f',
+    "slow_node/R2": 'c86efcea3e8caba4ff5abab0415afaae03cfda35d1c683cd61cf460b491fe6d7',
+    "slow_node/R3": '517d6904507938a7b357c492de0da0fce43014a58e7fd5e2f37f07046eb3760c',
+    "flaky_link/R1": 'd1b2385935dd2aa04a0820d12a816f1f2cddd417f5dc1cb03748e1d0fa107c63',
+    "flaky_link/R2": '26a6a17b8280cf39f7dbbe509c46f909be42cc7d4a77e27c3813c0954ce70fc5',
+    "flaky_link/R3": '54b3320917f0281d2fcec7313a669bcc5663c00d29fbd15d505f95755d5dbce9',
+    "degraded_cluster/R1": 'b9d89140f99a046a586ff1e44f1c4f2ef770e311ee7752b3e6a670b498343b4d',
+    "degraded_cluster/R2": '18deb99bf6318a7b4f5615cb9dc4e318bb7bf578e192fae4ee6ceea326d5169b',
+    "degraded_cluster/R3": '90b2e2fdec7d078640f8b1c78654c742ea703e3c69db56e9a3d3e2f992ffe830',
 }
 
 

@@ -138,8 +138,7 @@ class TestConfigKnobValidation:
             {"replication": 0},
             {"virtual_nodes": 0},
             {"max_attempts": 0},
-            {"default_slo_us": 0.0},
-            {"admission_queue_slack": -1.0},
+            {"breaker_cooloff_s": 0.0},
         ],
     )
     def test_cluster_rejects_bad_knobs(self, kwargs):
@@ -163,18 +162,27 @@ class TestConfigKnobValidation:
         with pytest.raises(ValueError, match="max_linger_us"):
             form_batches(np.array([0.0, 1.0]), 4, value)
 
-    def test_cluster_rejects_non_positive_table_slo(self):
+    def test_serving_rejects_non_positive_table_slo(self):
         with pytest.raises(ValueError, match="table_slo_us"):
-            ClusterConfig(table_slo_us=(("t", 0.0),))
+            ServingConfig(table_slo_us=(("t", 0.0),))
 
-    @pytest.mark.parametrize("config_cls", [ServingConfig, ClusterConfig])
-    def test_duplicate_table_slo_rejected(self, config_cls):
+    def test_duplicate_table_slo_rejected(self):
         # The lookup used to keep the first entry and ignore the second.
         with pytest.raises(ValueError, match="'hot' more than once"):
-            config_cls(table_slo_us=(("hot", 100.0), ("hot", 50.0)))
+            ServingConfig(table_slo_us=(("hot", 100.0), ("hot", 50.0)))
 
-    def test_cluster_table_slo_lookup(self):
-        config = ClusterConfig(default_slo_us=900.0, table_slo_us=(("hot", 100.0),))
+    def test_table_slo_lookup(self):
+        config = ServingConfig(slo_latency_us=900.0, table_slo_us=(("hot", 100.0),))
         assert config.slo_us("hot") == pytest.approx(100.0)
         assert config.slo_us("cold") == pytest.approx(900.0)
+
+    @pytest.mark.parametrize(
+        "name", ["admission_queue_slack", "default_slo_us", "table_slo_us"]
+    )
+    def test_cluster_admission_knobs_live_on_the_serving_config(self, name):
+        # A cluster node sheds by the run's ServingConfig, as a host does;
+        # ClusterConfig's copies (read only by the cluster, silently
+        # diverging from the host's) are gone.
+        with pytest.raises(TypeError, match=name):
+            ClusterConfig(**{name: 1.0})
 
