@@ -28,7 +28,7 @@ def run_ablation(bundle, embedding_values):
             "frequency": FrequencyPartitioner()
             .partition(workload.spec.num_vectors, trace=workload.train)
             .layout(32),
-            "kmeans-256": KMeansPartitioner(num_clusters=256, num_iterations=10, seed=0)
+            "kmeans-256": KMeansPartitioner(num_clusters=256, num_iterations=10)
             .partition(workload.spec.num_vectors, table=embedding_values(name))
             .layout(32),
             "shp": workload.shp_layout,

@@ -8,7 +8,9 @@ process while the fault-injection layer degrades it.  One row per scenario:
 * ``healthy`` — no faults, the baseline every other row reads against;
 * ``crash R=1`` / ``crash R=2`` — one node crashes mid-run and recovers
   cold; unreplicated this costs availability, replicated it costs only tail
-  latency (retries + hedges keep every request whole);
+  latency (retries keep every request whole; a hedge fires only after the
+  first attempt has completed, so it cannot rescue a read from a crashed
+  node);
 * ``slow x4/x20/x100`` — one node's service times stretched, the
   degradation ladder behind the hedging and circuit-breaker machinery;
 * ``flaky 1%/5%/20%`` — one link drops attempts (each burning the shard

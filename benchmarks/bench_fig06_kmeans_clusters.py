@@ -23,7 +23,7 @@ def run_figure6(bundle, embedding_values):
         "figure6", f"K-means placement on {TABLE}, unlimited cache"
     )
     for clusters in CLUSTER_COUNTS:
-        partitioner = KMeansPartitioner(num_clusters=clusters, num_iterations=10, seed=0)
+        partitioner = KMeansPartitioner(num_clusters=clusters, num_iterations=10)
         result = partitioner.partition(workload.spec.num_vectors, table=table_values)
         layout = result.layout(32)
         gain = unlimited_cache_bandwidth_increase(workload.evaluation, layout)

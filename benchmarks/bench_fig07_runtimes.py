@@ -30,7 +30,7 @@ def run_figure7(bundle, embedding_values):
     rows_a = []
     flat_runtimes = []
     for clusters in FLAT_CLUSTERS:
-        result = KMeansPartitioner(num_clusters=clusters, num_iterations=10, seed=0).partition(
+        result = KMeansPartitioner(num_clusters=clusters, num_iterations=10).partition(
             workload.spec.num_vectors, table=table_values
         )
         flat_runtimes.append(result.runtime_seconds)
@@ -40,7 +40,7 @@ def run_figure7(bundle, embedding_values):
     recursive_runtimes = []
     for leaves in LEAF_CLUSTERS:
         result = RecursiveKMeansPartitioner(
-            num_top_clusters=16, num_sub_clusters=leaves, num_iterations=10, seed=0
+            num_top_clusters=16, num_sub_clusters=leaves, num_iterations=10
         ).partition(workload.spec.num_vectors, table=table_values)
         recursive_runtimes.append(result.runtime_seconds)
         rows_b.append([f"recursive leaves={leaves}", f"{result.runtime_seconds:.2f}"])

@@ -22,7 +22,7 @@ def run_figure8(bundle, embedding_values):
     sweep = ExperimentSweep("figure8", f"recursive K-means on {TABLE}, unlimited cache")
     for leaves in LEAF_CLUSTERS:
         partitioner = RecursiveKMeansPartitioner(
-            num_top_clusters=16, num_sub_clusters=leaves, num_iterations=10, seed=0
+            num_top_clusters=16, num_sub_clusters=leaves, num_iterations=10
         )
         result = partitioner.partition(workload.spec.num_vectors, table=table_values)
         gain = unlimited_cache_bandwidth_increase(workload.evaluation, result.layout(32))
@@ -31,7 +31,7 @@ def run_figure8(bundle, embedding_values):
             {"bw_increase": gain, "runtime_s": result.runtime_seconds},
         )
     # Reference: flat K-means at the largest leaf count.
-    flat = KMeansPartitioner(num_clusters=LEAF_CLUSTERS[-1], num_iterations=10, seed=0).partition(
+    flat = KMeansPartitioner(num_clusters=LEAF_CLUSTERS[-1], num_iterations=10).partition(
         workload.spec.num_vectors, table=table_values
     )
     flat_gain = unlimited_cache_bandwidth_increase(workload.evaluation, flat.layout(32))

@@ -23,7 +23,6 @@ def allocate_dram_budget(
     curves: Mapping[str, HitRateCurve],
     total_vectors: int,
     chunk_vectors: Optional[int] = None,
-    min_per_table: int = 0,
 ) -> Dict[str, int]:
     """Split a DRAM budget (in vectors) across tables to maximise total hits.
 
@@ -41,9 +40,6 @@ def allocate_dram_budget(
     chunk_vectors:
         Granularity of the greedy allocation (an integer >= 1); defaults to
         1 % of the budget.
-    min_per_table:
-        Optional floor (an integer >= 0) given to every table before the
-        greedy phase.
 
     Returns
     -------
@@ -51,19 +47,14 @@ def allocate_dram_budget(
     allocations sum to at most ``total_vectors``.
     """
     total_vectors = check_int_at_least(total_vectors, 1, "total_vectors")
-    min_per_table = check_int_at_least(min_per_table, 0, "min_per_table")
     if not curves:
         raise ValueError("curves must not be empty")
-    if min_per_table * len(curves) > total_vectors:
-        raise ValueError(
-            "min_per_table × number of tables exceeds the total DRAM budget"
-        )
     if chunk_vectors is None:
         chunk_vectors = max(1, total_vectors // 100)
     chunk_vectors = check_int_at_least(chunk_vectors, 1, "chunk_vectors")
 
-    allocation = {name: min_per_table for name in curves}
-    remaining = total_vectors - min_per_table * len(curves)
+    allocation = {name: 0 for name in curves}
+    remaining = total_vectors
 
     while remaining > 0:
         chunk = min(chunk_vectors, remaining)

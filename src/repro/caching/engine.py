@@ -152,7 +152,7 @@ class BatchReplayEngine:
 
     Parameters mirror :func:`repro.caching.replay.replay_table_cache`.  With
     a ``device`` every demand miss adds one read's unloaded price,
-    ``device.mean_latency_us(queue_depth)``, to ``stats.total_latency_us``;
+    ``device.mean_latency_us(QUEUE_DEPTH)``, to ``stats.total_latency_us``;
     ``stats.misses`` is the block-read count.  A policy that is not
     top-only (:func:`admits_only_at_top`) raises ``ValueError``, as do a
     non-integer ``cache_size`` or ``vector_bytes`` (``TypeError``), before
@@ -166,7 +166,6 @@ class BatchReplayEngine:
         cache_size: Optional[int] = None,
         vector_bytes: int = 128,
         device: Optional[NVMLatencyModel] = None,
-        queue_depth: float = QUEUE_DEPTH,
         stats: Optional[ReplayStats] = None,
     ) -> None:
         _require_top_only(policy)
@@ -183,9 +182,8 @@ class BatchReplayEngine:
         self.policy = policy
         self.stats = stats
         self.device = device
-        self.queue_depth = float(queue_depth)
         #: One block read's unloaded latency (µs), priced once (0 without a device).
-        self._read_us = 0.0 if device is None else device.mean_latency_us(self.queue_depth)
+        self._read_us = 0.0 if device is None else device.mean_latency_us(QUEUE_DEPTH)
         # Policy capabilities resolved once (see PrefetchPolicy class attrs).
         self._never_admits = bool(policy.never_admits)
         self._records = not (
@@ -374,31 +372,25 @@ def replay_table_cache_batched(
     queries: Iterable[np.ndarray],
     layout: BlockLayout,
     policy: PrefetchPolicy,
-    engine: Optional[BatchReplayEngine] = None,
     cache_size: Optional[int] = None,
     vector_bytes: int = 128,
     device: Optional[NVMLatencyModel] = None,
-    queue_depth: float = QUEUE_DEPTH,
     stats: Optional[ReplayStats] = None,
 ) -> ReplayStats:
     """Batched drop-in for :func:`repro.caching.replay.replay_table_cache`.
 
     Produces bit-identical :class:`~repro.caching.replay.ReplayStats` to the
-    reference loop.  Pass an existing ``engine`` to keep serving across calls
-    (the batched analogue of the reference loop's ``cache=`` argument).
+    reference loop.  To keep serving across calls, keep a
+    :class:`BatchReplayEngine` and call its ``replay``.
     """
-    if engine is None:
-        engine = BatchReplayEngine(
-            layout,
-            policy,
-            cache_size=cache_size,
-            vector_bytes=vector_bytes,
-            device=device,
-            queue_depth=queue_depth,
-            stats=stats,
-        )
-    elif stats is not None and stats is not engine.stats:
-        raise ValueError("pass stats either to the engine or to this call, not both")
+    engine = BatchReplayEngine(
+        layout,
+        policy,
+        cache_size=cache_size,
+        vector_bytes=vector_bytes,
+        device=device,
+        stats=stats,
+    )
     return engine.replay(queries)
 
 

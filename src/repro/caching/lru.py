@@ -17,7 +17,7 @@ arbitrarily long replays.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.utils.validation import check_fraction, check_non_negative
 
@@ -43,22 +43,9 @@ class LRUCache:
         self._priority: Dict[int, float] = {}
         self._heap: List[Tuple[float, int]] = []
         self._clock: float = 0.0
-        self._evictions = 0
-
-    # ------------------------------------------------------------------ basic
-    def __len__(self) -> int:
-        return len(self._priority)
 
     def __contains__(self, key: int) -> bool:
         return key in self._priority
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._priority)
-
-    @property
-    def evictions(self) -> int:
-        """Number of entries evicted so far."""
-        return self._evictions
 
     # ----------------------------------------------------------------- access
     def get(self, key: int) -> bool:
@@ -67,10 +54,6 @@ class LRUCache:
             self._stamp(key, self._next_priority())
             return True
         return False
-
-    def touch(self, key: int) -> bool:
-        """Alias of :meth:`get` (promote on hit), kept for readability."""
-        return self.get(key)
 
     def peek(self, key: int) -> bool:
         """Membership test that does *not* change recency."""
@@ -95,23 +78,11 @@ class LRUCache:
         self._stamp(key, self._priority_for_position(position))
         return evicted
 
-    def remove(self, key: int) -> bool:
-        """Remove ``key`` if present (stale heap entries are cleaned lazily)."""
-        if key in self._priority:
-            del self._priority[key]
-            return True
-        return False
-
     def clear(self) -> None:
-        """Drop all entries and reset the eviction counter."""
+        """Drop all entries."""
         self._priority.clear()
         self._heap.clear()
         self._clock = 0.0
-        self._evictions = 0
-
-    def keys(self) -> List[int]:
-        """Resident keys ordered from most- to least-recently prioritised."""
-        return sorted(self._priority, key=lambda k: -self._priority[k])
 
     # ----------------------------------------------------------------- private
     def _next_priority(self) -> float:
@@ -153,12 +124,10 @@ class LRUCache:
             priority, key = heapq.heappop(self._heap)
             if self._priority.get(key) == priority:
                 del self._priority[key]
-                self._evictions += 1
                 return key
         # Heap exhausted by stale entries: rebuild from the live mapping.
         if self._priority:
             key = min(self._priority, key=lambda k: self._priority[k])
             del self._priority[key]
-            self._evictions += 1
             return key
         return None

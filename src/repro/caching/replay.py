@@ -150,7 +150,6 @@ def replay_table_cache(
     cache_size: Optional[int] = None,
     vector_bytes: int = 128,
     device: Optional[NVMLatencyModel] = None,
-    queue_depth: float = QUEUE_DEPTH,
     stats: Optional[ReplayStats] = None,
 ) -> ReplayStats:
     """Replay lookup queries against one table's DRAM cache.
@@ -175,10 +174,8 @@ def replay_table_cache(
         Bytes per embedding vector (128 in the paper).
     device:
         Optional :class:`~repro.nvm.latency.NVMLatencyModel`; when provided,
-        every block read adds its unloaded latency at ``queue_depth`` to
-        ``stats.total_latency_us``.
-    queue_depth:
-        Queue depth used for the device latency model.
+        every block read adds its unloaded latency at
+        :data:`~repro.nvm.latency.QUEUE_DEPTH` to ``stats.total_latency_us``.
     stats:
         Optional existing stats object to continue accumulating into.
 
@@ -198,7 +195,7 @@ def replay_table_cache(
     elif (stats.vector_bytes, stats.block_bytes) != (vector_bytes, block_bytes):
         raise ValueError("existing stats were created with a different geometry")
 
-    read_us = None if device is None else device.mean_latency_us(queue_depth)
+    read_us = None if device is None else device.mean_latency_us(QUEUE_DEPTH)
     # Vectors currently resident because of a prefetch and not yet demanded.
     pending_prefetches: Set[int] = set()
 

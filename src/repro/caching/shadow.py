@@ -39,7 +39,7 @@ class ShadowCache:
         return self._cache.capacity
 
     def __len__(self) -> int:
-        return len(self._cache)
+        return len(self._cache._priority)
 
     def __contains__(self, key: int) -> bool:
         return key in self._cache

@@ -111,6 +111,26 @@ def _by_node(events: Iterable[FaultEvent], kind: Type[Any]) -> _NodeIndex:
     return index
 
 
+def _merged(index: _NodeIndex) -> _NodeIndex:
+    """Each node's windows in time order, merged where they overlap or touch.
+
+    A node is down over the union of its crash windows, so it recovers once,
+    at the end of each merged window, never while another window still
+    covers that instant.
+    """
+    merged: _NodeIndex = {}
+    for node, windows in index.items():
+        out: List[Tuple[Any, int, int]] = []
+        merged[node] = out
+        for event, start_us, end_us in sorted(windows, key=lambda w: (w[1], w[2])):
+            if out and start_us <= out[-1][2]:
+                first, first_start_us, last_end_us = out[-1]
+                out[-1] = (first, first_start_us, max(last_end_us, end_us))
+            else:
+                out.append((event, start_us, end_us))
+    return merged
+
+
 class FaultSchedule:
     """A queryable schedule of fault events over simulated time.
 
@@ -134,8 +154,9 @@ class FaultSchedule:
         # One index per event kind, node -> [(event, start_us, end_us)] with
         # the window already normalised to integer µs: the router asks all
         # four questions of one node on every attempt, so a query scans only
-        # that node's events (in declaration order).
-        self._crashes: _NodeIndex = _by_node(events, NodeCrash)
+        # that node's events (in declaration order; a node's crash windows
+        # are merged into disjoint ones, in time order).
+        self._crashes: _NodeIndex = _merged(_by_node(events, NodeCrash))
         self._slowdowns: _NodeIndex = _by_node(events, SlowNode)
         self._links: _NodeIndex = _by_node(events, DegradedLink)
 

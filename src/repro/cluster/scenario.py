@@ -55,8 +55,8 @@ def run_scenario(
         Topology/robustness knobs; defaults to ``ClusterConfig()``.
     serving_config:
         Arrival process and SLO, and each node's bank size and admission
-        rule (``devices_per_host``, ``admission_queue_slack``,
-        ``table_slo_us``); defaults to ``ServingConfig()``.  The batcher
+        rule (``devices_per_host``, ``admission_queue_slack``); defaults to
+        ``ServingConfig()``.  The batcher
         knobs do not apply: a cluster serves unbatched.
     num_requests:
         Optional cap on the measured request stream; must be ``>= 0``.

@@ -41,9 +41,9 @@ after the current backoff.
 
 A request whose shard group exhausts ``max_attempts`` is **degraded**, not
 crashed: it completes with partial features and is counted against
-availability.  A fault schedule naming a node the cluster does not have,
-or a ``table_slo_us`` entry naming a table it does not serve, is rejected
-at construction (``ValueError``) rather than silently never applying.
+availability.  A fault schedule naming a node the cluster does not have
+is rejected at construction (``ValueError``) rather than silently never
+applying.
 The hard equivalence anchor: with one node, ``R = 1`` and no
 faults, every request is one unhedged, unretried engine replay in arrival
 order — bit-identical counters to :class:`~repro.core.bandana.BandanaStore`
@@ -282,8 +282,8 @@ class ClusterStore:
         Optional fault schedule; ``None`` means a healthy cluster.
     serving:
         The run's serving knobs; a node reads ``devices_per_host`` (its
-        bank's size) and sheds by ``admission_queue_slack`` and
-        ``table_slo_us``, as a host does.  Defaults to ``ServingConfig()``.
+        bank's size) and sheds by ``admission_queue_slack``, as a host
+        does.  Defaults to ``ServingConfig()``.
     """
 
     def __init__(
@@ -305,7 +305,6 @@ class ClusterStore:
                     f"{type(event).__name__} names node {event.node}, but the "
                     f"cluster has {self.config.num_nodes} nodes"
                 )
-        self.serving.check_slo_tables(self.specs)
         self.ring = ConsistentHashRing(
             [f"node{i}" for i in range(self.config.num_nodes)],
             virtual_nodes=self.config.virtual_nodes,
@@ -717,7 +716,7 @@ class ClusterStore:
         slack = self.serving.admission_queue_slack
         if slack is not None:
             wait_us = node.queue_wait_us(arrive_us, table_name)
-            if wait_us > slack * self.serving.slo_us(table_name):
+            if wait_us > slack * self.serving.slo_latency_us:
                 return _Attempt(
                     node_index, start_us, "shed", link_us, arrive_us, wait_us, None
                 )

@@ -240,21 +240,17 @@ class BandanaStore:
         return None
 
     def lookup_request(
-        self, request: Mapping[str, Iterable[int]], gather: bool = True
+        self, request: Mapping[str, Iterable[int]]
     ) -> Dict[str, Optional[np.ndarray]]:
         """Serve one multi-table request (mapping table name → ids).
 
         Counter for counter the same as calling :meth:`lookup` per table in
         request order, except that the whole request is validated first: an
         unknown table, a non-integer or multi-dimensional id array or an
-        out-of-range id raises before any table is served.  ``gather=False``
-        skips the embedding gathers (counters-only serving).
+        out-of-range id raises before any table is served.
         """
         arrays = self._serve_request(request)
-        return {
-            name: self._gather(name, ids) if gather else None
-            for name, ids in arrays.items()
-        }
+        return {name: self._gather(name, ids) for name, ids in arrays.items()}
 
     def pooled_features(self, request: Mapping[str, Iterable[int]]) -> np.ndarray:
         """Serve a request and return the concatenated sum-pooled features.

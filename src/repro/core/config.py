@@ -10,7 +10,7 @@ across tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Annotated, Iterable, Optional, Sequence, Set, Tuple
+from typing import Annotated, Optional, Sequence
 
 from repro.utils.validation import (
     AtLeast,
@@ -19,7 +19,6 @@ from repro.utils.validation import (
     OneOf,
     Positive,
     check_non_negative,
-    check_positive,
     validate_fields,
 )
 
@@ -29,9 +28,9 @@ class ServingConfig:
     """Knobs of one serving run, on a host (:mod:`repro.serving`) or a cluster.
 
     :func:`repro.cluster.run_scenario` reads the same fields: its arrival
-    process and SLO, and, per node, ``devices_per_host``,
-    ``admission_queue_slack`` and ``table_slo_us`` (the batcher knobs do not
-    apply; a cluster serves unbatched).
+    process and SLO, and, per node, ``devices_per_host`` and
+    ``admission_queue_slack`` (the batcher knobs do not apply; a cluster
+    serves unbatched).
 
     Attributes
     ----------
@@ -50,7 +49,8 @@ class ServingConfig:
         Dynamic-batcher time cutoff: a batch is dispatched once its oldest
         request has waited this long, full or not.
     slo_latency_us:
-        Per-request latency SLO; the report counts violations against it.
+        Per-request latency SLO; the report counts violations against it,
+        and admission control sheds against it.
     closed_loop_clients:
         Client population size under ``"closed-loop"`` arrivals — a hard
         cap on in-flight requests (the concurrency invariant the tests
@@ -70,17 +70,11 @@ class ServingConfig:
     admission_queue_slack:
         Admission control: a host sheds a request at batch dispatch (fast
         rejection, no cache or device work) when the wait for a free slot on
-        any of its tables' devices exceeds ``slack ×`` that table's SLO; a
+        any of its tables' devices exceeds ``slack × slo_latency_us``; a
         cluster node sheds a shard read when the backlog on its table's
         device exceeds the same bound, and the router retries another
         replica.  ``None`` (the default) disables shedding
         entirely — the golden-pinned behaviour.
-    table_slo_us:
-        Per-table SLO overrides for admission control, a ``(name, slo_us)``
-        tuple sequence; tables not named fall back to ``slo_latency_us``
-        (see :meth:`slo_us`).  A table may be named once, and only a table
-        the store has (checked when a run starts, by
-        :meth:`check_slo_tables`).
     seed:
         Seed of the arrival process; ``None`` inherits the store seed.
     """
@@ -94,41 +88,10 @@ class ServingConfig:
     closed_loop_think_s: Annotated[float, Positive] = 0.016
     devices_per_host: Annotated[int, AtLeast(1)] = 1
     admission_queue_slack: Annotated[Optional[float], Positive] = None
-    table_slo_us: Sequence[Tuple[str, float]] = ()
     seed: Annotated[Optional[int], AtLeast(0)] = None
 
     def __post_init__(self) -> None:
         validate_fields(self)
-        # Freeze ``table_slo_us``, rejecting bad or duplicate entries.
-        slos = tuple((str(name), float(slo)) for name, slo in self.table_slo_us)
-        seen: Set[str] = set()
-        for name, slo in slos:
-            check_positive(slo, f"table_slo_us[{name!r}]")
-            if name in seen:
-                raise ValueError(f"table_slo_us names table {name!r} more than once")
-            seen.add(name)
-        object.__setattr__(self, "table_slo_us", slos)
-
-    def slo_us(self, table_name: str) -> float:
-        """The admission-control latency SLO for one table."""
-        for name, slo in self.table_slo_us:
-            if name == table_name:
-                return slo
-        return self.slo_latency_us
-
-    def check_slo_tables(self, known_tables: Iterable[str]) -> None:
-        """Reject ``table_slo_us`` names that are not among ``known_tables``.
-
-        Called when a run starts, before any request is served: a misspelled
-        name would otherwise leave its table silently on the default SLO.
-        """
-        known = list(known_tables)
-        for name, _ in self.table_slo_us:
-            if name not in known:
-                raise ValueError(
-                    f"table_slo_us names table {name!r}, which the store does "
-                    f"not have (known tables: {known})"
-                )
 
 
 @dataclass(frozen=True)
@@ -145,11 +108,10 @@ class TracingConfig:
     sample_every:
         Retain every ``sample_every``-th request's trace (``1`` retains
         all).  Sampling bounds memory on long runs without losing the
-        shape of the per-stage breakdown.
-    always_sample_slo_violations:
-        Retain every request whose end-to-end latency exceeded the run's
-        SLO regardless of ``sample_every`` — tail regressions live in a
-        handful of requests uniform sampling would miss.
+        shape of the per-stage breakdown.  Every request whose end-to-end
+        latency exceeded the run's SLO is retained regardless — tail
+        regressions live in a handful of requests uniform sampling would
+        miss.
     max_requests:
         Hard cap on retained traces; beyond it the oldest retained trace
         is evicted first (the tracer's conservation counters still account
@@ -161,7 +123,6 @@ class TracingConfig:
 
     enabled: bool = False
     sample_every: Annotated[int, AtLeast(1)] = 1
-    always_sample_slo_violations: bool = True
     max_requests: Annotated[int, AtLeast(1)] = 4096
     top_k_slow: Annotated[int, AtLeast(1)] = 5
 
@@ -187,10 +148,10 @@ class ClusterConfig:
         smooth the per-node ownership shares at the cost of ring size.
 
     Each node's device bank is sized and guarded by the run's
-    :class:`ServingConfig` (``devices_per_host``, ``admission_queue_slack``,
-    ``table_slo_us``); the per-attempt costs (node
-    overhead, link delay, shard timeout, backoff, hedge-delay quantile and
-    floor) are constants of :mod:`repro.cluster.node` and ``.store``.
+    :class:`ServingConfig` (``devices_per_host``, ``admission_queue_slack``
+    against ``slo_latency_us``); the per-attempt costs (node overhead, link
+    delay, shard timeout, backoff, hedge-delay quantile and floor) are
+    constants of :mod:`repro.cluster.node` and ``.store``.
 
     Retries, hedging, breaker
     -------------------------

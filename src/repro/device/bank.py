@@ -158,7 +158,6 @@ class NVMDeviceBank:
         tracer: Tracer,
         request_id: int,
         record: DeviceServiceRecord,
-        parent_id: Optional[int] = None,
         parallel: bool = False,
     ) -> None:
         """Record one serve as ``device.queue`` + ``device.service`` spans.
@@ -167,9 +166,8 @@ class NVMDeviceBank:
         their own ``node.queue`` / ``node.service`` spans): the queue span
         covers dispatch → the first read's start (the wait for a slot), the
         service span covers that start → the last read's end, with the
-        pricing inputs as attributes.
-        ``parent_id`` defaults to the request's root span; ``parallel`` marks
-        the spans as concurrent siblings (a batch's per-device charges
+        pricing inputs as attributes.  Both nest under the request's root
+        span; ``parallel`` marks them as concurrent siblings (a batch's per-device charges
         overlap by construction).
         """
         attrs: Dict[str, object] = {"device": record.device_index}
@@ -180,7 +178,6 @@ class NVMDeviceBank:
             STAGE_DEVICE_QUEUE,
             record.dispatch_us,
             record.start_us,
-            parent_id=parent_id,
             **attrs,
         )
         tracer.span(
@@ -188,7 +185,6 @@ class NVMDeviceBank:
             STAGE_DEVICE_SERVICE,
             record.start_us,
             record.completion_us,
-            parent_id=parent_id,
             block_reads=record.block_reads,
             queue_depth=record.queue_depth,
             read_latency_us=record.read_latency_us,

@@ -26,7 +26,6 @@ def synthesize_topic_vectors(
     topic_of: np.ndarray,
     dim: int = 64,
     noise: float = 0.5,
-    centroid_scale: float = 1.0,
     seed: int = 0,
     dtype: np.dtype = np.float16,
 ) -> np.ndarray:
@@ -41,9 +40,7 @@ def synthesize_topic_vectors(
         Vector dimensionality.
     noise:
         Standard deviation of the per-vector scatter around its topic
-        centroid, relative to ``centroid_scale``.
-    centroid_scale:
-        Standard deviation of the topic centroids themselves.
+        centroid, relative to the centroids' own (unit) standard deviation.
     seed:
         Random seed.
     dtype:
@@ -55,7 +52,6 @@ def synthesize_topic_vectors(
     """
     check_positive(dim, "dim")
     check_non_negative(noise, "noise")
-    check_positive(centroid_scale, "centroid_scale")
     topic_of = np.asarray(topic_of, dtype=np.int64)
     if topic_of.ndim != 1:
         raise ValueError("topic_of must be one-dimensional")
@@ -63,12 +59,11 @@ def synthesize_topic_vectors(
     num_vectors = topic_of.size
     num_topics = int(topic_of.max()) + 1 if (topic_of >= 0).any() else 0
 
-    values = rng.normal(
-        scale=centroid_scale, size=(num_vectors, dim)
-    )  # default: unclustered noise for inactive vectors
+    # Default: unclustered noise for inactive vectors.
+    values = rng.normal(size=(num_vectors, dim))
     if num_topics > 0:
-        centroids = rng.normal(scale=centroid_scale, size=(num_topics, dim))
+        centroids = rng.normal(size=(num_topics, dim))
         active = topic_of >= 0
-        scatter = rng.normal(scale=noise * centroid_scale, size=(int(active.sum()), dim))
+        scatter = rng.normal(scale=noise, size=(int(active.sum()), dim))
         values[active] = centroids[topic_of[active]] + scatter
     return values.astype(dtype)

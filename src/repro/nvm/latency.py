@@ -36,7 +36,6 @@ from typing import Annotated
 
 from repro.utils.validation import (
     AtLeast,
-    NonNegative,
     Positive,
     check_non_negative,
     validate_fields,
@@ -46,6 +45,11 @@ from repro.utils.validation import (
 #: read (``mean_latency_us(QUEUE_DEPTH)``), and at which a cluster node's
 #: engines price theirs.
 QUEUE_DEPTH = 8.0
+#: Ratio of P99 to mean read latency at queue depth 1.
+P99_MULTIPLIER = 2.5
+#: Additional P99 amplification per unit of queue depth (the tail grows
+#: faster than the mean, as in Figure 2a).
+P99_DEPTH_MULTIPLIER = 0.6
 
 
 @dataclass(frozen=True)
@@ -62,18 +66,11 @@ class NVMLatencyModel:
     base_latency_us:
         Mean latency of an isolated read, the asymptote of
         :meth:`mean_latency_us` at low depth.
-    p99_multiplier:
-        Ratio of P99 to mean latency at queue depth 1.
-    p99_depth_multiplier:
-        Additional P99 amplification per unit of queue depth (tail grows
-        faster than the mean, as in Figure 2a).
     """
 
     block_bytes: Annotated[int, AtLeast(1)] = 4096
     max_bandwidth_gbps: Annotated[float, Positive] = 2.3
     base_latency_us: Annotated[float, Positive] = 10.0
-    p99_multiplier: Annotated[float, Positive] = 2.5
-    p99_depth_multiplier: Annotated[float, NonNegative] = 0.6
 
     def __post_init__(self) -> None:
         validate_fields(self)
@@ -99,7 +96,7 @@ class NVMLatencyModel:
     def p99_latency_us(self, queue_depth: float) -> float:
         """P99 read latency (µs) at the given queue depth, unloaded."""
         queue_depth = self._clamp_depth(queue_depth)
-        multiplier = self.p99_multiplier + self.p99_depth_multiplier * (queue_depth - 1.0)
+        multiplier = P99_MULTIPLIER + P99_DEPTH_MULTIPLIER * (queue_depth - 1.0)
         return self.mean_latency_us(queue_depth) * multiplier
 
     def blocks_per_second(self, queue_depth: float) -> float:

@@ -8,17 +8,14 @@ ids.  The order is wrapped in a :class:`repro.nvm.BlockLayout` by
 
 from __future__ import annotations
 
-import abc
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
-from repro.embeddings.table import EmbeddingTable
 from repro.nvm.block import BlockLayout
 from repro.utils.validation import check_int_at_least
-from repro.workloads.trace import Trace
 
 
 @dataclass
@@ -49,25 +46,16 @@ class PartitionResult:
         return BlockLayout(self.order, vectors_per_block)
 
 
-class Partitioner(abc.ABC):
-    """Base class of all placement algorithms."""
+class Partitioner:
+    """Base class of all placement algorithms.
+
+    Each subclass's ``partition(num_vectors, <input>)`` takes only the input
+    it reads: ``trace`` for the supervised algorithms (SHP, frequency),
+    ``table`` for the semantic ones (the two K-means variants).
+    """
 
     #: Name used in reports and benchmark output.
     name: str = "partitioner"
-
-    @abc.abstractmethod
-    def partition(
-        self,
-        num_vectors: int,
-        trace: Optional[Trace] = None,
-        table: Optional[EmbeddingTable] = None,
-    ) -> PartitionResult:
-        """Produce a physical order for a table of ``num_vectors`` vectors.
-
-        Subclasses may require ``trace`` (supervised algorithms), ``table``
-        (semantic algorithms), both, or neither; they must raise
-        ``ValueError`` when a required input is missing.
-        """
 
     def _timed(self, start_time: float) -> float:
         """Seconds elapsed since ``start_time`` (helper for subclasses)."""

@@ -11,11 +11,9 @@ segregating hot vectors.
 from __future__ import annotations
 
 import time
-from typing import Optional
 
 import numpy as np
 
-from repro.embeddings.table import EmbeddingTable
 from repro.partitioning.base import Partitioner, PartitionResult
 from repro.workloads.characterization import access_counts
 from repro.workloads.trace import Trace
@@ -26,15 +24,8 @@ class FrequencyPartitioner(Partitioner):
 
     name = "frequency"
 
-    def partition(
-        self,
-        num_vectors: int,
-        trace: Optional[Trace] = None,
-        table: Optional[EmbeddingTable] = None,
-    ) -> PartitionResult:
+    def partition(self, num_vectors: int, trace: Trace) -> PartitionResult:
         num_vectors = self._validate_num_vectors(num_vectors)
-        if trace is None:
-            raise ValueError("FrequencyPartitioner requires a training trace")
         if trace.num_vectors > num_vectors:
             raise ValueError(
                 "trace references more vectors than the table being partitioned"

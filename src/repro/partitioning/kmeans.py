@@ -14,7 +14,7 @@ motivates the recursive variant.
 from __future__ import annotations
 
 import time
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from repro.embeddings.table import EmbeddingTable
 from repro.partitioning.base import Partitioner, PartitionResult
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_positive
-from repro.workloads.trace import Trace
 
 
 def _kmeans_plus_plus_init(
@@ -103,19 +102,21 @@ def kmeans_cluster(
     return labels, centroids, inertia
 
 
-def _assign_labels(
-    values: np.ndarray, centroids: np.ndarray, chunk: int = 16384
-) -> np.ndarray:
+#: Points per nearest-centroid assignment chunk (bounds the score matrix).
+ASSIGN_CHUNK = 16384
+
+
+def _assign_labels(values: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Nearest-centroid assignment, chunked over points to bound memory."""
     labels = np.empty(values.shape[0], dtype=np.int64)
     # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2 ; ||x||^2 is constant per row.
     centroid_norms = (centroids ** 2).sum(axis=1)
-    for start in range(0, values.shape[0], chunk):
-        block = values[start : start + chunk]
+    for start in range(0, values.shape[0], ASSIGN_CHUNK):
+        block = values[start : start + ASSIGN_CHUNK]
         scores = block @ centroids.T
         scores *= -2.0
         scores += centroid_norms
-        labels[start : start + chunk] = scores.argmin(axis=1)
+        labels[start : start + ASSIGN_CHUNK] = scores.argmin(axis=1)
     return labels
 
 
@@ -128,39 +129,21 @@ class KMeansPartitioner(Partitioner):
         Number of clusters (the x-axis of the paper's Figure 6).
     num_iterations:
         Lloyd iterations (the paper uses 20).
-    seed:
-        Random seed for the k-means++ initialisation.
-    sort_clusters_by_size:
-        When true, larger clusters are laid out first; keeps block packing of
-        small trailing clusters slightly tighter.  The paper does not specify
-        an intra/inter cluster order, and the choice has little effect.
+
+    The k-means++ initialisation is seeded with 0, and clusters are laid out
+    in label order (the paper specifies no inter-cluster order).
     """
 
     name = "kmeans"
 
-    def __init__(
-        self,
-        num_clusters: int,
-        num_iterations: int = 20,
-        seed: int = 0,
-        sort_clusters_by_size: bool = False,
-    ) -> None:
+    def __init__(self, num_clusters: int, num_iterations: int = 20) -> None:
         check_positive(num_clusters, "num_clusters")
         check_positive(num_iterations, "num_iterations")
         self.num_clusters = int(num_clusters)
         self.num_iterations = int(num_iterations)
-        self.seed = int(seed)
-        self.sort_clusters_by_size = bool(sort_clusters_by_size)
 
-    def partition(
-        self,
-        num_vectors: int,
-        trace: Optional[Trace] = None,
-        table: Optional[EmbeddingTable] = None,
-    ) -> PartitionResult:
+    def partition(self, num_vectors: int, table: EmbeddingTable) -> PartitionResult:
         num_vectors = self._validate_num_vectors(num_vectors)
-        if table is None:
-            raise ValueError("KMeansPartitioner requires the embedding table values")
         if table.num_vectors != num_vectors:
             raise ValueError(
                 f"table has {table.num_vectors} vectors but num_vectors={num_vectors}"
@@ -170,9 +153,8 @@ class KMeansPartitioner(Partitioner):
             table.values,
             num_clusters=self.num_clusters,
             num_iterations=self.num_iterations,
-            seed=self.seed,
         )
-        order = order_by_labels(labels, self.sort_clusters_by_size)
+        order = order_by_labels(labels)
         return PartitionResult(
             order=order,
             runtime_seconds=self._timed(start),
@@ -184,15 +166,7 @@ class KMeansPartitioner(Partitioner):
         )
 
 
-def order_by_labels(labels: np.ndarray, sort_clusters_by_size: bool = False) -> np.ndarray:
+def order_by_labels(labels: np.ndarray) -> np.ndarray:
     """Turn a cluster labelling into a physical order (clusters laid out contiguously)."""
     labels = np.asarray(labels, dtype=np.int64)
-    if sort_clusters_by_size:
-        counts = np.bincount(labels)
-        # Rank clusters by descending size; relabel so argsort groups big first.
-        rank_of_label = np.empty_like(counts)
-        rank_of_label[np.argsort(-counts, kind="stable")] = np.arange(counts.size)
-        sort_keys = rank_of_label[labels]
-    else:
-        sort_keys = labels
-    return np.argsort(sort_keys, kind="stable").astype(np.int64)
+    return np.argsort(labels, kind="stable").astype(np.int64)

@@ -13,7 +13,6 @@ while each individual run stays small, so the runtime grows far more slowly
 from __future__ import annotations
 
 import time
-from typing import Optional
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from repro.embeddings.table import EmbeddingTable
 from repro.partitioning.base import Partitioner, PartitionResult
 from repro.partitioning.kmeans import kmeans_cluster
 from repro.utils.validation import check_positive
-from repro.workloads.trace import Trace
 
 
 class RecursiveKMeansPartitioner(Partitioner):
@@ -38,8 +36,9 @@ class RecursiveKMeansPartitioner(Partitioner):
         roughly balanced.
     num_iterations:
         Lloyd iterations per stage.
-    seed:
-        Base random seed.
+
+    The first stage is seeded with 0 and top-level cluster ``c``'s split with
+    ``1 + c``.
     """
 
     name = "recursive-kmeans"
@@ -49,7 +48,6 @@ class RecursiveKMeansPartitioner(Partitioner):
         num_top_clusters: int = 256,
         num_sub_clusters: int = 8192,
         num_iterations: int = 20,
-        seed: int = 0,
     ) -> None:
         check_positive(num_top_clusters, "num_top_clusters")
         check_positive(num_sub_clusters, "num_sub_clusters")
@@ -61,19 +59,9 @@ class RecursiveKMeansPartitioner(Partitioner):
         self.num_top_clusters = int(num_top_clusters)
         self.num_sub_clusters = int(num_sub_clusters)
         self.num_iterations = int(num_iterations)
-        self.seed = int(seed)
 
-    def partition(
-        self,
-        num_vectors: int,
-        trace: Optional[Trace] = None,
-        table: Optional[EmbeddingTable] = None,
-    ) -> PartitionResult:
+    def partition(self, num_vectors: int, table: EmbeddingTable) -> PartitionResult:
         num_vectors = self._validate_num_vectors(num_vectors)
-        if table is None:
-            raise ValueError(
-                "RecursiveKMeansPartitioner requires the embedding table values"
-            )
         if table.num_vectors != num_vectors:
             raise ValueError(
                 f"table has {table.num_vectors} vectors but num_vectors={num_vectors}"
@@ -85,7 +73,6 @@ class RecursiveKMeansPartitioner(Partitioner):
             values,
             num_clusters=self.num_top_clusters,
             num_iterations=self.num_iterations,
-            seed=self.seed,
         )
         num_top = int(top_labels.max()) + 1
 
@@ -111,7 +98,7 @@ class RecursiveKMeansPartitioner(Partitioner):
                 values[member_ids],
                 num_clusters=leaves,
                 num_iterations=self.num_iterations,
-                seed=self.seed + 1 + cluster,
+                seed=1 + cluster,
             )
             order_parts.append(member_ids[np.argsort(sub_labels, kind="stable")])
 

@@ -64,7 +64,6 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.embeddings.table import EmbeddingTable
 from repro.partitioning.base import Partitioner, PartitionResult
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_int_at_least
@@ -324,15 +323,8 @@ class SHPPartitioner(Partitioner):
         )
 
     # -------------------------------------------------------------------- API
-    def partition(
-        self,
-        num_vectors: int,
-        trace: Optional[Trace] = None,
-        table: Optional[EmbeddingTable] = None,
-    ) -> PartitionResult:
+    def partition(self, num_vectors: int, trace: Trace) -> PartitionResult:
         num_vectors = self._validate_num_vectors(num_vectors)
-        if trace is None:
-            raise ValueError("SHPPartitioner requires a training trace")
         if trace.num_vectors > num_vectors:
             raise ValueError(
                 "trace references more vectors than the table being partitioned"

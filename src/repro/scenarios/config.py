@@ -120,7 +120,9 @@ class TraceLoaderConfig:
         ``"twitter"`` — the Twitter production cache-trace CSV layout
         (``timestamp,key,key_size,value_size,client_id,operation,ttl``),
         where consecutive rows sharing ``(timestamp, client_id)`` form one
-        multi-get query; or ``"columnar"`` — a generic two-column
+        multi-get query, and only ``get``/``gets`` rows are kept (mutations
+        such as ``set``, ``add`` and ``delete`` are dropped, as a read-path
+        store sees the trace); or ``"columnar"`` — a generic two-column
         ``query_id,key`` layout, where consecutive rows sharing a
         ``query_id`` form one query.
     chunk_queries:
@@ -128,17 +130,12 @@ class TraceLoaderConfig:
         bit-identical for every value — pinned by the equivalence test).
     max_queries:
         Optional cap on the number of queries loaded.
-    get_only:
-        Twitter format only: keep ``get``/``gets`` rows and drop mutations
-        (``set``, ``add``, ``delete``, ...), matching how a read-path store
-        sees the trace.
     """
 
     path: Annotated[str, NonEmpty]
     format: Annotated[str, OneOf(*TRACE_FORMATS)] = "twitter"
     chunk_queries: Annotated[int, AtLeast(1)] = 1024
     max_queries: Annotated[Optional[int], AtLeast(1)] = None
-    get_only: bool = True
 
     def __post_init__(self) -> None:
         validate_fields(self)
@@ -149,8 +146,8 @@ class RepartitionConfig:
     """The online re-partitioning lifecycle.
 
     Each retrain runs SHP on the trailing window and refreshes the admission
-    policy's per-vector access counts from it; DRAM residency survives every
-    swap.
+    policy's per-vector access counts from it; the placement is swapped in
+    at once, and DRAM residency survives every swap.
 
     Attributes
     ----------
@@ -162,10 +159,6 @@ class RepartitionConfig:
         A trigger with fewer observed queries than this is skipped (too
         little signal to retrain on).  At most ``window_queries``: the
         window never holds more.
-    blackout_queries:
-        Simulated retrain cost: the freshly trained placement is swapped in
-        only after this many further queries have been served on the stale
-        placement (an asynchronous retrain that takes time to land).
     shp_iterations:
         Refinement iterations per SHP bisection when retraining.
     seed:
@@ -175,7 +168,6 @@ class RepartitionConfig:
     cadence_queries: Annotated[int, AtLeast(1)] = 500
     window_queries: Annotated[int, AtLeast(1)] = 1000
     min_window_queries: Annotated[int, AtLeast(1)] = 64
-    blackout_queries: Annotated[int, AtLeast(0)] = 0
     shp_iterations: Annotated[int, AtLeast(1)] = 8
     seed: Annotated[int, AtLeast(0)] = 0
 

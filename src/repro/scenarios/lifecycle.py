@@ -5,8 +5,7 @@ paper never measures what happens when the access distribution moves out
 from under it.  :class:`RepartitionManager` makes that measurable: it keeps
 a trailing window of served queries, periodically retrains SHP on the
 window, and swaps the table's :class:`~repro.nvm.block.BlockLayout` into the
-live store after a configurable blackout (the simulated cost of the
-asynchronous retrain).
+live store at once.
 
 What a swap does — and costs — inside :class:`~repro.core.bandana.BandanaStore`:
 
@@ -32,7 +31,7 @@ so "hit-rate decay vs partition age" becomes a reportable curve
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List
 
 import numpy as np
 
@@ -60,9 +59,9 @@ class RepartitionManager:
     """Periodically retrain one table's placement on a trailing window.
 
     Drive it by calling :meth:`observe` once per served query (after the
-    store has served it); the manager decides when to retrain and when the
-    trained placement lands, according to its
-    :class:`~repro.scenarios.config.RepartitionConfig`.
+    store has served it); the manager decides when to retrain, according to
+    its :class:`~repro.scenarios.config.RepartitionConfig`, and the trained
+    placement lands before the next query is served.
     """
 
     def __init__(
@@ -74,9 +73,6 @@ class RepartitionManager:
         self._state: BandanaTableState = store.tables[table_name]
         self._window: Deque[np.ndarray] = deque(maxlen=config.window_queries)
         self._queries_seen = 0
-        self._pending_layout: Optional[BlockLayout] = None
-        self._pending_counts: Optional[np.ndarray] = None
-        self._blackout_remaining = 0
         self._last_swap_query = 0
         # ---- lifecycle metrics -------------------------------------------
         self.retrains = 0
@@ -89,19 +85,11 @@ class RepartitionManager:
         """Record one served query; returns ``True`` when a swap landed."""
         self._window.append(np.asarray(query, dtype=np.int64))
         self._queries_seen += 1
-        if self._pending_layout is not None:
-            self._blackout_remaining -= 1
-            if self._blackout_remaining <= 0:
-                self._apply_swap()
-                return True
-            return False
         due = self._queries_seen % self.config.cadence_queries == 0
-        if due and len(self._window) >= self.config.min_window_queries:
-            self._retrain()
-            if self._blackout_remaining <= 0:
-                self._apply_swap()
-                return True
-        return False
+        if not due or len(self._window) < self.config.min_window_queries:
+            return False
+        self._retrain_and_swap()
+        return True
 
     @property
     def partition_age_queries(self) -> int:
@@ -120,8 +108,8 @@ class RepartitionManager:
         }
 
     # ---------------------------------------------------------------- private
-    def _retrain(self) -> None:
-        """Train a fresh placement on the trailing window (stage the swap)."""
+    def _retrain_and_swap(self) -> None:
+        """Train a fresh placement on the trailing window; land it in the live store."""
         state = self._state
         window_trace = Trace(list(self._window), num_vectors=state.layout.num_vectors)
         partitioner = SHPPartitioner(
@@ -132,32 +120,19 @@ class RepartitionManager:
         result = partitioner.partition(state.layout.num_vectors, trace=window_trace)
         self.retrains += 1
         self.retrain_runtime_seconds += result.runtime_seconds
-        self._pending_layout = result.layout(self.store.config.vectors_per_block)
+        layout = result.layout(self.store.config.vectors_per_block)
         window_counts = access_counts(window_trace).astype(np.float64)
         window_total = window_counts.sum()
         original_total = float(state.access_counts.sum())
+        self.churn.append(layout_churn(state.layout, layout))
         if window_total > 0 and original_total > 0:
             scale = original_total / window_total
-            self._pending_counts = np.round(window_counts * scale).astype(np.int64)
-        else:
-            self._pending_counts = None
-        self._blackout_remaining = self.config.blackout_queries
-
-    def _apply_swap(self) -> None:
-        """Land the staged placement in the live store."""
-        state = self._state
-        assert self._pending_layout is not None
-        self.churn.append(layout_churn(state.layout, self._pending_layout))
-        if self._pending_counts is not None:
             # In place for the store's own readers (serving specs); the policy
             # adopts the array through its one mutator, which is what tells a
             # warm engine that its cached admission decisions are stale.
-            state.access_counts[:] = self._pending_counts
+            state.access_counts[:] = np.round(window_counts * scale).astype(np.int64)
             if isinstance(state.policy, AccessThresholdPolicy):
                 state.policy.retune(access_counts=state.access_counts)
-        self.store.swap_layout(self.table_name, self._pending_layout)
-        self._pending_layout = None
-        self._pending_counts = None
-        self._blackout_remaining = 0
+        self.store.swap_layout(self.table_name, layout)
         self._last_swap_query = self._queries_seen
         self.swaps.append(self._queries_seen)

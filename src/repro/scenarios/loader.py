@@ -7,8 +7,7 @@ Two public cache-trace layouts are understood (:data:`~repro.scenarios.config.TR
   anonymised tokens; each is mapped to a stable 63-bit id (numeric keys map
   to themselves, others through a vectorisable FNV-1a hash), and consecutive
   kept rows sharing ``(timestamp, client_id)`` form one multi-get query.
-  With ``get_only`` (the default) mutations are dropped, matching how a
-  read-path store sees the trace.
+  Mutation rows are dropped, matching how a read-path store sees the trace.
 * ``"columnar"`` — a generic two-column ``query_id,key`` CSV; consecutive
   rows sharing a ``query_id`` form one query.
 
@@ -113,7 +112,7 @@ def _iter_parsed(
                     continue  # header line
                 if counters is not None:
                     counters["rows"] = counters.get("rows", 0) + 1
-                if config.get_only and operation not in READ_OPERATIONS:
+                if operation not in READ_OPERATIONS:
                     if counters is not None:
                         counters["dropped"] = counters.get("dropped", 0) + 1
                     continue

@@ -236,7 +236,6 @@ class _HostBackend:
         config: ServingConfig,
         tracer: Tracer,
     ) -> None:
-        config.check_slo_tables(store.tables)
         self.store = store
         self.config = config
         self.tracer = tracer
@@ -425,20 +424,18 @@ def _split_shed(
     """Partition a batch's members into (served, shed) at dispatch time.
 
     A request is shed when the wait for a free slot on *any* of its tables'
-    devices exceeds ``admission_queue_slack ×`` that table's SLO — the single-host port of
+    devices exceeds ``admission_queue_slack × slo_latency_us`` — the single-host port of
     the cluster's queue-level admission check (there per shard read, here
     per request: a single host has no other replica to serve the rest).
     """
     slack = config.admission_queue_slack
     if slack is None:
         return members, []
+    bound_us = slack * config.slo_latency_us
     served: List[int] = []
     shed: List[int] = []
     for i in members:
-        if any(
-            bank.queue_wait_us(dispatch_us, name) > slack * config.slo_us(name)
-            for name in requests[i]
-        ):
+        if any(bank.queue_wait_us(dispatch_us, name) > bound_us for name in requests[i]):
             shed.append(i)
         else:
             served.append(i)

@@ -51,8 +51,8 @@ class ExperimentSweep:
         """The values of one metric across all records, in order."""
         return [record.metrics[metric] for record in self.records]
 
-    def to_table(self, float_format: str = "{:.3f}") -> str:
-        """Render all records as an aligned text table."""
+    def to_table(self) -> str:
+        """Render all records as an aligned text table (floats to 3 places)."""
         if not self.records:
             return f"{self.name}: (no records)"
         parameter_names = list(self.records[0].parameters)
@@ -62,7 +62,7 @@ class ExperimentSweep:
         for record in self.records:
             row = [str(record.parameters[p]) for p in parameter_names]
             row += [
-                float_format.format(record.metrics[m])
+                f"{record.metrics[m]:.3f}"
                 if isinstance(record.metrics[m], float)
                 else str(record.metrics[m])
                 for m in metric_names

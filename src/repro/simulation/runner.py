@@ -54,7 +54,6 @@ def simulate_table(
     layout: BlockLayout,
     policy: PrefetchPolicy,
     cache_size: Optional[int] = None,
-    vector_bytes: int = 128,
     include_baseline: bool = True,
 ) -> TableSimulationResult:
     """Replay one table's trace under ``policy`` and (optionally) the
@@ -71,8 +70,6 @@ def simulate_table(
     cache_size:
         DRAM cache size in vectors; ``None`` reproduces the paper's
         unlimited-cache placement studies.
-    vector_bytes:
-        Bytes per embedding vector.
     include_baseline:
         Whether to also replay the baseline policy for comparison.
     """
@@ -81,21 +78,11 @@ def simulate_table(
     replay: Callable[..., ReplayStats] = (
         replay_table_cache_batched if admits_only_at_top(policy) else replay_table_cache
     )
-    stats = replay(
-        trace.queries,
-        layout,
-        policy,
-        cache_size=cache_size,
-        vector_bytes=vector_bytes,
-    )
+    stats = replay(trace.queries, layout, policy, cache_size=cache_size)
     baseline_stats = None
     if include_baseline:
         baseline_stats = replay_table_cache_batched(
-            trace.queries,
-            layout,
-            NoPrefetchPolicy(),
-            cache_size=cache_size,
-            vector_bytes=vector_bytes,
+            trace.queries, layout, NoPrefetchPolicy(), cache_size=cache_size
         )
     return TableSimulationResult(stats=stats, baseline_stats=baseline_stats)
 

@@ -25,7 +25,7 @@ sit on a critical path: their completion did not matter to the request.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List
 
 from repro.tracing.tracer import ATTR_OVERLAP_OK, ATTR_PARALLEL, RequestTrace, Span
 
@@ -215,11 +215,8 @@ def _trace_digest(trace: RequestTrace) -> Dict[str, object]:
     }
 
 
-def tracer_summary(
-    tracer: "Tracer", top_k: Optional[int] = None
-) -> Dict[str, object]:
+def tracer_summary(tracer: "Tracer") -> Dict[str, object]:
     """JSON-ready condensation of a tracer's sink (see module docstring)."""
-    k = tracer.config.top_k_slow if top_k is None else int(top_k)
     violators = [t for t in tracer.traces.values() if t.slo_violated]
     return {
         "counters": tracer.counters(),
@@ -227,5 +224,8 @@ def tracer_summary(
         "slo_latency_us": tracer.slo_latency_us,
         "breakdown_by_stage": breakdown_by_stage(tracer.traces.values()),
         "slo_violators_breakdown_by_stage": breakdown_by_stage(violators),
-        "top_slow": [_trace_digest(trace) for trace in tracer.slowest_requests(k)],
+        "top_slow": [
+            _trace_digest(trace)
+            for trace in tracer.slowest_requests(tracer.config.top_k_slow)
+        ],
     }

@@ -20,9 +20,9 @@ nothing when disabled.  Both are structural:
   :data:`NULL_TRACER` singleton exists so call sites never need a ``None``
   check, and its recording methods are no-ops should anyone call them);
 * the sink is bounded: retention is sampled (every ``sample_every``-th
-  request, plus every SLO violator when ``always_sample_slo_violations``)
-  and capped at ``max_requests`` retained traces, evicting the oldest
-  retained trace first — a week-long simulated run cannot OOM the tracer.
+  request, plus every SLO violator) and capped at ``max_requests``
+  retained traces, evicting the oldest retained trace first — a week-long
+  simulated run cannot OOM the tracer.
 
 The SLO-violator override is what makes the sink useful for tail debugging:
 p999 regressions live in a handful of requests, and uniform sampling at a
@@ -181,8 +181,7 @@ class Tracer:
         (``sample_every=1``), which is what tests and ad-hoc debugging want.
     slo_latency_us:
         End-to-end latency above which a request counts as an SLO violator
-        (always retained when ``config.always_sample_slo_violations``);
-        ``None`` disables the violator override.
+        (always retained); ``None`` disables the violator override.
     """
 
     #: Class-level so instrumentation sites pay one attribute load to skip.
@@ -259,17 +258,11 @@ class Tracer:
         return span.span_id
 
     def open_span(
-        self,
-        request_id: int,
-        name: str,
-        t_start_us: float,
-        parent_id: Optional[int] = None,
-        **attributes: object,
+        self, request_id: int, name: str, t_start_us: float, **attributes: object
     ) -> int:
-        """Record a span whose end is not known yet (close with close_span)."""
-        return self.span(
-            request_id, name, t_start_us, t_start_us, parent_id, **attributes
-        )
+        """Record a span under the root whose end is not known yet (close
+        with close_span)."""
+        return self.span(request_id, name, t_start_us, t_start_us, **attributes)
 
     def close_span(
         self, request_id: int, span_id: int, t_end_us: float, **attributes: object
@@ -295,10 +288,7 @@ class Tracer:
         slo_violated = (
             self.slo_latency_us is not None and latency_us > self.slo_latency_us
         )
-        keep = pending.seq % self.config.sample_every == 0
-        if slo_violated and self.config.always_sample_slo_violations:
-            keep = True
-        if not keep:
+        if not slo_violated and pending.seq % self.config.sample_every != 0:
             self.requests_sampled_out += 1
             return
         while len(self.traces) >= self.config.max_requests:
@@ -315,18 +305,11 @@ class Tracer:
         self.requests_retained += 1
 
     # ---------------------------------------------------------------- queries
-    def breakdown_by_stage(
-        self, only_slo_violators: bool = False
-    ) -> Dict[str, Dict[str, float]]:
+    def breakdown_by_stage(self) -> Dict[str, Dict[str, float]]:
         """Aggregate time per stage name over the retained traces."""
         from repro.tracing.summary import breakdown_by_stage
 
-        traces = [
-            trace
-            for trace in self.traces.values()
-            if trace.slo_violated or not only_slo_violators
-        ]
-        return breakdown_by_stage(traces)
+        return breakdown_by_stage(self.traces.values())
 
     def slowest_requests(self, k: int) -> List[RequestTrace]:
         """The ``k`` retained traces with the largest end-to-end latency."""
@@ -335,11 +318,11 @@ class Tracer:
         )
         return ranked[: max(0, int(k))]
 
-    def summary(self, top_k: Optional[int] = None) -> Dict[str, object]:
+    def summary(self) -> Dict[str, object]:
         """JSON-ready condensation of the sink (see summary module)."""
         from repro.tracing.summary import tracer_summary
 
-        return tracer_summary(self, top_k=top_k)
+        return tracer_summary(self)
 
     def counters(self) -> Dict[str, int]:
         """Conservation counters (started/ended/retained/sampled/evicted)."""
@@ -380,12 +363,7 @@ class NullTracer(Tracer):
         return -1
 
     def open_span(
-        self,
-        request_id: int,
-        name: str,
-        t_start_us: float,
-        parent_id: Optional[int] = None,
-        **attributes: object,
+        self, request_id: int, name: str, t_start_us: float, **attributes: object
     ) -> int:
         return -1
 

@@ -62,9 +62,7 @@ def compulsory_miss_rate(trace: Trace) -> float:
     return trace.unique_vectors().size / num_lookups
 
 
-def access_histogram(
-    trace: Trace, num_bins: int = 50, counts: Optional[np.ndarray] = None
-) -> Tuple[np.ndarray, np.ndarray]:
+def access_histogram(trace: Trace, num_bins: int = 50) -> Tuple[np.ndarray, np.ndarray]:
     """Histogram of per-vector access counts (the paper's Figure 4).
 
     Returns ``(bin_edges, vectors_per_bin)`` where ``bin_edges`` has
@@ -74,8 +72,7 @@ def access_histogram(
     """
     if num_bins <= 0:
         raise ValueError("num_bins must be positive")
-    if counts is None:
-        counts = access_counts(trace)
+    counts = access_counts(trace)
     accessed = counts[counts > 0]
     if accessed.size == 0:
         edges = np.linspace(0, 1, num_bins + 1)

@@ -10,14 +10,14 @@ production workload:
   vectors is in rotation over the traced period (the paper's compulsory-miss
   rates imply an hourly working set of a few percent of the table).  All
   traffic is drawn from an active set whose size is a fixed multiple
-  (``working_set_multiplier``) of the expected number of distinct vectors of
+  (:data:`WORKING_SET_MULTIPLIER`) of the expected number of distinct vectors of
   the planned trace; active ids are scattered randomly over the id space so
   the original (id-ordered) layout has no accidental locality.
 * **Traffic windows with drift** — production popularity shifts hour to hour.
-  Each *window* (by default, one planned-trace length) draws an
+  Each *window* (one planned-trace length) draws an
   "in-rotation" subset of the active set; vectors outside it receive only a
   small trickle of traffic.  How strongly a vector's persistent popularity
-  determines its inclusion is the ``persistence`` parameter.  A placement
+  determines its inclusion is :data:`PERSISTENCE`.  A placement
   trained on several past windows therefore predicts the *topic* a vector
   belongs to far better than whether it will be hot in the evaluation window —
   which is exactly why the paper's effective-bandwidth gains sit in the
@@ -56,9 +56,31 @@ from repro.utils.sampling import (
     first_occurrences,
     zipf_probabilities,
 )
-from repro.utils.validation import check_fraction, check_int_at_least, check_positive
+from repro.utils.validation import check_int_at_least, check_positive
 from repro.workloads.tables_spec import PAPER_VECTORS_PER_BLOCK, TableSpec
 from repro.workloads.trace import ModelTrace, Trace
+
+#: Probability that an id is drawn from the query's topics rather than from
+#: the window-wide popularity law.
+TOPIC_AFFINITY = 0.8
+#: Average number of topics a query draws from.
+TOPICS_PER_QUERY = 2.0
+#: Active-set size as a multiple of the expected distinct vectors of the
+#: planned trace; see the module docstring.
+WORKING_SET_MULTIPLIER = 6.0
+#: How strongly a vector's persistent popularity determines whether it is in
+#: rotation in a given window (0 = every window draws a fresh hot set, 1 = the
+#: hot set never changes).
+PERSISTENCE = 0.6
+#: Relative traffic weight of active vectors that are not in rotation in the
+#: current window (a small trickle).
+OUT_OF_ROTATION_WEIGHT = 0.005
+#: Probability that a query re-uses a topic that recent queries used
+#: (consecutive requests come from overlapping user populations, so hot
+#: content is hit repeatedly within a short span).  Temporal burstiness is
+#: what makes prefetched block neighbours useful before they age out of a
+#: small cache.
+BURSTINESS = 0.6
 
 
 def paper_shaped_lookups(
@@ -99,37 +121,12 @@ class SyntheticTraceGenerator:
         Trace length (in lookups) the caller plans to generate; the
         in-rotation fraction is calibrated so the compulsory-miss rate of a
         trace of that length lands near ``spec.compulsory_miss_rate``, and one
-        traffic window defaults to that length.  Defaults to the paper-shaped
-        length of the table.
-    topic_affinity:
-        Probability that an id is drawn from the query's topics rather than
-        from the window-wide popularity law.
-    topics_per_query:
-        Average number of topics a query draws from.
-    target_topic_size:
-        Desired number of active vectors per topic.  Defaults to a few times
-        the per-topic draws of a single query, so one request samples a topic
-        rather than sweeping it.
-    working_set_multiplier:
-        Active-set size as a multiple of the expected distinct vectors of the
-        planned trace (default 6); see the module docstring.
-    persistence:
-        How strongly a vector's persistent popularity determines whether it is
-        in rotation in a given window (0 = every window draws a fresh hot set,
-        1 = the hot set never changes).
-    out_of_rotation_weight:
-        Relative traffic weight of active vectors that are not in rotation in
-        the current window (a small trickle, default 0.005).
-    window_queries:
-        Number of queries per traffic window.  Defaults to the number of
-        queries of the planned trace, i.e. an evaluation trace is one window
-        and a training trace several times longer spans several windows.
-    burstiness:
-        Probability that a query re-uses a topic that recent queries used
-        (consecutive requests come from overlapping user populations, so hot
-        content is hit repeatedly within a short span).  Temporal burstiness
-        is what makes prefetched block neighbours useful before they age out
-        of a small cache.
+        traffic window is that length (in queries), so an evaluation trace is
+        one window and a training trace several times longer spans several
+        windows.  Defaults to the paper-shaped length of the table.
+
+    A topic holds about six queries' worth of lookups, so one request samples
+    a topic rather than sweeping it.
     """
 
     def __init__(
@@ -137,29 +134,9 @@ class SyntheticTraceGenerator:
         spec: TableSpec,
         seed: int = 0,
         expected_lookups: Optional[int] = None,
-        topic_affinity: float = 0.8,
-        topics_per_query: float = 2.0,
-        target_topic_size: Optional[int] = None,
-        working_set_multiplier: float = 6.0,
-        persistence: float = 0.6,
-        out_of_rotation_weight: float = 0.005,
-        window_queries: Optional[int] = None,
-        burstiness: float = 0.6,
     ) -> None:
-        check_fraction(topic_affinity, "topic_affinity")
-        check_positive(topics_per_query, "topics_per_query")
-        check_positive(working_set_multiplier, "working_set_multiplier")
-        check_fraction(persistence, "persistence")
-        check_fraction(out_of_rotation_weight, "out_of_rotation_weight")
-        check_fraction(burstiness, "burstiness")
         self.spec = spec
         self.seed = int(seed)
-        self.topic_affinity = float(topic_affinity)
-        self.topics_per_query = float(topics_per_query)
-        self.working_set_multiplier = float(working_set_multiplier)
-        self.persistence = float(persistence)
-        self.out_of_rotation_weight = float(out_of_rotation_weight)
-        self.burstiness = float(burstiness)
         self._recent_topics: list = []
         self._rng = np.random.default_rng(self.seed)
 
@@ -168,18 +145,11 @@ class SyntheticTraceGenerator:
         check_positive(expected_lookups, "expected_lookups")
         self.expected_lookups = int(expected_lookups)
 
-        if target_topic_size is None:
-            target_topic_size = int(round(6 * spec.avg_lookups_per_query))
-        check_positive(target_topic_size, "target_topic_size")
-        self._target_topic_size = int(target_topic_size)
-
-        expected_queries = max(
+        self._target_topic_size = int(round(6 * spec.avg_lookups_per_query))
+        check_positive(self._target_topic_size, "target_topic_size")
+        self.window_queries = max(
             1, int(round(self.expected_lookups / spec.avg_lookups_per_query))
         )
-        if window_queries is None:
-            window_queries = expected_queries
-        check_positive(window_queries, "window_queries")
-        self.window_queries = int(window_queries)
 
         # --- fixed latent structure ------------------------------------------
         structure_rng = np.random.default_rng(self.seed + 1)
@@ -189,7 +159,7 @@ class SyntheticTraceGenerator:
         self._target_unique = target_unique
         self.active_set_size = int(
             np.clip(
-                round(self.working_set_multiplier * target_unique),
+                round(WORKING_SET_MULTIPLIER * target_unique),
                 min(256, spec.num_vectors),
                 spec.num_vectors,
             )
@@ -228,7 +198,7 @@ class SyntheticTraceGenerator:
         safe_mass = np.where(topic_mass > 0, topic_mass, 1.0)
         within_topic = base / safe_mass[self._topic_of_active]
         topic_term = self._topic_popularity[self._topic_of_active] * within_topic
-        marginal = (1.0 - self.topic_affinity) * base + self.topic_affinity * topic_term
+        marginal = (1.0 - TOPIC_AFFINITY) * base + TOPIC_AFFINITY * topic_term
         self._base_popularity = marginal / marginal.sum()
 
         # In-rotation fraction calibrated against the compulsory-miss target;
@@ -246,12 +216,12 @@ class SyntheticTraceGenerator:
     def _rotation_inclusion_probabilities(self, fraction: float) -> np.ndarray:
         """Per-vector probability of being in rotation in a window.
 
-        Persistently popular vectors are more likely to be in rotation; the
-        ``persistence`` parameter interpolates between a uniform draw and a
+        Persistently popular vectors are more likely to be in rotation;
+        :data:`PERSISTENCE` interpolates between a uniform draw and a
         fully popularity-determined one.  Probabilities are scaled so the
         expected in-rotation count is ``fraction × active_set_size``.
         """
-        weights = self._base_popularity ** self.persistence
+        weights = self._base_popularity ** PERSISTENCE
         weights = weights / weights.sum()
         target_count = fraction * self.active_set_size
         probabilities = np.minimum(1.0, weights * target_count)
@@ -281,7 +251,7 @@ class SyntheticTraceGenerator:
         if not in_rotation.any():
             in_rotation[rng.integers(self.active_set_size)] = True
         window_weights = self._base_popularity * np.where(
-            in_rotation, 1.0, self.out_of_rotation_weight
+            in_rotation, 1.0, OUT_OF_ROTATION_WEIGHT
         )
         popularity = window_weights / window_weights.sum()
         self._popularity_sampler = InverseCDFSampler(popularity)
@@ -382,24 +352,24 @@ class SyntheticTraceGenerator:
             if self._queries_in_window >= self.window_queries:
                 self._start_new_window(rng)
             self._queries_in_window += 1
-            query_topic_count = max(1, int(rng.poisson(self.topics_per_query)))
+            query_topic_count = max(1, int(rng.poisson(TOPICS_PER_QUERY)))
             topics = self._choose_query_topics(query_topic_count, rng)
             queries.append(self._draw_query_ids(size, topics, rng))
         # Non-empty int64 arrays of active ids: nothing left for Trace to check.
         return Trace._trusted(queries, spec.num_vectors)
 
     def _choose_query_topics(self, count: int, rng: np.random.Generator) -> List[int]:
-        """Choose a query's topics, re-using recently hot topics with ``burstiness``."""
+        """Choose a query's topics, re-using recently hot topics with :data:`BURSTINESS`."""
         recent = self._recent_topics
         topics = []
         for _ in range(count):
-            if recent and rng.random() < self.burstiness:
+            if recent and rng.random() < BURSTINESS:
                 topics.append(recent[rng.integers(len(recent))])
             else:
                 topics.append(int(self._topic_sampler.draw(rng)))
         recent.extend(topics)
         # Keep a short horizon of recent topics (a few dozen queries' worth).
-        max_recent = max(8, int(30 * self.topics_per_query))
+        max_recent = max(8, int(30 * TOPICS_PER_QUERY))
         if len(recent) > max_recent:
             del recent[:-max_recent]
         return topics
@@ -419,7 +389,7 @@ class SyntheticTraceGenerator:
         # each id at most once, and popular vectors would otherwise collapse
         # heavy-skew queries well below the target size.
         draw = max(size + 4, int(round(size * 1.4)))
-        num_topic_picks = int(rng.binomial(draw, self.topic_affinity))
+        num_topic_picks = int(rng.binomial(draw, TOPIC_AFFINITY))
         num_global_picks = draw - num_topic_picks
 
         parts = []

@@ -59,8 +59,8 @@ class TableSpec:
     num_topics:
         Number of co-access "topics" the generator uses for this table; more
         topics means weaker co-access structure (harder to partition).
-    vector_bytes:
-        Bytes per embedding vector as stored on NVM.
+
+    Every vector is stored as :data:`PAPER_VECTOR_BYTES` bytes on NVM.
     """
 
     name: Annotated[str, NonEmpty]
@@ -70,7 +70,6 @@ class TableSpec:
     compulsory_miss_rate: Annotated[float, Fraction]
     popularity_alpha: Annotated[float, NonNegative] = 0.8
     num_topics: Annotated[int, AtLeast(1)] = 512
-    vector_bytes: Annotated[int, AtLeast(1)] = PAPER_VECTOR_BYTES
 
     def __post_init__(self) -> None:
         validate_fields(self)
@@ -78,7 +77,7 @@ class TableSpec:
     @property
     def table_bytes(self) -> int:
         """Total size of the table in bytes when stored contiguously."""
-        return self.num_vectors * self.vector_bytes
+        return self.num_vectors * PAPER_VECTOR_BYTES
 
     def scaled(self, scale: float) -> "TableSpec":
         """Return a copy with ``num_vectors`` scaled by ``scale``.

@@ -1,5 +1,5 @@
 """Flow-reachability audit: which ``src/repro`` functions does no flow enter,
-and which config fields does no flow set?
+and which config fields and defaulted parameters does no flow set?
 
 ``python -m repro_lint.reach --check`` (from the repo root) runs the cheap
 :data:`FLOWS` — the three examples, the two-clock benchmark's ``--selfcheck``
@@ -7,9 +7,10 @@ and four ``--smoke`` benchmarks — each under a ``sys.setprofile`` recorder.
 It diffs the functions they enter against every ``def`` that ``ast`` finds
 under ``src/repro``, and the config fields they set against every field of
 the validated config classes (repro-lint R4's
-:data:`~repro_lint.rules.CONFIG_CLASSES`).  Every ``def`` no cheap flow
-reaches, and every field no cheap flow sets, must be listed in the
-committed ``REACH.json``:
+:data:`~repro_lint.rules.CONFIG_CLASSES`), and the defaulted parameters
+they set against every defaulted parameter of those ``def``s.  Every
+``def`` no cheap flow reaches, and every field or parameter no cheap flow
+sets, must be listed in the committed ``REACH.json``:
 
 ``verdicts``
     Functions no flow at all reaches, each with one verdict: ``delete``,
@@ -24,11 +25,21 @@ committed ``REACH.json``:
     with the field unequal to its default (after the normalisation
     ``__post_init__`` does; a ``default_factory`` is called for the
     comparison), or when it has no default.
+``params``
+    Defaulted parameters (``path::qualname(param)``: the positional tail
+    and the keyword-only ones of every ``def``; a dataclass's generated
+    ``__init__`` is the field pass's) no cheap flow sets, each with a
+    verdict.  A parameter is *set* when a call enters its function with an
+    argument that is not its default: identity first, then ``==``; an array
+    always counts as set.  A caller that passes the default explicitly does
+    not set it.  A code object is no longer inspected once each of its
+    defaulted parameters has been seen set.
 
 ``--check`` fails on an unreached ``def`` that is in neither list, on a
-never-set field without an entry, on a stale entry (the ``def`` or field is
-gone, or a cheap flow now reaches or sets it) and on a malformed verdict.
-``--write`` runs every flow and regenerates all three sections, keeping
+never-set field or parameter without an entry, on a stale entry (the
+``def``, field or parameter is gone, or a cheap flow now reaches or sets
+it) and on a malformed verdict.
+``--write`` runs every flow and regenerates all four sections, keeping
 existing verdicts (a new entry gets an empty one, which ``--check`` rejects
 until someone writes it); the expensive flow needs ``pytest-benchmark``.
 
@@ -48,6 +59,8 @@ from __future__ import annotations
 import argparse
 import ast
 import dataclasses
+import dis
+import gc
 import inspect
 import json
 import os
@@ -121,6 +134,8 @@ class FlowReach(NamedTuple):
     sites: Set[Site]
     #: ``path::Class.field`` keys of the config fields it set.
     fields: Set[str]
+    #: ``path::qualname(param)`` keys of the defaulted parameters it set.
+    params: Set[str]
 
 
 # ------------------------------------------------------------------ the AST side
@@ -131,15 +146,17 @@ def _modules(root: Path, package: str) -> Iterator[Tuple[str, ast.AST]]:
         yield rel, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def function_defs(root: Path, package: str = PACKAGE) -> Dict[Site, Tuple[str, int]]:
-    """``(file, first line) -> (key, lines)`` for every ``def`` under *package*.
+def _defs(
+    root: Path, package: str
+) -> Iterator[Tuple[Site, str, int, "ast.FunctionDef | ast.AsyncFunctionDef"]]:
+    """``((file, first line), key, lines, node)`` for every ``def`` under *package*.
 
     The key is ``path::qualname`` (``<locals>`` for nested functions, a
     ``#2`` suffix on a repeated qualname such as a property setter).
     """
-    defs: Dict[Site, Tuple[str, int]] = {}
     for rel, tree in _modules(root, package):
         seen: Dict[str, int] = {}
+        found: List[Tuple[Site, str, int, Any]] = []
 
         def visit(node: ast.AST, prefix: str) -> None:
             for child in ast.iter_child_nodes(node):
@@ -149,7 +166,8 @@ def function_defs(root: Path, package: str = PACKAGE) -> Dict[Site, Tuple[str, i
                     suffix = f"#{seen[qualname]}" if seen[qualname] > 1 else ""
                     first = min([child.lineno] + [d.lineno for d in child.decorator_list])
                     end = child.end_lineno or child.lineno
-                    defs[(rel, first)] = (f"{rel}::{qualname}{suffix}", end - first + 1)
+                    key = f"{rel}::{qualname}{suffix}"
+                    found.append(((rel, first), key, end - first + 1, child))
                     visit(child, qualname + ".<locals>.")
                 elif isinstance(child, ast.ClassDef):
                     visit(child, prefix + child.name + ".")
@@ -157,7 +175,28 @@ def function_defs(root: Path, package: str = PACKAGE) -> Dict[Site, Tuple[str, i
                     visit(child, prefix)
 
         visit(tree, "")
-    return defs
+        yield from found
+
+
+def function_defs(root: Path, package: str = PACKAGE) -> Dict[Site, Tuple[str, int]]:
+    """``(file, first line) -> (key, lines)`` for every ``def`` under *package*."""
+    return {site: (key, lines) for site, key, lines, _node in _defs(root, package)}
+
+
+def param_defaults(root: Path, package: str = PACKAGE) -> Set[str]:
+    """``path::qualname(param)`` for every defaulted parameter of a ``def``
+    under *package*: the positional tail that ``defaults`` covers and every
+    keyword-only parameter with a default."""
+    keys: Set[str] = set()
+    for _site, key, _lines, node in _defs(root, package):
+        args = node.args
+        positional = [*args.posonlyargs, *args.args]
+        tail = positional[len(positional) - len(args.defaults):] if args.defaults else []
+        keyword = [
+            arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None
+        ]
+        keys.update(f"{key}({arg.arg})" for arg in [*tail, *keyword])
+    return keys
 
 
 def config_fields(root: Path, package: str = PACKAGE) -> Set[str]:
@@ -235,15 +274,100 @@ def _is_default(field: "dataclasses.Field[Any]", value: Any) -> bool:
     return False
 
 
+def _is_default_arg(value: Any, default: Any) -> bool:
+    """Whether an argument is its parameter's default: identity, then ``==``;
+    an array (anything with a non-zero ``ndim``) always counts as set."""
+    if value is default:
+        return True
+    if getattr(value, "ndim", 0) or getattr(default, "ndim", 0):
+        return False
+    try:
+        return bool(value == default)
+    except Exception:  # an __eq__ that cannot answer: count it as set
+        return False
+
+
+def _function_of(code: Any, qualname: str, namespace: Mapping[str, Any]) -> Any:
+    """The function object whose ``__code__`` is *code*: looked up by its
+    qualname in its module's globals (unwrapping methods, properties and
+    decorators), else found among the code object's referrers."""
+    if "<locals>" not in qualname:
+        obj: Any = namespace.get(qualname.split(".")[0])
+        for part in qualname.split(".")[1:]:
+            obj = vars(obj).get(part) if hasattr(obj, "__dict__") else None
+        attrs = ("__func__", "fget", "fset", "fdel", "__wrapped__")
+        for candidate in (obj, *(getattr(obj, attr, None) for attr in attrs)):
+            if getattr(candidate, "__code__", None) is code:
+                return candidate
+    for ref in gc.get_referrers(code):
+        if inspect.isfunction(ref) and ref.__code__ is code:
+            return ref
+    return None
+
+
+_GENERATOR_FLAGS = inspect.CO_GENERATOR | inspect.CO_COROUTINE | inspect.CO_ASYNC_GENERATOR
+
+
+def _watch(
+    code: Any, namespace: Mapping[str, Any], key: str
+) -> Optional[Tuple[str, Optional[int], Dict[str, Any]]]:
+    """``(key, first-entry offset, {param: default})`` for a package function
+    with defaulted parameters, else ``None``.  A generator's frame fires
+    ``"call"`` on every resumption; only the one at the first-entry offset
+    (its first ``RESUME``, or -1 before Python 3.11) still holds the
+    arguments.  The offset is ``None`` for any other function."""
+    function = _function_of(code, key.split("::", 1)[1].split("#")[0], namespace)
+    if function is None:
+        return None
+    positional = code.co_varnames[: code.co_argcount]
+    defaults = dict(zip(positional[::-1], (function.__defaults__ or ())[::-1]))
+    defaults.update(function.__kwdefaults__ or {})
+    if not defaults:
+        return None
+    first = None
+    if code.co_flags & _GENERATOR_FLAGS:
+        first = next((i.offset for i in dis.get_instructions(code) if i.opname == "RESUME"), -1)
+    return key, first, defaults
+
+
 def _record(out: str, root: str, package: str, argv: Sequence[str]) -> int:
-    """Run one flow under the recorder; dump the package sites and fields it touched."""
+    """Run one flow under the recorder; dump the package sites, fields and
+    parameters it touched."""
     codes: Set[Any] = set()
     fields: Set[str] = set()
+    params: Set[str] = set()
     prefix = os.path.join(root, package, "")
+    defs = function_defs(Path(root), package)
+    #: code object -> what is still unseen of its defaulted parameters (None:
+    #: nothing left to watch, or not a package function).
+    watching: Dict[Any, Optional[Tuple[str, Optional[int], Dict[str, Any]]]] = {}
 
     def record(frame: Any, event: str, _arg: Any) -> None:
         if event == "call":
-            codes.add(frame.f_code)
+            code = frame.f_code
+            codes.add(code)
+            try:
+                watched = watching[code]
+            except KeyError:
+                watched = None
+                if code.co_filename.startswith(prefix) and code.co_flags & inspect.CO_OPTIMIZED:
+                    path = Path(os.path.relpath(code.co_filename, root)).as_posix()
+                    site = defs.get((path, code.co_firstlineno))
+                    if site is not None:
+                        watched = _watch(code, frame.f_globals, site[0])
+                watching[code] = watched
+            if watched is None:
+                return
+            key, first, defaults = watched
+            if first is not None and frame.f_lasti > first:
+                return
+            arguments = frame.f_locals
+            for name, default in list(defaults.items()):
+                if not _is_default_arg(arguments.get(name, default), default):
+                    params.add(f"{key}({name})")
+                    del defaults[name]
+            if not defaults:
+                watching[code] = None
         elif event == "return" and frame.f_code.co_name == "__post_init__":
             # On return, not call: __post_init__ normalises some values.
             config = frame.f_locals.get("self")
@@ -275,9 +399,8 @@ def _record(out: str, root: str, package: str, argv: Sequence[str]) -> int:
         and code.co_flags & inspect.CO_OPTIMIZED
         and not code.co_name.startswith("<")
     )
-    Path(out).write_text(
-        json.dumps({"sites": sites, "fields": sorted(fields)}), encoding="utf-8"
-    )
+    recorded = {"sites": sites, "fields": sorted(fields), "params": sorted(params)}
+    Path(out).write_text(json.dumps(recorded), encoding="utf-8")
     return status
 
 
@@ -285,7 +408,7 @@ def run_flows(
     root: Path, flows: Sequence[Flow], package: str = PACKAGE
 ) -> Dict[str, FlowReach]:
     """Flow name -> the ``(file, first line)`` sites it enters under *package*
-    and the config fields it sets.
+    and the config fields and defaulted parameters it sets.
 
     Each flow runs in its own scratch copy of *root*, so nothing it writes
     reaches the real tree (or the next flow).
@@ -318,7 +441,9 @@ def run_flows(
                 )
             recorded = json.loads(out.read_text())
             reached[flow.name] = FlowReach(
-                {(path, line) for path, line in recorded["sites"]}, set(recorded["fields"])
+                {(path, line) for path, line in recorded["sites"]},
+                set(recorded["fields"]),
+                set(recorded["params"]),
             )
     return reached
 
@@ -327,7 +452,7 @@ def run_flows(
 def load_reach(root: Path) -> Dict[str, Any]:
     path = root / REACH_FILE
     if not path.exists():
-        return {"verdicts": {}, "figure_only": [], "fields": {}}
+        return {"verdicts": {}, "figure_only": [], "fields": {}, "params": {}}
     return json.loads(path.read_text(encoding="utf-8"))
 
 
@@ -356,6 +481,7 @@ def _stale(
 def find_problems(
     defs: Mapping[Site, Tuple[str, int]],
     fields: Set[str],
+    params: Set[str],
     reached: Mapping[str, FlowReach],
     reach: Mapping[str, Any],
 ) -> List[str]:
@@ -363,18 +489,21 @@ def find_problems(
     all_keys = {key for key, _lines in defs.values()}
     reached_by = _reached_keys(defs, reached)
     set_by = {name: flow.fields for name, flow in reached.items()}
+    params_set_by = {name: flow.params for name, flow in reached.items()}
     verdicts: Mapping[str, str] = reach.get("verdicts", {})
     figure_only = set(reach.get("figure_only", []))
     field_verdicts: Mapping[str, str] = reach.get("fields", {})
+    param_verdicts: Mapping[str, str] = reach.get("params", {})
     problems = [
         *_stale("verdict", verdicts, all_keys, reached_by, "reached"),
         *_stale("figure_only", figure_only, all_keys, reached_by, "reached"),
         *_stale("field verdict", field_verdicts, fields, set_by, "set"),
+        *_stale("param verdict", param_verdicts, params, params_set_by, "set"),
     ]
     problems += [
         f"bad verdict for {key}: {verdict!r} (want 'delete', "
         "'test-oracle → tests/' or 'keep: <reason>')"
-        for key, verdict in sorted({**verdicts, **field_verdicts}.items())
+        for key, verdict in sorted({**verdicts, **field_verdicts, **param_verdicts}.items())
         if not VERDICT_RE.match(verdict)
     ]
     both = sorted(figure_only & set(verdicts))
@@ -383,6 +512,8 @@ def find_problems(
     problems += [f"unreached without verdict: {key}" for key in sorted(unreached)]
     never_set = fields - set().union(*set_by.values()) - set(field_verdicts)
     problems += [f"never-set field without verdict: {key}" for key in sorted(never_set)]
+    unset = params - set().union(*params_set_by.values()) - set(param_verdicts)
+    problems += [f"never-set parameter without verdict: {key}" for key in sorted(unset)]
     return problems
 
 
@@ -390,32 +521,41 @@ def check(root: Path, flows: Sequence[Flow] = FLOWS, package: str = PACKAGE) -> 
     """Run the cheap flows and diff what they touch against ``REACH.json``."""
     reached = run_flows(root, [flow for flow in flows if flow.cheap], package)
     return find_problems(
-        function_defs(root, package), config_fields(root, package), reached, load_reach(root)
+        function_defs(root, package),
+        config_fields(root, package),
+        param_defaults(root, package),
+        reached,
+        load_reach(root),
     )
 
 
 def write(root: Path, flows: Sequence[Flow] = FLOWS, package: str = PACKAGE) -> Dict[str, int]:
     """Run every flow and regenerate ``REACH.json``; return a summary.
 
-    The ``fields`` section lists the fields no *cheap* flow sets, like
-    ``--check`` sees them: the figure scripts set none the cheap flows do
-    not, and a field only they set would need a ``keep:`` saying so.
+    The ``fields`` and ``params`` sections list what no *cheap* flow sets,
+    like ``--check`` sees it: a field or parameter only the figure scripts
+    set needs a ``keep:`` naming the figure.
     """
     defs = function_defs(root, package)
     fields = config_fields(root, package)
+    params = param_defaults(root, package)
     reached = run_flows(root, flows, package)
     reached_by = _reached_keys(defs, reached)
     by_cheap = set().union(*(reached_by[flow.name] for flow in flows if flow.cheap))
     by_any = set().union(*reached_by.values())
-    set_by_cheap = set().union(*(reached[flow.name].fields for flow in flows if flow.cheap))
+    cheap = [reached[flow.name] for flow in flows if flow.cheap]
+    set_by_cheap = set().union(*(flow.fields for flow in cheap))
+    params_by_cheap = set().union(*(flow.params for flow in cheap))
     lines = {key: count for key, count in defs.values()}
     unreached = sorted(set(lines) - by_any)
     never_set = sorted(fields - set_by_cheap)
+    params_never_set = sorted(params - params_by_cheap)
     old = load_reach(root)
     doc = {
         "verdicts": {key: old.get("verdicts", {}).get(key, "") for key in unreached},
         "figure_only": sorted(by_any - by_cheap),
         "fields": {key: old.get("fields", {}).get(key, "") for key in never_set},
+        "params": {key: old.get("params", {}).get(key, "") for key in params_never_set},
     }
     (root / REACH_FILE).write_text(
         json.dumps(doc, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
@@ -427,8 +567,13 @@ def write(root: Path, flows: Sequence[Flow] = FLOWS, package: str = PACKAGE) -> 
         "figure_only": len(doc["figure_only"]),
         "fields": len(fields),
         "never_set": len(never_set),
+        "params": len(params),
+        "params_never_set": len(params_never_set),
         "missing_verdicts": sum(
-            1 for section in ("verdicts", "fields") for v in doc[section].values() if not v
+            1
+            for section in ("verdicts", "fields", "params")
+            for v in doc[section].values()
+            if not v
         ),
     }
 
@@ -456,7 +601,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"{REACH_FILE}: {summary['defs']} defs, {summary['unreached']} reached by "
                 f"no flow ({summary['unreached_lines']} lines), {summary['figure_only']} "
                 f"figure-only; {summary['fields']} config fields, {summary['never_set']} "
-                f"set by no cheap flow; {summary['missing_verdicts']} need a verdict"
+                f"set by no cheap flow; {summary['params']} defaulted parameters, "
+                f"{summary['params_never_set']} set by no cheap flow; "
+                f"{summary['missing_verdicts']} need a verdict"
             )
             return 0
         problems = check(root)

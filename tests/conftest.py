@@ -13,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro.caching.lru import LRUCache
 from repro.caching.policies import (
     AccessThresholdPolicy,
     CacheAllBlockPolicy,
@@ -33,6 +34,48 @@ from repro.workloads.characterization import access_counts
 from repro.workloads.trace import ModelTrace, Trace
 
 VECTORS_PER_BLOCK = 32
+
+
+class InspectableLRUCache(LRUCache):
+    """The reference loop's :class:`LRUCache` plus what only tests inspect.
+
+    Size, iteration, the MRU → LRU key order, the eviction count, and the
+    ``touch`` (promote on hit) and ``remove`` mutators.  The reference loop
+    itself needs only ``get``, ``peek``, ``insert`` and membership.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        super().__init__(capacity)
+        #: Number of entries evicted so far (reset by ``clear``).
+        self.evictions = 0
+
+    def __len__(self) -> int:
+        return len(self._priority)
+
+    def __iter__(self):
+        return iter(self._priority)
+
+    def keys(self):
+        """Resident keys ordered from most- to least-recently prioritised."""
+        return sorted(self._priority, key=lambda k: -self._priority[k])
+
+    def touch(self, key: int) -> bool:
+        """Alias of ``get`` (promote on hit)."""
+        return self.get(key)
+
+    def remove(self, key: int) -> bool:
+        """Remove ``key`` if present (stale heap entries are cleaned lazily)."""
+        return self._priority.pop(key, None) is not None
+
+    def clear(self) -> None:
+        super().clear()
+        self.evictions = 0
+
+    def _evict_one(self):
+        key = super()._evict_one()
+        if key is not None:
+            self.evictions += 1
+        return key
 
 #: Block geometry of :func:`build_store`'s tables.
 STORE_VECTORS_PER_BLOCK = 8

@@ -33,18 +33,6 @@ class TestAllocateDramBudget:
         allocation = allocate_dram_budget(curves, total_vectors=1200, chunk_vectors=50)
         assert allocation["hot"] > allocation["cold"]
 
-    def test_min_per_table(self):
-        curves = {"a": make_curve(0.9, 100, 1000), "b": make_curve(0.1, 100, 10)}
-        allocation = allocate_dram_budget(
-            curves, total_vectors=400, chunk_vectors=50, min_per_table=100
-        )
-        assert allocation["b"] >= 100
-
-    def test_min_per_table_exceeding_budget_rejected(self):
-        curves = {"a": make_curve(0.5, 10, 10), "b": make_curve(0.5, 10, 10)}
-        with pytest.raises(ValueError):
-            allocate_dram_budget(curves, total_vectors=100, min_per_table=80)
-
     def test_saturated_curves_spread_remainder(self):
         curves = {"a": make_curve(0.0, 10, 0), "b": make_curve(0.0, 10, 0)}
         allocation = allocate_dram_budget(curves, total_vectors=100, chunk_vectors=10)
@@ -69,22 +57,18 @@ class TestAllocateDramBudget:
     @pytest.mark.parametrize(
         "keyword,value,error",
         [
-            # 1.5 used to leave a vector of a 10-vector budget unallocated.
-            ("min_per_table", 1.5, TypeError),
-            ("min_per_table", -1, ValueError),
-            ("min_per_table", True, TypeError),
             ("chunk_vectors", 2.5, TypeError),
             ("chunk_vectors", 0, ValueError),
         ],
     )
-    def test_non_integer_floor_and_chunk_rejected(self, keyword, value, error):
+    def test_non_integer_chunk_rejected(self, keyword, value, error):
         curves = {"a": make_curve(0.5, 10, 100), "b": make_curve(0.4, 10, 100)}
         with pytest.raises(error, match=keyword):
             allocate_dram_budget(curves, 10, **{keyword: value})
 
     def test_whole_budget_is_allocated_in_integers(self):
         curves = {"a": make_curve(0.9, 8, 1000), "b": make_curve(0.8, 8, 1000)}
-        allocation = allocate_dram_budget(curves, np.int64(10), min_per_table=1)
+        allocation = allocate_dram_budget(curves, np.int64(10))
         assert sum(allocation.values()) == 10
         assert all(type(vectors) is int for vectors in allocation.values())
 

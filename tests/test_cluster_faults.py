@@ -1,5 +1,6 @@
 """The fault-injection layer: event validation, window queries, the catalog."""
 
+import numpy as np
 import pytest
 
 from repro.cluster.faults import (
@@ -82,6 +83,23 @@ class TestScheduleQueries:
         assert not faults.crash_recovered_between(0, 0.1e6, 0.5e6)  # still down
         assert not faults.crash_recovered_between(1, 0.0, 1.0e6)  # never crashed
 
+    def test_overlapping_crash_windows_recover_once(self):
+        # One outage written as two overlapping windows (and a third that
+        # only touches the second) is down over their union and recovers
+        # once, at its end: 0.4 s and 0.6 s are no recoveries.
+        faults = FaultSchedule(
+            [
+                NodeCrash(node=0, start_s=0.3, end_s=0.6),
+                NodeCrash(node=0, start_s=0.2, end_s=0.4),
+                NodeCrash(node=0, start_s=0.6, end_s=0.7),
+            ]
+        )
+        assert not faults.crash_recovered_between(0, 0.35e6, 0.45e6)
+        assert not faults.crash_recovered_between(0, 0.5e6, 0.65e6)
+        assert faults.is_down(0, 0.6e6)
+        assert faults.crash_recovered_between(0, 0.65e6, 0.7e6)
+        assert faults.crash_recovered_between(0, 0.0, 1.0e6)
+
     def test_empty_schedule_is_healthy(self):
         faults = FaultSchedule(())
         assert len(faults) == 0
@@ -109,13 +127,17 @@ def _flat_scan(events, node, since_us, now_us):
     for e in active(DegradedLink):
         delay += e.extra_delay_us
         survive *= 1.0 - e.loss_prob
+    crashes = [e for e in events if isinstance(e, NodeCrash) and e.node == node]
+
+    def down(at_us):
+        return any(s_to_us(e.start_s) <= at_us < s_to_us(e.end_s) for e in crashes)
+
+    # A recovery is a window's end that no other window covers.
     recovered = any(
-        isinstance(e, NodeCrash)
-        and e.node == node
-        and since_us < s_to_us(e.end_s) <= now_us
-        for e in events
+        since_us < s_to_us(e.end_s) <= now_us and not down(s_to_us(e.end_s))
+        for e in crashes
     )
-    return bool(active(NodeCrash)), multiplier, (delay, 1.0 - survive), recovered
+    return down(now_us), multiplier, (delay, 1.0 - survive), recovered
 
 
 class TestPerNodeIndex:
@@ -143,6 +165,54 @@ class TestPerNodeIndex:
                         faults.link(node, now_us),
                         faults.crash_recovered_between(node, since_us, now_us),
                     ) == _flat_scan(events, node, since_us, now_us)
+
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_crash_windows_answer_like_a_flat_scan(self, seed):
+        # Random, heavily overlapping windows on a 50 ms grid over two nodes:
+        # nested, identical, touching and chained windows all turn up.
+        rng = np.random.default_rng(seed)
+        events = []
+        for _ in range(int(rng.integers(1, 7))):
+            start = int(rng.integers(0, 16))
+            end = int(rng.integers(start + 1, 21))
+            node = int(rng.integers(0, 2))
+            events.append(NodeCrash(node=node, start_s=start / 20, end_s=end / 20))
+        faults = FaultSchedule(events)
+        ticks = [step * 25_000.0 for step in range(42)] + [349_999.0, 600_000.5]
+        for node in range(3):
+            for index, now_us in enumerate(ticks):
+                for since_us in ticks[: index + 1]:
+                    assert (
+                        faults.is_down(node, now_us),
+                        faults.crash_recovered_between(node, since_us, now_us),
+                    ) == _flat_scan(events, node, since_us, now_us)[::3]
+
+
+class TestCrashWindowsMerge:
+    @pytest.mark.parametrize(
+        "windows, outages",
+        [
+            ([(0.2, 0.6), (0.3, 0.4)], [(0.2, 0.6)]),
+            ([(0.2, 0.6), (0.2, 0.6)], [(0.2, 0.6)]),
+            ([(0.2, 0.4), (0.4, 0.6)], [(0.2, 0.6)]),
+            ([(0.5, 0.7), (0.1, 0.3), (0.25, 0.55)], [(0.1, 0.7)]),
+            ([(0.6, 0.8), (0.1, 0.3)], [(0.1, 0.3), (0.6, 0.8)]),
+            ([(0.0, 0.2), (0.1, 0.3), (0.5, 0.6), (0.55, 0.9)], [(0.0, 0.3), (0.5, 0.9)]),
+        ],
+        ids=["nested", "identical", "touching", "unsorted-chain", "disjoint", "two-outages"],
+    )
+    def test_node_recovers_once_per_outage(self, windows, outages):
+        # The node is down over the union of its windows and recovers exactly
+        # at each end of that union, never at an end another window covers.
+        faults = FaultSchedule([NodeCrash(node=0, start_s=a, end_s=b) for a, b in windows])
+        ticks = [step * 10_000 for step in range(101)]
+        down = [t for t in ticks if faults.is_down(0, t)]
+        assert down == [t for t in ticks if any(a * 1e6 <= t < b * 1e6 for a, b in outages)]
+        recoveries = [
+            t for t in ticks[1:] if faults.crash_recovered_between(0, t - 10_000, t)
+        ]
+        assert recoveries == [round(b * 1e6) for _a, b in outages]
 
 
 class TestScenarioCatalog:

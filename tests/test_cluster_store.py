@@ -99,6 +99,47 @@ class TestReplicationSurvivesCrash:
         assert report.counters.availability == pytest.approx(1.0)
 
 
+class TestHostileCrashWindows:
+    """Crash schedules a catalog scenario never writes, on two nodes, R = 2."""
+
+    @staticmethod
+    def crashed(windows):
+        """``build_store(0)`` with node crashes over fractions of the healthy run."""
+        store, trace = build_store(0)
+        healthy = run_scenario(
+            store, trace, cluster_config=ClusterConfig(num_nodes=2, replication=2)
+        )
+        run_s = healthy.makespan_s
+        faults = FaultSchedule(
+            [NodeCrash(node=node, start_s=a * run_s, end_s=b * run_s) for node, a, b in windows]
+        )
+        config = ClusterConfig(num_nodes=2, replication=2, breaker_cooloff_s=0.01 * run_s)
+        store, trace = build_store(0)
+        return run_scenario(store, trace, scenario=faults, cluster_config=config)
+
+    def test_overlapping_windows_restart_the_node_once(self):
+        # The same outage as one window or as two overlapping ones: the node
+        # used to cold-restart at 0.4 of the run, while it was still down.
+        single = self.crashed([(0, 0.2, 0.6)])
+        overlapping = self.crashed([(0, 0.2, 0.4), (0, 0.3, 0.6)])
+        assert single.counters.cold_restarts == overlapping.counters.cold_restarts == 1
+        assert overlapping.to_dict() == single.to_dict()
+
+    def test_every_replica_down_degrades_every_request(self):
+        report = self.crashed([(0, 0.0, 2.0), (1, 0.0, 2.0)])
+        assert report.num_requests == report.counters.requests_degraded == 106
+        assert report.counters.availability == pytest.approx(0.0)
+        assert report.lookups == 0
+        # Every shard group burns its attempts' timeouts and backoffs.
+        assert report.latency.max_us == pytest.approx(5505.0)
+
+    def test_crash_from_time_zero_fails_over_and_recovers_cold(self):
+        report = self.crashed([(0, 0.0, 0.5)])
+        assert report.counters.availability == pytest.approx(1.0)
+        assert report.counters.timeouts > 0
+        assert report.counters.cold_restarts == 1
+
+
 class TestSlowNodesAndHedging:
     def test_slow_node_triggers_hedges(self):
         report = run(1, "slow_node", ClusterConfig(num_nodes=4, replication=2))
@@ -178,19 +219,6 @@ class TestAdmissionControl:
         assert reports[1.0].counters.sheds > 0
         # Shedding trades the slow node's queue for a replica's service.
         assert reports[1.0].latency.p99_us < reports[None].latency.p99_us
-
-    def test_unknown_table_slo_rejected_at_construction(self):
-        # The host's check, at construction and through run_scenario.
-        store, trace = build_store(1)
-        serving = ServingConfig(table_slo_us=(("tabel1", 250.0),))
-        with pytest.raises(ValueError, match=r"'tabel1'.*known tables"):
-            ClusterStore.from_store(store, serving=serving)
-        with pytest.raises(ValueError, match=r"'nope'.*known tables"):
-            run_scenario(
-                store,
-                trace,
-                serving_config=ServingConfig(table_slo_us=(("nope", 1.0),)),
-            )
 
     @pytest.mark.parametrize("devices", [1, 2, 3])
     def test_every_node_has_devices_per_host_devices(self, devices):

@@ -162,20 +162,6 @@ class TestConfigKnobValidation:
         with pytest.raises(ValueError, match="max_linger_us"):
             form_batches(np.array([0.0, 1.0]), 4, value)
 
-    def test_serving_rejects_non_positive_table_slo(self):
-        with pytest.raises(ValueError, match="table_slo_us"):
-            ServingConfig(table_slo_us=(("t", 0.0),))
-
-    def test_duplicate_table_slo_rejected(self):
-        # The lookup used to keep the first entry and ignore the second.
-        with pytest.raises(ValueError, match="'hot' more than once"):
-            ServingConfig(table_slo_us=(("hot", 100.0), ("hot", 50.0)))
-
-    def test_table_slo_lookup(self):
-        config = ServingConfig(slo_latency_us=900.0, table_slo_us=(("hot", 100.0),))
-        assert config.slo_us("hot") == pytest.approx(100.0)
-        assert config.slo_us("cold") == pytest.approx(900.0)
-
     @pytest.mark.parametrize(
         "name", ["admission_queue_slack", "default_slo_us", "table_slo_us"]
     )

@@ -813,25 +813,6 @@ class TestAdmissionControl:
         assert report.requests_shed > 0
         assert report.device_bank is not None
 
-    def test_per_table_slo_overrides(self):
-        config = ServingConfig(table_slo_us=(("table1", 500.0),))
-        assert config.slo_us("table1") == pytest.approx(500.0)
-        assert config.slo_us("table7") == config.slo_latency_us
-
-
-    def test_duplicate_table_slo_rejected(self):
-        with pytest.raises(ValueError, match="'table1' more than once"):
-            ServingConfig(table_slo_us=(("table1", 500.0), ("table1", 900.0)))
-
-    def test_unknown_table_slo_rejected_before_serving(self, store_and_trace):
-        store, eval_trace = store_and_trace
-        lookups_before = store.aggregate_stats().lookups
-        config = ServingConfig(
-            admission_queue_slack=1.0, table_slo_us=(("tabel1", 500.0),)
-        )
-        with pytest.raises(ValueError, match=r"'tabel1'.*'table1', 'table7'"):
-            simulate_serving(store, eval_trace, config=config, reset_first=False)
-        assert store.aggregate_stats().lookups == lookups_before
 
 
 # ---------------------------------------------------------------------- config
@@ -851,11 +832,12 @@ class TestDevicesPerHost:
             ServingConfig(closed_loop_think_s=0.0)
         with pytest.raises(ValueError):
             ServingConfig(admission_queue_slack=-1.0)
-        with pytest.raises(ValueError):
-            ServingConfig(table_slo_us=(("t", 0.0),))
-        # The accounting-mode field is gone; one charge rule remains.
+        # The accounting-mode field is gone; one charge rule remains.  So is
+        # the per-table SLO: every table sheds against slo_latency_us.
         with pytest.raises(TypeError):
             ServingConfig(device="shared")  # type: ignore[call-arg]
+        with pytest.raises(TypeError):
+            ServingConfig(table_slo_us=(("t", 1.0),))  # type: ignore[call-arg]
 
 
 if __name__ == "__main__":

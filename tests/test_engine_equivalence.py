@@ -28,7 +28,6 @@ from repro.caching.engine import (
     replay_table_cache_batched,
     replay_table_cache_multi,
 )
-from repro.caching.lru import LRUCache
 from repro.caching.miniature import MiniatureCacheTuner
 from repro.caching.policies import (
     AccessThresholdPolicy,
@@ -53,6 +52,7 @@ from repro.utils.sampling import sample_queries_spatially
 from repro.workloads.trace import ModelTrace, Trace
 from tests.conftest import (
     POLICY_TABLES,
+    InspectableLRUCache,
     build_store,
     drift_replay_case,
     table1_replay_case,
@@ -112,7 +112,7 @@ class TestEngineEquivalence:
         for cache_size in CACHE_SIZES:
             if cache_size is not None and cache_size > layout.num_vectors:
                 continue
-            reference_cache = LRUCache(
+            reference_cache = InspectableLRUCache(
                 layout.num_vectors if cache_size is None else cache_size
             )
             reference = replay_table_cache(
@@ -245,7 +245,7 @@ class TestEveryPolicyEveryCacheKind:
         layout, queries, counts = small_workload(seed, vectors_per_block)
         capacity = CAPACITY_KINDS[kind](layout.num_vectors, vectors_per_block, pick)
         factory = POLICY_FACTORIES[policy_name]
-        reference_cache = LRUCache(capacity)
+        reference_cache = InspectableLRUCache(capacity)
         reference = replay_table_cache(queries, layout, factory(counts), cache=reference_cache)
         # One call, one call per query, and cuts anywhere (mid hit-run included).
         for calls in ([np.concatenate(queries)], queries, cut(queries, points)):
@@ -277,7 +277,7 @@ class TestEveryPolicyEveryCacheKind:
         capacity = CAPACITY_KINDS[kind](first.num_vectors, 8, pick)
         swap_at %= len(queries) + 1
         policy = POLICY_FACTORIES[policy_name](counts)
-        model = LRUCache(capacity)
+        model = InspectableLRUCache(capacity)
         stats = ReplayStats(vector_bytes=128, block_bytes=8 * 128)
         replay_table_cache(queries[:swap_at], first, policy, cache=model, stats=stats)
         replay_table_cache(queries[swap_at:], second, policy, cache=model, stats=stats)
@@ -302,7 +302,7 @@ class TestEveryPolicyEveryCacheKind:
         layout = BlockLayout.identity(16, 8)
         engine = BatchReplayEngine(layout, CacheAllBlockPolicy(), cache_size=3)
         engine.replay_query(np.array([4], dtype=np.int64))
-        reference_cache = LRUCache(3)
+        reference_cache = InspectableLRUCache(3)
         reference = replay_table_cache(
             [np.array([4])], layout, CacheAllBlockPolicy(), cache=reference_cache
         )
@@ -354,10 +354,9 @@ class TestMechanismRelations:
         policy_name=st.sampled_from(sorted(POLICY_FACTORIES)),
         kind=st.sampled_from(sorted(CAPACITY_KINDS)),
         pick=st.integers(0, 10**6),
-        queue_depth=st.sampled_from([0.5, 1.0, 3.0, 8.0, 32.0]),
     )
     def test_nvm_time_is_one_read_price_per_demand_miss(
-        self, seed, vectors_per_block, policy_name, kind, pick, queue_depth
+        self, seed, vectors_per_block, policy_name, kind, pick
     ):
         layout, queries, counts = small_workload(seed, vectors_per_block)
         capacity = CAPACITY_KINDS[kind](layout.num_vectors, vectors_per_block, pick)
@@ -365,18 +364,17 @@ class TestMechanismRelations:
         device = NVMLatencyModel()
         reference = replay_table_cache(
             queries, layout, factory(counts), cache_size=capacity,
-            device=device, queue_depth=queue_depth,
+            device=device,
         )
         engine = BatchReplayEngine(
-            layout, factory(counts), cache_size=capacity,
-            device=device, queue_depth=queue_depth,
+            layout, factory(counts), cache_size=capacity, device=device
         )
         for ids in queries:
             engine.replay_query(ids)
         # ``misses`` sequential additions of one read's unloaded price.
         expected = 0.0
         for _ in range(reference.misses):
-            expected += device.mean_latency_us(queue_depth)
+            expected += device.mean_latency_us(QUEUE_DEPTH)
         assert full_counters(engine.stats) == full_counters(reference)
         assert engine.stats.total_latency_us == reference.total_latency_us == expected
 
@@ -394,7 +392,7 @@ class TestMechanismRelations:
         layout, queries, counts = small_workload(seed, vectors_per_block)
         capacity = CAPACITY_KINDS[kind](layout.num_vectors, vectors_per_block, pick)
         threshold = int(counts.max()) + margin
-        no_prefetch_cache, thresholded_cache = LRUCache(capacity), LRUCache(capacity)
+        no_prefetch_cache, thresholded_cache = InspectableLRUCache(capacity), InspectableLRUCache(capacity)
         no_prefetch = replay_table_cache(
             queries, layout, NoPrefetchPolicy(), cache=no_prefetch_cache
         )
@@ -438,7 +436,7 @@ class TestStatefulPolicyWithinOneCall:
         """
         layout = BlockLayout.identity(64, 8)
         ids = np.array([0, 8, 16, 8, 24, 25, 1, 32, 0], dtype=np.int64)
-        reference_cache = LRUCache(64 if cache_size is None else cache_size)
+        reference_cache = InspectableLRUCache(64 if cache_size is None else cache_size)
         reference = replay_table_cache(
             [ids], layout, _AdmitsFromTheNthAccess(5, position), cache=reference_cache
         )
@@ -468,7 +466,7 @@ class TestStaleAdmissionCache:
         queries = [rng.integers(0, 256, size=20).astype(np.int64) for _ in range(60)]
 
         policy = AccessThresholdPolicy(counts.copy(), 2)
-        model = LRUCache(32)
+        model = InspectableLRUCache(32)
         stats = ReplayStats(vector_bytes=128, block_bytes=8 * 128)
         replay_table_cache(queries[:30], layout, policy, cache=model, stats=stats)
         policy.retune(access_counts=5 - counts)
@@ -789,7 +787,7 @@ class TestStoreBatchedServing:
         state = store.tables["alpha"]
         queries = eval_trace["alpha"].queries
         size = state.cache_config.cache_size_vectors
-        reference_cache = LRUCache(size)
+        reference_cache = InspectableLRUCache(size)
         # One uninterrupted reference replay: the engine carries prefetch
         # attribution across calls, so every counter is exact.
         reference = replay_table_cache(
@@ -798,7 +796,6 @@ class TestStoreBatchedServing:
             AccessThresholdPolicy(state.access_counts, state.cache_config.threshold),
             cache=reference_cache,
             device=NVMLatencyModel(block_bytes=store.config.block_bytes),
-            queue_depth=QUEUE_DEPTH,
         )
         stats = result.per_table["alpha"].stats
         assert stats.counters(include_latency=True) == reference.counters(
@@ -832,7 +829,7 @@ def reference_store_replay(store, trace):
     out = {}
     for name, table_trace in trace.items():
         state = store.tables[name]
-        cache = LRUCache(state.cache_config.cache_size_vectors)
+        cache = InspectableLRUCache(state.cache_config.cache_size_vectors)
         stats = replay_table_cache(
             table_trace.queries,
             state.layout,
@@ -840,7 +837,6 @@ def reference_store_replay(store, trace):
             cache=cache,
             vector_bytes=store.config.vector_bytes,
             device=NVMLatencyModel(block_bytes=store.config.block_bytes),
-            queue_depth=QUEUE_DEPTH,
         )
         out[name] = (stats, cache)
     return out
@@ -986,7 +982,7 @@ class TestStoreBaselineBlockReads:
 
 class TestLRUCacheHeapCompaction:
     def test_heap_stays_bounded_under_restamping(self):
-        cache = LRUCache(16)
+        cache = InspectableLRUCache(16)
         for key in range(16):
             cache.insert(key)
         for round_ in range(2000):
@@ -995,7 +991,7 @@ class TestLRUCacheHeapCompaction:
         assert len(cache._heap) <= max(64, 4 * len(cache._priority)) + 1
 
     def test_compaction_preserves_eviction_order(self):
-        compacted = LRUCache(8)
+        compacted = InspectableLRUCache(8)
         for key in range(8):
             compacted.insert(key)
         for round_ in range(1000):
@@ -1057,7 +1053,7 @@ def golden_engine_counters():
         tuning, layout, InsertAtPositionPolicy(0.5), cache_size=cache_size,
         include_baseline=False,
     ).stats
-    cache = LRUCache(cache_size)
+    cache = InspectableLRUCache(cache_size)
     replay_table_cache(queries, layout, InsertAtPositionPolicy(0.5), cache=cache)
     out["table1/bounded/insert-at-0.5"] = _digest(stats, cache.keys())
     return out

@@ -184,13 +184,6 @@ def test_wrong_type_that_used_to_construct_raises(build):
         build()
 
 
-@pytest.mark.parametrize("name", ["p99_depth_multiplier"])
-def test_negative_latency_slopes_raise(name):
-    # A negative slope used to construct and price a negative P99.
-    with pytest.raises(ValueError, match=name):
-        NVMLatencyModel(**{name: -5})
-
-
 @pytest.mark.parametrize(
     "cls",
     [BandanaConfig, ClusterConfig, ScenarioConfig, RepartitionConfig],

@@ -4,20 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.caching.lru import LRUCache
 from repro.caching.shadow import ShadowCache
+from tests.conftest import InspectableLRUCache
 
 
 class TestLRUCacheBasics:
     def test_insert_and_get(self):
-        cache = LRUCache(2)
+        cache = InspectableLRUCache(2)
         cache.insert(1)
         assert cache.get(1)
         assert not cache.get(2)
         assert len(cache) == 1
 
     def test_eviction_order_is_lru(self):
-        cache = LRUCache(2)
+        cache = InspectableLRUCache(2)
         cache.insert(1)
         cache.insert(2)
         cache.get(1)          # 1 becomes MRU, 2 is now LRU
@@ -26,13 +26,13 @@ class TestLRUCacheBasics:
         assert 1 in cache and 3 in cache and 2 not in cache
 
     def test_capacity_zero_stores_nothing(self):
-        cache = LRUCache(0)
+        cache = InspectableLRUCache(0)
         assert cache.insert(1) is None
         assert len(cache) == 0
         assert not cache.get(1)
 
     def test_peek_does_not_promote(self):
-        cache = LRUCache(2)
+        cache = InspectableLRUCache(2)
         cache.insert(1)
         cache.insert(2)
         cache.peek(1)          # must NOT promote 1
@@ -40,14 +40,14 @@ class TestLRUCacheBasics:
         assert evicted == 1
 
     def test_reinsert_existing_does_not_evict(self):
-        cache = LRUCache(2)
+        cache = InspectableLRUCache(2)
         cache.insert(1)
         cache.insert(2)
         assert cache.insert(1) is None
         assert len(cache) == 2
 
     def test_remove_and_clear(self):
-        cache = LRUCache(3)
+        cache = InspectableLRUCache(3)
         cache.insert(1)
         assert cache.remove(1)
         assert not cache.remove(1)
@@ -56,14 +56,14 @@ class TestLRUCacheBasics:
         assert len(cache) == 0 and cache.evictions == 0
 
     def test_eviction_counter(self):
-        cache = LRUCache(1)
+        cache = InspectableLRUCache(1)
         cache.insert(1)
         cache.insert(2)
         cache.insert(3)
         assert cache.evictions == 2
 
     def test_keys_ordered_most_recent_first(self):
-        cache = LRUCache(3)
+        cache = InspectableLRUCache(3)
         cache.insert(1)
         cache.insert(2)
         cache.insert(3)
@@ -72,17 +72,17 @@ class TestLRUCacheBasics:
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
-            LRUCache(-1)
+            InspectableLRUCache(-1)
 
     def test_invalid_position_rejected(self):
-        cache = LRUCache(2)
+        cache = InspectableLRUCache(2)
         with pytest.raises(ValueError):
             cache.insert(1, position=1.5)
 
 
 class TestPositionalInsertion:
     def test_bottom_insertion_evicted_first(self):
-        cache = LRUCache(3)
+        cache = InspectableLRUCache(3)
         cache.insert(1)
         cache.insert(2)
         cache.insert(3, position=1.0)    # straight to the LRU end
@@ -90,7 +90,7 @@ class TestPositionalInsertion:
         assert evicted == 3
 
     def test_top_insertion_survives(self):
-        cache = LRUCache(3)
+        cache = InspectableLRUCache(3)
         cache.insert(1)
         cache.insert(2)
         cache.insert(3, position=0.0)
@@ -100,7 +100,7 @@ class TestPositionalInsertion:
     def test_middle_insertion_between_extremes(self):
         # A middle-position insert should outlive a bottom insert but not a
         # top insert when pressure arrives.
-        cache = LRUCache(4)
+        cache = InspectableLRUCache(4)
         cache.insert(1)
         cache.insert(2)
         cache.insert(10, position=1.0)
@@ -142,7 +142,7 @@ class LRUReferenceModel:
 @settings(max_examples=60, deadline=None)
 def test_lru_matches_reference_model(capacity, operations):
     """With only top-of-queue insertions, the cache must behave exactly like LRU."""
-    cache = LRUCache(capacity)
+    cache = InspectableLRUCache(capacity)
     reference = LRUReferenceModel(capacity)
     for op, key in operations:
         if op == "get":
@@ -161,7 +161,7 @@ def test_lru_matches_reference_model(capacity, operations):
 )
 @settings(max_examples=40, deadline=None)
 def test_lru_never_exceeds_capacity(capacity, keys, positions):
-    cache = LRUCache(capacity)
+    cache = InspectableLRUCache(capacity)
     for key, position in zip(keys, positions):
         cache.insert(key, position=position)
         assert len(cache) <= capacity

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.device import read_latency_under_load
 from repro.nvm.dram import DRAMModel
 from repro.nvm.endurance import EnduranceTracker
-from repro.nvm.latency import NVMLatencyModel
+from repro.nvm.latency import P99_DEPTH_MULTIPLIER, P99_MULTIPLIER, NVMLatencyModel
 
 
 class TestLatencyModel:
@@ -21,6 +21,16 @@ class TestLatencyModel:
         model = NVMLatencyModel()
         assert model.mean_latency_us(8) > model.mean_latency_us(1)
         assert model.p99_latency_us(8) > model.mean_latency_us(8)
+
+    @pytest.mark.parametrize("queue_depth", [1, 2, 8, 64])
+    def test_p99_tail_widens_with_queue_depth(self, queue_depth):
+        # The tail is 2.5x the mean at depth 1 and widens by 0.6x per unit
+        # of depth, whatever the device's bandwidth and latency.
+        slow = NVMLatencyModel(max_bandwidth_gbps=1.0, base_latency_us=3.0)
+        for model in (NVMLatencyModel(), slow):
+            ratio = model.p99_latency_us(queue_depth) / model.mean_latency_us(queue_depth)
+            assert ratio == pytest.approx(P99_MULTIPLIER + P99_DEPTH_MULTIPLIER * (queue_depth - 1))
+        assert (P99_MULTIPLIER, P99_DEPTH_MULTIPLIER) == (2.5, 0.6)
 
     def test_paper_figure2_magnitudes(self):
         # Figure 2: ~2.3 GB/s saturated bandwidth, ~10 µs unloaded latency.

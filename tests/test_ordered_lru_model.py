@@ -14,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.caching.engine import BatchReplayEngine, OrderedLRUCache
-from repro.caching.lru import LRUCache
 from repro.caching.policies import CombinedPolicy, NoPrefetchPolicy
 from repro.caching.replay import ReplayStats, replay_table_cache
 from repro.nvm.block import BlockLayout
+from tests.conftest import InspectableLRUCache
 
 NUM_SLOTS = 96
 #: Degenerate, tiny and mid-size caches.
@@ -29,7 +29,7 @@ class Pair:
 
     def __init__(self, capacity: int) -> None:
         self.ordered = OrderedLRUCache(capacity)
-        self.model = LRUCache(capacity)
+        self.model = InspectableLRUCache(capacity)
 
     # Each operation returns (what the ordered cache said, what the model said).
     def touch(self, key):
@@ -108,7 +108,7 @@ def test_the_engines_inlined_walk_is_the_same_cache(capacity, lookups):
         )
 
     engine = fresh_engine()
-    model = LRUCache(capacity)
+    model = InspectableLRUCache(capacity)
     hits = earlier_hits = 0
     for key in lookups:
         if key is None:
@@ -144,7 +144,7 @@ def test_combined_policy_across_a_mid_stream_swap_layout(position):
     ]
     for cache_size in (6, 30, 90):
         policy = CombinedPolicy(real_cache_size=30, position=position)
-        model = LRUCache(cache_size)
+        model = InspectableLRUCache(cache_size)
         stats = ReplayStats(vector_bytes=128, block_bytes=per_block * 128)
         replay_table_cache(queries[:80], first, policy, cache=model, stats=stats)
         replay_table_cache(queries[80:], second, policy, cache=model, stats=stats)

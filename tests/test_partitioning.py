@@ -46,6 +46,25 @@ class TestNumVectorsValidation:
             partitioner().partition(num_vectors, trace=Trace([[0, 1]], num_vectors=2))
 
 
+class TestEachPartitionerTakesOnlyTheInputItReads:
+    @pytest.mark.parametrize(
+        "build, unread",
+        [
+            (FrequencyPartitioner, "table"),
+            (SHPPartitioner, "table"),
+            (lambda: KMeansPartitioner(num_clusters=4), "trace"),
+            (RecursiveKMeansPartitioner, "trace"),
+        ],
+        ids=["frequency", "shp", "kmeans", "recursive-kmeans"],
+    )
+    def test_the_other_input_is_rejected(self, build, unread, embedding_table):
+        # The input a partitioner does not read is no parameter of its
+        # ``partition``, so passing it is an error instead of being ignored.
+        inputs = {"trace": Trace([[0, 1]], num_vectors=2), "table": embedding_table}
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{unread}'"):
+            build().partition(embedding_table.num_vectors, **{unread: inputs[unread]})
+
+
 class TestFrequencyPartitioner:
     def test_orders_by_descending_count(self):
         trace = Trace([[2, 2, 3], [3], [3]], num_vectors=5)
@@ -54,14 +73,16 @@ class TestFrequencyPartitioner:
         assert result.order[1] == 2
         assert_is_permutation(result.order, 5)
 
-    def test_requires_trace(self):
-        with pytest.raises(ValueError):
-            FrequencyPartitioner().partition(5)
-
     def test_never_accessed_keep_id_order(self):
         trace = Trace([[4]], num_vectors=6)
         result = FrequencyPartitioner().partition(6, trace=trace)
         assert result.order.tolist() == [4, 0, 1, 2, 3, 5]
+
+    def test_requires_trace(self):
+        # The trace is a required argument, so leaving it out fails before
+        # any placement runs.
+        with pytest.raises(TypeError, match="trace"):
+            FrequencyPartitioner().partition(5)
 
 
 class TestKMeansClustering:
@@ -108,14 +129,10 @@ class TestKMeansClustering:
 
 class TestKMeansPartitioner:
     def test_produces_permutation(self, small_spec, embedding_table):
-        partitioner = KMeansPartitioner(num_clusters=16, num_iterations=5, seed=0)
+        partitioner = KMeansPartitioner(num_clusters=16, num_iterations=5)
         result = partitioner.partition(small_spec.num_vectors, table=embedding_table)
         assert_is_permutation(result.order, small_spec.num_vectors)
         assert result.details["num_clusters"] == 16
-
-    def test_requires_table(self):
-        with pytest.raises(ValueError):
-            KMeansPartitioner(num_clusters=4).partition(100)
 
     def test_size_mismatch_rejected(self, embedding_table):
         with pytest.raises(ValueError):
@@ -123,11 +140,15 @@ class TestKMeansPartitioner:
                 embedding_table.num_vectors + 1, table=embedding_table
             )
 
+    def test_requires_table(self):
+        with pytest.raises(TypeError, match="table"):
+            KMeansPartitioner(num_clusters=4).partition(100)
+
 
 class TestRecursiveKMeansPartitioner:
     def test_produces_permutation(self, small_spec, embedding_table):
         partitioner = RecursiveKMeansPartitioner(
-            num_top_clusters=8, num_sub_clusters=64, num_iterations=4, seed=0
+            num_top_clusters=8, num_sub_clusters=64, num_iterations=4
         )
         result = partitioner.partition(small_spec.num_vectors, table=embedding_table)
         assert_is_permutation(result.order, small_spec.num_vectors)
@@ -138,20 +159,20 @@ class TestRecursiveKMeansPartitioner:
             RecursiveKMeansPartitioner(num_top_clusters=64, num_sub_clusters=8)
 
     def test_requires_table(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="table"):
             RecursiveKMeansPartitioner().partition(100)
 
 
 class TestSHPPartitioner:
+    def test_requires_trace(self):
+        with pytest.raises(TypeError, match="trace"):
+            SHPPartitioner().partition(100)
+
     def test_produces_permutation(self, small_spec, train_trace):
         partitioner = SHPPartitioner(vectors_per_block=32, num_iterations=4, seed=0)
         result = partitioner.partition(small_spec.num_vectors, trace=train_trace)
         assert_is_permutation(result.order, small_spec.num_vectors)
         assert result.details["num_training_queries"] > 0
-
-    def test_requires_trace(self):
-        with pytest.raises(ValueError):
-            SHPPartitioner().partition(100)
 
     def test_reduces_average_fanout(self, small_spec, train_trace, eval_trace):
         partitioner = SHPPartitioner(vectors_per_block=32, num_iterations=8, seed=0)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.caching.lru import LRUCache
 from repro.caching.policies import CacheAllBlockPolicy, NoPrefetchPolicy
 from repro.caching.replay import (
     ReplayStats,
@@ -13,6 +12,7 @@ from repro.caching.replay import (
 from repro.nvm.block import BlockLayout
 from repro.nvm.latency import NVMLatencyModel
 from repro.workloads.trace import Trace
+from tests.conftest import InspectableLRUCache
 
 
 class TestReplayBasics:
@@ -82,7 +82,7 @@ class TestReplayBasics:
 
     def test_existing_cache_continues(self):
         layout = BlockLayout.identity(64, 32)
-        cache = LRUCache(8)
+        cache = InspectableLRUCache(8)
         replay_table_cache([np.array([0])], layout, NoPrefetchPolicy(), cache=cache)
         stats = replay_table_cache([np.array([0])], layout, NoPrefetchPolicy(), cache=cache)
         assert stats.hits == 1 and stats.misses == 0

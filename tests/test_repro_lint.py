@@ -13,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro_lint import (
@@ -565,8 +566,13 @@ def toy_tree(tmp_path):
     return tmp_path
 
 
-def write_reach(root, verdicts, figure_only=(), fields=None):
-    doc = {"verdicts": verdicts, "figure_only": list(figure_only), "fields": fields or {}}
+def write_reach(root, verdicts, figure_only=(), fields=None, params=None):
+    doc = {
+        "verdicts": verdicts,
+        "figure_only": list(figure_only),
+        "fields": fields or {},
+        "params": params or {},
+    }
     (root / reach.REACH_FILE).write_text(json.dumps(doc))
 
 
@@ -595,6 +601,141 @@ TOY_VERDICTS = {toy_key("unused"): "keep: toy", toy_key("Box.unused_method"): "k
 
 def conf_key(field):
     return f"src/toy/conf.py::ScenarioConfig.{field}"
+
+
+#: Defaulted parameters: a positional tail, a keyword-only one, one an array
+#: sets, a method's, and a generator's that its body rebinds.
+TOY_PARAMS = '''\
+def scale(values, factor=1.0, *, offset=0):
+    return [v * factor + offset for v in values]
+
+
+def pick(values, weights=None):
+    return values if weights is None else weights
+
+
+def countdown(start=3):
+    while start:
+        yield start
+        start -= 1
+
+
+class Meter:
+    def read(self, unit="us"):
+        return unit
+'''
+
+#: Sets ``factor`` (a value) and ``weights`` (an array); passes ``offset`` and
+#: ``unit`` only as their defaults; rebinds ``start`` inside the generator.
+PARAMS_FLOW = '''\
+import numpy as np
+
+from toy.params import Meter, countdown, pick, scale
+
+scale([1], factor=2.0)
+scale([1], offset=0)
+pick([1], weights=np.zeros(3))
+Meter().read("us")
+assert list(countdown()) == [3, 2, 1]
+'''
+
+PARAM_FLOWS = TOY_FLOWS + (reach.Flow("params", ("params_flow.py",)),)
+
+
+def param_key(qualname):
+    return f"src/toy/params.py::{qualname}"
+
+
+@pytest.fixture
+def param_tree(toy_tree):
+    (toy_tree / "src" / "toy" / "params.py").write_text(TOY_PARAMS)
+    (toy_tree / "params_flow.py").write_text(PARAMS_FLOW)
+    return toy_tree
+
+
+#: Verdicts for the parameters the toy flow never sets but one.
+UNSET_PARAMS = {
+    param_key("scale(offset)"): "keep: toy",
+    param_key("countdown(start)"): "keep: toy",
+}
+
+
+#: Defaults behind the shapes the recorder has to unwrap: a decorated
+#: function, a closure, a static and a class method; and, for the AST side,
+#: positional-only, keyword-only, starred, async and lambda parameters.
+TOY_SHAPES = '''\
+import functools
+
+
+def traced(function):
+    @functools.wraps(function)
+    def wrapper(*args, **kwargs):
+        return function(*args, **kwargs)
+
+    return wrapper
+
+
+@traced
+def wrapped(x, limit=10):
+    return min(x, limit)
+
+
+def outer(scale=1):
+    def inner(x, shift=0):
+        return x * scale + shift
+
+    return inner
+
+
+class Shapes:
+    @staticmethod
+    def static(x, base=2):
+        return x**base
+
+    @classmethod
+    def build(cls, size=1):
+        return size
+
+
+def positional(a, b=1, /, c=2, *args, d, e=3, **kwargs):
+    return a
+
+
+async def fetch(key, timeout=1.0):
+    return key
+
+
+handler = lambda event=None: event
+'''
+
+#: Sets every defaulted parameter of the shapes but ``outer``'s.
+SHAPES_FLOW = '''\
+from toy.shapes import Shapes, outer, wrapped
+
+assert wrapped(5, limit=3) == 3
+assert outer()(1, shift=4) == 5
+assert Shapes.static(3, base=3) == 27
+assert Shapes.build(size=2) == 2
+'''
+
+
+def shape_key(qualname):
+    return f"src/toy/shapes.py::{qualname}"
+
+
+@pytest.fixture
+def shapes_tree(toy_tree):
+    (toy_tree / "src" / "toy" / "shapes.py").write_text(TOY_SHAPES)
+    (toy_tree / "shapes_flow.py").write_text(SHAPES_FLOW)
+    return toy_tree
+
+
+class _Unanswerable:
+    def __eq__(self, other):
+        raise ValueError("no truth value")
+
+
+_DEFAULT_ARRAY = np.zeros(3)
 
 
 @pytest.fixture
@@ -670,6 +811,7 @@ class TestReach:
             "verdicts": {toy_key("Box.unused_method"): "keep: toy"},
             "figure_only": [toy_key("unused")],
             "fields": {},
+            "params": {},
         }
         assert summary["unreached"] == 1 and summary["missing_verdicts"] == 0
         # The check, which runs only the cheap flows, accepts the result.
@@ -762,6 +904,144 @@ class TestReach:
         reached = reach.run_flows(config_tree, flows, TOY_PACKAGE)
         assert reached["local"].fields == set()
 
+    def test_param_defaults_are_the_positional_tail_and_keyword_only(self, param_tree):
+        assert reach.param_defaults(param_tree, TOY_PACKAGE) == {
+            param_key(name)
+            for name in (
+                "scale(factor)",
+                "scale(offset)",
+                "pick(weights)",
+                "countdown(start)",
+                "Meter.read(unit)",
+            )
+        }
+
+    def test_a_param_is_set_by_a_value_or_an_array_not_by_its_default(self, param_tree):
+        reached = reach.run_flows(param_tree, PARAM_FLOWS, TOY_PACKAGE)
+        # ``offset=0`` and ``"us"`` are the defaults; ``countdown`` rebinds
+        # ``start`` between resumptions, which is no call setting it.
+        assert reached["params"].params == {
+            param_key("scale(factor)"),
+            param_key("pick(weights)"),
+        }
+        assert reached["toy"].params == set()
+
+    def test_never_set_param_without_verdict_fails(self, param_tree):
+        write_reach(param_tree, TOY_VERDICTS, params=UNSET_PARAMS)
+        problems = reach.check(param_tree, PARAM_FLOWS, TOY_PACKAGE)
+        assert problems == [
+            f"never-set parameter without verdict: {param_key('Meter.read(unit)')}"
+        ]
+
+    def test_params_a_flow_sets_need_no_verdict(self, param_tree):
+        params = {**UNSET_PARAMS, param_key("Meter.read(unit)"): "keep: toy"}
+        write_reach(param_tree, TOY_VERDICTS, params=params)
+        assert reach.check(param_tree, PARAM_FLOWS, TOY_PACKAGE) == []
+
+    def test_stale_and_malformed_param_entries_fail(self, param_tree):
+        write_reach(
+            param_tree,
+            TOY_VERDICTS,
+            params={
+                **UNSET_PARAMS,
+                param_key("Meter.read(unit)"): "later",
+                param_key("scale(factor)"): "keep: a flow sets it now",
+                param_key("scale(gone)"): "keep: deleted since",
+            },
+        )
+        problems = reach.check(param_tree, PARAM_FLOWS, TOY_PACKAGE)
+        assert f"stale param verdict: {param_key('scale(gone)')} no longer exists" in problems
+        assert f"stale param verdict: {param_key('scale(factor)')} is set by params" in problems
+        assert any("bad verdict" in p and param_key("Meter.read(unit)") in p for p in problems)
+        assert len(problems) == 3
+
+    def test_write_keeps_param_verdicts(self, param_tree):
+        write_reach(
+            param_tree,
+            TOY_VERDICTS,
+            params={param_key("scale(offset)"): "keep: toy", param_key("gone(x)"): "keep: stale"},
+        )
+        summary = reach.write(param_tree, PARAM_FLOWS, TOY_PACKAGE)
+        doc = reach.load_reach(param_tree)
+        assert doc["params"] == {
+            param_key("scale(offset)"): "keep: toy",
+            param_key("countdown(start)"): "",
+            param_key("Meter.read(unit)"): "",
+        }
+        assert summary["params"] == 5 and summary["params_never_set"] == 3
+        assert summary["missing_verdicts"] == 2
+
+    def test_param_defaults_of_every_parameter_shape(self, shapes_tree):
+        # Only ``def`` parameters with a default count: not ``d`` (keyword-only
+        # without one), not ``*args`` / ``**kwargs``, not a lambda's.
+        keys = {key for key in reach.param_defaults(shapes_tree, TOY_PACKAGE) if "shapes" in key}
+        assert keys == {
+            shape_key(name)
+            for name in (
+                "wrapped(limit)",
+                "outer(scale)",
+                "outer.<locals>.inner(shift)",
+                "Shapes.static(base)",
+                "Shapes.build(size)",
+                "positional(b)",
+                "positional(c)",
+                "positional(e)",
+                "fetch(timeout)",
+            )
+        }
+
+    def test_decorated_nested_static_and_class_methods_are_recorded(self, shapes_tree):
+        flows = (reach.Flow("shapes", ("shapes_flow.py",)),)
+        reached = reach.run_flows(shapes_tree, flows, TOY_PACKAGE)
+        assert reached["shapes"].params == {
+            shape_key("wrapped(limit)"),
+            shape_key("outer.<locals>.inner(shift)"),
+            shape_key("Shapes.static(base)"),
+            shape_key("Shapes.build(size)"),
+        }
+
+    @pytest.mark.parametrize(
+        "value, default, is_default",
+        [
+            (None, None, True),
+            (0, 0, True),
+            (0.0, 0, True),
+            (np.float64(2.5), 2.5, True),
+            ("us", "us", True),
+            ((1, 2), (1, 2), True),
+            (_DEFAULT_ARRAY, _DEFAULT_ARRAY, True),
+            (1, 0, False),
+            (None, 0, False),
+            (0, None, False),
+            ("ms", "us", False),
+            (np.zeros(3), None, False),
+            (np.array([1.0]), 1.0, False),
+            (np.zeros(3), _DEFAULT_ARRAY, False),
+            (_Unanswerable(), 0, False),
+        ],
+        ids=[
+            "none-is-none",
+            "equal-int",
+            "equal-float-and-int",
+            "numpy-scalar",
+            "equal-str",
+            "equal-tuple",
+            "the-default-array-itself",
+            "other-int",
+            "none-for-int",
+            "int-for-none",
+            "other-str",
+            "array-for-none",
+            "array-equal-to-scalar",
+            "equal-but-other-array",
+            "eq-raises",
+        ],
+    )
+    def test_argument_is_default_by_identity_then_equality(self, value, default, is_default):
+        # An array is always a setting unless it is the default object
+        # itself; an ``__eq__`` that cannot answer counts as set.
+        assert reach._is_default_arg(value, default) is is_default
+
     def test_committed_reach_file_is_consistent_with_the_tree(self):
         # The static half of ``--check``: no flow runs, so this stays cheap.
         doc = reach.load_reach(REPO_ROOT)
@@ -774,3 +1054,6 @@ class TestReach:
         fields = doc["fields"]
         assert set(fields) <= reach.config_fields(REPO_ROOT)
         assert {k: v for k, v in fields.items() if not v.startswith("keep: ")} == {}
+        params = doc["params"]
+        assert set(params) <= reach.param_defaults(REPO_ROOT)
+        assert {k: v for k, v in params.items() if not v.startswith("keep: ")} == {}

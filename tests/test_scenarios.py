@@ -266,7 +266,7 @@ class TestLifecycle:
         assert max(repaired.window_partition_age) < max(stale.window_partition_age)
         assert stale.window_partition_age == sorted(stale.window_partition_age)
 
-    def test_blackout_delays_the_swap(self):
+    def test_swap_lands_at_the_trigger(self):
         trace = self.drifting_trace(num_queries=450)
         store = BandanaStore.build(
             ModelTrace({"t": trace}), scenario_store_config(1024)
@@ -278,7 +278,6 @@ class TestLifecycle:
                 cadence_queries=100,
                 window_queries=200,
                 min_window_queries=50,
-                blackout_queries=30,
                 shp_iterations=2,
             ),
         )
@@ -287,10 +286,10 @@ class TestLifecycle:
             store.lookup("t", query, gather=False)
             if manager.observe(query):
                 swap_indices.append(i)
-        assert manager.retrains >= 1
-        # Retrains trigger at multiples of the cadence; each swap lands
-        # exactly blackout_queries later.
-        assert all((i + 1 - 30) % 100 == 0 for i in swap_indices)
+        assert manager.retrains >= 1 and len(swap_indices) == manager.retrains
+        # Retrains trigger at multiples of the cadence, and each placement
+        # is live before the next query.
+        assert all((i + 1) % 100 == 0 for i in swap_indices)
 
     def test_min_window_gate(self):
         trace = self.drifting_trace(num_queries=450)
@@ -461,8 +460,6 @@ class TestConfigValidation:
     def test_repartition_config_rejects_bad_values(self):
         with pytest.raises(ValueError):
             RepartitionConfig(cadence_queries=0)
-        with pytest.raises(ValueError):
-            RepartitionConfig(blackout_queries=-1)
         with pytest.raises(ValueError):
             RepartitionConfig(shp_iterations=0)
 

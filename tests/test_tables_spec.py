@@ -33,7 +33,6 @@ class TestPaperSpecs:
     def test_vector_geometry(self):
         assert PAPER_VECTORS_PER_BLOCK == 32
         spec = PAPER_TABLE_SPECS["table1"]
-        assert spec.vector_bytes == PAPER_VECTOR_BYTES
         assert spec.table_bytes == spec.num_vectors * PAPER_VECTOR_BYTES
 
 

@@ -71,15 +71,31 @@ class TestLoadTrace:
         assert sum(q.size for q in loaded.trace.queries) == 575
         assert loaded.dropped_rows == 0
 
-    def test_get_only_filter(self):
-        # With mutations kept, every data row survives (and the mutation-only
-        # query groups reappear), so the trace is strictly larger.
-        kept = load_trace(
-            TraceLoaderConfig(path=TWITTER, format="twitter", get_only=False)
-        )
-        assert kept.dropped_rows == 0
-        assert sum(q.size for q in kept.trace.queries) == 2400
-        assert kept.trace.num_vectors >= 302
+    @pytest.mark.parametrize(
+        "operation, kept",
+        [("get", True), ("gets", True)]
+        + [
+            (op, False)
+            for op in ("set", "add", "replace", "cas", "append", "prepend", "delete", "incr", "decr")
+        ],
+    )
+    def test_only_read_rows_are_kept(self, tmp_path, operation, kept):
+        # The twitter layout's read filter: a mutation row is a source row
+        # the loader drops (and counts), so its key never joins a query.
+        header = "timestamp,key,key_size,value_size,client_id,operation,ttl"
+        lines = [
+            header,
+            "1,10,8,64,0,get,0",
+            f"1,11,8,64,0,{operation},0",
+            "2,12,8,64,0,get,0",
+        ]
+        path = tmp_path / "trace.csv"
+        path.write_text("\n".join(lines) + "\n")
+        loaded = load_trace(TraceLoaderConfig(path=str(path), format="twitter"))
+        assert loaded.source_rows == 3
+        assert loaded.dropped_rows == (0 if kept else 1)
+        assert [q.size for q in loaded.trace.queries] == [2 if kept else 1, 1]
+        assert loaded.trace.num_vectors == (3 if kept else 2)
 
     def test_max_queries_cap(self):
         capped = load_trace(

@@ -145,11 +145,7 @@ class TestSamplingAndEviction:
             tracer.end_request(i, 1000.0 * i + latency)
 
     def test_sample_every_keeps_every_nth(self):
-        tracer = Tracer(
-            TracingConfig(
-                enabled=True, sample_every=3, always_sample_slo_violations=False
-            )
-        )
+        tracer = Tracer(TracingConfig(enabled=True, sample_every=3))
         self._run_requests(tracer, [10.0] * 10)
         assert sorted(tracer.traces) == [0, 3, 6, 9]
         counters = tracer.counters()
@@ -165,6 +161,33 @@ class TestSamplingAndEviction:
         assert sorted(tracer.traces) == [0, 2]  # seq 0 sampled, seq 2 violator
         assert tracer.traces[2].slo_violated
         assert not tracer.traces[0].slo_violated
+
+    @pytest.mark.parametrize("slo_latency_us", [None, 50.0], ids=["no-slo", "slo"])
+    @pytest.mark.parametrize("sample_every", [1, 2, 3, 7, 1000])
+    def test_retained_is_every_nth_plus_every_violator(self, sample_every, slo_latency_us):
+        # Retention against its definition: a request is kept when its
+        # sequence number is a multiple of sample_every or when it violates
+        # the SLO; without an SLO only the sampling rule applies.
+        latencies = [float(x) for x in np.random.default_rng(sample_every).uniform(0, 100, 60)]
+        tracer = Tracer(
+            TracingConfig(enabled=True, sample_every=sample_every),
+            slo_latency_us=slo_latency_us,
+        )
+        self._run_requests(tracer, latencies)
+        expected = [
+            i
+            for i, latency in enumerate(latencies)
+            if i % sample_every == 0
+            or (slo_latency_us is not None and latency > slo_latency_us)
+        ]
+        assert sorted(tracer.traces) == expected
+        assert all(
+            trace.slo_violated == (slo_latency_us is not None and latencies[i] > slo_latency_us)
+            for i, trace in tracer.traces.items()
+        )
+        counters = tracer.counters()
+        assert counters["requests_retained"] == len(expected)
+        assert counters["requests_sampled_out"] == len(latencies) - len(expected)
 
     def test_bounded_sink_evicts_oldest(self):
         tracer = Tracer(TracingConfig(enabled=True, max_requests=2))
