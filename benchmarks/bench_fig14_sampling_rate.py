@@ -62,4 +62,4 @@ def test_fig14_sampling_rate(bundle, benchmark):
     for name in TABLES:
         oracle = gains[(name, 1.0)]
         for rate in SAMPLING_RATES[1:]:
-            assert gains[(name, rate)] >= oracle - 0.35
+            assert gains[(name, rate)] >= oracle - 0.02

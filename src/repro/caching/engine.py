@@ -234,15 +234,16 @@ class BatchReplayEngine:
         self._block_arr = layout.block_of(np.arange(layout.num_vectors, dtype=np.int64))
         self._order = layout.order
         # Admissible vectors per block, for ``admit_is_static`` policies.
-        self._block_admit: Dict[int, np.ndarray] = {}
+        self._block_admit: Dict[int, List[int]] = {}
         self._admit_version = self.policy.admit_version
 
-    def _admissible(self, block_id: int) -> np.ndarray:
+    def _admissible(self, block_id: int) -> List[int]:
         """One ``admit_batch`` call: a block's admissible vectors, in slot order.
 
-        Kept per block while the policy's decisions are static.  Positions
-        outside ``[0, 1]`` raise the ``ValueError`` the reference loop raises
-        from ``LRUCache.insert`` (NaN, a rejection, compares false both ways).
+        A list of Python ints (the walk's key type), kept per block while the
+        policy's decisions are static.  Positions outside ``[0, 1]`` raise the
+        ``ValueError`` the reference loop raises from ``LRUCache.insert``
+        (NaN, a rejection, compares false both ways).
         """
         start = block_id * self._vectors_per_block
         neighbours = self._order[start : start + self._vectors_per_block]
@@ -250,7 +251,7 @@ class BatchReplayEngine:
         out_of_range = (positions < 0.0) | (positions > 1.0)
         if out_of_range.any():
             check_fraction(float(positions[out_of_range][0]), "position")
-        admissible = neighbours[~np.isnan(positions)]
+        admissible = neighbours[~np.isnan(positions)].tolist()
         if self._static_admit:
             self._block_admit[block_id] = admissible
         return admissible
@@ -307,7 +308,7 @@ class BatchReplayEngine:
             candidates = block_admit.get(block_id)
             if candidates is None:
                 candidates = self._admissible(block_id)
-            for neighbour in candidates.tolist():
+            for neighbour in candidates:
                 if neighbour == vid or neighbour in entries:
                     continue
                 if len(entries) >= capacity:

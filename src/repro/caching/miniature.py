@@ -5,12 +5,21 @@ the table and the cache size (Figure 12), so Bandana picks it *per table, per
 cache size* by simulating several small caches (Section 4.3.3, following
 Waldspurger et al., ATC'17):
 
-1. spatially hash-sample the request stream at rate ``1/N`` (the same vector
-   id is always either sampled or not),
+1. spatially hash-sample the request stream at rate ``1/N`` *by block*: a
+   lookup is kept when the hash of the NVM block holding it falls under the
+   rate, so every block is either sampled whole or not at all,
 2. scale the cache down by the same factor,
 3. replay the sampled stream through the scaled cache once per candidate
    threshold, and
 4. pick the threshold whose miniature simulation reads the fewest NVM blocks.
+
+Sampling is by block because a prefetch is a block-level event: a demand
+miss offers the rest of its block to the cache.  Sampling vector ids would
+keep about ``32/N`` of a sampled block's vectors, so only ``1/N`` of the
+neighbours a prefetch admits would ever be looked up in the sampled stream,
+and every prefetch's benefit would be understated by that factor.  The rate
+is floored so the miniature cache holds at least :data:`MIN_MINIATURE_BLOCKS`
+blocks; below that, a few prefetch sweeps flush the whole cache.
 
 Because the miniature caches store only ids and see only ``1/N`` of the
 traffic, the whole search costs a small fraction of serving the real traffic.
@@ -43,6 +52,10 @@ from repro.workloads.trace import Trace
 #: Candidate thresholds the paper sweeps in Figure 12 / Table 2.
 DEFAULT_THRESHOLDS = (0, 5, 10, 15, 20)
 
+#: Fewest whole blocks a miniature cache holds; the sampling rate is raised
+#: to reach it (a 4-block floor still mis-picks the threshold on small tables).
+MIN_MINIATURE_BLOCKS = 8
+
 
 @dataclass
 class ThresholdSelection:
@@ -53,7 +66,9 @@ class ThresholdSelection:
     threshold:
         The selected admission threshold ``t``.
     sampling_rate:
-        The sampling rate the decision was made at (1.0 = full cache oracle).
+        The effective sampling rate the decision was made at: the tuner's
+        rate, raised so the miniature cache holds
+        :data:`MIN_MINIATURE_BLOCKS` blocks (1.0 = full cache oracle).
     miniature_cache_size:
         Capacity (in vectors) of the miniature cache that was simulated.
     gains:
@@ -78,8 +93,10 @@ class MiniatureCacheTuner:
     Parameters
     ----------
     sampling_rate:
-        Fraction of vector ids (spatially sampled) included in the miniature
-        simulation.  The paper finds 0.001 (0.1 %) is sufficient.
+        Fraction of NVM blocks (spatially sampled) whose lookups the miniature
+        simulation replays.  The paper finds 0.001 (0.1 %) is sufficient.
+        A table whose cache would shrink below :data:`MIN_MINIATURE_BLOCKS`
+        blocks is simulated at the rate that reaches that floor.
     seed:
         Seed of the sampling hash.
     thresholds:
@@ -118,26 +135,32 @@ class MiniatureCacheTuner:
         ----------
         trace:
             The tuning trace (in production this is a sampled slice of live
-            traffic; the benchmarks use a slice of the training trace).
+            traffic; :meth:`~repro.core.bandana.BandanaStore.build` uses the
+            held-out tail of the training trace).
         layout:
             The table's block layout (typically produced by SHP).
         access_counts:
             Per-vector access counts from the SHP training run — the statistic
-            the admission policy thresholds on.
+            the admission policy thresholds on.  They should come from
+            traffic other than ``trace``: counted on the replayed trace,
+            "count > 0" means "read again in this trace", a look-ahead the
+            live cache does not have.
         cache_size:
             The *real* cache size in vectors; the miniature cache is scaled by
-            the sampling rate.
+            the effective sampling rate (see :attr:`ThresholdSelection.sampling_rate`).
         """
         cache_size = check_int_at_least(cache_size, 1, "cache_size")
         access_counts = np.asarray(access_counts, dtype=np.int64)
-        if self.sampling_rate >= 1.0:
+        floor = MIN_MINIATURE_BLOCKS * layout.vectors_per_block / cache_size
+        rate = min(1.0, max(self.sampling_rate, floor))
+        if rate >= 1.0:
             sampled_queries = list(trace.queries)
             mini_cache_size = cache_size
         else:
             sampled_queries = sample_queries_spatially(
-                trace.queries, self.sampling_rate, seed=self.seed
+                trace.queries, layout, rate, seed=self.seed
             )
-            mini_cache_size = max(1, int(round(cache_size * self.sampling_rate)))
+            mini_cache_size = max(1, int(round(cache_size * rate)))
         policies = [NoPrefetchPolicy()] + [
             AccessThresholdPolicy(access_counts, threshold)
             for threshold in self.thresholds
@@ -165,7 +188,7 @@ class MiniatureCacheTuner:
 
         return ThresholdSelection(
             threshold=best_threshold,
-            sampling_rate=self.sampling_rate,
+            sampling_rate=rate,
             miniature_cache_size=mini_cache_size,
             gains=gains,
             baseline_stats=baseline,

@@ -8,7 +8,9 @@
    greedily from per-table hit-rate curves (the paper's Dynacache-style
    static assignment).
 3. **Admission tuning** — each table's prefetch-admission threshold ``t`` is
-   chosen by miniature-cache simulation at the table's assigned cache size.
+   chosen by miniature-cache simulation at the table's assigned cache size,
+   replaying a held-out tail of the training trace that neither the
+   placement nor the admission counts were trained on.
 4. **Serving** — lookups hit the per-table DRAM cache first; a miss reads
    the owning 4 KB block from NVM (counted in the table's
    :class:`~repro.caching.replay.ReplayStats` and priced by the
@@ -55,7 +57,11 @@ from repro.utils.validation import (
     check_int_at_least,
 )
 from repro.workloads.characterization import access_counts
-from repro.workloads.trace import ModelTrace
+from repro.workloads.trace import ModelTrace, Trace
+
+#: Share of each training trace's queries (the head) that trains placement and
+#: admission counts when thresholds are tuned; the tuner replays the rest.
+TUNING_HOLDOUT = 0.5
 
 
 @dataclass
@@ -128,8 +134,12 @@ class BandanaStore:
         Parameters
         ----------
         training_trace:
-            Per-table traces used to train the placement, derive the hit-rate
-            curves and tune the admission thresholds.
+            Per-table traces.  The hit-rate curves of the DRAM split are
+            derived from each whole trace.  Untuned, the whole trace also
+            trains the placement and the admission counts.  Tuned, a table's
+            trace is split at :data:`TUNING_HOLDOUT`: the head trains the
+            placement and the counts, and the tuner replays the held-out
+            tail (a table with a single query uses its whole trace for both).
         config:
             Store configuration; defaults to :class:`BandanaConfig()`.
         embedding_model:
@@ -142,6 +152,17 @@ class BandanaStore:
         config = config or BandanaConfig()
         sizes = cls._resolve_table_sizes(training_trace, embedding_model, num_vectors)
 
+        # The tuner must not replay the trace the counts come from: there
+        # "count > 0" would mean "read again in this trace", a look-ahead the
+        # live cache does not have.
+        fits: Dict[str, Trace] = dict(training_trace.items())
+        tunes: Dict[str, Trace] = dict(fits)
+        if config.tune_thresholds:
+            for name, trace in training_trace.items():
+                head, tail = trace.split(TUNING_HOLDOUT)
+                if len(head) and len(tail):
+                    fits[name], tunes[name] = head, tail
+
         # 1. placement + per-vector access counts
         partitioner = SHPPartitioner(
             vectors_per_block=config.vectors_per_block,
@@ -151,7 +172,7 @@ class BandanaStore:
         layouts: Dict[str, BlockLayout] = {}
         counts: Dict[str, np.ndarray] = {}
         runtimes: Dict[str, float] = {}
-        for name, trace in training_trace.items():
+        for name, trace in fits.items():
             result = partitioner.partition(sizes[name], trace=trace)
             layouts[name] = result.layout(config.vectors_per_block)
             runtimes[name] = result.runtime_seconds
@@ -159,7 +180,7 @@ class BandanaStore:
             table_counts[: trace.num_vectors] = access_counts(trace)
             counts[name] = table_counts
 
-        # 2. DRAM budget split across tables
+        # 2. DRAM budget split across tables, on the whole training trace
         curves: Dict[str, HitRateCurve] = {
             name: hit_rate_curve(trace) for name, trace in training_trace.items()
         }
@@ -173,7 +194,7 @@ class BandanaStore:
             vector_bytes=config.vector_bytes,
         )
         tables: Dict[str, BandanaTableState] = {}
-        for name, trace in training_trace.items():
+        for name, trace in tunes.items():
             cache_size = cache_sizes[name]
             threshold = config.default_threshold
             if config.tune_thresholds and cache_size > 0 and len(trace) > 0:

@@ -3,8 +3,8 @@
 The defaults reproduce the paper's end-to-end configuration (Section 5): SHP
 placement trained with 16 iterations, 32 vectors per 4 KB block, a DRAM cache
 budget expressed in vectors, per-table admission thresholds tuned by miniature
-caches sampled at 0.1 %, and a hit-rate-curve-driven split of the DRAM budget
-across tables.
+caches sampling 0.1 % of the blocks, and a hit-rate-curve-driven split of the
+DRAM budget across tables.
 """
 
 from __future__ import annotations
@@ -234,18 +234,25 @@ class BandanaConfig:
         Refinement iterations per SHP bisection (paper: 16).
     tune_thresholds:
         Whether to run the miniature-cache tuner; when false, ``default_threshold``
-        is used everywhere.
+        is used everywhere and the whole training trace trains placement and
+        counts.  When true, each training trace is split at
+        :data:`repro.core.bandana.TUNING_HOLDOUT`: placement and counts come
+        from the head and the tuner replays the held-out tail.
     default_threshold:
         Admission threshold used when tuning is disabled (or as a fallback for
         tables whose tuning trace is empty).
     mini_cache_sampling_rate:
-        Spatial sampling rate of the miniature caches (paper: 0.001).
+        Share of NVM blocks whose lookups the miniature caches replay
+        (paper: 0.001).  Blocks are sampled whole, and the rate is raised
+        for a table whose miniature cache would otherwise hold fewer than
+        :data:`repro.caching.miniature.MIN_MINIATURE_BLOCKS` blocks, so
+        scaled-down tables are tuned at a higher effective rate.
     candidate_thresholds:
-        Thresholds the tuner evaluates.  The paper sweeps 0–20 for its 5 B
-        lookup training runs; the default here is shifted upwards because the
-        scaled-down training traces concentrate more accesses per touched
-        vector, so the same admission selectivity corresponds to larger
-        absolute counts.
+        Thresholds the tuner evaluates, as absolute access counts in the
+        training trace's head.  The paper sweeps 0–20 for its 5 B lookup
+        training runs.  The default spans 0–400 so one grid serves training
+        traces of any length; on the benchmark's scaled tables the tuner
+        picks 0 (admit every neighbour seen in training) everywhere.
     seed:
         Base random seed for all stochastic components.
     num_workers:

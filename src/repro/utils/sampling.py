@@ -1,11 +1,12 @@
 """Sampling primitives shared by the workload generator and miniature caches.
 
 The miniature-cache technique (Waldspurger et al., ATC'17) relies on *spatial*
-hash sampling: a vector id is either always sampled or never sampled, so the
-reuse pattern of the sampled sub-population is statistically similar to the
-full population.  ``spatial_hash_sample_mask`` implements that selection with
-a splittable integer hash so the choice is deterministic, seed-dependent and
-independent of request order.
+hash sampling: a key is either always sampled or never sampled, so the reuse
+pattern of the sampled sub-population is statistically similar to the full
+population.  ``spatial_hash_sample_mask`` implements that selection with a
+splittable integer hash so the choice is deterministic, seed-dependent and
+independent of request order.  :func:`sample_queries_spatially` keys it on a
+vector's NVM block, so a sampled block keeps every one of its vectors.
 
 The trace generators draw from a few fixed laws many thousands of times;
 :class:`InverseCDFSampler` tabulates a law once and is stream-compatible with
@@ -15,11 +16,14 @@ draw-order de-duplication both generators apply to a query's picks.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.utils.validation import check_fraction, check_positive
+
+if TYPE_CHECKING:
+    from repro.nvm.block import BlockLayout
 
 # Constants of the splitmix64 finaliser, a well-mixed 64-bit integer hash.
 _SPLITMIX_MULT_1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -50,7 +54,7 @@ def spatial_hash_sample_mask(ids: np.ndarray, rate: float, seed: int = 0) -> np.
     Parameters
     ----------
     ids:
-        Integer array of vector ids (any shape).
+        Integer array of keys (vector or block ids; any shape).
     rate:
         Sampling rate in ``[0, 1]``.
     seed:
@@ -70,20 +74,24 @@ def spatial_hash_sample_mask(ids: np.ndarray, rate: float, seed: int = 0) -> np.
 
 
 def sample_queries_spatially(
-    queries: Sequence[np.ndarray], rate: float, seed: int = 0
+    queries: Sequence[np.ndarray], layout: "BlockLayout", rate: float, seed: int = 0
 ) -> List[np.ndarray]:
-    """Spatially sample every query in a trace, dropping queries that become empty.
+    """Spatially sample every query in a trace by block, dropping empty queries.
 
-    Used to build the miniature-cache request stream: each query keeps exactly
-    the ids selected by :func:`spatial_hash_sample_mask`.  The whole stream is
-    hashed in one pass and cut back at the query boundaries, so the returned
-    arrays are slices of one shared array.
+    Used to build the miniature-cache request stream.  The hash of
+    :func:`spatial_hash_sample_mask` is taken of ``layout.block_of(id)``, so a
+    block is kept or dropped whole: a sampled block's demand misses offer
+    the prefetcher the same neighbours the real cache sees (sampling vector
+    ids would keep about ``rate`` of them and understate every prefetch's
+    benefit by that factor).  The whole stream is hashed in one pass and cut
+    back at the query boundaries, so the returned arrays are slices of one
+    shared array.
     """
     arrays = [np.asarray(query, dtype=np.int64) for query in queries]
     if not arrays:
         return []
     flat = np.concatenate(arrays)
-    mask = spatial_hash_sample_mask(flat, rate, seed=seed)
+    mask = spatial_hash_sample_mask(layout.block_of(flat), rate, seed=seed)
     kept = flat[mask]
     # kept_before[i] = sampled ids among the first i lookups of the stream.
     kept_before = np.concatenate(([0], np.cumsum(mask)))

@@ -1,15 +1,19 @@
 """Integration tests for the end-to-end Bandana store."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.caching.allocation import allocate_dram_budget
+from repro.caching.miniature import MiniatureCacheTuner
 from repro.caching.stack_distance import hit_rate_curve
-from repro.core.bandana import BandanaStore
+from repro.core.bandana import TUNING_HOLDOUT, BandanaStore
 from repro.core.config import BandanaConfig
 from repro.embeddings import EmbeddingModel, EmbeddingTable, synthesize_topic_vectors
 from repro.partitioning.shp import SHPPartitioner
 from repro.simulation.runner import simulate_store
+from repro.workloads.characterization import access_counts
 from repro.workloads import SyntheticTraceGenerator
 from repro.workloads.trace import ModelTrace, Trace
 from tests.conftest import build_store, counters, make_spec
@@ -134,7 +138,9 @@ class TestBuild:
             seed=config.seed,
         )
         for name, trace in train.items():
-            expected = partitioner.partition(specs[name].num_vectors, trace=trace)
+            # A tuned build trains SHP on the head; the tuner replays the tail.
+            head, _ = trace.split(TUNING_HOLDOUT)
+            expected = partitioner.partition(specs[name].num_vectors, trace=head)
             np.testing.assert_array_equal(
                 built_store.tables[name].layout.order,
                 expected.layout(config.vectors_per_block).order,
@@ -148,6 +154,91 @@ class TestBuild:
             name: state.cache_config.cache_size_vectors
             for name, state in built_store.tables.items()
         } == expected
+
+
+#: sha256 of an untuned store built and served on ``store_workload`` (layout
+#: orders, access counts, cache sizes, thresholds, served and baseline
+#: counters, final cache keys), captured before tuned builds held out a tail
+#: of the training trace: an untuned build must not move.
+GOLDEN_UNTUNED_BUILD_DIGESTS = {
+    0.0: "17282367a244c73c3c676f24cd8113af42f755479c5d96c184475b4ee9a5dfec",
+    2.0: "843fe36ec62a78c40af660e8adae56849afefbb2d34be9b4ecf3c8baf7eae08e",
+    50.0: "525a3e0a1ecf75d9fe785ea92212e7a59f0ac57be04431e8f9ca7cf9c66086bd",
+}
+
+
+def untuned_build_digest(store_workload, threshold):
+    specs, _, train, evaluation = store_workload
+    config = BandanaConfig(
+        total_cache_vectors=800,
+        shp_iterations=6,
+        tune_thresholds=False,
+        default_threshold=threshold,
+        seed=0,
+    )
+    store = BandanaStore.build(
+        train, config, num_vectors={n: s.num_vectors for n, s in specs.items()}
+    )
+    result = simulate_store(store, evaluation)
+    digest = hashlib.sha256()
+    for name, state in store.tables.items():
+        digest.update(name.encode())
+        digest.update(state.layout.order.astype("<i8").tobytes())
+        digest.update(state.access_counts.astype("<i8").tobytes())
+        digest.update(
+            repr((state.cache_config.cache_size_vectors, state.cache_config.threshold)).encode()
+        )
+        table = result.per_table[name]
+        digest.update(repr(table.stats.counters(include_latency=True)).encode())
+        digest.update(repr(table.baseline_stats.counters(include_latency=True)).encode())
+        digest.update(np.array(state.engine.cache.keys(), dtype="<i8").tobytes())
+    return digest.hexdigest()
+
+
+class TestTuningHoldout:
+    """A tuned build fits placement and counts on the head of each training
+    trace and tunes on the held-out tail; an untuned build uses it whole."""
+
+    @pytest.mark.parametrize("threshold", sorted(GOLDEN_UNTUNED_BUILD_DIGESTS))
+    def test_untuned_build_is_unchanged(self, store_workload, threshold):
+        assert (
+            untuned_build_digest(store_workload, threshold)
+            == GOLDEN_UNTUNED_BUILD_DIGESTS[threshold]
+        )
+
+    def test_counts_come_from_the_head(self, built_store, store_workload):
+        specs, _, train, _ = store_workload
+        for name, trace in train.items():
+            head, _ = trace.split(TUNING_HOLDOUT)
+            expected = np.zeros(specs[name].num_vectors, dtype=np.int64)
+            expected[: head.num_vectors] = access_counts(head)
+            np.testing.assert_array_equal(built_store.tables[name].access_counts, expected)
+
+    def test_tuner_replays_the_tail(self, built_store, store_workload):
+        _, _, train, _ = store_workload
+        config = built_store.config
+        tuner = MiniatureCacheTuner(
+            sampling_rate=config.mini_cache_sampling_rate,
+            seed=config.seed,
+            thresholds=config.candidate_thresholds,
+            vector_bytes=config.vector_bytes,
+        )
+        for name, trace in train.items():
+            state = built_store.tables[name]
+            _, tail = trace.split(TUNING_HOLDOUT)
+            selection = tuner.select_threshold(
+                tail, state.layout, state.access_counts, state.cache_config.cache_size_vectors
+            )
+            assert state.cache_config.threshold == selection.threshold
+
+    def test_a_single_query_table_fits_and_tunes_on_its_whole_trace(self):
+        queries = [np.arange(0, 64, 3, dtype=np.int64)]
+        train = ModelTrace({"solo": Trace(queries, num_vectors=64)})
+        config = BandanaConfig(total_cache_vectors=32, shp_iterations=2)
+        store = BandanaStore.build(train, config)
+        expected = np.zeros(64, dtype=np.int64)
+        expected[queries[0]] = 1
+        np.testing.assert_array_equal(store.tables["solo"].access_counts, expected)
 
 
 class TestServing:

@@ -28,7 +28,7 @@ from repro.caching.engine import (
     replay_table_cache_batched,
     replay_table_cache_multi,
 )
-from repro.caching.miniature import MiniatureCacheTuner
+from repro.caching.miniature import MIN_MINIATURE_BLOCKS, MiniatureCacheTuner
 from repro.caching.policies import (
     AccessThresholdPolicy,
     CacheAllBlockPolicy,
@@ -686,10 +686,15 @@ class TestMiniatureTunerEquivalence:
         selection = MiniatureCacheTuner(
             sampling_rate=0.4, seed=2, thresholds=self.THRESHOLDS
         ).select_threshold(trace, layout, access_counts, cache_size=60)
-        sampled = sample_queries_spatially(trace.queries, 0.4, seed=2)
-        assert selection.miniature_cache_size == 24
+        # 0.4 of 60 vectors is under the floor of 8 blocks of 4: the tuner
+        # samples whole blocks at the rate that keeps 32 vectors of cache.
+        assert layout.vectors_per_block == 4
+        rate = MIN_MINIATURE_BLOCKS * 4 / 60
+        assert selection.sampling_rate == rate
+        sampled = sample_queries_spatially(trace.queries, layout, rate, seed=2)
+        assert selection.miniature_cache_size == 32
         self.assert_matches_per_policy_replays(
-            selection, sampled, layout, access_counts, 24
+            selection, sampled, layout, access_counts, 32
         )
 
     @pytest.mark.parametrize("seed", [11, 12, 13])
@@ -1061,16 +1066,19 @@ def golden_engine_counters():
 
 #: Captured at the parent commit, from the stamp-log ``ArrayLRUCache`` engine.
 #: The device entry's NVM time was re-pinned when the Fig. 2 law was refit
-#: (one read at ``QUEUE_DEPTH`` went 24 → 17.406 µs); its other counters and
-#: every cache key are the captured ones.
+#: (one read at ``QUEUE_DEPTH`` went 24 → 17.406 µs).  The tuned row was
+#: re-pinned when the miniature caches began sampling whole blocks with an
+#: 8-block floor: the tuner now picks threshold 10 instead of 20, and the
+#: row's counters and keys equal the reference loop's replay at 10.  Every
+#: other counter and cache key is the captured one.
 GOLDEN_ENGINE_COUNTERS = {
     "drift-4096/cache-512/threshold-2/per-query/device": {
         "counters": [4558, 1724, 2834, 3630, 543, 2841, 5952, 49329.16849553607],
         "keys_sha256": "1965552c7f813a16c8d0521ae8780612dbf7e485a6e2a077ce8c8367214779c7",
     },
-    "table1/bounded/tuned-threshold-20": {
-        "counters": [6798, 6391, 407, 174, 101, 55, 331, 0.0],
-        "keys_sha256": "5aac98a3624d0b76095ff2c5e7b7fbf823c4b284fe68da98145c048e3ee5d483",
+    "table1/bounded/tuned-threshold-10": {
+        "counters": [6798, 6399, 399, 413, 155, 210, 562, 0.0],
+        "keys_sha256": "38fbfd3ae748bdd13a146eef5da29952e6a8df49611becc3c08eca9a9d10bc56",
     },
     "table1/unlimited/cache-all-block": {
         "counters": [6798, 6694, 104, 3200, 346, 0, 0, 0.0],

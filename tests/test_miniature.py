@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.caching.miniature import MiniatureCacheTuner, ThresholdSelection
+from repro.caching.miniature import (
+    MIN_MINIATURE_BLOCKS,
+    MiniatureCacheTuner,
+    ThresholdSelection,
+)
 from repro.workloads.characterization import access_counts
 
 
@@ -23,8 +27,45 @@ class TestMiniatureCacheTuner:
         assert isinstance(selection, ThresholdSelection)
         assert selection.threshold in (0, 50, 200)
         assert set(selection.gains) == {0, 50, 200}
-        assert selection.miniature_cache_size == int(round(400 * 0.2))
+        # 0.2 of 400 vectors is under 8 blocks of 32: the floor sets the rate.
+        assert selection.sampling_rate == MIN_MINIATURE_BLOCKS * 32 / 400
+        assert selection.miniature_cache_size == int(round(400 * selection.sampling_rate))
         assert selection.baseline_stats is not None
+
+    def test_rate_above_the_floor_is_kept(self, train_trace, eval_trace, shp_layout):
+        counts = access_counts(train_trace)
+        tuner = MiniatureCacheTuner(sampling_rate=0.5, seed=0, thresholds=(0, 50))
+        selection = tuner.select_threshold(eval_trace, shp_layout, counts, cache_size=1024)
+        assert selection.sampling_rate == 0.5  # repro-lint: disable=R5
+        assert selection.miniature_cache_size == 512
+
+    @pytest.mark.parametrize("cache_size", [300, 800, 2000])
+    def test_miniature_cache_holds_at_least_the_floor(
+        self, train_trace, eval_trace, shp_layout, cache_size
+    ):
+        """However small the configured rate, the miniature cache keeps
+        ``MIN_MINIATURE_BLOCKS`` whole blocks (or the real cache, if smaller)."""
+        counts = access_counts(train_trace)
+        tuner = MiniatureCacheTuner(sampling_rate=0.001, thresholds=(0, 50))
+        selection = tuner.select_threshold(eval_trace, shp_layout, counts, cache_size)
+        floor_vectors = MIN_MINIATURE_BLOCKS * shp_layout.vectors_per_block
+        assert selection.sampling_rate == min(1.0, floor_vectors / cache_size)
+        assert selection.miniature_cache_size == min(cache_size, floor_vectors)
+
+    @pytest.mark.parametrize("cache_size", [1, 100, 256])
+    def test_floored_to_rate_one_is_the_full_cache(
+        self, train_trace, eval_trace, shp_layout, cache_size
+    ):
+        """A cache of at most ``MIN_MINIATURE_BLOCKS`` blocks is simulated whole:
+        any configured rate then decides exactly as the full-cache oracle."""
+        counts = access_counts(train_trace)
+        thresholds = (0, 50, 200)
+        full = MiniatureCacheTuner(sampling_rate=1.0, thresholds=thresholds)
+        floored = MiniatureCacheTuner(sampling_rate=0.01, seed=5, thresholds=thresholds)
+        expected = full.select_threshold(eval_trace, shp_layout, counts, cache_size)
+        selection = floored.select_threshold(eval_trace, shp_layout, counts, cache_size)
+        assert selection.sampling_rate == 1.0  # repro-lint: disable=R5
+        assert selection == expected
 
     def test_full_rate_uses_real_cache_size(self, train_trace, eval_trace, shp_layout):
         counts = access_counts(train_trace)

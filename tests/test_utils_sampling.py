@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.nvm.block import BlockLayout
 from repro.utils.sampling import (
     InverseCDFSampler,
     first_occurrences,
@@ -56,31 +57,61 @@ class TestSpatialHashSampleMask:
         assert 0.0 <= mask.mean() <= 1.0
 
 
+#: A shuffled placement of 600 vectors, 8 per block (the last block partial).
+LAYOUT = BlockLayout(np.random.default_rng(4).permutation(600), 8)
+
+
 class TestSampleQueriesSpatially:
     def test_empty_queries_dropped(self):
-        queries = [np.array([1, 2, 3]), np.array([1000000])]
-        sampled = sample_queries_spatially(queries, 0.001, seed=0)
+        queries = [np.array([1, 2, 3]), np.array([599])]
+        sampled = sample_queries_spatially(queries, LAYOUT, 0.001, seed=0)
         assert all(q.size > 0 for q in sampled)
 
     def test_full_rate_keeps_everything(self):
         queries = [np.array([1, 2, 3]), np.array([4, 5])]
-        sampled = sample_queries_spatially(queries, 1.0)
+        sampled = sample_queries_spatially(queries, LAYOUT, 1.0)
         assert len(sampled) == 2
         np.testing.assert_array_equal(sampled[0], queries[0])
 
     def test_subset_of_original(self):
         queries = [np.arange(100), np.arange(50, 150)]
-        sampled = sample_queries_spatially(queries, 0.3, seed=2)
+        sampled = sample_queries_spatially(queries, LAYOUT, 0.3, seed=2)
         for original, kept in zip(queries, sampled):
             assert set(kept.tolist()) <= set(original.tolist())
 
+    def test_out_of_range_id_raises(self):
+        with pytest.raises(IndexError, match="vector ids must be in"):
+            sample_queries_spatially([np.array([1, 600])], LAYOUT, 0.5)
 
-def sample_queries_one_at_a_time(queries, rate, seed=0):
+    @given(
+        queries=st.lists(
+            st.lists(st.integers(min_value=0, max_value=599), max_size=12), max_size=20
+        ),
+        rate=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_a_block_is_kept_or_dropped_whole(self, queries, rate, seed):
+        """Every lookup of a sampled block survives; no lookup of another does."""
+        stream = np.array([i for q in queries for i in q], dtype=np.int64)
+        sampled = sample_queries_spatially(
+            [np.array(q, dtype=np.int64) for q in queries], LAYOUT, rate, seed=seed
+        )
+        kept = np.concatenate(sampled) if sampled else np.empty(0, dtype=np.int64)
+        kept_blocks = set(LAYOUT.block_of(kept).tolist()) if kept.size else set()
+        if stream.size:
+            in_kept_block = np.isin(LAYOUT.block_of(stream), list(kept_blocks))
+            np.testing.assert_array_equal(kept, stream[in_kept_block])
+        else:
+            assert kept.size == 0
+
+
+def sample_queries_one_at_a_time(queries, layout, rate, seed=0):
     """The per-query definition ``sample_queries_spatially`` must equal."""
     sampled = []
     for query in queries:
         query = np.asarray(query, dtype=np.int64)
-        mask = spatial_hash_sample_mask(query, rate, seed=seed)
+        mask = spatial_hash_sample_mask(layout.block_of(query), rate, seed=seed)
         if mask.any():
             sampled.append(query[mask])
     return sampled
@@ -89,8 +120,8 @@ def sample_queries_one_at_a_time(queries, rate, seed=0):
 class TestSampleQueriesSpatiallyMatchesPerQueryDefinition:
     @staticmethod
     def assert_same(queries, rate, seed):
-        fast = sample_queries_spatially(queries, rate, seed=seed)
-        slow = sample_queries_one_at_a_time(queries, rate, seed=seed)
+        fast = sample_queries_spatially(queries, LAYOUT, rate, seed=seed)
+        slow = sample_queries_one_at_a_time(queries, LAYOUT, rate, seed=seed)
         assert len(fast) == len(slow)
         for a, b in zip(fast, slow):
             assert a.dtype == b.dtype == np.int64
@@ -105,19 +136,19 @@ class TestSampleQueriesSpatiallyMatchesPerQueryDefinition:
             np.array([], dtype=np.int64),
             np.arange(200),
             [11, 12, 11],
-            np.array([2**40 + 1, 5], dtype=np.int64),
+            np.array([599, 5], dtype=np.int64),
             np.array([], dtype=np.int64),
         ]
         for seed in range(4):
             self.assert_same(queries, rate, seed)
 
     def test_no_queries(self):
-        assert sample_queries_spatially([], 0.5) == []
-        assert sample_queries_spatially([np.array([], dtype=np.int64)], 0.5) == []
+        assert sample_queries_spatially([], LAYOUT, 0.5) == []
+        assert sample_queries_spatially([np.array([], dtype=np.int64)], LAYOUT, 0.5) == []
 
     @given(
         queries=st.lists(
-            st.lists(st.integers(min_value=0, max_value=500), max_size=12), max_size=20
+            st.lists(st.integers(min_value=0, max_value=599), max_size=12), max_size=20
         ),
         rate=st.floats(min_value=0.0, max_value=1.0),
         seed=st.integers(min_value=0, max_value=2**32),
