@@ -222,6 +222,9 @@ class BatchReplayEngine:
             self._block_admit.clear()
         # The walk turns ids into Python ints; a bounded slice at a time keeps
         # that transient off the peak footprint (cuts change no counter).
+        if ids.size <= _SLICE_IDS:
+            self._walk_ordered(ids)
+            return
         for start in range(0, ids.size, _SLICE_IDS):
             self._walk_ordered(ids[start : start + _SLICE_IDS])
 
@@ -322,21 +325,17 @@ class BatchReplayEngine:
                 admitted += 1
         if records and recorded < ids.size:
             policy.record_access_batch(ids[recorded:])
-        cache.evictions += evictions
-        stats.total_latency_us = latency
-        self._count(int(ids.size), misses, admitted, prefetch_hits, unused, evictions)
-
-    def _count(
-        self, lookups: int, misses: int, admitted: int, used: int, unused: int, evictions: int
-    ) -> None:
-        stats = self.stats
+        lookups = int(ids.size)
         stats.lookups += lookups
         stats.hits += lookups - misses
-        stats.misses += misses
-        stats.prefetch_admitted += admitted
-        stats.prefetch_hits += used
-        stats.prefetch_evicted_unused += unused
-        stats.evictions += evictions
+        stats.prefetch_hits += prefetch_hits
+        if misses:  # everything below moves only on a miss
+            stats.misses += misses
+            stats.total_latency_us = latency
+            stats.prefetch_admitted += admitted
+            stats.prefetch_evicted_unused += unused
+            stats.evictions += evictions
+            cache.evictions += evictions
 
     def swap_layout(self, layout: BlockLayout) -> None:
         """Adopt a new block placement without disturbing cache residency.

@@ -14,6 +14,11 @@ over a window of simulated time:
   way and drops each attempt with probability ``loss_prob`` (the dropped
   attempt burns the shard timeout and is retried with backoff).
 
+The router asks the schedule one question per attempt,
+:meth:`FaultSchedule.at`, which answers crash, recovery, link and slowdown
+together (:class:`NodeFaults`) from one scan of that node's own windows; a
+node no event names answers :data:`HEALTHY` without a scan.
+
 Loss draws come from an explicit :class:`numpy.random.Generator` owned by
 the cluster store (seeded from ``ClusterConfig.seed``), so a scenario run is
 a pure function of (trace, configs, schedule, seed) — the property the chaos
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import Annotated, Any, Callable, Dict, Iterable, List, Tuple, Type, Union
+from typing import Annotated, Callable, Dict, Iterable, List, NamedTuple, Tuple, Union
 
 from repro.utils.units import s_to_us
 from repro.utils.validation import (
@@ -97,49 +102,62 @@ class DegradedLink:
 
 
 FaultEvent = Union[NodeCrash, SlowNode, DegradedLink]
-_NodeIndex = Dict[int, List[Tuple[Any, int, int]]]
+#: One node's windows in integer µs: crashes ``(start, end)``, slowdowns
+#: ``(multiplier, start, end)``, links ``(delay, loss, start, end)``.
+_NodeIndex = Tuple[
+    List[Tuple[int, int]],
+    List[Tuple[float, int, int]],
+    List[Tuple[float, float, int, int]],
+]
 
 
-def _by_node(events: Iterable[FaultEvent], kind: Type[Any]) -> _NodeIndex:
-    """Events of one ``kind`` grouped by node, windows in integer µs."""
-    index: _NodeIndex = {}
-    for e in events:
-        if isinstance(e, kind):
-            index.setdefault(e.node, []).append(
-                (e, s_to_us(e.start_s), s_to_us(e.end_s))
-            )
-    return index
+class NodeFaults(NamedTuple):
+    """Everything the schedule says about one node at one instant.
+
+    ``down``: the node is crashed.  ``recovered``: a crash window of the
+    node ended in ``(since_us, now_us]``, so the router cold-restarts it.
+    ``extra_delay_us`` / ``loss_prob``: the router↔node link's active delay
+    (each way; overlapping events add) and loss (independent drops,
+    ``1 - Π(1 - p)``).  ``multiplier``: the product of active slowdowns.
+    """
+
+    down: bool
+    recovered: bool
+    extra_delay_us: float
+    loss_prob: float
+    multiplier: float
 
 
-def _merged(index: _NodeIndex) -> _NodeIndex:
-    """Each node's windows in time order, merged where they overlap or touch.
+#: What a node no fault event names always answers.
+HEALTHY = NodeFaults(False, False, 0.0, 0.0, 1.0)
+
+
+def _merged(windows: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """One node's crash windows in time order, merged where they overlap or touch.
 
     A node is down over the union of its crash windows, so it recovers once,
     at the end of each merged window, never while another window still
     covers that instant.
     """
-    merged: _NodeIndex = {}
-    for node, windows in index.items():
-        out: List[Tuple[Any, int, int]] = []
-        merged[node] = out
-        for event, start_us, end_us in sorted(windows, key=lambda w: (w[1], w[2])):
-            if out and start_us <= out[-1][2]:
-                first, first_start_us, last_end_us = out[-1]
-                out[-1] = (first, first_start_us, max(last_end_us, end_us))
-            else:
-                out.append((event, start_us, end_us))
-    return merged
+    out: List[Tuple[int, int]] = []
+    for start_us, end_us in sorted(windows):
+        if out and start_us <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], end_us))
+        else:
+            out.append((start_us, end_us))
+    return out
 
 
 class FaultSchedule:
     """A queryable schedule of fault events over simulated time.
 
-    All queries take the current simulated time in **microseconds** (the
-    cluster's clock unit); event windows are declared in seconds, the unit
-    scenario authors think in, and are normalised to *integer* microseconds
-    once at construction — queries never convert the clock back to float
-    seconds, so window boundaries are exact µs ticks rather than artifacts
-    of binary floating point (``0.2 * 1e6`` is ``200000.00000000003``).
+    The one query, :meth:`at`, takes the current simulated time in
+    **microseconds** (the cluster's clock unit); event windows are declared
+    in seconds, the unit scenario authors think in, and are normalised to
+    *integer* microseconds once at construction — queries never convert the
+    clock back to float seconds, so window boundaries are exact µs ticks
+    rather than artifacts of binary floating point (``0.2 * 1e6`` is
+    ``200000.00000000003``).
     """
 
     def __init__(self, events: Iterable[FaultEvent] = ()) -> None:
@@ -151,60 +169,55 @@ class FaultSchedule:
                     f"got {type(event).__name__}"
                 )
         self.events = events
-        # One index per event kind, node -> [(event, start_us, end_us)] with
-        # the window already normalised to integer µs: the router asks all
-        # four questions of one node on every attempt, so a query scans only
-        # that node's events (in declaration order; a node's crash windows
-        # are merged into disjoint ones, in time order).
-        self._crashes: _NodeIndex = _merged(_by_node(events, NodeCrash))
-        self._slowdowns: _NodeIndex = _by_node(events, SlowNode)
-        self._links: _NodeIndex = _by_node(events, DegradedLink)
+        # One index over the nodes the events name, windows already in
+        # integer µs: crash windows merged into disjoint ones in time order,
+        # slowdowns and links in declaration order.  The router asks about
+        # one node on every attempt; a node the index lacks is healthy.
+        self._nodes: Dict[int, _NodeIndex] = {}
+        for e in events:
+            crashes, slowdowns, links = self._nodes.setdefault(e.node, ([], [], []))
+            start_us, end_us = s_to_us(e.start_s), s_to_us(e.end_s)
+            if isinstance(e, NodeCrash):
+                crashes.append((start_us, end_us))
+            elif isinstance(e, SlowNode):
+                slowdowns.append((e.multiplier, start_us, end_us))
+            else:
+                links.append((e.extra_delay_us, e.loss_prob, start_us, end_us))
+        for crashes, _slowdowns, _links in self._nodes.values():
+            crashes[:] = _merged(crashes)
 
     def __len__(self) -> int:
         return len(self.events)
 
-    # ---------------------------------------------------------------- queries
-    def is_down(self, node: int, now_us: float) -> bool:
-        """Whether ``node`` is crashed at simulated time ``now_us``."""
-        for _e, start_us, end_us in self._crashes.get(node, ()):
-            if start_us <= now_us < end_us:
-                return True
-        return False
+    # ----------------------------------------------------------------- query
+    def at(self, node: int, since_us: float, now_us: float) -> NodeFaults:
+        """What ``node`` faces at ``now_us``, last asked about at ``since_us``.
 
-    def latency_multiplier(self, node: int, now_us: float) -> float:
-        """Service-time multiplier on ``node`` (product of active slowdowns)."""
-        multiplier = 1.0
-        for e, start_us, end_us in self._slowdowns.get(node, ()):
-            if start_us <= now_us < end_us:
-                multiplier *= e.multiplier
-        return multiplier
-
-    def link(self, node: int, now_us: float) -> Tuple[float, float]:
-        """Active ``(extra_delay_us, loss_prob)`` of the router↔node link.
-
-        Delays of overlapping events add; losses combine as independent
-        drops (``1 - Π(1 - p)``).
+        One scan of the node's own windows answers every question the router
+        has of an attempt (see :class:`NodeFaults`); a node no event names
+        is :data:`HEALTHY` without a scan.
         """
+        index = self._nodes.get(node)
+        if index is None:
+            return HEALTHY
+        crashes, slowdowns, links = index
+        down = recovered = False
+        for start_us, end_us in crashes:
+            if start_us <= now_us < end_us:
+                down = True
+            if since_us < end_us <= now_us:
+                recovered = True
+        multiplier = 1.0
+        for factor, start_us, end_us in slowdowns:
+            if start_us <= now_us < end_us:
+                multiplier *= factor
         delay = 0.0
         survive = 1.0
-        for e, start_us, end_us in self._links.get(node, ()):
+        for extra_us, loss, start_us, end_us in links:
             if start_us <= now_us < end_us:
-                delay += e.extra_delay_us
-                survive *= 1.0 - e.loss_prob
-        return delay, 1.0 - survive
-
-    def crash_recovered_between(
-        self, node: int, since_us: float, now_us: float
-    ) -> bool:
-        """Whether ``node`` finished a crash window in ``(since_us, now_us]``.
-
-        The cluster uses this to cold-restart a node's caches the first time
-        it is touched after recovering.
-        """
-        for _e, _start_us, end_us in self._crashes.get(node, ()):
-            if since_us < end_us <= now_us:
-                return True
-        return False
+                delay += extra_us
+                survive *= 1.0 - loss
+        return NodeFaults(down, recovered, delay, 1.0 - survive, multiplier)
 
 
 # ------------------------------------------------------------------- catalog

@@ -32,9 +32,12 @@ the crash — and re-anchors the device bank at the restart time
 (:meth:`~repro.device.NVMDeviceBank.rebase`), the same single definition of
 restart semantics warm-up rebase uses.
 
-The :class:`ShardServiceResult` split — ``queue_wait_us`` (FIFO backlog on
-this node's device) vs ``service_us`` (overhead + NVM read time, stretched
-by any slow-node multiplier) — is what the router records as the
+A shard read is one engine replay and one
+:meth:`~repro.device.clock.DeviceClock.serve_duration` on the table's device
+(looked up once, at construction), returning a :class:`ShardServiceResult`
+tuple.  Its split — ``queue_wait_us`` (FIFO backlog on this node's device)
+vs ``service_us`` (overhead + NVM read time, stretched by any slow-node
+multiplier) — is what the router records as the
 ``node.queue``/``node.service`` spans of a traced attempt
 (:mod:`repro.tracing`), and what the circuit breaker judges slowness by
 (service only; backlog is overload, not brokenness).
@@ -42,8 +45,7 @@ by any slow-node multiplier) — is what the router records as the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -56,8 +58,7 @@ from repro.device.bank import NVMDeviceBank
 NODE_OVERHEAD_US = 5.0
 
 
-@dataclass(frozen=True)
-class ShardServiceResult:
+class ShardServiceResult(NamedTuple):
     """What one executed shard read cost on the node."""
 
     queue_wait_us: float
@@ -106,6 +107,8 @@ class ClusterNode:
             )
         #: The node's devices, its served tables pinned to them round-robin.
         self.bank = NVMDeviceBank(num_devices, tables=self.engines.keys())
+        #: Each served table's device, resolved once for the per-read charge.
+        self._devices = {name: self.bank.device_of(name) for name in self.engines}
         self.cold_restarts = 0
         #: Simulated time up to which crash-recovery has been checked.
         self.last_seen_us = 0.0
@@ -139,23 +142,20 @@ class ClusterNode:
         resulting NVM read time plus the node overhead — stretched by the
         active slow-node ``multiplier`` — behind the table's device backlog,
         and advances that device's clock.  ``validated=True`` is the router
-        vouching that it range-checked ``ids`` already (it does so once per
+        vouching that it checked ``ids`` already (it does so once per
         request, before serving anything); direct callers get the engine's
         own check.
         """
-        stats = self.engines[table_name].stats
+        engine = self.engines[table_name]
+        stats = engine.stats
         latency_before = stats.total_latency_us
         blocks_before = stats.misses
-        self.engines[table_name].replay_query(ids, validate=not validated)
+        engine.replay_query(ids, validate=not validated)
         device_us = stats.total_latency_us - latency_before
         blocks = stats.misses - blocks_before
         service_us = (NODE_OVERHEAD_US + device_us) * float(multiplier)
-        record = self.bank.serve_duration(
-            table_name, arrive_us, service_us, block_reads=blocks
-        )
-        return ShardServiceResult(
-            queue_wait_us=record.queue_wait_us, service_us=service_us
-        )
+        record = self._devices[table_name].serve_duration(arrive_us, service_us, blocks)
+        return ShardServiceResult(record.start_us - arrive_us, service_us)
 
     def serves_table(self, table_name: str) -> bool:
         """Whether this node owns any shard of ``table_name``."""

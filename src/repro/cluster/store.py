@@ -26,14 +26,19 @@ Robustness machinery, in the order an attempt meets it:
    device exceeds ``admission_queue_slack ×`` the table's SLO (see
    :mod:`repro.cluster.node`) — and the router retries another replica.
 4. **Hedged reads**: when a first attempt's latency exceeds the hedge
-   delay — the running :data:`HEDGE_QUANTILE` quantile of shard latency,
-   never below :data:`HEDGE_MIN_US` — a duplicate read is fired at another
+   delay — the running :data:`HEDGE_QUANTILE` quantile of the trailing
+   shard latencies (a window kept sorted as it slides), never below
+   :data:`HEDGE_MIN_US` — a duplicate read is fired at another
    replica and the earlier completion wins.  Hedges do real work — they warm the
    secondary's cache — exactly like production hedging.
 
-Every read the router sends — first try, retry or hedge — goes through one
-probe, ``ClusterStore._try_replica``: cold-restart check, crashed?, link
-delay and loss draw, admission check, then the node serves.  A probe that
+Routing is a table built once per store: each vector's replica set, from
+the ring and the placement.  Every read the router sends — first try, retry
+or hedge — goes through one probe, ``ClusterStore._try_replica``, which asks
+the fault schedule one question (:meth:`FaultSchedule.at
+<repro.cluster.faults.FaultSchedule.at>`) and acts on the answer:
+cold-restart check, crashed?, link delay and loss draw, admission check,
+then the node serves.  A probe that
 did not complete takes the shard group's one retry tail: a crashed node or
 a lost read costs :data:`SHARD_TIMEOUT_US` and strikes the breaker at its end, a
 shed costs one round trip and no strike, and the next replica is tried
@@ -70,14 +75,16 @@ behavior (golden-pinned).
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, NamedTuple, Optional
-from typing import Sequence, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, Iterable, List, Mapping, NamedTuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.caching.replay import ReplayStats
-from repro.cluster.faults import FaultSchedule
+from repro.cluster.faults import FaultSchedule, NodeFaults
 from repro.cluster.node import ClusterNode, ShardServiceResult
 from repro.cluster.ring import ConsistentHashRing
 from repro.core.config import ClusterConfig, ServingConfig
@@ -103,6 +110,7 @@ from repro.tracing.tracer import (
 )
 from repro.utils.units import s_to_us
 from repro.utils.rng import ensure_rng
+from repro.utils.validation import check_array_1d_ints, check_id_range
 
 if TYPE_CHECKING:
     from repro.core.bandana import BandanaStore
@@ -318,16 +326,18 @@ class ClusterStore:
             )
             for name, spec in self.specs.items()
         }
-        # Routing is a pure function of the ring, so it is tabulated once:
-        # per table the distinct replica sets — the rows of
+        # Routing is a pure function of the ring and the placement, so it is
+        # tabulated once: per table the distinct replica sets — the rows of
         # ``np.unique(owners, axis=0)``, lexicographic, as tuples of node
-        # indices — and, per block, the index of its row.
-        self._replica_sets: Dict[str, List[Tuple[int, ...]]] = {}
-        self._block_group: Dict[str, np.ndarray] = {}
+        # indices — and, per vector, the index of its block's row.
+        self._routes: Dict[str, Tuple[np.ndarray, List[Tuple[int, ...]]]] = {}
         for name, owners in self._owners.items():
+            layout = self.specs[name].layout
             rows, block_group = np.unique(owners, axis=0, return_inverse=True)
-            self._replica_sets[name] = [tuple(row) for row in rows.tolist()]
-            self._block_group[name] = block_group.reshape(-1)
+            vector_group = block_group.reshape(-1)[
+                layout.block_of(np.arange(layout.num_vectors, dtype=np.int64))
+            ]
+            self._routes[name] = (vector_group, [tuple(row) for row in rows.tolist()])
         self._build_serving_state()
 
     # ------------------------------------------------------------------ build
@@ -376,7 +386,9 @@ class ClusterStore:
         self.counters = ClusterCounters()
         self._clock_us = 0.0
         self._rng = ensure_rng(self.config.seed)
-        self._latency_window: List[float] = []
+        #: The trailing shard latencies, in arrival order and sorted.
+        self._latency_window: Deque[float] = deque()
+        self._latency_sorted: List[float] = []
         self._hedge_delay_us = HEDGE_MIN_US
         self._samples_since_refresh = 0
         #: Span recorder (``repro.tracing``); the shared no-op singleton
@@ -413,6 +425,7 @@ class ClusterStore:
             breaker.strikes = 0
             breaker.open_until_us = 0.0
         self._latency_window.clear()
+        self._latency_sorted.clear()
         self._samples_since_refresh = 0
         self._hedge_delay_us = HEDGE_MIN_US
         self.counters = ClusterCounters()
@@ -458,16 +471,12 @@ class ClusterStore:
                     **{ATTR_PARALLEL: True},
                 )
             ok, group_completion = self._serve_shard_group(
-                table_name,
-                replicas,
-                ids,
-                dispatch_us,
-                rid=rid,
-                group_span_id=group_span_id,
+                table_name, replicas, ids, dispatch_us, rid, group_span_id
             )
             if tracer.enabled:
                 tracer.close_span(rid, group_span_id, group_completion, ok=ok)
-            completion_us = max(completion_us, group_completion)
+            if group_completion > completion_us:
+                completion_us = group_completion
             if not ok:
                 failed += 1
         self.counters.requests_total += 1
@@ -504,35 +513,34 @@ class ClusterStore:
         the per-engine replay order matches single-store serving exactly;
         groups of one table come in the replica sets' lexicographic order.
 
-        This is the request path's one id range check (``block_of`` raises
-        ``IndexError``), made for the whole request before anything is
+        This is the request path's one id check, the host's
+        (:class:`~repro.core.bandana.BandanaStore`): integer ids
+        (``TypeError`` for floats and bools, never truncated) in range
+        (``IndexError``), made for the whole request before anything is
         served: nodes replay routed ids unvalidated, and a rejected request
         leaves every engine, device, counter and clock untouched.
         """
         groups: List[Tuple[str, Tuple[int, ...], np.ndarray]] = []
+        routes = self._routes
         for table_name, raw_ids in request.items():
-            spec = self._spec(table_name)
-            ids = np.asarray(raw_ids, dtype=np.int64)
+            if table_name not in routes:
+                raise KeyError(
+                    f"unknown table {table_name!r}; known tables: {sorted(self.specs)}"
+                )
+            vector_group, replica_sets = routes[table_name]
+            ids = check_array_1d_ints(raw_ids, "vector_ids")
             if ids.size == 0:
                 continue
-            group_of = self._block_group[table_name][spec.layout.block_of(ids)]
-            order = group_of.argsort(kind="stable")
-            group_of, ids = group_of[order], ids[order]
-            replica_sets = self._replica_sets[table_name]
-            cuts = ((group_of[1:] != group_of[:-1]).nonzero()[0] + 1).tolist()
-            for start, end in zip([0, *cuts], [*cuts, ids.size]):
-                groups.append(
-                    (table_name, replica_sets[group_of[start]], ids[start:end])
-                )
+            check_id_range(ids, vector_group.size)
+            group_of = vector_group[ids]
+            ids = ids[group_of.argsort(kind="stable")]
+            start = 0
+            for group, size in enumerate(np.bincount(group_of).tolist()):
+                if size:
+                    end = start + size
+                    groups.append((table_name, replica_sets[group], ids[start:end]))
+                    start = end
         return groups
-
-    def _spec(self, table_name: str) -> TableServingSpec:
-        try:
-            return self.specs[table_name]
-        except KeyError:
-            raise KeyError(
-                f"unknown table {table_name!r}; known tables: {sorted(self.specs)}"
-            ) from None
 
     # ------------------------------------------------------------ shard serve
     def _serve_shard_group(
@@ -541,16 +549,16 @@ class ClusterStore:
         replicas: Sequence[int],
         ids: np.ndarray,
         t0_us: float,
-        rid: int = -1,
-        group_span_id: int = -1,
+        rid: int,
+        group_span_id: int,
     ) -> Tuple[bool, float]:
         """Serve one shard group with retries/hedging; see module docstring.
 
         ``rid``/``group_span_id`` anchor the per-attempt spans when a tracer
-        is attached: every attempt — including ones that burned a timeout,
-        were shed, or were skipped on an open breaker — becomes a span under
-        the group, so a traced request shows *why* its group was slow, not
-        just that it was.
+        is attached (the span id is ``-1`` when none is): every attempt —
+        including ones that burned a timeout, were shed, or were skipped on
+        an open breaker — becomes a span under the group, so a traced
+        request shows *why* its group was slow, not just that it was.
         """
         config = self.config
         counters = self.counters
@@ -623,7 +631,10 @@ class ClusterStore:
                 t += cost_us + backoff_us
                 backoff_us = min(2.0 * backoff_us, RETRY_BACKOFF_CAP_US)
                 continue
-            attempt_latency_us = 2.0 * tried.link_us + service.total_us
+            # ``total_us`` spelled out: a property call per read is measurable.
+            attempt_latency_us = 2.0 * tried.link_us + (
+                service.queue_wait_us + service.service_us
+            )
             completion_us = t + attempt_latency_us
             # Slow strikes judge *service* time, not queue wait: a backlog
             # is cluster-wide overload (admission control's domain), not
@@ -655,7 +666,7 @@ class ClusterStore:
                         hedge_us = (
                             hedge.start_us
                             + 2.0 * hedge.link_us
-                            + hedge.service.total_us
+                            + (hedge.service.queue_wait_us + hedge.service.service_us)
                         )
                         # A tie is a win: the hedge returned no later than
                         # the primary, so its result was usable.
@@ -703,12 +714,12 @@ class ClusterStore:
         ``admission_queue_slack`` is ``None``), then the node.
         """
         node = self.nodes[node_index]
-        self._maybe_recover(node, start_us)
-        if self.faults.is_down(node_index, start_us):
+        faults = self._maybe_recover(node, start_us)
+        if faults.down:
             return _Attempt(node_index, start_us, "down", 0.0, start_us, 0.0, None)
-        extra_delay_us, loss_prob = self.faults.link(node_index, start_us)
-        link_us = LINK_DELAY_US + extra_delay_us
+        link_us = LINK_DELAY_US + faults.extra_delay_us
         arrive_us = start_us + link_us
+        loss_prob = faults.loss_prob
         if loss_prob > 0.0 and self._rng.random() < loss_prob:
             return _Attempt(
                 node_index, start_us, "link_loss", link_us, arrive_us, 0.0, None
@@ -720,8 +731,8 @@ class ClusterStore:
                 return _Attempt(
                     node_index, start_us, "shed", link_us, arrive_us, wait_us, None
                 )
-        multiplier = self.faults.latency_multiplier(node_index, start_us)
-        service = node.serve(table_name, ids, arrive_us, multiplier, validated=True)
+        # validated=True (positionally): _route checked the ids.
+        service = node.serve(table_name, ids, arrive_us, faults.multiplier, True)
         return _Attempt(
             node_index,
             start_us,
@@ -787,24 +798,39 @@ class ClusterStore:
             )
 
     # ----------------------------------------------------------------- faults
-    def _maybe_recover(self, node: ClusterNode, now_us: float) -> None:
-        """Cold-restart a node the first time it is touched after a crash."""
-        if self.faults.crash_recovered_between(node.index, node.last_seen_us, now_us):
+    def _maybe_recover(self, node: ClusterNode, now_us: float) -> NodeFaults:
+        """Ask the schedule about ``node`` at ``now_us``; returns its answer.
+
+        Cold-restarts the node the first time it is touched after a crash,
+        and advances the node's ``last_seen_us`` to ``now_us``.
+        """
+        last_seen_us = node.last_seen_us
+        faults = self.faults.at(node.index, last_seen_us, now_us)
+        if faults.recovered:
             node.cold_restart(now_us)
             self.counters.cold_restarts += 1
-        node.last_seen_us = max(node.last_seen_us, now_us)
+        if now_us > last_seen_us:
+            node.last_seen_us = now_us
+        return faults
 
     # ---------------------------------------------------------------- hedging
     def _record_shard_latency(self, latency_us: float) -> None:
+        """Slide the trailing window by one sample; refresh the hedge delay.
+
+        The window is kept twice — in arrival order, to know which sample
+        leaves, and sorted, for the quantile — so no refresh sorts it.
+        """
         window = self._latency_window
+        ordered = self._latency_sorted
+        if len(window) == _HEDGE_WINDOW:
+            del ordered[bisect_left(ordered, window.popleft())]
         window.append(latency_us)
-        if len(window) > _HEDGE_WINDOW:
-            del window[: len(window) - _HEDGE_WINDOW]
+        insort(ordered, latency_us)
         self._samples_since_refresh += 1
         if self._samples_since_refresh >= _HEDGE_REFRESH:
             self._samples_since_refresh = 0
             self._hedge_delay_us = max(
-                HEDGE_MIN_US, _linear_quantile(sorted(window), HEDGE_QUANTILE)
+                HEDGE_MIN_US, _linear_quantile(ordered, HEDGE_QUANTILE)
             )
 
     # ---------------------------------------------------------------- metrics

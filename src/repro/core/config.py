@@ -169,8 +169,10 @@ class ClusterConfig:
         breaker opens (the router stops routing to it without paying
         timeouts).
     breaker_slow_threshold_us:
-        Attempt latency counted as a "slow strike" against the breaker —
-        this is what ejects persistently slow (but alive) replicas.
+        Service time counted as a "slow strike" against the breaker: the
+        node's overhead plus NVM read time, times any slowdown.  Queue wait
+        and link time never count (a backlog is overload, not a broken
+        node).  This is what ejects persistently slow (but alive) replicas.
     breaker_cooloff_s:
         Simulated seconds an open breaker stays open before the node is
         probed again (half-open).

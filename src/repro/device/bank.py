@@ -140,18 +140,6 @@ class NVMDeviceBank:
             for index, blocks in blocks_by_device.items()
         ]
 
-    def serve_duration(
-        self,
-        table_name: str,
-        arrive_us: float,
-        service_us: float,
-        block_reads: int = 0,
-    ) -> DeviceServiceRecord:
-        """Serve externally-priced work for one table on its device."""
-        return self.device_of(table_name).serve_duration(
-            arrive_us, service_us, block_reads=block_reads
-        )
-
     # ---------------------------------------------------------------- tracing
     @staticmethod
     def emit_device_spans(

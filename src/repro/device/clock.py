@@ -37,8 +37,7 @@ Everything runs on the simulated clock; there are no wall-time reads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -56,8 +55,7 @@ from repro.utils.validation import (
 DEVICE_SLOTS = 64
 
 
-@dataclass(frozen=True)
-class DeviceServiceRecord:
+class DeviceServiceRecord(NamedTuple):
     """What the device clock decided for one serve call.
 
     ``start_us`` is when the call's first read started and ``completion_us``
@@ -254,18 +252,22 @@ class DeviceClock:
             check_non_negative(service_us, "service_us")
         if type(block_reads) is not int or block_reads < 0:
             block_reads = check_int_at_least(block_reads, 0, "block_reads")
-        start_us = max(float(self._slot_free_us[-1]), arrive_us)
+        free_us = float(self._slot_free_us[-1])
+        start_us = arrive_us if arrive_us > free_us else free_us
         completion_us = start_us + service_us
         self._slot_free_us.fill(completion_us)
+        # Positional fields (a keyword construction costs more than the rest
+        # of the call): dispatch, start, completion, reads, depth, read
+        # latency, device.
         return self._finish(
             DeviceServiceRecord(
-                dispatch_us=arrive_us,
-                start_us=start_us,
-                completion_us=completion_us,
-                block_reads=block_reads,
-                queue_depth=1.0 if start_us > arrive_us else 0.0,
-                read_latency_us=0.0,
-                device_index=self.index,
+                arrive_us,
+                start_us,
+                completion_us,
+                block_reads,
+                1.0 if start_us > arrive_us else 0.0,
+                0.0,
+                self.index,
             ),
             completion_us - start_us,
         )
@@ -278,7 +280,9 @@ class DeviceClock:
         self.serves += 1
         self.busy_us += busy_us
         self.blocks_issued += record.block_reads
-        bucket = depth_bucket(record.queue_depth)
+        depth = record.queue_depth
+        # Depths 0 and 1 (every FIFO serve) skip ``depth_bucket``'s log2.
+        bucket = 0 if depth <= 0.0 else 1 if depth <= 1.0 else depth_bucket(depth)
         self.depth_hist[bucket] = self.depth_hist.get(bucket, 0) + 1
         return record
 

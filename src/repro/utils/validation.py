@@ -83,8 +83,13 @@ def check_array_1d_ints(values: Any, name: str) -> np.ndarray:
 
 
 def check_id_range(ids: np.ndarray, num_vectors: int) -> None:
-    """Raise ``IndexError`` unless every id lies in ``[0, num_vectors)``."""
-    if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= num_vectors):
+    """Raise ``IndexError`` unless every id lies in ``[0, num_vectors)``.
+
+    ``ids`` is a :func:`check_array_1d_ints` result (``int64``).  Read as
+    unsigned, a negative id exceeds every table size, so one reduction
+    checks both ends.
+    """
+    if ids.size and int(np.maximum.reduce(ids.view(np.uint64))) >= num_vectors:
         raise IndexError(
             f"vector ids must be in [0, {num_vectors}), got range "
             f"[{ids.min()}, {ids.max()}]"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.faults import (
+    HEALTHY,
     SCENARIOS,
     DegradedLink,
     FaultSchedule,
@@ -39,11 +40,11 @@ class TestEventValidation:
 class TestScheduleQueries:
     def test_is_down_window_half_open(self):
         faults = FaultSchedule([NodeCrash(node=1, start_s=0.2, end_s=0.6)])
-        assert not faults.is_down(1, 0.199e6)
-        assert faults.is_down(1, 0.2e6)
-        assert faults.is_down(1, 0.5999e6)
-        assert not faults.is_down(1, 0.6e6)
-        assert not faults.is_down(0, 0.3e6)  # other nodes unaffected
+        assert not faults.at(1, 0.199e6, 0.199e6).down
+        assert faults.at(1, 0.2e6, 0.2e6).down
+        assert faults.at(1, 0.5999e6, 0.5999e6).down
+        assert not faults.at(1, 0.6e6, 0.6e6).down
+        assert not faults.at(0, 0.3e6, 0.3e6).down  # other nodes unaffected
 
     def test_multiplier_products_overlapping_events(self):
         faults = FaultSchedule(
@@ -52,10 +53,10 @@ class TestScheduleQueries:
                 SlowNode(node=0, start_s=0.5, end_s=1.5, multiplier=3.0),
             ]
         )
-        assert faults.latency_multiplier(0, 0.25e6) == pytest.approx(2.0)
-        assert faults.latency_multiplier(0, 0.75e6) == pytest.approx(6.0)
-        assert faults.latency_multiplier(0, 1.25e6) == pytest.approx(3.0)
-        assert faults.latency_multiplier(0, 2.0e6) == pytest.approx(1.0)
+        assert faults.at(0, 0.25e6, 0.25e6).multiplier == pytest.approx(2.0)
+        assert faults.at(0, 0.75e6, 0.75e6).multiplier == pytest.approx(6.0)
+        assert faults.at(0, 1.25e6, 1.25e6).multiplier == pytest.approx(3.0)
+        assert faults.at(0, 2.0e6, 2.0e6).multiplier == pytest.approx(1.0)
 
     def test_link_combines_delay_and_loss(self):
         faults = FaultSchedule(
@@ -64,7 +65,7 @@ class TestScheduleQueries:
                 DegradedLink(node=0, start_s=0.0, end_s=1.0, extra_delay_us=50.0, loss_prob=0.5),
             ]
         )
-        delay, loss = faults.link(0, 0.5e6)
+        _down, _recovered, delay, loss, _multiplier = faults.at(0, 0.5e6, 0.5e6)
         assert delay == pytest.approx(150.0)
         assert loss == pytest.approx(0.75)  # independent drops: 1 - 0.5 * 0.5
 
@@ -72,16 +73,17 @@ class TestScheduleQueries:
         faults = FaultSchedule(
             [DegradedLink(node=0, start_s=0.2, end_s=0.4, extra_delay_us=10.0, loss_prob=0.1)]
         )
-        assert faults.link(0, 0.5e6) == (0.0, 0.0)
+        state = faults.at(0, 0.5e6, 0.5e6)
+        assert (state.extra_delay_us, state.loss_prob) == (0.0, 0.0)
 
     def test_crash_recovered_between(self):
         faults = FaultSchedule([NodeCrash(node=0, start_s=0.2, end_s=0.6)])
         # Recovery (crash end at 0.6 s) falls in (since, now].
-        assert faults.crash_recovered_between(0, 0.5e6, 0.7e6)
-        assert faults.crash_recovered_between(0, 0.5e6, 0.6e6)
-        assert not faults.crash_recovered_between(0, 0.6e6, 0.7e6)  # already seen
-        assert not faults.crash_recovered_between(0, 0.1e6, 0.5e6)  # still down
-        assert not faults.crash_recovered_between(1, 0.0, 1.0e6)  # never crashed
+        assert faults.at(0, 0.5e6, 0.7e6).recovered
+        assert faults.at(0, 0.5e6, 0.6e6).recovered
+        assert not faults.at(0, 0.6e6, 0.7e6).recovered  # already seen
+        assert not faults.at(0, 0.1e6, 0.5e6).recovered  # still down
+        assert not faults.at(1, 0.0, 1.0e6).recovered  # never crashed
 
     def test_overlapping_crash_windows_recover_once(self):
         # One outage written as two overlapping windows (and a third that
@@ -94,22 +96,25 @@ class TestScheduleQueries:
                 NodeCrash(node=0, start_s=0.6, end_s=0.7),
             ]
         )
-        assert not faults.crash_recovered_between(0, 0.35e6, 0.45e6)
-        assert not faults.crash_recovered_between(0, 0.5e6, 0.65e6)
-        assert faults.is_down(0, 0.6e6)
-        assert faults.crash_recovered_between(0, 0.65e6, 0.7e6)
-        assert faults.crash_recovered_between(0, 0.0, 1.0e6)
+        assert not faults.at(0, 0.35e6, 0.45e6).recovered
+        assert not faults.at(0, 0.5e6, 0.65e6).recovered
+        assert faults.at(0, 0.6e6, 0.6e6).down
+        assert faults.at(0, 0.65e6, 0.7e6).recovered
+        assert faults.at(0, 0.0, 1.0e6).recovered
 
     def test_empty_schedule_is_healthy(self):
         faults = FaultSchedule(())
         assert len(faults) == 0
-        assert not faults.is_down(0, 1e6)
-        assert faults.latency_multiplier(0, 1e6) == pytest.approx(1.0)
-        assert faults.link(0, 1e6) == (0.0, 0.0)
+        assert faults.at(0, 0.0, 1e6) == (False, False, 0.0, 0.0, 1.0)
+
+    def test_node_no_event_names_is_healthy_without_a_scan(self):
+        faults = FaultSchedule([NodeCrash(node=1, start_s=0.2, end_s=0.6)])
+        assert faults.at(0, 0.0, 0.3e6) is HEALTHY
+        assert faults.at(1, 0.0, 0.3e6) == (True, False, 0.0, 0.0, 1.0)
 
 
 def _flat_scan(events, node, since_us, now_us):
-    """All four queries answered by scanning every event (the pre-index way)."""
+    """``FaultSchedule.at`` answered by scanning every event (the pre-index way)."""
 
     def active(kind):
         return [
@@ -137,7 +142,7 @@ def _flat_scan(events, node, since_us, now_us):
         since_us < s_to_us(e.end_s) <= now_us and not down(s_to_us(e.end_s))
         for e in crashes
     )
-    return down(now_us), multiplier, (delay, 1.0 - survive), recovered
+    return (down(now_us), recovered, delay, 1.0 - survive, multiplier)
 
 
 class TestPerNodeIndex:
@@ -159,12 +164,9 @@ class TestPerNodeIndex:
         for node in range(4):
             for index, now_us in enumerate(ticks):
                 for since_us in ticks[: index + 1]:
-                    assert (
-                        faults.is_down(node, now_us),
-                        faults.latency_multiplier(node, now_us),
-                        faults.link(node, now_us),
-                        faults.crash_recovered_between(node, since_us, now_us),
-                    ) == _flat_scan(events, node, since_us, now_us)
+                    assert faults.at(node, since_us, now_us) == _flat_scan(
+                        events, node, since_us, now_us
+                    )
 
 
     @pytest.mark.parametrize("seed", range(12))
@@ -183,10 +185,9 @@ class TestPerNodeIndex:
         for node in range(3):
             for index, now_us in enumerate(ticks):
                 for since_us in ticks[: index + 1]:
-                    assert (
-                        faults.is_down(node, now_us),
-                        faults.crash_recovered_between(node, since_us, now_us),
-                    ) == _flat_scan(events, node, since_us, now_us)[::3]
+                    assert faults.at(node, since_us, now_us) == _flat_scan(
+                        events, node, since_us, now_us
+                    )
 
 
 class TestCrashWindowsMerge:
@@ -207,10 +208,10 @@ class TestCrashWindowsMerge:
         # at each end of that union, never at an end another window covers.
         faults = FaultSchedule([NodeCrash(node=0, start_s=a, end_s=b) for a, b in windows])
         ticks = [step * 10_000 for step in range(101)]
-        down = [t for t in ticks if faults.is_down(0, t)]
+        down = [t for t in ticks if faults.at(0, t, t).down]
         assert down == [t for t in ticks if any(a * 1e6 <= t < b * 1e6 for a, b in outages)]
         recoveries = [
-            t for t in ticks[1:] if faults.crash_recovered_between(0, t - 10_000, t)
+            t for t in ticks[1:] if faults.at(0, t - 10_000, t).recovered
         ]
         assert recoveries == [round(b * 1e6) for _a, b in outages]
 
@@ -242,8 +243,8 @@ class TestScenarioCatalog:
         faults = make_scenario(
             "slow_node", num_nodes=4, start_s=0.1, duration_s=0.2, node=2, multiplier=5.0
         )
-        assert faults.latency_multiplier(2, 0.2e6) == pytest.approx(5.0)
-        assert faults.latency_multiplier(2, 0.05e6) == pytest.approx(1.0)
+        assert faults.at(2, 0.2e6, 0.2e6).multiplier == pytest.approx(5.0)
+        assert faults.at(2, 0.05e6, 0.05e6).multiplier == pytest.approx(1.0)
 
     def test_unknown_overrides_ignored(self):
         # One sweep loop drives every scenario with a shared parameter set;

@@ -31,7 +31,13 @@ from repro.cluster import (
     run_scenario,
 )
 from repro.caching.policies import NoPrefetchPolicy
-from repro.cluster.store import _linear_quantile
+from repro.cluster.store import (
+    _HEDGE_REFRESH,
+    _HEDGE_WINDOW,
+    HEDGE_MIN_US,
+    HEDGE_QUANTILE,
+    _linear_quantile,
+)
 from repro.core.config import ClusterConfig, ServingConfig
 from repro.core.tablespec import TableServingSpec
 from repro.nvm.block import BlockLayout
@@ -39,10 +45,12 @@ from repro.tracing import Tracer, validate_trace
 from repro.tracing.tracer import (
     STAGE_ATTEMPT_BREAKER_SKIP,
     STAGE_ATTEMPT_LINK_LOSS,
+    STAGE_ATTEMPT_OK,
     STAGE_ATTEMPT_SHED,
     STAGE_ATTEMPT_TIMEOUT,
     STAGE_HEDGE_LOST,
     STAGE_HEDGE_WON,
+    STAGE_NODE_SERVICE,
 )
 from tests.conftest import build_store
 
@@ -170,6 +178,38 @@ class TestSlowNodesAndHedging:
         assert report.counters.breaker_ejections > 0
         assert report.counters.breaker_skips > 0
         assert report.counters.availability == pytest.approx(1.0)
+
+    def test_breaker_never_ejects_a_healthy_node_behind_a_backlog(self):
+        # Slow strikes judge service time, not the attempt's latency: fifty
+        # one-id requests dispatched together queue up behind each other on
+        # the primary, whose attempts then take far longer than the threshold
+        # while each read's service stays under it.  One strike would eject.
+        threshold_us = 100.0
+        spec = TableServingSpec(
+            name="t0",
+            layout=BlockLayout.identity(64, 8),
+            policy_prototype=NoPrefetchPolicy(),
+            cache_size_vectors=8,
+        )
+        config = ClusterConfig(
+            num_nodes=2,
+            replication=2,
+            hedge_enabled=False,
+            breaker_failure_threshold=1,
+            breaker_slow_threshold_us=threshold_us,
+        )
+        cluster = ClusterStore({"t0": spec}, config)
+        tracer = Tracer()
+        cluster.set_tracer(tracer)
+        outcomes = [cluster.serve_request({"t0": [vid]}, now_us=0.0) for vid in range(50)]
+        assert max(outcome.latency_us for outcome in outcomes) > 5 * threshold_us
+        spans = [span for trace in tracer.traces.values() for span in trace.spans]
+        attempts = [span for span in spans if span.name == STAGE_ATTEMPT_OK]
+        services = [span for span in spans if span.name == STAGE_NODE_SERVICE]
+        assert len(attempts) == len(services) == 50
+        assert max(span.t_end_us - span.t_start_us for span in services) < threshold_us
+        assert cluster.counters.breaker_ejections == 0
+        assert cluster.counters.breaker_skips == 0
 
 
 class TestFlakyLinks:
@@ -450,7 +490,7 @@ def _route_reference(cluster, request):
     """
     groups = []
     for table_name, raw_ids in request.items():
-        spec = cluster._spec(table_name)
+        spec = cluster.specs[table_name]
         ids = np.asarray(raw_ids, dtype=np.int64)
         if ids.size == 0:
             continue
@@ -527,13 +567,15 @@ class TestRoutingTable:
     @settings(max_examples=30, deadline=None)
     @given(bare_clusters())
     def test_replica_sets_are_the_sorted_distinct_owner_rows(self, cluster):
+        # The routing table maps each vector to its block's owner row.
         for name, owners in cluster._owners.items():
-            sets = cluster._replica_sets[name]
+            vector_group, sets = cluster._routes[name]
             assert sets == sorted(set(sets))  # distinct, lexicographic
-            block_group = cluster._block_group[name]
-            assert block_group.shape == (owners.shape[0],)
-            assert np.array_equal(np.array(sets)[block_group], owners)
-            assert set(block_group.tolist()) == set(range(len(sets)))
+            layout = cluster.specs[name].layout
+            assert vector_group.shape == (layout.num_vectors,)
+            blocks = layout.block_of(np.arange(layout.num_vectors))
+            assert np.array_equal(np.array(sets)[vector_group], owners[blocks])
+            assert set(vector_group.tolist()) == set(range(len(sets)))
 
 
 def _serving_footprint(cluster):
@@ -559,6 +601,22 @@ class TestRejectedRequests:
             cluster.serve_request({"t0": [0, 1, 2], "t1": [10**9]})
         with pytest.raises(KeyError, match="unknown table"):
             cluster.serve_request({"t0": [0, 1, 2], "no-such-table": [0]})
+        assert _serving_footprint(cluster) == before
+
+    @pytest.mark.parametrize("bad_ids", [[1.7, 2.2], [True, False]], ids=["floats", "bools"])
+    def test_non_integer_ids_are_rejected_like_the_host(self, bad_ids):
+        # Regression: the router cast ids to int64, so [1.7, 2.2] was served
+        # as ids 1 and 2 and [True, False] as ids 1 and 0; the host raises.
+        store, _trace = build_store(0)
+        cluster = ClusterStore.from_store(store, ClusterConfig(num_nodes=2))
+        name, other = sorted(cluster.specs)[:2]
+        cluster.serve_request({name: [5, 6], other: [7]})
+        before = _serving_footprint(cluster)
+        with pytest.raises(TypeError, match="must contain integers") as host:
+            store.lookup(name, bad_ids)
+        with pytest.raises(TypeError) as routed:
+            cluster.serve_request({other: [0, 1], name: bad_ids})
+        assert str(routed.value) == str(host.value)
         assert _serving_footprint(cluster) == before
 
     def test_rejected_request_does_not_wedge_a_traced_cluster(self):
@@ -595,6 +653,36 @@ class TestHedgeQuantile:
             assert _linear_quantile(ordered, q) == float(
                 np.percentile(window, q * 100.0)
             )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(0.0, 1e7, allow_nan=False),
+                st.sampled_from([0.0, 1.0, 105.0, 3e6]),  # ties
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.integers(1, 7),
+        st.integers(0, 3 * _HEDGE_WINDOW),
+    )
+    def test_sorted_window_stays_the_sorted_window(self, pattern, stride, length):
+        # The router keeps the trailing window twice, in arrival order and
+        # sorted; after every sample the sorted copy is sorted(window), the
+        # window the last _HEDGE_WINDOW samples, and the hedge delay what a
+        # fresh sort at each refresh gives.
+        cluster = _bare_cluster([8], num_nodes=1, replication=1, virtual_nodes=1)
+        samples = [pattern[(i * stride) % len(pattern)] for i in range(length)]
+        for count, latency in enumerate(samples, 1):
+            cluster._record_shard_latency(latency)
+            window = list(cluster._latency_window)
+            assert window == samples[max(0, count - _HEDGE_WINDOW) : count]
+            assert cluster._latency_sorted == sorted(window)
+            if count % _HEDGE_REFRESH == 0:
+                assert cluster._hedge_delay_us == max(
+                    HEDGE_MIN_US, _linear_quantile(sorted(window), HEDGE_QUANTILE)
+                )
 
     def test_edges(self):
         low, high = 1.0, 2.0

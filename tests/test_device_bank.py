@@ -456,7 +456,7 @@ class TestNVMDeviceBank:
 
     def test_rebase_re_anchors_every_device(self):
         bank = NVMDeviceBank(num_devices=2)
-        bank.serve_duration("a", 0.0, 100.0)
+        bank.device_of("a").serve_duration(0.0, 100.0)
         assert bank.free_at_us == pytest.approx(100.0)
         bank.rebase(7.0)
         assert all(device.free_at_us == pytest.approx(7.0) for device in bank.devices)

@@ -1,11 +1,14 @@
 """Unit tests for the argument-validation helpers."""
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.utils.validation import (
     check_array_1d_ints,
     check_fraction,
+    check_id_range,
     check_int_at_least,
     check_non_negative,
     check_positive,
@@ -64,6 +67,23 @@ class TestCheckArray1dInts:
 
     def test_empty_ok(self):
         assert check_array_1d_ints([], "ids").size == 0
+
+
+class TestCheckIdRange:
+    @pytest.mark.parametrize("ids", [[], [0], [9], [0, 5, 9]])
+    def test_accepts_ids_in_range(self, ids):
+        check_id_range(check_array_1d_ints(ids, "ids"), 10)
+
+    @pytest.mark.parametrize(
+        "ids, shown",
+        [([10], "[10, 10]"), ([-1, 3], "[-1, 3]"), ([0, -(2**63)], f"[{-(2**63)}, 0]")],
+    )
+    def test_rejects_either_end_and_names_the_range(self, ids, shown):
+        # One unsigned reduction checks both ends: a negative id, the most
+        # negative int64 included, reads as larger than any table.
+        pattern = rf"must be in \[0, 10\), got range {re.escape(shown)}"
+        with pytest.raises(IndexError, match=pattern):
+            check_id_range(check_array_1d_ints(ids, "ids"), 10)
 
 
 class TestCheckIntAtLeast:
