@@ -10,8 +10,9 @@ vector's NVM block, so a sampled block keeps every one of its vectors.
 
 The trace generators draw from a few fixed laws many thousands of times;
 :class:`InverseCDFSampler` tabulates a law once and is stream-compatible with
-``Generator.choice(n, size, p=law)``, and :func:`first_occurrences` is the
-draw-order de-duplication both generators apply to a query's picks.
+``Generator.choice(n, size, p=law)`` (its ``invert`` maps uniforms drawn
+earlier), and :func:`first_occurrences` is the draw-order de-duplication the
+scenario generators apply to a query's picks.
 """
 
 from __future__ import annotations
@@ -144,14 +145,24 @@ class InverseCDFSampler:
         self, rng: np.random.Generator, size: Optional[int] = None
     ) -> Union[np.integer, np.ndarray]:
         """``size`` indices (one scalar index when ``size`` is None) from ``rng``."""
-        return self._cdf.searchsorted(rng.random(size), side="right")
+        return self.invert(rng.random(size))
+
+    def invert(self, uniforms: Union[float, np.ndarray]) -> Union[np.integer, np.ndarray]:
+        """The index each uniform in ``[0, 1)`` draws: its place in the CDF.
+
+        ``draw(rng, size)`` is ``invert(rng.random(size))``, so uniforms drawn
+        now and inverted later give the same indices.  Sorted uniforms search
+        faster and invert to the same indices.
+        """
+        return self._cdf.searchsorted(uniforms, side="right")
 
 
 def first_occurrences(ids: np.ndarray) -> np.ndarray:
     """Keep each id's first occurrence, preserving draw order.
 
-    A request reads each id at most once; the generators over-draw a query's
-    picks and de-duplicate them with this before truncating to the query size.
+    A request reads each id at most once; the scenario generators over-draw a
+    query's picks and de-duplicate them with this before truncating to the
+    query size.
     """
     _, first_positions = np.unique(ids, return_index=True)
     return ids[np.sort(first_positions)]

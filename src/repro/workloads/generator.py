@@ -43,6 +43,25 @@ distinct vectors per 4 KB block.  :func:`paper_shaped_lookups` computes trace
 lengths that keep that density at the scaled-down table sizes.
 
 Everything is driven by explicit seeds so traces are reproducible.
+
+Synthesis runs in two phases that together consume the seeded stream exactly
+as drawing and resolving one query at a time would:
+
+1. **Draw, per query.**  A Python loop makes only the random draws, in the
+   per-query order: topic count, topic choices, the topic/global split of the
+   query's picks, the slot assignment of its topic picks, and one
+   ``random(draw)`` call for all of its uniforms.
+2. **Resolve, per window.**  At each window boundary (before the window's laws
+   are replaced) and at the end of the call, one NumPy pass maps each uniform
+   to its law, inverts each law's uniforms in one search, keeps each query's
+   first occurrences in draw order and cuts the query to its size.  A window
+   holding more than ``_RESOLVE_DRAWS`` uniforms is resolved in pieces.
+
+That equivalence rests on two properties of NumPy's ``Generator``, pinned by
+name in ``tests/test_generator.py``: consecutive ``random`` calls return the
+same values and leave the same state as one joined call (also with a 32-bit
+half buffered by an ``integers`` draw), and ``integers(0, 1, size=k)``
+consumes nothing — so a one-topic query skips its slot assignment.
 """
 
 from __future__ import annotations
@@ -53,7 +72,6 @@ import numpy as np
 
 from repro.utils.sampling import (
     InverseCDFSampler,
-    first_occurrences,
     zipf_probabilities,
 )
 from repro.utils.validation import check_int_at_least, check_positive
@@ -81,6 +99,11 @@ OUT_OF_ROTATION_WEIGHT = 0.005
 #: what makes prefetched block neighbours useful before they age out of a
 #: small cache.
 BURSTINESS = 0.6
+#: Most uniforms resolved at once: a traffic window holding more is resolved
+#: in pieces, at query boundaries.  Each of the pass's arrays then stays near
+#: 64 KB; whole 30 000-uniform windows left ``serve-host``'s peak RSS another
+#: 0.6 MB higher, at no measurable gain in speed.
+_RESOLVE_DRAWS = 1 << 13
 
 
 def paper_shaped_lookups(
@@ -97,7 +120,7 @@ def paper_shaped_lookups(
     ``unique_per_block × num_blocks / compulsory_miss_rate``.
     """
     check_positive(unique_per_block, "unique_per_block")
-    check_positive(vectors_per_block, "vectors_per_block")
+    vectors_per_block = check_int_at_least(vectors_per_block, 1, "vectors_per_block")
     num_blocks = max(1, spec.num_vectors // vectors_per_block)
     rate = max(spec.compulsory_miss_rate, 1e-4)
     return max(1, int(round(unique_per_block * num_blocks / rate)))
@@ -136,14 +159,13 @@ class SyntheticTraceGenerator:
         expected_lookups: Optional[int] = None,
     ) -> None:
         self.spec = spec
-        self.seed = int(seed)
-        self._recent_topics: list = []
+        self.seed = check_int_at_least(seed, 0, "seed")
+        self._recent_topics: List[int] = []
         self._rng = np.random.default_rng(self.seed)
 
         if expected_lookups is None:
             expected_lookups = paper_shaped_lookups(spec)
-        check_positive(expected_lookups, "expected_lookups")
-        self.expected_lookups = int(expected_lookups)
+        self.expected_lookups = check_int_at_least(expected_lookups, 1, "expected_lookups")
 
         self._target_topic_size = int(round(6 * spec.avg_lookups_per_query))
         check_positive(self._target_topic_size, "target_topic_size")
@@ -344,75 +366,156 @@ class SyntheticTraceGenerator:
         """
         num_queries = check_int_at_least(num_queries, 1, "num_queries")
         rng = self._rng
-        spec = self.spec
-        queries = []
-        # Pre-draw query sizes; at least one lookup per query.
-        sizes = rng.poisson(lam=spec.avg_lookups_per_query, size=num_queries)
-        for size in np.maximum(sizes, 1).tolist():
-            if self._queries_in_window >= self.window_queries:
-                self._start_new_window(rng)
-            self._queries_in_window += 1
-            query_topic_count = max(1, int(rng.poisson(TOPICS_PER_QUERY)))
-            topics = self._choose_query_topics(query_topic_count, rng)
-            queries.append(self._draw_query_ids(size, topics, rng))
-        # Non-empty int64 arrays of active ids: nothing left for Trace to check.
-        return Trace._trusted(queries, spec.num_vectors)
-
-    def _choose_query_topics(self, count: int, rng: np.random.Generator) -> List[int]:
-        """Choose a query's topics, re-using recently hot topics with :data:`BURSTINESS`."""
+        random = rng.random
+        invert_topic = self._topic_sampler.invert
         recent = self._recent_topics
-        topics = []
-        for _ in range(count):
-            if recent and rng.random() < BURSTINESS:
-                topics.append(recent[rng.integers(len(recent))])
-            else:
-                topics.append(int(self._topic_sampler.draw(rng)))
-        recent.extend(topics)
         # Keep a short horizon of recent topics (a few dozen queries' worth).
         max_recent = max(8, int(30 * TOPICS_PER_QUERY))
-        if len(recent) > max_recent:
-            del recent[:-max_recent]
-        return topics
+        queries: List[np.ndarray] = []
+        window = _WindowDraws()
+        # Pre-draw query sizes; at least one lookup per query.
+        sizes = rng.poisson(lam=self.spec.avg_lookups_per_query, size=num_queries)
+        for size in np.maximum(sizes, 1).tolist():
+            if self._queries_in_window >= self.window_queries:
+                queries += self._resolve(window)
+                window = _WindowDraws()
+                self._start_new_window(rng)
+            self._queries_in_window += 1
+            # The query's topics, re-using recently hot ones with BURSTINESS.
+            count = max(1, int(rng.poisson(TOPICS_PER_QUERY)))
+            topics = []
+            for _ in range(count):
+                if recent and random() < BURSTINESS:
+                    topics.append(recent[rng.integers(len(recent))])
+                else:
+                    topics.append(int(invert_topic(random())))
+            window.laws += topics
+            window.laws.append(self.num_topics)
+            recent += topics
+            if len(recent) > max_recent:
+                del recent[:-max_recent]
+            # Over-draw slightly, then de-duplicate and truncate: a request
+            # reads each id at most once, and popular vectors would otherwise
+            # collapse heavy-skew queries well below the target size.
+            draw = max(size + 4, int(round(size * 1.4)))
+            topic_picks = int(rng.binomial(draw, TOPIC_AFFINITY))
+            # A query with one topic puts every topic pick on it; drawing
+            # that assignment would consume nothing.
+            if topic_picks and count > 1:
+                window.slots.append(rng.integers(0, count, size=topic_picks))
+            window.uniforms.append(random(draw))
+            window.sizes.append(size)
+            window.counts.append(count)
+            window.topic_picks.append(topic_picks)
+            window.drawn += draw
+            if window.drawn >= _RESOLVE_DRAWS:
+                queries += self._resolve(window)
+                window = _WindowDraws()
+        queries += self._resolve(window)
+        # Non-empty int64 arrays of active ids: nothing left for Trace to check.
+        return Trace._trusted(queries, self.spec.num_vectors)
 
     def generate_lookups(self, num_lookups: int) -> Trace:
         """Generate a trace containing approximately ``num_lookups`` lookups."""
-        check_positive(num_lookups, "num_lookups")
+        num_lookups = check_int_at_least(num_lookups, 1, "num_lookups")
         num_queries = max(1, int(round(num_lookups / self.spec.avg_lookups_per_query)))
         return self.generate(num_queries)
 
     # ----------------------------------------------------------------- private
-    def _draw_query_ids(
-        self, size: int, topics: List[int], rng: np.random.Generator
-    ) -> np.ndarray:
-        """Draw the (distinct) ids of a single query (real table ids)."""
-        # Over-draw slightly, then de-duplicate and truncate: a request reads
-        # each id at most once, and popular vectors would otherwise collapse
-        # heavy-skew queries well below the target size.
-        draw = max(size + 4, int(round(size * 1.4)))
-        num_topic_picks = int(rng.binomial(draw, TOPIC_AFFINITY))
-        num_global_picks = draw - num_topic_picks
+    def _resolve(self, window: "_WindowDraws") -> List[np.ndarray]:
+        """Turn one window's drawn uniforms into its queries' distinct ids.
 
-        parts = []
-        if num_topic_picks:
-            # Spread the topic picks across the query's chosen topics, then
-            # batch-draw per topic (much faster than one draw at a time).
-            per_topic = np.bincount(
-                rng.integers(0, len(topics), size=num_topic_picks),
-                minlength=len(topics),
-            )
-            for topic, count in zip(topics, per_topic.tolist()):
-                if count == 0:
-                    continue
-                sampler, members = self._topic_samplers[topic]
-                picks = sampler.draw(rng, count)
-                parts.append(picks if members is None else members[picks])
-        if num_global_picks:
-            parts.append(self._popularity_sampler.draw(rng, num_global_picks))
+        A query's uniforms are its topic picks, slot by slot (as many for a
+        slot as the slot assignment gave it), then its global picks: the order
+        in which a per-query loop would draw them.  Each law inverts all of its
+        uniforms in one search, one sort of (query, id, offset) keys keeps each
+        id's first occurrence in draw order, and each query is cut to its size.
+        """
+        num = len(window.sizes)
+        if num == 0:
+            return []
+        uniforms = np.concatenate(window.uniforms)
+        draws = np.fromiter(map(len, window.uniforms), np.int64, num)
+        sizes = np.array(window.sizes, dtype=np.int64)
+        counts = np.array(window.counts, dtype=np.int64)
+        topic_picks = np.array(window.topic_picks, dtype=np.int64)
 
-        # Keep first occurrences in draw order, truncated to the target size,
-        # then map active-set indices to real table ids.
-        distinct_in_order = first_occurrences(np.concatenate(parts))[:size]
-        return self.active_ids[distinct_in_order]
+        # A query's uniforms are segments: one per topic slot, as long as the
+        # slot assignment made it, then its global picks.  Segment i draws
+        # from law window.laws[i].
+        segments = counts + 1
+        segment_start = np.cumsum(segments) - segments
+        slot_of_pick = np.repeat(segment_start, topic_picks)
+        if window.slots:
+            slot_of_pick[np.repeat(counts > 1, topic_picks)] += np.concatenate(window.slots)
+        lengths = np.bincount(slot_of_pick, minlength=len(window.laws))
+        lengths[segment_start + counts] = draws - topic_picks
+        # (A one- or two-byte law index sorts by radix.)
+        law_dtype = np.min_scalar_type(self.num_topics)
+        law = np.repeat(np.array(window.laws, dtype=law_dtype), lengths)
+
+        # Active-set index of every uniform: each law inverts its uniforms in
+        # one search, over sorted keys (a faster search, the same indices).
+        by_law = law.argsort(kind="stable")
+        bounds = np.concatenate(
+            ([0], np.cumsum(np.bincount(law, minlength=self.num_topics + 1)))
+        ).tolist()
+        laws = self._topic_samplers + [(self._popularity_sampler, None)]
+        picks = np.empty(uniforms.size, dtype=np.int64)
+        for (sampler, members), start, stop in zip(laws, bounds[:-1], bounds[1:]):
+            if stop == start:
+                continue
+            positions = by_law[start:stop]
+            keys = uniforms[positions]
+            ascending = keys.argsort()
+            drawn = sampler.invert(keys[ascending])
+            picks[positions[ascending]] = drawn if members is None else members[drawn]
+
+        # Each (query, id)'s first occurrence: the smallest of its sorted
+        # (query, id, offset in the query) keys.  At most _RESOLVE_DRAWS / 5
+        # queries keep the keys far inside int64.
+        query_of = np.repeat(np.arange(num), draws)
+        starts = np.cumsum(draws) - draws
+        span = int(draws.max())
+        keys = (query_of * self.active_set_size + picks) * span
+        keys += np.arange(uniforms.size) - starts[query_of]
+        keys.sort()
+        groups = keys // span
+        first = np.empty(uniforms.size, dtype=bool)
+        first[0] = True
+        np.not_equal(groups[1:], groups[:-1], out=first[1:])
+        firsts = keys[first]
+        keep = np.zeros(uniforms.size, dtype=bool)
+        keep[starts[firsts // (self.active_set_size * span)] + firsts % span] = True
+        kept = np.flatnonzero(keep)
+
+        # Cut each query's first occurrences, in draw order, to its size.
+        first_kept = kept.searchsorted(starts)
+        distinct = np.diff(np.append(first_kept, kept.size))
+        rank = np.arange(kept.size) - np.repeat(first_kept, distinct)
+        ids = self.active_ids[picks[kept[rank < np.repeat(sizes, distinct)]]]
+        ends = np.cumsum(np.minimum(distinct, sizes)).tolist()
+        return [ids[start:stop] for start, stop in zip([0] + ends[:-1], ends)]
+
+
+class _WindowDraws:
+    """One traffic window's draws, in draw order, not yet resolved to ids."""
+
+    __slots__ = ("sizes", "counts", "topic_picks", "laws", "slots", "uniforms", "drawn")
+
+    def __init__(self) -> None:
+        #: Uniforms drawn so far (the length of ``uniforms``, concatenated).
+        self.drawn = 0
+        self.sizes: List[int] = []
+        self.counts: List[int] = []
+        self.topic_picks: List[int] = []
+        #: Law of every segment: each query's topics, then the window-wide
+        #: law's index (``num_topics``).
+        self.laws: List[int] = []
+        #: Slot assignment of the topic picks of each query with several
+        #: topics (and at least one topic pick).
+        self.slots: List[np.ndarray] = []
+        self.uniforms: List[np.ndarray] = []
 
 
 def generate_model_trace(
@@ -435,6 +538,7 @@ def generate_model_trace(
         Base seed; each table uses ``seed + table index``.
     """
     check_int_at_least(total_lookups, 1, "total_lookups")
+    check_int_at_least(seed, 0, "seed")
     tables = {}
     for index, (name, spec) in enumerate(specs.items()):
         table_lookups = max(1, int(round(total_lookups * spec.lookup_share)))

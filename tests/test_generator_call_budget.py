@@ -1,8 +1,10 @@
 """A wall-clock-free fence around trace synthesis's host cost.
 
-Synthesis is a per-query Python loop over a handful of NumPy calls, so the
-regression that matters is "more interpreter-level calls per query" — most
-of all a law that is re-validated and re-summed on every draw, which is what
+Synthesis is a per-query Python loop of random draws followed by one NumPy
+pass per traffic window, so the regression that matters is "more
+interpreter-level calls per query" — most of all per-query work that belongs
+in the window pass (a law searched, or a query de-duplicated, one query at a
+time), or a law re-validated on every draw, which is what
 ``Generator.choice(p=)`` did.  ``sys.setprofile`` ``call`` events over one
 seeded generation, divided by the queries it made, count that exactly: a pure
 function of the code and the seed (no timing), as in
@@ -18,14 +20,15 @@ from repro.workloads import (
 )
 from tests.conftest import count_python_calls
 
-#: Python-level calls per generated query.  Measured 20.6 for the Table 1
-#: generator (its construction included) and 15.2 for the drift scenario
-#: (CPython 3.11, NumPy 2.4), against 55.2 and 33.2 at the parent commit —
-#: where every draw went through ``Generator.choice(p=)``, ``Trace``
-#: re-validated each generated query and the window's inclusion probabilities
-#: were recomputed per window.  Each budget sits ~25 % above the former and
-#: well below the latter.
-TABLE1_CALLS_PER_QUERY_BUDGET = 26.0
+#: Python-level calls per generated query.  Measured 5.2 for the Table 1
+#: generator (its construction included; CPython 3.11.7, NumPy 2.4.6), against
+#: 20.5 when each query was de-duplicated and its ids inverted on its own
+#: (and 55.2 before that, when every draw went through
+#: ``Generator.choice(p=)``).  About 2 of the 5.2 are NumPy's own Python
+#: ``np.prod`` inside ``integers(..., size=k)``, once per query with several
+#: topics.  15.2 for the drift scenario (33.2 with ``choice``).  Each budget
+#: sits ~25 % above its measured value.
+TABLE1_CALLS_PER_QUERY_BUDGET = 6.6
 DRIFT_CALLS_PER_QUERY_BUDGET = 19.0
 
 
