@@ -25,7 +25,7 @@ different tolerances:
    Skipped (with a notice) when the artifact has no wall-clock section
    (i.e. only ``--smoke`` runs were committed).
 
-Tracked artifacts:
+Tracked artifacts (one :data:`TRACKED` row each):
 
 * ``BENCH_shared_device.json`` — tight smoke reference + loose replay
   wall clock (:mod:`bench_shared_device`).
@@ -48,8 +48,10 @@ import _bootstrap  # noqa: F401  (sys.path setup: run benchmarks from the repo r
 
 import json
 import math
+import os
 import sys
-from typing import Any, Callable, Dict, List, Optional
+from types import ModuleType
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import bench_cluster_failures
 import bench_replay_throughput
@@ -114,7 +116,7 @@ def check_simulated(
 def check_wall_clock(
     artifact: str,
     committed: Optional[Dict[str, Any]],
-    measure: Callable[[], Dict[str, Any]],
+    fresh: Dict[str, Any],
     rate_key: str,
 ) -> List[str]:
     """Loose leg: a wall-clock throughput must stay within a ratio floor."""
@@ -124,7 +126,6 @@ def check_wall_clock(
             "(smoke-only run committed); skipping its wall-clock leg"
         )
         return []
-    fresh = measure()
     committed_rate = float(committed[rate_key])
     fresh_rate = float(fresh[rate_key])
     ratio = fresh_rate / committed_rate
@@ -155,102 +156,93 @@ def _load(json_path: str, name: str, problems: List[str]) -> Optional[Dict[str, 
         return None
 
 
-def check_shared_device(problems: List[str]) -> None:
-    committed = _load(
-        bench_shared_device.JSON_PATH, "BENCH_shared_device.json", problems
-    )
-    if committed is None:
-        return
-    problems += check_simulated(
-        "BENCH_shared_device.json",
-        committed,
+class Tracked(NamedTuple):
+    """One committed artifact and how to re-derive its tracked numbers."""
+
+    #: The owning benchmark script; its ``JSON_PATH`` is the artifact.
+    bench: ModuleType
+    #: Fresh ``smoke_reference`` section (the tight leg), or ``None``.
+    regenerate: Optional[Callable[[], Dict[str, Any]]]
+    #: Key of the artifact's wall-clock section (the loose leg).
+    wall_key: str = ""
+    #: Fresh wall-clock section, measured as the committed one describes;
+    #: ``None`` when the artifact has no loose leg.
+    measure: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]] = None
+    #: The throughput key each leg compares.
+    rate_key: str = ""
+    #: Named legs inside the wall-clock section (``None``: it is one leg).
+    legs: Tuple[Optional[str], ...] = (None,)
+
+
+TRACKED: Tuple[Tracked, ...] = (
+    Tracked(
+        bench_shared_device,
         lambda: bench_shared_device.run_suite(**bench_shared_device.SMOKE_PARAMS),
-        "python benchmarks/bench_shared_device.py",
-    )
-    wall = committed.get("wall_clock")
-    problems += check_wall_clock(
-        "BENCH_shared_device.json",
-        wall,
-        lambda: bench_shared_device.measure_wall_clock(
+        "wall_clock",
+        lambda wall: bench_shared_device.measure_wall_clock(
             eval_multiplier=wall["eval_multiplier"]
         ),
         "lookups_per_sec",
-    )
-
-
-def check_scenarios(problems: List[str]) -> None:
-    committed = _load(bench_scenarios.JSON_PATH, "BENCH_scenarios.json", problems)
-    if committed is None:
-        return
-    problems += check_simulated(
-        "BENCH_scenarios.json",
-        committed,
+    ),
+    Tracked(
+        bench_scenarios,
         lambda: bench_scenarios.run_suite(**bench_scenarios.SMOKE_PARAMS),
-        "python benchmarks/bench_scenarios.py",
-    )
-    wall = committed.get("wall_clock")
-    problems += check_wall_clock(
-        "BENCH_scenarios.json",
-        wall,
-        lambda: bench_scenarios.measure_wall_clock(
-            num_queries=wall["num_queries"]
-        ),
+        "wall_clock",
+        lambda wall: bench_scenarios.measure_wall_clock(num_queries=wall["num_queries"]),
         "queries_per_sec",
-    )
-
-
-def check_serving_latency(problems: List[str]) -> None:
-    committed = _load(
-        bench_serving_latency.JSON_PATH, "BENCH_serving_latency.json", problems
-    )
-    if committed is None:
-        return
-    problems += check_simulated(
-        "BENCH_serving_latency.json",
-        committed,
+    ),
+    Tracked(
+        bench_serving_latency,
         lambda: bench_serving_latency.run_sweep(**bench_serving_latency.SMOKE_PARAMS),
-        "python benchmarks/bench_serving_latency.py",
-    )
-
-
-def check_cluster_failures(problems: List[str]) -> None:
-    committed = _load(
-        bench_cluster_failures.JSON_PATH, "BENCH_cluster_failures.json", problems
-    )
-    if committed is None:
-        return
-    problems += check_simulated(
-        "BENCH_cluster_failures.json",
-        committed,
+    ),
+    Tracked(
+        bench_cluster_failures,
         lambda: bench_cluster_failures.run_sweep(**bench_cluster_failures.SMOKE_PARAMS),
-        "python benchmarks/bench_cluster_failures.py",
-    )
+    ),
+    Tracked(
+        bench_replay_throughput,
+        None,
+        "smoke_wall_clock",
+        lambda legs: bench_replay_throughput.measure_smoke_wall_clock(),
+        "batched_lookups_per_sec",
+        ("placement-study", "miss-heavy-evicting"),
+    ),
+)
 
 
-def check_replay_throughput(problems: List[str]) -> None:
-    committed = _load(
-        bench_replay_throughput.JSON_PATH, "BENCH_replay_throughput.json", problems
-    )
+def check(tracked: Tracked, problems: List[str]) -> None:
+    """Both legs of one tracked artifact, appending every regression."""
+    artifact = os.path.basename(tracked.bench.JSON_PATH)
+    committed = _load(tracked.bench.JSON_PATH, artifact, problems)
     if committed is None:
         return
-    legs = committed.get("smoke_wall_clock") or {}
-    fresh = bench_replay_throughput.measure_smoke_wall_clock() if legs else {}
-    for leg in ("placement-study", "miss-heavy-evicting"):
-        problems += check_wall_clock(
-            f"BENCH_replay_throughput.json[{leg}]",
-            legs.get(leg),
-            lambda leg=leg: fresh[leg],
-            "batched_lookups_per_sec",
+    if tracked.regenerate is not None:
+        problems += check_simulated(
+            artifact,
+            committed,
+            tracked.regenerate,
+            f"python benchmarks/{tracked.bench.__name__}.py",
         )
+    if tracked.measure is None:
+        return
+    wall = committed.get(tracked.wall_key)
+    fresh = tracked.measure(wall) if wall else {}
+    for leg in tracked.legs:
+        if leg is None:
+            problems += check_wall_clock(artifact, wall, fresh, tracked.rate_key)
+        else:
+            problems += check_wall_clock(
+                f"{artifact}[{leg}]",
+                (wall or {}).get(leg),
+                fresh.get(leg, {}),
+                tracked.rate_key,
+            )
 
 
 def main() -> int:
     problems: List[str] = []
-    check_shared_device(problems)
-    check_scenarios(problems)
-    check_serving_latency(problems)
-    check_cluster_failures(problems)
-    check_replay_throughput(problems)
+    for tracked in TRACKED:
+        check(tracked, problems)
     if problems:
         print(f"perf-track: {len(problems)} regression(s) against committed artifacts:")
         for problem in problems:

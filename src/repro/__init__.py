@@ -16,7 +16,7 @@ The most convenient entry points are:
 ``repro.workloads.SyntheticTraceGenerator``
     Generates access traces whose statistics match the paper's Table 1.
 
-``repro.simulation.simulate_table``
+``repro.simulation.runner.simulate_table``
     The per-table replay harness used by most of the paper's figures.
 
 ``repro.cluster.ClusterStore``
@@ -37,22 +37,11 @@ The most convenient entry points are:
 See ``ARCHITECTURE.md`` for the module map and the equivalence suites.
 """
 
-from repro.core.bandana import BandanaStore, BandanaTableState
-from repro.core.config import (
-    BandanaConfig,
-    ServingConfig,
-    TableCacheConfig,
-    TracingConfig,
-)
+from repro.core.bandana import BandanaStore
+from repro.core.config import BandanaConfig, ServingConfig
 
 __all__ = [
     "BandanaStore",
-    "BandanaTableState",
     "BandanaConfig",
     "ServingConfig",
-    "TableCacheConfig",
-    "TracingConfig",
-    "__version__",
 ]
-
-__version__ = "0.1.0"

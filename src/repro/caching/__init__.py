@@ -5,10 +5,11 @@ The interesting policy question is what to do with the 31 *other* vectors that
 arrive with every 4 KB block read.  This package implements every variant the
 paper examines:
 
-* :class:`LRUCache` — an LRU queue supporting insertion at an arbitrary
-  position (needed for Figure 11a/11c),
-* :class:`ShadowCache` — an id-only LRU used as an admission filter
-  (Figure 11b),
+* :mod:`repro.caching.lru` — :class:`~repro.caching.lru.LRUCache`, an LRU
+  queue supporting insertion at an arbitrary position (needed for Figure
+  11a/11c), and :class:`~repro.caching.lru.OrderedLRUCache`, the top-insert
+  LRU that the batch engine and the shadow-admission filter (Figure 11b)
+  keep,
 * :mod:`repro.caching.policies` — the prefetch-admission policies
   (cache-all, insert-at-position, shadow admission, combined, and the
   access-threshold policy Bandana adopts),
@@ -29,9 +30,10 @@ paper examines:
 Reference vs. fast path
 -----------------------
 The package deliberately keeps two implementations of the replay semantics.
-:func:`replay_table_cache` (and the dict+heap :class:`LRUCache` under it) is
-the *reference model*: a readable, per-vector transcription of the paper used
-to define what every counter means.  :func:`replay_table_cache_batched` (and
+:func:`~repro.caching.replay.replay_table_cache` (and the dict+heap
+:class:`~repro.caching.lru.LRUCache` under it) is the *reference model*: a
+readable, per-vector transcription of the paper used to define what every
+counter means.  :func:`~repro.caching.engine.replay_table_cache_batched` (and
 the :class:`~repro.caching.engine.BatchReplayEngine` under it) is the *fast
 path* used by serving, tuning and simulation.  The contract — enforced by the
 equivalence test suite — is that both produce bit-identical
@@ -41,52 +43,12 @@ numbers.  Interpolated insert positions (Figure 11) have one implementation,
 the reference loop.
 """
 
-from repro.caching.lru import LRUCache
-from repro.caching.shadow import ShadowCache
-from repro.caching.policies import (
-    PrefetchPolicy,
-    NoPrefetchPolicy,
-    CacheAllBlockPolicy,
-    InsertAtPositionPolicy,
-    ShadowAdmissionPolicy,
-    CombinedPolicy,
-    AccessThresholdPolicy,
-    make_policy,
-)
-from repro.caching.replay import ReplayStats, replay_table_cache
-from repro.caching.engine import (
-    BatchReplayEngine,
-    replay_table_cache_batched,
-    replay_table_cache_multi,
-)
-from repro.caching.stack_distance import (
-    HitRateCurve,
-    compute_stack_distances,
-    hit_rate_curve,
-)
-from repro.caching.miniature import MiniatureCacheTuner, ThresholdSelection
+from repro.caching.stack_distance import hit_rate_curve
+from repro.caching.miniature import MiniatureCacheTuner
 from repro.caching.allocation import allocate_dram_budget
 
 __all__ = [
-    "LRUCache",
-    "ShadowCache",
-    "PrefetchPolicy",
-    "NoPrefetchPolicy",
-    "CacheAllBlockPolicy",
-    "InsertAtPositionPolicy",
-    "ShadowAdmissionPolicy",
-    "CombinedPolicy",
-    "AccessThresholdPolicy",
-    "make_policy",
-    "ReplayStats",
-    "replay_table_cache",
-    "BatchReplayEngine",
-    "replay_table_cache_batched",
-    "replay_table_cache_multi",
-    "HitRateCurve",
-    "compute_stack_distances",
     "hit_rate_curve",
     "MiniatureCacheTuner",
-    "ThresholdSelection",
     "allocate_dram_budget",
 ]

@@ -19,10 +19,11 @@ The engine replays *top-only* policies (:func:`admits_only_at_top`:
 ``never_admits`` or ``always_top_positions`` — everything the store, the
 tuner, the cluster and the scenarios run).  Every stamp such a policy issues
 is a fresh maximum, so LRU order *is* insertion order: the cache is an
-:class:`OrderedLRUCache`, walked by one Python loop over ``ids.tolist()``.  A
-hit is ``move_to_end``, a victim is ``popitem(last=False)``, and a demand
-miss is O(1) pointer work with no priorities, ties or hazard analysis (an
-evicted neighbour is simply non-resident when its slot is examined).  A cache
+:class:`~repro.caching.lru.OrderedLRUCache`, walked by one Python loop over
+``ids.tolist()``.  A hit is ``move_to_end``, a victim is
+``popitem(last=False)``, and a demand miss is O(1) pointer work with no
+priorities, ties or hazard analysis (an evicted neighbour is simply
+non-resident when its slot is examined).  A cache
 as large as the table (``cache_size=None``) is the same map that never fills.
 An array-native miss was measured at ≈ 35 NumPy dispatches on ≤ 32-element
 arrays, ≈ 21 µs; the walk is 2.4–2.9× faster on every bounded
@@ -48,12 +49,12 @@ independent caches (the miniature-cache tuner's candidate thresholds).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 import numpy.typing as npt
 
+from repro.caching.lru import OrderedLRUCache
 from repro.caching.policies import PrefetchPolicy
 from repro.caching.replay import ReplayStats
 from repro.nvm.block import BlockLayout
@@ -88,54 +89,6 @@ def _require_top_only(policy: PrefetchPolicy) -> None:
             "engine replays only top-only policies (never_admits or "
             "always_top_positions): replay it with replay_table_cache"
         )
-
-
-class OrderedLRUCache:
-    """Top-insertion LRU over an ``OrderedDict``: LRU order is insertion order.
-
-    Equivalent to :class:`~repro.caching.lru.LRUCache` restricted to
-    ``position == 0.0``: same evicted keys, same ``keys()`` order.  The
-    engine's walk works on ``_entries`` directly (:meth:`insert` is that
-    walk's step, spelled out).
-    """
-
-    def __init__(self, capacity: int) -> None:
-        check_non_negative(capacity, "capacity")
-        self.capacity = int(capacity)
-        #: Number of entries evicted so far.
-        self.evictions = 0
-        # Resident keys, least recently used first.
-        self._entries: "OrderedDict[int, None]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: int) -> bool:
-        return key in self._entries
-
-    def insert(self, key: int) -> Optional[int]:
-        """Insert (or promote) ``key`` at the top; returns the evicted key, if any."""
-        entries = self._entries
-        if key in entries:
-            entries.move_to_end(key)
-            return None
-        if self.capacity == 0:
-            return None
-        evicted = None
-        if len(entries) >= self.capacity:
-            evicted = entries.popitem(last=False)[0]
-            self.evictions += 1
-        entries[key] = None
-        return evicted
-
-    def keys(self) -> List[int]:
-        """Resident keys ordered from most- to least-recently used."""
-        return list(reversed(self._entries))
-
-    def clear(self) -> None:
-        """Drop all entries and reset the eviction counter."""
-        self._entries.clear()
-        self.evictions = 0
 
 
 class BatchReplayEngine:

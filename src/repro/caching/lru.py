@@ -12,11 +12,16 @@ operations are ``O(log n)`` amortised.  Stale heap entries (left behind by
 re-stamping) are compacted away once they outnumber the live entries, so the
 heap's memory stays proportional to the number of resident keys even over
 arbitrarily long replays.
+
+:class:`OrderedLRUCache` is the same queue restricted to top insertions, where
+LRU order is insertion order and an ``OrderedDict`` suffices: the batch
+engine's cache and the shadow of the shadow-admission policies.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from repro.utils.validation import check_fraction, check_non_negative
@@ -78,12 +83,6 @@ class LRUCache:
         self._stamp(key, self._priority_for_position(position))
         return evicted
 
-    def clear(self) -> None:
-        """Drop all entries."""
-        self._priority.clear()
-        self._heap.clear()
-        self._clock = 0.0
-
     # ----------------------------------------------------------------- private
     def _next_priority(self) -> float:
         self._clock += 1.0
@@ -131,3 +130,51 @@ class LRUCache:
             del self._priority[key]
             return key
         return None
+
+
+class OrderedLRUCache:
+    """Top-insertion LRU over an ``OrderedDict``: LRU order is insertion order.
+
+    Equivalent to :class:`LRUCache` restricted to ``position == 0.0``: same
+    evicted keys, same ``keys()`` order.  The batch engine's walk works on
+    ``_entries`` directly (:meth:`insert` is that walk's step, spelled out),
+    and the shadow-admission policies keep their demand-only shadow in one.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        check_non_negative(capacity, "capacity")
+        self.capacity = int(capacity)
+        #: Number of entries evicted so far.
+        self.evictions = 0
+        # Resident keys, least recently used first.
+        self._entries: "OrderedDict[int, None]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, key: int) -> bool:
+        return key in self._entries
+
+    def insert(self, key: int) -> Optional[int]:
+        """Insert (or promote) ``key`` at the top; returns the evicted key, if any."""
+        entries = self._entries
+        if key in entries:
+            entries.move_to_end(key)
+            return None
+        if self.capacity == 0:
+            return None
+        evicted = None
+        if len(entries) >= self.capacity:
+            evicted = entries.popitem(last=False)[0]
+            self.evictions += 1
+        entries[key] = None
+        return evicted
+
+    def keys(self) -> List[int]:
+        """Resident keys ordered from most- to least-recently used."""
+        return list(reversed(self._entries))
+
+    def clear(self) -> None:
+        """Drop all entries and reset the eviction counter."""
+        self._entries.clear()
+        self.evictions = 0

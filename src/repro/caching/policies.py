@@ -26,9 +26,10 @@ Both hooks also exist in batched form for the batch replay engine
 (:mod:`repro.caching.engine`): :meth:`PrefetchPolicy.record_access_batch`
 observes a whole id array in stream order, and :meth:`PrefetchPolicy.admit_batch`
 maps an id array to a ``float64`` position array where ``NaN`` marks a
-rejected candidate.  Every built-in policy implements the batched hooks with
-NumPy; the scalar hooks remain the reference semantics, and the base class
-provides loop fallbacks for a policy that implements only the scalar hooks.
+rejected candidate.  The stateless built-in policies implement the batched
+hooks with NumPy; the scalar hooks remain the reference semantics, and the
+base class provides the loop fallbacks that the two shadow policies (whose
+shadow is an ordered map, one id at a time) and user policies use.
 The engine replays only policies that admit at the top of the queue
 (``never_admits`` or ``always_top_positions``); a policy that admits lower
 down — ``InsertAtPositionPolicy`` / ``CombinedPolicy`` with ``position > 0``,
@@ -48,8 +49,8 @@ from typing import Dict, Optional, Type
 
 import numpy as np
 
-from repro.caching.shadow import ShadowCache
-from repro.utils.validation import check_fraction, check_non_negative
+from repro.caching.lru import OrderedLRUCache
+from repro.utils.validation import check_fraction, check_non_negative, check_positive
 
 
 class PrefetchPolicy(abc.ABC):
@@ -172,29 +173,26 @@ class InsertAtPositionPolicy(PrefetchPolicy):
 class ShadowAdmissionPolicy(PrefetchPolicy):
     """Admit a prefetched vector only if it appears in the shadow cache (Fig. 11b).
 
-    The shadow cache tracks demand accesses only, so it approximates the
-    content of a no-prefetch cache of ``multiplier ×`` the real size.
+    The shadow is an id-only LRU of ``round(real_cache_size × multiplier)``
+    entries that sees demand accesses only, so it holds what a no-prefetch
+    cache of ``multiplier ×`` the real size would (the x-axis of Fig. 11b).
     """
 
     name = "shadow-admission"
     always_top_positions = True
 
     def __init__(self, real_cache_size: int, multiplier: float = 1.0) -> None:
+        check_non_negative(real_cache_size, "real_cache_size")
+        check_positive(multiplier, "multiplier")
         self.real_cache_size = int(real_cache_size)
         self.multiplier = float(multiplier)
-        self.shadow = ShadowCache(real_cache_size, multiplier)
+        self.shadow = OrderedLRUCache(int(round(real_cache_size * multiplier)))
 
     def record_access(self, vector_id: int) -> None:
-        self.shadow.record_access(vector_id)
-
-    def record_access_batch(self, vector_ids: np.ndarray) -> None:
-        self.shadow.record_access_batch(vector_ids)
+        self.shadow.insert(vector_id)
 
     def admit(self, vector_id: int) -> Optional[float]:
-        return 0.0 if self.shadow.contains(vector_id) else None
-
-    def admit_batch(self, vector_ids: np.ndarray) -> np.ndarray:
-        return np.where(self.shadow.contains_batch(vector_ids), 0.0, np.nan)
+        return 0.0 if vector_id in self.shadow else None
 
     def reset(self) -> None:
         self.shadow.clear()
@@ -206,7 +204,7 @@ class ShadowAdmissionPolicy(PrefetchPolicy):
         )
 
 
-class CombinedPolicy(PrefetchPolicy):
+class CombinedPolicy(ShadowAdmissionPolicy):
     """Shadow hit → top of the queue; shadow miss → lower position (Fig. 11c)."""
 
     name = "combined"
@@ -218,28 +216,12 @@ class CombinedPolicy(PrefetchPolicy):
         multiplier: float = 1.0,
     ) -> None:
         check_fraction(position, "position")
+        super().__init__(real_cache_size, multiplier)
         self.position = float(position)
         self.always_top_positions = self.position == 0.0
-        self.multiplier = float(multiplier)
-        self.real_cache_size = int(real_cache_size)
-        self.shadow = ShadowCache(real_cache_size, multiplier)
-
-    def record_access(self, vector_id: int) -> None:
-        self.shadow.record_access(vector_id)
-
-    def record_access_batch(self, vector_ids: np.ndarray) -> None:
-        self.shadow.record_access_batch(vector_ids)
 
     def admit(self, vector_id: int) -> Optional[float]:
-        if self.shadow.contains(vector_id):
-            return 0.0
-        return self.position
-
-    def admit_batch(self, vector_ids: np.ndarray) -> np.ndarray:
-        return np.where(self.shadow.contains_batch(vector_ids), 0.0, self.position)
-
-    def reset(self) -> None:
-        self.shadow.clear()
+        return 0.0 if vector_id in self.shadow else self.position
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -45,7 +45,7 @@ no catalog scenario takes raises ``ValueError``):
 Example
 -------
 >>> from repro.cluster import run_scenario
->>> from repro.core import ClusterConfig
+>>> from repro.core.config import ClusterConfig
 >>> cluster_config = ClusterConfig(num_nodes=4, replication=2)
 >>> # store = BandanaStore.build(trace); trace as in simulate_store
 >>> # report = run_scenario(store, trace, "crash_recover", cluster_config)
@@ -72,32 +72,14 @@ rather than guessed at.  The summary lands in ``report.trace``; see
 :mod:`repro.tracing` for the worked example.
 """
 
-from repro.cluster.faults import (
-    SCENARIOS,
-    DegradedLink,
-    FaultSchedule,
-    NodeCrash,
-    SlowNode,
-    make_scenario,
-)
-from repro.cluster.node import ClusterNode, ShardServiceResult
-from repro.cluster.ring import ConsistentHashRing, stable_hash64
+from repro.cluster.node import ClusterNode
+from repro.cluster.ring import ConsistentHashRing
 from repro.cluster.scenario import run_scenario
-from repro.cluster.store import ClusterCounters, ClusterStore, RequestOutcome
+from repro.cluster.store import ClusterStore
 
 __all__ = [
-    "SCENARIOS",
-    "ClusterCounters",
     "ClusterNode",
     "ClusterStore",
     "ConsistentHashRing",
-    "DegradedLink",
-    "FaultSchedule",
-    "NodeCrash",
-    "RequestOutcome",
-    "ShardServiceResult",
-    "SlowNode",
-    "make_scenario",
     "run_scenario",
-    "stable_hash64",
 ]

@@ -11,7 +11,7 @@ traffic *that replica* served, so retries and hedges landing on a secondary
 warm the secondary, not the primary.
 
 Time is simulated and owned by the shared device layer: the node holds an
-:class:`~repro.device.NVMDeviceBank` of ``devices_per_host`` devices (the
+:class:`~repro.device.bank.NVMDeviceBank` of ``devices_per_host`` devices (the
 run's :class:`~repro.core.config.ServingConfig`, as on a host), its served
 tables pinned to them round-robin, each device a single FIFO resource.  A
 shard read arriving at ``t`` waits out its table's device backlog, then runs
@@ -29,7 +29,7 @@ A crashed node loses its DRAM on recovery: :meth:`ClusterNode.cold_restart`
 rebuilds every engine cold (fresh cache, fresh policy state) while keeping
 the cumulative stats objects, so availability and block-read accounting span
 the crash — and re-anchors the device bank at the restart time
-(:meth:`~repro.device.NVMDeviceBank.rebase`), the same single definition of
+(:meth:`~repro.device.bank.NVMDeviceBank.rebase`), the same single definition of
 restart semantics warm-up rebase uses.
 
 A shard read is one engine replay and one
@@ -63,10 +63,6 @@ class ShardServiceResult(NamedTuple):
 
     queue_wait_us: float
     service_us: float
-
-    @property
-    def total_us(self) -> float:
-        return self.queue_wait_us + self.service_us
 
 
 class ClusterNode:
@@ -169,7 +165,7 @@ class ClusterNode:
         accounting span the crash); everything else — cache contents,
         pending-prefetch state, policy state, queued work — is lost, exactly
         what a process restart costs.  Backlog loss is the device bank's
-        :meth:`~repro.device.NVMDeviceBank.rebase`, defined once for every
+        :meth:`~repro.device.bank.NVMDeviceBank.rebase`, defined once for every
         layer.
         """
         for name, spec in self._specs.items():
@@ -187,7 +183,3 @@ class ClusterNode:
         Counted off the stats, which survive a cold restart.
         """
         return sum(engine.stats.misses for engine in self.engines.values())
-
-    def cache_sizes(self) -> Dict[str, int]:
-        """The node's per-table cache budgets (vectors)."""
-        return dict(self._cache_sizes)

@@ -213,15 +213,6 @@ class RequestOutcome:
     shard_groups: int
     failed_groups: int
 
-    @property
-    def ok(self) -> bool:
-        """Whether every shard group was served (no degraded features)."""
-        return self.failed_groups == 0
-
-    @property
-    def latency_us(self) -> float:
-        return self.completion_us - self.arrival_us
-
 
 class _Attempt(NamedTuple):
     """What one read sent to one replica did (``ClusterStore._try_replica``).
@@ -400,10 +391,6 @@ class ClusterStore:
     def set_tracer(self, tracer: Optional[Tracer]) -> None:
         """Attach a span recorder (``None`` detaches back to the no-op)."""
         self.tracer = tracer if tracer is not None else NULL_TRACER
-
-    def reset_serving_state(self) -> None:
-        """Cold caches, zeroed counters and clocks, reseeded loss draws."""
-        self._build_serving_state()
 
     def rebase_clocks(self) -> None:
         """Zero all simulated clocks and counters, keeping caches warm.
@@ -631,7 +618,6 @@ class ClusterStore:
                 t += cost_us + backoff_us
                 backoff_us = min(2.0 * backoff_us, RETRY_BACKOFF_CAP_US)
                 continue
-            # ``total_us`` spelled out: a property call per read is measurable.
             attempt_latency_us = 2.0 * tried.link_us + (
                 service.queue_wait_us + service.service_us
             )

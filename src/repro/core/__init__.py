@@ -6,24 +6,3 @@ partitions every embedding table onto NVM blocks, splits the DRAM budget
 across tables, tunes each table's prefetch-admission threshold with miniature
 caches and then serves lookups while accounting for every NVM block read.
 """
-
-from repro.core.bandana import BandanaStore, BandanaTableState
-from repro.core.config import (
-    BandanaConfig,
-    ClusterConfig,
-    ServingConfig,
-    TableCacheConfig,
-    TracingConfig,
-)
-from repro.core.tablespec import TableServingSpec
-
-__all__ = [
-    "BandanaStore",
-    "BandanaTableState",
-    "BandanaConfig",
-    "ClusterConfig",
-    "ServingConfig",
-    "TableCacheConfig",
-    "TracingConfig",
-    "TableServingSpec",
-]

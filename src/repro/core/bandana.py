@@ -322,13 +322,6 @@ class BandanaStore:
             for state in self.tables.values()
         )
 
-    def nvm_bytes(self) -> int:
-        """NVM footprint of the stored tables, in bytes."""
-        return sum(
-            state.layout.num_blocks * self.config.block_bytes
-            for state in self.tables.values()
-        )
-
     def swap_layout(self, table_name: str, layout: BlockLayout) -> None:
         """Adopt a new block placement for one table, live.
 
@@ -364,25 +357,30 @@ class BandanaStore:
             state.engine = None  # rebuilt lazily against the fresh stats
 
     # ------------------------------------------------------------- baselines
-    def baseline_block_reads(self, eval_trace: ModelTrace) -> int:
-        """Block reads the paper's baseline policy would issue for a trace.
+    def baseline_stats(
+        self, table_name: str, queries: Sequence[np.ndarray]
+    ) -> ReplayStats:
+        """One table's queries replayed under the paper's baseline policy.
 
-        The baseline caches only demand vectors (no prefetching) in caches of
-        the same per-table sizes.  Used to report the effective-bandwidth
-        *increase* of the store.
+        The baseline caches only demand vectors (no prefetching) in a cold
+        cache of the table's size, over the table's layout.  It is the
+        denominator of the store's effective-bandwidth *increase*.
         """
-        total = 0
-        for name, trace in eval_trace.items():
-            state = self._state(name)
-            stats = replay_table_cache_batched(
-                trace.queries,
-                state.layout,
-                NoPrefetchPolicy(),
-                cache_size=state.cache_config.cache_size_vectors,
-                vector_bytes=self.config.vector_bytes,
-            )
-            total += stats.block_reads
-        return total
+        state = self._state(table_name)
+        return replay_table_cache_batched(
+            queries,
+            state.layout,
+            NoPrefetchPolicy(),
+            cache_size=state.cache_config.cache_size_vectors,
+            vector_bytes=self.config.vector_bytes,
+        )
+
+    def baseline_block_reads(self, eval_trace: ModelTrace) -> int:
+        """Block reads the baseline policy would issue for a whole trace."""
+        return sum(
+            self.baseline_stats(name, trace.queries).block_reads
+            for name, trace in eval_trace.items()
+        )
 
     # ----------------------------------------------------------------- private
     def _gather(self, table_name: str, ids: np.ndarray) -> Optional[np.ndarray]:

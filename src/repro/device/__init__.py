@@ -34,20 +34,10 @@ queue-depth histograms whose counts sum to the serve count.  Everything runs
 on the simulated clock.
 """
 
-from repro.device.bank import NVMDeviceBank
-from repro.device.clock import (
-    DEVICE_SLOTS,
-    DeviceClock,
-    DeviceServiceRecord,
-    depth_bucket,
-    read_latency_under_load,
-)
+from repro.device.clock import DEVICE_SLOTS, DeviceClock, read_latency_under_load
 
 __all__ = [
     "DEVICE_SLOTS",
     "DeviceClock",
-    "DeviceServiceRecord",
-    "NVMDeviceBank",
-    "depth_bucket",
     "read_latency_under_load",
 ]

@@ -85,10 +85,6 @@ class NVMDeviceBank:
             index = self.map_table(table_name)
         return self.devices[index]
 
-    def table_mapping(self) -> Dict[str, int]:
-        """Snapshot of the table→device pinning."""
-        return dict(self._table_device)
-
     # ----------------------------------------------------------------- timing
     def queue_wait_us(self, at_us: float, table_name: Optional[str] = None) -> float:
         """How long a read arriving at ``at_us`` would wait for a free slot.
@@ -100,11 +96,6 @@ class NVMDeviceBank:
         if table_name is not None:
             return self.device_of(table_name).queue_wait_us(at_us)
         return max(device.queue_wait_us(at_us) for device in self.devices)
-
-    @property
-    def free_at_us(self) -> float:
-        """When the *last* device frees up (max over the bank)."""
-        return max(device.free_at_us for device in self.devices)
 
     def rebase(self, now_us: float = 0.0) -> None:
         """Re-anchor every device at ``now_us`` with every slot free.
@@ -180,14 +171,6 @@ class NVMDeviceBank:
         )
 
     # ---------------------------------------------------------------- metrics
-    def busy_us(self) -> List[float]:
-        """Per-device time with a read in flight (≤ wall time each)."""
-        return [device.busy_us for device in self.devices]
-
-    def total_busy_us(self) -> float:
-        """Bank-wide busy time (conservation: ≤ wall time × K)."""
-        return sum(device.busy_us for device in self.devices)
-
     def snapshot(self) -> Dict[str, object]:
         """JSON-ready observability snapshot (benchmark artifacts)."""
         return {

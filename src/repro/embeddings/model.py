@@ -10,7 +10,7 @@ ids → Bandana lookups → pooled features → score — is exercised for real.
 
 from __future__ import annotations
 
-from typing import Dict, ItemsView, Iterable, Iterator, List, Mapping, Optional
+from typing import Dict, ItemsView, Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -45,11 +45,6 @@ class EmbeddingModel:
 
     def items(self) -> ItemsView[str, EmbeddingTable]:
         return self._tables.items()
-
-    @property
-    def table_names(self) -> List[str]:
-        """Names of the registered tables, in insertion order."""
-        return list(self._tables)
 
     @property
     def nbytes(self) -> int:
@@ -116,13 +111,6 @@ class RecommendationModel:
                 rng.normal(scale=scale, size=(fan_in, fan_out)).astype(np.float32)
             )
             self._biases.append(np.zeros(fan_out, dtype=np.float32))
-
-    @property
-    def num_parameters(self) -> int:
-        """Number of dense (non-embedding) parameters."""
-        return int(
-            sum(w.size for w in self._weights) + sum(b.size for b in self._biases)
-        )
 
     def score(
         self,

@@ -9,9 +9,9 @@ the device bandwidth unless neighbouring vectors in the block are useful.
 
 This package provides:
 
-* :class:`repro.nvm.BlockLayout` — the mapping from vector id to (block, slot)
+* :class:`repro.nvm.block.BlockLayout` — the mapping from vector id to (block, slot)
   induced by a placement order,
-* :class:`repro.nvm.NVMLatencyModel` — the one unloaded law of read latency
+* :class:`repro.nvm.latency.NVMLatencyModel` — the one unloaded law of read latency
   against queue depth, calibrated to the paper's Figure 2, with bandwidth
   derived from it by Little's law; the replay engines and the device clocks
   (:mod:`repro.device`) price every block read with it,
@@ -21,14 +21,10 @@ Block reads are counted in one place, the replay's
 :class:`~repro.caching.replay.ReplayStats` (one read per demand miss).
 """
 
-from repro.nvm.block import BlockLayout
-from repro.nvm.latency import NVMLatencyModel
 from repro.nvm.endurance import EnduranceTracker
 from repro.nvm.dram import DRAMModel
 
 __all__ = [
-    "BlockLayout",
-    "NVMLatencyModel",
     "EnduranceTracker",
     "DRAMModel",
 ]

@@ -17,18 +17,14 @@ The paper's baseline (original table order) needs no partitioner: it is
 vectors together.
 """
 
-from repro.partitioning.base import Partitioner, PartitionResult
 from repro.partitioning.frequency import FrequencyPartitioner
-from repro.partitioning.kmeans import KMeansPartitioner, kmeans_cluster
+from repro.partitioning.kmeans import KMeansPartitioner
 from repro.partitioning.recursive_kmeans import RecursiveKMeansPartitioner
 from repro.partitioning.shp import SHPPartitioner
 
 __all__ = [
-    "Partitioner",
-    "PartitionResult",
     "FrequencyPartitioner",
     "KMeansPartitioner",
-    "kmeans_cluster",
     "RecursiveKMeansPartitioner",
     "SHPPartitioner",
 ]

@@ -2,7 +2,7 @@
 
 Every placement algorithm consumes some combination of the table's values and
 its training trace and produces a physical *order* — a permutation of vector
-ids.  The order is wrapped in a :class:`repro.nvm.BlockLayout` by
+ids.  The order is wrapped in a :class:`repro.nvm.block.BlockLayout` by
 :meth:`PartitionResult.layout` for consumption by the cache and device.
 """
 

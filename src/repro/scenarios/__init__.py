@@ -52,43 +52,19 @@ golden pins in ``tests/test_scenarios.py`` and the perf-track gate on
 ``BENCH_scenarios.json`` rely on it.
 """
 
-from repro.scenarios.config import (
-    SCENARIO_KINDS,
-    TRACE_FORMATS,
-    RepartitionConfig,
-    ScenarioConfig,
-    TraceLoaderConfig,
-)
+from repro.scenarios.config import RepartitionConfig, ScenarioConfig, TraceLoaderConfig
 from repro.scenarios.generators import generate_scenario_trace
-from repro.scenarios.lifecycle import RepartitionManager, layout_churn
-from repro.scenarios.loader import (
-    LoadedTrace,
-    build_remapper,
-    characterization_report,
-    hash_key,
-    iter_dense_chunks,
-    iter_sparse_queries,
-    load_trace,
-)
-from repro.scenarios.report import ScenarioReport
+from repro.scenarios.lifecycle import RepartitionManager
+from repro.scenarios.loader import characterization_report, load_trace
 from repro.scenarios.runner import run_workload_scenario
 
 __all__ = [
-    "SCENARIO_KINDS",
-    "TRACE_FORMATS",
     "ScenarioConfig",
     "TraceLoaderConfig",
     "RepartitionConfig",
     "generate_scenario_trace",
     "RepartitionManager",
-    "layout_churn",
-    "LoadedTrace",
-    "build_remapper",
     "characterization_report",
-    "hash_key",
-    "iter_dense_chunks",
-    "iter_sparse_queries",
     "load_trace",
-    "ScenarioReport",
     "run_workload_scenario",
 ]

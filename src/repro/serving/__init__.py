@@ -27,7 +27,7 @@ a simulation is a deterministic function of (store, trace, config, seed):
   (``max_linger_us``); each formed batch is fanned out to the store in one
   ``lookup_batch`` pass per touched table.
 * every batch's demand misses are priced on the host's
-  :class:`~repro.device.NVMDeviceBank` (:mod:`repro.device`).  Each device
+  :class:`~repro.device.bank.NVMDeviceBank` (:mod:`repro.device`).  Each device
   is a schedule of submission slots: a read is priced by the unloaded
   Figure-2 law at the **queue depth it observes** and waits for a free slot
   when every slot is busy, so queueing is charged once and per-request
@@ -78,26 +78,8 @@ tracer (the default) is a no-op singleton behind one branch per site —
 behavior is bit-identical either way.
 """
 
-from repro.core.config import ServingConfig
-from repro.device import NVMDeviceBank
-from repro.serving.arrivals import (
-    ClosedLoopPopulation,
-    arrival_times,
-    poisson_arrival_times,
-)
-from repro.serving.batcher import Batch, form_batches
 from repro.serving.frontend import simulate_serving
-from repro.serving.report import LatencySummary, ServingReport
 
 __all__ = [
-    "NVMDeviceBank",
-    "ServingConfig",
-    "ClosedLoopPopulation",
-    "arrival_times",
-    "poisson_arrival_times",
-    "Batch",
-    "form_batches",
     "simulate_serving",
-    "LatencySummary",
-    "ServingReport",
 ]

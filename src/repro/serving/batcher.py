@@ -55,10 +55,6 @@ class Batch:
     stop: int
     dispatch_us: float
 
-    @property
-    def size(self) -> int:
-        return self.stop - self.start
-
 
 def form_batches(
     arrival_us: np.ndarray, max_batch_requests: int, max_linger_us: float

@@ -23,9 +23,9 @@ source* and served by a *backend*.  One step per dispatched batch:
    mirroring the cluster tier's queue-level shedding), fans the survivors
    out through the store, and charges the store's miss counters — the
    batch's NVM block reads — on the host's
-   :class:`~repro.device.NVMDeviceBank` of ``devices_per_host`` devices:
+   :class:`~repro.device.bank.NVMDeviceBank` of ``devices_per_host`` devices:
    each device the batch touches is served once, with the summed misses of
-   the tables pinned to it (:meth:`~repro.device.NVMDeviceBank.serve_blocks`).
+   the tables pinned to it (:meth:`~repro.device.bank.NVMDeviceBank.serve_blocks`).
    The cluster backend (:func:`repro.cluster.run_scenario`, unbatched) hands
    each request to :meth:`~repro.cluster.store.ClusterStore.serve_request`
    at its own arrival;

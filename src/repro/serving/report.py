@@ -106,7 +106,7 @@ class ServingReport:
     batch completion, plus the configured per-request overhead); device and
     cache counters are deltas over the simulated run only.
     ``queue_depth_hist`` sums the bank's per-device depth histograms
-    (:func:`repro.device.depth_bucket` buckets), keyed in bucket order.
+    (:func:`repro.device.clock.depth_bucket` buckets), keyed in bucket order.
     """
 
     num_requests: int
@@ -131,7 +131,7 @@ class ServingReport:
     #: disabled — the default, golden-pinned path.
     requests_shed: int = 0
     #: Observability snapshot of the host's device bank
-    #: (:meth:`repro.device.NVMDeviceBank.snapshot`) — one device under the
+    #: (:meth:`repro.device.bank.NVMDeviceBank.snapshot`) — one device under the
     #: default ``ServingConfig.devices_per_host``; ``None`` only on
     #: cluster-routed runs, where each node owns its devices.
     device_bank: Optional[Dict[str, object]] = None

@@ -176,13 +176,7 @@ def simulate_store(
         store.lookup_batch(name, trace.queries)
         baseline_stats = None
         if include_baseline:
-            baseline_stats = replay_table_cache_batched(
-                trace.queries,
-                state.layout,
-                NoPrefetchPolicy(),
-                cache_size=state.cache_config.cache_size_vectors,
-                vector_bytes=store.config.vector_bytes,
-            )
+            baseline_stats = store.baseline_stats(name, trace.queries)
         results[name] = TableSimulationResult(
             stats=state.stats, baseline_stats=baseline_stats
         )

@@ -51,70 +51,12 @@ is an attribute load and a branch, with zero allocations (enforced by
 ``benchmarks/bench_tracing_overhead.py`` in CI).
 """
 
-from repro.tracing.tracer import (
-    ATTR_OVERLAP_OK,
-    ATTR_PARALLEL,
-    NULL_TRACER,
-    STAGE_ATTEMPT_BREAKER_SKIP,
-    STAGE_ATTEMPT_LINK_LOSS,
-    STAGE_ATTEMPT_OK,
-    STAGE_ATTEMPT_SHED,
-    STAGE_ATTEMPT_TIMEOUT,
-    STAGE_BACKOFF,
-    STAGE_BATCH_QUEUE,
-    STAGE_DEVICE_QUEUE,
-    STAGE_DEVICE_SERVICE,
-    STAGE_FANIN_OVERHEAD,
-    STAGE_HEDGE_LOST,
-    STAGE_HEDGE_WON,
-    STAGE_NODE_QUEUE,
-    STAGE_NODE_SERVICE,
-    STAGE_OVERHEAD,
-    STAGE_REQUEST,
-    STAGE_REQUEST_SHED,
-    STAGE_SHARD_GROUP,
-    NullTracer,
-    RequestTrace,
-    Span,
-    Tracer,
-    resolve_tracer,
-)
-from repro.tracing.summary import (
-    breakdown_by_stage,
-    critical_path,
-    tracer_summary,
-    validate_trace,
-)
+from repro.tracing.tracer import NULL_TRACER, NullTracer, Tracer
+from repro.tracing.summary import validate_trace
 
 __all__ = [
-    "ATTR_OVERLAP_OK",
-    "ATTR_PARALLEL",
     "NULL_TRACER",
-    "STAGE_ATTEMPT_BREAKER_SKIP",
-    "STAGE_ATTEMPT_LINK_LOSS",
-    "STAGE_ATTEMPT_OK",
-    "STAGE_ATTEMPT_SHED",
-    "STAGE_ATTEMPT_TIMEOUT",
-    "STAGE_BACKOFF",
-    "STAGE_BATCH_QUEUE",
-    "STAGE_DEVICE_QUEUE",
-    "STAGE_DEVICE_SERVICE",
-    "STAGE_FANIN_OVERHEAD",
-    "STAGE_HEDGE_LOST",
-    "STAGE_HEDGE_WON",
-    "STAGE_NODE_QUEUE",
-    "STAGE_NODE_SERVICE",
-    "STAGE_OVERHEAD",
-    "STAGE_REQUEST",
-    "STAGE_REQUEST_SHED",
-    "STAGE_SHARD_GROUP",
     "NullTracer",
-    "RequestTrace",
-    "Span",
     "Tracer",
-    "breakdown_by_stage",
-    "critical_path",
-    "resolve_tracer",
-    "tracer_summary",
     "validate_trace",
 ]

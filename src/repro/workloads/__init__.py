@@ -15,41 +15,18 @@ Figures 3–4 (hit-rate curves and access histograms).  This package contains:
   traces with sparse 64-bit key universes feed the array-native cache stack.
 """
 
-from repro.workloads.trace import Trace, ModelTrace
-from repro.workloads.tables_spec import (
-    TableSpec,
-    PAPER_TABLE_SPECS,
-    scaled_table_specs,
-)
+from repro.workloads.trace import ModelTrace
+from repro.workloads.tables_spec import scaled_table_specs
 from repro.workloads.generator import (
     SyntheticTraceGenerator,
     generate_model_trace,
     paper_shaped_lookups,
 )
-from repro.workloads.characterization import (
-    TableCharacterization,
-    characterize_table,
-    characterize_model,
-    access_counts,
-    access_histogram,
-    compulsory_miss_rate,
-)
-from repro.workloads.remap import IdRemapper
 
 __all__ = [
-    "Trace",
     "ModelTrace",
-    "TableSpec",
-    "PAPER_TABLE_SPECS",
     "scaled_table_specs",
     "SyntheticTraceGenerator",
     "generate_model_trace",
     "paper_shaped_lookups",
-    "TableCharacterization",
-    "characterize_table",
-    "characterize_model",
-    "access_counts",
-    "access_histogram",
-    "compulsory_miss_rate",
-    "IdRemapper",
 ]

@@ -29,16 +29,6 @@ class TableCharacterization:
     compulsory_miss_rate: float
     unique_vectors_accessed: int
 
-    def as_row(self) -> Tuple:
-        """Row tuple in the paper's column order (for report printing)."""
-        return (
-            self.name,
-            self.num_vectors,
-            round(self.avg_lookups_per_query, 2),
-            f"{100 * self.lookup_share:.2f}%",
-            f"{100 * self.compulsory_miss_rate:.2f}%",
-        )
-
 
 def access_counts(trace: Trace) -> np.ndarray:
     """Number of times each vector id is looked up in the trace.

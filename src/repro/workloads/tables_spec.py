@@ -74,11 +74,6 @@ class TableSpec:
     def __post_init__(self) -> None:
         validate_fields(self)
 
-    @property
-    def table_bytes(self) -> int:
-        """Total size of the table in bytes when stored contiguously."""
-        return self.num_vectors * PAPER_VECTOR_BYTES
-
     def scaled(self, scale: float) -> "TableSpec":
         """Return a copy with ``num_vectors`` scaled by ``scale``.
 

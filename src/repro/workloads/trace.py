@@ -138,11 +138,6 @@ class Trace:
         check_int_at_least(num_queries, 0, "num_queries")
         return Trace._trusted(self._queries[:num_queries], self.num_vectors)
 
-    def concat(self, other: "Trace") -> "Trace":
-        """Concatenate two traces over the same table."""
-        num_vectors = max(self.num_vectors, other.num_vectors)
-        return Trace._trusted(self._queries + other._queries, num_vectors)
-
 
 @dataclass
 class ModelTrace:

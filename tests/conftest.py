@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,9 +30,11 @@ from repro.embeddings import EmbeddingTable, synthesize_topic_vectors
 from repro.nvm.block import BlockLayout
 from repro.partitioning import SHPPartitioner
 from repro.scenarios import ScenarioConfig, generate_scenario_trace
-from repro.workloads import SyntheticTraceGenerator, TableSpec, scaled_table_specs
+from repro.workloads import SyntheticTraceGenerator, scaled_table_specs
+from repro.workloads.tables_spec import TableSpec
 from repro.workloads.characterization import access_counts
 from repro.workloads.trace import ModelTrace, Trace
+from repro_lint import LintResult, lint_paths
 
 VECTORS_PER_BLOCK = 32
 
@@ -40,8 +43,9 @@ class InspectableLRUCache(LRUCache):
     """The reference loop's :class:`LRUCache` plus what only tests inspect.
 
     Size, iteration, the MRU → LRU key order, the eviction count, and the
-    ``touch`` (promote on hit) and ``remove`` mutators.  The reference loop
-    itself needs only ``get``, ``peek``, ``insert`` and membership.
+    ``touch`` (promote on hit), ``remove`` and ``clear`` mutators.  The
+    reference loop itself needs only ``get``, ``peek``, ``insert`` and
+    membership.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -68,7 +72,10 @@ class InspectableLRUCache(LRUCache):
         return self._priority.pop(key, None) is not None
 
     def clear(self) -> None:
-        super().clear()
+        """Drop all entries and reset the eviction count."""
+        self._priority.clear()
+        self._heap.clear()
+        self._clock = 0.0
         self.evictions = 0
 
     def _evict_one(self):
@@ -260,3 +267,13 @@ def embedding_table(small_spec, generator) -> EmbeddingTable:
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def repo_lint_result() -> LintResult:
+    """One in-process repro-lint run over ``src``, ``tests`` and ``benchmarks``.
+
+    Both whole-tree lint gates read it, so the suite lints the tree once.
+    """
+    root = Path(__file__).resolve().parent.parent
+    return lint_paths(["src", "tests", "benchmarks"], root=root)

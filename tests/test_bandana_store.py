@@ -74,7 +74,8 @@ class TestBuild:
     def test_dram_and_nvm_footprints(self, built_store, store_workload):
         specs = store_workload[0]
         total_vectors = sum(s.num_vectors for s in specs.values())
-        assert built_store.nvm_bytes() >= total_vectors * 128
+        num_blocks = sum(state.layout.num_blocks for state in built_store.tables.values())
+        assert num_blocks * built_store.config.block_bytes >= total_vectors * 128
         assert built_store.dram_bytes() <= built_store.config.total_cache_vectors * 128
 
     def test_num_vectors_naming_an_unknown_table_raises(self, store_workload):

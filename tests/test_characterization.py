@@ -70,7 +70,6 @@ class TestCharacterize:
         assert row.num_lookups == 5
         assert row.unique_vectors_accessed == 3
         assert row.compulsory_miss_rate == pytest.approx(0.6)
-        assert "t" in row.as_row()[0]
 
     def test_characterize_model_shares(self):
         model = ModelTrace(

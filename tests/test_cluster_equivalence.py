@@ -60,9 +60,9 @@ class TestSingleNodeEquivalence:
         # per-node cache budgets equal the store's own budgets exactly.
         store, _ = build_store(0)
         cluster = ClusterStore.from_store(store, config=SINGLE)
-        sizes = cluster.nodes[0].cache_sizes()
+        engines = cluster.nodes[0].engines
         for name, state in store.tables.items():
-            assert sizes[name] == state.cache_config.cache_size_vectors, name
+            assert engines[name].cache.capacity == state.cache_config.cache_size_vectors, name
 
     def test_golden_aggregate_pin(self):
         # build_store(0) replayed through the 1-node cluster.  If this pin
@@ -80,20 +80,6 @@ class TestSingleNodeEquivalence:
         )
         assert cluster.counters.requests_total == 106
         assert cluster.counters.shard_groups == 485
-
-    def test_reset_serving_state_replays_identically(self):
-        store, trace = build_store(1)
-        cluster = ClusterStore.from_store(store, config=SINGLE)
-        requests = list(trace.requests())
-        for request in requests:
-            cluster.serve_request(request)
-        first = cluster.aggregate_stats().counters(include_latency=True)
-        cluster.reset_serving_state()
-        assert cluster.aggregate_stats().lookups == 0
-        assert cluster.counters.requests_total == 0
-        for request in requests:
-            cluster.serve_request(request)
-        assert cluster.aggregate_stats().counters(include_latency=True) == first
 
 
 class TestShardedEquivalenceOfWork:

@@ -79,7 +79,7 @@ class TestEmbeddingModel:
         model = self.make_model()
         assert len(model) == 2
         assert "users" in model
-        assert model.table_names == ["users", "pages"]
+        assert list(model) == ["users", "pages"]
         assert model.nbytes == 10 * 16 + 20 * 16
 
     def test_duplicate_rejected(self):
@@ -127,7 +127,3 @@ class TestRecommendationModel:
         with pytest.raises(ValueError):
             model.score({"t": [0]}, dense_features=np.zeros(3))
 
-    def test_num_parameters_positive(self):
-        embedding_model = EmbeddingModel({"t": EmbeddingTable("t", 10, dim=4)})
-        model = RecommendationModel(embedding_model)
-        assert model.num_parameters > 0

@@ -23,11 +23,11 @@ from hypothesis import strategies as st
 
 from repro.caching.engine import (
     BatchReplayEngine,
-    OrderedLRUCache,
     admits_only_at_top,
     replay_table_cache_batched,
     replay_table_cache_multi,
 )
+from repro.caching.lru import OrderedLRUCache
 from repro.caching.miniature import MIN_MINIATURE_BLOCKS, MiniatureCacheTuner
 from repro.caching.policies import (
     AccessThresholdPolicy,
@@ -47,7 +47,8 @@ from repro.core.bandana import BandanaStore
 from repro.core.config import BandanaConfig, TableCacheConfig
 from repro.nvm.block import BlockLayout
 from repro.nvm.latency import QUEUE_DEPTH, NVMLatencyModel
-from repro.simulation import simulate_store, simulate_table
+from repro.simulation import simulate_store
+from repro.simulation.runner import simulate_table
 from repro.utils.sampling import sample_queries_spatially
 from repro.workloads.trace import ModelTrace, Trace
 from tests.conftest import (

@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 from repro.utils.sampling import first_occurrences
 from repro.workloads import (
     SyntheticTraceGenerator,
-    TableSpec,
     generate_model_trace,
     paper_shaped_lookups,
     scaled_table_specs,
 )
+from repro.workloads.tables_spec import TableSpec
 from repro.workloads import generator as generator_module
 from repro.workloads.generator import BURSTINESS, TOPIC_AFFINITY, TOPICS_PER_QUERY
 from repro.workloads.trace import Trace
@@ -37,6 +37,13 @@ class TestPaperShapedLookups:
         assert paper_shaped_lookups(spec, unique_per_block=1.0) < paper_shaped_lookups(
             spec, unique_per_block=3.0
         )
+
+    @pytest.mark.parametrize("flag", [True, np.bool_(True)])
+    def test_rejects_a_boolean_density(self, flag):
+        # ``paper_shaped_lookups(spec, 32, True)`` used to compute with a
+        # density of 1.0, as if ``1`` had been passed.
+        with pytest.raises(TypeError, match="unique_per_block"):
+            paper_shaped_lookups(make_spec(), 32, flag)
 
 
 class TestGeneratorStructure:

@@ -21,7 +21,8 @@ from repro.core.bandana import BandanaStore, BandanaTableState
 from repro.core.config import BandanaConfig, TableCacheConfig
 from repro.partitioning import SHPPartitioner
 from repro.simulation import simulate_store
-from repro.workloads import SyntheticTraceGenerator, TableSpec
+from repro.workloads import SyntheticTraceGenerator
+from repro.workloads.tables_spec import TableSpec
 from repro.workloads.trace import ModelTrace
 
 VECTORS_PER_BLOCK = 32

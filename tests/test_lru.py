@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.caching.shadow import ShadowCache
+from repro.caching.policies import ShadowAdmissionPolicy
 from tests.conftest import InspectableLRUCache
 
 
@@ -168,26 +168,35 @@ def test_lru_never_exceeds_capacity(capacity, keys, positions):
 
 
 class TestShadowCache:
+    """The shadow-admission policy's shadow: a demand-only top-insert LRU."""
+
     def test_tracks_demand_accesses(self):
-        shadow = ShadowCache(real_cache_size=2, multiplier=1.0)
-        shadow.record_access(1)
-        assert shadow.contains(1)
-        assert not shadow.contains(2)
+        policy = ShadowAdmissionPolicy(real_cache_size=2, multiplier=1.0)
+        policy.record_access(1)
+        assert 1 in policy.shadow
+        assert 2 not in policy.shadow
 
     def test_multiplier_scales_capacity(self):
-        shadow = ShadowCache(real_cache_size=100, multiplier=1.5)
-        assert shadow.capacity == 150
+        policy = ShadowAdmissionPolicy(real_cache_size=100, multiplier=1.5)
+        assert policy.shadow.capacity == 150
 
     def test_lru_behaviour(self):
-        shadow = ShadowCache(real_cache_size=2, multiplier=1.0)
-        shadow.record_access(1)
-        shadow.record_access(2)
-        shadow.record_access(3)
-        assert not shadow.contains(1)
-        assert shadow.contains(2) and shadow.contains(3)
+        policy = ShadowAdmissionPolicy(real_cache_size=2, multiplier=1.0)
+        policy.record_access(1)
+        policy.record_access(2)
+        policy.record_access(3)
+        assert 1 not in policy.shadow
+        assert 2 in policy.shadow and 3 in policy.shadow
 
     def test_clear(self):
-        shadow = ShadowCache(2)
-        shadow.record_access(1)
-        shadow.clear()
-        assert len(shadow) == 0
+        policy = ShadowAdmissionPolicy(2)
+        policy.record_access(1)
+        policy.reset()
+        assert len(policy.shadow) == 0
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"real_cache_size": -1}, {"real_cache_size": 2, "multiplier": 0.0}]
+    )
+    def test_constructor_rejects_bad_sizes(self, kwargs):
+        with pytest.raises(ValueError):
+            ShadowAdmissionPolicy(**kwargs)

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.caching.engine import BatchReplayEngine, OrderedLRUCache
+from repro.caching.engine import BatchReplayEngine
+from repro.caching.lru import OrderedLRUCache
 from repro.caching.policies import CombinedPolicy, NoPrefetchPolicy
 from repro.caching.replay import ReplayStats, replay_table_cache
 from repro.nvm.block import BlockLayout

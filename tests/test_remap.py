@@ -6,7 +6,7 @@ import pytest
 from repro.caching.engine import replay_table_cache_batched
 from repro.caching.policies import CacheAllBlockPolicy
 from repro.nvm.block import BlockLayout
-from repro.workloads import IdRemapper
+from repro.workloads.remap import IdRemapper
 from repro.workloads.trace import Trace
 
 

@@ -493,8 +493,8 @@ class TestFileContext:
 
 # ------------------------------------------------------------------ self-check
 class TestRepoSelfCheck:
-    def test_repo_is_lint_clean(self):
-        result = lint_paths(["src", "tests", "benchmarks"], root=REPO_ROOT)
+    def test_repo_is_lint_clean(self, repo_lint_result):
+        result = repo_lint_result
         assert result.files_checked > 50
         dirty = "\n".join(
             f"{v.path}:{v.line} {v.rule} {v.message}"

@@ -26,12 +26,12 @@ from repro.scenarios import (
     RepartitionConfig,
     RepartitionManager,
     ScenarioConfig,
-    ScenarioReport,
     TraceLoaderConfig,
     generate_scenario_trace,
-    layout_churn,
     run_workload_scenario,
 )
+from repro.scenarios.report import ScenarioReport
+from repro.scenarios.lifecycle import layout_churn
 from repro.scenarios.config import COMMUNITY_SIZE, FLASH_START_FRACTION
 from repro.serving import simulate_serving
 from repro.workloads.characterization import access_counts

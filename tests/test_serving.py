@@ -23,12 +23,9 @@ import pytest
 from repro import BandanaConfig, BandanaStore, ServingConfig
 from repro.device import DEVICE_SLOTS, read_latency_under_load
 from repro.nvm.latency import NVMLatencyModel
-from repro.serving import (
-    arrival_times,
-    form_batches,
-    poisson_arrival_times,
-    simulate_serving,
-)
+from repro.serving.arrivals import arrival_times, poisson_arrival_times
+from repro.serving.batcher import form_batches
+from repro.serving import simulate_serving
 from repro.simulation import simulate_store
 from repro.workloads import (
     SyntheticTraceGenerator,
@@ -156,7 +153,7 @@ class TestDynamicBatcher:
             batches = form_batches(arrivals, max_batch, linger)
             dispatches = [b.dispatch_us for b in batches]
             assert dispatches == sorted(dispatches)
-            assert sum(b.size for b in batches) == arrivals.size
+            assert sum(b.stop - b.start for b in batches) == arrivals.size
 
 
 # ------------------------------------------------------------------ front-end

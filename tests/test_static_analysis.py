@@ -16,15 +16,15 @@ from pathlib import Path
 
 import pytest
 
-from repro_lint import lint_paths, render_text
+from repro_lint import render_text
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 LINT_TARGETS = ("src", "tests", "benchmarks")
 
 
 class TestReproLintGate:
-    def test_tree_is_clean(self):
-        result = lint_paths(list(LINT_TARGETS), root=REPO_ROOT)
+    def test_tree_is_clean(self, repo_lint_result):
+        result = repo_lint_result
         assert result.files_checked > 0
         assert result.clean, "\n" + render_text(result)
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.workloads.tables_spec import (
     PAPER_TABLE_SPECS,
-    PAPER_VECTOR_BYTES,
     PAPER_VECTORS_PER_BLOCK,
     TableSpec,
     scaled_table_specs,
@@ -32,8 +31,6 @@ class TestPaperSpecs:
 
     def test_vector_geometry(self):
         assert PAPER_VECTORS_PER_BLOCK == 32
-        spec = PAPER_TABLE_SPECS["table1"]
-        assert spec.table_bytes == spec.num_vectors * PAPER_VECTOR_BYTES
 
 
 class TestScaling:

@@ -85,14 +85,9 @@ class TestTraceSplitting:
         with pytest.raises(TypeError, match="num_queries"):
             make_trace().head(count)
 
-    def test_concat(self):
-        joined = make_trace().concat(make_trace())
-        assert len(joined) == 6
-        assert joined.num_lookups == 12
-
 
 class TestDerivedTracesSkipRevalidation:
-    """``split`` / ``head`` / slices / ``concat`` wrap already-checked queries
+    """``split`` / ``head`` / slices wrap already-checked queries
     through ``Trace._trusted``; the result must be what validating them again
     would have built."""
 
@@ -112,7 +107,7 @@ class TestDerivedTracesSkipRevalidation:
         cut=st.integers(min_value=0, max_value=14),
     )
     @settings(max_examples=50, deadline=None)
-    def test_split_head_slice_concat(self, queries, fraction, cut):
+    def test_split_head_slice(self, queries, fraction, cut):
         trace = Trace(queries, num_vectors=51)
         kept = [q for q in queries if q]
         boundary = int(round(len(kept) * fraction))
@@ -122,9 +117,6 @@ class TestDerivedTracesSkipRevalidation:
         self.assert_as_if_validated(trace.head(cut), kept[:cut], 51)
         self.assert_as_if_validated(trace[cut:], kept[cut:], 51)
         self.assert_as_if_validated(trace[::2], kept[::2], 51)
-        wider = Trace([[60, 3]], num_vectors=61)
-        self.assert_as_if_validated(trace.concat(wider), kept + [[60, 3]], 61)
-        self.assert_as_if_validated(wider.concat(trace), [[60, 3]] + kept, 61)
 
     def test_derived_traces_do_not_alias_the_source_list(self):
         trace = make_trace()

@@ -15,16 +15,14 @@ import pytest
 from repro.caching.engine import BatchReplayEngine
 from repro.caching.policies import CacheAllBlockPolicy
 from repro.nvm.block import BlockLayout
-from repro.scenarios import (
+from repro.scenarios.loader import (
     LoadedTrace,
-    TraceLoaderConfig,
     build_remapper,
-    characterization_report,
     hash_key,
     iter_dense_chunks,
     iter_sparse_queries,
-    load_trace,
 )
+from repro.scenarios import TraceLoaderConfig, characterization_report, load_trace
 
 DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 TWITTER = os.path.join(DATA_DIR, "sample_twitter_trace.csv")

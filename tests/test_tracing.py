@@ -17,12 +17,11 @@ from test_cluster_store import run as run_cluster_scenario
 from test_serving import build_store_and_trace
 
 from repro.core.config import ClusterConfig, ServingConfig, TracingConfig
-from repro.device import depth_bucket
+from repro.device.clock import depth_bucket
 from repro.serving import simulate_serving
 from repro.serving.report import LatencySummary, percentile_min_samples
-from repro.tracing import (
+from repro.tracing.tracer import (
     ATTR_OVERLAP_OK,
-    NULL_TRACER,
     STAGE_ATTEMPT_LINK_LOSS,
     STAGE_ATTEMPT_TIMEOUT,
     STAGE_BACKOFF,
@@ -34,12 +33,10 @@ from repro.tracing import (
     STAGE_NODE_SERVICE,
     STAGE_OVERHEAD,
     STAGE_REQUEST,
-    NullTracer,
-    Tracer,
-    critical_path,
     resolve_tracer,
-    validate_trace,
 )
+from repro.tracing import NULL_TRACER, NullTracer, Tracer, validate_trace
+from repro.tracing.summary import critical_path
 from repro_lint import lint_source
 from repro_lint.rules import CONFIG_CLASSES, WALL_CLOCK_ALLOWED_MODULES
 

@@ -48,6 +48,14 @@ class TestCheckFraction:
             check_fraction(1.01, "x")
 
 
+@pytest.mark.parametrize("check", [check_positive, check_non_negative, check_fraction])
+@pytest.mark.parametrize("value", [True, False, np.bool_(True), np.bool_(False)])
+def test_float_checks_reject_booleans(check, value):
+    # bool is an int subclass: ``True`` used to pass as the quantity 1.
+    with pytest.raises(TypeError, match="x must be a number"):
+        check(value, "x")
+
+
 class TestCheckArray1dInts:
     def test_accepts_list(self):
         out = check_array_1d_ints([1, 2, 3], "ids")
