@@ -288,7 +288,6 @@ class BatchReplayEngine:
             stats.prefetch_admitted += admitted
             stats.prefetch_evicted_unused += unused
             stats.evictions += evictions
-            cache.evictions += evictions
 
     def swap_layout(self, layout: BlockLayout) -> None:
         """Adopt a new block placement without disturbing cache residency.

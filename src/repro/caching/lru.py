@@ -144,8 +144,6 @@ class OrderedLRUCache:
     def __init__(self, capacity: int) -> None:
         check_non_negative(capacity, "capacity")
         self.capacity = int(capacity)
-        #: Number of entries evicted so far.
-        self.evictions = 0
         # Resident keys, least recently used first.
         self._entries: "OrderedDict[int, None]" = OrderedDict()
 
@@ -166,7 +164,6 @@ class OrderedLRUCache:
         evicted = None
         if len(entries) >= self.capacity:
             evicted = entries.popitem(last=False)[0]
-            self.evictions += 1
         entries[key] = None
         return evicted
 
@@ -175,6 +172,5 @@ class OrderedLRUCache:
         return list(reversed(self._entries))
 
     def clear(self) -> None:
-        """Drop all entries and reset the eviction counter."""
+        """Drop all entries."""
         self._entries.clear()
-        self.evictions = 0

@@ -45,7 +45,7 @@ construction must say so through ``admit_version`` (see
 from __future__ import annotations
 
 import abc
-from typing import Dict, Optional, Type
+from typing import Optional
 
 import numpy as np
 
@@ -56,7 +56,7 @@ from repro.utils.validation import check_fraction, check_non_negative, check_pos
 class PrefetchPolicy(abc.ABC):
     """Decides whether (and where) a prefetched vector enters the cache."""
 
-    #: Name used in reports, benchmark output and the policy factory.
+    #: Name used in reports and benchmark output.
     name: str = "policy"
 
     #: True when :meth:`admit` rejects every candidate unconditionally; lets
@@ -283,32 +283,3 @@ class AccessThresholdPolicy(PrefetchPolicy):
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"AccessThresholdPolicy(threshold={self.threshold})"
-
-
-_POLICY_REGISTRY: Dict[str, Type[PrefetchPolicy]] = {
-    NoPrefetchPolicy.name: NoPrefetchPolicy,
-    CacheAllBlockPolicy.name: CacheAllBlockPolicy,
-    InsertAtPositionPolicy.name: InsertAtPositionPolicy,
-    ShadowAdmissionPolicy.name: ShadowAdmissionPolicy,
-    CombinedPolicy.name: CombinedPolicy,
-    AccessThresholdPolicy.name: AccessThresholdPolicy,
-}
-
-
-def make_policy(name: str, **kwargs: object) -> PrefetchPolicy:
-    """Instantiate a policy by its registered name.
-
-    Examples
-    --------
-    >>> make_policy("no-prefetch")
-    NoPrefetchPolicy()
-    >>> make_policy("insert-at-position", position=0.7)
-    InsertAtPositionPolicy(position=0.7)
-    """
-    try:
-        policy_cls = _POLICY_REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown policy {name!r}; available: {sorted(_POLICY_REGISTRY)}"
-        ) from None
-    return policy_cls(**kwargs)

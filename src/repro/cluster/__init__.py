@@ -11,11 +11,12 @@ Architecture
   Each table's dense id space is partitioned at NVM-**block** granularity
   (``(table, block)`` keys), so prefetch admission stays node-local and a
   1-node ring reduces exactly to the single store.
-* :mod:`repro.cluster.node` — one simulated node: per-table
-  :class:`~repro.caching.engine.BatchReplayEngine` replicas (independent
-  caches sized to the node's owned share), a bank of ``devices_per_host``
-  FIFO devices, and queue-level admission control against per-table SLOs,
-  both by the run's :class:`~repro.core.config.ServingConfig`.
+* :mod:`repro.cluster.node` — one simulated node: a shard of the host's
+  store (:meth:`~repro.core.bandana.BandanaStore.shard`: the host's layouts,
+  independent policies and caches sized to the node's owned share), a bank
+  of ``devices_per_host`` FIFO devices, and queue-level admission control
+  against per-table SLOs, both by the run's
+  :class:`~repro.core.config.ServingConfig`.
 * :mod:`repro.cluster.store` — the router: fan-out/fan-in (request latency
   is the max over touched shard groups), R-way read-one replication,
   per-shard timeouts with capped exponential-backoff retries, hedged reads

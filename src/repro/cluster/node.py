@@ -1,12 +1,15 @@
-"""One simulated store node: shard engines, a device bank, admission control.
+"""One simulated store node: a shard store, a device bank, admission control.
 
-A :class:`ClusterNode` owns the *node half* of the spec/state split
-(:mod:`repro.core.tablespec`): for every table it serves, a
-:class:`~repro.caching.engine.BatchReplayEngine` with its own DRAM cache
-(sized to the node's owned share of the table's budget), its own policy
-instance and its own :class:`~repro.caching.replay.ReplayStats` — the node's
-tally of lookups, block reads and NVM read time.  Replica caches are fully
-independent — each replica's cache contents reflect exactly the
+A :class:`ClusterNode` serves a shard of the host's
+:class:`~repro.core.bandana.BandanaStore` — :meth:`BandanaStore.shard
+<repro.core.bandana.BandanaStore.shard>`, a cold store over the tables the
+node owns blocks of: the host's layouts (shared, never copied), a reset
+copy of each policy, each table's cache budget scaled to the node's owned
+share of its blocks, and its own :class:`~repro.caching.replay.ReplayStats`
+— the node's tally of lookups, block reads and NVM read time.  The shard
+store builds the engines (:meth:`~repro.core.bandana.BandanaStore.engine`);
+the node keeps them in ``engines`` for the read path.  Replica caches are
+fully independent — each replica's cache contents reflect exactly the
 traffic *that replica* served, so retries and hedges landing on a secondary
 warm the secondary, not the primary.
 
@@ -18,19 +21,19 @@ shard read arriving at ``t`` waits out its table's device backlog, then runs
 for ``(NODE_OVERHEAD_US + NVM read time) × slow-multiplier`` — the
 *externally-priced* path: the engines price the reads, the bank serialises
 them.  **Admission control** is the host's knob, applied by the router
-(:class:`~repro.cluster.store.ClusterStore`): when the backlog a new read
-would wait behind exceeds ``ServingConfig.admission_queue_slack ×`` the
-table's SLO, the node sheds the read immediately (a fast rejection the
-router can retry on another replica) instead of queueing it unboundedly —
-overload degrades, it does not melt.  Shedding is off when the slack is
-``None``, as on a host.
+(:class:`~repro.cluster.store.ClusterStore`) on ``node.bank``: when the
+backlog a new read would wait behind exceeds
+``ServingConfig.admission_queue_slack ×`` the table's SLO, the node sheds
+the read immediately (a fast rejection the router can retry on another
+replica) instead of queueing it unboundedly — overload degrades, it does
+not melt.  Shedding is off when the slack is ``None``, as on a host.
 
 A crashed node loses its DRAM on recovery: :meth:`ClusterNode.cold_restart`
-rebuilds every engine cold (fresh cache, fresh policy state) while keeping
-the cumulative stats objects, so availability and block-read accounting span
-the crash — and re-anchors the device bank at the restart time
-(:meth:`~repro.device.bank.NVMDeviceBank.rebase`), the same single definition of
-restart semantics warm-up rebase uses.
+is the shard store's :meth:`~repro.core.bandana.BandanaStore.cold_restart`
+(policies reset, engines rebuilt cold, cumulative stats kept, so
+availability and block-read accounting span the crash) plus the device
+bank's :meth:`~repro.device.bank.NVMDeviceBank.rebase` at the restart time,
+the same single definition of restart semantics warm-up rebase uses.
 
 A shard read is one engine replay and one
 :meth:`~repro.device.clock.DeviceClock.serve_duration` on the table's device
@@ -45,12 +48,11 @@ multiplier) — is what the router records as the
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.caching.engine import BatchReplayEngine
-from repro.core.tablespec import TableServingSpec
+from repro.core.bandana import BandanaStore
 from repro.device.bank import NVMDeviceBank
 
 #: Fixed per-shard-read service time on the owning node (request parsing,
@@ -72,55 +74,23 @@ class ClusterNode:
     ----------
     index:
         The node's cluster index.
-    specs:
-        Serving specs of the tables this node holds shards of.
-    owned_blocks:
-        Per-table count of blocks this node serves (over all replica slots
-        it occupies); sizes the node's share of each table's cache budget.
+    store:
+        The node's shard store (:meth:`~repro.core.bandana.BandanaStore.shard`).
     num_devices:
         Devices in the node's bank (``ServingConfig.devices_per_host``).
     """
 
-    def __init__(
-        self,
-        index: int,
-        specs: Mapping[str, TableServingSpec],
-        owned_blocks: Mapping[str, int],
-        num_devices: int,
-    ) -> None:
+    def __init__(self, index: int, store: BandanaStore, num_devices: int) -> None:
         self.index = index
-        self._specs: Dict[str, TableServingSpec] = {}
-        self._cache_sizes: Dict[str, int] = {}
-        self.engines: Dict[str, BatchReplayEngine] = {}
-        for name, spec in specs.items():
-            owned = int(owned_blocks.get(name, 0))
-            if owned <= 0:
-                continue
-            self._specs[name] = spec
-            self._cache_sizes[name] = spec.scaled_cache_size(owned)
-            self.engines[name] = spec.make_engine(
-                cache_size_vectors=self._cache_sizes[name]
-            )
+        self.store = store
+        #: Each served table's engine, built by the shard store.
+        self.engines = {name: store.engine(name) for name in store.tables}
         #: The node's devices, its served tables pinned to them round-robin.
         self.bank = NVMDeviceBank(num_devices, tables=self.engines.keys())
         #: Each served table's device, resolved once for the per-read charge.
         self._devices = {name: self.bank.device_of(name) for name in self.engines}
-        self.cold_restarts = 0
         #: Simulated time up to which crash-recovery has been checked.
         self.last_seen_us = 0.0
-
-    # ----------------------------------------------------------------- timing
-    def queue_wait_us(self, at_us: float, table_name: Optional[str] = None) -> float:
-        """Backlog a read arriving at ``at_us`` would wait behind.
-
-        Per-table when given (that table's device — what admission control
-        sheds against), else the worst backlog over the node's bank.
-        """
-        return self.bank.queue_wait_us(at_us, table_name)
-
-    def rebase(self, now_us: float = 0.0) -> None:
-        """Re-anchor the node's device clocks with empty backlogs."""
-        self.bank.rebase(now_us)
 
     # ---------------------------------------------------------------- serving
     def serve(
@@ -153,28 +123,18 @@ class ClusterNode:
         record = self._devices[table_name].serve_duration(arrive_us, service_us, blocks)
         return ShardServiceResult(record.start_us - arrive_us, service_us)
 
-    def serves_table(self, table_name: str) -> bool:
-        """Whether this node owns any shard of ``table_name``."""
-        return table_name in self.engines
-
     # --------------------------------------------------------------- recovery
     def cold_restart(self, now_us: float) -> None:
-        """Restart after a crash: cold caches, fresh policies, empty backlog.
+        """Restart after a crash: cold caches, reset policies, empty backlog.
 
-        The cumulative stats objects are kept (availability and hit-rate
-        accounting span the crash); everything else — cache contents,
-        pending-prefetch state, policy state, queued work — is lost, exactly
-        what a process restart costs.  Backlog loss is the device bank's
-        :meth:`~repro.device.bank.NVMDeviceBank.rebase`, defined once for every
-        layer.
+        The shard store's :meth:`~repro.core.bandana.BandanaStore.cold_restart`
+        (the cumulative stats survive) plus the bank's
+        :meth:`~repro.device.bank.NVMDeviceBank.rebase` at ``now_us`` —
+        everything a process restart loses, and nothing more.
         """
-        for name, spec in self._specs.items():
-            self.engines[name] = spec.make_engine(
-                cache_size_vectors=self._cache_sizes[name],
-                stats=self.engines[name].stats,
-            )
-        self.rebase(now_us)
-        self.cold_restarts += 1
+        self.store.cold_restart()
+        self.engines = {name: self.store.engine(name) for name in self.store.tables}
+        self.bank.rebase(now_us)
 
     # ---------------------------------------------------------------- metrics
     def blocks_read(self) -> int:

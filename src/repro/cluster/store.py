@@ -1,7 +1,14 @@
 """The cluster store: consistent-hash routing with failure-survival machinery.
 
-:class:`ClusterStore` serves multi-table requests against a fleet of
-simulated :class:`~repro.cluster.node.ClusterNode` instances.  Each request
+:class:`ClusterStore` serves one :class:`~repro.core.bandana.BandanaStore`
+from a fleet of simulated :class:`~repro.cluster.node.ClusterNode` instances,
+each a shard of it: node *i* serves
+:meth:`store.shard(owned_i) <repro.core.bandana.BandanaStore.shard>`, the
+tables it owns blocks of on the consistent-hash ring, with the host's
+layouts, reset copies of its policies and budgets scaled to the owned
+blocks.  The per-table serving state is the store's, on every node: the
+cluster builds no engine and no stats of its own, and
+:meth:`ClusterStore.table_stats` merges the node stores' stats.  Each request
 is split into **shard groups** — maximal runs of ids sharing one replica set
 on the ring — fanned out, and fanned back in: the request completes when its
 slowest shard group does (latency is the max over touched shards), which is
@@ -48,7 +55,8 @@ A request whose shard group exhausts ``max_attempts`` is **degraded**, not
 crashed: it completes with partial features and is counted against
 availability.  A fault schedule naming a node the cluster does not have
 is rejected at construction (``ValueError``) rather than silently never
-applying.
+applying, and a dispatch time that is negative or not finite is rejected
+before anything is routed, served or traced.
 The hard equivalence anchor: with one node, ``R = 1`` and no
 faults, every request is one unhedged, unretried engine replay in arrival
 order — bit-identical counters to :class:`~repro.core.bandana.BandanaStore`
@@ -75,10 +83,12 @@ behavior (golden-pinned).
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, insort
 from collections import deque
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, Iterable, List, Mapping, NamedTuple
+from dataclasses import dataclass, replace
+from functools import reduce
+from typing import Deque, Dict, Iterable, List, Mapping, NamedTuple
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -87,8 +97,8 @@ from repro.caching.replay import ReplayStats
 from repro.cluster.faults import FaultSchedule, NodeFaults
 from repro.cluster.node import ClusterNode, ShardServiceResult
 from repro.cluster.ring import ConsistentHashRing
+from repro.core.bandana import BandanaStore
 from repro.core.config import ClusterConfig, ServingConfig
-from repro.core.tablespec import TableServingSpec
 from repro.serving.frontend import REQUEST_OVERHEAD_US
 from repro.tracing.tracer import (
     ATTR_OVERLAP_OK,
@@ -110,10 +120,11 @@ from repro.tracing.tracer import (
 )
 from repro.utils.units import s_to_us
 from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_array_1d_ints, check_id_range
-
-if TYPE_CHECKING:
-    from repro.core.bandana import BandanaStore
+from repro.utils.validation import (
+    check_array_1d_ints,
+    check_id_range,
+    check_non_negative,
+)
 
 #: Healthy one-way network delay between the router and a node (paid twice
 #: per attempt).
@@ -271,10 +282,10 @@ class ClusterStore:
 
     Parameters
     ----------
-    specs:
-        Per-table serving specs (from
-        :meth:`~repro.core.bandana.BandanaStore.table_specs` or built
-        directly).
+    store:
+        The single-host store the cluster serves; its resolved placement,
+        policies and cache budgets define the tables.  Node *i* serves
+        ``store.shard(owned_i)``, the blocks the ring gives it.
     config:
         Topology and robustness knobs.
     faults:
@@ -287,92 +298,62 @@ class ClusterStore:
 
     def __init__(
         self,
-        specs: Mapping[str, TableServingSpec],
+        store: BandanaStore,
         config: Optional[ClusterConfig] = None,
         faults: Optional[FaultSchedule] = None,
         serving: Optional[ServingConfig] = None,
     ) -> None:
-        if not specs:
-            raise ValueError("the cluster needs at least one table spec")
-        self.specs = dict(specs)
+        if not store.tables:
+            raise ValueError("the cluster needs at least one table")
+        self.store = store
         self.config = config or ClusterConfig()
         self.faults = faults or FaultSchedule(())
         self.serving = serving or ServingConfig()
+        num_nodes = self.config.num_nodes
         for event in self.faults.events:
-            if event.node >= self.config.num_nodes:
+            if event.node >= num_nodes:
                 raise ValueError(
                     f"{type(event).__name__} names node {event.node}, but the "
-                    f"cluster has {self.config.num_nodes} nodes"
+                    f"cluster has {num_nodes} nodes"
                 )
         self.ring = ConsistentHashRing(
-            [f"node{i}" for i in range(self.config.num_nodes)],
+            [f"node{i}" for i in range(num_nodes)],
             virtual_nodes=self.config.virtual_nodes,
         )
         #: Effective replication (``R`` clamped to the cluster size).
-        self.replication = min(self.config.replication, self.config.num_nodes)
+        self.replication = min(self.config.replication, num_nodes)
         # Block-ownership tables: name -> (num_blocks, R) node-index array.
         self._owners: Dict[str, np.ndarray] = {
-            name: self.ring.block_owners(
-                name, spec.layout.num_blocks, self.replication
-            )
-            for name, spec in self.specs.items()
+            name: self.ring.block_owners(name, state.layout.num_blocks, self.replication)
+            for name, state in store.tables.items()
         }
         # Routing is a pure function of the ring and the placement, so it is
         # tabulated once: per table the distinct replica sets — the rows of
         # ``np.unique(owners, axis=0)``, lexicographic, as tuples of node
         # indices — and, per vector, the index of its block's row.
         self._routes: Dict[str, Tuple[np.ndarray, List[Tuple[int, ...]]]] = {}
+        owned: List[Dict[str, int]] = [{} for _ in range(num_nodes)]
         for name, owners in self._owners.items():
-            layout = self.specs[name].layout
+            layout = store.tables[name].layout
             rows, block_group = np.unique(owners, axis=0, return_inverse=True)
             vector_group = block_group.reshape(-1)[
                 layout.block_of(np.arange(layout.num_vectors, dtype=np.int64))
             ]
             self._routes[name] = (vector_group, [tuple(row) for row in rows.tolist()])
-        self._build_serving_state()
-
-    # ------------------------------------------------------------------ build
-    @classmethod
-    def from_store(
-        cls,
-        store: "BandanaStore",
-        config: Optional[ClusterConfig] = None,
-        faults: Optional[FaultSchedule] = None,
-        serving: Optional[ServingConfig] = None,
-    ) -> "ClusterStore":
-        """Build a cluster serving the same tables as a single-host store.
-
-        ``store`` is a :class:`~repro.core.bandana.BandanaStore`; its
-        resolved placement, policies and cache budgets become the cluster's
-        table specs; ``config`` and ``serving`` default to
-        ``ClusterConfig()`` and ``ServingConfig()``.
-        """
-        return cls(store.table_specs(), config=config, faults=faults, serving=serving)
-
-    def _build_serving_state(self) -> None:
-        owned: Dict[int, Dict[str, int]] = {
-            i: {} for i in range(self.config.num_nodes)
-        }
-        for name, owners in self._owners.items():
-            counts = np.bincount(owners.ravel(), minlength=self.config.num_nodes)
-            for node, count in enumerate(counts):
+            counts = np.bincount(owners.ravel(), minlength=num_nodes)
+            for node, count in enumerate(counts.tolist()):
                 if count:
-                    owned[node][name] = int(count)
+                    owned[node][name] = count
         self.nodes: List[ClusterNode] = [
-            ClusterNode(
-                index=i,
-                specs={name: self.specs[name] for name in owned[i]},
-                owned_blocks=owned[i],
-                num_devices=self.serving.devices_per_host,
-            )
-            for i in range(self.config.num_nodes)
+            ClusterNode(i, store.shard(owned[i]), self.serving.devices_per_host)
+            for i in range(num_nodes)
         ]
         self._breakers = [
             _CircuitBreaker(
                 self.config.breaker_failure_threshold,
                 s_to_us(self.config.breaker_cooloff_s),
             )
-            for _ in range(self.config.num_nodes)
+            for _ in range(num_nodes)
         ]
         self.counters = ClusterCounters()
         self._clock_us = 0.0
@@ -384,9 +365,23 @@ class ClusterStore:
         self._samples_since_refresh = 0
         #: Span recorder (``repro.tracing``); the shared no-op singleton
         #: unless a caller attaches a real tracer via :meth:`set_tracer`.
-        #: An attachment survives resets — tracing observes serving state,
-        #: it is not part of it.
-        self.tracer: Tracer = getattr(self, "tracer", NULL_TRACER)
+        self.tracer: Tracer = NULL_TRACER
+
+    # ------------------------------------------------------------------ build
+    @classmethod
+    def from_store(
+        cls,
+        store: BandanaStore,
+        config: Optional[ClusterConfig] = None,
+        faults: Optional[FaultSchedule] = None,
+        serving: Optional[ServingConfig] = None,
+    ) -> "ClusterStore":
+        """Build a cluster serving the same tables as a single-host store.
+
+        The same as the constructor; ``config`` and ``serving`` default to
+        ``ClusterConfig()`` and ``ServingConfig()``.
+        """
+        return cls(store, config=config, faults=faults, serving=serving)
 
     def set_tracer(self, tracer: Optional[Tracer]) -> None:
         """Attach a span recorder (``None`` detaches back to the no-op)."""
@@ -403,7 +398,7 @@ class ClusterStore:
         """
         self._clock_us = 0.0
         for node in self.nodes:
-            node.rebase(0.0)
+            node.bank.rebase(0.0)
             node.last_seen_us = 0.0
         # Breaker open-until timestamps and hedge-delay samples live in the
         # pre-rebase clock domain; carrying them across would leave a node
@@ -436,8 +431,11 @@ class ClusterStore:
         latency.
         """
         dispatch_us = self._clock_us if now_us is None else float(now_us)
-        # Route (and validate) before the root span opens: a rejected request
-        # must not leave a pending trace behind for the next one to trip on.
+        # Validate and route before the root span opens and before anything
+        # is served: a rejected request must leave no counted lookup and no
+        # pending trace behind for the next one to trip on.
+        if not 0.0 <= dispatch_us < math.inf:
+            check_non_negative(dispatch_us, "now_us")
         groups = self._route(request)
         tracer = self.tracer
         rid = self.counters.requests_total
@@ -512,7 +510,7 @@ class ClusterStore:
         for table_name, raw_ids in request.items():
             if table_name not in routes:
                 raise KeyError(
-                    f"unknown table {table_name!r}; known tables: {sorted(self.specs)}"
+                    f"unknown table {table_name!r}; known tables: {sorted(routes)}"
                 )
             vector_group, replica_sets = routes[table_name]
             ids = check_array_1d_ints(raw_ids, "vector_ids")
@@ -712,7 +710,7 @@ class ClusterStore:
             )
         slack = self.serving.admission_queue_slack
         if slack is not None:
-            wait_us = node.queue_wait_us(arrive_us, table_name)
+            wait_us = node.bank.queue_wait_us(arrive_us, table_name)
             if wait_us > slack * self.serving.slo_latency_us:
                 return _Attempt(
                     node_index, start_us, "shed", link_us, arrive_us, wait_us, None
@@ -821,22 +819,18 @@ class ClusterStore:
 
     # ---------------------------------------------------------------- metrics
     def table_stats(self) -> Dict[str, ReplayStats]:
-        """Per-table replay counters, merged over every node's replicas."""
+        """Per-table replay counters, merged over the node stores (fresh objects)."""
         merged: Dict[str, ReplayStats] = {}
-        for name, spec in self.specs.items():
-            stats = spec.make_stats()
-            for node in self.nodes:
-                if node.serves_table(name):
-                    stats = stats.merge(node.engines[name].stats)
-            merged[name] = stats
-        return merged
+        for node in self.nodes:
+            for name, stats in node.store.table_stats().items():
+                merged[name] = (
+                    merged[name].merge(stats) if name in merged else replace(stats)
+                )
+        return {name: merged[name] for name in self._routes}
 
     def aggregate_stats(self) -> ReplayStats:
         """Cluster-wide replay counters (sum over tables and nodes)."""
-        merged: Optional[ReplayStats] = None
-        for stats in self.table_stats().values():
-            merged = stats if merged is None else merged.merge(stats)
-        return merged if merged is not None else ReplayStats()
+        return reduce(ReplayStats.merge, self.table_stats().values())
 
     def node_blocks_read(self) -> List[int]:
         """Per-node NVM blocks read — the cluster's load-skew fingerprint."""

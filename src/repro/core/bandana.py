@@ -25,10 +25,18 @@ Each table's ``ReplayStats`` is the store's one tally of lookups, block reads
 and unloaded NVM time — everything the paper's metrics (effective bandwidth,
 hit rates, device latency) are computed from.  The store can optionally
 return the actual embedding values when built with an :class:`~repro.embeddings.EmbeddingModel`.
+
+The store is also the unit a cluster deploys, and the one place per-table
+serving state is built and reset: :meth:`BandanaStore.engine` builds a
+table's engine, :meth:`BandanaStore.shard` is one node's store (the tables
+it owns blocks of, on the same layouts, with reset policy copies and cache
+budgets scaled to its share), and :meth:`BandanaStore.cold_restart` is what
+that node loses in a crash (:mod:`repro.cluster`).
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
@@ -46,7 +54,6 @@ from repro.caching.policies import (
 from repro.caching.replay import ReplayStats
 from repro.caching.stack_distance import HitRateCurve, hit_rate_curve
 from repro.core.config import BandanaConfig, TableCacheConfig
-from repro.core.tablespec import TableServingSpec
 from repro.embeddings.model import EmbeddingModel
 from repro.nvm.block import BlockLayout
 from repro.nvm.latency import NVMLatencyModel
@@ -64,6 +71,11 @@ from repro.workloads.trace import ModelTrace, Trace
 TUNING_HOLDOUT = 0.5
 
 
+def _fresh_stats(config: BandanaConfig) -> ReplayStats:
+    """Zeroed stats with the store's vector and block geometry."""
+    return ReplayStats(vector_bytes=config.vector_bytes, block_bytes=config.block_bytes)
+
+
 @dataclass
 class BandanaTableState:
     """Everything the store keeps per embedding table."""
@@ -74,28 +86,9 @@ class BandanaTableState:
     cache_config: TableCacheConfig
     access_counts: np.ndarray
     stats: ReplayStats = field(default_factory=ReplayStats)
-    hit_rate_curve: Optional[HitRateCurve] = None
-    partition_runtime_seconds: float = 0.0
-    #: The serving engine, created on first use; it owns the table's DRAM
-    #: residency and accumulates into ``stats``.
+    #: The serving engine (:meth:`BandanaStore.engine`), created on first
+    #: use; it owns the table's DRAM residency and accumulates into ``stats``.
     engine: Optional[BatchReplayEngine] = None
-
-    def serving_spec(self, config: BandanaConfig) -> TableServingSpec:
-        """The node-independent serving specification of this table.
-
-        Extracts the "table spec owned by the cluster" half of this state
-        (placement, policy, cache budget, geometry), leaving the node-owned
-        half (this state's stats and engine) behind.  The returned
-        spec mints cold engines bit-identical in behaviour to this table's
-        own serving engine — :mod:`repro.cluster` builds one per replica.
-        """
-        return TableServingSpec(
-            name=self.name,
-            layout=self.layout,
-            policy_prototype=self.policy,
-            cache_size_vectors=self.cache_config.cache_size_vectors,
-            vector_bytes=config.vector_bytes,
-        )
 
 
 class BandanaStore:
@@ -171,11 +164,9 @@ class BandanaStore:
         )
         layouts: Dict[str, BlockLayout] = {}
         counts: Dict[str, np.ndarray] = {}
-        runtimes: Dict[str, float] = {}
         for name, trace in fits.items():
             result = partitioner.partition(sizes[name], trace=trace)
             layouts[name] = result.layout(config.vectors_per_block)
-            runtimes[name] = result.runtime_seconds
             table_counts = np.zeros(sizes[name], dtype=np.int64)
             table_counts[: trace.num_vectors] = access_counts(trace)
             counts[name] = table_counts
@@ -210,12 +201,7 @@ class BandanaStore:
                     cache_size_vectors=cache_size, threshold=threshold
                 ),
                 access_counts=counts[name],
-                stats=ReplayStats(
-                    vector_bytes=config.vector_bytes,
-                    block_bytes=config.vectors_per_block * config.vector_bytes,
-                ),
-                hit_rate_curve=curves.get(name),
-                partition_runtime_seconds=runtimes[name],
+                stats=_fresh_stats(config),
             )
         return cls(config, tables, embedding_model=embedding_model)
 
@@ -234,7 +220,7 @@ class BandanaStore:
         state = self._state(table_name)
         ids = self._checked_ids(state, vector_ids)
         if ids.size:
-            self._engine(state).replay_query(ids, validate=False)
+            self.engine(table_name).replay_query(ids, validate=False)
         return self._gather(table_name, ids) if gather else None
 
     def lookup_batch(
@@ -248,11 +234,11 @@ class BandanaStore:
         query when the store holds an embedding model, or ``None`` in
         counting-only mode (or when ``gather=False``).
         """
-        state = self._state(table_name)
+        self._state(table_name)  # an unknown table raises before the ids are read
         id_arrays = [check_array_1d_ints(ids, "vector_ids") for ids in queries]
         non_empty = [ids for ids in id_arrays if ids.size]
         if non_empty:
-            self._engine(state).replay_query(
+            self.engine(table_name).replay_query(
                 np.concatenate(non_empty) if len(non_empty) > 1 else non_empty[0]
             )
         if gather and self.embedding_model is not None and table_name in self.embedding_model:
@@ -285,11 +271,24 @@ class BandanaStore:
             raise ValueError("pooled_features requires an embedding model")
         return self.embedding_model.pooled_features(self._serve_request(request))
 
-    def table_specs(self) -> Dict[str, TableServingSpec]:
-        """Node-independent serving specs for every table (cluster input)."""
-        return {
-            name: state.serving_spec(self.config) for name, state in self.tables.items()
-        }
+    def engine(self, table_name: str) -> BatchReplayEngine:
+        """The table's serving engine, created on first use.
+
+        The one place a serving engine is built: it owns the table's DRAM
+        residency and shares the table's ``stats`` object, so all counters
+        accumulate on the state.
+        """
+        state = self._state(table_name)
+        if state.engine is None:
+            state.engine = BatchReplayEngine(
+                state.layout,
+                state.policy,
+                cache_size=state.cache_config.cache_size_vectors,
+                vector_bytes=self.config.vector_bytes,
+                device=NVMLatencyModel(block_bytes=self.config.block_bytes),
+                stats=state.stats,
+            )
+        return state.engine
 
     # ---------------------------------------------------------------- metrics
     def table_stats(self) -> Dict[str, ReplayStats]:
@@ -349,12 +348,54 @@ class BandanaStore:
     def reset_serving_state(self) -> None:
         """Clear caches and counters (placement and thresholds are kept)."""
         for state in self.tables.values():
+            state.stats = _fresh_stats(self.config)
+        self.cold_restart()
+
+    def cold_restart(self) -> None:
+        """Lose what a process restart loses: DRAM residency and policy state.
+
+        Every policy is reset and every engine dropped (rebuilt cold on next
+        use); placement, cache budgets, thresholds and the cumulative stats
+        are kept, so block-read accounting spans the restart.  A cluster node
+        restarting after a crash is exactly this, on its shard store.
+        """
+        for state in self.tables.values():
             state.policy.reset()
-            state.stats = ReplayStats(
-                vector_bytes=self.config.vector_bytes,
-                block_bytes=self.config.vectors_per_block * self.config.vector_bytes,
+            state.engine = None
+
+    def shard(self, owned_blocks: Mapping[str, int]) -> "BandanaStore":
+        """A cold store over the tables one cluster node serves blocks of.
+
+        ``owned_blocks`` maps a table to the number of its blocks the node
+        serves (over every replica slot it holds); a table it maps to 0 or
+        does not name is absent from the shard.  Each shard table shares this
+        store's layout and access counts (placement is the table's, not the
+        node's), admits by a reset deep copy of its policy, gets its cache
+        budget scaled by the owned share of blocks, rounded half-up (a node
+        owning every block gets the whole budget), and starts with zeroed
+        stats and no engine.
+        """
+        tables: Dict[str, BandanaTableState] = {}
+        for name, owned in owned_blocks.items():
+            state = self._state(name)
+            owned = check_int_at_least(owned, 0, f"owned_blocks[{name!r}]")
+            if owned == 0:
+                continue
+            budget = state.cache_config.cache_size_vectors
+            num_blocks = state.layout.num_blocks
+            if owned < num_blocks:
+                budget = int(np.floor(budget * owned / num_blocks + 0.5))
+            policy = copy.deepcopy(state.policy)
+            policy.reset()
+            tables[name] = BandanaTableState(
+                name=name,
+                layout=state.layout,
+                policy=policy,
+                cache_config=replace(state.cache_config, cache_size_vectors=budget),
+                access_counts=state.access_counts,
+                stats=_fresh_stats(self.config),
             )
-            state.engine = None  # rebuilt lazily against the fresh stats
+        return BandanaStore(self.config, tables)
 
     # ------------------------------------------------------------- baselines
     def baseline_stats(
@@ -408,25 +449,8 @@ class BandanaStore:
         }
         for name, ids in arrays.items():
             if ids.size:
-                self._engine(self.tables[name]).replay_query(ids, validate=False)
+                self.engine(name).replay_query(ids, validate=False)
         return arrays
-
-    def _engine(self, state: BandanaTableState) -> BatchReplayEngine:
-        """The table's serving engine, created on first use.
-
-        The engine owns the table's DRAM residency and shares the table's
-        ``stats`` object, so all counters accumulate on the state.
-        """
-        if state.engine is None:
-            state.engine = BatchReplayEngine(
-                state.layout,
-                state.policy,
-                cache_size=state.cache_config.cache_size_vectors,
-                vector_bytes=self.config.vector_bytes,
-                device=NVMLatencyModel(block_bytes=self.config.block_bytes),
-                stats=state.stats,
-            )
-        return state.engine
 
     def _state(self, table_name: str) -> BandanaTableState:
         try:

@@ -1,6 +1,7 @@
 """Integration tests for the end-to-end Bandana store."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ import pytest
 from repro.caching.allocation import allocate_dram_budget
 from repro.caching.miniature import MiniatureCacheTuner
 from repro.caching.stack_distance import hit_rate_curve
+from repro.caching.replay import ReplayStats
 from repro.core.bandana import TUNING_HOLDOUT, BandanaStore
-from repro.core.config import BandanaConfig
+from repro.core.config import BandanaConfig, TableCacheConfig
 from repro.embeddings import EmbeddingModel, EmbeddingTable, synthesize_topic_vectors
+from repro.nvm.block import BlockLayout
 from repro.partitioning.shp import SHPPartitioner
 from repro.simulation.runner import simulate_store
 from repro.workloads.characterization import access_counts
@@ -442,6 +445,110 @@ class TestServingAttribution:
         built_store.lookup_batch("beta", queries)
         assert self._counters(built_store.tables["beta"].stats) == first
         assert built_store.tables["beta"].engine is not first_engine
+
+
+class TestShardAndRestart:
+    """``shard`` (one cluster node's store) and ``cold_restart`` (its crash)."""
+
+    def test_owning_every_block_gets_the_whole_budget(self):
+        store, trace = build_store(0)
+        shard = store.shard(
+            {name: state.layout.num_blocks for name, state in store.tables.items()}
+        )
+        assert list(shard.tables) == list(store.tables)
+        for name, state in shard.tables.items():
+            assert state.cache_config == store.tables[name].cache_config
+            assert state.engine is None and counters(state.stats) == counters(ReplayStats())
+        # A whole shard serves counter for counter like the store it came from.
+        for name, table_trace in trace.items():
+            store.lookup_batch(name, table_trace.queries)
+            shard.lookup_batch(name, table_trace.queries)
+            assert shard.tables[name].stats == store.tables[name].stats, name
+
+    @pytest.mark.parametrize("owned, budget", [(1, 2), (2, 3), (3, 5), (4, 6)])
+    def test_partial_ownership_rounds_half_up(self, owned, budget):
+        store, _ = build_store(0)
+        state = store.tables["t-noprefetch"]
+        state.layout = BlockLayout.identity(32, 8)  # 4 blocks
+        state.cache_config = TableCacheConfig(cache_size_vectors=6)
+        shard = store.shard({"t-noprefetch": owned})
+        assert shard.tables["t-noprefetch"].cache_config.cache_size_vectors == budget
+        assert shard.engine("t-noprefetch").cache.capacity == budget
+
+    def test_tables_owning_no_block_are_absent(self):
+        store, _ = build_store(0)
+        shard = store.shard({"t-shadow": 1, "t-threshold": 0})
+        assert list(shard.tables) == ["t-shadow"]
+        with pytest.raises(KeyError, match="unknown table"):
+            shard.lookup("t-threshold", [0])
+        with pytest.raises(ValueError, match="owned_blocks"):
+            store.shard({"t-shadow": -1})
+
+    @pytest.mark.parametrize(
+        "owned",
+        [float("nan"), float("inf"), float("-inf"), True, 2.5, "3", None, -1],
+        ids=repr,
+    )
+    def test_hostile_owned_count_is_rejected_naming_the_table(self, owned):
+        store, trace = build_store(0)
+        store.lookup_batch("t-shadow", trace["t-shadow"].queries)
+        served = counters(store.tables["t-shadow"].stats)
+        field = re.escape("owned_blocks['t-shadow']")
+        with pytest.raises((TypeError, ValueError), match=field):
+            store.shard({"t-threshold": 1, "t-shadow": owned})
+        # The host store is untouched by the refused shard.
+        assert counters(store.tables["t-shadow"].stats) == served
+        assert len(store.tables["t-shadow"].policy.shadow) > 0
+
+    def test_unknown_table_is_rejected(self):
+        store, _ = build_store(0)
+        with pytest.raises(KeyError, match="unknown table"):
+            store.shard({"no-such-table": 1})
+
+    def test_numpy_integer_counts_are_accepted(self):
+        store, _ = build_store(0)
+        num_blocks = store.tables["t-noprefetch"].layout.num_blocks
+        shard = store.shard({"t-noprefetch": np.int64(num_blocks)})
+        assert shard.tables["t-noprefetch"].cache_config == (
+            store.tables["t-noprefetch"].cache_config
+        )
+
+    def test_policies_are_independent_reset_copies(self):
+        store, trace = build_store(0)
+        store.lookup_batch("t-shadow", trace["t-shadow"].queries)
+        host_shadow = store.tables["t-shadow"].policy.shadow.keys()
+        assert host_shadow
+        shard = store.shard({name: 1 for name in store.tables})
+        for name, state in shard.tables.items():
+            host = store.tables[name].policy
+            assert state.policy is not host and type(state.policy) is type(host)
+        assert len(shard.tables["t-shadow"].policy.shadow) == 0
+        assert store.tables["t-shadow"].policy.shadow.keys() == host_shadow
+        assert shard.tables["t-threshold"].policy.threshold == (
+            store.tables["t-threshold"].policy.threshold
+        )
+
+    def test_layouts_are_shared_not_copied(self):
+        store, _ = build_store(0)
+        shard = store.shard({name: 1 for name in store.tables})
+        for name, state in shard.tables.items():
+            assert state.layout is store.tables[name].layout
+            assert state.access_counts is store.tables[name].access_counts
+            assert state.stats is not store.tables[name].stats
+
+    def test_cold_restart_keeps_stats_and_loses_residency(self):
+        store, trace = build_store(0)
+        queries = trace["t-shadow"].queries
+        store.lookup_batch("t-shadow", queries)
+        state = store.tables["t-shadow"]
+        served, stats, engine = counters(state.stats), state.stats, state.engine
+        store.cold_restart()
+        assert state.stats is stats and counters(stats) == served
+        assert state.engine is None and len(state.policy.shadow) == 0
+        # Cold again: the replay after the restart reads what a fresh store reads.
+        store.lookup_batch("t-shadow", queries)
+        assert state.engine is not engine
+        assert stats.misses == 2 * served[2]
 
 
 class TestEndToEndBandwidth:

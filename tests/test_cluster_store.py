@@ -10,6 +10,7 @@ recovered nodes restart cold.  Every run is a pure function of
 
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -37,8 +38,8 @@ from repro.cluster.store import (
     HEDGE_QUANTILE,
     _linear_quantile,
 )
-from repro.core.config import ClusterConfig, ServingConfig
-from repro.core.tablespec import TableServingSpec
+from repro.core.bandana import BandanaStore, BandanaTableState
+from repro.core.config import BandanaConfig, ClusterConfig, ServingConfig, TableCacheConfig
 from repro.nvm.block import BlockLayout
 from repro.tracing import Tracer, validate_trace
 from repro.tracing.tracer import (
@@ -104,6 +105,22 @@ class TestReplicationSurvivesCrash:
         )
         assert report.counters.cold_restarts >= 1
         assert report.counters.availability == pytest.approx(1.0)
+
+    def test_a_restarted_node_keeps_the_policy_it_was_built_with(self):
+        # Regression: a restart deep-copied the host's *live* policy, so a
+        # host retune after the cluster was built reached only the nodes that
+        # restarted later (node 0 admitted by threshold 1e6, node 1 by 10).
+        store, _ = build_store(0)
+        cluster = ClusterStore.from_store(store, ClusterConfig(num_nodes=2, replication=2))
+        name = "t-threshold"
+        built = store.tables[name].policy.threshold
+        store.tables[name].policy.retune(threshold=1e6)
+        cluster.nodes[0].cold_restart(0.0)
+        for node in cluster.nodes:
+            policy = node.store.tables[name].policy
+            assert policy is not store.tables[name].policy
+            assert node.engines[name].policy is policy
+            assert policy.threshold == built
 
 
 class TestHostileCrashWindows:
@@ -184,12 +201,6 @@ class TestSlowNodesAndHedging:
         # the primary, whose attempts then take far longer than the threshold
         # while each read's service stays under it.  One strike would eject.
         threshold_us = 100.0
-        spec = TableServingSpec(
-            name="t0",
-            layout=BlockLayout.identity(64, 8),
-            policy_prototype=NoPrefetchPolicy(),
-            cache_size_vectors=8,
-        )
         config = ClusterConfig(
             num_nodes=2,
             replication=2,
@@ -197,7 +208,7 @@ class TestSlowNodesAndHedging:
             breaker_failure_threshold=1,
             breaker_slow_threshold_us=threshold_us,
         )
-        cluster = ClusterStore({"t0": spec}, config)
+        cluster = ClusterStore(_bare_store([64]), config)
         tracer = Tracer()
         cluster.set_tracer(tracer)
         outcomes = [cluster.serve_request({"t0": [vid]}, now_us=0.0) for vid in range(50)]
@@ -370,7 +381,7 @@ class TestStoreMechanics:
 
     def test_rejects_empty_spec_set(self):
         with pytest.raises(ValueError, match="at least one table"):
-            ClusterStore({}, ClusterConfig())
+            ClusterStore(BandanaStore(BandanaConfig(), {}), ClusterConfig())
 
     def test_fault_on_a_missing_node_rejected(self):
         # Regression: a crash on node 7 of 4 never fired, and the run
@@ -489,11 +500,11 @@ def _route_reference(cluster, request):
     """
     groups = []
     for table_name, raw_ids in request.items():
-        spec = cluster.specs[table_name]
+        layout = cluster.store.tables[table_name].layout
         ids = np.asarray(raw_ids, dtype=np.int64)
         if ids.size == 0:
             continue
-        rows = cluster._owners[table_name][spec.layout.block_of(ids)]
+        rows = cluster._owners[table_name][layout.block_of(ids)]
         unique_rows, inverse = np.unique(rows, axis=0, return_inverse=True)
         inverse = inverse.reshape(-1)
         for g in range(unique_rows.shape[0]):
@@ -507,21 +518,27 @@ def _route_reference(cluster, request):
     return groups
 
 
-def _bare_cluster(table_sizes, num_nodes, replication, virtual_nodes):
-    """A cluster over identity-layout tables of the given sizes (8 per block)."""
-    specs = {
-        f"t{i}": TableServingSpec(
+def _bare_store(table_sizes):
+    """A store of identity-layout, no-prefetch tables ``t0, t1, …`` (8 per block)."""
+    tables = {
+        f"t{i}": BandanaTableState(
             name=f"t{i}",
             layout=BlockLayout.identity(size, 8),
-            policy_prototype=NoPrefetchPolicy(),
-            cache_size_vectors=8,
+            policy=NoPrefetchPolicy(),
+            cache_config=TableCacheConfig(cache_size_vectors=8),
+            access_counts=np.zeros(size, dtype=np.int64),
         )
         for i, size in enumerate(table_sizes)
     }
+    return BandanaStore(BandanaConfig(block_bytes=8 * 128), tables)
+
+
+def _bare_cluster(table_sizes, num_nodes, replication, virtual_nodes):
+    """A cluster over identity-layout tables of the given sizes (8 per block)."""
     config = ClusterConfig(
         num_nodes=num_nodes, replication=replication, virtual_nodes=virtual_nodes
     )
-    return ClusterStore(specs, config)
+    return ClusterStore(_bare_store(table_sizes), config)
 
 
 @st.composite
@@ -539,8 +556,8 @@ def routed_requests(draw):
     cluster = draw(bare_clusters())
     # Duplicates, empty tables and single ids all come out of this list.
     request = {
-        name: draw(st.lists(st.integers(0, spec.layout.num_vectors - 1), max_size=40))
-        for name, spec in cluster.specs.items()
+        name: draw(st.lists(st.integers(0, state.layout.num_vectors - 1), max_size=40))
+        for name, state in cluster.store.tables.items()
         if draw(st.booleans())
     }
     return cluster, request
@@ -570,7 +587,7 @@ class TestRoutingTable:
         for name, owners in cluster._owners.items():
             vector_group, sets = cluster._routes[name]
             assert sets == sorted(set(sets))  # distinct, lexicographic
-            layout = cluster.specs[name].layout
+            layout = cluster.store.tables[name].layout
             assert vector_group.shape == (layout.num_vectors,)
             blocks = layout.block_of(np.arange(layout.num_vectors))
             assert np.array_equal(np.array(sets)[vector_group], owners[blocks])
@@ -608,7 +625,7 @@ class TestRejectedRequests:
         # as ids 1 and 2 and [True, False] as ids 1 and 0; the host raises.
         store, _trace = build_store(0)
         cluster = ClusterStore.from_store(store, ClusterConfig(num_nodes=2))
-        name, other = sorted(cluster.specs)[:2]
+        name, other = sorted(cluster.store.tables)[:2]
         cluster.serve_request({name: [5, 6], other: [7]})
         before = _serving_footprint(cluster)
         with pytest.raises(TypeError, match="must contain integers") as host:
@@ -630,6 +647,24 @@ class TestRejectedRequests:
         assert outcome.failed_groups == 0
         assert list(tracer.traces) == [0]
         assert validate_trace(tracer.traces[0]) == []
+
+    @pytest.mark.parametrize("now_us", [math.nan, math.inf, -math.inf, -1.0])
+    def test_hostile_dispatch_time_is_rejected_before_anything_runs(self, now_us):
+        # Regression: the first shard's engine replayed before the device
+        # clock refused the time, so lookups were counted for a request that
+        # never counted and the next traced request was "already traced".
+        cluster = _bare_cluster([64, 64], num_nodes=4, replication=2, virtual_nodes=32)
+        tracer = Tracer()
+        cluster.set_tracer(tracer)
+        cluster.serve_request({"t0": [5, 6], "t1": [7]}, now_us=0.0)
+        before = _serving_footprint(cluster)
+        with pytest.raises(ValueError, match="now_us"):
+            cluster.serve_request({"t0": [0, 1, 2], "t1": [3]}, now_us=now_us)
+        assert _serving_footprint(cluster) == before
+        outcome = cluster.serve_request({"t0": [0, 1, 2], "t1": [3]}, now_us=50.0)
+        assert outcome.failed_groups == 0
+        assert list(tracer.traces) == [0, 1]
+        assert validate_trace(tracer.traces[1]) == []
 
 
 class TestHedgeQuantile:

@@ -258,7 +258,7 @@ class TestEveryPolicyEveryCacheKind:
             assert engine.cache.keys() == reference_cache.keys(), (policy_name, capacity)
             assert len(engine.cache) == len(reference_cache)
             assert engine.cache.capacity == capacity
-            assert engine.cache.evictions == reference_cache.evictions
+            assert engine.stats.evictions == reference_cache.evictions
 
     @settings(max_examples=60, deadline=None)
     @given(

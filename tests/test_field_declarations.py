@@ -20,7 +20,6 @@ from typing import Annotated, Optional
 import numpy as np
 import pytest
 
-from repro.caching.policies import CacheAllBlockPolicy
 from repro.caching.stack_distance import HitRateCurve
 from repro.cluster.faults import DegradedLink, NodeCrash, SlowNode
 from repro.core.config import (
@@ -30,8 +29,6 @@ from repro.core.config import (
     TableCacheConfig,
     TracingConfig,
 )
-from repro.core.tablespec import TableServingSpec
-from repro.nvm.block import BlockLayout
 from repro.nvm.dram import DRAMModel
 from repro.nvm.endurance import EnduranceTracker
 from repro.nvm.latency import NVMLatencyModel
@@ -73,12 +70,6 @@ EXAMPLES = {
     },
     DRAMModel: lambda: {},
     EnduranceTracker: lambda: {"capacity_bytes": 1 << 30},
-    TableServingSpec: lambda: {
-        "name": "t",
-        "layout": BlockLayout.identity(64, 32),
-        "policy_prototype": CacheAllBlockPolicy(),
-        "cache_size_vectors": 16,
-    },
     NodeCrash: lambda: {"node": 0, "start_s": 0.0, "end_s": 1.0},
     SlowNode: lambda: {"node": 0, "start_s": 0.0, "end_s": 1.0},
     DegradedLink: lambda: {"node": 0, "start_s": 0.0, "end_s": 1.0},

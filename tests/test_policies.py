@@ -1,5 +1,7 @@
 """Tests for the prefetch-admission policies."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from repro.caching.policies import (
     InsertAtPositionPolicy,
     NoPrefetchPolicy,
     ShadowAdmissionPolicy,
-    make_policy,
 )
 
 
@@ -79,21 +80,37 @@ class TestAccessThresholdPolicy:
             AccessThresholdPolicy(np.zeros((2, 2)), threshold=1)
 
 
-class TestPolicyFactory:
-    def test_known_policies(self):
-        assert isinstance(make_policy("no-prefetch"), NoPrefetchPolicy)
-        assert isinstance(make_policy("cache-all-block"), CacheAllBlockPolicy)
-        assert isinstance(
-            make_policy("insert-at-position", position=0.3), InsertAtPositionPolicy
-        )
-        assert isinstance(
-            make_policy("shadow-admission", real_cache_size=10), ShadowAdmissionPolicy
-        )
-        assert isinstance(
-            make_policy("access-threshold", access_counts=np.array([1]), threshold=1),
-            AccessThresholdPolicy,
-        )
+POLICY_BUILDERS = {
+    "no-prefetch": NoPrefetchPolicy,
+    "cache-all-block": CacheAllBlockPolicy,
+    "insert-at-position": lambda: InsertAtPositionPolicy(position=0.3),
+    "shadow-admission": lambda: ShadowAdmissionPolicy(real_cache_size=4),
+    "combined": lambda: CombinedPolicy(real_cache_size=4, position=0.5),
+    "access-threshold": lambda: AccessThresholdPolicy(
+        np.array([0, 3, 9, 1, 7, 0, 2, 8]), threshold=2
+    ),
+}
 
-    def test_unknown_policy(self):
-        with pytest.raises(KeyError):
-            make_policy("does-not-exist")
+
+def test_policy_names_are_the_reported_labels():
+    for label, build in POLICY_BUILDERS.items():
+        assert build().name == label
+
+
+@pytest.mark.parametrize("label", list(POLICY_BUILDERS))
+def test_reset_deep_copy_admits_like_a_fresh_policy(label):
+    """What a cluster node's shard store does to the host's policy."""
+    build = POLICY_BUILDERS[label]
+    warm = build()
+    warm.record_access_batch(np.arange(8, dtype=np.int64))
+    warm_positions = warm.admit_batch(np.arange(12, dtype=np.int64))
+    cold = copy.deepcopy(warm)
+    cold.reset()
+    fresh_positions = build().admit_batch(np.arange(12, dtype=np.int64))
+    np.testing.assert_array_equal(
+        cold.admit_batch(np.arange(12, dtype=np.int64)), fresh_positions
+    )
+    # The copy is independent: the warm original still admits as it did.
+    np.testing.assert_array_equal(
+        warm.admit_batch(np.arange(12, dtype=np.int64)), warm_positions
+    )
