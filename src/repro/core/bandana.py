@@ -373,7 +373,8 @@ class BandanaStore:
         node's), admits by a reset deep copy of its policy, gets its cache
         budget scaled by the owned share of blocks, rounded half-up (a node
         owning every block gets the whole budget), and starts with zeroed
-        stats and no engine.
+        stats and no engine.  The copied policy reads the host's counts array
+        itself, not a copy of it: a node holds no counts of its own.
         """
         tables: Dict[str, BandanaTableState] = {}
         for name, owned in owned_blocks.items():
@@ -385,7 +386,8 @@ class BandanaStore:
             num_blocks = state.layout.num_blocks
             if owned < num_blocks:
                 budget = int(np.floor(budget * owned / num_blocks + 0.5))
-            policy = copy.deepcopy(state.policy)
+            counts = state.access_counts
+            policy = copy.deepcopy(state.policy, {id(counts): counts})
             policy.reset()
             tables[name] = BandanaTableState(
                 name=name,

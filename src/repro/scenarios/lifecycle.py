@@ -127,9 +127,10 @@ class RepartitionManager:
         self.churn.append(layout_churn(state.layout, layout))
         if window_total > 0 and original_total > 0:
             scale = original_total / window_total
-            # In place for the store's own readers (serving specs); the policy
-            # adopts the array through its one mutator, which is what tells a
-            # warm engine that its cached admission decisions are stale.
+            # In place for the array's other readers (the shard stores of a
+            # cluster built on this store share it); the policy adopts the
+            # array through its one mutator, which is what tells a warm
+            # engine that its cached admission decisions are stale.
             state.access_counts[:] = np.round(window_counts * scale).astype(np.int64)
             if isinstance(state.policy, AccessThresholdPolicy):
                 state.policy.retune(access_counts=state.access_counts)

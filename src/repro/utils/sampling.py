@@ -9,15 +9,17 @@ independent of request order.  :func:`sample_queries_spatially` keys it on a
 vector's NVM block, so a sampled block keeps every one of its vectors.
 
 The trace generators draw from a few fixed laws many thousands of times;
-:class:`InverseCDFSampler` tabulates a law once and is stream-compatible with
-``Generator.choice(n, size, p=law)`` (its ``invert`` maps uniforms drawn
-earlier), and :func:`first_occurrences` is the draw-order de-duplication the
-scenario generators apply to a query's picks.
+:class:`InverseCDFSampler` tabulates a law once and its ``invert`` maps
+uniforms to indices: applied to ``rng.random(size)`` it is stream-compatible
+with ``Generator.choice(n, size, p=law)``, and the generators draw a batch of
+queries' uniforms first and invert them together later.
+:func:`first_occurrences` is the draw-order de-duplication the flash-crowd
+generator applies to a query after diverting some of its lookups.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, List, Sequence, Union
 
 import numpy as np
 
@@ -107,12 +109,13 @@ class InverseCDFSampler:
     """Draws category indices from one fixed probability law.
 
     The law is validated and its CDF tabulated once, at construction; a draw
-    is one uniform and one binary search per sample.  That is exactly what
-    ``Generator.choice(n, size, p=probabilities)`` computes — after
-    re-validating and re-summing ``p`` on every call — so for the same
-    generator state the two return the same indices and leave the generator
-    in the same state.  A trace built on this sampler is therefore a pure
-    function of its seed that does not depend on ``choice``'s internals.
+    is one uniform and one binary search per sample (:meth:`invert`).  That is
+    exactly what ``Generator.choice(n, size, p=probabilities)`` computes —
+    after re-validating and re-summing ``p`` on every call — so for the same
+    generator state ``invert(rng.random(size))`` and ``choice`` return the
+    same indices and leave the generator in the same state.  A trace built on
+    this sampler is therefore a pure function of its seed that does not
+    depend on ``choice``'s internals.
 
     Parameters
     ----------
@@ -141,18 +144,12 @@ class InverseCDFSampler:
         cdf /= cdf[-1]
         self._cdf = cdf
 
-    def draw(
-        self, rng: np.random.Generator, size: Optional[int] = None
-    ) -> Union[np.integer, np.ndarray]:
-        """``size`` indices (one scalar index when ``size`` is None) from ``rng``."""
-        return self.invert(rng.random(size))
-
     def invert(self, uniforms: Union[float, np.ndarray]) -> Union[np.integer, np.ndarray]:
         """The index each uniform in ``[0, 1)`` draws: its place in the CDF.
 
-        ``draw(rng, size)`` is ``invert(rng.random(size))``, so uniforms drawn
-        now and inverted later give the same indices.  Sorted uniforms search
-        faster and invert to the same indices.
+        ``invert(rng.random(size))`` is ``rng.choice(n, size, p=law)``, so
+        uniforms drawn now and inverted later give the same indices.  Sorted
+        uniforms search faster and invert to the same indices.
         """
         return self._cdf.searchsorted(uniforms, side="right")
 
@@ -160,9 +157,9 @@ class InverseCDFSampler:
 def first_occurrences(ids: np.ndarray) -> np.ndarray:
     """Keep each id's first occurrence, preserving draw order.
 
-    A request reads each id at most once; the scenario generators over-draw a
-    query's picks and de-duplicate them with this before truncating to the
-    query size.
+    A request reads each id at most once; the flash-crowd generator
+    de-duplicates a query with this again after diverting some of its lookups
+    onto the crowd (the batch resolver de-duplicates undiverted queries).
     """
     _, first_positions = np.unique(ids, return_index=True)
     return ids[np.sort(first_positions)]

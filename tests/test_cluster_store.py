@@ -122,6 +122,20 @@ class TestReplicationSurvivesCrash:
             assert node.engines[name].policy is policy
             assert policy.threshold == built
 
+    def test_node_policies_read_the_host_counts_without_a_copy(self):
+        # Regression: the deep copy of the policy also copied its counts,
+        # 8 B per vector per node per table, beside the shared table array.
+        store, _ = build_store(0)
+        cluster = ClusterStore.from_store(store, ClusterConfig(num_nodes=4, replication=2))
+        name = "t-threshold"
+        host_counts = store.tables[name].access_counts
+        assert store.tables[name].policy.access_counts is host_counts
+        for node in cluster.nodes:
+            table = node.store.tables[name]
+            assert table.access_counts is host_counts
+            assert table.policy.access_counts is host_counts
+            assert table.policy is not store.tables[name].policy
+
 
 class TestHostileCrashWindows:
     """Crash schedules a catalog scenario never writes, on two nodes, R = 2."""

@@ -254,7 +254,7 @@ def _reference_generate(generator, num_queries):
             if recent and rng.random() < BURSTINESS:
                 topics.append(recent[rng.integers(len(recent))])
             else:
-                topics.append(int(generator._topic_sampler.draw(rng)))
+                topics.append(int(generator._topic_sampler.invert(rng.random())))
         recent.extend(topics)
         max_recent = max(8, int(30 * TOPICS_PER_QUERY))
         if len(recent) > max_recent:
@@ -272,10 +272,12 @@ def _reference_generate(generator, num_queries):
                 if picks == 0:
                     continue
                 sampler, members = generator._topic_samplers[topic]
-                drawn = sampler.draw(rng, picks)
+                drawn = sampler.invert(rng.random(picks))
                 parts.append(drawn if members is None else members[drawn])
         if draw - num_topic_picks:
-            parts.append(generator._popularity_sampler.draw(rng, draw - num_topic_picks))
+            parts.append(
+                generator._popularity_sampler.invert(rng.random(draw - num_topic_picks))
+            )
         distinct_in_order = first_occurrences(np.concatenate(parts))[:size]
         queries.append(generator.active_ids[distinct_in_order])
     return Trace(queries, spec.num_vectors)

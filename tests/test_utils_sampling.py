@@ -199,7 +199,7 @@ class TestInverseCDFSampler:
         for size in data.draw(
             st.lists(st.sampled_from([None, 0, 1, n]), min_size=1, max_size=4)
         ):
-            drawn = sampler.draw(ours, size)
+            drawn = sampler.invert(ours.random(size))
             expected = numpys.choice(n, size, p=law)
             assert np.shape(drawn) == np.shape(expected)
             np.testing.assert_array_equal(drawn, expected)
@@ -208,19 +208,19 @@ class TestInverseCDFSampler:
     def test_single_category_always_drawn(self):
         sampler = InverseCDFSampler(np.array([1.0]))
         rng = np.random.default_rng(0)
-        assert sampler.draw(rng) == 0
-        assert not sampler.draw(rng, 50).any()
+        assert sampler.invert(rng.random()) == 0
+        assert not sampler.invert(rng.random(50)).any()
 
     def test_zero_probability_categories_never_drawn(self):
         law = np.array([0.0, 0.25, 0.0, 0.75, 0.0])
-        drawn = InverseCDFSampler(law).draw(np.random.default_rng(1), 2000)
+        drawn = InverseCDFSampler(law).invert(np.random.default_rng(1).random(2000))
         assert set(drawn.tolist()) == {1, 3}
 
     def test_law_is_copied_at_construction(self):
         law = np.array([0.5, 0.5])
         sampler = InverseCDFSampler(law)
         law[:] = [1.0, 0.0]
-        drawn = sampler.draw(np.random.default_rng(2), 200)
+        drawn = sampler.invert(np.random.default_rng(2).random(200))
         assert set(drawn.tolist()) == {0, 1}
 
     @pytest.mark.parametrize(
