@@ -23,7 +23,7 @@ benchmark measures what that costs once the workload moves:
    misses push the device past its bound, queue, and surface as the p999
    excess over the control (the section asserts the excess is positive).
 4. **Loader characterization** — the committed sample traces under
-   ``tests/data/`` through the streaming loader, rendered side by side with
+   ``tests/data/`` through the trace loader, rendered side by side with
    the paper's Table 1 columns.
 
 Results are printed, persisted under ``benchmarks/results/`` and written as

@@ -2,9 +2,9 @@
 
 Regenerates the paper's per-table statistics (vectors, average lookups per
 request, share of total lookups, compulsory misses) from a share-split
-synthetic model trace and renders them next to the paper's values — and,
-since PR 10, does the same for *external* traces pulled through the
-streaming loader (:mod:`repro.scenarios.loader`): the committed sample
+synthetic model trace and renders them next to the paper's values — and
+does the same for *external* traces read by the trace loader
+(:mod:`repro.scenarios.loader`): the committed sample
 fixtures under ``tests/data/`` are characterised by the identical code path
 (:mod:`repro.workloads.characterization`) and reported side by side with
 the paper's eight production rows.
@@ -32,7 +32,7 @@ JSON_PATH = os.path.join(
     os.path.dirname(__file__), "..", "BENCH_table1_characterization.json"
 )
 
-#: Committed sample traces characterised through the streaming loader.
+#: Committed sample traces characterised through the trace loader.
 FIXTURES = {
     "twitter": ("tests/data/sample_twitter_trace.csv", "twitter"),
     "columnar": ("tests/data/sample_columnar_trace.csv", "columnar"),

@@ -8,10 +8,10 @@ re-partitioning lifecycle that repairs it:
 
 * :mod:`repro.scenarios.generators` — synthetic adversaries: popularity
   **drift** and **flash crowds** on cold ids.
-* :mod:`repro.scenarios.loader` — a two-pass streaming loader for external
-  cache traces (Twitter CSV layout and a generic columnar format),
-  normalised into the dense-id contract and characterised against the
-  paper's Table 1.
+* :mod:`repro.scenarios.loader` — a one-pass loader for external cache
+  traces (Twitter CSV layout and a generic columnar format), normalised
+  into the dense-id contract and characterised against the paper's
+  Table 1.
 * :mod:`repro.scenarios.lifecycle` — :class:`RepartitionManager`, which
   retrains the placement on a trailing window and swaps it live.
 * :mod:`repro.scenarios.runner` — :func:`run_workload_scenario`, the

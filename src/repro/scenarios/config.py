@@ -5,7 +5,7 @@ Three validated, frozen configs — the same idiom as :mod:`repro.core.config`
 
 * :class:`ScenarioConfig` — one adversarial access pattern (popularity
   *drift* or a *flash crowd* on previously-cold ids).
-* :class:`TraceLoaderConfig` — a streaming external-trace source (the
+* :class:`TraceLoaderConfig` — an external-trace source (the
   Twitter production cache-trace CSV layout, or a generic columnar
   ``query_id,key`` format) normalised into the engine's dense-id contract.
 * :class:`RepartitionConfig` — the online re-partitioning lifecycle that
@@ -16,7 +16,7 @@ Three validated, frozen configs — the same idiom as :mod:`repro.core.config`
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Annotated, Optional
+from typing import Annotated
 
 from repro.utils.validation import (
     AtLeast,
@@ -30,7 +30,7 @@ from repro.utils.validation import (
 #: Adversarial access patterns the scenario generator can produce.
 SCENARIO_KINDS = ("drift", "flash-crowd")
 
-#: External trace formats the streaming loader understands.
+#: External trace formats the trace loader understands.
 TRACE_FORMATS = ("twitter", "columnar")
 
 #: Ids per co-access community: a contiguous span of the popularity ranking
@@ -110,7 +110,7 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class TraceLoaderConfig:
-    """A streaming external cache-trace source.
+    """An external cache-trace source, loaded whole by :func:`~repro.scenarios.loader.load_trace`.
 
     Attributes
     ----------
@@ -125,17 +125,10 @@ class TraceLoaderConfig:
         store sees the trace); or ``"columnar"`` — a generic two-column
         ``query_id,key`` layout, where consecutive rows sharing a
         ``query_id`` form one query.
-    chunk_queries:
-        Queries per streamed chunk (the chunked and whole-file paths are
-        bit-identical for every value — pinned by the equivalence test).
-    max_queries:
-        Optional cap on the number of queries loaded.
     """
 
     path: Annotated[str, NonEmpty]
     format: Annotated[str, OneOf(*TRACE_FORMATS)] = "twitter"
-    chunk_queries: Annotated[int, AtLeast(1)] = 1024
-    max_queries: Annotated[Optional[int], AtLeast(1)] = None
 
     def __post_init__(self) -> None:
         validate_fields(self)

@@ -10,9 +10,10 @@ Figures 3–4 (hit-rate curves and access histograms).  This package contains:
 * :mod:`repro.workloads.generator` — a synthetic trace generator that matches
   those statistics (popularity skew, request size, co-access structure),
 * :mod:`repro.workloads.characterization` — the analysis used to regenerate
-  Table 1 and Figure 4 from any trace,
-* :mod:`repro.workloads.remap` — the id-densifying shim that lets external
-  traces with sparse 64-bit key universes feed the array-native cache stack.
+  Table 1 and Figure 4 from any trace.
+
+External traces with sparse 64-bit key universes are densified by
+:mod:`repro.scenarios.loader`.
 """
 
 from repro.workloads.trace import ModelTrace

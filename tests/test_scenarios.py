@@ -452,10 +452,6 @@ class TestConfigValidation:
             TraceLoaderConfig(path="")
         with pytest.raises(ValueError):
             TraceLoaderConfig(path="x.csv", format="parquet")
-        with pytest.raises(ValueError):
-            TraceLoaderConfig(path="x.csv", chunk_queries=0)
-        with pytest.raises(ValueError):
-            TraceLoaderConfig(path="x.csv", max_queries=0)
 
     def test_repartition_config_rejects_bad_values(self):
         with pytest.raises(ValueError):
