@@ -345,6 +345,15 @@ class BandanaStore:
         if state.engine is not None:
             state.engine.swap_layout(layout)
 
+    def check_tables(self, names: Iterable[str]) -> None:
+        """Raise the unknown-table ``KeyError`` for the first name not served.
+
+        Replay entry points call it on a whole trace before any reset or
+        lookup, so a rejected trace leaves every counter as it was.
+        """
+        for name in names:
+            self._state(name)
+
     def reset_serving_state(self) -> None:
         """Clear caches and counters (placement and thresholds are kept)."""
         for state in self.tables.values():

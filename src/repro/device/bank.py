@@ -86,16 +86,13 @@ class NVMDeviceBank:
         return self.devices[index]
 
     # ----------------------------------------------------------------- timing
-    def queue_wait_us(self, at_us: float, table_name: Optional[str] = None) -> float:
-        """How long a read arriving at ``at_us`` would wait for a free slot.
+    def queue_wait_us(self, at_us: float, table_name: str) -> float:
+        """How long a read of ``table_name`` arriving at ``at_us`` would wait.
 
-        With a ``table_name`` this is that table's device's wait — the
-        quantity admission control sheds against; without one it is the
-        worst wait over the bank.
+        That is the wait for a free slot on the table's device — the
+        quantity admission control sheds against, on either tier.
         """
-        if table_name is not None:
-            return self.device_of(table_name).queue_wait_us(at_us)
-        return max(device.queue_wait_us(at_us) for device in self.devices)
+        return self.device_of(table_name).queue_wait_us(at_us)
 
     def rebase(self, now_us: float = 0.0) -> None:
         """Re-anchor every device at ``now_us`` with every slot free.

@@ -18,13 +18,15 @@ The event-driven model
 Everything runs on a **simulated clock** — there are no wall-time sleeps, and
 a simulation is a deterministic function of (store, trace, config, seed):
 
-* :mod:`~repro.serving.arrivals` generates an **open-loop** Poisson arrival
-  process over the zipped multi-table request stream.  Open-loop means arrivals do not slow down when the store
-  falls behind, so saturation appears as growing queueing delay — the
-  behaviour Figure 5 is about — rather than as a silently stretched clock.
-* :mod:`~repro.serving.batcher` queues requests and forms **dynamic
-  batches** under a size cutoff (``max_batch_requests``) and a time cutoff
-  (``max_linger_us``); each formed batch is fanned out to the store in one
+* :class:`~repro.serving.arrivals.ArrivalSource` holds the run's pending
+  arrivals over the zipped multi-table request stream as one min-heap.  The
+  default **open-loop** Poisson process draws them all up front: arrivals
+  do not slow down when the store falls behind, so saturation appears as
+  growing queueing delay — the behaviour Figure 5 is about — rather than as
+  a silently stretched clock.
+* :func:`~repro.serving.arrivals.cut_batch` cuts **dynamic batches** off
+  that heap under a size cutoff (``max_batch_requests``) and a time cutoff
+  (``max_linger_us``); each batch is fanned out to the store in one
   ``lookup_batch`` pass per touched table.
 * every batch's demand misses are priced on the host's
   :class:`~repro.device.bank.NVMDeviceBank` (:mod:`repro.device`).  Each device
@@ -38,10 +40,10 @@ a simulation is a deterministic function of (store, trace, config, seed):
   The default single device is the paper's actual deployment, where
   co-located tables contend for the same hardware; ``devices_per_host =
   number of tables`` is the private-device-per-table counterfactual.
-* A **closed-loop** mode (``arrival_process="closed-loop"``) replaces the
-  precomputed arrival array with a fixed client population
-  (:class:`~repro.serving.arrivals.ClosedLoopPopulation`) whose next
-  arrivals depend on completions, and **single-host admission control**
+* A **closed-loop** mode (``arrival_process="closed-loop"``) starts the
+  heap with one think time per client of a fixed population and pushes
+  each client's next arrival when its response comes back, and
+  **single-host admission control**
   (``ServingConfig.admission_queue_slack``) sheds requests whose wait for
   a free slot on a table's device exceeds ``slack ×`` the table SLO — both
   measured in the same report (``requests_shed`` / ``shed_rate`` /

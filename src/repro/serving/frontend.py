@@ -11,12 +11,12 @@ delay (paper Figure 5).
 There is one event loop, :func:`serve_request_stream`, driven by an *arrival
 source* and served by a *backend*.  One step per dispatched batch:
 
-1. the arrival source fixes the batch's membership and dispatch time under
-   the dynamic batcher's size/linger cutoffs (:mod:`repro.serving.batcher`)
-   — from the arrival process alone under the open-loop processes, or from a
-   pending-arrivals heap under closed-loop arrivals, the only source that
-   consumes response times (a client's next request exists only after its
-   previous response);
+1. the arrival source (:class:`~repro.serving.arrivals.ArrivalSource`)
+   cuts the batch's members and dispatch time off its pending-arrivals heap
+   under the dynamic batcher's size/linger cutoffs; every response is handed
+   back to it, and under closed-loop arrivals it schedules that client's
+   next request (a client's next request exists only after its previous
+   response);
 2. the backend serves the batch.  The single-host backend sheds requests
    whose wait for a free slot on a table's device already exceeds
    ``admission_queue_slack ×`` the table's SLO (a fast rejection that does no cache or device work,
@@ -41,7 +41,6 @@ front-end only re-times (and under shedding, skips) the exact same work.
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -52,8 +51,7 @@ from repro.core.config import ServingConfig, TracingConfig
 from repro.device.bank import NVMDeviceBank
 from repro.device.clock import DeviceServiceRecord
 from repro.nvm.latency import NVMLatencyModel
-from repro.serving.arrivals import ClosedLoopPopulation, arrival_times
-from repro.serving.batcher import form_batches
+from repro.serving.arrivals import ArrivalSource, cut_batch
 from repro.serving.report import LatencySummary, ServingReport
 from repro.tracing.tracer import (
     STAGE_BATCH_QUEUE,
@@ -62,7 +60,6 @@ from repro.tracing.tracer import (
     Tracer,
     resolve_tracer,
 )
-from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_int_at_least
 from repro.workloads.trace import ModelTrace
 
@@ -74,8 +71,6 @@ Request = Dict[str, np.ndarray]
 #: compute: pooling, RPC framing; a cluster request's fan-in).  The serving
 #: loop adds it once, for either backend.
 REQUEST_OVERHEAD_US = 5.0
-#: One batch's member arrival times (µs), in request order.
-_Arrivals = Union[np.ndarray, List[float]]
 
 
 def simulate_serving(
@@ -95,7 +90,8 @@ def simulate_serving(
     eval_trace:
         Per-table queries, zipped into multi-table requests by
         :meth:`~repro.workloads.trace.ModelTrace.requests` (request ``i``
-        reads every table's ``i``-th query).
+        reads every table's ``i``-th query).  A table the store lacks raises
+        ``KeyError`` before anything is reset or served.
     config:
         Serving knobs; defaults to ``ServingConfig()``.  Beyond the
         arrival/batching knobs this sizes the host's device bank
@@ -122,6 +118,7 @@ def simulate_serving(
     """
     config = config or ServingConfig()
     tracer = resolve_tracer(tracing, slo_latency_us=config.slo_latency_us)
+    store.check_tables(eval_trace)
     _, requests = cut_request_stream(eval_trace, num_requests)
     if reset_first:
         store.reset_serving_state()
@@ -146,80 +143,6 @@ def cut_request_stream(
         stop = warmup + check_int_at_least(num_requests, 0, "num_requests")
     stream = list(eval_trace.requests())
     return stream[:warmup], stream[warmup:stop]
-
-
-# ------------------------------------------------------------ arrival sources
-class _OpenLoopArrivals:
-    """Open-loop source: precomputed arrivals cut by the dynamic batcher."""
-
-    def __init__(self, config: ServingConfig, n: int, seed: Optional[int]) -> None:
-        self.offered_rate_rps = config.arrival_rate_rps
-        self._arrival_us = arrival_times(config, n, seed=seed) * 1e6
-        self._batches = iter(
-            form_batches(
-                self._arrival_us, config.max_batch_requests, config.max_linger_us
-            )
-        )
-
-    def next_batch(self) -> Tuple[_Arrivals, float]:
-        """The next batch's member arrival times and its dispatch time."""
-        batch = next(self._batches)
-        return self._arrival_us[batch.start : batch.stop], batch.dispatch_us
-
-    def respond(self, response_us: List[float]) -> None:
-        """Open loop: arrivals do not depend on responses."""
-
-
-class _ClosedLoopArrivals:
-    """Closed-loop source: a fixed client population with think times.
-
-    Arrivals depend on completions, so batch formation is interleaved with
-    serving: a pending-arrivals heap seeds each batch, the batch fills under
-    the same size/linger cutoffs as the open-loop batcher, and every response
-    schedules its client's next arrival one think time later.  At most
-    ``closed_loop_clients`` requests are in flight at any simulated instant,
-    by construction.
-    """
-
-    def __init__(self, config: ServingConfig, n: int, seed: Optional[int]) -> None:
-        self._population = ClosedLoopPopulation(
-            config.closed_loop_clients, config.closed_loop_think_s, ensure_rng(seed)
-        )
-        self.offered_rate_rps = self._population.nominal_rate_rps
-        self._max_batch_requests = config.max_batch_requests
-        self._max_linger_us = config.max_linger_us
-        self._pending: List[float] = []
-        self._unissued = n
-        for _ in range(min(self._population.num_clients, n)):
-            heapq.heappush(self._pending, self._population.initial_arrival_us())
-            self._unissued -= 1
-
-    def next_batch(self) -> Tuple[_Arrivals, float]:
-        """The next batch's member arrival times and its dispatch time."""
-        pending = self._pending
-        arrivals = [heapq.heappop(pending)]
-        deadline_us = arrivals[0] + self._max_linger_us
-        while (
-            len(arrivals) < self._max_batch_requests
-            and pending
-            and pending[0] <= deadline_us
-        ):
-            arrivals.append(heapq.heappop(pending))
-        if len(arrivals) == self._max_batch_requests:
-            return arrivals, arrivals[-1]
-        return arrivals, deadline_us
-
-    def respond(self, response_us: List[float]) -> None:
-        """Each answered client thinks, then issues its next request.
-
-        This is the feedback that caps concurrency at the population.
-        """
-        for response in response_us:
-            if self._unissued:
-                heapq.heappush(
-                    self._pending, self._population.next_arrival_us(response)
-                )
-                self._unissued -= 1
 
 
 # ------------------------------------------------------------------ backends
@@ -265,9 +188,8 @@ class _HostBackend:
         )
         self.requests_shed += len(shed)
         tracer = self.tracer
-        if tracer.enabled and shed:
-            queue_wait_us = self.bank.queue_wait_us(dispatch_us)
-            for i in shed:
+        if tracer.enabled:
+            for i, queue_wait_us in shed:
                 _emit_shed_spans(
                     tracer,
                     i,
@@ -297,7 +219,7 @@ class _HostBackend:
                     records,
                     completion_us,
                 )
-        return [(i, dispatch_us) for i in shed] + [(i, completion_us) for i in served]
+        return [(i, dispatch_us) for i, _ in shed] + [(i, completion_us) for i in served]
 
     def close(self) -> None:
         """Nothing to release: the bank lives and dies with the run."""
@@ -354,18 +276,14 @@ def serve_request_stream(
     """The one serving event loop: arrival source × backend (see module doc).
 
     :func:`simulate_serving` and :func:`repro.cluster.run_scenario` both end
-    here.  The source is picked by ``config.arrival_process``; the backend
-    is the host's device bank, or ``cluster`` when given — then the
+    here.  The source draws ``config.arrival_process``; the backend is the
+    host's device bank, or ``cluster`` when given — then the
     device-side report fields (queue-depth histogram, ``device_bank``) stay
     empty, and ``store`` only supplies the seed default.
     """
     n = len(requests)
     seed = store.config.seed if config.seed is None else config.seed
-    source: Union[_OpenLoopArrivals, _ClosedLoopArrivals] = (
-        _ClosedLoopArrivals(config, n, seed)
-        if config.arrival_process == "closed-loop"
-        else _OpenLoopArrivals(config, n, seed)
-    )
+    source = ArrivalSource(config, n, seed)
     backend: Union[_HostBackend, _ClusterBackend] = (
         _HostBackend(store, config, tracer)
         if cluster is None
@@ -380,7 +298,9 @@ def serve_request_stream(
     next_index = 0
     try:
         while next_index < n:
-            arrivals, dispatch_us = source.next_batch()
+            arrivals, dispatch_us = cut_batch(
+                source.pending, config.max_batch_requests, config.max_linger_us
+            )
             start, next_index = next_index, next_index + len(arrivals)
             members = list(range(start, next_index))
             arrival_us[start:next_index] = arrivals
@@ -420,23 +340,25 @@ def _split_shed(
     members: List[int],
     dispatch_us: float,
     config: ServingConfig,
-) -> Tuple[List[int], List[int]]:
-    """Partition a batch's members into (served, shed) at dispatch time.
+) -> Tuple[List[int], List[Tuple[int, float]]]:
+    """Partition a batch's members into served and ``(shed, wait_us)``.
 
     A request is shed when the wait for a free slot on *any* of its tables'
     devices exceeds ``admission_queue_slack × slo_latency_us`` — the single-host port of
     the cluster's queue-level admission check (there per shard read, here
     per request: a single host has no other replica to serve the rest).
+    ``wait_us`` is the longest of those waits, the one that shed it.
     """
     slack = config.admission_queue_slack
     if slack is None:
         return members, []
     bound_us = slack * config.slo_latency_us
     served: List[int] = []
-    shed: List[int] = []
+    shed: List[Tuple[int, float]] = []
     for i in members:
-        if any(bank.queue_wait_us(dispatch_us, name) > bound_us for name in requests[i]):
-            shed.append(i)
+        wait_us = max(bank.queue_wait_us(dispatch_us, name) for name in requests[i])
+        if wait_us > bound_us:
+            shed.append((i, wait_us))
         else:
             served.append(i)
     return served, shed

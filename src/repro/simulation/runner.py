@@ -166,8 +166,10 @@ def simulate_store(
 
     The per-table baseline is replayed with the same cache size but no
     prefetching.  ``reset_first`` clears the store's serving state so
-    repeated simulations start cold, like the paper's runs.
+    repeated simulations start cold, like the paper's runs.  A trace table
+    the store lacks raises ``KeyError`` before anything is reset or replayed.
     """
+    store.check_tables(eval_trace)
     if reset_first:
         store.reset_serving_state()
     results: Dict[str, TableSimulationResult] = {}

@@ -302,6 +302,19 @@ class TestServing:
         assert built_store.aggregate_stats().lookups == 0
         assert built_store.aggregate_stats().block_reads == 0
 
+    def test_simulate_store_checks_every_table_before_replaying(self, built_store):
+        # Regression: the known tables used to be replayed first, so the run
+        # counted their lookups and then failed with a bare KeyError('gamma').
+        built_store.reset_serving_state()
+        built_store.lookup_batch("alpha", [[1, 2]])
+        before = built_store.aggregate_stats().counters()
+        trace = ModelTrace({"alpha": Trace([[1], [3]]), "gamma": Trace([[1]])})
+        with pytest.raises(
+            KeyError, match=r"unknown table 'gamma'; known tables: \['alpha', 'beta'\]"
+        ):
+            simulate_store(built_store, trace, reset_first=False)
+        assert built_store.aggregate_stats().counters() == before
+
     def test_pooled_features_serve_like_lookup_request(self, built_store):
         """Same counters as ``lookup_request``; sum-pooled in table registration order."""
         request = {"beta": [3], "alpha": [1, 2, 2]}

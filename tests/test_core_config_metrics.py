@@ -1,10 +1,8 @@
 """Tests for the Bandana, serving and cluster configuration knobs."""
 
-import numpy as np
 import pytest
 
 from repro.core.config import BandanaConfig, ClusterConfig, ServingConfig, TableCacheConfig
-from repro.serving.batcher import form_batches
 
 
 class TestBandanaConfig:
@@ -156,11 +154,6 @@ class TestConfigKnobValidation:
         # every latency the knob is added to.
         with pytest.raises(ValueError, match=name):
             config_cls(**{name: value})
-
-    @pytest.mark.parametrize("value", [float("nan"), -1.0])
-    def test_form_batches_rejects_nan_and_negative_linger(self, value):
-        with pytest.raises(ValueError, match="max_linger_us"):
-            form_batches(np.array([0.0, 1.0]), 4, value)
 
     @pytest.mark.parametrize(
         "name", ["admission_queue_slack", "default_slo_us", "table_slo_us"]

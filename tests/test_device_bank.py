@@ -34,7 +34,7 @@ from repro.device.bank import NVMDeviceBank
 from repro.device.clock import depth_bucket
 from repro.nvm.latency import NVMLatencyModel
 from repro.serving import frontend, simulate_serving
-from repro.serving.arrivals import ClosedLoopPopulation, arrival_times
+from repro.serving.arrivals import ArrivalSource
 from repro.tracing.tracer import ATTR_PARALLEL, STAGE_DEVICE_SERVICE, STAGE_REQUEST_SHED
 from repro.tracing import Tracer, validate_trace
 from repro.utils.rng import ensure_rng
@@ -395,14 +395,13 @@ class TestNVMDeviceBank:
             assert sum(device.depth_hist.values()) == device.serves
         assert sum(d.serves for d in bank.devices) == 120
 
-    def test_queue_wait_per_table_and_bankwide(self):
+    def test_queue_wait_per_table(self):
         bank = NVMDeviceBank(
             num_devices=2, latency_model=NVMLatencyModel(), tables=("a", "b")
         )
         (record,) = bank.serve_blocks(0.0, {"a": 64})
         assert bank.queue_wait_us(0.0, "a") == record.completion_us
         assert bank.queue_wait_us(0.0, "b") == pytest.approx(0.0)
-        assert bank.queue_wait_us(0.0) == record.completion_us  # max over bank
 
     def test_snapshot_shape(self):
         bank = NVMDeviceBank(
@@ -665,33 +664,31 @@ class TestChargeRule:
 
 
 # ------------------------------------------------------------------ closed loop
+def closed_loop(clients, think_s, n, seed):
+    config = ServingConfig(
+        arrival_process="closed-loop",
+        closed_loop_clients=clients,
+        closed_loop_think_s=think_s,
+    )
+    return ArrivalSource(config, n, seed=seed)
+
+
 class TestClosedLoopArrivals:
-    def test_arrival_times_refuses_closed_loop(self):
-        config = ServingConfig(arrival_process="closed-loop")
-        with pytest.raises(ValueError):
-            arrival_times(config, 10, seed=1)
-
-    def test_population_validation(self):
-        with pytest.raises(ValueError):
-            ClosedLoopPopulation(0, 0.01, ensure_rng(1))
-        with pytest.raises(ValueError):
-            ClosedLoopPopulation(4, 0.0, ensure_rng(1))
-
     def test_nominal_rate(self):
-        population = ClosedLoopPopulation(32, 0.016, ensure_rng(1))
-        assert population.nominal_rate_rps == pytest.approx(2000.0)
+        assert closed_loop(32, 0.016, 100, 1).offered_rate_rps == pytest.approx(2000.0)
 
     def test_think_time_stationarity(self):
         # The think-time distribution does not drift with simulated time:
         # draws conditioned on late completions have the same mean as the
         # initial draws (both are the same exponential).
-        population = ClosedLoopPopulation(4, 0.01, ensure_rng(42))
-        initial = np.array([population.initial_arrival_us() for _ in range(20000)])
-        late = np.array(
-            [population.next_arrival_us(1e9) - 1e9 for _ in range(20000)]
-        )
-        assert initial.mean() == pytest.approx(population.think_mean_us, rel=0.05)
-        assert late.mean() == pytest.approx(population.think_mean_us, rel=0.05)
+        think_us = 0.01 * 1e6
+        initial = np.array(closed_loop(20000, 0.01, 20000, 42).pending)
+        source = closed_loop(4, 0.01, 20004, 42)
+        source.pending.clear()
+        source.respond([1e9] * 20000)
+        late = np.array(source.pending) - 1e9
+        assert initial.mean() == pytest.approx(think_us, rel=0.05)
+        assert late.mean() == pytest.approx(think_us, rel=0.05)
         assert np.all(late > 0.0)
 
     def test_closed_loop_run_is_deterministic(self, store_and_trace):
@@ -801,6 +798,27 @@ class TestAdmissionControl:
         for trace in shed_traces:
             assert validate_trace(trace) == []
             assert any(s.name == STAGE_REQUEST_SHED for s in trace.spans)
+
+    def test_shed_span_reports_the_requests_own_device_wait(self, store_and_trace):
+        # Regression: the request.shed span used to carry the worst wait over
+        # the whole bank, here table7's device, which this request never reads.
+        store, _ = store_and_trace
+        tracer = Tracer(TracingConfig(enabled=True, sample_every=1))
+        backend = frontend._HostBackend(
+            store,
+            ServingConfig(devices_per_host=2, admission_queue_slack=0.01),
+            tracer,
+        )
+        backend.bank.serve_blocks(0.0, {"table1": 200, "table7": 5000})
+        own_wait_us = backend.bank.queue_wait_us(0.0, "table1")
+        assert 0.0 < own_wait_us < backend.bank.queue_wait_us(0.0, "table7")
+        request = {"table1": np.array([0, 1, 2])}
+        completions = backend.serve([request], [0], np.zeros(1), 0.0, 0)
+        assert completions == [(0, 0.0)] and backend.requests_shed == 1
+        (marker,) = [
+            s for s in tracer.traces[0].spans if s.name == STAGE_REQUEST_SHED
+        ]
+        assert marker.attributes["queue_wait_us"] == own_wait_us
 
     def test_multi_device_bank_sheds_per_table(self, store_and_trace):
         report = serve(

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import ServingConfig
-from repro.serving.arrivals import arrival_times
+from repro.serving.arrivals import ArrivalSource
 from repro.utils.rng import ensure_rng
 
 
@@ -37,10 +37,11 @@ class TestEnsureRng:
 class TestArrivalsAcceptGenerators:
     def test_seed_and_generator_agree(self):
         # SeedLike: an existing Generator may be passed as the seed itself.
-        config = ServingConfig()
-        via_seed = arrival_times(config, 50, seed=42)
-        via_gen = arrival_times(config, 50, seed=np.random.default_rng(42))
-        np.testing.assert_array_equal(via_seed, via_gen)
+        for process in ("poisson", "closed-loop"):
+            config = ServingConfig(arrival_process=process)
+            via_seed = ArrivalSource(config, 50, seed=42).pending
+            via_gen = ArrivalSource(config, 50, seed=np.random.default_rng(42)).pending
+            assert via_seed == via_gen
 
 
 class TestLintCatchesHiddenGlobalRandomness:

@@ -23,8 +23,7 @@ import pytest
 from repro import BandanaConfig, BandanaStore, ServingConfig
 from repro.device import DEVICE_SLOTS, read_latency_under_load
 from repro.nvm.latency import NVMLatencyModel
-from repro.serving.arrivals import arrival_times, poisson_arrival_times
-from repro.serving.batcher import form_batches
+from repro.serving.arrivals import ArrivalSource, cut_batch
 from repro.serving import simulate_serving
 from repro.simulation import simulate_store
 from repro.workloads import (
@@ -85,21 +84,20 @@ class TestLatencyUnderLoad:
 # ------------------------------------------------------------- arrival process
 class TestArrivals:
     def test_poisson_rate_and_determinism(self):
-        rng = np.random.default_rng(0)
-        times = poisson_arrival_times(20000, 1000.0, rng)
-        assert times.size == 20000
-        assert np.all(np.diff(times) >= 0)
-        assert times[-1] == pytest.approx(20.0, rel=0.05)  # ~rate * n
-        again = poisson_arrival_times(20000, 1000.0, np.random.default_rng(0))
-        np.testing.assert_array_equal(times, again)
+        config = ServingConfig(arrival_rate_rps=1000.0)
+        times = ArrivalSource(config, 20000, seed=0).pending
+        assert len(times) == 20000
+        assert times == sorted(times)
+        assert times[-1] == pytest.approx(20e6, rel=0.05)  # ~n / rate, in µs
+        assert ArrivalSource(config, 20000, seed=0).pending == times
 
-    def test_dispatcher_selects_process(self):
+    def test_source_selects_process(self):
         # The one open-loop process: Poisson at the config's rate, drawn
         # from a generator seeded by ``seed``.
         config = ServingConfig(arrival_rate_rps=500.0)
-        times = arrival_times(config, 100, seed=7)
-        expected = poisson_arrival_times(100, 500.0, np.random.default_rng(7))
-        np.testing.assert_array_equal(times, expected)
+        gaps_s = np.random.default_rng(7).exponential(1.0 / 500.0, 100)
+        expected = (np.cumsum(gaps_s) * 1e6).tolist()
+        assert ArrivalSource(config, 100, seed=7).pending == expected
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -117,43 +115,39 @@ class TestDynamicBatcher:
     def test_size_cutoff_dispatches_on_filling_arrival(self):
         # Six requests in one tight burst, max batch 4: the first batch fills
         # on the 4th arrival and dispatches right then, not at the deadline.
-        arrivals = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
-        batches = form_batches(arrivals, max_batch_requests=4, max_linger_us=100.0)
-        assert [(b.start, b.stop) for b in batches] == [(0, 4), (4, 6)]
-        assert batches[0].dispatch_us == pytest.approx(3.0)  # arrival of the filling request
-        assert batches[1].dispatch_us == pytest.approx(104.0)  # linger from request 4
+        pending = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        assert cut_batch(pending, 4, 100.0) == ([0.0, 1.0, 2.0, 3.0], 3.0)
+        assert cut_batch(pending, 4, 100.0) == ([4.0, 5.0], 104.0)  # linger from 4.0
+        assert pending == []
 
     def test_linger_cutoff_dispatches_partial_batch_at_deadline(self):
-        arrivals = np.array([0.0, 10.0, 500.0])
-        batches = form_batches(arrivals, max_batch_requests=8, max_linger_us=50.0)
-        assert [(b.start, b.stop) for b in batches] == [(0, 2), (2, 3)]
-        assert batches[0].dispatch_us == pytest.approx(50.0)
-        assert batches[1].dispatch_us == pytest.approx(550.0)
+        pending = [0.0, 10.0, 500.0]
+        assert cut_batch(pending, 8, 50.0) == ([0.0, 10.0], 50.0)
+        assert cut_batch(pending, 8, 50.0) == ([500.0], 550.0)
 
     def test_arrival_exactly_at_deadline_is_included(self):
-        arrivals = np.array([0.0, 50.0, 51.0])
-        batches = form_batches(arrivals, max_batch_requests=8, max_linger_us=50.0)
-        assert (batches[0].start, batches[0].stop) == (0, 2)
+        pending = [0.0, 50.0, 51.0]
+        assert cut_batch(pending, 8, 50.0) == ([0.0, 50.0], 50.0)
 
     def test_unbatched_mode_ignores_linger(self):
-        arrivals = np.array([0.0, 1.0, 1.0, 2.0])
-        batches = form_batches(arrivals, max_batch_requests=1, max_linger_us=1e9)
-        assert len(batches) == 4
-        assert [b.dispatch_us for b in batches] == [0.0, 1.0, 1.0, 2.0]
+        pending = [0.0, 1.0, 1.0, 2.0]
+        batches = [cut_batch(pending, 1, 1e9) for _ in range(4)]
+        assert batches == [([0.0], 0.0), ([1.0], 1.0), ([1.0], 1.0), ([2.0], 2.0)]
 
     def test_zero_linger_batches_only_simultaneous_arrivals(self):
-        arrivals = np.array([0.0, 0.0, 0.0, 5.0])
-        batches = form_batches(arrivals, max_batch_requests=8, max_linger_us=0.0)
-        assert [(b.start, b.stop) for b in batches] == [(0, 3), (3, 4)]
+        pending = [0.0, 0.0, 0.0, 5.0]
+        assert cut_batch(pending, 8, 0.0) == ([0.0, 0.0, 0.0], 0.0)
+        assert cut_batch(pending, 8, 0.0) == ([5.0], 5.0)
 
     def test_dispatch_times_non_decreasing(self):
-        rng = np.random.default_rng(5)
-        arrivals = np.sort(rng.random(500)) * 1e5
         for max_batch, linger in ((1, 0.0), (4, 30.0), (16, 1000.0)):
-            batches = form_batches(arrivals, max_batch, linger)
-            dispatches = [b.dispatch_us for b in batches]
+            pending = ArrivalSource(ServingConfig(), 500, seed=5).pending
+            batches = []
+            while pending:
+                batches.append(cut_batch(pending, max_batch, linger))
+            dispatches = [dispatch for _, dispatch in batches]
             assert dispatches == sorted(dispatches)
-            assert sum(b.stop - b.start for b in batches) == arrivals.size
+            assert sum(len(members) for members, _ in batches) == 500
 
 
 # ------------------------------------------------------------------ front-end
@@ -278,6 +272,19 @@ class TestSimulateServing:
         report = simulate_serving(store, eval_trace, num_requests=20)
         assert report.counters is None and report.node_blocks_read is None
         assert list(report.to_dict()) == HOST_REPORT_KEYS
+
+    def test_unknown_table_rejected_before_any_lookup(self, store_and_trace):
+        # Regression: the known tables used to be served first, so a run
+        # counted lookups and then failed with a bare KeyError('ghost').
+        store, eval_trace = store_and_trace
+        ghost = ModelTrace({**eval_trace.tables, "ghost": eval_trace["table1"]})
+        before = store.aggregate_stats().counters()
+        with pytest.raises(
+            KeyError,
+            match=r"unknown table 'ghost'; known tables: \['table1', 'table7'\]",
+        ):
+            simulate_serving(store, ghost, reset_first=False)
+        assert store.aggregate_stats().counters() == before
 
     def test_negative_num_requests_rejected(self, store_and_trace):
         # Regression: -1 used to slice from the tail (160 of 161 served).
