@@ -24,25 +24,16 @@ build time:
 
 Drift with ``drift_rotation_per_epoch=0`` is the stationary control arm.
 
-Synthesis runs in two phases that together consume the seeded stream exactly
-as drawing and resolving one query at a time would (the per-query loop is the
-oracle in ``tests/test_scenario_synthesis.py``):
-
-1. **Draw, per query.**  A Python loop makes only the random draws, in the
-   per-query order: the community uniform, the community members
-   (``integers(COMMUNITY_SIZE, size=k)``), then one ``random(draw)`` call for
-   the global picks.  A drift rotation is not applied to the ranking: each
-   query records its offset into it.
-2. **Resolve, per batch.**  Once ``_RESOLVE_DRAWS`` picks are pending, at a
-   query boundary, and at the end, one NumPy pass inverts each Zipf law's
-   uniforms over sorted keys, maps rank positions (shifted by each query's
-   offset) to ids, keeps each query's first occurrences in draw order with
-   one stable sort of packed (query, position) keys, and cuts each query to
-   its size.  A batch may span several rotations.
-
-Inside the flash window a query's diversion draws depend on how many
-distinct ids it kept, so there each query is resolved on its own before
-they are made; before and after the window flash-crowd batches as drift does.
+Synthesis draws per query and resolves per batch, as
+:mod:`repro.utils.sampling` describes (the per-query loop is the oracle in
+``tests/test_scenario_synthesis.py``).  A query's draws, in order: the
+community uniform, the community members (``integers(COMMUNITY_SIZE,
+size=k)``), then one ``random(draw)`` call for the global picks.  A drift
+rotation is not applied to the ranking: each query records its offset into
+it, so a batch may span several rotations.  Inside the flash window a query's
+diversion draws depend on how many distinct ids it kept, so there each query
+is resolved on its own before they are made; before and after the window
+flash-crowd batches as drift does.
 """
 
 from __future__ import annotations
@@ -52,10 +43,14 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.scenarios.config import COMMUNITY_SIZE, FLASH_START_FRACTION, ScenarioConfig
+from repro.utils import sampling
 from repro.utils.rng import ensure_rng
 from repro.utils.sampling import (
     InverseCDFSampler,
     first_occurrences,
+    invert_sorted,
+    poisson_query_sizes,
+    resolve_queries,
     zipf_probabilities,
 )
 from repro.workloads.trace import Trace
@@ -67,21 +62,6 @@ ZIPF_ALPHA = 0.9
 #: Fraction of each query's lookups drawn from its focus community; the rest
 #: are independent draws from the global popularity law.
 QUERY_LOCALITY = 0.8
-
-#: Most picks resolved at once: pending queries are resolved at the first
-#: query boundary where this many are pending (and at the end), as in the
-#: Table 1 generator.  Each of the pass's arrays then stays near 64 KB, below
-#: glibc's 128 KB mmap threshold.  Resolving a whole 1 200-query trace at once
-#: (arrays near 290 KB) was no faster and left ``drift-repartition``'s peak
-#: RSS about 0.5 MB higher, and heap state left by large freed blocks can
-#: move the benchmark's reference kernel, which calibrates every host time.
-_RESOLVE_DRAWS = 1 << 13
-
-
-def _query_sizes(config: ScenarioConfig, rng: np.random.Generator) -> List[int]:
-    """Poisson query sizes, at least one lookup each."""
-    sizes = rng.poisson(lam=config.avg_lookups_per_query, size=config.num_queries)
-    return np.maximum(sizes, 1).tolist()
 
 
 class _QueryLaw:
@@ -121,10 +101,12 @@ class _QueryLaw:
 
         The loop makes only the random draws, in the per-query order: the
         community uniform, the community members, then the global uniforms.
-        The pending queries are resolved whenever :data:`_RESOLVE_DRAWS` picks
-        are pending, and at the end.
+        The pending queries are resolved whenever
+        :data:`~repro.utils.sampling.RESOLVE_DRAWS` picks are pending, and at
+        the end.
         """
         random, integers = self.rng.random, self.rng.integers
+        cap = sampling.RESOLVE_DRAWS
         queries: List[np.ndarray] = []
         pending = _PendingQueries()
         for index, size in enumerate(sizes):
@@ -141,7 +123,7 @@ class _QueryLaw:
             pending.draws.append(draw)
             pending.offsets.append(offsets[index] if offsets else 0)
             pending.picks += within + draw
-            if pending.picks >= _RESOLVE_DRAWS:
+            if pending.picks >= cap:
                 queries += self._resolve(pending)
                 pending = _PendingQueries()
         queries += self._resolve(pending)
@@ -150,60 +132,35 @@ class _QueryLaw:
     def _resolve(self, pending: "_PendingQueries") -> List[np.ndarray]:
         """Turn pending draws into each query's distinct ids, in draw order.
 
-        A query's picks are its community picks, then its global picks.  Each
-        law inverts all of its uniforms in one search over sorted keys, one
-        stable sort of (query, rank position) keys finds each pick's first
-        occurrence in its query, and each query is cut to its size.
+        A query's picks are its community picks, then its global picks, as
+        rank positions shifted by the query's offset;
+        :func:`~repro.utils.sampling.resolve_queries` maps them through the
+        ranking and cuts each query.
         """
-        num = len(pending.sizes)
-        if num == 0:
+        if not pending.sizes:
             return []
-        # (Array methods rather than NumPy's Python-level functions: a query
-        # resolved on its own pays no interpreter calls for them.)
-        sizes = np.array(pending.sizes, dtype=np.int64)
         within = np.array(pending.within, dtype=np.int64)
         picks = within + np.array(pending.draws, dtype=np.int64)
-        starts = picks.cumsum() - picks
-        total = int(starts[-1] + picks[-1])
 
         # Rank position of every pick: a community's span start plus the
         # member drawn, or the global law's rank.  (Every query picks at
         # least once: a one-lookup query rounds to one community pick.)
-        query_of = np.arange(num).repeat(picks)
-        in_query = np.arange(total) - starts.repeat(picks)
+        in_query = np.arange(picks.sum()) - (picks.cumsum() - picks).repeat(picks)
         from_community = in_query < within.repeat(picks)
-        positions = np.empty(total, dtype=np.int64)
+        positions = np.empty(in_query.size, dtype=np.int64)
         if pending.community:
-            community = _invert_sorted(self._community_sampler, np.array(pending.community))
+            community = invert_sorted(self._community_sampler, np.array(pending.community))
             spans = (community * COMMUNITY_SIZE).repeat(within[within > 0])
             positions[from_community] = spans + np.concatenate(pending.members)
         if pending.uniforms:
-            positions[~from_community] = _invert_sorted(
+            positions[~from_community] = invert_sorted(
                 self._rank_sampler, np.concatenate(pending.uniforms)
             )
         if any(pending.offsets):
             positions += np.array(pending.offsets, dtype=np.int64).repeat(picks)
             positions %= self.ranking.size
-
-        # Each (query, position)'s first occurrence: the first of its run in a
-        # stable sort.  A position names one id, so this de-duplicates ids.
-        keys = query_of * self.ranking.size + positions
-        order = keys.argsort(kind="stable")
-        keys = keys[order]
-        first = np.empty(total, dtype=bool)
-        first[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        keep = np.zeros(total, dtype=bool)
-        keep[order[first]] = True
-        kept = keep.nonzero()[0]
-
-        # Cut each query's first occurrences, in draw order, to its size.
-        bounds = np.concatenate((kept.searchsorted(starts), [kept.size]))
-        distinct = bounds[1:] - bounds[:-1]
-        rank = np.arange(kept.size) - bounds[:-1].repeat(distinct)
-        ids = self.ranking[positions[kept[rank < sizes.repeat(distinct)]]]
-        ends = np.minimum(distinct, sizes).cumsum().tolist()
-        return [ids[start:stop] for start, stop in zip([0] + ends[:-1], ends)]
+        sizes = np.array(pending.sizes, dtype=np.int64)
+        return resolve_queries(positions, picks, sizes, self.ranking)
 
 
 class _PendingQueries:
@@ -229,20 +186,12 @@ class _PendingQueries:
         self.uniforms: List[np.ndarray] = []
 
 
-def _invert_sorted(sampler: InverseCDFSampler, keys: np.ndarray) -> np.ndarray:
-    """``sampler.invert(keys)``, searched in sorted order (faster, equal)."""
-    ascending = keys.argsort()
-    inverted = np.empty(keys.size, dtype=np.int64)
-    inverted[ascending] = sampler.invert(keys[ascending])
-    return inverted
-
-
 def _drift_trace(config: ScenarioConfig, rng: np.random.Generator) -> Trace:
     """Popularity drift: the Zipf ranking rotates at every epoch boundary."""
     law = _QueryLaw(config, rng)
     shift = int(round(config.drift_rotation_per_epoch * config.num_vectors))
     start = int(round(config.drift_start_fraction * config.num_queries))
-    sizes = _query_sizes(config, rng)
+    sizes = poisson_query_sizes(rng, config.avg_lookups_per_query, config.num_queries)
     # The ranking rotates before query i when i > 0, i >= start and i starts
     # an epoch; a query's offset is the rotations so far times the shift.
     index = np.arange(len(sizes))
@@ -256,7 +205,7 @@ def _flash_crowd_trace(config: ScenarioConfig, rng: np.random.Generator) -> Trac
     law = _QueryLaw(config, rng)
     # The crowd converges on the coldest ids of the baseline law.
     crowd = law.ranking[-config.flash_crowd_ids :]
-    sizes = _query_sizes(config, rng)
+    sizes = poisson_query_sizes(rng, config.avg_lookups_per_query, config.num_queries)
     start = int(round(FLASH_START_FRACTION * config.num_queries))
     end = start + int(round(config.flash_duration_fraction * config.num_queries))
     if config.flash_traffic_share == 0:

@@ -1,4 +1,4 @@
-"""Sampling primitives shared by the workload generator and miniature caches.
+"""Sampling primitives shared by the trace generators and miniature caches.
 
 The miniature-cache technique (Waldspurger et al., ATC'17) relies on *spatial*
 hash sampling: a key is either always sampled or never sampled, so the reuse
@@ -8,13 +8,31 @@ splittable integer hash so the choice is deterministic, seed-dependent and
 independent of request order.  :func:`sample_queries_spatially` keys it on a
 vector's NVM block, so a sampled block keeps every one of its vectors.
 
-The trace generators draw from a few fixed laws many thousands of times;
-:class:`InverseCDFSampler` tabulates a law once and its ``invert`` maps
-uniforms to indices: applied to ``rng.random(size)`` it is stream-compatible
-with ``Generator.choice(n, size, p=law)``, and the generators draw a batch of
-queries' uniforms first and invert them together later.
-:func:`first_occurrences` is the draw-order de-duplication the flash-crowd
-generator applies to a query after diverting some of its lookups.
+Both trace generators (:mod:`repro.workloads.generator` and
+:mod:`repro.scenarios.generators`) synthesise in two phases that together
+consume the seeded stream exactly as drawing and resolving one query at a time
+would:
+
+1. **Draw, per query.**  A Python loop makes only the random draws, in the
+   per-query order its module documents; every law's draws are uniforms
+   (``rng.random``) or integers, kept as drawn.
+2. **Resolve, per batch.**  Once :data:`RESOLVE_DRAWS` picks are pending, at a
+   query boundary, and whenever the generator must (a window's laws about to
+   change, the end of the call), the pending queries are resolved together.
+   Each law inverts all of its uniforms at once (:func:`invert_sorted`), the
+   generator turns its picks into positions in an id array, and
+   :func:`resolve_queries` keeps each query's first occurrences in draw order
+   and cuts the query to its size.
+
+:class:`InverseCDFSampler` makes the split exact: ``invert(rng.random(size))``
+is ``Generator.choice(n, size, p=law)``, so uniforms drawn now and inverted
+later give the same indices.  The rest rests on two properties of NumPy's
+``Generator``, pinned by name in ``tests/test_generator.py``
+(``TestStreamFacts``): consecutive ``random`` calls return the same values and
+leave the same state as one joined call, and ``integers(0, 1, size=k)``
+consumes nothing.  :func:`first_occurrences` is the draw-order de-duplication
+the flash-crowd generator applies to a query after diverting some of its
+lookups.
 """
 
 from __future__ import annotations
@@ -154,12 +172,78 @@ class InverseCDFSampler:
         return self._cdf.searchsorted(uniforms, side="right")
 
 
+#: Most picks resolved at once: the pending queries are resolved at the first
+#: query boundary where this many are pending.  Each of the resolve pass's
+#: arrays then stays near 64 KB, below glibc's 128 KB mmap threshold.  Whole
+#: 30 000-uniform traffic windows left ``serve-host``'s peak RSS another
+#: 0.6 MB higher, and a whole 1 200-query drift trace ``drift-repartition``'s
+#: about 0.5 MB, at no measurable gain in speed; heap state left by large
+#: freed blocks can also move the benchmark's reference kernel, which
+#: calibrates every host time.  The generators read it at the start of each
+#: call, so it is patched here.
+RESOLVE_DRAWS = 1 << 13
+
+
+def poisson_query_sizes(rng: np.random.Generator, mean: float, count: int) -> List[int]:
+    """``count`` Poisson(``mean``) query sizes, each at least one lookup."""
+    return np.maximum(rng.poisson(lam=mean, size=count), 1).tolist()
+
+
+def invert_sorted(sampler: InverseCDFSampler, uniforms: np.ndarray) -> np.ndarray:
+    """``sampler.invert(uniforms)``, searched in sorted order (faster, equal)."""
+    ascending = uniforms.argsort()
+    inverted = np.empty(uniforms.size, dtype=np.int64)
+    inverted[ascending] = sampler.invert(uniforms[ascending])
+    return inverted
+
+
+def resolve_queries(
+    positions: np.ndarray, picks: np.ndarray, sizes: np.ndarray, ids: np.ndarray
+) -> List[np.ndarray]:
+    """Each query's first ``size`` distinct picks, in draw order, as ids.
+
+    ``positions`` holds every query's picks concatenated, as indices into
+    ``ids``; ``picks`` (at least one each) and ``sizes`` are per query, all
+    int64.  A position names one id, so keeping a position's first
+    occurrence in its query de-duplicates ids.  The returned arrays are
+    slices of one shared array.
+    """
+    # (Array methods rather than NumPy's Python-level functions: the
+    # flash-crowd generator resolves some queries one at a time.)
+    num, total = picks.size, positions.size
+    starts = picks.cumsum() - picks
+    span = int(picks.max())
+
+    # Each (query, position)'s first occurrence is the smallest of its sorted
+    # (query, position, offset in the query) keys.  Packed into one int64:
+    # queries × ids.size × longest query < 2**63.
+    keys = (np.arange(num).repeat(picks) * ids.size + positions) * span
+    keys += np.arange(total) - starts.repeat(picks)
+    keys.sort()
+    groups = keys // span
+    first = np.empty(total, dtype=bool)
+    first[0] = True
+    np.not_equal(groups[1:], groups[:-1], out=first[1:])
+    firsts = keys[first]
+    keep = np.zeros(total, dtype=bool)
+    keep[starts[firsts // (ids.size * span)] + firsts % span] = True
+    kept = keep.nonzero()[0]
+
+    # Cut each query's first occurrences, in draw order, to its size.
+    bounds = np.concatenate((kept.searchsorted(starts), [kept.size]))
+    distinct = bounds[1:] - bounds[:-1]
+    rank = np.arange(kept.size) - bounds[:-1].repeat(distinct)
+    resolved = ids[positions[kept[rank < sizes.repeat(distinct)]]]
+    ends = np.minimum(distinct, sizes).cumsum().tolist()
+    return [resolved[start:stop] for start, stop in zip([0] + ends[:-1], ends)]
+
+
 def first_occurrences(ids: np.ndarray) -> np.ndarray:
     """Keep each id's first occurrence, preserving draw order.
 
     A request reads each id at most once; the flash-crowd generator
     de-duplicates a query with this again after diverting some of its lookups
-    onto the crowd (the batch resolver de-duplicates undiverted queries).
+    onto the crowd (:func:`resolve_queries` de-duplicates undiverted queries).
     """
     _, first_positions = np.unique(ids, return_index=True)
     return ids[np.sort(first_positions)]

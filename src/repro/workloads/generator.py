@@ -44,24 +44,13 @@ lengths that keep that density at the scaled-down table sizes.
 
 Everything is driven by explicit seeds so traces are reproducible.
 
-Synthesis runs in two phases that together consume the seeded stream exactly
-as drawing and resolving one query at a time would:
-
-1. **Draw, per query.**  A Python loop makes only the random draws, in the
-   per-query order: topic count, topic choices, the topic/global split of the
-   query's picks, the slot assignment of its topic picks, and one
-   ``random(draw)`` call for all of its uniforms.
-2. **Resolve, per window.**  At each window boundary (before the window's laws
-   are replaced) and at the end of the call, one NumPy pass maps each uniform
-   to its law, inverts each law's uniforms in one search, keeps each query's
-   first occurrences in draw order and cuts the query to its size.  A window
-   holding more than ``_RESOLVE_DRAWS`` uniforms is resolved in pieces.
-
-That equivalence rests on two properties of NumPy's ``Generator``, pinned by
-name in ``tests/test_generator.py``: consecutive ``random`` calls return the
-same values and leave the same state as one joined call (also with a 32-bit
-half buffered by an ``integers`` draw), and ``integers(0, 1, size=k)``
-consumes nothing — so a one-topic query skips its slot assignment.
+Synthesis draws per query and resolves per batch, as
+:mod:`repro.utils.sampling` describes.  A query's draws, in order: topic
+count, topic choices, the topic/global split of its picks, the slot
+assignment of its topic picks (skipped for a one-topic query, where it would
+consume nothing), and one ``random(draw)`` call for all of its uniforms.  A
+batch is also resolved at each window boundary, before the window's laws are
+replaced.
 """
 
 from __future__ import annotations
@@ -70,8 +59,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.utils import sampling
 from repro.utils.sampling import (
     InverseCDFSampler,
+    invert_sorted,
+    poisson_query_sizes,
+    resolve_queries,
     zipf_probabilities,
 )
 from repro.utils.validation import check_int_at_least, check_positive
@@ -99,31 +92,26 @@ OUT_OF_ROTATION_WEIGHT = 0.005
 #: what makes prefetched block neighbours useful before they age out of a
 #: small cache.
 BURSTINESS = 0.6
-#: Most uniforms resolved at once: a traffic window holding more is resolved
-#: in pieces, at query boundaries.  Each of the pass's arrays then stays near
-#: 64 KB; whole 30 000-uniform windows left ``serve-host``'s peak RSS another
-#: 0.6 MB higher, at no measurable gain in speed.
-_RESOLVE_DRAWS = 1 << 13
+#: Distinct vectors per 4 KB block that :func:`paper_shaped_lookups` sizes an
+#: evaluation trace for.
+UNIQUE_PER_BLOCK = 1.5
 
 
 def paper_shaped_lookups(
-    spec: TableSpec,
-    vectors_per_block: int = PAPER_VECTORS_PER_BLOCK,
-    unique_per_block: float = 1.5,
+    spec: TableSpec, vectors_per_block: int = PAPER_VECTORS_PER_BLOCK
 ) -> int:
     """Evaluation-trace length that reproduces the paper's access density.
 
     The paper's placement results live in a regime where the evaluation trace
     touches roughly one to a few distinct vectors per 4 KB block.  Holding the
     compulsory-miss rate at the Table 1 value, the trace length that yields
-    ``unique_per_block`` distinct vectors per block is
-    ``unique_per_block × num_blocks / compulsory_miss_rate``.
+    :data:`UNIQUE_PER_BLOCK` distinct vectors per block is
+    ``UNIQUE_PER_BLOCK × num_blocks / compulsory_miss_rate``.
     """
-    check_positive(unique_per_block, "unique_per_block")
     vectors_per_block = check_int_at_least(vectors_per_block, 1, "vectors_per_block")
     num_blocks = max(1, spec.num_vectors // vectors_per_block)
     rate = max(spec.compulsory_miss_rate, 1e-4)
-    return max(1, int(round(unique_per_block * num_blocks / rate)))
+    return max(1, int(round(UNIQUE_PER_BLOCK * num_blocks / rate)))
 
 
 class SyntheticTraceGenerator:
@@ -371,11 +359,10 @@ class SyntheticTraceGenerator:
         recent = self._recent_topics
         # Keep a short horizon of recent topics (a few dozen queries' worth).
         max_recent = max(8, int(30 * TOPICS_PER_QUERY))
+        cap = sampling.RESOLVE_DRAWS
         queries: List[np.ndarray] = []
         window = _WindowDraws()
-        # Pre-draw query sizes; at least one lookup per query.
-        sizes = rng.poisson(lam=self.spec.avg_lookups_per_query, size=num_queries)
-        for size in np.maximum(sizes, 1).tolist():
+        for size in poisson_query_sizes(rng, self.spec.avg_lookups_per_query, num_queries):
             if self._queries_in_window >= self.window_queries:
                 queries += self._resolve(window)
                 window = _WindowDraws()
@@ -408,7 +395,7 @@ class SyntheticTraceGenerator:
             window.counts.append(count)
             window.topic_picks.append(topic_picks)
             window.drawn += draw
-            if window.drawn >= _RESOLVE_DRAWS:
+            if window.drawn >= cap:
                 queries += self._resolve(window)
                 window = _WindowDraws()
         queries += self._resolve(window)
@@ -423,20 +410,19 @@ class SyntheticTraceGenerator:
 
     # ----------------------------------------------------------------- private
     def _resolve(self, window: "_WindowDraws") -> List[np.ndarray]:
-        """Turn one window's drawn uniforms into its queries' distinct ids.
+        """Turn the pending queries' uniforms into their distinct ids.
 
         A query's uniforms are its topic picks, slot by slot (as many for a
         slot as the slot assignment gave it), then its global picks: the order
-        in which a per-query loop would draw them.  Each law inverts all of its
-        uniforms in one search, one sort of (query, id, offset) keys keeps each
-        id's first occurrence in draw order, and each query is cut to its size.
+        in which a per-query loop would draw them.  Each law inverts all of
+        its uniforms in one search, into active-set indices, and
+        :func:`~repro.utils.sampling.resolve_queries` cuts each query.
         """
         num = len(window.sizes)
         if num == 0:
             return []
         uniforms = np.concatenate(window.uniforms)
         draws = np.fromiter(map(len, window.uniforms), np.int64, num)
-        sizes = np.array(window.sizes, dtype=np.int64)
         counts = np.array(window.counts, dtype=np.int64)
         topic_picks = np.array(window.topic_picks, dtype=np.int64)
 
@@ -444,58 +430,29 @@ class SyntheticTraceGenerator:
         # slot assignment made it, then its global picks.  Segment i draws
         # from law window.laws[i].
         segments = counts + 1
-        segment_start = np.cumsum(segments) - segments
-        slot_of_pick = np.repeat(segment_start, topic_picks)
+        segment_start = segments.cumsum() - segments
+        slot_of_pick = segment_start.repeat(topic_picks)
         if window.slots:
-            slot_of_pick[np.repeat(counts > 1, topic_picks)] += np.concatenate(window.slots)
+            slot_of_pick[(counts > 1).repeat(topic_picks)] += np.concatenate(window.slots)
         lengths = np.bincount(slot_of_pick, minlength=len(window.laws))
         lengths[segment_start + counts] = draws - topic_picks
         # (A one- or two-byte law index sorts by radix.)
         law_dtype = np.min_scalar_type(self.num_topics)
-        law = np.repeat(np.array(window.laws, dtype=law_dtype), lengths)
+        law = np.array(window.laws, dtype=law_dtype).repeat(lengths)
 
-        # Active-set index of every uniform: each law inverts its uniforms in
-        # one search, over sorted keys (a faster search, the same indices).
+        # Active-set index of every uniform, one law at a time.
         by_law = law.argsort(kind="stable")
-        bounds = np.concatenate(
-            ([0], np.cumsum(np.bincount(law, minlength=self.num_topics + 1)))
-        ).tolist()
+        bounds = [0] + np.bincount(law, minlength=self.num_topics + 1).cumsum().tolist()
         laws = self._topic_samplers + [(self._popularity_sampler, None)]
         picks = np.empty(uniforms.size, dtype=np.int64)
         for (sampler, members), start, stop in zip(laws, bounds[:-1], bounds[1:]):
             if stop == start:
                 continue
-            positions = by_law[start:stop]
-            keys = uniforms[positions]
-            ascending = keys.argsort()
-            drawn = sampler.invert(keys[ascending])
-            picks[positions[ascending]] = drawn if members is None else members[drawn]
-
-        # Each (query, id)'s first occurrence: the smallest of its sorted
-        # (query, id, offset in the query) keys.  At most _RESOLVE_DRAWS / 5
-        # queries keep the keys far inside int64.
-        query_of = np.repeat(np.arange(num), draws)
-        starts = np.cumsum(draws) - draws
-        span = int(draws.max())
-        keys = (query_of * self.active_set_size + picks) * span
-        keys += np.arange(uniforms.size) - starts[query_of]
-        keys.sort()
-        groups = keys // span
-        first = np.empty(uniforms.size, dtype=bool)
-        first[0] = True
-        np.not_equal(groups[1:], groups[:-1], out=first[1:])
-        firsts = keys[first]
-        keep = np.zeros(uniforms.size, dtype=bool)
-        keep[starts[firsts // (self.active_set_size * span)] + firsts % span] = True
-        kept = np.flatnonzero(keep)
-
-        # Cut each query's first occurrences, in draw order, to its size.
-        first_kept = kept.searchsorted(starts)
-        distinct = np.diff(np.append(first_kept, kept.size))
-        rank = np.arange(kept.size) - np.repeat(first_kept, distinct)
-        ids = self.active_ids[picks[kept[rank < np.repeat(sizes, distinct)]]]
-        ends = np.cumsum(np.minimum(distinct, sizes)).tolist()
-        return [ids[start:stop] for start, stop in zip([0] + ends[:-1], ends)]
+            at = by_law[start:stop]
+            drawn = invert_sorted(sampler, uniforms[at])
+            picks[at] = drawn if members is None else members[drawn]
+        sizes = np.array(window.sizes, dtype=np.int64)
+        return resolve_queries(picks, draws, sizes, self.active_ids)
 
 
 class _WindowDraws:

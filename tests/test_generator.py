@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.utils import sampling
 from repro.utils.sampling import first_occurrences
 from repro.workloads import (
     SyntheticTraceGenerator,
@@ -20,8 +21,12 @@ from repro.workloads import (
     scaled_table_specs,
 )
 from repro.workloads.tables_spec import TableSpec
-from repro.workloads import generator as generator_module
-from repro.workloads.generator import BURSTINESS, TOPIC_AFFINITY, TOPICS_PER_QUERY
+from repro.workloads.generator import (
+    BURSTINESS,
+    TOPIC_AFFINITY,
+    TOPICS_PER_QUERY,
+    UNIQUE_PER_BLOCK,
+)
 from repro.workloads.trace import Trace
 from tests.conftest import make_spec, trace_digest
 
@@ -29,21 +34,8 @@ from tests.conftest import make_spec, trace_digest
 class TestPaperShapedLookups:
     def test_density_formula(self):
         spec = make_spec(num_vectors=3200, compulsory=0.1)
-        lookups = paper_shaped_lookups(spec, vectors_per_block=32, unique_per_block=2.0)
-        assert lookups == pytest.approx(2.0 * 100 / 0.1, rel=0.01)
-
-    def test_monotone_in_density(self):
-        spec = make_spec()
-        assert paper_shaped_lookups(spec, unique_per_block=1.0) < paper_shaped_lookups(
-            spec, unique_per_block=3.0
-        )
-
-    @pytest.mark.parametrize("flag", [True, np.bool_(True)])
-    def test_rejects_a_boolean_density(self, flag):
-        # ``paper_shaped_lookups(spec, 32, True)`` used to compute with a
-        # density of 1.0, as if ``1`` had been passed.
-        with pytest.raises(TypeError, match="unique_per_block"):
-            paper_shaped_lookups(make_spec(), 32, flag)
+        lookups = paper_shaped_lookups(spec, vectors_per_block=32)
+        assert lookups == round(UNIQUE_PER_BLOCK * 100 / 0.1)
 
 
 class TestGeneratorStructure:
@@ -340,13 +332,29 @@ class TestGenerateMatchesPerQueryReference:
 
     @pytest.mark.parametrize("limit", [1, 60, 500])
     def test_windows_resolved_in_pieces(self, monkeypatch, limit):
-        monkeypatch.setattr(generator_module, "_RESOLVE_DRAWS", limit)
-        spec = make_spec(num_vectors=2048)
-        new = SyntheticTraceGenerator(spec, seed=3, expected_lookups=900)
-        reference = SyntheticTraceGenerator(spec, seed=3, expected_lookups=900)
-        for count in (50, new.window_queries * 2 - 50):
-            assert new.generate(count) == _reference_generate(reference, count)
-            self._assert_same_state(new, reference)
+        passes = []
+        resolve = SyntheticTraceGenerator._resolve
+
+        def recording(generator, window):
+            passes.append(len(window.sizes))
+            return resolve(generator, window)
+
+        def assert_matches_reference():
+            spec = make_spec(num_vectors=2048)
+            new = SyntheticTraceGenerator(spec, seed=3, expected_lookups=900)
+            reference = SyntheticTraceGenerator(spec, seed=3, expected_lookups=900)
+            for count in (50, new.window_queries * 2 - 50):
+                assert new.generate(count) == _reference_generate(reference, count)
+                self._assert_same_state(new, reference)
+
+        monkeypatch.setattr(SyntheticTraceGenerator, "_resolve", recording)
+        assert_matches_reference()
+        whole_windows = len(passes)
+        passes.clear()
+        monkeypatch.setattr(sampling, "RESOLVE_DRAWS", limit)
+        assert_matches_reference()
+        # The lower cap cuts the same windows into more resolve passes.
+        assert len(passes) > whole_windows
 
     def test_empty_topics_fall_back_to_the_window_law(self):
         spec = make_spec(num_vectors=8, avg_lookups=6.0)

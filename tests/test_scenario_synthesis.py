@@ -16,16 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.scenarios import ScenarioConfig
-from repro.scenarios import generators
 from repro.scenarios.config import COMMUNITY_SIZE, FLASH_START_FRACTION, SCENARIO_KINDS
 from repro.scenarios.generators import (
     QUERY_LOCALITY,
     _drift_trace,
     _flash_crowd_trace,
-    _query_sizes,
     _QueryLaw,
 )
-from repro.utils.sampling import first_occurrences
+from repro.utils import sampling
+from repro.utils.sampling import first_occurrences, poisson_query_sizes
 from repro.workloads.trace import Trace
 
 
@@ -58,7 +57,8 @@ def _reference_drift_trace(config: ScenarioConfig, rng: np.random.Generator) -> 
     shift = int(round(config.drift_rotation_per_epoch * config.num_vectors))
     start = int(round(config.drift_start_fraction * config.num_queries))
     queries = []
-    for index, size in enumerate(_query_sizes(config, rng)):
+    sizes = poisson_query_sizes(rng, config.avg_lookups_per_query, config.num_queries)
+    for index, size in enumerate(sizes):
         if index and index >= start and index % config.drift_epoch_queries == 0 and shift:
             law.rotate(shift)
         queries.append(law.draw_query(size))
@@ -71,7 +71,8 @@ def _reference_flash_crowd_trace(config: ScenarioConfig, rng: np.random.Generato
     start = int(round(FLASH_START_FRACTION * config.num_queries))
     end = start + int(round(config.flash_duration_fraction * config.num_queries))
     queries = []
-    for index, size in enumerate(_query_sizes(config, rng)):
+    sizes = poisson_query_sizes(rng, config.avg_lookups_per_query, config.num_queries)
+    for index, size in enumerate(sizes):
         ids = law.draw_query(size)
         if start <= index < end and config.flash_traffic_share > 0:
             diverted = rng.random(ids.size) < config.flash_traffic_share
@@ -96,6 +97,19 @@ def assert_matches_reference(config: ScenarioConfig, seed: int) -> Trace:
     assert all(query.dtype == np.int64 for query in trace.queries)
     assert new_rng.bit_generator.state == reference_rng.bit_generator.state
     return trace
+
+
+def record_resolve_passes(monkeypatch) -> List[int]:
+    """Patch ``_QueryLaw._resolve`` to record each pass's query count."""
+    batch_sizes: List[int] = []
+    resolve = _QueryLaw._resolve
+
+    def recording(law, pending):
+        batch_sizes.append(len(pending.sizes))
+        return resolve(law, pending)
+
+    monkeypatch.setattr(_QueryLaw, "_resolve", recording)
+    return batch_sizes
 
 
 def fraction(edges=(0.0, 1.0)):
@@ -141,14 +155,7 @@ class TestSynthesisMatchesPerQueryReference:
             num_vectors=2048,
             drift_epoch_queries=60,
         )
-        batch_sizes = []
-        resolve = _QueryLaw._resolve
-
-        def recording(law, pending):
-            batch_sizes.append(len(pending.sizes))
-            return resolve(law, pending)
-
-        monkeypatch.setattr(_QueryLaw, "_resolve", recording)
+        batch_sizes = record_resolve_passes(monkeypatch)
         assert_matches_reference(config, seed=3)
         closed = np.cumsum(batch_sizes)[:-1]
         assert closed.size >= 2
@@ -158,11 +165,17 @@ class TestSynthesisMatchesPerQueryReference:
     @pytest.mark.parametrize("limit", [1, 60, 500])
     @pytest.mark.parametrize("kind", SCENARIO_KINDS)
     def test_batches_resolved_in_pieces(self, monkeypatch, kind, limit):
-        monkeypatch.setattr(generators, "_RESOLVE_DRAWS", limit)
+        batch_sizes = record_resolve_passes(monkeypatch)
         config = ScenarioConfig(
             kind=kind, num_queries=150, num_vectors=130, drift_epoch_queries=7, seed=1
         )
         assert_matches_reference(config, seed=5)
+        uncapped = len(batch_sizes)
+        batch_sizes.clear()
+        monkeypatch.setattr(sampling, "RESOLVE_DRAWS", limit)
+        assert_matches_reference(config, seed=5)
+        # The lower cap cuts the same queries into more resolve passes.
+        assert len(batch_sizes) > uncapped
 
     @pytest.mark.parametrize(
         "overrides",

@@ -9,6 +9,9 @@ from repro.nvm.block import BlockLayout
 from repro.utils.sampling import (
     InverseCDFSampler,
     first_occurrences,
+    invert_sorted,
+    poisson_query_sizes,
+    resolve_queries,
     sample_queries_spatially,
     spatial_hash_sample_mask,
     zipf_probabilities,
@@ -240,6 +243,77 @@ class TestInverseCDFSampler:
     def test_construction_rejects_what_choice_rejected(self, bad):
         with pytest.raises(ValueError):
             InverseCDFSampler(np.array(bad, dtype=np.float64))
+
+
+@st.composite
+def pending_batches(draw):
+    """Queries' picks over a universe of 1-4096 positions, heavily duplicated.
+
+    Each query draws 1-60 picks from an alphabet of at most 12 positions, or
+    from the whole universe; its size may sit below, at or above the number
+    of distinct positions it drew.
+    """
+    universe = draw(st.one_of(st.sampled_from([1, 2, 4096]), st.integers(1, 4096)))
+    num = draw(st.one_of(st.just(1), st.integers(1, 30)))
+    parts, sizes = [], []
+    for _ in range(num):
+        alphabet = min(draw(st.sampled_from([1, 3, 12, universe])), universe)
+        low = draw(st.integers(0, universe - alphabet))
+        picks = draw(st.lists(st.integers(low, low + alphabet - 1), min_size=1, max_size=60))
+        parts.append(np.array(picks, dtype=np.int64))
+        sizes.append(draw(st.integers(1, len(picks) + 5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    ids = rng.permutation(universe).astype(np.int64) * 1_000_003 + 7
+    return parts, sizes, ids
+
+
+class TestResolveQueries:
+    """The batch resolver equals de-duplicating and cutting each query alone."""
+
+    @given(batch=pending_batches())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_query_first_occurrences(self, batch):
+        parts, sizes, ids = batch
+        resolved = resolve_queries(
+            np.concatenate(parts),
+            np.array([part.size for part in parts], dtype=np.int64),
+            np.array(sizes, dtype=np.int64),
+            ids,
+        )
+        assert len(resolved) == len(parts)
+        for query, part, size in zip(resolved, parts, sizes):
+            assert query.dtype == np.int64
+            np.testing.assert_array_equal(query, ids[first_occurrences(part)[:size]])
+
+
+class TestInvertSorted:
+    @given(law=laws(), seed=st.integers(0, 2**32), size=st.sampled_from([1, 2, 57, 3000]))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_invert(self, law, seed, size):
+        sampler = InverseCDFSampler(law)
+        uniforms = np.random.default_rng(seed).random(size)
+        inverted = invert_sorted(sampler, uniforms)
+        assert inverted.dtype == np.int64
+        np.testing.assert_array_equal(inverted, sampler.invert(uniforms))
+
+
+class TestPoissonQuerySizes:
+    @pytest.mark.parametrize("mean", [0.2, 3.0, 40.0])
+    def test_floors_the_poisson_stream_at_one(self, mean):
+        rng = np.random.default_rng(11)
+        reference = np.random.default_rng(11)
+        sizes = poisson_query_sizes(rng, mean, 500)
+        expected = np.maximum(reference.poisson(lam=mean, size=500), 1)
+        assert sizes == expected.tolist()
+        assert min(sizes) >= 1
+        # The stream is left where one joined ``poisson`` call leaves it.
+        assert rng.random() == reference.random()
+
+    def test_returns_python_ints(self):
+        sizes = poisson_query_sizes(np.random.default_rng(0), 5.0, 20)
+        assert isinstance(sizes, list) and len(sizes) == 20
+        assert all(type(size) is int for size in sizes)
+        assert poisson_query_sizes(np.random.default_rng(0), 5.0, 0) == []
 
 
 class TestFirstOccurrences:
