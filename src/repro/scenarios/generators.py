@@ -28,7 +28,9 @@ Synthesis draws per query and resolves per batch, as
 :mod:`repro.utils.sampling` describes (the per-query loop is the oracle in
 ``tests/test_scenario_synthesis.py``).  A query's draws, in order: the
 community uniform, the community members (``integers(COMMUNITY_SIZE,
-size=k)``), then one ``random(draw)`` call for the global picks.  A drift
+size=k)``, made as ``random(k, dtype=float32)`` and scaled in the resolve
+pass, the same values and state because :data:`COMMUNITY_SIZE` is a power of
+two), then one ``random(draw)`` call for the global picks.  A drift
 rotation is not applied to the ranking: each query records its offset into
 it, so a batch may span several rotations.  Inside the flash window a query's
 diversion draws depend on how many distinct ids it kept, so there each query
@@ -48,6 +50,7 @@ from repro.utils.rng import ensure_rng
 from repro.utils.sampling import (
     InverseCDFSampler,
     first_occurrences,
+    integers_below,
     invert_sorted,
     poisson_query_sizes,
     resolve_queries,
@@ -105,7 +108,7 @@ class _QueryLaw:
         :data:`~repro.utils.sampling.RESOLVE_DRAWS` picks are pending, and at
         the end.
         """
-        random, integers = self.rng.random, self.rng.integers
+        random = self.rng.random
         cap = sampling.RESOLVE_DRAWS
         queries: List[np.ndarray] = []
         pending = _PendingQueries()
@@ -113,7 +116,7 @@ class _QueryLaw:
             within = int(round(size * QUERY_LOCALITY))
             if within:
                 pending.community.append(random())
-                pending.members.append(integers(COMMUNITY_SIZE, size=within))
+                pending.members.append(random(within, dtype=np.float32))
             rest = size - within
             draw = max(rest + 2, int(round(rest * 1.2))) if rest else 0
             if draw:
@@ -143,15 +146,17 @@ class _QueryLaw:
         picks = within + np.array(pending.draws, dtype=np.int64)
 
         # Rank position of every pick: a community's span start plus the
-        # member drawn, or the global law's rank.  (Every query picks at
-        # least once: a one-lookup query rounds to one community pick.)
+        # member drawn (its float32 uniform scaled to COMMUNITY_SIZE), or the
+        # global law's rank.  (Every query picks at least once: a one-lookup
+        # query rounds to one community pick.)
         in_query = np.arange(picks.sum()) - (picks.cumsum() - picks).repeat(picks)
         from_community = in_query < within.repeat(picks)
         positions = np.empty(in_query.size, dtype=np.int64)
         if pending.community:
             community = invert_sorted(self._community_sampler, np.array(pending.community))
             spans = (community * COMMUNITY_SIZE).repeat(within[within > 0])
-            positions[from_community] = spans + np.concatenate(pending.members)
+            members = np.concatenate(pending.members) * COMMUNITY_SIZE
+            positions[from_community] = spans + members.astype(np.int64)
         if pending.uniforms:
             positions[~from_community] = invert_sorted(
                 self._rank_sampler, np.concatenate(pending.uniforms)
@@ -179,7 +184,8 @@ class _PendingQueries:
         self.draws: List[int] = []
         #: Ranking offset of each query (its drift rotation).
         self.offsets: List[int] = []
-        #: The community uniform and members of each query with community picks.
+        #: The community uniform and members (float32 uniforms) of each query
+        #: with community picks.
         self.community: List[float] = []
         self.members: List[np.ndarray] = []
         #: The global uniforms of each query with global picks.
@@ -217,7 +223,7 @@ def _flash_crowd_trace(config: ScenarioConfig, rng: np.random.Generator) -> Trac
         ids = law.queries([size])[0]
         diverted = rng.random(ids.size) < config.flash_traffic_share
         if diverted.any():
-            replacements = crowd[rng.integers(crowd.size, size=int(diverted.sum()))]
+            replacements = crowd[integers_below(rng, crowd.size, int(diverted.sum()))]
             ids[diverted] = replacements
             # Re-de-duplicate after the diversion (keep first occurrences).
             ids = first_occurrences(ids)

@@ -26,13 +26,26 @@ would:
 
 :class:`InverseCDFSampler` makes the split exact: ``invert(rng.random(size))``
 is ``Generator.choice(n, size, p=law)``, so uniforms drawn now and inverted
-later give the same indices.  The rest rests on two properties of NumPy's
+later give the same indices.  The rest rests on three properties of NumPy's
 ``Generator``, pinned by name in ``tests/test_generator.py``
-(``TestStreamFacts``): consecutive ``random`` calls return the same values and
-leave the same state as one joined call, and ``integers(0, 1, size=k)``
-consumes nothing.  :func:`first_occurrences` is the draw-order de-duplication
-the flash-crowd generator applies to a query after diverting some of its
-lookups.
+(``TestStreamFacts``):
+
+* consecutive ``random`` calls return the same values and leave the same
+  state as one joined call;
+* ``integers(0, 1, size=k)`` consumes nothing;
+* for ``n = 2**j`` with ``1 <= j <= 24``, ``integers(n, size=k)`` equals
+  ``floor(random(k, dtype=float32) * n)`` and leaves the same state.  Both
+  take one 32-bit word per element: Lemire's multiply-shift (Lemire, "Fast
+  Random Integer Generation in an Interval", ACM TOMACS 2019) never rejects
+  a power-of-two range and keeps the word's top ``j`` bits, and a float32
+  uniform is the word's top 24 bits times ``2**-24``.  So such a draw can
+  be one ``random`` call (:func:`integers_below`), without the Python-level
+  ``np.prod`` that ``integers(..., size=k)`` runs on every call, or kept as
+  uniforms and scaled in the resolve pass.
+
+Counter-based draws (ROADMAP item 24(b)) would retire all three.
+:func:`first_occurrences` is the draw-order de-duplication the flash-crowd
+generator applies to a query after diverting some of its lookups.
 """
 
 from __future__ import annotations
@@ -41,7 +54,11 @@ from typing import TYPE_CHECKING, List, Sequence, Union
 
 import numpy as np
 
-from repro.utils.validation import check_fraction, check_positive
+from repro.utils.validation import (
+    check_fraction,
+    check_int_at_least,
+    check_non_negative,
+)
 
 if TYPE_CHECKING:
     from repro.nvm.block import BlockLayout
@@ -184,6 +201,23 @@ class InverseCDFSampler:
 RESOLVE_DRAWS = 1 << 13
 
 
+#: Widest power-of-two range :func:`integers_below` draws through float32
+#: uniforms: a float32 uniform carries 24 random bits.
+_FLOAT32_RANGE = 1 << 24
+
+
+def integers_below(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
+    """``rng.integers(n, size=size)``: the same values, leaving the same state.
+
+    A power-of-two ``n`` from 2 to ``2**24`` is drawn as
+    ``random(size, dtype=float32) * n`` (the third stream fact above), one
+    NumPy call; any other ``n`` goes to ``integers``.
+    """
+    if 1 < n <= _FLOAT32_RANGE and n & (n - 1) == 0:
+        return (rng.random(size, dtype=np.float32) * n).astype(np.int64)
+    return rng.integers(n, size=size)
+
+
 def poisson_query_sizes(rng: np.random.Generator, mean: float, count: int) -> List[int]:
     """``count`` Poisson(``mean``) query sizes, each at least one lookup."""
     return np.maximum(rng.poisson(lam=mean, size=count), 1).tolist()
@@ -256,9 +290,8 @@ def zipf_probabilities(n: int, alpha: float) -> np.ndarray:
     concentrates mass on the most popular ranks.  The vector is normalised to
     sum to one.
     """
-    check_positive(n, "n")
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    ranks = np.arange(1, int(n) + 1, dtype=np.float64)
+    n = check_int_at_least(n, 1, "n")
+    check_non_negative(alpha, "alpha")
+    ranks = np.arange(1, n + 1, dtype=np.float64)
     weights = ranks ** (-float(alpha))
     return weights / weights.sum()

@@ -47,10 +47,11 @@ Everything is driven by explicit seeds so traces are reproducible.
 Synthesis draws per query and resolves per batch, as
 :mod:`repro.utils.sampling` describes.  A query's draws, in order: topic
 count, topic choices, the topic/global split of its picks, the slot
-assignment of its topic picks (skipped for a one-topic query, where it would
-consume nothing), and one ``random(draw)`` call for all of its uniforms.  A
-batch is also resolved at each window boundary, before the window's laws are
-replaced.
+assignment of its topic picks (``integers(count, size=k)``, through
+:func:`~repro.utils.sampling.integers_below`; skipped for a one-topic query,
+where it would consume nothing), and one ``random(draw)`` call for all of its
+uniforms.  A batch is also resolved at each window boundary, before the
+window's laws are replaced.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ import numpy as np
 from repro.utils import sampling
 from repro.utils.sampling import (
     InverseCDFSampler,
+    integers_below,
     invert_sorted,
     poisson_query_sizes,
     resolve_queries,
@@ -389,7 +391,7 @@ class SyntheticTraceGenerator:
             # A query with one topic puts every topic pick on it; drawing
             # that assignment would consume nothing.
             if topic_picks and count > 1:
-                window.slots.append(rng.integers(0, count, size=topic_picks))
+                window.slots.append(integers_below(rng, count, topic_picks))
             window.uniforms.append(random(draw))
             window.sizes.append(size)
             window.counts.append(count)

@@ -366,11 +366,12 @@ class TestGenerateMatchesPerQueryReference:
 
 
 class TestStreamFacts:
-    """The two properties of NumPy's ``Generator`` that ``generate`` relies on.
+    """The three properties of NumPy's ``Generator`` that synthesis relies on.
 
-    The per-query loop draws only; a window's uniforms are inverted later.  That
-    is the same stream only while these hold, so a NumPy upgrade that breaks
-    either one fails here by name rather than as a changed digest.
+    The per-query loop draws only; a window's uniforms are inverted later, and
+    power-of-two integer draws are made as float32 uniforms.  That is the same
+    stream only while these hold, so a NumPy upgrade that breaks any one fails
+    here by name rather than as a changed digest.
     """
 
     @pytest.mark.parametrize("seed", [0, 7, 12345])
@@ -397,6 +398,33 @@ class TestStreamFacts:
         before = rng.bit_generator.state
         assert rng.integers(0, 1, size=size).tolist() == [0] * size
         assert rng.bit_generator.state == before
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        calls=st.lists(
+            st.tuples(st.integers(1, 24), st.integers(0, 64), st.integers(0, 5)),
+            min_size=1,
+            max_size=8,
+        ),
+        half_buffered=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_power_of_two_integers_are_float32_uniforms(self, seed, calls, half_buffered):
+        # Each call draws integers(2**j, size=k), then `between` float64
+        # uniforms, on one stream; the other stream scales float32 uniforms.
+        integers_rng = np.random.default_rng(seed)
+        uniforms_rng = np.random.default_rng(seed)
+        if half_buffered:
+            for rng in (integers_rng, uniforms_rng):
+                rng.integers(5)
+        for bits, size, between in calls:
+            drawn = integers_rng.integers(2**bits, size=size)
+            scaled = uniforms_rng.random(size, dtype=np.float32) * 2**bits
+            np.testing.assert_array_equal(drawn, scaled.astype(np.int64))
+            np.testing.assert_array_equal(
+                integers_rng.random(between), uniforms_rng.random(between)
+            )
+        assert integers_rng.bit_generator.state == uniforms_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------- seeded golden

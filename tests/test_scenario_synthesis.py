@@ -85,6 +85,14 @@ def _reference_flash_crowd_trace(config: ScenarioConfig, rng: np.random.Generato
     return Trace(queries, config.num_vectors)
 
 
+def test_community_size_is_a_float32_power_of_two():
+    # The generator draws community members as float32 uniforms scaled by
+    # COMMUNITY_SIZE, which is integers(COMMUNITY_SIZE, size=k) only for a
+    # power of two no larger than 2**24.
+    assert 2 <= COMMUNITY_SIZE <= 2**24
+    assert COMMUNITY_SIZE & (COMMUNITY_SIZE - 1) == 0
+
+
 NEW = {"drift": _drift_trace, "flash-crowd": _flash_crowd_trace}
 REFERENCE = {"drift": _reference_drift_trace, "flash-crowd": _reference_flash_crowd_trace}
 
@@ -133,7 +141,8 @@ def scenario_configs(draw):
         flash_duration_fraction=draw(
             st.floats(0.0, 1.0 - FLASH_START_FRACTION) | st.just(1.0 - FLASH_START_FRACTION)
         ),
-        flash_crowd_ids=draw(st.integers(1, num_vectors)),
+        # Power-of-two crowds draw their diversions as float32 uniforms.
+        flash_crowd_ids=draw(st.sampled_from([1, 2, 64]) | st.integers(1, num_vectors)),
         flash_traffic_share=draw(fraction()),
     )
 
