@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import _bootstrap  # noqa: F401  (sys.path setup: run benchmarks from the repo root)
 
-import numpy as np
 import pytest
 
 from benchmarks.common import BENCH_SCALE, build_bundle
@@ -41,12 +40,9 @@ def embedding_values(bundle):
         if name not in cache:
             workload = bundle[name]
             values = synthesize_topic_vectors(
-                workload.generator.topic_of(), dim=dim, noise=0.45, seed=7,
-                dtype=np.float16,
+                workload.generator.topic_of(), dim=dim, noise=0.45, seed=7
             )
-            cache[name] = EmbeddingTable(
-                name, workload.spec.num_vectors, dim=dim, dtype=np.float16, values=values
-            )
+            cache[name] = EmbeddingTable(name, workload.spec.num_vectors, dim=dim, values=values)
         return cache[name]
 
     return build

@@ -83,7 +83,7 @@ def check_ranking_agreement(store, ranking_model, eval_trace, num_requests=32):
 
 def main() -> None:
     specs, train_trace, eval_trace, embedding_model = build_workload()
-    ranking_model = RecommendationModel(embedding_model, hidden_dims=(64, 32), seed=0)
+    ranking_model = RecommendationModel(embedding_model)
 
     working_set = sum(t.unique_vectors().size for t in eval_trace.tables.values())
     store = BandanaStore.build(

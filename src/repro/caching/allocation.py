@@ -13,7 +13,7 @@ of optimizing the total hit rate").
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping
 
 from repro.caching.stack_distance import HitRateCurve
 from repro.utils.validation import check_int_at_least
@@ -22,9 +22,11 @@ from repro.utils.validation import check_int_at_least
 def allocate_dram_budget(
     curves: Mapping[str, HitRateCurve],
     total_vectors: int,
-    chunk_vectors: Optional[int] = None,
 ) -> Dict[str, int]:
     """Split a DRAM budget (in vectors) across tables to maximise total hits.
+
+    The greedy hands the budget out in chunks of 1 % of it (at least one
+    vector).
 
     Parameters
     ----------
@@ -37,9 +39,6 @@ def allocate_dram_budget(
         (Vector sizes are uniform across the paper's tables, so vectors are a
         faithful budget unit; callers with heterogeneous vector sizes should
         convert to the smallest common unit first.)
-    chunk_vectors:
-        Granularity of the greedy allocation (an integer >= 1); defaults to
-        1 % of the budget.
 
     Returns
     -------
@@ -49,9 +48,7 @@ def allocate_dram_budget(
     total_vectors = check_int_at_least(total_vectors, 1, "total_vectors")
     if not curves:
         raise ValueError("curves must not be empty")
-    if chunk_vectors is None:
-        chunk_vectors = max(1, total_vectors // 100)
-    chunk_vectors = check_int_at_least(chunk_vectors, 1, "chunk_vectors")
+    chunk_vectors = max(1, total_vectors // 100)
 
     allocation = {name: 0 for name in curves}
     remaining = total_vectors

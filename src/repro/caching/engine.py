@@ -326,23 +326,15 @@ def replay_table_cache_batched(
     policy: PrefetchPolicy,
     cache_size: Optional[int] = None,
     vector_bytes: int = 128,
-    device: Optional[NVMLatencyModel] = None,
-    stats: Optional[ReplayStats] = None,
 ) -> ReplayStats:
     """Batched drop-in for :func:`repro.caching.replay.replay_table_cache`.
 
     Produces bit-identical :class:`~repro.caching.replay.ReplayStats` to the
-    reference loop.  To keep serving across calls, keep a
+    reference loop on a fresh cache.  To price block reads on a device,
+    continue a stats object or keep serving across calls, keep a
     :class:`BatchReplayEngine` and call its ``replay``.
     """
-    engine = BatchReplayEngine(
-        layout,
-        policy,
-        cache_size=cache_size,
-        vector_bytes=vector_bytes,
-        device=device,
-        stats=stats,
-    )
+    engine = BatchReplayEngine(layout, policy, cache_size=cache_size, vector_bytes=vector_bytes)
     return engine.replay(queries)
 
 

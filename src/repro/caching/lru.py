@@ -147,9 +147,6 @@ class OrderedLRUCache:
         # Resident keys, least recently used first.
         self._entries: "OrderedDict[int, None]" = OrderedDict()
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def __contains__(self, key: int) -> bool:
         return key in self._entries
 

@@ -89,16 +89,15 @@ class ReplayStats:
             return 0.0
         return self.app_bytes / self.nvm_bytes
 
-    def counters(self, include_latency: bool = False) -> tuple:
+    def counters(self) -> tuple:
         """The counter fields as one comparable tuple.
 
         This is the tuple every equivalence check in the repository (tests
         and benchmarks) compares, so a counter added to this class is
-        picked up by all of them at once.  ``include_latency`` appends
-        ``total_latency_us`` for comparisons where both sides model the
-        same device.
+        picked up by all of them at once.  Where both sides model the same
+        device, compare ``total_latency_us`` beside it.
         """
-        values = (
+        return (
             self.lookups,
             self.hits,
             self.misses,
@@ -107,9 +106,6 @@ class ReplayStats:
             self.prefetch_evicted_unused,
             self.evictions,
         )
-        if include_latency:
-            values += (self.total_latency_us,)
-        return values
 
     def merge(self, other: "ReplayStats") -> "ReplayStats":
         """Return the element-wise sum of two stats objects (same geometry)."""

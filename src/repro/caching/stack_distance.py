@@ -44,6 +44,9 @@ from repro.workloads.trace import Trace
 #: Marker used for compulsory (first-time) accesses, which hit in no finite cache.
 COLD_MISS = -1
 
+#: Default evaluation points of a hit-rate curve (before duplicates drop out).
+CURVE_POINTS = 50
+
 
 def _earlier_greater_counts(ranks: np.ndarray) -> np.ndarray:
     """``#{j < i : ranks[j] > ranks[i]}`` for every ``i`` of a permutation of ``0..m-1``.
@@ -171,7 +174,6 @@ class HitRateCurve:
 def hit_rate_curve(
     source: Union[Trace, np.ndarray, Sequence[int]],
     cache_sizes: Optional[Sequence[int]] = None,
-    num_points: int = 50,
 ) -> HitRateCurve:
     """Compute the LRU hit-rate curve of a trace or raw id stream.
 
@@ -182,16 +184,14 @@ def hit_rate_curve(
         flattened in request order) or a 1-D stream of integer ids.
     cache_sizes:
         Cache sizes (in vectors, integers ``>= 0``) at which to evaluate the
-        curve.  Defaults to ``num_points`` sizes spread geometrically up to
-        the number of distinct vectors in the stream.
-    num_points:
-        Number of default evaluation points when ``cache_sizes`` is omitted.
+        curve.  Defaults to :data:`CURVE_POINTS` sizes spread geometrically
+        up to the number of distinct vectors in the stream (fewer where
+        small sizes coincide as integers).
     """
     if isinstance(source, Trace):
         stream = source.flatten()
     else:
         stream = check_array_1d_ints(source, "id_stream")
-    check_int_at_least(num_points, 0, "num_points")
     if cache_sizes is not None:
         sizes = np.asarray(
             sorted(
@@ -209,7 +209,7 @@ def hit_rate_curve(
     _, distances = _warm_stack_distances(stream)
     if cache_sizes is None:
         distinct = total - distances.size  # one cold miss per distinct id
-        sizes = np.unique(np.geomspace(1, distinct, num=num_points).astype(np.int64))
+        sizes = np.unique(np.geomspace(1, distinct, num=CURVE_POINTS).astype(np.int64))
 
     # Hits at size c = warm accesses with distance <= c (distances run 1..distinct).
     hits_up_to = np.bincount(distances, minlength=1).cumsum()

@@ -30,18 +30,23 @@ Architecture
 
 Failure-scenario catalog
 ------------------------
-``make_scenario(name, num_nodes, **overrides)`` instantiates (an override
-no catalog scenario takes raises ``ValueError``):
+``make_scenario(name, num_nodes, **overrides)`` instantiates (the
+overrides are the window, ``start_s`` and ``duration_s``, and the swept
+severities below; any other key raises ``ValueError``):
 
 ========================  ====================================================
 ``"none"``                healthy cluster — the baseline row of every sweep
-``"crash_recover"``       one node down for a window, then cold-restarts
-``"slow_node"``           one node serves ``multiplier``× slower (default 20×)
-``"flaky_link"``          one link adds delay and drops attempts
-                          (default +200 µs, 5 % loss)
-``"degraded_cluster"``    compound: a crash, a slow node and a flaky link
-                          at once
+``"crash_recover"``       node 0 down for a window, then cold-restarts
+``"slow_node"``           node 0 serves ``multiplier``× slower (default 20×)
+``"flaky_link"``          node 0's link adds 200 µs and drops attempts
+                          (``loss_prob``, default 5 %)
+``"degraded_cluster"``    compound: node 0 crashes, node 1 slows 8×, node
+                          2's link adds 100 µs and drops 2 %, all at once
 ========================  ====================================================
+
+A fault on another node is an explicit
+:class:`~repro.cluster.faults.FaultSchedule`, which ``run_scenario`` takes
+in place of a name.
 
 Example
 -------

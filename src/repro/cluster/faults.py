@@ -221,30 +221,45 @@ class FaultSchedule:
 
 
 # ------------------------------------------------------------------- catalog
+#: The node a single-node scenario strikes (the cluster's first).
+TARGET_NODE = 0
+#: ``flaky_link``'s added delay, each way, in µs.
+FLAKY_LINK_DELAY_US = 200.0
+#: ``degraded_cluster``'s severities: node 1's slowdown, and node 2's link
+#: delay (each way, µs) and loss.
+DEGRADED_MULTIPLIER = 8.0
+DEGRADED_DELAY_US = 100.0
+DEGRADED_LOSS_PROB = 0.02
+
+
 def _scenario_none(num_nodes: int, **_: float) -> FaultSchedule:
     return FaultSchedule(())
 
 
 def _scenario_crash_recover(
-    num_nodes: int,
-    start_s: float = 0.2,
-    duration_s: float = 0.4,
-    node: int = 0,
-    **_: float,
+    num_nodes: int, start_s: float = 0.2, duration_s: float = 0.4, **_: float
 ) -> FaultSchedule:
-    return FaultSchedule([NodeCrash(node=node, start_s=start_s, end_s=start_s + duration_s)])
+    return FaultSchedule(
+        [NodeCrash(node=TARGET_NODE, start_s=start_s, end_s=start_s + duration_s)]
+    )
 
 
 def _scenario_slow_node(
     num_nodes: int,
     start_s: float = 0.2,
     duration_s: float = 0.6,
-    node: int = 0,
     multiplier: float = 20.0,
     **_: float,
 ) -> FaultSchedule:
     return FaultSchedule(
-        [SlowNode(node=node, start_s=start_s, end_s=start_s + duration_s, multiplier=multiplier)]
+        [
+            SlowNode(
+                node=TARGET_NODE,
+                start_s=start_s,
+                end_s=start_s + duration_s,
+                multiplier=multiplier,
+            )
+        ]
     )
 
 
@@ -252,18 +267,16 @@ def _scenario_flaky_link(
     num_nodes: int,
     start_s: float = 0.2,
     duration_s: float = 0.6,
-    node: int = 0,
-    extra_delay_us: float = 200.0,
     loss_prob: float = 0.05,
     **_: float,
 ) -> FaultSchedule:
     return FaultSchedule(
         [
             DegradedLink(
-                node=node,
+                node=TARGET_NODE,
                 start_s=start_s,
                 end_s=start_s + duration_s,
-                extra_delay_us=extra_delay_us,
+                extra_delay_us=FLAKY_LINK_DELAY_US,
                 loss_prob=loss_prob,
             )
         ]
@@ -271,29 +284,23 @@ def _scenario_flaky_link(
 
 
 def _scenario_degraded_cluster(
-    num_nodes: int,
-    start_s: float = 0.2,
-    duration_s: float = 0.6,
-    multiplier: float = 8.0,
-    extra_delay_us: float = 100.0,
-    loss_prob: float = 0.02,
-    **_: float,
+    num_nodes: int, start_s: float = 0.2, duration_s: float = 0.6, **_: float
 ) -> FaultSchedule:
     """The compound scenario: one node crashes, one slows, one link degrades."""
     end_s = start_s + duration_s
     events: List[FaultEvent] = [NodeCrash(node=0, start_s=start_s, end_s=end_s)]
     if num_nodes > 1:
         events.append(
-            SlowNode(node=1 % num_nodes, start_s=start_s, end_s=end_s, multiplier=multiplier)
+            SlowNode(node=1, start_s=start_s, end_s=end_s, multiplier=DEGRADED_MULTIPLIER)
         )
     if num_nodes > 2:
         events.append(
             DegradedLink(
-                node=2 % num_nodes,
+                node=2,
                 start_s=start_s,
                 end_s=end_s,
-                extra_delay_us=extra_delay_us,
-                loss_prob=loss_prob,
+                extra_delay_us=DEGRADED_DELAY_US,
+                loss_prob=DEGRADED_LOSS_PROB,
             )
         )
     return FaultSchedule(events)
@@ -312,10 +319,14 @@ SCENARIOS: Dict[str, Callable[..., FaultSchedule]] = {
 def make_scenario(name: str, num_nodes: int, **overrides: float) -> FaultSchedule:
     """Instantiate a named scenario from the catalog.
 
-    ``overrides`` tune the scenario's knobs (window, target node, severity).
-    A key that only *other* scenarios use is ignored, so one sweep loop can
-    drive every scenario with a common parameter set; a key that no catalog
-    scenario uses (a typo such as ``duraton_s``) raises ``ValueError``.
+    ``overrides`` tune the scenario's window (``start_s``, ``duration_s``)
+    and severity (``slow_node``'s ``multiplier``, ``flaky_link``'s
+    ``loss_prob``); the struck nodes and the other severities are the
+    module's constants.  A key that only *other* scenarios use is ignored,
+    so one sweep loop can drive every scenario with a common parameter set;
+    a key that no catalog scenario uses (a typo such as ``duraton_s``)
+    raises ``ValueError``.  For another target, build a
+    :class:`FaultSchedule`.
     """
     check_int_at_least(num_nodes, 1, "num_nodes")
     try:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -107,12 +107,3 @@ class ConsistentHashRing:
                 f"{table_name}:block{block}", effective
             )
         return owners
-
-    # ------------------------------------------------------------- diagnostics
-    def ownership_shares(
-        self, table_name: str, num_blocks: int, replication: int = 1
-    ) -> Dict[int, int]:
-        """Blocks-served count per node (over all replica slots) for a table."""
-        owners = self.block_owners(table_name, num_blocks, replication)
-        counts = np.bincount(owners.ravel(), minlength=len(self.node_names))
-        return {node: int(count) for node, count in enumerate(counts)}

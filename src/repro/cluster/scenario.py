@@ -61,9 +61,10 @@ def run_scenario(
     num_requests:
         Optional cap on the measured request stream; must be ``>= 0``.
     scenario_overrides:
-        Extra knobs forwarded to the scenario factory (window, target node,
-        severity).  An explicit schedule takes none: passing any raises
-        ``ValueError``.
+        Knobs forwarded to the scenario factory: the window (``start_s``,
+        ``duration_s``) and the swept severity (``multiplier``,
+        ``loss_prob``); see :func:`~repro.cluster.faults.make_scenario`.
+        An explicit schedule takes none: passing any raises ``ValueError``.
     warmup_requests:
         Requests (``>= 0``) replayed sequentially (and excluded from every
         reported number) before the measured run, after which the cluster's

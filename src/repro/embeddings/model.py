@@ -16,7 +16,14 @@ import numpy as np
 
 from repro.embeddings.table import EmbeddingTable
 from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_positive
+
+#: Sizes of the dense network's hidden layers.
+HIDDEN_DIMS = (64, 32)
+#: Width of a request's dense (not embedded) features; the examples' requests
+#: carry none, so the network sees zeros there.
+DENSE_DIM = 16
+#: Seed of the dense-parameter initialisation.
+MODEL_SEED = 0
 
 
 class EmbeddingModel:
@@ -77,32 +84,18 @@ class RecommendationModel:
     ----------
     embedding_model:
         The sparse parameters (embedding tables).
-    hidden_dims:
-        Sizes of the dense hidden layers.
-    dense_dim:
-        Dimensionality of the request's dense features (user context that is
-        not embedded); zeros are used if a request does not supply them.
-    seed:
-        Seed for the dense-parameter initialisation.
+
+    The network's shape and initialisation are :data:`HIDDEN_DIMS`,
+    :data:`DENSE_DIM` and :data:`MODEL_SEED`.
     """
 
-    def __init__(
-        self,
-        embedding_model: EmbeddingModel,
-        hidden_dims: Iterable[int] = (64, 32),
-        dense_dim: int = 16,
-        seed: int = 0,
-    ) -> None:
-        check_positive(dense_dim, "dense_dim")
+    def __init__(self, embedding_model: EmbeddingModel) -> None:
         self.embedding_model = embedding_model
-        self.dense_dim = int(dense_dim)
-        input_dim = (
-            sum(table.dim for _, table in embedding_model.items()) + self.dense_dim
-        )
-        if input_dim == self.dense_dim:
+        input_dim = sum(table.dim for _, table in embedding_model.items()) + DENSE_DIM
+        if input_dim == DENSE_DIM:
             raise ValueError("embedding_model must contain at least one table")
-        rng = ensure_rng(seed)
-        dims = [input_dim] + [int(d) for d in hidden_dims] + [1]
+        rng = ensure_rng(MODEL_SEED)
+        dims = [input_dim, *HIDDEN_DIMS, 1]
         self._weights = []
         self._biases = []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -115,10 +108,9 @@ class RecommendationModel:
     def score(
         self,
         request: Mapping[str, Iterable[int]],
-        dense_features: Optional[np.ndarray] = None,
         pooled: Optional[np.ndarray] = None,
     ) -> float:
-        """Click-probability score for one request.
+        """Click-probability score for one request (dense features all zero).
 
         ``pooled`` lets a caller that already gathered the embeddings (e.g.
         through a :class:`~repro.core.bandana.BandanaStore`) supply the pooled
@@ -128,15 +120,7 @@ class RecommendationModel:
         if pooled is None:
             pooled = self.embedding_model.pooled_features(request)
         pooled = np.asarray(pooled, dtype=np.float32)
-        if dense_features is None:
-            dense_features = np.zeros(self.dense_dim, dtype=np.float32)
-        dense_features = np.asarray(dense_features, dtype=np.float32)
-        if dense_features.shape != (self.dense_dim,):
-            raise ValueError(
-                f"dense_features must have shape ({self.dense_dim},), "
-                f"got {dense_features.shape}"
-            )
-        activations = np.concatenate([pooled, dense_features])
+        activations = np.concatenate([pooled, np.zeros(DENSE_DIM, dtype=np.float32)])
         for index, (weights, bias) in enumerate(zip(self._weights, self._biases)):
             activations = activations @ weights + bias
             if index < len(self._weights) - 1:

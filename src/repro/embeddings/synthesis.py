@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.embeddings.table import VECTOR_DTYPE
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_non_negative, check_positive
 
@@ -27,7 +28,6 @@ def synthesize_topic_vectors(
     dim: int = 64,
     noise: float = 0.5,
     seed: int = 0,
-    dtype: np.dtype = np.float16,
 ) -> np.ndarray:
     """Create embedding values clustered around per-topic centroids.
 
@@ -43,12 +43,11 @@ def synthesize_topic_vectors(
         centroid, relative to the centroids' own (unit) standard deviation.
     seed:
         Random seed.
-    dtype:
-        Output dtype (fp16 matches the paper's tables).
 
     Returns
     -------
-    numpy.ndarray of shape ``(len(topic_of), dim)``.
+    numpy.ndarray of shape ``(len(topic_of), dim)``, of the tables' element
+    dtype (:data:`~repro.embeddings.table.VECTOR_DTYPE`).
     """
     check_positive(dim, "dim")
     check_non_negative(noise, "noise")
@@ -66,4 +65,4 @@ def synthesize_topic_vectors(
         active = topic_of >= 0
         scatter = rng.normal(scale=noise, size=(int(active.sum()), dim))
         values[active] = centroids[topic_of[active]] + scatter
-    return values.astype(dtype)
+    return values.astype(VECTOR_DTYPE)

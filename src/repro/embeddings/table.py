@@ -15,6 +15,10 @@ import numpy.typing as npt
 
 from repro.utils.validation import check_array_1d_ints, check_positive
 
+#: Element dtype of every table: fp16, so the paper's 64 elements make a 128 B
+#: vector.
+VECTOR_DTYPE = np.dtype(np.float16)
+
 
 class EmbeddingTable:
     """A single embedding table stored as a dense ``(num_vectors, dim)`` matrix.
@@ -27,11 +31,10 @@ class EmbeddingTable:
         Number of embedding vectors (the table's sparse-id cardinality).
     dim:
         Elements per vector (64 in the paper).
-    dtype:
-        Element dtype; fp16 matches the paper's 128 B vectors.
     values:
-        Optional initial values of shape ``(num_vectors, dim)``.  When omitted
-        the table starts at zero (as before training).
+        Optional initial values of shape ``(num_vectors, dim)``, stored as
+        :data:`VECTOR_DTYPE`.  When omitted the table starts at zero (as
+        before training).
     """
 
     def __init__(
@@ -39,7 +42,6 @@ class EmbeddingTable:
         name: str,
         num_vectors: int,
         dim: int = 64,
-        dtype: npt.DTypeLike = np.float16,
         values: Optional[np.ndarray] = None,
     ) -> None:
         check_positive(num_vectors, "num_vectors")
@@ -47,9 +49,8 @@ class EmbeddingTable:
         self.name = str(name)
         self.num_vectors = int(num_vectors)
         self.dim = int(dim)
-        self.dtype = np.dtype(dtype)
         if values is None:
-            self._values = np.zeros((self.num_vectors, self.dim), dtype=self.dtype)
+            self._values = np.zeros((self.num_vectors, self.dim), dtype=VECTOR_DTYPE)
         else:
             values = np.asarray(values)
             if values.shape != (self.num_vectors, self.dim):
@@ -57,13 +58,13 @@ class EmbeddingTable:
                     f"values must have shape {(self.num_vectors, self.dim)}, "
                     f"got {values.shape}"
                 )
-            self._values = values.astype(self.dtype, copy=True)
+            self._values = values.astype(VECTOR_DTYPE, copy=True)
 
     # ------------------------------------------------------------------ sizes
     @property
     def vector_bytes(self) -> int:
         """Bytes occupied by one embedding vector."""
-        return self.dim * self.dtype.itemsize
+        return self.dim * VECTOR_DTYPE.itemsize
 
     @property
     def nbytes(self) -> int:
@@ -100,5 +101,5 @@ class EmbeddingTable:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"EmbeddingTable(name={self.name!r}, num_vectors={self.num_vectors}, "
-            f"dim={self.dim}, dtype={self.dtype})"
+            f"dim={self.dim})"
         )

@@ -50,7 +50,6 @@ class BlockLayout:
         positions = np.empty(num_vectors, dtype=np.int64)
         positions[order] = np.arange(num_vectors, dtype=np.int64)
         self._block_of = positions // self.vectors_per_block
-        self._slot_of = positions % self.vectors_per_block
 
     # ------------------------------------------------------------------ basic
     @property
@@ -77,12 +76,6 @@ class BlockLayout:
         self._check_ids(ids)
         return self._block_of[ids]
 
-    def slot_of(self, vector_ids: npt.ArrayLike) -> np.ndarray:
-        """Slot (offset within the block) of each of the given vector ids."""
-        ids = check_array_1d_ints(vector_ids, "vector_ids")
-        self._check_ids(ids)
-        return self._slot_of[ids]
-
     def vectors_in_block(self, block_id: int) -> np.ndarray:
         """Vector ids stored in the given block, in slot order."""
         if not 0 <= block_id < self.num_blocks:
@@ -90,23 +83,6 @@ class BlockLayout:
         start = block_id * self.vectors_per_block
         stop = min(start + self.vectors_per_block, self.num_vectors)
         return self._order[start:stop]
-
-    def blocks_for_query(self, vector_ids: npt.ArrayLike) -> np.ndarray:
-        """Distinct blocks that must be read to serve a query (its *fanout*)."""
-        if len(vector_ids) == 0:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(self.block_of(vector_ids))
-
-    def fanout(self, vector_ids: npt.ArrayLike) -> int:
-        """Number of distinct blocks a query touches."""
-        return int(self.blocks_for_query(vector_ids).size)
-
-    def average_fanout(self, queries: Iterable[npt.ArrayLike]) -> float:
-        """Average fanout over a sequence of queries (the SHP objective, Eq. 3)."""
-        queries = list(queries)
-        if not queries:
-            return 0.0
-        return float(np.mean([self.fanout(q) for q in queries]))
 
     # ----------------------------------------------------------------- private
     def _check_ids(self, ids: np.ndarray) -> None:

@@ -299,9 +299,9 @@ class SHPPartitioner(Partitioner):
         Refinement iterations per bisection (the paper uses 16).
     seed:
         Seed of the random initial splits.
-    max_queries:
-        Optional cap on the number of training queries used (queries beyond
-        the cap are ignored); the paper's Figures 9 and 15 sweep this.
+
+    Every query of the training trace is used; to train on fewer (the
+    paper's Figures 9 and 15 sweep the count), pass a shorter trace.
     """
 
     name = "shp"
@@ -311,16 +311,12 @@ class SHPPartitioner(Partitioner):
         vectors_per_block: int = 32,
         num_iterations: int = 16,
         seed: int = 0,
-        max_queries: Optional[int] = None,
     ) -> None:
         self.vectors_per_block = check_int_at_least(
             vectors_per_block, 1, "vectors_per_block"
         )
         self.num_iterations = check_int_at_least(num_iterations, 1, "num_iterations")
         self.seed = check_int_at_least(seed, 0, "seed")
-        self.max_queries = (
-            None if max_queries is None else check_int_at_least(max_queries, 1, "max_queries")
-        )
 
     # -------------------------------------------------------------------- API
     def partition(self, num_vectors: int, trace: Trace) -> PartitionResult:
@@ -367,8 +363,6 @@ class SHPPartitioner(Partitioner):
         are dropped up front.
         """
         queries = trace.queries
-        if self.max_queries is not None:
-            queries = queries[: self.max_queries]
         if not queries:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0
         # One sort of the whole stream by (query, id) instead of one

@@ -54,10 +54,9 @@ def simulate_table(
     layout: BlockLayout,
     policy: PrefetchPolicy,
     cache_size: Optional[int] = None,
-    include_baseline: bool = True,
 ) -> TableSimulationResult:
-    """Replay one table's trace under ``policy`` and (optionally) the
-    no-prefetch baseline (the paper's).
+    """Replay one table's trace under ``policy`` and under the no-prefetch
+    baseline (the paper's).
 
     Parameters
     ----------
@@ -70,8 +69,6 @@ def simulate_table(
     cache_size:
         DRAM cache size in vectors; ``None`` reproduces the paper's
         unlimited-cache placement studies.
-    include_baseline:
-        Whether to also replay the baseline policy for comparison.
     """
     policy.reset()
     # Interpolated insert positions (Figure 11) exist only in the reference loop.
@@ -79,11 +76,9 @@ def simulate_table(
         replay_table_cache_batched if admits_only_at_top(policy) else replay_table_cache
     )
     stats = replay(trace.queries, layout, policy, cache_size=cache_size)
-    baseline_stats = None
-    if include_baseline:
-        baseline_stats = replay_table_cache_batched(
-            trace.queries, layout, NoPrefetchPolicy(), cache_size=cache_size
-        )
+    baseline_stats = replay_table_cache_batched(
+        trace.queries, layout, NoPrefetchPolicy(), cache_size=cache_size
+    )
     return TableSimulationResult(stats=stats, baseline_stats=baseline_stats)
 
 

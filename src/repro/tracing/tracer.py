@@ -111,22 +111,6 @@ class Span:
     def duration_us(self) -> float:
         return self.t_end_us - self.t_start_us
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready rendering (tuples in attributes become lists)."""
-        return {
-            "span_id": self.span_id,
-            "request_id": self.request_id,
-            "parent_id": self.parent_id,
-            "name": self.name,
-            "t_start_us": self.t_start_us,
-            "t_end_us": self.t_end_us,
-            "duration_us": self.duration_us,
-            "attributes": {
-                key: (list(value) if isinstance(value, tuple) else value)
-                for key, value in self.attributes.items()
-            },
-        }
-
 
 @dataclass(slots=True)
 class RequestTrace:
@@ -147,17 +131,6 @@ class RequestTrace:
     def root(self) -> Span:
         """The ``"request"`` span (always recorded first)."""
         return self.spans[0]
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "request_id": self.request_id,
-            "arrival_us": self.arrival_us,
-            "completion_us": self.completion_us,
-            "latency_us": self.latency_us,
-            "slo_violated": self.slo_violated,
-            "degraded": self.degraded,
-            "spans": [span.to_dict() for span in self.spans],
-        }
 
 
 @dataclass(slots=True)

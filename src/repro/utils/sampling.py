@@ -188,6 +188,15 @@ class InverseCDFSampler:
         """
         return self._cdf.searchsorted(uniforms, side="right")
 
+    def lowest_uniforms(self, indices: Sequence[int]) -> np.ndarray:
+        """The smallest uniform :meth:`invert` maps to each index.
+
+        That is the CDF just below the index, exact for every index of
+        non-zero probability (every index :meth:`invert` can return).
+        """
+        floor = np.concatenate(([0.0], self._cdf[:-1]))
+        return floor[np.asarray(indices, dtype=np.intp)]
+
 
 #: Most picks resolved at once: the pending queries are resolved at the first
 #: query boundary where this many are pending.  Each of the resolve pass's

@@ -13,6 +13,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.utils.validation import check_fraction, check_int_at_least
 from repro.workloads.trace import ModelTrace, Trace
 
 
@@ -44,14 +45,6 @@ def access_counts(trace: Trace) -> np.ndarray:
     return counts
 
 
-def compulsory_miss_rate(trace: Trace) -> float:
-    """Fraction of lookups that touch a vector for the first time in the trace."""
-    num_lookups = trace.num_lookups
-    if num_lookups == 0:
-        return 0.0
-    return trace.unique_vectors().size / num_lookups
-
-
 def access_histogram(trace: Trace, num_bins: int = 50) -> Tuple[np.ndarray, np.ndarray]:
     """Histogram of per-vector access counts (the paper's Figure 4).
 
@@ -60,8 +53,7 @@ def access_histogram(trace: Trace, num_bins: int = 50) -> Tuple[np.ndarray, np.n
     whose access count falls in ``[bin_edges[i], bin_edges[i+1])``.  Vectors
     that are never accessed are excluded, matching the paper's plots.
     """
-    if num_bins <= 0:
-        raise ValueError("num_bins must be positive")
+    num_bins = check_int_at_least(num_bins, 1, "num_bins")
     counts = access_counts(trace)
     accessed = counts[counts > 0]
     if accessed.size == 0:
@@ -75,7 +67,13 @@ def access_histogram(trace: Trace, num_bins: int = 50) -> Tuple[np.ndarray, np.n
 def characterize_table(
     name: str, trace: Trace, lookup_share: Optional[float] = None
 ) -> TableCharacterization:
-    """Compute one Table 1 row from a single table's trace."""
+    """Compute one Table 1 row from a single table's trace.
+
+    ``lookup_share`` is the table's share of the model's lookups (in
+    ``[0, 1]``); without one the table is the whole model (1.0).
+    """
+    if lookup_share is not None:
+        check_fraction(lookup_share, "lookup_share")
     unique = trace.unique_vectors().size
     num_lookups = trace.num_lookups
     return TableCharacterization(

@@ -357,8 +357,11 @@ class SyntheticTraceGenerator:
         num_queries = check_int_at_least(num_queries, 1, "num_queries")
         rng = self._rng
         random = rng.random
-        invert_topic = self._topic_sampler.invert
-        recent = self._recent_topics
+        topic_sampler = self._topic_sampler
+        # Topics travel as the uniforms that draw them; ``_resolve`` inverts
+        # them.  One carried over from the last call re-enters as the lowest
+        # uniform that draws it.
+        recent = topic_sampler.lowest_uniforms(self._recent_topics).tolist()
         # Keep a short horizon of recent topics (a few dozen queries' worth).
         max_recent = max(8, int(30 * TOPICS_PER_QUERY))
         cap = sampling.RESOLVE_DRAWS
@@ -377,9 +380,9 @@ class SyntheticTraceGenerator:
                 if recent and random() < BURSTINESS:
                     topics.append(recent[rng.integers(len(recent))])
                 else:
-                    topics.append(int(invert_topic(random())))
+                    topics.append(random())
             window.laws += topics
-            window.laws.append(self.num_topics)
+            window.laws.append(1.0)  # the global picks' law
             recent += topics
             if len(recent) > max_recent:
                 del recent[:-max_recent]
@@ -401,6 +404,7 @@ class SyntheticTraceGenerator:
                 queries += self._resolve(window)
                 window = _WindowDraws()
         queries += self._resolve(window)
+        self._recent_topics = topic_sampler.invert(np.array(recent)).tolist()
         # Non-empty int64 arrays of active ids: nothing left for Trace to check.
         return Trace._trusted(queries, self.spec.num_vectors)
 
@@ -416,8 +420,9 @@ class SyntheticTraceGenerator:
 
         A query's uniforms are its topic picks, slot by slot (as many for a
         slot as the slot assignment gave it), then its global picks: the order
-        in which a per-query loop would draw them.  Each law inverts all of
-        its uniforms in one search, into active-set indices, and
+        in which a per-query loop would draw them.  The segments' topics are
+        inverted in one search, then each law inverts all of its uniforms in
+        one search, into active-set indices, and
         :func:`~repro.utils.sampling.resolve_queries` cuts each query.
         """
         num = len(window.sizes)
@@ -430,7 +435,7 @@ class SyntheticTraceGenerator:
 
         # A query's uniforms are segments: one per topic slot, as long as the
         # slot assignment made it, then its global picks.  Segment i draws
-        # from law window.laws[i].
+        # from the law window.laws[i] inverts to.
         segments = counts + 1
         segment_start = segments.cumsum() - segments
         slot_of_pick = segment_start.repeat(topic_picks)
@@ -440,7 +445,8 @@ class SyntheticTraceGenerator:
         lengths[segment_start + counts] = draws - topic_picks
         # (A one- or two-byte law index sorts by radix.)
         law_dtype = np.min_scalar_type(self.num_topics)
-        law = np.array(window.laws, dtype=law_dtype).repeat(lengths)
+        law = invert_sorted(self._topic_sampler, np.array(window.laws))
+        law = law.astype(law_dtype).repeat(lengths)
 
         # Active-set index of every uniform, one law at a time.
         by_law = law.argsort(kind="stable")
@@ -468,9 +474,10 @@ class _WindowDraws:
         self.sizes: List[int] = []
         self.counts: List[int] = []
         self.topic_picks: List[int] = []
-        #: Law of every segment: each query's topics, then the window-wide
+        #: The uniform that draws each segment's law: each query's topics,
+        #: then 1.0, which inverts past the last topic to the window-wide
         #: law's index (``num_topics``).
-        self.laws: List[int] = []
+        self.laws: List[float] = []
         #: Slot assignment of the topic picks of each query with several
         #: topics (and at least one topic pick).
         self.slots: List[np.ndarray] = []

@@ -141,9 +141,16 @@ def count_python_calls(function):
     return result, calls
 
 
+def average_fanout(layout: BlockLayout, queries) -> float:
+    """Mean number of distinct blocks a query reads under ``layout`` (SHP's
+    objective, the paper's Eq. 3); 0.0 for no queries."""
+    fanouts = [np.unique(layout.block_of(query)).size if len(query) else 0 for query in queries]
+    return float(np.mean(fanouts)) if fanouts else 0.0
+
+
 def counters(stats: ReplayStats):
     """Every replay counter, simulated device latency included."""
-    return stats.counters(include_latency=True)
+    return stats.counters() + (stats.total_latency_us,)
 
 
 def build_store(seed: int):
@@ -256,12 +263,8 @@ def shp_layout(small_spec, train_trace):
 
 @pytest.fixture(scope="session")
 def embedding_table(small_spec, generator) -> EmbeddingTable:
-    values = synthesize_topic_vectors(
-        generator.topic_of(), dim=16, noise=0.4, seed=3, dtype=np.float32
-    )
-    return EmbeddingTable(
-        small_spec.name, small_spec.num_vectors, dim=16, dtype=np.float32, values=values
-    )
+    values = synthesize_topic_vectors(generator.topic_of(), dim=16, noise=0.4, seed=3)
+    return EmbeddingTable(small_spec.name, small_spec.num_vectors, dim=16, values=values)
 
 
 @pytest.fixture()

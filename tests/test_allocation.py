@@ -19,7 +19,7 @@ class TestAllocateDramBudget:
             "a": make_curve(0.8, 1000, 100_000),
             "b": make_curve(0.5, 1000, 50_000),
         }
-        allocation = allocate_dram_budget(curves, total_vectors=1500, chunk_vectors=100)
+        allocation = allocate_dram_budget(curves, total_vectors=1500)
         assert sum(allocation.values()) <= 1500
         assert set(allocation) == {"a", "b"}
 
@@ -30,12 +30,12 @@ class TestAllocateDramBudget:
             "hot": make_curve(0.8, 1000, 1_000_000),
             "cold": make_curve(0.8, 1000, 100_000),
         }
-        allocation = allocate_dram_budget(curves, total_vectors=1200, chunk_vectors=50)
+        allocation = allocate_dram_budget(curves, total_vectors=1200)
         assert allocation["hot"] > allocation["cold"]
 
     def test_saturated_curves_spread_remainder(self):
         curves = {"a": make_curve(0.0, 10, 0), "b": make_curve(0.0, 10, 0)}
-        allocation = allocate_dram_budget(curves, total_vectors=100, chunk_vectors=10)
+        allocation = allocate_dram_budget(curves, total_vectors=100)
         assert sum(allocation.values()) <= 100
 
     def test_empty_curves_rejected(self):
@@ -54,18 +54,6 @@ class TestAllocateDramBudget:
         with pytest.raises(ValueError, match="total_vectors"):
             allocate_dram_budget({"a": make_curve(0.5, 10, 100)}, budget)
 
-    @pytest.mark.parametrize(
-        "keyword,value,error",
-        [
-            ("chunk_vectors", 2.5, TypeError),
-            ("chunk_vectors", 0, ValueError),
-        ],
-    )
-    def test_non_integer_chunk_rejected(self, keyword, value, error):
-        curves = {"a": make_curve(0.5, 10, 100), "b": make_curve(0.4, 10, 100)}
-        with pytest.raises(error, match=keyword):
-            allocate_dram_budget(curves, 10, **{keyword: value})
-
     def test_whole_budget_is_allocated_in_integers(self):
         curves = {"a": make_curve(0.9, 8, 1000), "b": make_curve(0.8, 8, 1000)}
         allocation = allocate_dram_budget(curves, np.int64(10))
@@ -78,8 +66,9 @@ class TestAllocateDramBudget:
             "a": HitRateCurve(np.array([0, 100, 200, 400]), np.array([0, 0.5, 0.7, 0.8]), 10_000),
             "b": HitRateCurve(np.array([0, 100, 200, 400]), np.array([0, 0.3, 0.5, 0.6]), 20_000),
         }
-        budget, chunk = 400, 50
-        allocation = allocate_dram_budget(curves, total_vectors=budget, chunk_vectors=chunk)
+        budget = 400
+        chunk = budget // 100  # the greedy's step: 1 % of the budget
+        allocation = allocate_dram_budget(curves, total_vectors=budget)
         greedy_hits = sum(curves[n].hits_at(v) for n, v in allocation.items())
         best_hits = max(
             curves["a"].hits_at(x) + curves["b"].hits_at(budget - x)

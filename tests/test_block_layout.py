@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nvm.block import BlockLayout
+from tests.conftest import average_fanout
 
 
 class TestBlockLayoutBasics:
@@ -13,7 +14,7 @@ class TestBlockLayoutBasics:
         layout = BlockLayout.identity(100, 32)
         assert layout.num_blocks == 4
         assert layout.block_of([0, 31, 32, 99]).tolist() == [0, 0, 1, 3]
-        assert layout.slot_of([0, 31, 33]).tolist() == [0, 31, 1]
+        assert layout.vectors_in_block(1)[1] == 33
 
     def test_custom_order(self):
         order = np.array([3, 1, 0, 2])
@@ -46,22 +47,24 @@ class TestBlockLayoutBasics:
 
 
 class TestFanout:
+    """The layout score the partitioning tests use (``conftest.average_fanout``)."""
+
     def test_fanout_single_block(self):
         layout = BlockLayout.identity(64, 32)
-        assert layout.fanout([0, 1, 2]) == 1
-        assert layout.fanout([0, 32]) == 2
+        assert average_fanout(layout, [[0, 1, 2]]) == 1
+        assert average_fanout(layout, [[0, 32]]) == 2
 
     def test_empty_query_fanout(self):
         layout = BlockLayout.identity(64, 32)
-        assert layout.fanout([]) == 0
+        assert average_fanout(layout, [[]]) == 0
 
     def test_average_fanout(self):
         layout = BlockLayout.identity(64, 32)
-        assert layout.average_fanout([[0, 1], [0, 32]]) == pytest.approx(1.5)
+        assert average_fanout(layout, [[0, 1], [0, 32]]) == pytest.approx(1.5)
 
     def test_average_fanout_empty(self):
         layout = BlockLayout.identity(64, 32)
-        assert layout.average_fanout([]) == pytest.approx(0.0)
+        assert average_fanout(layout, []) == pytest.approx(0.0)
 
 
 @given(

@@ -8,7 +8,6 @@ from repro.workloads.characterization import (
     access_histogram,
     characterize_model,
     characterize_table,
-    compulsory_miss_rate,
 )
 from repro.workloads.trace import ModelTrace, Trace
 
@@ -28,6 +27,10 @@ class TestAccessCounts:
 
     def test_counts_sum_to_lookups(self, eval_trace):
         assert access_counts(eval_trace).sum() == eval_trace.num_lookups
+
+
+def compulsory_miss_rate(trace):
+    return characterize_table("t", trace).compulsory_miss_rate
 
 
 class TestCompulsoryMissRate:
@@ -52,9 +55,21 @@ class TestAccessHistogram:
         edges, hist = access_histogram(Trace([], num_vectors=3), num_bins=5)
         assert hist.sum() == 0
 
-    def test_invalid_bins(self):
-        with pytest.raises(ValueError):
-            access_histogram(simple_trace(), num_bins=0)
+    @pytest.mark.parametrize("num_bins", [0, -3])
+    def test_invalid_bins(self, num_bins):
+        with pytest.raises(ValueError, match="num_bins"):
+            access_histogram(simple_trace(), num_bins=num_bins)
+
+    @pytest.mark.parametrize("num_bins", [True, 2.5, np.float64(3.0), "3"])
+    def test_non_integer_bins_rejected(self, num_bins):
+        # True used to give a one-bin histogram; the others raised NumPy's or
+        # str's TypeError without naming the argument.
+        with pytest.raises(TypeError, match="num_bins"):
+            access_histogram(simple_trace(), num_bins=num_bins)
+
+    def test_numpy_integer_bins_accepted(self):
+        edges, hist = access_histogram(simple_trace(), num_bins=np.int64(3))
+        assert len(edges) == 4 and hist.sum() == 3
 
     def test_skewed_trace_has_heavy_tail(self, eval_trace):
         edges, hist = access_histogram(eval_trace, num_bins=20)
@@ -78,3 +93,24 @@ class TestCharacterize:
         rows = characterize_model(model)
         assert rows["a"].lookup_share == pytest.approx(5 / 6)
         assert rows["b"].lookup_share == pytest.approx(1 / 6)
+        shares = model.lookup_shares()
+        assert all(rows[name].lookup_share == shares[name] for name in shares)
+
+    @pytest.mark.parametrize(
+        "share, error",
+        [
+            (float("nan"), ValueError),
+            (-1.0, ValueError),
+            (2.0, ValueError),
+            (True, TypeError),
+        ],
+    )
+    def test_lookup_share_outside_the_unit_interval_rejected(self, share, error):
+        # Each used to be written into the Table 1 row as given.
+        with pytest.raises(error, match="lookup_share"):
+            characterize_table("t", Trace([[0, 1], [2]], num_vectors=3), lookup_share=share)
+
+    @pytest.mark.parametrize("share", [0.0, 1.0, np.float64(0.25)])
+    def test_lookup_share_bounds_accepted(self, share):
+        row = characterize_table("t", simple_trace(), lookup_share=share)
+        assert row.lookup_share == share

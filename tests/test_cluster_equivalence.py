@@ -69,7 +69,7 @@ class TestSingleNodeEquivalence:
         # moves, either the seed stores changed or cluster serving diverged
         # from single-host serving — both must be deliberate.
         cluster = replay_cluster(0, SINGLE)
-        assert cluster.aggregate_stats().counters(include_latency=False) == (
+        assert cluster.aggregate_stats().counters() == (
             2342,
             514,
             1828,

@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from repro.cluster.faults import (
+    DEGRADED_DELAY_US,
+    DEGRADED_LOSS_PROB,
+    DEGRADED_MULTIPLIER,
+    FLAKY_LINK_DELAY_US,
     HEALTHY,
     SCENARIOS,
+    TARGET_NODE,
     DegradedLink,
     FaultSchedule,
     NodeCrash,
@@ -241,10 +246,13 @@ class TestScenarioCatalog:
 
     def test_overrides_reach_the_event(self):
         faults = make_scenario(
-            "slow_node", num_nodes=4, start_s=0.1, duration_s=0.2, node=2, multiplier=5.0
+            "slow_node", num_nodes=4, start_s=0.1, duration_s=0.2, multiplier=5.0
         )
-        assert faults.at(2, 0.2e6, 0.2e6).multiplier == pytest.approx(5.0)
-        assert faults.at(2, 0.05e6, 0.05e6).multiplier == pytest.approx(1.0)
+        assert faults.at(TARGET_NODE, 0.2e6, 0.2e6).multiplier == pytest.approx(5.0)
+        assert faults.at(TARGET_NODE, 0.05e6, 0.05e6).multiplier == pytest.approx(1.0)
+        assert faults.at(TARGET_NODE, 0.35e6, 0.35e6).multiplier == pytest.approx(1.0)
+        faults = make_scenario("flaky_link", num_nodes=4, loss_prob=0.5)
+        assert faults.at(TARGET_NODE, 0.3e6, 0.3e6).loss_prob == pytest.approx(0.5)
 
     def test_unknown_overrides_ignored(self):
         # One sweep loop drives every scenario with a shared parameter set;
@@ -261,19 +269,56 @@ class TestScenarioCatalog:
     def test_accepted_overrides_come_from_the_factories(self):
         # The accepted set is the union of the catalog's signatures: every
         # knob one factory names is accepted by all of them.
-        knobs = dict(
-            start_s=0.1,
-            duration_s=0.2,
-            node=1,
-            multiplier=2.0,
-            extra_delay_us=50.0,
-            loss_prob=0.1,
-        )
+        knobs = dict(start_s=0.1, duration_s=0.2, multiplier=2.0, loss_prob=0.1)
         for name in SCENARIOS:
             make_scenario(name, num_nodes=4, **knobs)
         with pytest.raises(ValueError) as info:
             make_scenario("none", num_nodes=4, bogus=1.0)
         assert str(info.value).endswith(f"accepted: {sorted(knobs)}")
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    @pytest.mark.parametrize(
+        "knob", [{"node": 2}, {"extra_delay_us": 50.0}], ids=["node", "extra_delay_us"]
+    )
+    def test_target_and_fixed_severities_are_not_overrides(self, name, knob):
+        # The struck node and the severities no sweep varies are the
+        # catalog's constants; another target is an explicit FaultSchedule.
+        accepted = "['duration_s', 'loss_prob', 'multiplier', 'start_s']"
+        with pytest.raises(ValueError) as info:
+            make_scenario(name, num_nodes=4, **knob)
+        assert str(info.value).endswith(f"accepted: {accepted}")
+
+    def test_defaults_are_the_module_constants(self):
+        expected = {
+            "none": [],
+            "crash_recover": [NodeCrash(node=TARGET_NODE, start_s=0.2, end_s=0.2 + 0.4)],
+            "slow_node": [
+                SlowNode(node=TARGET_NODE, start_s=0.2, end_s=0.2 + 0.6, multiplier=20.0)
+            ],
+            "flaky_link": [
+                DegradedLink(
+                    node=TARGET_NODE,
+                    start_s=0.2,
+                    end_s=0.2 + 0.6,
+                    extra_delay_us=FLAKY_LINK_DELAY_US,
+                    loss_prob=0.05,
+                )
+            ],
+            "degraded_cluster": [
+                NodeCrash(node=0, start_s=0.2, end_s=0.2 + 0.6),
+                SlowNode(node=1, start_s=0.2, end_s=0.2 + 0.6, multiplier=DEGRADED_MULTIPLIER),
+                DegradedLink(
+                    node=2,
+                    start_s=0.2,
+                    end_s=0.2 + 0.6,
+                    extra_delay_us=DEGRADED_DELAY_US,
+                    loss_prob=DEGRADED_LOSS_PROB,
+                ),
+            ],
+        }
+        assert sorted(expected) == sorted(SCENARIOS)
+        for name, events in expected.items():
+            assert make_scenario(name, num_nodes=4).events == FaultSchedule(events).events
 
     def test_degraded_cluster_scales_to_small_clusters(self):
         assert len(make_scenario("degraded_cluster", num_nodes=1)) == 1

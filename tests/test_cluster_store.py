@@ -52,7 +52,7 @@ from repro.tracing.tracer import (
     STAGE_HEDGE_WON,
     STAGE_NODE_SERVICE,
 )
-from tests.conftest import build_store
+from tests.conftest import build_store, counters
 
 #: Scenario window tuned to the ~0.05 s makespan of the seed traces
 #: (106 requests at the default 2000 rps).
@@ -404,9 +404,9 @@ class TestStoreMechanics:
         with pytest.raises(ValueError, match=r"NodeCrash names node 7.* 4 nodes"):
             run(
                 1,
-                "crash_recover",
+                FaultSchedule([NodeCrash(node=7, start_s=0.005, end_s=0.035)]),
                 ClusterConfig(num_nodes=4, replication=2),
-                overrides=dict(WINDOW, node=7),
+                overrides=None,
             )
         for event in (
             SlowNode(node=4, start_s=0.0, end_s=1.0),
@@ -492,12 +492,12 @@ class TestStoreMechanics:
         # looked like it honoured a window it never applied.
         store, trace = build_store(0)
         faults = FaultSchedule([NodeCrash(node=0, start_s=0.0, end_s=0.01)])
-        with pytest.raises(ValueError, match=r"FaultSchedule.*\['duration_s', 'node'\]"):
+        with pytest.raises(ValueError, match=r"FaultSchedule.*\['duration_s', 'multiplier'\]"):
             run_scenario(
                 store,
                 trace,
                 scenario=faults,
-                scenario_overrides={"node": 2, "duration_s": 0.5},
+                scenario_overrides={"multiplier": 2.0, "duration_s": 0.5},
             )
         # An empty mapping overrides nothing and is accepted.
         report = run_scenario(
@@ -611,7 +611,7 @@ class TestRoutingTable:
 def _serving_footprint(cluster):
     """Everything a request may change: engines, devices, counters, clock."""
     return (
-        cluster.aggregate_stats().counters(include_latency=True),
+        counters(cluster.aggregate_stats()),
         cluster.counters.as_dict(),
         [[device.serves for device in node.bank.devices] for node in cluster.nodes],
         cluster.node_blocks_read(),

@@ -10,14 +10,14 @@ from repro.embeddings.table import EmbeddingTable
 
 class TestEmbeddingTable:
     def test_shapes_and_sizes(self):
-        table = EmbeddingTable("t", num_vectors=100, dim=64, dtype=np.float16)
+        table = EmbeddingTable("t", num_vectors=100, dim=64)
         assert table.values.shape == (100, 64)
         assert table.vector_bytes == 128
         assert table.nbytes == 100 * 128
 
     def test_gather(self):
         values = np.arange(20, dtype=np.float32).reshape(10, 2)
-        table = EmbeddingTable("t", 10, dim=2, dtype=np.float32, values=values)
+        table = EmbeddingTable("t", 10, dim=2, values=values)
         out = table.gather([3, 0])
         np.testing.assert_array_equal(out, [[6, 7], [0, 1]])
 
@@ -28,7 +28,7 @@ class TestEmbeddingTable:
 
     def test_pooled_sums(self):
         values = np.ones((4, 3), dtype=np.float32)
-        table = EmbeddingTable("t", 4, dim=3, dtype=np.float32, values=values)
+        table = EmbeddingTable("t", 4, dim=3, values=values)
         np.testing.assert_allclose(table.pooled([0, 1, 2]), [3, 3, 3])
         np.testing.assert_allclose(table.pooled([]), [0, 0, 0])
 
@@ -71,8 +71,8 @@ class TestSynthesis:
 class TestEmbeddingModel:
     def make_model(self):
         model = EmbeddingModel()
-        model.add_table(EmbeddingTable("users", 10, dim=4, dtype=np.float32))
-        model.add_table(EmbeddingTable("pages", 20, dim=4, dtype=np.float32))
+        model.add_table(EmbeddingTable("users", 10, dim=4))
+        model.add_table(EmbeddingTable("pages", 20, dim=4))
         return model
 
     def test_registration(self):
@@ -80,7 +80,7 @@ class TestEmbeddingModel:
         assert len(model) == 2
         assert "users" in model
         assert list(model) == ["users", "pages"]
-        assert model.nbytes == 10 * 16 + 20 * 16
+        assert model.nbytes == 10 * 8 + 20 * 8  # 4 fp16 elements a vector
 
     def test_duplicate_rejected(self):
         model = self.make_model()
@@ -100,18 +100,14 @@ class TestEmbeddingModel:
 
 class TestRecommendationModel:
     def test_score_in_unit_interval(self):
-        embedding_model = EmbeddingModel(
-            {"t": EmbeddingTable("t", 50, dim=8, dtype=np.float32)}
-        )
-        model = RecommendationModel(embedding_model, hidden_dims=(16,), dense_dim=4, seed=0)
+        embedding_model = EmbeddingModel({"t": EmbeddingTable("t", 50, dim=8)})
+        model = RecommendationModel(embedding_model)
         score = model.score({"t": [1, 2, 3]})
         assert 0.0 <= score <= 1.0
 
     def test_pooled_override_matches_direct(self):
-        embedding_model = EmbeddingModel(
-            {"t": EmbeddingTable("t", 50, dim=8, dtype=np.float32)}
-        )
-        model = RecommendationModel(embedding_model, seed=1)
+        embedding_model = EmbeddingModel({"t": EmbeddingTable("t", 50, dim=8)})
+        model = RecommendationModel(embedding_model)
         request = {"t": [5, 7]}
         direct = model.score(request)
         pooled = embedding_model.pooled_features(request)
@@ -120,10 +116,4 @@ class TestRecommendationModel:
     def test_requires_a_table(self):
         with pytest.raises(ValueError):
             RecommendationModel(EmbeddingModel())
-
-    def test_bad_dense_features_shape(self):
-        embedding_model = EmbeddingModel({"t": EmbeddingTable("t", 10, dim=4)})
-        model = RecommendationModel(embedding_model, dense_dim=4)
-        with pytest.raises(ValueError):
-            model.score({"t": [0]}, dense_features=np.zeros(3))
 

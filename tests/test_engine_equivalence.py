@@ -152,9 +152,8 @@ class TestEngineEquivalence:
         reference = replay_table_cache(
             queries, layout, CacheAllBlockPolicy(), cache_size=32, device=device
         )
-        batched = replay_table_cache_batched(
-            queries, layout, CacheAllBlockPolicy(), cache_size=32, device=device
-        )
+        engine = BatchReplayEngine(layout, CacheAllBlockPolicy(), cache_size=32, device=device)
+        batched = engine.replay(queries)
         assert counters(batched) == counters(reference)
         assert batched.total_latency_us == reference.total_latency_us
 
@@ -256,7 +255,6 @@ class TestEveryPolicyEveryCacheKind:
                 engine.replay_query(ids)
             assert counters(engine.stats) == counters(reference), (policy_name, capacity)
             assert engine.cache.keys() == reference_cache.keys(), (policy_name, capacity)
-            assert len(engine.cache) == len(reference_cache)
             assert engine.cache.capacity == capacity
             assert engine.stats.evictions == reference_cache.evictions
 
@@ -509,7 +507,7 @@ class TestPositionalPolicies:
         calls = (
             lambda policy: BatchReplayEngine(self.LAYOUT, policy, cache_size=16, stats=stats),
             lambda policy: replay_table_cache_batched(
-                self.QUERIES, self.LAYOUT, policy, cache_size=16, stats=stats
+                self.QUERIES, self.LAYOUT, policy, cache_size=16
             ),
             lambda policy: replay_table_cache_multi(
                 self.QUERIES, self.LAYOUT, [bystander, policy], [16, 16]
@@ -520,7 +518,7 @@ class TestPositionalPolicies:
             with pytest.raises(ValueError, match="replay_table_cache"):
                 call(policy)
             assert full_counters(stats) == (0,) * 7 + (0.0,)
-            assert len(getattr(policy, "shadow", ())) == len(bystander.shadow) == 0
+            assert getattr(policy, "shadow", bystander.shadow).keys() == bystander.shadow.keys() == []
 
     @pytest.mark.parametrize("policy_name", sorted(POSITIONAL_FACTORIES))
     @pytest.mark.parametrize("seed", range(3))
@@ -551,9 +549,7 @@ class TestSizesAreExactIntegers:
         policy = ShadowAdmissionPolicy(real_cache_size=30)
         calls = (
             lambda: BatchReplayEngine(self.LAYOUT, policy, cache_size=size, stats=stats),
-            lambda: replay_table_cache_batched(
-                self.QUERIES, self.LAYOUT, policy, cache_size=size, stats=stats
-            ),
+            lambda: replay_table_cache_batched(self.QUERIES, self.LAYOUT, policy, cache_size=size),
             lambda: replay_table_cache(
                 self.QUERIES, self.LAYOUT, policy, cache_size=size, stats=stats
             ),
@@ -568,7 +564,7 @@ class TestSizesAreExactIntegers:
             with pytest.raises(TypeError, match="cache_size must be an integer"):
                 call()
             assert full_counters(stats) == (0,) * 7 + (0.0,)
-            assert len(policy.shadow) == 0
+            assert policy.shadow.keys() == []
 
     @pytest.mark.parametrize("size", [-1, -16])
     def test_negative_cache_size(self, size):
@@ -598,7 +594,7 @@ class TestSizesAreExactIntegers:
         ):
             with pytest.raises(TypeError, match="vector_bytes must be an integer"):
                 call()
-            assert len(policy.shadow) == 0
+            assert policy.shadow.keys() == []
 
     def test_integer_types_are_accepted(self):
         for size in (16, np.int64(16), np.int32(16)):
@@ -636,7 +632,7 @@ class TestHostileIds:
             with pytest.raises(error) as raised:
                 call()
             assert full_counters(engine.stats) == (0,) * 7 + (0.0,)
-            assert len(engine.cache) == 0
+            assert engine.cache.keys() == []
         with pytest.raises(error) as reference:
             replay_table_cache([ids], self.LAYOUT, CacheAllBlockPolicy(), cache_size=16)
         assert str(reference.value) == str(raised.value)
@@ -804,9 +800,7 @@ class TestStoreBatchedServing:
             device=NVMLatencyModel(block_bytes=store.config.block_bytes),
         )
         stats = result.per_table["alpha"].stats
-        assert stats.counters(include_latency=True) == reference.counters(
-            include_latency=True
-        )
+        assert full_counters(stats) == full_counters(reference)
         assert state.engine.cache.keys() == reference_cache.keys()
         baseline = replay_table_cache(
             queries, state.layout, NoPrefetchPolicy(), cache_size=size
@@ -1008,7 +1002,7 @@ class TestLRUCacheHeapCompaction:
 # --------------------------------------------------------------------- goldens
 def _digest(stats, keys):
     return {
-        "counters": list(stats.counters(include_latency=True)),
+        "counters": list(full_counters(stats)),
         "keys_sha256": hashlib.sha256(np.array(keys, dtype="<i8").tobytes()).hexdigest(),
     }
 
@@ -1055,10 +1049,7 @@ def golden_engine_counters():
 
     # An interpolated position: simulate_table's reference-loop route (the
     # keys come from the same replay with its cache kept).
-    stats = simulate_table(
-        tuning, layout, InsertAtPositionPolicy(0.5), cache_size=cache_size,
-        include_baseline=False,
-    ).stats
+    stats = simulate_table(tuning, layout, InsertAtPositionPolicy(0.5), cache_size=cache_size).stats
     cache = InspectableLRUCache(cache_size)
     replay_table_cache(queries, layout, InsertAtPositionPolicy(0.5), cache=cache)
     out["table1/bounded/insert-at-0.5"] = _digest(stats, cache.keys())

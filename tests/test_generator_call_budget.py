@@ -26,10 +26,11 @@ from tests.conftest import count_python_calls
 #: without ``integers(..., size=k)``'s Python-level ``np.prod`` chain (the
 #: third stream fact of ``sampling``'s module docstring).  Measured:
 #:
-#: - Table 1 generator (its construction included): 4.1, against 4.9 before
-#:   its slot assignment took that path for two or four topics.  About 1.8
-#:   of the 4.1 are one ``InverseCDFSampler.invert`` call per fresh topic
-#:   choice and the ``np.prod`` of the slot assignment for 3, 5, 6 or 7
+#: - Table 1 generator (its construction included): 3.25, against 4.1
+#:   when each fresh topic choice made one ``InverseCDFSampler.invert`` call
+#:   (its topics are now inverted once per resolve pass), and 4.9 before its
+#:   slot assignment took that path for two or four topics.  About 0.9 of
+#:   the 3.25 is the ``np.prod`` of the slot assignment for 3, 5, 6 or 7
 #:   topics.
 #: - Drift: 0.16, against 4.15 when every query's community members went
 #:   through ``integers``.  What is left is per trace and per resolve pass,
@@ -37,9 +38,9 @@ from tests.conftest import count_python_calls
 #: - Flash-crowd: 5.0, against 9.6.  Its in-flash queries are still
 #:   resolved, diverted and de-duplicated one by one.
 #:
-#: Each budget is ~25 % above its measured value (the last budgets were 6.6,
+#: Each budget is ~25 % above its measured value (the last budgets were 5.1,
 #: 5.2 and 11.2).
-TABLE1_CALLS_PER_QUERY_BUDGET = 5.1
+TABLE1_CALLS_PER_QUERY_BUDGET = 4.1
 DRIFT_CALLS_PER_QUERY_BUDGET = 0.2
 FLASH_CROWD_CALLS_PER_QUERY_BUDGET = 6.2
 

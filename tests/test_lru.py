@@ -192,7 +192,7 @@ class TestShadowCache:
         policy = ShadowAdmissionPolicy(2)
         policy.record_access(1)
         policy.reset()
-        assert len(policy.shadow) == 0
+        assert policy.shadow.keys() == []
 
     @pytest.mark.parametrize(
         "kwargs", [{"real_cache_size": -1}, {"real_cache_size": 2, "multiplier": 0.0}]

@@ -54,7 +54,7 @@ class Pair:
         ordered, model = self.ordered, self.model
         assert outcome[0] == outcome[1]
         assert ordered.keys() == model.keys()
-        assert len(ordered) == len(model) <= ordered.capacity
+        assert len(model) <= ordered.capacity
         for key in model.keys()[:3]:
             assert key in ordered
 

@@ -27,6 +27,7 @@ from repro.workloads import (
 )
 from repro.workloads.characterization import access_counts
 from repro.workloads.trace import Trace
+from tests.conftest import average_fanout
 
 
 def assert_is_permutation(order: np.ndarray, num_vectors: int):
@@ -181,8 +182,8 @@ class TestSHPPartitioner:
         identity = BlockLayout.identity(small_spec.num_vectors, 32)
         # SHP's objective: queries touch fewer blocks than under the original
         # layout, on a held-out trace.
-        assert shp_layout.average_fanout(eval_trace.queries) < identity.average_fanout(
-            eval_trace.queries
+        assert average_fanout(shp_layout, eval_trace.queries) < average_fanout(
+            identity, eval_trace.queries
         )
 
     def test_more_iterations_do_not_hurt(self, small_spec, train_trace, eval_trace):
@@ -193,13 +194,8 @@ class TestSHPPartitioner:
                 .partition(small_spec.num_vectors, trace=train_trace)
                 .layout(32)
             )
-            fanouts.append(layout.average_fanout(eval_trace.queries))
+            fanouts.append(average_fanout(layout, eval_trace.queries))
         assert fanouts[1] <= fanouts[0] * 1.05
-
-    def test_max_queries_cap(self, small_spec, train_trace):
-        partitioner = SHPPartitioner(num_iterations=2, max_queries=10)
-        result = partitioner.partition(small_spec.num_vectors, trace=train_trace)
-        assert result.details["num_training_queries"] <= 10
 
     def test_handles_trace_with_no_multi_id_queries(self):
         trace = Trace([[1], [2], [3]], num_vectors=64)
@@ -216,10 +212,6 @@ class TestSHPPartitioner:
     @pytest.mark.parametrize(
         "argument, value, error",
         [
-            # int(0.5) == 0 used to slice queries[:0]: an untrained identity
-            # order, returned without a word.
-            ("max_queries", 0.5, TypeError),
-            ("max_queries", 0, ValueError),
             ("vectors_per_block", 2.5, TypeError),
             ("vectors_per_block", "4", TypeError),
             ("vectors_per_block", 0, ValueError),
@@ -239,26 +231,21 @@ class TestSHPPartitioner:
             vectors_per_block=np.int64(8),
             num_iterations=np.int32(2),
             seed=np.int64(5),
-            max_queries=np.int64(3),
         )
         assert (
             partitioner.vectors_per_block,
             partitioner.num_iterations,
             partitioner.seed,
-            partitioner.max_queries,
-        ) == (8, 2, 5, 3)
-        assert type(partitioner.max_queries) is int
+        ) == (8, 2, 5)
+        assert type(partitioner.seed) is int
 
 
-def flatten_queries_one_at_a_time(partitioner, trace):
+def flatten_queries_one_at_a_time(trace):
     """The per-query definition ``SHPPartitioner._flatten_queries`` must equal:
     each query's sorted distinct ids, queries with fewer than two dropped and
     the rest numbered consecutively."""
-    queries = trace.queries
-    if partitioner.max_queries is not None:
-        queries = queries[: partitioner.max_queries]
     members, query_ids, next_query = [], [], 0
-    for query in queries:
+    for query in trace.queries:
         ids = np.unique(query)
         if ids.size < 2:
             continue
@@ -275,17 +262,18 @@ def flatten_queries_one_at_a_time(partitioner, trace):
 
 class TestFlattenQueriesMatchesPerQueryDefinition:
     @staticmethod
-    def assert_same(trace, max_queries=None):
-        partitioner = SHPPartitioner(max_queries=max_queries)
-        fast = partitioner._flatten_queries(trace)
-        slow = flatten_queries_one_at_a_time(partitioner, trace)
+    def assert_same(trace, num_queries=None):
+        """Compare on the first ``num_queries`` queries of ``trace`` (all by default)."""
+        trace = Trace(trace.queries[:num_queries], num_vectors=trace.num_vectors)
+        fast = SHPPartitioner()._flatten_queries(trace)
+        slow = flatten_queries_one_at_a_time(trace)
         for a, b in zip(fast[:2], slow[:2]):
             assert a.dtype == b.dtype == np.int64
             np.testing.assert_array_equal(a, b)
         assert fast[2] == slow[2]
 
-    @pytest.mark.parametrize("max_queries", [None, 1, 3, 100])
-    def test_single_id_and_duplicate_id_queries(self, max_queries):
+    @pytest.mark.parametrize("num_queries", [None, 1, 3, 100])
+    def test_single_id_and_duplicate_id_queries(self, num_queries):
         # Empty queries never reach SHP (Trace drops them); single-id and
         # all-duplicate queries do, and must not consume a query number.
         trace = Trace(
@@ -293,7 +281,7 @@ class TestFlattenQueriesMatchesPerQueryDefinition:
             num_vectors=64,
         )
         assert len(trace) == 7
-        self.assert_same(trace, max_queries)
+        self.assert_same(trace, num_queries)
 
     def test_nothing_left_to_flatten(self):
         self.assert_same(Trace([], num_vectors=8))
@@ -301,7 +289,7 @@ class TestFlattenQueriesMatchesPerQueryDefinition:
 
     def test_generated_trace(self, train_trace):
         self.assert_same(train_trace)
-        self.assert_same(train_trace, max_queries=17)
+        self.assert_same(train_trace, num_queries=17)
 
     @given(
         queries=st.lists(
@@ -505,7 +493,6 @@ def shp_cases(draw):
         "vectors_per_block": draw(st.sampled_from([1, 2, 3, 32, 64])),
         "num_iterations": draw(st.integers(min_value=1, max_value=16)),
         "seed": draw(st.integers(min_value=0, max_value=5)),
-        "max_queries": draw(st.one_of(st.none(), st.integers(min_value=1, max_value=30))),
     }
     return num_vectors, Trace(queries, num_vectors=trace_vectors), arguments
 
@@ -557,9 +544,10 @@ class TestLevelSynchronousMatchesPerNodeReference:
         assert_matches_reference(SHPPartitioner(vectors_per_block=3, seed=2), 131, trace)
 
     def test_generated_trace(self, small_spec, train_trace):
-        for max_queries in (None, 40):
-            partitioner = SHPPartitioner(num_iterations=6, seed=1, max_queries=max_queries)
-            assert_matches_reference(partitioner, small_spec.num_vectors, train_trace)
+        head = Trace(train_trace.queries[:40], num_vectors=train_trace.num_vectors)
+        for trace in (train_trace, head):
+            partitioner = SHPPartitioner(num_iterations=6, seed=1)
+            assert_matches_reference(partitioner, small_spec.num_vectors, trace)
 
     def test_leaves_at_mixed_depths(self):
         # 65 -> 33 + 32: the right child is a leaf one level above its cousins.

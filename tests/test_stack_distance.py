@@ -21,6 +21,7 @@ from repro.caching.engine import replay_table_cache_batched
 from repro.caching.policies import NoPrefetchPolicy
 from repro.caching.stack_distance import (
     COLD_MISS,
+    CURVE_POINTS,
     HitRateCurve,
     _earlier_greater_counts,
     compute_stack_distances,
@@ -279,8 +280,8 @@ class TestHitRateCurve:
         assert (curve.hit_rates == 0).all()
 
     def test_default_sizes_geometric(self, eval_trace):
-        curve = hit_rate_curve(eval_trace, num_points=10)
-        assert curve.cache_sizes.size <= 10
+        curve = hit_rate_curve(eval_trace)
+        assert curve.cache_sizes.size <= CURVE_POINTS
         assert (np.diff(curve.cache_sizes) > 0).all()
 
     def test_default_sizes_end_at_the_distinct_count(self, eval_trace):
@@ -345,11 +346,6 @@ class TestHostileInputs:
             hit_rate_curve([1, 2, 1], cache_sizes=[1, -1])
         with pytest.raises(ValueError, match="cache_sizes"):
             hit_rate_curve([], cache_sizes=[-1])
-
-    @pytest.mark.parametrize("num_points,error", [(-1, ValueError), (2.5, TypeError), (True, TypeError)])
-    def test_bad_num_points_rejected(self, num_points, error):
-        with pytest.raises(error, match="num_points"):
-            hit_rate_curve([1, 2, 1], num_points=num_points)
 
     def test_numpy_integer_sizes_accepted(self):
         curve = hit_rate_curve([1, 2, 1], cache_sizes=[np.int64(2), 0])
