@@ -7,8 +7,6 @@ of times, a few are read orders of magnitude more often).
 
 import _bootstrap  # noqa: F401  (sys.path setup: run benchmarks from the repo root)
 
-import numpy as np
-
 from benchmarks.common import save_result
 from benchmarks.conftest import TOP_TABLES
 from repro.simulation.report import format_table

@@ -35,8 +35,6 @@ import json
 import os
 import time
 
-import numpy as np
-
 from benchmarks.common import (
     build_table_workload,
     cache_sizes_for,

@@ -41,7 +41,7 @@ import json
 import os
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from benchmarks.common import saturation_rate_rps, save_result
 from repro.core.bandana import BandanaStore

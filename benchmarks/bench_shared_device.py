@@ -46,7 +46,7 @@ import json
 import os
 import sys
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from benchmarks.common import (
     build_table_workload,

@@ -13,8 +13,6 @@ Run with ``python examples/quickstart.py``.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import BandanaConfig, BandanaStore
 from repro.embeddings import EmbeddingModel, EmbeddingTable, synthesize_topic_vectors
 from repro.simulation import simulate_store

@@ -64,7 +64,6 @@ from repro.utils.validation import (
     check_fraction,
     check_id_range,
     check_int_at_least,
-    check_non_negative,
 )
 
 

@@ -203,8 +203,10 @@ class TableCacheConfig:
     cache_size_vectors:
         DRAM cache capacity assigned to the table, in vectors.
     threshold:
-        Prefetch-admission threshold ``t``; ``None`` means "tune it with
-        miniature caches during the build".
+        Prefetch-admission threshold ``t`` the build chose (tuned, or
+        ``default_threshold``), kept as a record: the table's policy holds
+        the threshold it admits by.  ``None`` is a hand-built state's "no
+        threshold recorded"; the build never reads the field.
     """
 
     cache_size_vectors: Annotated[int, AtLeast(0)]

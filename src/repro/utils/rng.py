@@ -16,7 +16,7 @@ bit-identical regardless of what other code does to the global state.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 

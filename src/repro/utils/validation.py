@@ -25,21 +25,29 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 
+#: The ``TypeError`` of every ``check_*`` here for a bool or a non-number.
+_NOT_A_NUMBER = "{name} must be a number, got {value!r} of type {kind}"
+
+
 def _reject_bool(value: Any, name: str) -> None:
     """Raise ``TypeError`` on a ``bool`` / ``np.bool_``: ``True`` is no quantity."""
     if isinstance(value, (bool, np.bool_)):
-        raise TypeError(
-            f"{name} must be a number, got {value!r} of type {type(value).__name__}"
-        )
+        raise TypeError(_NOT_A_NUMBER.format(name=name, value=value, kind=type(value).__name__))
 
 
 def check_positive(value: float, name: str) -> float:
     """Return ``value`` if it is strictly positive, else raise ``ValueError``.
 
-    A boolean raises ``TypeError``, as in every ``check_*`` here.
+    A boolean or a non-number (``"0.5"``, ``None``, ``[0.5]``) raises a
+    ``TypeError`` naming ``name``, as in every ``check_*`` here.
     """
     _reject_bool(value, name)
-    if not np.isfinite(value) or value <= 0:
+    try:
+        bad = not np.isfinite(value) or value <= 0
+    except TypeError:
+        kind = type(value).__name__
+        raise TypeError(_NOT_A_NUMBER.format(name=name, value=value, kind=kind)) from None
+    if bad:
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
     return value
 
@@ -47,7 +55,12 @@ def check_positive(value: float, name: str) -> float:
 def check_non_negative(value: float, name: str) -> float:
     """Return ``value`` if it is >= 0, else raise ``ValueError``."""
     _reject_bool(value, name)
-    if not np.isfinite(value) or value < 0:
+    try:
+        bad = not np.isfinite(value) or value < 0
+    except TypeError:
+        kind = type(value).__name__
+        raise TypeError(_NOT_A_NUMBER.format(name=name, value=value, kind=kind)) from None
+    if bad:
         raise ValueError(f"{name} must be a non-negative finite number, got {value!r}")
     return value
 
@@ -55,7 +68,12 @@ def check_non_negative(value: float, name: str) -> float:
 def check_fraction(value: float, name: str) -> float:
     """Return ``value`` if it lies in ``[0, 1]``, else raise ``ValueError``."""
     _reject_bool(value, name)
-    if not 0.0 <= value <= 1.0:
+    try:
+        inside = 0.0 <= value <= 1.0
+    except TypeError:
+        kind = type(value).__name__
+        raise TypeError(_NOT_A_NUMBER.format(name=name, value=value, kind=kind)) from None
+    if not inside:
         raise ValueError(f"{name} must be in [0.0, 1.0], got {value!r}")
     return value
 

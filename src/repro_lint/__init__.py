@@ -32,6 +32,11 @@ Rule catalog
     Tests must not ``==``/``!=`` against float literals; use
     ``pytest.approx``/``np.isclose``, or suppress R5 where the bit-exact
     comparison is the point (golden pins).
+``R6 unused-import``
+    No imported name the module never reads.  Exempt: imports in
+    ``__init__.py`` (re-exports), names in ``__all__``, names read only in
+    string annotations, and imports on a ``# noqa`` line (side-effect
+    imports such as ``import _bootstrap  # noqa: F401``).
 ``R0`` (framework, not suppressible)
     Unparseable files, suppressions naming unknown rules, and **unused**
     suppressions — a ``disable`` comment that stops matching a violation must

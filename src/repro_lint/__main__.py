@@ -17,7 +17,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "AST-based invariant checker for the simulation stack "
             "(seeded RNG, simulated-clock discipline, time-unit hygiene, "
-            "validated configs, float-equality in tests)."
+            "validated configs, float-equality in tests, unused imports)."
         ),
     )
     parser.add_argument(

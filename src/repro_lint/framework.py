@@ -20,7 +20,7 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Type
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Type
 
 #: Rule id reserved for the framework's own checks (unused or unknown
 #: suppressions).  It cannot itself be suppressed.

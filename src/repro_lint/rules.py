@@ -44,6 +44,13 @@ Each rule encodes a convention the runtime equivalence suites and golden pins
     use ``pytest.approx``/``np.isclose``, or — for intentional bit-exact
     golden pins — an explicit ``# repro-lint: disable=R5`` that documents the
     exactness as load-bearing.
+
+``R6`` ``unused-import``
+    An imported name the module never reads is dead weight that hides what a
+    module really depends on.  Exempt: every import of an ``__init__.py``
+    (re-exports), names listed in ``__all__``, names read only inside string
+    annotations (``def f(x: "Trace")``), and imports on a ``# noqa`` line
+    (side-effect imports such as ``import _bootstrap  # noqa: F401``).
 """
 
 from __future__ import annotations
@@ -601,3 +608,69 @@ class FloatEqualityRule(Rule):
                     f"(`{ast.unparse(node)[:60]}`); use pytest.approx/"
                     "np.isclose, or disable R5 for an intentional exact pin",
                 )
+
+
+# --------------------------------------------------------------------------- R6
+def _string_annotation_names(tree: ast.AST) -> Iterator[str]:
+    """Names read inside string annotations (``x: "Trace"``, ``List["Trace"]``)."""
+    annotations: List[ast.AST] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in annotations:
+        for sub in ast.walk(annotation):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                try:
+                    parsed = ast.parse(sub.value, mode="eval")
+                except SyntaxError:
+                    continue
+                for name in ast.walk(parsed):
+                    if isinstance(name, ast.Name):
+                        yield name.id
+
+
+def _all_names(tree: ast.Module) -> Iterator[str]:
+    """The string entries of a module-level ``__all__ = [...]``."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in stmt.targets
+        ):
+            for element in getattr(stmt.value, "elts", ()):
+                if isinstance(element, ast.Constant) and isinstance(element.value, str):
+                    yield element.value
+
+
+@register
+class UnusedImportRule(Rule):
+    id = "R6"
+    name = "unused-import"
+    rationale = (
+        "An import the module never reads misstates its dependencies and "
+        "keeps dead names alive.  __init__.py re-exports, __all__ names, "
+        "names read only in string annotations and # noqa lines are exempt."
+    )
+
+    def check(self, ctx: FileContext) -> Iterator[Violation]:
+        if ctx.rel_path.endswith("__init__.py"):
+            return
+        used = {node.id for node in ast.walk(ctx.tree) if isinstance(node, ast.Name)}
+        used.update(_string_annotation_names(ctx.tree))
+        used.update(_all_names(ctx.tree))
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            lines = ctx.lines[node.lineno - 1 : (node.end_lineno or node.lineno)]
+            if any("# noqa" in line for line in lines):
+                continue
+            for alias in node.names:
+                local = alias.asname or alias.name.split(".")[0]
+                if alias.name != "*" and local not in used:
+                    yield ctx.violation(
+                        self, node, f"`{local}` is imported but never used"
+                    )

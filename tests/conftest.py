@@ -8,8 +8,12 @@ exercising the same code paths the benchmarks use at larger scale.
 from __future__ import annotations
 
 import hashlib
+import importlib
+import json
+import re
 import sys
 from pathlib import Path
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 import pytest
@@ -30,6 +34,7 @@ from repro.embeddings import EmbeddingTable, synthesize_topic_vectors
 from repro.nvm.block import BlockLayout
 from repro.partitioning import SHPPartitioner
 from repro.scenarios import ScenarioConfig, generate_scenario_trace
+from repro.tracing import Tracer
 from repro.workloads import SyntheticTraceGenerator, scaled_table_specs
 from repro.workloads.tables_spec import TableSpec
 from repro.workloads.characterization import access_counts
@@ -204,6 +209,131 @@ def trace_digest(trace: Trace) -> dict:
         "lookups": int(lengths.sum()),
         "sha256": sha.hexdigest(),
     }
+
+
+# ---------------------------------------------------------------- golden ledger
+#: Every pin of the suite: ``{name: {"producer": "tests.<module>:<function>",
+#: "value": <its output>}}``, written only by ``python -m tests.goldens``.
+GOLDENS_PATH = Path(__file__).with_name("goldens.json")
+
+
+def load_goldens() -> Dict[str, Any]:
+    return json.loads(GOLDENS_PATH.read_text())
+
+
+def dump_goldens(ledger: Dict[str, Any]) -> str:
+    return json.dumps(ledger, indent=2) + "\n"
+
+
+def produce_golden(entry: Dict[str, Any]) -> Any:
+    """Run ``entry``'s producer; its output as JSON stores it (tuples become
+    lists, float keys strings)."""
+    module, function = entry["producer"].split(":")
+    return json.loads(json.dumps(getattr(importlib.import_module(module), function)()))
+
+
+def first_difference(expected: Any, got: Any, path: str = "") -> Optional[str]:
+    """The first key, in ``expected``'s order, where ``got`` differs, with
+    both values (exact: ``1`` is not ``1.0``); ``None`` when equal."""
+    if isinstance(expected, list) and isinstance(got, list) and len(expected) == len(got):
+        expected, got = dict(enumerate(expected)), dict(enumerate(got))
+    if isinstance(expected, dict) and isinstance(got, dict):
+        for key in [*expected, *(key for key in got if key not in expected)]:
+            where = f"{path} > {key}" if path else str(key)
+            found = first_difference(expected.get(key, "<none>"), got.get(key, "<none>"), where)
+            if found is not None:
+                return found
+        return None
+    if type(expected) is type(got) and expected == got:
+        return None
+    return f"{path or 'value'}: ledger {expected!r}, produced {got!r}"
+
+
+def check_golden(name: str, expected: Any, got: Any) -> None:
+    __tracebackhide__ = True
+    difference = first_difference(expected, got)
+    if difference is not None:
+        raise AssertionError(
+            f"golden {name!r} differs at {difference} "
+            f"(a deliberate change re-pins with: python -m tests.goldens --only {name})"
+        )
+
+
+def golden(name: str) -> Any:
+    """Run ledger entry ``name``'s producer, check its output against the
+    entry and return it."""
+    __tracebackhide__ = True
+    entry = load_goldens()[name]
+    produced = produce_golden(entry)
+    check_golden(name, entry["value"], produced)
+    return produced
+
+
+def unnamed_changes(old: Dict[str, Any], new: Dict[str, Any], added: List[str]) -> List[str]:
+    """Entries added, removed or changed from ledger ``old`` to ``new`` that
+    no line of ``added`` (the lines added to CHANGES.md) names as a word."""
+    return [
+        name
+        for name in {**old, **new}
+        if old.get(name) != new.get(name)
+        and not any(re.search(rf"\b{re.escape(name)}\b", line) for line in added)
+    ]
+
+
+STAGES = ("trace", "layout", "access_counts", "cache", "counters", "cache_keys")
+
+
+def stage_chain(traces, *stages) -> Dict[str, str]:
+    """A pin's stage chain: one sha256 per :data:`STAGES` entry, for the
+    ``traces`` and then each of ``stages`` (one item per table; arrays hash
+    as little-endian int64, anything else by repr), as many as are given."""
+    digests = []
+    for items in ([trace_digest(trace)["sha256"] for trace in traces], *stages):
+        sha = hashlib.sha256()
+        for item in items:
+            is_array = isinstance(item, np.ndarray)
+            sha.update(item.astype("<i8").tobytes() if is_array else repr(item).encode())
+        digests.append(sha.hexdigest())
+    return dict(zip(STAGES, digests))
+
+
+def store_stages(store: BandanaStore, traces: List[ModelTrace], result) -> Dict[str, str]:
+    """The whole stage chain of ``store``, built and served on ``traces``
+    into the :func:`~repro.simulation.simulate_store` ``result``."""
+    states = store.tables.values()
+    served = [result.per_table[state.name] for state in states]
+    return stage_chain(
+        [model[state.name] for model in traces for state in states],
+        [state.layout.order for state in states],
+        [state.access_counts for state in states],
+        [(s.cache_config.cache_size_vectors, s.cache_config.threshold) for s in states],
+        [(counters(table.stats), counters(table.baseline_stats)) for table in served],
+        [np.array(state.engine.cache.keys(), dtype=np.int64) for state in states],
+    )
+
+
+def fold_run(sha, run, traced: bool = True) -> set:
+    """Fold ``run(tracing=tracer)``'s report and, when ``traced``, every span
+    (ids, parent, name, exact start and end, sorted attributes) into ``sha``;
+    return the span names."""
+    tracer = Tracer() if traced else None
+    sha.update(json.dumps(run(tracing=tracer).to_dict(), sort_keys=True).encode())
+    spans = [span for trace in tracer.traces.values() for span in trace.spans] if traced else []
+    for span in spans:
+        sha.update(
+            repr(
+                (
+                    span.span_id,
+                    span.request_id,
+                    span.parent_id,
+                    span.name,
+                    span.t_start_us.hex(),
+                    span.t_end_us.hex(),
+                    sorted(span.attributes.items()),
+                )
+            ).encode()
+        )
+    return {span.name for span in spans}
 
 
 def _replay_case(num_vectors: int, train: Trace, evaluation: Trace, iterations: int):

@@ -10,22 +10,13 @@ pending-arrivals heap (:class:`_ClosedLoopReference`).  A Hypothesis test
 drives the source and an oracle with the same responses and compares every
 batch's members and dispatch time exactly; a digest grid pins the serving
 reports and spans of both processes, both backends and both tracing modes
-(:data:`GOLDEN_SERVING_GRID_DIGESTS`, captured from the two batchers).
+(ledger entry ``serving_grid_digests``, captured from the two batchers).
 """
-
-import os
-import sys
-
-if __package__ in (None, ""):  # direct script run (golden regeneration)
-    sys.path.insert(
-        0,
-        os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"),
-    )
 
 import hashlib
 import heapq
 import itertools
-import json
+from functools import partial
 from typing import List, Tuple
 
 import numpy as np
@@ -34,11 +25,11 @@ from hypothesis import strategies as st
 
 from repro import ServingConfig
 from repro.cluster import run_scenario
-from repro.core.config import ClusterConfig, TracingConfig
+from repro.core.config import ClusterConfig
 from repro.serving import simulate_serving
 from repro.serving.arrivals import ArrivalSource, cut_batch
-from repro.tracing import Tracer
-from test_serving import build_store_and_trace
+from tests.conftest import fold_run, golden
+from tests.test_serving import build_store_and_trace
 
 Batches = List[Tuple[List[float], float]]
 
@@ -227,35 +218,15 @@ def _grid_config(process, max_batch, linger, rate, slack):
     )
 
 
-def _digest_run(sha, run, traced):
-    """Fold ``run(tracer)``'s report and, when traced, every span into ``sha``."""
-    tracer = Tracer(TracingConfig(enabled=True, sample_every=1)) if traced else None
-    report = run(tracer)
-    sha.update(json.dumps(report.to_dict(), sort_keys=True).encode())
-    for trace in tracer.traces.values() if tracer is not None else ():
-        for span in trace.spans:
-            sha.update(
-                repr(
-                    (
-                        span.span_id,
-                        span.request_id,
-                        span.parent_id,
-                        span.name,
-                        span.t_start_us.hex(),
-                        span.t_end_us.hex(),
-                        sorted(span.attributes.items()),
-                    )
-                ).encode()
-            )
-
-
 def serving_grid_digests():
     """sha256 digests of the serving grid, one per group of runs.
 
     ``simulate_serving`` over process × (batch, linger) × rate × admission
     slack {off, 1.0} × tracing {off, on} (one digest per process and
     batching), both processes at 0, 1 and 7 requests, and ``run_scenario``
-    under three fault scenarios, traced and untraced.
+    under three fault scenarios, traced and untraced.  Captured from the two
+    batchers this source replaced; they change only when arrivals, batching,
+    serving, the report's keys, span shapes or the fixture change.
     """
     store, trace = build_store_and_trace(seed=3)
     digests = {}
@@ -266,70 +237,30 @@ def serving_grid_digests():
                 GRID_RATES, (None, 1.0), (False, True)
             ):
                 config = _grid_config(process, max_batch, linger, rate, slack)
-                _digest_run(
-                    sha,
-                    lambda tracer: simulate_serving(store, trace, config, tracing=tracer),
-                    traced,
-                )
+                fold_run(sha, partial(simulate_serving, store, trace, config), traced)
             digests[f"{process}/b{max_batch}-l{linger:g}"] = sha.hexdigest()
     sha = hashlib.sha256()
     for process, n in itertools.product(("poisson", "closed-loop"), (0, 1, 7)):
         config = _grid_config(process, 4, 300.0, 50_000.0, None)
-        _digest_run(
-            sha,
-            lambda tracer: simulate_serving(
-                store, trace, config, num_requests=n, tracing=tracer
-            ),
-            True,
-        )
+        fold_run(sha, partial(simulate_serving, store, trace, config, num_requests=n))
     digests["num_requests"] = sha.hexdigest()
     for scenario in ("none", "degraded_cluster", "slow_node"):
         sha = hashlib.sha256()
         for traced in (False, True):
-            _digest_run(
-                sha,
-                lambda tracer: run_scenario(
-                    store,
-                    trace,
-                    scenario,
-                    ClusterConfig(num_nodes=4, replication=2),
-                    ServingConfig(arrival_rate_rps=20_000.0, seed=11),
-                    num_requests=120,
-                    scenario_overrides=dict(start_s=0.001, duration_s=0.003),
-                    tracing=tracer,
-                ),
-                traced,
+            run = partial(
+                run_scenario,
+                store,
+                trace,
+                scenario,
+                ClusterConfig(num_nodes=4, replication=2),
+                ServingConfig(arrival_rate_rps=20_000.0, seed=11),
+                num_requests=120,
+                scenario_overrides=dict(start_s=0.001, duration_s=0.003),
             )
+            fold_run(sha, run, traced)
         digests[f"scenario/{scenario}"] = sha.hexdigest()
     return digests
 
 
 def test_serving_grid_is_pinned():
-    assert serving_grid_digests() == GOLDEN_SERVING_GRID_DIGESTS
-
-
-#: Frozen output of :func:`serving_grid_digests`, captured from the two
-#: batchers this source replaced.  It changes only when arrivals, batching,
-#: serving, the report's keys, span shapes or the fixture change —
-#: regenerate deliberately with ``python tests/test_arrival_equivalence.py``.
-GOLDEN_SERVING_GRID_DIGESTS = {
-    "poisson/b1-l0": "0ae859a90e7d2889704d3ac1f56077c76352d3be4990dc5cce6a11b5a4f75bd1",
-    "poisson/b4-l0": "0ae859a90e7d2889704d3ac1f56077c76352d3be4990dc5cce6a11b5a4f75bd1",
-    "poisson/b8-l300": "d59db09f40a9e926487317d310087a7a07094f5c8f2f5fa8899a84a79081943f",
-    "poisson/b16-l500": "0b1a5f826d825c03f3cf04a638881aa9cb45526cfc358b0d235fa4ec73c398e6",
-    "closed-loop/b1-l0": "362c58d9ad0e372d77ba3870f5439818460d493aa6e594f411204957bfafcd7f",
-    "closed-loop/b4-l0": "362c58d9ad0e372d77ba3870f5439818460d493aa6e594f411204957bfafcd7f",
-    "closed-loop/b8-l300": "0c330555f94947a8f53d7a21d40ad8974db08d7ae370b605dec5a4ee0c5724f7",
-    "closed-loop/b16-l500": "fa0ca1e1e0de6fd0568c00da729a038563bb668fc8831d48bfce2865472329fb",
-    "num_requests": "3c57d2abd580196f7701f139f15f055254af66b1b671ab69a91148eb6b70dbbc",
-    "scenario/none": "1a74b1fd469e7d42f1b40a573140b49b90b5c7be9e6a9ed84383a887aab453c0",
-    "scenario/degraded_cluster": "ba09df97bc644b3431412c62280f48ea7804109e33960f9a6891b6a0e3a89ed2",
-    "scenario/slow_node": "b7a62709d56873fee94e172e1c7f2dbbc5f256771e5723030ae710d6fb06fbe4",
-}
-
-
-if __name__ == "__main__":  # pragma: no cover - maintenance helper
-    import pprint
-
-    print("GOLDEN_SERVING_GRID_DIGESTS = ", end="")
-    pprint.pprint(serving_grid_digests(), sort_dicts=False)
+    golden("serving_grid_digests")

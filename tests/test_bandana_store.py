@@ -19,12 +19,11 @@ from repro.simulation.runner import simulate_store
 from repro.workloads.characterization import access_counts
 from repro.workloads import SyntheticTraceGenerator
 from repro.workloads.trace import ModelTrace, Trace
-from tests.conftest import build_store, counters, make_spec
+from tests.conftest import build_store, counters, golden, make_spec, store_stages
 
 
-@pytest.fixture(scope="module")
-def store_workload():
-    """Two small tables with training and evaluation traces."""
+def make_store_workload():
+    """Two small tables: (specs, model, training traces, evaluation traces)."""
     specs = {
         "alpha": make_spec(name="alpha", num_vectors=2048, avg_lookups=16, compulsory=0.1),
         "beta": make_spec(name="beta", num_vectors=4096, avg_lookups=8, compulsory=0.4),
@@ -40,6 +39,11 @@ def store_workload():
         values = synthesize_topic_vectors(generators[name].topic_of(), dim=16, noise=0.4, seed=5)
         model.add_table(EmbeddingTable(name, spec.num_vectors, dim=16, values=values))
     return specs, model, train, evaluation
+
+
+@pytest.fixture(scope="module")
+def store_workload():
+    return make_store_workload()
 
 
 @pytest.fixture(scope="module")
@@ -156,55 +160,49 @@ class TestBuild:
         } == expected
 
 
-#: sha256 of an untuned store built and served on ``store_workload`` (layout
-#: orders, access counts, cache sizes, thresholds, served and baseline
-#: counters, final cache keys), captured before tuned builds held out a tail
-#: of the training trace: an untuned build must not move.
-GOLDEN_UNTUNED_BUILD_DIGESTS = {
-    0.0: "17282367a244c73c3c676f24cd8113af42f755479c5d96c184475b4ee9a5dfec",
-    2.0: "843fe36ec62a78c40af660e8adae56849afefbb2d34be9b4ecf3c8baf7eae08e",
-    50.0: "525a3e0a1ecf75d9fe785ea92212e7a59f0ac57be04431e8f9ca7cf9c66086bd",
-}
-
-
-def untuned_build_digest(store_workload, threshold):
-    specs, _, train, evaluation = store_workload
-    config = BandanaConfig(
-        total_cache_vectors=800,
-        shp_iterations=6,
-        tune_thresholds=False,
-        default_threshold=threshold,
-        seed=0,
-    )
-    store = BandanaStore.build(
-        train, config, num_vectors={n: s.num_vectors for n, s in specs.items()}
-    )
-    result = simulate_store(store, evaluation)
-    digest = hashlib.sha256()
-    for name, state in store.tables.items():
-        digest.update(name.encode())
-        digest.update(state.layout.order.astype("<i8").tobytes())
-        digest.update(state.access_counts.astype("<i8").tobytes())
-        digest.update(
-            repr((state.cache_config.cache_size_vectors, state.cache_config.threshold)).encode()
+def untuned_build_digests():
+    """Per default threshold, an untuned store's stage chain and one sha256
+    over all it covers, captured before tuned builds held out a tail of the
+    training trace: an untuned build must not move."""
+    specs, _, train, evaluation = make_store_workload()
+    digests = {}
+    for threshold in (0.0, 2.0, 50.0):
+        config = BandanaConfig(
+            total_cache_vectors=800,
+            shp_iterations=6,
+            tune_thresholds=False,
+            default_threshold=threshold,
+            seed=0,
         )
-        table = result.per_table[name]
-        digest.update(repr(counters(table.stats)).encode())
-        digest.update(repr(counters(table.baseline_stats)).encode())
-        digest.update(np.array(state.engine.cache.keys(), dtype="<i8").tobytes())
-    return digest.hexdigest()
+        store = BandanaStore.build(
+            train, config, num_vectors={n: s.num_vectors for n, s in specs.items()}
+        )
+        result = simulate_store(store, evaluation)
+        digest = hashlib.sha256()
+        for name, state in store.tables.items():
+            digest.update(name.encode())
+            digest.update(state.layout.order.astype("<i8").tobytes())
+            digest.update(state.access_counts.astype("<i8").tobytes())
+            digest.update(
+                repr((state.cache_config.cache_size_vectors, state.cache_config.threshold)).encode()
+            )
+            table = result.per_table[name]
+            digest.update(repr(counters(table.stats)).encode())
+            digest.update(repr(counters(table.baseline_stats)).encode())
+            digest.update(np.array(state.engine.cache.keys(), dtype="<i8").tobytes())
+        digests[threshold] = {
+            **store_stages(store, [train, evaluation], result),
+            "digest": digest.hexdigest(),
+        }
+    return digests
 
 
 class TestTuningHoldout:
     """A tuned build fits placement and counts on the head of each training
     trace and tunes on the held-out tail; an untuned build uses it whole."""
 
-    @pytest.mark.parametrize("threshold", sorted(GOLDEN_UNTUNED_BUILD_DIGESTS))
-    def test_untuned_build_is_unchanged(self, store_workload, threshold):
-        assert (
-            untuned_build_digest(store_workload, threshold)
-            == GOLDEN_UNTUNED_BUILD_DIGESTS[threshold]
-        )
+    def test_untuned_build_is_unchanged(self):
+        golden("untuned_build_digests")
 
     def test_counts_come_from_the_head(self, built_store, store_workload):
         specs, _, train, _ = store_workload

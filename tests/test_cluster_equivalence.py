@@ -10,7 +10,6 @@ the aggregate counters guards the invariant against behavioural drift that
 happens to stay self-consistent.
 """
 
-import numpy as np
 import pytest
 
 from repro.cluster import ClusterStore, run_scenario

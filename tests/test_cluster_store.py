@@ -11,12 +11,7 @@ recovered nodes restart cold.  Every run is a pure function of
 import hashlib
 import json
 import math
-import os
-import sys
-
-if __package__ in (None, ""):  # direct script run (golden regeneration)
-    _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    sys.path[:0] = [os.path.join(_ROOT, "src"), _ROOT]
+from functools import partial
 
 import numpy as np
 import pytest
@@ -52,7 +47,7 @@ from repro.tracing.tracer import (
     STAGE_HEDGE_WON,
     STAGE_NODE_SERVICE,
 )
-from tests.conftest import build_store, counters
+from tests.conftest import build_store, counters, fold_run, golden
 
 #: Scenario window tuned to the ~0.05 s makespan of the seed traces
 #: (106 requests at the default 2000 rps).
@@ -330,7 +325,7 @@ class TestDegradedCluster:
         # Every run is a pure function of (trace, configs, schedule, seed),
         # so one warmed degraded-cluster report is pinned bit-stably (modulo
         # the 6-decimal rounding) — the cluster tier's only latency pin.
-        assert golden_scenario_pin() == GOLDEN_SCENARIO_REPORT
+        golden("cluster_scenario_report")
 
     def test_sweep_runs_whole_catalog(self):
         store, trace = build_store(0)
@@ -361,8 +356,7 @@ class TestDegradedCluster:
         # Pins every span the router records, not just the counters: each
         # catalog scenario at R = 1, 2, 3 must reproduce its report and span
         # tree bit for bit, and the set must exercise every attempt outcome.
-        digests, stages = golden_trace_digests()
-        assert digests == GOLDEN_CLUSTER_TRACE_DIGESTS
+        stages = set(golden("cluster_trace_digests")["span_names"])
         assert {
             STAGE_ATTEMPT_TIMEOUT,
             STAGE_ATTEMPT_LINK_LOSS,
@@ -763,41 +757,8 @@ def golden_scenario_pin():
     return pin
 
 
-#: Frozen output of :func:`golden_scenario_pin`.  It changes only when
-#: cluster serving semantics or the ``build_store`` fixture change — regenerate
-#: deliberately with ``python tests/test_cluster_store.py``.  Last re-pinned
-#: when a request's completion, and so the makespan, stopped including the
-#: fan-in overhead (5 µs off the makespan; nothing else moved).
-GOLDEN_SCENARIO_REPORT = {
-    "p50_us": 7216.147962,
-    "p95_us": 8277.946116,
-    "p99_us": 8380.494459,
-    "p999_us": 8509.726786,
-    "makespan_us": 51653.819371,
-    "counters": {
-        "requests_total": 92,
-        "requests_ok": 79,
-        "requests_degraded": 13,
-        "availability": 0.8586956521739131,
-        "shard_groups": 1365,
-        "shard_groups_failed": 23,
-        "shard_attempts": 1495,
-        "retries": 130,
-        "timeouts": 14,
-        "link_losses": 9,
-        "sheds": 139,
-        "hedges_launched": 158,
-        "hedges_won": 85,
-        "hedges_lost": 73,
-        "breaker_skips": 447,
-        "breaker_ejections": 1,
-        "cold_restarts": 0,
-    },
-}
-
-
 def golden_trace_digests():
-    """(per-run sha256 digests, every stage name seen) of the trace-golden set.
+    """Per-run sha256 digests of the trace-golden set, and every span name seen.
 
     Each catalog scenario at R = 1, 2, 3 on 4 nodes, traced in full under
     :data:`GOLDEN_SERVING`, with a 300 µs slow-strike threshold (so breakers
@@ -809,71 +770,13 @@ def golden_trace_digests():
     for scenario in SCENARIOS:
         overrides = dict(WINDOW, loss_prob=0.4) if scenario == "flaky_link" else WINDOW
         for replication in (1, 2, 3):
-            tracer = Tracer()
-            report = run(
-                1,
-                scenario,
-                ClusterConfig(
-                    num_nodes=4,
-                    replication=replication,
-                    breaker_slow_threshold_us=300.0,
-                ),
-                overrides=overrides,
-                serving_config=GOLDEN_SERVING,
-                tracing=tracer,
+            config = ClusterConfig(
+                num_nodes=4, replication=replication, breaker_slow_threshold_us=300.0
             )
-            sha = hashlib.sha256(
-                json.dumps(report.to_dict(), sort_keys=True).encode()
+            one_run = partial(
+                run, 1, scenario, config, overrides=overrides, serving_config=GOLDEN_SERVING
             )
-            for trace in tracer.traces.values():
-                for span in trace.spans:
-                    stages.add(span.name)
-                    sha.update(
-                        repr(
-                            (
-                                span.span_id,
-                                span.request_id,
-                                span.parent_id,
-                                span.name,
-                                span.t_start_us.hex(),
-                                span.t_end_us.hex(),
-                                sorted(span.attributes.items()),
-                            )
-                        ).encode()
-                    )
+            sha = hashlib.sha256()
+            stages |= fold_run(sha, one_run)
             digests[f"{scenario}/R{replication}"] = sha.hexdigest()
-    return digests, stages
-
-
-#: Frozen output of :func:`golden_trace_digests`.  Last re-pinned when a
-#: request's completion stopped including the fan-in overhead (the report's
-#: makespan moved 5 µs; the spans did not).  It
-#: changes only when cluster serving, its spans, the report's keys or the
-#: fixture change — regenerate deliberately with
-#: ``python tests/test_cluster_store.py``.
-GOLDEN_CLUSTER_TRACE_DIGESTS = {
-    "none/R1": '5ad02a21d55f75db31ce9e88c4beccbbeaff64f63f45d9ceddea13cd1162b607',
-    "none/R2": 'f8379e51727f410796f8d9623e9a6c704171952fd3f104a531b7912f755c5a19',
-    "none/R3": 'b5386f6e050eb1dda86c944421ea2d2f8c21e95707faa97d881bf29cceab1f8c',
-    "crash_recover/R1": '94bf9a6fe0021d07b872cafcd057343d0b0b02535ccaa890cee3d0b42fff5c0f',
-    "crash_recover/R2": '4ced2bdcb23431e7fb26632df70ef263e4ff48c04939c3d3b9d24ac9695e1a79',
-    "crash_recover/R3": 'bea1e1114949c987ef8eeb860ca841003c40a67eb5f99b6fb90e0def5b296068',
-    "slow_node/R1": '8712c07c2ccc80e79cadd625d5f927aae78d41d94b26d453f189c71f4e06de3f',
-    "slow_node/R2": 'c86efcea3e8caba4ff5abab0415afaae03cfda35d1c683cd61cf460b491fe6d7',
-    "slow_node/R3": '517d6904507938a7b357c492de0da0fce43014a58e7fd5e2f37f07046eb3760c',
-    "flaky_link/R1": 'd1b2385935dd2aa04a0820d12a816f1f2cddd417f5dc1cb03748e1d0fa107c63',
-    "flaky_link/R2": '26a6a17b8280cf39f7dbbe509c46f909be42cc7d4a77e27c3813c0954ce70fc5',
-    "flaky_link/R3": '54b3320917f0281d2fcec7313a669bcc5663c00d29fbd15d505f95755d5dbce9',
-    "degraded_cluster/R1": 'b9d89140f99a046a586ff1e44f1c4f2ef770e311ee7752b3e6a670b498343b4d',
-    "degraded_cluster/R2": '18deb99bf6318a7b4f5615cb9dc4e318bb7bf578e192fae4ee6ceea326d5169b',
-    "degraded_cluster/R3": '90b2e2fdec7d078640f8b1c78654c742ea703e3c69db56e9a3d3e2f992ffe830',
-}
-
-
-if __name__ == "__main__":  # pragma: no cover - maintenance helper
-    import pprint
-
-    print("GOLDEN_SCENARIO_REPORT = ", end="")
-    pprint.pprint(golden_scenario_pin(), sort_dicts=False)
-    print("GOLDEN_CLUSTER_TRACE_DIGESTS = ", end="")
-    pprint.pprint(golden_trace_digests()[0], sort_dicts=False)
+    return {"digests": digests, "span_names": sorted(stages)}

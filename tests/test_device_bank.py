@@ -12,15 +12,6 @@ contention under a genuinely shared device, closed-loop arrival properties
 single-host admission control (per-table SLOs included).
 """
 
-import os
-import sys
-
-if __package__ in (None, ""):  # direct script run
-    sys.path.insert(
-        0,
-        os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"),
-    )
-
 import functools
 from collections import Counter
 
@@ -38,7 +29,7 @@ from repro.serving.arrivals import ArrivalSource
 from repro.tracing.tracer import ATTR_PARALLEL, STAGE_DEVICE_SERVICE, STAGE_REQUEST_SHED
 from repro.tracing import Tracer, validate_trace
 from repro.utils.rng import ensure_rng
-from test_serving import build_store_and_trace
+from tests.test_serving import build_store_and_trace
 from tests.conftest import count_python_calls
 
 #: Python-level calls per ``DeviceClock.serve_blocks``, whatever its read
@@ -852,7 +843,3 @@ class TestDevicesPerHost:
             ServingConfig(device="shared")  # type: ignore[call-arg]
         with pytest.raises(TypeError):
             ServingConfig(table_slo_us=(("t", 1.0),))  # type: ignore[call-arg]
-
-
-if __name__ == "__main__":
-    sys.exit(pytest.main([__file__, "-v"]))

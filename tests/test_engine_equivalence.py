@@ -9,9 +9,8 @@ admits at the top of the queue and every cache size from zero to more than
 the table, check the store and the miniature-cache tuner against direct
 reference-loop calls, check that a positional policy is refused by the engine
 and replayed by the reference loop through ``simulate_table``, and pin the
-counters of the shapes the benchmark drives (``GOLDEN_ENGINE_COUNTERS``,
-captured from the stamp-log engine this one replaced;
-``python tests/test_engine_equivalence.py`` prints a fresh dictionary).
+counters of the shapes the benchmark drives (ledger entry ``engine_counters``,
+captured from the stamp-log engine this one replaced).
 """
 
 import hashlib
@@ -56,6 +55,8 @@ from tests.conftest import (
     InspectableLRUCache,
     build_store,
     drift_replay_case,
+    golden,
+    stage_chain,
     table1_replay_case,
 )
 from tests.conftest import counters as full_counters
@@ -1000,19 +1001,25 @@ class TestLRUCacheHeapCompaction:
 
 
 # --------------------------------------------------------------------- goldens
-def _digest(stats, keys):
+def _digest(stats, keys, queries, layout, counts, cache):
+    """The stage chain of one replay: its queries, layout, access counts and
+    (cache size, threshold), then its counters and final cache keys."""
+    trace = Trace(queries, num_vectors=layout.num_vectors)
     return {
+        **stage_chain([trace], [layout.order], [counts], [cache]),
         "counters": list(full_counters(stats)),
         "keys_sha256": hashlib.sha256(np.array(keys, dtype="<i8").tobytes()).hexdigest(),
     }
 
 
-def _engine_digest(engine):
-    return _digest(engine.stats, engine.cache.keys())
-
-
 def golden_engine_counters():
-    """Replay the shapes the benchmark drives; counters and cache order of each."""
+    """Replay the shapes the benchmark drives; counters and cache order of each.
+
+    Captured from the stamp-log ``ArrayLRUCache`` engine this one replaced,
+    but for two re-pins: the device entry's NVM time (Fig. 2's law refit) and
+    the tuned row (the tuner picks 10, not 20, since miniature caches sample
+    whole blocks; the row equals the reference loop's replay at 10).
+    """
     out = {}
     # drift-repartition's region: miss-heavy, one replay_query per query, a device.
     layout, counts, queries = drift_replay_case()
@@ -1024,7 +1031,9 @@ def golden_engine_counters():
     )
     for query in queries:
         engine.replay_query(query)
-    out["drift-4096/cache-512/threshold-2/per-query/device"] = _engine_digest(engine)
+    out["drift-4096/cache-512/threshold-2/per-query/device"] = _digest(
+        engine.stats, engine.cache.keys(), queries, layout, counts, (512, 2)
+    )
 
     # offline-pipeline / serve-host: table1 at 1/2000, one stream per engine.
     layout, counts, queries = table1_replay_case()
@@ -1035,59 +1044,28 @@ def golden_engine_counters():
         .select_threshold(tuning, layout, counts, cache_size)
         .threshold
     )
-    for name, policy, size in (
+    for name, policy, cache in (
         (
             f"table1/bounded/tuned-threshold-{threshold:g}",
             AccessThresholdPolicy(counts, threshold),
-            cache_size,
+            (cache_size, threshold),
         ),
-        ("table1/unlimited/cache-all-block", CacheAllBlockPolicy(), None),
+        ("table1/unlimited/cache-all-block", CacheAllBlockPolicy(), (None, None)),
     ):
-        engine = BatchReplayEngine(layout, policy, cache_size=size)
+        engine = BatchReplayEngine(layout, policy, cache_size=cache[0])
         engine.replay(queries)
-        out[name] = _engine_digest(engine)
+        out[name] = _digest(engine.stats, engine.cache.keys(), queries, layout, counts, cache)
 
     # An interpolated position: simulate_table's reference-loop route (the
     # keys come from the same replay with its cache kept).
     stats = simulate_table(tuning, layout, InsertAtPositionPolicy(0.5), cache_size=cache_size).stats
     cache = InspectableLRUCache(cache_size)
     replay_table_cache(queries, layout, InsertAtPositionPolicy(0.5), cache=cache)
-    out["table1/bounded/insert-at-0.5"] = _digest(stats, cache.keys())
+    out["table1/bounded/insert-at-0.5"] = _digest(
+        stats, cache.keys(), queries, layout, counts, (cache_size, None)
+    )
     return out
 
 
-#: Captured at the parent commit, from the stamp-log ``ArrayLRUCache`` engine.
-#: The device entry's NVM time was re-pinned when the Fig. 2 law was refit
-#: (one read at ``QUEUE_DEPTH`` went 24 → 17.406 µs).  The tuned row was
-#: re-pinned when the miniature caches began sampling whole blocks with an
-#: 8-block floor: the tuner now picks threshold 10 instead of 20, and the
-#: row's counters and keys equal the reference loop's replay at 10.  Every
-#: other counter and cache key is the captured one.
-GOLDEN_ENGINE_COUNTERS = {
-    "drift-4096/cache-512/threshold-2/per-query/device": {
-        "counters": [4558, 1724, 2834, 3630, 543, 2841, 5952, 49329.16849553607],
-        "keys_sha256": "1965552c7f813a16c8d0521ae8780612dbf7e485a6e2a077ce8c8367214779c7",
-    },
-    "table1/bounded/tuned-threshold-10": {
-        "counters": [6798, 6399, 399, 413, 155, 210, 562, 0.0],
-        "keys_sha256": "38fbfd3ae748bdd13a146eef5da29952e6a8df49611becc3c08eca9a9d10bc56",
-    },
-    "table1/unlimited/cache-all-block": {
-        "counters": [6798, 6694, 104, 3200, 346, 0, 0, 0.0],
-        "keys_sha256": "dd0210c89c4a68a7573eabc36b63dbcc19d179d0004abbddc1104ecff833d6e4",
-    },
-    "table1/bounded/insert-at-0.5": {
-        "counters": [6798, 4749, 2049, 52634, 1970, 50443, 54433, 0.0],
-        "keys_sha256": "20cfb27f42d3776dcacb32b7e9beecb98dd12740568587206b0ae9764f48ad25",
-    },
-}
-
-
 def test_golden_engine_counters():
-    assert golden_engine_counters() == GOLDEN_ENGINE_COUNTERS
-
-
-if __name__ == "__main__":
-    import pprint
-
-    pprint.pprint(golden_engine_counters(), width=100, sort_dicts=False)
+    golden("engine_counters")

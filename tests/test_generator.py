@@ -1,12 +1,5 @@
 """Tests for the synthetic workload generator."""
 
-import os
-import sys
-
-if __package__ in (None, ""):  # direct script run (golden regeneration)
-    _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    sys.path[:0] = [os.path.join(_ROOT, "src"), _ROOT]
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +21,7 @@ from repro.workloads.generator import (
     UNIQUE_PER_BLOCK,
 )
 from repro.workloads.trace import Trace
-from tests.conftest import make_spec, trace_digest
+from tests.conftest import golden, make_spec, trace_digest
 
 
 class TestPaperShapedLookups:
@@ -445,7 +438,11 @@ def golden_generator_digests():
 
     The train call is three windows long, so both calls cross a traffic-window
     boundary and the eval call starts mid-stream — the way the benchmark's
-    set-up and every ``bench_*`` script use a generator.
+    set-up and every ``bench_*`` script use a generator.  The 1/2000 entries
+    were captured from the ``Generator.choice(p=)`` implementation, the
+    1/1000 ones from the per-query draw-and-resolve loop
+    (``_reference_generate``).  A trace is a pure function of (spec, seed,
+    call sequence); these change only when the generative model changes.
     """
     digests = {}
     for label, scale, names, per_block, train_x, eval_x in GOLDEN_CALL_PATTERNS:
@@ -468,93 +465,4 @@ def golden_generator_digests():
 
 class TestSeededGolden:
     def test_generated_traces_match_the_pinned_digests(self):
-        assert golden_generator_digests() == GOLDEN_GENERATOR_DIGESTS
-
-
-#: Frozen output of :func:`golden_generator_digests`.  The 1/2000 entries were
-#: captured from the ``Generator.choice(p=)`` implementation, the 1/1000 ones
-#: from the per-query draw-and-resolve loop (``_reference_generate``).  A trace is
-#: a pure function of (spec, seed, call sequence); these change only when the
-#: generative model changes — regenerate deliberately with
-#: ``python tests/test_generator.py``.
-GOLDEN_GENERATOR_DIGESTS = {
-    "table1": {
-        "train": {
-            "queries": 484,
-            "lookups": 9505,
-            "sha256": "23ec61c4a504a08da5f45104938690c9d16b17acbccaf00293a3578a3900336f",
-        },
-        "eval": {
-            "queries": 161,
-            "lookups": 3084,
-            "sha256": "9dd034dae64b66da0119310921300104dd7984640fe2ff8c3bc4a14d3e4a6424",
-        },
-    },
-    "table6": {
-        "train": {
-            "queries": 49,
-            "lookups": 2200,
-            "sha256": "30df36412c901fa7a83a54b4fde1c1f67fc339cc1287864f52316b90467e843e",
-        },
-        "eval": {
-            "queries": 16,
-            "lookups": 762,
-            "sha256": "87b7b5dcb5c962757b5aa57607c533c0c14d904aecb085638221b9916d066c81",
-        },
-    },
-    "1/1000 table1": {
-        "train": {
-            "queries": 969,
-            "lookups": 23585,
-            "sha256": "be98d1c9eda587b48c329f203486c05810d16650d56a8aa96e54db8909bdbaaa",
-        },
-        "eval": {
-            "queries": 3876,
-            "lookups": 94184,
-            "sha256": "a4cedf4b04a77897e1fa5605c84a3d6fe80e056506ad74a60e48d710a9a275bc",
-        },
-    },
-    "1/1000 table2": {
-        "train": {
-            "queries": 691,
-            "lookups": 30268,
-            "sha256": "61c361384bc3e64cf52dfd83a984b6079d5ae62e26a65d741f06546b08cac05a",
-        },
-        "eval": {
-            "queries": 2765,
-            "lookups": 121219,
-            "sha256": "ebef7c01e5cb9c2d02b2172e90ed351c73f9bfc2ba5b142075ed1445bce3e7be",
-        },
-    },
-    "1/1000 table6": {
-        "train": {
-            "queries": 97,
-            "lookups": 4528,
-            "sha256": "d1fa5ed056dc04bc59af8e90c121256158b6e0588fe1cab5eb2dd84fb62b1727",
-        },
-        "eval": {
-            "queries": 390,
-            "lookups": 18496,
-            "sha256": "6670c25758468e3208c376601e7d15d09933d1e29862e2808f4cf3414da931ba",
-        },
-    },
-    "1/1000 table7": {
-        "train": {
-            "queries": 227,
-            "lookups": 8372,
-            "sha256": "32c774e6e9d5190a4c0a1b38c7465e64cc8f08ee44f2b013e4f7ea288614794c",
-        },
-        "eval": {
-            "queries": 910,
-            "lookups": 32697,
-            "sha256": "15e16cde137c7f1cd88803a485ee80a2996efe4c0587ece3ea8a48599adc1307",
-        },
-    },
-}
-
-
-if __name__ == "__main__":  # pragma: no cover - maintenance helper
-    import pprint
-
-    print("GOLDEN_GENERATOR_DIGESTS = ", end="")
-    pprint.pprint(golden_generator_digests(), sort_dicts=False)
+        golden("generator_digests")

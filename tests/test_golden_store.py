@@ -3,17 +3,16 @@
 A small two-table placement-study store (SHP placement, unlimited caches,
 cache-all-block prefetch — the configuration behind the paper's store-wide
 placement numbers) is built from fixed seeds and replayed; every counter the
-replay produces is pinned to the values frozen below.  Any silent drift in
-the trace generator, the SHP partitioner, the replay engine or the store
-plumbing fails tier-1 here.
+replay produces is pinned.  Any silent drift in the trace generator, the SHP
+partitioner, the replay engine or the store plumbing fails tier-1 here.
 
-If a change intentionally alters replay semantics, re-derive the goldens by
-running the builder below and update the frozen values in the same commit,
-explaining why the numbers moved.
+The pins live in ``tests/goldens.json`` (entry ``golden_store``) beside the
+store's stage chain, so a moved layout fails as "layout".  If a change
+intentionally alters replay semantics, re-pin with ``python -m tests.goldens
+--only golden_store`` and say in CHANGES.md why the numbers moved.
 """
 
 import numpy as np
-import pytest
 
 from repro.caching.policies import CacheAllBlockPolicy
 from repro.caching.replay import ReplayStats
@@ -24,6 +23,7 @@ from repro.simulation import simulate_store
 from repro.workloads import SyntheticTraceGenerator
 from repro.workloads.tables_spec import TableSpec
 from repro.workloads.trace import ModelTrace
+from tests.conftest import golden, store_stages
 
 VECTORS_PER_BLOCK = 32
 
@@ -48,29 +48,12 @@ SPECS = {
     ),
 }
 
-#: Frozen candidate counters per table:
-#: (lookups, hits, misses, prefetch_admitted, prefetch_hits,
-#:  prefetch_evicted_unused, evictions)
-GOLDEN_CANDIDATE = {
-    "alpha": (3538, 3474, 64, 1984, 391, 0, 0),
-    "beta": (3775, 3743, 32, 992, 769, 0, 0),
-}
-
-#: Frozen no-prefetch baseline counters per table: (lookups, hits, misses).
-GOLDEN_BASELINE = {
-    "alpha": (3538, 3083, 455),
-    "beta": (3775, 2974, 801),
-}
-
-GOLDEN_TOTAL_BLOCK_READS = 96
-GOLDEN_BASELINE_BLOCK_READS = 1256
-GOLDEN_AGGREGATE_HIT_RATE = 0.9868726925
-
-
 def build_golden_store():
-    """The frozen workload: fixed seeds end to end, SHP placement."""
+    """The frozen workload: fixed seeds end to end, SHP placement; returns
+    the store and its training and evaluation traces."""
     config = BandanaConfig(total_cache_vectors=3072, tune_thresholds=False)
     tables = {}
+    train = {}
     evaluation = {}
     for index, (name, spec) in enumerate(SPECS.items()):
         generator = SyntheticTraceGenerator(spec, seed=40 + index, expected_lookups=4000)
@@ -91,30 +74,29 @@ def build_golden_store():
             access_counts=np.zeros(spec.num_vectors, dtype=np.int64),
             stats=ReplayStats(vector_bytes=128, block_bytes=4096),
         )
+        train[name] = train_trace
         evaluation[name] = eval_trace
-    return BandanaStore(config, tables), ModelTrace(evaluation)
+    return BandanaStore(config, tables), ModelTrace(train), ModelTrace(evaluation)
 
 
-def candidate_counters(stats: ReplayStats):
-    return stats.counters()
+def golden_store_counters():
+    """The store's stage chain, then its counters: per table the candidate's
+    ``ReplayStats.counters()`` and the no-prefetch baseline's (lookups, hits,
+    misses), the store-wide totals (hit rate to 10 places), and the store's
+    own block-read tally, which must be the total it served."""
+    store, train, evaluation = build_golden_store()
+    result = simulate_store(store, evaluation)
+    baseline = {name: result.per_table[name].baseline_stats for name in SPECS}
+    return {
+        **store_stages(store, [train, evaluation], result),
+        "candidate": {name: result.per_table[name].stats.counters() for name in SPECS},
+        "baseline": {name: (b.lookups, b.hits, b.misses) for name, b in baseline.items()},
+        "total_block_reads": result.total_block_reads,
+        "baseline_block_reads": result.total_baseline_block_reads,
+        "aggregate_hit_rate": round(result.aggregate_hit_rate, 10),
+        "store_block_reads": store.aggregate_stats().block_reads,
+    }
 
 
 def test_golden_store_counters():
-    store, eval_trace = build_golden_store()
-    result = simulate_store(store, eval_trace)
-    for name in SPECS:
-        table = result.per_table[name]
-        assert candidate_counters(table.stats) == GOLDEN_CANDIDATE[name], name
-        baseline = table.baseline_stats
-        assert (
-            baseline.lookups,
-            baseline.hits,
-            baseline.misses,
-        ) == GOLDEN_BASELINE[name], name
-    assert result.total_block_reads == GOLDEN_TOTAL_BLOCK_READS
-    assert result.total_baseline_block_reads == GOLDEN_BASELINE_BLOCK_READS
-    assert result.aggregate_hit_rate == pytest.approx(
-        GOLDEN_AGGREGATE_HIT_RATE, abs=1e-9
-    )
-    # The store's tally is the replay counters it served into.
-    assert store.aggregate_stats().block_reads == GOLDEN_TOTAL_BLOCK_READS
+    golden("golden_store")

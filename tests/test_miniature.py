@@ -1,6 +1,5 @@
 """Tests for the miniature-cache threshold tuner (paper Table 2 / Figure 14)."""
 
-import numpy as np
 import pytest
 
 from repro.caching.miniature import (

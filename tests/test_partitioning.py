@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.partitioning.shp as shp_module
-from repro.embeddings.table import EmbeddingTable
 from repro.nvm.block import BlockLayout
 from repro.partitioning import (
     FrequencyPartitioner,
@@ -25,9 +24,8 @@ from repro.workloads import (
     paper_shaped_lookups,
     scaled_table_specs,
 )
-from repro.workloads.characterization import access_counts
 from repro.workloads.trace import Trace
-from tests.conftest import average_fanout
+from tests.conftest import average_fanout, golden
 
 
 def assert_is_permutation(order: np.ndarray, num_vectors: int):
@@ -644,8 +642,13 @@ def shp_digest(result):
 def golden_shp_digests():
     """SHP on the two shapes the benchmark drives: whole tables with the
     paper's 16 iterations (table1 and table6 at 1/2000, the traces of
-    ``GOLDEN_GENERATOR_DIGESTS``) and a re-partition on a 400-query drift
-    window with 8."""
+    ledger entry ``generator_digests``) and a re-partition on a 400-query
+    drift window with 8.  Captured from the depth-first, one-node-at-a-time
+    implementation before the level-synchronous rewrite.  An order is a pure
+    function of (trace, sizes, iterations, seed); these change only when the
+    algorithm or the seeded draw order changes — and every
+    ``smoke_reference``, serving golden and benchmark ``sim_*`` value moves
+    with them."""
     digests = {}
     specs = scaled_table_specs(1 / 2000, names=["table1", "table6"])
     for index, (name, spec) in enumerate(specs.items()):
@@ -666,39 +669,4 @@ def golden_shp_digests():
 
 class TestSeededGolden:
     def test_orders_match_the_pinned_digests(self):
-        assert golden_shp_digests() == GOLDEN_SHP_DIGESTS
-
-
-#: Frozen output of :func:`golden_shp_digests`, captured from the depth-first,
-#: one-node-at-a-time implementation before the level-synchronous rewrite.  An
-#: order is a pure function of (trace, sizes, iterations, seed); these change
-#: only when the algorithm or the seeded draw order changes — and every
-#: ``smoke_reference``, serving golden and benchmark ``sim_*`` value moves with
-#: them.  Regenerate deliberately with ``python tests/test_partitioning.py``.
-GOLDEN_SHP_DIGESTS = {
-    "table1": {
-        "sha256": "bd5e66bfc0e8c1bd09f54a12f9420019ace8c75e4be8c53cf7c6d9b918ee3a2f",
-        "total_swaps": 3109,
-        "max_depth": 8,
-        "num_training_queries": 484,
-    },
-    "table6": {
-        "sha256": "ec21036b37c2fd8cdaa18a80b7f564358c37d7c9810fa1aa753e08c666f5175e",
-        "total_swaps": 3078,
-        "max_depth": 8,
-        "num_training_queries": 49,
-    },
-    "drift-window": {
-        "sha256": "670a1760f84bb9eca3c8d484c554e750301f46f35c4424edf3c4c23260bb3e84",
-        "total_swaps": 3739,
-        "max_depth": 6,
-        "num_training_queries": 400,
-    },
-}
-
-
-if __name__ == "__main__":  # pragma: no cover - maintenance helper
-    import pprint
-
-    print("GOLDEN_SHP_DIGESTS = ", end="")
-    pprint.pprint(golden_shp_digests(), sort_dicts=False)
+        golden("shp_digests")

@@ -11,7 +11,6 @@ from repro.caching.replay import (
 )
 from repro.nvm.block import BlockLayout
 from repro.nvm.latency import NVMLatencyModel
-from repro.workloads.trace import Trace
 from tests.conftest import InspectableLRUCache
 
 

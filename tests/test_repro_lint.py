@@ -28,7 +28,7 @@ from repro_lint import (
     to_json_dict,
 )
 from repro_lint import reach
-from repro_lint.rules import CONSTRAINT_TYPES, SCALAR_TYPES
+from repro_lint.rules import CONSTRAINT_TYPES, SCALAR_TYPES, UnvalidatedConfigFieldRule
 from repro_lint.__main__ import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -43,10 +43,10 @@ def rule_ids(result):
 
 # --------------------------------------------------------------------- registry
 class TestRegistry:
-    def test_all_five_rules_registered(self):
-        # R0 is the framework's own suppression-audit meta rule; R1-R5 are
-        # the AST rules.  All six ids are valid in disable= comments.
-        assert known_rule_ids() == {"R0", "R1", "R2", "R3", "R4", "R5"}
+    def test_all_six_rules_registered(self):
+        # R0 is the framework's own suppression-audit meta rule; R1-R6 are
+        # the AST rules.  All seven ids are valid in disable= comments.
+        assert known_rule_ids() == {"R0", "R1", "R2", "R3", "R4", "R5", "R6"}
 
     def test_meta_rule_is_reserved(self):
         assert META_RULE_ID == "R0"
@@ -163,6 +163,11 @@ DECLARED_HEADER = (
 )
 
 
+def lint_r4(source, rel_path):
+    """R4 alone: the shared header imports more than each fixture reads."""
+    return lint_source(source, rel_path, rules=[UnvalidatedConfigFieldRule()])
+
+
 def declared_class(*field_lines, name="ServingConfig"):
     """A validated dataclass with the given field lines."""
     body = "".join(f"    {line}\n" for line in field_lines)
@@ -181,7 +186,7 @@ class TestUnvalidatedConfigField:
         bad = declared_class(
             "batch_size: Annotated[int, AtLeast(1)] = 8", "linger_us: float = 50.0"
         )
-        result = lint_source(bad, CONFIG_PATH)
+        result = lint_r4(bad, CONFIG_PATH)
         assert rule_ids(result) == ["R4"]
         assert "linger_us" in result.violations[0].message
         assert "declares no constraint" in result.violations[0].message
@@ -213,23 +218,23 @@ class TestUnvalidatedConfigField:
 
     def test_catches_int_field_with_a_float_only_constraint(self):
         bad = declared_class("batch_size: Annotated[int, Positive] = 8")
-        result = lint_source(bad, CONFIG_PATH)
+        result = lint_r4(bad, CONFIG_PATH)
         assert rule_ids(result) == ["R4"]
         assert "is int, but `Positive` fits float only" in result.violations[0].message
 
     def test_catches_int_field_with_a_float_minimum(self):
         bad = declared_class("batch_size: Annotated[int, AtLeast(1.0)] = 8")
-        assert rule_ids(lint_source(bad, CONFIG_PATH)) == ["R4"]
+        assert rule_ids(lint_r4(bad, CONFIG_PATH)) == ["R4"]
 
     def test_catches_none_default_without_optional(self):
         bad = declared_class("seed: Annotated[int, AtLeast(0)] = None")
-        result = lint_source(bad, CONFIG_PATH)
+        result = lint_r4(bad, CONFIG_PATH)
         assert rule_ids(result) == ["R4"]
         assert "defaults to None but is not Optional[int]" in result.violations[0].message
 
     def test_catches_unknown_constraint(self):
         bad = declared_class("rate: Annotated[float, Huge] = 1.0")
-        result = lint_source(bad, CONFIG_PATH)
+        result = lint_r4(bad, CONFIG_PATH)
         assert rule_ids(result) == ["R4"]
         assert "is not a constraint" in result.violations[0].message
 
@@ -249,11 +254,11 @@ class TestUnvalidatedConfigField:
             "steps: Sequence[int] = ()",
             "_count: int = field(default=0, init=False)",
         )
-        assert lint_source(good, CONFIG_PATH).clean
+        assert lint_r4(good, CONFIG_PATH).clean
 
     def test_any_class_calling_validate_fields_is_checked(self):
         bad = declared_class("capacity: int = 1", name="DeviceModel")
-        result = lint_source(bad, "src/repro/nvm/device.py")
+        result = lint_r4(bad, "src/repro/nvm/device.py")
         assert rule_ids(result) == ["R4"]
         assert "DeviceModel" in result.violations[0].message
 
@@ -326,6 +331,42 @@ class TestFloatEquality:
 
 
 # --------------------------------------------------------------- suppressions
+# ----------------------------------------------------------------- R6 fixtures
+class TestUnusedImport:
+    def test_catches_unused_imports(self):
+        bad = (
+            "import numpy as np\n"
+            "from typing import Dict, Optional\n"
+            "def f(x: Dict[str, int]) -> int:\n"
+            "    return len(x)\n"
+        )
+        result = lint_source(bad, SRC_PATH)
+        assert rule_ids(result) == ["R6", "R6"]
+        assert {v.message for v in result.violations} == {
+            "`np` is imported but never used",
+            "`Optional` is imported but never used",
+        }
+
+    def test_allows_re_exports_string_annotations_and_noqa(self):
+        # __init__.py re-exports anything; elsewhere __all__ names, names
+        # read only in string annotations and # noqa lines are exempt.
+        reexport = "from repro.workloads.trace import Trace\n"
+        assert lint_source(reexport, "src/repro/workloads/__init__.py").clean
+        good = (
+            "from __future__ import annotations\n"
+            "import _bootstrap  # noqa: F401\n"
+            "import os.path\n"
+            "from typing import TYPE_CHECKING, List\n"
+            "from repro.caching.replay import ReplayStats\n"
+            "if TYPE_CHECKING:\n"
+            "    from repro.workloads.trace import Trace\n"
+            "__all__ = ['ReplayStats']\n"
+            "def f(trace: List['Trace']) -> str:\n"
+            "    return os.path.join('a', 'b')\n"
+        )
+        assert lint_source(good, SRC_PATH).clean
+
+
 class TestSuppressions:
     def test_disable_comment_suppresses_violation(self):
         src = "import time\nnow = time.time()  # repro-lint: disable=R2\n"

@@ -10,7 +10,6 @@ used to hunt for.
 """
 
 import numpy as np
-import pytest
 
 from repro.core.config import ServingConfig
 from repro.serving.arrivals import ArrivalSource
@@ -66,5 +65,6 @@ class TestLintCatchesHiddenGlobalRandomness:
     def test_r1_catches_stdlib_random_import(self):
         from repro_lint import lint_source
 
+        # The bare import is flagged by R1 (and, being unread, by R6).
         result = lint_source("import random\n", "src/repro/workloads/example.py")
-        assert [v.rule for v in result.violations] == ["R1"]
+        assert [v.rule for v in result.violations] == ["R1", "R6"]

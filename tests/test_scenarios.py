@@ -9,12 +9,6 @@ registration.
 """
 
 import dataclasses
-import os
-import sys
-
-if __package__ in (None, ""):  # direct script run (golden regeneration)
-    _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    sys.path[:0] = [os.path.join(_ROOT, "src"), _ROOT]
 
 import numpy as np
 import pytest
@@ -37,7 +31,7 @@ from repro.serving import simulate_serving
 from repro.workloads.characterization import access_counts
 from repro.workloads.trace import ModelTrace, Trace
 from repro_lint.rules import CONFIG_CLASSES
-from tests.conftest import trace_digest
+from tests.conftest import golden, trace_digest
 
 
 def small_scenario(kind, **overrides):
@@ -73,7 +67,8 @@ def golden_scenario_config(kind, **overrides):
 
 
 def golden_scenario_digests():
-    """Every kind's trace digest at :func:`golden_scenario_config`."""
+    """Every kind's trace digest at :func:`golden_scenario_config`, captured
+    from the ``Generator.choice(p=)`` implementation the generators replaced."""
     return {
         kind: trace_digest(generate_scenario_trace(golden_scenario_config(kind)))
         for kind in ("drift", "flash-crowd")
@@ -102,7 +97,7 @@ class TestGenerators:
             assert (int(ids.size), int(ids.sum())) == (num_lookups, checksum), arm
 
     def test_generated_traces_match_the_pinned_digests(self):
-        assert golden_scenario_digests() == GOLDEN_SCENARIO_DIGESTS
+        golden("scenario_digests")
 
     def test_stationary_drift_reproduces_the_stationary_pin(self):
         # The stationary id law (drift frozen at rotation 0) was pinned as
@@ -467,27 +462,3 @@ class TestConfigValidation:
         ):
             RepartitionConfig(window_queries=63)
         assert RepartitionConfig(window_queries=64).min_window_queries == 64
-
-
-#: Frozen output of :func:`golden_scenario_digests`, captured from the
-#: ``Generator.choice(p=)`` implementation the generators replaced — regenerate
-#: deliberately with ``python tests/test_scenarios.py``.
-GOLDEN_SCENARIO_DIGESTS = {
-    "drift": {
-        "queries": 300,
-        "lookups": 6673,
-        "sha256": "f25d6c55e02e0358ce3132b271763256134b3e3a7256fcb0332b4079c4ae9ef2",
-    },
-    "flash-crowd": {
-        "queries": 300,
-        "lookups": 6563,
-        "sha256": "3a7e4324bda6a95d1a4f24c6261642db302fb956ce0f200bb9464c69c191d799",
-    },
-}
-
-
-if __name__ == "__main__":  # pragma: no cover - maintenance helper
-    import pprint
-
-    print("GOLDEN_SCENARIO_DIGESTS = ", end="")
-    pprint.pprint(golden_scenario_digests(), sort_dicts=False)

@@ -6,15 +6,6 @@ front-end's report shape and hostile inputs, and a seeded golden pin of ServingR
 percentiles (the simulated clock is deterministic, so they are bit-stable).
 """
 
-import os
-import sys
-
-if __package__ in (None, ""):  # direct script run (golden regeneration)
-    sys.path.insert(
-        0,
-        os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"),
-    )
-
 import math
 
 import numpy as np
@@ -32,6 +23,7 @@ from repro.workloads import (
     scaled_table_specs,
 )
 from repro.workloads.trace import ModelTrace
+from tests.conftest import golden
 
 
 # --------------------------------------------------------------------- helpers
@@ -307,28 +299,7 @@ class TestSimulateServing:
             assert report.to_dict()["queue_depth_hist"] == {}
 
     def test_seeded_golden_percentiles(self):
-        # The simulated clock is deterministic, so one configuration's
-        # percentiles are pinned bit-stably (modulo the 6-decimal rounding).
-        store, eval_trace = build_store_and_trace(seed=3)
-        report = simulate_serving(
-            store,
-            eval_trace,
-            ServingConfig(
-                arrival_rate_rps=5000.0,
-                max_batch_requests=8,
-                max_linger_us=300.0,
-                seed=11,
-            ),
-            num_requests=150,
-        )
-        golden = GOLDEN_SERVING_PERCENTILES
-        assert round(report.latency.p50_us, 6) == golden["p50_us"]
-        assert round(report.latency.p95_us, 6) == golden["p95_us"]
-        assert round(report.latency.p99_us, 6) == golden["p99_us"]
-        assert round(report.latency.p999_us, 6) == golden["p999_us"]
-        assert report.num_batches == golden["num_batches"]
-        assert report.blocks_read == golden["blocks_read"]
-        assert report.slo_violations == golden["slo_violations"]
+        golden("serving_percentiles")
 
 
 #: ``ServingReport.to_dict()`` keys of a host run, in rendering order.
@@ -357,21 +328,10 @@ HOST_REPORT_KEYS = [
 ]
 
 
-#: Frozen output of test_seeded_golden_percentiles's configuration.  These
-#: change only when serving semantics change — regenerate deliberately with
-#: ``python tests/test_serving.py`` (runs :func:`regenerate_golden`).
-GOLDEN_SERVING_PERCENTILES = {
-    "p50_us": 274.286693,
-    "p95_us": 424.930733,
-    "p99_us": 533.827003,
-    "p999_us": 533.827003,
-    "num_batches": 58,
-    "blocks_read": 481,
-    "slo_violations": 0,
-}
-
-
-def regenerate_golden():  # pragma: no cover - maintenance helper
+def serving_percentiles():
+    """One seeded configuration's percentiles (to 6 places), batches, block
+    reads and SLO violations.  The simulated clock is deterministic, so they
+    change only when serving semantics change."""
     store, eval_trace = build_store_and_trace(seed=3)
     report = simulate_serving(
         store,
@@ -384,14 +344,13 @@ def regenerate_golden():  # pragma: no cover - maintenance helper
         ),
         num_requests=150,
     )
-    print("GOLDEN_SERVING_PERCENTILES = {")
-    for key in ("p50_us", "p95_us", "p99_us", "p999_us"):
-        print(f'    "{key}": {round(getattr(report.latency, key), 6)!r},')
-    print(f'    "num_batches": {report.num_batches},')
-    print(f'    "blocks_read": {report.blocks_read},')
-    print(f'    "slo_violations": {report.slo_violations},')
-    print("}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    regenerate_golden()
+    pin = {
+        key: round(getattr(report.latency, key), 6)
+        for key in ("p50_us", "p95_us", "p99_us", "p999_us")
+    }
+    pin.update(
+        num_batches=report.num_batches,
+        blocks_read=report.blocks_read,
+        slo_violations=report.slo_violations,
+    )
+    return pin

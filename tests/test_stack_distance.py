@@ -3,8 +3,8 @@
 ``compute_stack_distances`` counts distances in O(N log N) array passes.  Its
 oracle is the per-access Fenwick-tree loop it replaced (``_FenwickTree`` and
 :func:`stack_distances_reference` below), and
-``GOLDEN_STACK_DISTANCE_DIGESTS`` pins the distances of the streams the
-benchmark drives, captured from the loop before the rewrite.  The hit-rate
+ledger entry ``stack_distance_digests`` pins the distances of the streams
+the benchmark drives, captured from the loop before the rewrite.  The hit-rate
 curve is checked against the replay engine itself (Mattson: an LRU cache of
 ``c`` vectors hits exactly the accesses at distance ``<= c``).
 """
@@ -31,6 +31,7 @@ from repro.nvm.block import BlockLayout
 from repro.scenarios import ScenarioConfig, generate_scenario_trace
 from repro.workloads import SyntheticTraceGenerator, paper_shaped_lookups, scaled_table_specs
 from repro.workloads.trace import Trace
+from tests.conftest import golden
 
 
 # ----------------------------------------------------------------- the oracle
@@ -204,7 +205,7 @@ class TestKernelMatchesFenwickOracle:
 def golden_streams() -> Dict[str, np.ndarray]:
     """The streams ``hit_rate_curve`` sees in the benchmark's shapes: the
     table1 and table6 training traces at 1/2000 (those of
-    ``GOLDEN_SHP_DIGESTS``) and a 400-query drift window."""
+    ledger entry ``shp_digests``) and a 400-query drift window."""
     streams = {}
     specs = scaled_table_specs(1 / 2000, names=["table1", "table6"])
     for index, (name, spec) in enumerate(specs.items()):
@@ -220,6 +221,8 @@ def golden_streams() -> Dict[str, np.ndarray]:
 
 
 def golden_stack_distance_digests():
+    """Distances are a pure function of the stream; these change only when
+    the streams change on purpose."""
     digests = {}
     for name, stream in golden_streams().items():
         distances = compute_stack_distances(stream)
@@ -233,33 +236,9 @@ def golden_stack_distance_digests():
 
 class TestSeededGolden:
     def test_distances_match_the_pinned_digests(self):
-        assert golden_stack_distance_digests() == GOLDEN_STACK_DISTANCE_DIGESTS
+        golden("stack_distance_digests")
 
 
-#: Frozen output of :func:`golden_stack_distance_digests`, captured from the
-#: Fenwick-tree kernels before the counting rewrite.  Distances are a pure
-#: function of the stream; regenerate only if the streams change on purpose
-#: (``python tests/test_stack_distance.py``).
-GOLDEN_STACK_DISTANCE_DIGESTS = {
-    "table1": {
-        "accesses": 9505,
-        "cold": 519,
-        "sha256": "eedca7958d14e34e3a0eb76bfbe4bcb0f70454287112a9cb022c7cc2d331c404",
-    },
-    "table6": {
-        "accesses": 2200,
-        "cold": 560,
-        "sha256": "44efcb0f49c89423c09c29b86b46ba9a22880638223124be638fbb353aa9cdbf",
-    },
-    "drift-window": {
-        "accesses": 8971,
-        "cold": 1782,
-        "sha256": "842a96a28837de7abe5fb38e4dd6830131f4d1b3fd2b9148cd90dbbe7e48465c",
-    },
-}
-
-
-# --------------------------------------------------------------- hit-rate curve
 class TestHitRateCurve:
     def test_monotone_non_decreasing(self, eval_trace):
         curve = hit_rate_curve(eval_trace, cache_sizes=[10, 50, 100, 500, 1000])
@@ -361,10 +340,3 @@ class TestHostileInputs:
     def test_curve_rejects_bad_lookup_totals(self, total, error):
         with pytest.raises(error, match="total_lookups"):
             HitRateCurve(np.array([1]), np.array([0.5]), total)
-
-
-if __name__ == "__main__":  # pragma: no cover - maintenance helper
-    import pprint
-
-    print("GOLDEN_STACK_DISTANCE_DIGESTS = ", end="")
-    pprint.pprint(golden_stack_distance_digests(), sort_dicts=False)

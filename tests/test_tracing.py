@@ -13,8 +13,8 @@ guaranteeing the tracing package stays on the simulated clock.
 import numpy as np
 import pytest
 
-from test_cluster_store import run as run_cluster_scenario
-from test_serving import build_store_and_trace
+from tests.test_cluster_store import run as run_cluster_scenario
+from tests.test_serving import build_store_and_trace
 
 from repro.core.config import ClusterConfig, ServingConfig, TracingConfig
 from repro.device.clock import depth_bucket

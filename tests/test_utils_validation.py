@@ -14,6 +14,8 @@ from repro.utils.validation import (
     check_positive,
     check_type,
 )
+from repro.workloads.characterization import characterize_table
+from repro.workloads.trace import Trace
 
 
 class TestCheckPositive:
@@ -54,6 +56,21 @@ def test_float_checks_reject_booleans(check, value):
     # bool is an int subclass: ``True`` used to pass as the quantity 1.
     with pytest.raises(TypeError, match="x must be a number"):
         check(value, "x")
+
+
+@pytest.mark.parametrize("check", [check_positive, check_non_negative, check_fraction])
+@pytest.mark.parametrize("value", ["0.5", None, [0.5]])
+def test_float_checks_name_a_non_number(check, value):
+    # A string, None or list used to raise the comparison's own bare
+    # TypeError ("'<=' not supported ...") without the argument's name.
+    with pytest.raises(TypeError, match="x must be a number"):
+        check(value, "x")
+
+
+def test_characterize_table_names_a_non_number_share():
+    trace = Trace([np.array([0, 1], dtype=np.int64)], num_vectors=4)
+    with pytest.raises(TypeError, match="lookup_share must be a number"):
+        characterize_table("t", trace, lookup_share="0.5")
 
 
 class TestCheckArray1dInts:
