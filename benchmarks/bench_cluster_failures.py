@@ -31,15 +31,13 @@ fault row's p999 is below the healthy row's.  A run that breaks one exits
 non-zero.
 
 Results are printed, persisted under ``benchmarks/results/`` and written as
-JSON to ``BENCH_cluster_failures.json`` at the repository root.  The artifact
-always carries a ``smoke_reference`` section computed at the CI-sized
-:data:`SMOKE_PARAMS` configuration — the sweep is simulated time only (loss
-draws and arrivals are seeded), so ``benchmarks/perf_track.py`` regenerates
-that section on any runner and compares every number with tight
-tolerances.  Run directly (``python benchmarks/bench_cluster_failures.py``),
-optionally with ``--smoke`` for a seconds-long run that writes only the
-smoke section (CI's tier-1 job runs it for its claims and restores the
-committed JSON; the chaos-smoke job uploads its JSON as an artifact).
+JSON to ``BENCH_cluster_failures.json`` at the repository root.  Run
+directly (``python benchmarks/bench_cluster_failures.py``), or with
+``--smoke`` for a seconds-long run at :data:`SMOKE_PARAMS` that prints its
+rows, checks the claims and writes nothing.  The sweep is simulated time
+only (loss draws and arrivals are seeded), so the smoke sweep is pinned
+exactly as the golden-ledger entry ``smoke_cluster_failures``, whose tier-1
+test also checks the claims (``tests/test_benchmarks.py``).
 """
 
 import _bootstrap  # noqa: F401  (sys.path setup: run benchmarks from the repo root)
@@ -48,18 +46,10 @@ import json
 import os
 import sys
 
-from benchmarks.common import build_table_workload, save_result
+from benchmarks.common import build_store, pctl, save_result
 from repro.cluster import run_scenario
-from repro.core.bandana import BandanaStore
-from repro.core.config import (
-    BandanaConfig,
-    ClusterConfig,
-    ServingConfig,
-    TracingConfig,
-)
+from repro.core.config import ClusterConfig, ServingConfig, TracingConfig
 from repro.simulation.report import format_table
-from repro.workloads import scaled_table_specs
-from repro.workloads.trace import ModelTrace
 
 #: Tables served together (the paper's high-traffic study set).
 TABLES = ["table1", "table2", "table6", "table7"]
@@ -84,41 +74,9 @@ JSON_PATH = os.path.join(
     os.path.dirname(__file__), "..", "BENCH_cluster_failures.json"
 )
 
-#: The CI-sized configuration behind the artifact's ``smoke_reference``
-#: section: every scenario row on a short request stream (regenerated and
-#: compared by ``benchmarks/perf_track.py``).
+#: The CI-sized configuration of ``--smoke`` and of the ledger entry
+#: ``smoke_cluster_failures``: every scenario row on a short request stream.
 SMOKE_PARAMS = dict(eval_multiplier=2, num_requests=300, warmup_requests=120)
-
-
-def build_store(tables, eval_multiplier, total_cache_fraction=0.5):
-    """A tuned store plus a steady-state evaluation trace (serving-bench twin)."""
-    specs = scaled_table_specs(1.0 / 1000.0, names=tables)
-    workloads = {
-        name: build_table_workload(spec, seed=100 + i, shp_iterations=8)
-        for i, (name, spec) in enumerate(specs.items())
-    }
-    eval_trace = ModelTrace(
-        {
-            name: workload.generator.generate_lookups(
-                eval_multiplier * workload.evaluation.num_lookups
-            )
-            for name, workload in workloads.items()
-        }
-    )
-    working_set = sum(
-        trace.unique_vectors().size for trace in eval_trace.tables.values()
-    )
-    train_trace = ModelTrace({name: w.train for name, w in workloads.items()})
-    store = BandanaStore.build(
-        train_trace,
-        BandanaConfig(
-            total_cache_vectors=max(1, int(working_set * total_cache_fraction)),
-            shp_iterations=8,
-            tune_thresholds=False,
-            seed=7,
-        ),
-    )
-    return store, eval_trace
 
 
 def scenario_rows(makespan_s):
@@ -223,12 +181,6 @@ def check_claims(result):
         )
 
 
-def _pctl(latency, field):
-    """One formatted percentile, starred when its rank outruns the samples."""
-    flag = "*" if field in latency.get("unsupported_percentiles", ()) else ""
-    return f"{latency[field]:.0f}{flag}"
-
-
 def _format_top_slow(row):
     """The row's slowest requests with their per-stage time, one line each."""
     lines = [f"slowest requests under '{row['label']}', per-stage time:"]
@@ -271,9 +223,9 @@ def _format(result):
                 row["label"],
                 row["replication"],
                 f"{c['availability']:.4f}",
-                _pctl(row["latency"], "p50_us"),
-                _pctl(row["latency"], "p99_us"),
-                _pctl(row["latency"], "p999_us"),
+                pctl(row["latency"], "p50_us"),
+                pctl(row["latency"], "p99_us"),
+                pctl(row["latency"], "p999_us"),
                 f"{row['p999_vs_healthy']:.2f}x",
                 c["timeouts"],
                 c["retries"],
@@ -308,16 +260,14 @@ def _format(result):
 
 
 if __name__ == "__main__":
-    smoke = "--smoke" in sys.argv[1:]
-    artifact = {"smoke": smoke, "smoke_reference": run_sweep(**SMOKE_PARAMS)}
-    check_claims(artifact["smoke_reference"])
-    if smoke:
-        # Keep the text artifact full-run only.
-        print(_format(artifact["smoke_reference"]))
+    if "--smoke" in sys.argv[1:]:
+        result = run_sweep(**SMOKE_PARAMS)
+        check_claims(result)
+        print(_format(result))
     else:
-        artifact["full"] = run_sweep()
-        check_claims(artifact["full"])
-        save_result("cluster_failures", _format(artifact["full"]))
-    with open(JSON_PATH, "w") as handle:
-        json.dump(artifact, handle, indent=2)
-        handle.write("\n")
+        result = run_sweep()
+        check_claims(result)
+        save_result("cluster_failures", _format(result))
+        with open(JSON_PATH, "w") as handle:
+            json.dump({"full": result}, handle, indent=2)
+            handle.write("\n")

@@ -27,12 +27,12 @@ benchmark measures what that costs once the workload moves:
    the paper's Table 1 columns.
 
 Results are printed, persisted under ``benchmarks/results/`` and written as
-JSON to ``BENCH_scenarios.json`` at the repository root.  The artifact
-always carries a ``smoke_reference`` section computed at the CI-sized
-configuration: every run is a deterministic function of (trace, config,
-seed), so ``benchmarks/perf_track.py`` regenerates it on any runner and
-compares numbers with tight tolerances.  A full (non ``--smoke``) run adds
-the full-sized sections and a loose wall-clock measurement on top.
+JSON to ``BENCH_scenarios.json`` at the repository root: the full-sized
+sections plus a loose wall-clock measurement.  ``--smoke`` runs the suite at
+:data:`SMOKE_PARAMS`, prints it (the flash section's assert still checks its
+claim) and writes nothing.  Every run is a deterministic function of (trace,
+config, seed), so the smoke suite is pinned exactly as the golden-ledger
+entry ``smoke_scenarios`` (``tests/test_benchmarks.py``).
 """
 
 import _bootstrap  # noqa: F401  (sys.path setup: run benchmarks from the repo root)
@@ -41,18 +41,15 @@ import json
 import os
 import sys
 import time
-from typing import Dict, List
+from typing import Any, Dict, List
 
-from benchmarks.common import saturation_rate_rps, save_result
+from benchmarks.common import sample_trace_reports, saturation_rate_rps, save_result
 from repro.core.bandana import BandanaStore
 from repro.core.config import BandanaConfig, ServingConfig
 from repro.scenarios import (
     RepartitionConfig,
     ScenarioConfig,
-    TraceLoaderConfig,
-    characterization_report,
     generate_scenario_trace,
-    load_trace,
     run_workload_scenario,
 )
 from repro.serving import simulate_serving
@@ -60,18 +57,14 @@ from repro.simulation.report import format_table
 from repro.workloads.trace import ModelTrace
 
 JSON_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_scenarios.json")
-FIXTURES = {
-    "twitter": ("tests/data/sample_twitter_trace.csv", "twitter"),
-    "columnar": ("tests/data/sample_columnar_trace.csv", "columnar"),
-}
 
 #: Training prefix of every scenario trace; drift begins right after it.
 TRAIN_FRACTION = 1.0 / 3.0
 SCENARIO_SEED = 7
 SERVING_SEED = 11
 
-#: The CI-sized configuration behind the artifact's ``smoke_reference``
-#: section (regenerated and compared by ``benchmarks/perf_track.py``).
+#: The CI-sized configuration of ``--smoke`` and of the ledger entry
+#: ``smoke_scenarios``.
 SMOKE_PARAMS = dict(num_queries=1800, num_vectors=4096, serving_requests=700)
 FULL_PARAMS = dict(num_queries=4800, num_vectors=4096, serving_requests=2400)
 
@@ -223,15 +216,6 @@ def _flash_section(
     return arms
 
 
-def _loader_section() -> Dict[str, object]:
-    """The committed sample traces, characterised against paper Table 1."""
-    out: Dict[str, object] = {}
-    for name, (path, fmt) in FIXTURES.items():
-        loaded = load_trace(TraceLoaderConfig(path=path, format=fmt))
-        out[name] = characterization_report(loaded, name=f"sample-{name}")
-    return out
-
-
 def run_suite(
     num_queries: int, num_vectors: int, serving_requests: int
 ) -> Dict[str, object]:
@@ -243,7 +227,7 @@ def run_suite(
         "drift": _drift_section(num_queries, num_vectors),
         "lifecycle": _lifecycle_section(num_queries, num_vectors),
         "flash": _flash_section(num_queries, num_vectors, serving_requests),
-        "loader": _loader_section(),
+        "loader": sample_trace_reports(),
     }
 
 
@@ -270,9 +254,7 @@ def measure_wall_clock(num_queries: int = 2400, num_vectors: int = 4096) -> Dict
     }
 
 
-def _format(result: Dict[str, object]) -> str:
-    suite = result["smoke_reference"] if result["smoke"] else result["full"]
-    assert isinstance(suite, dict)
+def _format(suite: Dict[str, Any]) -> str:
     lines = [
         f"adversarial workload study ({suite['num_queries']} queries, "
         f"{suite['num_vectors']} vectors, train fraction "
@@ -322,23 +304,12 @@ def _format(result: Dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-def _write_outputs(result: Dict[str, object], smoke: bool) -> None:
-    if smoke:
-        print(_format(result))
-    else:
-        save_result("scenarios", _format(result))
-    with open(JSON_PATH, "w") as handle:
-        json.dump(result, handle, indent=2)
-        handle.write("\n")
-
-
 if __name__ == "__main__":
-    smoke = "--smoke" in sys.argv[1:]
-    result: Dict[str, object] = {
-        "smoke": smoke,
-        "smoke_reference": run_suite(**SMOKE_PARAMS),
-    }
-    if not smoke:
-        result["full"] = run_suite(**FULL_PARAMS)
-        result["wall_clock"] = measure_wall_clock()
-    _write_outputs(result, smoke)
+    if "--smoke" in sys.argv[1:]:
+        print(_format(run_suite(**SMOKE_PARAMS)))
+    else:
+        result = {"full": run_suite(**FULL_PARAMS), "wall_clock": measure_wall_clock()}
+        save_result("scenarios", _format(result["full"]))
+        with open(JSON_PATH, "w") as handle:
+            json.dump(result, handle, indent=2)
+            handle.write("\n")

@@ -25,13 +25,12 @@ saturates the device and smears every percentile, regardless of the offered
 rate.
 
 Results are printed, persisted under ``benchmarks/results/`` and written as
-JSON to ``BENCH_serving_latency.json`` at the repository root.  The artifact
-always carries a ``smoke_reference`` section computed at the CI-sized
-:data:`SMOKE_PARAMS` configuration — the sweep is simulated time only, so
-``benchmarks/perf_track.py`` regenerates that section on any runner and
-compares every number with tight tolerances.  Run directly
-(``python benchmarks/bench_serving_latency.py``), optionally with ``--smoke``
-for a seconds-long run that refreshes only the smoke section.
+JSON to ``BENCH_serving_latency.json`` at the repository root.  Run directly
+(``python benchmarks/bench_serving_latency.py``), or with ``--smoke`` for a
+seconds-long run at :data:`SMOKE_PARAMS` that prints its sweep, checks the
+capacity bound and writes nothing.  The sweep is simulated time only, so the
+smoke sweep is pinned exactly as the golden-ledger entry
+``smoke_serving_latency`` (``tests/test_benchmarks.py``).
 """
 
 import _bootstrap  # noqa: F401  (sys.path setup: run benchmarks from the repo root)
@@ -41,17 +40,15 @@ import os
 import sys
 
 from benchmarks.common import (
-    build_table_workload,
+    build_store,
+    pctl,
     saturation_rate_rps,
     save_result,
     warm_store,
 )
-from repro.core.bandana import BandanaStore
-from repro.core.config import BandanaConfig, ServingConfig, TracingConfig
+from repro.core.config import ServingConfig, TracingConfig
 from repro.serving import simulate_serving
 from repro.simulation.report import format_table
-from repro.workloads import scaled_table_specs
-from repro.workloads.trace import ModelTrace
 
 #: Tables served together (the paper's high-traffic study set).
 TABLES = ["table1", "table2", "table6", "table7"]
@@ -79,44 +76,10 @@ TOP_K_SLOW = 5
 
 JSON_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_serving_latency.json")
 
-#: The CI-sized configuration behind the artifact's ``smoke_reference``
-#: section: the whole sweep (every load point, both arms) on two tables and
-#: a short request stream.  The sweep is a deterministic function of
-#: (stores, traces, configs, seeds) — simulated time only — so
-#: ``benchmarks/perf_track.py`` regenerates this section on any runner and
-#: compares every number with tight tolerances.
+#: The CI-sized configuration of ``--smoke`` and of the ledger entry
+#: ``smoke_serving_latency``: the whole sweep (every load point, both arms)
+#: on two tables and a short request stream.
 SMOKE_PARAMS = dict(eval_multiplier=1, tables=list(TABLES[:2]), num_requests=200)
-
-
-def build_store(tables, eval_multiplier, total_cache_fraction=0.5):
-    """A tuned store plus a steady-state evaluation trace for the sweep."""
-    specs = scaled_table_specs(1.0 / 1000.0, names=tables)
-    workloads = {
-        name: build_table_workload(spec, seed=100 + i, shp_iterations=8)
-        for i, (name, spec) in enumerate(specs.items())
-    }
-    eval_trace = ModelTrace(
-        {
-            name: workload.generator.generate_lookups(
-                eval_multiplier * workload.evaluation.num_lookups
-            )
-            for name, workload in workloads.items()
-        }
-    )
-    working_set = sum(
-        trace.unique_vectors().size for trace in eval_trace.tables.values()
-    )
-    train_trace = ModelTrace({name: w.train for name, w in workloads.items()})
-    store = BandanaStore.build(
-        train_trace,
-        BandanaConfig(
-            total_cache_vectors=max(1, int(working_set * total_cache_fraction)),
-            shp_iterations=8,
-            tune_thresholds=False,
-            seed=7,
-        ),
-    )
-    return store, eval_trace
 
 
 def measured_capacity_rps(
@@ -184,12 +147,6 @@ def run_sweep(eval_multiplier=EVAL_MULTIPLIER, tables=TABLES, num_requests=None)
     }
 
 
-def _pctl(latency, field):
-    """One formatted percentile, starred when its rank outruns the samples."""
-    flag = "*" if field in latency.get("unsupported_percentiles", ()) else ""
-    return f"{latency[field]:.0f}{flag}"
-
-
 def _format_top_slow(trace):
     """Readable top-K slow-request rows from a tracer summary dict."""
     lines = []
@@ -221,10 +178,10 @@ def _format(result):
                     f"{point['load_fraction']:.2f}x",
                     f"{point['arrival_rate_rps']:,.0f}",
                     arm,
-                    _pctl(report["latency"], "p50_us"),
-                    _pctl(report["latency"], "p95_us"),
-                    _pctl(report["latency"], "p99_us"),
-                    _pctl(report["latency"], "p999_us"),
+                    pctl(report["latency"], "p50_us"),
+                    pctl(report["latency"], "p95_us"),
+                    pctl(report["latency"], "p99_us"),
+                    pctl(report["latency"], "p999_us"),
                     f"{report['throughput_rps']:,.0f}",
                     f"{report['mean_queue_depth']:.1f}",
                     f"{100 * report['slo_violation_rate']:.1f}%",
@@ -269,22 +226,18 @@ def capacity_shortfalls(result):
 
 if __name__ == "__main__":
     smoke = "--smoke" in sys.argv[1:]
-    artifact = {"smoke": smoke, "smoke_reference": run_sweep(**SMOKE_PARAMS)}
+    result = run_sweep(**SMOKE_PARAMS) if smoke else run_sweep()
     if smoke:
-        result = artifact["smoke_reference"]
         print(_format(result))
     else:
-        result = run_sweep()
-        artifact["full"] = result
         save_result("serving_latency", _format(result))
-    shortfalls = capacity_shortfalls(artifact["smoke_reference"]) + (
-        [] if smoke else capacity_shortfalls(result)
-    )
+    shortfalls = capacity_shortfalls(result)
     if shortfalls:
         sys.exit("\n".join(shortfalls))
-    with open(JSON_PATH, "w") as handle:
-        json.dump(artifact, handle, indent=2)
-        handle.write("\n")
+    if not smoke:
+        with open(JSON_PATH, "w") as handle:
+            json.dump({"full": result}, handle, indent=2)
+            handle.write("\n")
     top = result["sweep"][-1]
     print(
         f"at {top['load_fraction']:.2f}x saturation: batched p99 "

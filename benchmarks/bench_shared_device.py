@@ -30,14 +30,12 @@ Three sections land in the artifact:
    trading completed work (``requests_shed``) for a bounded served tail.
 
 Results are printed, persisted under ``benchmarks/results/`` and written as
-JSON to ``BENCH_shared_device.json`` at the repository root.  The artifact
-always carries a ``smoke_reference`` section computed at the CI-sized
-configuration: the simulation is a deterministic function of (store, trace,
-config, seed), so ``benchmarks/perf_track.py`` can regenerate it on any
-runner and compare numbers with tight tolerances.  A full (non ``--smoke``)
-run adds the full-sized ``sections`` on top and a wall-clock replay
-throughput measurement used as the loose (noise-tolerant) perf-tracking
-reference.
+JSON to ``BENCH_shared_device.json`` at the repository root: the full-sized
+sections plus a wall-clock replay throughput, the loose (noise-tolerant)
+perf-tracking reference.  ``--smoke`` runs the suite at :data:`SMOKE_PARAMS`,
+prints it and writes nothing.  The simulation is a deterministic function of
+(store, trace, config, seed), so the smoke suite is pinned exactly as the
+golden-ledger entry ``smoke_shared_device`` (``tests/test_benchmarks.py``).
 """
 
 import _bootstrap  # noqa: F401  (sys.path setup: run benchmarks from the repo root)
@@ -46,21 +44,13 @@ import json
 import os
 import sys
 import time
-from typing import Dict, List, Tuple
+from typing import Any, Dict
 
-from benchmarks.common import (
-    build_table_workload,
-    saturation_rate_rps,
-    save_result,
-    warm_store,
-)
-from repro.core.bandana import BandanaStore
-from repro.core.config import BandanaConfig, ServingConfig
+from benchmarks.common import build_store, saturation_rate_rps, save_result, warm_store
+from repro.core.config import ServingConfig
 from repro.serving import simulate_serving
 from repro.simulation import simulate_store
 from repro.simulation.report import format_table
-from repro.workloads import scaled_table_specs
-from repro.workloads.trace import ModelTrace
 
 #: Two tables with asymmetric traffic (table1 is the heavy hitter): the
 #: co-hosting story needs one table's load to spill into the other's tail.
@@ -82,8 +72,8 @@ SHED_SLACKS = (None, 1.0, 0.25)
 #: Overload multiple of the saturation rate for the shedding section.
 SHED_OVERLOAD = 2.0
 
-#: The CI-sized configuration behind the artifact's ``smoke_reference``
-#: section — also what ``perf_track.py`` regenerates and compares against.
+#: The CI-sized configuration of ``--smoke`` and of the ledger entry
+#: ``smoke_shared_device``.
 SMOKE_PARAMS = dict(eval_multiplier=3, num_requests=900)
 FULL_PARAMS = dict(eval_multiplier=24, num_requests=8000)
 
@@ -91,37 +81,6 @@ JSON_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_shared_device.j
 
 #: Host device banks compared: mode label -> ``devices_per_host``.
 MODES = {"per-table": len(TABLES), "shared-1": 1}
-
-
-def build_store(tables: List[str], eval_multiplier: int) -> Tuple[BandanaStore, ModelTrace]:
-    """A tuned two-table store plus a steady-state evaluation trace."""
-    specs = scaled_table_specs(1.0 / 1000.0, names=tables)
-    workloads = {
-        name: build_table_workload(spec, seed=100 + i, shp_iterations=8)
-        for i, (name, spec) in enumerate(specs.items())
-    }
-    eval_trace = ModelTrace(
-        {
-            name: workload.generator.generate_lookups(
-                eval_multiplier * workload.evaluation.num_lookups
-            )
-            for name, workload in workloads.items()
-        }
-    )
-    working_set = sum(
-        trace.unique_vectors().size for trace in eval_trace.tables.values()
-    )
-    train_trace = ModelTrace({name: w.train for name, w in workloads.items()})
-    store = BandanaStore.build(
-        train_trace,
-        BandanaConfig(
-            total_cache_vectors=max(1, int(working_set * 0.5)),
-            shp_iterations=8,
-            tune_thresholds=False,
-            seed=7,
-        ),
-    )
-    return store, eval_trace
 
 
 def _serve(store, serve_trace, warm_trace, config, num_requests):
@@ -132,7 +91,7 @@ def _serve(store, serve_trace, warm_trace, config, num_requests):
 
 
 def _summarise(report) -> Dict[str, object]:
-    """The fields the artifact (and perf tracking) keeps per run."""
+    """The fields the artifact and the ledger entry keep per run."""
     summary: Dict[str, object] = {
         "p50_us": round(report.latency.p50_us, 3),
         "p99_us": round(report.latency.p99_us, 3),
@@ -288,7 +247,7 @@ def run_suite(eval_multiplier: int, num_requests: int) -> Dict[str, object]:
 
 
 def measure_wall_clock(eval_multiplier: int = 3) -> Dict[str, object]:
-    """Wall-clock replay throughput of the suite's store (perf-track leg 2).
+    """Wall-clock replay throughput of the suite's store (perf_track's loose leg).
 
     Unlike everything else in this benchmark this number is machine-
     dependent; ``perf_track.py`` compares it with a loose ratio floor,
@@ -315,8 +274,7 @@ def _pctl(summary: Dict[str, object], field: str) -> str:
     return f"{summary[field]:,.0f}{flag}"
 
 
-def _format(result: Dict[str, object]) -> str:
-    suite = result["smoke_reference"] if result["smoke"] else result["full"]
+def _format(suite: Dict[str, Any]) -> str:
     lines = [
         f"shared-device study on {'+'.join(suite['tables'])} "
         f"({suite['num_requests']} requests/run, saturation "
@@ -388,23 +346,12 @@ def _format(result: Dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-def _write_outputs(result: Dict[str, object], smoke: bool) -> None:
-    if smoke:
-        print(_format(result))
-    else:
-        save_result("shared_device", _format(result))
-    with open(JSON_PATH, "w") as handle:
-        json.dump(result, handle, indent=2)
-        handle.write("\n")
-
-
 if __name__ == "__main__":
-    smoke = "--smoke" in sys.argv[1:]
-    result: Dict[str, object] = {
-        "smoke": smoke,
-        "smoke_reference": run_suite(**SMOKE_PARAMS),
-    }
-    if not smoke:
-        result["full"] = run_suite(**FULL_PARAMS)
-        result["wall_clock"] = measure_wall_clock()
-    _write_outputs(result, smoke)
+    if "--smoke" in sys.argv[1:]:
+        print(_format(run_suite(**SMOKE_PARAMS)))
+    else:
+        result = {"full": run_suite(**FULL_PARAMS), "wall_clock": measure_wall_clock()}
+        save_result("shared_device", _format(result["full"]))
+        with open(JSON_PATH, "w") as handle:
+            json.dump(result, handle, indent=2)
+            handle.write("\n")

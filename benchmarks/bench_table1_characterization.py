@@ -20,8 +20,7 @@ import _bootstrap  # noqa: F401  (sys.path setup: run benchmarks from the repo r
 import json
 import os
 
-from benchmarks.common import BENCH_SCALE, save_result
-from repro.scenarios import TraceLoaderConfig, characterization_report, load_trace
+from benchmarks.common import BENCH_SCALE, sample_trace_reports, save_result
 from repro.simulation.report import format_table
 from repro.workloads import generate_model_trace, scaled_table_specs
 from repro.workloads.characterization import characterize_model
@@ -31,12 +30,6 @@ TOTAL_LOOKUPS = 250_000
 JSON_PATH = os.path.join(
     os.path.dirname(__file__), "..", "BENCH_table1_characterization.json"
 )
-
-#: Committed sample traces characterised through the trace loader.
-FIXTURES = {
-    "twitter": ("tests/data/sample_twitter_trace.csv", "twitter"),
-    "columnar": ("tests/data/sample_columnar_trace.csv", "columnar"),
-}
 
 
 def run_table1():
@@ -92,15 +85,6 @@ def synthetic_rows(characterizations, specs):
     return rows
 
 
-def loaded_reports():
-    """The sample fixtures, loader-normalised and set against Table 1."""
-    reports = {}
-    for name, (path, fmt) in FIXTURES.items():
-        loaded = load_trace(TraceLoaderConfig(path=path, format=fmt))
-        reports[name] = characterization_report(loaded, name=f"sample-{name}")
-    return reports
-
-
 def _format_loaded(reports):
     headers = [
         "trace",
@@ -137,7 +121,7 @@ def _format_loaded(reports):
 def run_artifact():
     """The full machine-readable artifact plus its printable rendering."""
     table, characterizations, specs = run_table1()
-    reports = loaded_reports()
+    reports = sample_trace_reports()
     artifact = {
         "total_lookups": TOTAL_LOOKUPS,
         "bench_scale": float(BENCH_SCALE),

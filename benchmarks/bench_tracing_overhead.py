@@ -41,9 +41,8 @@ from bench_serving_latency import (
     SLO_LATENCY_US,
     TABLES,
     WARMUP_FRACTION,
-    build_store,
 )
-from benchmarks.common import warm_store
+from benchmarks.common import build_store, warm_store
 from repro.core.config import ServingConfig, TracingConfig
 from repro.serving import simulate_serving
 from repro.tracing import NULL_TRACER, NullTracer

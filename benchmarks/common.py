@@ -16,15 +16,17 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.bandana import BandanaStore
+from repro.core.config import BandanaConfig
 from repro.device import DEVICE_SLOTS
 from repro.nvm.block import BlockLayout
 from repro.nvm.latency import NVMLatencyModel
 from repro.partitioning import SHPPartitioner
+from repro.scenarios import TraceLoaderConfig, characterization_report, load_trace
 from repro.simulation import simulate_store
 from repro.workloads import (
     SyntheticTraceGenerator,
@@ -44,6 +46,7 @@ TRAIN_EVAL_RATIO = 3.0
 VECTORS_PER_BLOCK = 32
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+SAMPLE_TRACES_DIR = os.path.join(os.path.dirname(__file__), "..", "tests", "data")
 
 
 def save_result(name: str, text: str) -> None:
@@ -153,6 +156,59 @@ def threshold_candidates(workload: TableWorkload) -> list:
     percentiles = np.percentile(touched, [50, 75, 90, 95])
     thresholds = sorted({float(int(value)) for value in percentiles})
     return [0.0] + thresholds
+
+
+def build_store(tables: List[str], eval_multiplier: int) -> Tuple[BandanaStore, ModelTrace]:
+    """The serving benchmarks' store plus a steady-state evaluation trace.
+
+    ``tables`` at :data:`BENCH_SCALE`, SHP-placed and untuned, with a DRAM
+    cache of half the evaluation trace's working set; the trace is
+    ``eval_multiplier`` standard evaluation lengths per table.
+    """
+    specs = scaled_table_specs(BENCH_SCALE, names=tables)
+    workloads = {
+        name: build_table_workload(spec, seed=100 + i, shp_iterations=8)
+        for i, (name, spec) in enumerate(specs.items())
+    }
+    eval_trace = ModelTrace(
+        {
+            name: workload.generator.generate_lookups(
+                eval_multiplier * workload.evaluation.num_lookups
+            )
+            for name, workload in workloads.items()
+        }
+    )
+    working_set = sum(
+        trace.unique_vectors().size for trace in eval_trace.tables.values()
+    )
+    train_trace = ModelTrace({name: w.train for name, w in workloads.items()})
+    store = BandanaStore.build(
+        train_trace,
+        BandanaConfig(
+            total_cache_vectors=max(1, working_set // 2),
+            shp_iterations=8,
+            tune_thresholds=False,
+            seed=7,
+        ),
+    )
+    return store, eval_trace
+
+
+def pctl(latency: Dict[str, Any], field: str) -> str:
+    """One formatted percentile, starred when its rank outruns the samples."""
+    flag = "*" if field in latency.get("unsupported_percentiles", ()) else ""
+    return f"{latency[field]:.0f}{flag}"
+
+
+def sample_trace_reports() -> Dict[str, Any]:
+    """The committed sample traces under ``tests/data/``, one per loader
+    format, loader-normalised and set against the paper's Table 1."""
+    reports = {}
+    for fmt in ("twitter", "columnar"):
+        path = os.path.join(SAMPLE_TRACES_DIR, f"sample_{fmt}_trace.csv")
+        loaded = load_trace(TraceLoaderConfig(path=path, format=fmt))
+        reports[fmt] = characterization_report(loaded, name=f"sample-{fmt}")
+    return reports
 
 
 def warm_store(store: BandanaStore, warm_trace: ModelTrace) -> None:

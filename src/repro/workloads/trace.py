@@ -43,11 +43,13 @@ class Trace:
             self._queries.append(arr)
         if num_vectors is None:
             num_vectors = max_id + 1
-        elif max_id >= num_vectors:
-            raise ValueError(
-                f"trace references id {max_id} but num_vectors is {num_vectors}"
-            )
-        self.num_vectors = int(num_vectors)
+        else:
+            num_vectors = check_int_at_least(num_vectors, 0, "num_vectors")
+            if max_id >= num_vectors:
+                raise ValueError(
+                    f"trace references id {max_id} but num_vectors is {num_vectors}"
+                )
+        self.num_vectors = num_vectors
 
     @classmethod
     def _trusted(cls, queries: List[np.ndarray], num_vectors: int) -> "Trace":

@@ -105,9 +105,9 @@ FLOWS: Tuple[Flow, ...] = (
     Flow("shared-device-smoke", ("benchmarks/bench_shared_device.py", "--smoke")),
     # Left out: bench_tracing_overhead.py (asserts a wall-clock bound a
     # profiler breaks; it runs bench_serving_latency's path) and
-    # perf_track.py (its wall-clock floors fail under a profiler; its
-    # simulated legs are the four smokes and bench_replay_throughput, which
-    # the figure-scripts flow runs — it enters no def they do not).
+    # perf_track.py (its wall-clock floors fail under a profiler; it times
+    # the shared-device, scenario and replay-throughput paths, which the
+    # smokes and the figure-scripts flow run — it enters no def they do not).
     Flow(
         "figure-scripts",
         (

@@ -61,6 +61,16 @@ def test_a_nested_difference_names_its_path_and_type():
     check_golden("engine_counters", pinned, copy.deepcopy(pinned))
 
 
+def test_a_moved_smoke_number_names_its_full_path():
+    pinned = load_goldens()["smoke_cluster_failures"]["value"]
+    moved = copy.deepcopy(pinned)
+    row = [row["label"] for row in moved["scenarios"]].index("crash R=2")
+    moved["scenarios"][row]["counters"]["availability"] = 0.99
+    expected = f"scenarios > {row} > counters > availability: ledger 1.0, produced 0.99"
+    with pytest.raises(AssertionError, match=re.escape(expected)):
+        check_golden("smoke_cluster_failures", pinned, moved)
+
+
 def test_the_ledger_is_in_its_regenerator_format():
     # A hand edit that re-formats the file would make the regenerator's
     # byte-for-byte rewrite a spurious diff.

@@ -646,9 +646,9 @@ def golden_shp_digests():
     drift window with 8.  Captured from the depth-first, one-node-at-a-time
     implementation before the level-synchronous rewrite.  An order is a pure
     function of (trace, sizes, iterations, seed); these change only when the
-    algorithm or the seeded draw order changes — and every
-    ``smoke_reference``, serving golden and benchmark ``sim_*`` value moves
-    with them."""
+    algorithm or the seeded draw order changes — and every benchmark
+    smoke entry, serving golden and benchmark ``sim_*`` value moves with
+    them."""
     digests = {}
     specs = scaled_table_specs(1 / 2000, names=["table1", "table6"])
     for index, (name, spec) in enumerate(specs.items()):

@@ -31,6 +31,25 @@ class TestTraceBasics:
         with pytest.raises(ValueError):
             Trace([[5]], num_vectors=3)
 
+    @pytest.mark.parametrize(
+        "num_vectors, error",
+        [
+            (1.5, TypeError),
+            (2.9, TypeError),
+            (True, TypeError),
+            ("3", TypeError),
+            (-3, ValueError),
+            (np.int64(2), None),
+        ],
+    )
+    def test_num_vectors_is_checked_before_the_range(self, num_vectors, error):
+        # A size is not truncated: 1.5 used to become 1 with id 1 inside.
+        if error is None:
+            assert type(Trace([[0, 1]], num_vectors=num_vectors).num_vectors) is int
+            return
+        with pytest.raises(error, match="num_vectors must be"):
+            Trace([[0, 1]], num_vectors=num_vectors)
+
     def test_negative_ids_rejected(self):
         with pytest.raises(ValueError):
             Trace([[-1, 2]])
