@@ -8,42 +8,40 @@ splittable integer hash so the choice is deterministic, seed-dependent and
 independent of request order.  :func:`sample_queries_spatially` keys it on a
 vector's NVM block, so a sampled block keeps every one of its vectors.
 
-Both trace generators (:mod:`repro.workloads.generator` and
-:mod:`repro.scenarios.generators`) synthesise in two phases that together
-consume the seeded stream exactly as drawing and resolving one query at a time
-would:
+The Table 1 generator (:mod:`repro.workloads.generator`) draws from
+counter-based streams (Salmon et al., "Parallel random numbers: as easy as
+1, 2, 3", SC 2011; Steele, Lea & Flood, "Fast splittable pseudorandom number
+generators", OOPSLA 2014): every draw is
+``u = splitmix64(key(seed, stream, counter, slot))``
+(:func:`counter_uniforms`), a pure function of its coordinates rather than
+of how many draws came before it.  :func:`stream_keys` gives each (seed,
+stream) pair its own 64-bit key, so no pair aliases another.  A uniform
+carries :data:`UNIFORM_BITS` random bits, and :class:`StackedLaws` inverts
+many laws' CDFs, quantised to the same grid, in one search, exactly as
+:class:`InverseCDFSampler` inverts each.
 
-1. **Draw, per query.**  A Python loop makes only the random draws, in the
-   per-query order its module documents; every law's draws are uniforms
-   (``rng.random``) or integers, kept as drawn.
-2. **Resolve, per batch.**  Once :data:`RESOLVE_DRAWS` picks are pending, at a
-   query boundary, and whenever the generator must (a window's laws about to
-   change, the end of the call), the pending queries are resolved together.
-   Each law inverts all of its uniforms at once (:func:`invert_sorted`), the
-   generator turns its picks into positions in an id array, and
-   :func:`resolve_queries` keeps each query's first occurrences in draw order
-   and cuts the query to its size.
+The scenario generators (:mod:`repro.scenarios.generators`) still consume
+one seeded NumPy ``Generator`` in a per-query loop that makes only the random
+draws, then resolve the pending queries together.  :class:`InverseCDFSampler`
+makes that split exact: ``invert(rng.random(size))`` is
+``Generator.choice(n, size, p=law)``, so uniforms drawn now and inverted
+later give the same indices.  Their power-of-two integer draws rest on one
+property of NumPy's ``Generator``, pinned in ``tests/test_utils_sampling.py``
+(``TestStreamFacts``): for ``n = 2**j`` with ``1 <= j <= 24``,
+``integers(n, size=k)`` equals ``floor(random(k, dtype=float32) * n)`` and
+leaves the same state.  Both take one 32-bit word per element: Lemire's
+multiply-shift (Lemire, "Fast Random Integer Generation in an Interval", ACM
+TOMACS 2019) never rejects a power-of-two range and keeps the word's top
+``j`` bits, and a float32 uniform is the word's top 24 bits times
+``2**-24``.  So such a draw can be one ``random`` call
+(:func:`integers_below`), without the Python-level ``np.prod`` that
+``integers(..., size=k)`` runs on every call, or kept as uniforms and scaled
+in the resolve pass.
 
-:class:`InverseCDFSampler` makes the split exact: ``invert(rng.random(size))``
-is ``Generator.choice(n, size, p=law)``, so uniforms drawn now and inverted
-later give the same indices.  The rest rests on three properties of NumPy's
-``Generator``, pinned by name in ``tests/test_generator.py``
-(``TestStreamFacts``):
-
-* consecutive ``random`` calls return the same values and leave the same
-  state as one joined call;
-* ``integers(0, 1, size=k)`` consumes nothing;
-* for ``n = 2**j`` with ``1 <= j <= 24``, ``integers(n, size=k)`` equals
-  ``floor(random(k, dtype=float32) * n)`` and leaves the same state.  Both
-  take one 32-bit word per element: Lemire's multiply-shift (Lemire, "Fast
-  Random Integer Generation in an Interval", ACM TOMACS 2019) never rejects
-  a power-of-two range and keeps the word's top ``j`` bits, and a float32
-  uniform is the word's top 24 bits times ``2**-24``.  So such a draw can
-  be one ``random`` call (:func:`integers_below`), without the Python-level
-  ``np.prod`` that ``integers(..., size=k)`` runs on every call, or kept as
-  uniforms and scaled in the resolve pass.
-
-Counter-based draws (ROADMAP item 24(b)) would retire all three.
+Both kinds resolve in passes of at most :data:`RESOLVE_DRAWS` picks, cut at
+query boundaries: each law inverts its uniforms at once, the generator turns
+its picks into positions in an id array, and :func:`resolve_queries` keeps
+each query's first occurrences in draw order and cuts the query to its size.
 :func:`first_occurrences` is the draw-order de-duplication the flash-crowd
 generator applies to a query after diverting some of its lookups.
 """
@@ -58,6 +56,7 @@ from repro.utils.validation import (
     check_fraction,
     check_int_at_least,
     check_non_negative,
+    check_positive,
 )
 
 if TYPE_CHECKING:
@@ -73,13 +72,115 @@ _SUM_TOLERANCE = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 def _splitmix64(values: np.ndarray) -> np.ndarray:
-    """Vectorised splitmix64 hash of an int array, returning uint64."""
-    with np.errstate(over="ignore"):
-        z = values.astype(np.uint64) + _SPLITMIX_INCR
-        z = (z ^ (z >> np.uint64(30))) * _SPLITMIX_MULT_1
-        z = (z ^ (z >> np.uint64(27))) * _SPLITMIX_MULT_2
-        z = z ^ (z >> np.uint64(31))
+    """Vectorised splitmix64 hash of an int array, returning uint64.
+
+    In place on an array copy, whose integer arithmetic wraps silently.
+    """
+    z = np.asarray(values).astype(np.uint64)
+    z += _SPLITMIX_INCR
+    z ^= z >> np.uint64(30)
+    z *= _SPLITMIX_MULT_1
+    z ^= z >> np.uint64(27)
+    z *= _SPLITMIX_MULT_2
+    z ^= z >> np.uint64(31)
     return z
+
+
+#: Random bits in a counter-based uniform: ``u = j * 2**-UNIFORM_BITS`` for
+#: the top ``UNIFORM_BITS`` bits ``j`` of its hash.  A law's CDF quantised to
+#: the same grid is exact as an integer key beside a row index below 2**22
+#: (:class:`StackedLaws`).
+UNIFORM_BITS = 40
+_UNIFORM_SHIFT = np.uint64(64 - UNIFORM_BITS)
+_UNIFORM_SCALE = 2.0**-UNIFORM_BITS
+_ROW_SHIFT = UNIFORM_BITS + 1
+#: A counter occupies a key's high 32 bits and a slot the low 32.
+_SLOT_BITS = np.uint64(32)
+
+
+def stream_keys(seed: int, count: int) -> List[int]:
+    """The 64-bit keys of random streams ``0 .. count - 1`` of ``seed``.
+
+    The first ``count`` words NumPy's ``SeedSequence(seed)`` hashes the seed
+    into, so no (seed, stream) pair aliases another: an offset such as
+    ``seed + 1`` would make one table's stream the next table's, since
+    callers seed table ``i`` with ``base + i``.
+    """
+    return np.random.SeedSequence(seed).generate_state(count, np.uint64).tolist()
+
+
+def counter_uniforms(
+    key: int, counters: Union[int, np.ndarray], slots: Union[int, np.ndarray]
+) -> np.ndarray:
+    """The uniform in ``[0, 1)`` of each (counter, slot) pair of stream ``key``.
+
+    ``splitmix64(key + (counter * 2**32 + slot + 1) * gamma)``: the
+    ``counter * 2**32 + slot + 1``-th output of SplitMix64 started at
+    ``key``, its top :data:`UNIFORM_BITS` bits scaled to ``[0, 1)``.
+    Counters and slots are non-negative and below ``2**32``, and broadcast;
+    one of them is an array.
+    """
+    counter = np.asarray(counters, dtype=np.uint64) << _SLOT_BITS
+    values = (counter | np.asarray(slots, dtype=np.uint64)) * _SPLITMIX_INCR
+    values += np.uint64(key)
+    return (_splitmix64(values) >> _UNIFORM_SHIFT) * _UNIFORM_SCALE
+
+
+class StackedLaws:
+    """Several laws over rows, inverted in one search.
+
+    Row ``r``'s law is its entries' CDF (ascending rows, each row's CDF
+    non-decreasing up to 1), and entry ``k`` of the row draws ``values[k]``.
+    Entry keys are ``r * 2**(UNIFORM_BITS + 1) + ceil(cdf * 2**UNIFORM_BITS)``
+    and a uniform ``u = j * 2**-UNIFORM_BITS`` of row ``r`` searches
+    ``r * 2**(UNIFORM_BITS + 1) + j``.  ``ceil(c * 2**B) <= j`` exactly when
+    ``c <= u``, so :meth:`invert` draws the entry
+    ``InverseCDFSampler(law).invert(u)`` draws, for every row at once.
+    """
+
+    __slots__ = ("_keys", "_values")
+
+    def __init__(self, rows: np.ndarray, cdf: np.ndarray, values: np.ndarray) -> None:
+        self._keys = (rows << _ROW_SHIFT) + np.ceil(cdf * 2.0**UNIFORM_BITS).astype(np.int64)
+        self._values = values
+
+    def invert(self, rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        """The value each counter-based uniform draws from its row's law."""
+        keys = (rows << _ROW_SHIFT) + (uniforms * 2.0**UNIFORM_BITS).astype(np.int64)
+        return self._values[_search_ascending(self._keys, keys)]
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """``log(k!)`` for ``k`` in ``0 .. n``."""
+    return np.concatenate(([0.0], np.log(np.arange(1, n + 1)).cumsum()))
+
+
+def poisson_probabilities(mean: float) -> np.ndarray:
+    """Poisson(``mean``) probabilities of ``0, 1, ...``, renormalised after
+    ``mean + 12 sqrt(mean) + 12``, beyond which the tail is negligible."""
+    check_positive(mean, "mean")
+    top = int(mean + 12 * np.sqrt(mean) + 12)
+    k = np.arange(top + 1)
+    law = np.exp(k * np.log(mean) - mean - _log_factorials(top))
+    return law / law.sum()
+
+
+def binomial_laws(max_trials: int, p: float) -> StackedLaws:
+    """Binomial(``n``, ``p``) for every ``n`` in ``0 .. max_trials``, with
+    ``0 < p < 1``: row ``n`` of the returned laws draws a success count."""
+    n = np.arange(max_trials + 1)
+    rows = n.repeat(n + 1)
+    k = np.arange(rows.size) - (n * (n + 1) // 2).repeat(n + 1)
+    log_factorial = _log_factorials(max_trials)
+    log_law = (
+        log_factorial[rows] - log_factorial[k] - log_factorial[rows - k]
+        + k * np.log(p) + (rows - k) * np.log1p(-p)
+    )
+    cumulative = np.exp(log_law).cumsum()
+    # Each row's CDF: the running sum since the row began, over the row's sum.
+    last = (n + 1) * (n + 2) // 2 - 1
+    within = cumulative - np.concatenate(([0.0], cumulative[last[:-1]])).repeat(n + 1)
+    return StackedLaws(rows, within / within[last].repeat(n + 1), k)
 
 
 def spatial_hash_sample_mask(ids: np.ndarray, rate: float, seed: int = 0) -> np.ndarray:
@@ -188,15 +289,6 @@ class InverseCDFSampler:
         """
         return self._cdf.searchsorted(uniforms, side="right")
 
-    def lowest_uniforms(self, indices: Sequence[int]) -> np.ndarray:
-        """The smallest uniform :meth:`invert` maps to each index.
-
-        That is the CDF just below the index, exact for every index of
-        non-zero probability (every index :meth:`invert` can return).
-        """
-        floor = np.concatenate(([0.0], self._cdf[:-1]))
-        return floor[np.asarray(indices, dtype=np.intp)]
-
 
 #: Most picks resolved at once: the pending queries are resolved at the first
 #: query boundary where this many are pending.  Each of the resolve pass's
@@ -219,7 +311,7 @@ def integers_below(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
     """``rng.integers(n, size=size)``: the same values, leaving the same state.
 
     A power-of-two ``n`` from 2 to ``2**24`` is drawn as
-    ``random(size, dtype=float32) * n`` (the third stream fact above), one
+    ``random(size, dtype=float32) * n`` (the stream fact above), one
     NumPy call; any other ``n`` goes to ``integers``.
     """
     if 1 < n <= _FLOAT32_RANGE and n & (n - 1) == 0:
@@ -234,10 +326,23 @@ def poisson_query_sizes(rng: np.random.Generator, mean: float, count: int) -> Li
 
 def invert_sorted(sampler: InverseCDFSampler, uniforms: np.ndarray) -> np.ndarray:
     """``sampler.invert(uniforms)``, searched in sorted order (faster, equal)."""
-    ascending = uniforms.argsort()
-    inverted = np.empty(uniforms.size, dtype=np.int64)
-    inverted[ascending] = sampler.invert(uniforms[ascending])
-    return inverted
+    return _search_ascending(sampler._cdf, uniforms)
+
+
+def _search_ascending(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``table.searchsorted(keys, side="right")``, the keys searched in
+    ascending order: faster than in draw order, and equal."""
+    ascending = keys.argsort()
+    found = np.empty(keys.size, dtype=np.int64)
+    found[ascending] = table.searchsorted(keys[ascending], side="right")
+    return found
+
+
+def ranks_within(counts: np.ndarray) -> np.ndarray:
+    """``0, 1, ..., count - 1`` for each of a non-empty array of counts,
+    concatenated: each item's rank in its group."""
+    ends = counts.cumsum()
+    return np.arange(ends[-1]) - (ends - counts).repeat(counts)
 
 
 def resolve_queries(
@@ -255,7 +360,7 @@ def resolve_queries(
     # flash-crowd generator resolves some queries one at a time.)
     num, total = picks.size, positions.size
     starts = picks.cumsum() - picks
-    span = int(picks.max())
+    span = int(np.maximum.reduce(picks))
 
     # Each (query, position)'s first occurrence is the smallest of its sorted
     # (query, position, offset in the query) keys.  Packed into one int64:

@@ -42,31 +42,35 @@ numbers live in a regime where the evaluation trace touches only a couple of
 distinct vectors per 4 KB block.  :func:`paper_shaped_lookups` computes trace
 lengths that keep that density at the scaled-down table sizes.
 
-Everything is driven by explicit seeds so traces are reproducible.
-
-Synthesis draws per query and resolves per batch, as
-:mod:`repro.utils.sampling` describes.  A query's draws, in order: topic
-count, topic choices, the topic/global split of its picks, the slot
-assignment of its topic picks (``integers(count, size=k)``, through
-:func:`~repro.utils.sampling.integers_below`; skipped for a one-topic query,
-where it would consume nothing), and one ``random(draw)`` call for all of its
-uniforms.  A batch is also resolved at each window boundary, before the
-window's laws are replaced.
+Every draw is counter-based (:mod:`repro.utils.sampling`):
+``u = splitmix64(key(seed, stream, query, slot))``.  Query ``i`` draws its
+size and topic count (tabulated Poisson inverse CDFs), each topic's
+fresh-or-reuse coin and its reuse index or topic uniform, the topic/global
+split of its picks (Binomial(draw, :data:`TOPIC_AFFINITY`)), the slot of
+each topic pick and each pick's uniform; window ``w`` draws its in-rotation
+subset the same way.  So query ``i`` is a pure function of (spec, seed, i),
+however ``generate`` calls are split.  The one sequential rule, BURSTINESS's
+re-use of a recent topic, is a copy-from index resolved by pointer jumping,
+and queries are drawn in array passes of at most
+:data:`~repro.utils.sampling.RESOLVE_DRAWS` picks.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.utils import sampling
 from repro.utils.sampling import (
     InverseCDFSampler,
-    integers_below,
-    invert_sorted,
-    poisson_query_sizes,
+    StackedLaws,
+    binomial_laws,
+    counter_uniforms,
+    poisson_probabilities,
+    ranks_within,
     resolve_queries,
+    stream_keys,
     zipf_probabilities,
 )
 from repro.utils.validation import check_int_at_least, check_positive
@@ -97,6 +101,14 @@ BURSTINESS = 0.6
 #: Distinct vectors per 4 KB block that :func:`paper_shaped_lookups` sizes an
 #: evaluation trace for.
 UNIQUE_PER_BLOCK = 1.5
+#: Recent topic draws a BURSTINESS reuse picks from (a few dozen queries' worth).
+MAX_RECENT_TOPICS = max(8, int(30 * TOPICS_PER_QUERY))
+
+# The generator's random streams; each is keyed by (seed, stream id).
+_STRUCTURE, _TOPIC_OF, _ROTATION, _SIZE, _COUNT, _REUSE, _TOPIC, _SPLIT, _SLOT, _PICK = range(10)
+
+#: A query's topic count, before its floor at one.
+_TOPIC_COUNT_LAW = InverseCDFSampler(poisson_probabilities(TOPICS_PER_QUERY))
 
 
 def paper_shaped_lookups(
@@ -150,8 +162,7 @@ class SyntheticTraceGenerator:
     ) -> None:
         self.spec = spec
         self.seed = check_int_at_least(seed, 0, "seed")
-        self._recent_topics: List[int] = []
-        self._rng = np.random.default_rng(self.seed)
+        self._keys = stream_keys(self.seed, _PICK + 1)
 
         if expected_lookups is None:
             expected_lookups = paper_shaped_lookups(spec)
@@ -164,17 +175,14 @@ class SyntheticTraceGenerator:
         )
 
         # --- fixed latent structure ------------------------------------------
-        structure_rng = np.random.default_rng(self.seed + 1)
+        structure_rng = np.random.default_rng(self._keys[_STRUCTURE])
         target_unique = max(
             32, int(round(spec.compulsory_miss_rate * self.expected_lookups))
         )
         self._target_unique = target_unique
-        self.active_set_size = int(
-            np.clip(
-                round(WORKING_SET_MULTIPLIER * target_unique),
-                min(256, spec.num_vectors),
-                spec.num_vectors,
-            )
+        self.active_set_size = min(
+            max(round(WORKING_SET_MULTIPLIER * target_unique), min(256, spec.num_vectors)),
+            spec.num_vectors,
         )
         # Active ids are a random subset of the table so the original layout
         # has no accidental locality.
@@ -184,21 +192,15 @@ class SyntheticTraceGenerator:
             )
         ).astype(np.int64)
 
-        self.num_topics = int(
-            np.clip(
-                round(self.active_set_size / self._target_topic_size),
-                4,
-                min(spec.num_topics, max(4, self.active_set_size // 8)),
-            )
+        self.num_topics = min(
+            max(round(self.active_set_size / self._target_topic_size), 4),
+            min(spec.num_topics, max(4, self.active_set_size // 8)),
         )
         self._topic_of_active = structure_rng.integers(
             0, self.num_topics, size=self.active_set_size
         )
         self._topic_popularity = zipf_probabilities(self.num_topics, 0.9)
         self._topic_sampler = InverseCDFSampler(self._topic_popularity)
-        self._topic_members = [
-            np.where(self._topic_of_active == t)[0] for t in range(self.num_topics)
-        ]
 
         # Persistent ("base") popularity: Zipf over a random permutation of
         # the active vectors, blended with the topic traffic shares so hot
@@ -220,9 +222,25 @@ class SyntheticTraceGenerator:
             self.rotation_fraction
         )
 
-        # Materialise the first traffic window.
-        self._queries_in_window = 0
-        self._start_new_window(self._rng)
+        # A window's laws: one row per non-empty topic over its members (the
+        # active indices grouped by topic), then the window-wide law over the
+        # active set, row num_topics, which an empty topic draws from too.
+        self._by_topic = self._topic_of_active.argsort(kind="stable")
+        members = np.bincount(self._topic_of_active, minlength=self.num_topics)
+        self._members = members[members > 0]
+        self._topic_ends = self._members.cumsum() - 1
+        self._law_row = np.where(members > 0, np.arange(self.num_topics), self.num_topics)
+        every = np.arange(self.active_set_size)
+        window_row = np.full_like(every, self.num_topics)
+        self._law_rows = np.concatenate((self._topic_of_active[self._by_topic], window_row))
+        self._law_values = np.concatenate((self._by_topic, every))
+        #: The window whose laws are tabulated, and its laws.
+        self._window: Tuple[int, StackedLaws] = (0, self._window_laws(0))
+
+        self._size_law = InverseCDFSampler(poisson_probabilities(spec.avg_lookups_per_query))
+        self._split_laws, self._split_trials = binomial_laws(0, TOPIC_AFFINITY), 0
+        #: Queries drawn so far, and the topics of the last few.
+        self._queries_drawn, self._recent_topics = 0, np.zeros(0, dtype=np.int64)
 
     # --------------------------------------------------------------- windows
     def _rotation_inclusion_probabilities(self, fraction: float) -> np.ndarray:
@@ -233,56 +251,48 @@ class SyntheticTraceGenerator:
         fully popularity-determined one.  Probabilities are scaled so the
         expected in-rotation count is ``fraction × active_set_size``.
         """
+        # (ufunc reductions: ``sum`` / ``any`` are Python-level calls, and the
+        # calibration's bisection calls this about 16 times.)
         weights = self._base_popularity ** PERSISTENCE
-        weights = weights / weights.sum()
+        weights = weights / np.add.reduce(weights)
         target_count = fraction * self.active_set_size
         probabilities = np.minimum(1.0, weights * target_count)
         # Renormalise the part below 1 to keep the expected count on target.
         for _ in range(4):
-            deficit = target_count - probabilities.sum()
+            deficit = target_count - np.add.reduce(probabilities)
             if abs(deficit) < 1e-6:
                 break
             adjustable = probabilities < 1.0
-            if not adjustable.any():
+            if not np.logical_or.reduce(adjustable):
                 break
             probabilities[adjustable] = np.minimum(
                 1.0,
                 probabilities[adjustable]
-                * (1.0 + deficit / max(probabilities[adjustable].sum(), 1e-12)),
+                * (1.0 + deficit / max(np.add.reduce(probabilities[adjustable]), 1e-12)),
             )
         return probabilities
 
-    def _start_new_window(self, rng: np.random.Generator) -> None:
-        """Draw a new in-rotation subset and tabulate the window's sampling laws.
+    def _window_laws(self, window: int) -> StackedLaws:
+        """Draw window ``window``'s in-rotation subset and tabulate its laws.
 
-        The laws change only here, so this is the one place their samplers are
-        (re)built: one over the whole active set, and one per non-empty topic
-        over that topic's members.
+        An active vector is in rotation when its uniform falls below its
+        inclusion probability; if none is, the one the window's extra uniform
+        names is.  The laws change only here, from window to window.
         """
-        in_rotation = rng.random(self.active_set_size) < self._window_inclusion
+        size = self.active_set_size
+        uniforms = counter_uniforms(self._keys[_ROTATION], window, np.arange(size + 1))
+        in_rotation = uniforms[:size] < self._window_inclusion
         if not in_rotation.any():
-            in_rotation[rng.integers(self.active_set_size)] = True
-        window_weights = self._base_popularity * np.where(
-            in_rotation, 1.0, OUT_OF_ROTATION_WEIGHT
-        )
-        popularity = window_weights / window_weights.sum()
-        self._popularity_sampler = InverseCDFSampler(popularity)
-        # (sampler, members) per topic; a topic with no member falls back to
-        # the window-wide law, whose draws already are active-set indices.
-        self._topic_samplers: List[Tuple[InverseCDFSampler, Optional[np.ndarray]]] = []
-        for members in self._topic_members:
-            if members.size == 0:
-                self._topic_samplers.append((self._popularity_sampler, None))
-                continue
-            weights = popularity[members]
-            total = weights.sum()
-            weights = (
-                weights / total
-                if total > 0
-                else np.full(members.size, 1.0 / members.size)
-            )
-            self._topic_samplers.append((InverseCDFSampler(weights), members))
-        self._queries_in_window = 0
+            in_rotation[int(uniforms[size] * size)] = True
+        weights = self._base_popularity * np.where(in_rotation, 1.0, OUT_OF_ROTATION_WEIGHT)
+        popularity = weights / weights.sum()
+        # A topic's CDF: its running popularity since the topic began, over its total.
+        cumulative = popularity[self._by_topic].cumsum()
+        ends, members = self._topic_ends, self._members
+        within = cumulative - np.concatenate(([0.0], cumulative[ends[:-1]])).repeat(members)
+        window_cdf = popularity.cumsum()
+        cdf = np.concatenate((within / within[ends].repeat(members), window_cdf / window_cdf[-1]))
+        return StackedLaws(self._law_rows, cdf, self._law_values)
 
     # ----------------------------------------------------------- calibration
     def _expected_unique(self, fraction: float, num_windows: float) -> float:
@@ -298,13 +308,13 @@ class SyntheticTraceGenerator:
         # the small out-of-rotation trickle is deliberately ignored here so the
         # estimate stays monotone in `fraction` (it slightly under-predicts the
         # realised unique count, which is acceptable for calibration).
-        in_rotation_mass = float(np.sum(inclusion * self._base_popularity))
+        in_rotation_mass = float(np.add.reduce(inclusion * self._base_popularity))
         if in_rotation_mass <= 0:
             return 0.0
         conditional = self._base_popularity / in_rotation_mass
         touch_given_in = -np.expm1(-lookups_per_window * conditional)
         miss_all_windows = (1.0 - inclusion * touch_given_in) ** num_windows
-        return float(np.sum(1.0 - miss_all_windows))
+        return float(np.add.reduce(1.0 - miss_all_windows))
 
     def _calibrate_rotation_fraction(self) -> float:
         """Bisection on the in-rotation fraction matching the compulsory target."""
@@ -342,7 +352,7 @@ class SyntheticTraceGenerator:
         :func:`repro.embeddings.synthesize_topic_vectors` to correlate
         embedding geometry with co-access.
         """
-        rng = np.random.default_rng(self.seed + 3)
+        rng = np.random.default_rng(self._keys[_TOPIC_OF])
         topics = rng.integers(0, self.num_topics, size=self.spec.num_vectors)
         topics[self.active_ids] = self._topic_of_active
         return topics.astype(np.int64)
@@ -355,56 +365,18 @@ class SyntheticTraceGenerator:
         behave like consecutive slices of production traffic.
         """
         num_queries = check_int_at_least(num_queries, 1, "num_queries")
-        rng = self._rng
-        random = rng.random
-        topic_sampler = self._topic_sampler
-        # Topics travel as the uniforms that draw them; ``_resolve`` inverts
-        # them.  One carried over from the last call re-enters as the lowest
-        # uniform that draws it.
-        recent = topic_sampler.lowest_uniforms(self._recent_topics).tolist()
-        # Keep a short horizon of recent topics (a few dozen queries' worth).
-        max_recent = max(8, int(30 * TOPICS_PER_QUERY))
-        cap = sampling.RESOLVE_DRAWS
-        queries: List[np.ndarray] = []
-        window = _WindowDraws()
-        for size in poisson_query_sizes(rng, self.spec.avg_lookups_per_query, num_queries):
-            if self._queries_in_window >= self.window_queries:
-                queries += self._resolve(window)
-                window = _WindowDraws()
-                self._start_new_window(rng)
-            self._queries_in_window += 1
-            # The query's topics, re-using recently hot ones with BURSTINESS.
-            count = max(1, int(rng.poisson(TOPICS_PER_QUERY)))
-            topics = []
-            for _ in range(count):
-                if recent and random() < BURSTINESS:
-                    topics.append(recent[rng.integers(len(recent))])
-                else:
-                    topics.append(random())
-            window.laws += topics
-            window.laws.append(1.0)  # the global picks' law
-            recent += topics
-            if len(recent) > max_recent:
-                del recent[:-max_recent]
-            # Over-draw slightly, then de-duplicate and truncate: a request
-            # reads each id at most once, and popular vectors would otherwise
-            # collapse heavy-skew queries well below the target size.
-            draw = max(size + 4, int(round(size * 1.4)))
-            topic_picks = int(rng.binomial(draw, TOPIC_AFFINITY))
-            # A query with one topic puts every topic pick on it; drawing
-            # that assignment would consume nothing.
-            if topic_picks and count > 1:
-                window.slots.append(integers_below(rng, count, topic_picks))
-            window.uniforms.append(random(draw))
-            window.sizes.append(size)
-            window.counts.append(count)
-            window.topic_picks.append(topic_picks)
-            window.drawn += draw
-            if window.drawn >= cap:
-                queries += self._resolve(window)
-                window = _WindowDraws()
-        queries += self._resolve(window)
-        self._recent_topics = topic_sampler.invert(np.array(recent)).tolist()
+        draws = self._draw(num_queries)
+        # A pass ends at a window boundary and once RESOLVE_DRAWS picks are pending.
+        window = draws.index // self.window_queries
+        pending = (draws.picks.cumsum() - draws.picks) // sampling.RESOLVE_DRAWS
+        cuts = ((window[1:] != window[:-1]) | (pending[1:] != pending[:-1])).nonzero()[0]
+        bounds = [0] + (cuts + 1).tolist() + [num_queries]
+        queries = []
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            # A window's laws are tabulated once, when its first pass comes.
+            if self._window[0] != window[start]:
+                self._window = (int(window[start]), self._window_laws(int(window[start])))
+            queries += self._resolve(draws, start, stop, self._window[1])
         # Non-empty int64 arrays of active ids: nothing left for Trace to check.
         return Trace._trusted(queries, self.spec.num_vectors)
 
@@ -415,73 +387,101 @@ class SyntheticTraceGenerator:
         return self.generate(num_queries)
 
     # ----------------------------------------------------------------- private
-    def _resolve(self, window: "_WindowDraws") -> List[np.ndarray]:
-        """Turn the pending queries' uniforms into their distinct ids.
+    def _draw(self, num_queries: int) -> "_Draws":
+        """The next ``num_queries`` queries' per-query draws, as arrays."""
+        keys = self._keys
+        first = self._queries_drawn
+        index = np.arange(first, first + num_queries)
+        sizes = np.maximum(self._size_law.invert(counter_uniforms(keys[_SIZE], index, 0)), 1)
+        counts = np.maximum(_TOPIC_COUNT_LAW.invert(counter_uniforms(keys[_COUNT], index, 0)), 1)
+        topics = self._draw_topics(index, counts)
+        # Over-draw slightly, then de-duplicate and truncate: a request
+        # reads each id at most once, and popular vectors would otherwise
+        # collapse heavy-skew queries well below the target size.
+        picks = np.maximum(sizes + 4, (sizes * 1.4).round().astype(np.int64))
+        trials = int(picks.max())
+        if trials > self._split_trials:
+            self._split_laws, self._split_trials = binomial_laws(trials, TOPIC_AFFINITY), trials
+        topic_picks = self._split_laws.invert(picks, counter_uniforms(keys[_SPLIT], index, 0))
+        self._queries_drawn += num_queries
+        topic_start = np.concatenate(([0], counts.cumsum()))
+        return _Draws(index, sizes, counts, topics, topic_start, picks, topic_picks)
 
-        A query's uniforms are its topic picks, slot by slot (as many for a
-        slot as the slot assignment gave it), then its global picks: the order
-        in which a per-query loop would draw them.  The segments' topics are
-        inverted in one search, then each law inverts all of its uniforms in
-        one search, into active-set indices, and
-        :func:`~repro.utils.sampling.resolve_queries` cuts each query.
+    def _draw_topics(self, index: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """Each query's topics, slot by slot, concatenated.
+
+        With :data:`BURSTINESS` a topic re-uses one of the last
+        :data:`MAX_RECENT_TOPICS` drawn before its query: a copy-from index
+        into the topics so far (the carried ones first), followed by pointer
+        jumping to a topic drawn from the topic law.
         """
-        num = len(window.sizes)
-        if num == 0:
-            return []
-        uniforms = np.concatenate(window.uniforms)
-        draws = np.fromiter(map(len, window.uniforms), np.int64, num)
-        counts = np.array(window.counts, dtype=np.int64)
-        topic_picks = np.array(window.topic_picks, dtype=np.int64)
+        carried = self._recent_topics
+        before = counts.cumsum() - counts + carried.size
+        query, slot = index.repeat(counts), ranks_within(counts)
+        recent = np.minimum(before, MAX_RECENT_TOPICS).repeat(counts)
+        uniforms = counter_uniforms(self._keys[_TOPIC], query, slot)
+        reuse = counter_uniforms(self._keys[_REUSE], query, slot) < BURSTINESS
+        reuse &= recent > 0
+        source = np.arange(carried.size + query.size)
+        copied = before.repeat(counts) - recent + (uniforms * recent).astype(np.int64)
+        source[carried.size :][reuse] = copied[reuse]
+        while True:
+            jumped = source[source]
+            if not np.logical_or.reduce(jumped != source):
+                break
+            source = jumped
+        topics = np.concatenate((carried, self._topic_sampler.invert(uniforms)))[source]
+        self._recent_topics = topics[-MAX_RECENT_TOPICS:]
+        return topics[carried.size :]
 
-        # A query's uniforms are segments: one per topic slot, as long as the
-        # slot assignment made it, then its global picks.  Segment i draws
-        # from the law window.laws[i] inverts to.
-        segments = counts + 1
-        segment_start = segments.cumsum() - segments
-        slot_of_pick = segment_start.repeat(topic_picks)
-        if window.slots:
-            slot_of_pick[(counts > 1).repeat(topic_picks)] += np.concatenate(window.slots)
-        lengths = np.bincount(slot_of_pick, minlength=len(window.laws))
-        lengths[segment_start + counts] = draws - topic_picks
-        # (A one- or two-byte law index sorts by radix.)
-        law_dtype = np.min_scalar_type(self.num_topics)
-        law = invert_sorted(self._topic_sampler, np.array(window.laws))
-        law = law.astype(law_dtype).repeat(lengths)
+    def _resolve(self, draws: "_Draws", start: int, stop: int, laws: StackedLaws) -> list:
+        """Queries ``start:stop`` of ``draws``, as their distinct ids.
 
-        # Active-set index of every uniform, one law at a time.
-        by_law = law.argsort(kind="stable")
-        bounds = [0] + np.bincount(law, minlength=self.num_topics + 1).cumsum().tolist()
-        laws = self._topic_samplers + [(self._popularity_sampler, None)]
-        picks = np.empty(uniforms.size, dtype=np.int64)
-        for (sampler, members), start, stop in zip(laws, bounds[:-1], bounds[1:]):
-            if stop == start:
-                continue
-            at = by_law[start:stop]
-            drawn = invert_sorted(sampler, uniforms[at])
-            picks[at] = drawn if members is None else members[drawn]
-        sizes = np.array(window.sizes, dtype=np.int64)
-        return resolve_queries(picks, draws, sizes, self.active_ids)
+        A query's picks are its topic picks, slot by slot (each one's slot
+        drawn uniformly), then its global picks.  A pick's uniform is keyed by
+        its place in the query and inverted by its law into an active-set
+        index; :func:`~repro.utils.sampling.resolve_queries` cuts each query.
+        """
+        index = draws.index[start:stop]
+        counts = draws.counts[start:stop]
+        picks = draws.picks[start:stop]
+        topic_picks = draws.topic_picks[start:stop]
+        topics = draws.topics[draws.topic_start[start] : draws.topic_start[stop]]
+
+        # Segments: each query's topic slots, then its global picks.
+        segment_end = (counts + 1).cumsum()
+        globals_at = segment_end - 1
+        slots = counter_uniforms(
+            self._keys[_SLOT], index.repeat(topic_picks), ranks_within(topic_picks)
+        )
+        slot_of_pick = (globals_at - counts).repeat(topic_picks)
+        slot_of_pick += (slots * counts.repeat(topic_picks)).astype(np.int64)
+        lengths = np.bincount(slot_of_pick, minlength=int(segment_end[-1]))
+        lengths[globals_at] = picks - topic_picks
+        law = np.empty(lengths.size, dtype=np.int64)
+        law[globals_at] = self.num_topics
+        # Query q's topics sit q segments (its predecessors' global ones) on.
+        at = np.arange(topics.size) + np.arange(index.size).repeat(counts)
+        law[at] = self._law_row[topics]
+
+        uniforms = counter_uniforms(self._keys[_PICK], index.repeat(picks), ranks_within(picks))
+        positions = laws.invert(law.repeat(lengths), uniforms)
+        return resolve_queries(positions, picks, draws.sizes[start:stop], self.active_ids)
 
 
-class _WindowDraws:
-    """One traffic window's draws, in draw order, not yet resolved to ids."""
+class _Draws(NamedTuple):
+    """Consecutive queries' draws, as per-query arrays, except ``topics``:
+    all their topics, query ``i``'s from ``topic_start[i]``.  ``index`` is
+    each query's number in the generator's stream, ``picks`` the picks it
+    draws before de-duplication and ``topic_picks`` how many are topic picks."""
 
-    __slots__ = ("sizes", "counts", "topic_picks", "laws", "slots", "uniforms", "drawn")
-
-    def __init__(self) -> None:
-        #: Uniforms drawn so far (the length of ``uniforms``, concatenated).
-        self.drawn = 0
-        self.sizes: List[int] = []
-        self.counts: List[int] = []
-        self.topic_picks: List[int] = []
-        #: The uniform that draws each segment's law: each query's topics,
-        #: then 1.0, which inverts past the last topic to the window-wide
-        #: law's index (``num_topics``).
-        self.laws: List[float] = []
-        #: Slot assignment of the topic picks of each query with several
-        #: topics (and at least one topic pick).
-        self.slots: List[np.ndarray] = []
-        self.uniforms: List[np.ndarray] = []
+    index: np.ndarray
+    sizes: np.ndarray
+    counts: np.ndarray
+    topics: np.ndarray
+    topic_start: np.ndarray
+    picks: np.ndarray
+    topic_picks: np.ndarray
 
 
 def generate_model_trace(

@@ -1,10 +1,11 @@
 """A wall-clock-free fence around trace synthesis's host cost.
 
-Synthesis is a per-query Python loop of random draws followed by one NumPy
-pass per traffic window (Table 1 generator) or per batch of pending queries
-(scenario generators), so the regression that matters is "more
+The Table 1 generator draws every query's random numbers in array passes
+(counter-based draws) and resolves them per pass; the scenario generators
+draw per query in a Python loop and resolve one NumPy pass per batch of
+pending queries.  So the regression that matters is "more
 interpreter-level calls per query" — most of all per-query work that belongs
-in the resolve pass (a law searched, or a query de-duplicated, one query at a
+in an array pass (a law searched, or a query de-duplicated, one query at a
 time), or a law re-validated on every draw, which is what
 ``Generator.choice(p=)`` did.  ``sys.setprofile`` ``call`` events over one
 seeded generation, divided by the queries it made, count that exactly: a pure
@@ -24,23 +25,23 @@ from tests.conftest import count_python_calls
 #: Python-level calls per generated query (CPython 3.11.7, NumPy 2.4.6).
 #: Power-of-two integer draws are made as float32 uniforms, one NumPy call
 #: without ``integers(..., size=k)``'s Python-level ``np.prod`` chain (the
-#: third stream fact of ``sampling``'s module docstring).  Measured:
+#: stream fact of ``sampling``'s module docstring).  Measured:
 #:
-#: - Table 1 generator (its construction included): 3.25, against 4.1
-#:   when each fresh topic choice made one ``InverseCDFSampler.invert`` call
-#:   (its topics are now inverted once per resolve pass), and 4.9 before its
-#:   slot assignment took that path for two or four topics.  About 0.9 of
-#:   the 3.25 is the ``np.prod`` of the slot assignment for 3, 5, 6 or 7
-#:   topics.
+#: - Table 1 generator (its construction included): 0.64, against 3.25 when
+#:   a per-query loop drew through NumPy's ``Generator`` (4.1 and 4.9
+#:   before it).  Nothing is left per query: 0.34 of the 0.64 is
+#:   construction (its rotation calibration's ~16 bisection steps among
+#:   it), the rest per call, per traffic window and per resolve pass, so
+#:   any call made once per query fails this fence.
 #: - Drift: 0.16, against 4.15 when every query's community members went
 #:   through ``integers``.  What is left is per trace and per resolve pass,
 #:   so any call made once per query fails this fence.
 #: - Flash-crowd: 5.0, against 9.6.  Its in-flash queries are still
 #:   resolved, diverted and de-duplicated one by one.
 #:
-#: Each budget is ~25 % above its measured value (the last budgets were 5.1,
+#: Each budget is ~25 % above its measured value (the last budgets were 4.1,
 #: 5.2 and 11.2).
-TABLE1_CALLS_PER_QUERY_BUDGET = 4.1
+TABLE1_CALLS_PER_QUERY_BUDGET = 0.8
 DRIFT_CALLS_PER_QUERY_BUDGET = 0.2
 FLASH_CROWD_CALLS_PER_QUERY_BUDGET = 6.2
 

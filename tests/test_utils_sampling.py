@@ -1,5 +1,7 @@
 """Unit and property tests for the sampling primitives."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,14 +9,19 @@ from hypothesis import strategies as st
 
 from repro.nvm.block import BlockLayout
 from repro.utils.sampling import (
+    UNIFORM_BITS,
     InverseCDFSampler,
+    StackedLaws,
+    binomial_laws,
     first_occurrences,
     integers_below,
     invert_sorted,
+    poisson_probabilities,
     poisson_query_sizes,
     resolve_queries,
     sample_queries_spatially,
     spatial_hash_sample_mask,
+    stream_keys,
     zipf_probabilities,
 )
 
@@ -406,3 +413,100 @@ class TestIntegersBelow:
             integers_below(ours, n, 500), numpys.integers(n, size=500)
         )
         assert ours.bit_generator.state == numpys.bit_generator.state
+
+
+class TestStreamFacts:
+    """The property of NumPy's ``Generator`` the scenario generators rely on.
+
+    Their community members and power-of-two crowd replacements are drawn as
+    float32 uniforms (``integers_below``); that is the stream
+    ``integers(2**j, size=k)`` draws only while this holds, so a NumPy
+    upgrade that breaks it fails here by name rather than as a changed digest.
+    """
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        calls=st.lists(
+            st.tuples(st.integers(1, 24), st.integers(0, 64), st.integers(0, 5)),
+            min_size=1,
+            max_size=8,
+        ),
+        half_buffered=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_power_of_two_integers_are_float32_uniforms(self, seed, calls, half_buffered):
+        # Each call draws integers(2**j, size=k), then `between` float64
+        # uniforms, on one stream; the other stream scales float32 uniforms.
+        integers_rng = np.random.default_rng(seed)
+        uniforms_rng = np.random.default_rng(seed)
+        if half_buffered:
+            for rng in (integers_rng, uniforms_rng):
+                rng.integers(5)
+        for bits, size, between in calls:
+            drawn = integers_rng.integers(2**bits, size=size)
+            scaled = uniforms_rng.random(size, dtype=np.float32) * 2**bits
+            np.testing.assert_array_equal(drawn, scaled.astype(np.int64))
+            np.testing.assert_array_equal(
+                integers_rng.random(between), uniforms_rng.random(between)
+            )
+        assert integers_rng.bit_generator.state == uniforms_rng.bit_generator.state
+
+
+def grid_uniforms(seed, size):
+    """Uniforms on the counter draws' grid, ``j * 2**-UNIFORM_BITS``."""
+    return np.random.default_rng(seed).integers(0, 2**UNIFORM_BITS, size) * 2.0**-UNIFORM_BITS
+
+
+class TestStackedLaws:
+    @given(
+        laws=st.lists(
+            st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40).filter(
+                lambda weights: sum(weights) > 0
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_each_row_inverts_as_its_own_sampler(self, laws, seed):
+        samplers = [InverseCDFSampler(np.array(law) / sum(law)) for law in laws]
+        rows = np.arange(len(laws)).repeat([len(law) for law in laws])
+        cdf = np.concatenate([sampler._cdf for sampler in samplers])
+        values = np.arange(rows.size)
+        stacked = StackedLaws(rows, cdf, values)
+        uniforms = grid_uniforms(seed, 500)
+        which = np.random.default_rng(seed + 1).integers(0, len(laws), 500)
+        starts = np.concatenate(([0], np.cumsum([len(law) for law in laws])))
+        expected = [
+            starts[row] + samplers[row].invert(u) for row, u in zip(which, uniforms)
+        ]
+        assert stacked.invert(which, uniforms).tolist() == expected
+
+    def test_poisson_probabilities_are_the_poisson_law(self):
+        for mean in (0.5, 2.0, 34.83, 92.75):
+            law = poisson_probabilities(mean)
+            exact = [
+                math.exp(k * math.log(mean) - mean - math.lgamma(k + 1))
+                for k in range(law.size)
+            ]
+            np.testing.assert_allclose(law, exact, rtol=1e-9, atol=1e-300)
+            # The truncated tail is negligible.
+            assert abs(sum(exact) - 1.0) < 1e-12
+
+    def test_binomial_rows_are_the_binomial_law(self):
+        laws = binomial_laws(150, 0.8)
+        uniforms = grid_uniforms(3, 400)
+        for n in (0, 1, 2, 7, 49, 150):
+            pmf = [math.comb(n, k) * 0.8**k * 0.2 ** (n - k) for k in range(n + 1)]
+            cdf = np.cumsum(pmf)
+            expected = np.minimum(cdf.searchsorted(uniforms, side="right"), n)
+            drawn = laws.invert(np.full(uniforms.size, n), uniforms)
+            np.testing.assert_array_equal(drawn, expected)
+
+
+class TestStreamKeys:
+    def test_keys_are_distinct_across_seeds_and_streams(self):
+        keys = [key for seed in range(64) for key in stream_keys(seed, 10)]
+        assert len(set(keys)) == len(keys)
+        assert stream_keys(5, 3) == stream_keys(5, 10)[:3]
