@@ -34,9 +34,7 @@ SCENARIO_KINDS = ("drift", "flash-crowd")
 TRACE_FORMATS = ("twitter", "columnar")
 
 #: Ids per co-access community: a contiguous span of the popularity ranking
-#: that one query focuses on (:mod:`repro.scenarios.generators`).  A power of
-#: two no larger than ``2**24``: the generator draws a query's members as
-#: float32 uniforms, which equals ``integers(COMMUNITY_SIZE, size=k)`` only then.
+#: that one query focuses on (:mod:`repro.scenarios.generators`).
 COMMUNITY_SIZE = 64
 
 #: Where a flash crowd begins, as a fraction of the trace.

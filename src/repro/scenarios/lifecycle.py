@@ -34,12 +34,14 @@ from collections import deque
 from typing import Deque, Dict, List
 
 import numpy as np
+import numpy.typing as npt
 
 from repro.caching.policies import AccessThresholdPolicy
 from repro.core.bandana import BandanaStore, BandanaTableState
 from repro.nvm.block import BlockLayout
 from repro.partitioning.shp import SHPPartitioner
 from repro.scenarios.config import RepartitionConfig
+from repro.utils.validation import check_array_1d_ints, check_id_range
 from repro.workloads.characterization import access_counts
 from repro.workloads.trace import Trace
 
@@ -81,9 +83,17 @@ class RepartitionManager:
         self.retrain_runtime_seconds = 0.0
 
     # ------------------------------------------------------------------ drive
-    def observe(self, query: np.ndarray) -> bool:
-        """Record one served query; returns ``True`` when a swap landed."""
-        self._window.append(np.asarray(query, dtype=np.int64))
+    def observe(self, query: npt.ArrayLike) -> bool:
+        """Record one served query; returns ``True`` when a swap landed.
+
+        The ids are checked as :meth:`BandanaStore.lookup
+        <repro.core.bandana.BandanaStore.lookup>` checks them (``TypeError``
+        for non-integers, ``IndexError`` outside the table) before anything
+        is recorded, so a rejected query never reaches the window.
+        """
+        ids = check_array_1d_ints(query, "vector_ids")
+        check_id_range(ids, self._state.layout.num_vectors)
+        self._window.append(ids)
         self._queries_seen += 1
         due = self._queries_seen % self.config.cadence_queries == 0
         if not due or len(self._window) < self.config.min_window_queries:

@@ -8,42 +8,24 @@ splittable integer hash so the choice is deterministic, seed-dependent and
 independent of request order.  :func:`sample_queries_spatially` keys it on a
 vector's NVM block, so a sampled block keeps every one of its vectors.
 
-The Table 1 generator (:mod:`repro.workloads.generator`) draws from
-counter-based streams (Salmon et al., "Parallel random numbers: as easy as
-1, 2, 3", SC 2011; Steele, Lea & Flood, "Fast splittable pseudorandom number
-generators", OOPSLA 2014): every draw is
-``u = splitmix64(key(seed, stream, counter, slot))``
-(:func:`counter_uniforms`), a pure function of its coordinates rather than
-of how many draws came before it.  :func:`stream_keys` gives each (seed,
-stream) pair its own 64-bit key, so no pair aliases another.  A uniform
-carries :data:`UNIFORM_BITS` random bits, and :class:`StackedLaws` inverts
-many laws' CDFs, quantised to the same grid, in one search, exactly as
-:class:`InverseCDFSampler` inverts each.
+Both trace generators — Table 1's (:mod:`repro.workloads.generator`) and
+the scenarios' (:mod:`repro.scenarios.generators`) — draw from counter-based
+streams (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC
+2011; Steele, Lea & Flood, "Fast splittable pseudorandom number generators",
+OOPSLA 2014): every draw is ``u = splitmix64(key(seed, stream, counter,
+slot))`` (:func:`counter_uniforms`), a pure function of its coordinates
+rather than of how many draws came before it.  :func:`stream_keys` gives
+each (seed, stream) pair its own 64-bit key, so no pair aliases another.  A
+uniform carries :data:`UNIFORM_BITS` random bits; :class:`InverseCDFSampler`
+inverts one law's CDF, and :class:`StackedLaws` many laws', quantised to the
+same grid, in one search.
 
-The scenario generators (:mod:`repro.scenarios.generators`) still consume
-one seeded NumPy ``Generator`` in a per-query loop that makes only the random
-draws, then resolve the pending queries together.  :class:`InverseCDFSampler`
-makes that split exact: ``invert(rng.random(size))`` is
-``Generator.choice(n, size, p=law)``, so uniforms drawn now and inverted
-later give the same indices.  Their power-of-two integer draws rest on one
-property of NumPy's ``Generator``, pinned in ``tests/test_utils_sampling.py``
-(``TestStreamFacts``): for ``n = 2**j`` with ``1 <= j <= 24``,
-``integers(n, size=k)`` equals ``floor(random(k, dtype=float32) * n)`` and
-leaves the same state.  Both take one 32-bit word per element: Lemire's
-multiply-shift (Lemire, "Fast Random Integer Generation in an Interval", ACM
-TOMACS 2019) never rejects a power-of-two range and keeps the word's top
-``j`` bits, and a float32 uniform is the word's top 24 bits times
-``2**-24``.  So such a draw can be one ``random`` call
-(:func:`integers_below`), without the Python-level ``np.prod`` that
-``integers(..., size=k)`` runs on every call, or kept as uniforms and scaled
-in the resolve pass.
-
-Both kinds resolve in passes of at most :data:`RESOLVE_DRAWS` picks, cut at
-query boundaries: each law inverts its uniforms at once, the generator turns
-its picks into positions in an id array, and :func:`resolve_queries` keeps
-each query's first occurrences in draw order and cuts the query to its size.
+Both resolve in passes of at most :data:`RESOLVE_DRAWS` picks, cut at query
+boundaries: each law inverts its uniforms at once, the generator turns its
+picks into positions in an id array, and :func:`resolve_queries` keeps each
+query's first occurrences in draw order and cuts the query to its size.
 :func:`first_occurrences` is the draw-order de-duplication the flash-crowd
-generator applies to a query after diverting some of its lookups.
+generator applies to (query, id) keys after diverting some of its lookups.
 """
 
 from __future__ import annotations
@@ -147,7 +129,11 @@ class StackedLaws:
     def invert(self, rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
         """The value each counter-based uniform draws from its row's law."""
         keys = (rows << _ROW_SHIFT) + (uniforms * 2.0**UNIFORM_BITS).astype(np.int64)
-        return self._values[_search_ascending(self._keys, keys)]
+        # Searched in ascending order: faster than in draw order, and equal.
+        ascending = keys.argsort()
+        found = np.empty(keys.size, dtype=np.int64)
+        found[ascending] = self._keys.searchsorted(keys[ascending], side="right")
+        return self._values[found]
 
 
 def _log_factorials(n: int) -> np.ndarray:
@@ -302,42 +288,6 @@ class InverseCDFSampler:
 RESOLVE_DRAWS = 1 << 13
 
 
-#: Widest power-of-two range :func:`integers_below` draws through float32
-#: uniforms: a float32 uniform carries 24 random bits.
-_FLOAT32_RANGE = 1 << 24
-
-
-def integers_below(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
-    """``rng.integers(n, size=size)``: the same values, leaving the same state.
-
-    A power-of-two ``n`` from 2 to ``2**24`` is drawn as
-    ``random(size, dtype=float32) * n`` (the stream fact above), one
-    NumPy call; any other ``n`` goes to ``integers``.
-    """
-    if 1 < n <= _FLOAT32_RANGE and n & (n - 1) == 0:
-        return (rng.random(size, dtype=np.float32) * n).astype(np.int64)
-    return rng.integers(n, size=size)
-
-
-def poisson_query_sizes(rng: np.random.Generator, mean: float, count: int) -> List[int]:
-    """``count`` Poisson(``mean``) query sizes, each at least one lookup."""
-    return np.maximum(rng.poisson(lam=mean, size=count), 1).tolist()
-
-
-def invert_sorted(sampler: InverseCDFSampler, uniforms: np.ndarray) -> np.ndarray:
-    """``sampler.invert(uniforms)``, searched in sorted order (faster, equal)."""
-    return _search_ascending(sampler._cdf, uniforms)
-
-
-def _search_ascending(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """``table.searchsorted(keys, side="right")``, the keys searched in
-    ascending order: faster than in draw order, and equal."""
-    ascending = keys.argsort()
-    found = np.empty(keys.size, dtype=np.int64)
-    found[ascending] = table.searchsorted(keys[ascending], side="right")
-    return found
-
-
 def ranks_within(counts: np.ndarray) -> np.ndarray:
     """``0, 1, ..., count - 1`` for each of a non-empty array of counts,
     concatenated: each item's rank in its group."""
@@ -356,8 +306,8 @@ def resolve_queries(
     occurrence in its query de-duplicates ids.  The returned arrays are
     slices of one shared array.
     """
-    # (Array methods rather than NumPy's Python-level functions: the
-    # flash-crowd generator resolves some queries one at a time.)
+    # (Array methods rather than NumPy's Python-level functions: each of
+    # those is one more Python call per resolve pass.)
     num, total = picks.size, positions.size
     starts = picks.cumsum() - picks
     span = int(np.maximum.reduce(picks))
@@ -390,8 +340,9 @@ def first_occurrences(ids: np.ndarray) -> np.ndarray:
     """Keep each id's first occurrence, preserving draw order.
 
     A request reads each id at most once; the flash-crowd generator
-    de-duplicates a query with this again after diverting some of its lookups
-    onto the crowd (:func:`resolve_queries` de-duplicates undiverted queries).
+    de-duplicates its flash-window queries with this again, on (query, id)
+    keys, after diverting some of their lookups onto the crowd
+    (:func:`resolve_queries` de-duplicates undiverted queries).
     """
     _, first_positions = np.unique(ids, return_index=True)
     return ids[np.sort(first_positions)]

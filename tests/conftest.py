@@ -35,6 +35,7 @@ from repro.nvm.block import BlockLayout
 from repro.partitioning import SHPPartitioner
 from repro.scenarios import ScenarioConfig, generate_scenario_trace
 from repro.tracing import Tracer
+from repro.utils.sampling import UNIFORM_BITS
 from repro.workloads import SyntheticTraceGenerator, scaled_table_specs
 from repro.workloads.tables_spec import TableSpec
 from repro.workloads.characterization import access_counts
@@ -144,6 +145,19 @@ def count_python_calls(function):
     finally:
         sys.setprofile(None)
     return result, calls
+
+
+_MASK64 = 2**64 - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def scalar_uniform(key: int, counter: int, slot: int) -> float:
+    """``repro.utils.sampling.counter_uniforms(key, counter, slot)`` in pure
+    Python integers: the scalar splitmix64 the synthesis oracles draw with."""
+    z = (key + ((counter << 32 | slot) + 1) * _GAMMA) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return ((z ^ (z >> 31)) >> (64 - UNIFORM_BITS)) / 2**UNIFORM_BITS
 
 
 def average_fanout(layout: BlockLayout, queries) -> float:

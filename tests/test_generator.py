@@ -38,7 +38,7 @@ from repro.workloads.generator import (
     TOPIC_AFFINITY,
     UNIQUE_PER_BLOCK,
 )
-from tests.conftest import golden, make_spec, trace_digest
+from tests.conftest import golden, make_spec, scalar_uniform, trace_digest
 
 
 class TestPaperShapedLookups:
@@ -299,18 +299,6 @@ class TestModelTraceGeneration:
 
 
 # ------------------------------------------------------------ scalar oracle
-_MASK64 = 2**64 - 1
-_GAMMA = 0x9E3779B97F4A7C15
-
-
-def scalar_uniform(key, counter, slot):
-    """``counter_uniforms(key, counter, slot)`` in pure Python integers."""
-    z = (key + ((counter << 32 | slot) + 1) * _GAMMA) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return ((z ^ (z >> 31)) >> (64 - UNIFORM_BITS)) / 2**UNIFORM_BITS
-
-
 def oracle_topics(generator, num_queries):
     """Queries 0 .. num_queries - 1's topics, drawn one query at a time.
 

@@ -54,8 +54,9 @@ def test_a_nested_difference_names_its_path_and_type():
     pinned = load_goldens()["engine_counters"]["value"]
     moved = copy.deepcopy(pinned)
     case = next(iter(moved))
-    moved[case]["counters"][1] = float(moved[case]["counters"][1])  # 1724 → 1724.0
-    expected = f"{case} > counters > 1: ledger 1724, produced 1724.0"
+    count = moved[case]["counters"][1]
+    moved[case]["counters"][1] = float(count)  # e.g. 1813 → 1813.0
+    expected = f"{case} > counters > 1: ledger {count}, produced {float(count)}"
     with pytest.raises(AssertionError, match=re.escape(expected)):
         check_golden("engine_counters", pinned, moved)
     check_golden("engine_counters", pinned, copy.deepcopy(pinned))

@@ -16,6 +16,7 @@ import pytest
 from repro.core.bandana import BandanaStore
 from repro.core.config import BandanaConfig, ServingConfig
 from repro.nvm.block import BlockLayout
+from repro.partitioning.shp import _draw_levels
 from repro.scenarios import (
     RepartitionConfig,
     RepartitionManager,
@@ -67,47 +68,40 @@ def golden_scenario_config(kind, **overrides):
 
 
 def golden_scenario_digests():
-    """Every kind's trace digest at :func:`golden_scenario_config`, captured
-    from the ``Generator.choice(p=)`` implementation the generators replaced."""
-    return {
-        kind: trace_digest(generate_scenario_trace(golden_scenario_config(kind)))
-        for kind in ("drift", "flash-crowd")
+    """Every arm's trace digest — drift, flash-crowd and the stationary arm
+    (drift at rotation 0) — at :func:`golden_scenario_config` and at
+    :func:`small_scenario`'s size, captured from the counter-keyed draws."""
+    arms = {
+        "drift": ("drift", {}),
+        "flash-crowd": ("flash-crowd", {}),
+        "stationary": ("drift", {"drift_rotation_per_epoch": 0.0}),
     }
+    digests = {}
+    for arm, (kind, overrides) in arms.items():
+        for prefix, config in (("", golden_scenario_config), ("small ", small_scenario)):
+            digests[prefix + arm] = trace_digest(generate_scenario_trace(config(kind, **overrides)))
+    return digests
 
 
 # ----------------------------------------------------------------- generators
 class TestGenerators:
-    def test_seeded_golden_pins(self):
-        # Each generator is a pure function of its config: pin the trace
-        # shape and an id checksum per arm.  (Drift and its stationary
-        # control share the id law, so they agree on size but not on the
-        # ids the rotation touches; flash re-dedupes diverted lookups.)
-        pins = {
-            "drift": (small_scenario("drift"), (439, 56842)),
-            "flash-crowd": (small_scenario("flash-crowd"), (434, 52427)),
-            "stationary": (
-                small_scenario("drift", drift_rotation_per_epoch=0.0),
-                (439, 52307),
-            ),
-        }
-        for arm, (config, (num_lookups, checksum)) in pins.items():
-            trace = generate_scenario_trace(config)
-            ids = np.concatenate(trace.queries)
-            assert len(trace.queries) == 60
-            assert (int(ids.size), int(ids.sum())) == (num_lookups, checksum), arm
-
     def test_generated_traces_match_the_pinned_digests(self):
         golden("scenario_digests")
 
-    def test_stationary_drift_reproduces_the_stationary_pin(self):
-        # The stationary id law (drift frozen at rotation 0) was pinned as
-        # the removed "diurnal" kind, whose trace it is bit for bit.
-        config = golden_scenario_config("drift", drift_rotation_per_epoch=0.0)
-        assert trace_digest(generate_scenario_trace(config)) == {
-            "queries": 300,
-            "lookups": 6673,
-            "sha256": "4cdb1bea99f29261ea9c1142ca26c81bb1c4260173c1fced7d97f9e6c689154d",
-        }
+    def test_hot_ids_are_independent_of_shps_root_split(self):
+        # SHPPartitioner(seed=s) draws its root split first from
+        # default_rng(s).  The ranking was once that stream's permutation,
+        # so a store built at the scenario's seed started SHP from a split
+        # of the hot ids from the cold ones.  Now about half the hottest
+        # ids fall on each side.
+        for seed in range(5):
+            config = ScenarioConfig(drift_rotation_per_epoch=0.0, seed=seed)
+            counts = np.bincount(
+                generate_scenario_trace(config).flatten(), minlength=config.num_vectors
+            )
+            hottest = np.argsort(-counts, kind="stable")[:256]
+            levels = _draw_levels(config.num_vectors, 32, np.random.default_rng(seed))
+            assert 0.35 < levels[0].side[hottest].mean() < 0.65, seed
 
     def test_regeneration_is_bit_identical(self):
         config = small_scenario("drift")
@@ -328,6 +322,33 @@ class TestLifecycle:
             manager.observe(query)
         assert manager.retrains == 4
         assert manager.swaps == [100, 200, 300, 400]
+
+    @pytest.mark.parametrize(
+        "hostile, error",
+        [([1.7, 2.2], TypeError), ([300], IndexError), ([5, -1], IndexError), ([[1, 2]], ValueError)],
+    )
+    def test_observe_rejects_hostile_ids_and_records_nothing(self, hostile, error):
+        # Each used to be recorded: floats truncated, and an id outside the
+        # table made every due retrain raise until it left the window.
+        trace = generate_scenario_trace(small_scenario("drift"))
+        store = BandanaStore.build(ModelTrace({"t": trace}), scenario_store_config(256))
+        manager = RepartitionManager(
+            store,
+            "t",
+            RepartitionConfig(
+                cadence_queries=2, window_queries=4, min_window_queries=1, shp_iterations=2
+            ),
+        )
+        manager.observe(trace.queries[0])
+        window = list(manager._window)
+        with pytest.raises(error, match="vector.ids"):
+            manager.observe(hostile)
+        assert manager._queries_seen == 1
+        assert len(manager._window) == 1 and manager._window[0] is window[0]
+        assert manager.retrains == 0
+        # The next valid query is the second one, so the due retrain runs.
+        assert manager.observe(trace.queries[1])
+        assert manager.retrains == 1 and manager.swaps == [2]
 
     def test_swap_refreshes_admission_counts_from_the_window(self):
         trace = self.drifting_trace(num_queries=450)

@@ -14,10 +14,7 @@ from repro.utils.sampling import (
     StackedLaws,
     binomial_laws,
     first_occurrences,
-    integers_below,
-    invert_sorted,
     poisson_probabilities,
-    poisson_query_sizes,
     resolve_queries,
     sample_queries_spatially,
     spatial_hash_sample_mask,
@@ -294,36 +291,6 @@ class TestResolveQueries:
             np.testing.assert_array_equal(query, ids[first_occurrences(part)[:size]])
 
 
-class TestInvertSorted:
-    @given(law=laws(), seed=st.integers(0, 2**32), size=st.sampled_from([1, 2, 57, 3000]))
-    @settings(max_examples=60, deadline=None)
-    def test_equals_invert(self, law, seed, size):
-        sampler = InverseCDFSampler(law)
-        uniforms = np.random.default_rng(seed).random(size)
-        inverted = invert_sorted(sampler, uniforms)
-        assert inverted.dtype == np.int64
-        np.testing.assert_array_equal(inverted, sampler.invert(uniforms))
-
-
-class TestPoissonQuerySizes:
-    @pytest.mark.parametrize("mean", [0.2, 3.0, 40.0])
-    def test_floors_the_poisson_stream_at_one(self, mean):
-        rng = np.random.default_rng(11)
-        reference = np.random.default_rng(11)
-        sizes = poisson_query_sizes(rng, mean, 500)
-        expected = np.maximum(reference.poisson(lam=mean, size=500), 1)
-        assert sizes == expected.tolist()
-        assert min(sizes) >= 1
-        # The stream is left where one joined ``poisson`` call leaves it.
-        assert rng.random() == reference.random()
-
-    def test_returns_python_ints(self):
-        sizes = poisson_query_sizes(np.random.default_rng(0), 5.0, 20)
-        assert isinstance(sizes, list) and len(sizes) == 20
-        assert all(type(size) is int for size in sizes)
-        assert poisson_query_sizes(np.random.default_rng(0), 5.0, 0) == []
-
-
 class TestFirstOccurrences:
     def test_keeps_first_of_each_in_draw_order(self):
         ids = np.array([5, 2, 5, 9, 2, 2, 1])
@@ -385,73 +352,6 @@ class TestZipfProbabilities:
         )
 
 
-class TestIntegersBelow:
-    @pytest.mark.parametrize("half_buffered", [False, True])
-    def test_equals_integers_in_values_and_state(self, half_buffered):
-        # Every n in 1..130: the powers of two take the float32 path, the
-        # rest (and n = 1, which consumes nothing) go to integers.
-        for n in range(1, 131):
-            for size in (0, 1, 7, 64):
-                ours, numpys = np.random.default_rng(n), np.random.default_rng(n)
-                if half_buffered:
-                    ours.integers(5)
-                    numpys.integers(5)
-                drawn = integers_below(ours, n, size)
-                np.testing.assert_array_equal(drawn, numpys.integers(n, size=size))
-                assert drawn.dtype == np.int64
-                assert ours.bit_generator.state == numpys.bit_generator.state
-
-    # Below 2**24 only wide non-powers of two (and n = 1) tell a scaled
-    # float32 uniform from integers: for n up to 130 the two agree on
-    # almost every draw even where the fact does not hold.
-    @pytest.mark.parametrize(
-        "n", [2**23, 2**23 + 1, 3 * 2**22, 2**24 - 1, 2**24, 2**25, 2**32]
-    )
-    def test_wide_ranges_equal_integers(self, n):
-        ours, numpys = np.random.default_rng(3), np.random.default_rng(3)
-        np.testing.assert_array_equal(
-            integers_below(ours, n, 500), numpys.integers(n, size=500)
-        )
-        assert ours.bit_generator.state == numpys.bit_generator.state
-
-
-class TestStreamFacts:
-    """The property of NumPy's ``Generator`` the scenario generators rely on.
-
-    Their community members and power-of-two crowd replacements are drawn as
-    float32 uniforms (``integers_below``); that is the stream
-    ``integers(2**j, size=k)`` draws only while this holds, so a NumPy
-    upgrade that breaks it fails here by name rather than as a changed digest.
-    """
-
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        calls=st.lists(
-            st.tuples(st.integers(1, 24), st.integers(0, 64), st.integers(0, 5)),
-            min_size=1,
-            max_size=8,
-        ),
-        half_buffered=st.booleans(),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_power_of_two_integers_are_float32_uniforms(self, seed, calls, half_buffered):
-        # Each call draws integers(2**j, size=k), then `between` float64
-        # uniforms, on one stream; the other stream scales float32 uniforms.
-        integers_rng = np.random.default_rng(seed)
-        uniforms_rng = np.random.default_rng(seed)
-        if half_buffered:
-            for rng in (integers_rng, uniforms_rng):
-                rng.integers(5)
-        for bits, size, between in calls:
-            drawn = integers_rng.integers(2**bits, size=size)
-            scaled = uniforms_rng.random(size, dtype=np.float32) * 2**bits
-            np.testing.assert_array_equal(drawn, scaled.astype(np.int64))
-            np.testing.assert_array_equal(
-                integers_rng.random(between), uniforms_rng.random(between)
-            )
-        assert integers_rng.bit_generator.state == uniforms_rng.bit_generator.state
-
-
 def grid_uniforms(seed, size):
     """Uniforms on the counter draws' grid, ``j * 2**-UNIFORM_BITS``."""
     return np.random.default_rng(seed).integers(0, 2**UNIFORM_BITS, size) * 2.0**-UNIFORM_BITS
@@ -482,6 +382,28 @@ class TestStackedLaws:
             starts[row] + samplers[row].invert(u) for row, u in zip(which, uniforms)
         ]
         assert stacked.invert(which, uniforms).tolist() == expected
+
+    @pytest.mark.parametrize("size", [0, 1, 8192])
+    def test_ascending_search_keeps_draw_order(self, size):
+        # invert searches its keys sorted and scatters the results back:
+        # repeated keys, keys on a CDF step and keys in descending order
+        # must each come back at their own draw position.
+        laws = [np.array([0.25, 0.25, 0.5]), np.array([0.5, 0.5]), np.array([1.0])]
+        samplers = [InverseCDFSampler(law) for law in laws]
+        rows = np.arange(len(laws)).repeat([law.size for law in laws])
+        cdf = np.concatenate([sampler._cdf for sampler in samplers])
+        stacked = StackedLaws(rows, cdf, np.arange(rows.size) * 10)
+        steps = np.array([0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-UNIFORM_BITS])
+        rng = np.random.default_rng(size)
+        uniforms = np.sort(np.concatenate([steps, grid_uniforms(size, size)])[:size])[::-1]
+        which = rng.integers(0, len(laws), uniforms.size)
+        starts = np.concatenate(([0], np.cumsum([law.size for law in laws])))
+        expected = [
+            10 * (starts[row] + samplers[row].invert(u)) for row, u in zip(which, uniforms)
+        ]
+        drawn = stacked.invert(which, uniforms)
+        assert drawn.shape == (size,)
+        assert drawn.tolist() == expected
 
     def test_poisson_probabilities_are_the_poisson_law(self):
         for mean in (0.5, 2.0, 34.83, 92.75):
