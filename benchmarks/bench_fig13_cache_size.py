@@ -1,9 +1,11 @@
 """Figure 13 — end-to-end effective bandwidth increase versus total cache size.
 
 The full Bandana pipeline (SHP placement, hit-rate-curve DRAM split, miniature
-cache threshold tuning) is built once per total-DRAM budget and replayed over
-held-out traces for all eight tables.  Gains grow with the cache size, and
-cacheable tables (1, 2, 7) gain far more than near-uniform ones (8).
+cache threshold tuning) is built at every total-DRAM budget and replayed over
+held-out traces for all eight tables.  The placement does not read the budget,
+so :meth:`~repro.core.bandana.BandanaStore.build_sweep` runs SHP once for the
+whole sweep.  Gains grow with the cache size, and cacheable tables (1, 2, 7)
+gain far more than near-uniform ones (8).
 """
 
 import _bootstrap  # noqa: F401  (sys.path setup: run benchmarks from the repo root)
@@ -22,16 +24,12 @@ from repro.workloads.trace import ModelTrace
 BUDGET_FRACTIONS = [0.5, 1.0, 1.5, 2.0]
 
 
-def build_store(bundle, total_cache_vectors):
+def build_stores(bundle, budgets):
+    """The store at each total-DRAM budget, on one SHP placement."""
     train = ModelTrace({name: bundle[name].train for name in ALL_TABLES})
-    config = BandanaConfig(
-        total_cache_vectors=total_cache_vectors,
-        shp_iterations=8,
-        mini_cache_sampling_rate=0.25,
-        seed=3,
-    )
-    num_vectors = {name: bundle[name].spec.num_vectors for name in ALL_TABLES}
-    return BandanaStore.build(train, config, num_vectors=num_vectors)
+    config = BandanaConfig(shp_iterations=8, mini_cache_sampling_rate=0.25, seed=3)
+    sizes = {name: bundle[name].spec.num_vectors for name in ALL_TABLES}
+    return BandanaStore.build_sweep(train, config, budgets, None, sizes)
 
 
 def run_figure13(bundle):
@@ -40,9 +38,9 @@ def run_figure13(bundle):
     sweep = ExperimentSweep("figure13", "end-to-end bandwidth increase vs total cache size")
     per_table_gains = {}
     overall = {}
-    for fraction in BUDGET_FRACTIONS:
-        budget = max(256, int(round(total_working_set * fraction)))
-        store = build_store(bundle, budget)
+    budgets = [max(256, int(round(total_working_set * f))) for f in BUDGET_FRACTIONS]
+    stores = build_stores(bundle, budgets)
+    for fraction, budget, store in zip(BUDGET_FRACTIONS, budgets, stores):
         result = simulate_store(store, eval_trace)
         overall[fraction] = result.bandwidth_increase
         for name, table_result in result.per_table.items():

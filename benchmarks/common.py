@@ -15,12 +15,15 @@ whole harness completes in a few minutes.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.bandana import BandanaStore
+from repro.caching.allocation import allocation_chunk
+from repro.caching.engine import replay_table_cache_multi
+from repro.caching.policies import AccessThresholdPolicy, NoPrefetchPolicy
+from repro.core.bandana import BandanaStore, tune, tuning_split
 from repro.core.config import BandanaConfig
 from repro.device import DEVICE_SLOTS
 from repro.nvm.block import BlockLayout
@@ -235,3 +238,115 @@ def saturation_rate_rps(
     blocks_per_request = blocks / num_requests
     model = NVMLatencyModel(block_bytes=store.config.block_bytes)
     return model.blocks_per_second(DEVICE_SLOTS) / blocks_per_request
+
+
+@dataclass
+class LossChain:
+    """A built store's loss chain (:func:`loss_chain`)."""
+
+    #: ``placement``, ``cache``, ``allocation`` and the tuning factors, in order.
+    factors: Dict[str, float]
+    #: Whether the store's split lies on the allocator's chunk grid, where
+    #: P ≥ B ≥ A ≥ max(measured, C) holds.
+    on_grid: bool
+    #: Per table, the chain's own cold replay at the store's cache size and
+    #: threshold: the store's measured block reads when the oracles replay
+    #: what the store serves.
+    replayed: Dict[str, int]
+    #: Per table, the block reads :func:`~repro.simulation.simulate_store` measured.
+    measured: Dict[str, int]
+
+
+def loss_chain(
+    store: BandanaStore, training_trace: ModelTrace, eval_trace: ModelTrace
+) -> LossChain:
+    """Where a built store's ``sim_bw_gain`` goes, as factors that multiply to it.
+
+    Each term is a gain: ``baseline`` ÷ a count of cold block reads of
+    ``eval_trace``, where ``baseline`` is always the no-prefetch replay at the
+    store's split.  Each term swaps one build stage for an eval-trace oracle:
+
+    * ``P`` = baseline ÷ the distinct blocks the eval trace touches (a cache
+      reads each of them at least once);
+    * ``B``: the best split on :func:`~repro.caching.allocation.allocate_dram_budget`'s
+      own grid (chunks of :func:`~repro.caching.allocation.allocation_chunk`),
+      found by a DP, each table at each size with its eval-best threshold
+      (``inf``, no prefetch, included);
+    * ``A``: the eval-best thresholds at the store's split;
+    * ``C``: the thresholds a ``sampling_rate=1.0`` tuner picks on the tuning
+      tail the store was tuned on;
+    * ``measured``: baseline ÷ the store's own reads, the ``sim_bw_gain`` of
+      :func:`~repro.simulation.simulate_store` (which resets the store).
+
+    The factors are ``placement`` P, ``cache`` B/P, ``allocation`` A/B,
+    ``drift`` C/A and ``sampling`` measured/C.  They multiply to
+    measured by construction, so what shows the oracles sound is
+    ``replayed == measured``: replayed at the store's own split and
+    thresholds, the oracle reads what the store read.  An untuned store has no
+    tuner to stand in for, so its two tuning factors are one, ``threshold``
+    measured/A.  A table's thresholds are the candidate grid plus its own.
+    """
+    config = store.config
+    result = simulate_store(store, eval_trace)
+    chunk = allocation_chunk(config.total_cache_vectors)
+    chunks = config.total_cache_vectors // chunk
+    fewest = [0.0] + [np.inf] * chunks  # fewest reads of the tables so far, by chunks used
+    distinct = 0
+    at_split: Dict[str, Dict[float, int]] = {}
+    for name, trace in eval_trace.items():
+        state = store.tables[name]
+        distinct += np.unique(state.layout.block_of(trace.flatten())).size
+        # Thresholds between the same two count levels admit the same vectors:
+        # one replay per level serves them all.
+        levels = np.unique(state.access_counts)
+        candidates = {*config.candidate_thresholds, state.cache_config.threshold}
+        level_of = {t: int(np.searchsorted(levels, t, side="right")) for t in candidates}
+        first = {level: t for t, level in level_of.items()}
+        policies = [AccessThresholdPolicy(state.access_counts, t) for t in first.values()]
+        policies.append(NoPrefetchPolicy())
+
+        def reads(size: int) -> Tuple[Dict[float, int], bool]:
+            """Reads by threshold at ``size``, and whether no cache evicted
+            (then every larger size reads the same)."""
+            stats = replay_table_cache_multi(
+                trace.queries, state.layout, policies, [size] * len(policies)
+            )
+            by_level = dict(zip(first, (s.block_reads for s in stats)))
+            by_threshold = {t: by_level[level_of[t]] for t in candidates}
+            by_threshold[np.inf] = stats[-1].block_reads
+            return by_threshold, size > 0 and not any(s.evictions for s in stats)
+
+        best: List[float] = []
+        saturated = False
+        for k in range(chunks + 1):
+            if not saturated:
+                by_threshold, saturated = reads(k * chunk)
+            best.append(min(by_threshold.values()))
+        fewest = [min(fewest[j - k] + best[k] for k in range(j + 1)) for j in range(chunks + 1)]
+        at_split[name] = reads(state.cache_config.cache_size_vectors)[0]
+    baseline, measured = result.total_baseline_block_reads, result.total_block_reads
+    oracle_b = min(fewest)
+    oracle_a = sum(min(by_threshold.values()) for by_threshold in at_split.values())
+    factors = {
+        "placement": baseline / distinct,
+        "cache": distinct / oracle_b,
+        "allocation": oracle_b / oracle_a,
+    }
+    if config.tune_thresholds:
+        full_size = tune(
+            tuning_split(training_trace, config),
+            {name: (state.layout, state.access_counts) for name, state in store.tables.items()},
+            {name: state.cache_config.cache_size_vectors for name, state in store.tables.items()},
+            replace(config, mini_cache_sampling_rate=1.0),
+        )
+        oracle_c = sum(at_split[name][full_size[name]] for name in at_split)
+        factors.update(drift=oracle_a / oracle_c, sampling=oracle_c / measured)
+    else:
+        factors["threshold"] = oracle_a / measured
+    caches = {name: state.cache_config for name, state in store.tables.items()}
+    return LossChain(
+        factors=factors,
+        on_grid=all(cache.cache_size_vectors % chunk == 0 for cache in caches.values()),
+        replayed={name: at_split[name][caches[name].threshold] for name in at_split},
+        measured={name: table.stats.block_reads for name, table in result.per_table.items()},
+    )

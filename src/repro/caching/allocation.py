@@ -19,14 +19,18 @@ from repro.caching.stack_distance import HitRateCurve
 from repro.utils.validation import check_int_at_least
 
 
+def allocation_chunk(total_vectors: int) -> int:
+    """The greedy's step for a budget of ``total_vectors``: 1 % of it, at least one vector."""
+    return max(1, total_vectors // 100)
+
+
 def allocate_dram_budget(
     curves: Mapping[str, HitRateCurve],
     total_vectors: int,
 ) -> Dict[str, int]:
     """Split a DRAM budget (in vectors) across tables to maximise total hits.
 
-    The greedy hands the budget out in chunks of 1 % of it (at least one
-    vector).
+    The greedy hands the budget out in chunks of :func:`allocation_chunk`.
 
     Parameters
     ----------
@@ -48,7 +52,7 @@ def allocate_dram_budget(
     total_vectors = check_int_at_least(total_vectors, 1, "total_vectors")
     if not curves:
         raise ValueError("curves must not be empty")
-    chunk_vectors = max(1, total_vectors // 100)
+    chunk_vectors = allocation_chunk(total_vectors)
 
     allocation = {name: 0 for name in curves}
     remaining = total_vectors

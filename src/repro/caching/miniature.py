@@ -46,11 +46,8 @@ from repro.caching.policies import AccessThresholdPolicy, NoPrefetchPolicy
 from repro.caching.replay import ReplayStats, effective_bandwidth_increase
 from repro.nvm.block import BlockLayout
 from repro.utils.sampling import sample_queries_spatially
-from repro.utils.validation import check_fraction, check_int_at_least
+from repro.utils.validation import check_fraction, check_int_at_least, check_thresholds
 from repro.workloads.trace import Trace
-
-#: Candidate thresholds the paper sweeps in Figure 12 / Table 2.
-DEFAULT_THRESHOLDS = (0, 5, 10, 15, 20)
 
 #: Fewest whole blocks a miniature cache holds; the sampling rate is raised
 #: to reach it (a 4-block floor still mis-picks the threshold on small tables).
@@ -92,6 +89,9 @@ class MiniatureCacheTuner:
 
     Parameters
     ----------
+    thresholds:
+        Candidate thresholds to evaluate, each a finite number >= 0 (the
+        store passes ``BandanaConfig.candidate_thresholds``).
     sampling_rate:
         Fraction of NVM blocks (spatially sampled) whose lookups the miniature
         simulation replays.  The paper finds 0.001 (0.1 %) is sufficient.
@@ -99,28 +99,24 @@ class MiniatureCacheTuner:
         blocks is simulated at the rate that reaches that floor.
     seed:
         Seed of the sampling hash.
-    thresholds:
-        Candidate thresholds to evaluate; defaults to the paper's sweep.
     vector_bytes:
         Bytes per vector, used only for bandwidth bookkeeping.
     """
 
     def __init__(
         self,
+        thresholds: Sequence[float],
         sampling_rate: float = 0.001,
         seed: int = 0,
-        thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
         vector_bytes: int = 128,
     ) -> None:
+        self.thresholds = check_thresholds(thresholds, "thresholds")
         check_fraction(sampling_rate, "sampling_rate")
         if sampling_rate <= 0:
             raise ValueError("sampling_rate must be > 0")
         self.vector_bytes = check_int_at_least(vector_bytes, 1, "vector_bytes")
-        if not len(thresholds):
-            raise ValueError("thresholds must not be empty")
         self.sampling_rate = float(sampling_rate)
         self.seed = int(seed)
-        self.thresholds = tuple(float(t) for t in thresholds)
 
     def select_threshold(
         self,

@@ -1,30 +1,28 @@
 """The end-to-end Bandana store.
 
-:class:`BandanaStore` assembles the paper's full pipeline:
+:meth:`BandanaStore.build` composes four pure stages, each a public function
+returning a plain per-table dict:
 
-1. **Placement** — each embedding table is partitioned onto 4 KB NVM blocks by
-   SHP trained on the table's training trace.
-2. **DRAM split** — the total DRAM cache budget is divided across tables
-   greedily from per-table hit-rate curves (the paper's Dynacache-style
-   static assignment).
-3. **Admission tuning** — each table's prefetch-admission threshold ``t`` is
-   chosen by miniature-cache simulation at the table's assigned cache size,
-   replaying a held-out tail of the training trace that neither the
-   placement nor the admission counts were trained on.
-4. **Serving** — lookups hit the per-table DRAM cache first; a miss reads
-   the owning 4 KB block from NVM (counted in the table's
-   :class:`~repro.caching.replay.ReplayStats` and priced by the
-   :class:`~repro.nvm.latency.NVMLatencyModel`) and the admission policy
-   decides which of the block's other vectors enter the cache.  Every
-   serving call — single queries, batches, multi-table requests and
-   :func:`repro.simulation.simulate_store` — runs on each table's
-   :class:`~repro.caching.engine.BatchReplayEngine`, which owns the table's
-   DRAM residency.
+1. :func:`tuning_split` — each training trace's (fit, tune) pair: with
+   tuning, its head and the held-out tail neither placement nor counts see;
+2. :func:`place` — SHP layouts onto 4 KB NVM blocks and access counts, from
+   the fit traces;
+3. :func:`split_dram` — the DRAM budget split greedily on the whole traces'
+   hit-rate curves (the paper's Dynacache-style static assignment);
+4. :func:`tune` — each table's prefetch-admission threshold ``t``, by
+   miniature-cache simulation of its tune trace at its cache size.
 
-Each table's ``ReplayStats`` is the store's one tally of lookups, block reads
-and unloaded NVM time — everything the paper's metrics (effective bandwidth,
-hit rates, device latency) are computed from.  The store can optionally
-return the actual embedding values when built with an :class:`~repro.embeddings.EmbeddingModel`.
+:func:`assemble` turns stage outputs into table state, so a caller may swap a
+stage for its own (an oracle) and still get ``build``'s store.  ``build`` is
+:meth:`BandanaStore.build_sweep` at one budget; a DRAM sweep places once.
+Every serving call (lookups, batches, multi-table requests and
+:func:`repro.simulation.simulate_store`) runs on each table's
+:class:`~repro.caching.engine.BatchReplayEngine`: a DRAM hit, or a miss that
+reads the owning block from NVM and lets the admission policy pick which of
+the block's vectors enter the cache.  The engine owns the table's residency and
+counts into its :class:`~repro.caching.replay.ReplayStats`, the store's one
+tally of lookups, block reads and unloaded NVM time.  With an
+:class:`~repro.embeddings.EmbeddingModel`, lookups also return the vectors.
 
 The store is also the unit a cluster deploys, and the one place per-table
 serving state is built and reset: :meth:`BandanaStore.engine` builds a
@@ -38,7 +36,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -46,23 +44,15 @@ import numpy.typing as npt
 from repro.caching.allocation import allocate_dram_budget
 from repro.caching.engine import BatchReplayEngine, replay_table_cache_batched
 from repro.caching.miniature import MiniatureCacheTuner
-from repro.caching.policies import (
-    AccessThresholdPolicy,
-    NoPrefetchPolicy,
-    PrefetchPolicy,
-)
+from repro.caching.policies import AccessThresholdPolicy, NoPrefetchPolicy, PrefetchPolicy
 from repro.caching.replay import ReplayStats
-from repro.caching.stack_distance import HitRateCurve, hit_rate_curve
+from repro.caching.stack_distance import hit_rate_curve
 from repro.core.config import BandanaConfig, TableCacheConfig
 from repro.embeddings.model import EmbeddingModel
 from repro.nvm.block import BlockLayout
 from repro.nvm.latency import NVMLatencyModel
 from repro.partitioning.shp import SHPPartitioner
-from repro.utils.validation import (
-    check_array_1d_ints,
-    check_id_range,
-    check_int_at_least,
-)
+from repro.utils.validation import check_array_1d_ints, check_id_range, check_int_at_least
 from repro.workloads.characterization import access_counts
 from repro.workloads.trace import ModelTrace, Trace
 
@@ -91,18 +81,93 @@ class BandanaTableState:
     engine: Optional[BatchReplayEngine] = None
 
 
+def tuning_split(
+    training_trace: ModelTrace, config: BandanaConfig
+) -> Dict[str, Tuple[Trace, Trace]]:
+    """Stage 1: per table, the (fit, tune) traces :func:`place` and :func:`tune` read.
+
+    Tuned, a trace splits at :data:`TUNING_HOLDOUT` (a one-query trace is used
+    whole for both), as the tuner must not replay the counts' own trace: there
+    "count > 0" would mean "read again here", a look-ahead the live cache lacks.
+    Untuned, both are the whole trace."""
+    splits: Dict[str, Tuple[Trace, Trace]] = {}
+    for name, trace in training_trace.items():
+        head, tail = trace.split(TUNING_HOLDOUT) if config.tune_thresholds else (trace, trace)
+        splits[name] = (head, tail) if len(head) and len(tail) else (trace, trace)
+    return splits
+
+
+def place(
+    splits: Mapping[str, Tuple[Trace, Trace]], sizes: Mapping[str, int], config: BandanaConfig
+) -> Dict[str, Tuple[BlockLayout, np.ndarray]]:
+    """Stage 2: per table, the SHP layout and per-vector access counts of its fit trace."""
+    partitioner = SHPPartitioner(config.vectors_per_block, config.shp_iterations, config.seed)
+    placements: Dict[str, Tuple[BlockLayout, np.ndarray]] = {}
+    for name, (fit, _) in splits.items():
+        result = partitioner.partition(sizes[name], trace=fit)
+        counts = np.zeros(sizes[name], dtype=np.int64)
+        counts[: fit.num_vectors] = access_counts(fit)
+        placements[name] = (result.layout(config.vectors_per_block), counts)
+    return placements
+
+
+def split_dram(training_trace: ModelTrace, config: BandanaConfig) -> Dict[str, int]:
+    """Stage 3: per table, its cache size in vectors: :func:`allocate_dram_budget`
+    of ``config.total_cache_vectors`` on each whole training trace's hit-rate curve."""
+    curves = {name: hit_rate_curve(trace) for name, trace in training_trace.items()}
+    return allocate_dram_budget(curves, config.total_cache_vectors)
+
+
+def tune(
+    splits: Mapping[str, Tuple[Trace, Trace]],
+    placements: Mapping[str, Tuple[BlockLayout, np.ndarray]],
+    cache_sizes: Mapping[str, int],
+    config: BandanaConfig,
+) -> Dict[str, float]:
+    """Stage 4: per table, its admission threshold.
+
+    With ``config.tune_thresholds``, :meth:`MiniatureCacheTuner.select_threshold`
+    on the tune trace at the table's cache size; otherwise, and for a table
+    with no cache or an empty tune trace, ``config.default_threshold``."""
+    grid, rate = config.candidate_thresholds, config.mini_cache_sampling_rate
+    tuner = MiniatureCacheTuner(grid, rate, config.seed, config.vector_bytes)
+    thresholds: Dict[str, float] = {}
+    for name, (_, trace) in splits.items():
+        thresholds[name] = config.default_threshold
+        if config.tune_thresholds and cache_sizes[name] > 0 and len(trace) > 0:
+            selection = tuner.select_threshold(trace, *placements[name], cache_sizes[name])
+            thresholds[name] = selection.threshold
+    return thresholds
+
+
+def assemble(
+    config: BandanaConfig,
+    placements: Mapping[str, Tuple[BlockLayout, np.ndarray]],
+    cache_sizes: Mapping[str, int],
+    thresholds: Mapping[str, float],
+) -> Dict[str, BandanaTableState]:
+    """The cold per-table state of the stage outputs, for ``BandanaStore(config, tables)``."""
+    return {
+        name: BandanaTableState(
+            name=name,
+            layout=layout,
+            policy=AccessThresholdPolicy(counts, thresholds[name]),
+            cache_config=TableCacheConfig(cache_sizes[name], thresholds[name]),
+            access_counts=counts,
+            stats=_fresh_stats(config),
+        )
+        for name, (layout, counts) in placements.items()
+    }
+
+
 class BandanaStore:
     """NVM-backed embedding storage with locality-aware placement and caching.
 
-    Use :meth:`BandanaStore.build` to construct a store from a training trace;
-    the constructor itself only wires together already-resolved per-table
-    state (useful for tests and custom pipelines).
-    """
+    :meth:`build` makes one from a training trace; the constructor only wires
+    already-resolved per-table state (:func:`assemble`'s, or a test's)."""
 
     def __init__(
-        self,
-        config: BandanaConfig,
-        tables: Dict[str, BandanaTableState],
+        self, config: BandanaConfig, tables: Dict[str, BandanaTableState],
         embedding_model: Optional[EmbeddingModel] = None,
     ) -> None:
         self.config = config
@@ -118,21 +183,13 @@ class BandanaStore:
         embedding_model: Optional[EmbeddingModel] = None,
         num_vectors: Optional[Mapping[str, int]] = None,
     ) -> "BandanaStore":
-        """Build a store from a training trace.
-
-        Trains SHP on each table, splits the DRAM budget greedily on the
-        tables' hit-rate curves, then (with ``config.tune_thresholds``)
-        picks each table's admission threshold with miniature caches.
+        """Build a store from a training trace: the four stages in order.
 
         Parameters
         ----------
         training_trace:
-            Per-table traces.  The hit-rate curves of the DRAM split are
-            derived from each whole trace.  Untuned, the whole trace also
-            trains the placement and the admission counts.  Tuned, a table's
-            trace is split at :data:`TUNING_HOLDOUT`: the head trains the
-            placement and the counts, and the tuner replays the held-out
-            tail (a table with a single query uses its whole trace for both).
+            Per-table traces.  :func:`split_dram` reads each whole trace;
+            :func:`tuning_split` decides what :func:`place` and :func:`tune` read.
         config:
             Store configuration; defaults to :class:`BandanaConfig()`.
         embedding_model:
@@ -143,67 +200,29 @@ class BandanaStore:
             name a table of the training trace, with an integer size.
         """
         config = config or BandanaConfig()
+        budget = [config.total_cache_vectors]
+        return cls.build_sweep(training_trace, config, budget, embedding_model, num_vectors)[0]
+
+    @classmethod
+    def build_sweep(
+        cls, training_trace: ModelTrace, config: BandanaConfig, budgets: Sequence[int],
+        embedding_model: Optional[EmbeddingModel], num_vectors: Optional[Mapping[str, int]],
+    ) -> List["BandanaStore"]:
+        """:meth:`build` at each ``total_cache_vectors`` of ``budgets``, on one placement:
+        :func:`tuning_split` and :func:`place` read no budget and run once, the
+        other stages per budget.  The stores share their layouts; each owns its
+        access counts (a re-partition rewrites them in place)."""
         sizes = cls._resolve_table_sizes(training_trace, embedding_model, num_vectors)
-
-        # The tuner must not replay the trace the counts come from: there
-        # "count > 0" would mean "read again in this trace", a look-ahead the
-        # live cache does not have.
-        fits: Dict[str, Trace] = dict(training_trace.items())
-        tunes: Dict[str, Trace] = dict(fits)
-        if config.tune_thresholds:
-            for name, trace in training_trace.items():
-                head, tail = trace.split(TUNING_HOLDOUT)
-                if len(head) and len(tail):
-                    fits[name], tunes[name] = head, tail
-
-        # 1. placement + per-vector access counts
-        partitioner = SHPPartitioner(
-            vectors_per_block=config.vectors_per_block,
-            num_iterations=config.shp_iterations,
-            seed=config.seed,
-        )
-        layouts: Dict[str, BlockLayout] = {}
-        counts: Dict[str, np.ndarray] = {}
-        for name, trace in fits.items():
-            result = partitioner.partition(sizes[name], trace=trace)
-            layouts[name] = result.layout(config.vectors_per_block)
-            table_counts = np.zeros(sizes[name], dtype=np.int64)
-            table_counts[: trace.num_vectors] = access_counts(trace)
-            counts[name] = table_counts
-
-        # 2. DRAM budget split across tables, on the whole training trace
-        curves: Dict[str, HitRateCurve] = {
-            name: hit_rate_curve(trace) for name, trace in training_trace.items()
-        }
-        cache_sizes = allocate_dram_budget(curves, config.total_cache_vectors)
-
-        # 3. per-table threshold tuning + state assembly
-        tuner = MiniatureCacheTuner(
-            sampling_rate=config.mini_cache_sampling_rate,
-            seed=config.seed,
-            thresholds=config.candidate_thresholds,
-            vector_bytes=config.vector_bytes,
-        )
-        tables: Dict[str, BandanaTableState] = {}
-        for name, trace in tunes.items():
-            cache_size = cache_sizes[name]
-            threshold = config.default_threshold
-            if config.tune_thresholds and cache_size > 0 and len(trace) > 0:
-                selection = tuner.select_threshold(
-                    trace, layouts[name], counts[name], cache_size
-                )
-                threshold = selection.threshold
-            tables[name] = BandanaTableState(
-                name=name,
-                layout=layouts[name],
-                policy=AccessThresholdPolicy(counts[name], threshold),
-                cache_config=TableCacheConfig(
-                    cache_size_vectors=cache_size, threshold=threshold
-                ),
-                access_counts=counts[name],
-                stats=_fresh_stats(config),
-            )
-        return cls(config, tables, embedding_model=embedding_model)
+        splits = tuning_split(training_trace, config)
+        placements = place(splits, sizes, config)
+        stores: List[BandanaStore] = []
+        for total in budgets:
+            at = replace(config, total_cache_vectors=total)
+            cache_sizes = split_dram(training_trace, at)
+            thresholds = tune(splits, placements, cache_sizes, at)
+            own = {n: (lay, c.copy() if stores else c) for n, (lay, c) in placements.items()}
+            stores.append(cls(at, assemble(at, own, cache_sizes, thresholds), embedding_model))
+        return stores
 
     # ---------------------------------------------------------------- serving
     def lookup(
@@ -242,8 +261,7 @@ class BandanaStore:
                 np.concatenate(non_empty) if len(non_empty) > 1 else non_empty[0]
             )
         if gather and self.embedding_model is not None and table_name in self.embedding_model:
-            table = self.embedding_model[table_name]
-            return [table.gather(ids) for ids in id_arrays]
+            return [self.embedding_model[table_name].gather(ids) for ids in id_arrays]
         return None
 
     def lookup_request(
@@ -305,9 +323,7 @@ class BandanaStore:
         """
         stats = None
         for state in self.tables.values():
-            stats = (
-                replace(state.stats) if stats is None else stats.merge(state.stats)
-            )
+            stats = replace(state.stats) if stats is None else stats.merge(state.stats)
         return stats if stats is not None else ReplayStats()
 
     def effective_bandwidth(self) -> float:
@@ -316,10 +332,8 @@ class BandanaStore:
 
     def dram_bytes(self) -> int:
         """DRAM footprint of the configured caches, in bytes."""
-        return sum(
-            state.cache_config.cache_size_vectors * self.config.vector_bytes
-            for state in self.tables.values()
-        )
+        vectors = sum(state.cache_config.cache_size_vectors for state in self.tables.values())
+        return vectors * self.config.vector_bytes
 
     def swap_layout(self, table_name: str, layout: BlockLayout) -> None:
         """Adopt a new block placement for one table, live.
@@ -332,14 +346,14 @@ class BandanaStore:
         keep the table's geometry.
         """
         state = self._state(table_name)
+        old = state.layout
         if (layout.num_vectors, layout.vectors_per_block) != (
-            state.layout.num_vectors,
-            state.layout.vectors_per_block,
+            old.num_vectors, old.vectors_per_block
         ):
             raise ValueError(
                 "swap_layout requires identical geometry: "
                 f"({layout.num_vectors} vectors, {layout.vectors_per_block}/block) vs "
-                f"({state.layout.num_vectors}, {state.layout.vectors_per_block})"
+                f"({old.num_vectors}, {old.vectors_per_block})"
             )
         state.layout = layout
         if state.engine is not None:
@@ -409,30 +423,21 @@ class BandanaStore:
         return BandanaStore(self.config, tables)
 
     # ------------------------------------------------------------- baselines
-    def baseline_stats(
-        self, table_name: str, queries: Sequence[np.ndarray]
-    ) -> ReplayStats:
+    def baseline_stats(self, table_name: str, queries: Sequence[np.ndarray]) -> ReplayStats:
         """One table's queries replayed under the paper's baseline policy.
 
         The baseline caches only demand vectors (no prefetching) in a cold
         cache of the table's size, over the table's layout.  It is the
         denominator of the store's effective-bandwidth *increase*.
         """
-        state = self._state(table_name)
-        return replay_table_cache_batched(
-            queries,
-            state.layout,
-            NoPrefetchPolicy(),
-            cache_size=state.cache_config.cache_size_vectors,
-            vector_bytes=self.config.vector_bytes,
-        )
+        state, policy = self._state(table_name), NoPrefetchPolicy()
+        size, vector_bytes = state.cache_config.cache_size_vectors, self.config.vector_bytes
+        return replay_table_cache_batched(queries, state.layout, policy, size, vector_bytes)
 
     def baseline_block_reads(self, eval_trace: ModelTrace) -> int:
         """Block reads the baseline policy would issue for a whole trace."""
-        return sum(
-            self.baseline_stats(name, trace.queries).block_reads
-            for name, trace in eval_trace.items()
-        )
+        reads = (self.baseline_stats(n, t.queries).block_reads for n, t in eval_trace.items())
+        return sum(reads)
 
     # ----------------------------------------------------------------- private
     def _gather(self, table_name: str, ids: np.ndarray) -> Optional[np.ndarray]:
@@ -464,12 +469,9 @@ class BandanaStore:
         return arrays
 
     def _state(self, table_name: str) -> BandanaTableState:
-        try:
-            return self.tables[table_name]
-        except KeyError:
-            raise KeyError(
-                f"unknown table {table_name!r}; known tables: {sorted(self.tables)}"
-            ) from None
+        if table_name not in self.tables:
+            raise KeyError(f"unknown table {table_name!r}; known tables: {sorted(self.tables)}")
+        return self.tables[table_name]
 
     @staticmethod
     def _resolve_table_sizes(
@@ -488,9 +490,7 @@ class BandanaStore:
         sizes: Dict[str, int] = {}
         for name, trace in training_trace.items():
             if name in num_vectors:
-                sizes[name] = check_int_at_least(
-                    num_vectors[name], 1, f"num_vectors[{name!r}]"
-                )
+                sizes[name] = check_int_at_least(num_vectors[name], 1, f"num_vectors[{name!r}]")
             elif embedding_model is not None and name in embedding_model:
                 sizes[name] = embedding_model[name].num_vectors
             else:

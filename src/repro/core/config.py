@@ -18,7 +18,7 @@ from repro.utils.validation import (
     NonNegative,
     OneOf,
     Positive,
-    check_non_negative,
+    check_thresholds,
     validate_fields,
 )
 
@@ -293,11 +293,7 @@ class BandanaConfig:
                 f"({self.block_bytes} % {self.vector_bytes} != 0)"
             )
         # Freeze the threshold list into a tuple for hashability.
-        thresholds = tuple(float(t) for t in self.candidate_thresholds)
-        if not thresholds:
-            raise ValueError("candidate_thresholds must not be empty")
-        for index, threshold in enumerate(thresholds):
-            check_non_negative(threshold, f"candidate_thresholds[{index}]")
+        thresholds = check_thresholds(self.candidate_thresholds, "candidate_thresholds")
         object.__setattr__(self, "candidate_thresholds", thresholds)
 
     @property

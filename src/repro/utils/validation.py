@@ -65,6 +65,22 @@ def check_non_negative(value: float, name: str) -> float:
     return value
 
 
+def check_thresholds(values: Any, name: str) -> Tuple[float, ...]:
+    """Return a non-empty threshold grid as a tuple of floats.
+
+    Each element is checked by :func:`check_non_negative` as ``name[i]``
+    before it is converted, so ``True``, ``"a"``, NaN, ``inf`` and ``-1``
+    all raise naming the element.
+    """
+    grid = tuple(
+        float(check_non_negative(value, f"{name}[{index}]"))
+        for index, value in enumerate(values)
+    )
+    if not grid:
+        raise ValueError(f"{name} must not be empty")
+    return grid
+
+
 def check_fraction(value: float, name: str) -> float:
     """Return ``value`` if it lies in ``[0, 1]``, else raise ``ValueError``."""
     _reject_bool(value, name)

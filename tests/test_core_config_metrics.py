@@ -112,6 +112,13 @@ class TestConfigKnobValidation:
         with pytest.raises(ValueError, match=name):
             BandanaConfig(**kwargs)
 
+    @pytest.mark.parametrize("element", [True, "a"], ids=["bool", "string"])
+    def test_candidate_thresholds_reject_a_non_number(self, element):
+        # ``True`` used to tune silently at 1.0, and ``"a"`` to raise a bare
+        # "could not convert string to float" naming no field.
+        with pytest.raises(TypeError, match=r"candidate_thresholds\[1\] must be a number"):
+            BandanaConfig(candidate_thresholds=(0, element))
+
     def test_bandana_accepts_the_boundaries(self):
         config = BandanaConfig(
             total_cache_vectors=1,

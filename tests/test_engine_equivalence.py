@@ -557,7 +557,7 @@ class TestSizesAreExactIntegers:
             lambda: replay_table_cache_multi(
                 self.QUERIES, self.LAYOUT, [policy, policy], [16, size]
             ),
-            lambda: MiniatureCacheTuner(sampling_rate=1.0).select_threshold(
+            lambda: MiniatureCacheTuner((0,), sampling_rate=1.0).select_threshold(
                 Trace(self.QUERIES, num_vectors=64), self.LAYOUT, np.zeros(64), size
             ),
         )
@@ -591,7 +591,7 @@ class TestSizesAreExactIntegers:
             lambda: replay_table_cache_multi(
                 self.QUERIES, self.LAYOUT, [policy], [16], vector_bytes=vector_bytes
             ),
-            lambda: MiniatureCacheTuner(vector_bytes=vector_bytes),
+            lambda: MiniatureCacheTuner((0,), vector_bytes=vector_bytes),
         ):
             with pytest.raises(TypeError, match="vector_bytes must be an integer"):
                 call()
@@ -1040,7 +1040,7 @@ def golden_engine_counters():
     cache_size = layout.num_vectors // 20
     tuning = Trace(queries, num_vectors=layout.num_vectors)
     threshold = (
-        MiniatureCacheTuner(sampling_rate=0.25, seed=3)
+        MiniatureCacheTuner((0, 5, 10, 15, 20), sampling_rate=0.25, seed=3)
         .select_threshold(tuning, layout, counts, cache_size)
         .threshold
     )

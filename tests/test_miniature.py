@@ -13,11 +13,23 @@ from repro.workloads.characterization import access_counts
 class TestMiniatureCacheTuner:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            MiniatureCacheTuner(sampling_rate=0.0)
+            MiniatureCacheTuner((0, 50), sampling_rate=0.0)
         with pytest.raises(ValueError):
-            MiniatureCacheTuner(sampling_rate=1.5)
+            MiniatureCacheTuner((0, 50), sampling_rate=1.5)
         with pytest.raises(ValueError):
             MiniatureCacheTuner(thresholds=[])
+
+    @pytest.mark.parametrize(
+        "element, error",
+        [(float("nan"), ValueError), (-1, ValueError), (float("inf"), ValueError), (True, TypeError)],
+        ids=["nan", "negative", "inf", "bool"],
+    )
+    def test_grid_is_checked_at_construction(self, element, error):
+        # Each used to construct: the first three raised only inside
+        # select_threshold, after sampling, naming ``threshold``; ``True``
+        # tuned silently at 1.0.
+        with pytest.raises(error, match=r"thresholds\[1\]"):
+            MiniatureCacheTuner(thresholds=(0, element))
 
     def test_selection_structure(self, train_trace, eval_trace, shp_layout):
         counts = access_counts(train_trace)
@@ -97,6 +109,6 @@ class TestMiniatureCacheTuner:
 
     def test_invalid_cache_size(self, train_trace, eval_trace, shp_layout):
         counts = access_counts(train_trace)
-        tuner = MiniatureCacheTuner(sampling_rate=0.5)
+        tuner = MiniatureCacheTuner((0, 50), sampling_rate=0.5)
         with pytest.raises(ValueError):
             tuner.select_threshold(eval_trace, shp_layout, counts, cache_size=0)
