@@ -40,10 +40,8 @@ def run_ablation(bundle, embedding_values):
     return sweep, gains
 
 
-def test_ablation_placement(bundle, embedding_values, benchmark):
-    sweep, gains = benchmark.pedantic(
-        run_ablation, args=(bundle, embedding_values), rounds=1, iterations=1
-    )
+def test_ablation_placement(bundle, embedding_values):
+    sweep, gains = run_ablation(bundle, embedding_values)
     save_result("ablation_placement", sweep.to_table())
     # Supervised placements (frequency, SHP) beat the original layout on the
     # cacheable table, and SHP beats pure geometry (K-means).

@@ -31,8 +31,8 @@ def run_figure2() -> str:
     )
 
 
-def test_fig02_nvm_device(benchmark):
-    table = benchmark.pedantic(run_figure2, rounds=1, iterations=1)
+def test_fig02_nvm_device():
+    table = run_figure2()
     save_result("fig02_nvm_device", table)
     model = NVMLatencyModel()
     # Shape checks mirroring the paper: latency rises, bandwidth saturates

@@ -33,8 +33,8 @@ def run_figure3(bundle):
     return format_table(headers, rows), curves
 
 
-def test_fig03_hit_rate_curves(bundle, benchmark):
-    table, curves = benchmark.pedantic(run_figure3, args=(bundle,), rounds=1, iterations=1)
+def test_fig03_hit_rate_curves(bundle):
+    table, curves = run_figure3(bundle)
     save_result("fig03_hit_rate_curves", table)
     for name, curve in curves.items():
         # Curves are monotone and saturate below 1 - compulsory-miss rate.

@@ -39,8 +39,8 @@ def run_figure4(bundle):
     return format_table(headers, rows), stats
 
 
-def test_fig04_access_histograms(bundle, benchmark):
-    table, stats = benchmark.pedantic(run_figure4, args=(bundle,), rounds=1, iterations=1)
+def test_fig04_access_histograms(bundle):
+    table, stats = run_figure4(bundle)
     save_result("fig04_access_histograms", table)
     for name, (touched, histogram) in stats.items():
         # Heavy tail: the lowest-count bin holds the most vectors and the

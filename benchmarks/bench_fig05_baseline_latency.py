@@ -51,8 +51,8 @@ def run_figure5():
     return table, curve
 
 
-def test_fig05_baseline_latency(benchmark):
-    table, curve = benchmark.pedantic(run_figure5, rounds=1, iterations=1)
+def test_fig05_baseline_latency():
+    table, curve = run_figure5()
     save_result("fig05_baseline_latency", table)
     # At 100 MB/s of application traffic the baseline is already saturated
     # while the 100% effective-bandwidth configuration is not (Figure 5).

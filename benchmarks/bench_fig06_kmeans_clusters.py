@@ -34,10 +34,8 @@ def run_figure6(bundle, embedding_values):
     return sweep
 
 
-def test_fig06_kmeans_clusters(bundle, embedding_values, benchmark):
-    sweep = benchmark.pedantic(
-        run_figure6, args=(bundle, embedding_values), rounds=1, iterations=1
-    )
+def test_fig06_kmeans_clusters(bundle, embedding_values):
+    sweep = run_figure6(bundle, embedding_values)
     save_result("fig06_kmeans_clusters", sweep.to_table())
     gains = sweep.column("bw_increase")
     # Shape: one cluster is an arbitrary ordering (≈ no gain over the original

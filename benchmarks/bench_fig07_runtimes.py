@@ -57,10 +57,8 @@ def run_figure7(bundle, embedding_values):
     return table, flat_runtimes, recursive_runtimes
 
 
-def test_fig07_runtimes(bundle, embedding_values, benchmark):
-    table, flat_runtimes, recursive_runtimes = benchmark.pedantic(
-        run_figure7, args=(bundle, embedding_values), rounds=1, iterations=1
-    )
+def test_fig07_runtimes(bundle, embedding_values):
+    table, flat_runtimes, recursive_runtimes = run_figure7(bundle, embedding_values)
     save_result("fig07_runtimes", table)
     # Flat K-means runtime grows with the cluster count (Figure 7a) and the
     # recursive variant is cheaper than flat K-means at the same leaf count

@@ -39,10 +39,8 @@ def run_figure8(bundle, embedding_values):
     return sweep
 
 
-def test_fig08_recursive_kmeans(bundle, embedding_values, benchmark):
-    sweep = benchmark.pedantic(
-        run_figure8, args=(bundle, embedding_values), rounds=1, iterations=1
-    )
+def test_fig08_recursive_kmeans(bundle, embedding_values):
+    sweep = run_figure8(bundle, embedding_values)
     save_result("fig08_recursive_kmeans", sweep.to_table())
     gains = sweep.column("bw_increase")
     recursive_best = max(gains[:-1])

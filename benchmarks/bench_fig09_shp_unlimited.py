@@ -39,8 +39,8 @@ def run_figure9(bundle):
     return sweep, gains
 
 
-def test_fig09_shp_unlimited(bundle, benchmark):
-    sweep, gains = benchmark.pedantic(run_figure9, args=(bundle,), rounds=1, iterations=1)
+def test_fig09_shp_unlimited(bundle):
+    sweep, gains = run_figure9(bundle)
     save_result("fig09_shp_unlimited", sweep.to_table())
     largest = max(TRAINING_RATIOS)
     smallest = min(TRAINING_RATIOS)

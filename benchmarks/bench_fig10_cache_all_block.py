@@ -41,8 +41,8 @@ def run_figure10(bundle):
     return sweep, results
 
 
-def test_fig10_cache_all_block(bundle, benchmark):
-    sweep, results = benchmark.pedantic(run_figure10, args=(bundle,), rounds=1, iterations=1)
+def test_fig10_cache_all_block(bundle):
+    sweep, results = run_figure10(bundle)
     save_result("fig10_cache_all_block", sweep.to_table())
     # Figure 10's message: with a limited cache, caching whole blocks reduces
     # effective bandwidth versus the no-prefetch baseline for both layouts.

@@ -68,10 +68,8 @@ def run_figure11(bundle):
     return sweep, results, cache_sizes
 
 
-def test_fig11_prefetch_policies(bundle, benchmark):
-    sweep, results, cache_sizes = benchmark.pedantic(
-        run_figure11, args=(bundle,), rounds=1, iterations=1
-    )
+def test_fig11_prefetch_policies(bundle):
+    sweep, results, cache_sizes = run_figure11(bundle)
     save_result("fig11_prefetch_policies", sweep.to_table())
     smallest = min(cache_sizes)
     # Figure 11a: inserting prefetches lower in the queue is no worse than

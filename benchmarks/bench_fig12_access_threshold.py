@@ -42,10 +42,8 @@ def run_figure12(bundle):
     return sweep, results, cache_sizes, thresholds
 
 
-def test_fig12_access_threshold(bundle, benchmark):
-    sweep, results, cache_sizes, thresholds = benchmark.pedantic(
-        run_figure12, args=(bundle,), rounds=1, iterations=1
-    )
+def test_fig12_access_threshold(bundle):
+    sweep, results, cache_sizes, thresholds = run_figure12(bundle)
     save_result("fig12_access_threshold", sweep.to_table())
     largest_cache = max(cache_sizes)
     smallest_cache = min(cache_sizes)

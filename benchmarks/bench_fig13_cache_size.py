@@ -56,10 +56,8 @@ def run_figure13(bundle):
     return sweep, overall, per_table_gains
 
 
-def test_fig13_cache_size(bundle, benchmark):
-    sweep, overall, per_table = benchmark.pedantic(
-        run_figure13, args=(bundle,), rounds=1, iterations=1
-    )
+def test_fig13_cache_size(bundle):
+    sweep, overall, per_table = run_figure13(bundle)
     save_result("fig13_cache_size", sweep.to_table())
     fractions = sorted(overall)
     # Gains are positive once the cache is comparable to the working set and

@@ -55,8 +55,8 @@ def run_figure14(bundle):
     return sweep, gains
 
 
-def test_fig14_sampling_rate(bundle, benchmark):
-    sweep, gains = benchmark.pedantic(run_figure14, args=(bundle,), rounds=1, iterations=1)
+def test_fig14_sampling_rate(bundle):
+    sweep, gains = run_figure14(bundle)
     save_result("fig14_sampling_rate", sweep.to_table())
     # Sampled tuning must stay close to the full-cache oracle for every table.
     for name in TABLES:

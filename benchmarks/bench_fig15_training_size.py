@@ -55,8 +55,8 @@ def run_figure15(bundle):
     return sweep, overall
 
 
-def test_fig15_training_size(bundle, benchmark):
-    sweep, overall = benchmark.pedantic(run_figure15, args=(bundle,), rounds=1, iterations=1)
+def test_fig15_training_size(bundle):
+    sweep, overall = run_figure15(bundle)
     save_result("fig15_training_size", sweep.to_table())
     fractions = sorted(overall)
     # Every training size must produce a positive end-to-end gain.  Note: at

@@ -65,8 +65,8 @@ def run_figure16(bundle):
     return sweep, gains
 
 
-def test_fig16_vector_size(bundle, benchmark):
-    sweep, gains = benchmark.pedantic(run_figure16, args=(bundle,), rounds=1, iterations=1)
+def test_fig16_vector_size(bundle):
+    sweep, gains = run_figure16(bundle)
     save_result("fig16_vector_size", sweep.to_table())
     # Smaller vectors (more vectors per block) never do worse than larger ones
     # on the cacheable tables — the paper's Figure 16 trend.

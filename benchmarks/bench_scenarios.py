@@ -28,11 +28,11 @@ benchmark measures what that costs once the workload moves:
 
 Results are printed, persisted under ``benchmarks/results/`` and written as
 JSON to ``BENCH_scenarios.json`` at the repository root: the full-sized
-sections plus a loose wall-clock measurement.  ``--smoke`` runs the suite at
-:data:`SMOKE_PARAMS`, prints it (the flash section's assert still checks its
-claim) and writes nothing.  Every run is a deterministic function of (trace,
-config, seed), so the smoke suite is pinned exactly as the golden-ledger
-entry ``smoke_scenarios`` (``tests/test_benchmarks.py``).
+sections.  ``--smoke`` runs the suite at :data:`SMOKE_PARAMS`, prints it (the
+flash section's assert still checks its claim) and writes nothing.  Every run
+is a deterministic function of (trace, config, seed), so the smoke suite is
+pinned exactly as the golden-ledger entry ``smoke_scenarios``
+(``tests/test_benchmarks.py``).
 """
 
 import _bootstrap  # noqa: F401  (sys.path setup: run benchmarks from the repo root)
@@ -40,7 +40,6 @@ import _bootstrap  # noqa: F401  (sys.path setup: run benchmarks from the repo r
 import json
 import os
 import sys
-import time
 from typing import Any, Dict, List
 
 from benchmarks.common import sample_trace_reports, saturation_rate_rps, save_result
@@ -231,29 +230,6 @@ def run_suite(
     }
 
 
-def measure_wall_clock(num_queries: int = 2400, num_vectors: int = 4096) -> Dict[str, object]:
-    """Loose perf-tracking reference: wall-clock of one stale drift replay."""
-    trace = generate_scenario_trace(
-        _scenario("drift", num_queries, num_vectors, drift_rotation_per_epoch=0.05)
-    )
-    config = _store_config(num_vectors)
-    start = time.perf_counter()
-    report = run_workload_scenario(
-        trace, config=config, train_fraction=TRAIN_FRACTION, window_queries=100
-    )
-    elapsed = time.perf_counter() - start
-    lookups = int(
-        sum(len(q) for q in trace.queries[len(trace.queries) // 3 :])
-    )
-    return {
-        "num_queries": num_queries,
-        "eval_lookups": lookups,
-        "overall_hit_rate": round(report.overall_hit_rate, 6),
-        "elapsed_s": round(elapsed, 4),
-        "queries_per_sec": round(report.num_eval_queries / elapsed, 1),
-    }
-
-
 def _format(suite: Dict[str, Any]) -> str:
     lines = [
         f"adversarial workload study ({suite['num_queries']} queries, "
@@ -308,7 +284,7 @@ if __name__ == "__main__":
     if "--smoke" in sys.argv[1:]:
         print(_format(run_suite(**SMOKE_PARAMS)))
     else:
-        result = {"full": run_suite(**FULL_PARAMS), "wall_clock": measure_wall_clock()}
+        result = {"full": run_suite(**FULL_PARAMS)}
         save_result("scenarios", _format(result["full"]))
         with open(JSON_PATH, "w") as handle:
             json.dump(result, handle, indent=2)

@@ -31,11 +31,10 @@ Three sections land in the artifact:
 
 Results are printed, persisted under ``benchmarks/results/`` and written as
 JSON to ``BENCH_shared_device.json`` at the repository root: the full-sized
-sections plus a wall-clock replay throughput, the loose (noise-tolerant)
-perf-tracking reference.  ``--smoke`` runs the suite at :data:`SMOKE_PARAMS`,
-prints it and writes nothing.  The simulation is a deterministic function of
-(store, trace, config, seed), so the smoke suite is pinned exactly as the
-golden-ledger entry ``smoke_shared_device`` (``tests/test_benchmarks.py``).
+sections.  ``--smoke`` runs the suite at :data:`SMOKE_PARAMS`, prints it and
+writes nothing.  The simulation is a deterministic function of (store, trace,
+config, seed), so the smoke suite is pinned exactly as the golden-ledger entry
+``smoke_shared_device`` (``tests/test_benchmarks.py``).
 """
 
 import _bootstrap  # noqa: F401  (sys.path setup: run benchmarks from the repo root)
@@ -43,13 +42,11 @@ import _bootstrap  # noqa: F401  (sys.path setup: run benchmarks from the repo r
 import json
 import os
 import sys
-import time
 from typing import Any, Dict
 
 from benchmarks.common import build_store, saturation_rate_rps, save_result, warm_store
 from repro.core.config import ServingConfig
 from repro.serving import simulate_serving
-from repro.simulation import simulate_store
 from repro.simulation.report import format_table
 
 #: Two tables with asymmetric traffic (table1 is the heavy hitter): the
@@ -246,29 +243,6 @@ def run_suite(eval_multiplier: int, num_requests: int) -> Dict[str, object]:
     }
 
 
-def measure_wall_clock(eval_multiplier: int = 3) -> Dict[str, object]:
-    """Wall-clock replay throughput of the suite's store (perf_track's loose leg).
-
-    Unlike everything else in this benchmark this number is machine-
-    dependent; ``perf_track.py`` compares it with a loose ratio floor,
-    tolerant of noisy runners but loud on order-of-magnitude regressions.
-    """
-    store, eval_trace = build_store(TABLES, eval_multiplier)
-    simulate_store(store, eval_trace, include_baseline=False)  # warm, untimed
-    started = time.perf_counter()
-    result = simulate_store(
-        store, eval_trace, include_baseline=False, reset_first=False
-    )
-    elapsed = time.perf_counter() - started
-    lookups = sum(r.stats.lookups for r in result.per_table.values())
-    return {
-        "eval_multiplier": eval_multiplier,
-        "lookups": int(lookups),
-        "elapsed_s": round(elapsed, 4),
-        "lookups_per_sec": round(lookups / elapsed, 1),
-    }
-
-
 def _pctl(summary: Dict[str, object], field: str) -> str:
     flag = "*" if field in summary.get("unsupported_percentiles", ()) else ""
     return f"{summary[field]:,.0f}{flag}"
@@ -350,7 +324,7 @@ if __name__ == "__main__":
     if "--smoke" in sys.argv[1:]:
         print(_format(run_suite(**SMOKE_PARAMS)))
     else:
-        result = {"full": run_suite(**FULL_PARAMS), "wall_clock": measure_wall_clock()}
+        result = {"full": run_suite(**FULL_PARAMS)}
         save_result("shared_device", _format(result["full"]))
         with open(JSON_PATH, "w") as handle:
             json.dump(result, handle, indent=2)

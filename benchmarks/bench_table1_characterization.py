@@ -134,8 +134,8 @@ def run_artifact():
     return artifact, rendered
 
 
-def test_table1_characterization(benchmark):
-    table, characterizations, specs = benchmark.pedantic(run_table1, rounds=1, iterations=1)
+def test_table1_characterization():
+    table, characterizations, specs = run_table1()
     save_result("table1_characterization", table)
     shares = {name: c.lookup_share for name, c in characterizations.items()}
     misses = {name: c.compulsory_miss_rate for name, c in characterizations.items()}

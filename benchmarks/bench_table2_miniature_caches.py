@@ -54,10 +54,8 @@ def run_table2(bundle):
     return format_table(headers, rows), summary, cache_sizes
 
 
-def test_table2_miniature_caches(bundle, benchmark):
-    table, summary, cache_sizes = benchmark.pedantic(
-        run_table2, args=(bundle,), rounds=1, iterations=1
-    )
+def test_table2_miniature_caches(bundle):
+    table, summary, cache_sizes = run_table2(bundle)
     save_result("table2_miniature_caches", table)
     # The sampled selections must achieve a gain close to the full-cache
     # oracle's at every cache size (the paper's Table 2 claim).

@@ -66,10 +66,11 @@ def run_scenario(
         ``loss_prob``); see :func:`~repro.cluster.faults.make_scenario`.
         An explicit schedule takes none: passing any raises ``ValueError``.
     warmup_requests:
-        Requests (``>= 0``) replayed sequentially (and excluded from every
-        reported number) before the measured run, after which the cluster's
-        clocks rebase to zero with warm caches — without this the cold-start
-        miss surge dominates every percentile and masks the fault's tail cost.
+        Requests (``>= 0``, at most the trace's) replayed sequentially (and
+        excluded from every reported number) before the measured run, after
+        which the cluster's clocks rebase to zero with warm caches — without
+        this the cold-start miss surge dominates every percentile and masks
+        the fault's tail cost.
     tracing:
         Per-request span tracing (:mod:`repro.tracing`): a
         :class:`~repro.core.config.TracingConfig` (enabled) or an existing

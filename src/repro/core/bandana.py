@@ -1,13 +1,13 @@
 """The end-to-end Bandana store.
 
 :meth:`BandanaStore.build` composes four pure stages, each a public function
-returning a plain per-table dict:
+returning plain per-table dicts:
 
 1. :func:`tuning_split` — each training trace's (fit, tune) pair: with
    tuning, its head and the held-out tail neither placement nor counts see;
 2. :func:`place` — SHP layouts onto 4 KB NVM blocks and access counts, from
    the fit traces;
-3. :func:`split_dram` — the DRAM budget split greedily on the whole traces'
+3. :func:`split_dram` — per DRAM budget, the greedy split on the whole traces'
    hit-rate curves (the paper's Dynacache-style static assignment);
 4. :func:`tune` — each table's prefetch-admission threshold ``t``, by
    miniature-cache simulation of its tune trace at its cache size.
@@ -111,11 +111,11 @@ def place(
     return placements
 
 
-def split_dram(training_trace: ModelTrace, config: BandanaConfig) -> Dict[str, int]:
-    """Stage 3: per table, its cache size in vectors: :func:`allocate_dram_budget`
-    of ``config.total_cache_vectors`` on each whole training trace's hit-rate curve."""
+def split_dram(training_trace: ModelTrace, budgets: Sequence[int]) -> List[Dict[str, int]]:
+    """Stage 3: per budget, each table's cache size in vectors: :func:`allocate_dram_budget`
+    of the budget on each whole training trace's hit-rate curve, read once for all budgets."""
     curves = {name: hit_rate_curve(trace) for name, trace in training_trace.items()}
-    return allocate_dram_budget(curves, config.total_cache_vectors)
+    return [allocate_dram_budget(curves, total) for total in budgets]
 
 
 def tune(
@@ -209,16 +209,16 @@ class BandanaStore:
         embedding_model: Optional[EmbeddingModel], num_vectors: Optional[Mapping[str, int]],
     ) -> List["BandanaStore"]:
         """:meth:`build` at each ``total_cache_vectors`` of ``budgets``, on one placement:
-        :func:`tuning_split` and :func:`place` read no budget and run once, the
-        other stages per budget.  The stores share their layouts; each owns its
-        access counts (a re-partition rewrites them in place)."""
+        :func:`tuning_split`, :func:`place` and :func:`split_dram`'s hit-rate
+        curves read no budget and run once, the rest per budget.  The stores
+        share their layouts; each owns its access counts (a re-partition
+        rewrites them in place)."""
         sizes = cls._resolve_table_sizes(training_trace, embedding_model, num_vectors)
         splits = tuning_split(training_trace, config)
         placements = place(splits, sizes, config)
         stores: List[BandanaStore] = []
-        for total in budgets:
+        for total, cache_sizes in zip(budgets, split_dram(training_trace, budgets)):
             at = replace(config, total_cache_vectors=total)
-            cache_sizes = split_dram(training_trace, at)
             thresholds = tune(splits, placements, cache_sizes, at)
             own = {n: (lay, c.copy() if stores else c) for n, (lay, c) in placements.items()}
             stores.append(cls(at, assemble(at, own, cache_sizes, thresholds), embedding_model))

@@ -48,8 +48,8 @@ Worked example — drift breaks SHP, the lifecycle buys it back::
     # repaired.repartition["churn"] shows how much placement each swap moved.
 
 Determinism: every run is a pure function of (trace, config, seed) — the
-golden pins in ``tests/test_scenarios.py`` and the perf-track gate on
-``BENCH_scenarios.json`` rely on it.
+golden pins in ``tests/test_scenarios.py`` and the ledger entry
+``smoke_scenarios`` rely on it.
 """
 
 from repro.scenarios.config import RepartitionConfig, ScenarioConfig, TraceLoaderConfig

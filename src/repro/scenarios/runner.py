@@ -63,7 +63,8 @@ def run_workload_scenario(
         the trained distribution and the first windows measure the fresh
         placement at steady state instead of cold-start misses.  Warmup
         queries are excluded from every reported counter and are not fed to
-        the lifecycle.
+        the lifecycle.  More than the training split holds raises
+        ``ValueError``.
     table_name:
         Name of the single table the scenario exercises.
     """
@@ -78,6 +79,11 @@ def run_workload_scenario(
         raise ValueError(
             "train_fraction leaves an empty split "
             f"({len(train.queries)} train / {len(evaluation.queries)} eval queries)"
+        )
+    if warmup_queries > len(train.queries):
+        raise ValueError(
+            f"warmup_queries={warmup_queries} exceeds the training split's "
+            f"{len(train.queries)} queries"
         )
     store = BandanaStore.build(ModelTrace({table_name: train}), config)
     state = store.tables[table_name]

@@ -135,13 +135,18 @@ def cut_request_stream(
     The first ``warmup_requests`` requests are the warm-up prefix, the next
     ``num_requests`` (everything left when ``None``) the measured run.  This
     is the one place a request stream is cut, so both counts are validated
-    here: a negative count would slice from the tail instead of failing.
+    here: a negative count would slice from the tail instead of failing, and
+    a warm-up longer than the stream would leave nothing to measure.
     """
     warmup = check_int_at_least(warmup_requests, 0, "warmup_requests")
     stop: Optional[int] = None
     if num_requests is not None:
         stop = warmup + check_int_at_least(num_requests, 0, "num_requests")
     stream = list(eval_trace.requests())
+    if warmup > len(stream):
+        raise ValueError(
+            f"warmup_requests={warmup} exceeds the trace's {len(stream)} requests"
+        )
     return stream[:warmup], stream[warmup:stop]
 
 

@@ -41,7 +41,7 @@ never-set field or parameter without an entry, on a stale entry (the
 it) and on a malformed verdict.
 ``--write`` runs every flow and regenerates all four sections, keeping
 existing verdicts (a new entry gets an empty one, which ``--check`` rejects
-until someone writes it); the expensive flow needs ``pytest-benchmark``.
+until someone writes it).
 
 Functions are keyed by (file, first line) on both sides: a code object's
 ``co_firstlineno`` is the line of its first decorator (else of the ``def``),
@@ -104,10 +104,7 @@ FLOWS: Tuple[Flow, ...] = (
     Flow("cluster-failures-smoke", ("benchmarks/bench_cluster_failures.py", "--smoke")),
     Flow("shared-device-smoke", ("benchmarks/bench_shared_device.py", "--smoke")),
     # Left out: bench_tracing_overhead.py (asserts a wall-clock bound a
-    # profiler breaks; it runs bench_serving_latency's path) and
-    # perf_track.py (its wall-clock floors fail under a profiler; it times
-    # the shared-device, scenario and replay-throughput paths, which the
-    # smokes and the figure-scripts flow run — it enters no def they do not).
+    # profiler breaks; it runs bench_serving_latency's path).
     Flow(
         "figure-scripts",
         (
@@ -120,7 +117,7 @@ FLOWS: Tuple[Flow, ...] = (
 
 _COPY_IGNORE = shutil.ignore_patterns(
     ".git", "__pycache__", ".mypy_cache", ".pytest_cache", ".hypothesis",
-    ".benchmarks", "*.egg-info", "build", "dist",
+    "*.egg-info", "build", "dist",
 )
 
 

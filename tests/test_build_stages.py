@@ -1,12 +1,13 @@
 """The store build as four stages, and the loss chain read off them.
 
 ``BandanaStore.build`` is ``build_sweep`` at one budget: ``tuning_split`` →
-``place`` once, then ``split_dram`` → ``tune`` → ``assemble`` per budget.  A
+``place`` → ``split_dram`` once, then ``tune`` → ``assemble`` per budget.  A
 sweep over several budgets must give, per budget, the stage chain ``build``
-gives.  ``benchmarks.common.loss_chain``'s oracle replay at the store's own
-split and thresholds must read what the store reads, its factors must multiply
-to the measured ``sim_bw_gain``, and they fall in order wherever the greedy
-split lies on its own chunk grid.
+gives, reading each table's hit-rate curve once.
+``benchmarks.common.loss_chain``'s oracle replay at the store's own split and
+thresholds must read what the store reads, its factors must multiply to the
+measured ``sim_bw_gain``, and they fall in order wherever the greedy split
+lies on its own chunk grid.
 """
 
 import math
@@ -15,7 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.bandana as bandana
 from benchmarks.common import loss_chain
+from repro.caching.stack_distance import hit_rate_curve
 from repro.core.bandana import BandanaStore
 from repro.core.config import BandanaConfig
 from repro.simulation.runner import simulate_store
@@ -73,6 +76,25 @@ def test_swept_stores_own_their_counts(workload):
     for name in TABLES:
         assert first.tables[name].layout is second.tables[name].layout
         assert first.tables[name].access_counts is not second.tables[name].access_counts
+
+
+def test_a_sweep_reads_each_hit_rate_curve_once(workload, monkeypatch):
+    # Regression: every budget recomputed every table's curve (Fig. 13 made
+    # 32 calls where 8 do).  The count goes through the module global
+    # ``repro.core.bandana.hit_rate_curve``, the name perfbench wraps.
+    sizes, train, _ = workload
+    seen = []
+
+    def counted(trace):
+        seen.append(trace)
+        return hit_rate_curve(trace)
+
+    monkeypatch.setattr(bandana, "hit_rate_curve", counted)
+    BandanaStore.build_sweep(train, config_at(100, False), [100, 200, 300], None, sizes)
+    assert seen == [train[name] for name in TABLES]
+    seen.clear()
+    BandanaStore.build(train, config_at(100, False), num_vectors=sizes)
+    assert seen == [train[name] for name in TABLES]
 
 
 def test_sweep_resolves_sizes_as_build_does(workload):

@@ -465,6 +465,14 @@ class TestStoreMechanics:
         with pytest.raises(ValueError, match="warmup_requests"):
             run_scenario(store, trace, num_requests=-3, warmup_requests=-10)
 
+    def test_a_warmup_longer_than_the_trace_refuses(self):
+        # Regression: the warm-up was clamped to the trace, which then left
+        # nothing to measure.
+        store, trace = build_store(0)
+        available = len(list(trace.requests()))
+        with pytest.raises(ValueError, match=rf"warmup_requests=1000 .* {available} requests"):
+            run_scenario(store, trace, warmup_requests=1000)
+
     def test_zero_requests_is_an_empty_report(self):
         store, trace = build_store(0)
         report = run_scenario(store, trace, num_requests=0, warmup_requests=10)

@@ -411,6 +411,13 @@ class TestRunner:
         with pytest.raises(ValueError):
             run_workload_scenario(trace, train_fraction=1.0)
 
+    def test_a_warmup_longer_than_the_training_split_refuses(self):
+        # Regression: 10 000 warm-up queries on a 30-query training split
+        # silently warmed on those 30.
+        trace = generate_scenario_trace(small_scenario("drift"))
+        with pytest.raises(ValueError, match=r"warmup_queries=10000 .* 30 queries"):
+            run_workload_scenario(trace, warmup_queries=10_000)
+
 
 # ------------------------------------------------------- single-table serving
 class TestSingleTableServingStats:
