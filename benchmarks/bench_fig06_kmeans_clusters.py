@@ -7,7 +7,7 @@ gain on the same table (Figure 9 / benchmark fig09).
 
 import _bootstrap  # noqa: F401  (sys.path setup: run benchmarks from the repo root)
 
-from benchmarks.common import save_result
+from benchmarks.common import save_result, timed_partition
 from repro.partitioning import KMeansPartitioner
 from repro.simulation.experiment import ExperimentSweep
 from repro.simulation.runner import unlimited_cache_bandwidth_increase
@@ -24,13 +24,12 @@ def run_figure6(bundle, embedding_values):
     )
     for clusters in CLUSTER_COUNTS:
         partitioner = KMeansPartitioner(num_clusters=clusters, num_iterations=10)
-        result = partitioner.partition(workload.spec.num_vectors, table=table_values)
+        result, runtime_s = timed_partition(
+            partitioner, workload.spec.num_vectors, table=table_values
+        )
         layout = result.layout(32)
         gain = unlimited_cache_bandwidth_increase(workload.evaluation, layout)
-        sweep.add(
-            {"clusters": clusters},
-            {"bw_increase": gain, "runtime_s": result.runtime_seconds},
-        )
+        sweep.add({"clusters": clusters}, {"bw_increase": gain, "runtime_s": runtime_s})
     return sweep
 
 

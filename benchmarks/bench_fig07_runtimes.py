@@ -10,7 +10,7 @@ table — is what the benchmark checks.
 
 import _bootstrap  # noqa: F401  (sys.path setup: run benchmarks from the repo root)
 
-from benchmarks.common import save_result
+from benchmarks.common import save_result, timed_partition
 from benchmarks.conftest import TOP_TABLES
 from repro.partitioning import (
     KMeansPartitioner,
@@ -27,33 +27,34 @@ KMEANS_TABLE = "table4"
 def run_figure7(bundle, embedding_values):
     workload = bundle[KMEANS_TABLE]
     table_values = embedding_values(KMEANS_TABLE)
-    rows_a = []
-    flat_runtimes = []
-    for clusters in FLAT_CLUSTERS:
-        result = KMeansPartitioner(num_clusters=clusters, num_iterations=10).partition(
-            workload.spec.num_vectors, table=table_values
+
+    def kmeans_seconds(partitioner):
+        return timed_partition(partitioner, workload.spec.num_vectors, table=table_values)[1]
+
+    flat_runtimes = [
+        kmeans_seconds(KMeansPartitioner(num_clusters=clusters, num_iterations=10))
+        for clusters in FLAT_CLUSTERS
+    ]
+    recursive_runtimes = [
+        kmeans_seconds(
+            RecursiveKMeansPartitioner(
+                num_top_clusters=16, num_sub_clusters=leaves, num_iterations=10
+            )
         )
-        flat_runtimes.append(result.runtime_seconds)
-        rows_a.append([f"kmeans k={clusters}", f"{result.runtime_seconds:.2f}"])
+        for leaves in LEAF_CLUSTERS
+    ]
+    shp = SHPPartitioner(vectors_per_block=32, num_iterations=16, seed=0)
+    shp_runtimes = [
+        timed_partition(shp, bundle[name].spec.num_vectors, trace=bundle[name].train)[1]
+        for name in TOP_TABLES
+    ]
 
-    rows_b = []
-    recursive_runtimes = []
-    for leaves in LEAF_CLUSTERS:
-        result = RecursiveKMeansPartitioner(
-            num_top_clusters=16, num_sub_clusters=leaves, num_iterations=10
-        ).partition(workload.spec.num_vectors, table=table_values)
-        recursive_runtimes.append(result.runtime_seconds)
-        rows_b.append([f"recursive leaves={leaves}", f"{result.runtime_seconds:.2f}"])
-
-    rows_c = []
-    for name in TOP_TABLES:
-        table_workload = bundle[name]
-        result = SHPPartitioner(vectors_per_block=32, num_iterations=16, seed=0).partition(
-            table_workload.spec.num_vectors, trace=table_workload.train
-        )
-        rows_c.append([f"shp {name}", f"{result.runtime_seconds:.2f}"])
-
-    table = format_table(["configuration", "runtime (s)"], rows_a + rows_b + rows_c)
+    rows = (
+        [[f"kmeans k={k}", f"{s:.2f}"] for k, s in zip(FLAT_CLUSTERS, flat_runtimes)]
+        + [[f"recursive leaves={n}", f"{s:.2f}"] for n, s in zip(LEAF_CLUSTERS, recursive_runtimes)]
+        + [[f"shp {name}", f"{s:.2f}"] for name, s in zip(TOP_TABLES, shp_runtimes)]
+    )
+    table = format_table(["configuration", "runtime (s)"], rows)
     return table, flat_runtimes, recursive_runtimes
 
 

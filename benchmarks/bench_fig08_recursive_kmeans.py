@@ -7,7 +7,7 @@ of leaf clusters and saturates beyond a few thousand sub-clusters.
 
 import _bootstrap  # noqa: F401  (sys.path setup: run benchmarks from the repo root)
 
-from benchmarks.common import save_result
+from benchmarks.common import save_result, timed_partition
 from repro.partitioning import KMeansPartitioner, RecursiveKMeansPartitioner
 from repro.simulation.experiment import ExperimentSweep
 from repro.simulation.runner import unlimited_cache_bandwidth_increase
@@ -24,18 +24,22 @@ def run_figure8(bundle, embedding_values):
         partitioner = RecursiveKMeansPartitioner(
             num_top_clusters=16, num_sub_clusters=leaves, num_iterations=10
         )
-        result = partitioner.partition(workload.spec.num_vectors, table=table_values)
-        gain = unlimited_cache_bandwidth_increase(workload.evaluation, result.layout(32))
-        sweep.add(
-            {"leaf_clusters": leaves},
-            {"bw_increase": gain, "runtime_s": result.runtime_seconds},
+        result, runtime_s = timed_partition(
+            partitioner, workload.spec.num_vectors, table=table_values
         )
+        gain = unlimited_cache_bandwidth_increase(workload.evaluation, result.layout(32))
+        sweep.add({"leaf_clusters": leaves}, {"bw_increase": gain, "runtime_s": runtime_s})
     # Reference: flat K-means at the largest leaf count.
-    flat = KMeansPartitioner(num_clusters=LEAF_CLUSTERS[-1], num_iterations=10).partition(
-        workload.spec.num_vectors, table=table_values
+    flat, flat_runtime_s = timed_partition(
+        KMeansPartitioner(num_clusters=LEAF_CLUSTERS[-1], num_iterations=10),
+        workload.spec.num_vectors,
+        table=table_values,
     )
     flat_gain = unlimited_cache_bandwidth_increase(workload.evaluation, flat.layout(32))
-    sweep.add({"leaf_clusters": f"flat-{LEAF_CLUSTERS[-1]}"}, {"bw_increase": flat_gain, "runtime_s": flat.runtime_seconds})
+    sweep.add(
+        {"leaf_clusters": f"flat-{LEAF_CLUSTERS[-1]}"},
+        {"bw_increase": flat_gain, "runtime_s": flat_runtime_s},
+    )
     return sweep
 
 

@@ -46,7 +46,12 @@ def run_table2(bundle):
             )
             gain = full_gain(selection.threshold, cache_size)
             summary[(cache_size, rate)] = (selection.threshold, gain)
-            row.append(f"t={selection.threshold:.0f} ({100 * gain:+.0f}%)")
+            # The rate the tuner ran at: MIN_MINIATURE_BLOCKS can lift it
+            # above the column's nominal rate.
+            row.append(
+                f"t={selection.threshold:.0f} ({100 * gain:+.0f}%) "
+                f"@{selection.sampling_rate:.3g}"
+            )
         rows.append(row)
     headers = ["cache size"] + [
         ("full cache" if rate == 1.0 else f"{100 * rate:.0f}% sampling") for rate in SAMPLING_RATES

@@ -15,6 +15,7 @@ whole harness completes in a few minutes.
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -29,6 +30,7 @@ from repro.device import DEVICE_SLOTS
 from repro.nvm.block import BlockLayout
 from repro.nvm.latency import NVMLatencyModel
 from repro.partitioning import SHPPartitioner
+from repro.partitioning.base import Partitioner, PartitionResult
 from repro.scenarios import TraceLoaderConfig, characterization_report, load_trace
 from repro.simulation import simulate_store
 from repro.workloads import (
@@ -58,6 +60,19 @@ def save_result(name: str, text: str) -> None:
     with open(os.path.join(RESULTS_DIR, f"{name}.txt"), "w") as handle:
         handle.write(text + "\n")
     print(f"\n===== {name} =====\n{text}\n")
+
+
+def timed_partition(
+    partitioner: Partitioner, num_vectors: int, **inputs: Any
+) -> Tuple[PartitionResult, float]:
+    """Run ``partitioner.partition`` once; return its result and wall seconds.
+
+    The partitioners are pure and keep no clock; the placement-cost columns
+    of Figures 6-8 are this one stopwatch around the call.
+    """
+    start = time.perf_counter()
+    result = partitioner.partition(num_vectors, **inputs)
+    return result, time.perf_counter() - start
 
 
 @dataclass

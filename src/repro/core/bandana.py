@@ -239,7 +239,10 @@ class BandanaStore:
         state = self._state(table_name)
         ids = self._checked_ids(state, vector_ids)
         if ids.size:
-            self.engine(table_name).replay_query(ids, validate=False)
+            # A warm table's engine is read off the state: engine() would
+            # check the table name a second time on every query.
+            engine = state.engine if state.engine is not None else self.engine(table_name)
+            engine.replay_query(ids, validate=False)
         return self._gather(table_name, ids) if gather else None
 
     def lookup_batch(

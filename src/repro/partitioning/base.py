@@ -8,7 +8,6 @@ ids.  The order is wrapped in a :class:`repro.nvm.block.BlockLayout` by
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -22,23 +21,21 @@ from repro.utils.validation import check_int_at_least
 class PartitionResult:
     """Output of a partitioner run.
 
+    A pure function of the partitioner's parameters and its input: two runs
+    on one input return equal ``order`` arrays and equal ``details``.  No
+    wall time is recorded; a caller that reports placement cost (the paper's
+    Figure 7) times the ``partition`` call itself.
+
     Attributes
     ----------
     order:
         Permutation of vector ids: ``order[i]`` is the id stored at physical
         position ``i``.
-    runtime_seconds:
-        Wall-clock time the algorithm took (the paper reports these in
-        Figure 7).
-    algorithm:
-        Human-readable name of the algorithm that produced the order.
     details:
         Algorithm-specific diagnostics (iterations, objective values, ...).
     """
 
     order: np.ndarray
-    runtime_seconds: float
-    algorithm: str
     details: Dict[str, object] = field(default_factory=dict)
 
     def layout(self, vectors_per_block: int) -> BlockLayout:
@@ -56,10 +53,6 @@ class Partitioner:
 
     #: Name used in reports and benchmark output.
     name: str = "partitioner"
-
-    def _timed(self, start_time: float) -> float:
-        """Seconds elapsed since ``start_time`` (helper for subclasses)."""
-        return time.perf_counter() - start_time
 
     @staticmethod
     def _validate_num_vectors(num_vectors: int) -> int:

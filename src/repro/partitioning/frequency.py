@@ -10,8 +10,6 @@ segregating hot vectors.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.partitioning.base import Partitioner, PartitionResult
@@ -30,7 +28,6 @@ class FrequencyPartitioner(Partitioner):
             raise ValueError(
                 "trace references more vectors than the table being partitioned"
             )
-        start = time.perf_counter()
         counts = np.zeros(num_vectors, dtype=np.int64)
         counts[: trace.num_vectors] = access_counts(trace)
         # Stable sort keeps the original order among equally-hot vectors, so
@@ -38,7 +35,5 @@ class FrequencyPartitioner(Partitioner):
         order = np.argsort(-counts, kind="stable").astype(np.int64)
         return PartitionResult(
             order=order,
-            runtime_seconds=self._timed(start),
-            algorithm=self.name,
             details={"max_count": int(counts.max()) if counts.size else 0},
         )

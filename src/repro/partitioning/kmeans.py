@@ -13,7 +13,6 @@ motivates the recursive variant.
 
 from __future__ import annotations
 
-import time
 from typing import Tuple
 
 import numpy as np
@@ -148,7 +147,6 @@ class KMeansPartitioner(Partitioner):
             raise ValueError(
                 f"table has {table.num_vectors} vectors but num_vectors={num_vectors}"
             )
-        start = time.perf_counter()
         labels, _, inertia = kmeans_cluster(
             table.values,
             num_clusters=self.num_clusters,
@@ -157,8 +155,6 @@ class KMeansPartitioner(Partitioner):
         order = order_by_labels(labels)
         return PartitionResult(
             order=order,
-            runtime_seconds=self._timed(start),
-            algorithm=self.name,
             details={
                 "num_clusters": self.num_clusters,
                 "inertia": inertia,

@@ -12,8 +12,6 @@ while each individual run stays small, so the runtime grows far more slowly
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.embeddings.table import EmbeddingTable
@@ -66,7 +64,6 @@ class RecursiveKMeansPartitioner(Partitioner):
             raise ValueError(
                 f"table has {table.num_vectors} vectors but num_vectors={num_vectors}"
             )
-        start = time.perf_counter()
         values = np.asarray(table.values, dtype=np.float32)
 
         top_labels, _, _ = kmeans_cluster(
@@ -105,8 +102,6 @@ class RecursiveKMeansPartitioner(Partitioner):
         order = np.concatenate(order_parts).astype(np.int64)
         return PartitionResult(
             order=order,
-            runtime_seconds=self._timed(start),
-            algorithm=self.name,
             details={
                 "num_top_clusters": num_top,
                 "num_leaf_clusters": total_leaves,

@@ -59,7 +59,6 @@ because of four invariants:
 
 from __future__ import annotations
 
-import time
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -325,7 +324,6 @@ class SHPPartitioner(Partitioner):
             raise ValueError(
                 "trace references more vectors than the table being partitioned"
             )
-        start = time.perf_counter()
         rng = ensure_rng(self.seed)
 
         # Memberships as (position of the vertex, query label); at the root a
@@ -345,8 +343,6 @@ class SHPPartitioner(Partitioner):
 
         return PartitionResult(
             order=order,
-            runtime_seconds=self._timed(start),
-            algorithm=self.name,
             details={
                 "num_iterations": self.num_iterations,
                 "num_training_queries": num_queries,

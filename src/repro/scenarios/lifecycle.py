@@ -30,6 +30,7 @@ so "hit-rate decay vs partition age" becomes a reportable curve
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from typing import Deque, Dict, List
 
@@ -80,7 +81,7 @@ class RepartitionManager:
         self.retrains = 0
         self.swaps: List[int] = []
         self.churn: List[float] = []
-        self.retrain_runtime_seconds = 0.0
+        self._retrain_wall_s = 0.0
 
     # ------------------------------------------------------------------ drive
     def observe(self, query: npt.ArrayLike) -> bool:
@@ -114,7 +115,7 @@ class RepartitionManager:
             "churn": [round(value, 4) for value in self.churn],
             "queries_seen": self._queries_seen,
             "final_partition_age_queries": self.partition_age_queries,
-            "retrain_runtime_seconds": round(self.retrain_runtime_seconds, 4),
+            "retrain_runtime_seconds": round(self._retrain_wall_s, 4),
         }
 
     # ---------------------------------------------------------------- private
@@ -127,9 +128,12 @@ class RepartitionManager:
             num_iterations=self.config.shp_iterations,
             seed=self.config.seed,
         )
+        # The one wall-clock read under repro (repro-lint R2's allowlist):
+        # ``summary()["retrain_runtime_seconds"]`` reports the retrains' cost.
+        start = time.perf_counter()
         result = partitioner.partition(state.layout.num_vectors, trace=window_trace)
+        self._retrain_wall_s += time.perf_counter() - start
         self.retrains += 1
-        self.retrain_runtime_seconds += result.runtime_seconds
         layout = result.layout(self.store.config.vectors_per_block)
         window_counts = access_counts(window_trace).astype(np.float64)
         window_total = window_counts.sum()

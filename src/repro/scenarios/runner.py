@@ -110,7 +110,7 @@ def run_workload_scenario(
             manager.observe(query)
         else:
             queries_since_swap += 1
-        if index % window_queries == 0 or index == len(evaluation.queries):
+        if index % window_queries == 0 or index == report.num_eval_queries:
             hits, lookups = state.stats.hits, state.stats.lookups
             delta_lookups = lookups - window_lookups
             rate = (hits - window_hits) / delta_lookups if delta_lookups else 0.0

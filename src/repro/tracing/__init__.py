@@ -47,8 +47,9 @@ Pass a ``TracingConfig(enabled=True, ...)`` or a :class:`Tracer` as the
 ``tracing=`` argument of ``simulate_serving`` / ``run_scenario``.  Disabled
 (the default) resolves to the shared :data:`NULL_TRACER`, and every
 instrumentation site guards with ``if tracer.enabled:`` — the disabled path
-is an attribute load and a branch, with zero allocations (enforced by
-``benchmarks/bench_tracing_overhead.py`` in CI).
+is an attribute load and a branch, with zero allocations.
+``tests/test_tracing.py`` fences it by count: at most four guard reads per
+served request.
 """
 
 from repro.tracing.tracer import NULL_TRACER, NullTracer, Tracer

@@ -15,10 +15,10 @@ Rule catalog
 ``R2 wall-clock``
     No ``time.time``/``perf_counter``/``monotonic``/``sleep``/
     ``datetime.now`` in any ``repro.*`` module: simulation, serving, cluster
-    and caching code runs on the simulated microsecond clock.  The
-    ``repro.partitioning`` package is explicitly allowlisted
-    (:data:`~repro_lint.rules.WALL_CLOCK_ALLOWED_MODULES`): its timers
-    measure genuine algorithm wall time (paper Figure 7).
+    and caching code runs on the simulated microsecond clock, and the
+    partitioners are pure.  One module is allowlisted
+    (:data:`~repro_lint.rules.WALL_CLOCK_ALLOWED_MODULES`):
+    ``repro.scenarios.lifecycle``, whose retrain timer feeds one summary key.
 ``R3 time-unit-mix``
     A ``_us``-suffixed variable/attribute/parameter must not be assigned
     from a ``_s``/``_ms``/``_ns``-suffixed one (or any cross-unit pair)

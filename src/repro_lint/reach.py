@@ -103,8 +103,8 @@ FLOWS: Tuple[Flow, ...] = (
     Flow("scenarios-smoke", ("benchmarks/bench_scenarios.py", "--smoke")),
     Flow("cluster-failures-smoke", ("benchmarks/bench_cluster_failures.py", "--smoke")),
     Flow("shared-device-smoke", ("benchmarks/bench_shared_device.py", "--smoke")),
-    # Left out: bench_tracing_overhead.py (asserts a wall-clock bound a
-    # profiler breaks; it runs bench_serving_latency's path).
+    # The tracing guard fence needs no flow: it is a tier-1 count in
+    # tests/test_tracing.py over the single-host serving path.
     Flow(
         "figure-scripts",
         (

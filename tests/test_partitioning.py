@@ -1,7 +1,7 @@
 """Tests for the placement algorithms (frequency, K-means, SHP)."""
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from repro.partitioning import (
     RecursiveKMeansPartitioner,
     SHPPartitioner,
 )
+from repro.partitioning.base import PartitionResult
 from repro.partitioning.kmeans import kmeans_cluster, order_by_labels
 from repro.scenarios import ScenarioConfig, generate_scenario_trace
 from repro.utils.rng import ensure_rng
@@ -62,6 +63,40 @@ class TestEachPartitionerTakesOnlyTheInputItReads:
         inputs = {"trace": Trace([[0, 1]], num_vectors=2), "table": embedding_table}
         with pytest.raises(TypeError, match=f"unexpected keyword argument '{unread}'"):
             build().partition(embedding_table.num_vectors, **{unread: inputs[unread]})
+
+
+class TestPartitioningIsPure:
+    @pytest.mark.parametrize(
+        "build, reads",
+        [
+            (FrequencyPartitioner, "trace"),
+            (lambda: SHPPartitioner(num_iterations=4), "trace"),
+            (lambda: KMeansPartitioner(num_clusters=8, num_iterations=5), "table"),
+            (
+                lambda: RecursiveKMeansPartitioner(
+                    num_top_clusters=4, num_sub_clusters=16, num_iterations=5
+                ),
+                "table",
+            ),
+        ],
+        ids=["frequency", "shp", "kmeans", "recursive-kmeans"],
+    )
+    def test_two_runs_on_one_input_are_equal(
+        self, build, reads, train_trace, embedding_table
+    ):
+        # A result is a function of (parameters, input) alone: no clock
+        # reading or other per-run field may ride along with the order.
+        partitioner = build()
+        inputs = {"trace": train_trace, "table": embedding_table}
+        first, second = (
+            asdict(partitioner.partition(embedding_table.num_vectors, **{reads: inputs[reads]}))
+            for _ in range(2)
+        )
+        assert np.array_equal(first.pop("order"), second.pop("order"))
+        assert first == second
+
+    def test_result_holds_only_order_and_details(self):
+        assert [field.name for field in fields(PartitionResult)] == ["order", "details"]
 
 
 class TestFrequencyPartitioner:

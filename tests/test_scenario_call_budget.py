@@ -19,12 +19,13 @@ from repro.workloads.trace import ModelTrace
 from tests.conftest import count_python_calls
 
 #: Python-level calls per evaluation query of the stale drift replay below
-#: (2 400 queries, 4 096 vectors, a third trains).  Measured 10.42 on CPython
-#: 3.11 / NumPy 2.4 (10.49 when NumPy's first-use set-up falls in the count):
-#: ``lookup`` with its table, id and engine checks and one ``replay_query``
-#: per query, plus the admission calls of each block read.  The budget sits
-#: ~5 % above that and below the 11.42 one more frame per ``lookup`` gives.
-CALLS_PER_QUERY_BUDGET = 11.0
+#: (2 400 queries, 4 096 vectors, a third trains).  Measured 7.43 on CPython
+#: 3.11 / NumPy 2.4 (7.50 when NumPy's first-use set-up falls in the count):
+#: ``lookup`` with its one table check, its id checks and one
+#: ``replay_query`` per query, plus the admission calls of each block read.
+#: The budget sits ~5 % above that and below the 8.43 one more frame per
+#: ``lookup`` gives.
+CALLS_PER_QUERY_BUDGET = 7.8
 
 TRAIN_FRACTION = 1.0 / 3.0
 

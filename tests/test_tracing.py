@@ -198,22 +198,39 @@ class TestSamplingAndEviction:
 
 
 # ------------------------------------------------------- single-host serving
+#: Fence on ``tracer.enabled`` reads per served request on the disabled path.
+#: The single-host loop reads the guard about once per batch (155 reads for
+#: 161 requests below); 4 leaves room for denser instrumentation and still
+#: fails on a guard inside a per-lookup loop.
+MAX_GUARDS_PER_REQUEST = 4
+
+
+class GuardCountingTracer(NullTracer):
+    """The disabled tracer, counting how often its ``enabled`` guard is read."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.guard_reads = 0
+
+    @property
+    def enabled(self) -> bool:
+        self.guard_reads += 1
+        return False
+
+
 class TestSingleHostServing:
+    CONFIG = ServingConfig(
+        arrival_rate_rps=4000,
+        max_batch_requests=8,
+        max_linger_us=300.0,
+        slo_latency_us=3000.0,
+    )
+
     @pytest.fixture(scope="class")
     def traced_run(self):
         store, eval_trace = build_store_and_trace()
         tracer = Tracer(TracingConfig(enabled=True), slo_latency_us=3000.0)
-        report = simulate_serving(
-            store,
-            eval_trace,
-            ServingConfig(
-                arrival_rate_rps=4000,
-                max_batch_requests=8,
-                max_linger_us=300.0,
-                slo_latency_us=3000.0,
-            ),
-            tracing=tracer,
-        )
+        report = simulate_serving(store, eval_trace, self.CONFIG, tracing=tracer)
         return store, eval_trace, tracer, report
 
     def test_every_request_traced_exactly_once(self, traced_run):
@@ -252,15 +269,9 @@ class TestSingleHostServing:
 
     def test_disabled_tracing_is_observationally_free(self, traced_run):
         store, eval_trace, _, enabled_report = traced_run
-        config = ServingConfig(
-            arrival_rate_rps=4000,
-            max_batch_requests=8,
-            max_linger_us=300.0,
-            slo_latency_us=3000.0,
-        )
-        off_none = simulate_serving(store, eval_trace, config, tracing=None)
+        off_none = simulate_serving(store, eval_trace, self.CONFIG, tracing=None)
         off_config = simulate_serving(
-            store, eval_trace, config, tracing=TracingConfig(enabled=False)
+            store, eval_trace, self.CONFIG, tracing=TracingConfig(enabled=False)
         )
         assert off_none.trace is None and off_config.trace is None
         assert off_none.to_dict() == off_config.to_dict()
@@ -271,6 +282,22 @@ class TestSingleHostServing:
         enabled.pop("trace")
         disabled.pop("trace")
         assert enabled == disabled
+
+    def test_disabled_guard_reads_stay_within_fence(self, traced_run):
+        # The disabled path's one residual cost is the ``if tracer.enabled:``
+        # guard.  Counting its reads is deterministic: a guard moved into a
+        # per-lookup loop fails here on any machine, where a wall-clock
+        # overhead bound would pass it.
+        store, eval_trace, _, enabled_report = traced_run
+        counting = GuardCountingTracer()
+        report = simulate_serving(store, eval_trace, self.CONFIG, tracing=counting)
+        expected = dict(enabled_report.to_dict(), trace=None)
+        assert report.to_dict() == expected
+        per_request = counting.guard_reads / report.num_requests
+        assert 0 < per_request <= MAX_GUARDS_PER_REQUEST, (
+            f"{counting.guard_reads} guard reads for {report.num_requests} "
+            f"requests ({per_request:.2f}/request; fence {MAX_GUARDS_PER_REQUEST})"
+        )
 
 
 # ------------------------------------------------------------ cluster serving
